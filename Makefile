@@ -6,7 +6,7 @@
 GO      ?= go
 FUZZTIME ?= 10s
 
-.PHONY: ci vet build test race fuzz chaos-smoke ha-smoke aa-smoke hybrid-smoke churn-smoke scenario-smoke bench bench-baseline bench-check clean
+.PHONY: ci vet build test race fuzz chaos-smoke ha-smoke aa-smoke hybrid-smoke churn-smoke scenario-smoke bench bench-baseline bench-check bench-wall bench-wall-compare clean
 
 ci: vet build race bench-check fuzz chaos-smoke ha-smoke aa-smoke hybrid-smoke churn-smoke scenario-smoke
 
@@ -84,8 +84,12 @@ scenario-smoke:
 # One-command reproduction pass over the paper's tables and figures.
 # -benchmem surfaces allocs/op and B/op next to the sim-derived
 # metrics (the steady-sweep figures are also reported explicitly).
+# The second line times the dispatch decision next to its code: one
+# Pick against fleet size (ns/op should grow linearly) and one
+# LocalFrac query.
 bench:
 	$(GO) test -bench . -benchtime 1x -benchmem
+	$(GO) test -run '^$$' -bench 'BenchmarkPick|BenchmarkLocalFrac' -benchmem ./internal/loadbalance ./internal/httpsim
 
 # Probe-engine regression gates: replay the deterministic 256-backend
 # scale point and the 512-backend hybrid comparison, failing on >15%
@@ -99,6 +103,19 @@ bench-check:
 # cost-model change (commit the result).
 bench-baseline:
 	BENCH_WRITE=1 $(GO) test -run 'TestBenchScaleRegression|TestBenchHybridRegression' .
+
+# The wall-clock benchmark BENCHMARK.json declares (bench/README.md):
+# all five workloads, untraced then traced, into one result file
+# (~2 min). One workload: `go run ./bench -workload dispatch-64`, with
+# `-trace 1` for the per-layer breakdown.
+bench-wall:
+	mkdir -p .bench_build
+	$(GO) run ./bench -out .bench_build/wall.json
+
+# Compare two bench-wall result files, e.g. the parent commit's and
+# this tree's: make bench-wall-compare A=old.json B=new.json
+bench-wall-compare:
+	$(GO) run ./bench -compare $(A) $(B)
 
 clean:
 	$(GO) clean -testcache

@@ -631,9 +631,11 @@ func (c *Cluster) buildPolicyFor(mon *core.Monitor, rng *rand.Rand) loadbalance.
 		var exclude, degraded func(int) bool
 		if mon != nil {
 			m := mon
-			source = func(b int) (wire.LoadRecord, bool) {
-				rec, _, ok := m.Latest(b)
-				return rec, ok
+			// Named results: the record lands in the caller's slot
+			// without an intermediate ~140 B copy, per candidate per pick.
+			source = func(b int) (rec wire.LoadRecord, ok bool) {
+				rec, _, ok = m.Latest(b)
+				return
 			}
 			// Quarantined back-ends (3 consecutive failed probes) get
 			// zero traffic until they pass probation.

@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"math"
+	"reflect"
 	"testing"
 
 	"rdmamon/internal/core"
@@ -129,5 +131,40 @@ func TestClusterDeterminism(t *testing.T) {
 	c2, m2 := run()
 	if c1 != c2 || m1 != m2 {
 		t.Fatalf("nondeterministic cluster: (%d,%v) vs (%d,%v)", c1, m1, c2, m2)
+	}
+}
+
+// TestDispatchWindowBitReproducible pins the simulator's bit-for-bit
+// contract on the dispatcher's recent-traffic window: the same Config
+// and seed give the same LocalFrac bit pattern for every back-end and
+// the same per-node routing counts. Any float64 accumulated in Go map
+// iteration order would fail this: its low bits vary from run to run.
+func TestDispatchWindowBitReproducible(t *testing.T) {
+	const n = 64
+	run := func() ([]uint64, map[int]uint64) {
+		c := New(Config{Backends: n, Scheme: core.RDMASync, Poll: 10 * sim.Millisecond,
+			Seed: 7, Policy: PolicyLeastLoad, MonitorShards: 4, MonitorBatch: 32})
+		c.StartRUBiS(24*n, 100*sim.Millisecond, 8)
+		c.Run(300 * sim.Millisecond)
+		bits := make([]uint64, 0, n)
+		for _, b := range c.BackendIDs() {
+			bits = append(bits, math.Float64bits(c.Dispatcher.LocalFrac(b)))
+		}
+		return bits, c.Dispatcher.ByNode
+	}
+	bits1, byNode1 := run()
+	if len(byNode1) != n {
+		t.Fatalf("only %d of %d back-ends routed to: the window is not exercised", len(byNode1), n)
+	}
+	for rerun := 0; rerun < 3; rerun++ {
+		bits2, byNode2 := run()
+		for i := range bits1 {
+			if bits1[i] != bits2[i] {
+				t.Fatalf("rerun %d: LocalFrac(%d) bits %016x vs %016x", rerun, i+1, bits1[i], bits2[i])
+			}
+		}
+		if !reflect.DeepEqual(byNode1, byNode2) {
+			t.Fatalf("rerun %d: ByNode differs: %v vs %v", rerun, byNode1, byNode2)
+		}
 	}
 }

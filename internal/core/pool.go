@@ -41,7 +41,7 @@ func (m *Monitor) Pool() *connpool.Pool[int, *simnet.QP] { return m.pool }
 // shed willingly; quiet and quarantined ones absorb budget pressure
 // first.
 func (m *Monitor) hotBackend(id int) bool {
-	p := m.Probers[id]
+	p := m.prober(id)
 	if p.Health.State() == Quarantined {
 		// Presumed dead: its record is already marked undispatchable,
 		// so a delayed probe costs nothing — shed first.
@@ -100,7 +100,7 @@ func (m *Monitor) pooledProbe(tk *simos.Task, id int, done func()) {
 }
 
 func (m *Monitor) pooledProbeN(tk *simos.Task, id int, attempt int, done func()) {
-	p := m.Probers[id]
+	p := m.prober(id)
 	start := m.front.Eng.Now()
 	finish := func(_ wire.LoadRecord, err error) {
 		m.observeProbe(id, err)
@@ -179,7 +179,7 @@ func (m *Monitor) fencedProbe(tk *simos.Task, id int, l connpool.Lease[int, *sim
 // conn was recycled in flight is rejected and replayed — never
 // silently served stale.
 func (m *Monitor) fencedProbeN(tk *simos.Task, id int, l connpool.Lease[int, *simnet.QP], attempt int, done func()) {
-	p := m.Probers[id]
+	p := m.prober(id)
 	start := m.front.Eng.Now()
 	finish := func(_ wire.LoadRecord, err error) {
 		m.observeProbe(id, err)

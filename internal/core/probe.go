@@ -386,6 +386,11 @@ type Monitor struct {
 	fnic    *simnet.NIC
 	cfg     MonitorConfig
 
+	// byID mirrors Probers as a slice indexed by back-end id: the
+	// dispatch path asks Latest/Health/Slope once per candidate per
+	// pick, where hashing the map was a measurable share of a decision.
+	byID []*Prober
+
 	// Cycles counts completed polling sweeps. With multiple shards it
 	// is the minimum over per-shard sweep counters: "every back-end has
 	// been swept at least Cycles times".
@@ -505,6 +510,10 @@ func StartMonitorCfg(front *simos.Node, fnic *simnet.NIC, agents []*Agent, poll 
 		m.Scheme = a.Scheme
 		p := NewProber(front, fnic, a)
 		m.Probers[p.Backend] = p
+		if p.Backend >= len(m.byID) {
+			m.byID = append(m.byID, make([]*Prober, p.Backend+1-len(m.byID))...)
+		}
+		m.byID[p.Backend] = p
 		m.order = append(m.order, p.Backend)
 	}
 	if cfg.Hybrid != nil && m.Scheme.UsesRDMA() {
@@ -563,7 +572,7 @@ func StartMonitorCfg(front *simos.Node, fnic *simnet.NIC, agents []*Agent, poll 
 					j := i
 					var leases []connpool.Lease[int, *simnet.QP]
 					for j < len(ids) && j-i < m.cfg.Batch &&
-						m.Probers[ids[j]].batchEligible() && m.dueNow(ids[j]) {
+						m.prober(ids[j]).batchEligible() && m.dueNow(ids[j]) {
 						if m.pool != nil {
 							l, ok := m.tryLease(ids[j])
 							if !ok {
@@ -585,11 +594,11 @@ func StartMonitorCfg(front *simos.Node, fnic *simnet.NIC, agents []*Agent, poll 
 					}
 				}
 				id := ids[i]
-				if m.pool != nil && m.Probers[id].batchEligible() {
+				if m.pool != nil && m.prober(id).batchEligible() {
 					m.pooledProbe(tk, id, func() { step(i + 1) })
 					return
 				}
-				m.Probers[id].ProbeOnce(tk, func(_ wire.LoadRecord, err error) {
+				m.prober(id).ProbeOnce(tk, func(_ wire.LoadRecord, err error) {
 					m.observeProbe(id, err)
 					step(i + 1)
 				})
@@ -637,7 +646,7 @@ func (m *Monitor) probeBatch(tk *simos.Task, ids []int, leases []connpool.Lease[
 	probers := sc.probers[:len(ids)]
 	reqs := sc.reqs[:len(ids)]
 	for i, id := range ids {
-		p := m.Probers[id]
+		p := m.prober(id)
 		probers[i] = p
 		n := p.readLen()
 		reqs[i] = simnet.ReadReq{Target: p.Backend, Key: p.agent.RKey(), Length: n, Buf: p.readInto(n)}
@@ -717,6 +726,14 @@ func (m *Monitor) shardDone(s int) {
 // Backends returns the monitored back-end IDs in start order.
 func (m *Monitor) Backends() []int { return m.order }
 
+// prober returns a back-end's prober, nil if unknown.
+func (m *Monitor) prober(backend int) *Prober {
+	if uint(backend) >= uint(len(m.byID)) {
+		return nil
+	}
+	return m.byID[backend]
+}
+
 // dueNow reports whether a back-end's adaptive poll period has elapsed
 // (always true without the hybrid engine).
 func (m *Monitor) dueNow(backend int) bool {
@@ -744,7 +761,7 @@ func (m *Monitor) observeProbe(backend int, err error) {
 	if st == nil {
 		return
 	}
-	p := m.Probers[backend]
+	p := m.prober(backend)
 	changed := err != nil || !st.has
 	if !changed {
 		if p.agent.RingK() > 0 {
@@ -773,7 +790,7 @@ func (m *Monitor) observeProbe(backend int, err error) {
 // never moves backwards in time.
 func (m *Monitor) notePush(backend int, rec wire.PushRecord, at sim.Time) {
 	st := m.hyb[backend]
-	p := m.Probers[backend]
+	p := m.prober(backend)
 	if st == nil || p == nil || m.stopped {
 		return
 	}
@@ -834,7 +851,7 @@ func (m *Monitor) ArmFailover(cfg FailoverConfig) {
 // Failover returns a back-end's transport breaker (nil if the monitor
 // is unarmed or the back-end unknown).
 func (m *Monitor) Failover(backend int) *Failover {
-	p := m.Probers[backend]
+	p := m.prober(backend)
 	if p == nil {
 		return nil
 	}
@@ -844,7 +861,7 @@ func (m *Monitor) Failover(backend int) *Failover {
 // Health returns the probe-driven health state of a back-end; unknown
 // back-ends report Quarantined (never dispatch blind).
 func (m *Monitor) Health(backend int) Health {
-	p := m.Probers[backend]
+	p := m.prober(backend)
 	if p == nil {
 		return Quarantined
 	}
@@ -857,7 +874,7 @@ func (m *Monitor) Health(backend int) Health {
 // restarted back-end earns its way back through probation by answering
 // probes, exactly like one that recovered on its own.
 func (m *Monitor) ReplaceAgent(backend int, a *Agent) {
-	p := m.Probers[backend]
+	p := m.prober(backend)
 	if p == nil || a == nil {
 		return
 	}
@@ -879,7 +896,7 @@ func (m *Monitor) ReplaceAgent(backend int, a *Agent) {
 // probes prime it from the history window; point probes prime it from
 // consecutive samples.
 func (m *Monitor) Slope(backend int) (float64, bool) {
-	p := m.Probers[backend]
+	p := m.prober(backend)
 	if p == nil {
 		return 0, false
 	}
@@ -888,7 +905,7 @@ func (m *Monitor) Slope(backend int) (float64, bool) {
 
 // Latest returns the newest record for a back-end.
 func (m *Monitor) Latest(backend int) (wire.LoadRecord, sim.Time, bool) {
-	p := m.Probers[backend]
+	p := m.prober(backend)
 	if p == nil {
 		return wire.LoadRecord{}, 0, false
 	}

@@ -192,10 +192,13 @@ type Dispatcher struct {
 	task        *simos.Task
 
 	// Decayed per-backend forward counters: the dispatcher's local
-	// connection-count signal (exponential decay, time constant
-	// localTau). LocalShare exposes it to the balancing policy.
+	// connection-count signal (linear decay to zero over localTau),
+	// dense by back-end id. total is their sum, taken in ascending id
+	// order by whatever last changed a counter (decay, noteForward), so
+	// LocalFrac is O(1) and bit-for-bit reproducible.
 	localTau  sim.Time
-	counts    map[int]float64
+	counts    []float64
+	total     float64
 	lastDecay sim.Time
 }
 
@@ -215,7 +218,6 @@ func StartDispatcherOn(node *simos.Node, nic *simnet.NIC, policy loadbalance.Pol
 		DecisionCost: 15 * sim.Microsecond,
 		ByNode:       make(map[int]uint64),
 		localTau:     150 * sim.Millisecond,
-		counts:       make(map[int]float64),
 	}
 	nic.Fabric().MarkEstablished(port)
 	d.task = node.Spawn("dispatcher", func(tk *simos.Task) {
@@ -277,6 +279,8 @@ func (d *Dispatcher) Stop() {
 	d.task.Exit()
 }
 
+// decay ages the window to now: every counter loses dt/localTau of
+// its value, reaching zero once a full localTau has passed.
 func (d *Dispatcher) decay() {
 	now := d.node.Eng.Now()
 	dt := now - d.lastDecay
@@ -284,37 +288,39 @@ func (d *Dispatcher) decay() {
 		return
 	}
 	d.lastDecay = now
-	// e^-x approximated piecewise: full reset beyond ~4 tau.
-	if dt > 4*d.localTau {
-		for b := range d.counts {
-			d.counts[b] = 0
-		}
-		return
-	}
 	f := 1 - float64(dt)/float64(d.localTau)
 	if f < 0 {
 		f = 0
 	}
+	total := 0.0
 	for b := range d.counts {
 		d.counts[b] *= f
+		total += d.counts[b]
 	}
+	d.total = total
 }
 
 func (d *Dispatcher) noteForward(b int) {
 	d.decay()
+	if b >= len(d.counts) {
+		d.counts = append(d.counts, make([]float64, b+1-len(d.counts))...)
+	}
 	d.counts[b]++
-}
-
-// LocalFrac returns backend b's recent fraction of forwarded requests
-// (0..1; 1/N is the fair share). Returns 0 before any traffic.
-func (d *Dispatcher) LocalFrac(b int) float64 {
-	d.decay()
 	total := 0.0
 	for _, v := range d.counts {
 		total += v
 	}
-	if total < 1e-9 {
+	d.total = total
+}
+
+// LocalFrac returns backend b's recent fraction of forwarded requests
+// (0..1; 1/N is the fair share). Returns 0 before any traffic and for a
+// back-end never forwarded to. One call is O(1): policies ask once per
+// candidate per pick.
+func (d *Dispatcher) LocalFrac(b int) float64 {
+	d.decay()
+	if d.total < 1e-9 || uint(b) >= uint(len(d.counts)) {
 		return 0
 	}
-	return d.counts[b] / total
+	return d.counts[b] / d.total
 }

@@ -104,3 +104,44 @@ func TestProportionalAllExcludedFallsBack(t *testing.T) {
 		t.Fatalf("fallback not uniform: %v", seen)
 	}
 }
+
+// TestAllExcludedFallbackStaysOnClaimed: with every back-end
+// quarantined and a claim filter set, both policies fall back onto the
+// claimed back-ends only (-1 when none is held), from a policy-owned
+// scratch pool — no allocation per pick, Backends left untouched.
+func TestAllExcludedFallbackStaysOnClaimed(t *testing.T) {
+	held := map[int]bool{2: true, 4: true}
+	src := func(b int) (wire.LoadRecord, bool) { return wire.LoadRecord{}, true }
+	all := func(int) bool { return true }
+	claimed := func(b int) bool { return held[b] }
+	ll := &WeightedLeastLoad{Backends: []int{1, 2, 3, 4}, Source: src,
+		Rng: rand.New(rand.NewSource(1)), Exclude: all, Claimed: claimed}
+	wp := &WeightedProportional{Backends: []int{1, 2, 3, 4}, Source: src,
+		Rng: rand.New(rand.NewSource(1)), Exclude: all, Claimed: claimed}
+	for name, pick := range map[string]func() int{ll.Name(): ll.Pick, wp.Name(): wp.Pick} {
+		seen := map[int]int{}
+		for i := 0; i < 200; i++ {
+			seen[pick()]++
+		}
+		if len(seen) != 2 || seen[2] == 0 || seen[4] == 0 {
+			t.Fatalf("%s: fallback picks %v, want a spread over the claimed {2,4} only", name, seen)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { pick() }); allocs != 0 {
+			t.Fatalf("%s: fallback pick allocates %.1f objects/op, want 0", name, allocs)
+		}
+	}
+	for _, backends := range [][]int{ll.Backends, wp.Backends} {
+		for i, b := range backends {
+			if b != i+1 {
+				t.Fatalf("fallback scratch overwrote Backends: %v", backends)
+			}
+		}
+	}
+	held = map[int]bool{}
+	if b := ll.Pick(); b != -1 {
+		t.Fatalf("least-load picked %d with nothing claimed, want -1", b)
+	}
+	if b := wp.Pick(); b != -1 {
+		t.Fatalf("proportional picked %d with nothing claimed, want -1", b)
+	}
+}

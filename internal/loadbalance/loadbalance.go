@@ -139,6 +139,8 @@ type WeightedLeastLoad struct {
 
 	// Picks counts per-backend selections, for imbalance diagnostics.
 	Picks map[int]uint64
+
+	pool []int // scratch: the claimed fallback pool
 }
 
 // DefaultDegradedPenalty is the load-index handicap applied to a
@@ -184,14 +186,31 @@ func degradedPenalty(p float64) float64 {
 	return DefaultDegradedPenalty
 }
 
+// appendClaimed appends the back-ends claimed holds to pool: the only
+// ones the all-quarantined fallback may use, since an unclaimed shard
+// belongs to another dispatcher and leaking onto it would
+// double-dispatch. Callers pass their scratch slice so a pick
+// allocates nothing.
+func appendClaimed(pool, backends []int, claimed func(int) bool) []int {
+	for _, b := range backends {
+		if claimed(b) {
+			pool = append(pool, b)
+		}
+	}
+	return pool
+}
+
 // Name implements Policy.
 func (w *WeightedLeastLoad) Name() string { return "weighted-least-load" }
 
-// Pick implements Policy.
+// Pick implements Policy. One decision is one pass over Backends with
+// O(1) work per candidate; Source, Exclude, LocalFrac and the other
+// func fields are consulted afresh on every call.
 func (w *WeightedLeastLoad) Pick() int {
 	best := -1
 	bestProj := 0.0 // projected index the ranking runs on
 	bestIdx := 0.0  // level index: the slope-tie tie-break
+	bestDegraded := false
 	ties := 0
 	skipped := false
 	// Deterministic first-wins argmins of both rankings, to count how
@@ -199,6 +218,8 @@ func (w *WeightedLeastLoad) Pick() int {
 	lvlBest, projBest := -1, -1
 	lvlMin, projMin := 0.0, 0.0
 	claimSkipped := false
+	useLocal := w.LocalFrac != nil && w.LocalWeight > 0
+	half := float64(len(w.Backends)) / 2 // fair share 1/N -> 0.5
 	for _, b := range w.Backends {
 		if w.Claimed != nil && !w.Claimed(b) {
 			claimSkipped = true
@@ -212,14 +233,15 @@ func (w *WeightedLeastLoad) Pick() int {
 		if rec, ok := w.Source(b); ok {
 			idx = w.Weights.Index(rec)
 		}
-		if w.LocalFrac != nil && w.LocalWeight > 0 {
-			share := w.LocalFrac(b) * float64(len(w.Backends)) / 2 // fair share -> 0.5
+		if useLocal {
+			share := w.LocalFrac(b) * half
 			if share > 1 {
 				share = 1
 			}
 			idx += w.LocalWeight * share
 		}
-		if w.Degraded != nil && w.Degraded(b) {
+		degraded := w.Degraded != nil && w.Degraded(b)
+		if degraded {
 			idx += degradedPenalty(w.DegradedPenalty)
 		}
 		proj := idx + w.trendTerm(b)
@@ -234,7 +256,7 @@ func (w *WeightedLeastLoad) Pick() int {
 			// Rank on the projection; equal projections degrade to the
 			// plain level comparison, so with the trend off (or every
 			// slope equal) the policy is the level-only one.
-			best = b
+			best, bestDegraded = b, degraded
 			bestProj = proj
 			bestIdx = idx
 			ties = 1
@@ -243,7 +265,7 @@ func (w *WeightedLeastLoad) Pick() int {
 			// back-ends share load instead of herding onto one.
 			ties++
 			if w.Rng != nil && w.Rng.Intn(ties) == 0 {
-				best = b
+				best, bestDegraded = b, degraded
 			}
 		}
 	}
@@ -258,17 +280,11 @@ func (w *WeightedLeastLoad) Pick() int {
 	}
 	if best < 0 {
 		// Everything quarantined: fall back to uniform — but only over
-		// back-ends this front-end actually holds; an unclaimed shard
-		// belongs to another dispatcher and leaking onto it would
-		// double-dispatch.
+		// back-ends this front-end actually holds.
 		pool := w.Backends
 		if w.Claimed != nil {
-			pool = pool[:0:0]
-			for _, b := range w.Backends {
-				if w.Claimed(b) {
-					pool = append(pool, b)
-				}
-			}
+			w.pool = appendClaimed(w.pool[:0], w.Backends, w.Claimed)
+			pool = w.pool
 			if len(pool) == 0 {
 				return -1
 			}
@@ -278,8 +294,9 @@ func (w *WeightedLeastLoad) Pick() int {
 		} else {
 			best = pool[0]
 		}
+		bestDegraded = w.Degraded != nil && w.Degraded(best)
 	}
-	if w.Degraded != nil && w.Degraded(best) {
+	if bestDegraded {
 		w.DegradedPicks++
 	}
 	if w.Picks != nil {
@@ -340,6 +357,7 @@ type WeightedProportional struct {
 	Picks map[int]uint64
 
 	weights []float64 // scratch
+	pool    []int     // scratch: the claimed fallback pool
 }
 
 // Name implements Policy.
@@ -358,6 +376,8 @@ func (w *WeightedProportional) Pick() int {
 	total := 0.0
 	skipped := false
 	claimSkipped := false
+	useLocal := w.LocalFrac != nil && w.LocalWeight > 0
+	half := float64(len(w.Backends)) / 2 // fair share 1/N -> 0.5
 	for i, b := range w.Backends {
 		if w.Claimed != nil && !w.Claimed(b) {
 			w.weights[i] = 0
@@ -386,8 +406,8 @@ func (w *WeightedProportional) Pick() int {
 				idx = w.Weights.Index(rec)
 			}
 		}
-		if w.LocalFrac != nil && w.LocalWeight > 0 {
-			share := w.LocalFrac(b) * float64(len(w.Backends)) / 2
+		if useLocal {
+			share := w.LocalFrac(b) * half
 			if share > 1 {
 				share = 1
 			}
@@ -420,12 +440,8 @@ func (w *WeightedProportional) Pick() int {
 	// ones — never leak onto a shard another front-end holds.
 	pool := w.Backends
 	if w.Claimed != nil {
-		pool = pool[:0:0]
-		for _, b := range w.Backends {
-			if w.Claimed(b) {
-				pool = append(pool, b)
-			}
-		}
+		w.pool = appendClaimed(w.pool[:0], w.Backends, w.Claimed)
+		pool = w.pool
 		if len(pool) == 0 {
 			return -1
 		}

@@ -63,8 +63,10 @@ type LoadRecord struct {
 	Conns      uint16
 }
 
-// UtilMean returns mean CPU utilisation in parts per thousand.
-func (r LoadRecord) UtilMean() int {
+// UtilMean returns mean CPU utilisation in parts per thousand. The
+// read-only helpers take a pointer so the per-candidate dispatch path
+// (core.Weights.Index) does not copy the record once per helper.
+func (r *LoadRecord) UtilMean() int {
 	if r.NumCPU == 0 {
 		return 0
 	}
@@ -76,7 +78,7 @@ func (r LoadRecord) UtilMean() int {
 }
 
 // PendingIRQTotal returns the summed pending hard+soft interrupts.
-func (r LoadRecord) PendingIRQTotal() int {
+func (r *LoadRecord) PendingIRQTotal() int {
 	n := 0
 	for i := 0; i < int(r.NumCPU) && i < MaxCPU; i++ {
 		n += int(r.IrqPendingHard[i]) + int(r.IrqPendingSoft[i])
@@ -85,7 +87,7 @@ func (r LoadRecord) PendingIRQTotal() int {
 }
 
 // MemFraction returns used/total memory in [0,1].
-func (r LoadRecord) MemFraction() float64 {
+func (r *LoadRecord) MemFraction() float64 {
 	if r.MemTotalKB == 0 {
 		return 0
 	}
