@@ -41,6 +41,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzHistoryRing$$ -fuzztime=$(FUZZTIME) ./internal/wire
 	$(GO) test -run=^$$ -fuzz=FuzzClaimRecord$$ -fuzztime=$(FUZZTIME) ./internal/wire
 	$(GO) test -run=^$$ -fuzz=FuzzScenario$$ -fuzztime=$(FUZZTIME) ./internal/scenario
+	$(GO) test -run=^$$ -fuzz=FuzzEngineOrder$$ -fuzztime=$(FUZZTIME) ./internal/sim
 
 # Randomized failover chaos: three seeded fault plans, invariants
 # asserted, non-zero exit on any violation.
@@ -86,10 +87,15 @@ scenario-smoke:
 # metrics (the steady-sweep figures are also reported explicitly).
 # The second line times the dispatch decision next to its code: one
 # Pick against fleet size (ns/op should grow linearly) and one
-# LocalFrac query.
+# LocalFrac query. The third times the event path next to its code:
+# the engine under random delays (EngineHold) and under a fleet's
+# tie-heavy tick bursts (EngineTickBurst — the pattern sweep-8192 has,
+# which the hold model does not resolve), an idle node's timer ticks,
+# and one read of a 32-read doorbell batch.
 bench:
 	$(GO) test -bench . -benchtime 1x -benchmem
 	$(GO) test -run '^$$' -bench 'BenchmarkPick|BenchmarkLocalFrac' -benchmem ./internal/loadbalance ./internal/httpsim
+	$(GO) test -run '^$$' -bench 'BenchmarkEngineHold|BenchmarkEngineTickBurst|BenchmarkIdleNodeSecond|BenchmarkSimReadBatch32' -benchmem ./internal/sim ./internal/simos ./internal/simnet
 
 # Probe-engine regression gates: replay the deterministic 256-backend
 # scale point and the 512-backend hybrid comparison, failing on >15%

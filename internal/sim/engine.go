@@ -8,7 +8,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 )
@@ -53,9 +52,12 @@ func (t Time) Micros() float64 { return float64(t) / float64(Microsecond) }
 // are created through Engine.Schedule and Engine.After.
 type Event struct {
 	at    Time
-	seq   uint64
 	fn    func()
 	index int // position in the heap, -1 when not queued
+
+	// recycle marks a node scheduled through Post: nobody holds its
+	// handle, so Step returns it to the engine's free list.
+	recycle bool
 }
 
 // At returns the virtual time the event is (or was) scheduled for.
@@ -64,36 +66,94 @@ func (e *Event) At() Time { return e.at }
 // Pending reports whether the event is still queued.
 func (e *Event) Pending() bool { return e != nil && e.index >= 0 }
 
-type eventHeap []*Event
+// slot is one heap entry. The (at, seq) key sits beside the pointer so
+// a comparison reads two adjacent slots instead of following two
+// *Event pointers; seq is unique, so the order is total and the fire
+// order does not depend on the shape of the heap.
+type slot struct {
+	at  Time
+	seq uint64
+	ev  *Event
+}
 
-func (h eventHeap) Len() int { return len(h) }
-
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (a *slot) before(b *slot) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return h[i].seq < h[j].seq
+	return a.seq < b.seq
 }
 
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
+// eventQueue is a 4-ary min-heap of slots: children of i are
+// 4i+1..4i+4. A sift moves a hole instead of swapping, so each moved
+// slot is written (and its event's index updated) once.
+type eventQueue []slot
+
+// up places s at or above position i.
+func (q eventQueue) up(i int, s slot) {
+	for i > 0 {
+		p := (i - 1) / 4
+		if !s.before(&q[p]) {
+			break
+		}
+		q[i] = q[p]
+		q[i].ev.index = i
+		i = p
+	}
+	q[i] = s
+	s.ev.index = i
 }
 
-func (h *eventHeap) Push(x any) {
-	ev := x.(*Event)
-	ev.index = len(*h)
-	*h = append(*h, ev)
+// down places s at or below position i.
+func (q eventQueue) down(i int, s slot) {
+	n := len(q)
+	for {
+		c := 4*i + 1
+		if c >= n {
+			break
+		}
+		end := c + 4
+		if end > n {
+			end = n
+		}
+		m := c
+		for j := c + 1; j < end; j++ {
+			if q[j].before(&q[m]) {
+				m = j
+			}
+		}
+		if !q[m].before(&s) {
+			break
+		}
+		q[i] = q[m]
+		q[i].ev.index = i
+		i = m
+	}
+	q[i] = s
+	s.ev.index = i
 }
 
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
+func (q *eventQueue) push(s slot) {
+	*q = append(*q, slot{})
+	q.up(len(*q)-1, s)
+}
+
+// remove takes the event at position i out of the queue.
+func (q *eventQueue) remove(i int) *Event {
+	old := *q
+	ev := old[i].ev
 	ev.index = -1
-	*h = old[:n-1]
+	n := len(old) - 1
+	last := old[n]
+	old[n] = slot{}
+	*q = old[:n]
+	if i == n {
+		return ev
+	}
+	if i > 0 && last.before(&old[(i-1)/4]) {
+		q.up(i, last)
+	} else {
+		q.down(i, last)
+	}
 	return ev
 }
 
@@ -102,7 +162,8 @@ func (h *eventHeap) Pop() any {
 type Engine struct {
 	now   Time
 	seq   uint64
-	queue eventHeap
+	queue eventQueue
+	free  []*Event // fired Post nodes, fn cleared
 	rng   *rand.Rand
 
 	// Processed counts events executed, for diagnostics and tests.
@@ -124,9 +185,8 @@ func (e *Engine) Rand() *rand.Rand { return e.rng }
 // Len returns the number of queued events.
 func (e *Engine) Len() int { return len(e.queue) }
 
-// Schedule queues fn to run at absolute time at. Scheduling in the past
-// (before Now) panics: it would silently reorder causality.
-func (e *Engine) Schedule(at Time, fn func()) *Event {
+// enqueue keys ev with the next sequence number and queues it.
+func (e *Engine) enqueue(ev *Event, at Time, fn func()) {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, e.now))
 	}
@@ -134,8 +194,17 @@ func (e *Engine) Schedule(at Time, fn func()) *Event {
 		panic("sim: schedule nil func")
 	}
 	e.seq++
-	ev := &Event{at: at, seq: e.seq, fn: fn, index: -1}
-	heap.Push(&e.queue, ev)
+	ev.at, ev.fn = at, fn
+	e.queue.push(slot{at: at, seq: e.seq, ev: ev})
+}
+
+// Schedule queues fn to run at absolute time at. Scheduling in the past
+// (before Now) panics: it would silently reorder causality. The
+// returned handle is the caller's for as long as it keeps it: the
+// engine never reuses a handle-bearing event.
+func (e *Engine) Schedule(at Time, fn func()) *Event {
+	ev := &Event{index: -1}
+	e.enqueue(ev, at, fn)
 	return ev
 }
 
@@ -148,6 +217,25 @@ func (e *Engine) After(d Time, fn func()) *Event {
 	return e.Schedule(e.now+d, fn)
 }
 
+// Post is After without a handle, for events nobody cancels or
+// inspects: it takes the same place in the (time, sequence) order, and
+// the engine recycles the event node once it has fired, so a
+// steady-state caller that passes a pre-bound fn allocates nothing.
+func (e *Engine) Post(d Time, fn func()) {
+	if d < 0 {
+		d = 0
+	}
+	var ev *Event
+	if n := len(e.free); n > 0 {
+		ev = e.free[n-1]
+		e.free[n-1] = nil
+		e.free = e.free[:n-1]
+	} else {
+		ev = &Event{index: -1, recycle: true}
+	}
+	e.enqueue(ev, e.now+d, fn)
+}
+
 // Cancel removes a pending event. It reports whether the event was
 // still pending. Cancelling a fired or already-cancelled event is a
 // harmless no-op.
@@ -155,8 +243,7 @@ func (e *Engine) Cancel(ev *Event) bool {
 	if ev == nil || ev.index < 0 {
 		return false
 	}
-	heap.Remove(&e.queue, ev.index)
-	ev.index = -1
+	e.queue.remove(ev.index)
 	ev.fn = nil
 	return true
 }
@@ -167,10 +254,13 @@ func (e *Engine) Step() bool {
 	if len(e.queue) == 0 {
 		return false
 	}
-	ev := heap.Pop(&e.queue).(*Event)
+	ev := e.queue.remove(0)
 	e.now = ev.at
 	fn := ev.fn
 	ev.fn = nil
+	if ev.recycle {
+		e.free = append(e.free, ev)
+	}
 	e.Processed++
 	fn()
 	return true
@@ -198,12 +288,15 @@ func (e *Engine) RunUntil(t Time) {
 func (e *Engine) RunFor(d Time) { e.RunUntil(e.now + d) }
 
 // Ticker invokes fn every period until Stop is called. The first tick
-// fires one period from now.
+// fires one period from now. A ticker owns one event and one callback
+// for its whole life and re-keys the event on every arm, so ticking
+// allocates nothing.
 type Ticker struct {
 	eng     *Engine
 	period  Time
 	fn      func()
-	ev      *Event
+	ev      Event
+	fire    func() // t.tick, bound once
 	stopped bool
 }
 
@@ -212,21 +305,19 @@ func (e *Engine) NewTicker(period Time, fn func()) *Ticker {
 	if period <= 0 {
 		panic("sim: ticker period must be positive")
 	}
-	t := &Ticker{eng: e, period: period, fn: fn}
+	t := &Ticker{eng: e, period: period, fn: fn, ev: Event{index: -1}}
+	t.fire = t.tick
 	t.arm()
 	return t
 }
 
-func (t *Ticker) arm() {
-	t.ev = t.eng.After(t.period, func() {
-		if t.stopped {
-			return
-		}
-		t.fn()
-		if !t.stopped {
-			t.arm()
-		}
-	})
+func (t *Ticker) arm() { t.eng.enqueue(&t.ev, t.eng.now+t.period, t.fire) }
+
+func (t *Ticker) tick() {
+	t.fn()
+	if !t.stopped {
+		t.arm()
+	}
 }
 
 // Stop cancels future ticks. Safe to call multiple times.
@@ -235,5 +326,5 @@ func (t *Ticker) Stop() {
 		return
 	}
 	t.stopped = true
-	t.eng.Cancel(t.ev)
+	t.eng.Cancel(&t.ev)
 }

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -315,6 +317,57 @@ func BenchmarkScheduleRun(b *testing.B) {
 		}
 	}
 	e.Run()
+}
+
+// BenchmarkEngineHold is the hold model — schedule one event at a
+// random delay, execute one — on a queue of standing depth d.
+func BenchmarkEngineHold(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	delays := make([]Time, 4096)
+	for i := range delays {
+		delays[i] = Time(rng.Int63n(int64(10 * Millisecond)))
+	}
+	nop := func() {}
+	for _, d := range []int{256, 24576} {
+		b.Run(fmt.Sprintf("d=%d", d), func(b *testing.B) {
+			e := NewEngine(1)
+			for i := 0; i < d; i++ {
+				e.After(delays[i%len(delays)], nop)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.After(delays[i%len(delays)], nop)
+				e.Step()
+			}
+		})
+	}
+}
+
+// BenchmarkEngineTickBurst is the tie-heavy pattern of a monitored
+// fleet: n tickers fire at the same instants and each raises two
+// events 1 us later, so every tick instant pushes 3n events whose
+// timestamps tie. One iteration is one tick period.
+func BenchmarkEngineTickBurst(b *testing.B) {
+	const n = 8192
+	b.Run("n=8192", func(b *testing.B) {
+		e := NewEngine(1)
+		nop := func() {}
+		for i := 0; i < n; i++ {
+			e.NewTicker(10*Millisecond, func() {
+				e.Post(Microsecond, nop)
+				e.Post(Microsecond, nop)
+			})
+		}
+		e.RunFor(20 * Millisecond)
+		p0 := e.Processed
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			e.RunFor(10 * Millisecond)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(e.Processed-p0), "ns/event")
+	})
 }
 
 func TestEventAtAndLen(t *testing.T) {

@@ -1,0 +1,278 @@
+package sim
+
+import (
+	"sort"
+	"testing"
+)
+
+// The reference model: the engine's contract written the slow, obvious
+// way — a slice kept sorted by (at, seq), a fresh event per schedule,
+// a fresh event per tick.
+
+type refEvent struct {
+	at      Time
+	seq     uint64
+	fn      func()
+	pending bool
+}
+
+type refEngine struct {
+	now       Time
+	seq       uint64
+	processed uint64
+	queue     []*refEvent
+}
+
+func (m *refEngine) after(d Time, fn func()) *refEvent {
+	if d < 0 {
+		d = 0
+	}
+	m.seq++
+	ev := &refEvent{at: m.now + d, seq: m.seq, fn: fn, pending: true}
+	// seq only grows, so the new event goes after every queued event
+	// with at <= its own.
+	i := sort.Search(len(m.queue), func(i int) bool { return m.queue[i].at > ev.at })
+	m.queue = append(m.queue, nil)
+	copy(m.queue[i+1:], m.queue[i:])
+	m.queue[i] = ev
+	return ev
+}
+
+func (m *refEngine) cancel(ev *refEvent) bool {
+	if ev == nil || !ev.pending {
+		return false
+	}
+	for i, x := range m.queue {
+		if x == ev {
+			m.queue = append(m.queue[:i], m.queue[i+1:]...)
+			break
+		}
+	}
+	ev.pending = false
+	return true
+}
+
+func (m *refEngine) step() bool {
+	if len(m.queue) == 0 {
+		return false
+	}
+	ev := m.queue[0]
+	m.queue = m.queue[1:]
+	ev.pending = false
+	m.now = ev.at
+	m.processed++
+	ev.fn()
+	return true
+}
+
+func (m *refEngine) runUntil(t Time) {
+	for len(m.queue) > 0 && m.queue[0].at <= t {
+		m.step()
+	}
+	if t > m.now {
+		m.now = t
+	}
+}
+
+type refTicker struct {
+	m       *refEngine
+	period  Time
+	fn      func()
+	ev      *refEvent
+	stopped bool
+}
+
+func (m *refEngine) newTicker(period Time, fn func()) *refTicker {
+	t := &refTicker{m: m, period: period, fn: fn}
+	t.arm()
+	return t
+}
+
+func (t *refTicker) arm() {
+	t.ev = t.m.after(t.period, func() {
+		t.fn()
+		if !t.stopped {
+			t.arm()
+		}
+	})
+}
+
+func (t *refTicker) stop() {
+	if t.stopped {
+		return
+	}
+	t.stopped = true
+	t.m.cancel(t.ev)
+}
+
+// engineProgram interprets data as (opcode, argument) pairs and drives
+// an Engine and the reference model with the same operations, checking
+// after every one that they agree on everything observable. The caps
+// on operations, tickers and RunUntil spans bound one input's work.
+func engineProgram(t *testing.T, data []byte) {
+	const maxOps, maxTickers = 128, 8
+	if len(data) > 2*maxOps {
+		data = data[:2*maxOps]
+	}
+	e, m := NewEngine(1), &refEngine{}
+	var got, want []int // fire logs: an event logs its id, its child logs -id
+	type handle struct {
+		ev  *Event
+		ref *refEvent
+	}
+	handles := []handle{{}} // slot 0 is the nil handle
+	type ticker struct {
+		tk  *Ticker
+		ref *refTicker
+	}
+	var tickers []ticker
+	nextID := 0
+
+	// An event logs its id; kind 1 then schedules a child through After,
+	// kind 2 through Post — from inside the fn, where a recycled node is
+	// handed straight back out.
+	realFn := func(id int, kind byte, cd Time) func() {
+		return func() {
+			got = append(got, id)
+			switch kind {
+			case 1:
+				e.After(cd, func() { got = append(got, -id) })
+			case 2:
+				e.Post(cd, func() { got = append(got, -id) })
+			}
+		}
+	}
+	refFn := func(id int, kind byte, cd Time) func() {
+		return func() {
+			want = append(want, id)
+			if kind != 0 {
+				m.after(cd, func() { want = append(want, -id) })
+			}
+		}
+	}
+	checked := 0
+	check := func(op int) {
+		t.Helper()
+		if e.Now() != m.now || e.Len() != len(m.queue) || e.Processed != m.processed {
+			t.Fatalf("op %d: engine now=%v len=%d processed=%d, model now=%v len=%d processed=%d",
+				op, e.Now(), e.Len(), e.Processed, m.now, len(m.queue), m.processed)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("op %d: engine fired %d events, model %d", op, len(got), len(want))
+		}
+		for ; checked < len(got); checked++ {
+			if got[checked] != want[checked] {
+				t.Fatalf("op %d: fire %d is event %d, model says %d", op, checked, got[checked], want[checked])
+			}
+		}
+		for i, h := range handles[1:] {
+			if h.ev.Pending() != h.ref.pending || h.ev.At() != h.ref.at {
+				t.Fatalf("op %d: handle %d pending=%v at=%v, model pending=%v at=%v",
+					op, i+1, h.ev.Pending(), h.ev.At(), h.ref.pending, h.ref.at)
+			}
+		}
+		for _, ev := range e.free {
+			if ev.fn != nil || ev.index != -1 {
+				t.Fatalf("op %d: free node holds fn=%v index=%d", op, ev.fn != nil, ev.index)
+			}
+		}
+	}
+
+	for op := 0; op+1 < len(data); op += 2 {
+		code, arg := data[op]%8, data[op+1]
+		d := Time(arg%16) - 2 // negative delays clamp
+		kind, cd := (arg>>4)%3, Time(arg>>6)
+		nextID++
+		id := nextID
+		switch code {
+		case 0:
+			if d < 0 {
+				d = 0
+			}
+			handles = append(handles, handle{
+				e.Schedule(e.Now()+d, realFn(id, kind, cd)),
+				m.after(d, refFn(id, kind, cd))})
+		case 1:
+			handles = append(handles, handle{
+				e.After(d, realFn(id, kind, cd)),
+				m.after(d, refFn(id, kind, cd))})
+		case 2:
+			e.Post(d, realFn(id, kind, cd))
+			m.after(d, refFn(id, kind, cd))
+		case 3: // live, fired, cancelled or nil — whatever the handle is by now
+			h := handles[int(arg)%len(handles)]
+			if a, b := e.Cancel(h.ev), m.cancel(h.ref); a != b {
+				t.Fatalf("op %d: Cancel = %v, model %v", op, a, b)
+			}
+		case 4:
+			if a, b := e.Step(), m.step(); a != b {
+				t.Fatalf("op %d: Step = %v, model %v", op, a, b)
+			}
+		case 5:
+			until := e.Now() + Time(arg%32)
+			e.RunUntil(until)
+			m.runUntil(until)
+		case 6: // a ticker that stops itself from inside its fn after arg>>3 ticks (0: never)
+			if len(tickers) == maxTickers {
+				break
+			}
+			period, stopAfter := 1+Time(arg%8), int(arg>>3)
+			var tk ticker
+			n, rn := 0, 0
+			tk.tk = e.NewTicker(period, func() {
+				got = append(got, id)
+				if n++; n == stopAfter {
+					tk.tk.Stop()
+				}
+			})
+			tk.ref = m.newTicker(period, func() {
+				want = append(want, id)
+				if rn++; rn == stopAfter {
+					tk.ref.stop()
+				}
+			})
+			tickers = append(tickers, tk)
+		case 7:
+			if len(tickers) > 0 {
+				tk := tickers[int(arg)%len(tickers)]
+				tk.tk.Stop()
+				tk.ref.stop()
+			}
+		}
+		check(op)
+	}
+	for _, tk := range tickers {
+		tk.tk.Stop()
+		tk.ref.stop()
+	}
+	e.Run()
+	for m.step() {
+	}
+	check(len(data))
+	if e.Len() != 0 {
+		t.Fatalf("drained engine holds %d events", e.Len())
+	}
+}
+
+func FuzzEngineOrder(f *testing.F) {
+	// TestSameTimeFIFO: ten events at one instant, then run.
+	var fifo []byte
+	for i := 0; i < 10; i++ {
+		fifo = append(fifo, 0, 7)
+	}
+	f.Add(append(fifo, 5, 31))
+	// TestCancelMiddleOfHeap: twenty events at spread instants, cancel a
+	// scattering (and the nil handle), run.
+	var mid []byte
+	for i := 0; i < 20; i++ {
+		mid = append(mid, 1, byte(2+i%14))
+	}
+	for _, h := range []byte{4, 8, 12, 20, 1, 0} {
+		mid = append(mid, 3, h)
+	}
+	f.Add(append(mid, 5, 31))
+	// Post nodes recycled from inside their own fn, beside self-stopping
+	// and externally stopped tickers and a double cancel.
+	f.Add([]byte{2, 0x22, 2, 0x62, 6, 0x10, 6, 0x03, 2, 0xa3, 5, 20, 7, 1, 1, 5, 3, 1, 3, 1, 4, 0, 5, 40})
+	f.Fuzz(engineProgram)
+}

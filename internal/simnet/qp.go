@@ -119,7 +119,7 @@ func (n *NIC) Dial(t *simos.Task, target int, then func(*QP, error)) {
 			}
 			extra += v.Delay
 		}
-		tn := f.nics[target]
+		tn := f.NIC(target)
 		if tn == nil {
 			fail(f.xmit(64), ErrNoRoute)
 			return

@@ -183,6 +183,7 @@ type Fabric struct {
 	Cfg Config
 
 	nics        map[int]*NIC
+	byID        []*NIC // nics with id >= 0, by id: the per-op lookup
 	externals   map[int]func(simos.Message)
 	groups      map[string][]groupMember
 	established map[string]bool
@@ -203,6 +204,9 @@ type Fabric struct {
 	// traffic allocates nothing per op. Safe without locking because
 	// every engine callback runs on the single engine goroutine.
 	bufs [][]byte
+
+	// readOps is the free list of one-sided read state (see readOp).
+	readOps []*readOp
 
 	// AblationRDMATargetIRQ, when set, charges a network interrupt on
 	// the target node for every RDMA operation — deliberately breaking
@@ -306,11 +310,22 @@ func (f *Fabric) Attach(node *simos.Node) *NIC {
 	}
 	nic := &NIC{fab: f, node: node, mrs: make(map[uint32]*MR)}
 	f.nics[node.ID] = nic
+	if id := node.ID; id >= 0 {
+		if id >= len(f.byID) {
+			f.byID = append(f.byID, make([]*NIC, id+1-len(f.byID))...)
+		}
+		f.byID[id] = nic
+	}
 	return nic
 }
 
 // NIC returns the adapter of the given node, or nil.
-func (f *Fabric) NIC(node int) *NIC { return f.nics[node] }
+func (f *Fabric) NIC(node int) *NIC {
+	if uint(node) < uint(len(f.byID)) {
+		return f.byID[node]
+	}
+	return f.nics[node] // a negative id, or none
+}
 
 // RegisterExternal installs a sink for messages addressed to an
 // external endpoint (a client machine outside the modeled cluster).
@@ -370,7 +385,7 @@ func (f *Fabric) transmit(m simos.Message, dst int, port string, try int, extra 
 			sink(m)
 			return
 		}
-		nic := f.nics[dst]
+		nic := f.NIC(dst)
 		if nic == nil {
 			return // dropped: no such host
 		}
@@ -555,6 +570,36 @@ func (n *NIC) RegisterWritableMR(src Source, size int, sink func([]byte)) *MR {
 // ErrBadKey.
 func (n *NIC) Deregister(mr *MR) { delete(n.mrs, mr.key) }
 
+// readOp is the state of one one-sided read in flight. Its three
+// stages are methods bound once per struct, and the structs cycle
+// through Fabric.readOps, so a read schedules its events without
+// allocating an event node, a closure or the op itself.
+type readOp struct {
+	nic    *NIC // initiator
+	tn     *NIC // target, known from arrive on
+	target int
+	key    uint32
+	length int
+	dst    []byte
+	data   []byte
+	err    error
+	done   func(data []byte, err error)
+
+	arriveFn, serviceFn, completeFn func()
+}
+
+func (f *Fabric) getReadOp() *readOp {
+	if n := len(f.readOps); n > 0 {
+		op := f.readOps[n-1]
+		f.readOps[n-1] = nil
+		f.readOps = f.readOps[:n-1]
+		return op
+	}
+	op := &readOp{}
+	op.arriveFn, op.serviceFn, op.completeFn = op.arrive, op.service, op.complete
+	return op
+}
+
 // postRead performs the fabric half of one one-sided read work
 // request: fault consultation, request-descriptor flight, target NIC
 // service, the DMA instant, and the completion flight back. done runs
@@ -570,58 +615,84 @@ func (n *NIC) Deregister(mr *MR) { delete(n.mrs, mr.key) }
 func (n *NIC) postRead(target int, key uint32, length int, dst []byte, done func(data []byte, err error)) {
 	f := n.fab
 	n.RDMAReads++
+	op := f.getReadOp()
+	op.nic, op.target, op.key, op.length, op.dst, op.done = n, target, key, length, dst, done
 	extra := f.heteroLat(n.node.ID, target)
 	if f.Faults != nil {
 		v := f.Faults.RDMA(n.node.ID, target)
 		if v.Fail {
-			f.countErr(n)
-			f.Eng.After(f.Cfg.RDMATimeout, func() { done(nil, ErrTimeout) })
+			op.fail(f.Cfg.RDMATimeout, ErrTimeout)
 			return
 		}
 		extra += v.Delay
 	}
-	f.Eng.After(f.xmit(16)+extra, func() { // request descriptor to target NIC
-		tn := f.nics[target]
-		if tn == nil {
-			done(nil, ErrNoRoute)
-			return
-		}
-		if tn.node.Down() {
-			f.countErr(n)
-			f.Eng.After(f.Cfg.RDMATimeout, func() { done(nil, ErrTimeout) })
-			return
-		}
-		f.Eng.After(f.Cfg.NICService, func() {
-			mr := tn.mrs[key]
-			if mr == nil {
-				tn.fab.countErr(n)
-				f.Eng.After(f.xmit(0), func() { done(nil, ErrBadKey) })
-				return
-			}
-			if length > mr.size {
-				tn.fab.countErr(n)
-				f.Eng.After(f.xmit(0), func() { done(nil, ErrLength) })
-				return
-			}
-			// The DMA instant: capture the region bytes now, into the
-			// initiator's buffer when one was posted.
-			src := mr.source()
-			if length < len(src) {
-				src = src[:length]
-			}
-			var data []byte
-			if cap(dst) >= len(src) {
-				data = dst[:len(src)]
-			} else {
-				data = make([]byte, len(src))
-			}
-			copy(data, src)
-			if f.AblationRDMATargetIRQ {
-				tn.node.RaiseNetIRQ(nil)
-			}
-			f.Eng.After(f.xmit(len(data)), func() { done(data, nil) })
-		})
-	})
+	f.Eng.Post(f.xmit(16)+extra, op.arriveFn) // request descriptor to target NIC
+}
+
+// fail counts a transport error against the initiator and completes
+// the read with err after d.
+func (op *readOp) fail(d sim.Time, err error) {
+	f := op.nic.fab
+	f.countErr(op.nic)
+	op.err = err
+	f.Eng.Post(d, op.completeFn)
+}
+
+// arrive: the request descriptor reaches the target NIC.
+func (op *readOp) arrive() {
+	f := op.nic.fab
+	op.tn = f.NIC(op.target)
+	if op.tn == nil {
+		op.err = ErrNoRoute
+		op.complete()
+		return
+	}
+	if op.tn.node.Down() {
+		op.fail(f.Cfg.RDMATimeout, ErrTimeout)
+		return
+	}
+	f.Eng.Post(f.Cfg.NICService, op.serviceFn)
+}
+
+// service: the target NIC validates the request and performs the DMA.
+func (op *readOp) service() {
+	f := op.nic.fab
+	mr := op.tn.mrs[op.key]
+	if mr == nil {
+		op.fail(f.xmit(0), ErrBadKey)
+		return
+	}
+	if op.length > mr.size {
+		op.fail(f.xmit(0), ErrLength)
+		return
+	}
+	// The DMA instant: capture the region bytes now, into the
+	// initiator's buffer when one was posted.
+	src := mr.source()
+	if op.length < len(src) {
+		src = src[:op.length]
+	}
+	if cap(op.dst) >= len(src) {
+		op.data = op.dst[:len(src)]
+	} else {
+		op.data = make([]byte, len(src))
+	}
+	copy(op.data, src)
+	if f.AblationRDMATargetIRQ {
+		op.tn.node.RaiseNetIRQ(nil)
+	}
+	f.Eng.Post(f.xmit(len(op.data)), op.completeFn)
+}
+
+// complete hands the outcome to done. The op goes back to the free
+// list first, holding no reference, so done may post the next read
+// into it.
+func (op *readOp) complete() {
+	f := op.nic.fab
+	done, data, err := op.done, op.data, op.err
+	op.nic, op.tn, op.dst, op.data, op.err, op.done = nil, nil, nil, nil, nil, nil
+	f.readOps = append(f.readOps, op)
+	done(data, err)
 }
 
 // RDMARead posts a one-sided read of [0, length) of the remote region
@@ -744,7 +815,7 @@ func (n *NIC) RDMAWrite(t *simos.Task, target int, key uint32, data []byte, then
 			extra += v.Delay
 		}
 		f.Eng.After(f.xmit(16+len(payload))+extra, func() {
-			tn := f.nics[target]
+			tn := f.NIC(target)
 			if tn == nil {
 				f.putBuf(payload)
 				n.complete(t, rdmaCompletion{err: ErrNoRoute})
@@ -820,7 +891,7 @@ func (n *NIC) postCompSwap(target int, key uint32, compare, swap uint64, done fu
 		extra += v.Delay
 	}
 	f.Eng.After(f.xmit(32)+extra, func() { // descriptor + compare + swap operands
-		tn := f.nics[target]
+		tn := f.NIC(target)
 		if tn == nil {
 			done(0, ErrNoRoute)
 			return

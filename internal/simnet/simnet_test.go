@@ -25,7 +25,7 @@ type rig struct {
 	nics  []*NIC
 }
 
-func newRig(t *testing.T, n int, fcfg Config) *rig {
+func newRig(t testing.TB, n int, fcfg Config) *rig {
 	t.Helper()
 	r := &rig{eng: sim.NewEngine(1)}
 	r.fab = NewFabric(r.eng, fcfg)

@@ -51,7 +51,7 @@ func (n *Node) raiseIRQon(c *cpu, kind IRQKind, hard, soft sim.Time, action func
 	if soft > 0 {
 		n.K.CumIRQSoft[c.id]++
 	}
-	c.hardQ = append(c.hardQ, irqReq{kind: kind, hard: hard, soft: soft, action: action})
+	c.hardQ.push(irqReq{kind: kind, hard: hard, soft: soft, action: action})
 	if !c.irqActive {
 		c.irqActive = true
 		if t := c.cur; t != nil {
@@ -63,31 +63,38 @@ func (n *Node) raiseIRQon(c *cpu, kind IRQKind, hard, soft sim.Time, action func
 	}
 }
 
+// serviceNextIRQ starts the service interval of the request at the
+// head of the hard queue, else of the soft queue. The completions are
+// the cpu's two pre-bound funcs and read the head again when they
+// fire: it cannot change in between, since raises append and only a
+// completion pops.
 func (c *cpu) serviceNextIRQ() {
-	if len(c.hardQ) > 0 {
-		req := c.hardQ[0]
-		c.node.Eng.After(req.hard, func() {
-			c.hardQ = c.hardQ[1:]
-			if req.soft > 0 || req.action != nil {
-				c.softQ = append(c.softQ, req)
-			}
-			c.serviceNextIRQ()
-		})
+	if c.hardQ.len() > 0 {
+		c.node.Eng.Post(c.hardQ.front().hard, c.hardDone)
 		return
 	}
-	if len(c.softQ) > 0 {
-		req := c.softQ[0]
-		c.node.Eng.After(req.soft, func() {
-			c.softQ = c.softQ[1:]
-			if req.action != nil {
-				req.action()
-			}
-			c.serviceNextIRQ()
-		})
+	if c.softQ.len() > 0 {
+		c.node.Eng.Post(c.softQ.front().soft, c.softDone)
 		return
 	}
 	c.irqActive = false
 	c.resumeFromIRQ()
+}
+
+func (c *cpu) hardIRQDone() {
+	req := c.hardQ.pop()
+	if req.soft > 0 || req.action != nil {
+		c.softQ.push(req)
+	}
+	c.serviceNextIRQ()
+}
+
+func (c *cpu) softIRQDone() {
+	req := c.softQ.pop()
+	if req.action != nil {
+		req.action()
+	}
+	c.serviceNextIRQ()
 }
 
 func (c *cpu) resumeFromIRQ() {
@@ -116,5 +123,5 @@ func (n *Node) PendingIRQ(cpuID int) (hard, soft int) {
 		return 0, 0
 	}
 	c := n.cpus[cpuID]
-	return len(c.hardQ), len(c.softQ)
+	return c.hardQ.len(), c.softQ.len()
 }

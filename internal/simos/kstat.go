@@ -35,7 +35,8 @@ func newKernelStats(n *Node) *KernelStats {
 }
 
 // sampleUtil records each CPU's cumulative busy time; called from the
-// timer tick. Samples older than the utilisation window are pruned.
+// timer tick. Samples older than the utilisation window are pruned by
+// compacting the history in place, so a steady tick reuses one array.
 func (k *KernelStats) sampleUtil() {
 	now := k.node.Eng.Now()
 	keepAfter := now - k.node.Cfg.UtilWindow - 2*k.node.Cfg.Tick
@@ -45,7 +46,7 @@ func (k *KernelStats) sampleUtil() {
 		for drop < len(h)-1 && h[drop+1].t <= keepAfter {
 			drop++
 		}
-		k.utilHist[i] = h[drop:]
+		k.utilHist[i] = h[:copy(h, h[drop:])]
 	}
 }
 

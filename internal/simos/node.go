@@ -152,7 +152,7 @@ type Node struct {
 	Cfg  Config
 	cpus []*cpu
 
-	ready    [numBands][]*Task
+	ready    [numBands]fifo[*Task]
 	tasks    map[*Task]struct{}
 	ports    map[string]*Port
 	queueSeq uint64
@@ -179,7 +179,9 @@ func NewNode(eng *sim.Engine, id int, cfg Config) *Node {
 	}
 	n.K = newKernelStats(n)
 	for i := 0; i < cfg.NumCPU; i++ {
-		n.cpus = append(n.cpus, &cpu{node: n, id: i, lastAccount: eng.Now()})
+		c := &cpu{node: n, id: i, lastAccount: eng.Now()}
+		c.hardDone, c.softDone = c.hardIRQDone, c.softIRQDone
+		n.cpus = append(n.cpus, c)
 	}
 	n.tick = eng.NewTicker(cfg.Tick, n.onTick)
 	return n

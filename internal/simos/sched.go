@@ -19,8 +19,10 @@ type cpu struct {
 
 	cur       *Task
 	irqActive bool
-	hardQ     []irqReq
-	softQ     []irqReq
+	hardQ     fifo[irqReq]
+	softQ     fifo[irqReq]
+	hardDone  func() // c.hardIRQDone, bound once
+	softDone  func() // c.softIRQDone
 
 	state       accState
 	lastAccount sim.Time
@@ -70,7 +72,7 @@ func (n *Node) wake(t *Task) {
 	t.queueSeq = n.queueSeq
 	if n.Cfg.AblationWakePreempt {
 		// Jump the queue and evict a same-band peer if no CPU is free.
-		n.ready[band] = append([]*Task{t}, n.ready[band]...)
+		n.ready[band].pushFront(t)
 		n.resched()
 		if t.state == stateReady {
 			for _, c := range n.cpus {
@@ -84,15 +86,15 @@ func (n *Node) wake(t *Task) {
 		}
 		return
 	}
-	n.ready[band] = append(n.ready[band], t)
+	n.ready[band].push(t)
 	n.resched()
 }
 
 func (n *Node) removeReady(t *Task) {
-	q := n.ready[t.band]
-	for i, x := range q {
+	q := &n.ready[t.band]
+	for i, x := range q.all() {
 		if x == t {
-			n.ready[t.band] = append(q[:i], q[i+1:]...)
+			q.removeAt(i)
 			return
 		}
 	}
@@ -100,7 +102,7 @@ func (n *Node) removeReady(t *Task) {
 
 func (n *Node) highestReadyBand() int {
 	for b := int(numBands) - 1; b >= 0; b-- {
-		if len(n.ready[b]) > 0 {
+		if n.ready[b].len() > 0 {
 			return b
 		}
 	}
@@ -109,10 +111,8 @@ func (n *Node) highestReadyBand() int {
 
 func (n *Node) popHighest() *Task {
 	for b := int(numBands) - 1; b >= 0; b-- {
-		if q := n.ready[b]; len(q) > 0 {
-			t := q[0]
-			n.ready[b] = q[1:]
-			return t
+		if q := &n.ready[b]; q.len() > 0 {
+			return q.pop()
 		}
 	}
 	return nil
@@ -220,9 +220,9 @@ func (t *Task) armBurst() {
 		span = 0
 	}
 	if t.remaining <= span {
-		t.doneEv = t.node.Eng.After(t.remaining, t.burstComplete)
+		t.doneEv = t.node.Eng.After(t.remaining, t.doneFn)
 	} else {
-		t.sliceEv = t.node.Eng.After(span, t.sliceExpire)
+		t.sliceEv = t.node.Eng.After(span, t.sliceFn)
 	}
 }
 
@@ -266,7 +266,7 @@ func (t *Task) sliceExpire() {
 		t.Preemptions++
 		n.queueSeq++
 		t.queueSeq = n.queueSeq
-		n.ready[t.band] = append(n.ready[t.band], t)
+		n.ready[t.band].push(t)
 		c.cur = nil
 		c.setState(accIdle)
 		n.resched()
@@ -291,7 +291,7 @@ func (n *Node) preempt(c *cpu) {
 	t.cpu = nil
 	t.Preemptions++
 	// Head of queue: a preempted task resumes before queued peers.
-	n.ready[t.band] = append([]*Task{t}, n.ready[t.band]...)
+	n.ready[t.band].pushFront(t)
 	c.cur = nil
 	c.setState(accIdle)
 }

@@ -209,3 +209,60 @@ func TestStopHaltsTick(t *testing.T) {
 		t.Fatal("timer tick survived Stop")
 	}
 }
+
+// TestCrashMidIRQKeepsServicePipeline pins what a crash does to
+// interrupts already raised: nothing. The request in service and the
+// one queued behind it complete on their original schedule, their
+// softirq actions run, and the counters survive the restart.
+func TestCrashMidIRQKeepsServicePipeline(t *testing.T) {
+	eng, n := newTestNode(t, NodeDefaults()) // hard 3us, soft 12us, NIC line on CPU 1
+	actions := 0
+	at := func(d sim.Time, fn func()) { eng.Schedule(sim.Millisecond+d, fn) }
+	pending := func(wantHard, wantSoft int) func() {
+		return func() {
+			t.Helper()
+			if h, s := n.PendingIRQ(1); h != wantHard || s != wantSoft {
+				t.Errorf("at %v: pending = (%d, %d), want (%d, %d)", eng.Now(), h, s, wantHard, wantSoft)
+			}
+		}
+	}
+	at(0, func() {
+		n.RaiseNetIRQ(func() { actions++ })
+		n.RaiseNetIRQ(func() { actions++ })
+	})
+	at(1*sim.Microsecond, func() {
+		n.Crash() // first hard handler in service, second queued
+		pending(2, 0)()
+		n.RaiseNetIRQ(func() { actions += 100 }) // a dead host raises nothing
+	})
+	at(4*sim.Microsecond, pending(1, 1)) // first hard done -> its softirq queued; second hard in service
+	at(5*sim.Microsecond, n.Restart)
+	at(7*sim.Microsecond, pending(0, 2))  // both softirqs wait; the first is in service
+	at(19*sim.Microsecond, pending(0, 1)) // 6us + 12us: first action ran
+	eng.RunUntil(2 * sim.Millisecond)
+	pending(0, 0)()
+	if actions != 2 {
+		t.Fatalf("softirq actions ran %d times, want 2", actions)
+	}
+	if h, s := n.K.CumIRQHard[1], n.K.CumIRQSoft[1]; h != 2 || s != 2 {
+		t.Fatalf("CumIRQ on the NIC CPU = (%d hard, %d soft), want (2, 2)", h, s)
+	}
+}
+
+// BenchmarkIdleNodeSecond advances 64 idle nodes one simulated second
+// per iteration: the cost of a fleet's timer ticks with nothing else
+// running.
+func BenchmarkIdleNodeSecond(b *testing.B) {
+	const nodes = 64
+	eng := sim.NewEngine(1)
+	for i := 0; i < nodes; i++ {
+		NewNode(eng, i, NodeDefaults())
+	}
+	eng.RunFor(sim.Second)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eng.RunFor(sim.Second)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/nodes, "ns/node-s")
+}

@@ -74,6 +74,8 @@ type Task struct {
 	boostLeft   sim.Time
 	doneEv      *sim.Event
 	sliceEv     *sim.Event
+	doneFn      func() // t.burstComplete, bound once
+	sliceFn     func() // t.sliceExpire
 	queueSeq    uint64
 
 	// Pending work set while not running (wake path).
@@ -108,6 +110,7 @@ func (t *Task) Alive() bool { return t.state != stateDead }
 // issues no operation exits immediately.
 func (n *Node) Spawn(name string, program func(t *Task)) *Task {
 	t := &Task{Name: name, node: n, state: stateNew}
+	t.doneFn, t.sliceFn = t.burstComplete, t.sliceExpire
 	n.tasks[t] = struct{}{}
 	program(t)
 	if t.state == stateNew { // issued nothing
