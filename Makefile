@@ -34,6 +34,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzLoadRecordFields -fuzztime=$(FUZZTIME) ./internal/wire
 	$(GO) test -run=^$$ -fuzz=FuzzReadFrame -fuzztime=$(FUZZTIME) ./internal/tcpverbs
 	$(GO) test -run=^$$ -fuzz=FuzzServeFrame -fuzztime=$(FUZZTIME) ./internal/tcpverbs
+	$(GO) test -run=^$$ -fuzz=FuzzServeStream -fuzztime=$(FUZZTIME) ./internal/tcpverbs
 	$(GO) test -run=^$$ -fuzz=FuzzReadBatch -fuzztime=$(FUZZTIME) ./internal/tcpverbs
 	$(GO) test -run=^$$ -fuzz=FuzzProcfsParsers -fuzztime=$(FUZZTIME) ./internal/procfs
 	$(GO) test -run=^$$ -fuzz=FuzzLeaseRecord$$ -fuzztime=$(FUZZTIME) ./internal/wire
@@ -91,11 +92,14 @@ scenario-smoke:
 # the engine under random delays (EngineHold) and under a fleet's
 # tie-heavy tick bursts (EngineTickBurst — the pattern sweep-8192 has,
 # which the hold model does not resolve), an idle node's timer ticks,
-# and one read of a 32-read doorbell batch.
+# and one read of a 32-read doorbell batch. The fourth times the live
+# transport next to its framing: loopback round trips of each verb and
+# a 32-read doorbell (ns/read), allocations counted across both ends.
 bench:
 	$(GO) test -bench . -benchtime 1x -benchmem
 	$(GO) test -run '^$$' -bench 'BenchmarkPick|BenchmarkLocalFrac' -benchmem ./internal/loadbalance ./internal/httpsim
 	$(GO) test -run '^$$' -bench 'BenchmarkEngineHold|BenchmarkEngineTickBurst|BenchmarkIdleNodeSecond|BenchmarkSimReadBatch32' -benchmem ./internal/sim ./internal/simos ./internal/simnet
+	$(GO) test -run '^$$' -bench 'BenchmarkLoopback' -benchmem ./internal/tcpverbs
 
 # Probe-engine regression gates: replay the deterministic 256-backend
 # scale point and the 512-backend hybrid comparison, failing on >15%

@@ -14,9 +14,7 @@ import (
 func frameStream(bodies ...[]byte) []byte {
 	var buf bytes.Buffer
 	for _, b := range bodies {
-		if err := writeFrame(&buf, b); err != nil {
-			panic(err)
-		}
+		buf.Write(frame(b))
 	}
 	return buf.Bytes()
 }
@@ -24,23 +22,24 @@ func frameStream(bodies ...[]byte) []byte {
 func TestReadFrameIntoZeroAlloc(t *testing.T) {
 	body := bytes.Repeat([]byte{0xAB}, 512)
 	stream := frameStream(body)
-	scratch := make([]byte, 0, len(body))
+	var fr frameReader
 	r := bytes.NewReader(nil)
 	allocs := testing.AllocsPerRun(100, func() {
 		r.Reset(stream)
-		got, err := readFrameInto(r, scratch)
+		got, err := fr.next(r)
 		if err != nil || len(got) != len(body) {
-			t.Fatalf("readFrameInto: %d bytes, %v", len(got), err)
+			t.Fatalf("frameReader.next: %d bytes, %v", len(got), err)
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("warm readFrameInto allocates %.1f objects/op, want 0", allocs)
+		t.Fatalf("warm frameReader.next allocates %.1f objects/op, want 0", allocs)
 	}
 }
 
 func TestReadFrameIntoGrowsPastScratch(t *testing.T) {
 	body := bytes.Repeat([]byte{0xCD}, 1024)
-	got, err := readFrameInto(bytes.NewReader(frameStream(body)), make([]byte, 0, 16))
+	fr := frameReader{buf: make([]byte, 16)}
+	got, err := fr.next(bytes.NewReader(frameStream(body)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,6 +111,54 @@ func TestRDMAReadBatchIntoReusesResults(t *testing.T) {
 		}
 		if &res2[i].Data[0] != ptrs[i] {
 			t.Fatalf("warm slot %d reallocated its Data buffer", i)
+		}
+	}
+}
+
+// TestRequestFramesStageInScratch: RDMAWrite, CompareSwap and Call
+// build their request, length header included, in the connection's
+// frame scratch like RDMAReadInto does — same backing array op after
+// op — and what is left to allocate per operation is only what the
+// verb's contract hands away: the sink's copy of a write, the caller's
+// copy of a call reply. The counts cover both ends of the loopback
+// connection, which share the process.
+func TestRequestFramesStageInScratch(t *testing.T) {
+	a := newAgent(t)
+	record := bytes.Repeat([]byte{3}, 120)
+	ro := a.RegisterMR(StaticSource(record), len(record)).Key()
+	word := make([]byte, 8)
+	rw := a.RegisterWritableMR(StaticSource(word), 64, func([]byte) {}).Key()
+	pong := []byte("pong")
+	a.HandleCall("ping", func([]byte) []byte { return pong })
+	c := dial(t, a)
+	data := bytes.Repeat([]byte{7}, 64)
+	buf := make([]byte, 0, len(record))
+	ops := []struct {
+		name   string
+		opcode byte
+		allocs float64
+		run    func() error
+	}{
+		{"RDMAWrite", opWrite, 1, func() error { return c.RDMAWrite(rw, data) }},
+		{"CompareSwap", opCompSwap, 0, func() error { _, err := c.CompareSwap(rw, 1, 2); return err }}, // loses: no sink call
+		{"Call", opCall, 1, func() error { _, err := c.Call("ping", nil); return err }},
+		{"RDMAReadInto", opRead, 0, func() error { var err error; buf, err = c.RDMAReadInto(ro, len(record), buf); return err }},
+	}
+	if err := ops[0].run(); err != nil { // the largest frame first: scratch sized once
+		t.Fatal(err)
+	}
+	scratch := &c.frame[0]
+	for _, op := range ops {
+		allocs := testing.AllocsPerRun(200, func() {
+			if err := op.run(); err != nil {
+				t.Fatalf("%s: %v", op.name, err)
+			}
+		})
+		if &c.frame[0] != scratch || c.frame[4] != op.opcode {
+			t.Fatalf("%s did not stage its request in the connection's frame scratch", op.name)
+		}
+		if allocs > op.allocs {
+			t.Fatalf("%s allocates %.0f objects/op across both ends, want <= %.0f", op.name, allocs, op.allocs)
 		}
 	}
 }

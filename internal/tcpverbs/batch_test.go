@@ -122,12 +122,11 @@ func reply(status byte, seq uint32, data []byte) []byte {
 }
 
 func TestCollectBatchRepliesReordered(t *testing.T) {
-	seqs := []uint32{10, 11, 12}
 	var stream []byte
 	stream = append(stream, reply(statusOK, 12, []byte{3})...)
 	stream = append(stream, reply(statusOK, 10, []byte{1})...)
 	stream = append(stream, reply(statusOK, 11, []byte{2})...)
-	res, err := collectBatchReplies(bytes.NewReader(stream), seqs)
+	res, err := new(Conn).collectBatchRepliesInto(bytes.NewReader(stream), 10, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +138,6 @@ func TestCollectBatchRepliesReordered(t *testing.T) {
 }
 
 func TestCollectBatchRepliesRejectsDesync(t *testing.T) {
-	seqs := []uint32{1, 2}
 	cases := map[string][]byte{
 		"unknown seq": append(append([]byte{},
 			reply(statusOK, 1, nil)...), reply(statusOK, 7, nil)...),
@@ -149,7 +147,7 @@ func TestCollectBatchRepliesRejectsDesync(t *testing.T) {
 		"truncated stream": reply(statusOK, 1, nil),
 	}
 	for name, stream := range cases {
-		if _, err := collectBatchReplies(bytes.NewReader(stream), seqs); err == nil {
+		if _, err := new(Conn).collectBatchRepliesInto(bytes.NewReader(stream), 1, 2, nil); err == nil {
 			t.Errorf("%s: desynchronized stream accepted", name)
 		}
 	}
@@ -179,7 +177,7 @@ func FuzzReadBatch(f *testing.F) {
 		for i := range seqs {
 			seqs[i] = uint32(i + 1)
 		}
-		res, err := collectBatchReplies(bytes.NewReader(stream), seqs)
+		res, err := new(Conn).collectBatchRepliesInto(bytes.NewReader(stream), seqs[0], k, nil)
 		if err != nil {
 			return // rejecting a stream is always acceptable
 		}
@@ -190,8 +188,9 @@ func FuzzReadBatch(f *testing.F) {
 		// slot's result to match a frame carrying that slot's seq.
 		frames := make(map[uint32][][]byte)
 		r := bytes.NewReader(stream)
+		var fr frameReader
 		for {
-			body, err := readFrame(r)
+			body, err := fr.next(r)
 			if err != nil {
 				break
 			}
@@ -199,7 +198,7 @@ func FuzzReadBatch(f *testing.F) {
 				continue
 			}
 			seq := binary.BigEndian.Uint32(body[1:5])
-			frames[seq] = append(frames[seq], body)
+			frames[seq] = append(frames[seq], append([]byte(nil), body...)) // body is only valid until the next frame
 		}
 		for i, got := range res {
 			matched := false

@@ -27,6 +27,26 @@
 // completion to its work request by the echoed seq — never by arrival
 // order, so a reordering or desynchronized peer can make a read fail
 // but can never mis-attribute one region's bytes to another request.
+//
+// Socket discipline: a doorbell is one syscall. Every request frame —
+// and a whole opReadPipe batch — leaves the initiator in one Write,
+// header and body together, and replies are parsed out of a
+// connection-owned read buffer, so a batch completes in a few Reads.
+// The agent parses requests the same way and collects its replies in
+// a per-connection output buffer, which it writes when the next reply
+// would push it past a fixed cap (a reply larger than the cap goes
+// out uncopied, in one vectored write) and, above all, before it
+// blocks: the agent never waits for input while it holds an unflushed
+// reply. That rule is the whole deadlock argument — an initiator only
+// ever waits for replies to requests it has fully sent, the agent
+// reads on until no complete request is buffered, and at that point
+// everything it owes is already on the wire — and it is why batching
+// replies costs an unpipelined initiator no latency. Replies leave in
+// request order; every blocking read and every write, cap-triggered
+// flushes included, runs under a deadline; a redial discards both
+// ends' buffers with the stream they came from. None of this is
+// visible on the wire: frame boundaries never depended on write
+// boundaries, so peers from before the buffering interoperate.
 package tcpverbs
 
 import (
@@ -311,6 +331,11 @@ func (a *Agent) acceptLoop() {
 	}
 }
 
+// serve answers one connection's requests until it fails or turns
+// malformed: requests parsed out of a per-connection read buffer,
+// replies collected in a per-connection output buffer that is flushed
+// before every blocking read and whenever the next reply would not
+// fit (the package comment has the rule and why it cannot deadlock).
 func (a *Agent) serve(c net.Conn) {
 	idle, write := a.IdleTimeout, a.WriteTimeout
 	if idle <= 0 {
@@ -319,18 +344,27 @@ func (a *Agent) serve(c net.Conn) {
 	if write <= 0 {
 		write = DefaultWriteTimeout
 	}
+	var rd frameReader
+	out := replyWriter{c: c, timeout: write}
+	var word [8]byte
+serving:
 	for {
-		c.SetReadDeadline(time.Now().Add(idle))
-		body, err := readFrame(c)
-		if err != nil {
-			return
+		if !rd.ready() {
+			if out.flush() != nil {
+				return
+			}
+			c.SetReadDeadline(time.Now().Add(idle))
 		}
-		if len(body) < 1 {
-			return
+		// body aliases the read buffer and is overwritten by the next
+		// frame: whatever outlives this iteration is copied (doWrite,
+		// doCall) or appended to the output before the loop turns.
+		body, err := rd.next(c)
+		if err != nil || len(body) < 1 {
+			break
 		}
 		op, body := body[0], body[1:]
 		var status byte
-		var resp []byte
+		var seq, resp []byte
 		switch op {
 		case opRead:
 			status, resp = a.doRead(body)
@@ -348,24 +382,92 @@ func (a *Agent) serve(c net.Conn) {
 			a.served.calls++
 			a.served.Unlock()
 		case opCompSwap:
-			status, resp = a.doCompSwap(body)
+			var prev uint64
+			if status, prev = a.doCompSwap(body); status == statusOK {
+				binary.BigEndian.PutUint64(word[:], prev)
+				resp = word[:]
+			}
 			a.served.Lock()
 			a.served.atomics++
 			a.served.Unlock()
 		case opReadPipe:
-			status, resp = a.doReadPipe(body)
+			// Like opRead, with the request's sequence number echoed
+			// ahead of the data so the initiator can match the
+			// completion to its work request.
+			if len(body) < 12 {
+				status = statusLength
+			} else {
+				seq = body[:4]
+				status, resp = a.doRead(body[4:])
+			}
 			a.served.Lock()
 			a.served.reads++
 			a.served.batched++
 			a.served.Unlock()
 		default:
-			return
+			break serving
 		}
-		c.SetWriteDeadline(time.Now().Add(write))
-		if err := writeReply(c, status, resp); err != nil {
+		if out.reply(status, seq, resp) != nil {
 			return
 		}
 	}
+	out.flush() // the connection ends on a malformed frame; earlier answers are still owed
+}
+
+// replyWriter collects a served connection's reply frames and writes
+// them to the socket in as few Writes as the flush rule allows. The
+// buffer grows on demand and never past bufCap.
+type replyWriter struct {
+	c       net.Conn
+	timeout time.Duration
+	buf     []byte
+}
+
+// flush writes the pending replies, under the write deadline.
+func (w *replyWriter) flush() error {
+	if len(w.buf) == 0 {
+		return nil
+	}
+	w.c.SetWriteDeadline(time.Now().Add(w.timeout))
+	_, err := w.c.Write(w.buf)
+	w.buf = w.buf[:0]
+	return err
+}
+
+// reply queues one reply frame: length, status, the echoed seq of a
+// pipelined read (else nil), data. Pending replies are flushed first
+// when this one would push the buffer past bufCap; a reply that alone
+// exceeds bufCap is written through — header and data in one vectored
+// write — without copying data.
+func (w *replyWriter) reply(status byte, seq, data []byte) error {
+	head := 5 + len(seq)
+	size := head + len(data)
+	if len(w.buf)+size > bufCap {
+		if err := w.flush(); err != nil {
+			return err
+		}
+	}
+	need := len(w.buf) + size
+	if size > bufCap {
+		need = head // written through: only the head is staged
+	}
+	if need > cap(w.buf) {
+		nb := make([]byte, len(w.buf), min(max(2*cap(w.buf), need, bufMin), bufCap))
+		copy(nb, w.buf)
+		w.buf = nb
+	}
+	w.buf = binary.BigEndian.AppendUint32(w.buf, uint32(size-4))
+	w.buf = append(w.buf, status)
+	w.buf = append(w.buf, seq...)
+	if size <= bufCap {
+		w.buf = append(w.buf, data...)
+		return nil
+	}
+	w.c.SetWriteDeadline(time.Now().Add(w.timeout))
+	bufs := net.Buffers{w.buf, data}
+	_, err := bufs.WriteTo(w.c)
+	w.buf = w.buf[:0]
+	return err
 }
 
 func (a *Agent) doRead(body []byte) (byte, []byte) {
@@ -388,21 +490,6 @@ func (a *Agent) doRead(body []byte) (byte, []byte) {
 		data = data[:maxLen]
 	}
 	return statusOK, data
-}
-
-// doReadPipe serves one pipelined read: like doRead, but the request
-// carries a sequence number that is echoed ahead of the data so the
-// initiator can match the completion to its work request.
-func (a *Agent) doReadPipe(body []byte) (byte, []byte) {
-	if len(body) < 12 {
-		return statusLength, nil
-	}
-	seq := body[0:4]
-	status, data := a.doRead(body[4:])
-	resp := make([]byte, 4+len(data))
-	copy(resp, seq)
-	copy(resp[4:], data)
-	return status, resp
 }
 
 func (a *Agent) doWrite(body []byte) byte {
@@ -433,10 +520,11 @@ func (a *Agent) doWrite(body []byte) byte {
 // pre-operation value is always returned, like a real HCA's masked
 // atomic. The atomics mutex spans the read-compare-write sequence, so
 // concurrent CAS from different connections serialize exactly as they
-// would on the responder NIC.
-func (a *Agent) doCompSwap(body []byte) (byte, []byte) {
+// would on the responder NIC. prev is meaningful — and sent — only
+// with statusOK.
+func (a *Agent) doCompSwap(body []byte) (status byte, prev uint64) {
 	if len(body) < 20 {
-		return statusLength, nil
+		return statusLength, 0
 	}
 	key := binary.BigEndian.Uint32(body[0:])
 	compare := binary.BigEndian.Uint64(body[4:])
@@ -446,28 +534,26 @@ func (a *Agent) doCompSwap(body []byte) (byte, []byte) {
 	a.mu.RUnlock()
 	switch {
 	case mr == nil:
-		return statusBadKey, nil
+		return statusBadKey, 0
 	case !mr.writable:
-		return statusPermission, nil
+		return statusPermission, 0
 	case mr.size < 8:
-		return statusLength, nil
+		return statusLength, 0
 	}
 	a.atomics.Lock()
 	defer a.atomics.Unlock()
 	cur := mr.source()
 	if len(cur) < 8 {
-		return statusLength, nil
+		return statusLength, 0
 	}
-	prev := binary.LittleEndian.Uint64(cur[:8])
+	prev = binary.LittleEndian.Uint64(cur[:8])
 	if prev == compare {
 		next := make([]byte, len(cur))
 		copy(next, cur)
 		binary.LittleEndian.PutUint64(next[:8], swap)
 		mr.sink(next)
 	}
-	var resp [8]byte
-	binary.BigEndian.PutUint64(resp[:], prev)
-	return statusOK, resp[:]
+	return statusOK, prev
 }
 
 func (a *Agent) doCall(body []byte) (byte, []byte) {
@@ -478,15 +564,15 @@ func (a *Agent) doCall(body []byte) (byte, []byte) {
 	if len(body) < 1+pl {
 		return statusLength, nil
 	}
-	port := string(body[1 : 1+pl])
-	payload := body[1+pl:]
 	a.mu.RLock()
-	h := a.handlers[port]
+	h := a.handlers[string(body[1:1+pl])]
 	a.mu.RUnlock()
 	if h == nil {
 		return statusNoHandler, nil
 	}
-	return statusOK, h(payload)
+	// body is the connection's read buffer; a handler may keep its
+	// argument, so it gets a copy (as a write sink does).
+	return statusOK, h(append([]byte(nil), body[1+pl:]...))
 }
 
 // Conn is an initiator endpoint ("queue pair") to one remote agent.
@@ -498,22 +584,28 @@ func (a *Agent) doCall(body []byte) (byte, []byte) {
 // back-end restarting on the same address is survived transparently,
 // and a dead one costs a bounded, predictable delay.
 type Conn struct {
-	mu      sync.Mutex
-	c       net.Conn
+	mu      sync.Mutex // serializes operations, held across one's retries
 	addr    string
 	opTmo   time.Duration
 	rng     *rand.Rand
-	closed  bool
 	pipeSeq uint32
 
+	// sock guards closing. It is never held across I/O, so Close does
+	// not wait behind an operation in flight. c is replaced only with
+	// both locks held: operations read it under mu, Close under sock.
+	sock sync.Mutex
+	c    net.Conn
+	done chan struct{} // closed by Close; also cuts a retry backoff short
+
 	// Per-connection scratch (guarded by mu, like every operation):
-	// request-frame staging, the batch post buffer and its seq list,
-	// and the reply-frame read buffer. A steady-state probe loop on one
-	// connection reuses all of them instead of allocating per op.
+	// request-frame staging, the batch post buffer and its completion
+	// set, and the buffer replies are parsed out of. A steady-state
+	// probe loop on one connection reuses all of them instead of
+	// allocating per op.
 	frame   []byte
 	postBuf []byte
-	seqs    []uint32
-	rbuf    []byte
+	filled  []bool
+	rd      frameReader
 
 	// Retry is the redial/replay policy; the zero value takes the
 	// documented defaults. Set it before issuing operations.
@@ -541,6 +633,7 @@ func DialTimeout(addr string, opTimeout time.Duration) (*Conn, error) {
 	}
 	return &Conn{
 		c:     c,
+		done:  make(chan struct{}),
 		addr:  addr,
 		opTmo: opTimeout,
 		rng:   rand.New(rand.NewSource(jitterSeed())),
@@ -569,13 +662,26 @@ func (c *Conn) SeedJitter(seed int64) {
 	c.rng = rand.New(rand.NewSource(seed))
 }
 
-// Close tears the connection down; subsequent operations fail without
-// retrying.
+// Close tears the connection down without waiting for an operation in
+// flight: that operation's socket I/O fails at once, it returns
+// ErrClosed instead of redialing, and subsequent operations fail
+// without retrying.
 func (c *Conn) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.closed = true
+	c.sock.Lock()
+	defer c.sock.Unlock()
+	if !c.isClosed() {
+		close(c.done)
+	}
 	return c.c.Close()
+}
+
+func (c *Conn) isClosed() bool {
+	select {
+	case <-c.done:
+		return true
+	default:
+		return false
+	}
 }
 
 // retrying runs op under the connection's redial-and-replay policy:
@@ -587,7 +693,7 @@ func (c *Conn) retrying(op func() error) error {
 	backoff := pol.Backoff
 	var lastErr error
 	for attempt := 0; attempt < pol.Attempts; attempt++ {
-		if c.closed {
+		if c.isClosed() {
 			return ErrClosed
 		}
 		if attempt > 0 {
@@ -596,7 +702,13 @@ func (c *Conn) retrying(op func() error) error {
 				f := 1 + pol.Jitter*(c.rng.Float64()-0.5)
 				d = time.Duration(float64(d) * f)
 			}
-			time.Sleep(d)
+			t := time.NewTimer(d)
+			select {
+			case <-t.C:
+			case <-c.done:
+				t.Stop()
+				return ErrClosed
+			}
 			backoff *= 2
 			if backoff > pol.MaxBackoff {
 				backoff = pol.MaxBackoff
@@ -608,74 +720,90 @@ func (c *Conn) retrying(op func() error) error {
 		}
 		if err := op(); err != nil {
 			lastErr = err
-			c.c.Close() // poison the stream; next attempt redials
+			// Poison the stream: the next attempt redials, and nothing
+			// already read from this one is ever parsed again.
+			c.c.Close()
+			c.rd.reset()
 			continue
 		}
 		return nil
 	}
+	if c.isClosed() {
+		return ErrClosed
+	}
 	return lastErr
 }
 
-func (c *Conn) roundTrip(frame []byte) (byte, []byte, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var status byte
-	var body []byte
-	err := c.retrying(func() error {
-		var e error
-		status, body, e = c.attempt(frame)
-		return e
-	})
-	if err != nil {
-		return 0, nil, err
-	}
-	return status, body, nil
-}
-
-// attempt performs one write+read under the operation deadline.
-func (c *Conn) attempt(frame []byte) (byte, []byte, error) {
-	c.c.SetDeadline(time.Now().Add(c.opTmo))
-	if err := writeFrame(c.c, frame); err != nil {
-		return 0, nil, err
-	}
-	body, err := readFrame(c.c)
-	if err != nil {
-		return 0, nil, err
-	}
-	if len(body) < 1 {
-		return 0, nil, ErrClosed
-	}
-	return body[0], body[1:], nil
-}
-
-// redial replaces the underlying stream. Caller holds c.mu.
+// redial replaces the underlying stream and discards whatever the old
+// one left in the read buffer. Caller holds c.mu.
 func (c *Conn) redial() error {
-	if c.closed {
+	if c.isClosed() {
 		return ErrClosed
 	}
 	nc, err := net.DialTimeout("tcp", c.addr, c.opTmo)
 	if err != nil {
 		return err
 	}
+	c.sock.Lock()
+	defer c.sock.Unlock()
+	if c.isClosed() {
+		nc.Close()
+		return ErrClosed
+	}
 	c.c.Close()
 	c.c = nc
+	c.rd.reset()
 	c.Redials++
 	return nil
+}
+
+// stage returns scratch for a request frame whose body (opcode
+// included) is n bytes, with the length header filled in: header and
+// body leave in one Write. Frames past bufCap are one-off allocations
+// so a single large write does not pin its size on the connection.
+// Caller holds c.mu.
+func (c *Conn) stage(n int) []byte {
+	f := c.frame
+	if size := 4 + n; size <= cap(f) {
+		f = f[:size]
+	} else {
+		f = make([]byte, size)
+		if size <= bufCap {
+			c.frame = f
+		}
+	}
+	binary.BigEndian.PutUint32(f, uint32(n))
+	return f
+}
+
+// roundTrip sends one staged request frame and returns the reply's
+// status and body under the retry policy. The body aliases the read
+// buffer and is valid only until the connection's next operation:
+// callers copy what they keep before releasing c.mu, which they hold.
+func (c *Conn) roundTrip(frame []byte) (status byte, body []byte, err error) {
+	err = c.retrying(func() error {
+		c.c.SetDeadline(time.Now().Add(c.opTmo))
+		if _, err := c.c.Write(frame); err != nil {
+			return err
+		}
+		reply, err := c.rd.next(c.c)
+		if err != nil {
+			return err
+		}
+		if len(reply) < 1 {
+			return ErrClosed
+		}
+		status, body = reply[0], reply[1:]
+		return nil
+	})
+	return status, body, err
 }
 
 // RDMARead fetches up to length bytes of the remote region. The remote
 // application is not involved: the agent's responder goroutine serves
 // the read directly.
 func (c *Conn) RDMARead(rkey uint32, length int) ([]byte, error) {
-	frame := make([]byte, 9)
-	frame[0] = opRead
-	binary.BigEndian.PutUint32(frame[1:], rkey)
-	binary.BigEndian.PutUint32(frame[5:], uint32(length))
-	status, data, err := c.roundTrip(frame)
-	if err != nil {
-		return nil, err
-	}
-	return data, statusErr(status)
+	return c.RDMAReadInto(rkey, length, nil)
 }
 
 // RDMAReadInto is RDMARead with caller-owned payload storage: the
@@ -685,38 +813,15 @@ func (c *Conn) RDMARead(rkey uint32, length int) ([]byte, error) {
 func (c *Conn) RDMAReadInto(rkey uint32, length int, buf []byte) ([]byte, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if cap(c.frame) < 9 {
-		c.frame = make([]byte, 9)
-	}
-	frame := c.frame[:9]
-	frame[0] = opRead
-	binary.BigEndian.PutUint32(frame[1:], rkey)
-	binary.BigEndian.PutUint32(frame[5:], uint32(length))
-	var status byte
-	out := buf
-	err := c.retrying(func() error {
-		c.c.SetDeadline(time.Now().Add(c.opTmo))
-		if err := writeFrame(c.c, frame); err != nil {
-			return err
-		}
-		body, err := readFrameInto(c.c, c.rbuf)
-		if err != nil {
-			return err
-		}
-		if cap(body) > cap(c.rbuf) {
-			c.rbuf = body
-		}
-		if len(body) < 1 {
-			return ErrClosed
-		}
-		status = body[0]
-		out = append(buf[:0], body[1:]...)
-		return nil
-	})
+	f := c.stage(9)
+	f[4] = opRead
+	binary.BigEndian.PutUint32(f[5:], rkey)
+	binary.BigEndian.PutUint32(f[9:], uint32(length))
+	status, data, err := c.roundTrip(f)
 	if err != nil {
 		return nil, err
 	}
-	return out, statusErr(status)
+	return append(buf[:0], data...), statusErr(status)
 }
 
 // BatchRead describes one read in a pipelined batch.
@@ -752,10 +857,10 @@ func (c *Conn) RDMAReadBatch(reqs []BatchRead) ([]BatchResult, error) {
 
 // RDMAReadBatchInto is RDMAReadBatch with caller-owned result storage:
 // when results has the capacity it is recycled, each slot's Data
-// buffer included, and the post buffer, seq list and reply frames all
-// stage through per-connection scratch. Pass the returned slice back
-// on the next call and a steady-state sweep posts batches with no
-// per-batch payload allocation.
+// buffer included, and the post buffer, completion set and reply
+// frames all stage through per-connection scratch. Pass the returned
+// slice back on the next call and a steady-state sweep posts batches
+// with no per-batch allocation.
 func (c *Conn) RDMAReadBatchInto(reqs []BatchRead, results []BatchResult) ([]BatchResult, error) {
 	if len(reqs) == 0 {
 		return nil, nil
@@ -775,21 +880,17 @@ func (c *Conn) RDMAReadBatchInto(reqs []BatchRead, results []BatchResult) ([]Bat
 }
 
 // attemptBatch performs one pipelined write-all-then-read-all pass
-// under the operation deadline, staging the post buffer and seq list
-// in connection scratch. Caller holds c.mu.
+// under the operation deadline: the whole doorbell leaves in one
+// Write, its seqs consecutive from a fresh base. Caller holds c.mu.
 func (c *Conn) attemptBatch(reqs []BatchRead, into []BatchResult) ([]BatchResult, error) {
-	if cap(c.seqs) < len(reqs) {
-		c.seqs = make([]uint32, len(reqs))
-	}
-	seqs := c.seqs[:len(reqs)]
+	base := c.pipeSeq + 1
+	c.pipeSeq += uint32(len(reqs))
 	buf := c.postBuf[:0]
 	for i, rq := range reqs {
-		c.pipeSeq++
-		seqs[i] = c.pipeSeq
 		var frame [17]byte
 		binary.BigEndian.PutUint32(frame[0:], 13)
 		frame[4] = opReadPipe
-		binary.BigEndian.PutUint32(frame[5:], seqs[i])
+		binary.BigEndian.PutUint32(frame[5:], base+uint32(i))
 		binary.BigEndian.PutUint32(frame[9:], rq.RKey)
 		binary.BigEndian.PutUint32(frame[13:], uint32(rq.Length))
 		buf = append(buf, frame[:]...)
@@ -799,69 +900,55 @@ func (c *Conn) attemptBatch(reqs []BatchRead, into []BatchResult) ([]BatchResult
 	if _, err := c.c.Write(buf); err != nil {
 		return nil, err
 	}
-	results, rbuf, err := collectBatchRepliesInto(c.c, seqs, into, c.rbuf)
-	c.rbuf = rbuf
-	return results, err
+	return c.collectBatchRepliesInto(c.c, base, len(reqs), into)
 }
 
-// collectBatchReplies reads len(seqs) reply frames from r and
-// attributes each to the work request whose seq it echoes. Any
-// desynchronization — a reply too short to carry a seq, an unknown
-// seq, a duplicate completion — is a transport-level error for the
-// whole batch: a confused stream may fail a batch but can never
-// mis-attribute one request's bytes to another. Factored out so the
-// fuzzer can drive it with arbitrary byte streams.
-func collectBatchReplies(r io.Reader, seqs []uint32) ([]BatchResult, error) {
-	results, _, err := collectBatchRepliesInto(r, seqs, nil, nil)
-	return results, err
-}
-
-// collectBatchRepliesInto is the storage-reusing core of
-// collectBatchReplies: results is recycled when its capacity suffices
-// (each slot's Data buffer included) and reply frames stage through
-// rbuf, which is returned — possibly grown — for the caller to keep.
-// The seq table and completion set are small per-batch bookkeeping and
-// still allocate; the payload path does not.
-func collectBatchRepliesInto(r io.Reader, seqs []uint32, into []BatchResult, rbuf []byte) ([]BatchResult, []byte, error) {
-	slot := make(map[uint32]int, len(seqs))
-	for i, s := range seqs {
-		if _, dup := slot[s]; dup {
-			return nil, rbuf, fmt.Errorf("tcpverbs: duplicate seq %d posted in batch", s)
-		}
-		slot[s] = i
-	}
+// collectBatchRepliesInto reads n reply frames from r and attributes
+// each to the work request whose seq it echoes; the batch's seqs are
+// base, base+1, … (wrapping), so slot = seq − base and anything out of
+// range is an unknown seq. Any desynchronization — a reply too short
+// to carry a seq, an unknown seq, a duplicate completion — is a
+// transport-level error for the whole batch: a confused stream may
+// fail a batch but can never mis-attribute one request's bytes to
+// another. into is recycled when its capacity suffices (each slot's
+// Data buffer included); replies parse out of the connection's read
+// buffer and the completion set is connection scratch, so a warm
+// batch allocates nothing. Takes r so the fuzzer can drive it with
+// arbitrary byte streams.
+func (c *Conn) collectBatchRepliesInto(r io.Reader, base uint32, n int, into []BatchResult) ([]BatchResult, error) {
 	var results []BatchResult
-	if cap(into) >= len(seqs) {
-		results = into[:len(seqs)]
+	if cap(into) >= n {
+		results = into[:n]
 	} else {
-		results = make([]BatchResult, len(seqs))
+		results = make([]BatchResult, n)
 	}
-	filled := make([]bool, len(seqs))
-	for n := 0; n < len(seqs); n++ {
-		body, err := readFrameInto(r, rbuf)
+	if cap(c.filled) < n {
+		c.filled = make([]bool, n)
+	}
+	filled := c.filled[:n]
+	clear(filled)
+	for k := 0; k < n; k++ {
+		body, err := c.rd.next(r)
 		if err != nil {
-			return nil, rbuf, err
-		}
-		if cap(body) > cap(rbuf) {
-			rbuf = body
+			return nil, err
 		}
 		if len(body) < 5 {
-			return nil, rbuf, fmt.Errorf("tcpverbs: pipelined reply too short to carry a seq")
+			return nil, fmt.Errorf("tcpverbs: pipelined reply too short to carry a seq")
 		}
 		status := body[0]
 		if status > statusNoHandler {
 			// Statuses come only from our own agent; an unknown byte
 			// here means the stream is corrupt, not that one read
 			// failed.
-			return nil, rbuf, fmt.Errorf("tcpverbs: unknown status %d in pipelined reply", status)
+			return nil, fmt.Errorf("tcpverbs: unknown status %d in pipelined reply", status)
 		}
 		seq := binary.BigEndian.Uint32(body[1:5])
-		i, ok := slot[seq]
-		if !ok {
-			return nil, rbuf, fmt.Errorf("tcpverbs: completion for unknown seq %d", seq)
+		i := seq - base
+		if i >= uint32(n) {
+			return nil, fmt.Errorf("tcpverbs: completion for unknown seq %d", seq)
 		}
 		if filled[i] {
-			return nil, rbuf, fmt.Errorf("tcpverbs: duplicate completion for seq %d", seq)
+			return nil, fmt.Errorf("tcpverbs: duplicate completion for seq %d", seq)
 		}
 		filled[i] = true
 		if err := statusErr(status); err != nil {
@@ -870,16 +957,18 @@ func collectBatchRepliesInto(r io.Reader, seqs []uint32, into []BatchResult, rbu
 		}
 		results[i] = BatchResult{Data: append(results[i].Data[:0], body[5:]...)}
 	}
-	return results, rbuf, nil
+	return results, nil
 }
 
 // RDMAWrite stores data into the remote region (if writable).
 func (c *Conn) RDMAWrite(rkey uint32, data []byte) error {
-	frame := make([]byte, 5+len(data))
-	frame[0] = opWrite
-	binary.BigEndian.PutUint32(frame[1:], rkey)
-	copy(frame[5:], data)
-	status, _, err := c.roundTrip(frame)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	f := c.stage(5 + len(data))
+	f[4] = opWrite
+	binary.BigEndian.PutUint32(f[5:], rkey)
+	copy(f[9:], data)
+	status, _, err := c.roundTrip(f)
 	if err != nil {
 		return err
 	}
@@ -900,12 +989,14 @@ func (c *Conn) RDMAWrite(rkey uint32, data []byte) error {
 // the word, sees itself named, and proceeds from there) — but callers
 // needing exactly-once semantics must disable retries.
 func (c *Conn) CompareSwap(rkey uint32, compare, swap uint64) (uint64, error) {
-	frame := make([]byte, 21)
-	frame[0] = opCompSwap
-	binary.BigEndian.PutUint32(frame[1:], rkey)
-	binary.BigEndian.PutUint64(frame[5:], compare)
-	binary.BigEndian.PutUint64(frame[13:], swap)
-	status, data, err := c.roundTrip(frame)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	f := c.stage(21)
+	f[4] = opCompSwap
+	binary.BigEndian.PutUint32(f[5:], rkey)
+	binary.BigEndian.PutUint64(f[9:], compare)
+	binary.BigEndian.PutUint64(f[17:], swap)
+	status, data, err := c.roundTrip(f)
 	if err != nil {
 		return 0, err
 	}
@@ -960,88 +1051,143 @@ func (c *Conn) Call(port string, payload []byte) ([]byte, error) {
 	if len(port) > 255 {
 		return nil, fmt.Errorf("tcpverbs: port name too long")
 	}
-	frame := make([]byte, 2+len(port)+len(payload))
-	frame[0] = opCall
-	frame[1] = byte(len(port))
-	copy(frame[2:], port)
-	copy(frame[2+len(port):], payload)
-	status, data, err := c.roundTrip(frame)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	f := c.stage(2 + len(port) + len(payload))
+	f[4] = opCall
+	f[5] = byte(len(port))
+	copy(f[6:], port)
+	copy(f[6+len(port):], payload)
+	status, data, err := c.roundTrip(f)
 	if err != nil {
 		return nil, err
 	}
-	return data, statusErr(status)
+	return append([]byte(nil), data...), statusErr(status)
 }
 
-func writeFrame(w io.Writer, body []byte) error {
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
+// Connection buffers — the read buffer at either end, the agent's
+// reply buffer — are allocated at bufMin on first use and grow on
+// demand, never past bufCap: a dial stays cheap and memory follows
+// what a connection actually carries. A frame of up to bufCap bytes is
+// parsed in place; a larger one takes the chunked path.
+const (
+	bufMin = 512
+	bufCap = readChunk
+)
+
+// frameReader parses length-prefixed frames out of a connection-owned
+// buffer, so one socket Read can deliver many frames and a frame's
+// header and body never cost a Read each. A returned body aliases the
+// buffer and is valid until the following call.
+type frameReader struct {
+	buf  []byte // buf[r:w] is read from the socket and not yet parsed
+	r, w int
+	full bool // the last Read filled buf to its end: more is likely waiting
+}
+
+// reset discards everything buffered (the stream it came from is dead).
+func (fr *frameReader) reset() { fr.r, fr.w, fr.full = 0, 0, false }
+
+// ready reports whether next will return without reading the socket:
+// a whole frame is buffered, or a length that fails without a read.
+func (fr *frameReader) ready() bool {
+	have := fr.w - fr.r
+	if have < 4 {
+		return false
 	}
-	_, err := w.Write(body)
-	return err
+	n := int(binary.BigEndian.Uint32(fr.buf[fr.r:]))
+	return n > maxFrame || have-4 >= n
 }
 
-func writeReply(w io.Writer, status byte, body []byte) error {
-	frame := make([]byte, 1+len(body))
-	frame[0] = status
-	copy(frame[1:], body)
-	return writeFrame(w, frame)
-}
-
-func readFrame(r io.Reader) ([]byte, error) {
-	return readFrameInto(r, nil)
-}
-
-// readFrameInto is readFrame against caller-owned scratch: the body is
-// staged in scratch while its capacity lasts and chunked growth only
-// kicks in past it, so a warm reply loop reads frames without
-// allocating.
-func readFrameInto(r io.Reader, scratch []byte) ([]byte, error) {
-	// Stage the length header in the scratch itself when there is room:
-	// a local header array escapes through the io.Reader interface and
-	// costs one allocation per frame, so it lives only in the cold
-	// branch where no scratch exists yet.
-	var n int
-	if cap(scratch) >= 4 {
-		hdr := scratch[:4]
-		if _, err := io.ReadFull(r, hdr); err != nil {
-			return nil, err
-		}
-		n = int(binary.BigEndian.Uint32(hdr))
-	} else {
-		var hdr [4]byte
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			return nil, err
-		}
-		n = int(binary.BigEndian.Uint32(hdr[:]))
+// next returns the body of the next frame, reading from r only while
+// the buffer does not already hold it.
+func (fr *frameReader) next(r io.Reader) ([]byte, error) {
+	if err := fr.fill(r, 4); err != nil {
+		return nil, err
 	}
+	n := int(binary.BigEndian.Uint32(fr.buf[fr.r:]))
+	fr.r += 4
 	if n > maxFrame {
 		return nil, fmt.Errorf("tcpverbs: frame too large (%d)", n)
 	}
-	// Grow in bounded chunks as bytes actually arrive: a hostile or
-	// corrupted length field costs memory only as fast as the peer
-	// delivers payload, and truncation fails at the current chunk.
-	body := scratch[:0]
-	if cap(body) == 0 && n > 0 {
-		cap0 := n
-		if cap0 > readChunk {
-			cap0 = readChunk
-		}
-		body = make([]byte, 0, cap0)
+	if n > bufCap {
+		return fr.nextLarge(r, n)
 	}
+	if err := fr.fill(r, n); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return nil, err
+	}
+	// Capacity clipped: appending to a body must not reach the frames
+	// buffered behind it.
+	body := fr.buf[fr.r : fr.r+n : fr.r+n]
+	fr.r += n
+	return body, nil
+}
+
+// fill reads until at least need (<= bufCap) unparsed bytes are
+// buffered.
+func (fr *frameReader) fill(r io.Reader, need int) error {
+	for empty := 0; fr.w-fr.r < need; {
+		fr.makeRoom(need)
+		m, err := r.Read(fr.buf[fr.w:])
+		fr.w += m
+		fr.full = fr.w == len(fr.buf)
+		if fr.w-fr.r >= need {
+			break // a read error, if any, comes back on the next Read
+		}
+		if err != nil {
+			if err == io.EOF && fr.w > fr.r {
+				err = io.ErrUnexpectedEOF
+			}
+			return err
+		}
+		if m == 0 {
+			if empty++; empty == 100 {
+				return io.ErrNoProgress
+			}
+		}
+	}
+	return nil
+}
+
+// makeRoom moves the unparsed tail — always shorter than one frame —
+// to the front of buf, and grows buf when it cannot hold need bytes or
+// when the last Read filled it.
+func (fr *frameReader) makeRoom(need int) {
+	size := len(fr.buf)
+	if fr.full {
+		size *= 2
+	}
+	size = min(max(size, need, bufMin), bufCap)
+	if size > len(fr.buf) {
+		nb := make([]byte, size)
+		fr.w = copy(nb, fr.buf[fr.r:fr.w])
+		fr.buf, fr.r = nb, 0
+	} else if fr.r > 0 {
+		fr.w = copy(fr.buf, fr.buf[fr.r:fr.w])
+		fr.r = 0
+	}
+}
+
+// nextLarge reads the n-byte body of a frame too big to parse in
+// place into storage of its own, grown in bounded chunks as bytes
+// actually arrive: a hostile or corrupted length field costs memory
+// only as fast as the peer delivers payload, and truncation fails at
+// the current chunk.
+func (fr *frameReader) nextLarge(r io.Reader, n int) ([]byte, error) {
+	// Everything buffered belongs to this frame: the buffer holds at
+	// most bufCap bytes and n is larger.
+	body := append(make([]byte, 0, readChunk), fr.buf[fr.r:fr.w]...)
+	fr.reset()
 	for len(body) < n {
-		chunk := n - len(body)
-		if chunk > readChunk {
-			chunk = readChunk
-		}
 		off := len(body)
-		if cap(body)-off >= chunk {
-			body = body[:off+chunk]
-		} else {
-			body = append(body, make([]byte, chunk)...)
-		}
-		if _, err := io.ReadFull(r, body[off:off+chunk]); err != nil {
+		body = append(body, make([]byte, min(n-off, readChunk))...)
+		if _, err := io.ReadFull(r, body[off:]); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
 			return nil, err
 		}
 	}

@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-func newAgent(t *testing.T) *Agent {
+func newAgent(t testing.TB) *Agent {
 	t.Helper()
 	a, err := Listen("127.0.0.1:0")
 	if err != nil {
@@ -17,7 +17,7 @@ func newAgent(t *testing.T) *Agent {
 	return a
 }
 
-func dial(t *testing.T, a *Agent) *Conn {
+func dial(t testing.TB, a *Agent) *Conn {
 	t.Helper()
 	c, err := Dial(a.Addr())
 	if err != nil {
