@@ -89,16 +89,19 @@ scenario-smoke:
 # The second line times the dispatch decision next to its code: one
 # Pick against fleet size (ns/op should grow linearly) and one
 # LocalFrac query. The third times the event path next to its code:
-# the engine under random delays (EngineHold) and under a fleet's
-# tie-heavy tick bursts (EngineTickBurst — the pattern sweep-8192 has,
-# which the hold model does not resolve), an idle node's timer ticks,
-# and one read of a 32-read doorbell batch. The fourth times the live
-# transport next to its framing: loopback round trips of each verb and
-# a 32-read doorbell (ns/read), allocations counted across both ends.
+# the engine under random delays (EngineHold), under a fleet's
+# tie-heavy tick bursts (EngineTickBurst/n=8192 — the pattern
+# sweep-8192 has, which the hold model does not resolve — and
+# /staggered, the same fleet with no ties) and cancelling a run of
+# same-instant deadlines in random order (EngineCancelChained), an
+# idle node's timer ticks, and one read of a 32-read doorbell batch.
+# The fourth times the live transport next to its framing: loopback
+# round trips of each verb and a 32-read doorbell (ns/read),
+# allocations counted across both ends.
 bench:
 	$(GO) test -bench . -benchtime 1x -benchmem
 	$(GO) test -run '^$$' -bench 'BenchmarkPick|BenchmarkLocalFrac' -benchmem ./internal/loadbalance ./internal/httpsim
-	$(GO) test -run '^$$' -bench 'BenchmarkEngineHold|BenchmarkEngineTickBurst|BenchmarkIdleNodeSecond|BenchmarkSimReadBatch32' -benchmem ./internal/sim ./internal/simos ./internal/simnet
+	$(GO) test -run '^$$' -bench 'BenchmarkEngineHold|BenchmarkEngineTickBurst|BenchmarkEngineCancelChained|BenchmarkIdleNodeSecond|BenchmarkSimReadBatch32' -benchmem ./internal/sim ./internal/simos ./internal/simnet
 	$(GO) test -run '^$$' -bench 'BenchmarkLoopback' -benchmem ./internal/tcpverbs
 
 # Probe-engine regression gates: replay the deterministic 256-backend

@@ -47,7 +47,7 @@ func (m *Monitor) hotBackend(id int) bool {
 		// so a delayed probe costs nothing — shed first.
 		return false
 	}
-	if st := m.hyb[id]; st != nil {
+	if st := m.hybrid(id); st != nil {
 		// The hybrid period controller already computes volatility:
 		// a decayed period means the back-end is quiet and its
 		// effective-staleness bound is correspondingly relaxed.
@@ -63,7 +63,7 @@ func (m *Monitor) hotBackend(id int) bool {
 // burning every sweep re-shedding the same targets. Without the
 // hybrid engine the back-end simply retries next sweep.
 func (m *Monitor) deferProbe(id int) {
-	if st := m.hyb[id]; st != nil {
+	if st := m.hybrid(id); st != nil {
 		st.due = m.front.Eng.Now() + st.ctrl.Period()
 	}
 }

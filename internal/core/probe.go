@@ -432,7 +432,9 @@ type Monitor struct {
 
 	pool *connpool.Pool[int, *simnet.QP]
 
-	hyb map[int]*hybridState
+	// hyb is indexed by back-end id like byID; a nil entry (or a nil
+	// slice, without the hybrid engine) means no adaptive-poll state.
+	hyb []*hybridState
 
 	shardCycles []uint64
 	tasks       []*simos.Task
@@ -519,7 +521,7 @@ func StartMonitorCfg(front *simos.Node, fnic *simnet.NIC, agents []*Agent, poll 
 	if cfg.Hybrid != nil && m.Scheme.UsesRDMA() {
 		h := cfg.Hybrid.WithDefaults(poll)
 		m.cfg.Hybrid = &h
-		m.hyb = make(map[int]*hybridState, len(m.order))
+		m.hyb = make([]*hybridState, len(m.byID))
 		for _, b := range m.order {
 			m.hyb[b] = &hybridState{ctrl: PeriodController{Cfg: h.Period}}
 		}
@@ -734,10 +736,18 @@ func (m *Monitor) prober(backend int) *Prober {
 	return m.byID[backend]
 }
 
+// hybrid returns a back-end's adaptive-poll state, nil if it has none.
+func (m *Monitor) hybrid(backend int) *hybridState {
+	if uint(backend) >= uint(len(m.hyb)) {
+		return nil
+	}
+	return m.hyb[backend]
+}
+
 // dueNow reports whether a back-end's adaptive poll period has elapsed
 // (always true without the hybrid engine).
 func (m *Monitor) dueNow(backend int) bool {
-	st := m.hyb[backend]
+	st := m.hybrid(backend)
 	if st == nil {
 		return true
 	}
@@ -757,7 +767,7 @@ func (m *Monitor) leaseHeld() bool { return m.LeaseValid == nil || m.LeaseValid(
 // point samples, so a back-end that oscillated between two probes can
 // no longer masquerade as quiet.
 func (m *Monitor) observeProbe(backend int, err error) {
-	st := m.hyb[backend]
+	st := m.hybrid(backend)
 	if st == nil {
 		return
 	}
@@ -789,7 +799,7 @@ func (m *Monitor) observeProbe(backend int, err error) {
 // kernel timestamp or replayed push sequence) are dropped so the cache
 // never moves backwards in time.
 func (m *Monitor) notePush(backend int, rec wire.PushRecord, at sim.Time) {
-	st := m.hyb[backend]
+	st := m.hybrid(backend)
 	p := m.prober(backend)
 	if st == nil || p == nil || m.stopped {
 		return
@@ -820,7 +830,7 @@ func (m *Monitor) notePush(backend int, rec wire.PushRecord, at sim.Time) {
 // ProbePeriod returns a back-end's current adaptive poll period (0
 // without the hybrid engine).
 func (m *Monitor) ProbePeriod(backend int) sim.Time {
-	st := m.hyb[backend]
+	st := m.hybrid(backend)
 	if st == nil {
 		return 0
 	}
@@ -884,7 +894,7 @@ func (m *Monitor) ReplaceAgent(backend int, a *Agent) {
 	// the old one's first epoch — so drop trend state explicitly rather
 	// than let a slope span the restart.
 	p.Trend.Reset()
-	if st := m.hyb[backend]; st != nil {
+	if st := m.hybrid(backend); st != nil {
 		// A restarted back-end's pusher restarts its push sequence; clear
 		// the replay guard so its first post-restart delta is accepted.
 		st.pushSeq = 0

@@ -18,6 +18,7 @@ func FuzzProcfsParsers(f *testing.F) {
 	f.Add("0.1 0.2 0.3 x/y 99\n")
 	f.Add("MemFree: 10 kB\n")
 	f.Add(" : \n:\neth0:\n")
+	f.Add("cpu0 1 0 0 100") // busy below the previous sample's: found by this fuzzer
 	f.Fuzz(func(t *testing.T, input string) {
 		var s Snapshot
 		prev := map[int]cpuTimes{0: {busy: 50, total: 100}}

@@ -207,7 +207,9 @@ func parseStat(r io.Reader, s *Snapshot, prev map[int]cpuTimes) error {
 			continue
 		}
 		p, ok := prev[id]
-		if ok && c.total > p.total {
+		// busy can step back while total advances (iowait is not
+		// monotone on Linux); the unsigned difference would wrap.
+		if ok && c.total > p.total && c.busy >= p.busy {
 			s.UtilPerMille[id] = int((c.busy - p.busy) * 1000 / (c.total - p.total))
 			if s.UtilPerMille[id] > 1000 {
 				s.UtilPerMille[id] = 1000

@@ -3,6 +3,9 @@
 // The engine maintains a virtual clock and a priority queue of events.
 // Events scheduled for the same instant fire in the order they were
 // scheduled, so a run with a fixed seed is bit-for-bit reproducible.
+// The queue orders runs of same-instant events rather than single
+// events, so a fleet whose timers tick in lockstep pays one heap
+// operation per instant, not one per event.
 // All other simulation packages (simos, simnet, ...) are built on top
 // of this engine and inherit its determinism.
 package sim
@@ -51,25 +54,40 @@ func (t Time) Micros() float64 { return float64(t) / float64(Microsecond) }
 // Event is a scheduled callback. The zero value is not useful; events
 // are created through Engine.Schedule and Engine.After.
 type Event struct {
-	at    Time
-	fn    func()
-	index int // position in the heap, -1 when not queued
+	at  Time
+	fn  func()
+	seq uint64 // key within at; assigned at every enqueue
+
+	// A run is a list of pending events with one timestamp, ascending
+	// in seq. Only its head holds a heap slot; the rest hang off it
+	// through next/prev with index == chained.
+	next, prev *Event
+
+	// index is the head's position in the heap, chained for a run
+	// member behind the head, idle when not queued. It shares a word
+	// with recycle so an Event stays in the 48-byte size class.
+	index int32
 
 	// recycle marks a node scheduled through Post: nobody holds its
 	// handle, so Step returns it to the engine's free list.
 	recycle bool
 }
 
+const (
+	idle    int32 = -1 // not queued
+	chained int32 = -2 // queued behind prev, no heap slot
+)
+
 // At returns the virtual time the event is (or was) scheduled for.
 func (e *Event) At() Time { return e.at }
 
 // Pending reports whether the event is still queued.
-func (e *Event) Pending() bool { return e != nil && e.index >= 0 }
+func (e *Event) Pending() bool { return e != nil && e.index != idle }
 
-// slot is one heap entry. The (at, seq) key sits beside the pointer so
-// a comparison reads two adjacent slots instead of following two
-// *Event pointers; seq is unique, so the order is total and the fire
-// order does not depend on the shape of the heap.
+// slot is one heap entry: the head of a run. The (at, seq) key sits
+// beside the pointer so a comparison reads two adjacent slots instead
+// of following two *Event pointers; seq is unique, so the order is
+// total and the fire order does not depend on the shape of the heap.
 type slot struct {
 	at  Time
 	seq uint64
@@ -96,11 +114,11 @@ func (q eventQueue) up(i int, s slot) {
 			break
 		}
 		q[i] = q[p]
-		q[i].ev.index = i
+		q[i].ev.index = int32(i)
 		i = p
 	}
 	q[i] = s
-	s.ev.index = i
+	s.ev.index = int32(i)
 }
 
 // down places s at or below position i.
@@ -125,11 +143,11 @@ func (q eventQueue) down(i int, s slot) {
 			break
 		}
 		q[i] = q[m]
-		q[i].ev.index = i
+		q[i].ev.index = int32(i)
 		i = m
 	}
 	q[i] = s
-	s.ev.index = i
+	s.ev.index = int32(i)
 }
 
 func (q *eventQueue) push(s slot) {
@@ -137,24 +155,21 @@ func (q *eventQueue) push(s slot) {
 	q.up(len(*q)-1, s)
 }
 
-// remove takes the event at position i out of the queue.
-func (q *eventQueue) remove(i int) *Event {
+// remove gives up the slot at position i.
+func (q *eventQueue) remove(i int) {
 	old := *q
-	ev := old[i].ev
-	ev.index = -1
 	n := len(old) - 1
 	last := old[n]
 	old[n] = slot{}
 	*q = old[:n]
 	if i == n {
-		return ev
+		return
 	}
 	if i > 0 && last.before(&old[(i-1)/4]) {
 		q.up(i, last)
 	} else {
 		q.down(i, last)
 	}
-	return ev
 }
 
 // Engine is a single-threaded discrete-event simulator. It is not safe
@@ -162,9 +177,16 @@ func (q *eventQueue) remove(i int) *Event {
 type Engine struct {
 	now   Time
 	seq   uint64
-	queue eventQueue
-	free  []*Event // fired Post nodes, fn cleared
+	n     int        // pending events: heap slots + chained
+	queue eventQueue // one slot per run
+	free  []*Event   // fired Post nodes, fn cleared
 	rng   *rand.Rand
+
+	// recent holds the last few events enqueued, as candidates for the
+	// next one to chain behind; see enqueue for why a stale entry is
+	// harmless.
+	recent [recentEvents]*Event
+	victim int // entry the next miss overwrites
 
 	// Processed counts events executed, for diagnostics and tests.
 	Processed uint64
@@ -183,9 +205,28 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Rand() *rand.Rand { return e.rng }
 
 // Len returns the number of queued events.
-func (e *Engine) Len() int { return len(e.queue) }
+func (e *Engine) Len() int { return e.n }
 
-// enqueue keys ev with the next sequence number and queues it.
+// recentEvents sizes Engine.recent. A timer tick interleaves two
+// instants — the IRQ completion a microsecond on and the re-arm a
+// period on — so two entries catch a lockstep fleet's ties. Measured
+// share of enqueues that chain, at 1/2/4/8 entries: sweep-8192
+// 57/94/94/94 %, scaleout-8192 70/98/98/98 %, dispatch-64 7/10/10/10 %.
+const recentEvents = 2
+
+// enqueue keys ev with the next sequence number and queues it: behind
+// a pending event of the same instant if a recent one is the tail of
+// its run, in a heap slot of its own otherwise.
+//
+// The candidates need no invalidation. ev carries the largest seq in
+// existence, so appending it behind any pending event c with
+// c.at == at and c.next == nil keeps c's run ascending in seq whatever
+// c has been through since it was recorded — a Post node recycled, a
+// ticker's event re-armed, a head or a chained member, its old
+// successors fired or cancelled. Only c's state now is read. And since
+// the heap compares the current heads' (at, seq), two runs of one
+// instant whose sequence numbers interleave still merge in strict
+// (at, seq) order: a miss costs a heap slot, never the order.
 func (e *Engine) enqueue(ev *Event, at Time, fn func()) {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, e.now))
@@ -194,8 +235,40 @@ func (e *Engine) enqueue(ev *Event, at Time, fn func()) {
 		panic("sim: schedule nil func")
 	}
 	e.seq++
-	ev.at, ev.fn = at, fn
-	e.queue.push(slot{at: at, seq: e.seq, ev: ev})
+	e.n++
+	ev.at, ev.fn, ev.seq = at, fn, e.seq
+	for i, c := range e.recent {
+		if c != nil && c.at == at && c.next == nil && c.index != idle {
+			c.next, ev.prev, ev.index = ev, c, chained
+			e.recent[i] = ev // the run's new tail
+			return
+		}
+	}
+	e.recent[e.victim] = ev
+	e.victim = (e.victim + 1) % recentEvents
+	e.queue.push(slot{at: at, seq: ev.seq, ev: ev})
+}
+
+// dequeue takes a pending event out of the queue. A chained event is
+// unlinked; a head hands its slot to its successor, which has the same
+// at and a larger seq and so can only sink, or gives the slot up.
+func (e *Engine) dequeue(ev *Event) {
+	e.n--
+	nx := ev.next
+	if ev.index == chained {
+		ev.prev.next = nx
+		if nx != nil {
+			nx.prev = ev.prev
+		}
+		ev.prev = nil
+	} else if nx != nil {
+		nx.prev = nil
+		e.queue.down(int(ev.index), slot{at: nx.at, seq: nx.seq, ev: nx})
+	} else {
+		e.queue.remove(int(ev.index))
+	}
+	ev.next = nil
+	ev.index = idle
 }
 
 // Schedule queues fn to run at absolute time at. Scheduling in the past
@@ -203,7 +276,7 @@ func (e *Engine) enqueue(ev *Event, at Time, fn func()) {
 // returned handle is the caller's for as long as it keeps it: the
 // engine never reuses a handle-bearing event.
 func (e *Engine) Schedule(at Time, fn func()) *Event {
-	ev := &Event{index: -1}
+	ev := &Event{index: idle}
 	e.enqueue(ev, at, fn)
 	return ev
 }
@@ -231,7 +304,7 @@ func (e *Engine) Post(d Time, fn func()) {
 		e.free[n-1] = nil
 		e.free = e.free[:n-1]
 	} else {
-		ev = &Event{index: -1, recycle: true}
+		ev = &Event{index: idle, recycle: true}
 	}
 	e.enqueue(ev, e.now+d, fn)
 }
@@ -240,10 +313,10 @@ func (e *Engine) Post(d Time, fn func()) {
 // still pending. Cancelling a fired or already-cancelled event is a
 // harmless no-op.
 func (e *Engine) Cancel(ev *Event) bool {
-	if ev == nil || ev.index < 0 {
+	if !ev.Pending() {
 		return false
 	}
-	e.queue.remove(ev.index)
+	e.dequeue(ev)
 	ev.fn = nil
 	return true
 }
@@ -254,7 +327,8 @@ func (e *Engine) Step() bool {
 	if len(e.queue) == 0 {
 		return false
 	}
-	ev := e.queue.remove(0)
+	ev := e.queue[0].ev
+	e.dequeue(ev)
 	e.now = ev.at
 	fn := ev.fn
 	ev.fn = nil
@@ -305,7 +379,7 @@ func (e *Engine) NewTicker(period Time, fn func()) *Ticker {
 	if period <= 0 {
 		panic("sim: ticker period must be positive")
 	}
-	t := &Ticker{eng: e, period: period, fn: fn, ev: Event{index: -1}}
+	t := &Ticker{eng: e, period: period, fn: fn, ev: Event{index: idle}}
 	t.fire = t.tick
 	t.arm()
 	return t

@@ -346,28 +346,57 @@ func BenchmarkEngineHold(b *testing.B) {
 
 // BenchmarkEngineTickBurst is the tie-heavy pattern of a monitored
 // fleet: n tickers fire at the same instants and each raises two
-// events 1 us later, so every tick instant pushes 3n events whose
-// timestamps tie. One iteration is one tick period.
+// events 1 us later, so every tick instant enqueues 3n events whose
+// timestamps tie. staggered starts the same tickers at n distinct
+// phases of the period: the same events with no ties, the shape run
+// chaining must not slow. One iteration is one tick period.
 func BenchmarkEngineTickBurst(b *testing.B) {
 	const n = 8192
-	b.Run("n=8192", func(b *testing.B) {
-		e := NewEngine(1)
-		nop := func() {}
-		for i := 0; i < n; i++ {
-			e.NewTicker(10*Millisecond, func() {
-				e.Post(Microsecond, nop)
-				e.Post(Microsecond, nop)
-			})
+	for _, c := range []struct {
+		name  string
+		phase func(i int) Time
+	}{
+		{"n=8192", func(int) Time { return 0 }},
+		{"staggered", func(i int) Time { return Time(i) * (10 * Millisecond / n) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			e := NewEngine(1)
+			tickBurstFleet(e, n, c.phase)
+			e.RunFor(30 * Millisecond)
+			p0 := e.Processed
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.RunFor(10 * Millisecond)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(e.Processed-p0), "ns/event")
+		})
+	}
+}
+
+// BenchmarkEngineCancelChained arms n events for one instant — one
+// run — and cancels them in random order: the timeout pattern, where
+// a batch of deadlines is armed together and almost none fires.
+func BenchmarkEngineCancelChained(b *testing.B) {
+	const n = 8192
+	e := NewEngine(1)
+	nop := func() {}
+	evs := make([]*Event, n)
+	order := rand.New(rand.NewSource(1)).Perm(n)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := range evs {
+			evs[j] = e.After(Millisecond, nop)
 		}
-		e.RunFor(20 * Millisecond)
-		p0 := e.Processed
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			e.RunFor(10 * Millisecond)
+		for _, j := range order {
+			e.Cancel(evs[j])
 		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(e.Processed-p0), "ns/event")
-	})
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/event")
+	if e.Len() != 0 {
+		b.Fatalf("%d events left after cancelling all", e.Len())
+	}
 }
 
 func TestEventAtAndLen(t *testing.T) {

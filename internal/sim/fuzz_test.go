@@ -107,8 +107,12 @@ func (t *refTicker) stop() {
 
 // engineProgram interprets data as (opcode, argument) pairs and drives
 // an Engine and the reference model with the same operations, checking
-// after every one that they agree on everything observable. The caps
-// on operations, tickers and RunUntil spans bound one input's work.
+// after every one that they agree on everything observable and that
+// the engine's queue is well formed. An opcode byte 1hhhsccc first
+// plants handle h — pending or not, of any instant, or nil — as chain
+// candidate s: the model knows nothing of candidates, so whatever they
+// hold must not show. The caps on operations, tickers and RunUntil
+// spans bound one input's work.
 func engineProgram(t *testing.T, data []byte) {
 	const maxOps, maxTickers = 128, 8
 	if len(data) > 2*maxOps {
@@ -171,9 +175,17 @@ func engineProgram(t *testing.T, data []byte) {
 					op, i+1, h.ev.Pending(), h.ev.At(), h.ref.pending, h.ref.at)
 			}
 		}
-		for _, ev := range e.free {
-			if ev.fn != nil || ev.index != -1 {
-				t.Fatalf("op %d: free node holds fn=%v index=%d", op, ev.fn != nil, ev.index)
+		if err := checkStructure(e); err != nil {
+			t.Fatalf("op %d: %v", op, err)
+		}
+		for i, h := range handles {
+			if err := checkHandle(h.ev); err != nil {
+				t.Fatalf("op %d: handle %d: %v", op, i, err)
+			}
+		}
+		for i, tk := range tickers {
+			if err := checkHandle(&tk.tk.ev); err != nil {
+				t.Fatalf("op %d: ticker %d: %v", op, i, err)
 			}
 		}
 	}
@@ -184,6 +196,9 @@ func engineProgram(t *testing.T, data []byte) {
 		kind, cd := (arg>>4)%3, Time(arg>>6)
 		nextID++
 		id := nextID
+		if b := data[op]; b >= 0x80 {
+			e.recent[int(b>>3&1)%recentEvents] = handles[int(b>>4&7)%len(handles)].ev
+		}
 		switch code {
 		case 0:
 			if d < 0 {
@@ -274,5 +289,22 @@ func FuzzEngineOrder(f *testing.F) {
 	// Post nodes recycled from inside their own fn, beside self-stopping
 	// and externally stopped tickers and a double cancel.
 	f.Add([]byte{2, 0x22, 2, 0x62, 6, 0x10, 6, 0x03, 2, 0xa3, 5, 20, 7, 1, 1, 5, 3, 1, 3, 1, 4, 0, 5, 40})
+	// TestRunCancelHeadMiddleTail: one run of six at now+5; cancel its
+	// head, a middle member and its tail; a seventh event with the new
+	// head (handle 2, which has a successor) planted as a candidate; run.
+	f.Add([]byte{0, 7, 0, 7, 0, 7, 0, 7, 0, 7, 0, 7, 3, 1, 3, 4, 3, 6, 0xa8, 7, 5, 31})
+	// TestInterleavedRunsFireInSeqOrder: eight events at now+5 steered
+	// alternately behind two runs (0x80 plants nil as candidate 0; 0x90,
+	// 0xb0 and 0xd0 plant handles 1, 3 and 5 there), cancel the head of
+	// one run and a middle member of the other, step, run.
+	f.Add([]byte{0, 7, 0x80, 7, 0x90, 7, 0x80, 7, 0xb0, 7, 0x80, 7, 0xd0, 7, 0x80, 7,
+		3, 2, 3, 5, 4, 0, 4, 0, 4, 0, 5, 31})
+	// TestRecycledPostNodeAsChainTail, TestTickerEventAsChainMemberAndTail,
+	// TestTickerStopWhileChained: three lockstep tickers (period 3) with
+	// Post nodes, their Post children and handle-bearing events at the
+	// tick instants; the middle ticker, then the first, stopped from
+	// outside between bursts.
+	f.Add([]byte{6, 2, 6, 2, 6, 2, 2, 0x25, 2, 0x25, 0, 5, 5, 3, 7, 1, 0, 5, 2, 0x55, 5, 3,
+		7, 0, 1, 5, 5, 6, 7, 2, 5, 31})
 	f.Fuzz(engineProgram)
 }

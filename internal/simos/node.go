@@ -157,6 +157,8 @@ type Node struct {
 	ports    map[string]*Port
 	queueSeq uint64
 
+	nrRunnable int // tasks ready or running; kept by Task.setState
+
 	down   bool
 	frozen bool
 
@@ -293,15 +295,7 @@ func (n *Node) LookupPort(name string) *Port { return n.ports[name] }
 
 // NrRunnable returns the number of tasks that are ready or running —
 // the kernel's nr_running.
-func (n *Node) NrRunnable() int {
-	c := 0
-	for t := range n.tasks {
-		if t.state == stateReady || t.state == stateRunning {
-			c++
-		}
-	}
-	return c
-}
+func (n *Node) NrRunnable() int { return n.nrRunnable }
 
 // NrTasks returns the number of live tasks on the node.
 func (n *Node) NrTasks() int { return len(n.tasks) }

@@ -66,7 +66,7 @@ func (n *Node) wake(t *Task) {
 	}
 	t.band = band
 	t.boostLeft = n.Cfg.BoostBudget
-	t.state = stateReady
+	t.setState(stateReady)
 	t.Wakeups++
 	n.queueSeq++
 	t.queueSeq = n.queueSeq
@@ -162,7 +162,7 @@ func (n *Node) resched() {
 }
 
 func (n *Node) dispatch(c *cpu, t *Task) {
-	t.state = stateRunning
+	t.setState(stateRunning)
 	t.cpu = c
 	c.cur = t
 	c.setState(accUser)
@@ -257,7 +257,7 @@ func (t *Task) sliceExpire() {
 	n := t.node
 	if n.highestReadyBand() >= int(t.band) {
 		c := t.cpu
-		t.state = stateReady
+		t.setState(stateReady)
 		t.pendingBurst = t.remaining
 		t.pendingCont = t.burstDone
 		t.burstDone = nil
@@ -283,7 +283,7 @@ func (n *Node) preempt(c *cpu) {
 	t.cancelRunEvents()
 	t.chargeRun()
 	t.demoteIfSpent()
-	t.state = stateReady
+	t.setState(stateReady)
 	t.pendingBurst = t.remaining
 	t.pendingCont = t.burstDone
 	t.burstDone = nil

@@ -266,3 +266,107 @@ func BenchmarkIdleNodeSecond(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/nodes, "ns/node-s")
 }
+
+// walkRunnable is NrRunnable the way it used to be computed: a walk of
+// the task set. It survives as the reference for the counter.
+func walkRunnable(n *Node) int {
+	c := 0
+	for t := range n.tasks {
+		if t.state == stateReady || t.state == stateRunning {
+			c++
+		}
+	}
+	return c
+}
+
+// Property: through any mix of spawn, compute, sleep, recv, await,
+// exit, preemption, freeze, crash and restart, the node's runnable
+// counter equals the walk of its task set after every engine step.
+func TestNrRunnableCounterMatchesWalk(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		eng := sim.NewEngine(seed)
+		n := NewNode(eng, 0, NodeDefaults())
+		rng := eng.Rand()
+		port := n.Port("p")
+		var tasks []*Task
+
+		var program func(tk *Task)
+		program = func(tk *Task) {
+			d := sim.Time(rng.Intn(30)+1) * sim.Millisecond / 4
+			next := func() { program(tk) }
+			switch rng.Intn(6) {
+			case 0, 1:
+				tk.Compute(d, next)
+			case 2:
+				tk.Sleep(d, next)
+			case 3:
+				tk.RecvTimeout(port, sim.Time(rng.Intn(2))*d, func(Message, bool) { next() })
+			case 4:
+				tk.Await(func(any) { next() })
+			case 5:
+				tk.Exit()
+			}
+		}
+		spawn := func() {
+			tk := n.Spawn("t", func(tk *Task) {
+				tk.NoBoost = rng.Intn(2) == 0
+				program(tk)
+			})
+			tasks = append(tasks, tk)
+		}
+		check := func(what string) {
+			t.Helper()
+			if got, want := n.NrRunnable(), walkRunnable(n); got != want {
+				t.Fatalf("seed %d at %v after %s: NrRunnable = %d, walk says %d", seed, eng.Now(), what, got, want)
+			}
+		}
+		// The driver pokes the node from outside task context every
+		// millisecond or so.
+		var drive func()
+		drive = func() {
+			switch rng.Intn(10) {
+			case 0, 1:
+				if !n.Down() {
+					spawn()
+				}
+			case 2, 3:
+				port.Deliver(Message{})
+			case 4, 5:
+				tasks[rng.Intn(len(tasks))].Resume(nil)
+			case 6:
+				tasks[rng.Intn(len(tasks))].Exit()
+			case 7:
+				if n.Frozen() {
+					n.Thaw()
+				} else {
+					n.Freeze()
+				}
+			case 8:
+				if rng.Intn(4) == 0 {
+					n.Crash()
+				}
+			case 9:
+				n.Restart()
+			}
+			check("a driver action")
+			eng.After(sim.Time(rng.Intn(2000)+1)*sim.Microsecond, drive)
+		}
+		for i := 0; i < 6; i++ {
+			spawn()
+		}
+		eng.After(0, drive)
+		sawRunnable := false
+		for eng.Now() < 2*sim.Second && eng.Step() {
+			check("a step")
+			sawRunnable = sawRunnable || n.NrRunnable() > 1
+		}
+		if !sawRunnable {
+			t.Fatalf("seed %d: never more than one runnable task; the program exercises nothing", seed)
+		}
+		n.Crash()
+		check("the final crash")
+		if n.NrRunnable() != 0 {
+			t.Fatalf("seed %d: crashed node reports %d runnable tasks", seed, n.NrRunnable())
+		}
+	}
+}

@@ -102,6 +102,20 @@ func (t *Task) String() string {
 	return fmt.Sprintf("%s/%s[%s]", t.node, t.Name, t.state)
 }
 
+// setState is the only writer of t.state after Spawn: it keeps the
+// node's count of ready and running tasks beside the states, so
+// NrRunnable does not walk the task set.
+func (t *Task) setState(s taskState) {
+	was := t.state == stateReady || t.state == stateRunning
+	is := s == stateReady || s == stateRunning
+	if is && !was {
+		t.node.nrRunnable++
+	} else if was && !is {
+		t.node.nrRunnable--
+	}
+	t.state = s
+}
+
 // Alive reports whether the task has not exited.
 func (t *Task) Alive() bool { return t.state != stateDead }
 
@@ -154,7 +168,7 @@ func (t *Task) Sleep(d sim.Time, then func()) {
 	if t.state == stateRunning {
 		t.release()
 	}
-	t.state = stateSleeping
+	t.setState(stateSleeping)
 	t.sleepEv = t.node.Eng.After(d, func() {
 		t.sleepEv = nil
 		t.pendingBurst = t.node.Cfg.WakeCost
@@ -183,7 +197,7 @@ func (t *Task) Recv(p *Port, then func(Message)) {
 	if t.state == stateRunning {
 		t.release()
 	}
-	t.state = stateBlocked
+	t.setState(stateBlocked)
 	t.waitPort = p
 	t.waitFn = then
 	p.waiters = append(p.waiters, t)
@@ -244,7 +258,7 @@ func (t *Task) Await(then func(v any)) {
 	if t.state == stateRunning {
 		t.release()
 	}
-	t.state = stateBlocked
+	t.setState(stateBlocked)
 	t.awaitFn = then
 	t.node.resched()
 }
@@ -284,7 +298,7 @@ func (t *Task) exit() {
 	if t.state == stateReady {
 		t.node.removeReady(t)
 	}
-	t.state = stateDead
+	t.setState(stateDead)
 	delete(t.node.tasks, t)
 	t.node.resched()
 }
