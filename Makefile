@@ -93,15 +93,18 @@ scenario-smoke:
 # tie-heavy tick bursts (EngineTickBurst/n=8192 — the pattern
 # sweep-8192 has, which the hold model does not resolve — and
 # /staggered, the same fleet with no ties) and cancelling a run of
-# same-instant deadlines in random order (EngineCancelChained), an
-# idle node's timer ticks, and one read of a 32-read doorbell batch.
+# same-instant deadlines in random order (EngineCancelChained), a
+# task's deadline pattern on one owned timer (TimerReset), an idle
+# node's timer ticks, one read of a 32-read doorbell batch, and one
+# read of the settled 256-back-end sweep (SweepBatch256; ns and allocs
+# per read).
 # The fourth times the live transport next to its framing: loopback
 # round trips of each verb and a 32-read doorbell (ns/read),
 # allocations counted across both ends.
 bench:
 	$(GO) test -bench . -benchtime 1x -benchmem
 	$(GO) test -run '^$$' -bench 'BenchmarkPick|BenchmarkLocalFrac' -benchmem ./internal/loadbalance ./internal/httpsim
-	$(GO) test -run '^$$' -bench 'BenchmarkEngineHold|BenchmarkEngineTickBurst|BenchmarkEngineCancelChained|BenchmarkIdleNodeSecond|BenchmarkSimReadBatch32' -benchmem ./internal/sim ./internal/simos ./internal/simnet
+	$(GO) test -run '^$$' -bench 'BenchmarkEngineHold|BenchmarkEngineTickBurst|BenchmarkEngineCancelChained|BenchmarkTimerReset|BenchmarkIdleNodeSecond|BenchmarkSimReadBatch32|BenchmarkSweepBatch256' -benchmem ./internal/sim ./internal/simos ./internal/simnet ./internal/core
 	$(GO) test -run '^$$' -bench 'BenchmarkLoopback' -benchmem ./internal/tcpverbs
 
 # Probe-engine regression gates: replay the deterministic 256-backend

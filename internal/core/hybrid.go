@@ -165,6 +165,18 @@ type DeltaPusher struct {
 	stopped bool
 	task    *simos.Task
 
+	// The loop's state between its stages: the sample being scored and
+	// then, with the time it was scored at, pushed. The stages are
+	// methods bound once, so a check — quiet or pushing — allocates no
+	// continuation.
+	sample   wire.LoadRecord
+	scoredAt sim.Time
+
+	loopFn    func()               // p.loop
+	sampledFn func(simos.Snapshot) // p.sampled
+	checkFn   func()               // p.check
+	pushedFn  func(error)          // p.pushed
+
 	// Pushes counts delta writes posted successfully; Skips counts
 	// samples below threshold; Errors counts failed writes.
 	Pushes uint64
@@ -177,59 +189,73 @@ type DeltaPusher struct {
 func StartDeltaPusher(node *simos.Node, nic *simnet.NIC, front int, slotKey func() uint32, cfg HybridConfig) *DeltaPusher {
 	cfg = cfg.WithDefaults(0)
 	p := &DeltaPusher{Cfg: cfg, node: node, nic: nic, front: front, slotKey: slotKey}
+	p.loopFn, p.sampledFn, p.checkFn, p.pushedFn = p.loop, p.sampled, p.check, p.pushed
 	p.task = node.Spawn("rmon-push-delta", func(tk *simos.Task) {
-		var loop func()
-		loop = func() {
-			if p.stopped {
-				tk.Exit()
-				return
-			}
-			tk.ReadProc(func(s simos.Snapshot) {
-				tk.Compute(10*sim.Microsecond, func() {
-					now := node.Eng.Now()
-					rec := RecordFromSnapshot(s, p.seq+1)
-					// The pusher is always running when it samples, so
-					// counting itself in the run queue would bias every
-					// pushed record high by one task relative to the
-					// one-sided probe path (which reads the kernel with
-					// no agent awake). Subtract self.
-					if rec.NrRunning > 0 {
-						rec.NrRunning--
-					}
-					if p.primed && LoadDelta(rec, p.last) < cfg.Threshold &&
-						now-p.lastAt < cfg.Heartbeat {
-						p.Skips++
-						tk.Sleep(cfg.Check, loop)
-						return
-					}
-					p.seq++
-					rec.Seq = p.seq
-					pr := wire.PushRecord{PushSeq: p.seq, PushedNS: int64(now), Load: rec}
-					// Encode into the pusher's scratch; RDMAWrite stages
-					// the payload at post time, so the buffer is free for
-					// reuse the moment the call returns.
-					p.encBuf = pr.AppendTo(p.encBuf)
-					p.nic.RDMAWrite(tk, p.front, p.slotKey(), p.encBuf, func(err error) {
-						if p.stopped {
-							tk.Exit()
-							return
-						}
-						if err != nil {
-							p.Errors++
-						} else {
-							p.Pushes++
-							p.last = rec
-							p.lastAt = now
-							p.primed = true
-						}
-						tk.Sleep(cfg.Check, loop)
-					})
-				})
-			})
-		}
-		loop()
+		p.task = tk
+		p.loop()
 	})
 	return p
+}
+
+// loop starts one check: sample the kernel through /proc.
+func (p *DeltaPusher) loop() {
+	if p.stopped {
+		p.task.Exit()
+		return
+	}
+	p.task.ReadProc(p.sampledFn)
+}
+
+// sampled holds the sample while the task pays for scoring it.
+func (p *DeltaPusher) sampled(s simos.Snapshot) {
+	p.sample = RecordFromSnapshot(s, p.seq+1)
+	// The pusher is always running when it samples, so counting itself
+	// in the run queue would bias every pushed record high by one task
+	// relative to the one-sided probe path (which reads the kernel with
+	// no agent awake). Subtract self.
+	if p.sample.NrRunning > 0 {
+		p.sample.NrRunning--
+	}
+	p.task.Compute(10*sim.Microsecond, p.checkFn)
+}
+
+// check scores the sample and pushes it if the load moved or the
+// heartbeat is due.
+func (p *DeltaPusher) check() {
+	now := p.node.Eng.Now()
+	rec := &p.sample
+	if p.primed && LoadDelta(*rec, p.last) < p.Cfg.Threshold &&
+		now-p.lastAt < p.Cfg.Heartbeat {
+		p.Skips++
+		p.task.Sleep(p.Cfg.Check, p.loopFn)
+		return
+	}
+	p.seq++
+	rec.Seq = p.seq
+	pr := wire.PushRecord{PushSeq: p.seq, PushedNS: int64(now), Load: *rec}
+	// Encode into the pusher's scratch; RDMAWrite stages the payload at
+	// post time, so the buffer is free for reuse the moment the call
+	// returns.
+	p.encBuf = pr.AppendTo(p.encBuf)
+	p.scoredAt = now
+	p.nic.RDMAWrite(p.task, p.front, p.slotKey(), p.encBuf, p.pushedFn)
+}
+
+// pushed is the write's completion.
+func (p *DeltaPusher) pushed(err error) {
+	if p.stopped {
+		p.task.Exit()
+		return
+	}
+	if err != nil {
+		p.Errors++
+	} else {
+		p.Pushes++
+		p.last = p.sample
+		p.lastAt = p.scoredAt
+		p.primed = true
+	}
+	p.task.Sleep(p.Cfg.Check, p.loopFn)
 }
 
 // Task exposes the pusher task (diagnostics and tests).

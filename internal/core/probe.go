@@ -30,21 +30,33 @@ type Prober struct {
 	poll      sim.Time
 	decode    sim.Time
 
+	// What a steady-state probe touches sits together — the cached
+	// record, then Trend, Health and Latency in adjacent cache lines —
+	// and cold, mode-specific state stays behind a pointer (view): at
+	// 8192 back-ends the layout of this struct is the sweep's working
+	// set, and a Prober must stay within the 576-byte size class.
 	last   wire.LoadRecord
 	lastAt sim.Time
 	has    bool
-
-	// readBuf is the reusable DMA buffer one-sided reads land in: the
-	// steady-state sweep posts it over and over instead of allocating a
-	// region per probe.
-	readBuf []byte
-	// view is the caller-owned decode target for history-ring reads.
-	view wire.RingView
 
 	// Trend accumulates this back-end's load-index slope from every
 	// sample that arrives (ring reads fold whole windows; point probes
 	// and pushes fold one sample, de-duplicated by kernel timestamp).
 	Trend TrendTracker
+	// Health tracks this back-end's probe-driven state machine.
+	Health HealthTracker
+	// Latency records round-trip probe latency in microseconds.
+	Latency metrics.Sample
+
+	// readBuf is the reusable DMA buffer one-sided reads land in: the
+	// steady-state sweep posts it over and over instead of allocating a
+	// region per probe.
+	readBuf []byte
+	// view is the prober-owned decode target for history-ring reads,
+	// allocated on the first ring decode: 3.9 KB that a back-end whose
+	// agent exports no ring never needs.
+	view *wire.RingView
+
 	// RingSamples counts history samples folded from ring reads — the
 	// observation coverage one-sided reads bought.
 	RingSamples uint64
@@ -58,9 +70,6 @@ type Prober struct {
 	// finishes with ErrProbeTimeout instead of blocking the cycle
 	// forever behind a dead back-end.
 	Timeout sim.Time
-
-	// Health tracks this back-end's probe-driven state machine.
-	Health HealthTracker
 
 	// Failover, if non-nil, arms the transport breaker for an RDMA
 	// scheme: consecutive RDMA failures trip probing onto the agent's
@@ -79,8 +88,6 @@ type Prober struct {
 	// ReArms counts background re-arm RDMA probes issued while tripped.
 	ReArms uint64
 
-	// Latency records round-trip probe latency in microseconds.
-	Latency metrics.Sample
 	// Errors counts failed probes (bad key, torn record, timeout ...).
 	Errors int
 	// Timeouts counts the subset of Errors that were deadline expiries.
@@ -294,13 +301,17 @@ func (p *Prober) readInto(n int) []byte {
 
 // decodeRead decodes a one-sided read completion in place: a history
 // ring (whose fresh samples fold into Trend) or a bare record. No
-// allocation either way — ring decoding targets the prober-owned view.
+// allocation either way once the first ring read has created the
+// prober-owned view.
 func (p *Prober) decodeRead(data []byte) (wire.LoadRecord, error) {
 	if p.agent.RingK() > 0 {
-		if err := wire.DecodeRingInto(&p.view, data); err != nil {
+		if p.view == nil {
+			p.view = new(wire.RingView)
+		}
+		if err := wire.DecodeRingInto(p.view, data); err != nil {
 			return wire.LoadRecord{}, err
 		}
-		p.RingSamples += uint64(p.Trend.ObserveRing(&p.view))
+		p.RingSamples += uint64(p.Trend.ObserveRing(p.view))
 		return p.view.Newest(), nil
 	}
 	var rec wire.LoadRecord
@@ -541,10 +552,11 @@ func StartMonitorCfg(front *simos.Node, fnic *simnet.NIC, agents []*Agent, poll 
 		}
 		s := s
 		m.tasks = append(m.tasks, front.Spawn(name, func(tk *simos.Task) {
-			// Shard-owned batch scratch: the WR list, prober list and
-			// completion slots are posted, completed and reused sweep
-			// after sweep — the steady-state sweep allocates nothing.
-			sc := &sweepScratch{}
+			// The shard's one batch in flight: its WR list, prober list,
+			// completion slots and bound continuations are posted,
+			// completed and reused sweep after sweep — the steady-state
+			// sweep allocates nothing per read.
+			sc := newSweepScratch(m, tk)
 			var sweep func()
 			var sweepStart sim.Time
 			var step func(i int)
@@ -572,7 +584,7 @@ func StartMonitorCfg(front *simos.Node, fnic *simnet.NIC, agents []*Agent, poll 
 					// at the first target without a ready connection —
 					// that slot dials (or sheds) on the sequential path.
 					j := i
-					var leases []connpool.Lease[int, *simnet.QP]
+					sc.leases = sc.leases[:0]
 					for j < len(ids) && j-i < m.cfg.Batch &&
 						m.prober(ids[j]).batchEligible() && m.dueNow(ids[j]) {
 						if m.pool != nil {
@@ -580,18 +592,18 @@ func StartMonitorCfg(front *simos.Node, fnic *simnet.NIC, agents []*Agent, poll 
 							if !ok {
 								break
 							}
-							leases = append(leases, l)
+							sc.leases = append(sc.leases, l)
 						}
 						j++
 					}
 					if j > i+1 {
-						m.probeBatch(tk, ids[i:j], leases, sc, func() { step(j) })
+						sc.probeBatch(ids[i:j], func() { step(j) })
 						return
 					}
-					if len(leases) == 1 {
+					if len(sc.leases) == 1 {
 						// A one-long run still holds its lease: probe it
 						// fenced without paying for a doorbell batch.
-						m.fencedProbe(tk, ids[i], leases[0], func() { step(i + 1) })
+						m.fencedProbe(tk, ids[i], sc.leases[0], func() { step(i + 1) })
 						return
 					}
 				}
@@ -620,96 +632,147 @@ func StartMonitorCfg(front *simos.Node, fnic *simnet.NIC, agents []*Agent, poll 
 	return m
 }
 
-// sweepScratch is a shard task's reusable probe-batch storage: prober
-// and WR lists built per batch, and the completion slots the NIC fills
-// in. One instance per shard, reused for the shard's lifetime, keeps
-// the steady-state sweep allocation-free.
+// sweepScratch is the state of a shard task's one doorbell batch in
+// flight: the prober and WR lists built per batch, the completion slots
+// the NIC fills in, the held leases, and the cursor i of the slot being
+// applied — with the continuations that apply it bound once, so
+// applying a slot allocates no closure.
+//
+// State instead of captured variables is safe because a shard posts one
+// batch at a time and applies its slots strictly in order: probeBatch
+// is only ever entered from the sweep's own continuation (then), which
+// runs after the last slot; every path out of a slot — however many
+// events it takes: a decode burst, a socket fallback, a fenced replay —
+// ends in advance exactly once; and nothing else writes these fields.
+// One instance per shard, reused for the shard's lifetime.
 type sweepScratch struct {
+	m  *Monitor
+	tk *simos.Task
+
 	probers []*Prober
 	reqs    []simnet.ReadReq
-	results []simnet.ReadResult
+	results []simnet.ReadResult // lent to the NIC at post, the completions from completed on
+	leases  []connpool.Lease[int, *simnet.QP]
+
+	start sim.Time // when the batch was posted
+	then  func()   // the sweep's continuation past the batch
+	i     int      // the slot being applied
+
+	completedFn func([]simnet.ReadResult)    // sc.completed
+	decodeFn    func()                       // sc.decode
+	nextFn      func(wire.LoadRecord, error) // sc.next
+	advanceFn   func()                       // sc.advance
+}
+
+func newSweepScratch(m *Monitor, tk *simos.Task) *sweepScratch {
+	sc := &sweepScratch{m: m, tk: tk}
+	sc.completedFn, sc.decodeFn, sc.nextFn, sc.advanceFn = sc.completed, sc.decode, sc.next, sc.advance
+	return sc
 }
 
 // probeBatch posts one doorbell-batched multi-WR read covering ids
 // (all batch-eligible when posted) and applies each completion through
 // the same per-backend outcome logic a standalone probe uses. Under a
-// pool, leases[i] is the held lease for ids[i]: every completion is
+// pool, sc.leases[i] is the held lease for ids[i]: every completion is
 // epoch-fenced before its record may be served — a slot whose conn
 // was recycled in flight is rejected and replayed on a fresh conn,
 // never silently served stale. Each read lands in its prober's own
 // DMA buffer and the batch bookkeeping lives in sc, so the hot path
 // posts no fresh memory.
-func (m *Monitor) probeBatch(tk *simos.Task, ids []int, leases []connpool.Lease[int, *simnet.QP], sc *sweepScratch, then func()) {
-	start := tk.Node().Eng.Now()
+func (sc *sweepScratch) probeBatch(ids []int, then func()) {
+	m := sc.m
+	sc.start, sc.then = sc.tk.Node().Eng.Now(), then
 	if cap(sc.probers) < len(ids) {
 		sc.probers = make([]*Prober, len(ids))
 		sc.reqs = make([]simnet.ReadReq, len(ids))
 	}
-	probers := sc.probers[:len(ids)]
-	reqs := sc.reqs[:len(ids)]
+	sc.probers = sc.probers[:len(ids)]
+	sc.reqs = sc.reqs[:len(ids)]
 	for i, id := range ids {
 		p := m.prober(id)
-		probers[i] = p
+		sc.probers[i] = p
 		n := p.readLen()
-		reqs[i] = simnet.ReadReq{Target: p.Backend, Key: p.agent.RKey(), Length: n, Buf: p.readInto(n)}
+		sc.reqs[i] = simnet.ReadReq{Target: p.Backend, Key: p.agent.RKey(), Length: n, Buf: p.readInto(n)}
 	}
-	m.fnic.RDMAReadBatchInto(tk, reqs, sc.results, func(results []simnet.ReadResult) {
-		sc.results = results[:0]
-		var step func(i int)
-		step = func(i int) {
-			if i >= len(probers) {
-				then()
+	m.fnic.RDMAReadBatchInto(sc.tk, sc.reqs, sc.results, sc.completedFn)
+}
+
+// completed receives the batch's completions and starts applying them.
+func (sc *sweepScratch) completed(results []simnet.ReadResult) {
+	sc.results = results
+	sc.i = 0
+	sc.apply()
+}
+
+// apply resolves slot i — fence, transport error, or the decode burst —
+// or, past the last slot, hands control back to the sweep.
+func (sc *sweepScratch) apply() {
+	m, i := sc.m, sc.i
+	if i >= len(sc.probers) {
+		then := sc.then
+		sc.then = nil
+		then()
+		return
+	}
+	p, res := sc.probers[i], &sc.results[i]
+	if m.pool != nil {
+		l := sc.leases[i]
+		if served := m.pool.Fence(l) && l.Conn.Valid(); !served {
+			m.FenceRejects++
+			m.pool.Invalidate(l)
+			if res.Err == nil {
+				// Intact data over a recycled conn: replay the
+				// slot on a fresh connection.
+				m.pooledProbeN(sc.tk, p.Backend, 1, sc.advanceFn)
 				return
 			}
-			p, res := probers[i], results[i]
-			next := func(_ wire.LoadRecord, err error) {
-				m.observeProbe(p.Backend, err)
-				step(i + 1)
-			}
-			if m.pool != nil {
-				l := leases[i]
-				if served := m.pool.Fence(l) && l.Conn.Valid(); !served {
-					m.FenceRejects++
-					m.pool.Invalidate(l)
-					if res.Err == nil {
-						// Intact data over a recycled conn: replay the
-						// slot on a fresh connection.
-						m.pooledProbeN(tk, p.Backend, 1, func() { step(i + 1) })
-						return
-					}
-				} else {
-					m.pool.Release(l, res.Err)
-				}
-			}
-			if res.Err != nil {
-				if res.Err == simnet.ErrTimeout {
-					p.Timeouts++
-				}
-				p.rdmaOutcome(tk, start, wire.LoadRecord{}, res.Err, next)
-				return
-			}
-			tk.Compute(p.decode, func() {
-				rec, derr := p.decodeRead(res.Data)
-				if derr == wire.ErrTorn {
-					// The batch slot caught the ring writer mid-update:
-					// re-read this one back-end on the sequential path
-					// (which owns the bounded retry loop) while the rest
-					// of the batch proceeds.
-					p.TornRetries++
-					if m.pool != nil {
-						m.pooledProbeN(tk, p.Backend, 1, func() { step(i + 1) })
-					} else {
-						p.probeRDMA(tk, func(rec wire.LoadRecord, err error) {
-							p.rdmaOutcome(tk, start, rec, err, next)
-						})
-					}
-					return
-				}
-				p.rdmaOutcome(tk, start, rec, derr, next)
+		} else {
+			m.pool.Release(l, res.Err)
+		}
+	}
+	if res.Err != nil {
+		if res.Err == simnet.ErrTimeout {
+			p.Timeouts++
+		}
+		p.rdmaOutcome(sc.tk, sc.start, wire.LoadRecord{}, res.Err, sc.nextFn)
+		return
+	}
+	sc.tk.Compute(p.decode, sc.decodeFn)
+}
+
+// decode runs when slot i's decode burst completes.
+func (sc *sweepScratch) decode() {
+	m, tk, p := sc.m, sc.tk, sc.probers[sc.i]
+	rec, derr := p.decodeRead(sc.results[sc.i].Data)
+	if derr == wire.ErrTorn {
+		// The batch slot caught the ring writer mid-update:
+		// re-read this one back-end on the sequential path
+		// (which owns the bounded retry loop) while the rest
+		// of the batch proceeds.
+		p.TornRetries++
+		if m.pool != nil {
+			m.pooledProbeN(tk, p.Backend, 1, sc.advanceFn)
+		} else {
+			start, next := sc.start, sc.nextFn
+			p.probeRDMA(tk, func(rec wire.LoadRecord, err error) {
+				p.rdmaOutcome(tk, start, rec, err, next)
 			})
 		}
-		step(0)
-	})
+		return
+	}
+	p.rdmaOutcome(tk, sc.start, rec, derr, sc.nextFn)
+}
+
+// next is slot i's outcome, applied: feed the period controller and
+// move on.
+func (sc *sweepScratch) next(_ wire.LoadRecord, err error) {
+	sc.m.observeProbe(sc.probers[sc.i].Backend, err)
+	sc.advance()
+}
+
+func (sc *sweepScratch) advance() {
+	sc.i++
+	sc.apply()
 }
 
 // shardDone records one completed sweep of shard s and refreshes

@@ -176,3 +176,20 @@ func TestMonitorCfgDefaults(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkSweepBatch256 is the host cost of one read of the settled
+// sweep at the gate configuration — 256 back-ends, 4 shards, doorbell
+// batch 32 — through core + simnet + simos + sim, the fleet's own timer
+// ticks included (ns/op and allocs/op are per read).
+func BenchmarkSweepBatch256(b *testing.B) {
+	f := newFleet(1, 256, AgentConfig{Scheme: RDMASync})
+	StartMonitorCfg(f.front, f.fnic, f.agents, 10*sim.Millisecond, MonitorConfig{Shards: 4, Batch: 32})
+	f.eng.RunUntil(2 * sim.Second)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for target := f.fnic.RDMAReads + uint64(b.N); f.fnic.RDMAReads < target; {
+		if !f.eng.Step() {
+			b.Fatal("simulation ran out of events")
+		}
+	}
+}

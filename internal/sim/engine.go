@@ -222,8 +222,8 @@ const recentEvents = 2
 // existence, so appending it behind any pending event c with
 // c.at == at and c.next == nil keeps c's run ascending in seq whatever
 // c has been through since it was recorded — a Post node recycled, a
-// ticker's event re-armed, a head or a chained member, its old
-// successors fired or cancelled. Only c's state now is read. And since
+// ticker's or timer's event re-armed, a head or a chained member, its
+// old successors fired or cancelled. Only c's state now is read. And since
 // the heap compares the current heads' (at, seq), two runs of one
 // instant whose sequence numbers interleave still merge in strict
 // (at, seq) order: a miss costs a heap slot, never the order.
@@ -402,3 +402,41 @@ func (t *Ticker) Stop() {
 	t.stopped = true
 	t.eng.Cancel(&t.ev)
 }
+
+// Timer is the one-shot sibling of Ticker: it invokes fn once, d after
+// each Reset. Like a ticker it owns one event and one callback for its
+// whole life and re-keys the event on every arm, so a caller that arms
+// the same deadline over and over (a task's burst completion, its
+// timeslice, its sleep) allocates nothing per arm.
+type Timer struct {
+	eng *Engine
+	fn  func()
+	ev  Event
+}
+
+// NewTimer creates an unarmed timer; Reset arms it.
+func (e *Engine) NewTimer(fn func()) *Timer {
+	if fn == nil {
+		panic("sim: timer nil func")
+	}
+	return &Timer{eng: e, fn: fn, ev: Event{index: idle}}
+}
+
+// Reset arms the timer to fire d from now, replacing a pending arm. The
+// event takes a fresh sequence number — exactly the place in the
+// (time, sequence) order After(d, fn) would have taken. Negative d is
+// clamped to zero. Reset may be called from inside fn.
+func (t *Timer) Reset(d Time) {
+	if d < 0 {
+		d = 0
+	}
+	e := t.eng
+	e.Cancel(&t.ev)
+	e.enqueue(&t.ev, e.now+d, t.fn)
+}
+
+// Stop disarms the timer. It reports whether an arm was pending.
+func (t *Timer) Stop() bool { return t.eng.Cancel(&t.ev) }
+
+// Pending reports whether the timer is armed and has not fired.
+func (t *Timer) Pending() bool { return t.ev.Pending() }

@@ -7,7 +7,7 @@ import (
 
 // The reference model: the engine's contract written the slow, obvious
 // way — a slice kept sorted by (at, seq), a fresh event per schedule,
-// a fresh event per tick.
+// a fresh event per tick, Cancel + After per timer arm.
 
 type refEvent struct {
 	at      Time
@@ -105,16 +105,36 @@ func (t *refTicker) stop() {
 	t.m.cancel(t.ev)
 }
 
+// refTimer is Timer the obvious way: every arm is a fresh After, and
+// replacing a pending arm cancels it first.
+type refTimer struct {
+	m  *refEngine
+	fn func()
+	ev *refEvent
+}
+
+func (t *refTimer) reset(d Time) {
+	t.m.cancel(t.ev)
+	t.ev = t.m.after(d, t.fn)
+}
+
+func (t *refTimer) stop() bool { return t.m.cancel(t.ev) }
+
+func (t *refTimer) pending() bool { return t.ev != nil && t.ev.pending }
+
 // engineProgram interprets data as (opcode, argument) pairs and drives
 // an Engine and the reference model with the same operations, checking
 // after every one that they agree on everything observable and that
 // the engine's queue is well formed. An opcode byte 1hhhsccc first
 // plants handle h — pending or not, of any instant, or nil — as chain
 // candidate s: the model knows nothing of candidates, so whatever they
-// hold must not show. The caps on operations, tickers and RunUntil
-// spans bound one input's work.
+// hold must not show. Opcode 4 is Step, or — by the low bits of its
+// argument — Reset or Stop of one of four timers that exist from the
+// start; the last of them re-arms itself from inside every other fire.
+// The caps on operations, tickers and RunUntil spans bound one input's
+// work.
 func engineProgram(t *testing.T, data []byte) {
-	const maxOps, maxTickers = 128, 8
+	const maxOps, maxTickers, numTimers = 128, 8, 4
 	if len(data) > 2*maxOps {
 		data = data[:2*maxOps]
 	}
@@ -130,6 +150,28 @@ func engineProgram(t *testing.T, data []byte) {
 		ref *refTicker
 	}
 	var tickers []ticker
+	type timer struct {
+		tm  *Timer
+		ref *refTimer
+	}
+	var timers [numTimers]timer
+	for k := range timers {
+		k, id := k, 1000+k
+		tm := &timers[k]
+		n, rn := 0, 0
+		tm.tm = e.NewTimer(func() {
+			got = append(got, id)
+			if n++; k == numTimers-1 && n%2 == 1 {
+				tm.tm.Reset(1)
+			}
+		})
+		tm.ref = &refTimer{m: m, fn: func() {
+			want = append(want, id)
+			if rn++; k == numTimers-1 && rn%2 == 1 {
+				tm.ref.reset(1)
+			}
+		}}
+	}
 	nextID := 0
 
 	// An event logs its id; kind 1 then schedules a child through After,
@@ -188,6 +230,15 @@ func engineProgram(t *testing.T, data []byte) {
 				t.Fatalf("op %d: ticker %d: %v", op, i, err)
 			}
 		}
+		for i, tm := range timers {
+			if tm.tm.Pending() != tm.ref.pending() || tm.ref.pending() && tm.tm.ev.At() != tm.ref.ev.at {
+				t.Fatalf("op %d: timer %d pending=%v at=%v, model pending=%v",
+					op, i, tm.tm.Pending(), tm.tm.ev.At(), tm.ref.pending())
+			}
+			if err := checkHandle(&tm.tm.ev); err != nil {
+				t.Fatalf("op %d: timer %d: %v", op, i, err)
+			}
+		}
 	}
 
 	for op := 0; op+1 < len(data); op += 2 {
@@ -219,9 +270,21 @@ func engineProgram(t *testing.T, data []byte) {
 			if a, b := e.Cancel(h.ev), m.cancel(h.ref); a != b {
 				t.Fatalf("op %d: Cancel = %v, model %v", op, a, b)
 			}
-		case 4:
-			if a, b := e.Step(), m.step(); a != b {
-				t.Fatalf("op %d: Step = %v, model %v", op, a, b)
+		case 4: // arg: ddddkkss — sub-op s on timer k with delay d-2
+			tm := timers[int(arg>>2)%numTimers]
+			switch arg & 3 {
+			case 1:
+				td := Time(arg>>4) - 2
+				tm.tm.Reset(td)
+				tm.ref.reset(td)
+			case 2:
+				if a, b := tm.tm.Stop(), tm.ref.stop(); a != b {
+					t.Fatalf("op %d: Timer.Stop = %v, model %v", op, a, b)
+				}
+			default:
+				if a, b := e.Step(), m.step(); a != b {
+					t.Fatalf("op %d: Step = %v, model %v", op, a, b)
+				}
 			}
 		case 5:
 			until := e.Now() + Time(arg%32)
@@ -306,5 +369,27 @@ func FuzzEngineOrder(f *testing.F) {
 	// outside between bursts.
 	f.Add([]byte{6, 2, 6, 2, 6, 2, 2, 0x25, 2, 0x25, 0, 5, 5, 3, 7, 1, 0, 5, 2, 0x55, 5, 3,
 		7, 0, 1, 5, 5, 6, 7, 2, 5, 31})
+	// TestTimerFiresInSequenceOrder: After, Post and three timers' Reset
+	// interleaved on one instant.
+	f.Add([]byte{1, 7, 4, 0x71, 2, 7, 1, 7, 4, 0x75, 2, 7, 4, 0x79, 5, 31})
+	// TestTimerResetWhilePendingRekeys: a pending arm moved later, earlier,
+	// to a clamped negative delay and back.
+	f.Add([]byte{1, 12, 4, 0xc1, 4, 0xf1, 4, 0x61, 4, 0x01, 4, 0x61, 5, 31})
+	// ... and re-armed for the instant it already had, behind an event
+	// scheduled in between.
+	f.Add([]byte{4, 0x71, 1, 7, 4, 0x71, 1, 7, 5, 31})
+	// TestTimerStopHeadMiddleTail: the four timers and two handle-bearing
+	// events in one run; stop its head, a middle member and its tail,
+	// re-arm the stopped head, run.
+	f.Add([]byte{4, 0x71, 4, 0x75, 1, 7, 4, 0x79, 1, 7, 4, 0x7d, 4, 0x02, 4, 0x0a, 4, 0x0e, 4, 0x71, 5, 31})
+	// TestTimerEventAsChainMemberAndTail: head, timer, tail — twice over
+	// on the same timer event.
+	f.Add([]byte{0, 7, 4, 0x71, 0, 7, 5, 31, 0, 7, 4, 0x71, 0, 7, 5, 31})
+	// TestTimerResetFromOwnCallback: the self-re-arming timer beside an
+	// event of its instant, fired by Run and then by single steps.
+	f.Add([]byte{4, 0x7d, 1, 7, 5, 31, 4, 0x3d, 1, 3, 4, 0, 4, 0, 4, 0, 5, 31})
+	// Timers among lockstep tickers and Post children; a timer stopped
+	// and a ticker stopped between bursts, the timer re-armed after.
+	f.Add([]byte{6, 2, 4, 0x51, 6, 2, 4, 0x55, 2, 0x25, 5, 3, 4, 0x06, 7, 0, 4, 0x51, 5, 31})
 	f.Fuzz(engineProgram)
 }

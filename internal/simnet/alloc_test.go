@@ -177,8 +177,9 @@ func batchLoop(t testing.TB, r *rig) (run func(n int)) {
 
 // TestReadOpReleasedClean: once a batch has completed, the pooled
 // state of every read in it — failed reads included — is back on the
-// fabric's free list holding no callback, buffer or NIC, and the next
-// batch reuses the same structs.
+// fabric's free list holding no callback, batch, buffer or NIC, the
+// batch itself is back holding no task or results, and the next batch
+// reuses the same structs.
 func TestReadOpReleasedClean(t *testing.T) {
 	r := newRig(t, 2, Defaults())
 	region := make([]byte, 64)
@@ -210,9 +211,15 @@ func TestReadOpReleasedClean(t *testing.T) {
 			t.Fatalf("round %d: free list holds %d read ops, want %d", round, len(r.fab.readOps), len(reqs))
 		}
 		for i, op := range r.fab.readOps {
-			if op.done != nil || op.dst != nil || op.data != nil || op.err != nil || op.nic != nil || op.tn != nil {
+			if op.done != nil || op.batch != nil || op.dst != nil || op.data != nil || op.err != nil || op.nic != nil || op.tn != nil {
 				t.Fatalf("round %d: free read op %d still holds a reference: %+v", round, i, op)
 			}
+		}
+		if len(r.fab.readBatches) != 1 {
+			t.Fatalf("round %d: free list holds %d read batches, want 1", round, len(r.fab.readBatches))
+		}
+		if b := r.fab.readBatches[0]; b.task != nil || b.results != nil || b.remaining != 0 {
+			t.Fatalf("round %d: free read batch still holds a reference: %+v", round, b)
 		}
 	}
 }

@@ -205,8 +205,10 @@ type Fabric struct {
 	// every engine callback runs on the single engine goroutine.
 	bufs [][]byte
 
-	// readOps is the free list of one-sided read state (see readOp).
-	readOps []*readOp
+	// readOps and readBatches are the free lists of one-sided read state
+	// (see readOp, readBatch).
+	readOps     []*readOp
+	readBatches []*readBatch
 
 	// AblationRDMATargetIRQ, when set, charges a network interrupt on
 	// the target node for every RDMA operation — deliberately breaking
@@ -573,7 +575,9 @@ func (n *NIC) Deregister(mr *MR) { delete(n.mrs, mr.key) }
 // readOp is the state of one one-sided read in flight. Its three
 // stages are methods bound once per struct, and the structs cycle
 // through Fabric.readOps, so a read schedules its events without
-// allocating an event node, a closure or the op itself.
+// allocating an event node, a closure or the op itself. The outcome
+// goes to done (the single-read verb) or, for a work request of a
+// doorbell batch, into results[slot] of batch.
 type readOp struct {
 	nic    *NIC // initiator
 	tn     *NIC // target, known from arrive on
@@ -584,8 +588,30 @@ type readOp struct {
 	data   []byte
 	err    error
 	done   func(data []byte, err error)
+	batch  *readBatch
+	slot   int
 
 	arriveFn, serviceFn, completeFn func()
+}
+
+// readBatch is the initiator's side of one doorbell batch in flight:
+// its work requests complete into results by slot, and the one that
+// brings remaining to zero resumes the posting task with all of them.
+// Batches cycle through Fabric.readBatches.
+type readBatch struct {
+	task      *simos.Task
+	results   []ReadResult
+	remaining int
+}
+
+func (f *Fabric) getReadBatch() *readBatch {
+	if n := len(f.readBatches); n > 0 {
+		b := f.readBatches[n-1]
+		f.readBatches[n-1] = nil
+		f.readBatches = f.readBatches[:n-1]
+		return b
+	}
+	return &readBatch{}
 }
 
 func (f *Fabric) getReadOp() *readOp {
@@ -602,9 +628,10 @@ func (f *Fabric) getReadOp() *readOp {
 
 // postRead performs the fabric half of one one-sided read work
 // request: fault consultation, request-descriptor flight, target NIC
-// service, the DMA instant, and the completion flight back. done runs
+// service, the DMA instant, and the completion flight back. op carries
+// where the outcome goes (done, or batch and slot), which is delivered
 // at the engine instant the completion would land in the initiator's
-// CQ; it is never called synchronously from postRead itself.
+// CQ; never synchronously from postRead itself.
 //
 // dst, when it has capacity for the read, is the initiator-supplied
 // DMA destination — the data lands in it and no per-op buffer is
@@ -612,11 +639,10 @@ func (f *Fabric) getReadOp() *readOp {
 // posted WR's local buffer. A nil (or too small) dst falls back to
 // allocating, preserving the legacy contract for callers that retain
 // the slice.
-func (n *NIC) postRead(target int, key uint32, length int, dst []byte, done func(data []byte, err error)) {
+func (n *NIC) postRead(op *readOp, target int, key uint32, length int, dst []byte) {
 	f := n.fab
 	n.RDMAReads++
-	op := f.getReadOp()
-	op.nic, op.target, op.key, op.length, op.dst, op.done = n, target, key, length, dst, done
+	op.nic, op.target, op.key, op.length, op.dst = n, target, key, length, dst
 	extra := f.heteroLat(n.node.ID, target)
 	if f.Faults != nil {
 		v := f.Faults.RDMA(n.node.ID, target)
@@ -684,15 +710,25 @@ func (op *readOp) service() {
 	f.Eng.Post(f.xmit(len(op.data)), op.completeFn)
 }
 
-// complete hands the outcome to done. The op goes back to the free
-// list first, holding no reference, so done may post the next read
-// into it.
+// complete hands the outcome to done, or to the op's batch. The op —
+// and a finished batch — go back to their free lists first, holding no
+// reference, so the continuation may post the next read into them.
 func (op *readOp) complete() {
 	f := op.nic.fab
-	done, data, err := op.done, op.data, op.err
-	op.nic, op.tn, op.dst, op.data, op.err, op.done = nil, nil, nil, nil, nil, nil
+	done, b, slot, data, err := op.done, op.batch, op.slot, op.data, op.err
+	op.nic, op.tn, op.dst, op.data, op.err, op.done, op.batch = nil, nil, nil, nil, nil, nil, nil
 	f.readOps = append(f.readOps, op)
-	done(data, err)
+	if b == nil {
+		done(data, err)
+		return
+	}
+	b.results[slot] = ReadResult{Data: data, Err: err}
+	if b.remaining--; b.remaining == 0 {
+		t, results := b.task, b.results
+		b.task, b.results = nil, nil
+		f.readBatches = append(f.readBatches, b)
+		t.Resume(results)
+	}
 }
 
 // RDMARead posts a one-sided read of [0, length) of the remote region
@@ -714,9 +750,11 @@ func (n *NIC) RDMAReadInto(t *simos.Task, target int, key uint32, length int, bu
 			c := v.(rdmaCompletion)
 			then(c.data, c.err)
 		})
-		n.postRead(target, key, length, buf, func(data []byte, err error) {
+		op := f.getReadOp()
+		op.done = func(data []byte, err error) {
 			t.Resume(rdmaCompletion{data: data, err: err})
-		})
+		}
+		n.postRead(op, target, key, length, buf)
 	})
 }
 
@@ -775,15 +813,13 @@ func (n *NIC) RDMAReadBatchInto(t *simos.Task, reqs []ReadReq, scratch []ReadRes
 		} else {
 			results = make([]ReadResult, len(reqs))
 		}
-		remaining := len(reqs)
-		for i, rq := range reqs {
-			i, rq := i, rq
-			n.postRead(rq.Target, rq.Key, rq.Length, rq.Buf, func(data []byte, err error) {
-				results[i] = ReadResult{Data: data, Err: err}
-				if remaining--; remaining == 0 {
-					t.Resume(results)
-				}
-			})
+		b := f.getReadBatch()
+		b.task, b.results, b.remaining = t, results, len(reqs)
+		for i := range reqs {
+			rq := &reqs[i]
+			op := f.getReadOp()
+			op.batch, op.slot = b, i
+			n.postRead(op, rq.Target, rq.Key, rq.Length, rq.Buf)
 		}
 	})
 }

@@ -21,3 +21,26 @@ func TestIdleNodeTickZeroAlloc(t *testing.T) {
 		t.Fatalf("1024 idle nodes allocate %.0f objects per simulated second, want 0", allocs)
 	}
 }
+
+// TestTaskComputeSleepZeroAlloc pins the task's owned deadlines: a task
+// looping Compute -> Sleep on pre-bound continuations re-arms its burst
+// and sleep timers in place, so an iteration allocates nothing.
+func TestTaskComputeSleepZeroAlloc(t *testing.T) {
+	eng := sim.NewEngine(1)
+	node := NewNode(eng, 0, NodeDefaults())
+	loops := 0
+	node.Spawn("loop", func(tk *Task) {
+		var compute, sleep func()
+		compute = func() { tk.Compute(10*sim.Microsecond, sleep) }
+		sleep = func() { loops++; tk.Sleep(10*sim.Microsecond, compute) }
+		compute()
+	})
+	eng.RunFor(sim.Second) // past the utilisation window
+	before := loops
+	if allocs := testing.AllocsPerRun(5, func() { eng.RunFor(100 * sim.Millisecond) }); allocs != 0 {
+		t.Fatalf("a Compute/Sleep loop allocates %.0f objects per 100 ms (%d iterations), want 0", allocs, (loops-before)/6)
+	}
+	if loops == before {
+		t.Fatal("the loop did not run in the measured window")
+	}
+}

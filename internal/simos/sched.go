@@ -196,14 +196,8 @@ func (t *Task) chargeRun() {
 }
 
 func (t *Task) cancelRunEvents() {
-	if t.doneEv != nil {
-		t.node.Eng.Cancel(t.doneEv)
-		t.doneEv = nil
-	}
-	if t.sliceEv != nil {
-		t.node.Eng.Cancel(t.sliceEv)
-		t.sliceEv = nil
-	}
+	t.doneTimer.Stop()
+	t.sliceTimer.Stop()
 }
 
 // armBurst schedules either completion of the current burst or expiry
@@ -220,14 +214,13 @@ func (t *Task) armBurst() {
 		span = 0
 	}
 	if t.remaining <= span {
-		t.doneEv = t.node.Eng.After(t.remaining, t.doneFn)
+		t.doneTimer.Reset(t.remaining)
 	} else {
-		t.sliceEv = t.node.Eng.After(span, t.sliceFn)
+		t.sliceTimer.Reset(span)
 	}
 }
 
 func (t *Task) burstComplete() {
-	t.doneEv = nil
 	t.chargeRun()
 	t.demoteIfSpent()
 	cont := t.burstDone
@@ -236,7 +229,7 @@ func (t *Task) burstComplete() {
 		cont()
 	}
 	// If the continuation issued no further operation the task is done.
-	if t.state == stateRunning && t.doneEv == nil && t.sliceEv == nil && t.burstDone == nil {
+	if t.state == stateRunning && !t.doneTimer.Pending() && !t.sliceTimer.Pending() && t.burstDone == nil {
 		t.exit()
 	}
 }
@@ -251,7 +244,6 @@ func (t *Task) demoteIfSpent() {
 // the burst completes: rotate if anyone of equal or higher priority is
 // waiting, otherwise renew in place.
 func (t *Task) sliceExpire() {
-	t.sliceEv = nil
 	t.chargeRun()
 	t.demoteIfSpent()
 	n := t.node

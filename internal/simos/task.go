@@ -72,11 +72,14 @@ type Task struct {
 	startedAt   sim.Time
 	quantumLeft sim.Time
 	boostLeft   sim.Time
-	doneEv      *sim.Event
-	sliceEv     *sim.Event
-	doneFn      func() // t.burstComplete, bound once
-	sliceFn     func() // t.sliceExpire
 	queueSeq    uint64
+
+	// The task's three deadlines, owned for life and re-armed in place:
+	// completion of the current burst, expiry of its timeslice or boost
+	// budget (at most one of the two is pending), and the end of a Sleep.
+	doneTimer  *sim.Timer // fires t.burstComplete
+	sliceTimer *sim.Timer // fires t.sliceExpire
+	sleepTimer *sim.Timer // fires t.sleepExpire
 
 	// Pending work set while not running (wake path).
 	pendingBurst sim.Time
@@ -86,7 +89,9 @@ type Task struct {
 	waitPort *Port
 	waitFn   func(Message)
 	awaitFn  func(any)
-	sleepEv  *sim.Event
+	sleepFn  func()         // continuation of the pending Sleep
+	procFn   func(Snapshot) // continuation of the ReadProc in progress
+	procRead func()         // t.readProc, bound once
 
 	// Statistics.
 	CPUTime     sim.Time
@@ -124,7 +129,10 @@ func (t *Task) Alive() bool { return t.state != stateDead }
 // issues no operation exits immediately.
 func (n *Node) Spawn(name string, program func(t *Task)) *Task {
 	t := &Task{Name: name, node: n, state: stateNew}
-	t.doneFn, t.sliceFn = t.burstComplete, t.sliceExpire
+	t.doneTimer = n.Eng.NewTimer(t.burstComplete)
+	t.sliceTimer = n.Eng.NewTimer(t.sliceExpire)
+	t.sleepTimer = n.Eng.NewTimer(t.sleepExpire)
+	t.procRead = t.readProc
 	n.tasks[t] = struct{}{}
 	program(t)
 	if t.state == stateNew { // issued nothing
@@ -160,7 +168,9 @@ func (t *Task) Compute(d sim.Time, then func()) {
 }
 
 // Sleep blocks the task for d of virtual time, then reschedules it
-// (with a wakeup boost) to run then.
+// (with a wakeup boost) to run then. A task has one sleep deadline: a
+// Sleep issued while an earlier one is still pending replaces it — the
+// task wakes once, after the second d, into the second then.
 func (t *Task) Sleep(d sim.Time, then func()) {
 	if t.state == stateDead {
 		return
@@ -169,13 +179,16 @@ func (t *Task) Sleep(d sim.Time, then func()) {
 		t.release()
 	}
 	t.setState(stateSleeping)
-	t.sleepEv = t.node.Eng.After(d, func() {
-		t.sleepEv = nil
-		t.pendingBurst = t.node.Cfg.WakeCost
-		t.pendingCont = then
-		t.node.wake(t)
-	})
+	t.sleepFn = then
+	t.sleepTimer.Reset(d)
 	t.node.resched()
+}
+
+func (t *Task) sleepExpire() {
+	t.pendingBurst = t.node.Cfg.WakeCost
+	t.pendingCont = t.sleepFn
+	t.sleepFn = nil
+	t.node.wake(t)
 }
 
 // Recv blocks the task until a message arrives on p, then runs
@@ -286,10 +299,8 @@ func (t *Task) exit() {
 	if t.state == stateRunning {
 		t.release()
 	}
-	if t.sleepEv != nil {
-		t.node.Eng.Cancel(t.sleepEv)
-		t.sleepEv = nil
-	}
+	t.sleepTimer.Stop()
+	t.sleepFn, t.procFn = nil, nil
 	if t.waitPort != nil {
 		t.waitPort.removeWaiter(t)
 		t.waitPort = nil
@@ -317,18 +328,28 @@ func (t *Task) exit() {
 // while an RDMA read (which never enters process context on this node)
 // sees the live irq_stat.
 func (t *Task) ReadProc(then func(Snapshot)) {
+	if t.state == stateDead {
+		return
+	}
 	node := t.node
 	cost := node.Cfg.ProcReadCost + node.Cfg.ProcReadPerTask*sim.Time(node.NrTasks())
-	t.Compute(cost, func() {
-		s := node.K.Snapshot()
-		for c := 0; c < s.NumCPU; c++ {
-			s.IrqPendingSoft[c] = 0
-		}
-		if t.cpu != nil {
-			s.IrqPendingHard[t.cpu.id] = 0
-		}
-		then(s)
-	})
+	t.procFn = then
+	t.Compute(cost, t.procRead)
+}
+
+// readProc completes ReadProc. A task runs one operation at a time, so
+// the continuation parked in procFn is the one this burst belongs to.
+func (t *Task) readProc() {
+	then := t.procFn
+	t.procFn = nil
+	s := t.node.K.Snapshot()
+	for c := 0; c < s.NumCPU; c++ {
+		s.IrqPendingSoft[c] = 0
+	}
+	if t.cpu != nil {
+		s.IrqPendingHard[t.cpu.id] = 0
+	}
+	then(s)
 }
 
 // Message is a unit of delivery between tasks (possibly across nodes,
