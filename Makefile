@@ -37,10 +37,10 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzServeStream -fuzztime=$(FUZZTIME) ./internal/tcpverbs
 	$(GO) test -run=^$$ -fuzz=FuzzReadBatch -fuzztime=$(FUZZTIME) ./internal/tcpverbs
 	$(GO) test -run=^$$ -fuzz=FuzzProcfsParsers -fuzztime=$(FUZZTIME) ./internal/procfs
-	$(GO) test -run=^$$ -fuzz=FuzzLeaseRecord$$ -fuzztime=$(FUZZTIME) ./internal/wire
 	$(GO) test -run=^$$ -fuzz=FuzzPushRecord$$ -fuzztime=$(FUZZTIME) ./internal/wire
 	$(GO) test -run=^$$ -fuzz=FuzzHistoryRing$$ -fuzztime=$(FUZZTIME) ./internal/wire
 	$(GO) test -run=^$$ -fuzz=FuzzClaimRecord$$ -fuzztime=$(FUZZTIME) ./internal/wire
+	$(GO) test -run=^$$ -fuzz=FuzzLeaseRecord$$ -fuzztime=$(FUZZTIME) ./internal/wire
 	$(GO) test -run=^$$ -fuzz=FuzzScenario$$ -fuzztime=$(FUZZTIME) ./internal/scenario
 	$(GO) test -run=^$$ -fuzz=FuzzEngineOrder$$ -fuzztime=$(FUZZTIME) ./internal/sim
 
@@ -49,8 +49,8 @@ fuzz:
 chaos-smoke:
 	$(GO) run ./cmd/rmbench -exp chaos -quick -seeds 3
 
-# Front-end HA under front-end crash/freeze/partition plans: lease
-# safety (no split-brain), epoch fencing and bounded takeover asserted,
+# Front-end HA under front-end crash/freeze/partition plans: one-shard
+# claim safety (no split-brain), epoch fencing and bounded takeover asserted,
 # non-zero exit on any violation.
 ha-smoke:
 	$(GO) run ./cmd/rmbench -exp ha -quick -seeds 3

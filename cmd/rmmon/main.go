@@ -48,11 +48,10 @@ func usage() {
 	fmt.Fprintln(os.Stderr, `rmmon — live fine-grained resource monitoring
 
 subcommands:
-  agent    -scheme <name> -listen <addr> -node <id> [-interval <dur>] [-history k] [-mr-flap <dur>] [-host-lease]
+  agent    -scheme <name> -listen <addr> -node <id> [-interval <dur>] [-history k] [-mr-flap <dur>]
            [-host-claims <shards>] [-push-to <addr> [-push-threshold x] [-push-heartbeat <dur>]]
   probe    -scheme <name> -targets <addr,...> [-interval <dur>] [-count n] [-failover]
-           [-burst k] [-history] [-lease <replica-id> [-witness <addr>]]
-           [-claim <fe-id> [-claim-owners n] [-witness <addr>]]
+           [-burst k] [-history] [-claim <fe-id> [-claim-owners n] [-witness <addr>]]
            [-period-max <dur> [-push-threshold x]]
   once     -target <addr>
   pushhost -listen <addr> -nodes <id,...> [-count n]
@@ -77,8 +76,7 @@ func runAgent(args []string) {
 	interval := fs.Duration("interval", 50*time.Millisecond, "async refresh period")
 	history := fs.Int("history", 0, "RDMA schemes: publish a k-slot history ring instead of a single record (one read fetches the last k samples)")
 	mrFlap := fs.Duration("mr-flap", 0, "chaos: invalidate the RDMA region every interval, re-pinning after 1/4 of it")
-	hostLease := fs.Bool("host-lease", false, "witness role: host the front-end lease word for one-sided CAS")
-	hostClaims := fs.Int("host-claims", 0, "witness role: host an n-shard active-active claim table for one-sided CAS")
+	hostClaims := fs.Int("host-claims", 0, "witness role: host an n-shard front-end claim table for one-sided CAS (1 = HA primaryship)")
 	pushTo := fs.String("push-to", "", "hybrid scheme: RDMA-Write delta records to this push host")
 	pushTh := fs.Float64("push-threshold", 0, "hybrid scheme: load-index delta that triggers a push (0 = default 0.05)")
 	pushHB := fs.Duration("push-heartbeat", 0, "hybrid scheme: max silence before a forced push (0 = default 16x check)")
@@ -97,7 +95,6 @@ func runAgent(args []string) {
 		NodeID:     uint16(*node),
 		Interval:   *interval,
 		HistoryK:   *history,
-		HostLease:  *hostLease,
 		HostClaims: *hostClaims,
 		Push:       push,
 	})
@@ -132,10 +129,9 @@ func runProbe(args []string) {
 	failover := fs.Bool("failover", false, "arm the RDMA->socket transport breaker (RDMA schemes)")
 	burst := fs.Int("burst", 1, "pipelined reads per probe cycle (RDMA schemes): k distinct samples in ~one round trip")
 	history := fs.Bool("history", false, "fetch each ring-publishing agent's full history window per cycle and report its load trend")
-	leaseID := fs.Int("lease", 0, "front-end replica id (1-based): contend for the dispatch lease hosted by the witness in -witness")
-	claimID := fs.Int("claim", 0, "front-end replica id (1-based): contend for the active-active claim table hosted by the witness in -witness")
-	claimOwners := fs.Int("claim-owners", 0, "front-end ring size for the home-shard mapping (0 = no home preference)")
-	witness := fs.String("witness", "", "witness agent address hosting the lease word or claim table (default: first target)")
+	claimID := fs.Int("claim", 0, "front-end replica id (1-based): contend for the claim table hosted by the witness in -witness")
+	claimOwners := fs.Int("claim-owners", 0, "front-end ring size for the home-shard mapping (0 = no home preference: every replica bids as home, HA on a 1-shard table)")
+	witness := fs.String("witness", "", "witness agent address hosting the claim table (default: first target)")
 	periodMax := fs.Duration("period-max", 0, "adaptive polling: decay quiet targets' poll period up to this ceiling (0 = fixed period)")
 	pushTh := fs.Float64("push-threshold", 0, "adaptive polling: load-index delta that counts as change (0 = default 0.05)")
 	fs.Parse(args)
@@ -156,20 +152,6 @@ func runProbe(args []string) {
 			p.SetFailover(core.FailoverConfig{})
 		}
 		probes = append(probes, p)
-	}
-	var lease *livemon.LeaseClient
-	if *leaseID > 0 {
-		waddr := strings.TrimSpace(*witness)
-		if waddr == "" {
-			waddr = strings.TrimSpace(addrs[0])
-		}
-		lc, err := livemon.DialLease(waddr, uint16(*leaseID), core.LeaseConfig{})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "rmmon probe: lease witness %s: %v\n", waddr, err)
-			os.Exit(1)
-		}
-		defer lc.Close()
-		lease = lc
 	}
 	var claims *livemon.ClaimClient
 	if *claimID > 0 {
@@ -213,19 +195,11 @@ func runProbe(args []string) {
 			obs[i] = rec
 			obsHas[i] = true
 		}
-		held := lease == nil || lease.Valid()
-		if claims != nil {
-			held = claims.HeldValid() > 0
-		}
+		held := claims == nil || claims.HeldValid() > 0
 		due[i] = time.Now().Add(time.Duration(ctrls[i].Observe(changed, core.Healthy, held)))
 	}
 	for cycle := 0; *count == 0 || cycle < *count; cycle++ {
 		start := time.Now()
-		if lease != nil {
-			tk, rn, dp := lease.Counters()
-			fmt.Printf("lease: role=%s epoch=%d valid=%v takeovers=%d renewals=%d deposals=%d\n",
-				lease.Role(), lease.Epoch(), lease.Valid(), tk, rn, dp)
-		}
 		if claims != nil {
 			tk, rn, dp, hb := claims.Counters()
 			_, _, fenced := claims.Errors()

@@ -129,30 +129,26 @@ type Config struct {
 	Pool *connpool.Config
 
 	// Replicas is the number of front-end replicas. Zero or one keeps
-	// the seed topology: a single front-end on node 0, no lease. With
-	// R > 1 the front-end is replicated for availability: replica 0
-	// stays on node 0, replicas 1..R-1 run on nodes
+	// the seed topology: a single front-end on node 0, no arbitration.
+	// With R > 1 the front-end is replicated for availability: replica
+	// 0 stays on node 0, replicas 1..R-1 run on nodes
 	// Backends+1..Backends+R-1, and a witness node (Backends+R) hosts
-	// the lease regions. Every replica shadow-probes all back-ends —
-	// free under the RDMA schemes — but only the lease holder's
-	// dispatcher routes; the rest answer NotPrimary.
+	// the claim table (see core.Claim). Every replica shadow-probes all
+	// back-ends — free under the RDMA schemes — but by default the table
+	// has one shard every replica bids on as home: only its holder (the
+	// primary) dispatches; the rest answer NotPrimary.
 	Replicas int
 
-	// Lease tunes leased primaryship (defaults derived from Poll; only
-	// meaningful with Replicas > 1).
-	Lease core.LeaseConfig
-
-	// ActiveActive replaces the single lease with per-shard claim
-	// arbitration (Replicas > 1): the back-end space folds onto
-	// Claim.Shards claim words on the witness and EVERY replica
+	// ActiveActive (Replicas > 1) folds the back-end space onto
+	// Claim.Shards claim words with a home partition, and EVERY replica
 	// dispatches concurrently, each only to back-ends whose shard claim
-	// it validly holds (see core.Claim). The claim table is the fence —
-	// a replica with no claims answers NotPrimary exactly like a
-	// deposed lease holder.
+	// it validly holds. A replica with no claims answers NotPrimary
+	// exactly like a deposed primary.
 	ActiveActive bool
 
-	// Claim tunes claim arbitration (defaults derived from Poll;
-	// Shards defaults to Backends; only meaningful with ActiveActive).
+	// Claim tunes claim arbitration (defaults derived from Poll; only
+	// meaningful with Replicas > 1). Shards defaults to Backends under
+	// ActiveActive and is always 1 otherwise.
 	Claim core.ClaimConfig
 
 	// BackendSpecs, when non-empty, makes the back-end fleet
@@ -183,16 +179,15 @@ type BackendSpec struct {
 }
 
 // Replica is one front-end instance: its own monitor (warm load view),
-// policy, dispatcher (fenced by the lease) and lease manager.
+// policy, dispatcher (fenced by its claims) and claim manager.
 type Replica struct {
-	Index int // 0-based; lease holder ID is Index+1
+	Index int // 0-based; claim owner ID is Index+1
 	Node  *simos.Node
 	NIC   *simnet.NIC
 
 	Monitor    *core.Monitor
 	Policy     loadbalance.Policy
 	Dispatcher *httpsim.Dispatcher
-	LeaseMgr   *core.LeaseManager
 	ClaimMgr   *core.ClaimManager
 
 	down bool
@@ -229,16 +224,14 @@ type Cluster struct {
 	Pushers []*core.DeltaPusher
 
 	// Replicated front-end (Cfg.Replicas > 1). FrontEnds[0] aliases
-	// Front/Monitor/Policy/Dispatcher; Witness hosts the lease vault —
-	// or, under ActiveActive, the claim vault.
+	// Front/Monitor/Policy/Dispatcher; Witness hosts the claim vault.
 	FrontEnds  []*Replica
 	Witness    *simos.Node
 	WitnessNIC *simnet.NIC
-	Vault      *core.LeaseVault
 	ClaimVault *core.ClaimVault
 
 	// OnReplicaRestart, if set, runs after a crashed front-end replica
-	// is rebooted with fresh monitor/dispatcher/lease instances, so
+	// is rebooted with fresh monitor/dispatcher/claim instances, so
 	// observers (experiment checkers, exporters) can re-install their
 	// hooks on the new objects.
 	OnReplicaRestart func(r *Replica)
@@ -272,10 +265,14 @@ func New(cfg Config) *Cluster {
 		h := cfg.Hybrid.WithDefaults(cfg.Poll)
 		cfg.Hybrid = &h
 	}
-	if cfg.ActiveActive {
-		// One claim shard per back-end unless told otherwise, resolved
-		// once so vault, managers and fences agree on the table size.
-		if cfg.Claim.Shards <= 0 {
+	if cfg.Replicas > 1 {
+		// HA is a one-shard table; active-active takes one shard per
+		// back-end unless told otherwise. Resolved once so vault,
+		// managers and fences agree on the table size.
+		switch {
+		case !cfg.ActiveActive:
+			cfg.Claim.Shards = 1
+		case cfg.Claim.Shards <= 0:
 			cfg.Claim.Shards = cfg.Backends
 		}
 		cfg.Claim = cfg.Claim.WithDefaults(cfg.Poll)
@@ -365,18 +362,14 @@ func (c *Cluster) wireDispatcher(node *simos.Node, nic *simnet.NIC, pol loadbala
 }
 
 // buildHA replicates the front-end: standby replica nodes, the
-// witness with its lease vault, and a lease manager per replica
+// witness with its claim vault, and a claim manager per replica
 // fencing every dispatcher. Replica 0 wraps the objects New already
 // built on node 0.
 func (c *Cluster) buildHA() {
 	wid := c.Cfg.Backends + c.Cfg.Replicas
 	c.Witness = simos.NewNode(c.Eng, wid, c.Cfg.Node)
 	c.WitnessNIC = c.Fab.Attach(c.Witness)
-	if c.Cfg.ActiveActive {
-		c.ClaimVault = core.NewClaimVault(c.WitnessNIC, c.Cfg.Claim.Shards)
-	} else {
-		c.Vault = core.NewLeaseVault(c.WitnessNIC)
-	}
+	c.ClaimVault = core.NewClaimVault(c.WitnessNIC, c.Cfg.Claim.Shards)
 
 	r0 := &Replica{Index: 0, Node: c.Front, NIC: c.FNIC,
 		Monitor: c.Monitor, Policy: c.Policy, Dispatcher: c.Dispatcher}
@@ -388,17 +381,7 @@ func (c *Cluster) buildHA() {
 		c.FrontEnds = append(c.FrontEnds, r)
 	}
 	for _, r := range c.FrontEnds {
-		c.armArbitration(r)
-	}
-}
-
-// armArbitration fences a replica's dispatcher by whichever protocol
-// the cluster runs: one lease, or the active-active claim table.
-func (c *Cluster) armArbitration(r *Replica) {
-	if c.Cfg.ActiveActive {
 		c.armClaims(r)
-	} else {
-		c.armLease(r)
 	}
 }
 
@@ -429,66 +412,55 @@ func (c *Cluster) startReplica(r *Replica) {
 	}
 }
 
-// armLease starts a replica's lease manager and fences its dispatcher
-// on lease validity.
-func (c *Cluster) armLease(r *Replica) {
-	r.LeaseMgr = core.StartLeaseManager(r.Node, r.NIC, c.Witness.ID,
-		c.Vault.WordMR.Key(), c.Vault.RecMR.Key(),
-		uint16(r.Index+1), c.Cfg.Lease.WithDefaults(c.Cfg.Poll))
-	if r.Dispatcher != nil {
-		lm := r.LeaseMgr
-		eng := c.Eng
-		r.Dispatcher.Fence = func() bool { return lm.Lease.Valid(eng.Now()) }
-	}
-	if r.Monitor != nil {
-		// The adaptive poll controller only decays on the lease holder:
-		// a standby keeps the fast sweep so its load view is warm the
-		// instant it seizes primaryship.
-		lm := r.LeaseMgr
-		eng := c.Eng
-		r.Monitor.LeaseValid = func() bool { return lm.Lease.Valid(eng.Now()) }
-	}
-}
-
 // ShardOf maps a back-end node ID onto its claim shard.
 func (c *Cluster) ShardOf(backend int) int {
 	return (backend - 1) % c.Cfg.Claim.Shards
 }
 
-// armClaims starts a replica's claim manager and fences its policy
-// and dispatcher on per-shard claim validity: the policy's Claimed
-// filter steers picks onto held shards, the dispatcher's BackendFence
-// is the hard guarantee no request leaves for an unclaimed one.
+// armClaims starts a replica's claim manager and fences its dispatcher
+// on claim validity. Under HA every replica is home to the one shard
+// and the whole dispatcher is fenced before the pick. Active-active
+// fences per back-end: the policy's Claimed filter steers picks onto
+// held shards, the dispatcher's BackendFence is the hard guarantee no
+// request leaves for an unclaimed one.
 func (c *Cluster) armClaims(r *Replica) {
+	owners := 0 // HA: every replica is home
+	if c.Cfg.ActiveActive {
+		owners = c.Cfg.Replicas
+	}
 	r.ClaimMgr = core.StartClaimManager(r.Node, r.NIC, c.Witness.ID,
 		c.ClaimVault.WordKeys(), c.ClaimVault.RecKeys(),
-		uint16(r.Index+1), c.Cfg.Replicas, c.Cfg.Claim)
+		uint16(r.Index+1), owners, c.Cfg.Claim)
 	mgr := r.ClaimMgr
 	eng := c.Eng
-	claimed := func(b int) bool { return mgr.Valid(c.ShardOf(b), eng.Now()) }
-	if r.Dispatcher != nil {
-		r.Dispatcher.BackendFence = claimed
-	}
-	switch p := r.Policy.(type) {
-	case *loadbalance.WeightedLeastLoad:
-		p.Claimed = claimed
-	case *loadbalance.WeightedProportional:
-		p.Claimed = claimed
+	if c.Cfg.ActiveActive {
+		claimed := func(b int) bool { return mgr.Valid(c.ShardOf(b), eng.Now()) }
+		if r.Dispatcher != nil {
+			r.Dispatcher.BackendFence = claimed
+		}
+		switch p := r.Policy.(type) {
+		case *loadbalance.WeightedLeastLoad:
+			p.Claimed = claimed
+		case *loadbalance.WeightedProportional:
+			p.Claimed = claimed
+		}
+	} else if r.Dispatcher != nil {
+		r.Dispatcher.Fence = func() bool { return mgr.Valid(0, eng.Now()) }
 	}
 	if r.Monitor != nil {
-		// The adaptive poll controller keeps the fast sweep on any
-		// replica holding claims — it is dispatching and needs a warm
-		// load view; a replica holding nothing may decay like a standby.
+		// The adaptive poll controller only decays on a replica holding
+		// claims: one holding nothing (a standby) keeps the fast sweep
+		// so its load view is warm the instant it seizes a claim.
 		r.Monitor.LeaseValid = func() bool { return mgr.HeldValid(eng.Now()) > 0 }
 	}
 }
 
 // restartReplica reboots a crashed front-end replica: fresh monitor
 // (it re-warms its load view probe by probe), fresh fenced dispatcher,
-// fresh lease/claim manager starting with nothing held.
+// fresh claim manager starting with nothing held.
 func (c *Cluster) restartReplica(r *Replica) {
 	c.startReplica(r)
-	c.armArbitration(r)
+	c.armClaims(r)
 	r.down = false
 	if r.Index == 0 {
 		c.Monitor, c.Policy, c.Dispatcher = r.Monitor, r.Policy, r.Dispatcher
@@ -535,12 +507,16 @@ func (c *Cluster) FrontEndIDs() []int {
 	return ids
 }
 
-// Primary returns the replica currently holding a valid lease, or nil
-// (single-front clusters always return nil; check Dispatcher instead).
+// Primary returns the HA replica validly holding the one-shard claim,
+// or nil (single-front and active-active clusters always return nil;
+// check Dispatcher or ClaimMgr instead).
 func (c *Cluster) Primary() *Replica {
+	if c.Cfg.ActiveActive {
+		return nil
+	}
 	now := c.Eng.Now()
 	for _, r := range c.FrontEnds {
-		if r.LeaseMgr != nil && r.LeaseMgr.Lease.Valid(now) {
+		if r.ClaimMgr.Valid(0, now) {
 			return r
 		}
 	}
@@ -799,9 +775,9 @@ func (c *Cluster) ApplyFaults(plan faults.Plan) *faults.Injector {
 	}
 	in.OnCrash = func(node int) {
 		if r := c.replicaByNode(node); r != nil {
-			// Node.Crash killed the monitor, dispatcher and lease tasks;
-			// the lease word still names the dead holder, so a standby
-			// seizes a new epoch after TakeoverAfter of silence.
+			// Node.Crash killed the monitor, dispatcher and claim tasks;
+			// the claim words still name the dead holder, so another
+			// replica seizes a new epoch after ExpireAfter of silence.
 			r.down = true
 			return
 		}

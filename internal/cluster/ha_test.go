@@ -38,7 +38,7 @@ func TestHAWiring(t *testing.T) {
 		t.Fatalf("witness node = %d, want 7", c.Witness.ID)
 	}
 	for _, r := range c.FrontEnds {
-		if r.Monitor == nil || r.Dispatcher == nil || r.LeaseMgr == nil {
+		if r.Monitor == nil || r.Dispatcher == nil || r.ClaimMgr == nil {
 			t.Fatalf("replica %d incompletely wired", r.Index)
 		}
 		if r.Dispatcher.Fence == nil {
@@ -50,14 +50,17 @@ func TestHAWiring(t *testing.T) {
 func TestHAExactlyOnePrimaryAndWarmStandbys(t *testing.T) {
 	c := New(haConfig(3))
 	c.Run(2 * sim.Second)
+	if n := c.ClaimVault.Shards(); n != 1 {
+		t.Fatalf("HA claim table has %d shards, want 1", n)
+	}
 	valid := 0
 	for _, r := range c.FrontEnds {
-		if r.LeaseMgr.Lease.Valid(c.Eng.Now()) {
+		if r.ClaimMgr.Valid(0, c.Eng.Now()) {
 			valid++
 		}
 	}
 	if valid != 1 {
-		t.Fatalf("%d valid lease holders, want exactly 1", valid)
+		t.Fatalf("%d valid claim holders, want exactly 1", valid)
 	}
 	if c.Primary() == nil {
 		t.Fatal("Primary() found nobody")
@@ -114,7 +117,7 @@ func TestHAPrimaryCrashFailsOverAndRestartRejoins(t *testing.T) {
 	if prim == nil {
 		t.Fatal("no primary")
 	}
-	epoch0 := prim.LeaseMgr.Lease.Epoch()
+	epoch0 := prim.ClaimMgr.Claims[0].Epoch()
 
 	crashAt := c.Eng.Now()
 	plan := faults.Plan{Crashes: []faults.Crash{{
@@ -122,8 +125,8 @@ func TestHAPrimaryCrashFailsOverAndRestartRejoins(t *testing.T) {
 	}}}
 	c.ApplyFaults(plan)
 
-	lease := c.Cfg.Lease.WithDefaults(c.Cfg.Poll)
-	c.Run(10*sim.Millisecond + lease.TakeoverAfter + 4*lease.CheckEvery)
+	claim := c.Cfg.Claim // resolved by New
+	c.Run(10*sim.Millisecond + claim.ExpireAfter + 4*claim.CheckEvery)
 	next := c.Primary()
 	if next == nil {
 		t.Fatal("no takeover after the primary crash")
@@ -131,8 +134,8 @@ func TestHAPrimaryCrashFailsOverAndRestartRejoins(t *testing.T) {
 	if next == prim {
 		t.Fatal("crashed replica still primary")
 	}
-	if next.LeaseMgr.Lease.Epoch() <= epoch0 {
-		t.Fatalf("epoch did not advance: %d -> %d", epoch0, next.LeaseMgr.Lease.Epoch())
+	if next.ClaimMgr.Claims[0].Epoch() <= epoch0 {
+		t.Fatalf("epoch did not advance: %d -> %d", epoch0, next.ClaimMgr.Claims[0].Epoch())
 	}
 
 	// After restart the old primary rejoins as a follower with fresh
@@ -142,8 +145,8 @@ func TestHAPrimaryCrashFailsOverAndRestartRejoins(t *testing.T) {
 		t.Fatal("replica not marked restarted")
 	}
 	rejoined := c.replicaByNode(prim.Node.ID)
-	if rejoined.LeaseMgr.Lease.Role() != core.RoleFollower {
-		t.Fatalf("restarted replica should follow, is %v", rejoined.LeaseMgr.Lease.Role())
+	if rejoined.ClaimMgr.Claims[0].Held() {
+		t.Fatalf("restarted replica should follow, is %v", rejoined.ClaimMgr.Claims[0])
 	}
 	if got := c.Primary(); got == nil || got.Node.ID != next.Node.ID {
 		t.Fatal("restart disturbed the standing primary")
@@ -193,10 +196,11 @@ func TestHAClientsFollowThePrimary(t *testing.T) {
 		if r == prim || r.Dispatcher == nil {
 			continue
 		}
-		if r.LeaseMgr.Lease.Role() == core.RoleFollower && r.Dispatcher.Routed > 0 && !r.LeaseMgr.Lease.Valid(c.Eng.Now()) {
-			// Routed counts requests routed while it held the lease —
+		cl := r.ClaimMgr.Claims[0]
+		if !cl.Held() && r.Dispatcher.Routed > 0 && !cl.Valid(c.Eng.Now()) {
+			// Routed counts requests routed while it held the claim —
 			// acceptable only if it was primary at some point.
-			if r.LeaseMgr.Lease.Takeovers == 0 {
+			if cl.Takeovers == 0 {
 				t.Fatalf("follower replica %d routed %d requests", r.Index, r.Dispatcher.Routed)
 			}
 		}

@@ -10,41 +10,51 @@ import (
 	"rdmamon/internal/wire"
 )
 
-// Claimed dispatch shards for active-active front-ends.
+// One-sided dispatch arbitration for replicated front-ends.
 //
-// The lease (lease.go) arbitrates ONE dispatcher; claims generalize it
-// so every live front-end dispatches concurrently. The back-end space
-// is folded onto a small table of shards (backend % Shards), each with
-// its own 64-bit claim word hosted on the witness — wire.PackClaimWord,
-// deliberately the lease-word layout — and a front-end may dispatch to
-// a back-end only while it validly holds that back-end's shard claim.
-// All arbitration is one-sided CAS on the shard word; the witness CPU
-// never participates:
+// The back-end space is folded onto a small table of shards (backend %
+// Shards), each with its own 64-bit claim word — owner|epoch|stamp,
+// wire.PackClaimWord — hosted in a registered region on a witness, and
+// a front-end may dispatch to a back-end only while it validly holds
+// that back-end's shard claim. HA (one primary, warm standbys) is the
+// one-shard table in which every front-end is home; active-active is
+// Shards > 1 with a home partition. All arbitration is one-sided CAS
+// on the word; the witness CPU never participates:
 //
 //   - renew:   CAS(my word -> my word, stamp+1) extends my validity by
-//     TTL from the instant the CAS was POSTED (the freeze-safe rule the
-//     lease established); a failed renew means the epoch moved under me
-//     and I am fenced off the shard.
-//   - claim:   CAS(observed word -> me, epoch+1, 0). Each shard has a
-//     home front-end (shard % owners) that bids the moment it sees the
-//     word vacant; foreigners wait VacantGrace first, so the steady
-//     state converges to the home partition without racing every
-//     vacancy N-ways.
+//     TTL from the instant the CAS was POSTED; a failed renew means the
+//     epoch moved under me and I am fenced off the shard.
+//   - claim:   CAS(observed word -> me, epoch+1, 0). The CAS is the
+//     election: exactly one bidder's compare matches. A shard's home
+//     front-end (shard % owners; everyone when owners is 0) bids the
+//     moment it sees the word vacant; foreigners wait VacantGrace
+//     first, so the steady state converges to the home partition
+//     without racing every vacancy N-ways.
 //   - reclaim: a word unchanged for ExpireAfter is an orphan — its
-//     holder crashed or froze holding the claim — and any front-end may
-//     seize it at epoch+1. ExpireAfter > TTL guarantees the orphan's
-//     validity lapsed before the new epoch begins, so a frozen holder
-//     that thaws cannot double-dispatch: its next renew loses and
-//     fences it.
+//     holder crashed or froze holding the claim — and it is seized at
+//     epoch+1 (by a foreigner only after a further VacantGrace).
 //   - release: CAS(my word -> vacant, same epoch and stamp). Owner
 //     zero means unclaimed; the epoch is preserved so the next winner
 //     still takes a strictly larger epoch. A foreigner that adopted an
 //     orphan hands it back this way after HandbackAfter, letting a
 //     restarted home reclaim its partition.
 //
-// Releases keep claim handoff graceful; crashes make it merely bounded
-// (ExpireAfter + a bid round). Either way exactly one front-end holds
-// a shard at any instant — the word's CAS history is linear.
+// No clocks are compared across nodes. A holder trusts its claim for
+// TTL after the instant it posted each successful CAS; a bidder waits
+// ExpireAfter after the last locally observed change. The post always
+// precedes the apply at the witness and the observation follows it, so
+// ExpireAfter >= TTL + 2*CheckEvery (the margin covers an observation
+// lagging the post by a check period plus a CAS flight) guarantees the
+// old holder's validity lapsed before a new epoch begins: a frozen
+// holder that thaws cannot double-dispatch, its next renew loses and
+// fences it. Stamping from the post, not from the completion, matters:
+// a host frozen between posting a renewal and seeing it complete thaws
+// to a stale success, and counting TTL from the thaw would revive a
+// claim the others already timed out.
+//
+// Releases keep handoff graceful; crashes make it merely bounded
+// (ExpireAfter + a bid round). Either way at most one front-end validly
+// holds a shard at any instant — the word's CAS history is linear.
 
 // ClaimConfig tunes the claim protocol. Durations are virtual time;
 // the zero value takes defaults derived from the poll interval.
@@ -101,8 +111,8 @@ func (c ClaimConfig) WithDefaults(poll sim.Time) ClaimConfig {
 }
 
 // Claim is the per-shard claim state machine for one front-end. Like
-// Lease it is clock-free and outcome-driven: the manager performs the
-// verbs and feeds back what happened, passing now explicitly.
+// Failover it is clock-free and outcome-driven: the manager performs
+// the verbs and feeds back what happened, passing now explicitly.
 type Claim struct {
 	Cfg   ClaimConfig
 	Me    uint16 // 1-based front-end ID (0 is "vacant")
@@ -138,9 +148,12 @@ type Claim struct {
 }
 
 // NewClaim builds the machine for shard on front-end me (1-based) in a
-// ring of owners front-ends. The home mapping is shard % owners.
+// ring of owners front-ends. The home mapping is shard % owners; owners
+// == 0 means no home preference — every front-end bids as home, which
+// on a one-shard table is HA: a vacant word is bid on at once, an
+// orphan after ExpireAfter, and nothing is ever handed back.
 func NewClaim(me, shard uint16, owners int, cfg ClaimConfig) *Claim {
-	home := owners > 0 && int(shard)%owners == int(me)-1
+	home := owners <= 0 || int(shard)%owners == int(me)-1
 	return &Claim{Cfg: cfg.WithDefaults(0), Me: me, Shard: shard, Home: home}
 }
 
@@ -382,10 +395,10 @@ const (
 )
 
 // ClaimManager drives one front-end's claim machines over the fabric:
-// a task that, every CheckEvery, reads the whole shard table in one
-// doorbell, then posts every due renewal, claim bid and handback
-// release as a single CAS batch — two doorbells per round regardless
-// of shard count.
+// a task that, every CheckEvery, reads every shard word it does not
+// hold in one doorbell, then posts every due renewal, claim bid and
+// handback release as a single CAS batch — at most two doorbells per
+// round regardless of shard count, one when it holds every shard.
 type ClaimManager struct {
 	Claims []*Claim // indexed by shard
 
@@ -404,7 +417,8 @@ type ClaimManager struct {
 	Rounds uint64
 
 	// reusable per-round scratch
-	readReqs []simnet.ReadReq
+	readReqs []simnet.ReadReq // one per shard
+	unheld   []simnet.ReadReq // this round's reads: shards not held
 	readBufs []byte
 	casReqs  []simnet.CASReq
 	casShard []uint16
@@ -417,7 +431,7 @@ type ClaimManager struct {
 // StartClaimManager spawns the claim task for front-end me (1-based)
 // on node. The shard words and records live on the witness under
 // wordKeys/recKeys (indexed by shard); owners is the front-end ring
-// size for the home mapping.
+// size for the home mapping (0: every front-end is home, see NewClaim).
 func StartClaimManager(node *simos.Node, nic *simnet.NIC, witness int, wordKeys, recKeys []uint32, me uint16, owners int, cfg ClaimConfig) *ClaimManager {
 	cfg = cfg.WithDefaults(0)
 	if len(wordKeys) < cfg.Shards {
@@ -457,86 +471,101 @@ func StartClaimManager(node *simos.Node, nic *simnet.NIC, witness int, wordKeys,
 	return m
 }
 
-// round performs one observe/bid cycle: batch-read every shard word a
-// non-holder needs, decide per-shard actions, post them as one CAS
-// batch, then publish records for newly won shards.
+// round performs one observe/bid cycle: batch-read the shard words
+// this front-end does not hold (a holder's operands come from its own
+// state), decide per-shard actions, post them as one CAS batch, then
+// publish records for newly won shards. With nothing to read it
+// decides at once: an empty batch would still cost the task an event.
 func (m *ClaimManager) round(tk *simos.Task, next func()) {
 	m.Rounds++
-	m.nic.RDMAReadBatch(tk, m.readReqs, func(reads []simnet.ReadResult) {
-		now := m.node.Eng.Now()
-		m.casReqs = m.casReqs[:0]
-		m.casShard = m.casShard[:0]
-		m.casOps = m.casOps[:0]
-		for s, c := range m.Claims {
-			var cmp, swp uint64
-			var op claimOp
-			switch {
-			case c.Held() && c.HandbackDue(now):
-				cmp, swp = c.ReleaseBid()
-				op = opClaimRelease
-			case c.Held():
-				cmp, swp = c.RenewBid()
-				op = opClaimRenew
-			default:
-				if reads[s].Err != nil {
-					m.ReadErrors++
-					continue
-				}
-				word := binary.LittleEndian.Uint64(reads[s].Data)
-				if !c.Observe(word, now) {
-					continue
-				}
-				cmp, swp = c.ClaimBid()
-				op = opClaimBid
-			}
-			m.casReqs = append(m.casReqs, simnet.CASReq{Target: m.witness, Key: m.wordKeys[s], Compare: cmp, Swap: swp})
-			m.casShard = append(m.casShard, uint16(s))
-			m.casOps = append(m.casOps, op)
+	m.unheld = m.unheld[:0]
+	for s, c := range m.Claims {
+		if !c.Held() {
+			m.unheld = append(m.unheld, m.readReqs[s])
 		}
-		if len(m.casReqs) == 0 {
-			next()
-			return
+	}
+	if len(m.unheld) == 0 {
+		m.decide(tk, nil, next)
+		return
+	}
+	m.nic.RDMAReadBatch(tk, m.unheld, func(reads []simnet.ReadResult) { m.decide(tk, reads, next) })
+}
+
+// decide turns one round's reads (positional over the unheld shards, in
+// shard order — only this task changes holdership, so the set is the
+// one round posted) into a CAS batch.
+func (m *ClaimManager) decide(tk *simos.Task, reads []simnet.ReadResult, next func()) {
+	now := m.node.Eng.Now()
+	m.casReqs = m.casReqs[:0]
+	m.casShard = m.casShard[:0]
+	m.casOps = m.casOps[:0]
+	for s, c := range m.Claims {
+		var cmp, swp uint64
+		var op claimOp
+		switch {
+		case c.Held() && c.HandbackDue(now):
+			cmp, swp = c.ReleaseBid()
+			op = opClaimRelease
+		case c.Held():
+			cmp, swp = c.RenewBid()
+			op = opClaimRenew
+		default:
+			rd := reads[0]
+			reads = reads[1:]
+			if rd.Err != nil {
+				m.ReadErrors++
+				continue
+			}
+			if !c.Observe(binary.LittleEndian.Uint64(rd.Data), now) {
+				continue
+			}
+			cmp, swp = c.ClaimBid()
+			op = opClaimBid
 		}
-		// Validity is stamped from the instant the batch is POSTED (one
-		// doorbell, one instant for every WR in it), not from when the
-		// completions are observed — the freeze-safe rule inherited from
-		// the lease: a front-end frozen between post and completion must
-		// not thaw into an extended validity the other front-ends have
-		// already timed out.
-		posted := m.node.Eng.Now()
-		m.nic.RDMACompareSwapBatch(tk, m.casReqs, func(results []simnet.CASResult) {
-			var won []uint16
-			for i, res := range results {
-				c := m.Claims[m.casShard[i]]
-				if res.Err != nil {
-					m.CASErrors++
-					continue
+		m.casReqs = append(m.casReqs, simnet.CASReq{Target: m.witness, Key: m.wordKeys[s], Compare: cmp, Swap: swp})
+		m.casShard = append(m.casShard, uint16(s))
+		m.casOps = append(m.casOps, op)
+	}
+	if len(m.casReqs) == 0 {
+		next()
+		return
+	}
+	// Validity is stamped from the instant the batch is POSTED (one
+	// doorbell, one instant for every WR in it), not from when the
+	// completions are observed — see the safety argument above.
+	posted := m.node.Eng.Now()
+	m.nic.RDMACompareSwapBatch(tk, m.casReqs, func(results []simnet.CASResult) {
+		var won []uint16
+		for i, res := range results {
+			c := m.Claims[m.casShard[i]]
+			if res.Err != nil {
+				m.CASErrors++
+				continue
+			}
+			ok := res.Prev == m.casReqs[i].Compare
+			switch m.casOps[i] {
+			case opClaimRenew:
+				if ok {
+					c.RenewWon(posted)
+				} else {
+					c.RenewLost(res.Prev, posted)
 				}
-				ok := res.Prev == m.casReqs[i].Compare
-				switch m.casOps[i] {
-				case opClaimRenew:
-					if ok {
-						c.RenewWon(posted)
-					} else {
-						c.RenewLost(res.Prev, posted)
-					}
-				case opClaimBid:
-					if ok {
-						c.ClaimWon(posted)
-						won = append(won, m.casShard[i])
-					} else {
-						c.ClaimLost(res.Prev, posted)
-					}
-				case opClaimRelease:
-					if ok {
-						c.ReleaseWon(posted)
-					} else {
-						c.ReleaseLost(res.Prev, posted)
-					}
+			case opClaimBid:
+				if ok {
+					c.ClaimWon(posted)
+					won = append(won, m.casShard[i])
+				} else {
+					c.ClaimLost(res.Prev, posted)
+				}
+			case opClaimRelease:
+				if ok {
+					c.ReleaseWon(posted)
+				} else {
+					c.ReleaseLost(res.Prev, posted)
 				}
 			}
-			m.publishRecords(tk, won, posted, next)
-		})
+		}
+		m.publishRecords(tk, won, posted, next)
 	})
 }
 

@@ -46,7 +46,7 @@ type AAPoint struct {
 	Served       uint64  // chaos-run requests completed end to end
 
 	ThroughputAA float64 // fault-free req/s, N active-active front-ends
-	ThroughputSP float64 // fault-free req/s, same fleet behind one leased primary
+	ThroughputSP float64 // fault-free req/s, same fleet behind one HA primary
 	FairMin      float64 // smallest per-front-end share of AA routed requests
 
 	Violations []string
@@ -76,7 +76,7 @@ type AAData struct {
 //	    within ExpireAfter + VacantGrace plus a bounded number of
 //	    check cycles;
 //	A3  the N-front-end active-active fleet sustains at least twice
-//	    the throughput of the same fleet behind one leased primary
+//	    the throughput of the same fleet behind one HA primary
 //	    when the front-end decision cost is the bottleneck;
 //	A4  fairness: with claims converged to the home partition, every
 //	    front-end routes at least 1/(2N) of the active-active run's
@@ -163,7 +163,7 @@ func aaPoint(o Options, seed int64) AAPoint {
 	pt := ck.point(seed, pool)
 
 	// Fault-free throughput pair: the same fleet dispatch-bound, first
-	// active-active, then behind a single leased primary.
+	// active-active, then behind a single HA primary.
 	aaTput, fair, aaFP := aaPerfRun(o, seed, fes, true)
 	spTput, _, spFP := aaPerfRun(o, seed, fes, false)
 	pt.ThroughputAA, pt.ThroughputSP, pt.FairMin = aaTput, spTput, fair
@@ -184,7 +184,7 @@ func aaPoint(o Options, seed int64) AAPoint {
 
 // aaPerfRun measures steady-state throughput of one fleet arrangement:
 // N front-ends dispatching concurrently under claims (active) or the
-// same topology behind one lease-fenced primary. Claims/lease settle
+// same topology behind one HA primary (a one-shard claim). Claims settle
 // during a client-free warm-up so the measurement starts converged.
 // Returns req/s, the smallest per-front-end routed share (active
 // only), and a determinism digest.

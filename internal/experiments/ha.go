@@ -17,11 +17,11 @@ func init() {
 		func(o Options) *Result { return HA(o).Result() })
 }
 
-// haTakeoverSlack is the allowance, in lease check cycles, added on top
-// of TakeoverAfter for the H3 bound: the deposed holder's last renewal
+// haTakeoverSlack is the allowance, in claim check cycles, added on top
+// of ExpireAfter for the H3 bound: the deposed holder's last renewal
 // can land up to one cycle before the fault, the follower observes it
 // up to one cycle later, the winning CAS takes a network round trip,
-// and heavy dispatch traffic on the standby's node can delay its lease
+// and heavy dispatch traffic on the standby's node can delay its claim
 // task by a few more cycles. EXPERIMENTS.md derives the number.
 const haTakeoverSlack = 8
 
@@ -31,9 +31,9 @@ type HAPoint struct {
 	Seed                   int64
 	FECrash, FEFrz, FEPart int // plan shape (front-end faults)
 
-	Epochs        int     // lease epochs acquired across the fleet
+	Epochs        int     // claim epochs acquired across the fleet
 	TakeoverMaxMS float64 // slowest measured primary-fault -> new-epoch handoff
-	Fenced        uint64  // requests refused by the lease fence
+	Fenced        uint64  // requests refused by the claim fence
 	NotPrimary    uint64  // fenced replies observed at the clients
 	Retargets     uint64  // client rotations to another replica
 	Served        uint64  // requests completed end to end
@@ -52,20 +52,21 @@ type HAData struct {
 
 // HA runs the front-end high-availability harness: for each seed it
 // builds a 3-replica RDMA-Sync cluster (every replica shadow-probing
-// all back-ends, one lease-fenced primary dispatching), applies a
-// randomized fault plan extended with front-end crashes, freezes and
-// witness partitions, drives RUBiS load, and checks:
+// all back-ends, one primary fenced by the one-shard claim
+// dispatching), applies a randomized fault plan extended with front-end
+// crashes, freezes and witness partitions, drives RUBiS load, and
+// checks:
 //
-//	H1  at most one replica holds a valid lease epoch at any instant
+//	H1  at most one replica holds a valid claim epoch at any instant
 //	    (validity intervals from acquire/renew/depose events must not
 //	    overlap across replicas — no split brain);
-//	H2  no request is ever routed by a replica whose lease is invalid
+//	H2  no request is ever routed by a replica whose claim is invalid
 //	    at that instant (the epoch fence holds even for a deposed or
 //	    frozen-then-thawed primary);
 //	H3  a fault hitting the current primary yields a new epoch within
-//	    TakeoverAfter plus a bounded number of check cycles (warm
+//	    ExpireAfter plus a bounded number of check cycles (warm
 //	    standbys make takeover fast);
-//	H4  lease epochs are globally monotone (each acquisition uses a
+//	H4  claim epochs are globally monotone (each acquisition uses a
 //	    strictly larger epoch than every earlier one);
 //	H5  a fixed seed replays bit-identically (checked for the first
 //	    seed by running it twice);
@@ -153,7 +154,7 @@ type haFault struct {
 type haChecker struct {
 	c     *cluster.Cluster
 	plan  faults.Plan
-	lease core.LeaseConfig
+	claim core.ClaimConfig
 
 	intervals []*haEpoch       // all validity intervals, in acquire order
 	open      map[int]*haEpoch // replica index -> currently open interval
@@ -175,7 +176,7 @@ func newHAChecker(c *cluster.Cluster, plan faults.Plan) *haChecker {
 	return &haChecker{
 		c:     c,
 		plan:  plan,
-		lease: c.Cfg.Lease.WithDefaults(c.Cfg.Poll),
+		claim: c.Cfg.Claim, // cluster.New resolved the defaults
 		open:  make(map[int]*haEpoch),
 		disp:  make(map[int]*httpsim.Dispatcher),
 	}
@@ -192,7 +193,7 @@ func (ck *haChecker) install() {
 	for _, r := range ck.c.FrontEnds {
 		ck.hook(r)
 	}
-	// A restarted replica comes back with fresh dispatcher and lease
+	// A restarted replica comes back with fresh dispatcher and claim
 	// objects; retire the dead dispatcher's counters and re-hook.
 	ck.c.OnReplicaRestart = func(r *cluster.Replica) {
 		if old := ck.disp[r.Index]; old != nil {
@@ -235,14 +236,14 @@ func (ck *haChecker) install() {
 	}
 }
 
-// hook installs the lease observers and the H2 route audit on one
+// hook installs the claim observers and the H2 route audit on one
 // replica's (possibly fresh) objects.
 func (ck *haChecker) hook(r *cluster.Replica) {
 	idx, node := r.Index, r.Node.ID
-	l := r.LeaseMgr.Lease
+	l := r.ClaimMgr.Claims[0]
 	ck.disp[idx] = r.Dispatcher
 
-	l.OnAcquire = func(epoch uint16, now, validUntil sim.Time) {
+	l.OnAcquire = func(_, epoch uint16, now, validUntil sim.Time) {
 		if epoch <= ck.lastEpoch {
 			ck.violate("H4 epoch: replica %d acquired epoch %d after epoch %d was taken",
 				idx, epoch, ck.lastEpoch)
@@ -253,12 +254,12 @@ func (ck *haChecker) hook(r *cluster.Replica) {
 		ck.open[idx] = e
 		ck.intervals = append(ck.intervals, e)
 	}
-	l.OnRenew = func(epoch uint16, now, validUntil sim.Time) {
+	l.OnRenew = func(_, epoch uint16, now, validUntil sim.Time) {
 		if e := ck.open[idx]; e != nil && validUntil > e.end {
 			e.end = validUntil
 		}
 	}
-	l.OnDepose = func(epoch uint16, now sim.Time) {
+	l.OnDepose = func(_, epoch uint16, now sim.Time) {
 		if e := ck.open[idx]; e != nil {
 			if e.end > now {
 				e.end = now
@@ -267,12 +268,12 @@ func (ck *haChecker) hook(r *cluster.Replica) {
 		}
 	}
 
-	// H2: every routing decision must happen under a valid lease. The
+	// H2: every routing decision must happen under a valid claim. The
 	// fence itself is what should make this true; auditing at OnRoute
 	// (after the fence, before the forward) catches any leak.
 	r.Dispatcher.OnRoute = func(int) {
 		if !l.Valid(ck.c.Eng.Now()) {
-			ck.violate("H2 fence: replica %d routed a request without a valid lease at %v",
+			ck.violate("H2 fence: replica %d routed a request without a valid claim at %v",
 				idx, ck.c.Eng.Now())
 		}
 	}
@@ -297,11 +298,11 @@ func (ck *haChecker) checkOverlaps() {
 }
 
 // checkTakeovers runs H3 after the run: every front-end fault that hit
-// the then-primary must be followed by a new epoch within TakeoverAfter
+// the then-primary must be followed by a new epoch within ExpireAfter
 // plus haTakeoverSlack check cycles. Faults whose window is truncated
 // by the horizon are skipped.
 func (ck *haChecker) checkTakeovers(horizon sim.Time) {
-	bound := ck.lease.TakeoverAfter + haTakeoverSlack*ck.lease.CheckEvery
+	bound := ck.claim.ExpireAfter + haTakeoverSlack*ck.claim.CheckEvery
 	for _, f := range ck.faults {
 		if f.primary < 0 || f.primary != f.victim {
 			continue // fault missed the primary: no handoff owed
@@ -364,11 +365,11 @@ func (ck *haChecker) point(seed int64, pool *workload.ClientPool) HAPoint {
 			routed += d.Routed
 			pt.Fenced += d.Fenced
 		}
-		l := r.LeaseMgr.Lease
+		l := r.ClaimMgr.Claims[0]
 		takeovers += l.Takeovers
 		renewals += l.Renewals
 		deposals += l.Deposals
-		casErr += r.LeaseMgr.CASErrors
+		casErr += r.ClaimMgr.CASErrors
 		cycles += r.Monitor.Cycles
 	}
 

@@ -37,14 +37,14 @@ type ChaosConfig struct {
 	// config without FrontEnds consumes exactly the RNG stream it did
 	// before HA existed, keeping historical plans bit-identical.
 	FrontEnds []int
-	// Witness is the lease witness node ID (the target of front-end
+	// Witness is the claim witness node ID (the target of front-end
 	// partition windows).
 	Witness int
 	// FECrashes, FEFreezes and FEPartitions count front-end fault
 	// windows (each defaults to 1 when FrontEnds is non-empty).
 	// Victims are distinct across all three kinds, so with three
 	// replicas at most two are ever disturbed at once and a standby
-	// remains to take the lease.
+	// remains to take the primary claim.
 	FECrashes    int
 	FEFreezes    int
 	FEPartitions int
@@ -180,7 +180,7 @@ func RandomPlan(seed int64, cfg ChaosConfig) Plan {
 
 	// Front-end faults (HA clusters): distinct victims, one fault kind
 	// per phase of the run — crash early, freeze mid-run, partition
-	// late — so each lease handoff is observable in isolation and the
+	// late — so each primary handoff is observable in isolation and the
 	// quiet tail still sees the last takeover settle.
 	if len(cfg.FrontEnds) > 0 {
 		order := rng.Perm(len(cfg.FrontEnds))
@@ -238,7 +238,7 @@ func RandomPlan(seed int64, cfg ChaosConfig) Plan {
 	// indices partition one from the witness (its CAS rounds time out
 	// and its validity lapses while it keeps serving clients). Victims
 	// repeat freely — two stalls on one replica are a legitimate
-	// scenario, unlike the distinct-victim lease faults above.
+	// scenario, unlike the distinct-victim front-end faults above.
 	if cfg.ClaimStalls > 0 && len(cfg.FrontEnds) > 0 {
 		for i := 0; i < cfg.ClaimStalls; i++ {
 			fe := cfg.FrontEnds[rng.Intn(len(cfg.FrontEnds))]

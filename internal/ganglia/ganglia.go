@@ -216,20 +216,16 @@ func (s *System) WireFineGrained(mon *core.Monitor) {
 	}
 }
 
-// StatusMetric is the coarse health/failover/lease channel riding the
-// same gmetric path as the fine-grained load records: which transport
-// each back-end is being monitored over, what the monitor currently
-// thinks of its health, and which front-end replica holds which lease
-// epoch. Operators thereby see "node 5 went Degraded on the socket
-// path" or "replica 2 took the lease at epoch 3" in the same tool
-// that shows the load curves.
+// StatusMetric is the coarse health/failover channel riding the same
+// gmetric path as the fine-grained load records: which transport each
+// back-end is being monitored over and what the monitor currently
+// thinks of its health. Operators thereby see "node 5 went Degraded on
+// the socket path" in the same tool that shows the load curves.
 type StatusMetric struct {
-	Kind      string // "backend" or "frontend"
-	Node      int    // back-end ID, or front-end replica node ID
-	Health    string // back-end health verdict ("" for front-ends)
-	Transport string // transport serving the back-end's probes ("" for front-ends)
-	Role      string // lease role ("" for back-ends)
-	Epoch     uint16 // lease epoch (0 for back-ends)
+	Kind      string // "backend"
+	Node      int    // back-end ID
+	Health    string // back-end health verdict
+	Transport string // transport serving the back-end's probes
 }
 
 // WireStatus publishes each back-end's health verdict and active
@@ -263,44 +259,6 @@ func (s *System) WireStatus(mon *core.Monitor, every sim.Time) *sim.Ticker {
 			}
 		}
 	})
-}
-
-// WireLease publishes a front-end replica's lease transitions:
-// acquisitions and deposals immediately, renewals rate-limited by
-// PublishMinInterval (a renewal fires every CheckEvery, which would
-// otherwise swamp the group just to say "still primary"). Hooks
-// already installed on the lease — the HA invariant checkers use the
-// same ones — are preserved.
-func (s *System) WireLease(node int, l *core.Lease) {
-	prevAcq, prevRen, prevDep := l.OnAcquire, l.OnRenew, l.OnDepose
-	var lastPub sim.Time = -1 << 62
-	minEvery := s.Cfg.PublishMinInterval
-	pub := func(role core.LeaseRole, epoch uint16) {
-		s.Gmetric.Publish(StatusMetric{Kind: "frontend", Node: node, Role: role.String(), Epoch: epoch})
-	}
-	l.OnAcquire = func(epoch uint16, now, validUntil sim.Time) {
-		if prevAcq != nil {
-			prevAcq(epoch, now, validUntil)
-		}
-		lastPub = now
-		pub(core.RolePrimary, epoch)
-	}
-	l.OnRenew = func(epoch uint16, now, validUntil sim.Time) {
-		if prevRen != nil {
-			prevRen(epoch, now, validUntil)
-		}
-		if now-lastPub >= minEvery {
-			lastPub = now
-			pub(core.RolePrimary, epoch)
-		}
-	}
-	l.OnDepose = func(epoch uint16, now sim.Time) {
-		if prevDep != nil {
-			prevDep(epoch, now)
-		}
-		lastPub = now
-		pub(core.RoleFollower, epoch)
-	}
 }
 
 // Stop ends every daemon.

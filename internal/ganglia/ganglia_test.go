@@ -7,7 +7,6 @@ import (
 	"rdmamon/internal/sim"
 	"rdmamon/internal/simnet"
 	"rdmamon/internal/simos"
-	"rdmamon/internal/wire"
 )
 
 type rig struct {
@@ -144,31 +143,6 @@ func TestWireStatusPublishesChangesOnly(t *testing.T) {
 	r.eng.RunUntil(2 * sim.Second)
 	if s.Gmetric.Published != 3 {
 		t.Fatalf("published = %d, want 3 after one transport change", s.Gmetric.Published)
-	}
-}
-
-func TestWireLeasePublishesTransitions(t *testing.T) {
-	r := newRig(3)
-	cfg := Defaults()
-	cfg.Interval = 10 * sim.Second
-	s := Deploy(r.fab, r.nodes, r.nics, cfg)
-	l := core.NewLease(1, core.LeaseConfig{}.WithDefaults(50*sim.Millisecond))
-	// Pre-existing hooks must survive the wiring.
-	var hooked int
-	l.OnAcquire = func(uint16, sim.Time, sim.Time) { hooked++ }
-	s.WireLease(r.nodes[0].ID, l)
-
-	l.TakeoverWon(sim.Second)                              // acquire epoch 1 -> publish
-	l.RenewWon(1020 * sim.Millisecond)                     // 20ms later: rate-limited out
-	l.RenewWon(1100 * sim.Millisecond)                     // past the min interval -> publish
-	l.RenewLost(wire.PackLeaseWord(2, 2, 0), 2*sim.Second) // deposed -> publish
-	r.eng.RunUntil(3 * sim.Second)
-
-	if hooked != 1 {
-		t.Fatalf("pre-existing OnAcquire hook ran %d times, want 1", hooked)
-	}
-	if s.Gmetric.Published != 3 {
-		t.Fatalf("published = %d, want 3 (acquire, one renewal, depose)", s.Gmetric.Published)
 	}
 }
 

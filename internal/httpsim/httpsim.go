@@ -47,7 +47,7 @@ type Reply struct {
 	// Rejected marks a request turned away by admission control.
 	Rejected bool
 	// NotPrimary marks a request refused because the dispatcher does
-	// not hold a valid lease epoch; the client should retry against
+	// not hold a valid claim epoch; the client should retry against
 	// another front-end replica.
 	NotPrimary bool
 }
@@ -155,7 +155,7 @@ type Dispatcher struct {
 	DecisionCost sim.Time
 
 	// Fence, if set, is consulted per request before anything else: a
-	// false return means this dispatcher does not hold a valid lease
+	// false return means this dispatcher does not hold a valid claim
 	// epoch and must not route — the client gets a NotPrimary reply
 	// and retries elsewhere. This is what makes a deposed or
 	// frozen-then-thawed primary harmless (no split-brain routing).
@@ -182,7 +182,7 @@ type Dispatcher struct {
 	OnRoute func(backend int)
 
 	Routed uint64
-	// Fenced counts requests refused by the lease fence.
+	// Fenced counts requests refused by the claim fence.
 	Fenced uint64
 	// ShardFenced counts requests refused by the per-backend claim
 	// fence (picked back-end's shard not validly held here).

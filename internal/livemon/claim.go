@@ -16,8 +16,8 @@ import (
 // portClaims is the control endpoint handing out the claim-table keys.
 const portClaims = "rmon-claims"
 
-// claimVault is the agent-side (witness) home of the active-active
-// claim table: per-shard word and record regions mutated exclusively
+// claimVault is the agent-side (witness) home of the front-end claim
+// table: per-shard word and record regions mutated exclusively
 // by remote one-sided operations. Each word gets its own region
 // because the transport's atomic unit is the first eight bytes of a
 // region; after registration the agent application plays no part in
@@ -144,8 +144,8 @@ type ClaimClient struct {
 
 // DialClaims connects front-end me (1-based) to the claim table hosted
 // on the witness agent at addr. owners is the front-end ring size for
-// the home-shard mapping (0 = no home preference: every shard is
-// foreign and bids wait out VacantGrace). cfg durations are
+// the home-shard mapping (0 = no home preference: every front-end bids
+// as home — against a one-shard table, that is HA). cfg durations are
 // virtual-time valued but interpreted as wall-clock nanoseconds here;
 // the zero value takes defaults derived from a 50ms poll, and the
 // shard count always follows the witness's table.
@@ -346,9 +346,9 @@ func (l *ClaimClient) stepShard(s int) {
 	}
 
 	// Validity is stamped from the instant the CAS is posted, not from
-	// when the reply lands — the freeze-safe rule shared with the lease:
-	// a front-end stalled between post and completion must not thaw into
-	// an extended validity the others have already timed out.
+	// when the reply lands (core.Claim's freeze-safe rule): a front-end
+	// stalled between post and completion must not thaw into an
+	// extended validity the others have already timed out.
 	posted := l.now()
 	prev, err := l.conn.CompareSwapFenced(l.wordKeys[s], cmp, swp)
 	fenced := errors.Is(err, tcpverbs.ErrFenced)

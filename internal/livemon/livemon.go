@@ -48,19 +48,13 @@ type Config struct {
 	// contract. Clamped to wire.MaxRingSlots; socket schemes ignore it.
 	HistoryK int
 
-	// HostLease additionally makes this agent the lease witness: it
-	// registers the front-end primaryship lease word and record as
-	// writable regions (mutated only by remote one-sided CAS/write) and
-	// serves their keys on a control port. Hosting costs the agent
-	// application nothing per operation, like every other region.
-	HostLease bool
-
 	// HostClaims, when positive, additionally makes this agent the
-	// active-active claim witness: it registers HostClaims per-shard
-	// claim words and records as writable regions (mutated only by
-	// remote one-sided CAS/write) and serves their keys on a control
-	// port. Like the lease, hosting costs the agent application nothing
-	// per operation.
+	// front-end claim witness: it registers HostClaims per-shard claim
+	// words and records as writable regions (mutated only by remote
+	// one-sided CAS/write) and serves their keys on a control port. One
+	// shard is HA (one primary, warm standbys); more is active-active.
+	// Hosting costs the agent application nothing per operation, like
+	// every other region.
 	HostClaims int
 
 	// Push, when non-nil, additionally starts the hybrid scheme's delta
@@ -85,7 +79,6 @@ type Agent struct {
 	seq    uint32
 	closed bool
 
-	vault  *leaseVault // non-nil when this agent hosts the lease
 	cvault *claimVault // non-nil when this agent hosts the claim table
 
 	pusher *Pusher // non-nil when cfg.Push is set
@@ -198,9 +191,6 @@ func StartAgent(cfg Config) (*Agent, error) {
 		return nil, fmt.Errorf("livemon: unknown scheme %v", cfg.Scheme)
 	}
 
-	if cfg.HostLease {
-		a.hostLease()
-	}
 	if cfg.HostClaims > 0 {
 		a.hostClaims(cfg.HostClaims)
 	}

@@ -535,7 +535,7 @@ func (s *Scenario) FrontEndIDs() []int {
 	return ids
 }
 
-// WitnessID is the lease-witness node ID for HA scenarios.
+// WitnessID is the claim-witness node ID for HA scenarios.
 func (s *Scenario) WitnessID() int { return s.backends() + s.Replicas }
 
 // MetricNames is the fixed part of the generic report's column order;

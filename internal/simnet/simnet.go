@@ -893,7 +893,7 @@ func (n *NIC) RDMAWrite(t *simos.Task, target int, key uint32, data []byte, then
 // the first 8 bytes of the remote writable region (IB masked-atomic
 // style, little-endian). The responder NIC performs the
 // read-compare-write; the target host CPU is never involved, which is
-// what lets lease acquisition and renewal survive a frozen or wedged
+// what lets claim acquisition and renewal survive a frozen or wedged
 // host. then receives the value the region held just before the
 // operation: prev == compare means the swap was applied.
 func (n *NIC) RDMACompareSwap(t *simos.Task, target int, key uint32, compare, swap uint64, then func(prev uint64, err error)) {

@@ -976,7 +976,7 @@ func (c *Conn) RDMAWrite(rkey uint32, data []byte) error {
 }
 
 // CompareSwap atomically compares the first 8 bytes of the remote
-// writable region (read little-endian, matching wire.PackLeaseWord's
+// writable region (read little-endian, matching wire.PackClaimWord's
 // in-region layout) against compare and installs swap on match. It
 // returns the pre-operation value; prev == compare means the swap
 // applied.
@@ -984,10 +984,10 @@ func (c *Conn) RDMAWrite(rkey uint32, data []byte) error {
 // Unlike reads and writes, a CAS is not idempotent under the redial-
 // and-replay retry policy: if the first attempt applied but its reply
 // was lost, the replay compares against a value the region no longer
-// holds and reports a loss the caller actually won. Lease callers are
-// safe with that — a false loss is conservative (the bidder re-observes
-// the word, sees itself named, and proceeds from there) — but callers
-// needing exactly-once semantics must disable retries.
+// holds and reports a loss the caller actually won — for a claim
+// renewal, a self-deposal. Arbitration words go through
+// CompareSwapFenced; other callers needing exactly-once semantics must
+// disable retries.
 func (c *Conn) CompareSwap(rkey uint32, compare, swap uint64) (uint64, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -1010,8 +1010,7 @@ func (c *Conn) CompareSwap(rkey uint32, compare, swap uint64) (uint64, error) {
 }
 
 // CompareSwapFenced is CompareSwap specialized to epoch-numbered words
-// (the wire.PackLeaseWord / wire.PackClaimWord layout: epoch in bits
-// 32..47). It repairs the hazard CompareSwap documents — a CAS is not
+// (the wire.PackClaimWord layout: epoch in bits 32..47). It repairs the hazard CompareSwap documents — a CAS is not
 // idempotent under redial-and-replay — by recognizing the replay of an
 // already-applied bid: when the observed value equals swap, the first
 // attempt won and only its reply was lost, so the caller is told the

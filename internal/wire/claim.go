@@ -6,21 +6,20 @@ import (
 	"hash/crc32"
 )
 
-// Dispatch claims generalize the lease (lease.go) from one word to a
-// small table of per-shard words: every back-end shard has its own
-// CAS-able claim word in the witness, and a front-end must hold the
-// shard's claim to dispatch to the back-ends it covers. The layout is
-// deliberately identical to the lease word — owner in the top 16 bits,
-// epoch in the next 16, heartbeat stamp in the low 32 — so the same
-// one-sided CAS protocol (renew by stamp+1, take over by epoch+1,
-// post-time validity stamping) and the same epoch-fencing rules apply
-// word for word. Anything that inspects epochs positionally (e.g. the
-// live transport's fenced CAS) can treat lease and claim words alike.
+// Dispatch claims arbitrate which front-end may dispatch where: every
+// back-end shard has its own CAS-able claim word in the witness, and a
+// front-end must hold the shard's claim to dispatch to the back-ends
+// it covers (front-end HA is the one-shard table). The word packs
+// owner in the top 16 bits, epoch in the next 16 and a heartbeat stamp
+// in the low 32, and is mutated only by one-sided CAS: renew by
+// stamp+1, take over by epoch+1, release by zeroing the owner. Anything
+// that inspects epochs positionally (e.g. the live transport's fenced
+// CAS) relies on this layout.
 //
-// Like the lease, a claim also has a descriptive *record* — written
-// one-sided by each epoch's winner, CRC-protected, observability only.
-// A torn read of the record is detectable and harmless; the word alone
-// decides ownership.
+// Each claim also has a descriptive *record* — written one-sided by
+// each epoch's winner, CRC-protected, observability only. A torn read
+// of the record is detectable and harmless; the word alone decides
+// ownership.
 
 // ClaimMagic identifies a claim record ("RMCL").
 const ClaimMagic uint32 = 0x524d434c
@@ -59,9 +58,9 @@ func UnpackClaimWord(w uint64) (owner, epoch uint16, stamp uint32) {
 // still be nonzero: releases preserve it for monotonicity).
 func ClaimVacant(w uint64) bool { return uint16(w>>48) == ClaimVacantOwner }
 
-// WordEpoch extracts the epoch field shared by lease and claim words
-// (bits 32..47). Fencing logic that only needs to compare epochs uses
-// this instead of a full unpack.
+// WordEpoch extracts a claim word's epoch field (bits 32..47). Fencing
+// logic that only needs to compare epochs uses this instead of a full
+// unpack.
 func WordEpoch(w uint64) uint16 { return uint16(w >> 32) }
 
 // ClaimRecord describes one shard's current claim grant. Owner is

@@ -244,15 +244,25 @@ func FuzzHistoryRing(f *testing.F) {
 	})
 }
 
-// FuzzLeaseRecord mirrors FuzzLoadRecord for the lease codec: Decode
-// must never panic, never accept a bad checksum, and accepted records
-// must round-trip bit-for-bit.
-// FuzzClaimRecord: like FuzzLeaseRecord, for the per-shard dispatch
-// claim record. Decode must never panic, never accept a corrupt
-// record, and a decoded record must round-trip losslessly — as must
-// the packed claim word the record describes.
+// FuzzClaimRecord mirrors FuzzLoadRecord for the dispatch claim
+// record. Decode must never panic, never accept a corrupt record, and
+// a decoded record must round-trip losslessly — as must the packed
+// claim word the record describes.
 func FuzzClaimRecord(f *testing.F) {
-	valid := ClaimRecord{Shard: 3, Owner: 2, Epoch: 7, Stamp: 99, GrantNS: 5e9, TTLNS: 3e8}
+	addClaimSeeds(f, ClaimRecord{Shard: 3, Owner: 2, Epoch: 7, Stamp: 99, GrantNS: 5e9, TTLNS: 3e8})
+	f.Fuzz(checkClaimRecord)
+}
+
+// FuzzLeaseRecord is FuzzClaimRecord seeded from HA's lease: shard 0
+// of a one-shard claim table.
+func FuzzLeaseRecord(f *testing.F) {
+	addClaimSeeds(f, ClaimRecord{Shard: 0, Owner: 2, Epoch: 7, Stamp: 99, GrantNS: 5e9, TTLNS: 3e8})
+	f.Fuzz(checkClaimRecord)
+}
+
+// addClaimSeeds seeds a claim-record fuzzer with valid, short,
+// bad-magic, torn, empty and garbage inputs derived from valid.
+func addClaimSeeds(f *testing.F, valid ClaimRecord) {
 	enc := valid.Encode()
 	f.Add(enc)
 	f.Add(enc[:ClaimRecordSize-1])
@@ -264,88 +274,42 @@ func FuzzClaimRecord(f *testing.F) {
 	f.Add(torn)
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xA5}, ClaimRecordSize))
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		rec, err := DecodeClaim(data)
-		if err != nil {
-			switch err {
-			case ErrShort, ErrMagic, ErrVersion, ErrChecksum, ErrReserved:
-			default:
-				t.Fatalf("undocumented decode error: %v", err)
-			}
-			return
-		}
-		_ = rec.String()
-		re := rec.Encode()
-		if !bytes.Equal(re, data[:ClaimRecordSize]) {
-			t.Fatalf("round trip mismatch:\n in=%x\nout=%x", data[:ClaimRecordSize], re)
-		}
-		re2, err := DecodeClaim(re)
-		if err != nil {
-			t.Fatalf("re-decode failed: %v", err)
-		}
-		if re2 != rec {
-			t.Fatalf("re-decode mismatch: %+v != %+v", re2, rec)
-		}
-		// The word form must survive its own round trip with the same
-		// fields the record carries, and expose the same epoch the
-		// fencing helpers would read.
-		w := PackClaimWord(rec.Owner, rec.Epoch, rec.Stamp)
-		o, e, s := UnpackClaimWord(w)
-		if o != rec.Owner || e != rec.Epoch || s != rec.Stamp {
-			t.Fatalf("claim word round trip mismatch")
-		}
-		if WordEpoch(w) != rec.Epoch {
-			t.Fatalf("WordEpoch disagrees with UnpackClaimWord")
-		}
-		if ClaimVacant(w) != (rec.Owner == ClaimVacantOwner) {
-			t.Fatalf("ClaimVacant disagrees with owner field")
-		}
-	})
 }
 
-func FuzzLeaseRecord(f *testing.F) {
-	valid := LeaseRecord{Holder: 2, Epoch: 7, Heartbeat: 99, GrantNS: 5e9, TTLNS: 3e8}
-	enc := valid.Encode()
-	f.Add(enc)
-	f.Add(enc[:LeaseRecordSize-1])
-	bad := append([]byte(nil), enc...)
-	bad[0] ^= 0xFF
-	f.Add(bad)
-	torn := append([]byte(nil), enc...)
-	torn[LeaseRecordSize/2] ^= 0x55
-	f.Add(torn)
-	f.Add([]byte{})
-	f.Add(bytes.Repeat([]byte{0xA5}, LeaseRecordSize))
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		rec, err := DecodeLease(data)
-		if err != nil {
-			switch err {
-			case ErrShort, ErrMagic, ErrVersion, ErrChecksum, ErrReserved:
-			default:
-				t.Fatalf("undocumented decode error: %v", err)
-			}
-			return
+func checkClaimRecord(t *testing.T, data []byte) {
+	rec, err := DecodeClaim(data)
+	if err != nil {
+		switch err {
+		case ErrShort, ErrMagic, ErrVersion, ErrChecksum, ErrReserved:
+		default:
+			t.Fatalf("undocumented decode error: %v", err)
 		}
-		_ = rec.String()
-		re := rec.Encode()
-		if !bytes.Equal(re, data[:LeaseRecordSize]) {
-			t.Fatalf("round trip mismatch:\n in=%x\nout=%x", data[:LeaseRecordSize], re)
-		}
-		re2, err := DecodeLease(re)
-		if err != nil {
-			t.Fatalf("re-decode failed: %v", err)
-		}
-		if re2 != rec {
-			t.Fatalf("re-decode mismatch: %+v != %+v", re2, rec)
-		}
-		// The word form must survive its own round trip with the same
-		// fields the record carries.
-		w := PackLeaseWord(rec.Holder, rec.Epoch, rec.Heartbeat)
-		h, e, hb := UnpackLeaseWord(w)
-		if h != rec.Holder || e != rec.Epoch || hb != rec.Heartbeat {
-			t.Fatalf("lease word round trip mismatch")
-		}
-	})
+		return
+	}
+	_ = rec.String()
+	re := rec.Encode()
+	if !bytes.Equal(re, data[:ClaimRecordSize]) {
+		t.Fatalf("round trip mismatch:\n in=%x\nout=%x", data[:ClaimRecordSize], re)
+	}
+	re2, err := DecodeClaim(re)
+	if err != nil {
+		t.Fatalf("re-decode failed: %v", err)
+	}
+	if re2 != rec {
+		t.Fatalf("re-decode mismatch: %+v != %+v", re2, rec)
+	}
+	// The word form must survive its own round trip with the same
+	// fields the record carries, and expose the same epoch the
+	// fencing helpers would read.
+	w := PackClaimWord(rec.Owner, rec.Epoch, rec.Stamp)
+	o, e, s := UnpackClaimWord(w)
+	if o != rec.Owner || e != rec.Epoch || s != rec.Stamp {
+		t.Fatalf("claim word round trip mismatch")
+	}
+	if WordEpoch(w) != rec.Epoch {
+		t.Fatalf("WordEpoch disagrees with UnpackClaimWord")
+	}
+	if ClaimVacant(w) != (rec.Owner == ClaimVacantOwner) {
+		t.Fatalf("ClaimVacant disagrees with owner field")
+	}
 }

@@ -109,7 +109,7 @@ const RequestTimeout = 10 * sim.Second
 
 // notPrimaryBackoff is how long a client waits before retrying a
 // request refused by a fenced dispatcher: during a takeover window no
-// replica holds the lease, and hammering the fleet at wire rate would
+// replica holds the primary claim, and hammering the fleet at wire rate would
 // only add noise to the handoff.
 const notPrimaryBackoff = 25 * sim.Millisecond
 
@@ -247,7 +247,7 @@ func (p *ClientPool) onReply(ext int, m simos.Message) {
 		return // reply to an abandoned request
 	}
 	if rep.NotPrimary {
-		// The dispatcher's fence refused us (no lease, or no claim on
+		// The dispatcher's fence refused us (no primary claim, or no claim on
 		// the shard it picked). Shun that replica and retry the same
 		// request against the next active one after a short backoff;
 		// the original patience timer keeps the retries bounded.
