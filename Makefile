@@ -6,7 +6,7 @@
 GO      ?= go
 FUZZTIME ?= 10s
 
-.PHONY: ci vet build test race fuzz chaos-smoke ha-smoke aa-smoke hybrid-smoke churn-smoke scenario-smoke bench bench-baseline bench-check bench-wall bench-wall-compare clean
+.PHONY: ci vet build test race fuzz chaos-smoke ha-smoke aa-smoke hybrid-smoke churn-smoke scenario-smoke bench bench-baseline bench-check bench-wall bench-wall-compare loc clean
 
 ci: vet build race bench-check fuzz chaos-smoke ha-smoke aa-smoke hybrid-smoke churn-smoke scenario-smoke
 
@@ -132,6 +132,14 @@ bench-wall:
 # this tree's: make bench-wall-compare A=old.json B=new.json
 bench-wall-compare:
 	$(GO) run ./bench -compare $(A) $(B)
+
+# Non-test Go lines per package, bench/ excluded: the unit ROADMAP's
+# size targets are stated in.
+loc:
+	@$(GO) list -f '{{.Dir}} {{.ImportPath}}' ./... | grep -v ' rdmamon/bench$$' | \
+	while read dir pkg; do \
+		echo "$$(find $$dir -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l) $$pkg"; \
+	done | awk '{ printf "%6d  %s\n", $$1, $$2; t += $$1 } END { printf "%6d  total\n", t }'
 
 clean:
 	$(GO) clean -testcache

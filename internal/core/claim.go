@@ -111,8 +111,8 @@ func (c ClaimConfig) WithDefaults(poll sim.Time) ClaimConfig {
 }
 
 // Claim is the per-shard claim state machine for one front-end. Like
-// Failover it is clock-free and outcome-driven: the manager performs
-// the verbs and feeds back what happened, passing now explicitly.
+// Failover it is clock-free and outcome-driven; a ClaimTable plans its
+// CAS each round and feeds back what happened, passing now explicitly.
 type Claim struct {
 	Cfg   ClaimConfig
 	Me    uint16 // 1-based front-end ID (0 is "vacant")
@@ -147,16 +147,6 @@ type Claim struct {
 	OnRelease func(shard, epoch uint16, now sim.Time)
 }
 
-// NewClaim builds the machine for shard on front-end me (1-based) in a
-// ring of owners front-ends. The home mapping is shard % owners; owners
-// == 0 means no home preference — every front-end bids as home, which
-// on a one-shard table is HA: a vacant word is bid on at once, an
-// orphan after ExpireAfter, and nothing is ever handed back.
-func NewClaim(me, shard uint16, owners int, cfg ClaimConfig) *Claim {
-	home := owners <= 0 || int(shard)%owners == int(me)-1
-	return &Claim{Cfg: cfg.WithDefaults(0), Me: me, Shard: shard, Home: home}
-}
-
 // Held reports raw holdership (ignoring validity — use Valid to gate
 // dispatch).
 func (c *Claim) Held() bool { return c.held }
@@ -174,12 +164,12 @@ func (c *Claim) Valid(now sim.Time) bool {
 // ValidUntil returns the end of the current validity window.
 func (c *Claim) ValidUntil() sim.Time { return c.validUntil }
 
-// Observe feeds a non-holder's read of the shard word and reports
+// observe feeds a non-holder's read of the shard word and reports
 // whether a claim bid is due: a vacant word immediately for the home
 // front-end and after VacantGrace for a foreigner; an owned word once
 // it has sat unchanged for ExpireAfter (plus VacantGrace for a
 // foreigner, so a live home beats foreigners to its own orphans).
-func (c *Claim) Observe(word uint64, now sim.Time) bool {
+func (c *Claim) observe(word uint64, now sim.Time) bool {
 	if word != c.lastWord || !c.seen {
 		c.lastWord = word
 		c.lastChangeAt = now
@@ -199,112 +189,6 @@ func (c *Claim) Observe(word uint64, now sim.Time) bool {
 	return now-c.lastChangeAt >= wait
 }
 
-// ClaimBid returns the CAS operands for a claim attempt over the last
-// observed word: install me at the next epoch with a fresh stamp.
-func (c *Claim) ClaimBid() (compare, swap uint64) {
-	return c.lastWord, wire.PackClaimWord(c.Me, wire.WordEpoch(c.lastWord)+1, 0)
-}
-
-// ClaimWon records a successful claim CAS posted at now.
-func (c *Claim) ClaimWon(now sim.Time) {
-	c.held = true
-	c.epoch = wire.WordEpoch(c.lastWord) + 1
-	c.stamp = 0
-	c.validUntil = now + c.Cfg.TTL
-	c.heldSince = now
-	c.lastWord = wire.PackClaimWord(c.Me, c.epoch, 0)
-	c.lastChangeAt = now
-	c.Takeovers++
-	if c.OnAcquire != nil {
-		c.OnAcquire(c.Shard, c.epoch, now, c.validUntil)
-	}
-}
-
-// ClaimLost records a failed claim CAS; prev is the observed word and
-// patience resets from it.
-func (c *Claim) ClaimLost(prev uint64, now sim.Time) {
-	c.lastWord = prev
-	c.lastChangeAt = now
-	c.seen = true
-}
-
-// RenewBid returns the CAS operands for a holder's heartbeat renewal.
-func (c *Claim) RenewBid() (compare, swap uint64) {
-	return wire.PackClaimWord(c.Me, c.epoch, c.stamp),
-		wire.PackClaimWord(c.Me, c.epoch, c.stamp+1)
-}
-
-// RenewWon records a successful renewal posted at now, extending
-// validity by TTL.
-func (c *Claim) RenewWon(now sim.Time) {
-	c.stamp++
-	c.validUntil = now + c.Cfg.TTL
-	c.lastWord = wire.PackClaimWord(c.Me, c.epoch, c.stamp)
-	c.lastChangeAt = now
-	c.Renewals++
-	if c.OnRenew != nil {
-		c.OnRenew(c.Shard, c.epoch, now, c.validUntil)
-	}
-}
-
-// RenewLost records a failed renewal: the word moved to a newer epoch
-// and this front-end is fenced off the shard.
-func (c *Claim) RenewLost(prev uint64, now sim.Time) {
-	c.depose(prev, now)
-}
-
-// HandbackDue reports whether a held foreign shard has been adopted
-// long enough that it should be released toward its home.
-func (c *Claim) HandbackDue(now sim.Time) bool {
-	return c.held && !c.Home && now-c.heldSince >= c.Cfg.HandbackAfter
-}
-
-// ReleaseBid returns the CAS operands for a voluntary release: zero
-// the owner, keep epoch and stamp so the next winner's epoch is still
-// strictly larger.
-func (c *Claim) ReleaseBid() (compare, swap uint64) {
-	return wire.PackClaimWord(c.Me, c.epoch, c.stamp),
-		wire.PackClaimWord(wire.ClaimVacantOwner, c.epoch, c.stamp)
-}
-
-// ReleaseWon records a successful release posted at now; the shard is
-// immediately unclaimed and this front-end stops dispatching to it.
-func (c *Claim) ReleaseWon(now sim.Time) {
-	released := c.epoch
-	c.held = false
-	if c.validUntil > now {
-		c.validUntil = now
-	}
-	c.lastWord = wire.PackClaimWord(wire.ClaimVacantOwner, c.epoch, c.stamp)
-	c.lastChangeAt = now
-	c.Handbacks++
-	if c.OnRelease != nil {
-		c.OnRelease(c.Shard, released, now)
-	}
-}
-
-// ReleaseLost records a failed release CAS: someone already moved the
-// word to a newer epoch, which is the same fencing outcome as a lost
-// renewal.
-func (c *Claim) ReleaseLost(prev uint64, now sim.Time) {
-	c.depose(prev, now)
-}
-
-func (c *Claim) depose(prev uint64, now sim.Time) {
-	deposed := c.epoch
-	c.held = false
-	if c.validUntil > now {
-		c.validUntil = now
-	}
-	c.lastWord = prev
-	c.lastChangeAt = now
-	c.seen = true
-	c.Deposals++
-	if c.OnDepose != nil {
-		c.OnDepose(c.Shard, deposed, now)
-	}
-}
-
 func (c *Claim) String() string {
 	role := "foreign"
 	if c.Home {
@@ -313,6 +197,214 @@ func (c *Claim) String() string {
 	return fmt.Sprintf("claim[fe=%d shard=%d %s] held=%v epoch=%d stamp=%d until=%v",
 		c.Me, c.Shard, role, c.held, c.epoch, c.stamp, c.validUntil)
 }
+
+// ClaimOp names what a planned claim CAS is for.
+type ClaimOp uint8
+
+const (
+	// ClaimRenew is a holder's heartbeat: (me,e,s) -> (me,e,s+1).
+	ClaimRenew ClaimOp = iota
+	// ClaimBid installs me at the observed word's epoch+1, stamp 0.
+	ClaimBid
+	// ClaimRelease hands an adopted shard back: (me,e,s) -> (0,e,s).
+	ClaimRelease
+)
+
+// ClaimCAS is one compare-and-swap a claim round posts on a shard word.
+type ClaimCAS struct {
+	Shard         uint16
+	Op            ClaimOp
+	Compare, Swap uint64
+}
+
+// ClaimRead is the completion of one claim-word read: the word's eight
+// bytes, or the error that lost it. It is the simulated fabric's read
+// completion; the live driver converts tcpverbs.BatchResult, which has
+// the same shape.
+type ClaimRead = simnet.ReadResult
+
+// ClaimTable is one front-end's claim machines, one per shard, and the
+// one decision a claim round makes over them. Like Claim it is
+// clock-free; a driver (ClaimManager over the simulated fabric,
+// livemon.ClaimClient over tcpverbs) only moves bytes:
+//
+//	shards := t.StartRound()          // read these words
+//	cas := t.Plan(now, reads)         // reads positional over shards
+//	t.Complete(cas[i], prev, won, at) // per CAS that completed
+type ClaimTable struct {
+	Claims []*Claim // indexed by shard
+
+	// CASErrors / ReadErrors count transport failures (timeouts during
+	// partitions or witness downtime); the protocol retries next round
+	// and lets validity lapse. Rounds counts started rounds.
+	CASErrors  uint64
+	ReadErrors uint64
+	Rounds     uint64
+
+	unheld []uint16
+	cas    []ClaimCAS
+}
+
+// NewClaimTable builds cfg.Shards claim machines for front-end me
+// (1-based) in a ring of owners front-ends. The home mapping is shard %
+// owners; owners == 0 means no home preference — every front-end bids
+// as home, which on a one-shard table is HA: a vacant word is bid on at
+// once, an orphan after ExpireAfter, and nothing is ever handed back.
+func NewClaimTable(me uint16, owners int, cfg ClaimConfig) *ClaimTable {
+	cfg = cfg.WithDefaults(0)
+	t := &ClaimTable{Claims: make([]*Claim, cfg.Shards)}
+	for s := range t.Claims {
+		home := owners <= 0 || s%owners == int(me)-1
+		t.Claims[s] = &Claim{Cfg: cfg, Me: me, Shard: uint16(s), Home: home}
+	}
+	return t
+}
+
+// StartRound counts a round and returns the shards whose words it must
+// read, in shard order: the unheld ones (a holder's operands come from
+// its own state). The slice is the table's scratch.
+func (t *ClaimTable) StartRound() []uint16 {
+	t.Rounds++
+	t.unheld = t.unheld[:0]
+	for s, c := range t.Claims {
+		if !c.held {
+			t.unheld = append(t.unheld, uint16(s))
+		}
+	}
+	return t.unheld
+}
+
+// Plan turns one round's reads — positional over StartRound's shards,
+// which only the round itself changes — into the round's CAS list, in
+// shard order: a held shard is released if its handback is due and
+// renewed otherwise; an unheld shard is bid on once its observed word
+// invites a bid. A failed or short read skips its shard and counts.
+// The slice is the table's scratch, valid until the next Plan.
+func (t *ClaimTable) Plan(now sim.Time, reads []ClaimRead) []ClaimCAS {
+	t.cas = t.cas[:0]
+	for s, c := range t.Claims {
+		op := ClaimRenew
+		cmp := wire.PackClaimWord(c.Me, c.epoch, c.stamp)
+		var swp uint64
+		switch {
+		case c.held && !c.Home && now-c.heldSince >= c.Cfg.HandbackAfter:
+			// Zero the owner, keep epoch and stamp: the next winner's
+			// epoch is still strictly larger.
+			op, swp = ClaimRelease, wire.PackClaimWord(wire.ClaimVacantOwner, c.epoch, c.stamp)
+		case c.held:
+			swp = wire.PackClaimWord(c.Me, c.epoch, c.stamp+1)
+		default:
+			rd := reads[0]
+			reads = reads[1:]
+			if rd.Err != nil || len(rd.Data) < wire.ClaimWordSize {
+				t.ReadErrors++
+				continue
+			}
+			if !c.observe(binary.LittleEndian.Uint64(rd.Data), now) {
+				continue
+			}
+			op, cmp = ClaimBid, c.lastWord
+			swp = wire.PackClaimWord(c.Me, wire.WordEpoch(c.lastWord)+1, 0)
+		}
+		t.cas = append(t.cas, ClaimCAS{Shard: uint16(s), Op: op, Compare: cmp, Swap: swp})
+	}
+	return t.cas
+}
+
+// Complete applies one planned CAS's outcome: won reports that the
+// swap applied (a fenced transport counts its own replayed win), prev
+// is the word the witness held. Validity is stamped from posted, the
+// instant the CAS was posted, never from the completion (see above). A
+// lost bid restarts patience from prev; a lost renew or release
+// deposes. It reports whether a bid was won, so the shard's Record is
+// due. A CAS lost in transport is not completed: the machine is
+// unchanged and the next round retries.
+func (t *ClaimTable) Complete(cas ClaimCAS, prev uint64, won bool, posted sim.Time) (acquired bool) {
+	c := t.Claims[cas.Shard]
+	c.lastChangeAt, c.seen = posted, true
+	if !won {
+		c.lastWord = prev
+		if cas.Op != ClaimBid {
+			c.held = false
+			c.validUntil = min(c.validUntil, posted)
+			c.Deposals++
+			if c.OnDepose != nil {
+				c.OnDepose(c.Shard, c.epoch, posted)
+			}
+		}
+		return false
+	}
+	c.lastWord = cas.Swap
+	switch cas.Op {
+	case ClaimBid:
+		c.held, c.epoch, c.stamp, c.heldSince = true, wire.WordEpoch(cas.Swap), 0, posted
+		c.validUntil = posted + c.Cfg.TTL
+		c.Takeovers++
+		if c.OnAcquire != nil {
+			c.OnAcquire(c.Shard, c.epoch, posted, c.validUntil)
+		}
+	case ClaimRenew:
+		c.stamp++
+		c.validUntil = posted + c.Cfg.TTL
+		c.Renewals++
+		if c.OnRenew != nil {
+			c.OnRenew(c.Shard, c.epoch, posted, c.validUntil)
+		}
+	case ClaimRelease:
+		c.held = false
+		c.validUntil = min(c.validUntil, posted)
+		c.Handbacks++
+		if c.OnRelease != nil {
+			c.OnRelease(c.Shard, c.epoch, posted)
+		}
+	}
+	return cas.Op == ClaimBid
+}
+
+// Record is the descriptive record a front-end publishes for a shard
+// it just won: granted at the bid's post instant.
+func (t *ClaimTable) Record(shard uint16) wire.ClaimRecord {
+	c := t.Claims[shard]
+	return wire.ClaimRecord{
+		Shard:   shard,
+		Owner:   c.Me,
+		Epoch:   c.epoch,
+		Stamp:   c.stamp,
+		GrantNS: int64(c.heldSince),
+		TTLNS:   int64(c.Cfg.TTL),
+	}
+}
+
+// Valid reports whether this front-end may dispatch to shard at now.
+func (t *ClaimTable) Valid(shard int, now sim.Time) bool {
+	return shard >= 0 && shard < len(t.Claims) && t.Claims[shard].Valid(now)
+}
+
+// HeldValid returns how many shards this front-end validly holds at
+// now (fairness metrics).
+func (t *ClaimTable) HeldValid(now sim.Time) int {
+	n := 0
+	for _, c := range t.Claims {
+		if c.Valid(now) {
+			n++
+		}
+	}
+	return n
+}
+
+// Counters sums the per-shard takeover/renewal/deposal/handback counts.
+func (t *ClaimTable) Counters() (takeovers, renewals, deposals, handbacks uint64) {
+	for _, c := range t.Claims {
+		takeovers += c.Takeovers
+		renewals += c.Renewals
+		deposals += c.Deposals
+		handbacks += c.Handbacks
+	}
+	return
+}
+
+// Shards returns the table size.
+func (t *ClaimTable) Shards() int { return len(t.Claims) }
 
 // ClaimVault hosts the per-shard claim words and descriptive records
 // in writable registered regions on the witness node. Each word gets
@@ -385,22 +477,13 @@ func (v *ClaimVault) RecKeys() []uint32 {
 	return keys
 }
 
-// claimOp tags what a posted CAS in a claim round was trying to do.
-type claimOp uint8
-
-const (
-	opClaimRenew claimOp = iota
-	opClaimBid
-	opClaimRelease
-)
-
-// ClaimManager drives one front-end's claim machines over the fabric:
-// a task that, every CheckEvery, reads every shard word it does not
-// hold in one doorbell, then posts every due renewal, claim bid and
-// handback release as a single CAS batch — at most two doorbells per
-// round regardless of shard count, one when it holds every shard.
+// ClaimManager drives one front-end's claim table over the fabric: a
+// task that, every CheckEvery, reads every shard word it does not hold
+// in one doorbell, then posts the round's renewals, bids and handback
+// releases as a single CAS batch — at most two doorbells per round
+// regardless of shard count, one when it holds every shard.
 type ClaimManager struct {
-	Claims []*Claim // indexed by shard
+	*ClaimTable
 
 	node     *simos.Node
 	nic      *simnet.NIC
@@ -408,21 +491,11 @@ type ClaimManager struct {
 	wordKeys []uint32
 	recKeys  []uint32
 
-	// CASErrors / ReadErrors count transport failures (timeouts during
-	// partitions or witness downtime); the protocol retries next cycle
-	// and lets validity lapse.
-	CASErrors  uint64
-	ReadErrors uint64
-	// Rounds counts completed observe/bid cycles.
-	Rounds uint64
-
 	// reusable per-round scratch
-	readReqs []simnet.ReadReq // one per shard
-	unheld   []simnet.ReadReq // this round's reads: shards not held
-	readBufs []byte
+	readReqs []simnet.ReadReq // one per shard, each with its word buffer
+	reads    []simnet.ReadReq // this round's: the unheld shards
+	results  []simnet.ReadResult
 	casReqs  []simnet.CASReq
-	casShard []uint16
-	casOps   []claimOp
 
 	task    *simos.Task
 	stopped bool
@@ -431,34 +504,34 @@ type ClaimManager struct {
 // StartClaimManager spawns the claim task for front-end me (1-based)
 // on node. The shard words and records live on the witness under
 // wordKeys/recKeys (indexed by shard); owners is the front-end ring
-// size for the home mapping (0: every front-end is home, see NewClaim).
+// size for the home mapping (see NewClaimTable).
 func StartClaimManager(node *simos.Node, nic *simnet.NIC, witness int, wordKeys, recKeys []uint32, me uint16, owners int, cfg ClaimConfig) *ClaimManager {
 	cfg = cfg.WithDefaults(0)
 	if len(wordKeys) < cfg.Shards {
 		cfg.Shards = len(wordKeys)
 	}
 	m := &ClaimManager{
-		node:     node,
-		nic:      nic,
-		witness:  witness,
-		wordKeys: wordKeys,
-		recKeys:  recKeys,
-		Claims:   make([]*Claim, cfg.Shards),
-		readReqs: make([]simnet.ReadReq, cfg.Shards),
-		readBufs: make([]byte, cfg.Shards*wire.ClaimWordSize),
+		ClaimTable: NewClaimTable(me, owners, cfg),
+		node:       node,
+		nic:        nic,
+		witness:    witness,
+		wordKeys:   wordKeys,
+		recKeys:    recKeys,
+		readReqs:   make([]simnet.ReadReq, cfg.Shards),
+		results:    make([]simnet.ReadResult, cfg.Shards),
 	}
-	for s := range m.Claims {
-		m.Claims[s] = NewClaim(me, uint16(s), owners, cfg)
+	bufs := make([]byte, cfg.Shards*wire.ClaimWordSize)
+	for s := range m.readReqs {
 		m.readReqs[s] = simnet.ReadReq{
 			Target: witness,
 			Key:    wordKeys[s],
 			Length: wire.ClaimWordSize,
-			Buf:    m.readBufs[s*wire.ClaimWordSize : s*wire.ClaimWordSize : (s+1)*wire.ClaimWordSize],
+			Buf:    bufs[s*wire.ClaimWordSize : s*wire.ClaimWordSize : (s+1)*wire.ClaimWordSize],
 		}
 	}
 	m.task = node.Spawn(fmt.Sprintf("claim-mgr-%d", me), func(tk *simos.Task) {
 		var step func()
-		next := func() { tk.Sleep(m.Claims[0].Cfg.CheckEvery, step) }
+		next := func() { tk.Sleep(cfg.CheckEvery, step) }
 		step = func() {
 			if m.stopped {
 				tk.Exit()
@@ -471,149 +544,63 @@ func StartClaimManager(node *simos.Node, nic *simnet.NIC, witness int, wordKeys,
 	return m
 }
 
-// round performs one observe/bid cycle: batch-read the shard words
-// this front-end does not hold (a holder's operands come from its own
-// state), decide per-shard actions, post them as one CAS batch, then
-// publish records for newly won shards. With nothing to read it
-// decides at once: an empty batch would still cost the task an event.
+// round performs one claim round: batch-read the unheld words, plan,
+// post the plan as one CAS batch, complete each CAS, then publish
+// records for newly won shards. With nothing to read it plans at once:
+// an empty batch would still cost the task an event.
 func (m *ClaimManager) round(tk *simos.Task, next func()) {
-	m.Rounds++
-	m.unheld = m.unheld[:0]
-	for s, c := range m.Claims {
-		if !c.Held() {
-			m.unheld = append(m.unheld, m.readReqs[s])
-		}
+	m.reads = m.reads[:0]
+	for _, s := range m.StartRound() {
+		m.reads = append(m.reads, m.readReqs[s])
 	}
-	if len(m.unheld) == 0 {
-		m.decide(tk, nil, next)
+	if len(m.reads) == 0 {
+		m.post(tk, nil, next)
 		return
 	}
-	m.nic.RDMAReadBatch(tk, m.unheld, func(reads []simnet.ReadResult) { m.decide(tk, reads, next) })
+	m.nic.RDMAReadBatchInto(tk, m.reads, m.results, func(reads []ClaimRead) { m.post(tk, reads, next) })
 }
 
-// decide turns one round's reads (positional over the unheld shards, in
-// shard order — only this task changes holdership, so the set is the
-// one round posted) into a CAS batch.
-func (m *ClaimManager) decide(tk *simos.Task, reads []simnet.ReadResult, next func()) {
-	now := m.node.Eng.Now()
-	m.casReqs = m.casReqs[:0]
-	m.casShard = m.casShard[:0]
-	m.casOps = m.casOps[:0]
-	for s, c := range m.Claims {
-		var cmp, swp uint64
-		var op claimOp
-		switch {
-		case c.Held() && c.HandbackDue(now):
-			cmp, swp = c.ReleaseBid()
-			op = opClaimRelease
-		case c.Held():
-			cmp, swp = c.RenewBid()
-			op = opClaimRenew
-		default:
-			rd := reads[0]
-			reads = reads[1:]
-			if rd.Err != nil {
-				m.ReadErrors++
-				continue
-			}
-			if !c.Observe(binary.LittleEndian.Uint64(rd.Data), now) {
-				continue
-			}
-			cmp, swp = c.ClaimBid()
-			op = opClaimBid
-		}
-		m.casReqs = append(m.casReqs, simnet.CASReq{Target: m.witness, Key: m.wordKeys[s], Compare: cmp, Swap: swp})
-		m.casShard = append(m.casShard, uint16(s))
-		m.casOps = append(m.casOps, op)
-	}
-	if len(m.casReqs) == 0 {
+// post plans the round from its reads and posts the plan. Validity is
+// stamped from the instant the batch is POSTED (one doorbell, one
+// instant for every WR in it), not from when the completions are
+// observed — see Complete.
+func (m *ClaimManager) post(tk *simos.Task, reads []ClaimRead, next func()) {
+	posted := m.node.Eng.Now()
+	cas := m.Plan(posted, reads)
+	if len(cas) == 0 {
 		next()
 		return
 	}
-	// Validity is stamped from the instant the batch is POSTED (one
-	// doorbell, one instant for every WR in it), not from when the
-	// completions are observed — see the safety argument above.
-	posted := m.node.Eng.Now()
+	m.casReqs = m.casReqs[:0]
+	for _, op := range cas {
+		m.casReqs = append(m.casReqs, simnet.CASReq{Target: m.witness, Key: m.wordKeys[op.Shard], Compare: op.Compare, Swap: op.Swap})
+	}
 	m.nic.RDMACompareSwapBatch(tk, m.casReqs, func(results []simnet.CASResult) {
 		var won []uint16
 		for i, res := range results {
-			c := m.Claims[m.casShard[i]]
 			if res.Err != nil {
 				m.CASErrors++
-				continue
-			}
-			ok := res.Prev == m.casReqs[i].Compare
-			switch m.casOps[i] {
-			case opClaimRenew:
-				if ok {
-					c.RenewWon(posted)
-				} else {
-					c.RenewLost(res.Prev, posted)
-				}
-			case opClaimBid:
-				if ok {
-					c.ClaimWon(posted)
-					won = append(won, m.casShard[i])
-				} else {
-					c.ClaimLost(res.Prev, posted)
-				}
-			case opClaimRelease:
-				if ok {
-					c.ReleaseWon(posted)
-				} else {
-					c.ReleaseLost(res.Prev, posted)
-				}
+			} else if m.Complete(cas[i], res.Prev, res.Prev == cas[i].Compare, posted) {
+				won = append(won, cas[i].Shard)
 			}
 		}
-		m.publishRecords(tk, won, posted, next)
+		m.publishRecords(tk, won, next)
 	})
 }
 
 // publishRecords writes descriptive claim records for freshly won
 // shards, one after another. Observability only — a write failure does
 // not affect holdership.
-func (m *ClaimManager) publishRecords(tk *simos.Task, won []uint16, now sim.Time, then func()) {
+func (m *ClaimManager) publishRecords(tk *simos.Task, won []uint16, then func()) {
 	if len(won) == 0 || len(m.recKeys) == 0 {
 		then()
 		return
 	}
 	s := won[0]
-	c := m.Claims[s]
-	rec := wire.ClaimRecord{
-		Shard:   s,
-		Owner:   c.Me,
-		Epoch:   c.Epoch(),
-		Stamp:   c.stamp,
-		GrantNS: int64(now),
-		TTLNS:   int64(c.Cfg.TTL),
-	}
-	m.nic.RDMAWrite(tk, m.witness, m.recKeys[s], rec.Encode(), func(error) {
-		m.publishRecords(tk, won[1:], now, then)
+	m.nic.RDMAWrite(tk, m.witness, m.recKeys[s], m.Record(s).Encode(), func(error) {
+		m.publishRecords(tk, won[1:], then)
 	})
 }
-
-// Valid reports whether this front-end may dispatch to shard at now.
-func (m *ClaimManager) Valid(shard int, now sim.Time) bool {
-	if shard < 0 || shard >= len(m.Claims) {
-		return false
-	}
-	return m.Claims[shard].Valid(now)
-}
-
-// HeldValid returns how many shards this front-end validly holds at
-// now (fairness metrics).
-func (m *ClaimManager) HeldValid(now sim.Time) int {
-	n := 0
-	for _, c := range m.Claims {
-		if c.Valid(now) {
-			n++
-		}
-	}
-	return n
-}
-
-// Shards returns the claim table size this manager drives.
-func (m *ClaimManager) Shards() int { return len(m.Claims) }
 
 // Stop ends the claim task (a crashing front-end's tasks die with the
 // node; Stop is for controlled teardown). Held claims are not

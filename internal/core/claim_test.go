@@ -1,6 +1,8 @@
 package core
 
 import (
+	"encoding/binary"
+	"reflect"
 	"testing"
 
 	"rdmamon/internal/sim"
@@ -30,14 +32,49 @@ func TestClaimConfigDefaultsEnforceSafetyMargin(t *testing.T) {
 	}
 }
 
+// readWord is a successful read of claim word w.
+func readWord(w uint64) ClaimRead {
+	b := make([]byte, wire.ClaimWordSize)
+	binary.LittleEndian.PutUint64(b, w)
+	return ClaimRead{Data: b}
+}
+
+// round runs one claim round of tab at now, reading words — one per
+// unheld shard, in shard order — and returns the plan.
+func round(t *testing.T, tab *ClaimTable, now sim.Time, words ...uint64) []ClaimCAS {
+	t.Helper()
+	if n := len(tab.StartRound()); n != len(words) {
+		t.Fatalf("round at %v reads %d words, test supplied %d", now, n, len(words))
+	}
+	reads := make([]ClaimRead, len(words))
+	for i, w := range words {
+		reads[i] = readWord(w)
+	}
+	return tab.Plan(now, reads)
+}
+
+// bids reports whether a one-shard table's round at now, reading w,
+// bids (an unheld table plans nothing else).
+func bids(t *testing.T, tab *ClaimTable, now sim.Time, w uint64) bool {
+	t.Helper()
+	return len(round(t, tab, now, w)) == 1
+}
+
+// oneShard is claimCfg folded onto a single word.
+func oneShard() ClaimConfig {
+	c := claimCfg()
+	c.Shards = 1
+	return c
+}
+
 // TestClaimHomeMapping pins the home partition: shard s is home to
 // front-end (s % owners) + 1.
 func TestClaimHomeMapping(t *testing.T) {
 	cfg := claimCfg()
-	for shard := uint16(0); shard < 8; shard++ {
-		for me := uint16(1); me <= 3; me++ {
-			c := NewClaim(me, shard, 3, cfg)
-			want := int(shard)%3 == int(me)-1
+	cfg.Shards = 8
+	for me := uint16(1); me <= 3; me++ {
+		for shard, c := range NewClaimTable(me, 3, cfg).Claims {
+			want := shard%3 == int(me)-1
 			if c.Home != want {
 				t.Fatalf("fe %d shard %d: home = %v, want %v", me, shard, c.Home, want)
 			}
@@ -45,105 +82,262 @@ func TestClaimHomeMapping(t *testing.T) {
 	}
 }
 
-// TestClaimObservePatience drives the observe rules directly: a home
-// front-end bids on vacancy immediately, a foreigner only after
+// TestClaimObservePatience drives the observe rules through rounds: a
+// home front-end bids on vacancy immediately, a foreigner only after
 // VacantGrace; an owned-but-stuck word is an orphan after ExpireAfter
 // for the home and ExpireAfter+VacantGrace for a foreigner.
 func TestClaimObservePatience(t *testing.T) {
-	cfg := claimCfg()
-	home := NewClaim(1, 0, 2, cfg) // shard 0 % 2 == 0 == me-1
-	foreign := NewClaim(2, 0, 2, cfg)
+	home := NewClaimTable(1, 2, oneShard()) // shard 0 % 2 == 0 == me-1
+	foreign := NewClaimTable(2, 2, oneShard())
+	cfg := home.Claims[0].Cfg
 
 	vacant := wire.PackClaimWord(wire.ClaimVacantOwner, 3, 7) // released at epoch 3
-	if !home.Observe(vacant, 0) {
+	if !bids(t, home, 0, vacant) {
 		t.Fatal("home must bid on a vacant word immediately")
 	}
-	if foreign.Observe(vacant, 0) {
+	if bids(t, foreign, 0, vacant) {
 		t.Fatal("foreigner must not bid on first sight of a vacancy")
 	}
-	if foreign.Observe(vacant, cfg.VacantGrace-1) {
+	if bids(t, foreign, cfg.VacantGrace-1, vacant) {
 		t.Fatal("foreigner bid before VacantGrace")
 	}
-	if !foreign.Observe(vacant, cfg.VacantGrace) {
+	cas := round(t, foreign, cfg.VacantGrace, vacant)
+	if len(cas) != 1 {
 		t.Fatal("foreigner must bid after VacantGrace")
 	}
 	// The bid fences to epoch 4: releases preserve the epoch.
-	if _, swp := foreign.ClaimBid(); wire.WordEpoch(swp) != 4 {
-		t.Fatalf("bid epoch = %d, want 4", wire.WordEpoch(swp))
+	if wire.WordEpoch(cas[0].Swap) != 4 {
+		t.Fatalf("bid epoch = %d, want 4", wire.WordEpoch(cas[0].Swap))
 	}
 
 	held := wire.PackClaimWord(2, 5, 9)
-	h2 := NewClaim(1, 0, 2, cfg)
-	f2 := NewClaim(3, 0, 2, cfg) // not home for shard 0 either
-	if h2.Observe(held, 0) || f2.Observe(held, 0) {
+	h2 := NewClaimTable(1, 2, oneShard())
+	f2 := NewClaimTable(3, 2, oneShard()) // not home for shard 0 either
+	if bids(t, h2, 0, held) || bids(t, f2, 0, held) {
 		t.Fatal("a live claim must not be bid on at first sight")
 	}
-	if h2.Observe(held, cfg.ExpireAfter-1) {
+	if bids(t, h2, cfg.ExpireAfter-1, held) {
 		t.Fatal("home expired a claim early")
 	}
-	if !h2.Observe(held, cfg.ExpireAfter) {
+	if !bids(t, h2, cfg.ExpireAfter, held) {
 		t.Fatal("home must reclaim an orphan after ExpireAfter")
 	}
-	if f2.Observe(held, cfg.ExpireAfter) {
+	if bids(t, f2, cfg.ExpireAfter, held) {
 		t.Fatal("foreigner must yield the orphan to its home first")
 	}
-	if !f2.Observe(held, cfg.ExpireAfter+cfg.VacantGrace) {
+	if !bids(t, f2, cfg.ExpireAfter+cfg.VacantGrace, held) {
 		t.Fatal("foreigner must adopt the orphan after the extra grace")
 	}
 	// Any change to the word resets patience.
-	if h2.Observe(wire.PackClaimWord(2, 5, 10), cfg.ExpireAfter+sim.Second) {
+	if bids(t, h2, cfg.ExpireAfter+sim.Second, wire.PackClaimWord(2, 5, 10)) {
 		t.Fatal("a fresh heartbeat must reset orphan patience")
 	}
 }
 
-// TestClaimMachineLifecycle walks win -> renew -> handback -> fencing
-// through the outcome methods.
+// TestClaimMachineLifecycle walks adopt -> renew -> handback -> re-adopt
+// -> fencing for a foreign front-end, one round and its completions at
+// a time.
 func TestClaimMachineLifecycle(t *testing.T) {
-	cfg := claimCfg()
-	c := NewClaim(2, 1, 2, cfg) // shard 1 % 2 == 1 == me-1: home
-	if !c.Home {
-		t.Fatal("fe 2 must be home for shard 1 of 2 owners")
+	tab := NewClaimTable(2, 2, oneShard()) // shard 0 % 2 == 0: home is fe 1
+	c := tab.Claims[0]
+	cfg := c.Cfg
+	if c.Home {
+		t.Fatal("fe 2 must be foreign for shard 0 of 2 owners")
 	}
-	if !c.Observe(wire.PackClaimWord(0, 0, 0), 0) {
-		t.Fatal("want immediate bid")
+	vacant := wire.PackClaimWord(0, 0, 0)
+	if bids(t, tab, 0, vacant) {
+		t.Fatal("foreigner bid on first sight")
 	}
-	cmp, swp := c.ClaimBid()
-	if cmp != 0 || swp != wire.PackClaimWord(2, 1, 0) {
-		t.Fatalf("bid operands %#x -> %#x", cmp, swp)
+	at := cfg.VacantGrace
+	cas := round(t, tab, at, vacant)
+	if want := (ClaimCAS{Shard: 0, Op: ClaimBid, Compare: 0, Swap: wire.PackClaimWord(2, 1, 0)}); len(cas) != 1 || cas[0] != want {
+		t.Fatalf("bid = %+v, want %+v", cas, want)
 	}
-	c.ClaimWon(10)
-	if !c.Valid(10+cfg.TTL-1) || c.Valid(10+cfg.TTL) || c.Epoch() != 1 {
+	if !tab.Complete(cas[0], cas[0].Compare, true, at) {
+		t.Fatal("a won bid must ask for a record")
+	}
+	if !c.Valid(at+cfg.TTL-1) || c.Valid(at+cfg.TTL) || c.Epoch() != 1 || c.Takeovers != 1 {
 		t.Fatalf("post-win state wrong: %v", c)
 	}
-	c.RenewWon(200)
-	if !c.Valid(200+cfg.TTL-1) || c.Renewals != 1 {
+	cas = round(t, tab, at+cfg.CheckEvery)
+	if want := (ClaimCAS{Shard: 0, Op: ClaimRenew, Compare: wire.PackClaimWord(2, 1, 0), Swap: wire.PackClaimWord(2, 1, 1)}); len(cas) != 1 || cas[0] != want {
+		t.Fatalf("renew = %+v, want %+v", cas, want)
+	}
+	tab.Complete(cas[0], cas[0].Compare, true, at+cfg.CheckEvery)
+	if !c.Valid(at+cfg.CheckEvery+cfg.TTL-1) || c.Renewals != 1 {
 		t.Fatalf("post-renew state wrong: %v", c)
 	}
-	// Releases zero the owner but keep epoch and stamp.
-	rcmp, rswp := c.ReleaseBid()
-	if rcmp != wire.PackClaimWord(2, 1, 1) || rswp != wire.PackClaimWord(0, 1, 1) {
-		t.Fatalf("release operands %#x -> %#x", rcmp, rswp)
+	// After HandbackAfter the adopted shard is released: owner zeroed,
+	// epoch and stamp kept.
+	rel := at + cfg.HandbackAfter
+	cas = round(t, tab, rel)
+	if want := (ClaimCAS{Shard: 0, Op: ClaimRelease, Compare: wire.PackClaimWord(2, 1, 1), Swap: wire.PackClaimWord(0, 1, 1)}); len(cas) != 1 || cas[0] != want {
+		t.Fatalf("release = %+v, want %+v", cas, want)
 	}
-	c.ReleaseWon(300)
-	if c.Held() || c.Valid(300) || c.Handbacks != 1 {
+	if tab.Complete(cas[0], cas[0].Compare, true, rel) {
+		t.Fatal("a release must not ask for a record")
+	}
+	if c.Held() || c.Valid(rel) || c.Handbacks != 1 {
 		t.Fatalf("post-release state wrong: %v", c)
 	}
-	// Re-win from the released word: epoch must advance.
-	if !c.Observe(rswp, 400) {
-		t.Fatal("home must re-bid on its released shard")
+	// Re-adopt the released word after VacantGrace: the epoch advances.
+	released := wire.PackClaimWord(0, 1, 1)
+	if bids(t, tab, rel+cfg.VacantGrace-1, released) {
+		t.Fatal("foreigner re-bid on its own release before VacantGrace")
 	}
-	_, swp2 := c.ClaimBid()
-	if wire.WordEpoch(swp2) != 2 {
-		t.Fatalf("re-bid epoch = %d, want 2", wire.WordEpoch(swp2))
+	again := rel + cfg.VacantGrace
+	cas = round(t, tab, again, released)
+	if len(cas) != 1 || wire.WordEpoch(cas[0].Swap) != 2 {
+		t.Fatalf("re-bid = %+v, want epoch 2", cas)
 	}
-	c.ClaimWon(400)
+	tab.Complete(cas[0], cas[0].Compare, true, again)
 	// A lost renew fences immediately.
 	var fenced bool
-	c.OnDepose = func(shard, epoch uint16, now sim.Time) { fenced = shard == 1 && epoch == 2 }
-	c.RenewLost(wire.PackClaimWord(1, 3, 0), 500)
-	if c.Held() || c.Valid(500) || !fenced || c.Deposals != 1 {
+	c.OnDepose = func(shard, epoch uint16, now sim.Time) { fenced = shard == 0 && epoch == 2 }
+	cas = round(t, tab, again+cfg.CheckEvery)
+	tab.Complete(cas[0], wire.PackClaimWord(1, 3, 0), false, again+cfg.CheckEvery)
+	if c.Held() || c.Valid(again+cfg.CheckEvery) || !fenced || c.Deposals != 1 {
 		t.Fatalf("post-deposal state wrong: %v", c)
 	}
+}
+
+// TestClaimTableRound pins the one claim round both drivers run:
+// StartRound, Plan over positional reads, Complete per CAS.
+func TestClaimTableRound(t *testing.T) {
+	cfg := claimCfg()
+	t.Run("reads are positional over unheld shards", func(t *testing.T) {
+		tab := NewClaimTable(1, 0, cfg) // 4 shards, all home
+		cas := round(t, tab, 0,
+			wire.PackClaimWord(2, 1, 0), // shard 0: held elsewhere
+			wire.PackClaimWord(0, 0, 0), // shard 1: vacant
+			wire.PackClaimWord(3, 5, 0), // shard 2: held elsewhere
+			wire.PackClaimWord(0, 7, 2)) // shard 3: released at epoch 7
+		want := []ClaimCAS{
+			{Shard: 1, Op: ClaimBid, Compare: 0, Swap: wire.PackClaimWord(1, 1, 0)},
+			{Shard: 3, Op: ClaimBid, Compare: wire.PackClaimWord(0, 7, 2), Swap: wire.PackClaimWord(1, 8, 0)},
+		}
+		if len(cas) != 2 || cas[0] != want[0] || cas[1] != want[1] {
+			t.Fatalf("plan = %+v, want %+v", cas, want)
+		}
+		tab.Complete(cas[0], cas[0].Compare, true, 5)
+		if rec := tab.Record(1); rec.Shard != 1 || rec.Owner != 1 || rec.Epoch != 1 || rec.GrantNS != 5 || rec.TTLNS != int64(cfg.TTL) {
+			t.Fatalf("record = %+v", rec)
+		}
+		// Shard 1 is held now: three reads, and the second lands on
+		// shard 2.
+		if got := tab.StartRound(); len(got) != 3 || got[0] != 0 || got[1] != 2 || got[2] != 3 {
+			t.Fatalf("unheld = %v, want [0 2 3]", got)
+		}
+		cas = round(t, tab, 10,
+			wire.PackClaimWord(2, 1, 0),
+			wire.PackClaimWord(0, 5, 1), // shard 2 released
+			wire.PackClaimWord(0, 7, 2))
+		if len(cas) != 3 || cas[0].Shard != 1 || cas[0].Op != ClaimRenew ||
+			cas[1].Shard != 2 || cas[1].Compare != wire.PackClaimWord(0, 5, 1) || cas[2].Shard != 3 {
+			t.Fatalf("plan = %+v", cas)
+		}
+	})
+	t.Run("a read error skips the shard and counts", func(t *testing.T) {
+		two := cfg
+		two.Shards = 2
+		tab := NewClaimTable(1, 0, two)
+		tab.StartRound()
+		cas := tab.Plan(0, []ClaimRead{{Err: simnet.ErrTimeout}, readWord(0)})
+		if len(cas) != 1 || cas[0].Shard != 1 || tab.ReadErrors != 1 {
+			t.Fatalf("plan = %+v, read errors %d", cas, tab.ReadErrors)
+		}
+		tab.StartRound()
+		if cas := tab.Plan(1, []ClaimRead{{Data: []byte{1, 2}}, readWord(0)}); len(cas) != 1 || tab.ReadErrors != 2 {
+			t.Fatalf("short read: plan = %+v, read errors %d", cas, tab.ReadErrors)
+		}
+	})
+	t.Run("a CAS error leaves the state unchanged", func(t *testing.T) {
+		tab := NewClaimTable(1, 0, oneShard())
+		c := tab.Claims[0]
+		cas := round(t, tab, 0, 0)
+		tab.Complete(cas[0], 0, true, 0)
+		before := *c
+		renew := round(t, tab, cfg.CheckEvery)[0]
+		// The transport lost the CAS: the driver counts it and does not
+		// complete it.
+		if !reflect.DeepEqual(*c, before) {
+			t.Fatalf("planning a renew changed the machine: %v, was %v", c, &before)
+		}
+		if !c.Valid(cfg.TTL-1) || c.Valid(cfg.TTL) || c.Renewals != 0 {
+			t.Fatalf("a failed renew moved validity: %v", c)
+		}
+		if again := round(t, tab, 2*cfg.CheckEvery); len(again) != 1 || again[0] != renew {
+			t.Fatalf("replanned %+v, want %+v", again, renew)
+		}
+	})
+	t.Run("a lost bid resets patience from prev", func(t *testing.T) {
+		tab := NewClaimTable(1, 0, oneShard())
+		stuck := wire.PackClaimWord(2, 1, 3)
+		bids(t, tab, 0, stuck)
+		cas := round(t, tab, cfg.ExpireAfter, stuck)
+		if len(cas) != 1 {
+			t.Fatal("no bid on an orphan")
+		}
+		winner := wire.PackClaimWord(3, 2, 0)
+		lost := cfg.ExpireAfter + sim.Millisecond
+		if tab.Complete(cas[0], winner, false, lost) {
+			t.Fatal("a lost bid must not ask for a record")
+		}
+		if bids(t, tab, lost+cfg.ExpireAfter-1, winner) {
+			t.Fatal("patience did not restart from the lost bid")
+		}
+		if cas := round(t, tab, lost+cfg.ExpireAfter, winner); len(cas) != 1 || cas[0].Compare != winner {
+			t.Fatalf("bid after patience = %+v, want compare %#x", cas, winner)
+		}
+	})
+	t.Run("a lost renew or release deposes", func(t *testing.T) {
+		tab := NewClaimTable(2, 2, oneShard()) // foreign: releases after HandbackAfter
+		c := tab.Claims[0]
+		var now sim.Time
+		adopt := func() {
+			t.Helper()
+			vacant := wire.PackClaimWord(0, c.Epoch(), 0)
+			bids(t, tab, now, vacant)
+			now += cfg.VacantGrace
+			cas := round(t, tab, now, vacant)
+			tab.Complete(cas[0], cas[0].Compare, true, now)
+		}
+		adopt()
+		now += cfg.CheckEvery
+		tab.Complete(round(t, tab, now)[0], wire.PackClaimWord(1, 2, 0), false, now)
+		if c.Held() || c.Valid(now) || c.Deposals != 1 {
+			t.Fatalf("lost renew: %v", c)
+		}
+		now += cfg.CheckEvery
+		adopt()
+		now += cfg.HandbackAfter
+		cas := round(t, tab, now)
+		if cas[0].Op != ClaimRelease {
+			t.Fatalf("want a handback, planned %+v", cas)
+		}
+		tab.Complete(cas[0], wire.PackClaimWord(1, 4, 0), false, now)
+		if c.Held() || c.Valid(now) || c.Deposals != 2 || c.Handbacks != 0 {
+			t.Fatalf("lost release: %v", c)
+		}
+	})
+	t.Run("validity is stamped from the post, never the completion", func(t *testing.T) {
+		tab := NewClaimTable(1, 0, oneShard())
+		c := tab.Claims[0]
+		now := sim.Second
+		cas := round(t, tab, now, 0)
+		posted := now - 100*sim.Millisecond
+		tab.Complete(cas[0], 0, true, posted)
+		if c.ValidUntil() != posted+cfg.TTL || tab.Record(0).GrantNS != int64(posted) {
+			t.Fatalf("win stamped %v, want %v", c.ValidUntil(), posted+cfg.TTL)
+		}
+		now += cfg.CheckEvery
+		cas = round(t, tab, now)
+		posted = now - 50*sim.Millisecond
+		tab.Complete(cas[0], cas[0].Compare, true, posted)
+		if c.ValidUntil() != posted+cfg.TTL {
+			t.Fatalf("renew stamped %v, want %v", c.ValidUntil(), posted+cfg.TTL)
+		}
+	})
 }
 
 type claimRig struct {
@@ -351,28 +545,54 @@ func TestLeaseConfigDefaultsEnforceSafetyMargin(t *testing.T) {
 	}
 }
 
-// TestLeaseMachine drives HA's state machine — a one-shard claim with
-// owners = 0, so every front-end is home — through the protocol's step
-// outcomes and checks holdership, epoch, validity and counters after
-// each step: a vacant word is bid on at once, an orphan after
-// ExpireAfter with no VacantGrace, and nothing is ever handed back.
+// TestLeaseMachine drives HA's state machine — a one-shard claim table
+// with owners = 0, so every front-end is home — through the protocol's
+// rounds and outcomes and checks holdership, epoch, validity and
+// counters after each step: a vacant word is bid on at once, an orphan
+// after ExpireAfter with no VacantGrace, and nothing is ever handed
+// back.
 func TestLeaseMachine(t *testing.T) {
 	cfg := haCfg()
 	type step struct {
 		name string
 		at   sim.Time
-		do   func(c *Claim, at sim.Time) // one protocol outcome
+		do   func(tab *ClaimTable, at sim.Time) // one round or outcome
 		held bool
 		// validAt / invalidAt probe Valid() at specific times.
 		validAt   sim.Time
 		invalidAt sim.Time
 		epoch     uint16
 	}
-	observe := func(word uint64, wantBid bool) func(*Claim, sim.Time) {
-		return func(c *Claim, at sim.Time) {
-			if got := c.Observe(word, at); got != wantBid {
-				t.Fatalf("Observe(%#x, %v) = %v, want %v", word, at, got, wantBid)
+	var planned ClaimCAS // the last round's CAS
+	observe := func(word uint64, wantBid bool) func(*ClaimTable, sim.Time) {
+		return func(tab *ClaimTable, at sim.Time) {
+			cas := round(t, tab, at, word)
+			if got := len(cas) == 1; got != wantBid {
+				t.Fatalf("round reading %#x at %v bids = %v, want %v", word, at, got, wantBid)
 			}
+			if wantBid {
+				planned = cas[0]
+			}
+		}
+	}
+	// complete settles the planned bid; renew runs a holder's round and
+	// settles its renewal. won false means the witness held prev.
+	complete := func(won bool, prev uint64) func(*ClaimTable, sim.Time) {
+		return func(tab *ClaimTable, at sim.Time) {
+			if won {
+				prev = planned.Compare
+			}
+			tab.Complete(planned, prev, won, at)
+		}
+	}
+	renew := func(won bool, prev uint64) func(*ClaimTable, sim.Time) {
+		return func(tab *ClaimTable, at sim.Time) {
+			cas := round(t, tab, at)
+			if len(cas) != 1 || cas[0].Op != ClaimRenew {
+				t.Fatalf("holder planned %+v, want one renewal", cas)
+			}
+			planned = cas[0]
+			complete(won, prev)(tab, at)
 		}
 	}
 	steps := []step{
@@ -385,7 +605,7 @@ func TestLeaseMachine(t *testing.T) {
 		{
 			name: "claim won: primary of epoch 1, valid for TTL",
 			at:   10 * sim.Millisecond,
-			do:   func(c *Claim, at sim.Time) { c.ClaimWon(at) },
+			do:   complete(true, 0),
 			held: true, epoch: 1,
 			validAt:   10*sim.Millisecond + cfg.TTL - 1,
 			invalidAt: 10*sim.Millisecond + cfg.TTL,
@@ -393,7 +613,7 @@ func TestLeaseMachine(t *testing.T) {
 		{
 			name: "renewal extends validity",
 			at:   100 * sim.Millisecond,
-			do:   func(c *Claim, at sim.Time) { c.RenewWon(at) },
+			do:   renew(true, 0),
 			held: true, epoch: 1,
 			validAt:   100*sim.Millisecond + cfg.TTL - 1,
 			invalidAt: 100*sim.Millisecond + cfg.TTL,
@@ -401,23 +621,21 @@ func TestLeaseMachine(t *testing.T) {
 		{
 			name: "expiry without renewal: still held, but fenced by Valid",
 			at:   100*sim.Millisecond + cfg.TTL,
-			do:   func(c *Claim, at sim.Time) {},
+			do:   func(*ClaimTable, sim.Time) {},
 			held: true, epoch: 1,
 			invalidAt: 100*sim.Millisecond + cfg.TTL,
 		},
 		{
 			name: "late renewal with no interloper revalidates",
 			at:   sim.Second,
-			do:   func(c *Claim, at sim.Time) { c.RenewWon(at) },
+			do:   renew(true, 0),
 			held: true, epoch: 1,
 			validAt: sim.Second + cfg.TTL/2,
 		},
 		{
 			name: "renewal lost: deposed immediately (fencing)",
 			at:   sim.Second + 100*sim.Millisecond,
-			do: func(c *Claim, at sim.Time) {
-				c.RenewLost(wire.PackClaimWord(2, 2, 0), at)
-			},
+			do:   renew(false, wire.PackClaimWord(2, 2, 0)),
 			held: false, epoch: 1,
 			invalidAt: sim.Second + 100*sim.Millisecond,
 		},
@@ -444,9 +662,7 @@ func TestLeaseMachine(t *testing.T) {
 		{
 			name: "claim lost to a racing standby",
 			at:   2*sim.Second + 2*cfg.ExpireAfter + sim.Millisecond,
-			do: func(c *Claim, at sim.Time) {
-				c.ClaimLost(wire.PackClaimWord(3, 3, 0), at)
-			},
+			do:   complete(false, wire.PackClaimWord(3, 3, 0)),
 		},
 		{
 			name: "new holder's word must go quiet again before the next bid",
@@ -456,31 +672,29 @@ func TestLeaseMachine(t *testing.T) {
 		{
 			name: "second takeover: epoch continues from the observed word",
 			at:   4 * sim.Second,
-			do: func(c *Claim, at sim.Time) {
-				if !c.Observe(wire.PackClaimWord(3, 3, 0), at+cfg.ExpireAfter) {
-					t.Fatal("expected bid after silence")
+			do: func(tab *ClaimTable, at sim.Time) {
+				observe(wire.PackClaimWord(3, 3, 0), true)(tab, at+cfg.ExpireAfter)
+				if planned.Compare != wire.PackClaimWord(3, 3, 0) {
+					t.Fatalf("takeover compare = %#x", planned.Compare)
 				}
-				cmp, swp := c.ClaimBid()
-				if cmp != wire.PackClaimWord(3, 3, 0) {
-					t.Fatalf("takeover compare = %#x", cmp)
+				o, e, s := wire.UnpackClaimWord(planned.Swap)
+				if o != 1 || e != 4 || s != 0 {
+					t.Fatalf("takeover swap = (%d,%d,%d), want (1,4,0)", o, e, s)
 				}
-				o, e, s := wire.UnpackClaimWord(swp)
-				if o != c.Me || e != 4 || s != 0 {
-					t.Fatalf("takeover swap = (%d,%d,%d), want (%d,4,0)", o, e, s, c.Me)
-				}
-				c.ClaimWon(at + cfg.ExpireAfter)
+				complete(true, 0)(tab, at+cfg.ExpireAfter)
 			},
 			held: true, epoch: 4,
 			validAt: 4*sim.Second + cfg.ExpireAfter + cfg.TTL - 1,
 		},
 	}
 
-	c := NewClaim(1, 0, 0, cfg)
+	tab := NewClaimTable(1, 0, cfg)
+	c := tab.Claims[0]
 	if !c.Home {
 		t.Fatal("owners = 0 must make every front-end home")
 	}
 	for _, s := range steps {
-		s.do(c, s.at)
+		s.do(tab, s.at)
 		if c.Held() != s.held {
 			t.Fatalf("%s: held = %v, want %v", s.name, c.Held(), s.held)
 		}
@@ -498,22 +712,22 @@ func TestLeaseMachine(t *testing.T) {
 		t.Fatalf("counters takeovers=%d renewals=%d deposals=%d, want 2/2/1",
 			c.Takeovers, c.Renewals, c.Deposals)
 	}
-	if c.HandbackDue(100 * cfg.HandbackAfter) {
-		t.Fatal("a home holder must never owe a handback")
+	if cas := round(t, tab, 100*cfg.HandbackAfter); cas[0].Op != ClaimRenew {
+		t.Fatalf("a home holder must never owe a handback: planned %+v", cas)
 	}
 }
 
 func TestLeaseRenewBidOperands(t *testing.T) {
-	c := NewClaim(2, 0, 0, haCfg())
-	c.Observe(wire.PackClaimWord(wire.ClaimVacantOwner, 0, 0), 0)
-	c.ClaimWon(0)
-	cmp, swp := c.RenewBid()
-	if cmp != wire.PackClaimWord(2, 1, 0) || swp != wire.PackClaimWord(2, 1, 1) {
+	tab := NewClaimTable(2, 0, haCfg())
+	cas := round(t, tab, 0, wire.PackClaimWord(wire.ClaimVacantOwner, 0, 0))
+	tab.Complete(cas[0], cas[0].Compare, true, 0)
+	cas = round(t, tab, 0)
+	if cmp, swp := cas[0].Compare, cas[0].Swap; cmp != wire.PackClaimWord(2, 1, 0) || swp != wire.PackClaimWord(2, 1, 1) {
 		t.Fatalf("renew bid = (%#x, %#x)", cmp, swp)
 	}
-	c.RenewWon(sim.Millisecond)
-	cmp, swp = c.RenewBid()
-	if cmp != wire.PackClaimWord(2, 1, 1) || swp != wire.PackClaimWord(2, 1, 2) {
+	tab.Complete(cas[0], cas[0].Compare, true, sim.Millisecond)
+	cas = round(t, tab, sim.Millisecond)
+	if cmp, swp := cas[0].Compare, cas[0].Swap; cmp != wire.PackClaimWord(2, 1, 1) || swp != wire.PackClaimWord(2, 1, 2) {
 		t.Fatalf("renew bid after renewal = (%#x, %#x)", cmp, swp)
 	}
 }

@@ -330,7 +330,7 @@ func (ck *aaChecker) install() {
 			ck.retired.shardFenced += old.ShardFenced
 		}
 		if old := ck.mgrs[r.Index]; old != nil {
-			ck.retireMgr(old)
+			ck.retired.addMgr(old)
 		}
 		ck.hook(r)
 	}
@@ -375,17 +375,16 @@ func (ck *aaChecker) install() {
 	}
 }
 
-// retireMgr folds a dead claim manager's counters into the totals.
-func (ck *aaChecker) retireMgr(m *core.ClaimManager) {
-	for _, cl := range m.Claims {
-		ck.retired.takeovers += cl.Takeovers
-		ck.retired.renewals += cl.Renewals
-		ck.retired.deposals += cl.Deposals
-		ck.retired.handbacks += cl.Handbacks
-	}
-	ck.retired.casErr += m.CASErrors
-	ck.retired.readErr += m.ReadErrors
-	ck.retired.rounds += m.Rounds
+// addMgr folds a claim manager's counters into the totals.
+func (t *aaRetired) addMgr(m *core.ClaimManager) {
+	tk, rn, dp, hb := m.Counters()
+	t.takeovers += tk
+	t.renewals += rn
+	t.deposals += dp
+	t.handbacks += hb
+	t.casErr += m.CASErrors
+	t.readErr += m.ReadErrors
+	t.rounds += m.Rounds
 }
 
 // hook installs the claim observers and the A1 route audit on one
@@ -514,15 +513,7 @@ func (ck *aaChecker) point(seed int64, pool *workload.ClientPool) AAPoint {
 			tot.fenced += d.Fenced
 			tot.shardFenced += d.ShardFenced
 		}
-		for _, cl := range r.ClaimMgr.Claims {
-			tot.takeovers += cl.Takeovers
-			tot.renewals += cl.Renewals
-			tot.deposals += cl.Deposals
-			tot.handbacks += cl.Handbacks
-		}
-		tot.casErr += r.ClaimMgr.CASErrors
-		tot.readErr += r.ClaimMgr.ReadErrors
-		tot.rounds += r.ClaimMgr.Rounds
+		tot.addMgr(r.ClaimMgr)
 	}
 	pt.ShardFenced = tot.shardFenced
 

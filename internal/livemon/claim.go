@@ -105,22 +105,13 @@ func (a *Agent) ClaimRecordAt(s int) (wire.ClaimRecord, error) {
 	return wire.DecodeClaim(raw)
 }
 
-// claimClientOp tags what one shard's CAS this cycle was trying to do.
-type claimClientOp uint8
-
-const (
-	opClientRenew claimClientOp = iota
-	opClientBid
-	opClientRelease
-)
-
-// ClaimClient drives one front-end's per-shard claim machines against
-// a live witness agent, mirroring core.ClaimManager over tcpverbs
-// instead of the simulated fabric. Time is this process's monotonic
-// clock; the protocol never compares clocks across machines. Bids,
-// renewals and releases go through CompareSwapFenced, so a mid-CAS
-// redial cannot turn a win into a false loss and a stale-epoch bid
-// surfaces as a fence instead of being retried forever.
+// ClaimClient drives one front-end's claim table against a live witness
+// agent: the same round as core.ClaimManager, over tcpverbs instead of
+// the simulated fabric. Time is this process's monotonic clock; the
+// protocol never compares clocks across machines. Bids, renewals and
+// releases go through CompareSwapFenced, so a mid-CAS redial cannot
+// turn a win into a false loss and a stale-epoch bid surfaces as a
+// fence instead of being retried forever.
 type ClaimClient struct {
 	conn     *tcpverbs.Conn
 	wordKeys []uint32
@@ -128,18 +119,17 @@ type ClaimClient struct {
 	start    time.Time
 
 	mu     sync.Mutex
-	claims []*core.Claim
-
-	// CASErrors / ReadErrors count transport failures; the protocol
-	// retries next cycle and lets validity lapse meanwhile. Fenced
-	// counts CAS losses to a strictly newer epoch.
-	CASErrors  uint64
-	ReadErrors uint64
-	Fenced     uint64
-
+	table  *core.ClaimTable
+	fenced uint64 // CAS losses to a strictly newer epoch
 	paused bool
-	stop   chan struct{}
-	wg     sync.WaitGroup
+
+	// round scratch, owned by the run goroutine
+	reqs  []tcpverbs.BatchRead
+	res   []tcpverbs.BatchResult
+	reads []core.ClaimRead
+
+	stop chan struct{}
+	wg   sync.WaitGroup
 }
 
 // DialClaims connects front-end me (1-based) to the claim table hosted
@@ -169,19 +159,17 @@ func DialClaims(addr string, me uint16, owners int, cfg core.ClaimConfig) (*Clai
 		return nil, fmt.Errorf("livemon: claim key reply names %d shards with %d bytes", shards, len(reply))
 	}
 	cfg.Shards = shards
-	cfg = cfg.WithDefaults(sim.Time(50 * time.Millisecond))
 	l := &ClaimClient{
 		conn:     conn,
 		wordKeys: make([]uint32, shards),
 		recKeys:  make([]uint32, shards),
 		start:    time.Now(),
-		claims:   make([]*core.Claim, shards),
+		table:    core.NewClaimTable(me, owners, cfg.WithDefaults(sim.Time(50*time.Millisecond))),
 		stop:     make(chan struct{}),
 	}
 	for s := 0; s < shards; s++ {
 		l.wordKeys[s] = binary.BigEndian.Uint32(reply[2+8*s:])
 		l.recKeys[s] = binary.BigEndian.Uint32(reply[6+8*s:])
-		l.claims[s] = core.NewClaim(me, uint16(s), owners, cfg)
 	}
 	l.wg.Add(1)
 	go l.run()
@@ -192,58 +180,42 @@ func DialClaims(addr string, me uint16, owners int, cfg core.ClaimConfig) (*Clai
 func (l *ClaimClient) now() sim.Time { return sim.Time(time.Since(l.start)) }
 
 // Shards returns the claim-table size this client drives.
-func (l *ClaimClient) Shards() int { return len(l.claims) }
+func (l *ClaimClient) Shards() int { return l.table.Shards() }
 
 // Valid reports whether this front-end may dispatch to shard right now
 // — the fence to consult per request, with the routed back-end folded
 // onto its shard by backend % Shards.
 func (l *ClaimClient) Valid(shard int) bool {
-	if shard < 0 || shard >= len(l.claims) {
-		return false
-	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.claims[shard].Valid(l.now())
+	return l.table.Valid(shard, l.now())
 }
 
 // HeldValid returns how many shards this front-end validly holds.
 func (l *ClaimClient) HeldValid() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	now := l.now()
-	n := 0
-	for _, c := range l.claims {
-		if c.Valid(now) {
-			n++
-		}
-	}
-	return n
+	return l.table.HeldValid(l.now())
 }
 
 // Counters sums the per-shard takeover/renewal/deposal/handback counts.
 func (l *ClaimClient) Counters() (takeovers, renewals, deposals, handbacks uint64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for _, c := range l.claims {
-		takeovers += c.Takeovers
-		renewals += c.Renewals
-		deposals += c.Deposals
-		handbacks += c.Handbacks
-	}
-	return
+	return l.table.Counters()
 }
 
 // Errors returns the transport-failure and epoch-fence counts.
 func (l *ClaimClient) Errors() (casErrors, readErrors, fenced uint64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.CASErrors, l.ReadErrors, l.Fenced
+	return l.table.CASErrors, l.table.ReadErrors, l.fenced
 }
 
-// Pause suspends the renew/observe loop without releasing anything —
-// the live stand-in for a frozen front-end. Validity lapses on its
-// own; survivors reclaim the orphaned shards after ExpireAfter, and a
-// later Resume gets fenced shard by shard through failed renewals.
+// Pause suspends the claim rounds without releasing anything — the
+// live stand-in for a frozen front-end. Validity lapses on its own;
+// survivors reclaim the orphaned shards after ExpireAfter, and a later
+// Resume gets fenced shard by shard through failed renewals.
 func (l *ClaimClient) Pause() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -273,128 +245,77 @@ func (l *ClaimClient) Close() error {
 
 func (l *ClaimClient) run() {
 	defer l.wg.Done()
-	every := time.Duration(l.claims[0].Cfg.CheckEvery)
-	t := time.NewTicker(every)
+	t := time.NewTicker(time.Duration(l.table.Claims[0].Cfg.CheckEvery))
 	defer t.Stop()
 	for {
 		select {
 		case <-l.stop:
 			return
 		case <-t.C:
-			l.step()
+			l.round()
 		}
 	}
 }
 
-// step is one observe/bid cycle over the whole table, one shard at a
-// time (the live transport pipelines per connection; the simulated
-// manager's doorbell batching has no tcpverbs equivalent).
-func (l *ClaimClient) step() {
+// round is one claim round: every unheld word in one pipelined read
+// batch (a transport error fails each of its reads), the plan, then
+// each planned CAS in turn — the connection serializes verbs, so there
+// is no CAS doorbell to share.
+func (l *ClaimClient) round() {
 	l.mu.Lock()
 	if l.paused {
 		l.mu.Unlock()
 		return
 	}
-	n := len(l.claims)
+	l.reqs = l.reqs[:0]
+	for _, s := range l.table.StartRound() {
+		l.reqs = append(l.reqs, tcpverbs.BatchRead{RKey: l.wordKeys[s], Length: wire.ClaimWordSize})
+	}
 	l.mu.Unlock()
-	for s := 0; s < n; s++ {
+	var err error
+	if len(l.reqs) > 0 {
+		l.res, err = l.conn.RDMAReadBatchInto(l.reqs, l.res)
+	}
+	l.reads = l.reads[:0]
+	for i := range l.reqs {
+		rd := core.ClaimRead{Err: err}
+		if err == nil {
+			rd = core.ClaimRead(l.res[i])
+		}
+		l.reads = append(l.reads, rd)
+	}
+	l.mu.Lock()
+	plan := l.table.Plan(l.now(), l.reads)
+	l.mu.Unlock()
+	for _, op := range plan {
 		select {
 		case <-l.stop:
 			return
 		default:
+			l.post(op)
 		}
-		l.stepShard(s)
 	}
 }
 
-func (l *ClaimClient) stepShard(s int) {
-	l.mu.Lock()
-	c := l.claims[s]
-	now := l.now()
-	var cmp, swp uint64
-	var op claimClientOp
-	decided := true
-	switch {
-	case c.Held() && c.HandbackDue(now):
-		cmp, swp = c.ReleaseBid()
-		op = opClientRelease
-	case c.Held():
-		cmp, swp = c.RenewBid()
-		op = opClientRenew
-	default:
-		decided = false
-	}
-	l.mu.Unlock()
-
-	if !decided {
-		raw, err := l.conn.RDMARead(l.wordKeys[s], wire.ClaimWordSize)
-		if err != nil || len(raw) < wire.ClaimWordSize {
-			l.mu.Lock()
-			l.ReadErrors++
-			l.mu.Unlock()
-			return
-		}
-		word := binary.LittleEndian.Uint64(raw)
-		l.mu.Lock()
-		if !c.Observe(word, l.now()) {
-			l.mu.Unlock()
-			return
-		}
-		cmp, swp = c.ClaimBid()
-		op = opClientBid
-		l.mu.Unlock()
-	}
-
-	// Validity is stamped from the instant the CAS is posted, not from
-	// when the reply lands (core.Claim's freeze-safe rule): a front-end
-	// stalled between post and completion must not thaw into an
-	// extended validity the others have already timed out.
+// post performs one planned CAS, stamped with its own post instant, and
+// publishes the record of a won bid.
+func (l *ClaimClient) post(op core.ClaimCAS) {
 	posted := l.now()
-	prev, err := l.conn.CompareSwapFenced(l.wordKeys[s], cmp, swp)
+	prev, err := l.conn.CompareSwapFenced(l.wordKeys[op.Shard], op.Compare, op.Swap)
 	fenced := errors.Is(err, tcpverbs.ErrFenced)
+	var rec []byte
 	l.mu.Lock()
-	if err != nil && !fenced {
-		l.CASErrors++
-		l.mu.Unlock()
-		return
-	}
 	if fenced {
-		l.Fenced++
+		l.fenced++
 	}
-	won := !fenced && prev == cmp
-	var rec wire.ClaimRecord
-	publish := false
-	switch op {
-	case opClientRenew:
-		if won {
-			c.RenewWon(posted)
-		} else {
-			c.RenewLost(prev, posted)
-		}
-	case opClientRelease:
-		if won {
-			c.ReleaseWon(posted)
-		} else {
-			c.ReleaseLost(prev, posted)
-		}
-	case opClientBid:
-		if won {
-			c.ClaimWon(posted)
-			rec = wire.ClaimRecord{
-				Shard:   uint16(s),
-				Owner:   c.Me,
-				Epoch:   c.Epoch(),
-				GrantNS: int64(posted),
-				TTLNS:   int64(c.Cfg.TTL),
-			}
-			publish = true
-		} else {
-			c.ClaimLost(prev, posted)
-		}
+	if err != nil && !fenced {
+		l.table.CASErrors++
+	} else if l.table.Complete(op, prev, !fenced && prev == op.Compare, posted) {
+		rec = l.table.Record(op.Shard).Encode()
 	}
 	l.mu.Unlock()
-	if publish {
+	if rec != nil {
 		// Observability only; a failed write does not affect holdership.
-		_ = l.conn.RDMAWrite(l.recKeys[s], rec.Encode())
+		_ = l.conn.RDMAWrite(l.recKeys[op.Shard], rec)
 	}
 }

@@ -56,7 +56,7 @@ func dialClaims(t *testing.T, addr string, me uint16, owners int, cfg core.Claim
 func shard(l *ClaimClient, s int) (held bool, epoch uint16, deposals uint64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	c := l.claims[s]
+	c := l.table.Claims[s]
 	return c.Held(), c.Epoch(), c.Deposals
 }
 
@@ -133,6 +133,45 @@ func TestLiveLeaseCloseHandsOff(t *testing.T) {
 	}
 }
 
+// TestLiveClaimRoundOneReadDoorbell pins the live round's read economy:
+// a front-end reads every word it does not hold in one pipelined batch
+// per round, never one read per shard. FE1 holds the whole four-shard
+// table and so reads nothing; every read the witness serves after that
+// is FE2's, and each FE2 round adds exactly its four unheld words to
+// BatchedReads.
+func TestLiveClaimRoundOneReadDoorbell(t *testing.T) {
+	leakCheck(t)
+	const shards = 4
+	cfg := claimTestCfg()
+	cfg.ExpireAfter = sim.Time(time.Minute) // FE2 never adopts an orphan here
+	w := startWitness(t, shards)
+	fe1 := dialClaims(t, w.Addr(), 1, 0, cfg)
+	waitFor(t, 5*time.Second, func() bool { return fe1.HeldValid() == shards }, "FE1 to hold the whole table")
+
+	reads0, _, _ := w.verbs.Stats()
+	batched0 := w.verbs.BatchedReads()
+	fe2 := dialClaims(t, w.Addr(), 2, 0, cfg)
+	rounds := func() uint64 {
+		fe2.mu.Lock()
+		defer fe2.mu.Unlock()
+		return fe2.table.Rounds
+	}
+	waitFor(t, 5*time.Second, func() bool { return rounds() >= 5 }, "five FE2 rounds")
+	fe2.Close() // a started round finishes its read batch before Close returns
+
+	reads, _, _ := w.verbs.Stats()
+	batched := w.verbs.BatchedReads() - batched0
+	if want := shards * rounds(); batched != want {
+		t.Fatalf("FE2 ran %d rounds and the witness served %d batched reads, want %d", rounds(), batched, want)
+	}
+	if single := reads - reads0 - batched; single != 0 {
+		t.Fatalf("the witness served %d single reads", single)
+	}
+	if tk, _, _, _ := fe2.Counters(); tk != 0 || fe2.HeldValid() != 0 {
+		t.Fatalf("FE2 took %d shards from a live holder", tk)
+	}
+}
+
 // liveInterval is one front-end's validity window over one shard
 // epoch, on the shared wall clock.
 type liveInterval struct {
@@ -167,7 +206,7 @@ func (g *intervalLog) watch(l *ClaimClient, fe int) {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for _, c := range l.claims {
+	for _, c := range l.table.Claims {
 		c.OnAcquire = func(s, epoch uint16, now, until sim.Time) {
 			g.mu.Lock()
 			defer g.mu.Unlock()

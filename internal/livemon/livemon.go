@@ -414,6 +414,11 @@ type Probe struct {
 	view    wire.RingView
 	readBuf []byte
 
+	// burstReqs/burstRes are FetchBurst's batch scratch (single-record
+	// regions), reused across bursts.
+	burstReqs []tcpverbs.BatchRead
+	burstRes  []tcpverbs.BatchResult
+
 	// pool/addr, when set (DialPooled), replace the owned conn: every
 	// fetch leases a shared connection from the pool for the duration
 	// of its locked sequence and returns it after. p.conn then holds
@@ -624,14 +629,14 @@ func (p *Probe) fetchViaLocked() (wire.LoadRecord, core.Transport, error) {
 		if p.scheme.UsesRDMA() {
 			tr = core.TransportRDMA
 		}
-		rec, err := p.fetchRecoverLocked()
+		rec, err := rehandshakeRetry(p, p.fetchLocked)
 		return rec, tr, err
 	}
 	if p.fo.Tripped() {
 		rec, err := p.socketLocked()
 		if p.fo.ShouldReArm() {
 			p.ReArms++
-			if _, rerr := p.rdmaRecoverLocked(); rerr == nil {
+			if _, rerr := rehandshakeRetry(p, p.rdmaLocked); rerr == nil {
 				p.fo.ReArmOK()
 			} else {
 				p.fo.ReArmFail()
@@ -643,7 +648,7 @@ func (p *Probe) fetchViaLocked() (wire.LoadRecord, core.Transport, error) {
 		p.Fallbacks++
 		return rec, core.TransportSocket, nil
 	}
-	rec, err := p.rdmaRecoverLocked()
+	rec, err := rehandshakeRetry(p, p.rdmaLocked)
 	if err == nil {
 		p.fo.PrimaryOK()
 		return rec, core.TransportRDMA, nil
@@ -656,36 +661,26 @@ func (p *Probe) fetchViaLocked() (wire.LoadRecord, core.Transport, error) {
 	return wire.LoadRecord{}, core.TransportRDMA, err
 }
 
-// fetchRecoverLocked is the seed fetch path: the scheme's own
-// transport, with one re-handshake retry on failure.
-func (p *Probe) fetchRecoverLocked() (wire.LoadRecord, error) {
-	rec, err := p.fetchLocked()
+// rehandshakeRetry runs one locked fetch step (p.mu held, any leased
+// conn installed) and, if it fails, re-handshakes once — a restarted
+// or re-pinned agent hands out a fresh rkey, and possibly a different
+// ring depth — and runs it again. The step's original error is
+// returned if the re-handshake fails too.
+func rehandshakeRetry[T any](p *Probe, step func() (T, error)) (T, error) {
+	v, err := step()
 	if err == nil {
-		return rec, nil
+		return v, nil
 	}
 	if herr := p.handshake(); herr != nil {
-		return wire.LoadRecord{}, err
+		var zero T
+		return zero, err
 	}
 	p.Rehandshakes++
-	return p.fetchLocked()
-}
-
-// rdmaRecoverLocked reads over RDMA with one re-handshake retry (a
-// restarted or re-pinned agent hands out a fresh rkey).
-func (p *Probe) rdmaRecoverLocked() (wire.LoadRecord, error) {
-	rec, err := p.rdmaLocked()
-	if err == nil {
-		return rec, nil
-	}
-	if herr := p.handshake(); herr != nil {
-		return wire.LoadRecord{}, err
-	}
-	p.Rehandshakes++
-	return p.rdmaLocked()
+	return step()
 }
 
 // FetchBurst retrieves k load records in one pipelined batch over the
-// RDMA path (see tcpverbs.Conn.RDMAReadBatch): k reads posted
+// RDMA path (see tcpverbs.Conn.RDMAReadBatchInto): k reads posted
 // back-to-back, completions matched by sequence number, ~one round
 // trip for the whole burst. Under RDMA-Sync each read samples the
 // machine at its own service instant, so the burst yields k distinct
@@ -710,23 +705,9 @@ func (p *Probe) FetchBurst(k int) ([]wire.LoadRecord, error) {
 	if lerr != nil {
 		return nil, lerr
 	}
-	recs, err := p.burstRecoverLocked(k)
+	recs, err := rehandshakeRetry(p, func() ([]wire.LoadRecord, error) { return p.burstLocked(k) })
 	done(err)
 	return recs, err
-}
-
-// burstRecoverLocked is the burst body with its one re-handshake
-// retry, run with p.mu held and any leased conn installed.
-func (p *Probe) burstRecoverLocked(k int) ([]wire.LoadRecord, error) {
-	recs, err := p.burstLocked(k)
-	if err == nil {
-		return recs, nil
-	}
-	if herr := p.handshake(); herr != nil {
-		return nil, err
-	}
-	p.Rehandshakes++
-	return p.burstLocked(k)
 }
 
 func (p *Probe) burstLocked(k int) ([]wire.LoadRecord, error) {
@@ -747,14 +728,15 @@ func (p *Probe) burstLocked(k int) ([]wire.LoadRecord, error) {
 		copy(recs, v.Records[:n])
 		return recs, nil
 	}
-	reqs := make([]tcpverbs.BatchRead, k)
-	for i := range reqs {
-		reqs[i] = tcpverbs.BatchRead{RKey: p.rkey, Length: wire.RecordSize}
+	p.burstReqs = p.burstReqs[:0]
+	for i := 0; i < k; i++ {
+		p.burstReqs = append(p.burstReqs, tcpverbs.BatchRead{RKey: p.rkey, Length: wire.RecordSize})
 	}
-	results, err := p.conn.RDMAReadBatch(reqs)
+	results, err := p.conn.RDMAReadBatchInto(p.burstReqs, p.burstRes)
 	if err != nil {
 		return nil, err
 	}
+	p.burstRes = results
 	recs := make([]wire.LoadRecord, len(results))
 	for i, r := range results {
 		if r.Err != nil {
@@ -788,7 +770,7 @@ func (p *Probe) FetchHistory() (wire.RingView, error) {
 	if lerr != nil {
 		return wire.RingView{}, lerr
 	}
-	v, err := p.historyRecoverLocked()
+	v, err := rehandshakeRetry(p, p.historyLocked)
 	done(err)
 	if err != nil {
 		return wire.RingView{}, err
@@ -796,17 +778,9 @@ func (p *Probe) FetchHistory() (wire.RingView, error) {
 	return *v, nil
 }
 
-// historyRecoverLocked is the history read with its one re-handshake
-// retry, run with p.mu held and any leased conn installed.
-func (p *Probe) historyRecoverLocked() (*wire.RingView, error) {
-	v, err := p.ringReadLocked()
-	if err == nil {
-		return v, nil
-	}
-	if herr := p.handshake(); herr != nil {
-		return nil, err
-	}
-	p.Rehandshakes++
+// historyLocked is FetchHistory's step: a ring read, unless a
+// re-handshake found the agent restarted without a ring.
+func (p *Probe) historyLocked() (*wire.RingView, error) {
 	if p.ringK == 0 {
 		return nil, fmt.Errorf("livemon: restarted agent publishes no history ring")
 	}

@@ -49,17 +49,17 @@ const quarantineBackoff = 4
 type MonitorConfig struct {
 	// Interval is the poll period (default 50ms).
 	Interval time.Duration
-	// Shards, when positive, replaces the one-goroutine-per-target
-	// layout with S sweep workers, each polling a contiguous slice of
-	// the fleet per tick — at hundreds of targets this bounds the
-	// goroutine and timer count the way the simulated monitor's shard
-	// tasks do. Zero keeps the per-target layout.
+	// Shards is the number of sweep workers, each polling a contiguous
+	// slice of the fleet per tick — at hundreds of targets a small S
+	// bounds the goroutine and timer count the way the simulated
+	// monitor's shard tasks do. Zero (or more than there are targets)
+	// means one worker per target.
 	Shards int
 	// Adaptive, when non-nil, layers the change-rate-adaptive poll
 	// period controller on every target: a quiet target's period decays
 	// toward Adaptive.Max, any load-index movement, fetch failure,
 	// Suspect/Degraded health or lost lease snaps it back to Interval
-	// within one cycle. Works with both polling layouts.
+	// within one cycle.
 	Adaptive *AdaptiveConfig
 	// Pool, when non-nil, shares connections across the fleet through a
 	// budgeted pool instead of one owned connection per probe: fetches
@@ -157,22 +157,15 @@ func NewMonitorCfg(targets []string, cfg MonitorConfig) (*Monitor, map[string]er
 		}
 		connected = append(connected, t)
 	}
-	if cfg.Shards > 0 {
-		s := cfg.Shards
-		if s > len(connected) {
-			s = len(connected)
-		}
-		for i := 0; i < s; i++ {
-			lo := i * len(connected) / s
-			hi := (i + 1) * len(connected) / s
-			m.wg.Add(1)
-			go m.shardPoll(connected[lo:hi])
-		}
-		return m, dialErrs
+	s := cfg.Shards
+	if s <= 0 || s > len(connected) {
+		s = len(connected)
 	}
-	for t, p := range m.probes {
+	for i := 0; i < s; i++ {
+		lo := i * len(connected) / s
+		hi := (i + 1) * len(connected) / s
 		m.wg.Add(1)
-		go m.poll(t, p)
+		go m.shardPoll(connected[lo:hi])
 	}
 	return m, dialErrs
 }
@@ -266,27 +259,10 @@ func (m *Monitor) quarantineSkip(target string, skipped *int) bool {
 	return *skipped%quarantineBackoff != 0
 }
 
-func (m *Monitor) poll(target string, p *Probe) {
-	defer m.wg.Done()
-	tick := time.NewTicker(m.interval)
-	defer tick.Stop()
-	m.fetchOne(target, p)
-	skipped := 0
-	for {
-		select {
-		case <-m.stop:
-			return
-		case <-tick.C:
-			if m.quarantineSkip(target, &skipped) || !m.dueNow(target) {
-				continue
-			}
-			m.fetchOne(target, p)
-		}
-	}
-}
-
 // shardPoll sweeps a slice of the fleet sequentially each tick — the
-// live analogue of one simulated monitor shard.
+// live analogue of one simulated monitor shard. The first sweep runs at
+// once and fetches every target: a fresh tracker is Healthy and a zero
+// due instant has passed.
 func (m *Monitor) shardPoll(targets []string) {
 	defer m.wg.Done()
 	tick := time.NewTicker(m.interval)
