@@ -43,6 +43,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzLeaseRecord$$ -fuzztime=$(FUZZTIME) ./internal/wire
 	$(GO) test -run=^$$ -fuzz=FuzzScenario$$ -fuzztime=$(FUZZTIME) ./internal/scenario
 	$(GO) test -run=^$$ -fuzz=FuzzEngineOrder$$ -fuzztime=$(FUZZTIME) ./internal/sim
+	$(GO) test -run=^$$ -fuzz=FuzzParkedTwin$$ -fuzztime=$(FUZZTIME) ./internal/simos
 
 # Randomized failover chaos: three seeded fault plans, invariants
 # asserted, non-zero exit on any violation.
@@ -104,7 +105,7 @@ scenario-smoke:
 bench:
 	$(GO) test -bench . -benchtime 1x -benchmem
 	$(GO) test -run '^$$' -bench 'BenchmarkPick|BenchmarkLocalFrac' -benchmem ./internal/loadbalance ./internal/httpsim
-	$(GO) test -run '^$$' -bench 'BenchmarkEngineHold|BenchmarkEngineTickBurst|BenchmarkEngineCancelChained|BenchmarkTimerReset|BenchmarkIdleNodeSecond|BenchmarkSimReadBatch32|BenchmarkSweepBatch256' -benchmem ./internal/sim ./internal/simos ./internal/simnet ./internal/core
+	$(GO) test -run '^$$' -bench 'BenchmarkEngineHold|BenchmarkEngineTickBurst|BenchmarkEngineCancelChained|BenchmarkTimerReset|BenchmarkIdleNodeSecond|BenchmarkTickingNodeSecond|BenchmarkSimReadBatch32|BenchmarkSweepBatch256' -benchmem ./internal/sim ./internal/simos ./internal/simnet ./internal/core
 	$(GO) test -run '^$$' -bench 'BenchmarkLoopback' -benchmem ./internal/tcpverbs
 
 # Probe-engine regression gates: replay the deterministic 256-backend

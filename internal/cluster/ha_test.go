@@ -94,8 +94,8 @@ func TestHAStandbysCostBackendsNothing(t *testing.T) {
 		var out []uint64
 		for _, n := range c.Backends {
 			total := uint64(0)
-			for cpu := range n.K.CumIRQHard {
-				total += n.K.CumIRQHard[cpu] + n.K.CumIRQSoft[cpu]
+			for cpu := 0; cpu < n.NumCPU(); cpu++ {
+				total += n.K.CumIRQHard(cpu) + n.K.CumIRQSoft(cpu)
 			}
 			out = append(out, total)
 		}

@@ -28,27 +28,38 @@ type probeReq struct {
 
 // RecordFromSnapshot converts a kernel snapshot to the wire record.
 func RecordFromSnapshot(s simos.Snapshot, seq uint32) wire.LoadRecord {
-	r := wire.LoadRecord{
-		NumCPU:     uint8(s.NumCPU),
-		NodeID:     uint16(s.NodeID),
-		Seq:        seq,
-		KTimeNS:    int64(s.Time),
-		NrRunning:  clampU16(s.NrRunning),
-		NrTasks:    clampU16(s.NrTasks),
-		MemUsedKB:  uint32(s.MemUsedKB),
-		MemTotalKB: uint32(s.MemTotalKB),
-		NetRxBytes: s.NetRxBytes,
-		NetTxBytes: s.NetTxBytes,
-		CtxSwitch:  s.CtxSwitch,
-		Conns:      clampU16(s.Conns),
-	}
-	for i := 0; i < s.NumCPU && i < wire.MaxCPU; i++ {
+	var r wire.LoadRecord
+	recordFromSnapshotInto(&r, &s, seq)
+	return r
+}
+
+// recordFromSnapshotInto is RecordFromSnapshot written into *r, every
+// field assigned in place, so the DMA-instant encode reuses one record
+// instead of building and copying a fresh one per read.
+func recordFromSnapshotInto(r *wire.LoadRecord, s *simos.Snapshot, seq uint32) {
+	r.NumCPU = uint8(s.NumCPU)
+	r.NodeID = uint16(s.NodeID)
+	r.Seq = seq
+	r.KTimeNS = int64(s.Time)
+	r.NrRunning = clampU16(s.NrRunning)
+	r.NrTasks = clampU16(s.NrTasks)
+	r.MemUsedKB = uint32(s.MemUsedKB)
+	r.MemTotalKB = uint32(s.MemTotalKB)
+	r.NetRxBytes = s.NetRxBytes
+	r.NetTxBytes = s.NetTxBytes
+	r.CtxSwitch = s.CtxSwitch
+	r.Conns = clampU16(s.Conns)
+	r.CumIRQ = 0
+	for i := 0; i < wire.MaxCPU; i++ {
+		if i >= s.NumCPU {
+			r.UtilPerMille[i], r.IrqPendingHard[i], r.IrqPendingSoft[i] = 0, 0, 0
+			continue
+		}
 		r.UtilPerMille[i] = uint16(s.UtilPerMille[i])
 		r.IrqPendingHard[i] = clampU16(s.IrqPendingHard[i])
 		r.IrqPendingSoft[i] = clampU16(s.IrqPendingSoft[i])
 		r.CumIRQ += s.CumIRQ[i]
 	}
-	return r
 }
 
 func clampU16(v int) uint16 {
@@ -137,7 +148,8 @@ func StartAgent(node *simos.Node, nic *simnet.NIC, cfg AgentConfig) *Agent {
 		// Initialize the shared location before exposing it so the
 		// very first probe never observes an unwritten region.
 		a.shared = make([]byte, wire.RecordSize)
-		RecordFromSnapshot(node.K.Snapshot(), 0).AppendTo(a.shared)
+		rec := RecordFromSnapshot(node.K.Snapshot(), 0)
+		rec.AppendTo(a.shared)
 	}
 	switch cfg.Scheme {
 	case SocketAsync:
@@ -185,12 +197,17 @@ func StartAgent(node *simos.Node, nic *simnet.NIC, cfg AgentConfig) *Agent {
 		} else {
 			// Register the kernel statistics directly: the source closure
 			// runs at the remote NIC's DMA instant, with zero host-CPU
-			// cost, and always sees the live values.
+			// cost, and always sees the live values. The snapshot is
+			// staged on the stack and the record in a.sample, which a
+			// single-record agent has no other use for, so a read copies
+			// neither.
 			a.dmaBuf = make([]byte, wire.RecordSize)
 			a.mrSrc = func() []byte {
+				var s simos.Snapshot
 				a.seq++
-				rec := RecordFromSnapshot(node.K.Snapshot(), a.seq)
-				return rec.AppendTo(a.dmaBuf)
+				node.K.SnapshotInto(&s)
+				recordFromSnapshotInto(&a.sample, &s, a.seq)
+				return a.sample.AppendTo(a.dmaBuf)
 			}
 			a.mrLen = wire.RecordSize
 		}
@@ -218,8 +235,10 @@ func (a *Agent) initRing() {
 // ringPush samples the kernel and publishes into the ring. Allocation-
 // free: the sample is staged in a.sample and encoded in place.
 func (a *Agent) ringPush() {
+	var s simos.Snapshot
 	a.seq++
-	a.sample = RecordFromSnapshot(a.node.K.Snapshot(), a.seq)
+	a.node.K.SnapshotInto(&s)
+	recordFromSnapshotInto(&a.sample, &s, a.seq)
 	a.ring.Push(&a.sample)
 }
 
@@ -336,7 +355,7 @@ func (a *Agent) startCalcLoop() {
 			tk.ReadProc(func(s simos.Snapshot) {
 				tk.Compute(a.Cfg.CopyCost, func() {
 					a.seq++
-					a.sample = RecordFromSnapshot(s, a.seq)
+					recordFromSnapshotInto(&a.sample, &s, a.seq)
 					a.sample.AppendTo(a.shared)
 					if a.ring != nil {
 						a.ring.Push(&a.sample)

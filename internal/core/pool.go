@@ -102,7 +102,7 @@ func (m *Monitor) pooledProbe(tk *simos.Task, id int, done func()) {
 func (m *Monitor) pooledProbeN(tk *simos.Task, id int, attempt int, done func()) {
 	p := m.prober(id)
 	start := m.front.Eng.Now()
-	finish := func(_ wire.LoadRecord, err error) {
+	finish := func(_ *wire.LoadRecord, err error) {
 		m.observeProbe(id, err)
 		done()
 	}
@@ -110,7 +110,7 @@ func (m *Monitor) pooledProbeN(tk *simos.Task, id int, attempt int, done func())
 		// Second replay in one slot: the conn keeps dying underneath
 		// us — stop spinning and degrade through the failover ladder
 		// (same-cycle socket fallback, breaker accounting).
-		p.rdmaOutcome(tk, start, wire.LoadRecord{}, errConnReset, finish)
+		p.rdmaOutcome(tk, start, nil, errConnReset, finish)
 		return
 	}
 	hot := m.hotBackend(id)
@@ -146,7 +146,7 @@ func (m *Monitor) pooledProbeN(tk *simos.Task, id int, attempt int, done func())
 				// standby socket this same cycle, so reachable-but-
 				// undialable back-ends (fd exhaustion, dial storms)
 				// keep their staleness SLO.
-				p.rdmaOutcome(tk, start, wire.LoadRecord{}, err, finish)
+				p.rdmaOutcome(tk, start, nil, err, finish)
 				return
 			}
 			lease, lerr := m.pool.DialDone(id, q)
@@ -181,7 +181,7 @@ func (m *Monitor) fencedProbe(tk *simos.Task, id int, l connpool.Lease[int, *sim
 func (m *Monitor) fencedProbeN(tk *simos.Task, id int, l connpool.Lease[int, *simnet.QP], attempt int, done func()) {
 	p := m.prober(id)
 	start := m.front.Eng.Now()
-	finish := func(_ wire.LoadRecord, err error) {
+	finish := func(_ *wire.LoadRecord, err error) {
 		m.observeProbe(id, err)
 		done()
 	}
@@ -198,10 +198,10 @@ func (m *Monitor) fencedProbeN(tk *simos.Task, id int, l connpool.Lease[int, *si
 			}
 			// Failed op on a dead conn: plain failure, no breaker
 			// charge for the target (Invalidate already recycled).
-			p.rdmaOutcome(tk, start, wire.LoadRecord{}, err, finish)
+			p.rdmaOutcome(tk, start, nil, err, finish)
 			return
 		}
 		m.pool.Release(l, err)
-		p.rdmaOutcome(tk, start, rec, err, finish)
+		p.rdmaOutcome(tk, start, &rec, err, finish)
 	})
 }

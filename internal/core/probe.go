@@ -132,7 +132,7 @@ func StartProber(front *simos.Node, fnic *simnet.NIC, agent *Agent, poll sim.Tim
 				tk.Exit()
 				return
 			}
-			p.ProbeOnce(tk, func(wire.LoadRecord, error) {
+			p.ProbeOnce(tk, func(*wire.LoadRecord, error) {
 				tk.Sleep(p.poll, loop)
 			})
 		}
@@ -155,17 +155,19 @@ func (p *Prober) Stop() {
 }
 
 // ProbeOnce fetches one load record in the context of task tk (which
-// must run on the front-end node) and delivers it to then. The probe
+// must run on the front-end node) and delivers it to then: the
+// prober's cached record on success (valid until the next probe
+// completes), nil on error. The probe
 // path depends on the scheme: a socket request/response round trip
 // involving the back-end CPU, or a one-sided RDMA read that does not.
 // With an armed Failover, a tripped breaker reroutes RDMA probes onto
 // the agent's standby socket channel and schedules background re-arm
 // reads of the RDMA path.
-func (p *Prober) ProbeOnce(tk *simos.Task, then func(wire.LoadRecord, error)) {
+func (p *Prober) ProbeOnce(tk *simos.Task, then func(*wire.LoadRecord, error)) {
 	start := p.front.Eng.Now()
 	if !p.Scheme.UsesRDMA() {
 		p.probeSocket(tk, func(rec wire.LoadRecord, err error) {
-			p.finishProbe(start, rec, err, TransportSocket, then)
+			p.finishProbe(start, &rec, err, TransportSocket, then)
 		})
 		return
 	}
@@ -175,43 +177,47 @@ func (p *Prober) ProbeOnce(tk *simos.Task, then func(wire.LoadRecord, error)) {
 		return
 	}
 	p.probeRDMA(tk, func(rec wire.LoadRecord, err error) {
-		p.rdmaOutcome(tk, start, rec, err, then)
+		p.rdmaOutcome(tk, start, &rec, err, then)
 	})
 }
 
 // finishProbe applies one completed probe's outcome to the prober's
 // bookkeeping (record cache, health machine, latency sample) and hands
 // it to the caller. start is when the probe — or the doorbell batch
-// carrying it — was posted.
-func (p *Prober) finishProbe(start sim.Time, rec wire.LoadRecord, err error, tr Transport, then func(wire.LoadRecord, error)) {
+// carrying it — was posted. rec is read only when err is nil, and only
+// here: the record is copied once, into the cache, and the cache is
+// what the rest of the outcome path sees.
+func (p *Prober) finishProbe(start sim.Time, rec *wire.LoadRecord, err error, tr Transport, then func(*wire.LoadRecord, error)) {
 	p.LastTransport = tr
+	var cached *wire.LoadRecord
 	if err == nil {
-		p.last = rec
+		p.last = *rec
+		cached = &p.last
 		p.lastAt = p.front.Eng.Now()
 		p.has = true
 		// Ring reads already folded this window into Trend; the
 		// timestamp guard makes this a no-op then.
-		p.Trend.ObserveRecord(rec)
+		p.Trend.ObserveRecord(cached)
 		if tr == TransportSocket && p.Scheme.UsesRDMA() {
 			p.Health.DegradedOK()
 		} else {
 			p.Health.OK()
 		}
 		if p.OnRecord != nil {
-			p.OnRecord(rec, p.lastAt)
+			p.OnRecord(p.last, p.lastAt)
 		}
 	} else {
 		p.Errors++
 		p.Health.Fail()
 	}
 	p.Latency.Add(float64((p.front.Eng.Now() - start) / sim.Microsecond))
-	then(rec, err)
+	then(cached, err)
 }
 
 // rdmaOutcome resolves the result of an untripped RDMA probe —
 // standalone or one slot of a doorbell batch — including the breaker
 // accounting and the same-cycle socket fallback.
-func (p *Prober) rdmaOutcome(tk *simos.Task, start sim.Time, rec wire.LoadRecord, err error, then func(wire.LoadRecord, error)) {
+func (p *Prober) rdmaOutcome(tk *simos.Task, start sim.Time, rec *wire.LoadRecord, err error, then func(*wire.LoadRecord, error)) {
 	fo := p.Failover
 	if err == nil {
 		if fo != nil {
@@ -221,7 +227,7 @@ func (p *Prober) rdmaOutcome(tk *simos.Task, start sim.Time, rec wire.LoadRecord
 		return
 	}
 	if fo == nil {
-		p.finishProbe(start, wire.LoadRecord{}, err, TransportRDMA, then)
+		p.finishProbe(start, nil, err, TransportRDMA, then)
 		return
 	}
 	fo.PrimaryFail()
@@ -234,9 +240,9 @@ func (p *Prober) rdmaOutcome(tk *simos.Task, start sim.Time, rec wire.LoadRecord
 	p.Fallbacks++
 	p.probeSocket(tk, func(rec wire.LoadRecord, serr error) {
 		if serr == nil {
-			p.finishProbe(start, rec, nil, TransportSocket, then)
+			p.finishProbe(start, &rec, nil, TransportSocket, then)
 		} else {
-			p.finishProbe(start, wire.LoadRecord{}, err, TransportRDMA, then)
+			p.finishProbe(start, nil, err, TransportRDMA, then)
 		}
 	})
 }
@@ -244,12 +250,12 @@ func (p *Prober) rdmaOutcome(tk *simos.Task, start sim.Time, rec wire.LoadRecord
 // probeTripped carries a probe over the standby socket channel while
 // the breaker is tripped, issuing the occasional background re-arm
 // read of the RDMA path.
-func (p *Prober) probeTripped(tk *simos.Task, start sim.Time, then func(wire.LoadRecord, error)) {
+func (p *Prober) probeTripped(tk *simos.Task, start sim.Time, then func(*wire.LoadRecord, error)) {
 	fo := p.Failover
 	p.Fallbacks++
 	p.probeSocket(tk, func(rec wire.LoadRecord, err error) {
 		if !fo.ShouldReArm() {
-			p.finishProbe(start, rec, err, TransportSocket, then)
+			p.finishProbe(start, &rec, err, TransportSocket, then)
 			return
 		}
 		// Background re-arm: test the RDMA path without trusting it for
@@ -262,7 +268,7 @@ func (p *Prober) probeTripped(tk *simos.Task, start sim.Time, then func(wire.Loa
 			} else {
 				fo.ReArmFail()
 			}
-			p.finishProbe(start, rec, err, TransportSocket, then)
+			p.finishProbe(start, &rec, err, TransportSocket, then)
 		})
 	})
 }
@@ -299,24 +305,23 @@ func (p *Prober) readInto(n int) []byte {
 	return p.readBuf[:n]
 }
 
-// decodeRead decodes a one-sided read completion in place: a history
+// decodeRead decodes a one-sided read completion into *rec: a history
 // ring (whose fresh samples fold into Trend) or a bare record. No
 // allocation either way once the first ring read has created the
 // prober-owned view.
-func (p *Prober) decodeRead(data []byte) (wire.LoadRecord, error) {
+func (p *Prober) decodeRead(rec *wire.LoadRecord, data []byte) error {
 	if p.agent.RingK() > 0 {
 		if p.view == nil {
 			p.view = new(wire.RingView)
 		}
 		if err := wire.DecodeRingInto(p.view, data); err != nil {
-			return wire.LoadRecord{}, err
+			return err
 		}
 		p.RingSamples += uint64(p.Trend.ObserveRing(p.view))
-		return p.view.Newest(), nil
+		*rec = p.view.Newest()
+		return nil
 	}
-	var rec wire.LoadRecord
-	err := wire.DecodeInto(&rec, data)
-	return rec, err
+	return wire.DecodeInto(rec, data)
 }
 
 // probeRDMA issues the one-sided read path and decodes the record. A
@@ -337,7 +342,8 @@ func (p *Prober) probeRDMATry(tk *simos.Task, attempt int, then func(wire.LoadRe
 			return
 		}
 		tk.Compute(p.decode, func() {
-			rec, derr := p.decodeRead(data)
+			var rec wire.LoadRecord
+			derr := p.decodeRead(&rec, data)
 			if derr == wire.ErrTorn && attempt < maxTornRetries {
 				p.TornRetries++
 				p.probeRDMATry(tk, attempt+1, then)
@@ -612,7 +618,7 @@ func StartMonitorCfg(front *simos.Node, fnic *simnet.NIC, agents []*Agent, poll 
 					m.pooledProbe(tk, id, func() { step(i + 1) })
 					return
 				}
-				m.prober(id).ProbeOnce(tk, func(_ wire.LoadRecord, err error) {
+				m.prober(id).ProbeOnce(tk, func(_ *wire.LoadRecord, err error) {
 					m.observeProbe(id, err)
 					step(i + 1)
 				})
@@ -658,10 +664,14 @@ type sweepScratch struct {
 	then  func()   // the sweep's continuation past the batch
 	i     int      // the slot being applied
 
-	completedFn func([]simnet.ReadResult)    // sc.completed
-	decodeFn    func()                       // sc.decode
-	nextFn      func(wire.LoadRecord, error) // sc.next
-	advanceFn   func()                       // sc.advance
+	// rec is the decode target of the slot being applied, shared by the
+	// shard's probers: the outcome path reads it before the slot ends.
+	rec wire.LoadRecord
+
+	completedFn func([]simnet.ReadResult)     // sc.completed
+	decodeFn    func()                        // sc.decode
+	nextFn      func(*wire.LoadRecord, error) // sc.next
+	advanceFn   func()                        // sc.advance
 }
 
 func newSweepScratch(m *Monitor, tk *simos.Task) *sweepScratch {
@@ -734,7 +744,7 @@ func (sc *sweepScratch) apply() {
 		if res.Err == simnet.ErrTimeout {
 			p.Timeouts++
 		}
-		p.rdmaOutcome(sc.tk, sc.start, wire.LoadRecord{}, res.Err, sc.nextFn)
+		p.rdmaOutcome(sc.tk, sc.start, nil, res.Err, sc.nextFn)
 		return
 	}
 	sc.tk.Compute(p.decode, sc.decodeFn)
@@ -743,7 +753,7 @@ func (sc *sweepScratch) apply() {
 // decode runs when slot i's decode burst completes.
 func (sc *sweepScratch) decode() {
 	m, tk, p := sc.m, sc.tk, sc.probers[sc.i]
-	rec, derr := p.decodeRead(sc.results[sc.i].Data)
+	derr := p.decodeRead(&sc.rec, sc.results[sc.i].Data)
 	if derr == wire.ErrTorn {
 		// The batch slot caught the ring writer mid-update:
 		// re-read this one back-end on the sequential path
@@ -755,17 +765,17 @@ func (sc *sweepScratch) decode() {
 		} else {
 			start, next := sc.start, sc.nextFn
 			p.probeRDMA(tk, func(rec wire.LoadRecord, err error) {
-				p.rdmaOutcome(tk, start, rec, err, next)
+				p.rdmaOutcome(tk, start, &rec, err, next)
 			})
 		}
 		return
 	}
-	p.rdmaOutcome(tk, sc.start, rec, derr, sc.nextFn)
+	p.rdmaOutcome(tk, sc.start, &sc.rec, derr, sc.nextFn)
 }
 
 // next is slot i's outcome, applied: feed the period controller and
 // move on.
-func (sc *sweepScratch) next(_ wire.LoadRecord, err error) {
+func (sc *sweepScratch) next(_ *wire.LoadRecord, err error) {
 	sc.m.observeProbe(sc.probers[sc.i].Backend, err)
 	sc.advance()
 }
@@ -880,7 +890,7 @@ func (m *Monitor) notePush(backend int, rec wire.PushRecord, at sim.Time) {
 	p.last = rec.Load
 	p.lastAt = at
 	p.has = true
-	p.Trend.ObserveRecord(rec.Load)
+	p.Trend.ObserveRecord(&p.last)
 	p.LastTransport = TransportPush
 	if p.OnRecord != nil {
 		p.OnRecord(rec.Load, at)

@@ -48,12 +48,12 @@ func (tt *TrendTracker) alpha() float64 {
 	return 0.4
 }
 
-func (tt *TrendTracker) weights() Weights {
+func (tt *TrendTracker) weights() *Weights {
 	if !tt.haveW {
 		tt.Weights = DefaultWeights()
 		tt.haveW = true
 	}
-	return tt.Weights
+	return &tt.Weights
 }
 
 // SetWeights pins the scoring weights (call before first use).
@@ -83,7 +83,7 @@ func (tt *TrendTracker) LastRate() float64 { return tt.lastRate }
 // reply, a pushed delta). Samples at or before the newest already
 // folded are ignored, so a ring fold followed by the same record via
 // finishProbe never double-counts.
-func (tt *TrendTracker) ObserveRecord(rec wire.LoadRecord) {
+func (tt *TrendTracker) ObserveRecord(rec *wire.LoadRecord) {
 	if tt.seen && rec.KTimeNS <= tt.lastK {
 		return
 	}
@@ -108,7 +108,7 @@ func (tt *TrendTracker) ObserveRing(v *wire.RingView) int {
 		if n == 0 {
 			tt.lastRate = 0
 		}
-		if tt.fold(v.Records[i]) {
+		if tt.fold(&v.Records[i]) {
 			n++
 		}
 	}
@@ -116,11 +116,11 @@ func (tt *TrendTracker) ObserveRing(v *wire.RingView) int {
 }
 
 // fold applies one sample; reports whether it was new.
-func (tt *TrendTracker) fold(rec wire.LoadRecord) bool {
+func (tt *TrendTracker) fold(rec *wire.LoadRecord) bool {
 	if tt.seen && rec.KTimeNS <= tt.lastK {
 		return false
 	}
-	idx := tt.weights().Index(rec)
+	idx := tt.weights().index(rec)
 	if !tt.seen {
 		tt.seen = true
 		tt.lastK = rec.KTimeNS

@@ -28,8 +28,9 @@ func trendView(epoch uint32, recs ...wire.LoadRecord) *wire.RingView {
 func TestTrendTrackerSlopeSign(t *testing.T) {
 	var up, down TrendTracker
 	for i := 0; i < 8; i++ {
-		up.ObserveRecord(trendRec(sim.Time(i)*100*sim.Millisecond, i))
-		down.ObserveRecord(trendRec(sim.Time(i)*100*sim.Millisecond, 8-i))
+		u, d := trendRec(sim.Time(i)*100*sim.Millisecond, i), trendRec(sim.Time(i)*100*sim.Millisecond, 8-i)
+		up.ObserveRecord(&u)
+		down.ObserveRecord(&d)
 	}
 	s, ok := up.Slope()
 	if !ok || s <= 0 {
@@ -46,7 +47,8 @@ func TestTrendTrackerNotPrimedBySingleSample(t *testing.T) {
 	if _, ok := tt.Slope(); ok {
 		t.Fatal("empty tracker claims a slope")
 	}
-	tt.ObserveRecord(trendRec(sim.Second, 3))
+	r := trendRec(sim.Second, 3)
+	tt.ObserveRecord(&r)
 	if _, ok := tt.Slope(); ok {
 		t.Fatal("one sample cannot define a slope")
 	}
@@ -80,7 +82,7 @@ func TestTrendTrackerRingFoldIsIdempotent(t *testing.T) {
 		t.Fatal("re-folding an already-seen window moved the trend")
 	}
 	// Same for the point-probe path folding the newest ring sample.
-	tt.ObserveRecord(v.Records[0])
+	tt.ObserveRecord(&v.Records[0])
 	if s, _ := tt.Slope(); s != slope || tt.LastRate() != rate {
 		t.Fatal("point re-fold of the newest sample moved the trend")
 	}
@@ -111,7 +113,7 @@ func TestTrendTrackerZeroAlloc(t *testing.T) {
 	)
 	allocs := testing.AllocsPerRun(100, func() {
 		tt.ObserveRing(v)
-		tt.ObserveRecord(v.Records[0])
+		tt.ObserveRecord(&v.Records[0])
 		_ = tt.LastRate()
 	})
 	if allocs != 0 {

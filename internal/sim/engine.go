@@ -12,6 +12,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 )
 
@@ -51,12 +52,37 @@ func (t Time) Millis() float64 { return float64(t) / float64(Millisecond) }
 // Micros returns the time as floating-point microseconds.
 func (t Time) Micros() float64 { return float64(t) / float64(Microsecond) }
 
+// Sequence keys. An event's seq is its enqueue instant in the high
+// bits and its rank among that instant's enqueues in the low keyShift
+// bits, so ordering by seq is ordering by enqueue order, exactly as a
+// plain counter would give, and the key also says when the event was
+// enqueued. That is what lets a caller that models periodic work in
+// closed form (a parked node's timer tick, simos) rebuild the key an
+// event it never enqueued would have had: KeyAt(instant, rank) sorts
+// after everything enqueued before that instant and before everything
+// enqueued at or after it. Real enqueues take ranks from firstRank on;
+// ranks below are KeyAt's.
+//
+// An instant with more than 2^keyShift−firstRank enqueues spills into
+// the keys of the following nanoseconds, and past 2^(64−keyShift) ns
+// (about 78 simulated hours) the instant no longer fits: the order
+// stays exact either way, only KeyAt keys there lose their meaning.
+const (
+	keyShift  = 16
+	firstRank = 16
+)
+
+// KeyAt returns the sequence key of a virtual event enqueued at
+// instant at with rank (0 <= rank < 16) ahead of every real enqueue of
+// that instant.
+func KeyAt(at Time, rank int) uint64 { return uint64(at)<<keyShift | uint64(rank) }
+
 // Event is a scheduled callback. The zero value is not useful; events
 // are created through Engine.Schedule and Engine.After.
 type Event struct {
 	at  Time
 	fn  func()
-	seq uint64 // key within at; assigned at every enqueue
+	seq uint64 // key within at; assigned at every enqueue (see KeyAt)
 
 	// A run is a list of pending events with one timestamp, ascending
 	// in seq. Only its head holds a heap slot; the rest hang off it
@@ -188,6 +214,9 @@ type Engine struct {
 	recent [recentEvents]*Event
 	victim int // entry the next miss overwrites
 
+	// cur is the executing event's seq, 0 between events.
+	cur uint64
+
 	// Processed counts events executed, for diagnostics and tests.
 	Processed uint64
 }
@@ -234,9 +263,8 @@ func (e *Engine) enqueue(ev *Event, at Time, fn func()) {
 	if fn == nil {
 		panic("sim: schedule nil func")
 	}
-	e.seq++
 	e.n++
-	ev.at, ev.fn, ev.seq = at, fn, e.seq
+	ev.at, ev.fn, ev.seq = at, fn, e.nextKey()
 	for i, c := range e.recent {
 		if c != nil && c.at == at && c.next == nil && c.index != idle {
 			c.next, ev.prev, ev.index = ev, c, chained
@@ -247,6 +275,43 @@ func (e *Engine) enqueue(ev *Event, at Time, fn func()) {
 	e.recent[e.victim] = ev
 	e.victim = (e.victim + 1) % recentEvents
 	e.queue.push(slot{at: at, seq: ev.seq, ev: ev})
+}
+
+// nextKey takes the next sequence key: the current instant's next
+// rank, or the successor of the last key when an instant has spilled.
+func (e *Engine) nextKey() uint64 {
+	k := uint64(e.now)<<keyShift + firstRank
+	if k <= e.seq {
+		k = e.seq + 1
+	}
+	e.seq = k
+	return k
+}
+
+// Reserve takes the sequence key an event enqueued now would get,
+// without enqueueing anything: a later PostKeyed or ResumeKeyed with it
+// fires exactly where that event would have.
+func (e *Engine) Reserve() uint64 { return e.nextKey() }
+
+// current returns the executing event's sequence key. Between events
+// (code running after RunUntil, or between Steps) it returns the key of
+// the next event due now, or the largest key if none is: such code
+// acts after everything that has fired and before everything that has
+// not.
+func (e *Engine) current() uint64 {
+	if e.cur != 0 {
+		return e.cur
+	}
+	if len(e.queue) > 0 && e.queue[0].at == e.now {
+		return e.queue[0].seq
+	}
+	return math.MaxUint64
+}
+
+// Fired reports whether an event keyed (at, seq) would already have
+// fired by the current position in the (time, sequence) order.
+func (e *Engine) Fired(at Time, seq uint64) bool {
+	return at < e.now || at == e.now && seq < e.current()
 }
 
 // dequeue takes a pending event out of the queue. A chained event is
@@ -298,15 +363,39 @@ func (e *Engine) Post(d Time, fn func()) {
 	if d < 0 {
 		d = 0
 	}
-	var ev *Event
+	e.enqueue(e.postNode(), e.now+d, fn)
+}
+
+// postNode returns a handle-less event node, recycled if one is free.
+func (e *Engine) postNode() *Event {
 	if n := len(e.free); n > 0 {
-		ev = e.free[n-1]
+		ev := e.free[n-1]
 		e.free[n-1] = nil
 		e.free = e.free[:n-1]
-	} else {
-		ev = &Event{index: idle, recycle: true}
+		return ev
 	}
-	e.enqueue(ev, e.now+d, fn)
+	return &Event{index: idle, recycle: true}
+}
+
+// PostKeyed is Post at absolute time at with a caller-chosen sequence
+// key — one from Reserve or KeyAt — instead of the next one, so the
+// event takes the place an event enqueued earlier would have. It gets
+// a heap slot of its own: the key may be smaller than those of pending
+// events of the same instant, so it cannot join the tail of their run.
+func (e *Engine) PostKeyed(at Time, seq uint64, fn func()) {
+	e.enqueueKeyed(e.postNode(), at, seq, fn)
+}
+
+func (e *Engine) enqueueKeyed(ev *Event, at Time, seq uint64, fn func()) {
+	if at < e.now {
+		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, e.now))
+	}
+	if fn == nil {
+		panic("sim: schedule nil func")
+	}
+	e.n++
+	ev.at, ev.fn, ev.seq = at, fn, seq
+	e.queue.push(slot{at: at, seq: seq, ev: ev})
 }
 
 // Cancel removes a pending event. It reports whether the event was
@@ -336,7 +425,9 @@ func (e *Engine) Step() bool {
 		e.free = append(e.free, ev)
 	}
 	e.Processed++
+	e.cur = ev.seq
 	fn()
+	e.cur = 0
 	return true
 }
 
@@ -392,6 +483,16 @@ func (t *Ticker) tick() {
 	if !t.stopped {
 		t.arm()
 	}
+}
+
+// ResumeKeyed restarts a stopped ticker whose next tick is at, keyed
+// seq (see PostKeyed); it ticks every period from there.
+func (t *Ticker) ResumeKeyed(at Time, seq uint64) {
+	if !t.stopped {
+		panic("sim: ResumeKeyed on a running ticker")
+	}
+	t.stopped = false
+	t.eng.enqueueKeyed(&t.ev, at, seq, t.fire)
 }
 
 // Stop cancels future ticks. Safe to call multiple times.

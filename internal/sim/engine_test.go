@@ -416,3 +416,46 @@ func TestEventAtAndLen(t *testing.T) {
 		t.Fatalf("Processed = %d", e.Processed)
 	}
 }
+
+// A keyed event takes the place an event enqueued earlier would have:
+// KeyAt(t, r) fires after everything enqueued before t and before
+// everything enqueued at t, and a Reserve'd key where the event
+// enqueued at the reserving instant would. Fired answers the same
+// order, from inside an event and between events.
+func TestKeyedEventsTakeTheirEnqueuePlace(t *testing.T) {
+	e := NewEngine(1)
+	var got []string
+	log := func(s string) func() { return func() { got = append(got, s) } }
+	var reserved uint64
+	e.Schedule(100, log("early")) // enqueued at 0
+	e.Schedule(5, func() {
+		e.Schedule(100, log("at5-first"))
+		reserved = e.Reserve()
+		e.Schedule(100, log("at5-second"))
+	})
+	e.Schedule(10, func() {
+		e.Schedule(100, log("at10"))
+		e.PostKeyed(100, KeyAt(5, 0), log("keyed-at5"))
+		e.PostKeyed(100, reserved, log("reserved-at5"))
+		tk := e.NewTicker(50, log("tick"))
+		tk.Stop()
+		tk.ResumeKeyed(100, KeyAt(0, 3))
+	})
+	e.Schedule(100, func() {
+		if !e.Fired(100, KeyAt(0, 3)) || e.Fired(100, KeyAt(5, 0)) || !e.Fired(99, KeyAt(99, 0)) {
+			t.Error("Fired disagrees with the fire order inside an event")
+		}
+	})
+	e.RunUntil(100)
+	want := []string{"tick", "early", "keyed-at5", "at5-first", "reserved-at5", "at5-second", "at10"}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("fire order %v, want %v", got, want)
+	}
+	if !e.Fired(100, KeyAt(100, 0)) || e.Fired(101, 0) {
+		t.Fatal("between events, everything due by now has fired and nothing later has")
+	}
+	e.Schedule(100, log("late"))
+	if e.Fired(100, KeyAt(100, firstRank+1<<10)) {
+		t.Fatal("between Steps, a key after the pending event of this instant has not fired")
+	}
+}

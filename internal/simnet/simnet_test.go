@@ -77,7 +77,7 @@ func TestSendRaisesReceiverIRQ(t *testing.T) {
 	})
 	r.eng.RunUntil(sim.Second)
 	irqCPU := r.nodes[1].Cfg.NetIRQCPU
-	if r.nodes[1].K.CumIRQHard[irqCPU] == 0 {
+	if r.nodes[1].K.CumIRQHard(irqCPU) == 0 {
 		t.Fatal("sockets receive should interrupt the target")
 	}
 }
@@ -108,9 +108,9 @@ func TestRDMAReadNoTargetCPUInvolvement(t *testing.T) {
 	// The defining property: zero interrupts, zero context switches
 	// attributable to the read on the target.
 	for c := 0; c < 2; c++ {
-		if r.nodes[1].K.CumIRQHard[c] != 0 {
+		if r.nodes[1].K.CumIRQHard(c) != 0 {
 			t.Fatalf("target CPU%d saw %d IRQs from an RDMA read, want 0",
-				c, r.nodes[1].K.CumIRQHard[c])
+				c, r.nodes[1].K.CumIRQHard(c))
 		}
 	}
 	if r.nics[1].node.K.CtxSwitches != 0 {
@@ -316,7 +316,7 @@ func TestAblationRDMATargetIRQ(t *testing.T) {
 	})
 	r.eng.RunUntil(sim.Second)
 	irqCPU := r.nodes[1].Cfg.NetIRQCPU
-	if r.nodes[1].K.CumIRQHard[irqCPU] == 0 {
+	if r.nodes[1].K.CumIRQHard(irqCPU) == 0 {
 		t.Fatal("ablation should charge an IRQ on the target")
 	}
 }
@@ -436,7 +436,7 @@ func TestLargeSendRaisesAckInterrupts(t *testing.T) {
 	})
 	r.eng.RunUntil(sim.Second)
 	irqCPU := r.nodes[0].Cfg.NetIRQCPU
-	acks := r.nodes[0].K.CumIRQHard[irqCPU]
+	acks := r.nodes[0].K.CumIRQHard(irqCPU)
 	want := uint64(size / r.fab.Cfg.AckEvery)
 	if acks != want {
 		t.Fatalf("sender ACK interrupts = %d, want %d", acks, want)
@@ -510,9 +510,9 @@ func TestRDMACompareSwapNoTargetCPUInvolvement(t *testing.T) {
 	})
 	r.eng.RunUntil(sim.Second)
 	for c := 0; c < 2; c++ {
-		if r.nodes[1].K.CumIRQHard[c] != 0 {
+		if r.nodes[1].K.CumIRQHard(c) != 0 {
 			t.Fatalf("target CPU%d saw %d IRQs from an atomic, want 0",
-				c, r.nodes[1].K.CumIRQHard[c])
+				c, r.nodes[1].K.CumIRQHard(c))
 		}
 	}
 	if r.nodes[1].K.CtxSwitches != 0 {

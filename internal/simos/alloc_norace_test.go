@@ -8,13 +8,15 @@ import (
 	"rdmamon/internal/sim"
 )
 
-// TestIdleNodeTickZeroAlloc pins the tick path: idle nodes (a timer
-// interrupt per CPU and a utilisation sample every 10 ms, nothing
-// else) advance without allocating once their queues have warmed.
+// TestIdleNodeTickZeroAlloc pins the tick path: nodes whose only task
+// is blocked (a timer interrupt per CPU and a utilisation sample every
+// 10 ms, nothing else; the task keeps them from parking) advance
+// without allocating once their queues have warmed.
 func TestIdleNodeTickZeroAlloc(t *testing.T) {
 	eng := sim.NewEngine(1)
 	for i := 0; i < 1024; i++ {
-		NewNode(eng, i, NodeDefaults())
+		n := NewNode(eng, i, NodeDefaults())
+		n.Spawn("blocked", func(tk *Task) { tk.Recv(n.Port("unused"), func(Message) {}) })
 	}
 	eng.RunFor(sim.Second) // past the utilisation window
 	if allocs := testing.AllocsPerRun(1, func() { eng.RunFor(sim.Second) }); allocs != 0 {

@@ -31,6 +31,7 @@ func (n *Node) RaiseNetIRQ(action func()) {
 	if n.down {
 		return // a crashed host raises no interrupts
 	}
+	n.unpark()
 	c := n.cpus[n.Cfg.NetIRQCPU]
 	n.raiseIRQon(c, IRQNet, n.Cfg.NetIRQHard, n.Cfg.NetIRQSoft, action)
 }
@@ -47,9 +48,9 @@ func (n *Node) RaiseNetIRQ(action func()) {
 // (bottom-half) work, where the real backlog accumulates under bursty
 // traffic.
 func (n *Node) raiseIRQon(c *cpu, kind IRQKind, hard, soft sim.Time, action func()) {
-	n.K.CumIRQHard[c.id]++
+	n.K.cumIRQHard[c.id]++
 	if soft > 0 {
-		n.K.CumIRQSoft[c.id]++
+		n.K.cumIRQSoft[c.id]++
 	}
 	c.hardQ.push(irqReq{kind: kind, hard: hard, soft: soft, action: action})
 	if !c.irqActive {
@@ -122,6 +123,13 @@ func (n *Node) PendingIRQ(cpuID int) (hard, soft int) {
 	if cpuID < 0 || cpuID >= len(n.cpus) {
 		return 0, 0
 	}
-	c := n.cpus[cpuID]
-	return c.hardQ.len(), c.softQ.len()
+	return n.pendingIRQ(n.cpus[cpuID], n.catchUp())
+}
+
+func (n *Node) pendingIRQ(c *cpu, v vticks) (hard, soft int) {
+	hard, soft = c.hardQ.len(), c.softQ.len()
+	if n.inService(c, v) {
+		hard++
+	}
+	return hard, soft
 }

@@ -10,8 +10,8 @@ type KernelStats struct {
 	node *Node
 
 	CtxSwitches uint64
-	CumIRQHard  [MaxCPU]uint64
-	CumIRQSoft  [MaxCPU]uint64
+	cumIRQHard  [MaxCPU]uint64 // read through CumIRQHard: stale on a parked node
+	cumIRQSoft  [MaxCPU]uint64
 
 	NetRxBytes uint64
 	NetTxBytes uint64
@@ -35,18 +35,43 @@ func newKernelStats(n *Node) *KernelStats {
 }
 
 // sampleUtil records each CPU's cumulative busy time; called from the
-// timer tick. Samples older than the utilisation window are pruned by
-// compacting the history in place, so a steady tick reuses one array.
+// timer tick.
 func (k *KernelStats) sampleUtil() {
 	now := k.node.Eng.Now()
-	keepAfter := now - k.node.Cfg.UtilWindow - 2*k.node.Cfg.Tick
 	for i, c := range k.node.cpus {
-		h := append(k.utilHist[i], utilSample{t: now, busy: c.cumBusy()})
-		drop := 0
-		for drop < len(h)-1 && h[drop+1].t <= keepAfter {
-			drop++
+		k.utilHist[i] = k.pruneUtil(append(k.utilHist[i], utilSample{t: now, busy: c.cumBusy()}), now)
+	}
+}
+
+// pruneUtil drops the samples older than a tick at instant at still
+// needs (the window plus two ticks) by compacting the history in
+// place, so a steady tick reuses one array.
+func (k *KernelStats) pruneUtil(h []utilSample, at sim.Time) []utilSample {
+	keepAfter := at - k.node.Cfg.UtilWindow - 2*k.node.Cfg.Tick
+	drop := 0
+	for drop < len(h)-1 && h[drop+1].t <= keepAfter {
+		drop++
+	}
+	return h[:copy(h, h[drop:])]
+}
+
+// replayUtil appends the samples a parked node's virtual ticks took —
+// the one at p0+i·Tick read the p0 sample plus i tick services — from
+// the newest one the pruning at the last of them keeps.
+func (k *KernelStats) replayUtil(v vticks) {
+	n := k.node
+	tick, cost := n.Cfg.Tick, n.Cfg.TimerIRQCost
+	first := int64(1)
+	if keepAfter := v.last - n.Cfg.UtilWindow - 2*tick; keepAfter >= n.p0+tick {
+		first = int64((keepAfter - n.p0) / tick)
+	}
+	for i := range n.cpus {
+		h := k.utilHist[i]
+		b0 := h[len(h)-1].busy
+		for j := first; j <= v.n; j++ {
+			h = append(h, utilSample{t: n.p0 + sim.Time(j)*tick, busy: b0 + sim.Time(j)*cost})
 		}
-		k.utilHist[i] = h[:copy(h, h[drop:])]
+		k.utilHist[i] = k.pruneUtil(h, v.last)
 	}
 }
 
@@ -56,16 +81,26 @@ func (k *KernelStats) UtilPerMille(cpuID int) int {
 	if cpuID < 0 || cpuID >= len(k.node.cpus) {
 		return 0
 	}
-	c := k.node.cpus[cpuID]
-	now := k.node.Eng.Now()
-	busyNow := c.cumBusy()
-	h := k.utilHist[cpuID]
+	return k.utilPerMille(k.node.cpus[cpuID], k.node.catchUp())
+}
+
+// utilPerMille is UtilPerMille at virtual-tick state v. The base is the
+// newest sample at least a window old; on a parked node whose window
+// starts after the first virtual tick that sample is virtual too, and
+// has a closed form.
+func (k *KernelStats) utilPerMille(c *cpu, v vticks) int {
+	n := k.node
+	now := n.Eng.Now()
+	busyNow := n.busy(c, v)
+	h := k.utilHist[c.id]
+	target := now - n.Cfg.UtilWindow
 	var base utilSample
-	if len(h) == 0 {
-		base = utilSample{t: 0, busy: 0}
-	} else {
+	switch {
+	case n.parked && target-n.p0 >= n.Cfg.Tick:
+		kb := (target - n.p0) / n.Cfg.Tick
+		base = utilSample{t: n.p0 + kb*n.Cfg.Tick, busy: h[len(h)-1].busy + kb*n.Cfg.TimerIRQCost}
+	case len(h) > 0:
 		base = h[0]
-		target := now - k.node.Cfg.UtilWindow
 		for _, s := range h {
 			if s.t <= target {
 				base = s
@@ -184,28 +219,62 @@ func (s Snapshot) PendingIRQTotal() int {
 	return n
 }
 
+// CumIRQHard returns the number of hard interrupts CPU cpuID has taken.
+func (k *KernelStats) CumIRQHard(cpuID int) uint64 {
+	if cpuID < 0 || cpuID >= len(k.node.cpus) {
+		return 0
+	}
+	return k.cumHard(cpuID, k.node.catchUp())
+}
+
+// CumIRQSoft returns the number of interrupts with softirq work CPU
+// cpuID has taken. Timer ticks have none, so parking never moves it.
+func (k *KernelStats) CumIRQSoft(cpuID int) uint64 {
+	if cpuID < 0 || cpuID >= len(k.node.cpus) {
+		return 0
+	}
+	return k.cumIRQSoft[cpuID]
+}
+
+func (k *KernelStats) cumHard(cpuID int, v vticks) uint64 {
+	c := k.cumIRQHard[cpuID]
+	if k.node.Cfg.TimerIRQCost > 0 {
+		c += uint64(v.n)
+	}
+	return c
+}
+
 // Snapshot captures the current kernel statistics. It has no simulated
 // cost: cost is charged by the access path (ReadProc syscall, or none
 // at all for a DMA read).
 func (k *KernelStats) Snapshot() Snapshot {
-	n := k.node
-	s := Snapshot{
-		Time:       n.Eng.Now(),
-		NodeID:     n.ID,
-		NrRunning:  n.NrRunnable(),
-		NrTasks:    n.NrTasks(),
-		NumCPU:     len(n.cpus),
-		MemUsedKB:  k.memUsedKB,
-		MemTotalKB: n.Cfg.MemTotalKB,
-		NetRxBytes: k.NetRxBytes,
-		NetTxBytes: k.NetTxBytes,
-		Conns:      k.Conns(),
-		CtxSwitch:  k.CtxSwitches,
-	}
-	for i := range n.cpus {
-		s.UtilPerMille[i] = k.UtilPerMille(i)
-		s.IrqPendingHard[i], s.IrqPendingSoft[i] = n.PendingIRQ(i)
-		s.CumIRQ[i] = k.CumIRQHard[i] + k.CumIRQSoft[i]
-	}
+	var s Snapshot
+	k.SnapshotInto(&s)
 	return s
+}
+
+// SnapshotInto is Snapshot written into *s, every field assigned in
+// place: the DMA-instant path calls it into a reused buffer.
+func (k *KernelStats) SnapshotInto(s *Snapshot) {
+	n := k.node
+	v := n.catchUp()
+	s.Time = n.Eng.Now()
+	s.NodeID = n.ID
+	s.NrRunning = n.NrRunnable()
+	s.NrTasks = n.NrTasks()
+	s.NumCPU = len(n.cpus)
+	s.MemUsedKB = k.memUsedKB
+	s.MemTotalKB = n.Cfg.MemTotalKB
+	s.NetRxBytes = k.NetRxBytes
+	s.NetTxBytes = k.NetTxBytes
+	s.Conns = k.Conns()
+	s.CtxSwitch = k.CtxSwitches
+	for i, c := range n.cpus {
+		s.UtilPerMille[i] = k.utilPerMille(c, v)
+		s.IrqPendingHard[i], s.IrqPendingSoft[i] = n.pendingIRQ(c, v)
+		s.CumIRQ[i] = k.cumHard(i, v) + k.cumIRQSoft[i]
+	}
+	for i := len(n.cpus); i < MaxCPU; i++ {
+		s.UtilPerMille[i], s.IrqPendingHard[i], s.IrqPendingSoft[i], s.CumIRQ[i] = 0, 0, 0, 0
+	}
 }

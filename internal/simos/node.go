@@ -165,6 +165,14 @@ type Node struct {
 	K *KernelStats
 
 	tick *sim.Ticker
+
+	// A parked node's ticker is stopped and its ticks after the one at
+	// p0 exist only in closed form (DESIGN §6): readers see them through
+	// catchUp, a wake materialises them. key1 is the sequence key the
+	// first virtual tick would have had.
+	parked bool
+	p0     sim.Time
+	key1   uint64
 }
 
 // NewNode creates a node attached to eng. The configuration is
@@ -189,9 +197,12 @@ func NewNode(eng *sim.Engine, id int, cfg Config) *Node {
 	return n
 }
 
-// Stop cancels the node's periodic timer work. Used by tests; long
-// simulations normally just stop the engine.
-func (n *Node) Stop() { n.tick.Stop() }
+// Stop cancels the node's periodic timer work, virtual ticks included.
+// Used by tests; long simulations normally just stop the engine.
+func (n *Node) Stop() {
+	n.unpark()
+	n.tick.Stop()
+}
 
 // Down reports whether the node has crashed and not yet restarted.
 func (n *Node) Down() bool { return n.down }
@@ -208,6 +219,7 @@ func (n *Node) Crash() {
 	if n.down {
 		return
 	}
+	n.unpark()
 	n.down = true // gates resched while the task set is torn down
 	victims := make([]*Task, 0, len(n.tasks))
 	for t := range n.tasks {
@@ -248,6 +260,7 @@ func (n *Node) Freeze() {
 	if n.frozen || n.down {
 		return
 	}
+	n.unpark()
 	n.frozen = true
 	for _, c := range n.cpus {
 		if c.cur != nil && !c.irqActive {
@@ -266,14 +279,127 @@ func (n *Node) Thaw() {
 }
 
 // onTick is the timer interrupt: a small cost on every CPU plus the
-// kernel's periodic accounting (utilisation sampling).
+// kernel's periodic accounting (utilisation sampling). A tick that
+// finds the node quiescent parks it once the tick's own work is done.
 func (n *Node) onTick() {
+	quiet := n.quiescent()
 	if n.Cfg.TimerIRQCost > 0 {
 		for _, c := range n.cpus {
 			n.raiseIRQon(c, IRQTimer, n.Cfg.TimerIRQCost, 0, nil)
 		}
 	}
 	n.K.sampleUtil()
+	if quiet {
+		n.tick.Stop()
+		n.parked, n.p0, n.key1 = true, n.Eng.Now(), n.Eng.Reserve()
+	}
+}
+
+// quiescent reports whether the node's future ticks have a closed form:
+// no task, so no CPU runs one, and no interrupt queued or in service.
+// A tick's interrupt must also end before the next tick.
+func (n *Node) quiescent() bool {
+	if len(n.tasks) > 0 || n.Cfg.TimerIRQCost >= n.Cfg.Tick {
+		return false
+	}
+	for _, c := range n.cpus {
+		if c.irqActive {
+			return false
+		}
+	}
+	return true
+}
+
+// vticks is how far a parked node's virtual ticks have got at the
+// current position: n ticks after p0 have fired, the last at last.
+// The zero value means none (or the node is ticking).
+type vticks struct {
+	n    int64
+	last sim.Time
+}
+
+// catchUp returns the virtual ticks a parked node has taken by the
+// current position of the engine, in O(1). Virtual tick k (at p0+k·Tick)
+// was enqueued by tick k−1 after its interrupts; a reader at exactly
+// that instant sees it fired iff the reader's key is the larger one
+// (DESIGN §6, same-instant rule).
+func (n *Node) catchUp() vticks {
+	if !n.parked {
+		return vticks{}
+	}
+	now := n.Eng.Now()
+	k := int64((now - n.p0) / n.Cfg.Tick)
+	last := n.p0 + sim.Time(k)*n.Cfg.Tick
+	if k > 0 && last == now && !n.Eng.Fired(now, n.tickKey(k)) {
+		k--
+		last -= n.Cfg.Tick
+	}
+	return vticks{n: k, last: last}
+}
+
+// tickKey is the sequence key of virtual tick k >= 1: the one reserved
+// at park time for the first, and for later ones the rank after the
+// interrupt completions the previous tick enqueued.
+func (n *Node) tickKey(k int64) uint64 {
+	if k == 1 {
+		return n.key1
+	}
+	return sim.KeyAt(n.p0+sim.Time(k-1)*n.Cfg.Tick, len(n.cpus))
+}
+
+// inService reports whether the timer interrupt of the last virtual
+// tick is still being serviced on c: before its completion instant, or
+// at it with the completion (keyed by the CPU's rank at the tick's
+// instant) not yet fired.
+func (n *Node) inService(c *cpu, v vticks) bool {
+	if v.n == 0 || n.Cfg.TimerIRQCost == 0 {
+		return false
+	}
+	end := v.last + n.Cfg.TimerIRQCost
+	now := n.Eng.Now()
+	return now < end || now == end && !n.Eng.Fired(end, sim.KeyAt(v.last, c.id))
+}
+
+// busy returns c's cumulative busy time including the virtual ticks'
+// interrupt service up to now.
+func (n *Node) busy(c *cpu, v vticks) sim.Time {
+	b := c.cumBusy() + sim.Time(v.n)*n.Cfg.TimerIRQCost
+	if end := v.last + n.Cfg.TimerIRQCost; v.n > 0 && n.Eng.Now() < end {
+		b -= end - n.Eng.Now()
+	}
+	return b
+}
+
+// unpark makes a parked node tick for real again: the virtual ticks'
+// interrupt counts, busy time and utilisation samples become state, a
+// timer interrupt still in service is materialised with its remaining
+// time, and the ticker resumes at the original phase with the key the
+// next virtual tick would have had.
+func (n *Node) unpark() {
+	if !n.parked {
+		return
+	}
+	v := n.catchUp()
+	n.parked = false
+	if v.n > 0 {
+		cost := n.Cfg.TimerIRQCost
+		for _, c := range n.cpus {
+			busy := n.busy(c, v)
+			if cost > 0 {
+				n.K.cumIRQHard[c.id] += uint64(v.n)
+			}
+			if n.inService(c, v) {
+				c.hardQ.push(irqReq{kind: IRQTimer, hard: cost})
+				c.irqActive = true
+				c.state = accIRQ
+				n.Eng.PostKeyed(v.last+cost, sim.KeyAt(v.last, c.id), c.hardDone)
+			}
+			c.busyIRQ += busy - c.cumBusy()
+		}
+		n.K.replayUtil(v)
+	}
+	next := v.n + 1
+	n.tick.ResumeKeyed(n.p0+sim.Time(next)*n.Cfg.Tick, n.tickKey(next))
 }
 
 // NumCPU returns the number of CPUs on this node.

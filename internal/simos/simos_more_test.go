@@ -202,10 +202,10 @@ func TestStopHaltsTick(t *testing.T) {
 	eng := sim.NewEngine(10)
 	n := NewNode(eng, 0, cfg)
 	eng.RunUntil(100 * sim.Millisecond)
-	before := n.K.CumIRQHard[0]
+	before := n.K.CumIRQHard(0)
 	n.Stop()
 	eng.RunUntil(500 * sim.Millisecond)
-	if n.K.CumIRQHard[0] != before {
+	if n.K.CumIRQHard(0) != before {
 		t.Fatal("timer tick survived Stop")
 	}
 }
@@ -244,19 +244,33 @@ func TestCrashMidIRQKeepsServicePipeline(t *testing.T) {
 	if actions != 2 {
 		t.Fatalf("softirq actions ran %d times, want 2", actions)
 	}
-	if h, s := n.K.CumIRQHard[1], n.K.CumIRQSoft[1]; h != 2 || s != 2 {
+	if h, s := n.K.CumIRQHard(1), n.K.CumIRQSoft(1); h != 2 || s != 2 {
 		t.Fatalf("CumIRQ on the NIC CPU = (%d hard, %d soft), want (2, 2)", h, s)
 	}
 }
 
 // BenchmarkIdleNodeSecond advances 64 idle nodes one simulated second
-// per iteration: the cost of a fleet's timer ticks with nothing else
-// running.
+// per iteration. Idle nodes park (DESIGN §6), so once parked a second
+// costs them nothing at all.
 func BenchmarkIdleNodeSecond(b *testing.B) {
+	benchmarkNodeSecond(b, false)
+}
+
+// BenchmarkTickingNodeSecond is BenchmarkIdleNodeSecond with a task
+// blocked on every node, which keeps it from parking: the cost of a
+// fleet's timer ticks with nothing else running.
+func BenchmarkTickingNodeSecond(b *testing.B) {
+	benchmarkNodeSecond(b, true)
+}
+
+func benchmarkNodeSecond(b *testing.B, blocked bool) {
 	const nodes = 64
 	eng := sim.NewEngine(1)
 	for i := 0; i < nodes; i++ {
-		NewNode(eng, i, NodeDefaults())
+		n := NewNode(eng, i, NodeDefaults())
+		if blocked {
+			n.Spawn("blocked", func(tk *Task) { tk.Recv(n.Port("unused"), func(Message) {}) })
+		}
 	}
 	eng.RunFor(sim.Second)
 	b.ReportAllocs()

@@ -393,8 +393,8 @@ func TestIRQPendingDuringStorm(t *testing.T) {
 	if hard != 0 {
 		t.Fatalf("pending hard = %d after drain, want 0", hard)
 	}
-	if n.K.CumIRQHard[n.Cfg.NetIRQCPU] < 10 {
-		t.Fatalf("cumulative IRQ count %d, want >=10", n.K.CumIRQHard[n.Cfg.NetIRQCPU])
+	if n.K.CumIRQHard(n.Cfg.NetIRQCPU) < 10 {
+		t.Fatalf("cumulative IRQ count %d, want >=10", n.K.CumIRQHard(n.Cfg.NetIRQCPU))
 	}
 }
 
@@ -406,11 +406,11 @@ func TestIRQAffinity(t *testing.T) {
 		n.RaiseNetIRQ(nil)
 	}
 	eng.RunUntil(100 * sim.Millisecond)
-	if n.K.CumIRQHard[1] < 5 {
-		t.Fatalf("CPU1 (NIC-affine) hard IRQs = %d, want >=5", n.K.CumIRQHard[1])
+	if n.K.CumIRQHard(1) < 5 {
+		t.Fatalf("CPU1 (NIC-affine) hard IRQs = %d, want >=5", n.K.CumIRQHard(1))
 	}
-	if n.K.CumIRQHard[0] != 0 {
-		t.Fatalf("CPU0 got %d net IRQs, want 0", n.K.CumIRQHard[0])
+	if n.K.CumIRQHard(0) != 0 {
+		t.Fatalf("CPU0 got %d net IRQs, want 0", n.K.CumIRQHard(0))
 	}
 }
 

@@ -128,6 +128,7 @@ func (t *Task) Alive() bool { return t.state != stateDead }
 // virtual time) to let it issue its first operation. A program that
 // issues no operation exits immediately.
 func (n *Node) Spawn(name string, program func(t *Task)) *Task {
+	n.unpark()
 	t := &Task{Name: name, node: n, state: stateNew}
 	t.doneTimer = n.Eng.NewTimer(t.burstComplete)
 	t.sliceTimer = n.Eng.NewTimer(t.sliceExpire)

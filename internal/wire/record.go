@@ -101,8 +101,9 @@ func (r LoadRecord) String() string {
 
 // AppendTo encodes the record into dst (which must have RecordSize
 // capacity from offset 0); dst is returned for chaining. Encoding
-// never fails.
-func (r LoadRecord) AppendTo(dst []byte) []byte {
+// never fails. The receiver is a pointer so the DMA-instant encode
+// does not copy the record to encode it.
+func (r *LoadRecord) AppendTo(dst []byte) []byte {
 	if cap(dst) < RecordSize {
 		dst = make([]byte, RecordSize)
 	}
@@ -155,25 +156,13 @@ func Decode(b []byte) (LoadRecord, error) {
 // allocating: the probe hot path decodes thousands of records per
 // sweep into caller-owned scratch. On error *r is left zeroed.
 func DecodeInto(r *LoadRecord, b []byte) error {
-	*r = LoadRecord{}
-	if len(b) < RecordSize {
-		return ErrShort
+	if err := check(b); err != nil {
+		*r = LoadRecord{}
+		return err
 	}
+	// Every field is assigned below, so a valid record needs no
+	// zeroing first.
 	le := binary.LittleEndian
-	if le.Uint32(b[0:]) != Magic {
-		return ErrMagic
-	}
-	if b[4] != Version {
-		return ErrVersion
-	}
-	if le.Uint32(b[116:]) != crc32.ChecksumIEEE(b[:116]) {
-		return ErrChecksum
-	}
-	if le.Uint16(b[114:]) != 0 {
-		// Reserved padding must be zero: keeps decode(encode(r))
-		// exactly invertible and the reserved space usable later.
-		return ErrReserved
-	}
 	r.NumCPU = b[5]
 	r.NodeID = le.Uint16(b[6:])
 	r.Seq = le.Uint32(b[8:])
@@ -192,5 +181,29 @@ func DecodeInto(r *LoadRecord, b []byte) error {
 	r.NetTxBytes = le.Uint64(b[96:])
 	r.CtxSwitch = le.Uint64(b[104:])
 	r.Conns = le.Uint16(b[112:])
+	return nil
+}
+
+// check validates the framing of an encoded record: length, magic,
+// version, checksum and the reserved field.
+func check(b []byte) error {
+	if len(b) < RecordSize {
+		return ErrShort
+	}
+	le := binary.LittleEndian
+	if le.Uint32(b[0:]) != Magic {
+		return ErrMagic
+	}
+	if b[4] != Version {
+		return ErrVersion
+	}
+	if le.Uint32(b[116:]) != crc32.ChecksumIEEE(b[:116]) {
+		return ErrChecksum
+	}
+	if le.Uint16(b[114:]) != 0 {
+		// Reserved padding must be zero: keeps decode(encode(r))
+		// exactly invertible and the reserved space usable later.
+		return ErrReserved
+	}
 	return nil
 }
