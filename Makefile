@@ -88,8 +88,9 @@ scenario-smoke:
 # -benchmem surfaces allocs/op and B/op next to the sim-derived
 # metrics (the steady-sweep figures are also reported explicitly).
 # The second line times the dispatch decision next to its code: one
-# Pick against fleet size (ns/op should grow linearly) and one
-# LocalFrac query. The third times the event path next to its code:
+# Pick against fleet size (ns/op should grow linearly), one LocalFrac
+# query, and one whole served request of the settled 64-back-end
+# RUBiS cluster (DispatchRequest; ns and allocs per request). The third times the event path next to its code:
 # the engine under random delays (EngineHold), under a fleet's
 # tie-heavy tick bursts (EngineTickBurst/n=8192 — the pattern
 # sweep-8192 has, which the hold model does not resolve — and
@@ -104,7 +105,7 @@ scenario-smoke:
 # allocations counted across both ends.
 bench:
 	$(GO) test -bench . -benchtime 1x -benchmem
-	$(GO) test -run '^$$' -bench 'BenchmarkPick|BenchmarkLocalFrac' -benchmem ./internal/loadbalance ./internal/httpsim
+	$(GO) test -run '^$$' -bench 'BenchmarkPick|BenchmarkLocalFrac|BenchmarkDispatchRequest' -benchmem ./internal/loadbalance ./internal/httpsim ./internal/cluster
 	$(GO) test -run '^$$' -bench 'BenchmarkEngineHold|BenchmarkEngineTickBurst|BenchmarkEngineCancelChained|BenchmarkTimerReset|BenchmarkIdleNodeSecond|BenchmarkTickingNodeSecond|BenchmarkSimReadBatch32|BenchmarkSweepBatch256' -benchmem ./internal/sim ./internal/simos ./internal/simnet ./internal/core
 	$(GO) test -run '^$$' -bench 'BenchmarkLoopback' -benchmem ./internal/tcpverbs
 
@@ -112,9 +113,13 @@ bench:
 # scale point and the 512-backend hybrid comparison, failing on >15%
 # regression vs the committed baselines (sim figures AND steady-state
 # sweep allocs/op + B/op; the probe data path is asserted to allocate
-# exactly zero).
+# exactly zero). The second line holds the request path: every routing
+# decision of the weighted policies against its golden digest, and at
+# most 3 allocations per served request (a !race pin, so the race pass
+# skips it).
 bench-check:
 	$(GO) test -run 'TestBenchScaleRegression|TestBenchHybridRegression' .
+	$(GO) test -count=1 -run 'TestDispatchDecisionGoldenDigests|TestDispatchAllocsPerRequest' ./internal/cluster
 
 # Regenerate BENCH_scale.json / BENCH_hybrid.json after an intentional
 # cost-model change (commit the result).

@@ -83,7 +83,7 @@ func (c *Controller) Admit(backends []int) bool {
 			ok = true
 			break
 		}
-		idx := c.Cfg.Weights.Index(rec)
+		idx := c.Cfg.Weights.IndexOf(&rec)
 		if c.Cfg.Degraded != nil && c.Cfg.Degraded(b) {
 			if c.Cfg.DegradedPenalty > 0 {
 				idx += c.Cfg.DegradedPenalty

@@ -603,16 +603,10 @@ func (c *Cluster) buildPolicyFor(mon *core.Monitor, rng *rand.Rand) loadbalance.
 	case PolicyRandom:
 		return &loadbalance.Random{Backends: ids, Rng: rng}
 	case PolicyLeastLoad, PolicyWebSphere:
-		var source loadbalance.LoadSource
+		source := recordSource(mon)
 		var exclude, degraded func(int) bool
 		if mon != nil {
 			m := mon
-			// Named results: the record lands in the caller's slot
-			// without an intermediate ~140 B copy, per candidate per pick.
-			source = func(b int) (rec wire.LoadRecord, ok bool) {
-				rec, _, ok = m.Latest(b)
-				return
-			}
 			// Quarantined back-ends (3 consecutive failed probes) get
 			// zero traffic until they pass probation.
 			exclude = func(b int) bool { return !m.Health(b).Eligible() }
@@ -621,8 +615,6 @@ func (c *Cluster) buildPolicyFor(mon *core.Monitor, rng *rand.Rand) loadbalance.
 				// dispatch set but carry a small index handicap.
 				degraded = func(b int) bool { return m.Health(b) == core.Degraded }
 			}
-		} else {
-			source = func(int) (wire.LoadRecord, bool) { return wire.LoadRecord{}, false }
 		}
 		if c.Cfg.Policy == PolicyLeastLoad {
 			wll := &loadbalance.WeightedLeastLoad{
@@ -656,13 +648,32 @@ func (c *Cluster) buildPolicyFor(mon *core.Monitor, rng *rand.Rand) loadbalance.
 			m := mon
 			eng := c.Eng
 			wp.Aged = func(b int) (wire.LoadRecord, sim.Time, bool) {
-				rec, at, ok := m.Latest(b)
-				return rec, eng.Now() - at, ok
+				if r, at, ok := m.Latest(b); ok {
+					return *r, eng.Now() - at, true
+				}
+				return wire.LoadRecord{}, 0, false
 			}
 		}
 		return wp
 	default:
 		panic(fmt.Sprintf("cluster: unknown policy %q", c.Cfg.Policy))
+	}
+}
+
+// recordSource is the record input the weighted policies and admission
+// control read mon through. The monitor hands out its cached record by
+// pointer and the record is copied once, straight into the caller's
+// result; callers score it in place (core.Weights.IndexOf). A nil
+// monitor has no records.
+func recordSource(mon *core.Monitor) loadbalance.LoadSource {
+	if mon == nil {
+		return func(int) (wire.LoadRecord, bool) { return wire.LoadRecord{}, false }
+	}
+	return func(b int) (wire.LoadRecord, bool) {
+		if r, _, ok := mon.Latest(b); ok {
+			return *r, true
+		}
+		return wire.LoadRecord{}, false
 	}
 }
 
@@ -865,13 +876,8 @@ func (c *Cluster) EnableAdmission(cfg admission.Config) *admission.Controller {
 	if c.Dispatcher == nil {
 		panic("cluster: admission needs a dispatcher")
 	}
-	var source loadbalance.LoadSource
 	if c.Monitor != nil {
 		m := c.Monitor
-		source = func(b int) (wire.LoadRecord, bool) {
-			rec, _, ok := m.Latest(b)
-			return rec, ok
-		}
 		// Admission sees back-ends exactly as dispatch does: quarantined
 		// nodes are no capacity at all, degraded ones carry the same
 		// index handicap the policy applies.
@@ -881,10 +887,8 @@ func (c *Cluster) EnableAdmission(cfg admission.Config) *admission.Controller {
 		if cfg.Degraded == nil && c.Cfg.Failover != nil {
 			cfg.Degraded = func(b int) bool { return m.Health(b) == core.Degraded }
 		}
-	} else {
-		source = func(int) (wire.LoadRecord, bool) { return wire.LoadRecord{}, false }
 	}
-	ctl := admission.New(cfg, source)
+	ctl := admission.New(cfg, recordSource(c.Monitor))
 	ids := c.BackendIDs()
 	c.Dispatcher.Admission = func() bool { return ctl.Admit(ids) }
 	return ctl

@@ -8,6 +8,7 @@ import (
 	"rdmamon/internal/admission"
 	"rdmamon/internal/core"
 	"rdmamon/internal/sim"
+	"rdmamon/internal/workload"
 )
 
 // dispatchRun is one seeded request-path run: the RUBiS cluster the
@@ -24,12 +25,10 @@ type dispatchRun struct {
 // what the dispatcher did with the records the monitor held, decision
 // by decision.
 func dispatchDigest(r dispatchRun) (digest uint64, decisions int) {
-	c := New(Config{Backends: r.backends, Scheme: core.RDMASync, Poll: 10 * sim.Millisecond,
-		Seed: 1, Policy: r.policy, MonitorShards: 4, MonitorBatch: 32})
+	c, pool := rubisCluster(r.backends, r.policy)
 	if r.admission {
 		c.EnableAdmission(admission.Config{Threshold: 0.08, Weights: core.WeightsFor(core.RDMASync)})
 	}
-	pool := c.StartRUBiS(24*r.backends, 100*sim.Millisecond, 2)
 	h := fnv.New64a()
 	var buf [16]byte
 	c.Dispatcher.OnRoute = func(b int) {
@@ -68,5 +67,27 @@ func TestDispatchDecisionGoldenDigests(t *testing.T) {
 			t.Errorf("%+v: %d decisions, digest 0x%016x; want %d, golden 0x%016x",
 				g.run, n, got, g.decisions, g.digest)
 		}
+	}
+}
+
+// rubisCluster builds the bench's dispatch workload at a given fleet
+// and policy: RDMA-Sync records, 24 RUBiS clients per back-end.
+func rubisCluster(backends int, policy PolicyName) (*Cluster, *workload.ClientPool) {
+	c := New(Config{Backends: backends, Scheme: core.RDMASync, Poll: 10 * sim.Millisecond,
+		Seed: 1, Policy: policy, MonitorShards: 4, MonitorBatch: 32})
+	return c, c.StartRUBiS(24*backends, 100*sim.Millisecond, 2)
+}
+
+// BenchmarkDispatchRequest times one served request of the 64-back-end
+// dispatch workload, settled: ns/op and allocs/op are per request,
+// everything the simulator does meanwhile (monitor sweep, ticks)
+// included.
+func BenchmarkDispatchRequest(b *testing.B) {
+	c, pool := rubisCluster(64, PolicyLeastLoad)
+	c.Run(2 * sim.Second)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for target := pool.Completed + uint64(b.N); pool.Completed < target; {
+		c.Run(5 * sim.Millisecond)
 	}
 }

@@ -35,7 +35,7 @@ import (
 // controller use.
 func LoadDelta(a, b wire.LoadRecord) float64 {
 	w := DefaultWeights()
-	return math.Abs(w.Index(a) - w.Index(b))
+	return math.Abs(w.IndexOf(&a) - w.IndexOf(&b))
 }
 
 // PeriodConfig bounds the adaptive per-backend poll period.

@@ -51,10 +51,12 @@ func clamp01(v float64) float64 {
 // Index computes the weighted load index of a record. Larger means
 // more loaded. The result is not bounded by 1.0 when weights sum above
 // one; only ordering matters to the dispatcher.
-func (w Weights) Index(r wire.LoadRecord) float64 { return w.index(&r) }
+func (w Weights) Index(r wire.LoadRecord) float64 { return w.IndexOf(&r) }
 
-// index is Index on a record that stays where it is.
-func (w *Weights) index(r *wire.LoadRecord) float64 {
+// IndexOf is Index on a record that stays where it is: the form every
+// per-decision caller scores through, so a 120-byte record is not copied
+// into the call.
+func (w *Weights) IndexOf(r *wire.LoadRecord) float64 {
 	cpus := float64(r.NumCPU)
 	if cpus == 0 {
 		cpus = 1

@@ -141,9 +141,15 @@ func StartProber(front *simos.Node, fnic *simnet.NIC, agent *Agent, poll sim.Tim
 	return p
 }
 
-// Latest returns the most recent record and its arrival time.
-func (p *Prober) Latest() (wire.LoadRecord, sim.Time, bool) {
-	return p.last, p.lastAt, p.has
+// Latest returns the most recent record and its arrival time. The
+// record is the prober's cache, handed out by pointer: it is valid until
+// the next probe lands, so a caller that keeps it across simulated time
+// copies it.
+func (p *Prober) Latest() (*wire.LoadRecord, sim.Time, bool) {
+	if !p.has {
+		return nil, 0, false
+	}
+	return &p.last, p.lastAt, true
 }
 
 // Stop ends the polling loop.
@@ -986,11 +992,12 @@ func (m *Monitor) Slope(backend int) (float64, bool) {
 	return p.Trend.Slope()
 }
 
-// Latest returns the newest record for a back-end.
-func (m *Monitor) Latest(backend int) (wire.LoadRecord, sim.Time, bool) {
+// Latest returns the newest record for a back-end, by pointer into its
+// prober's cache (see Prober.Latest).
+func (m *Monitor) Latest(backend int) (*wire.LoadRecord, sim.Time, bool) {
 	p := m.prober(backend)
 	if p == nil {
-		return wire.LoadRecord{}, 0, false
+		return nil, 0, false
 	}
 	return p.Latest()
 }

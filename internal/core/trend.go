@@ -120,7 +120,7 @@ func (tt *TrendTracker) fold(rec *wire.LoadRecord) bool {
 	if tt.seen && rec.KTimeNS <= tt.lastK {
 		return false
 	}
-	idx := tt.weights().index(rec)
+	idx := tt.weights().IndexOf(rec)
 	if !tt.seen {
 		tt.seen = true
 		tt.lastK = rec.KTimeNS

@@ -248,8 +248,7 @@ func chaosHybridTwin(cp *scenario.Compiled, seed int64, plan faults.Plan) hybrid
 	}
 	seqs := ""
 	for _, b := range c.Monitor.Backends() {
-		rec, at, _ := c.Monitor.Probers[b].Latest()
-		seqs += fmt.Sprintf("|%d:%d@%d", b, rec.Seq, at)
+		seqs += seqMark(b, c.Monitor.Probers[b])
 	}
 	// The twin's digest joins the main fingerprint so I5's replay check
 	// covers hybrid mode too: pushes, skips, errors, sink counters, the
@@ -540,6 +539,17 @@ func firstAfter(ts []sim.Time, t sim.Time) (sim.Time, bool) {
 	return 0, false
 }
 
+// seqMark renders back-end b's newest record for a replay fingerprint
+// as "|b:seq@arrival", "|b:0@0" before its first record.
+func seqMark(b int, p *core.Prober) string {
+	var seq uint32
+	var at sim.Time
+	if rec, t, ok := p.Latest(); ok {
+		seq, at = rec.Seq, t
+	}
+	return fmt.Sprintf("|%d:%d@%d", b, seq, at)
+}
+
 func intsHave(s []int, v int) bool {
 	for _, x := range s {
 		if x == v {
@@ -565,8 +575,7 @@ func (ck *chaosChecker) point(seed int64, clientTmo uint64) ChaosPoint {
 		pt.FailBacks += fo.FailBacks
 		pt.Fallbacks += p.Fallbacks
 		pt.ReArms += p.ReArms
-		rec, at, _ := p.Latest()
-		seqs += fmt.Sprintf("|%d:%d@%d", b, rec.Seq, at)
+		seqs += seqMark(b, p)
 	}
 	pt.TripMaxT = float64(ck.tripMax) / float64(ck.poll)
 	pt.FailBackMaxT = float64(ck.fbMax) / float64(ck.poll)

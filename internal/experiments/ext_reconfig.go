@@ -73,8 +73,10 @@ func reconfigPoint(o Options, name string, scheme core.Scheme, withCtl bool) Rec
 	}
 	mon := core.StartMonitor(front, fnic, agents, core.DefaultInterval)
 	source := func(b int) (wire.LoadRecord, bool) {
-		rec, _, ok := mon.Latest(b)
-		return rec, ok
+		if rec, _, ok := mon.Latest(b); ok {
+			return *rec, true
+		}
+		return wire.LoadRecord{}, false
 	}
 
 	// Two services, each with its own dispatcher + policy over its

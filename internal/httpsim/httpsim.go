@@ -90,42 +90,70 @@ func StartServer(node *simos.Node, nic *simnet.NIC, cfg ServerConfig) *Server {
 	// in-service requests.
 	node.K.SetConnFn(func() int { return s.port.QueueLen() + s.busy })
 	for i := 0; i < cfg.Workers; i++ {
-		w := node.Spawn(fmt.Sprintf("httpd-%d", i), func(tk *simos.Task) {
-			var serve func(m simos.Message)
-			serve = func(m simos.Message) {
-				if s.stopped {
-					tk.Exit()
-					return
-				}
-				req, ok := m.Payload.(Request)
-				if !ok {
-					tk.Recv(s.port, serve)
-					return
-				}
-				s.busy++
-				node.K.AddMemKB(cfg.MemPerKB)
-				finish := func() {
-					reply := Reply{ID: req.ID, Class: req.Class, Issued: req.Issued, Backend: node.ID}
-					s.nic.Send(tk, req.Client, "", req.Resp, reply, func() {
-						s.busy--
-						s.served++
-						node.K.AddMemKB(-cfg.MemPerKB)
-						tk.Recv(s.port, serve)
-					})
-				}
-				tk.Compute(req.CPU, func() {
-					if req.IOWait > 0 {
-						tk.Sleep(req.IOWait, finish)
-					} else {
-						finish()
-					}
-				})
-			}
-			tk.Recv(s.port, serve)
-		})
-		s.workers = append(s.workers, w)
+		w := &worker{s: s}
+		w.serveFn, w.computedFn, w.finishFn, w.sentFn = w.serve, w.computed, w.finish, w.sent
+		s.workers = append(s.workers, node.Spawn(fmt.Sprintf("httpd-%d", i), func(tk *simos.Task) {
+			w.tk = tk
+			tk.Recv(s.port, w.serveFn)
+		}))
 	}
 	return s
+}
+
+// worker is one worker process of a server. The request in service is
+// its state, and its stages are methods bound once, so serving a
+// request allocates nothing but the boxed reply.
+type worker struct {
+	s   *Server
+	tk  *simos.Task
+	req Request
+
+	serveFn                      func(simos.Message)
+	computedFn, finishFn, sentFn func()
+}
+
+// serve takes one request off the port and burns its CPU demand.
+func (w *worker) serve(m simos.Message) {
+	s := w.s
+	if s.stopped {
+		w.tk.Exit()
+		return
+	}
+	req, ok := m.Payload.(Request)
+	if !ok {
+		w.tk.Recv(s.port, w.serveFn)
+		return
+	}
+	w.req = req
+	s.busy++
+	s.node.K.AddMemKB(s.Cfg.MemPerKB)
+	w.tk.Compute(req.CPU, w.computedFn)
+}
+
+// computed waits out the request's I/O, if any.
+func (w *worker) computed() {
+	if w.req.IOWait > 0 {
+		w.tk.Sleep(w.req.IOWait, w.finishFn)
+		return
+	}
+	w.finish()
+}
+
+// finish sends the reply.
+func (w *worker) finish() {
+	req := &w.req
+	reply := Reply{ID: req.ID, Class: req.Class, Issued: req.Issued, Backend: w.s.node.ID}
+	w.s.nic.Send(w.tk, req.Client, "", req.Resp, reply, w.sentFn)
+}
+
+// sent releases the request and takes the next one.
+func (w *worker) sent() {
+	s := w.s
+	w.req = Request{}
+	s.busy--
+	s.served++
+	s.node.K.AddMemKB(-s.Cfg.MemPerKB)
+	w.tk.Recv(s.port, w.serveFn)
 }
 
 // Served returns the number of completed requests.
@@ -191,6 +219,12 @@ type Dispatcher struct {
 	stopped     bool
 	task        *simos.Task
 
+	// The request in hand, between its receipt and its forward, and the
+	// dispatcher task's stages, bound once.
+	payload          any
+	serveFn          func(simos.Message)
+	decideFn, nextFn func()
+
 	// Decayed per-backend forward counters: the dispatcher's local
 	// connection-count signal (linear decay to zero over localTau),
 	// dense by back-end id. total is their sum, taken in ascending id
@@ -220,58 +254,67 @@ func StartDispatcherOn(node *simos.Node, nic *simnet.NIC, policy loadbalance.Pol
 		localTau:     150 * sim.Millisecond,
 	}
 	nic.Fabric().MarkEstablished(port)
+	d.serveFn, d.decideFn, d.nextFn = d.serve, d.decide, d.next
 	d.task = node.Spawn("dispatcher", func(tk *simos.Task) {
-		var serve func(m simos.Message)
-		serve = func(m simos.Message) {
-			if d.stopped {
-				tk.Exit()
-				return
-			}
-			req, ok := m.Payload.(Request)
-			if !ok {
-				tk.Recv(d.port, serve)
-				return
-			}
-			tk.Compute(d.DecisionCost, func() {
-				if d.Fence != nil && !d.Fence() {
-					d.Fenced++
-					nak := Reply{ID: req.ID, Class: req.Class, Issued: req.Issued, NotPrimary: true}
-					d.nic.Send(tk, req.Client, "", 256, nak, func() {
-						tk.Recv(d.port, serve)
-					})
-					return
-				}
-				if d.Admission != nil && !d.Admission() {
-					rej := Reply{ID: req.ID, Class: req.Class, Issued: req.Issued, Rejected: true}
-					d.nic.Send(tk, req.Client, "", 256, rej, func() {
-						tk.Recv(d.port, serve)
-					})
-					return
-				}
-				b := d.policy.Pick()
-				if b < 0 || (d.BackendFence != nil && !d.BackendFence(b)) {
-					d.ShardFenced++
-					nak := Reply{ID: req.ID, Class: req.Class, Issued: req.Issued, NotPrimary: true}
-					d.nic.Send(tk, req.Client, "", 256, nak, func() {
-						tk.Recv(d.port, serve)
-					})
-					return
-				}
-				if d.OnRoute != nil {
-					d.OnRoute(b)
-				}
-				d.Routed++
-				d.ByNode[b]++
-				d.noteForward(b)
-				d.nic.Send(tk, b, ServerPort, req.Size, req, func() {
-					tk.Recv(d.port, serve)
-				})
-			})
-		}
-		tk.Recv(d.port, serve)
+		tk.Recv(d.port, d.serveFn)
 	})
 	return d
 }
+
+// serve takes one request off the dispatch port and pays the decision
+// cost. The request stays boxed as the client sent it and is forwarded
+// as it arrived.
+func (d *Dispatcher) serve(m simos.Message) {
+	if d.stopped {
+		d.task.Exit()
+		return
+	}
+	if _, ok := m.Payload.(Request); !ok {
+		d.next()
+		return
+	}
+	d.payload = m.Payload
+	d.task.Compute(d.DecisionCost, d.decideFn)
+}
+
+// decide fences, admits and routes the request in hand.
+func (d *Dispatcher) decide() {
+	payload := d.payload
+	d.payload = nil
+	req := payload.(Request)
+	if d.Fence != nil && !d.Fence() {
+		d.Fenced++
+		d.refuse(&req, false)
+		return
+	}
+	if d.Admission != nil && !d.Admission() {
+		d.refuse(&req, true)
+		return
+	}
+	b := d.policy.Pick()
+	if b < 0 || (d.BackendFence != nil && !d.BackendFence(b)) {
+		d.ShardFenced++
+		d.refuse(&req, false)
+		return
+	}
+	if d.OnRoute != nil {
+		d.OnRoute(b)
+	}
+	d.Routed++
+	d.ByNode[b]++
+	d.noteForward(b)
+	d.nic.Send(d.task, b, ServerPort, req.Size, payload, d.nextFn)
+}
+
+// refuse answers req without routing it: Rejected by admission
+// control, NotPrimary by a claim fence.
+func (d *Dispatcher) refuse(req *Request, rejected bool) {
+	rep := Reply{ID: req.ID, Class: req.Class, Issued: req.Issued, Rejected: rejected, NotPrimary: !rejected}
+	d.nic.Send(d.task, req.Client, "", 256, rep, d.nextFn)
+}
+
+// next waits for the following request.
+func (d *Dispatcher) next() { d.task.Recv(d.port, d.serveFn) }
 
 // Stop ends the dispatcher.
 func (d *Dispatcher) Stop() {

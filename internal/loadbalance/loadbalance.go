@@ -231,7 +231,7 @@ func (w *WeightedLeastLoad) Pick() int {
 		}
 		idx := 0.0
 		if rec, ok := w.Source(b); ok {
-			idx = w.Weights.Index(rec)
+			idx = w.Weights.IndexOf(&rec)
 		}
 		if useLocal {
 			share := w.LocalFrac(b) * half
@@ -394,7 +394,7 @@ func (w *WeightedProportional) Pick() int {
 		switch {
 		case w.Aged != nil:
 			if rec, age, ok := w.Aged(b); ok {
-				idx = w.Weights.Index(rec)
+				idx = w.Weights.IndexOf(&rec)
 				if w.StaleAfter > 0 {
 					conf = math.Exp(-float64(age) / float64(w.StaleAfter))
 				}
@@ -403,7 +403,7 @@ func (w *WeightedProportional) Pick() int {
 			}
 		case w.Source != nil:
 			if rec, ok := w.Source(b); ok {
-				idx = w.Weights.Index(rec)
+				idx = w.Weights.IndexOf(&rec)
 			}
 		}
 		if useLocal {

@@ -142,7 +142,7 @@ func (c *Controller) GroupLoad(group []int) float64 {
 			continue
 		}
 		if rec, ok := c.source(b); ok {
-			sum += c.Cfg.Weights.Index(rec)
+			sum += c.Cfg.Weights.IndexOf(&rec)
 			n++
 		}
 	}
@@ -177,7 +177,7 @@ func (c *Controller) migrate(from, to *[]int, counter *uint64) {
 		}
 		idx := 0.0
 		if rec, ok := c.source(b); ok {
-			idx = c.Cfg.Weights.Index(rec)
+			idx = c.Cfg.Weights.IndexOf(&rec)
 		}
 		if best < 0 || idx < bestIdx {
 			best, bestIdx = b, idx

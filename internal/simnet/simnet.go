@@ -206,9 +206,10 @@ type Fabric struct {
 	bufs [][]byte
 
 	// readOps and readBatches are the free lists of one-sided read state
-	// (see readOp, readBatch).
+	// (see readOp, readBatch), msgOps of messages in flight (msgOp).
 	readOps     []*readOp
 	readBatches []*readBatch
+	msgOps      []*msgOp
 
 	// AblationRDMATargetIRQ, when set, charges a network interrupt on
 	// the target node for every RDMA operation — deliberately breaking
@@ -311,6 +312,7 @@ func (f *Fabric) Attach(node *simos.Node) *NIC {
 		panic(fmt.Sprintf("simnet: node %d already attached", node.ID))
 	}
 	nic := &NIC{fab: f, node: node, mrs: make(map[uint32]*MR)}
+	nic.ackFn = nic.ack
 	f.nics[node.ID] = nic
 	if id := node.ID; id >= 0 {
 		if id >= len(f.byID) {
@@ -349,70 +351,140 @@ func (f *Fabric) Inject(from, dst int, port string, size int, payload any) {
 
 // deliver moves a message to dst (cluster node or external sink).
 func (f *Fabric) deliver(from, dst int, port string, size int, payload any) {
-	m := simos.Message{From: from, Size: size, Payload: payload, SentAt: f.Eng.Now()}
-	f.attempt(m, dst, port, 0)
+	op := f.getMsgOp()
+	op.m = simos.Message{From: from, Size: size, Payload: payload, SentAt: f.Eng.Now()}
+	op.dst, op.port = dst, port
+	op.attempt()
 }
 
 // SetFaults installs (or clears, with nil) a fault model.
 func (f *Fabric) SetFaults(fm FaultModel) { f.Faults = fm }
 
-func (f *Fabric) attempt(m simos.Message, dst int, port string, try int) {
-	extra := f.heteroLat(m.From, dst)
+// msgOp is one channel-semantics message from its send to its port
+// handoff. Its stages — the end of the sender's kernel send burst, a
+// delivery attempt, a duplicate's flight, the arrival at the receiving
+// NIC and the receive softirq — are methods bound once per struct, and
+// the structs cycle through Fabric.msgOps, so a message crosses the
+// fabric without allocating an event node, a closure or the op itself
+// (readOp's pattern). A retransmission re-runs attempt on the same op;
+// a duplicate is a second op.
+type msgOp struct {
+	f    *Fabric
+	m    simos.Message
+	dst  int
+	port string
+	try  int
+	src  *NIC   // sender, during a Send's kernel burst
+	then func() // Send's continuation
+	rx   *NIC   // receiver, from arrive on
+
+	sentFn, attemptFn, dupFn, arriveFn, receiveFn func()
+}
+
+func (f *Fabric) getMsgOp() *msgOp {
+	if n := len(f.msgOps); n > 0 {
+		op := f.msgOps[n-1]
+		f.msgOps[n-1] = nil
+		f.msgOps = f.msgOps[:n-1]
+		return op
+	}
+	op := &msgOp{f: f}
+	op.sentFn, op.attemptFn, op.dupFn = op.sent, op.attempt, op.dup
+	op.arriveFn, op.receiveFn = op.arrive, op.receive
+	return op
+}
+
+// putMsgOp returns a finished op to the free list holding no reference.
+func (f *Fabric) putMsgOp(op *msgOp) {
+	op.m, op.port, op.try, op.src, op.then, op.rx = simos.Message{}, "", 0, nil, nil, nil
+	f.msgOps = append(f.msgOps, op)
+}
+
+// attempt is one delivery attempt: the fault model may lose the packet
+// (the sender's TCP retransmits after RTO — each retransmission faces
+// the fault model again, so a flapping link can eat the whole retry
+// budget), duplicate it or delay it.
+func (op *msgOp) attempt() {
+	f := op.f
+	extra := f.heteroLat(op.m.From, op.dst)
 	if f.Faults != nil {
-		v := f.Faults.Channel(m.From, dst, m.Size)
+		v := f.Faults.Channel(op.m.From, op.dst, op.m.Size)
 		if v.Drop {
-			// Lost on the wire: the sender's TCP retransmits after RTO
-			// (each retransmission faces the fault model again — a
-			// flapping link can eat the whole retry budget).
-			f.retry(m, dst, port, try)
+			op.retry()
 			return
 		}
-		if v.Dup && try == 0 {
-			f.Eng.After(f.Cfg.WireLatency, func() { f.transmit(m, dst, port, try, 0) })
+		if v.Dup && op.try == 0 {
+			dup := f.getMsgOp()
+			dup.m, dup.dst, dup.port = op.m, op.dst, op.port
+			f.Eng.Post(f.Cfg.WireLatency, dup.dupFn)
 		}
 		extra += v.Delay
 	}
-	f.transmit(m, dst, port, try, extra)
+	op.transmit(extra)
 }
 
-func (f *Fabric) retry(m simos.Message, dst int, port string, try int) {
-	if try < f.Cfg.MaxRetries {
-		f.Eng.After(f.Cfg.RTO, func() { f.attempt(m, dst, port, try+1) })
+// dup sends a duplicate on its way, a wire latency behind the original.
+func (op *msgOp) dup() { op.transmit(0) }
+
+func (op *msgOp) transmit(extra sim.Time) {
+	op.f.Eng.Post(op.f.xmit(op.m.Size)+extra, op.arriveFn)
+}
+
+// retry retransmits after RTO while the retry budget lasts; a message
+// past it is lost.
+func (op *msgOp) retry() {
+	f := op.f
+	if op.try < f.Cfg.MaxRetries {
+		op.try++
+		f.Eng.Post(f.Cfg.RTO, op.attemptFn)
+		return
 	}
+	f.putMsgOp(op)
 }
 
-func (f *Fabric) transmit(m simos.Message, dst int, port string, try int, extra sim.Time) {
-	f.Eng.After(f.xmit(m.Size)+extra, func() {
-		if sink, ok := f.externals[dst]; ok {
-			sink(m)
-			return
-		}
-		nic := f.NIC(dst)
-		if nic == nil {
-			return // dropped: no such host
-		}
-		node := nic.node
-		if node.Down() {
-			// Dead host: the packet vanishes; the sender's TCP keeps
-			// retransmitting into the void until its retry budget ends.
-			f.retry(m, dst, port, try)
-			return
-		}
-		node.RaiseNetIRQ(func() {
-			node.K.AddNetRx(m.Size)
-			if !f.established[port] && try < f.Cfg.MaxRetries && f.dropAtSocket(node) {
-				// Socket buffer overrun: the packet cost RX processing
-				// but never reaches the application; the sender's TCP
-				// retransmits after RTO.
-				nic.SockDrops++
-				f.Eng.After(f.Cfg.RTO, func() { f.attempt(m, dst, port, try+1) })
-				return
-			}
-			if p := node.LookupPort(port); p != nil {
-				p.Deliver(m)
-			}
-		})
-	})
+// arrive: the message reaches the destination — an external sink, or a
+// cluster node's NIC, which raises the receive interrupt.
+func (op *msgOp) arrive() {
+	f := op.f
+	if sink, ok := f.externals[op.dst]; ok {
+		m := op.m
+		f.putMsgOp(op)
+		sink(m)
+		return
+	}
+	nic := f.NIC(op.dst)
+	if nic == nil {
+		f.putMsgOp(op) // dropped: no such host
+		return
+	}
+	if nic.node.Down() {
+		// Dead host: the packet vanishes; the sender's TCP keeps
+		// retransmitting into the void until its retry budget ends.
+		op.retry()
+		return
+	}
+	op.rx = nic
+	nic.node.RaiseNetIRQ(op.receiveFn)
+}
+
+// receive is the softirq half of the receive interrupt: RX accounting,
+// the socket-layer drop of a distressed receiver, the port handoff.
+func (op *msgOp) receive() {
+	f, nic := op.f, op.rx
+	node := nic.node
+	node.K.AddNetRx(op.m.Size)
+	if !f.established[op.port] && op.try < f.Cfg.MaxRetries && f.dropAtSocket(node) {
+		// Socket buffer overrun: the packet cost RX processing but never
+		// reaches the application; the sender's TCP retransmits after RTO.
+		nic.SockDrops++
+		op.retry()
+		return
+	}
+	m, port := op.m, op.port
+	f.putMsgOp(op)
+	if p := node.LookupPort(port); p != nil {
+		p.Deliver(m)
+	}
 }
 
 // dropAtSocket decides whether a channel-semantics message is lost at
@@ -447,6 +519,7 @@ type NIC struct {
 	node    *simos.Node
 	mrs     map[uint32]*MR
 	nextKey uint32
+	ackFn   func() // n.ack, bound once
 
 	// Connection/fd resource model (see qp.go).
 	qps     map[uint64]*QP
@@ -480,27 +553,38 @@ func (n *NIC) Fabric() *Fabric { return n.fab }
 func (n *NIC) Send(t *simos.Task, dst int, port string, size int, payload any, then func()) {
 	f := n.fab
 	cost := f.Cfg.SockTxCost + sim.Time(int64(size)*int64(sim.Second)/f.Cfg.TxCPUBps)
-	t.Compute(cost, func() {
-		n.SendsPosted++
-		n.node.K.AddNetTx(size)
-		f.deliver(n.node.ID, dst, port, size, payload)
-		// TCP ACK clocking: one return interrupt per AckEvery bytes,
-		// spread over the transmission. Large responses therefore
-		// load the *sender's* interrupt path — kernel state that only
-		// the kernel-direct schemes can observe promptly.
-		acks := size / f.Cfg.AckEvery
-		span := f.xmit(size)
-		node := n.node
-		for i := 1; i <= acks; i++ {
-			f.Eng.After(span*sim.Time(i)/sim.Time(acks)+2*f.Cfg.WireLatency, func() {
-				node.RaiseNetIRQ(nil)
-			})
-		}
-		if then != nil {
-			then()
-		}
-	})
+	op := f.getMsgOp()
+	op.m = simos.Message{From: n.node.ID, Size: size, Payload: payload}
+	op.dst, op.port, op.src, op.then = dst, port, n, then
+	t.Compute(cost, op.sentFn)
 }
+
+// sent ends a Send's kernel burst: the message leaves, and the sender
+// takes its ACK interrupts.
+func (op *msgOp) sent() {
+	f, n, then := op.f, op.src, op.then
+	op.src, op.then = nil, nil
+	size := op.m.Size
+	n.SendsPosted++
+	n.node.K.AddNetTx(size)
+	op.m.SentAt = f.Eng.Now()
+	op.attempt() // op is the fabric's from here on
+	// TCP ACK clocking: one return interrupt per AckEvery bytes,
+	// spread over the transmission. Large responses therefore
+	// load the *sender's* interrupt path — kernel state that only
+	// the kernel-direct schemes can observe promptly.
+	acks := size / f.Cfg.AckEvery
+	span := f.xmit(size)
+	for i := 1; i <= acks; i++ {
+		f.Eng.Post(span*sim.Time(i)/sim.Time(acks)+2*f.Cfg.WireLatency, n.ackFn)
+	}
+	if then != nil {
+		then()
+	}
+}
+
+// ack is one TCP ACK interrupt on the sender.
+func (n *NIC) ack() { n.node.RaiseNetIRQ(nil) }
 
 // Multicast sends a message to every member of a group using channel
 // semantics (separate deliveries, one TX cost — switch replication).

@@ -3,7 +3,8 @@ package simos
 // fifo is a queue over one backing array: pop advances a head index
 // instead of re-slicing, and a drained queue starts again at the front
 // of its array, so a queue that keeps filling and draining stops
-// allocating once the array fits its deepest backlog.
+// allocating once the array fits its deepest backlog. A popped slot is
+// zeroed, so the queue keeps nothing it has handed out reachable.
 type fifo[T any] struct {
 	buf  []T
 	head int
@@ -11,7 +12,18 @@ type fifo[T any] struct {
 
 func (q *fifo[T]) len() int { return len(q.buf) - q.head }
 
-func (q *fifo[T]) push(v T) { q.buf = append(q.buf, v) }
+// push appends v. A full array whose front half has been popped is
+// compacted instead of grown, so a queue that never quite drains (a
+// port under a standing backlog) keeps an array within four times its
+// deepest backlog instead of one as long as everything it ever held.
+func (q *fifo[T]) push(v T) {
+	if len(q.buf) == cap(q.buf) && q.head > 0 && q.head >= len(q.buf)/2 {
+		n := copy(q.buf, q.buf[q.head:])
+		clear(q.buf[n:])
+		q.buf, q.head = q.buf[:n], 0
+	}
+	q.buf = append(q.buf, v)
+}
 
 // front returns the oldest element; the queue must not be empty.
 func (q *fifo[T]) front() *T { return &q.buf[q.head] }

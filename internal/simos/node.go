@@ -229,12 +229,12 @@ func (n *Node) Crash() {
 		t.exit()
 	}
 	for _, p := range n.ports {
-		p.queue = nil
-		for _, w := range p.waiters {
+		p.queue = fifo[Message]{}
+		for _, w := range p.waiters.all() {
 			w.waitPort = nil
 			w.waitFn = nil
 		}
-		p.waiters = nil
+		p.waiters = fifo[*Task]{}
 	}
 	n.tick.Stop()
 }

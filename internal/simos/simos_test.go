@@ -1,7 +1,9 @@
 package simos
 
 import (
+	"runtime"
 	"testing"
+	"weak"
 
 	"rdmamon/internal/sim"
 )
@@ -321,6 +323,65 @@ func TestPortBuffersWhenNoWaiter(t *testing.T) {
 	eng.RunUntil(sim.Second)
 	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
 		t.Fatalf("got %v, want [1 2] in order", got)
+	}
+}
+
+// TestDrainedPortHoldsNoPayload pins that a port forgets what it has
+// delivered: once a task has taken every message — two queued before it
+// asked, two handed to it while it waited — neither the port's queue,
+// its wait list nor the task keeps a payload reachable.
+func TestDrainedPortHoldsNoPayload(t *testing.T) {
+	eng, n := newTestNode(t, lightCfg())
+	p := n.Port("svc")
+	type payload struct{ body [256]byte }
+	var sent []weak.Pointer[payload]
+	deliver := func() {
+		v := &payload{}
+		sent = append(sent, weak.Make(v))
+		p.Deliver(Message{Size: len(v.body), Payload: v})
+	}
+	deliver()
+	deliver()
+	got := 0
+	n.Spawn("rx", func(tk *Task) {
+		var loop func(Message)
+		loop = func(Message) { got++; tk.Recv(p, loop) }
+		tk.Recv(p, loop)
+	})
+	eng.Schedule(5*sim.Millisecond, deliver)
+	eng.Schedule(6*sim.Millisecond, deliver)
+	eng.RunUntil(sim.Second)
+	if got != 4 || p.QueueLen() != 0 {
+		t.Fatalf("received %d of 4 messages, %d still queued", got, p.QueueLen())
+	}
+	runtime.GC()
+	for i, w := range sent {
+		if w.Value() != nil {
+			t.Errorf("message %d's payload is still reachable from the drained port", i)
+		}
+	}
+	runtime.KeepAlive(p) // the port and its task stay live through the check
+}
+
+// TestFifoStandingBacklogBounded pins the fifo under a backlog that
+// never drains: order is kept and the array stays a small multiple of
+// the backlog, not as long as everything ever pushed.
+func TestFifoStandingBacklogBounded(t *testing.T) {
+	var q fifo[int]
+	next, want := 0, 0
+	for ; next < 100; next++ {
+		q.push(next)
+	}
+	for i := 0; i < 100000; i++ {
+		q.push(next)
+		next++
+		if got := q.pop(); got != want {
+			t.Fatalf("pop %d = %d, want %d", i, got, want)
+		}
+		want++
+	}
+	if q.len() != 100 || cap(q.buf) > 400 {
+		t.Fatalf("backlog %d in an array of %d", q.len(), cap(q.buf))
 	}
 }
 

@@ -89,6 +89,11 @@ type Task struct {
 	waitPort *Port
 	waitFn   func(Message)
 	awaitFn  func(any)
+	// A received message waits in rxMsg for the kernel->user copy burst;
+	// recvDone, t.recv bound once, then hands it to rxFn.
+	rxMsg    Message
+	rxFn     func(Message)
+	recvDone func()
 	sleepFn  func()         // continuation of the pending Sleep
 	procFn   func(Snapshot) // continuation of the ReadProc in progress
 	procRead func()         // t.readProc, bound once
@@ -134,6 +139,7 @@ func (n *Node) Spawn(name string, program func(t *Task)) *Task {
 	t.sliceTimer = n.Eng.NewTimer(t.sliceExpire)
 	t.sleepTimer = n.Eng.NewTimer(t.sleepExpire)
 	t.procRead = t.readProc
+	t.recvDone = t.recv
 	n.tasks[t] = struct{}{}
 	program(t)
 	if t.state == stateNew { // issued nothing
@@ -202,10 +208,9 @@ func (t *Task) Recv(p *Port, then func(Message)) {
 	if p.node != t.node {
 		panic("simos: Recv on a port of another node")
 	}
-	if len(p.queue) > 0 {
-		m := p.queue[0]
-		p.queue = p.queue[1:]
-		t.continueWith(t.node.Cfg.RecvCost, func() { then(m) })
+	if p.queue.len() > 0 {
+		t.rxMsg, t.rxFn = p.queue.pop(), then
+		t.continueWith(t.node.Cfg.RecvCost, t.recvDone)
 		return
 	}
 	if t.state == stateRunning {
@@ -214,8 +219,16 @@ func (t *Task) Recv(p *Port, then func(Message)) {
 	t.setState(stateBlocked)
 	t.waitPort = p
 	t.waitFn = then
-	p.waiters = append(p.waiters, t)
+	p.waiters.push(t)
 	t.node.resched()
+}
+
+// recv runs a Recv's continuation on the message handed over, dropping
+// the task's references to both first.
+func (t *Task) recv() {
+	m, fn := t.rxMsg, t.rxFn
+	t.rxMsg, t.rxFn = Message{}, nil
+	fn(m)
 }
 
 // RecvTimeout blocks the task until a message arrives on p or d of
@@ -302,6 +315,7 @@ func (t *Task) exit() {
 	}
 	t.sleepTimer.Stop()
 	t.sleepFn, t.procFn = nil, nil
+	t.rxMsg, t.rxFn = Message{}, nil
 	if t.waitPort != nil {
 		t.waitPort.removeWaiter(t)
 		t.waitPort = nil
@@ -368,22 +382,22 @@ type Message struct {
 type Port struct {
 	node    *Node
 	name    string
-	queue   []Message
-	waiters []*Task
+	queue   fifo[Message]
+	waiters fifo[*Task]
 }
 
 // Name returns the port's name.
 func (p *Port) Name() string { return p.name }
 
 // QueueLen returns the number of undelivered messages.
-func (p *Port) QueueLen() int { return len(p.queue) }
+func (p *Port) QueueLen() int { return p.queue.len() }
 
 // Drain discards all buffered messages, returning how many were
 // dropped. Probers use it to flush replies that arrived after their
 // deadline, so a late answer is never mistaken for a fresh one.
 func (p *Port) Drain() int {
-	n := len(p.queue)
-	p.queue = nil
+	n := p.queue.len()
+	p.queue = fifo[Message]{}
 	return n
 }
 
@@ -392,25 +406,24 @@ func (p *Port) Drain() int {
 // message is buffered. Deliver is called from interrupt (softirq)
 // context by the network model, or directly for local IPC.
 func (p *Port) Deliver(m Message) {
-	if len(p.waiters) == 0 {
-		p.queue = append(p.queue, m)
+	if p.waiters.len() == 0 {
+		p.queue.push(m)
 		return
 	}
-	t := p.waiters[0]
-	p.waiters = p.waiters[1:]
+	t := p.waiters.pop()
 	t.waitPort = nil
-	fn := t.waitFn
+	t.rxMsg, t.rxFn = m, t.waitFn
 	t.waitFn = nil
 	t.pendingBurst = p.node.Cfg.RecvCost
-	t.pendingCont = func() { fn(m) }
+	t.pendingCont = t.recvDone
 	p.node.wake(t)
 }
 
 // removeWaiter detaches an exiting task from the port's wait list.
 func (p *Port) removeWaiter(t *Task) {
-	for i, w := range p.waiters {
+	for i, w := range p.waiters.all() {
 		if w == t {
-			p.waiters = append(p.waiters[:i], p.waiters[i+1:]...)
+			p.waiters.removeAt(i)
 			return
 		}
 	}

@@ -93,14 +93,26 @@ type ClientPool struct {
 	stopped   bool
 	paused    bool
 	startedAt sim.Time
-	inflight  map[int]*inflightReq // by client ext ID
+}
+
+// client is one emulated user. It owns its request in flight, its
+// patience timer and its stages, bound once, so a request's round trip
+// allocates nothing on the client side but the boxed request.
+type client struct {
+	p        *ClientPool
+	ext      int
+	fl       inflightReq
+	live     bool       // fl is awaiting its reply
+	patience *sim.Timer // fires c.expire
+
+	issueFn, thinkFn func()
 }
 
 type inflightReq struct {
 	id      uint64
 	req     httpsim.Request
+	payload any // req, boxed once for the first send and every retry
 	fe      int // index into Cfg.FrontEnds this attempt targeted (-1: fixed FrontEnd)
-	timeout *sim.Event
 }
 
 // RequestTimeout is how long a client waits before abandoning a
@@ -139,19 +151,20 @@ func StartClients(fab *simnet.Fabric, cfg ClientPoolConfig) *ClientPool {
 		PerClass:   make(map[string]*metrics.Sample),
 		PerBackend: make(map[int]*metrics.Sample),
 		startedAt:  fab.Eng.Now(),
-		inflight:   make(map[int]*inflightReq),
 		feDown:     make([]sim.Time, len(cfg.FrontEnds)),
 	}
-	for c := 0; c < cfg.Clients; c++ {
-		ext := cfg.ExtBase - c
-		fab.RegisterExternal(ext, func(m simos.Message) { p.onReply(ext, m) })
+	for i := 0; i < cfg.Clients; i++ {
+		c := &client{p: p, ext: cfg.ExtBase - i}
+		c.patience = fab.Eng.NewTimer(c.expire)
+		c.issueFn, c.thinkFn = c.issue, c.think
+		fab.RegisterExternal(c.ext, c.onReply)
 		// First request after one think time: staggers arrivals.
-		p.scheduleNext(ext)
+		c.think()
 	}
 	return p
 }
 
-func (p *ClientPool) think() sim.Time {
+func (p *ClientPool) thinkTime() sim.Time {
 	d := p.rng.ExpFloat64() * float64(p.Cfg.ThinkMean)
 	if d < float64(sim.Millisecond) {
 		d = float64(sim.Millisecond)
@@ -159,33 +172,39 @@ func (p *ClientPool) think() sim.Time {
 	return sim.Time(d)
 }
 
-func (p *ClientPool) scheduleNext(ext int) {
-	p.fab.Eng.After(p.think(), func() {
-		if p.stopped {
-			return
-		}
-		if p.paused {
-			// Client waits out the pause, checking back periodically.
-			p.fab.Eng.After(200*sim.Millisecond, func() { p.scheduleNext(ext) })
-			return
-		}
-		p.nextID++
-		id := p.nextID
-		req := p.Cfg.Gen(p.rng, id, ext, p.fab.Eng.Now())
-		fl := &inflightReq{id: id, req: req, fe: p.pickFront()}
-		fl.timeout = p.fab.Eng.After(p.patience(), func() {
-			if p.stopped || p.inflight[ext] != fl {
-				return
-			}
-			delete(p.inflight, ext)
-			p.Timeouts++
-			// A silent front-end may be dead: shun it and move on.
-			p.shun(fl.fe)
-			p.scheduleNext(ext)
-		})
-		p.inflight[ext] = fl
-		p.fab.Inject(ext, p.target(fl.fe), p.Cfg.Port, req.Size, req)
-	})
+// think schedules the client's next request one think time from now.
+func (c *client) think() { c.p.fab.Eng.Post(c.p.thinkTime(), c.issueFn) }
+
+// issue sends the client's next request and arms its patience.
+func (c *client) issue() {
+	p := c.p
+	if p.stopped {
+		return
+	}
+	if p.paused {
+		// Client waits out the pause, checking back periodically.
+		p.fab.Eng.Post(200*sim.Millisecond, c.thinkFn)
+		return
+	}
+	p.nextID++
+	req := p.Cfg.Gen(p.rng, p.nextID, c.ext, p.fab.Eng.Now())
+	c.fl = inflightReq{id: p.nextID, req: req, payload: req, fe: p.pickFront()}
+	c.patience.Reset(p.patience())
+	c.live = true
+	p.fab.Inject(c.ext, p.target(c.fl.fe), p.Cfg.Port, req.Size, c.fl.payload)
+}
+
+// expire abandons a request its front-end never answered.
+func (c *client) expire() {
+	p := c.p
+	if p.stopped || !c.live {
+		return
+	}
+	c.live = false
+	p.Timeouts++
+	// A silent front-end may be dead: shun it and move on.
+	p.shun(c.fl.fe)
+	c.think()
 }
 
 func (p *ClientPool) patience() sim.Time {
@@ -234,7 +253,8 @@ func (p *ClientPool) shun(fe int) {
 	p.Retargets++
 }
 
-func (p *ClientPool) onReply(ext int, m simos.Message) {
+func (c *client) onReply(m simos.Message) {
+	p := c.p
 	if p.stopped {
 		return
 	}
@@ -242,8 +262,8 @@ func (p *ClientPool) onReply(ext int, m simos.Message) {
 	if !ok {
 		return
 	}
-	fl := p.inflight[ext]
-	if fl == nil || fl.id != rep.ID {
+	fl := &c.fl
+	if !c.live || fl.id != rep.ID {
 		return // reply to an abandoned request
 	}
 	if rep.NotPrimary {
@@ -253,20 +273,21 @@ func (p *ClientPool) onReply(ext int, m simos.Message) {
 		// the original patience timer keeps the retries bounded.
 		p.NotPrimary++
 		p.shun(fl.fe)
-		p.fab.Eng.After(notPrimaryBackoff, func() {
-			if p.stopped || p.inflight[ext] != fl {
+		id := fl.id
+		p.fab.Eng.Post(notPrimaryBackoff, func() {
+			if p.stopped || !c.live || fl.id != id {
 				return
 			}
 			fl.fe = p.pickFront()
-			p.fab.Inject(ext, p.target(fl.fe), p.Cfg.Port, fl.req.Size, fl.req)
+			p.fab.Inject(c.ext, p.target(fl.fe), p.Cfg.Port, fl.req.Size, fl.payload)
 		})
 		return
 	}
-	delete(p.inflight, ext)
-	p.fab.Eng.Cancel(fl.timeout)
+	c.live = false
+	c.patience.Stop()
 	if rep.Rejected {
 		p.Rejected++
-		p.scheduleNext(ext)
+		c.think()
 		return
 	}
 	rt := float64(p.fab.Eng.Now()-rep.Issued) / float64(sim.Millisecond)
@@ -285,7 +306,7 @@ func (p *ClientPool) onReply(ext int, m simos.Message) {
 	bs.Add(rt)
 	p.Completed++
 	// Closed loop: reply releases this client for its next request.
-	p.scheduleNext(ext)
+	c.think()
 }
 
 // Stop freezes the pool: in-flight replies are ignored and no new
