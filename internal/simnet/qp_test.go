@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"rdmamon/internal/sim"
@@ -137,5 +138,107 @@ func TestResetListenerInvalidatesQPs(t *testing.T) {
 	r.nics[0].CloseQP(qp01)
 	if r.nics[0].FDsInUse() != 1 {
 		t.Fatalf("CloseQP after reset did not release the fd")
+	}
+}
+
+// TestResetListenerTouchesOnlyItsTarget: two initiators (active-active
+// front-ends) both dial into a fabric of mostly idle NICs. A reset
+// counts one QPReset per valid QP on the initiator that holds it,
+// leaves a QP its owner already closed alone, does not reach a QP
+// dialed after it, and is a no-op on a node nobody dialed.
+func TestResetListenerTouchesOnlyItsTarget(t *testing.T) {
+	const nodes = 40
+	r := newRig(t, nodes, Defaults())
+	dial := func(from, target int) *QP {
+		var qp *QP
+		r.nodes[from].Spawn("dial", func(tk *simos.Task) {
+			r.nics[from].Dial(tk, target, func(q *QP, err error) {
+				if err != nil {
+					t.Errorf("dial %d->%d: %v", from, target, err)
+				}
+				qp = q
+			})
+		})
+		r.eng.RunUntil(r.eng.Now() + sim.Second)
+		if qp == nil {
+			t.Fatalf("dial %d->%d never completed", from, target)
+		}
+		return qp
+	}
+	// Front-ends 0 and 1: two QPs each to back-end 5, one each to 6.
+	a5, a5b, a6 := dial(0, 5), dial(0, 5), dial(0, 6)
+	b5, b5b, b6 := dial(1, 5), dial(1, 5), dial(1, 6)
+	r.nics[1].CloseQP(b5b) // closed before the reset: not the reset's to count
+
+	r.fab.ResetListener(5)
+	for _, q := range []*QP{a5, a5b, b5} {
+		if q.Valid() {
+			t.Fatal("a QP to the reset node stayed valid")
+		}
+	}
+	if !a6.Valid() || !b6.Valid() {
+		t.Fatal("resetting node 5 invalidated a QP to node 6")
+	}
+	if b5b.Valid() || r.nics[1].FDsInUse() != 2 {
+		t.Fatalf("the closed QP moved: valid=%v, initiator fds=%d (want false, 2)", b5b.Valid(), r.nics[1].FDsInUse())
+	}
+	if r.nics[0].QPResets != 2 || r.nics[1].QPResets != 1 {
+		t.Fatalf("QPResets = %d/%d, want 2/1", r.nics[0].QPResets, r.nics[1].QPResets)
+	}
+
+	// A QP dialed after the reset is a fresh connection.
+	fresh := dial(1, 5)
+	if !fresh.Valid() {
+		t.Fatal("a QP dialed after the reset is invalid")
+	}
+	// A second reset only finds the fresh QP valid.
+	r.fab.ResetListener(5)
+	if fresh.Valid() || r.nics[0].QPResets != 2 || r.nics[1].QPResets != 2 {
+		t.Fatalf("second reset: fresh valid=%v, QPResets = %d/%d, want false, 2/2",
+			fresh.Valid(), r.nics[0].QPResets, r.nics[1].QPResets)
+	}
+
+	// Resetting a node nobody dialed changes nothing.
+	r.fab.ResetListener(nodes - 1)
+	r.fab.ResetListener(nodes + 7) // not attached at all
+	if !a6.Valid() || !b6.Valid() || r.nics[0].QPResets != 2 || r.nics[1].QPResets != 2 {
+		t.Fatal("resetting an undialed node moved a QP or a counter")
+	}
+	for i := 2; i < nodes; i++ {
+		if r.nics[i].QPResets != 0 || r.nics[i].QPsOpen() != 0 {
+			t.Fatalf("idle NIC %d: QPResets=%d QPsOpen=%d", i, r.nics[i].QPResets, r.nics[i].QPsOpen())
+		}
+	}
+}
+
+// BenchmarkResetListener times one listener reset of a node one
+// front-end holds a QP to, against the fabric's size: the cost is the
+// node's inbound QPs, so ns/op reads flat from 64 NICs to 8192.
+func BenchmarkResetListener(b *testing.B) {
+	for _, nics := range []int{64, 8192} {
+		b.Run(fmt.Sprintf("nics=%d", nics), func(b *testing.B) {
+			r := &rig{eng: sim.NewEngine(1)}
+			r.fab = NewFabric(r.eng, Defaults())
+			cfg := lightNodeCfg()
+			for i := 0; i < nics; i++ {
+				nd := simos.NewNode(r.eng, i, cfg)
+				r.nodes = append(r.nodes, nd)
+				r.nics = append(r.nics, r.fab.Attach(nd))
+			}
+			var qp *QP
+			r.nodes[0].Spawn("dial", func(tk *simos.Task) {
+				r.nics[0].Dial(tk, 1, func(q *QP, err error) { qp = q })
+			})
+			r.eng.RunUntil(sim.Second)
+			if qp == nil {
+				b.Fatal("dial never completed")
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				qp.valid = true
+				r.fab.ResetListener(1)
+			}
+		})
 	}
 }
