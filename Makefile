@@ -97,16 +97,19 @@ scenario-smoke:
 # /staggered, the same fleet with no ties) and cancelling a run of
 # same-instant deadlines in random order (EngineCancelChained), a
 # task's deadline pattern on one owned timer (TimerReset), an idle
-# node's timer ticks, one read of a 32-read doorbell batch, and one
+# node's timer ticks, one read of a 32-read doorbell batch, one listener
+# reset against fabric size (ResetListener/nics=64 and /nics=8192 must
+# read flat: a reset visits the node's inbound QPs, not the fabric), one
 # read of the settled 256-back-end sweep (SweepBatch256; ns and allocs
-# per read).
+# per read) and one quiet delta-pusher check (PusherCheck; ns and
+# allocs per check).
 # The fourth times the live transport next to its framing: loopback
 # round trips of each verb and a 32-read doorbell (ns/read),
 # allocations counted across both ends.
 bench:
 	$(GO) test -bench . -benchtime 1x -benchmem
 	$(GO) test -run '^$$' -bench 'BenchmarkPick|BenchmarkLocalFrac|BenchmarkDispatchRequest' -benchmem ./internal/loadbalance ./internal/httpsim ./internal/cluster
-	$(GO) test -run '^$$' -bench 'BenchmarkEngineHold|BenchmarkEngineTickBurst|BenchmarkEngineCancelChained|BenchmarkTimerReset|BenchmarkIdleNodeSecond|BenchmarkTickingNodeSecond|BenchmarkSimReadBatch32|BenchmarkSweepBatch256' -benchmem ./internal/sim ./internal/simos ./internal/simnet ./internal/core
+	$(GO) test -run '^$$' -bench 'BenchmarkEngineHold|BenchmarkEngineTickBurst|BenchmarkEngineCancelChained|BenchmarkTimerReset|BenchmarkIdleNodeSecond|BenchmarkTickingNodeSecond|BenchmarkSimReadBatch32|BenchmarkResetListener|BenchmarkSweepBatch256|BenchmarkPusherCheck' -benchmem ./internal/sim ./internal/simos ./internal/simnet ./internal/core
 	$(GO) test -run '^$$' -bench 'BenchmarkLoopback' -benchmem ./internal/tcpverbs
 
 # Probe-engine regression gates: replay the deterministic 256-backend
@@ -116,10 +119,14 @@ bench:
 # exactly zero). The second line holds the request path: every routing
 # decision of the weighted policies against its golden digest, and at
 # most 3 allocations per served request (a !race pin, so the race pass
-# skips it).
+# skips it). The third holds the pooled scale-out's per-back-end work
+# at zero allocations (also !race pins): a quiet delta-pusher check, a
+# steady-state one-sided write (a push) and a pooled probe whose conn
+# is resident, beside the sweep's per-read pin.
 bench-check:
 	$(GO) test -run 'TestBenchScaleRegression|TestBenchHybridRegression' .
 	$(GO) test -count=1 -run 'TestDispatchDecisionGoldenDigests|TestDispatchAllocsPerRequest' ./internal/cluster
+	$(GO) test -count=1 -run 'TestDeltaPusherQuietCheckAllocs|TestPooledProbeConnZeroAlloc|TestSweepAllocsPerRead|TestWriteZeroAlloc' ./internal/core ./internal/simnet
 
 # Regenerate BENCH_scale.json / BENCH_hybrid.json after an intentional
 # cost-model change (commit the result).

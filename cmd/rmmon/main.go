@@ -190,7 +190,7 @@ func runProbe(args []string) {
 		if ctrls[i] == nil {
 			return
 		}
-		changed := err != nil || !obsHas[i] || core.LoadDelta(rec, obs[i]) >= threshold
+		changed := err != nil || !obsHas[i] || core.LoadDelta(&rec, &obs[i]) >= threshold
 		if err == nil {
 			obs[i] = rec
 			obsHas[i] = true

@@ -815,7 +815,9 @@ func (c *Cluster) ApplyFaults(plan faults.Plan) *faults.Injector {
 		// A crashed back-end takes its accept path with it: every
 		// established QP targeting it goes to the error state, so
 		// pooled monitors fence and redial instead of reading a ghost.
-		// No-op (and no random draws) when nothing holds QPs to it.
+		// It draws no random numbers and visits only the QPs that
+		// target this node (the node's NIC keeps that list), so it
+		// costs nothing when nobody holds one, whatever the fleet size.
 		c.Fab.ResetListener(node)
 	}
 	in.OnRestart = func(node int) {

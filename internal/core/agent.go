@@ -328,7 +328,7 @@ func (a *Agent) InvalidateMR(repin sim.Time) {
 		return
 	}
 	src := a.mrSrc
-	a.node.Eng.After(repin, func() {
+	a.node.Eng.Post(repin, func() {
 		if a.stopped || a.mr != nil {
 			return
 		}
@@ -352,7 +352,9 @@ func (a *Agent) startCalcLoop() {
 				tk.Exit()
 				return
 			}
-			tk.ReadProc(func(s simos.Snapshot) {
+			tk.ReadProc(func() {
+				var s simos.Snapshot
+				tk.ProcSnapshot(&s)
 				tk.Compute(a.Cfg.CopyCost, func() {
 					a.seq++
 					recordFromSnapshotInto(&a.sample, &s, a.seq)
@@ -401,7 +403,9 @@ func (a *Agent) startReportThread(async bool) {
 				})
 				return
 			}
-			tk.ReadProc(func(s simos.Snapshot) {
+			tk.ReadProc(func() {
+				var s simos.Snapshot
+				tk.ProcSnapshot(&s)
 				tk.Compute(a.Cfg.CopyCost, func() {
 					a.seq++
 					reply(m, RecordFromSnapshot(s, a.seq).Encode())

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 
+	"rdmamon/internal/connpool"
 	"rdmamon/internal/sim"
 )
 
@@ -39,8 +40,10 @@ func TestSweepAllocsPerRead(t *testing.T) {
 }
 
 // TestDeltaPusherQuietCheckAllocs pins the pusher's loop: a check that
-// finds the load below threshold (sample /proc, score, sleep) runs on
-// the pusher's four bound stages and the task's owned timers.
+// finds the load below threshold (sample /proc into a stack snapshot,
+// build the record in place, score it against the cached index, sleep)
+// runs on the pusher's four bound stages and the task's owned timers,
+// and allocates nothing.
 func TestDeltaPusherQuietCheckAllocs(t *testing.T) {
 	r := newRig(36)
 	sink := NewPushSink(r.front, r.fnic, []int{1})
@@ -57,9 +60,48 @@ func TestDeltaPusherQuietCheckAllocs(t *testing.T) {
 	if p.Pushes != pushes || checks < 90 {
 		t.Fatalf("want quiet checks only: %d new pushes, %.0f checks per second", p.Pushes-pushes, checks)
 	}
-	perCheck := perSecond / checks
-	t.Logf("%.2f allocs per quiet check", perCheck)
-	if perCheck > 1 {
-		t.Fatalf("a quiet pusher check allocates %.2f objects, want <= 1", perCheck)
+	if perCheck := perSecond / checks; perCheck != 0 {
+		t.Fatalf("a quiet pusher check allocates %.2f objects, want 0", perCheck)
+	}
+}
+
+// TestPooledProbeConnZeroAlloc pins the pooled sweep's common probe:
+// the back-end's conn is resident, so Acquire answers Conn, and the
+// fenced read, the release, the outcome and the sweep's step past the
+// probe all run on the shard's bound continuations — nothing is
+// allocated. The window is sized so the latency and cycle-time samples
+// do not grow their arrays inside it.
+func TestPooledProbeConnZeroAlloc(t *testing.T) {
+	const poll = 10 * sim.Millisecond
+	f := newFleet(52, 2, AgentConfig{Scheme: RDMASync})
+	m := StartMonitorCfg(f.front, f.fnic, f.agents, poll, MonitorConfig{
+		Pool: &connpool.Config{MaxConns: 4}, PoolSeed: 7,
+	})
+	room := func() int {
+		r := cap(m.CycleTime.Values()) - m.CycleTime.Count()
+		for _, p := range m.Probers {
+			r = min(r, cap(p.Latency.Values())-p.Latency.Count())
+		}
+		return r
+	}
+	f.eng.RunUntil(sim.Second)
+	for room() < 40 {
+		f.eng.RunFor(poll)
+	}
+	sweeps := room() - 2
+	dials := m.Pool().Stats().Dials
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	reads0 := f.fnic.RDMAReads
+	f.eng.RunFor(sim.Time(sweeps) * poll)
+	runtime.ReadMemStats(&m1)
+	probes := f.fnic.RDMAReads - reads0
+	if probes < uint64(sweeps) || m.Pool().Stats().Dials != dials || m.FenceRejects != 0 || m.PoolSheds != 0 {
+		t.Fatalf("want Conn verdicts only: %d probes in %d sweeps, %d new dials, %d fence rejects, %d sheds",
+			probes, sweeps, m.Pool().Stats().Dials-dials, m.FenceRejects, m.PoolSheds)
+	}
+	if n := m1.Mallocs - m0.Mallocs; n != 0 {
+		t.Fatalf("%d pooled probes allocated %d objects, want 0", probes, n)
 	}
 }

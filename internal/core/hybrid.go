@@ -33,9 +33,9 @@ import (
 // dispatcher's weighted index — the "did anything the dispatcher cares
 // about change?" metric both the pusher threshold and the period
 // controller use.
-func LoadDelta(a, b wire.LoadRecord) float64 {
+func LoadDelta(a, b *wire.LoadRecord) float64 {
 	w := DefaultWeights()
-	return math.Abs(w.IndexOf(&a) - w.IndexOf(&b))
+	return math.Abs(w.IndexOf(a) - w.IndexOf(b))
 }
 
 // PeriodConfig bounds the adaptive per-backend poll period.
@@ -157,25 +157,31 @@ type DeltaPusher struct {
 	// region (it simply fails until the fresh key appears).
 	slotKey func() uint32
 
-	seq     uint32
-	last    wire.LoadRecord
+	seq uint32
+	// The change test is LoadDelta's arithmetic with one side cached: w
+	// is the index it scores with, lastIdx the index of the last pushed
+	// record, so a check scores only its own sample.
+	w       Weights
+	lastIdx float64
 	lastAt  sim.Time
 	encBuf  []byte // reusable push-record encode scratch
 	primed  bool
 	stopped bool
 	task    *simos.Task
 
-	// The loop's state between its stages: the sample being scored and
-	// then, with the time it was scored at, pushed. The stages are
+	// The loop's state between its stages: the sample, built in place in
+	// pr.Load from the /proc read, scored and then, stamped in pr with
+	// the time it was scored at and its index, pushed. The stages are
 	// methods bound once, so a check — quiet or pushing — allocates no
-	// continuation.
-	sample   wire.LoadRecord
-	scoredAt sim.Time
+	// continuation and copies no snapshot or record.
+	pr        wire.PushRecord
+	sampleIdx float64
+	scoredAt  sim.Time
 
-	loopFn    func()               // p.loop
-	sampledFn func(simos.Snapshot) // p.sampled
-	checkFn   func()               // p.check
-	pushedFn  func(error)          // p.pushed
+	loopFn    func()      // p.loop
+	sampledFn func()      // p.sampled
+	checkFn   func()      // p.check
+	pushedFn  func(error) // p.pushed
 
 	// Pushes counts delta writes posted successfully; Skips counts
 	// samples below threshold; Errors counts failed writes.
@@ -188,7 +194,7 @@ type DeltaPusher struct {
 // writing into front's aggregation slot for this back-end.
 func StartDeltaPusher(node *simos.Node, nic *simnet.NIC, front int, slotKey func() uint32, cfg HybridConfig) *DeltaPusher {
 	cfg = cfg.WithDefaults(0)
-	p := &DeltaPusher{Cfg: cfg, node: node, nic: nic, front: front, slotKey: slotKey}
+	p := &DeltaPusher{Cfg: cfg, node: node, nic: nic, front: front, slotKey: slotKey, w: DefaultWeights()}
 	p.loopFn, p.sampledFn, p.checkFn, p.pushedFn = p.loop, p.sampled, p.check, p.pushed
 	p.task = node.Spawn("rmon-push-delta", func(tk *simos.Task) {
 		p.task = tk
@@ -206,15 +212,19 @@ func (p *DeltaPusher) loop() {
 	p.task.ReadProc(p.sampledFn)
 }
 
-// sampled holds the sample while the task pays for scoring it.
-func (p *DeltaPusher) sampled(s simos.Snapshot) {
-	p.sample = RecordFromSnapshot(s, p.seq+1)
+// sampled builds the sample from the /proc read, staged on the stack,
+// and holds it while the task pays for scoring it.
+func (p *DeltaPusher) sampled() {
+	var s simos.Snapshot
+	p.task.ProcSnapshot(&s)
+	rec := &p.pr.Load
+	recordFromSnapshotInto(rec, &s, p.seq+1)
 	// The pusher is always running when it samples, so counting itself
 	// in the run queue would bias every pushed record high by one task
 	// relative to the one-sided probe path (which reads the kernel with
 	// no agent awake). Subtract self.
-	if p.sample.NrRunning > 0 {
-		p.sample.NrRunning--
+	if rec.NrRunning > 0 {
+		rec.NrRunning--
 	}
 	p.task.Compute(10*sim.Microsecond, p.checkFn)
 }
@@ -223,8 +233,9 @@ func (p *DeltaPusher) sampled(s simos.Snapshot) {
 // heartbeat is due.
 func (p *DeltaPusher) check() {
 	now := p.node.Eng.Now()
-	rec := &p.sample
-	if p.primed && LoadDelta(*rec, p.last) < p.Cfg.Threshold &&
+	rec := &p.pr.Load
+	idx := p.w.IndexOf(rec)
+	if p.primed && math.Abs(idx-p.lastIdx) < p.Cfg.Threshold &&
 		now-p.lastAt < p.Cfg.Heartbeat {
 		p.Skips++
 		p.task.Sleep(p.Cfg.Check, p.loopFn)
@@ -232,12 +243,12 @@ func (p *DeltaPusher) check() {
 	}
 	p.seq++
 	rec.Seq = p.seq
-	pr := wire.PushRecord{PushSeq: p.seq, PushedNS: int64(now), Load: *rec}
+	p.pr.PushSeq, p.pr.PushedNS = p.seq, int64(now)
 	// Encode into the pusher's scratch; RDMAWrite stages the payload at
 	// post time, so the buffer is free for reuse the moment the call
 	// returns.
-	p.encBuf = pr.AppendTo(p.encBuf)
-	p.scoredAt = now
+	p.encBuf = p.pr.AppendTo(p.encBuf)
+	p.sampleIdx, p.scoredAt = idx, now
 	p.nic.RDMAWrite(p.task, p.front, p.slotKey(), p.encBuf, p.pushedFn)
 }
 
@@ -251,7 +262,7 @@ func (p *DeltaPusher) pushed(err error) {
 		p.Errors++
 	} else {
 		p.Pushes++
-		p.last = p.sample
+		p.lastIdx = p.sampleIdx
 		p.lastAt = p.scoredAt
 		p.primed = true
 	}
@@ -349,7 +360,7 @@ func (s *PushSink) InvalidateSlot(backend int, repin sim.Time) {
 	if repin <= 0 || s.closed {
 		return
 	}
-	s.front.Eng.After(repin, func() {
+	s.front.Eng.Post(repin, func() {
 		if s.closed || sl.mr != nil {
 			return
 		}

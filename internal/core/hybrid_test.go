@@ -146,12 +146,12 @@ func TestLoadDeltaSymmetricZero(t *testing.T) {
 	b := a
 	b.Seq = 99
 	b.KTimeNS = 5e9
-	if LoadDelta(a, b) != 0 {
+	if LoadDelta(&a, &b) != 0 {
 		t.Fatal("seq/ktime must not move the delta")
 	}
 	b.UtilPerMille[0] = 100
 	b.UtilPerMille[1] = 100
-	if d1, d2 := LoadDelta(a, b), LoadDelta(b, a); d1 != d2 || d1 <= 0 {
+	if d1, d2 := LoadDelta(&a, &b), LoadDelta(&b, &a); d1 != d2 || d1 <= 0 {
 		t.Fatalf("delta not symmetric positive: %v vs %v", d1, d2)
 	}
 }
@@ -396,5 +396,32 @@ func TestPushMonitorLatestRace(t *testing.T) {
 	received, torn := mon.Stats()
 	if received == 0 || torn != 0 {
 		t.Fatalf("received=%d torn=%d", received, torn)
+	}
+}
+
+// BenchmarkPusherCheck is the host cost of one quiet DeltaPusher check
+// — the /proc sample, the record built in place, the score against the
+// cached index and the sleep — through core + simos + sim, the node's
+// own timer ticks included (ns/op and allocs/op are per check).
+func BenchmarkPusherCheck(b *testing.B) {
+	r := newRig(36)
+	sink := NewPushSink(r.front, r.fnic, []int{1})
+	cfg := HybridConfig{Check: 10 * sim.Millisecond, Heartbeat: 3600 * sim.Second}
+	p := StartDeltaPusher(r.backend, r.bnic, 0, func() uint32 { return sink.SlotKey(1) }, cfg)
+	r.eng.RunUntil(2 * sim.Second)
+	if p.Pushes == 0 {
+		b.Fatal("pusher never primed")
+	}
+	pushes := p.Pushes
+	b.ReportAllocs()
+	b.ResetTimer()
+	for target := p.Skips + uint64(b.N); p.Skips < target; {
+		if !r.eng.Step() {
+			b.Fatal("simulation ran out of events")
+		}
+	}
+	b.StopTimer()
+	if p.Pushes != pushes {
+		b.Fatalf("%d pushes: the benchmark must time quiet checks only", p.Pushes-pushes)
 	}
 }

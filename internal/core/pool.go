@@ -4,6 +4,7 @@ import (
 	"errors"
 
 	"rdmamon/internal/connpool"
+	"rdmamon/internal/sim"
 	"rdmamon/internal/simnet"
 	"rdmamon/internal/simos"
 	"rdmamon/internal/wire"
@@ -64,7 +65,7 @@ func (m *Monitor) hotBackend(id int) bool {
 // hybrid engine the back-end simply retries next sweep.
 func (m *Monitor) deferProbe(id int) {
 	if st := m.hybrid(id); st != nil {
-		st.due = m.front.Eng.Now() + st.ctrl.Period()
+		m.due[id] = m.front.Eng.Now() + st.ctrl.Period()
 	}
 }
 
@@ -91,117 +92,154 @@ func (m *Monitor) tryLease(id int) (connpool.Lease[int, *simnet.QP], bool) {
 	return l, true
 }
 
-// pooledProbe runs one back-end's probe through the connection pool:
-// acquire (or dial, or shed), issue the fenced one-sided read, and
-// route the outcome through the same rdmaOutcome/observeProbe logic
-// an unpooled probe uses. done always runs exactly once.
-func (m *Monitor) pooledProbe(tk *simos.Task, id int, done func()) {
-	m.pooledProbeN(tk, id, 0, done)
+// pooledProbe is a shard task's pooled probe in flight: acquire (or
+// dial, or shed), issue the fenced one-sided read, and route the
+// outcome through the same rdmaOutcome/observeProbe logic an unpooled
+// probe uses. A shard probes one back-end at a time, a replay re-enters
+// with the same back-end and continuation, and every path out of a
+// probe ends in done exactly once, so one instance per shard, its
+// continuations bound once, carries every pooled probe the shard makes
+// without building a closure.
+type pooledProbe struct {
+	m    *Monitor
+	tk   *simos.Task
+	read *rdmaRead // the shard's probe read
+
+	id      int
+	attempt int // replays so far
+	hot     bool
+	start   sim.Time
+	lease   connpool.Lease[int, *simnet.QP]
+	done    func()
+
+	dialedFn func(*simnet.QP, error)       // pp.dialed
+	readFn   func(*wire.LoadRecord, error) // pp.readDone
+	finishFn func(*wire.LoadRecord, error) // pp.finish
 }
 
-func (m *Monitor) pooledProbeN(tk *simos.Task, id int, attempt int, done func()) {
+func newPooledProbe(m *Monitor, read *rdmaRead) *pooledProbe {
+	pp := &pooledProbe{m: m, tk: read.tk, read: read}
+	pp.dialedFn, pp.readFn, pp.finishFn = pp.dialed, pp.readDone, pp.finish
+	return pp
+}
+
+// run probes back-end id through the pool; done always runs exactly
+// once.
+func (pp *pooledProbe) run(id, attempt int, done func()) {
+	m := pp.m
 	p := m.prober(id)
-	start := m.front.Eng.Now()
-	finish := func(_ *wire.LoadRecord, err error) {
-		m.observeProbe(id, err)
-		done()
-	}
+	pp.id, pp.attempt, pp.done = id, attempt, done
+	pp.start = m.front.Eng.Now()
 	if attempt > 1 {
 		// Second replay in one slot: the conn keeps dying underneath
 		// us — stop spinning and degrade through the failover ladder
 		// (same-cycle socket fallback, breaker accounting).
-		p.rdmaOutcome(tk, start, nil, errConnReset, finish)
+		p.rdmaOutcome(pp.tk, pp.start, nil, errConnReset, pp.finishFn)
 		return
 	}
-	hot := m.hotBackend(id)
-	l, v, _ := m.pool.Acquire(id, hot)
+	pp.hot = m.hotBackend(id)
+	l, v, _ := m.pool.Acquire(id, pp.hot)
 	switch v {
 	case connpool.Conn:
 		if !l.Conn.Valid() {
 			m.FenceRejects++
 			m.pool.Invalidate(l)
-			m.pooledProbeN(tk, id, attempt+1, done)
+			pp.run(id, attempt+1, done)
 			return
 		}
-		m.fencedProbeN(tk, id, l, attempt, done)
+		pp.fenced(id, l, attempt, done)
 	case connpool.Dial:
-		m.fnic.Dial(tk, id, func(q *simnet.QP, err error) {
-			if err != nil {
-				if errors.Is(err, simnet.ErrFDLimit) {
-					// Local fd exhaustion, not a target failure: no
-					// breaker or health charge — shed the slot and
-					// defer, like any other budget pressure.
-					m.pool.DialAborted(id)
-					m.PoolSheds++
-					if hot {
-						m.PoolShedHot++
-					}
-					m.deferProbe(id)
-					done()
-					return
-				}
-				m.pool.DialFailed(id)
-				// A failed dial is a primary-path failure: rdmaOutcome
-				// feeds the Failover breaker and falls over to the
-				// standby socket this same cycle, so reachable-but-
-				// undialable back-ends (fd exhaustion, dial storms)
-				// keep their staleness SLO.
-				p.rdmaOutcome(tk, start, nil, err, finish)
-				return
-			}
-			lease, lerr := m.pool.DialDone(id, q)
-			if lerr != nil {
-				// Pool closed while the dial was in flight; the conn
-				// was already closed by DialDone.
-				done()
-				return
-			}
-			m.fencedProbeN(tk, id, lease, attempt, done)
-		})
+		m.fnic.Dial(pp.tk, id, pp.dialedFn)
 	default: // Shed: defer the slot, spend nothing.
-		m.PoolSheds++
-		if hot {
-			m.PoolShedHot++
-		}
-		m.deferProbe(id)
-		done()
+		pp.shed()
 	}
 }
 
-// fencedProbe issues the one-sided read under an already-held lease
-// (the batch planner's solo-run path).
-func (m *Monitor) fencedProbe(tk *simos.Task, id int, l connpool.Lease[int, *simnet.QP], done func()) {
-	m.fencedProbeN(tk, id, l, 0, done)
+// shed defers the slot under budget pressure and ends the probe.
+func (pp *pooledProbe) shed() {
+	m := pp.m
+	m.PoolSheds++
+	if pp.hot {
+		m.PoolShedHot++
+	}
+	m.deferProbe(pp.id)
+	pp.end()
 }
 
-// fencedProbeN is the fenced read: post, complete, then check the
-// lease's epoch before the record may be served. A completion whose
-// conn was recycled in flight is rejected and replayed — never
-// silently served stale.
-func (m *Monitor) fencedProbeN(tk *simos.Task, id int, l connpool.Lease[int, *simnet.QP], attempt int, done func()) {
-	p := m.prober(id)
-	start := m.front.Eng.Now()
-	finish := func(_ *wire.LoadRecord, err error) {
-		m.observeProbe(id, err)
-		done()
-	}
-	p.probeRDMA(tk, func(rec wire.LoadRecord, err error) {
-		served := m.pool.Fence(l) && l.Conn.Valid()
-		if !served {
-			m.FenceRejects++
-			m.pool.Invalidate(l)
-			if err == nil {
-				// The data is intact but crossed a recycled conn:
-				// reject and replay on a fresh one.
-				m.pooledProbeN(tk, id, attempt+1, done)
-				return
-			}
-			// Failed op on a dead conn: plain failure, no breaker
-			// charge for the target (Invalidate already recycled).
-			p.rdmaOutcome(tk, start, nil, err, finish)
+// dialed is the dial's outcome: probe over the new conn, or fail.
+func (pp *pooledProbe) dialed(q *simnet.QP, err error) {
+	m, id := pp.m, pp.id
+	if err != nil {
+		if errors.Is(err, simnet.ErrFDLimit) {
+			// Local fd exhaustion, not a target failure: no breaker or
+			// health charge — shed the slot and defer, like any other
+			// budget pressure.
+			m.pool.DialAborted(id)
+			pp.shed()
 			return
 		}
-		m.pool.Release(l, err)
-		p.rdmaOutcome(tk, start, &rec, err, finish)
-	})
+		m.pool.DialFailed(id)
+		// A failed dial is a primary-path failure: rdmaOutcome feeds the
+		// Failover breaker and falls over to the standby socket this
+		// same cycle, so reachable-but-undialable back-ends (fd
+		// exhaustion, dial storms) keep their staleness SLO.
+		m.prober(id).rdmaOutcome(pp.tk, pp.start, nil, err, pp.finishFn)
+		return
+	}
+	lease, lerr := m.pool.DialDone(id, q)
+	if lerr != nil {
+		// Pool closed while the dial was in flight; the conn was
+		// already closed by DialDone.
+		pp.end()
+		return
+	}
+	pp.fenced(id, lease, pp.attempt, pp.done)
+}
+
+// fenced issues the one-sided read under an already-held lease (also
+// the batch planner's solo-run path). Its completion is epoch-fenced
+// in readDone before the record may be served.
+func (pp *pooledProbe) fenced(id int, l connpool.Lease[int, *simnet.QP], attempt int, done func()) {
+	pp.id, pp.lease, pp.attempt, pp.done = id, l, attempt, done
+	pp.start = pp.m.front.Eng.Now()
+	pp.read.start(pp.m.prober(id), pp.readFn)
+}
+
+// readDone checks the lease's epoch before the record may be served. A
+// completion whose conn was recycled in flight is rejected and replayed
+// — never silently served stale.
+func (pp *pooledProbe) readDone(rec *wire.LoadRecord, err error) {
+	m, l := pp.m, pp.lease
+	p := m.prober(pp.id)
+	if served := m.pool.Fence(l) && l.Conn.Valid(); !served {
+		m.FenceRejects++
+		m.pool.Invalidate(l)
+		if err == nil {
+			// The data is intact but crossed a recycled conn: reject
+			// and replay on a fresh one.
+			pp.run(pp.id, pp.attempt+1, pp.done)
+			return
+		}
+		// Failed op on a dead conn: plain failure, no breaker charge
+		// for the target (Invalidate already recycled).
+		p.rdmaOutcome(pp.tk, pp.start, nil, err, pp.finishFn)
+		return
+	}
+	m.pool.Release(l, err)
+	p.rdmaOutcome(pp.tk, pp.start, rec, err, pp.finishFn)
+}
+
+// finish is a probe's outcome, applied: feed the period controller and
+// end the probe.
+func (pp *pooledProbe) finish(_ *wire.LoadRecord, err error) {
+	pp.m.observeProbe(pp.id, err)
+	pp.end()
+}
+
+// end hands control back to the sweep, dropping the probe's references
+// first: done may start the shard's next pooled probe.
+func (pp *pooledProbe) end() {
+	done := pp.done
+	pp.done, pp.lease = nil, connpool.Lease[int, *simnet.QP]{}
+	done()
 }

@@ -100,8 +100,8 @@ type Prober struct {
 }
 
 // NewProber creates the front-end prober state for agent without a
-// polling task; the caller drives it via ProbeOnce (used by Monitor's
-// single monitoring process).
+// polling task; the caller drives it through probe (Monitor's
+// monitoring process does).
 func NewProber(front *simos.Node, fnic *simnet.NIC, agent *Agent) *Prober {
 	return &Prober{
 		Scheme:    agent.Scheme,
@@ -126,15 +126,15 @@ func StartProber(front *simos.Node, fnic *simnet.NIC, agent *Agent, poll sim.Tim
 	p := NewProber(front, fnic, agent)
 	p.poll = poll
 	p.task = front.Spawn(fmt.Sprintf("rmon-probe-%d", agent.node.ID), func(tk *simos.Task) {
+		r := newRDMARead(tk)
 		var loop func()
+		next := func(*wire.LoadRecord, error) { tk.Sleep(p.poll, loop) }
 		loop = func() {
 			if p.stopped {
 				tk.Exit()
 				return
 			}
-			p.ProbeOnce(tk, func(*wire.LoadRecord, error) {
-				tk.Sleep(p.poll, loop)
-			})
+			p.probe(r, next)
 		}
 		loop()
 	})
@@ -160,7 +160,7 @@ func (p *Prober) Stop() {
 	}
 }
 
-// ProbeOnce fetches one load record in the context of task tk (which
+// probe fetches one load record in the context of r's task (which
 // must run on the front-end node) and delivers it to then: the
 // prober's cached record on success (valid until the next probe
 // completes), nil on error. The probe
@@ -169,7 +169,8 @@ func (p *Prober) Stop() {
 // With an armed Failover, a tripped breaker reroutes RDMA probes onto
 // the agent's standby socket channel and schedules background re-arm
 // reads of the RDMA path.
-func (p *Prober) ProbeOnce(tk *simos.Task, then func(*wire.LoadRecord, error)) {
+func (p *Prober) probe(r *rdmaRead, then func(*wire.LoadRecord, error)) {
+	tk := r.tk
 	start := p.front.Eng.Now()
 	if !p.Scheme.UsesRDMA() {
 		p.probeSocket(tk, func(rec wire.LoadRecord, err error) {
@@ -179,11 +180,11 @@ func (p *Prober) ProbeOnce(tk *simos.Task, then func(*wire.LoadRecord, error)) {
 	}
 	fo := p.Failover
 	if fo != nil && fo.Tripped() {
-		p.probeTripped(tk, start, then)
+		p.probeTripped(r, start, then)
 		return
 	}
-	p.probeRDMA(tk, func(rec wire.LoadRecord, err error) {
-		p.rdmaOutcome(tk, start, &rec, err, then)
+	r.start(p, func(rec *wire.LoadRecord, err error) {
+		p.rdmaOutcome(tk, start, rec, err, then)
 	})
 }
 
@@ -256,10 +257,10 @@ func (p *Prober) rdmaOutcome(tk *simos.Task, start sim.Time, rec *wire.LoadRecor
 // probeTripped carries a probe over the standby socket channel while
 // the breaker is tripped, issuing the occasional background re-arm
 // read of the RDMA path.
-func (p *Prober) probeTripped(tk *simos.Task, start sim.Time, then func(*wire.LoadRecord, error)) {
+func (p *Prober) probeTripped(r *rdmaRead, start sim.Time, then func(*wire.LoadRecord, error)) {
 	fo := p.Failover
 	p.Fallbacks++
-	p.probeSocket(tk, func(rec wire.LoadRecord, err error) {
+	p.probeSocket(r.tk, func(rec wire.LoadRecord, err error) {
 		if !fo.ShouldReArm() {
 			p.finishProbe(start, &rec, err, TransportSocket, then)
 			return
@@ -268,7 +269,7 @@ func (p *Prober) probeTripped(tk *simos.Task, start sim.Time, then func(*wire.Lo
 		// data until it has proven itself FailBackAfter times in a row.
 		// The re-arm outcome never pollutes this probe's result.
 		p.ReArms++
-		p.probeRDMA(tk, func(_ wire.LoadRecord, rerr error) {
+		r.start(p, func(_ *wire.LoadRecord, rerr error) {
 			if rerr == nil {
 				fo.ReArmOK()
 			} else {
@@ -281,8 +282,8 @@ func (p *Prober) probeTripped(tk *simos.Task, start sim.Time, then func(*wire.Lo
 
 // batchEligible reports whether this back-end's next probe can ride a
 // doorbell-batched multi-WR post: only one-sided RDMA probes batch,
-// and a tripped breaker routes the probe through ProbeOnce's socket
-// path (which also owns re-arm scheduling) instead.
+// and a tripped breaker routes the probe through probe's socket path
+// (which also owns re-arm scheduling) instead.
 func (p *Prober) batchEligible() bool {
 	return p.Scheme.UsesRDMA() && (p.Failover == nil || !p.Failover.Tripped())
 }
@@ -330,34 +331,78 @@ func (p *Prober) decodeRead(rec *wire.LoadRecord, data []byte) error {
 	return wire.DecodeInto(rec, data)
 }
 
-// probeRDMA issues the one-sided read path and decodes the record. A
-// torn ring snapshot (writer mid-update at the DMA instant) is simply
-// re-read — the seqlock contract — up to maxTornRetries times.
-func (p *Prober) probeRDMA(tk *simos.Task, then func(wire.LoadRecord, error)) {
-	p.probeRDMATry(tk, 0, then)
+// rdmaRead is a task's one-sided probe read in flight: the read into
+// the prober's DMA buffer, the decode burst, the decode — a torn ring
+// snapshot (writer mid-update at the DMA instant) is simply re-read,
+// the seqlock contract, up to maxTornRetries times — and the record
+// handed to then (nil on a transport error). A task probes one back-end
+// at a time, so one instance per task, its stages bound once, carries
+// every read the task posts without allocating.
+type rdmaRead struct {
+	tk   *simos.Task
+	p    *Prober
+	torn int // re-reads of a torn snapshot so far
+	data []byte
+	// rec is the decode target: then reads it before the task can start
+	// another read.
+	rec  wire.LoadRecord
+	then func(*wire.LoadRecord, error)
+
+	readFn   func([]byte, error) // r.read
+	decodeFn func()              // r.decode
 }
 
-func (p *Prober) probeRDMATry(tk *simos.Task, attempt int, then func(wire.LoadRecord, error)) {
+func newRDMARead(tk *simos.Task) *rdmaRead {
+	r := &rdmaRead{tk: tk}
+	r.readFn, r.decodeFn = r.read, r.decode
+	return r
+}
+
+// start reads p's record for then.
+func (r *rdmaRead) start(p *Prober, then func(*wire.LoadRecord, error)) {
+	r.p, r.torn, r.then = p, 0, then
+	r.post()
+}
+
+func (r *rdmaRead) post() {
+	p := r.p
 	n := p.readLen()
-	p.fnic.RDMAReadInto(tk, p.Backend, p.agent.RKey(), n, p.readInto(n), func(data []byte, err error) {
-		if err != nil {
-			if err == simnet.ErrTimeout {
-				p.Timeouts++
-			}
-			then(wire.LoadRecord{}, err)
-			return
+	p.fnic.RDMAReadInto(r.tk, p.Backend, p.agent.RKey(), n, p.readInto(n), r.readFn)
+}
+
+// read is the read's completion: a transport error ends the read, data
+// goes through the decode burst.
+func (r *rdmaRead) read(data []byte, err error) {
+	if err != nil {
+		if err == simnet.ErrTimeout {
+			r.p.Timeouts++
 		}
-		tk.Compute(p.decode, func() {
-			var rec wire.LoadRecord
-			derr := p.decodeRead(&rec, data)
-			if derr == wire.ErrTorn && attempt < maxTornRetries {
-				p.TornRetries++
-				p.probeRDMATry(tk, attempt+1, then)
-				return
-			}
-			then(rec, derr)
-		})
-	})
+		r.done(nil, err)
+		return
+	}
+	r.data = data
+	r.tk.Compute(r.p.decode, r.decodeFn)
+}
+
+func (r *rdmaRead) decode() {
+	p, data := r.p, r.data
+	r.data = nil
+	derr := p.decodeRead(&r.rec, data)
+	if derr == wire.ErrTorn && r.torn < maxTornRetries {
+		p.TornRetries++
+		r.torn++
+		r.post()
+		return
+	}
+	r.done(&r.rec, derr)
+}
+
+// done hands the outcome to then, dropping the read's references first:
+// then may start the task's next read.
+func (r *rdmaRead) done(rec *wire.LoadRecord, err error) {
+	then := r.then
+	r.p, r.then = nil, nil
+	then(rec, err)
 }
 
 // probeSocket issues the request/response path against the agent's
@@ -458,6 +503,12 @@ type Monitor struct {
 	// hyb is indexed by back-end id like byID; a nil entry (or a nil
 	// slice, without the hybrid engine) means no adaptive-poll state.
 	hyb []*hybridState
+	// due is the hybrid engine's sweep test, a dense table beside hyb:
+	// due[b] is the instant back-end b's next probe is due (nil without
+	// the hybrid engine). Every shard scans it every sweep, for every one
+	// of its back-ends, so it is read from one array rather than through
+	// a pointer per back-end.
+	due []sim.Time
 
 	shardCycles []uint64
 	tasks       []*simos.Task
@@ -467,7 +518,6 @@ type Monitor struct {
 // hybridState is the monitor's per-backend adaptive-poll bookkeeping.
 type hybridState struct {
 	ctrl    PeriodController
-	due     sim.Time // next probe not before this instant
 	obs     wire.LoadRecord
 	has     bool
 	pushSeq uint32 // highest push sequence accepted
@@ -545,6 +595,7 @@ func StartMonitorCfg(front *simos.Node, fnic *simnet.NIC, agents []*Agent, poll 
 		h := cfg.Hybrid.WithDefaults(poll)
 		m.cfg.Hybrid = &h
 		m.hyb = make([]*hybridState, len(m.byID))
+		m.due = make([]sim.Time, len(m.byID))
 		for _, b := range m.order {
 			m.hyb[b] = &hybridState{ctrl: PeriodController{Cfg: h.Period}}
 		}
@@ -562,104 +613,38 @@ func StartMonitorCfg(front *simos.Node, fnic *simnet.NIC, agents []*Agent, poll 
 		if cfg.Shards > 1 {
 			name = fmt.Sprintf("rmon-frontend-s%d", s)
 		}
-		s := s
 		m.tasks = append(m.tasks, front.Spawn(name, func(tk *simos.Task) {
-			// The shard's one batch in flight: its WR list, prober list,
-			// completion slots and bound continuations are posted,
-			// completed and reused sweep after sweep — the steady-state
-			// sweep allocates nothing per read.
-			sc := newSweepScratch(m, tk)
-			var sweep func()
-			var sweepStart sim.Time
-			var step func(i int)
-			step = func(i int) {
-				if m.stopped {
-					tk.Exit()
-					return
-				}
-				if i >= len(ids) {
-					m.CycleTime.Add(float64((front.Eng.Now() - sweepStart) / sim.Microsecond))
-					m.shardDone(s)
-					tk.Sleep(poll, sweep)
-					return
-				}
-				if !m.dueNow(ids[i]) {
-					// The adaptive period has not elapsed: this sweep
-					// spends no work request on a quiet back-end.
-					m.Decayed++
-					step(i + 1)
-					return
-				}
-				if m.cfg.Batch > 1 {
-					// Extend a run of batch-eligible, due back-ends up to
-					// the doorbell limit. Under a pool the run also stops
-					// at the first target without a ready connection —
-					// that slot dials (or sheds) on the sequential path.
-					j := i
-					sc.leases = sc.leases[:0]
-					for j < len(ids) && j-i < m.cfg.Batch &&
-						m.prober(ids[j]).batchEligible() && m.dueNow(ids[j]) {
-						if m.pool != nil {
-							l, ok := m.tryLease(ids[j])
-							if !ok {
-								break
-							}
-							sc.leases = append(sc.leases, l)
-						}
-						j++
-					}
-					if j > i+1 {
-						sc.probeBatch(ids[i:j], func() { step(j) })
-						return
-					}
-					if len(sc.leases) == 1 {
-						// A one-long run still holds its lease: probe it
-						// fenced without paying for a doorbell batch.
-						m.fencedProbe(tk, ids[i], sc.leases[0], func() { step(i + 1) })
-						return
-					}
-				}
-				id := ids[i]
-				if m.pool != nil && m.prober(id).batchEligible() {
-					m.pooledProbe(tk, id, func() { step(i + 1) })
-					return
-				}
-				m.prober(id).ProbeOnce(tk, func(_ *wire.LoadRecord, err error) {
-					m.observeProbe(id, err)
-					step(i + 1)
-				})
-			}
-			sweep = func() {
-				sweepStart = front.Eng.Now()
-				if m.pool != nil {
-					// Idle GC once per sweep: quiet targets' conns age
-					// out, returning fds to the budget.
-					m.pool.GC()
-				}
-				step(0)
-			}
-			sweep()
+			newSweepScratch(m, tk, s, ids, poll).sweep()
 		}))
 	}
 	return m
 }
 
-// sweepScratch is the state of a shard task's one doorbell batch in
-// flight: the prober and WR lists built per batch, the completion slots
-// the NIC fills in, the held leases, and the cursor i of the slot being
-// applied — with the continuations that apply it bound once, so
-// applying a slot allocates no closure.
+// sweepScratch is a shard task's sweep: the cursor over its back-ends,
+// and the state of its one probe or doorbell batch in flight — the
+// prober and WR lists built per batch, the completion slots the NIC
+// fills in, the held leases, the cursor i of the slot being applied,
+// the shard's probe read and pooled probe — with the continuations that
+// carry the sweep on bound once, so probing a back-end or applying a
+// slot allocates no closure.
 //
-// State instead of captured variables is safe because a shard posts one
-// batch at a time and applies its slots strictly in order: probeBatch
-// is only ever entered from the sweep's own continuation (then), which
-// runs after the last slot; every path out of a slot — however many
-// events it takes: a decode burst, a socket fallback, a fenced replay —
-// ends in advance exactly once; and nothing else writes these fields.
-// One instance per shard, reused for the shard's lifetime.
+// State instead of captured variables is safe because a shard has one
+// probe or batch in flight at a time and applies a batch's slots
+// strictly in order: step is only ever re-entered through resume, which
+// runs once the probe or the batch's last slot is done; every path out
+// of a slot — however many events it takes: a decode burst, a socket
+// fallback, a fenced replay — ends in advance exactly once; and nothing
+// else writes these fields. One instance per shard, reused for the
+// shard's lifetime.
 type sweepScratch struct {
 	m  *Monitor
 	tk *simos.Task
+
+	shard      int
+	ids        []int // the shard's back-ends
+	poll       sim.Time
+	sweepStart sim.Time
+	pos        int // where the sweep resumes once the probe or batch in flight is done
 
 	probers []*Prober
 	reqs    []simnet.ReadReq
@@ -667,23 +652,122 @@ type sweepScratch struct {
 	leases  []connpool.Lease[int, *simnet.QP]
 
 	start sim.Time // when the batch was posted
-	then  func()   // the sweep's continuation past the batch
 	i     int      // the slot being applied
 
 	// rec is the decode target of the slot being applied, shared by the
 	// shard's probers: the outcome path reads it before the slot ends.
 	rec wire.LoadRecord
 
+	// read carries the shard's probe reads outside a batch — sequential
+	// probes, torn re-reads, pooled probes — and pooled its pooled
+	// probes (nil without a pool).
+	read   *rdmaRead
+	pooled *pooledProbe
+
+	sweepFn     func()                        // sc.sweep
+	resumeFn    func()                        // sc.resume
+	probedFn    func(*wire.LoadRecord, error) // sc.probed
 	completedFn func([]simnet.ReadResult)     // sc.completed
 	decodeFn    func()                        // sc.decode
+	rereadFn    func(*wire.LoadRecord, error) // sc.reread
 	nextFn      func(*wire.LoadRecord, error) // sc.next
 	advanceFn   func()                        // sc.advance
 }
 
-func newSweepScratch(m *Monitor, tk *simos.Task) *sweepScratch {
-	sc := &sweepScratch{m: m, tk: tk}
-	sc.completedFn, sc.decodeFn, sc.nextFn, sc.advanceFn = sc.completed, sc.decode, sc.next, sc.advance
+func newSweepScratch(m *Monitor, tk *simos.Task, shard int, ids []int, poll sim.Time) *sweepScratch {
+	sc := &sweepScratch{m: m, tk: tk, shard: shard, ids: ids, poll: poll, read: newRDMARead(tk)}
+	if m.pool != nil {
+		sc.pooled = newPooledProbe(m, sc.read)
+	}
+	sc.sweepFn, sc.resumeFn, sc.probedFn = sc.sweep, sc.resume, sc.probed
+	sc.completedFn, sc.decodeFn, sc.rereadFn = sc.completed, sc.decode, sc.reread
+	sc.nextFn, sc.advanceFn = sc.next, sc.advance
 	return sc
+}
+
+// sweep starts one sweep of the shard's back-ends.
+func (sc *sweepScratch) sweep() {
+	sc.sweepStart = sc.m.front.Eng.Now()
+	if sc.m.pool != nil {
+		// Idle GC once per sweep: quiet targets' conns age out,
+		// returning fds to the budget.
+		sc.m.pool.GC()
+	}
+	sc.step(0)
+}
+
+// step carries the sweep on from back-end i: past the back-ends whose
+// adaptive period has not elapsed, it probes the next due one — in a
+// doorbell batch with the due, batch-eligible ones after it, through
+// the pool, or on its own — and sets pos past what it probed for
+// resume. Past the last back-end the sweep is done and the shard sleeps
+// a period.
+func (sc *sweepScratch) step(i int) {
+	m, tk, ids := sc.m, sc.tk, sc.ids
+	if m.stopped {
+		tk.Exit()
+		return
+	}
+	for i < len(ids) && !m.dueNow(ids[i]) {
+		// The adaptive period has not elapsed: this sweep spends no
+		// work request on a quiet back-end.
+		m.Decayed++
+		i++
+	}
+	if i >= len(ids) {
+		m.CycleTime.Add(float64((m.front.Eng.Now() - sc.sweepStart) / sim.Microsecond))
+		m.shardDone(sc.shard)
+		tk.Sleep(sc.poll, sc.sweepFn)
+		return
+	}
+	if m.cfg.Batch > 1 {
+		// Extend a run of batch-eligible, due back-ends up to the
+		// doorbell limit. Under a pool the run also stops at the first
+		// target without a ready connection — that slot dials (or
+		// sheds) on the sequential path.
+		j := i
+		sc.leases = sc.leases[:0]
+		for j < len(ids) && j-i < m.cfg.Batch &&
+			m.prober(ids[j]).batchEligible() && m.dueNow(ids[j]) {
+			if m.pool != nil {
+				l, ok := m.tryLease(ids[j])
+				if !ok {
+					break
+				}
+				sc.leases = append(sc.leases, l)
+			}
+			j++
+		}
+		if j > i+1 {
+			sc.pos = j
+			sc.probeBatch(ids[i:j])
+			return
+		}
+		if len(sc.leases) == 1 {
+			// A one-long run still holds its lease: probe it fenced
+			// without paying for a doorbell batch.
+			sc.pos = i + 1
+			sc.pooled.fenced(ids[i], sc.leases[0], 0, sc.resumeFn)
+			return
+		}
+	}
+	id := ids[i]
+	sc.pos = i + 1
+	if m.pool != nil && m.prober(id).batchEligible() {
+		sc.pooled.run(id, 0, sc.resumeFn)
+		return
+	}
+	m.prober(id).probe(sc.read, sc.probedFn)
+}
+
+// resume carries the sweep on past the probe or batch just done.
+func (sc *sweepScratch) resume() { sc.step(sc.pos) }
+
+// probed is a sequential probe's outcome: feed the period controller
+// and carry the sweep on.
+func (sc *sweepScratch) probed(_ *wire.LoadRecord, err error) {
+	sc.m.observeProbe(sc.ids[sc.pos-1], err)
+	sc.resume()
 }
 
 // probeBatch posts one doorbell-batched multi-WR read covering ids
@@ -695,9 +779,9 @@ func newSweepScratch(m *Monitor, tk *simos.Task) *sweepScratch {
 // never silently served stale. Each read lands in its prober's own
 // DMA buffer and the batch bookkeeping lives in sc, so the hot path
 // posts no fresh memory.
-func (sc *sweepScratch) probeBatch(ids []int, then func()) {
+func (sc *sweepScratch) probeBatch(ids []int) {
 	m := sc.m
-	sc.start, sc.then = sc.tk.Node().Eng.Now(), then
+	sc.start = sc.tk.Node().Eng.Now()
 	if cap(sc.probers) < len(ids) {
 		sc.probers = make([]*Prober, len(ids))
 		sc.reqs = make([]simnet.ReadReq, len(ids))
@@ -725,9 +809,7 @@ func (sc *sweepScratch) completed(results []simnet.ReadResult) {
 func (sc *sweepScratch) apply() {
 	m, i := sc.m, sc.i
 	if i >= len(sc.probers) {
-		then := sc.then
-		sc.then = nil
-		then()
+		sc.resume()
 		return
 	}
 	p, res := sc.probers[i], &sc.results[i]
@@ -739,7 +821,7 @@ func (sc *sweepScratch) apply() {
 			if res.Err == nil {
 				// Intact data over a recycled conn: replay the
 				// slot on a fresh connection.
-				m.pooledProbeN(sc.tk, p.Backend, 1, sc.advanceFn)
+				sc.pooled.run(p.Backend, 1, sc.advanceFn)
 				return
 			}
 		} else {
@@ -767,16 +849,18 @@ func (sc *sweepScratch) decode() {
 		// of the batch proceeds.
 		p.TornRetries++
 		if m.pool != nil {
-			m.pooledProbeN(tk, p.Backend, 1, sc.advanceFn)
+			sc.pooled.run(p.Backend, 1, sc.advanceFn)
 		} else {
-			start, next := sc.start, sc.nextFn
-			p.probeRDMA(tk, func(rec wire.LoadRecord, err error) {
-				p.rdmaOutcome(tk, start, &rec, err, next)
-			})
+			sc.read.start(p, sc.rereadFn)
 		}
 		return
 	}
 	p.rdmaOutcome(tk, sc.start, &sc.rec, derr, sc.nextFn)
+}
+
+// reread is slot i's torn re-read, done: resolve it like the slot.
+func (sc *sweepScratch) reread(rec *wire.LoadRecord, err error) {
+	sc.probers[sc.i].rdmaOutcome(sc.tk, sc.start, rec, err, sc.nextFn)
 }
 
 // next is slot i's outcome, applied: feed the period controller and
@@ -826,11 +910,7 @@ func (m *Monitor) hybrid(backend int) *hybridState {
 // dueNow reports whether a back-end's adaptive poll period has elapsed
 // (always true without the hybrid engine).
 func (m *Monitor) dueNow(backend int) bool {
-	st := m.hybrid(backend)
-	if st == nil {
-		return true
-	}
-	return m.front.Eng.Now() >= st.due
+	return uint(backend) >= uint(len(m.due)) || m.front.Eng.Now() >= m.due[backend]
 }
 
 // leaseHeld reports the monitor's current primaryship belief for the
@@ -858,14 +938,14 @@ func (m *Monitor) observeProbe(backend int, err error) {
 				(float64(m.cfg.Hybrid.Period.Min) / float64(sim.Second))
 			changed = perSweep >= m.cfg.Hybrid.Threshold
 		} else {
-			changed = LoadDelta(p.last, st.obs) >= m.cfg.Hybrid.Threshold
+			changed = LoadDelta(&p.last, &st.obs) >= m.cfg.Hybrid.Threshold
 		}
 	}
 	if err == nil && p.has {
 		st.obs = p.last
 		st.has = true
 	}
-	st.due = m.front.Eng.Now() + st.ctrl.Observe(changed, p.Health.State(), m.leaseHeld())
+	m.due[backend] = m.front.Eng.Now() + st.ctrl.Observe(changed, p.Health.State(), m.leaseHeld())
 }
 
 // notePush applies one valid pushed delta record: it refreshes the
@@ -892,7 +972,7 @@ func (m *Monitor) notePush(backend int, rec wire.PushRecord, at sim.Time) {
 		m.StalePushes++
 		return
 	}
-	changed := !st.has || LoadDelta(rec.Load, st.obs) >= m.cfg.Hybrid.Threshold
+	changed := !st.has || LoadDelta(&rec.Load, &st.obs) >= m.cfg.Hybrid.Threshold
 	p.last = rec.Load
 	p.lastAt = at
 	p.has = true
@@ -903,7 +983,7 @@ func (m *Monitor) notePush(backend int, rec wire.PushRecord, at sim.Time) {
 	}
 	st.obs = rec.Load
 	st.has = true
-	st.due = at + st.ctrl.Observe(changed, p.Health.State(), m.leaseHeld())
+	m.due[backend] = at + st.ctrl.Observe(changed, p.Health.State(), m.leaseHeld())
 }
 
 // ProbePeriod returns a back-end's current adaptive poll period (0

@@ -49,7 +49,9 @@ func StartPushAgent(node *simos.Node, nic *simnet.NIC, group string, interval si
 				tk.Exit()
 				return
 			}
-			tk.ReadProc(func(s simos.Snapshot) {
+			tk.ReadProc(func() {
+				var s simos.Snapshot
+				tk.ProcSnapshot(&s)
 				tk.Compute(25*sim.Microsecond, func() {
 					a.seq++
 					payload := RecordFromSnapshot(s, a.seq).Encode()

@@ -250,7 +250,7 @@ func hybridPoint(o Options, n, volatile int, hybrid bool) HybridPoint {
 				pt.NoRecord++
 				continue
 			}
-			if core.LoadDelta(truth, *cached) <= threshold {
+			if core.LoadDelta(&truth, cached) <= threshold {
 				lastAccurate[b] = now
 			}
 			eff := now - at

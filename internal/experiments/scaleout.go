@@ -236,7 +236,7 @@ func ScaleOut(o Options) *ScaleOutData {
 				worst = now
 				continue
 			}
-			if core.LoadDelta(truth, *cached) <= threshold {
+			if core.LoadDelta(&truth, cached) <= threshold {
 				lastAccurate[b] = now
 			}
 			eff := now - at

@@ -196,8 +196,11 @@ func (m *Monitor) fetchOne(target string, p *Probe) {
 	if m.adaptive != nil {
 		// A failed fetch counts as change: trouble must restore the
 		// fast sweep, never decay away from it.
-		changed := err != nil || !m.obsHas[target] ||
-			core.LoadDelta(rec, m.obs[target]) >= m.adaptive.Threshold
+		changed := err != nil || !m.obsHas[target]
+		if !changed {
+			obs := m.obs[target]
+			changed = core.LoadDelta(&rec, &obs) >= m.adaptive.Threshold
+		}
 		if err == nil {
 			m.obs[target] = rec
 			m.obsHas[target] = true

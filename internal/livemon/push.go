@@ -289,7 +289,7 @@ func (p *Pusher) check() {
 	if rec.NrRunning > 0 {
 		rec.NrRunning--
 	}
-	if p.primed && core.LoadDelta(rec, p.last) < p.cfg.Threshold &&
+	if p.primed && core.LoadDelta(&rec, &p.last) < p.cfg.Threshold &&
 		time.Since(p.lastAt) < p.cfg.Heartbeat {
 		p.skips++
 		p.mu.Unlock()

@@ -20,3 +20,17 @@ func TestBatchReadAllocs(t *testing.T) {
 	}
 	t.Logf("%.2f allocs per batched read", perRead)
 }
+
+// TestWriteZeroAlloc pins a steady-state one-sided write, a delta
+// push's shape: its stages run on a pooled op that carries its own
+// staging buffer, the completion reaches the task as that op, and so a
+// closed loop of writes allocates nothing.
+func TestWriteZeroAlloc(t *testing.T) {
+	r := newRig(t, 2, Defaults())
+	run := writeLoop(t, r)
+	run(16) // warm the free lists
+	const writes = 64
+	if perWrite := testing.AllocsPerRun(5, func() { run(writes) }) / writes; perWrite != 0 {
+		t.Fatalf("a steady-state write allocates %.2f objects, want 0", perWrite)
+	}
+}

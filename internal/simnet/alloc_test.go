@@ -9,8 +9,9 @@ import (
 
 // The deliver/readback path must not allocate per op at steady state
 // (DESIGN.md §13): reads DMA into the initiator's posted buffer,
-// writes and atomics stage through the fabric's pooled buffers. These
-// tests pin each reuse mechanism so it cannot silently regress.
+// writes stage through their pooled op's own buffer, atomics through
+// the fabric's scratch. These tests pin each reuse mechanism so it
+// cannot silently regress.
 
 func TestRDMAReadIntoUsesPostedBuffer(t *testing.T) {
 	r := newRig(t, 2, Defaults())
@@ -83,17 +84,20 @@ func TestRDMAReadBatchIntoUsesScratch(t *testing.T) {
 	}
 }
 
-// TestPayloadPoolZeroAlloc pins the free list itself: a warm
-// get/put cycle allocates nothing.
+// TestPayloadPoolZeroAlloc pins the write ops' free list itself: a
+// warm get/stage/put cycle allocates nothing, because the staging
+// buffer travels with the op.
 func TestPayloadPoolZeroAlloc(t *testing.T) {
 	f := NewFabric(sim.NewEngine(1), Defaults())
-	f.putBuf(make([]byte, 256)) // warm the pool
+	payload := make([]byte, 144)
+	f.putWriteOp(f.getWriteOp()) // warm the pool
 	allocs := testing.AllocsPerRun(200, func() {
-		b := f.getBuf(144)
-		f.putBuf(b)
+		op := f.getWriteOp()
+		op.payload = append(op.payload[:0], payload...)
+		f.putWriteOp(op)
 	})
 	if allocs != 0 {
-		t.Fatalf("warm getBuf/putBuf allocates %.1f objects/op, want 0", allocs)
+		t.Fatalf("a warm write op allocates %.1f objects per stage, want 0", allocs)
 	}
 }
 
@@ -175,6 +179,34 @@ func batchLoop(t testing.TB, r *rig) (run func(n int)) {
 	}
 }
 
+// writeLoop starts a closed loop of one-sided writes of a push record's
+// size into a writable region on a two-node rig and returns a func that
+// advances it by n writes.
+func writeLoop(t testing.TB, r *rig) (run func(n int)) {
+	slot := make([]byte, 148)
+	mr := r.nics[1].RegisterWritableMR(StaticSource(slot), len(slot), func(b []byte) { copy(slot, b) })
+	data := make([]byte, len(slot))
+	writes := 0
+	r.nodes[0].Spawn("push", func(tk *simos.Task) {
+		var loop func(error)
+		loop = func(err error) {
+			if err != nil {
+				t.Fatalf("write: %v", err)
+			}
+			writes++
+			r.nics[0].RDMAWrite(tk, 1, mr.Key(), data, loop)
+		}
+		r.nics[0].RDMAWrite(tk, 1, mr.Key(), data, loop)
+	})
+	return func(n int) {
+		for target := writes + n; writes < target; {
+			if !r.eng.Step() {
+				t.Fatal("simulation ran out of events")
+			}
+		}
+	}
+}
+
 // TestReadOpReleasedClean: once a batch has completed, the pooled
 // state of every read in it — failed reads included — is back on the
 // fabric's free list holding no callback, batch, buffer or NIC, the
@@ -211,7 +243,7 @@ func TestReadOpReleasedClean(t *testing.T) {
 			t.Fatalf("round %d: free list holds %d read ops, want %d", round, len(r.fab.readOps), len(reqs))
 		}
 		for i, op := range r.fab.readOps {
-			if op.done != nil || op.batch != nil || op.dst != nil || op.data != nil || op.err != nil || op.nic != nil || op.tn != nil {
+			if op.task != nil || op.then != nil || op.batch != nil || op.dst != nil || op.data != nil || op.err != nil || op.nic != nil || op.tn != nil {
 				t.Fatalf("round %d: free read op %d still holds a reference: %+v", round, i, op)
 			}
 		}

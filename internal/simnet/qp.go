@@ -54,8 +54,9 @@ type DialFaulter interface {
 // (target, key).
 type QP struct {
 	nic    *NIC
+	tn     *NIC // the target's adapter, whose inbound list holds the QP while open
 	target int
-	id     uint64
+	slot   int  // index in tn.inbound
 	valid  bool // false after a listener reset: the QP is in error state
 	open   bool // still holds an initiator fd (until CloseQP)
 }
@@ -81,7 +82,7 @@ func (n *NIC) FDLimit() int { return n.fdLimit }
 func (n *NIC) FDsInUse() int { return n.fdsUsed }
 
 // QPsOpen returns the number of established, unclosed QPs.
-func (n *NIC) QPsOpen() int { return len(n.qps) }
+func (n *NIC) QPsOpen() int { return n.qpsOpen }
 
 // Dial establishes a QP to target from task t. The fd is consumed for
 // the whole attempt; a failed dial returns it. then runs in t's
@@ -98,13 +99,13 @@ func (n *NIC) Dial(t *simos.Task, target int, then func(*QP, error)) {
 			n.DialErrors++
 			// EMFILE is synchronous in real life; charge one engine
 			// event so completion ordering stays causal.
-			f.Eng.After(0, func() { t.Resume(dialCompletion{err: ErrFDLimit}) })
+			f.Eng.Post(0, func() { t.Resume(dialCompletion{err: ErrFDLimit}) })
 			return
 		}
 		n.fdsUsed++
 		fail := func(after sim.Time, err error) {
 			n.DialErrors++
-			f.Eng.After(after, func() {
+			f.Eng.Post(after, func() {
 				n.fdsUsed--
 				t.Resume(dialCompletion{err: err})
 			})
@@ -131,19 +132,16 @@ func (n *NIC) Dial(t *simos.Task, target int, then func(*QP, error)) {
 		}
 		// Connection-manager exchange: request out, target NIC service,
 		// reply back.
-		f.Eng.After(2*f.xmit(64)+f.Cfg.NICService+extra, func() {
+		f.Eng.Post(2*f.xmit(64)+f.Cfg.NICService+extra, func() {
 			if tn.node.Down() {
 				n.DialErrors++
 				n.fdsUsed--
 				t.Resume(dialCompletion{err: ErrTimeout})
 				return
 			}
-			n.qpSeq++
-			qp := &QP{nic: n, target: target, id: n.qpSeq, valid: true, open: true}
-			if n.qps == nil {
-				n.qps = make(map[uint64]*QP)
-			}
-			n.qps[qp.id] = qp
+			qp := &QP{nic: n, tn: tn, target: target, slot: len(tn.inbound), valid: true, open: true}
+			tn.inbound = append(tn.inbound, qp)
+			n.qpsOpen++
 			n.Dials++
 			t.Resume(dialCompletion{qp: qp})
 		})
@@ -162,7 +160,13 @@ func (n *NIC) CloseQP(q *QP) {
 	}
 	q.open = false
 	q.valid = false
-	delete(n.qps, q.id)
+	in := q.tn.inbound
+	last := len(in) - 1
+	moved := in[last]
+	in[q.slot], moved.slot = moved, q.slot
+	in[last] = nil
+	q.tn.inbound = in[:last]
+	n.qpsOpen--
 	n.fdsUsed--
 }
 
@@ -171,14 +175,18 @@ func (n *NIC) CloseQP(q *QP) {
 // — from any initiator — transitions to the error state. Initiator
 // fds stay held until their owners CloseQP, which is how the real
 // leak works too. No random draws, so installed fault plans replay
-// bit-identically.
+// bit-identically. The node's NIC lists the open QPs that target it,
+// so a reset visits those and nothing else: its cost is the node's
+// inbound connection count, whatever the size of the fabric.
 func (f *Fabric) ResetListener(node int) {
-	for _, nic := range f.nics {
-		for _, qp := range nic.qps {
-			if qp.target == node && qp.valid {
-				qp.valid = false
-				nic.QPResets++
-			}
+	tn := f.NIC(node)
+	if tn == nil {
+		return
+	}
+	for _, qp := range tn.inbound {
+		if qp.valid {
+			qp.valid = false
+			qp.nic.QPResets++
 		}
 	}
 }

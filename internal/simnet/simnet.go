@@ -198,17 +198,18 @@ type Fabric struct {
 	// (see internal/faults). Install via SetFaults before traffic runs.
 	Faults FaultModel
 
-	// bufs is the fabric-level payload free list: write and atomic
-	// operations borrow a staging buffer at post time and return it
-	// once the responder consumed it, so steady-state one-sided
-	// traffic allocates nothing per op. Safe without locking because
-	// every engine callback runs on the single engine goroutine.
-	bufs [][]byte
+	// casBuf is the responder's scratch image of a region under an
+	// atomic (see postCompSwap), reused by every atomic: it lives only
+	// within the atomic instant. Safe without locking because every
+	// engine callback runs on the single engine goroutine.
+	casBuf []byte
 
 	// readOps and readBatches are the free lists of one-sided read state
-	// (see readOp, readBatch), msgOps of messages in flight (msgOp).
+	// (see readOp, readBatch), writeOps of writes (writeOp), msgOps of
+	// messages in flight (msgOp).
 	readOps     []*readOp
 	readBatches []*readBatch
+	writeOps    []*writeOp
 	msgOps      []*msgOp
 
 	// AblationRDMATargetIRQ, when set, charges a network interrupt on
@@ -278,32 +279,6 @@ func (f *Fabric) heteroLat(from, to int) sim.Time {
 // xmit returns the wire time for a payload of size bytes.
 func (f *Fabric) xmit(size int) sim.Time {
 	return f.Cfg.WireLatency + sim.Time(int64(size)*8*int64(sim.Second)/f.Cfg.BandwidthBps)
-}
-
-// maxPooledBufs bounds the payload free list; beyond it buffers are
-// dropped for the GC (a fleet's steady state needs only a handful —
-// one per op concurrently in flight between post and sink).
-const maxPooledBufs = 128
-
-// getBuf borrows an n-byte staging buffer from the free list.
-func (f *Fabric) getBuf(n int) []byte {
-	for i := len(f.bufs) - 1; i >= 0; i-- {
-		if cap(f.bufs[i]) >= n {
-			b := f.bufs[i][:n]
-			last := len(f.bufs) - 1
-			f.bufs[i] = f.bufs[last]
-			f.bufs = f.bufs[:last]
-			return b
-		}
-	}
-	return make([]byte, n)
-}
-
-// putBuf returns a staging buffer once its contents are dead.
-func (f *Fabric) putBuf(b []byte) {
-	if cap(b) > 0 && len(f.bufs) < maxPooledBufs {
-		f.bufs = append(f.bufs, b[:0])
-	}
 }
 
 // Attach gives node a NIC on this fabric.
@@ -521,9 +496,10 @@ type NIC struct {
 	nextKey uint32
 	ackFn   func() // n.ack, bound once
 
-	// Connection/fd resource model (see qp.go).
-	qps     map[uint64]*QP
-	qpSeq   uint64
+	// Connection/fd resource model (see qp.go). inbound lists the open
+	// QPs other NICs hold to this node, for ResetListener.
+	qpsOpen int
+	inbound []*QP
 	fdLimit int
 	fdsUsed int
 
@@ -656,12 +632,13 @@ func (n *NIC) RegisterWritableMR(src Source, size int, sink func([]byte)) *MR {
 // ErrBadKey.
 func (n *NIC) Deregister(mr *MR) { delete(n.mrs, mr.key) }
 
-// readOp is the state of one one-sided read in flight. Its three
-// stages are methods bound once per struct, and the structs cycle
-// through Fabric.readOps, so a read schedules its events without
-// allocating an event node, a closure or the op itself. The outcome
-// goes to done (the single-read verb) or, for a work request of a
-// doorbell batch, into results[slot] of batch.
+// readOp is the state of one one-sided read in flight. Its stages are
+// methods bound once per struct, and the structs cycle through
+// Fabric.readOps, so a read schedules its events without allocating an
+// event node, a closure or the op itself. The outcome goes to the
+// posting task (the single-read verb: the op itself is the value its
+// Resume hands over, and awaited releases it) or, for a work request of
+// a doorbell batch, into results[slot] of batch.
 type readOp struct {
 	nic    *NIC // initiator
 	tn     *NIC // target, known from arrive on
@@ -671,11 +648,15 @@ type readOp struct {
 	dst    []byte
 	data   []byte
 	err    error
-	done   func(data []byte, err error)
 	batch  *readBatch
 	slot   int
 
-	arriveFn, serviceFn, completeFn func()
+	// The single-read verb's posting task and continuation.
+	task *simos.Task
+	then func(data []byte, err error)
+
+	postFn, arriveFn, serviceFn, completeFn func()
+	awaitedFn                               func(any)
 }
 
 // readBatch is the initiator's side of one doorbell batch in flight:
@@ -706,8 +687,16 @@ func (f *Fabric) getReadOp() *readOp {
 		return op
 	}
 	op := &readOp{}
-	op.arriveFn, op.serviceFn, op.completeFn = op.arrive, op.service, op.complete
+	op.postFn, op.arriveFn, op.serviceFn, op.completeFn = op.post, op.arrive, op.service, op.complete
+	op.awaitedFn = op.awaited
 	return op
+}
+
+// putReadOp returns an op to the free list holding no reference.
+func (f *Fabric) putReadOp(op *readOp) {
+	op.nic, op.tn, op.dst, op.data, op.err, op.batch = nil, nil, nil, nil, nil, nil
+	op.task, op.then = nil, nil
+	f.readOps = append(f.readOps, op)
 }
 
 // postRead performs the fabric half of one one-sided read work
@@ -794,18 +783,21 @@ func (op *readOp) service() {
 	f.Eng.Post(f.xmit(len(op.data)), op.completeFn)
 }
 
-// complete hands the outcome to done, or to the op's batch. The op —
-// and a finished batch — go back to their free lists first, holding no
-// reference, so the continuation may post the next read into them.
+// complete hands the outcome to the posting task, or to the op's batch.
+// A batch's op — and a finished batch — go back to their free lists
+// first, holding no reference, so the continuation may post the next
+// read into them; a single read's op waits in the task until awaited,
+// unless the task is no longer there to take it.
 func (op *readOp) complete() {
 	f := op.nic.fab
-	done, b, slot, data, err := op.done, op.batch, op.slot, op.data, op.err
-	op.nic, op.tn, op.dst, op.data, op.err, op.done, op.batch = nil, nil, nil, nil, nil, nil, nil
-	f.readOps = append(f.readOps, op)
+	b, slot, data, err := op.batch, op.slot, op.data, op.err
 	if b == nil {
-		done(data, err)
+		if !op.task.Resume(op) {
+			f.putReadOp(op)
+		}
 		return
 	}
+	f.putReadOp(op)
 	b.results[slot] = ReadResult{Data: data, Err: err}
 	if b.remaining--; b.remaining == 0 {
 		t, results := b.task, b.results
@@ -828,18 +820,25 @@ func (n *NIC) RDMARead(t *simos.Task, target int, key uint32, length int, then f
 // the read allocates nothing. The caller owns buf and must not repost
 // it until then has run.
 func (n *NIC) RDMAReadInto(t *simos.Task, target int, key uint32, length int, buf []byte, then func(data []byte, err error)) {
-	f := n.fab
-	t.Compute(f.Cfg.RDMAPostCost, func() {
-		t.Await(func(v any) {
-			c := v.(rdmaCompletion)
-			then(c.data, c.err)
-		})
-		op := f.getReadOp()
-		op.done = func(data []byte, err error) {
-			t.Resume(rdmaCompletion{data: data, err: err})
-		}
-		n.postRead(op, target, key, length, buf)
-	})
+	op := n.fab.getReadOp()
+	op.nic, op.task, op.then = n, t, then
+	op.target, op.key, op.length, op.dst = target, key, length, buf
+	t.Compute(n.fab.Cfg.RDMAPostCost, op.postFn)
+}
+
+// post ends a single read's post burst: the task waits for the
+// completion, and the work request goes out.
+func (op *readOp) post() {
+	op.task.Await(op.awaitedFn)
+	op.nic.postRead(op, op.target, op.key, op.length, op.dst)
+}
+
+// awaited runs a single read's continuation in the posting task, the
+// op back on the free list first.
+func (op *readOp) awaited(any) {
+	then, data, err := op.then, op.data, op.err
+	op.nic.fab.putReadOp(op)
+	then(data, err)
 }
 
 // ReadReq describes one work request of a doorbell-batched read.
@@ -913,64 +912,139 @@ func (n *NIC) RDMAReadBatchInto(t *simos.Task, reqs []ReadReq, scratch []ReadRes
 // paper's protection for exposed kernel structures).
 func (n *NIC) RDMAWrite(t *simos.Task, target int, key uint32, data []byte, then func(err error)) {
 	f := n.fab
-	// Stage the payload in a pooled fabric buffer: captured at post
-	// time (the WR's local buffer is owned by the HCA from here) and
-	// recycled once the responder has consumed it.
-	payload := f.getBuf(len(data))
-	copy(payload, data)
-	t.Compute(f.Cfg.RDMAPostCost, func() {
-		t.Await(func(v any) {
-			then(v.(rdmaCompletion).err)
-		})
-		n.RDMAWrites++
-		extra := f.heteroLat(n.node.ID, target)
-		if f.Faults != nil {
-			v := f.Faults.RDMA(n.node.ID, target)
-			if v.Fail {
-				f.countErr(n)
-				f.putBuf(payload)
-				n.completeAfter(t, f.Cfg.RDMATimeout, rdmaCompletion{err: ErrTimeout})
-				return
-			}
-			extra += v.Delay
+	op := f.getWriteOp()
+	op.nic, op.task, op.target, op.key, op.then = n, t, target, key, then
+	// Stage the payload in the op's own buffer: captured at post time
+	// (the WR's local buffer is owned by the HCA from here) and reused
+	// by the op's next write.
+	op.payload = append(op.payload[:0], data...)
+	t.Compute(f.Cfg.RDMAPostCost, op.postFn)
+}
+
+// writeOp is one one-sided write from its post to the completion
+// reaching the posting task: readOp's pattern for writes. Its stages —
+// the end of the post burst, the arrival at the target NIC, the
+// responder's service and the completion — are methods bound once, the
+// structs cycle through Fabric.writeOps with their staging buffers, and
+// the op itself is the value the completion's Resume hands the task, so
+// a steady-state write allocates nothing, however many are in flight.
+type writeOp struct {
+	nic     *NIC // initiator
+	tn      *NIC // target, known from arrive on
+	task    *simos.Task
+	target  int
+	key     uint32
+	payload []byte // the staged data; the array stays with the op
+	err     error
+	then    func(err error)
+
+	postFn, arriveFn, serviceFn, completeFn func()
+	awaitedFn                               func(any)
+}
+
+func (f *Fabric) getWriteOp() *writeOp {
+	if n := len(f.writeOps); n > 0 {
+		op := f.writeOps[n-1]
+		f.writeOps[n-1] = nil
+		f.writeOps = f.writeOps[:n-1]
+		return op
+	}
+	op := &writeOp{}
+	op.postFn, op.arriveFn, op.serviceFn, op.completeFn = op.post, op.arrive, op.service, op.complete
+	op.awaitedFn = op.awaited
+	return op
+}
+
+// putWriteOp returns an op to the free list holding no reference but
+// its staging buffer.
+func (f *Fabric) putWriteOp(op *writeOp) {
+	op.nic, op.tn, op.task, op.err, op.then = nil, nil, nil, nil, nil
+	op.payload = op.payload[:0]
+	f.writeOps = append(f.writeOps, op)
+}
+
+// post ends the post burst: the task waits for the completion, the
+// fault model has its say, and the request descriptor and payload go
+// out.
+func (op *writeOp) post() {
+	n := op.nic
+	f := n.fab
+	op.task.Await(op.awaitedFn)
+	n.RDMAWrites++
+	extra := f.heteroLat(n.node.ID, op.target)
+	if f.Faults != nil {
+		v := f.Faults.RDMA(n.node.ID, op.target)
+		if v.Fail {
+			f.countErr(n)
+			op.finishAfter(f.Cfg.RDMATimeout, ErrTimeout)
+			return
 		}
-		f.Eng.After(f.xmit(16+len(payload))+extra, func() {
-			tn := f.NIC(target)
-			if tn == nil {
-				f.putBuf(payload)
-				n.complete(t, rdmaCompletion{err: ErrNoRoute})
-				return
-			}
-			if tn.node.Down() {
-				f.countErr(n)
-				f.putBuf(payload)
-				n.completeAfter(t, f.Cfg.RDMATimeout, rdmaCompletion{err: ErrTimeout})
-				return
-			}
-			f.Eng.After(f.Cfg.NICService, func() {
-				mr := tn.mrs[key]
-				var err error
-				switch {
-				case mr == nil:
-					err = ErrBadKey
-				case !mr.writable:
-					err = ErrPermission
-				case len(payload) > mr.size:
-					err = ErrLength
-				default:
-					if f.AblationRDMATargetIRQ {
-						tn.node.RaiseNetIRQ(nil)
-					}
-					mr.sink(payload)
-				}
-				f.putBuf(payload)
-				if err != nil {
-					tn.fab.countErr(n)
-				}
-				n.completeAfter(t, f.xmit(0), rdmaCompletion{err: err})
-			})
-		})
-	})
+		extra += v.Delay
+	}
+	f.Eng.Post(f.xmit(16+len(op.payload))+extra, op.arriveFn)
+}
+
+// arrive: the write reaches the target NIC.
+func (op *writeOp) arrive() {
+	f := op.nic.fab
+	op.tn = f.NIC(op.target)
+	if op.tn == nil {
+		op.err = ErrNoRoute
+		op.complete()
+		return
+	}
+	if op.tn.node.Down() {
+		f.countErr(op.nic)
+		op.finishAfter(f.Cfg.RDMATimeout, ErrTimeout)
+		return
+	}
+	f.Eng.Post(f.Cfg.NICService, op.serviceFn)
+}
+
+// service: the responder validates the write and lands the payload.
+func (op *writeOp) service() {
+	f, tn := op.nic.fab, op.tn
+	mr := tn.mrs[op.key]
+	var err error
+	switch {
+	case mr == nil:
+		err = ErrBadKey
+	case !mr.writable:
+		err = ErrPermission
+	case len(op.payload) > mr.size:
+		err = ErrLength
+	default:
+		if f.AblationRDMATargetIRQ {
+			tn.node.RaiseNetIRQ(nil)
+		}
+		mr.sink(op.payload)
+	}
+	if err != nil {
+		f.countErr(op.nic)
+	}
+	op.finishAfter(f.xmit(0), err)
+}
+
+// finishAfter completes the write with err after d.
+func (op *writeOp) finishAfter(d sim.Time, err error) {
+	op.err = err
+	op.nic.fab.Eng.Post(d, op.completeFn)
+}
+
+// complete hands the outcome to the posting task; the op waits in it
+// until awaited, unless the task is no longer there to take it.
+func (op *writeOp) complete() {
+	if !op.task.Resume(op) {
+		op.nic.fab.putWriteOp(op)
+	}
+}
+
+// awaited runs the write's continuation in the posting task, the op
+// back on the free list first.
+func (op *writeOp) awaited(any) {
+	then, err := op.then, op.err
+	op.nic.fab.putWriteOp(op)
+	then(err)
 }
 
 // RDMACompareSwap posts a one-sided 64-bit atomic compare-and-swap on
@@ -1005,12 +1079,12 @@ func (n *NIC) postCompSwap(target int, key uint32, compare, swap uint64, done fu
 		v := f.Faults.RDMA(n.node.ID, target)
 		if v.Fail {
 			f.countErr(n)
-			f.Eng.After(f.Cfg.RDMATimeout, func() { done(0, ErrTimeout) })
+			f.Eng.Post(f.Cfg.RDMATimeout, func() { done(0, ErrTimeout) })
 			return
 		}
 		extra += v.Delay
 	}
-	f.Eng.After(f.xmit(32)+extra, func() { // descriptor + compare + swap operands
+	f.Eng.Post(f.xmit(32)+extra, func() { // descriptor + compare + swap operands
 		tn := f.NIC(target)
 		if tn == nil {
 			done(0, ErrNoRoute)
@@ -1018,44 +1092,42 @@ func (n *NIC) postCompSwap(target int, key uint32, compare, swap uint64, done fu
 		}
 		if tn.node.Down() {
 			f.countErr(n)
-			f.Eng.After(f.Cfg.RDMATimeout, func() { done(0, ErrTimeout) })
+			f.Eng.Post(f.Cfg.RDMATimeout, func() { done(0, ErrTimeout) })
 			return
 		}
-		f.Eng.After(f.Cfg.NICService, func() {
+		f.Eng.Post(f.Cfg.NICService, func() {
 			mr := tn.mrs[key]
 			switch {
 			case mr == nil:
 				tn.fab.countErr(n)
-				f.Eng.After(f.xmit(0), func() { done(0, ErrBadKey) })
+				f.Eng.Post(f.xmit(0), func() { done(0, ErrBadKey) })
 				return
 			case !mr.writable:
 				tn.fab.countErr(n)
-				f.Eng.After(f.xmit(0), func() { done(0, ErrPermission) })
+				f.Eng.Post(f.xmit(0), func() { done(0, ErrPermission) })
 				return
 			case mr.size < 8:
 				tn.fab.countErr(n)
-				f.Eng.After(f.xmit(0), func() { done(0, ErrLength) })
+				f.Eng.Post(f.xmit(0), func() { done(0, ErrLength) })
 				return
 			}
 			// The atomic instant: read, compare and (maybe) write
 			// back within one NIC service slot. The engine is the
 			// serialization point, exactly as responder-side atomic
 			// units serialize concurrent atomics in hardware. The
-			// scratch copy is pooled: it exists only so the sink
-			// observes a fully-formed post-swap image.
-			src := mr.source()
-			cur := f.getBuf(len(src))
-			copy(cur, src)
+			// scratch copy exists only so the sink observes a
+			// fully-formed post-swap image.
+			f.casBuf = append(f.casBuf[:0], mr.source()...)
+			cur := f.casBuf
 			prev := binary.LittleEndian.Uint64(cur[:8])
 			if prev == compare {
 				binary.LittleEndian.PutUint64(cur[:8], swap)
 				mr.sink(cur)
 			}
-			f.putBuf(cur)
 			if f.AblationRDMATargetIRQ {
 				tn.node.RaiseNetIRQ(nil)
 			}
-			f.Eng.After(f.xmit(8), func() { done(prev, nil) })
+			f.Eng.Post(f.xmit(8), func() { done(prev, nil) })
 		})
 	})
 }
@@ -1110,15 +1182,8 @@ func (n *NIC) RDMACompareSwapBatch(t *simos.Task, reqs []CASReq, then func(resul
 }
 
 type rdmaCompletion struct {
-	data []byte
 	prev uint64
 	err  error
 }
 
 func (f *Fabric) countErr(n *NIC) { n.RDMAErrors++ }
-
-func (n *NIC) complete(t *simos.Task, c rdmaCompletion) { t.Resume(c) }
-
-func (n *NIC) completeAfter(t *simos.Task, d sim.Time, c rdmaCompletion) {
-	n.fab.Eng.After(d, func() { t.Resume(c) })
-}

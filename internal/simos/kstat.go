@@ -22,7 +22,14 @@ type KernelStats struct {
 	connFn    func() int
 	memUsedKB uint64
 
-	utilHist [MaxCPU][]utilSample
+	// util is every CPU's utilisation history: CPU c's ring of the
+	// utilLen newest tick samples is util[c*utilLen : (c+1)*utilLen].
+	// All CPUs sample on the same tick, so they share the cursor: head is
+	// the slot the next sample takes, count how many slots hold one.
+	util      []utilSample
+	utilLen   int
+	utilHead  int
+	utilCount int
 }
 
 type utilSample struct {
@@ -31,48 +38,75 @@ type utilSample struct {
 }
 
 func newKernelStats(n *Node) *KernelStats {
-	return &KernelStats{node: n, memUsedKB: n.Cfg.MemBaseKB}
+	// A reading's base is the newest sample at least a window old.
+	// Ticks are at least a Tick apart, so at most UtilWindow/Tick + 1
+	// samples are newer than it: a ring of UtilWindow/Tick + 3 holds the
+	// base (or, early on, every sample there has been) with one to
+	// spare — the length the compacted history it replaces settled at.
+	l := int(n.Cfg.UtilWindow/n.Cfg.Tick) + 3
+	return &KernelStats{node: n, memUsedKB: n.Cfg.MemBaseKB,
+		util: make([]utilSample, n.Cfg.NumCPU*l), utilLen: l}
 }
 
-// sampleUtil records each CPU's cumulative busy time; called from the
-// timer tick.
+// utilHist returns CPU c's samples oldest first, as the two runs of its
+// ring.
+func (k *KernelStats) utilHist(c int) (older, newer []utilSample) {
+	r := k.util[c*k.utilLen : (c+1)*k.utilLen]
+	if k.utilCount < k.utilLen {
+		return r[:k.utilCount], nil
+	}
+	return r[k.utilHead:], r[:k.utilHead]
+}
+
+// newestUtil returns CPU c's newest sample; the history is not empty.
+func (k *KernelStats) newestUtil(c int) utilSample {
+	last := k.utilHead - 1
+	if last < 0 {
+		last = k.utilLen - 1
+	}
+	return k.util[c*k.utilLen+last]
+}
+
+// advanceUtil moves the shared cursor past m samples just written.
+func (k *KernelStats) advanceUtil(m int) {
+	k.utilHead = (k.utilHead + m) % k.utilLen
+	if k.utilCount += m; k.utilCount > k.utilLen {
+		k.utilCount = k.utilLen
+	}
+}
+
+// sampleUtil records each CPU's cumulative busy time into one slot of
+// its ring; called from the timer tick.
 func (k *KernelStats) sampleUtil() {
 	now := k.node.Eng.Now()
 	for i, c := range k.node.cpus {
-		k.utilHist[i] = k.pruneUtil(append(k.utilHist[i], utilSample{t: now, busy: c.cumBusy()}), now)
+		k.util[i*k.utilLen+k.utilHead] = utilSample{t: now, busy: c.cumBusy()}
 	}
+	k.advanceUtil(1)
 }
 
-// pruneUtil drops the samples older than a tick at instant at still
-// needs (the window plus two ticks) by compacting the history in
-// place, so a steady tick reuses one array.
-func (k *KernelStats) pruneUtil(h []utilSample, at sim.Time) []utilSample {
-	keepAfter := at - k.node.Cfg.UtilWindow - 2*k.node.Cfg.Tick
-	drop := 0
-	for drop < len(h)-1 && h[drop+1].t <= keepAfter {
-		drop++
-	}
-	return h[:copy(h, h[drop:])]
-}
-
-// replayUtil appends the samples a parked node's virtual ticks took —
+// replayUtil writes the samples a parked node's virtual ticks took —
 // the one at p0+i·Tick read the p0 sample plus i tick services — from
-// the newest one the pruning at the last of them keeps.
+// the oldest one the ring still holds after the last of them.
 func (k *KernelStats) replayUtil(v vticks) {
 	n := k.node
 	tick, cost := n.Cfg.Tick, n.Cfg.TimerIRQCost
 	first := int64(1)
-	if keepAfter := v.last - n.Cfg.UtilWindow - 2*tick; keepAfter >= n.p0+tick {
-		first = int64((keepAfter - n.p0) / tick)
+	if f := v.n - int64(k.utilLen) + 1; f > first {
+		first = f
 	}
 	for i := range n.cpus {
-		h := k.utilHist[i]
-		b0 := h[len(h)-1].busy
+		r := k.util[i*k.utilLen : (i+1)*k.utilLen]
+		b0 := k.newestUtil(i).busy
+		at := k.utilHead
 		for j := first; j <= v.n; j++ {
-			h = append(h, utilSample{t: n.p0 + sim.Time(j)*tick, busy: b0 + sim.Time(j)*cost})
+			r[at] = utilSample{t: n.p0 + sim.Time(j)*tick, busy: b0 + sim.Time(j)*cost}
+			if at++; at == k.utilLen {
+				at = 0
+			}
 		}
-		k.utilHist[i] = k.pruneUtil(h, v.last)
 	}
+	k.advanceUtil(int(v.n - first + 1))
 }
 
 // UtilPerMille returns CPU cpuID's utilisation over the configured
@@ -92,20 +126,22 @@ func (k *KernelStats) utilPerMille(c *cpu, v vticks) int {
 	n := k.node
 	now := n.Eng.Now()
 	busyNow := n.busy(c, v)
-	h := k.utilHist[c.id]
 	target := now - n.Cfg.UtilWindow
 	var base utilSample
 	switch {
 	case n.parked && target-n.p0 >= n.Cfg.Tick:
 		kb := (target - n.p0) / n.Cfg.Tick
-		base = utilSample{t: n.p0 + kb*n.Cfg.Tick, busy: h[len(h)-1].busy + kb*n.Cfg.TimerIRQCost}
-	case len(h) > 0:
-		base = h[0]
-		for _, s := range h {
-			if s.t <= target {
+		base = utilSample{t: n.p0 + kb*n.Cfg.Tick, busy: k.newestUtil(c.id).busy + kb*n.Cfg.TimerIRQCost}
+	case k.utilCount > 0:
+		older, newer := k.utilHist(c.id)
+		base = older[0]
+	search:
+		for _, h := range [2][]utilSample{older, newer} {
+			for _, s := range h {
+				if s.t > target {
+					break search
+				}
 				base = s
-			} else {
-				break
 			}
 		}
 	}
@@ -260,8 +296,8 @@ func (k *KernelStats) SnapshotInto(s *Snapshot) {
 	v := n.catchUp()
 	s.Time = n.Eng.Now()
 	s.NodeID = n.ID
-	s.NrRunning = n.NrRunnable()
-	s.NrTasks = n.NrTasks()
+	s.NrRunning = n.nrRunnable
+	s.NrTasks = n.nrTasks
 	s.NumCPU = len(n.cpus)
 	s.MemUsedKB = k.memUsedKB
 	s.MemTotalKB = n.Cfg.MemTotalKB

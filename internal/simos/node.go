@@ -158,6 +158,7 @@ type Node struct {
 	queueSeq uint64
 
 	nrRunnable int // tasks ready or running; kept by Task.setState
+	nrTasks    int // live tasks, len(tasks) kept beside nrRunnable by Spawn and exit
 
 	down   bool
 	frozen bool
@@ -299,7 +300,7 @@ func (n *Node) onTick() {
 // no task, so no CPU runs one, and no interrupt queued or in service.
 // A tick's interrupt must also end before the next tick.
 func (n *Node) quiescent() bool {
-	if len(n.tasks) > 0 || n.Cfg.TimerIRQCost >= n.Cfg.Tick {
+	if n.nrTasks > 0 || n.Cfg.TimerIRQCost >= n.Cfg.Tick {
 		return false
 	}
 	for _, c := range n.cpus {
@@ -424,6 +425,6 @@ func (n *Node) LookupPort(name string) *Port { return n.ports[name] }
 func (n *Node) NrRunnable() int { return n.nrRunnable }
 
 // NrTasks returns the number of live tasks on the node.
-func (n *Node) NrTasks() int { return len(n.tasks) }
+func (n *Node) NrTasks() int { return n.nrTasks }
 
 func (n *Node) String() string { return fmt.Sprintf("node%d", n.ID) }

@@ -121,10 +121,11 @@ func (n *Node) popHighest() *Task {
 // resched assigns ready tasks to idle CPUs and then applies cross-band
 // preemption: a ready task in a higher band evicts the running task in
 // the lowest band. Within a band there is no preemption (FIFO), which
-// is the mechanism behind the paper's Figure 3.
+// is the mechanism behind the paper's Figure 3. With nothing ready
+// there is nothing to place, so it returns before touching a CPU.
 func (n *Node) resched() {
-	if n.down || n.frozen {
-		return // no dispatching on a dead or stalled machine
+	if n.down || n.frozen || n.highestReadyBand() < 0 {
+		return // no dispatching on a dead or stalled machine, or with no task ready
 	}
 	for _, c := range n.cpus {
 		if c.cur == nil && !c.irqActive {

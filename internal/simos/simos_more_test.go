@@ -82,7 +82,7 @@ func TestProcReadCostScalesWithTasks(t *testing.T) {
 		}
 		var done sim.Time
 		n.Spawn("reader", func(tk *Task) {
-			tk.ReadProc(func(Snapshot) { done = eng.Now() })
+			tk.ReadProc(func() { done = eng.Now() })
 		})
 		eng.RunUntil(sim.Second)
 		return done
@@ -119,7 +119,7 @@ func TestReadProcMasksPendingInterrupts(t *testing.T) {
 	})
 	n.Spawn("reader", func(tk *Task) {
 		tk.Sleep(sim.Millisecond+100*sim.Microsecond, func() {
-			tk.ReadProc(func(s Snapshot) { userView = s })
+			tk.ReadProc(func() { tk.ProcSnapshot(&userView) })
 		})
 	})
 	eng.RunUntil(sim.Second)

@@ -261,8 +261,8 @@ func TestReadProcCostsTime(t *testing.T) {
 	var got Snapshot
 	var when sim.Time
 	n.Spawn("reader", func(tk *Task) {
-		tk.ReadProc(func(s Snapshot) {
-			got = s
+		tk.ReadProc(func() {
+			tk.ProcSnapshot(&got)
 			when = eng.Now()
 		})
 	})

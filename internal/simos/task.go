@@ -88,15 +88,17 @@ type Task struct {
 	// Blocking state.
 	waitPort *Port
 	waitFn   func(Message)
-	awaitFn  func(any)
+	// An Await's continuation is awaitFn; the value a Resume hands it
+	// waits in resumeV until resumed, t.resume bound once, runs it.
+	awaitFn func(any)
+	resumeV any
+	resumed func()
 	// A received message waits in rxMsg for the kernel->user copy burst;
 	// recvDone, t.recv bound once, then hands it to rxFn.
 	rxMsg    Message
 	rxFn     func(Message)
 	recvDone func()
-	sleepFn  func()         // continuation of the pending Sleep
-	procFn   func(Snapshot) // continuation of the ReadProc in progress
-	procRead func()         // t.readProc, bound once
+	sleepFn  func() // continuation of the pending Sleep
 
 	// Statistics.
 	CPUTime     sim.Time
@@ -138,9 +140,10 @@ func (n *Node) Spawn(name string, program func(t *Task)) *Task {
 	t.doneTimer = n.Eng.NewTimer(t.burstComplete)
 	t.sliceTimer = n.Eng.NewTimer(t.sliceExpire)
 	t.sleepTimer = n.Eng.NewTimer(t.sleepExpire)
-	t.procRead = t.readProc
+	t.resumed = t.resume
 	t.recvDone = t.recv
 	n.tasks[t] = struct{}{}
+	n.nrTasks++
 	program(t)
 	if t.state == stateNew { // issued nothing
 		t.exit()
@@ -290,17 +293,30 @@ func (t *Task) Await(then func(v any)) {
 	t.node.resched()
 }
 
-// Resume unblocks a task parked in Await. Calling Resume on a task
-// that is not awaiting is a no-op (e.g. the task exited).
-func (t *Task) Resume(v any) {
+// Resume unblocks a task parked in Await: once the task holds a CPU
+// again its continuation runs with v. It reports whether the task was
+// awaiting; on one that is not (e.g. it exited) Resume is a no-op, so a
+// completion whose value must be recycled either way learns here who
+// owns it now.
+func (t *Task) Resume(v any) bool {
 	if t.state != stateBlocked || t.awaitFn == nil {
-		return
+		return false
 	}
-	fn := t.awaitFn
-	t.awaitFn = nil
+	t.resumeV = v
 	t.pendingBurst = 0
-	t.pendingCont = func() { fn(v) }
+	t.pendingCont = t.resumed
 	t.node.wake(t)
+	return true
+}
+
+// resume runs an Await's continuation on the value Resume handed over,
+// dropping the task's references to both first. awaitFn stays set until
+// here, but the task is no longer blocked, so a second Resume is still
+// a no-op.
+func (t *Task) resume() {
+	fn, v := t.awaitFn, t.resumeV
+	t.awaitFn, t.resumeV = nil, nil
+	fn(v)
 }
 
 // Exit terminates the task.
@@ -314,24 +330,38 @@ func (t *Task) exit() {
 		t.release()
 	}
 	t.sleepTimer.Stop()
-	t.sleepFn, t.procFn = nil, nil
+	t.sleepFn = nil
 	t.rxMsg, t.rxFn = Message{}, nil
 	if t.waitPort != nil {
 		t.waitPort.removeWaiter(t)
 		t.waitPort = nil
 	}
-	t.awaitFn = nil
+	t.awaitFn, t.resumeV = nil, nil
 	if t.state == stateReady {
 		t.node.removeReady(t)
 	}
 	t.setState(stateDead)
 	delete(t.node.tasks, t)
+	t.node.nrTasks--
 	t.node.resched()
 }
 
-// ReadProc performs the /proc "syscall": it costs ProcReadCost of CPU
-// in the caller's context and delivers a snapshot of the kernel
-// statistics taken at completion time.
+// ReadProc performs the /proc "syscall": it costs ProcReadCost, plus
+// ProcReadPerTask per live task, of CPU in the caller's context and then
+// runs then. What the syscall returns is the snapshot of the kernel
+// statistics taken at completion time: then reads it with ProcSnapshot
+// before it issues anything else, into storage of its own choosing, so
+// the syscall hands nothing over by value.
+func (t *Task) ReadProc(then func()) {
+	if t.state == stateDead {
+		return
+	}
+	node := t.node
+	t.Compute(node.Cfg.ProcReadCost+node.Cfg.ProcReadPerTask*sim.Time(node.nrTasks), then)
+}
+
+// ProcSnapshot writes into *s the kernel statistics a /proc read
+// completing now in t's context returns.
 //
 // Pending-interrupt visibility mirrors a Linux-2.4 kernel: a process
 // only regains the CPU after the interrupts on that CPU are serviced,
@@ -342,29 +372,14 @@ func (t *Task) exit() {
 // user-space samplers structurally under-report interrupt activity,
 // while an RDMA read (which never enters process context on this node)
 // sees the live irq_stat.
-func (t *Task) ReadProc(then func(Snapshot)) {
-	if t.state == stateDead {
-		return
-	}
-	node := t.node
-	cost := node.Cfg.ProcReadCost + node.Cfg.ProcReadPerTask*sim.Time(node.NrTasks())
-	t.procFn = then
-	t.Compute(cost, t.procRead)
-}
-
-// readProc completes ReadProc. A task runs one operation at a time, so
-// the continuation parked in procFn is the one this burst belongs to.
-func (t *Task) readProc() {
-	then := t.procFn
-	t.procFn = nil
-	s := t.node.K.Snapshot()
+func (t *Task) ProcSnapshot(s *Snapshot) {
+	t.node.K.SnapshotInto(s)
 	for c := 0; c < s.NumCPU; c++ {
 		s.IrqPendingSoft[c] = 0
 	}
 	if t.cpu != nil {
 		s.IrqPendingHard[t.cpu.id] = 0
 	}
-	then(s)
 }
 
 // Message is a unit of delivery between tasks (possibly across nodes,
