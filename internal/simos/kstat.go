@@ -22,14 +22,14 @@ type KernelStats struct {
 	connFn    func() int
 	memUsedKB uint64
 
-	// util is every CPU's utilisation history: CPU c's ring of the
-	// utilLen newest tick samples is util[c*utilLen : (c+1)*utilLen].
-	// All CPUs sample on the same tick, so they share the cursor: head is
-	// the slot the next sample takes, count how many slots hold one.
-	util      []utilSample
-	utilLen   int
-	utilHead  int
-	utilCount int
+	// util is each CPU's utilisation history, one sample per tick. It
+	// grows by append, oldest first, up to utilLen samples — a node that
+	// parks at its first tick keeps one — and is a ring from then on:
+	// the next sample overwrites the oldest, at utilHead. All CPUs
+	// sample on the same tick, so they share the length and the cursor.
+	util     [MaxCPU][]utilSample
+	utilLen  int
+	utilHead int
 }
 
 type utilSample struct {
@@ -43,51 +43,55 @@ func newKernelStats(n *Node) *KernelStats {
 	// samples are newer than it: a ring of UtilWindow/Tick + 3 holds the
 	// base (or, early on, every sample there has been) with one to
 	// spare — the length the compacted history it replaces settled at.
-	l := int(n.Cfg.UtilWindow/n.Cfg.Tick) + 3
-	return &KernelStats{node: n, memUsedKB: n.Cfg.MemBaseKB,
-		util: make([]utilSample, n.Cfg.NumCPU*l), utilLen: l}
+	return &KernelStats{node: n, memUsedKB: n.Cfg.MemBaseKB, utilLen: int(n.Cfg.UtilWindow/n.Cfg.Tick) + 3}
 }
 
 // utilHist returns CPU c's samples oldest first, as the two runs of its
 // ring.
 func (k *KernelStats) utilHist(c int) (older, newer []utilSample) {
-	r := k.util[c*k.utilLen : (c+1)*k.utilLen]
-	if k.utilCount < k.utilLen {
-		return r[:k.utilCount], nil
-	}
-	return r[k.utilHead:], r[:k.utilHead]
+	h := k.util[c]
+	return h[k.utilHead:], h[:k.utilHead]
 }
 
 // newestUtil returns CPU c's newest sample; the history is not empty.
 func (k *KernelStats) newestUtil(c int) utilSample {
-	last := k.utilHead - 1
-	if last < 0 {
-		last = k.utilLen - 1
+	h := k.util[c]
+	if k.utilHead == 0 {
+		return h[len(h)-1]
 	}
-	return k.util[c*k.utilLen+last]
+	return h[k.utilHead-1]
 }
 
-// advanceUtil moves the shared cursor past m samples just written.
-func (k *KernelStats) advanceUtil(m int) {
-	k.utilHead = (k.utilHead + m) % k.utilLen
-	if k.utilCount += m; k.utilCount > k.utilLen {
-		k.utilCount = k.utilLen
+// putUtil takes one sample on every CPU, busy[i] for CPU i: appended
+// while the histories are short, over the oldest once they are full.
+func (k *KernelStats) putUtil(t sim.Time, busy *[MaxCPU]sim.Time) {
+	if len(k.util[0]) < k.utilLen {
+		for i := range k.node.cpus {
+			k.util[i] = append(k.util[i], utilSample{t: t, busy: busy[i]})
+		}
+		return
+	}
+	for i := range k.node.cpus {
+		k.util[i][k.utilHead] = utilSample{t: t, busy: busy[i]}
+	}
+	if k.utilHead++; k.utilHead == k.utilLen {
+		k.utilHead = 0
 	}
 }
 
-// sampleUtil records each CPU's cumulative busy time into one slot of
-// its ring; called from the timer tick.
+// sampleUtil records each CPU's cumulative busy time; called from the
+// timer tick.
 func (k *KernelStats) sampleUtil() {
-	now := k.node.Eng.Now()
+	var busy [MaxCPU]sim.Time
 	for i, c := range k.node.cpus {
-		k.util[i*k.utilLen+k.utilHead] = utilSample{t: now, busy: c.cumBusy()}
+		busy[i] = c.cumBusy()
 	}
-	k.advanceUtil(1)
+	k.putUtil(k.node.Eng.Now(), &busy)
 }
 
-// replayUtil writes the samples a parked node's virtual ticks took —
+// replayUtil takes the samples a parked node's virtual ticks took —
 // the one at p0+i·Tick read the p0 sample plus i tick services — from
-// the oldest one the ring still holds after the last of them.
+// the oldest one the history still holds after the last of them.
 func (k *KernelStats) replayUtil(v vticks) {
 	n := k.node
 	tick, cost := n.Cfg.Tick, n.Cfg.TimerIRQCost
@@ -95,18 +99,16 @@ func (k *KernelStats) replayUtil(v vticks) {
 	if f := v.n - int64(k.utilLen) + 1; f > first {
 		first = f
 	}
+	var b0, busy [MaxCPU]sim.Time
 	for i := range n.cpus {
-		r := k.util[i*k.utilLen : (i+1)*k.utilLen]
-		b0 := k.newestUtil(i).busy
-		at := k.utilHead
-		for j := first; j <= v.n; j++ {
-			r[at] = utilSample{t: n.p0 + sim.Time(j)*tick, busy: b0 + sim.Time(j)*cost}
-			if at++; at == k.utilLen {
-				at = 0
-			}
-		}
+		b0[i] = k.newestUtil(i).busy
 	}
-	k.advanceUtil(int(v.n - first + 1))
+	for j := first; j <= v.n; j++ {
+		for i := range n.cpus {
+			busy[i] = b0[i] + sim.Time(j)*cost
+		}
+		k.putUtil(n.p0+sim.Time(j)*tick, &busy)
+	}
 }
 
 // UtilPerMille returns CPU cpuID's utilisation over the configured
@@ -132,7 +134,7 @@ func (k *KernelStats) utilPerMille(c *cpu, v vticks) int {
 	case n.parked && target-n.p0 >= n.Cfg.Tick:
 		kb := (target - n.p0) / n.Cfg.Tick
 		base = utilSample{t: n.p0 + kb*n.Cfg.Tick, busy: k.newestUtil(c.id).busy + kb*n.Cfg.TimerIRQCost}
-	case k.utilCount > 0:
+	case len(k.util[c.id]) > 0:
 		older, newer := k.utilHist(c.id)
 		base = older[0]
 	search:
