@@ -160,12 +160,14 @@ type Node struct {
 	nrRunnable int // tasks ready or running; kept by Task.setState
 	nrTasks    int // live tasks, len(tasks) kept beside nrRunnable by Spawn and exit
 
-	down   bool
-	frozen bool
-
 	K *KernelStats
 
 	tick *sim.Ticker
+
+	// down and frozen share a word with parked: a Node stays in the
+	// 320-byte size class.
+	down   bool
+	frozen bool
 
 	// A parked node's ticker is stopped and its ticks after the one at
 	// p0 exist only in closed form (DESIGN §6): readers see them through
