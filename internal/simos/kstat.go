@@ -65,8 +65,13 @@ func (k *KernelStats) newestUtil(c int) utilSample {
 // putUtil takes one sample on every CPU, busy[i] for CPU i: appended
 // while the histories are short, over the oldest once they are full.
 func (k *KernelStats) putUtil(t sim.Time, busy *[MaxCPU]sim.Time) {
-	if len(k.util[0]) < k.utilLen {
+	if n := len(k.util[0]); n < k.utilLen {
 		for i := range k.node.cpus {
+			if n == 1 {
+				// A second sample: the node ticks on, so its history
+				// takes the whole ring at once.
+				k.util[i] = append(make([]utilSample, 0, k.utilLen), k.util[i][0])
+			}
 			k.util[i] = append(k.util[i], utilSample{t: t, busy: busy[i]})
 		}
 		return
