@@ -140,16 +140,18 @@ func (k *KernelStats) utilPerMille(c *cpu, v vticks) int {
 		kb := (target - n.p0) / n.Cfg.Tick
 		base = utilSample{t: n.p0 + kb*n.Cfg.Tick, busy: k.newestUtil(c.id).busy + kb*n.Cfg.TimerIRQCost}
 	case len(k.util[c.id]) > 0:
-		older, newer := k.utilHist(c.id)
-		base = older[0]
-	search:
-		for _, h := range [2][]utilSample{older, newer} {
-			for _, s := range h {
-				if s.t > target {
-					break search
-				}
-				base = s
+		// The samples ascend in time through the ring's two runs, so the
+		// base is in the newer run once that run starts by target.
+		h, newer := k.utilHist(c.id)
+		if len(newer) > 0 && newer[0].t <= target {
+			h = newer
+		}
+		base = h[0]
+		for _, s := range h[1:] {
+			if s.t > target {
+				break
 			}
+			base = s
 		}
 	}
 	span := now - base.t
