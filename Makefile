@@ -36,6 +36,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzServeFrame -fuzztime=$(FUZZTIME) ./internal/tcpverbs
 	$(GO) test -run=^$$ -fuzz=FuzzServeStream -fuzztime=$(FUZZTIME) ./internal/tcpverbs
 	$(GO) test -run=^$$ -fuzz=FuzzReadBatch -fuzztime=$(FUZZTIME) ./internal/tcpverbs
+	$(GO) test -run=^$$ -fuzz=FuzzPostedWrites -fuzztime=$(FUZZTIME) ./internal/tcpverbs
 	$(GO) test -run=^$$ -fuzz=FuzzProcfsParsers -fuzztime=$(FUZZTIME) ./internal/procfs
 	$(GO) test -run=^$$ -fuzz=FuzzPushRecord$$ -fuzztime=$(FUZZTIME) ./internal/wire
 	$(GO) test -run=^$$ -fuzz=FuzzHistoryRing$$ -fuzztime=$(FUZZTIME) ./internal/wire
@@ -104,8 +105,10 @@ scenario-smoke:
 # per read) and one quiet delta-pusher check (PusherCheck; ns and
 # allocs per check).
 # The fourth times the live transport next to its framing: loopback
-# round trips of each verb and a 32-read doorbell (ns/read),
-# allocations counted across both ends.
+# round trips of each verb (a write with the Sync that lands it), a
+# 32-read doorbell (ns/read) and four posted writes riding one CAS's
+# doorbell (Write4CAS, live-mixed's tail), allocations counted across
+# both ends.
 bench:
 	$(GO) test -bench . -benchtime 1x -benchmem
 	$(GO) test -run '^$$' -bench 'BenchmarkPick|BenchmarkLocalFrac|BenchmarkDispatchRequest' -benchmem ./internal/loadbalance ./internal/httpsim ./internal/cluster

@@ -260,7 +260,8 @@ func (l *ClaimClient) run() {
 // round is one claim round: every unheld word in one pipelined read
 // batch (a transport error fails each of its reads), the plan, then
 // each planned CAS in turn — the connection serializes verbs, so there
-// is no CAS doorbell to share.
+// is no CAS doorbell to share, but a won bid's record write rides the
+// next CAS's, and the closing Sync rings the last.
 func (l *ClaimClient) round() {
 	l.mu.Lock()
 	if l.paused {
@@ -295,6 +296,7 @@ func (l *ClaimClient) round() {
 			l.post(op)
 		}
 	}
+	_ = l.conn.Sync() // the won records land within the round; observability only
 }
 
 // post performs one planned CAS, stamped with its own post instant, and

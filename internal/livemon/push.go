@@ -2,6 +2,7 @@ package livemon
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -301,18 +302,17 @@ func (p *Pusher) check() {
 	key := p.key
 	p.mu.Unlock()
 
+	// A push is a posted write and the Sync that lands it, so a refused
+	// write surfaces here. The slot may have been invalidated and
+	// re-pinned under a fresh key: re-handshake once and retry.
 	enc := pr.Encode()
-	werr := p.conn.RDMAWrite(key, enc)
-	if werr != nil {
-		// The slot may have been invalidated and re-pinned under a fresh
-		// key: re-handshake once and retry.
-		if rerr := p.rekey(); rerr == nil {
-			p.mu.Lock()
-			key = p.key
-			p.mu.Unlock()
-			p.recordRekey()
-			werr = p.conn.RDMAWrite(key, enc)
-		}
+	werr := errors.Join(p.conn.RDMAWrite(key, enc), p.conn.Sync())
+	if werr != nil && p.rekey() == nil {
+		p.mu.Lock()
+		key = p.key
+		p.rekeys++
+		p.mu.Unlock()
+		werr = errors.Join(p.conn.RDMAWrite(key, enc), p.conn.Sync())
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -324,12 +324,6 @@ func (p *Pusher) check() {
 	p.last = rec
 	p.lastAt = time.Now()
 	p.primed = true
-}
-
-func (p *Pusher) recordRekey() {
-	p.mu.Lock()
-	p.rekeys++
-	p.mu.Unlock()
 }
 
 // Stats returns the pusher's counters.

@@ -138,6 +138,9 @@ func TestPushHostRejectsWrongNode(t *testing.T) {
 	if err := p.conn.RDMAWrite(h.SlotKey(1), pr.Encode()); err != nil {
 		t.Fatal(err)
 	}
+	if err := p.conn.Sync(); err != nil { // rings the posted write
+		t.Fatal(err)
+	}
 	waitFor(t, 2*time.Second, func() bool {
 		_, torn := h.Stats()
 		return torn == 1

@@ -115,13 +115,13 @@ func TestRDMAReadBatchIntoReusesResults(t *testing.T) {
 	}
 }
 
-// TestRequestFramesStageInScratch: RDMAWrite, CompareSwap and Call
-// build their request, length header included, in the connection's
-// frame scratch like RDMAReadInto does — same backing array op after
-// op — and what is left to allocate per operation is only what the
-// verb's contract hands away: the sink's copy of a write, the caller's
-// copy of a call reply. The counts cover both ends of the loopback
-// connection, which share the process.
+// TestRequestFramesStageInScratch: every verb builds its request,
+// length header included, in the connection's doorbell buffer — same
+// backing array op after op — and what is left to allocate per
+// operation is only what the verb's contract hands away: the sink's
+// copy of a write, the caller's copy of a call reply. The counts cover
+// both ends of the loopback connection, which share the process; a
+// warm posted write allocates nothing at all.
 func TestRequestFramesStageInScratch(t *testing.T) {
 	a := newAgent(t)
 	record := bytes.Repeat([]byte{3}, 120)
@@ -139,26 +139,54 @@ func TestRequestFramesStageInScratch(t *testing.T) {
 		allocs float64
 		run    func() error
 	}{
-		{"RDMAWrite", opWrite, 1, func() error { return c.RDMAWrite(rw, data) }},
+		{"RDMAWrite+Sync", opWrite, 1, func() error {
+			if err := c.RDMAWrite(rw, data); err != nil {
+				return err
+			}
+			return c.Sync()
+		}},
 		{"CompareSwap", opCompSwap, 0, func() error { _, err := c.CompareSwap(rw, 1, 2); return err }}, // loses: no sink call
 		{"Call", opCall, 1, func() error { _, err := c.Call("ping", nil); return err }},
 		{"RDMAReadInto", opRead, 0, func() error { var err error; buf, err = c.RDMAReadInto(ro, len(record), buf); return err }},
 	}
-	if err := ops[0].run(); err != nil { // the largest frame first: scratch sized once
+	// The largest doorbell first, so the buffer is sized once: a full
+	// backlog of posted writes.
+	for i := 0; i < maxPosted; i++ {
+		if err := c.RDMAWrite(rw, data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	scratch := &c.frame[0]
+	bell := &c.bell[:1][0]
 	for _, op := range ops {
 		allocs := testing.AllocsPerRun(200, func() {
 			if err := op.run(); err != nil {
 				t.Fatalf("%s: %v", op.name, err)
 			}
 		})
-		if &c.frame[0] != scratch || c.frame[4] != op.opcode {
-			t.Fatalf("%s did not stage its request in the connection's frame scratch", op.name)
+		if f := c.bell[:5]; &f[0] != bell || f[4] != op.opcode {
+			t.Fatalf("%s did not stage its request in the connection's doorbell buffer", op.name)
 		}
 		if allocs > op.allocs {
 			t.Fatalf("%s allocates %.0f objects/op across both ends, want <= %.0f", op.name, allocs, op.allocs)
 		}
+	}
+	// Posting alone: no I/O, so nothing on the agent, and nothing on the
+	// initiator either (one warm-up call and maxPosted-1 measured stay
+	// under the cap).
+	if allocs := testing.AllocsPerRun(maxPosted-1, func() {
+		if err := c.RDMAWrite(rw, data); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("a warm posted write allocates %.1f objects, want 0", allocs)
+	}
+	if c.posted != maxPosted || &c.bell[0] != bell {
+		t.Fatalf("%d writes posted into a fresh buffer, want %d into the warm one", c.posted, maxPosted)
+	}
+	if err := c.Sync(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -17,7 +17,7 @@ func TestReadBatchPipelined(t *testing.T) {
 		reqs[i] = BatchRead{RKey: mr.Key(), Length: 1}
 	}
 	c := dial(t, a)
-	res, err := c.RDMAReadBatch(reqs)
+	res, err := c.RDMAReadBatchInto(reqs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,11 +45,11 @@ func TestReadBatchPerSlotErrors(t *testing.T) {
 	a := newAgent(t)
 	mr := a.RegisterMR(StaticSource([]byte{7}), 1)
 	c := dial(t, a)
-	res, err := c.RDMAReadBatch([]BatchRead{
+	res, err := c.RDMAReadBatchInto([]BatchRead{
 		{RKey: mr.Key(), Length: 1},
 		{RKey: mr.Key() + 99, Length: 1}, // unknown key
 		{RKey: mr.Key(), Length: 100},    // beyond bounds
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestReadBatchPerSlotErrors(t *testing.T) {
 func TestReadBatchEmpty(t *testing.T) {
 	a := newAgent(t)
 	c := dial(t, a)
-	res, err := c.RDMAReadBatch(nil)
+	res, err := c.RDMAReadBatchInto(nil, nil)
 	if err != nil || res != nil {
 		t.Fatalf("empty batch: %v %v", res, err)
 	}
@@ -87,7 +87,7 @@ func TestReadBatchSurvivesAgentRestart(t *testing.T) {
 	defer c.Close()
 	c.Retry = RetryPolicy{Attempts: 5, Backoff: 5 * time.Millisecond}
 	reqs := []BatchRead{{RKey: mr.Key(), Length: 4}}
-	if _, err := c.RDMAReadBatch(reqs); err != nil {
+	if _, err := c.RDMAReadBatchInto(reqs, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -100,7 +100,7 @@ func TestReadBatchSurvivesAgentRestart(t *testing.T) {
 	}
 	defer a2.Close()
 	mr2 := a2.RegisterMR(StaticSource([]byte{9, 9}), 2)
-	res, err := c.RDMAReadBatch([]BatchRead{{RKey: mr2.Key(), Length: 2}})
+	res, err := c.RDMAReadBatchInto([]BatchRead{{RKey: mr2.Key(), Length: 2}}, nil)
 	if err != nil {
 		t.Fatalf("batch after restart: %v", err)
 	}

@@ -46,6 +46,8 @@ func BenchmarkLoopbackBatch32(b *testing.B) {
 	b.ReportMetric(float64(time.Since(t0).Nanoseconds())/float64(b.N*len(reqs)), "ns/read")
 }
 
+// BenchmarkLoopbackWrite times a write and the Sync that lands it:
+// one round trip, what a write cost before writes were posted.
 func BenchmarkLoopbackWrite(b *testing.B) {
 	a := newAgent(b)
 	c := dial(b, a)
@@ -56,6 +58,33 @@ func BenchmarkLoopbackWrite(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if err := c.RDMAWrite(key, data); err != nil {
 			b.Fatal(err)
+		}
+		if err := c.Sync(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkLoopbackWrite4CAS times the tail of a live-mixed iteration:
+// four posted writes of a push record and the compare-and-swap whose
+// doorbell carries them.
+func BenchmarkLoopbackWrite4CAS(b *testing.B) {
+	a := newAgent(b)
+	c := dial(b, a)
+	slot := make([]byte, 160)
+	key := a.RegisterWritableMR(func() []byte { return slot }, len(slot), func(p []byte) { copy(slot, p) }).Key()
+	word := make([]byte, 8)
+	wkey := a.RegisterWritableMR(func() []byte { return word }, len(word), func(p []byte) { copy(word, p) }).Key()
+	data := make([]byte, len(slot))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for w := 0; w < 4; w++ {
+			if err := c.RDMAWrite(key, data); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if prev, err := c.CompareSwap(wkey, uint64(i), uint64(i)+1); err != nil || prev != uint64(i) {
+			b.Fatalf("cas %d: prev %d, %v", i, prev, err)
 		}
 	}
 }

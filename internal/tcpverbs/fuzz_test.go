@@ -138,9 +138,7 @@ func FuzzServeFrame(f *testing.F) {
 		// not acceptable is a panic or a hang past the deadline.
 		c := l.Conn
 		c.mu.Lock()
-		f := c.stage(len(body))
-		copy(f[4:], body)
-		_, _, err := c.roundTrip(f)
+		_, _, err := c.roundTrip(func() { c.bell = append(c.bell, frame(body)...) })
 		c.mu.Unlock()
 		if err != nil {
 			// The agent hung up on this frame: expected for malformed

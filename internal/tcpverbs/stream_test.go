@@ -137,10 +137,15 @@ func TestDoorbellIsOneWrite(t *testing.T) {
 	wr := a.RegisterWritableMR(StaticSource(make([]byte, 8)), 8, func([]byte) {})
 	a.HandleCall("echo", func(p []byte) []byte { return p })
 	ops := map[string]func() error{
-		"read":  func() error { _, err := c.RDMARead(reqs[0].RKey, 3); return err },
-		"write": func() error { return c.RDMAWrite(wr.Key(), []byte{1, 2, 3}) },
-		"cas":   func() error { _, err := c.CompareSwap(wr.Key(), 0, 1); return err },
-		"call":  func() error { _, err := c.Call("echo", []byte("hi")); return err },
+		"read": func() error { _, err := c.RDMARead(reqs[0].RKey, 3); return err },
+		"write+sync": func() error {
+			if err := c.RDMAWrite(wr.Key(), []byte{1, 2, 3}); err != nil {
+				return err
+			}
+			return c.Sync()
+		},
+		"cas":  func() error { _, err := c.CompareSwap(wr.Key(), 0, 1); return err },
+		"call": func() error { _, err := c.Call("echo", []byte("hi")); return err },
 	}
 	for name, op := range ops {
 		if err := op(); err != nil {
@@ -149,6 +154,29 @@ func TestDoorbellIsOneWrite(t *testing.T) {
 		if cw, sw := ctap.writes(), stap.writes(); len(cw) != 1 || len(sw) != 1 {
 			t.Fatalf("%s: %d request writes %v and %d reply writes %v, want 1 and 1", name, len(cw), cw, len(sw), sw)
 		}
+	}
+	// Posted writes: none makes a socket write of its own; the next
+	// verb carries them all in its one Write, and Sync with nothing
+	// posted does no I/O.
+	for i := 0; i < 4; i++ {
+		if err := c.RDMAWrite(wr.Key(), []byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+		if cw, sw := ctap.writes(), stap.writes(); len(cw) != 0 || len(sw) != 0 {
+			t.Fatalf("posted write %d: %d request writes and %d reply writes, want none", i, len(cw), len(sw))
+		}
+	}
+	if _, err := c.CompareSwap(wr.Key(), 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	if cw, sw := ctap.writes(), stap.writes(); len(cw) != 1 || len(sw) > 2 {
+		t.Fatalf("4 writes + CAS: %d request writes %v and %d reply writes %v, want 1 and <= 2", len(cw), cw, len(sw), sw)
+	}
+	if err := c.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if cw, sw := ctap.writes(), stap.writes(); len(cw) != 0 || len(sw) != 0 {
+		t.Fatalf("Sync on an empty backlog: %d request writes and %d reply writes, want none", len(cw), len(sw))
 	}
 }
 
@@ -233,7 +261,7 @@ func TestRepliesPastOutputCap(t *testing.T) {
 		}
 	}
 	c, _, stap := tappedConn(t, a)
-	res, err := c.RDMAReadBatch(reqs)
+	res, err := c.RDMAReadBatchInto(reqs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,6 +320,9 @@ func TestHandlerAndSinkMayRetainArgument(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	if err := c.Sync(); err != nil { // the last write is posted until rung
+		t.Fatal(err)
+	}
 	mu.Lock()
 	defer mu.Unlock()
 	for i, p := range payloads {
@@ -349,7 +380,7 @@ func TestReplayIgnoresBufferedBytes(t *testing.T) {
 	}
 	defer c.Close()
 	c.Retry = RetryPolicy{Attempts: 2, Backoff: time.Millisecond}
-	res, err := c.RDMAReadBatch([]BatchRead{{RKey: 1, Length: 5}, {RKey: 1, Length: 5}})
+	res, err := c.RDMAReadBatchInto([]BatchRead{{RKey: 1, Length: 5}, {RKey: 1, Length: 5}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -478,7 +509,7 @@ func TestWireFormatInitiatorSide(t *testing.T) {
 	if _, err := c.RDMARead(7, 3); err != ErrLength {
 		t.Fatalf("read past bounds: %v, want ErrLength", err)
 	}
-	res, err := c.RDMAReadBatch([]BatchRead{{RKey: 7, Length: 3}, {RKey: 8, Length: 2}})
+	res, err := c.RDMAReadBatchInto([]BatchRead{{RKey: 7, Length: 3}, {RKey: 8, Length: 2}}, nil)
 	if err != nil {
 		t.Fatalf("batch: %v", err)
 	}

@@ -28,25 +28,39 @@
 // order, so a reordering or desynchronized peer can make a read fail
 // but can never mis-attribute one region's bytes to another request.
 //
-// Socket discipline: a doorbell is one syscall. Every request frame —
-// and a whole opReadPipe batch — leaves the initiator in one Write,
-// header and body together, and replies are parsed out of a
-// connection-owned read buffer, so a batch completes in a few Reads.
-// The agent parses requests the same way and collects its replies in
-// a per-connection output buffer, which it writes when the next reply
-// would push it past a fixed cap (a reply larger than the cap goes
-// out uncopied, in one vectored write) and, above all, before it
-// blocks: the agent never waits for input while it holds an unflushed
-// reply. That rule is the whole deadlock argument — an initiator only
-// ever waits for replies to requests it has fully sent, the agent
-// reads on until no complete request is buffered, and at that point
-// everything it owes is already on the wire — and it is why batching
-// replies costs an unpipelined initiator no latency. Replies leave in
-// request order; every blocking read and every write, cap-triggered
-// flushes included, runs under a deadline; a redial discards both
-// ends' buffers with the stream they came from. None of this is
-// visible on the wire: frame boundaries never depended on write
-// boundaries, so peers from before the buffering interoperate.
+// Posted writes: RDMAWrite appends its frame to the connection's
+// doorbell and returns, with no socket I/O and only local errors
+// (ErrClosed, or the transport error of a ring the cap forced). The
+// next read, batch, CAS, Call or Sync rings it — the posted writes and
+// its own frames in one Write — and reaps the writes' completions in
+// order before its own reply, so it sees the writes (RC ordering). A
+// write's remote error never fails the verb that reaped it: the first
+// is held for the next Sync, once. A write that would take the backlog
+// past 64 writes or bufCap bytes rings it first; a redial resends the
+// unreaped writes ahead of the verb's frames (writes are idempotent);
+// Close drops a backlog never rung, as a destroyed QP does.
+//
+// Socket discipline: a doorbell is one syscall. A verb's frames, and
+// the posted writes ahead of them, leave the initiator in one Write,
+// and replies are parsed out of a connection-owned read buffer, so a
+// batch completes in a few Reads. The agent parses requests the same
+// way and collects its replies in a per-connection output buffer,
+// which it writes when the next reply would push it past a fixed cap
+// (a reply larger than the cap goes out uncopied, in one vectored
+// write) and, above all, before it blocks: the agent never waits for
+// input while it holds an unflushed reply. That rule is the whole
+// deadlock argument — an initiator only ever waits for replies to
+// requests it has fully sent, the agent reads on until no complete
+// request is buffered, and at that point everything it owes is already
+// on the wire — and it is why batching replies costs an unpipelined
+// initiator no latency. An initiator still inside a long Write reads
+// nothing, but the agent can owe it no more than the statuses of the
+// writes ahead, ≤ 64 × 5 bytes, far below any socket buffer. Replies
+// leave in request order; every blocking read and every write,
+// cap-triggered flushes included, runs under a deadline; a redial
+// discards both ends' buffers with the stream they came from. None of
+// this is visible on the wire: frame boundaries never depended on
+// write boundaries, so peers from before the buffering interoperate.
 package tcpverbs
 
 import (
@@ -57,6 +71,7 @@ import (
 	"io"
 	"math/rand"
 	"net"
+	"slices"
 	"sync"
 	"time"
 )
@@ -146,18 +161,12 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	return p
 }
 
+var statusErrs = [...]error{statusOK: nil, statusBadKey: ErrBadKey,
+	statusPermission: ErrPermission, statusLength: ErrLength, statusNoHandler: ErrNoHandler}
+
 func statusErr(s byte) error {
-	switch s {
-	case statusOK:
-		return nil
-	case statusBadKey:
-		return ErrBadKey
-	case statusPermission:
-		return ErrPermission
-	case statusLength:
-		return ErrLength
-	case statusNoHandler:
-		return ErrNoHandler
+	if int(s) < len(statusErrs) {
+		return statusErrs[s]
 	}
 	return fmt.Errorf("tcpverbs: unknown status %d", s)
 }
@@ -597,13 +606,13 @@ type Conn struct {
 	c    net.Conn
 	done chan struct{} // closed by Close; also cuts a retry backoff short
 
-	// Per-connection scratch (guarded by mu, like every operation):
-	// request-frame staging, the batch post buffer and its completion
-	// set, and the buffer replies are parsed out of. A steady-state
-	// probe loop on one connection reuses all of them instead of
-	// allocating per op.
-	frame   []byte
-	postBuf []byte
+	// Scratch guarded by mu, reused op after op: bell[:backlog] holds the
+	// posted writes not yet reaped (posted of them), a verb's frames go
+	// behind; held waits for Sync; filled is a batch's completion set.
+	bell    []byte
+	backlog int
+	posted  int
+	held    error
 	filled  []bool
 	rd      frameReader
 
@@ -684,62 +693,9 @@ func (c *Conn) isClosed() bool {
 	}
 }
 
-// retrying runs op under the connection's redial-and-replay policy:
-// exponential backoff with ±Jitter/2 randomization, redial before each
-// retry, the stream poisoned after a failed attempt. Caller holds
-// c.mu; op must be idempotent.
-func (c *Conn) retrying(op func() error) error {
-	pol := c.Retry.withDefaults()
-	backoff := pol.Backoff
-	var lastErr error
-	for attempt := 0; attempt < pol.Attempts; attempt++ {
-		if c.isClosed() {
-			return ErrClosed
-		}
-		if attempt > 0 {
-			d := backoff
-			if pol.Jitter > 0 {
-				f := 1 + pol.Jitter*(c.rng.Float64()-0.5)
-				d = time.Duration(float64(d) * f)
-			}
-			t := time.NewTimer(d)
-			select {
-			case <-t.C:
-			case <-c.done:
-				t.Stop()
-				return ErrClosed
-			}
-			backoff *= 2
-			if backoff > pol.MaxBackoff {
-				backoff = pol.MaxBackoff
-			}
-			if err := c.redial(); err != nil {
-				lastErr = err
-				continue
-			}
-		}
-		if err := op(); err != nil {
-			lastErr = err
-			// Poison the stream: the next attempt redials, and nothing
-			// already read from this one is ever parsed again.
-			c.c.Close()
-			c.rd.reset()
-			continue
-		}
-		return nil
-	}
-	if c.isClosed() {
-		return ErrClosed
-	}
-	return lastErr
-}
-
 // redial replaces the underlying stream and discards whatever the old
 // one left in the read buffer. Caller holds c.mu.
 func (c *Conn) redial() error {
-	if c.isClosed() {
-		return ErrClosed
-	}
 	nc, err := net.DialTimeout("tcp", c.addr, c.opTmo)
 	if err != nil {
 		return err
@@ -757,44 +713,107 @@ func (c *Conn) redial() error {
 	return nil
 }
 
-// stage returns scratch for a request frame whose body (opcode
-// included) is n bytes, with the length header filled in: header and
-// body leave in one Write. Frames past bufCap are one-off allocations
-// so a single large write does not pin its size on the connection.
-// Caller holds c.mu.
-func (c *Conn) stage(n int) []byte {
-	f := c.frame
-	if size := 4 + n; size <= cap(f) {
-		f = f[:size]
-	} else {
-		f = make([]byte, size)
-		if size <= bufCap {
-			c.frame = f
-		}
-	}
-	binary.BigEndian.PutUint32(f, uint32(n))
-	return f
+const maxPosted = 64 // writes per doorbell: bounds the statuses a ring owes
+
+// post appends a frame for op to the doorbell and returns its n argument bytes.
+func (c *Conn) post(op byte, n int) []byte {
+	i := len(c.bell)
+	c.bell = append(c.bell, make([]byte, 5+n)...)
+	binary.BigEndian.PutUint32(c.bell[i:], uint32(1+n))
+	c.bell[i+4] = op
+	return c.bell[i+5:]
 }
 
-// roundTrip sends one staged request frame and returns the reply's
-// status and body under the retry policy. The body aliases the read
-// buffer and is valid only until the connection's next operation:
-// callers copy what they keep before releasing c.mu, which they hold.
-func (c *Conn) roundTrip(frame []byte) (status byte, body []byte, err error) {
-	err = c.retrying(func() error {
-		c.c.SetDeadline(time.Now().Add(c.opTmo))
-		if _, err := c.c.Write(frame); err != nil {
-			return err
+// ring runs attempt under the redial-and-replay policy: exponential
+// backoff with ±Jitter/2 randomization, a redial before each retry, the
+// stream poisoned after a failed attempt. The verb's frames leave the
+// doorbell either way; unreaped writes stay. Caller holds c.mu.
+func (c *Conn) ring(post func(), reap func() error) error {
+	pol := c.Retry.withDefaults()
+	backoff := pol.Backoff
+	err := ErrClosed
+	for attempt := 0; attempt < pol.Attempts && !c.isClosed(); attempt++ {
+		if attempt > 0 {
+			t := time.NewTimer(time.Duration(float64(backoff) * (1 + pol.Jitter*(c.rng.Float64()-0.5))))
+			select {
+			case <-t.C:
+			case <-c.done:
+				t.Stop()
+				continue // closed: the loop ends
+			}
+			backoff = min(2*backoff, pol.MaxBackoff)
+			if err = c.redial(); err != nil {
+				continue
+			}
 		}
-		reply, err := c.rd.next(c.c)
-		if err != nil {
-			return err
+		if err = c.attempt(post, reap); err == nil {
+			break
 		}
-		if len(reply) < 1 {
-			return ErrClosed
+		// Poison the stream: nothing read from it is ever parsed again.
+		c.c.Close()
+		c.rd.reset()
+	}
+	c.bell = c.bell[:c.backlog]
+	if c.backlog == 0 && cap(c.bell) > 2*bufCap {
+		c.bell = nil // one outsized frame does not pin its size on the connection
+	}
+	if err != nil && c.isClosed() {
+		return ErrClosed
+	}
+	return err
+}
+
+// attempt sends the doorbell, the verb's frames posted afresh, in one
+// Write, reaps the writes' completions in order, then the verb's own.
+func (c *Conn) attempt(post func(), reap func() error) error {
+	c.bell = c.bell[:c.backlog]
+	if post != nil {
+		post()
+	}
+	c.c.SetDeadline(time.Now().Add(c.opTmo))
+	if _, err := c.c.Write(c.bell); err != nil {
+		return err
+	}
+	var err error
+	reaped := 0
+	for ; c.posted > 0; c.posted-- {
+		var status byte
+		if status, _, err = c.reply(); err != nil {
+			break
 		}
-		status, body = reply[0], reply[1:]
-		return nil
+		if e := statusErr(status); e != nil && c.held == nil {
+			c.held = e
+		}
+		reaped += 4 + int(binary.BigEndian.Uint32(c.bell[reaped:]))
+	}
+	// The reaped writes leave the doorbell; a retry resends the rest.
+	c.backlog -= reaped
+	c.bell = c.bell[:copy(c.bell, c.bell[reaped:])]
+	if err != nil || reap == nil {
+		return err
+	}
+	return reap()
+}
+
+// reply parses the next reply frame into its status and body.
+func (c *Conn) reply() (status byte, body []byte, err error) {
+	b, err := c.rd.next(c.c)
+	if err != nil {
+		return 0, nil, err
+	}
+	if len(b) < 1 {
+		return 0, nil, ErrClosed
+	}
+	return b[0], b[1:], nil
+}
+
+// roundTrip rings the doorbell with the one frame post appends and
+// returns its reply, whose body aliases the read buffer: callers copy
+// what they keep before releasing c.mu, which they hold.
+func (c *Conn) roundTrip(post func()) (status byte, body []byte, err error) {
+	err = c.ring(post, func() (err error) {
+		status, body, err = c.reply()
+		return err
 	})
 	return status, body, err
 }
@@ -813,11 +832,11 @@ func (c *Conn) RDMARead(rkey uint32, length int) ([]byte, error) {
 func (c *Conn) RDMAReadInto(rkey uint32, length int, buf []byte) ([]byte, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	f := c.stage(9)
-	f[4] = opRead
-	binary.BigEndian.PutUint32(f[5:], rkey)
-	binary.BigEndian.PutUint32(f[9:], uint32(length))
-	status, data, err := c.roundTrip(f)
+	status, data, err := c.roundTrip(func() {
+		b := c.post(opRead, 8)
+		binary.BigEndian.PutUint32(b, rkey)
+		binary.BigEndian.PutUint32(b[4:], uint32(length))
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -839,68 +858,41 @@ type BatchResult struct {
 	Err  error
 }
 
-// RDMAReadBatch posts every read back-to-back on the connection
-// without waiting for replies — k reads in flight, one round trip for
-// the whole batch — then matches each completion to its work request
-// by the echoed sequence number. This is the TCP analogue of a
-// doorbell-batched multi-WR post.
+// RDMAReadBatchInto posts every read back-to-back without waiting for
+// replies — k reads in flight, one round trip — then matches each
+// completion to its work request by the echoed sequence number: the
+// TCP analogue of a doorbell-batched multi-WR post.
 //
 // A transport failure (or any desynchronization: duplicate, unknown
-// or missing seq) aborts the batch and triggers redial-and-replay of
-// the whole batch under the connection's retry policy; reads are
-// idempotent, so replaying a possibly-served batch is safe. Fresh
-// sequence numbers are drawn per attempt, so a stale reply from an
-// aborted attempt can never satisfy a later one.
-func (c *Conn) RDMAReadBatch(reqs []BatchRead) ([]BatchResult, error) {
-	return c.RDMAReadBatchInto(reqs, nil)
-}
-
-// RDMAReadBatchInto is RDMAReadBatch with caller-owned result storage:
-// when results has the capacity it is recycled, each slot's Data
-// buffer included, and the post buffer, completion set and reply
-// frames all stage through per-connection scratch. Pass the returned
-// slice back on the next call and a steady-state sweep posts batches
-// with no per-batch allocation.
+// or missing seq) aborts the batch and replays it whole under the retry
+// policy, with fresh sequence numbers, so a stale reply can never
+// satisfy a later attempt. results is recycled when it has the
+// capacity, each slot's Data included: pass the returned slice back and
+// a steady-state sweep posts batches with no per-batch allocation.
 func (c *Conn) RDMAReadBatchInto(reqs []BatchRead, results []BatchResult) ([]BatchResult, error) {
 	if len(reqs) == 0 {
 		return nil, nil
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := results
-	err := c.retrying(func() error {
-		var e error
-		out, e = c.attemptBatch(reqs, results)
-		return e
+	var base uint32
+	err := c.ring(func() {
+		base = c.pipeSeq + 1
+		c.pipeSeq += uint32(len(reqs))
+		for i, rq := range reqs {
+			b := c.post(opReadPipe, 12)
+			binary.BigEndian.PutUint32(b, base+uint32(i))
+			binary.BigEndian.PutUint32(b[4:], rq.RKey)
+			binary.BigEndian.PutUint32(b[8:], uint32(rq.Length))
+		}
+	}, func() (err error) {
+		results, err = c.collectBatchRepliesInto(c.c, base, len(reqs), results)
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	return out, nil
-}
-
-// attemptBatch performs one pipelined write-all-then-read-all pass
-// under the operation deadline: the whole doorbell leaves in one
-// Write, its seqs consecutive from a fresh base. Caller holds c.mu.
-func (c *Conn) attemptBatch(reqs []BatchRead, into []BatchResult) ([]BatchResult, error) {
-	base := c.pipeSeq + 1
-	c.pipeSeq += uint32(len(reqs))
-	buf := c.postBuf[:0]
-	for i, rq := range reqs {
-		var frame [17]byte
-		binary.BigEndian.PutUint32(frame[0:], 13)
-		frame[4] = opReadPipe
-		binary.BigEndian.PutUint32(frame[5:], base+uint32(i))
-		binary.BigEndian.PutUint32(frame[9:], rq.RKey)
-		binary.BigEndian.PutUint32(frame[13:], uint32(rq.Length))
-		buf = append(buf, frame[:]...)
-	}
-	c.postBuf = buf
-	c.c.SetDeadline(time.Now().Add(c.opTmo))
-	if _, err := c.c.Write(buf); err != nil {
-		return nil, err
-	}
-	return c.collectBatchRepliesInto(c.c, base, len(reqs), into)
+	return results, nil
 }
 
 // collectBatchRepliesInto reads n reply frames from r and attributes
@@ -916,16 +908,9 @@ func (c *Conn) attemptBatch(reqs []BatchRead, into []BatchResult) ([]BatchResult
 // batch allocates nothing. Takes r so the fuzzer can drive it with
 // arbitrary byte streams.
 func (c *Conn) collectBatchRepliesInto(r io.Reader, base uint32, n int, into []BatchResult) ([]BatchResult, error) {
-	var results []BatchResult
-	if cap(into) >= n {
-		results = into[:n]
-	} else {
-		results = make([]BatchResult, n)
-	}
-	if cap(c.filled) < n {
-		c.filled = make([]bool, n)
-	}
-	filled := c.filled[:n]
+	results := slices.Grow(into[:0], n)[:n]
+	filled := slices.Grow(c.filled[:0], n)[:n]
+	c.filled = filled
 	clear(filled)
 	for k := 0; k < n; k++ {
 		body, err := c.rd.next(r)
@@ -960,19 +945,39 @@ func (c *Conn) collectBatchRepliesInto(r io.Reader, base uint32, n int, into []B
 	return results, nil
 }
 
-// RDMAWrite stores data into the remote region (if writable).
+// RDMAWrite posts a write of data, copied, into the remote region; the
+// package comment has the contract. A full backlog rings first, as does
+// a closed connection, to fail; on an error the write is not posted.
 func (c *Conn) RDMAWrite(rkey uint32, data []byte) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	f := c.stage(5 + len(data))
-	f[4] = opWrite
-	binary.BigEndian.PutUint32(f[5:], rkey)
-	copy(f[9:], data)
-	status, _, err := c.roundTrip(f)
-	if err != nil {
-		return err
+	if c.isClosed() || c.posted > 0 && (c.posted == maxPosted || c.backlog+9+len(data) > bufCap) {
+		if err := c.ring(nil, nil); err != nil {
+			return err
+		}
 	}
-	return statusErr(status)
+	b := c.post(opWrite, 4+len(data))
+	binary.BigEndian.PutUint32(b, rkey)
+	copy(b[4:], data)
+	c.posted++
+	c.backlog = len(c.bell)
+	return nil
+}
+
+// Sync rings the doorbell with nothing behind it, so every posted
+// write has landed, and returns and clears the first remote error of a
+// write reaped since the last Sync. With nothing posted it does no I/O.
+func (c *Conn) Sync() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.posted > 0 {
+		if err := c.ring(nil, nil); err != nil {
+			return err
+		}
+	}
+	err := c.held
+	c.held = nil
+	return err
 }
 
 // CompareSwap atomically compares the first 8 bytes of the remote
@@ -991,12 +996,12 @@ func (c *Conn) RDMAWrite(rkey uint32, data []byte) error {
 func (c *Conn) CompareSwap(rkey uint32, compare, swap uint64) (uint64, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	f := c.stage(21)
-	f[4] = opCompSwap
-	binary.BigEndian.PutUint32(f[5:], rkey)
-	binary.BigEndian.PutUint64(f[9:], compare)
-	binary.BigEndian.PutUint64(f[17:], swap)
-	status, data, err := c.roundTrip(f)
+	status, data, err := c.roundTrip(func() {
+		b := c.post(opCompSwap, 20)
+		binary.BigEndian.PutUint32(b, rkey)
+		binary.BigEndian.PutUint64(b[4:], compare)
+		binary.BigEndian.PutUint64(b[12:], swap)
+	})
 	if err != nil {
 		return 0, err
 	}
@@ -1052,12 +1057,11 @@ func (c *Conn) Call(port string, payload []byte) ([]byte, error) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	f := c.stage(2 + len(port) + len(payload))
-	f[4] = opCall
-	f[5] = byte(len(port))
-	copy(f[6:], port)
-	copy(f[6+len(port):], payload)
-	status, data, err := c.roundTrip(f)
+	status, data, err := c.roundTrip(func() {
+		b := c.post(opCall, 1+len(port)+len(payload))
+		b[0] = byte(len(port))
+		copy(b[1+copy(b[1:], port):], payload)
+	})
 	if err != nil {
 		return nil, err
 	}

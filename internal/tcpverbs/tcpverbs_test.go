@@ -94,6 +94,9 @@ func TestRDMAWrite(t *testing.T) {
 	if err := c.RDMAWrite(mr.Key(), []byte{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
+	if err := c.Sync(); err != nil { // a posted write has landed once Sync returns
+		t.Fatal(err)
+	}
 	mu.Lock()
 	defer mu.Unlock()
 	if !bytes.Equal(got, []byte{1, 2, 3}) {
@@ -105,7 +108,10 @@ func TestRDMAWriteReadOnlyDenied(t *testing.T) {
 	a := newAgent(t)
 	mr := a.RegisterMR(StaticSource(make([]byte, 8)), 8)
 	c := dial(t, a)
-	if err := c.RDMAWrite(mr.Key(), []byte{1}); err != ErrPermission {
+	if err := c.RDMAWrite(mr.Key(), []byte{1}); err != nil {
+		t.Fatalf("posting returned %v: a remote error belongs to Sync", err)
+	}
+	if err := c.Sync(); err != ErrPermission {
 		t.Fatalf("err = %v, want ErrPermission", err)
 	}
 }
