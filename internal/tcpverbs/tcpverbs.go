@@ -718,7 +718,7 @@ const maxPosted = 64 // writes per doorbell: bounds the statuses a ring owes
 // post appends a frame for op to the doorbell and returns its n argument bytes.
 func (c *Conn) post(op byte, n int) []byte {
 	i := len(c.bell)
-	c.bell = append(c.bell, make([]byte, 5+n)...)
+	c.bell = slices.Grow(c.bell, 5+n)[:i+5+n] // callers fill every argument byte
 	binary.BigEndian.PutUint32(c.bell[i:], uint32(1+n))
 	c.bell[i+4] = op
 	return c.bell[i+5:]
