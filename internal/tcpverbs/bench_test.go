@@ -46,8 +46,8 @@ func BenchmarkLoopbackBatch32(b *testing.B) {
 	b.ReportMetric(float64(time.Since(t0).Nanoseconds())/float64(b.N*len(reqs)), "ns/read")
 }
 
-// BenchmarkLoopbackWrite times a write and the Sync that lands it:
-// one round trip, what a write cost before writes were posted.
+// BenchmarkLoopbackWrite times a write and the Sync that lands it: one
+// round trip, a write's cost when nothing follows it to carry it.
 func BenchmarkLoopbackWrite(b *testing.B) {
 	a := newAgent(b)
 	c := dial(b, a)
