@@ -1,5 +1,5 @@
 # Repo-local CI. `make ci` is the gate a change must pass before it
-# lands: vet, build, the full suite under the race detector with
+# lands: vet (which also fails on any file gofmt would change), build, the full suite under the race detector with
 # shuffled test order, a short smoke run of every fuzzer, and
 # chaos/HA-harness smokes across a few random fault plans.
 
@@ -12,6 +12,7 @@ ci: vet build race bench-check fuzz chaos-smoke ha-smoke aa-smoke hybrid-smoke c
 
 vet:
 	$(GO) vet ./...
+	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then echo "gofmt -l:"; echo "$$unformatted"; exit 1; fi
 
 build:
 	$(GO) build ./...

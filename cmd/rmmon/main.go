@@ -168,35 +168,20 @@ func runProbe(args []string) {
 		claims = cc
 	}
 	w := core.DefaultWeights()
-	// Adaptive polling state (-period-max): per-target controller, last
-	// observed record and next-due instant.
+	// Adaptive polling (-period-max): each target's decision and the
+	// instant its next probe is due.
 	threshold := *pushTh
 	if threshold <= 0 {
-		threshold = 0.05
+		threshold = core.DefaultChangeThreshold
 	}
-	ctrls := make([]*core.PeriodController, len(probes))
-	obs := make([]wire.LoadRecord, len(probes))
-	obsHas := make([]bool, len(probes))
+	var polls []core.AdaptivePoll
 	due := make([]time.Time, len(probes))
 	trends := make([]core.TrendTracker, len(probes))
 	if *periodMax > 0 {
-		for i := range ctrls {
-			ctrls[i] = &core.PeriodController{Cfg: core.PeriodConfig{
-				Min: sim.Time(*interval), Max: sim.Time(*periodMax),
-			}}
+		polls = make([]core.AdaptivePoll, len(probes))
+		for i := range polls {
+			polls[i].Ctrl.Cfg = core.PeriodConfig{Min: sim.Time(*interval), Max: sim.Time(*periodMax)}
 		}
-	}
-	observe := func(i int, rec wire.LoadRecord, err error) {
-		if ctrls[i] == nil {
-			return
-		}
-		changed := err != nil || !obsHas[i] || core.LoadDelta(&rec, &obs[i]) >= threshold
-		if err == nil {
-			obs[i] = rec
-			obsHas[i] = true
-		}
-		held := claims == nil || claims.HeldValid() > 0
-		due[i] = time.Now().Add(time.Duration(ctrls[i].Observe(changed, core.Healthy, held)))
 	}
 	for cycle := 0; *count == 0 || cycle < *count; cycle++ {
 		start := time.Now()
@@ -207,7 +192,7 @@ func runProbe(args []string) {
 				claims.HeldValid(), claims.Shards(), tk, rn, dp, hb, fenced)
 		}
 		for i, p := range probes {
-			if ctrls[i] != nil && time.Now().Before(due[i]) {
+			if polls != nil && time.Now().Before(due[i]) {
 				continue
 			}
 			if *history && p.RingK() > 0 {
@@ -221,7 +206,8 @@ func runProbe(args []string) {
 				if s, ok := trends[i].Slope(); ok {
 					tag = fmt.Sprintf(" hist slope=%+.3f/s", s)
 				}
-				printRecord(addrs[i], v.Newest(), w.Index(v.Newest()), time.Since(start), tag)
+				newest := v.Newest()
+				printRecord(addrs[i], newest, w.IndexOf(&newest), time.Since(start), tag)
 				continue
 			}
 			if *burst > 1 && p.Scheme().UsesRDMA() {
@@ -231,12 +217,19 @@ func runProbe(args []string) {
 					continue
 				}
 				for _, rec := range recs {
-					printRecord(addrs[i], rec, w.Index(rec), time.Since(start), " burst")
+					printRecord(addrs[i], rec, w.IndexOf(&rec), time.Since(start), " burst")
 				}
 				continue
 			}
 			rec, tr, err := p.FetchVia()
-			observe(i, rec, err)
+			if polls != nil {
+				seen := &rec
+				if err != nil {
+					seen = nil
+				}
+				held := claims == nil || claims.HeldValid() > 0
+				due[i] = time.Now().Add(time.Duration(polls[i].Observe(seen, threshold, core.Healthy, held)))
+			}
 			if err != nil {
 				fmt.Printf("%-22s ERROR %v\n", addrs[i], err)
 				continue
@@ -245,7 +238,7 @@ func runProbe(args []string) {
 			if p.Failover() != nil {
 				via = " via=" + tr.String()
 			}
-			printRecord(addrs[i], rec, w.Index(rec), time.Since(start), via)
+			printRecord(addrs[i], rec, w.IndexOf(&rec), time.Since(start), via)
 		}
 		time.Sleep(*interval)
 	}
@@ -288,7 +281,7 @@ func runPushHost(args []string) {
 				fmt.Printf("  node %-5d (no pushes yet)\n", id)
 				continue
 			}
-			printRecord(fmt.Sprintf("node %d", id), rec.Load, w.Index(rec.Load),
+			printRecord(fmt.Sprintf("node %d", id), rec.Load, w.IndexOf(&rec.Load),
 				time.Since(at).Round(time.Millisecond), " pushed")
 		}
 	}
@@ -310,7 +303,8 @@ func runOnce(args []string) {
 		fmt.Fprintln(os.Stderr, "rmmon once:", err)
 		os.Exit(1)
 	}
-	printRecord(*target, rec, core.DefaultWeights().Index(rec), time.Since(start), "")
+	w := core.DefaultWeights()
+	printRecord(*target, rec, w.IndexOf(&rec), time.Since(start), "")
 }
 
 func printRecord(addr string, r wire.LoadRecord, index float64, rtt time.Duration, extra string) {

@@ -112,11 +112,57 @@ func (pc *PeriodController) Observe(changed bool, h Health, leaseHeld bool) sim.
 	return pc.period
 }
 
+// DefaultChangeThreshold is the weighted-index movement that counts as
+// a change when a configuration leaves its threshold unset: the
+// pushers' "worth a write" test and the adaptive poll's "still
+// volatile" test, simulated and live alike.
+const DefaultChangeThreshold = 0.05
+
+// AdaptivePoll is one back-end's adaptive-poll decision: its period
+// controller, the last record it observed and the change test between
+// them. The simulated monitor, the live monitor and rmmon's probe loop
+// all decide through it. Like PeriodController it is clock-free: each
+// call returns the period until the next probe and the caller schedules.
+type AdaptivePoll struct {
+	Ctrl PeriodController
+	obs  wire.LoadRecord
+	has  bool
+}
+
+// Observe folds one probe outcome or pushed record into the decision
+// and returns the period until the next probe. rec is the observed
+// record, nil for a failed probe. A failure, a first observation, or a
+// weighted index at least threshold away from the last observed one
+// counts as change; so does any non-Healthy state or a lost lease (see
+// PeriodController.Observe).
+func (a *AdaptivePoll) Observe(rec *wire.LoadRecord, threshold float64, h Health, leaseHeld bool) sim.Time {
+	return a.decide(rec, rec == nil || !a.has || LoadDelta(rec, &a.obs) >= threshold, h, leaseHeld)
+}
+
+// ObserveRate is Observe with the caller's rate verdict in place of the
+// point delta: rate is the load index's movement per fast sweep over
+// the whole history window a ring read fetched, so a back-end that
+// oscillated between two probes still counts as changed.
+func (a *AdaptivePoll) ObserveRate(rec *wire.LoadRecord, rate, threshold float64, h Health, leaseHeld bool) sim.Time {
+	return a.decide(rec, rec == nil || !a.has || rate >= threshold, h, leaseHeld)
+}
+
+func (a *AdaptivePoll) decide(rec *wire.LoadRecord, changed bool, h Health, leaseHeld bool) sim.Time {
+	if rec != nil {
+		a.obs = *rec
+		a.has = true
+	}
+	return a.Ctrl.Observe(changed, h, leaseHeld)
+}
+
+// Period returns the current poll period (see PeriodController.Period).
+func (a *AdaptivePoll) Period() sim.Time { return a.Ctrl.Period() }
+
 // HybridConfig shapes the hybrid push/pull scheme.
 type HybridConfig struct {
 	// Threshold is the weighted-index movement that counts as a change,
 	// for both the pusher's "worth a write" test and the controller's
-	// "still volatile" test (default 0.05).
+	// "still volatile" test (default DefaultChangeThreshold).
 	Threshold float64
 	// Period bounds the monitor's adaptive poll period.
 	Period PeriodConfig
@@ -130,7 +176,7 @@ type HybridConfig struct {
 // WithDefaults fills unset fields, anchoring periods to poll.
 func (c HybridConfig) WithDefaults(poll sim.Time) HybridConfig {
 	if c.Threshold <= 0 {
-		c.Threshold = 0.05
+		c.Threshold = DefaultChangeThreshold
 	}
 	c.Period = c.Period.WithDefaults(poll)
 	if c.Heartbeat <= 0 {

@@ -127,6 +127,74 @@ func TestPeriodControllerDecaySchedule(t *testing.T) {
 	}
 }
 
+// TestAdaptivePollDecisions walks the one adaptive-poll decision through
+// each case the simulated monitor's probe and push paths, the live
+// monitor and rmmon's probe loop hand it, from a primed state (one quiet
+// record observed, period at Min): the period it returns and the
+// observation it keeps.
+func TestAdaptivePollDecisions(t *testing.T) {
+	const min = 10 * sim.Millisecond
+	quiet := wire.LoadRecord{NumCPU: 2, Conns: 4, MemUsedKB: 1 << 18, MemTotalKB: 1 << 20}
+	quiet.UtilPerMille[0] = 300
+	small := quiet // one more connection: 0.4/24 of index, under the threshold
+	small.Seq, small.Conns = 9, 5
+	busy := quiet
+	busy.UtilPerMille[0], busy.UtilPerMille[1] = 1000, 1000
+	at := quiet // exactly one threshold away, as scored
+	at.Conns = 7
+	th := DefaultChangeThreshold
+	cases := []struct {
+		name     string
+		unprimed bool
+		rec      *wire.LoadRecord
+		rate     float64 // ring-rate verdict; negative takes the point delta
+		th       float64
+		h        Health
+		lease    bool
+		want     sim.Time
+		wantObs  wire.LoadRecord
+	}{
+		{"first observation", true, &small, -1, th, Healthy, true, min, small},
+		{"failed probe", false, nil, -1, th, Healthy, true, min, quiet},
+		{"failed ring probe", false, nil, 0, th, Healthy, true, min, quiet},
+		{"delta at threshold", false, &at, -1, LoadDelta(&at, &quiet), Healthy, true, min, at},
+		{"delta above threshold", false, &busy, -1, th, Healthy, true, min, busy},
+		{"quiet Healthy leased decays", false, &small, -1, th, Healthy, true, 2 * min, small},
+		{"Suspect", false, &small, -1, th, Suspect, true, min, small},
+		{"Degraded", false, &small, -1, th, Degraded, true, min, small},
+		{"Quarantined", false, &small, -1, th, Quarantined, true, min, small},
+		{"lost lease", false, &small, -1, th, Healthy, false, min, small},
+		{"ring rate at threshold", false, &small, th, th, Healthy, true, min, small},
+		{"ring rate quiet, point delta large", false, &busy, th / 2, th, Healthy, true, 2 * min, busy},
+		{"heartbeat push", false, &quiet, -1, th, Healthy, true, 2 * min, quiet},
+		{"moving push", false, &busy, -1, th, Healthy, true, min, busy},
+	}
+	for _, c := range cases {
+		a := AdaptivePoll{Ctrl: PeriodController{Cfg: PeriodConfig{Min: min, Max: 8 * min, Grow: 2}}}
+		if !c.unprimed {
+			a.Observe(&quiet, th, Healthy, true)
+		}
+		var got sim.Time
+		if c.rate < 0 {
+			got = a.Observe(c.rec, c.th, c.h, c.lease)
+		} else {
+			got = a.ObserveRate(c.rec, c.rate, c.th, c.h, c.lease)
+		}
+		if got != c.want || a.Period() != c.want {
+			t.Errorf("%s: period %v (Period %v), want %v", c.name, got, a.Period(), c.want)
+		}
+		if !a.has || a.obs != c.wantObs {
+			t.Errorf("%s: kept seq=%d conns=%d has=%v, want seq=%d conns=%d",
+				c.name, a.obs.Seq, a.obs.Conns, a.has, c.wantObs.Seq, c.wantObs.Conns)
+		}
+	}
+	var fresh AdaptivePoll
+	fresh.Ctrl.Cfg.Min = min
+	if got := fresh.Observe(nil, th, Healthy, true); got != min || fresh.has {
+		t.Errorf("failure before any record: period %v has=%v, want %v and nothing kept", got, fresh.has, min)
+	}
+}
+
 func TestHybridConfigDefaults(t *testing.T) {
 	h := HybridConfig{}.WithDefaults(10 * sim.Millisecond)
 	if h.Threshold != 0.05 {

@@ -50,7 +50,8 @@ func clamp01(v float64) float64 {
 
 // Index computes the weighted load index of a record. Larger means
 // more loaded. The result is not bounded by 1.0 when weights sum above
-// one; only ordering matters to the dispatcher.
+// one; only ordering matters to the dispatcher. Outside tests its only
+// caller is bench/layers.go; everything else scores through IndexOf.
 func (w Weights) Index(r wire.LoadRecord) float64 { return w.IndexOf(&r) }
 
 // IndexOf is Index on a record that stays where it is: the form every

@@ -16,6 +16,14 @@ func TestProberFitsSizeClass(t *testing.T) {
 	}
 }
 
+// Under the hybrid engine every back-end also owns one AdaptivePoll,
+// allocated alone: it has to stay in the 160-byte size class.
+func TestAdaptivePollFitsSizeClass(t *testing.T) {
+	if sz := unsafe.Sizeof(AdaptivePoll{}); sz > 160 {
+		t.Fatalf("AdaptivePoll is %d bytes, want <= 160", sz)
+	}
+}
+
 // The ring view exists only for a back-end whose agent exports a
 // history ring, and then it is allocated once.
 func TestProberRingViewLazy(t *testing.T) {

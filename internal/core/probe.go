@@ -38,6 +38,9 @@ type Prober struct {
 	last   wire.LoadRecord
 	lastAt sim.Time
 	has    bool
+	// pushSeq is the highest push sequence the cache accepted under the
+	// hybrid engine (it sits in has's padding).
+	pushSeq uint32
 
 	// Trend accumulates this back-end's load-index slope from every
 	// sample that arrives (ring reads fold whole windows; point probes
@@ -502,7 +505,7 @@ type Monitor struct {
 
 	// hyb is indexed by back-end id like byID; a nil entry (or a nil
 	// slice, without the hybrid engine) means no adaptive-poll state.
-	hyb []*hybridState
+	hyb []*AdaptivePoll
 	// due is the hybrid engine's sweep test, a dense table beside hyb:
 	// due[b] is the instant back-end b's next probe is due (nil without
 	// the hybrid engine). Every shard scans it every sweep, for every one
@@ -513,14 +516,6 @@ type Monitor struct {
 	shardCycles []uint64
 	tasks       []*simos.Task
 	stopped     bool
-}
-
-// hybridState is the monitor's per-backend adaptive-poll bookkeeping.
-type hybridState struct {
-	ctrl    PeriodController
-	obs     wire.LoadRecord
-	has     bool
-	pushSeq uint32 // highest push sequence accepted
 }
 
 // MonitorConfig shapes the probe engine. The zero value reproduces
@@ -594,10 +589,10 @@ func StartMonitorCfg(front *simos.Node, fnic *simnet.NIC, agents []*Agent, poll 
 	if cfg.Hybrid != nil && m.Scheme.UsesRDMA() {
 		h := cfg.Hybrid.WithDefaults(poll)
 		m.cfg.Hybrid = &h
-		m.hyb = make([]*hybridState, len(m.byID))
+		m.hyb = make([]*AdaptivePoll, len(m.byID))
 		m.due = make([]sim.Time, len(m.byID))
 		for _, b := range m.order {
-			m.hyb[b] = &hybridState{ctrl: PeriodController{Cfg: h.Period}}
+			m.hyb[b] = &AdaptivePoll{Ctrl: PeriodController{Cfg: h.Period}}
 		}
 		m.Sink = NewPushSink(front, fnic, m.order)
 		m.Sink.OnRecord = m.notePush
@@ -899,8 +894,8 @@ func (m *Monitor) prober(backend int) *Prober {
 	return m.byID[backend]
 }
 
-// hybrid returns a back-end's adaptive-poll state, nil if it has none.
-func (m *Monitor) hybrid(backend int) *hybridState {
+// hybrid returns a back-end's adaptive-poll decision, nil if it has none.
+func (m *Monitor) hybrid(backend int) *AdaptivePoll {
 	if uint(backend) >= uint(len(m.hyb)) {
 		return nil
 	}
@@ -931,21 +926,19 @@ func (m *Monitor) observeProbe(backend int, err error) {
 		return
 	}
 	p := m.prober(backend)
-	changed := err != nil || !st.has
-	if !changed {
-		if p.agent.RingK() > 0 {
-			perSweep := p.Trend.LastRate() *
-				(float64(m.cfg.Hybrid.Period.Min) / float64(sim.Second))
-			changed = perSweep >= m.cfg.Hybrid.Threshold
-		} else {
-			changed = LoadDelta(&p.last, &st.obs) >= m.cfg.Hybrid.Threshold
-		}
-	}
+	var rec *wire.LoadRecord
 	if err == nil && p.has {
-		st.obs = p.last
-		st.has = true
+		rec = &p.last
 	}
-	m.due[backend] = m.front.Eng.Now() + st.ctrl.Observe(changed, p.Health.State(), m.leaseHeld())
+	h := m.cfg.Hybrid
+	var period sim.Time
+	if p.agent.RingK() > 0 {
+		perSweep := p.Trend.LastRate() * (float64(h.Period.Min) / float64(sim.Second))
+		period = st.ObserveRate(rec, perSweep, h.Threshold, p.Health.State(), m.leaseHeld())
+	} else {
+		period = st.Observe(rec, h.Threshold, p.Health.State(), m.leaseHeld())
+	}
+	m.due[backend] = m.front.Eng.Now() + period
 }
 
 // notePush applies one valid pushed delta record: it refreshes the
@@ -963,16 +956,15 @@ func (m *Monitor) notePush(backend int, rec wire.PushRecord, at sim.Time) {
 	if st == nil || p == nil || m.stopped {
 		return
 	}
-	if st.pushSeq != 0 && rec.PushSeq <= st.pushSeq {
+	if p.pushSeq != 0 && rec.PushSeq <= p.pushSeq {
 		m.StalePushes++
 		return
 	}
-	st.pushSeq = rec.PushSeq
+	p.pushSeq = rec.PushSeq
 	if p.has && rec.Load.KTimeNS < p.last.KTimeNS {
 		m.StalePushes++
 		return
 	}
-	changed := !st.has || LoadDelta(&rec.Load, &st.obs) >= m.cfg.Hybrid.Threshold
 	p.last = rec.Load
 	p.lastAt = at
 	p.has = true
@@ -981,9 +973,7 @@ func (m *Monitor) notePush(backend int, rec wire.PushRecord, at sim.Time) {
 	if p.OnRecord != nil {
 		p.OnRecord(rec.Load, at)
 	}
-	st.obs = rec.Load
-	st.has = true
-	m.due[backend] = at + st.ctrl.Observe(changed, p.Health.State(), m.leaseHeld())
+	m.due[backend] = at + st.Observe(&p.last, m.cfg.Hybrid.Threshold, p.Health.State(), m.leaseHeld())
 }
 
 // ProbePeriod returns a back-end's current adaptive poll period (0
@@ -993,7 +983,7 @@ func (m *Monitor) ProbePeriod(backend int) sim.Time {
 	if st == nil {
 		return 0
 	}
-	return st.ctrl.Period()
+	return st.Period()
 }
 
 // SetProbeTimeout bounds every back-end's probe by d (0 disables).
@@ -1053,11 +1043,9 @@ func (m *Monitor) ReplaceAgent(backend int, a *Agent) {
 	// the old one's first epoch — so drop trend state explicitly rather
 	// than let a slope span the restart.
 	p.Trend.Reset()
-	if st := m.hybrid(backend); st != nil {
-		// A restarted back-end's pusher restarts its push sequence; clear
-		// the replay guard so its first post-restart delta is accepted.
-		st.pushSeq = 0
-	}
+	// A restarted back-end's pusher restarts its push sequence; clear the
+	// replay guard so its first post-restart delta is accepted.
+	p.pushSeq = 0
 }
 
 // Slope returns a back-end's observed load-index slope in index units

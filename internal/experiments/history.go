@@ -395,7 +395,8 @@ func historyDispatch(o Options, n int, trend bool) HistoryDispatchPoint {
 			pt.RamperPicks++
 		}
 		c.Eng.After(dispatchHorizon, func() {
-			idx := weights.Index(core.RecordFromSnapshot(c.Backends[b-1].K.Snapshot(), 0))
+			rec := core.RecordFromSnapshot(c.Backends[b-1].K.Snapshot(), 0)
+			idx := weights.IndexOf(&rec)
 			if idx > pt.PeakIdx {
 				pt.PeakIdx = idx
 			}

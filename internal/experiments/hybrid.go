@@ -220,7 +220,7 @@ func hybridPoint(o Options, n, volatile int, hybrid bool) HybridPoint {
 	if o.Quick {
 		dur = 1500 * sim.Millisecond
 	}
-	threshold := 0.05
+	threshold := core.DefaultChangeThreshold
 	if knobs != nil {
 		threshold = knobs.WithDefaults(hybridPoll).Threshold
 	} else if o.PushThreshold > 0 {

@@ -63,6 +63,7 @@ func TestFetchBurstRecoversAfterInvalidate(t *testing.T) {
 }
 
 func TestShardedMonitorPollsFleet(t *testing.T) {
+	leakCheck(t)
 	var agents []*Agent
 	var targets []string
 	for i := 0; i < 6; i++ {

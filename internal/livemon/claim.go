@@ -128,8 +128,7 @@ type ClaimClient struct {
 	res   []tcpverbs.BatchResult
 	reads []core.ClaimRead
 
-	stop chan struct{}
-	wg   sync.WaitGroup
+	loops *loops // the claim rounds
 }
 
 // DialClaims connects front-end me (1-based) to the claim table hosted
@@ -165,14 +164,13 @@ func DialClaims(addr string, me uint16, owners int, cfg core.ClaimConfig) (*Clai
 		recKeys:  make([]uint32, shards),
 		start:    time.Now(),
 		table:    core.NewClaimTable(me, owners, cfg.WithDefaults(sim.Time(50*time.Millisecond))),
-		stop:     make(chan struct{}),
+		loops:    newLoops(),
 	}
 	for s := 0; s < shards; s++ {
 		l.wordKeys[s] = binary.BigEndian.Uint32(reply[2+8*s:])
 		l.recKeys[s] = binary.BigEndian.Uint32(reply[6+8*s:])
 	}
-	l.wg.Add(1)
-	go l.run()
+	l.loops.every(time.Duration(l.table.Claims[0].Cfg.CheckEvery), false, l.round)
 	return l, nil
 }
 
@@ -232,29 +230,10 @@ func (l *ClaimClient) Resume() {
 // Close stops the claim loop and closes the connection. Held claims
 // are not released: they expire and are reclaimed, exactly as if this
 // front-end had crashed — which, as far as the protocol can tell, it
-// has.
+// has. Idempotent and safe for concurrent use; every caller observes
+// the first teardown's error.
 func (l *ClaimClient) Close() error {
-	select {
-	case <-l.stop:
-	default:
-		close(l.stop)
-	}
-	l.wg.Wait()
-	return l.conn.Close()
-}
-
-func (l *ClaimClient) run() {
-	defer l.wg.Done()
-	t := time.NewTicker(time.Duration(l.table.Claims[0].Cfg.CheckEvery))
-	defer t.Stop()
-	for {
-		select {
-		case <-l.stop:
-			return
-		case <-t.C:
-			l.round()
-		}
-	}
+	return l.loops.close(l.conn.Close)
 }
 
 // round is one claim round: every unheld word in one pipelined read
@@ -289,12 +268,10 @@ func (l *ClaimClient) round() {
 	plan := l.table.Plan(l.now(), l.reads)
 	l.mu.Unlock()
 	for _, op := range plan {
-		select {
-		case <-l.stop:
+		if l.loops.stopped() {
 			return
-		default:
-			l.post(op)
 		}
+		l.post(op)
 	}
 	_ = l.conn.Sync() // the won records land within the round; observability only
 }

@@ -51,6 +51,7 @@ func TestHistoryHandshakeAndFetch(t *testing.T) {
 }
 
 func TestHistoryWindowFillsAndOrders(t *testing.T) {
+	leakCheck(t)
 	_, pr := startRingPair(t, core.ERDMASync, 4, synthetic(2))
 	deadline := time.Now().Add(2 * time.Second)
 	for {

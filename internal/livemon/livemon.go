@@ -70,24 +70,26 @@ type Agent struct {
 	cfg   Config
 	verbs *tcpverbs.Agent
 
-	mu     sync.Mutex
-	mr     *tcpverbs.MR    // mutable: InvalidateMR drops and re-pins it
-	mrSrc  tcpverbs.Source // registration source, kept for re-pinning
-	mrLen  int             // registered region length (record or ring)
-	buf    []byte          // refreshed encoding (async schemes)
-	ring   *wire.HistoryRing
-	seq    uint32
-	closed bool
+	mu    sync.Mutex
+	mr    *tcpverbs.MR    // mutable: InvalidateMR drops and re-pins it
+	mrSrc tcpverbs.Source // registration source, kept for re-pinning
+	mrLen int             // registered region length (record or ring)
+	buf   []byte          // refreshed encoding (async schemes)
+	ring  *wire.HistoryRing
+	seq   uint32
 
 	cvault *claimVault // non-nil when this agent hosts the claim table
 
 	pusher *Pusher // non-nil when cfg.Push is set
 
-	stop      chan struct{}
-	wg        sync.WaitGroup
-	closeOnce sync.Once
-	closeErr  error
+	loops *loops // the refresher or ring sampler, if the scheme runs one
 }
+
+// Where a sample is stored besides being returned (see Agent.sample).
+const (
+	toBuffer = 1 << iota // the async schemes' served buffer
+	toRing               // the history ring, when one is published
+)
 
 // StartAgent launches the agent.
 func StartAgent(cfg Config) (*Agent, error) {
@@ -113,82 +115,76 @@ func StartAgent(cfg Config) (*Agent, error) {
 	if err != nil {
 		return nil, err
 	}
-	a := &Agent{cfg: cfg, verbs: v, stop: make(chan struct{})}
+	a := &Agent{cfg: cfg, verbs: v, loops: newLoops()}
 	a.mrLen = wire.RecordSize
 	if cfg.HistoryK > 0 {
 		a.ring = wire.NewHistoryRing(cfg.HistoryK, cfg.NodeID)
 		a.mrLen = a.ring.Size()
-		a.ringPush() // prime: the ring is never empty once registered
+		a.sample(toRing) // prime: the ring is never empty once registered
+	}
+	// serveSample answers a socket request with a fresh sample, or with
+	// nothing when sampling fails.
+	serveSample := func([]byte) []byte {
+		rec, err := a.sample(0)
+		if err != nil {
+			return nil
+		}
+		return rec.Encode()
 	}
 
 	switch cfg.Scheme {
-	case core.SocketAsync:
-		if err := a.refresh(); err != nil {
+	case core.SocketAsync, core.RDMAAsync:
+		if _, err := a.sample(toBuffer | toRing); err != nil {
 			v.Close()
 			return nil, err
 		}
-		a.startRefresher()
+		// Transient sampling errors keep the old record.
+		a.loops.every(cfg.Interval, false, func() { a.sample(toBuffer | toRing) })
+		// Under RDMA-Async this is the standby socket channel (see
+		// core.Failover): it answers from the same refreshed buffer the
+		// region exposes, so a probe failed over to it sees identical
+		// staleness semantics.
 		v.HandleCall(portProbe, func([]byte) []byte { return a.snapshotBuf() })
-	case core.SocketSync:
-		v.HandleCall(portProbe, func([]byte) []byte {
-			b, err := a.sampleEncode()
-			if err != nil {
-				return nil
-			}
-			return b
-		})
-	case core.RDMAAsync:
-		if err := a.refresh(); err != nil {
-			v.Close()
-			return nil, err
-		}
-		a.startRefresher()
-		if a.ring != nil {
-			// The refresher pushes into the ring (see refresh); the
-			// region exposes the whole window.
-			a.mrSrc = a.ringWindow
-		} else {
+		if cfg.Scheme == core.RDMAAsync {
 			a.mrSrc = a.snapshotBuf
+			if a.ring != nil {
+				// The refresher pushes into the ring too; the region
+				// exposes the whole window.
+				a.mrSrc = a.ringWindow
+			}
 		}
-		a.mr = v.RegisterMR(a.mrSrc, a.mrLen)
-		// Standby socket channel (see core.Failover): answers from the
-		// same refreshed buffer the region exposes, so a probe failed
-		// over to it sees identical staleness semantics.
-		v.HandleCall(portProbe, func([]byte) []byte { return a.snapshotBuf() })
+	case core.SocketSync:
+		v.HandleCall(portProbe, serveSample)
 	case core.RDMASync, core.ERDMASync:
 		if a.ring != nil {
 			// DMA-instant push: serving a read samples the machine into
 			// the newest slot, so the sync freshness contract survives
 			// the ring; the background sampler fills the window between
 			// reads.
-			a.startRingSampler()
+			a.loops.every(cfg.Interval, false, func() { a.sample(toRing) })
 			a.mrSrc = func() []byte {
-				a.ringPush()
+				a.sample(toRing)
 				return a.ringWindow()
 			}
 		} else {
 			a.mrSrc = func() []byte {
-				b, err := a.sampleEncode()
+				rec, err := a.sample(0)
 				if err != nil {
 					return make([]byte, wire.RecordSize)
 				}
-				return b
+				return rec.Encode()
 			}
 		}
-		a.mr = v.RegisterMR(a.mrSrc, a.mrLen)
 		// Standby socket channel: samples per request like Socket-Sync,
 		// sharing the sequence counter with the region source so
 		// sequence numbers stay monotonic across transports.
-		v.HandleCall(portProbe, func([]byte) []byte {
-			b, err := a.sampleEncode()
-			if err != nil {
-				return nil
-			}
-			return b
-		})
+		v.HandleCall(portProbe, serveSample)
 	default:
 		v.Close()
 		return nil, fmt.Errorf("livemon: unknown scheme %v", cfg.Scheme)
+	}
+	if a.mrSrc != nil {
+		a.mr = v.RegisterMR(a.mrSrc, a.mrLen)
 	}
 
 	if cfg.HostClaims > 0 {
@@ -245,18 +241,12 @@ func (a *Agent) Scheme() core.Scheme { return a.cfg.Scheme }
 // Close stops the agent. Idempotent and safe for concurrent use;
 // every caller observes the first teardown's error.
 func (a *Agent) Close() error {
-	a.closeOnce.Do(func() {
-		a.mu.Lock()
-		a.closed = true
-		a.mu.Unlock()
-		close(a.stop)
+	return a.loops.close(func() error {
 		if a.pusher != nil {
 			a.pusher.Close()
 		}
-		a.closeErr = a.verbs.Close()
-		a.wg.Wait()
+		return a.verbs.Close()
 	})
-	return a.closeErr
 }
 
 // Pusher exposes the agent's delta pusher (nil unless cfg.Push set).
@@ -282,7 +272,7 @@ func (a *Agent) InvalidateMR(repin time.Duration) {
 	time.AfterFunc(repin, func() {
 		a.mu.Lock()
 		defer a.mu.Unlock()
-		if a.closed || a.mr != nil {
+		if a.loops.stopped() || a.mr != nil {
 			return
 		}
 		if a.ring != nil {
@@ -294,50 +284,29 @@ func (a *Agent) InvalidateMR(repin time.Duration) {
 	})
 }
 
-// sampleEncode takes a fresh snapshot and encodes it.
-func (a *Agent) sampleEncode() ([]byte, error) {
+// sample takes one snapshot of the machine, stamps it with the next
+// sequence number — one counter for every transport, so sequence
+// numbers stay monotonic across them — and returns it, after storing it
+// where to says. A sampling error stores nothing, so the old buffer and
+// window stay served. Stores happen under a.mu: the ring's seqlock
+// protects remote readers from tearing, while local writers (the
+// sampler's tick, a read-time push) serialize here.
+func (a *Agent) sample(to int) (wire.LoadRecord, error) {
 	s, err := a.cfg.Provider.Snapshot()
 	if err != nil {
-		return nil, err
+		return wire.LoadRecord{}, err
 	}
 	a.mu.Lock()
-	a.seq++
-	seq := a.seq
-	a.mu.Unlock()
-	return s.Record(a.cfg.NodeID, seq).Encode(), nil
-}
-
-// refresh updates the shared buffer (async schemes) and, when a ring
-// is published, pushes the same sample into it.
-func (a *Agent) refresh() error {
-	s, err := a.cfg.Provider.Snapshot()
-	if err != nil {
-		return err
-	}
-	a.mu.Lock()
+	defer a.mu.Unlock()
 	a.seq++
 	rec := s.Record(a.cfg.NodeID, a.seq)
-	a.buf = rec.Encode()
-	if a.ring != nil {
+	if to&toBuffer != 0 {
+		a.buf = rec.Encode()
+	}
+	if to&toRing != 0 && a.ring != nil {
 		a.ring.Push(&rec)
 	}
-	a.mu.Unlock()
-	return nil
-}
-
-// ringPush samples the machine and appends one record to the ring.
-// The ring's seqlock protects remote readers from tearing; local
-// writers (sampler tick vs. read-time push) serialize on a.mu.
-func (a *Agent) ringPush() {
-	s, err := a.cfg.Provider.Snapshot()
-	if err != nil {
-		return // transient sampling errors keep the old window
-	}
-	a.mu.Lock()
-	a.seq++
-	rec := s.Record(a.cfg.NodeID, a.seq)
-	a.ring.Push(&rec)
-	a.mu.Unlock()
+	return rec, nil
 }
 
 // ringWindow returns an atomic copy of the ring region. The seqlock
@@ -351,47 +320,11 @@ func (a *Agent) ringWindow() []byte {
 	return append([]byte(nil), a.ring.Bytes()...)
 }
 
-// startRingSampler fills the history window between reads (sync
-// schemes; the async schemes push from their refresher instead).
-func (a *Agent) startRingSampler() {
-	a.wg.Add(1)
-	go func() {
-		defer a.wg.Done()
-		t := time.NewTicker(a.cfg.Interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-a.stop:
-				return
-			case <-t.C:
-				a.ringPush()
-			}
-		}
-	}()
-}
-
 // snapshotBuf returns a copy of the shared buffer.
 func (a *Agent) snapshotBuf() []byte {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return append([]byte(nil), a.buf...)
-}
-
-func (a *Agent) startRefresher() {
-	a.wg.Add(1)
-	go func() {
-		defer a.wg.Done()
-		t := time.NewTicker(a.cfg.Interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-a.stop:
-				return
-			case <-t.C:
-				_ = a.refresh() // transient sampling errors keep the old record
-			}
-		}
-	}()
 }
 
 // Probe is the live front-end half: it fetches load records from one
@@ -483,36 +416,33 @@ func DialPooled(cp *ConnPool, addr string) (*Probe, error) {
 	p := &Probe{pool: cp, addr: addr}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	done, err := p.leaseLocked()
-	if err != nil {
-		return nil, err
-	}
-	err = p.handshake()
-	done(err)
-	if err != nil {
+	if _, err := leased(p, false, func() (struct{}, error) { return struct{}{}, p.handshake() }); err != nil {
 		return nil, err
 	}
 	return p, nil
 }
 
-// leaseLocked installs a pooled connection into p.conn for the
-// duration of one locked fetch sequence (a no-op returning a no-op
-// done for probes that own their connection). done must be called
-// with the sequence's final error before p.mu is released: an error
-// recycles the leased conn so the next fetch redials fresh.
-func (p *Probe) leaseLocked() (done func(error), err error) {
-	if p.pool == nil {
-		return func(error) {}, nil
+// leased runs one fetch sequence with p.mu held: a pooled probe leases
+// a connection into p.conn for the step and hands it back with the
+// step's error (an error recycles it, so the next fetch redials fresh);
+// a probe that owns its connection just runs the step. With retry, a
+// failed step runs again after a re-handshake (see rehandshakeRetry).
+func leased[T any](p *Probe, retry bool, step func() (T, error)) (v T, err error) {
+	if p.pool != nil {
+		l, lerr := p.pool.Get(p.addr, true)
+		if lerr != nil {
+			return v, lerr
+		}
+		p.conn = l.Conn
+		defer func() {
+			p.conn = nil
+			p.pool.Put(l, err)
+		}()
 	}
-	l, err := p.pool.Get(p.addr, true)
-	if err != nil {
-		return nil, err
+	if retry {
+		return rehandshakeRetry(p, step)
 	}
-	p.conn = l.Conn
-	return func(opErr error) {
-		p.conn = nil
-		p.pool.Put(l, opErr)
-	}, nil
+	return step()
 }
 
 // handshake queries the info endpoint and stores scheme + rkey.
@@ -608,27 +538,27 @@ func (p *Probe) Fetch() (wire.LoadRecord, error) {
 func (p *Probe) FetchVia() (wire.LoadRecord, core.Transport, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	done, lerr := p.leaseLocked()
-	if lerr != nil {
-		tr := core.TransportSocket
-		if p.scheme.UsesRDMA() {
-			tr = core.TransportRDMA
-		}
-		return wire.LoadRecord{}, tr, lerr
-	}
-	rec, tr, err := p.fetchViaLocked()
-	done(err)
+	tr := p.preferred()
+	rec, err := leased(p, false, func() (rec wire.LoadRecord, err error) {
+		rec, tr, err = p.fetchViaLocked()
+		return rec, err
+	})
 	return rec, tr, err
+}
+
+// preferred is the transport the agent's scheme serves records over.
+func (p *Probe) preferred() core.Transport {
+	if p.scheme.UsesRDMA() {
+		return core.TransportRDMA
+	}
+	return core.TransportSocket
 }
 
 // fetchViaLocked is FetchVia's body, run with p.mu held and (for
 // pooled probes) a leased connection installed in p.conn.
 func (p *Probe) fetchViaLocked() (wire.LoadRecord, core.Transport, error) {
 	if p.fo == nil || !p.scheme.UsesRDMA() {
-		tr := core.TransportSocket
-		if p.scheme.UsesRDMA() {
-			tr = core.TransportRDMA
-		}
+		tr := p.preferred()
 		rec, err := rehandshakeRetry(p, p.fetchLocked)
 		return rec, tr, err
 	}
@@ -701,13 +631,7 @@ func (p *Probe) FetchBurst(k int) ([]wire.LoadRecord, error) {
 	if k <= 0 {
 		k = 1
 	}
-	done, lerr := p.leaseLocked()
-	if lerr != nil {
-		return nil, lerr
-	}
-	recs, err := rehandshakeRetry(p, func() ([]wire.LoadRecord, error) { return p.burstLocked(k) })
-	done(err)
-	return recs, err
+	return leased(p, true, func() ([]wire.LoadRecord, error) { return p.burstLocked(k) })
 }
 
 func (p *Probe) burstLocked(k int) ([]wire.LoadRecord, error) {
@@ -766,12 +690,7 @@ func (p *Probe) FetchHistory() (wire.RingView, error) {
 	if p.ringK == 0 {
 		return wire.RingView{}, fmt.Errorf("livemon: agent publishes no history ring")
 	}
-	done, lerr := p.leaseLocked()
-	if lerr != nil {
-		return wire.RingView{}, lerr
-	}
-	v, err := rehandshakeRetry(p, p.historyLocked)
-	done(err)
+	v, err := leased(p, true, p.historyLocked)
 	if err != nil {
 		return wire.RingView{}, err
 	}

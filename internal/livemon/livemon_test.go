@@ -145,6 +145,7 @@ func TestConcurrentProbes(t *testing.T) {
 }
 
 func TestAgentCloseStopsRefresher(t *testing.T) {
+	leakCheck(t)
 	a, err := StartAgent(Config{Scheme: core.SocketAsync, Provider: synthetic(1), Interval: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)

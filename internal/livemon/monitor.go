@@ -14,29 +14,29 @@ import (
 // front-end monitoring process. It is safe for concurrent use.
 type Monitor struct {
 	interval time.Duration
+	weights  core.Weights
+	adaptive *AdaptiveConfig // nil when the layout is fixed-period
+	cpool    *ConnPool       // shared connection pool (nil when probes own conns)
+	loops    *loops          // one sweep loop per shard
 
-	mu        sync.RWMutex
-	probes    map[string]*Probe
-	last      map[string]wire.LoadRecord
-	lastAt    map[string]time.Time
-	errs      map[string]error
-	health    map[string]*core.HealthTracker
-	transport map[string]core.Transport
-	weights   core.Weights
+	mu      sync.RWMutex
+	targets map[string]*target
+	decayed uint64
+}
 
-	// Adaptive-period state (nil maps when the layout is fixed-period).
-	adaptive *AdaptiveConfig
-	ctrl     map[string]*core.PeriodController
-	obs      map[string]wire.LoadRecord
-	obsHas   map[string]bool
-	due      map[string]time.Time
-	decayed  uint64
-
-	cpool *ConnPool // shared connection pool (nil when probes own conns)
-
-	stop      chan struct{}
-	wg        sync.WaitGroup
-	closeOnce sync.Once
+// target is what the monitor keeps for one connected target. probe is
+// set at dial time and cleared only by Close, after the sweeps have
+// stopped; the other fields are guarded by Monitor.mu.
+type target struct {
+	probe     *Probe
+	health    core.HealthTracker
+	last      wire.LoadRecord
+	lastAt    time.Time // zero until the first record arrives
+	err       error     // the newest fetch's error, nil after a success
+	transport core.Transport
+	poll      core.AdaptivePoll // adaptive layouts only
+	due       time.Time         // adaptive layouts: when the next probe is due
+	skipped   int               // consecutive quarantine skips
 }
 
 // quarantineBackoff is how many poll ticks are skipped between probes
@@ -76,7 +76,7 @@ type AdaptiveConfig struct {
 	// Grow is the period multiplier per quiet poll (default 2).
 	Grow float64
 	// Threshold is the load-index delta that counts as change
-	// (default 0.05).
+	// (default core.DefaultChangeThreshold, 0.05).
 	Threshold float64
 	// LeaseValid, when set, reports whether this front-end still holds
 	// primaryship; losing it forces every target to the fast period so
@@ -92,7 +92,7 @@ func (c AdaptiveConfig) withDefaults(interval time.Duration) AdaptiveConfig {
 		c.Grow = 2
 	}
 	if c.Threshold <= 0 {
-		c.Threshold = 0.05
+		c.Threshold = core.DefaultChangeThreshold
 	}
 	return c
 }
@@ -105,56 +105,47 @@ func NewMonitor(targets []string, interval time.Duration) (*Monitor, map[string]
 }
 
 // NewMonitorCfg is NewMonitor with an explicit polling layout.
-func NewMonitorCfg(targets []string, cfg MonitorConfig) (*Monitor, map[string]error) {
+func NewMonitorCfg(addrs []string, cfg MonitorConfig) (*Monitor, map[string]error) {
 	interval := cfg.Interval
 	if interval <= 0 {
 		interval = 50 * time.Millisecond
 	}
 	m := &Monitor{
-		interval:  interval,
-		probes:    make(map[string]*Probe),
-		last:      make(map[string]wire.LoadRecord),
-		lastAt:    make(map[string]time.Time),
-		errs:      make(map[string]error),
-		health:    make(map[string]*core.HealthTracker),
-		transport: make(map[string]core.Transport),
-		weights:   core.DefaultWeights(),
-		stop:      make(chan struct{}),
+		interval: interval,
+		weights:  core.DefaultWeights(),
+		loops:    newLoops(),
+		targets:  make(map[string]*target),
 	}
 	if cfg.Adaptive != nil {
 		a := cfg.Adaptive.withDefaults(interval)
 		m.adaptive = &a
-		m.ctrl = make(map[string]*core.PeriodController)
-		m.obs = make(map[string]wire.LoadRecord)
-		m.obsHas = make(map[string]bool)
-		m.due = make(map[string]time.Time)
 	}
 	if cfg.Pool != nil {
 		m.cpool = NewConnPool(*cfg.Pool)
 	}
 	dialErrs := make(map[string]error)
-	var connected []string
-	for _, t := range targets {
+	var connected []*target
+	for _, addr := range addrs {
 		var p *Probe
 		var err error
 		if m.cpool != nil {
-			p, err = DialPooled(m.cpool, t)
+			p, err = DialPooled(m.cpool, addr)
 		} else {
-			p, err = Dial(t)
+			p, err = Dial(addr)
 		}
 		if err != nil {
-			dialErrs[t] = err
+			dialErrs[addr] = err
 			continue
 		}
-		m.probes[t] = p
-		m.health[t] = &core.HealthTracker{}
+		t := &target{probe: p}
 		if m.adaptive != nil {
-			m.ctrl[t] = &core.PeriodController{Cfg: core.PeriodConfig{
+			t.poll.Ctrl.Cfg = core.PeriodConfig{
 				Min:  sim.Time(interval),
 				Max:  sim.Time(m.adaptive.Max),
 				Grow: m.adaptive.Grow,
-			}}
+			}
 		}
+		m.targets[addr] = t
 		connected = append(connected, t)
 	}
 	s := cfg.Shards
@@ -162,78 +153,87 @@ func NewMonitorCfg(targets []string, cfg MonitorConfig) (*Monitor, map[string]er
 		s = len(connected)
 	}
 	for i := 0; i < s; i++ {
-		lo := i * len(connected) / s
-		hi := (i + 1) * len(connected) / s
-		m.wg.Add(1)
-		go m.shardPoll(connected[lo:hi])
+		shard := connected[i*len(connected)/s : (i+1)*len(connected)/s]
+		m.loops.every(interval, true, func() { m.sweep(shard) })
 	}
 	return m, dialErrs
 }
 
-// fetchOne issues one fetch against a target and folds the outcome
-// into the shared maps.
-func (m *Monitor) fetchOne(target string, p *Probe) {
-	rdma := p.Scheme().UsesRDMA()
-	rec, tr, err := p.FetchVia()
+// sweep fetches a slice of the fleet in turn — the live analogue of one
+// simulated monitor shard's sweep. The first sweep runs at start and
+// fetches every target: a fresh tracker is Healthy and a zero due
+// instant has passed.
+func (m *Monitor) sweep(shard []*target) {
+	for _, t := range shard {
+		if m.loops.stopped() {
+			return
+		}
+		if !m.skip(t) {
+			m.fetchOne(t)
+		}
+	}
+}
+
+// skip reports whether a target sits this sweep out: a quarantined
+// target is probed only every quarantineBackoff-th sweep (each attempt
+// at a dead host costs a full deadline), and under the adaptive layout
+// a target is probed only once its period has elapsed.
+func (m *Monitor) skip(t *target) bool {
 	m.mu.Lock()
-	ht := m.health[target]
-	if err != nil {
-		m.errs[target] = err
-		ht.Fail()
+	defer m.mu.Unlock()
+	if t.health.State() == core.Quarantined {
+		t.skipped++
+		if t.skipped%quarantineBackoff != 0 {
+			return true
+		}
 	} else {
-		delete(m.errs, target)
-		m.last[target] = rec
-		m.lastAt[target] = time.Now()
-		m.transport[target] = tr
+		t.skipped = 0
+	}
+	if m.adaptive != nil && time.Now().Before(t.due) {
+		m.decayed++
+		return true
+	}
+	return false
+}
+
+// fetchOne issues one fetch against a target and folds the outcome into
+// its record.
+func (m *Monitor) fetchOne(t *target) {
+	rdma := t.probe.Scheme().UsesRDMA()
+	rec, tr, err := t.probe.FetchVia()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	t.err = err
+	var seen *wire.LoadRecord
+	if err != nil {
+		t.health.Fail()
+	} else {
+		t.last, t.lastAt, t.transport = rec, time.Now(), tr
+		seen = &t.last
 		if rdma && tr == core.TransportSocket {
 			// Alive, but only over the standby channel: Degraded
 			// keeps it dispatchable without calling it Healthy.
-			ht.DegradedOK()
+			t.health.DegradedOK()
 		} else {
-			ht.OK()
+			t.health.OK()
 		}
 	}
-	if m.adaptive != nil {
+	if a := m.adaptive; a != nil {
 		// A failed fetch counts as change: trouble must restore the
 		// fast sweep, never decay away from it.
-		changed := err != nil || !m.obsHas[target]
-		if !changed {
-			obs := m.obs[target]
-			changed = core.LoadDelta(&rec, &obs) >= m.adaptive.Threshold
-		}
-		if err == nil {
-			m.obs[target] = rec
-			m.obsHas[target] = true
-		}
-		leaseHeld := m.adaptive.LeaseValid == nil || m.adaptive.LeaseValid()
-		period := m.ctrl[target].Observe(changed, ht.State(), leaseHeld)
-		m.due[target] = time.Now().Add(time.Duration(period))
+		leaseHeld := a.LeaseValid == nil || a.LeaseValid()
+		period := t.poll.Observe(seen, a.Threshold, t.health.State(), leaseHeld)
+		t.due = time.Now().Add(time.Duration(period))
 	}
-	m.mu.Unlock()
-}
-
-// dueNow reports whether the adaptive controller allows a probe of
-// target this tick (always true in fixed-period layouts).
-func (m *Monitor) dueNow(target string) bool {
-	if m.adaptive == nil {
-		return true
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if time.Now().Before(m.due[target]) {
-		m.decayed++
-		return false
-	}
-	return true
 }
 
 // ProbePeriod returns the adaptive controller's current period for a
 // target (the base interval when the layout is fixed-period).
-func (m *Monitor) ProbePeriod(target string) time.Duration {
+func (m *Monitor) ProbePeriod(addr string) time.Duration {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	if c := m.ctrl[target]; c != nil {
-		return time.Duration(c.Period())
+	if t := m.targets[addr]; t != nil && m.adaptive != nil {
+		return time.Duration(t.poll.Period())
 	}
 	return m.interval
 }
@@ -246,113 +246,70 @@ func (m *Monitor) Decayed() uint64 {
 	return m.decayed
 }
 
-// quarantineSkip reports whether a quarantined target's probe should
-// be skipped this tick (presumed-dead targets are checked at 1/4 rate;
-// each attempt still costs a full deadline if it's gone). skipped is
-// the target's consecutive-skip counter, maintained by the caller.
-func (m *Monitor) quarantineSkip(target string, skipped *int) bool {
-	m.mu.RLock()
-	quarantined := m.health[target].State() == core.Quarantined
-	m.mu.RUnlock()
-	if !quarantined {
-		*skipped = 0
-		return false
-	}
-	*skipped++
-	return *skipped%quarantineBackoff != 0
-}
-
-// shardPoll sweeps a slice of the fleet sequentially each tick — the
-// live analogue of one simulated monitor shard. The first sweep runs at
-// once and fetches every target: a fresh tracker is Healthy and a zero
-// due instant has passed.
-func (m *Monitor) shardPoll(targets []string) {
-	defer m.wg.Done()
-	tick := time.NewTicker(m.interval)
-	defer tick.Stop()
-	skipped := make(map[string]int, len(targets))
-	sweep := func() {
-		for _, t := range targets {
-			select {
-			case <-m.stop:
-				return
-			default:
-			}
-			skip := skipped[t]
-			if m.quarantineSkip(t, &skip) {
-				skipped[t] = skip
-				continue
-			}
-			skipped[t] = skip
-			if !m.dueNow(t) {
-				continue
-			}
-			m.fetchOne(t, m.probes[t])
-		}
-	}
-	sweep()
-	for {
-		select {
-		case <-m.stop:
-			return
-		case <-tick.C:
-			sweep()
-		}
-	}
-}
-
 // ArmFailover arms a transport breaker on every connected probe (see
 // Probe.SetFailover; socket-scheme probes ignore it).
 func (m *Monitor) ArmFailover(cfg core.FailoverConfig) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	for _, p := range m.probes {
-		p.SetFailover(cfg)
+	for _, t := range m.targets {
+		if t.probe != nil {
+			t.probe.SetFailover(cfg)
+		}
 	}
 }
 
 // Transport reports which transport served a target's newest record
 // (meaningful once Latest returns ok).
-func (m *Monitor) Transport(target string) core.Transport {
+func (m *Monitor) Transport(addr string) core.Transport {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	return m.transport[target]
+	if t := m.targets[addr]; t != nil {
+		return t.transport
+	}
+	return 0
 }
 
 // Probe returns the monitor's probe for a target (nil if unknown);
 // tests use it to inspect breaker state.
-func (m *Monitor) Probe(target string) *Probe {
+func (m *Monitor) Probe(addr string) *Probe {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	return m.probes[target]
+	if t := m.targets[addr]; t != nil {
+		return t.probe
+	}
+	return nil
 }
 
 // Health returns the probe-driven health state of a target; unknown
 // targets report Quarantined.
-func (m *Monitor) Health(target string) core.Health {
+func (m *Monitor) Health(addr string) core.Health {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	ht := m.health[target]
-	if ht == nil {
-		return core.Quarantined
+	if t := m.targets[addr]; t != nil {
+		return t.health.State()
 	}
-	return ht.State()
+	return core.Quarantined
 }
 
 // Latest returns the newest record for a target.
-func (m *Monitor) Latest(target string) (wire.LoadRecord, time.Time, bool) {
+func (m *Monitor) Latest(addr string) (wire.LoadRecord, time.Time, bool) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	rec, ok := m.last[target]
-	return rec, m.lastAt[target], ok
+	if t := m.targets[addr]; t != nil && !t.lastAt.IsZero() {
+		return t.last, t.lastAt, true
+	}
+	return wire.LoadRecord{}, time.Time{}, false
 }
 
 // Err returns the target's most recent fetch error, if its last fetch
 // failed.
-func (m *Monitor) Err(target string) error {
+func (m *Monitor) Err(addr string) error {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	return m.errs[target]
+	if t := m.targets[addr]; t != nil {
+		return t.err
+	}
+	return nil
 }
 
 // LeastLoaded returns the connected target with the smallest load
@@ -366,15 +323,13 @@ func (m *Monitor) LeastLoaded() string {
 	pick := func(requireEligible bool) string {
 		best := ""
 		bestIdx := 0.0
-		for t, rec := range m.last {
-			if requireEligible {
-				if ht := m.health[t]; ht != nil && !ht.State().Eligible() {
-					continue
-				}
+		for addr, t := range m.targets {
+			if t.lastAt.IsZero() || requireEligible && !t.health.State().Eligible() {
+				continue
 			}
-			idx := m.weights.Index(rec)
+			idx := m.weights.IndexOf(&t.last)
 			if best == "" || idx < bestIdx {
-				best, bestIdx = t, idx
+				best, bestIdx = addr, idx
 			}
 		}
 		return best
@@ -389,9 +344,11 @@ func (m *Monitor) LeastLoaded() string {
 func (m *Monitor) Targets() []string {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	out := make([]string, 0, len(m.probes))
-	for t := range m.probes {
-		out = append(out, t)
+	out := make([]string, 0, len(m.targets))
+	for addr, t := range m.targets {
+		if t.probe != nil {
+			out = append(out, addr)
+		}
 	}
 	return out
 }
@@ -405,17 +362,16 @@ func (m *Monitor) ConnPool() *ConnPool { return m.cpool }
 // pool. Idempotent and safe for concurrent use: every caller returns
 // only after teardown has completed exactly once.
 func (m *Monitor) Close() {
-	m.closeOnce.Do(func() {
-		close(m.stop)
-		m.wg.Wait()
+	m.loops.close(func() error {
 		m.mu.Lock()
-		for _, p := range m.probes {
-			p.Close()
+		for _, t := range m.targets {
+			t.probe.Close()
+			t.probe = nil
 		}
-		m.probes = map[string]*Probe{}
 		m.mu.Unlock()
 		if m.cpool != nil {
 			m.cpool.Close()
 		}
+		return nil
 	})
 }

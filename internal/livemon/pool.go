@@ -3,7 +3,6 @@ package livemon
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"rdmamon/internal/connpool"
@@ -37,12 +36,9 @@ type PoolConfig struct {
 // and per-target dial breakers. Safe for concurrent use; Close is
 // idempotent and releases every pooled connection.
 type ConnPool struct {
-	cfg  PoolConfig
-	pool *connpool.Pool[string, *tcpverbs.Conn]
-
-	closeOnce sync.Once
-	stop      chan struct{}
-	wg        sync.WaitGroup
+	cfg   PoolConfig
+	pool  *connpool.Pool[string, *tcpverbs.Conn]
+	loops *loops // the idle-GC loop, when configured
 }
 
 // NewConnPool builds the pool and, when idle GC is configured, starts
@@ -54,7 +50,7 @@ func NewConnPool(cfg PoolConfig) *ConnPool {
 	p := connpool.New[string, *tcpverbs.Conn](cfg.Config,
 		func() int64 { return time.Now().UnixNano() })
 	p.OnClose = func(_ string, c *tcpverbs.Conn) { c.Close() }
-	cp := &ConnPool{cfg: cfg, pool: p, stop: make(chan struct{})}
+	cp := &ConnPool{cfg: cfg, pool: p, loops: newLoops()}
 	if cfg.IdleAfterNS > 0 {
 		every := cfg.GCEvery
 		if every <= 0 {
@@ -63,20 +59,7 @@ func NewConnPool(cfg PoolConfig) *ConnPool {
 		if every < 10*time.Millisecond {
 			every = 10 * time.Millisecond
 		}
-		cp.wg.Add(1)
-		go func() {
-			defer cp.wg.Done()
-			t := time.NewTicker(every)
-			defer t.Stop()
-			for {
-				select {
-				case <-cp.stop:
-					return
-				case <-t.C:
-					p.GC()
-				}
-			}
-		}()
+		cp.loops.every(every, false, p.GC)
 	}
 	return cp
 }
@@ -131,9 +114,8 @@ func (cp *ConnPool) Pool() *connpool.Pool[string, *tcpverbs.Conn] { return cp.po
 // Idempotent and safe for concurrent use: every caller returns only
 // after teardown has completed once.
 func (cp *ConnPool) Close() {
-	cp.closeOnce.Do(func() {
-		close(cp.stop)
-		cp.wg.Wait()
+	cp.loops.close(func() error {
 		cp.pool.Close()
+		return nil
 	})
 }

@@ -108,6 +108,24 @@ func TestMonitorCloseIdempotent(t *testing.T) {
 	}
 }
 
+// closeConcurrently closes from four goroutines at once, then twice
+// more: no panic, no deadlock, and the later calls agree.
+func closeConcurrently(t *testing.T, close func() error) {
+	t.Helper()
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			close()
+		}()
+	}
+	wg.Wait()
+	if e1, e2 := close(), close(); e1 != e2 {
+		t.Fatalf("repeated Close changed its answer: %v then %v", e1, e2)
+	}
+}
+
 // TestAgentCloseIdempotent double-closes an agent concurrently; the
 // verbs listener must tear down exactly once with no panic.
 func TestAgentCloseIdempotent(t *testing.T) {
@@ -116,18 +134,25 @@ func TestAgentCloseIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			a.Close()
-		}()
+	closeConcurrently(t, a.Close)
+}
+
+// TestPushAndClaimCloseIdempotent does the same to the push host, a
+// pusher and a claim client.
+func TestPushAndClaimCloseIdempotent(t *testing.T) {
+	leakCheck(t)
+	h, err := StartPushHost("127.0.0.1:0", []uint16{1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	wg.Wait()
-	if e1, e2 := a.Close(), a.Close(); e1 != e2 {
-		t.Fatalf("repeated Close changed its answer: %v then %v", e1, e2)
+	p, err := StartPusher(PusherConfig{Target: h.Addr(), NodeID: 1, Provider: synthetic(1), Check: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
 	}
+	l := dialClaims(t, startWitness(t, 1).Addr(), 1, 0, claimTestCfg())
+	closeConcurrently(t, p.Close)
+	closeConcurrently(t, h.Close)
+	closeConcurrently(t, l.Close)
 }
 
 // TestPooledProbeFailover checks that a pooled probe still runs the

@@ -30,9 +30,10 @@ type PushHost struct {
 	slots  map[uint16]*tcpverbs.MR
 	last   map[uint16]wire.PushRecord
 	lastAt map[uint16]time.Time
-	closed bool
 
 	received, torn uint64
+
+	loops *loops // runs none; owns the host's one teardown
 }
 
 // StartPushHost listens on addr and registers a writable slot for each
@@ -50,6 +51,7 @@ func StartPushHost(addr string, nodes []uint16) (*PushHost, error) {
 		slots:  make(map[uint16]*tcpverbs.MR),
 		last:   make(map[uint16]wire.PushRecord),
 		lastAt: make(map[uint16]time.Time),
+		loops:  newLoops(),
 	}
 	for _, n := range nodes {
 		h.registerSlot(n)
@@ -154,21 +156,19 @@ func (h *PushHost) InvalidateSlot(node uint16, repin time.Duration) {
 	}
 	time.AfterFunc(repin, func() {
 		h.mu.Lock()
-		closed, exists := h.closed, h.slots[node] != nil
+		exists := h.slots[node] != nil
 		h.mu.Unlock()
-		if closed || exists {
+		if h.loops.stopped() || exists {
 			return
 		}
 		h.registerSlot(node)
 	})
 }
 
-// Close stops the host.
+// Close stops the host. Idempotent and safe for concurrent use; every
+// caller observes the first teardown's error.
 func (h *PushHost) Close() error {
-	h.mu.Lock()
-	h.closed = true
-	h.mu.Unlock()
-	return h.verbs.Close()
+	return h.loops.close(h.verbs.Close)
 }
 
 // PusherConfig configures a live delta pusher.
@@ -178,7 +178,7 @@ type PusherConfig struct {
 	Provider procfs.Provider
 
 	// Threshold is the load-index delta that triggers a push
-	// (default 0.05).
+	// (default core.DefaultChangeThreshold, 0.05).
 	Threshold float64
 	// Check is the local sampling period (default 50ms). Sampling is
 	// local and cheap; only crossings of Threshold cost a write.
@@ -190,7 +190,7 @@ type PusherConfig struct {
 
 func (c PusherConfig) withDefaults() PusherConfig {
 	if c.Threshold <= 0 {
-		c.Threshold = 0.05
+		c.Threshold = core.DefaultChangeThreshold
 	}
 	if c.Check <= 0 {
 		c.Check = 50 * time.Millisecond
@@ -223,8 +223,7 @@ type Pusher struct {
 
 	pushes, skips, errors, rekeys uint64
 
-	stop chan struct{}
-	wg   sync.WaitGroup
+	loops *loops // the sampling loop
 }
 
 // StartPusher dials the push host, discovers this node's slot key and
@@ -235,13 +234,12 @@ func StartPusher(cfg PusherConfig) (*Pusher, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &Pusher{cfg: cfg, conn: conn, stop: make(chan struct{})}
+	p := &Pusher{cfg: cfg, conn: conn, loops: newLoops()}
 	if err := p.rekey(); err != nil {
 		conn.Close()
 		return nil, err
 	}
-	p.wg.Add(1)
-	go p.loop()
+	p.loops.every(cfg.Check, false, p.check)
 	return p, nil
 }
 
@@ -260,20 +258,6 @@ func (p *Pusher) rekey() error {
 	p.key = binary.BigEndian.Uint32(reply)
 	p.mu.Unlock()
 	return nil
-}
-
-func (p *Pusher) loop() {
-	defer p.wg.Done()
-	t := time.NewTicker(p.cfg.Check)
-	defer t.Stop()
-	for {
-		select {
-		case <-p.stop:
-			return
-		case <-t.C:
-			p.check()
-		}
-	}
 }
 
 // check samples the machine and pushes if the delta contract says so.
@@ -333,13 +317,8 @@ func (p *Pusher) Stats() (pushes, skips, errors, rekeys uint64) {
 	return p.pushes, p.skips, p.errors, p.rekeys
 }
 
-// Close stops the pusher.
+// Close stops the pusher. Idempotent and safe for concurrent use; every
+// caller observes the first teardown's error.
 func (p *Pusher) Close() error {
-	select {
-	case <-p.stop:
-	default:
-		close(p.stop)
-	}
-	p.wg.Wait()
-	return p.conn.Close()
+	return p.loops.close(p.conn.Close)
 }

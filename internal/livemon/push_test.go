@@ -27,6 +27,7 @@ func waitFor(t *testing.T, d time.Duration, cond func() bool, what string) {
 // threshold lands delta records in the host's aggregation slot via the
 // one-sided write verb; the host application serves nothing per push.
 func TestPushHostReceivesDeltas(t *testing.T) {
+	leakCheck(t)
 	h, err := StartPushHost("127.0.0.1:0", []uint16{7})
 	if err != nil {
 		t.Fatal(err)
@@ -190,6 +191,7 @@ func TestPushHostAcceptsRestartedPusher(t *testing.T) {
 // TestAgentStartsPusher: Config.Push wires the delta pusher into the
 // live agent, inheriting its node id and provider.
 func TestAgentStartsPusher(t *testing.T) {
+	leakCheck(t)
 	h, err := StartPushHost("127.0.0.1:0", []uint16{9})
 	if err != nil {
 		t.Fatal(err)
@@ -217,6 +219,7 @@ func TestAgentStartsPusher(t *testing.T) {
 // the ceiling; a load jump snaps it back to the base interval within a
 // cycle or two.
 func TestMonitorAdaptivePeriod(t *testing.T) {
+	leakCheck(t)
 	prov := synthetic(1)
 	a, err := StartAgent(Config{Scheme: core.RDMASync, NodeID: 4, Provider: prov})
 	if err != nil {
