@@ -1,7 +1,8 @@
 # Repo-local CI. `make ci` is the gate a change must pass before it
-# lands: vet (which also fails on any file gofmt would change), build, the full suite under the race detector with
-# shuffled test order, a short smoke run of every fuzzer, and
-# chaos/HA-harness smokes across a few random fault plans.
+# lands: vet (which also fails on any file gofmt would change), build,
+# the full suite under the race detector with shuffled test order, a
+# short smoke run of every fuzzer, and chaos/HA-harness smokes across a
+# few random fault plans.
 
 GO      ?= go
 FUZZTIME ?= 10s

@@ -155,9 +155,6 @@ func (a *AdaptivePoll) decide(rec *wire.LoadRecord, changed bool, h Health, leas
 	return a.Ctrl.Observe(changed, h, leaseHeld)
 }
 
-// Period returns the current poll period (see PeriodController.Period).
-func (a *AdaptivePoll) Period() sim.Time { return a.Ctrl.Period() }
-
 // HybridConfig shapes the hybrid push/pull scheme.
 type HybridConfig struct {
 	// Threshold is the weighted-index movement that counts as a change,

@@ -180,8 +180,8 @@ func TestAdaptivePollDecisions(t *testing.T) {
 		} else {
 			got = a.ObserveRate(c.rec, c.rate, c.th, c.h, c.lease)
 		}
-		if got != c.want || a.Period() != c.want {
-			t.Errorf("%s: period %v (Period %v), want %v", c.name, got, a.Period(), c.want)
+		if got != c.want || a.Ctrl.Period() != c.want {
+			t.Errorf("%s: period %v (Period %v), want %v", c.name, got, a.Ctrl.Period(), c.want)
 		}
 		if !a.has || a.obs != c.wantObs {
 			t.Errorf("%s: kept seq=%d conns=%d has=%v, want seq=%d conns=%d",

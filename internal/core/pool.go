@@ -52,7 +52,7 @@ func (m *Monitor) hotBackend(id int) bool {
 		// The hybrid period controller already computes volatility:
 		// a decayed period means the back-end is quiet and its
 		// effective-staleness bound is correspondingly relaxed.
-		return st.Period() <= m.cfg.Hybrid.Period.Min
+		return st.Ctrl.Period() <= m.cfg.Hybrid.Period.Min
 	}
 	// Fixed-period monitor: every back-end carries the same SLO.
 	return true
@@ -65,7 +65,7 @@ func (m *Monitor) hotBackend(id int) bool {
 // hybrid engine the back-end simply retries next sweep.
 func (m *Monitor) deferProbe(id int) {
 	if st := m.hybrid(id); st != nil {
-		m.due[id] = m.front.Eng.Now() + st.Period()
+		m.due[id] = m.front.Eng.Now() + st.Ctrl.Period()
 	}
 }
 

@@ -983,7 +983,7 @@ func (m *Monitor) ProbePeriod(backend int) sim.Time {
 	if st == nil {
 		return 0
 	}
-	return st.Period()
+	return st.Ctrl.Period()
 }
 
 // SetProbeTimeout bounds every back-end's probe by d (0 disables).

@@ -233,7 +233,7 @@ func (m *Monitor) ProbePeriod(addr string) time.Duration {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	if t := m.targets[addr]; t != nil && m.adaptive != nil {
-		return time.Duration(t.poll.Period())
+		return time.Duration(t.poll.Ctrl.Period())
 	}
 	return m.interval
 }
