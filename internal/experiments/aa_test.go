@@ -10,7 +10,8 @@ import (
 // its first seed internally — chaos run AND both throughput runs — and
 // compares fingerprints; a mismatch surfaces as an A5 violation row,
 // which the Failed check below would catch). Zero invariant violations
-// is part of the golden contract.
+// is part of the golden contract, and so is the table's digest as
+// captured from an earlier tree.
 func TestAADeterministicGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow experiment; skipped with -short")
@@ -25,7 +26,9 @@ func TestAADeterministicGolden(t *testing.T) {
 		}
 		return res
 	}
-	diffResults(t, "aa", run(), run())
+	first := run()
+	diffResults(t, "aa", first, run())
+	pinDigest(t, "aa", first, 0x2678c32e41f01724)
 }
 
 // TestAAQuickInvariants sweeps a couple of quick random claim-stall
@@ -47,6 +50,7 @@ func TestAAQuickInvariants(t *testing.T) {
 	if len(res.Rows) != 2 {
 		t.Fatalf("rows = %d, want one per seed", len(res.Rows))
 	}
+	pinDigest(t, "aa-quick", res, 0xfcd2e8ff0d0548ec)
 }
 
 // TestAAThreeReplicaFloor pins the non-default replica count path: a
@@ -63,4 +67,5 @@ func TestAAThreeReplicaFloor(t *testing.T) {
 	if res.Failed {
 		t.Fatalf("invariant violations with 3 front-ends:\n%v", res.Notes)
 	}
+	pinDigest(t, "aa-3fe", res, 0xd9b2fb17a0b67c4e)
 }

@@ -25,7 +25,9 @@ func TestChaosDeterministicGolden(t *testing.T) {
 		}
 		return res
 	}
-	diffResults(t, "chaos", run(), run())
+	first := run()
+	diffResults(t, "chaos", first, run())
+	pinDigest(t, "chaos", first, 0x571d5f790590de75)
 }
 
 // TestChaosQuickInvariants sweeps a couple of quick random fault plans
@@ -47,4 +49,5 @@ func TestChaosQuickInvariants(t *testing.T) {
 	if len(res.Rows) != 2 {
 		t.Fatalf("rows = %d, want one per seed", len(res.Rows))
 	}
+	pinDigest(t, "chaos-quick", res, 0x30101071bc3b3dca)
 }

@@ -14,6 +14,16 @@ func digestResult(r *Result) uint64 {
 	return h.Sum64()
 }
 
+// pinDigest fails t when r's digest differs from the one captured from
+// an earlier tree: the cross-commit pin for a harness or scenario
+// result the test already computed.
+func pinDigest(t *testing.T, name string, r *Result, want uint64) {
+	t.Helper()
+	if got := digestResult(r); got != want {
+		t.Errorf("%s: result digest 0x%016x, want golden 0x%016x — the output changed", name, got, want)
+	}
+}
+
 // TestPaperGoldenDigests pins every paper artifact across commits: the
 // quick, default-seed Result of fig3–fig9, table1 and the admit, push
 // and reconfig extensions, plus the two runs of the hybrid push/pull

@@ -25,7 +25,9 @@ func TestHADeterministicGolden(t *testing.T) {
 		}
 		return res
 	}
-	diffResults(t, "ha", run(), run())
+	first := run()
+	diffResults(t, "ha", first, run())
+	pinDigest(t, "ha", first, 0x93ab2e6072f76dfb)
 }
 
 // TestHAQuickInvariants sweeps a couple of quick random fault plans
@@ -46,4 +48,5 @@ func TestHAQuickInvariants(t *testing.T) {
 	if len(res.Rows) != 2 {
 		t.Fatalf("rows = %d, want one per seed", len(res.Rows))
 	}
+	pinDigest(t, "ha-quick", res, 0x65c2eceff1b8127a)
 }

@@ -35,6 +35,7 @@ func TestScenarioAssertionPassAndFail(t *testing.T) {
 	if !strings.Contains(joined, "PASS: base served") || !strings.Contains(joined, "all 1 assertion(s) passed") {
 		t.Fatalf("missing pass verdicts in notes: %q", joined)
 	}
+	pinDigest(t, "tiny-pass", res, 0x633ecfb0a45ec79d)
 
 	res, err = RunScenario(tinyScenario(1e12), Options{})
 	if err != nil {
@@ -46,6 +47,7 @@ func TestScenarioAssertionPassAndFail(t *testing.T) {
 	if !strings.Contains(strings.Join(res.Notes, "\n"), "FAIL: base served") {
 		t.Fatalf("missing fail verdict in notes: %+v", res.Notes)
 	}
+	pinDigest(t, "tiny-fail", res, 0xcce4902b51dbef12)
 }
 
 // TestScenarioVariantsDigestDeterminism: the same scenario run twice
@@ -74,6 +76,7 @@ func TestScenarioVariantsDigestDeterminism(t *testing.T) {
 			t.Fatalf("row %d diverged across identical runs:\n%v\n%v", i, a.Rows[i], b.Rows[i])
 		}
 	}
+	pinDigest(t, "tiny-variants", a, 0x8aebc3fc1c8f032b)
 }
 
 // TestScenarioHeteroStudy runs the curated heterogeneous-fleet
@@ -91,6 +94,7 @@ func TestScenarioHeteroStudy(t *testing.T) {
 	if res.Failed {
 		t.Fatalf("hetero study assertions failed:\n%s", strings.Join(res.Notes, "\n"))
 	}
+	pinDigest(t, "hetero-dispatch", res, 0x1a0ced2ef2a1877a)
 }
 
 // TestScenarioChecksRouting: checks scenarios run through the chaos/ha
@@ -109,4 +113,5 @@ func TestScenarioChecksRouting(t *testing.T) {
 	if res.Failed {
 		t.Fatalf("builtin chaos scenario violated invariants:\n%s", strings.Join(res.Notes, "\n"))
 	}
+	pinDigest(t, "chaos-scenario", res, 0x7f25e85ac9efe530)
 }
