@@ -54,15 +54,17 @@ chaos-smoke:
 	$(GO) run ./cmd/rmbench -exp chaos -quick -seeds 3
 
 # Front-end HA under front-end crash/freeze/partition plans: one-shard
-# claim safety (no split-brain), epoch fencing and bounded takeover asserted,
-# non-zero exit on any violation.
+# claim safety (no split-brain), epoch fencing, bounded takeover and zero
+# back-end tasks asserted by the claim audit aa shares (H1-H4 = A1-A2 at
+# one shard, no VacantGrace term), non-zero exit on any violation.
 ha-smoke:
 	$(GO) run ./cmd/rmbench -exp ha -quick -seeds 3
 
 # Active-active dispatch under a claim-stall fault plan: zero
-# double-dispatch, bounded orphan reclamation, >= 2x single-primary
-# throughput and per-front-end fairness asserted, non-zero exit on
-# any violation.
+# double-dispatch, bounded orphan reclamation (ExpireAfter + VacantGrace
+# + 8 check cycles) and zero back-end tasks from the claim audit ha
+# shares, plus >= 2x single-primary throughput and per-front-end
+# fairness, non-zero exit on any violation.
 aa-smoke:
 	$(GO) run ./cmd/rmbench -exp aa -quick -seeds 1
 

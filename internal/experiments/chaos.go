@@ -38,7 +38,7 @@ const (
 
 // ChaosPoint is one seed's run under a randomized fault plan.
 type ChaosPoint struct {
-	Seed                      int64
+	runAudit                      // seed, violations, I5 replay fingerprint
 	CrashN, LinkN, PartN, MRN int // plan shape
 
 	Trips, FailBacks uint64 // breaker transitions across the fleet
@@ -51,11 +51,6 @@ type ChaosPoint struct {
 
 	HybPushes    uint64  // delta pushes the hybrid twin's agents posted
 	HybStaleMaxT float64 // twin's worst undisturbed record age (I6)
-
-	Violations []string // invariant violations (empty = pass)
-	ViolationN int      // total count (Violations is capped)
-
-	Fingerprint string // deterministic run digest (I5 replay check)
 }
 
 // ChaosData holds the per-seed results.
@@ -98,26 +93,8 @@ func Chaos(o Options) *ChaosData {
 // (via BuiltinChaos, bit-identical plans) and `-scenario` files with
 // `checks: chaos`.
 func chaosScenario(cp *scenario.Compiled, o Options) *ChaosData {
-	n := o.Seeds
-	if n <= 0 {
-		n = cp.Points(0)
-	}
-	base := cp.BaseSeed(o.Seed)
-	d := &ChaosData{Points: make([]ChaosPoint, n)}
-	forEach(o, n, func(i int) {
-		seed := cp.SeedAt(base, i)
-		pt := chaosPoint(cp, seed)
-		if i == 0 {
-			replay := chaosPoint(cp, seed)
-			if replay.Fingerprint != pt.Fingerprint {
-				pt.Violations = append(pt.Violations,
-					fmt.Sprintf("I5 determinism: replay of seed %d diverged", seed))
-				pt.ViolationN++
-			}
-		}
-		d.Points[i] = pt
-	})
-	return d
+	return &ChaosData{Points: sweepSeeds(o, cp.Points(o.Seeds), cp.BaseSeed(o.Seed), "I5",
+		func(seed int64) ChaosPoint { return chaosPoint(cp, seed) })}
 }
 
 func chaosPoint(cp *scenario.Compiled, seed int64) ChaosPoint {
@@ -143,19 +120,37 @@ func chaosPoint(cp *scenario.Compiled, seed int64) ChaosPoint {
 	hyb := chaosHybridTwin(cp, seed, plan)
 	pt.HybPushes = hyb.pushes
 	pt.HybStaleMaxT = float64(hyb.staleMax) / float64(poll)
-	pt.Violations = append(pt.Violations, hyb.violations...)
-	pt.ViolationN += hyb.violationN
-	pt.Fingerprint += " " + hyb.digest
+	pt.Violations = append(pt.Violations, hyb.Violations...)
+	pt.ViolationN += hyb.ViolationN
+	pt.Fingerprint += " " + hyb.Fingerprint
 	return pt
 }
 
-// hybridTwinStats is what the I6 twin run reports back.
+// hybridTwinStats is what the I6 twin run reports back; its
+// Fingerprint is the twin's digest.
 type hybridTwinStats struct {
-	pushes     uint64
-	staleMax   sim.Time
-	violations []string
-	violationN int
-	digest     string
+	runAudit
+	pushes   uint64
+	staleMax sim.Time
+}
+
+// staleAudit is the staleness sampler callback of I2 and I6: a
+// back-end with no record, or with one older than chaosStaleSLO
+// periods, is a violation named inv; *worst tracks the oldest record.
+func staleAudit(a *runAudit, inv string, poll sim.Time, worst *sim.Time) func(now sim.Time, b int, age sim.Time, ok bool) {
+	slo := sim.Time(chaosStaleSLO) * poll
+	return func(now sim.Time, b int, age sim.Time, ok bool) {
+		if !ok {
+			a.violate("%s staleness: node %d has no record by %v", inv, b, now)
+			return
+		}
+		if age > *worst {
+			*worst = age
+		}
+		if age > slo {
+			a.violate("%s staleness: node %d record is %v old at %v", inv, b, age, now)
+		}
+	}
 }
 
 // chaosHybridTwin replays the seed's fault plan against a cluster
@@ -177,56 +172,10 @@ func chaosHybridTwin(cp *scenario.Compiled, seed int64, plan faults.Plan) hybrid
 		Check:     poll,
 	}
 	c := cluster.New(cfg)
-	in := c.ApplyFaults(plan)
+	down := trackDown(c.Eng, c.ApplyFaults(plan))
 
 	st := hybridTwinStats{}
-	violate := func(format string, args ...any) {
-		st.violationN++
-		if len(st.violations) < 8 {
-			st.violations = append(st.violations, fmt.Sprintf(format, args...))
-		}
-	}
-
-	eng := c.Eng
-	down := make(map[int]bool)
-	prevCrash, prevRestart := in.OnCrash, in.OnRestart
-	in.OnCrash = func(node int) {
-		if prevCrash != nil {
-			prevCrash(node)
-		}
-		down[node] = true
-	}
-	in.OnRestart = func(node int) {
-		if prevRestart != nil {
-			prevRestart(node)
-		}
-		down[node] = false
-	}
-
-	warmup := 20 * poll
-	stale := sim.Time(chaosStaleSLO) * poll
-	ticker := eng.NewTicker(poll, func() {
-		now := eng.Now()
-		if now < warmup {
-			return
-		}
-		for _, b := range c.Monitor.Backends() {
-			if down[b] || planDisturbs(plan, poll, b, now) {
-				continue
-			}
-			_, at, ok := c.Monitor.Latest(b)
-			if !ok {
-				violate("I6 hybrid staleness: node %d has no record by %v", b, now)
-				continue
-			}
-			if age := now - at; age > st.staleMax {
-				st.staleMax = age
-			}
-			if now-at > stale {
-				violate("I6 hybrid staleness: node %d record is %v old at %v", b, now-at, now)
-			}
-		}
-	})
+	ticker := sampleStaleness(c, plan, poll, down, staleAudit(&st.runAudit, "I6 hybrid", poll, &st.staleMax))
 	defer ticker.Stop()
 
 	pool := c.StartRUBiS(cp.Clients, cp.Think, seed+11)
@@ -254,9 +203,9 @@ func chaosHybridTwin(cp *scenario.Compiled, seed int64, plan faults.Plan) hybrid
 	// covers hybrid mode too: pushes, skips, errors, sink counters, the
 	// decayed-probe count and final per-node records must all replay
 	// bit-identically.
-	st.digest = fmt.Sprintf("hyb: pushes=%d skips=%d perr=%d rx=%d torn=%d decay=%d stale=%d drop=%d served=%d tmo=%d hviol=%d seqs=%s",
+	st.Fingerprint = fmt.Sprintf("hyb: pushes=%d skips=%d perr=%d rx=%d torn=%d decay=%d stale=%d drop=%d served=%d tmo=%d hviol=%d seqs=%s",
 		st.pushes, skips, perrs, rx, torn, decayed, st.staleMax,
-		c.Monitor.StalePushes, c.TotalServed(), pool.Timeouts, st.violationN, seqs)
+		c.Monitor.StalePushes, c.TotalServed(), pool.Timeouts, st.ViolationN, seqs)
 	return st
 }
 
@@ -266,9 +215,7 @@ type chaosChecker struct {
 	plan        faults.Plan
 	poll, repin sim.Time
 
-	down      map[int]bool     // crashed and not yet restarted
-	downSince map[int]sim.Time // crash instant
-	epoch     map[int]int      // agent incarnation (bumped on restart)
+	*downSet // crashed back-ends; a restart starts a new agent incarnation
 
 	lastSeq  map[int]map[core.Transport]uint32
 	seqEpoch map[int]int
@@ -276,11 +223,10 @@ type chaosChecker struct {
 	trips     map[int][]sim.Time // breaker trip instants per back-end
 	failbacks map[int][]sim.Time
 
-	staleMax   sim.Time
-	tripMax    sim.Time // worst measured MR-event trip latency
-	fbMax      sim.Time // worst measured MR-event fail-back latency
-	violations []string
-	violationN int
+	staleMax sim.Time
+	tripMax  sim.Time // worst measured MR-event trip latency
+	fbMax    sim.Time // worst measured MR-event fail-back latency
+	runAudit
 
 	ticker *sim.Ticker
 }
@@ -288,9 +234,6 @@ type chaosChecker struct {
 func newChaosChecker(c *cluster.Cluster, plan faults.Plan, poll, repin sim.Time) *chaosChecker {
 	return &chaosChecker{
 		c: c, plan: plan, poll: poll, repin: repin,
-		down:      make(map[int]bool),
-		downSince: make(map[int]sim.Time),
-		epoch:     make(map[int]int),
 		lastSeq:   make(map[int]map[core.Transport]uint32),
 		seqEpoch:  make(map[int]int),
 		trips:     make(map[int][]sim.Time),
@@ -298,38 +241,14 @@ func newChaosChecker(c *cluster.Cluster, plan faults.Plan, poll, repin sim.Time)
 	}
 }
 
-func (ck *chaosChecker) violate(format string, args ...any) {
-	ck.violationN++
-	if len(ck.violations) < 8 {
-		ck.violations = append(ck.violations, fmt.Sprintf(format, args...))
-	}
-}
-
 func (ck *chaosChecker) install(in *faults.Injector) {
 	eng := ck.c.Eng
-	// Crash/restart bookkeeping rides on the injector's hooks, after
-	// the cluster's own handling (hooks are read at fire time, so
-	// wrapping after ApplyFaults chains correctly).
-	prevCrash, prevRestart := in.OnCrash, in.OnRestart
-	in.OnCrash = func(node int) {
-		if prevCrash != nil {
-			prevCrash(node)
-		}
-		ck.down[node] = true
-		ck.downSince[node] = eng.Now()
-	}
-	in.OnRestart = func(node int) {
-		if prevRestart != nil {
-			prevRestart(node)
-		}
-		ck.down[node] = false
-		ck.epoch[node]++
-	}
+	ck.downSet = trackDown(eng, in)
 
 	// I1: audit every routing decision.
 	detect := sim.Time(chaosDetectSLO) * ck.poll
 	ck.c.Dispatcher.OnRoute = func(b int) {
-		if !ck.down[b] || eng.Now() <= ck.downSince[b]+detect {
+		if !ck.down[b] || eng.Now() <= ck.since[b]+detect {
 			return
 		}
 		if !ck.anyEligible() {
@@ -337,7 +256,7 @@ func (ck *chaosChecker) install(in *faults.Injector) {
 			// everyone is the policy's documented last resort.
 			return
 		}
-		ck.violate("I1 dispatch: request routed to node %d, down since %v", b, ck.downSince[b])
+		ck.violate("I1 dispatch: request routed to node %d, down since %v", b, ck.since[b])
 	}
 
 	for _, b := range ck.c.Monitor.Backends() {
@@ -348,12 +267,12 @@ func (ck *chaosChecker) install(in *faults.Injector) {
 		fo.OnFailBack = func() { ck.failbacks[b] = append(ck.failbacks[b], eng.Now()) }
 
 		// I4: sequence numbers must not regress per (transport,
-		// incarnation). A restart resets the agent's counter, so an
-		// epoch bump clears the watermarks.
+		// incarnation). A restart resets the agent's counter, so a
+		// new incarnation clears the watermarks.
 		p := ck.c.Monitor.Probers[b]
 		p.OnRecord = func(rec wire.LoadRecord, _ sim.Time) {
-			if ck.seqEpoch[b] != ck.epoch[b] {
-				ck.seqEpoch[b] = ck.epoch[b]
+			if ck.seqEpoch[b] != ck.restarts[b] {
+				ck.seqEpoch[b] = ck.restarts[b]
 				ck.lastSeq[b] = nil
 			}
 			if ck.lastSeq[b] == nil {
@@ -367,66 +286,8 @@ func (ck *chaosChecker) install(in *faults.Injector) {
 		}
 	}
 
-	// I2: staleness sweep each probe period, after a warmup that lets
-	// first records land.
-	warmup := 20 * ck.poll
-	stale := sim.Time(chaosStaleSLO) * ck.poll
-	ck.ticker = eng.NewTicker(ck.poll, func() {
-		now := eng.Now()
-		if now < warmup {
-			return
-		}
-		for _, b := range ck.c.Monitor.Backends() {
-			if ck.down[b] || ck.disturbed(b, now) {
-				continue
-			}
-			_, at, ok := ck.c.Monitor.Latest(b)
-			if !ok {
-				ck.violate("I2 staleness: node %d has no record by %v", b, now)
-				continue
-			}
-			if age := now - at; age > ck.staleMax {
-				ck.staleMax = age
-			}
-			if now-at > stale {
-				ck.violate("I2 staleness: node %d record is %v old at %v", b, now-at, now)
-			}
-		}
-	})
-}
-
-// disturbed reports whether a fault window (with detection/recovery
-// slack) covers back-end b at time at. MR invalidations are pointedly
-// absent: surviving one within the staleness SLO is what the failover
-// path is for.
-func (ck *chaosChecker) disturbed(b int, at sim.Time) bool {
-	return planDisturbs(ck.plan, ck.poll, b, at)
-}
-
-// planDisturbs is the fault-window predicate shared by the all-pull
-// checker (I2) and the hybrid twin (I6): both exempt back-ends inside
-// a crash/partition/link window (plus recovery slack) from their
-// staleness SLO.
-func planDisturbs(plan faults.Plan, poll sim.Time, b int, at sim.Time) bool {
-	slack := 10 * poll
-	for _, cr := range plan.Crashes {
-		if cr.Node == b && at >= cr.At-poll && at < cr.RestartAt+slack {
-			return true
-		}
-	}
-	for _, p := range plan.Partitions {
-		if intsHave(p.A, b) || intsHave(p.B, b) {
-			if at >= p.Start-poll && at < p.End+slack {
-				return true
-			}
-		}
-	}
-	for _, l := range plan.Links {
-		if l.To == b && at >= l.Start-poll && at < l.End+slack {
-			return true
-		}
-	}
-	return false
+	// I2: staleness sweep each probe period.
+	ck.ticker = sampleStaleness(ck.c, ck.plan, ck.poll, ck.downSet, staleAudit(&ck.runAudit, "I2", ck.poll, &ck.staleMax))
 }
 
 func (ck *chaosChecker) anyEligible() bool {
@@ -561,12 +422,11 @@ func intsHave(s []int, v int) bool {
 
 func (ck *chaosChecker) point(seed int64, clientTmo uint64) ChaosPoint {
 	pt := ChaosPoint{
-		Seed:   seed,
-		CrashN: len(ck.plan.Crashes), LinkN: len(ck.plan.Links),
+		runAudit: ck.runAudit,
+		CrashN:   len(ck.plan.Crashes), LinkN: len(ck.plan.Links),
 		PartN: len(ck.plan.Partitions), MRN: len(ck.plan.MRInvalidations),
-		Violations: ck.violations,
-		ViolationN: ck.violationN,
 	}
+	pt.Seed = seed
 	seqs := ""
 	for _, b := range ck.c.Monitor.Backends() {
 		fo := ck.c.Monitor.Failover(b)
@@ -586,7 +446,7 @@ func (ck *chaosChecker) point(seed int64, clientTmo uint64) ChaosPoint {
 	pt.Fingerprint = fmt.Sprintf("trips=%d fb=%d fall=%d rearm=%d served=%d routed=%d tmo=%d cyc=%d viol=%d stale=%d trip=%d fback=%d seqs=%s",
 		pt.Trips, pt.FailBacks, pt.Fallbacks, pt.ReArms,
 		ck.c.TotalServed(), ck.c.Dispatcher.Routed, clientTmo, ck.c.Monitor.Cycles,
-		ck.violationN, ck.staleMax, ck.tripMax, ck.fbMax, seqs)
+		ck.ViolationN, ck.staleMax, ck.tripMax, ck.fbMax, seqs)
 	return pt
 }
 
@@ -598,9 +458,7 @@ func (d *ChaosData) Result() *Result {
 		Columns: []string{"seed", "plan(c/l/p/m)", "trips", "failbk", "fallbk", "rearm",
 			"trip(T)", "failbk(T)", "stale(T)", "pushes", "hyb stale(T)", "viol"},
 	}
-	total := 0
 	for _, p := range d.Points {
-		total += p.ViolationN
 		r.Rows = append(r.Rows, []string{
 			fmt.Sprintf("%d", p.Seed),
 			fmt.Sprintf("%d/%d/%d/%d", p.CrashN, p.LinkN, p.PartN, p.MRN),
@@ -615,15 +473,7 @@ func (d *ChaosData) Result() *Result {
 			f1(p.HybStaleMaxT),
 			fmt.Sprintf("%d", p.ViolationN),
 		})
-		for _, v := range p.Violations {
-			r.Notes = append(r.Notes, fmt.Sprintf("seed %d: %s", p.Seed, v))
-		}
 	}
-	if total > 0 {
-		r.Failed = true
-		r.Notes = append(r.Notes, fmt.Sprintf("FAILED: %d invariant violation(s)", total))
-	} else {
-		r.Notes = append(r.Notes, "all invariants held: crashed nodes shed traffic within the detection SLO, surviving nodes stayed within the staleness SLO over whichever transport, every clean MR invalidation tripped and failed back within SLO, sequence numbers never regressed per transport, the hybrid twin kept the same staleness SLO under the same fault plans, and the first seed (both modes) replayed bit-identically")
-	}
+	noteVerdict(r, d.Points, "all invariants held: crashed nodes shed traffic within the detection SLO, surviving nodes stayed within the staleness SLO over whichever transport, every clean MR invalidation tripped and failed back within SLO, sequence numbers never regressed per transport, the hybrid twin kept the same staleness SLO under the same fault plans, and the first seed (both modes) replayed bit-identically")
 	return r
 }

@@ -16,6 +16,7 @@ import (
 	"rdmamon/internal/cluster"
 	"rdmamon/internal/metrics"
 	"rdmamon/internal/scenario"
+	"rdmamon/internal/sim"
 )
 
 // RunScenarioFile loads, parses, compiles and runs a scenario file
@@ -255,22 +256,7 @@ func cmpWord(ok bool, op string) string {
 func scenarioRunOne(cp *scenario.Compiled, policy string, seed int64) scenarioRun {
 	c := cluster.New(cp.ClusterConfig(seed, policy))
 	plan := cp.Plan(seed)
-	in := c.ApplyFaults(plan)
-
-	down := make(map[int]bool)
-	prevCrash, prevRestart := in.OnCrash, in.OnRestart
-	in.OnCrash = func(node int) {
-		if prevCrash != nil {
-			prevCrash(node)
-		}
-		down[node] = true
-	}
-	in.OnRestart = func(node int) {
-		if prevRestart != nil {
-			prevRestart(node)
-		}
-		down[node] = false
-	}
+	down := trackDown(c.Eng, c.ApplyFaults(plan))
 
 	perNode := make([]uint64, cp.Backends+1)
 	if c.Dispatcher != nil {
@@ -282,21 +268,9 @@ func scenarioRunOne(cp *scenario.Compiled, policy string, seed int64) scenarioRu
 	}
 
 	stale := &metrics.Sample{}
-	warmup := 20 * cp.Poll
-	ticker := c.Eng.NewTicker(cp.Poll, func() {
-		now := c.Eng.Now()
-		if now < warmup {
-			return
-		}
-		for _, b := range c.Monitor.Backends() {
-			if down[b] || planDisturbs(plan, cp.Poll, b, now) {
-				continue
-			}
-			_, at, ok := c.Monitor.Latest(b)
-			if !ok {
-				continue
-			}
-			stale.Add(float64(now-at) / float64(cp.Poll))
+	ticker := sampleStaleness(c, plan, cp.Poll, down, func(_ sim.Time, _ int, age sim.Time, ok bool) {
+		if ok {
+			stale.Add(float64(age) / float64(cp.Poll))
 		}
 	})
 	defer ticker.Stop()
