@@ -180,7 +180,7 @@ func runProbe(args []string) {
 	if *periodMax > 0 {
 		polls = make([]core.AdaptivePoll, len(probes))
 		for i := range polls {
-			polls[i].Ctrl.Cfg = core.PeriodConfig{Min: sim.Time(*interval), Max: sim.Time(*periodMax)}
+			polls[i].Ctrl.Cfg = core.PeriodConfig{Min: sim.Time(*interval), Max: sim.Time(*periodMax)}.WithDefaults(sim.Time(*interval))
 		}
 	}
 	for cycle := 0; *count == 0 || cycle < *count; cycle++ {

@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"context"
+	"fmt"
 	"os"
 	"os/exec"
 	"strings"
@@ -30,15 +31,12 @@ func rmmon(ctx context.Context, args ...string) *exec.Cmd {
 	return cmd
 }
 
-// TestClaimSmoke drives the live HA recipe end to end over loopback: an
-// agent hosting a one-shard claim table, and a probe contending for it
-// as front-end 1. The probe is alone, so it must win the vacant word at
-// epoch 1 and report it on the claims line rmmon prints every cycle.
-func TestClaimSmoke(t *testing.T) {
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-
-	agent := rmmon(ctx, "agent", "-listen", "127.0.0.1:0", "-node", "7", "-host-claims", "1")
+// startAgent runs an rmmon agent on a free loopback port with the
+// extra args and returns its address; the agent is interrupted when
+// the test ends.
+func startAgent(t *testing.T, ctx context.Context, args ...string) string {
+	t.Helper()
+	agent := rmmon(ctx, append([]string{"agent", "-listen", "127.0.0.1:0", "-node", "7"}, args...)...)
 	out, err := agent.StdoutPipe()
 	if err != nil {
 		t.Fatal(err)
@@ -46,10 +44,10 @@ func TestClaimSmoke(t *testing.T) {
 	if err := agent.Start(); err != nil {
 		t.Fatal(err)
 	}
-	defer func() {
+	t.Cleanup(func() {
 		agent.Process.Signal(os.Interrupt)
 		agent.Wait()
-	}()
+	})
 	// "rmmon agent: scheme=rdma-sync listening on 127.0.0.1:PORT (node 7)"
 	banner, err := bufio.NewReader(out).ReadString('\n')
 	if err != nil {
@@ -59,7 +57,17 @@ func TestClaimSmoke(t *testing.T) {
 	if !ok {
 		t.Fatalf("agent banner %q names no address", banner)
 	}
-	addr := strings.Fields(rest)[0]
+	return strings.Fields(rest)[0]
+}
+
+// TestClaimSmoke drives the live HA recipe end to end over loopback: an
+// agent hosting a one-shard claim table, and a probe contending for it
+// as front-end 1. The probe is alone, so it must win the vacant word at
+// epoch 1 and report it on the claims line rmmon prints every cycle.
+func TestClaimSmoke(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	addr := startAgent(t, ctx, "-host-claims", "1")
 
 	// Cycles 200ms apart: the first claim round (CheckEvery, 100ms at
 	// the defaults) wins the vacant word well before the second cycle.
@@ -70,5 +78,26 @@ func TestClaimSmoke(t *testing.T) {
 	}
 	if !strings.Contains(string(probe), "claims: held=1/1 takeovers=1 ") {
 		t.Fatalf("probe never reported holding the claim:\n%s", probe)
+	}
+}
+
+// TestAdaptiveProbeSkipsQuietTarget: with -period-max, a target whose
+// load index stays within -push-threshold is probed ever more rarely,
+// so N cycles print fewer than N records. The huge threshold makes the
+// agent quiet whatever the host's load does. With a fixed period
+// every cycle probes.
+func TestAdaptiveProbeSkipsQuietTarget(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	addr := startAgent(t, ctx)
+
+	const cycles = 12
+	probe, err := rmmon(ctx, "probe", "-targets", addr, "-count", fmt.Sprint(cycles),
+		"-interval", "50ms", "-period-max", "400ms", "-push-threshold", "1e9").CombinedOutput()
+	if err != nil {
+		t.Fatalf("probe: %v\n%s", err, probe)
+	}
+	if n := strings.Count(string(probe), " node=7 "); n == 0 || n >= cycles {
+		t.Fatalf("%d records over %d cycles, want at least one and fewer than %d:\n%s", n, cycles, cycles, probe)
 	}
 }
