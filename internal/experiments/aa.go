@@ -152,7 +152,6 @@ func aaPoint(o Options, seed int64) AAPoint {
 		NotPrimary:   pool.NotPrimary,
 		Served:       c.TotalServed(),
 	}
-	pt.Seed = seed
 	pt.Fingerprint = a.fingerprint(pool)
 
 	// Fault-free throughput pair: the same fleet dispatch-bound, first

@@ -43,17 +43,19 @@ type audited[P any] interface {
 }
 
 // sweepSeeds runs point for n seeds base + i·7919 (the stride of
-// scenario.Compiled.SeedAt), in parallel unless o.Sequential, and runs
-// the first seed twice: a replay whose fingerprint differs is the
-// determinism violation inv.
+// scenario.Compiled.SeedAt), in parallel unless o.Sequential, stamps
+// each point's Seed, and runs the first seed twice: a replay whose
+// fingerprint differs is the determinism violation inv.
 func sweepSeeds[P any, PP audited[P]](o Options, n int, base int64, inv string, point func(seed int64) P) []P {
 	pts := make([]P, n)
 	forEach(o, n, func(i int) {
 		seed := base + int64(i)*7919
 		pts[i] = point(seed)
+		a := PP(&pts[i]).audit()
+		a.Seed = seed
 		if i == 0 {
 			replay := point(seed)
-			if a := PP(&pts[i]).audit(); PP(&replay).audit().Fingerprint != a.Fingerprint {
+			if PP(&replay).audit().Fingerprint != a.Fingerprint {
 				a.violate("%s determinism: replay of seed %d diverged", inv, seed)
 			}
 		}

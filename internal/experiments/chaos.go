@@ -114,7 +114,7 @@ func chaosPoint(cp *scenario.Compiled, seed int64) ChaosPoint {
 	c.Run(horizon)
 
 	ck.checkMREvents(horizon)
-	pt := ck.point(seed, pool.Timeouts)
+	pt := ck.point(pool.Timeouts)
 
 	// I6: the hybrid twin — same seed, same plan, push/pull monitoring.
 	hyb := chaosHybridTwin(cp, seed, plan)
@@ -420,13 +420,12 @@ func intsHave(s []int, v int) bool {
 	return false
 }
 
-func (ck *chaosChecker) point(seed int64, clientTmo uint64) ChaosPoint {
+func (ck *chaosChecker) point(clientTmo uint64) ChaosPoint {
 	pt := ChaosPoint{
 		runAudit: ck.runAudit,
 		CrashN:   len(ck.plan.Crashes), LinkN: len(ck.plan.Links),
 		PartN: len(ck.plan.Partitions), MRN: len(ck.plan.MRInvalidations),
 	}
-	pt.Seed = seed
 	seqs := ""
 	for _, b := range ck.c.Monitor.Backends() {
 		fo := ck.c.Monitor.Failover(b)

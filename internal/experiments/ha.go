@@ -115,7 +115,6 @@ func haPoint(cp *scenario.Compiled, seed int64) HAPoint {
 		Served:        c.TotalServed(),
 		BackendTasks:  a.backendTasks,
 	}
-	pt.Seed = seed
 	pt.Fingerprint = a.fingerprint(pool)
 	return pt
 }
