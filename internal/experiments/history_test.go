@@ -47,3 +47,13 @@ func TestHistoryDeterministic(t *testing.T) {
 	}
 	diffResults(t, "history", runOnce(t, "history"), runOnce(t, "history"))
 }
+
+// TestHistoryGoldenDigest pins the quick history result across
+// commits: the only experiment whose ring reads ride doorbell batches.
+func TestHistoryGoldenDigest(t *testing.T) {
+	res, err := Run("history", Options{Quick: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pinDigest(t, "history-quick", res, 0x631a5510a7c3d71b)
+}
