@@ -125,7 +125,7 @@ func fig3StyleLatency(cfg simos.Config, n int) float64 {
 	bg.Peer = 2
 	workload.StartBackground(backend, bnic, bg)
 	agent := core.StartAgent(backend, bnic, core.AgentConfig{Scheme: core.SocketSync})
-	p := core.StartProber(front, fnic, agent, 20*sim.Millisecond)
+	p := core.StartMonitor(front, fnic, []*core.Agent{agent}, 20*sim.Millisecond).Probers[backend.ID]
 	eng.RunUntil(500 * sim.Millisecond)
 	p.Latency = metrics.Sample{}
 	eng.RunUntil(3 * sim.Second)
@@ -161,7 +161,7 @@ func BenchmarkAblationRDMAInterrupts(b *testing.B) {
 		bnic := fab.Attach(backend)
 		app := workload.StartFPApp(backend, backend.NumCPU(), 10*sim.Millisecond)
 		agent := core.StartAgent(backend, bnic, core.AgentConfig{Scheme: core.RDMASync})
-		core.StartProber(front, fnic, agent, sim.Millisecond)
+		core.StartMonitor(front, fnic, []*core.Agent{agent}, sim.Millisecond)
 		eng.RunUntil(3 * sim.Second)
 		return app.Delays.Mean() * 100
 	}

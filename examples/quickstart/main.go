@@ -40,7 +40,7 @@ func main() {
 
 		// Back-end agent + front-end prober at T=50ms.
 		agent := core.StartAgent(backend, bnic, core.AgentConfig{Scheme: scheme})
-		prober := core.StartProber(front, fnic, agent, core.DefaultInterval)
+		prober := core.StartMonitor(front, fnic, []*core.Agent{agent}, core.DefaultInterval).Probers[backend.ID]
 
 		eng.RunUntil(3 * sim.Second)
 

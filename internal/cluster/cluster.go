@@ -526,18 +526,12 @@ func (c *Cluster) Primary() *Replica {
 // monitorConfig maps the cluster's sharding/batching knobs onto the
 // probe engine's config (zero values = the sequential monitor).
 func (c *Cluster) monitorConfig() core.MonitorConfig {
-	mc := core.MonitorConfig{
+	return core.MonitorConfig{
 		Shards: c.Cfg.MonitorShards,
 		Batch:  c.Cfg.MonitorBatch,
 		Hybrid: c.Cfg.Hybrid,
 		Pool:   c.Cfg.Pool,
 	}
-	if mc.Pool != nil {
-		// Deterministic backoff jitter, derived from the cluster seed
-		// the same way tcpverbs' SeedJitter is on the live path.
-		mc.PoolSeed = c.Cfg.Seed*31 + 0x9e37
-	}
-	return mc
 }
 
 // spec returns back-end index i's heterogeneity overrides; the zero

@@ -75,7 +75,7 @@ func TestPooledProbeConnZeroAlloc(t *testing.T) {
 	const poll = 10 * sim.Millisecond
 	f := newFleet(52, 2, AgentConfig{Scheme: RDMASync})
 	m := StartMonitorCfg(f.front, f.fnic, f.agents, poll, MonitorConfig{
-		Pool: &connpool.Config{MaxConns: 4}, PoolSeed: 7,
+		Pool: &connpool.Config{MaxConns: 4},
 	})
 	room := func() int {
 		r := cap(m.CycleTime.Values()) - m.CycleTime.Count()

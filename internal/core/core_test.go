@@ -150,7 +150,7 @@ func TestProbeEndToEndAllSchemes(t *testing.T) {
 		t.Run(s.String(), func(t *testing.T) {
 			r := newRig(1)
 			a := r.agent(s)
-			p := StartProber(r.front, r.fnic, a, 10*sim.Millisecond)
+			p := StartMonitor(r.front, r.fnic, []*Agent{a}, 10*sim.Millisecond).Probers[r.backend.ID]
 			r.eng.RunUntil(sim.Second)
 			rec, at, ok := p.Latest()
 			if !ok {
@@ -184,7 +184,7 @@ func TestRDMASyncFreshness(t *testing.T) {
 	// arrival.
 	r := newRig(2)
 	a := r.agent(RDMASync)
-	p := StartProber(r.front, r.fnic, a, 20*sim.Millisecond)
+	p := StartMonitor(r.front, r.fnic, []*Agent{a}, 20*sim.Millisecond).Probers[r.backend.ID]
 	var staleness []sim.Time
 	p.OnRecord = func(rec wire.LoadRecord, at sim.Time) {
 		staleness = append(staleness, at-sim.Time(rec.KTimeNS))
@@ -209,7 +209,7 @@ func TestAsyncSchemesAreStale(t *testing.T) {
 		t.Run(s.String(), func(t *testing.T) {
 			r := newRig(3)
 			a := StartAgent(r.backend, r.bnic, AgentConfig{Scheme: s, Interval: 50 * sim.Millisecond})
-			p := StartProber(r.front, r.fnic, a, 7*sim.Millisecond)
+			p := StartMonitor(r.front, r.fnic, []*Agent{a}, 7*sim.Millisecond).Probers[r.backend.ID]
 			var maxStale sim.Time
 			p.OnRecord = func(rec wire.LoadRecord, at sim.Time) {
 				if st := at - sim.Time(rec.KTimeNS); st > maxStale {
@@ -249,7 +249,7 @@ func TestSocketLatencyGrowsUnderLoadRDMADoesNot(t *testing.T) {
 				loop()
 			})
 		}
-		p := StartProber(r.front, r.fnic, a, 20*sim.Millisecond)
+		p := StartMonitor(r.front, r.fnic, []*Agent{a}, 20*sim.Millisecond).Probers[r.backend.ID]
 		r.eng.RunUntil(3 * sim.Second)
 		return p.Latency.Mean() // microseconds
 	}
@@ -287,8 +287,8 @@ func TestRDMASyncAccuracyUnderLoad(t *testing.T) {
 			})
 		}
 	})
-	pSync := StartProber(r.front, r.fnic, aSync, 10*sim.Millisecond)
-	pAsync := StartProber(r.front, r.fnic, aAsync, 10*sim.Millisecond)
+	pSync := StartMonitor(r.front, r.fnic, []*Agent{aSync}, 10*sim.Millisecond).Probers[r.backend.ID]
+	pAsync := StartMonitor(r.front, r.fnic, []*Agent{aAsync}, 10*sim.Millisecond).Probers[r.backend.ID]
 	var devSync, devAsync float64
 	var n int
 	check := func(p *Prober, dev *float64) {
@@ -350,7 +350,7 @@ func TestMonitorLatestAndStop(t *testing.T) {
 func TestProbeErrorAfterAgentStop(t *testing.T) {
 	r := newRig(7)
 	a := r.agent(RDMASync)
-	p := StartProber(r.front, r.fnic, a, 10*sim.Millisecond)
+	p := StartMonitor(r.front, r.fnic, []*Agent{a}, 10*sim.Millisecond).Probers[r.backend.ID]
 	r.eng.RunUntil(100 * sim.Millisecond)
 	a.Stop() // deregisters the MR
 	r.eng.RunUntil(300 * sim.Millisecond)

@@ -118,7 +118,7 @@ func TestProberFailoverEndToEnd(t *testing.T) {
 	r := newRig(7)
 	a := StartAgent(r.backend, r.bnic, AgentConfig{Scheme: RDMASync, StandbySocket: true})
 	poll := 10 * sim.Millisecond
-	p := StartProber(r.front, r.fnic, a, poll)
+	p := StartMonitor(r.front, r.fnic, []*Agent{a}, poll).Probers[r.backend.ID]
 	p.Timeout = poll
 	p.Failover = &Failover{} // defaults: trip 2, fail-back 2, re-arm every 4
 

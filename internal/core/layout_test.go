@@ -28,7 +28,7 @@ func TestAdaptivePollFitsSizeClass(t *testing.T) {
 // history ring, and then it is allocated once.
 func TestProberRingViewLazy(t *testing.T) {
 	r := newRig(14)
-	p := StartProber(r.front, r.fnic, r.agent(RDMASync), 10*sim.Millisecond)
+	p := StartMonitor(r.front, r.fnic, []*Agent{r.agent(RDMASync)}, 10*sim.Millisecond).Probers[r.backend.ID]
 	r.eng.RunUntil(sim.Second)
 	if !p.has || p.Errors != 0 {
 		t.Fatalf("point prober: has=%v errors=%d", p.has, p.Errors)
@@ -39,7 +39,7 @@ func TestProberRingViewLazy(t *testing.T) {
 
 	r = newRig(15)
 	a := StartAgent(r.backend, r.bnic, AgentConfig{Scheme: RDMASync, HistoryK: 4, Interval: 10 * sim.Millisecond})
-	p = StartProber(r.front, r.fnic, a, 10*sim.Millisecond)
+	p = StartMonitor(r.front, r.fnic, []*Agent{a}, 10*sim.Millisecond).Probers[r.backend.ID]
 	if p.view != nil {
 		t.Fatal("ring view allocated before the first ring decode")
 	}

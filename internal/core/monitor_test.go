@@ -45,7 +45,7 @@ func TestRecordCarriesUtilAndIRQ(t *testing.T) {
 func TestProbeLatencyIncludesDecode(t *testing.T) {
 	r := newRig(32)
 	a := r.agent(RDMASync)
-	p := StartProber(r.front, r.fnic, a, 10*sim.Millisecond)
+	p := StartMonitor(r.front, r.fnic, []*Agent{a}, 10*sim.Millisecond).Probers[r.backend.ID]
 	r.eng.RunUntil(200 * sim.Millisecond)
 	if p.Latency.Min() < 15 {
 		t.Fatalf("min latency %vus implausibly small", p.Latency.Min())

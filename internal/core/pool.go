@@ -4,10 +4,7 @@ import (
 	"errors"
 
 	"rdmamon/internal/connpool"
-	"rdmamon/internal/sim"
 	"rdmamon/internal/simnet"
-	"rdmamon/internal/simos"
-	"rdmamon/internal/wire"
 )
 
 // errConnReset marks a probe that failed because its pooled
@@ -25,9 +22,9 @@ func (m *Monitor) initPool() {
 	}
 	front := m.front
 	m.pool = connpool.New[int, *simnet.QP](*cfg, func() int64 { return int64(front.Eng.Now()) })
-	if m.cfg.PoolSeed != 0 {
-		m.pool.SeedJitter(m.cfg.PoolSeed)
-	}
+	// Deterministic backoff jitter, derived from the engine's seed the
+	// same way tcpverbs' SeedJitter is on the live path.
+	m.pool.SeedJitter(front.Eng.Seed()*31 + 0x9e37)
 	fnic := m.fnic
 	m.pool.OnClose = func(_ int, q *simnet.QP) { fnic.CloseQP(q) }
 }
@@ -69,177 +66,84 @@ func (m *Monitor) deferProbe(id int) {
 	}
 }
 
-// tryLease acquires a ready pooled connection for a doorbell-batch
-// slot. Only targets whose conn is installed and whose QP is still
-// valid join a batch; anything else falls back to the sequential
-// pooled path (which dials, sheds or fences as needed).
-func (m *Monitor) tryLease(id int) (connpool.Lease[int, *simnet.QP], bool) {
-	var zero connpool.Lease[int, *simnet.QP]
-	if !m.pool.Ready(id) {
-		return zero, false
-	}
-	l, v, _ := m.pool.Acquire(id, m.hotBackend(id))
-	if v != connpool.Conn {
-		return zero, false
-	}
-	if !l.Conn.Valid() {
-		// Listener reset killed the QP while it sat idle: recycle it
-		// here (epoch bump) and let the sequential path redial.
+// acquire leases back-end id's pooled conn. A conn whose QP died
+// while it sat idle (a listener reset) is recycled here — an epoch
+// bump, counted as a fence reject — and reported stale.
+func (m *Monitor) acquire(id int, hot bool) (l connpool.Lease[int, *simnet.QP], v connpool.Verdict, stale bool) {
+	l, v, _ = m.pool.Acquire(id, hot)
+	if stale = v == connpool.Conn && !l.Conn.Valid(); stale {
 		m.FenceRejects++
 		m.pool.Invalidate(l)
-		return zero, false
 	}
-	return l, true
+	return l, v, stale
 }
 
-// pooledProbe is a shard task's pooled probe in flight: acquire (or
-// dial, or shed), issue the fenced one-sided read, and route the
-// outcome through the same rdmaOutcome/observeProbe logic an unpooled
-// probe uses. A shard probes one back-end at a time, a replay re-enters
-// with the same back-end and continuation, and every path out of a
-// probe ends in done exactly once, so one instance per shard, its
-// continuations bound once, carries every pooled probe the shard makes
-// without building a closure.
-type pooledProbe struct {
-	m    *Monitor
-	tk   *simos.Task
-	read *rdmaRead // the shard's probe read
-
-	id      int
-	attempt int // replays so far
-	hot     bool
-	start   sim.Time
-	lease   connpool.Lease[int, *simnet.QP]
-	done    func()
-
-	dialedFn func(*simnet.QP, error)       // pp.dialed
-	readFn   func(*wire.LoadRecord, error) // pp.readDone
-	finishFn func(*wire.LoadRecord, error) // pp.finish
-}
-
-func newPooledProbe(m *Monitor, read *rdmaRead) *pooledProbe {
-	pp := &pooledProbe{m: m, tk: read.tk, read: read}
-	pp.dialedFn, pp.readFn, pp.finishFn = pp.dialed, pp.readDone, pp.finish
-	return pp
-}
-
-// run probes back-end id through the pool; done always runs exactly
-// once.
-func (pp *pooledProbe) run(id, attempt int, done func()) {
-	m := pp.m
-	p := m.prober(id)
-	pp.id, pp.attempt, pp.done = id, attempt, done
-	pp.start = m.front.Eng.Now()
-	if attempt > 1 {
+// acquire is a pooled read's first stage: lease the back-end's conn
+// and post, dial, or shed the slot, as the pool answers.
+func (sc *sweepScratch) acquire() {
+	m, id := sc.m, sc.p.Backend
+	sc.start = m.front.Eng.Now()
+	if sc.attempt > 1 {
 		// Second replay in one slot: the conn keeps dying underneath
 		// us — stop spinning and degrade through the failover ladder
 		// (same-cycle socket fallback, breaker accounting).
-		p.rdmaOutcome(pp.tk, pp.start, nil, errConnReset, pp.finishFn)
+		sc.then(nil, errConnReset)
 		return
 	}
-	pp.hot = m.hotBackend(id)
-	l, v, _ := m.pool.Acquire(id, pp.hot)
-	switch v {
-	case connpool.Conn:
-		if !l.Conn.Valid() {
-			m.FenceRejects++
-			m.pool.Invalidate(l)
-			pp.run(id, attempt+1, done)
-			return
-		}
-		pp.fenced(id, l, attempt, done)
-	case connpool.Dial:
-		m.fnic.Dial(pp.tk, id, pp.dialedFn)
+	sc.hot = m.hotBackend(id)
+	l, v, stale := m.acquire(id, sc.hot)
+	switch {
+	case stale:
+		sc.attempt++
+		sc.acquire()
+	case v == connpool.Conn:
+		sc.lease = l
+		sc.post()
+	case v == connpool.Dial:
+		m.fnic.Dial(sc.tk, id, sc.dialedFn)
 	default: // Shed: defer the slot, spend nothing.
-		pp.shed()
+		sc.shed()
 	}
 }
 
-// shed defers the slot under budget pressure and ends the probe.
-func (pp *pooledProbe) shed() {
-	m := pp.m
+// shed defers the slot under budget pressure and moves on.
+func (sc *sweepScratch) shed() {
+	m := sc.m
 	m.PoolSheds++
-	if pp.hot {
+	if sc.hot {
 		m.PoolShedHot++
 	}
-	m.deferProbe(pp.id)
-	pp.end()
+	m.deferProbe(sc.p.Backend)
+	sc.advance()
 }
 
-// dialed is the dial's outcome: probe over the new conn, or fail.
-func (pp *pooledProbe) dialed(q *simnet.QP, err error) {
-	m, id := pp.m, pp.id
+// dialed is the dial's outcome: read over the new conn, or fail.
+func (sc *sweepScratch) dialed(q *simnet.QP, err error) {
+	m, id := sc.m, sc.p.Backend
 	if err != nil {
 		if errors.Is(err, simnet.ErrFDLimit) {
 			// Local fd exhaustion, not a target failure: no breaker or
 			// health charge — shed the slot and defer, like any other
 			// budget pressure.
 			m.pool.DialAborted(id)
-			pp.shed()
+			sc.shed()
 			return
 		}
 		m.pool.DialFailed(id)
-		// A failed dial is a primary-path failure: rdmaOutcome feeds the
+		// A failed dial is a primary-path failure: the outcome feeds the
 		// Failover breaker and falls over to the standby socket this
 		// same cycle, so reachable-but-undialable back-ends (fd
 		// exhaustion, dial storms) keep their staleness SLO.
-		m.prober(id).rdmaOutcome(pp.tk, pp.start, nil, err, pp.finishFn)
+		sc.then(nil, err)
 		return
 	}
-	lease, lerr := m.pool.DialDone(id, q)
+	l, lerr := m.pool.DialDone(id, q)
 	if lerr != nil {
 		// Pool closed while the dial was in flight; the conn was
 		// already closed by DialDone.
-		pp.end()
+		sc.advance()
 		return
 	}
-	pp.fenced(id, lease, pp.attempt, pp.done)
-}
-
-// fenced issues the one-sided read under an already-held lease (also
-// the batch planner's solo-run path). Its completion is epoch-fenced
-// in readDone before the record may be served.
-func (pp *pooledProbe) fenced(id int, l connpool.Lease[int, *simnet.QP], attempt int, done func()) {
-	pp.id, pp.lease, pp.attempt, pp.done = id, l, attempt, done
-	pp.start = pp.m.front.Eng.Now()
-	pp.read.start(pp.m.prober(id), pp.readFn)
-}
-
-// readDone checks the lease's epoch before the record may be served. A
-// completion whose conn was recycled in flight is rejected and replayed
-// — never silently served stale.
-func (pp *pooledProbe) readDone(rec *wire.LoadRecord, err error) {
-	m, l := pp.m, pp.lease
-	p := m.prober(pp.id)
-	if served := m.pool.Fence(l) && l.Conn.Valid(); !served {
-		m.FenceRejects++
-		m.pool.Invalidate(l)
-		if err == nil {
-			// The data is intact but crossed a recycled conn: reject
-			// and replay on a fresh one.
-			pp.run(pp.id, pp.attempt+1, pp.done)
-			return
-		}
-		// Failed op on a dead conn: plain failure, no breaker charge
-		// for the target (Invalidate already recycled).
-		p.rdmaOutcome(pp.tk, pp.start, nil, err, pp.finishFn)
-		return
-	}
-	m.pool.Release(l, err)
-	p.rdmaOutcome(pp.tk, pp.start, rec, err, pp.finishFn)
-}
-
-// finish is a probe's outcome, applied: feed the period controller and
-// end the probe.
-func (pp *pooledProbe) finish(_ *wire.LoadRecord, err error) {
-	pp.m.observeProbe(pp.id, err)
-	pp.end()
-}
-
-// end hands control back to the sweep, dropping the probe's references
-// first: done may start the shard's next pooled probe.
-func (pp *pooledProbe) end() {
-	done := pp.done
-	pp.done, pp.lease = nil, connpool.Lease[int, *simnet.QP]{}
-	done()
+	sc.lease, sc.start = l, m.front.Eng.Now()
+	sc.post()
 }

@@ -15,8 +15,7 @@ func TestPooledMonitorProbes(t *testing.T) {
 	f := newFleet(51, n, AgentConfig{Scheme: RDMASync})
 	m := StartMonitorCfg(f.front, f.fnic, f.agents, 10*sim.Millisecond, MonitorConfig{
 		Shards: 2, Batch: 8,
-		Pool:     &connpool.Config{MaxConns: 32},
-		PoolSeed: 7,
+		Pool: &connpool.Config{MaxConns: 32},
 	})
 	f.eng.RunUntil(sim.Second)
 	if m.Cycles < 50 {
@@ -61,8 +60,7 @@ func TestPooledMonitorEvictsUnderConnPressure(t *testing.T) {
 	const n, maxConns = 24, 6
 	f := newFleet(52, n, AgentConfig{Scheme: RDMASync})
 	m := StartMonitorCfg(f.front, f.fnic, f.agents, 10*sim.Millisecond, MonitorConfig{
-		Pool:     &connpool.Config{MaxConns: maxConns},
-		PoolSeed: 7,
+		Pool: &connpool.Config{MaxConns: maxConns},
 	})
 	f.eng.RunUntil(sim.Second)
 	s := m.Pool().Stats()
@@ -98,8 +96,7 @@ func TestPooledMonitorFencesListenerResets(t *testing.T) {
 	f := newFleet(53, n, AgentConfig{Scheme: RDMASync})
 	m := StartMonitorCfg(f.front, f.fnic, f.agents, 10*sim.Millisecond, MonitorConfig{
 		Shards: 1, Batch: 4,
-		Pool:     &connpool.Config{MaxConns: 16},
-		PoolSeed: 7,
+		Pool: &connpool.Config{MaxConns: 16},
 	})
 	fab := f.fnic.Fabric()
 	// Bounce a rotating victim's listener every 7ms for a second.
@@ -141,9 +138,8 @@ func TestPooledMonitorShedsQuietFirst(t *testing.T) {
 	poll := 10 * sim.Millisecond
 	f := newFleet(54, n, AgentConfig{Scheme: RDMASync, Interval: poll})
 	m := StartMonitorCfg(f.front, f.fnic, f.agents, poll, MonitorConfig{
-		Hybrid:   &HybridConfig{},
-		Pool:     &connpool.Config{MaxConns: 3},
-		PoolSeed: 7,
+		Hybrid: &HybridConfig{},
+		Pool:   &connpool.Config{MaxConns: 3},
 	})
 	f.eng.RunUntil(4 * sim.Second)
 	if m.PoolSheds == 0 {

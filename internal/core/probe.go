@@ -27,7 +27,6 @@ type Prober struct {
 	agent *Agent
 
 	replyPort string
-	poll      sim.Time
 	decode    sim.Time
 
 	// What a steady-state probe touches sits together — the cached
@@ -84,7 +83,7 @@ type Prober struct {
 	Failover *Failover
 
 	// LastTransport is the transport that served the most recent
-	// completed probe (valid inside OnRecord and after ProbeOnce).
+	// completed probe (valid inside OnRecord).
 	LastTransport Transport
 	// Fallbacks counts probes served via the standby socket channel.
 	Fallbacks uint64
@@ -97,14 +96,10 @@ type Prober struct {
 	Timeouts int
 	// OnRecord, if set, observes every record as it arrives.
 	OnRecord func(rec wire.LoadRecord, at sim.Time)
-
-	task    *simos.Task
-	stopped bool
 }
 
-// NewProber creates the front-end prober state for agent without a
-// polling task; the caller drives it through probe (Monitor's
-// monitoring process does).
+// NewProber creates the front-end prober state for agent. It has no
+// polling task of its own: a Monitor's shard sweep probes it.
 func NewProber(front *simos.Node, fnic *simnet.NIC, agent *Agent) *Prober {
 	return &Prober{
 		Scheme:    agent.Scheme,
@@ -117,33 +112,6 @@ func NewProber(front *simos.Node, fnic *simnet.NIC, agent *Agent) *Prober {
 	}
 }
 
-// StartProber creates the front-end prober for agent and begins
-// polling every poll with its own task. A non-positive poll uses
-// DefaultInterval. Used for single-backend micro-benchmarks; a
-// multi-backend front-end should use StartMonitor, which drives all
-// probers from one monitoring process as in the paper.
-func StartProber(front *simos.Node, fnic *simnet.NIC, agent *Agent, poll sim.Time) *Prober {
-	if poll <= 0 {
-		poll = DefaultInterval
-	}
-	p := NewProber(front, fnic, agent)
-	p.poll = poll
-	p.task = front.Spawn(fmt.Sprintf("rmon-probe-%d", agent.node.ID), func(tk *simos.Task) {
-		r := newRDMARead(tk)
-		var loop func()
-		next := func(*wire.LoadRecord, error) { tk.Sleep(p.poll, loop) }
-		loop = func() {
-			if p.stopped {
-				tk.Exit()
-				return
-			}
-			p.probe(r, next)
-		}
-		loop()
-	})
-	return p
-}
-
 // Latest returns the most recent record and its arrival time. The
 // record is the prober's cache, handed out by pointer: it is valid until
 // the next probe lands, so a caller that keeps it across simulated time
@@ -153,42 +121,6 @@ func (p *Prober) Latest() (*wire.LoadRecord, sim.Time, bool) {
 		return nil, 0, false
 	}
 	return &p.last, p.lastAt, true
-}
-
-// Stop ends the polling loop.
-func (p *Prober) Stop() {
-	p.stopped = true
-	if p.task != nil {
-		p.task.Exit()
-	}
-}
-
-// probe fetches one load record in the context of r's task (which
-// must run on the front-end node) and delivers it to then: the
-// prober's cached record on success (valid until the next probe
-// completes), nil on error. The probe
-// path depends on the scheme: a socket request/response round trip
-// involving the back-end CPU, or a one-sided RDMA read that does not.
-// With an armed Failover, a tripped breaker reroutes RDMA probes onto
-// the agent's standby socket channel and schedules background re-arm
-// reads of the RDMA path.
-func (p *Prober) probe(r *rdmaRead, then func(*wire.LoadRecord, error)) {
-	tk := r.tk
-	start := p.front.Eng.Now()
-	if !p.Scheme.UsesRDMA() {
-		p.probeSocket(tk, func(rec wire.LoadRecord, err error) {
-			p.finishProbe(start, &rec, err, TransportSocket, then)
-		})
-		return
-	}
-	fo := p.Failover
-	if fo != nil && fo.Tripped() {
-		p.probeTripped(r, start, then)
-		return
-	}
-	r.start(p, func(rec *wire.LoadRecord, err error) {
-		p.rdmaOutcome(tk, start, rec, err, then)
-	})
 }
 
 // finishProbe applies one completed probe's outcome to the prober's
@@ -257,43 +189,17 @@ func (p *Prober) rdmaOutcome(tk *simos.Task, start sim.Time, rec *wire.LoadRecor
 	})
 }
 
-// probeTripped carries a probe over the standby socket channel while
-// the breaker is tripped, issuing the occasional background re-arm
-// read of the RDMA path.
-func (p *Prober) probeTripped(r *rdmaRead, start sim.Time, then func(*wire.LoadRecord, error)) {
-	fo := p.Failover
-	p.Fallbacks++
-	p.probeSocket(r.tk, func(rec wire.LoadRecord, err error) {
-		if !fo.ShouldReArm() {
-			p.finishProbe(start, &rec, err, TransportSocket, then)
-			return
-		}
-		// Background re-arm: test the RDMA path without trusting it for
-		// data until it has proven itself FailBackAfter times in a row.
-		// The re-arm outcome never pollutes this probe's result.
-		p.ReArms++
-		r.start(p, func(_ *wire.LoadRecord, rerr error) {
-			if rerr == nil {
-				fo.ReArmOK()
-			} else {
-				fo.ReArmFail()
-			}
-			p.finishProbe(start, &rec, err, TransportSocket, then)
-		})
-	})
-}
-
 // batchEligible reports whether this back-end's next probe can ride a
 // doorbell-batched multi-WR post: only one-sided RDMA probes batch,
-// and a tripped breaker routes the probe through probe's socket path
-// (which also owns re-arm scheduling) instead.
+// and a tripped breaker routes the probe through the standby socket
+// path (which also owns re-arm scheduling) instead.
 func (p *Prober) batchEligible() bool {
 	return p.Scheme.UsesRDMA() && (p.Failover == nil || !p.Failover.Tripped())
 }
 
-// maxTornRetries bounds the seqlock re-read loop: a ring snapshot that
-// keeps tearing this many times in a row is treated as a real error
-// rather than spinning against a wedged writer.
+// maxTornRetries bounds the seqlock re-read loop: every read, solo or
+// a batch slot, re-reads a torn ring snapshot at most this many times,
+// then fails with ErrTorn rather than spin against a wedged writer.
 const maxTornRetries = 3
 
 // readLen returns the one-sided read size for this back-end: the whole
@@ -334,80 +240,6 @@ func (p *Prober) decodeRead(rec *wire.LoadRecord, data []byte) error {
 	return wire.DecodeInto(rec, data)
 }
 
-// rdmaRead is a task's one-sided probe read in flight: the read into
-// the prober's DMA buffer, the decode burst, the decode — a torn ring
-// snapshot (writer mid-update at the DMA instant) is simply re-read,
-// the seqlock contract, up to maxTornRetries times — and the record
-// handed to then (nil on a transport error). A task probes one back-end
-// at a time, so one instance per task, its stages bound once, carries
-// every read the task posts without allocating.
-type rdmaRead struct {
-	tk   *simos.Task
-	p    *Prober
-	torn int // re-reads of a torn snapshot so far
-	data []byte
-	// rec is the decode target: then reads it before the task can start
-	// another read.
-	rec  wire.LoadRecord
-	then func(*wire.LoadRecord, error)
-
-	readFn   func([]byte, error) // r.read
-	decodeFn func()              // r.decode
-}
-
-func newRDMARead(tk *simos.Task) *rdmaRead {
-	r := &rdmaRead{tk: tk}
-	r.readFn, r.decodeFn = r.read, r.decode
-	return r
-}
-
-// start reads p's record for then.
-func (r *rdmaRead) start(p *Prober, then func(*wire.LoadRecord, error)) {
-	r.p, r.torn, r.then = p, 0, then
-	r.post()
-}
-
-func (r *rdmaRead) post() {
-	p := r.p
-	n := p.readLen()
-	p.fnic.RDMAReadInto(r.tk, p.Backend, p.agent.RKey(), n, p.readInto(n), r.readFn)
-}
-
-// read is the read's completion: a transport error ends the read, data
-// goes through the decode burst.
-func (r *rdmaRead) read(data []byte, err error) {
-	if err != nil {
-		if err == simnet.ErrTimeout {
-			r.p.Timeouts++
-		}
-		r.done(nil, err)
-		return
-	}
-	r.data = data
-	r.tk.Compute(r.p.decode, r.decodeFn)
-}
-
-func (r *rdmaRead) decode() {
-	p, data := r.p, r.data
-	r.data = nil
-	derr := p.decodeRead(&r.rec, data)
-	if derr == wire.ErrTorn && r.torn < maxTornRetries {
-		p.TornRetries++
-		r.torn++
-		r.post()
-		return
-	}
-	r.done(&r.rec, derr)
-}
-
-// done hands the outcome to then, dropping the read's references first:
-// then may start the task's next read.
-func (r *rdmaRead) done(rec *wire.LoadRecord, err error) {
-	then := r.then
-	r.p, r.then = nil, nil
-	then(rec, err)
-}
-
 // probeSocket issues the request/response path against the agent's
 // report thread and decodes the reply.
 func (p *Prober) probeSocket(tk *simos.Task, then func(wire.LoadRecord, error)) {
@@ -440,7 +272,8 @@ func (p *Prober) probeSocket(tk *simos.Task, then func(wire.LoadRecord, error)) 
 // sequential cycle matters: with socket schemes a slow (loaded)
 // back-end delays the probes of every back-end behind it in the cycle,
 // compounding staleness exactly when accuracy is needed most. RDMA
-// probes keep the cycle tight regardless of back-end load.
+// probes keep the cycle tight regardless of back-end load. It is the
+// only simulated poller: a single-back-end run is a one-agent Monitor.
 //
 // At hundreds of back-ends even a tight sequential cycle serializes
 // badly, so the monitor can be sharded and batched (MonitorConfig):
@@ -525,7 +358,7 @@ type MonitorConfig struct {
 	// across them in contiguous slices (default 1).
 	Shards int
 	// Batch is the maximum number of one-sided reads posted per
-	// doorbell batch (default 1 = sequential ProbeOnce calls). Only
+	// doorbell batch (default 1 = one read at a time). Only
 	// RDMA probes with an untripped breaker batch; socket probes and
 	// tripped back-ends take the sequential path unchanged.
 	Batch int
@@ -542,9 +375,6 @@ type MonitorConfig struct {
 	// and budget exhaustion sheds quiet back-ends first. nil preserves
 	// the seed behaviour bit-for-bit.
 	Pool *connpool.Config
-	// PoolSeed pins the pool's backoff jitter for deterministic
-	// replay (0 keeps the entropy seed).
-	PoolSeed int64
 }
 
 func (c MonitorConfig) withDefaults(n int) MonitorConfig {
@@ -615,22 +445,36 @@ func StartMonitorCfg(front *simos.Node, fnic *simnet.NIC, agents []*Agent, poll 
 	return m
 }
 
-// sweepScratch is a shard task's sweep: the cursor over its back-ends,
-// and the state of its one probe or doorbell batch in flight — the
-// prober and WR lists built per batch, the completion slots the NIC
-// fills in, the held leases, the cursor i of the slot being applied,
-// the shard's probe read and pooled probe — with the continuations that
-// carry the sweep on bound once, so probing a back-end or applying a
-// slot allocates no closure.
+// sweepScratch is a shard task's sweep and its one read in flight. A
+// shard probes one back-end, or posts one doorbell batch, at a time, so
+// one instance per shard, its stages bound once, carries every probe
+// the shard makes; no one-sided read builds a closure.
 //
-// State instead of captured variables is safe because a shard has one
-// probe or batch in flight at a time and applies a batch's slots
-// strictly in order: step is only ever re-entered through resume, which
-// runs once the probe or the batch's last slot is done; every path out
-// of a slot — however many events it takes: a decode burst, a socket
-// fallback, a fenced replay — ends in advance exactly once; and nothing
-// else writes these fields. One instance per shard, reused for the
-// shard's lifetime.
+// The cursor is the shard's back-ends, pos (where the sweep resumes
+// once the probe or batch in flight is done) and the slots of that
+// probe or batch: their probers, WRs, completions and leases, with i the
+// slot being resolved. A solo probe is one slot.
+//
+// Every one-sided probe read — a solo read, a batch slot, a fenced
+// replay, a torn re-read, a breaker re-arm read — runs one state
+// machine:
+//
+//	[acquire → dial →] post → read → decode → then
+//
+// acquire (pooled reads only, pool.go) leases the back-end's conn,
+// dialing or shedding as the pool answers. read is the completion: the
+// epoch fence when leased, then the transport error, then the decode
+// burst. decode runs decodeRead and re-reads a torn ring snapshot up to
+// maxTornRetries times. A batch slot enters at read, with its prober,
+// lease and the batch's post instant loaded. A probe read ends in
+// outcome — rdmaOutcome, then next's observeProbe — and every way out
+// of a slot, however many events it takes, ends in advance exactly
+// once (a shed, or a dial the closing pool refused, skips the outcome).
+//
+// State instead of captured variables is safe because step is only
+// ever re-entered through resume, which runs once the probe or the
+// batch's last slot is done; slots are resolved strictly in order; and
+// nothing else writes these fields.
 type sweepScratch struct {
 	m  *Monitor
 	tk *simos.Task
@@ -645,38 +489,40 @@ type sweepScratch struct {
 	reqs    []simnet.ReadReq
 	results []simnet.ReadResult // lent to the NIC at post, the completions from completed on
 	leases  []connpool.Lease[int, *simnet.QP]
+	posted  sim.Time // when the batch was posted
+	i       int      // the slot being resolved
 
-	start sim.Time // when the batch was posted
-	i     int      // the slot being applied
-
-	// rec is the decode target of the slot being applied, shared by the
-	// shard's probers: the outcome path reads it before the slot ends.
-	rec wire.LoadRecord
-
-	// read carries the shard's probe reads outside a batch — sequential
-	// probes, torn re-reads, pooled probes — and pooled its pooled
-	// probes (nil without a pool).
-	read   *rdmaRead
-	pooled *pooledProbe
+	// The read in flight. start is when its probe, or its batch, was
+	// posted; a pooled (re)acquire and a dial reset it.
+	p       *Prober
+	leased  bool // through the pool: acquired before post, fenced at completion
+	lease   connpool.Lease[int, *simnet.QP]
+	hot     bool // the back-end's class at the last acquire
+	attempt int  // fenced replays in this slot so far
+	torn    int  // re-reads of a torn snapshot so far
+	start   sim.Time
+	data    []byte
+	// rec is the decode target, shared by the shard's probers: the
+	// outcome path reads it before the slot ends.
+	rec  wire.LoadRecord
+	then func(*wire.LoadRecord, error) // sc.outcome, or a re-arm's accounting
 
 	sweepFn     func()                        // sc.sweep
 	resumeFn    func()                        // sc.resume
-	probedFn    func(*wire.LoadRecord, error) // sc.probed
 	completedFn func([]simnet.ReadResult)     // sc.completed
+	dialedFn    func(*simnet.QP, error)       // sc.dialed
+	readFn      func([]byte, error)           // sc.read
 	decodeFn    func()                        // sc.decode
-	rereadFn    func(*wire.LoadRecord, error) // sc.reread
+	socketFn    func(wire.LoadRecord, error)  // sc.socketDone
+	outcomeFn   func(*wire.LoadRecord, error) // sc.outcome
 	nextFn      func(*wire.LoadRecord, error) // sc.next
-	advanceFn   func()                        // sc.advance
 }
 
 func newSweepScratch(m *Monitor, tk *simos.Task, shard int, ids []int, poll sim.Time) *sweepScratch {
-	sc := &sweepScratch{m: m, tk: tk, shard: shard, ids: ids, poll: poll, read: newRDMARead(tk)}
-	if m.pool != nil {
-		sc.pooled = newPooledProbe(m, sc.read)
-	}
-	sc.sweepFn, sc.resumeFn, sc.probedFn = sc.sweep, sc.resume, sc.probed
-	sc.completedFn, sc.decodeFn, sc.rereadFn = sc.completed, sc.decode, sc.reread
-	sc.nextFn, sc.advanceFn = sc.next, sc.advance
+	sc := &sweepScratch{m: m, tk: tk, shard: shard, ids: ids, poll: poll}
+	sc.sweepFn, sc.resumeFn, sc.completedFn = sc.sweep, sc.resume, sc.completed
+	sc.dialedFn, sc.readFn, sc.decodeFn = sc.dialed, sc.read, sc.decode
+	sc.socketFn, sc.outcomeFn, sc.nextFn = sc.socketDone, sc.outcome, sc.next
 	return sc
 }
 
@@ -693,10 +539,9 @@ func (sc *sweepScratch) sweep() {
 
 // step carries the sweep on from back-end i: past the back-ends whose
 // adaptive period has not elapsed, it probes the next due one — in a
-// doorbell batch with the due, batch-eligible ones after it, through
-// the pool, or on its own — and sets pos past what it probed for
-// resume. Past the last back-end the sweep is done and the shard sleeps
-// a period.
+// doorbell batch with the due, batch-eligible ones after it, or on its
+// own — and sets pos past what it probed for resume. Past the last
+// back-end the sweep is done and the shard sleeps a period.
 func (sc *sweepScratch) step(i int) {
 	m, tk, ids := sc.m, sc.tk, sc.ids
 	if m.stopped {
@@ -715,18 +560,21 @@ func (sc *sweepScratch) step(i int) {
 		tk.Sleep(sc.poll, sc.sweepFn)
 		return
 	}
+	sc.leases = sc.leases[:0]
 	if m.cfg.Batch > 1 {
 		// Extend a run of batch-eligible, due back-ends up to the
 		// doorbell limit. Under a pool the run also stops at the first
-		// target without a ready connection — that slot dials (or
-		// sheds) on the sequential path.
+		// target without a ready connection, which dials (or sheds) on
+		// its own.
 		j := i
-		sc.leases = sc.leases[:0]
 		for j < len(ids) && j-i < m.cfg.Batch &&
 			m.prober(ids[j]).batchEligible() && m.dueNow(ids[j]) {
 			if m.pool != nil {
-				l, ok := m.tryLease(ids[j])
-				if !ok {
+				if !m.pool.Ready(ids[j]) {
+					break
+				}
+				l, v, stale := m.acquire(ids[j], m.hotBackend(ids[j]))
+				if v != connpool.Conn || stale {
 					break
 				}
 				sc.leases = append(sc.leases, l)
@@ -738,45 +586,165 @@ func (sc *sweepScratch) step(i int) {
 			sc.probeBatch(ids[i:j])
 			return
 		}
-		if len(sc.leases) == 1 {
-			// A one-long run still holds its lease: probe it fenced
-			// without paying for a doorbell batch.
-			sc.pos = i + 1
-			sc.pooled.fenced(ids[i], sc.leases[0], 0, sc.resumeFn)
-			return
-		}
 	}
-	id := ids[i]
 	sc.pos = i + 1
-	if m.pool != nil && m.prober(id).batchEligible() {
-		sc.pooled.run(id, 0, sc.resumeFn)
-		return
-	}
-	m.prober(id).probe(sc.read, sc.probedFn)
+	sc.probe(m.prober(ids[i]))
 }
 
 // resume carries the sweep on past the probe or batch just done.
 func (sc *sweepScratch) resume() { sc.step(sc.pos) }
 
-// probed is a sequential probe's outcome: feed the period controller
-// and carry the sweep on.
-func (sc *sweepScratch) probed(_ *wire.LoadRecord, err error) {
-	sc.m.observeProbe(sc.ids[sc.pos-1], err)
-	sc.resume()
+// probe starts a solo probe of p: the socket round trip, the tripped
+// breaker's standby probe, or a one-sided read — under the lease a
+// one-long planned run already holds, or from the top.
+func (sc *sweepScratch) probe(p *Prober) {
+	sc.probers = append(sc.probers[:0], p)
+	sc.i = 0
+	sc.load(p, sc.m.front.Eng.Now())
+	switch {
+	case !p.Scheme.UsesRDMA():
+		p.probeSocket(sc.tk, sc.socketFn)
+	case p.Failover != nil && p.Failover.Tripped():
+		sc.probeTripped()
+	case len(sc.leases) == 1:
+		sc.lease = sc.leases[0]
+		sc.post()
+	default:
+		sc.begin()
+	}
+}
+
+// load makes p's read the one in flight, posted at start.
+func (sc *sweepScratch) load(p *Prober, start sim.Time) {
+	sc.p, sc.start, sc.attempt, sc.torn = p, start, 0, 0
+	sc.leased = sc.m.pool != nil
+	sc.then = sc.outcomeFn
+}
+
+// probeTripped carries a probe over the standby socket channel while
+// the breaker is tripped, issuing the occasional background re-arm
+// read of the RDMA path.
+func (sc *sweepScratch) probeTripped() {
+	p, fo := sc.p, sc.p.Failover
+	p.Fallbacks++
+	p.probeSocket(sc.tk, func(rec wire.LoadRecord, err error) {
+		if !fo.ShouldReArm() {
+			sc.socketDone(rec, err)
+			return
+		}
+		// Background re-arm: test the RDMA path without trusting it for
+		// data until it has proven itself FailBackAfter times in a row.
+		// The re-arm outcome never pollutes this probe's result, and the
+		// read bypasses the pool.
+		p.ReArms++
+		sc.leased = false
+		sc.then = func(_ *wire.LoadRecord, rerr error) {
+			if rerr == nil {
+				fo.ReArmOK()
+			} else {
+				fo.ReArmFail()
+			}
+			sc.socketDone(rec, err)
+		}
+		sc.post()
+	})
+}
+
+// socketDone is a socket probe's reply, applied.
+func (sc *sweepScratch) socketDone(rec wire.LoadRecord, err error) {
+	sc.p.finishProbe(sc.start, &rec, err, TransportSocket, sc.nextFn)
+}
+
+// begin (re)starts the read in flight: through the pool when leased.
+func (sc *sweepScratch) begin() {
+	if sc.leased {
+		sc.acquire()
+		return
+	}
+	sc.post()
+}
+
+// post issues the read into the prober's DMA buffer.
+func (sc *sweepScratch) post() {
+	p := sc.p
+	n := p.readLen()
+	sc.m.fnic.RDMAReadInto(sc.tk, p.Backend, p.agent.RKey(), n, p.readInto(n), sc.readFn)
+}
+
+// read is the read's completion. A leased read is epoch-fenced first: a
+// completion whose conn was recycled in flight is never served — intact
+// data is replayed on a fresh conn, and a failed op is a plain failure
+// with no breaker charge in the pool (Invalidate recycles the conn).
+// Then a transport error ends the read, and data goes through the
+// decode burst.
+func (sc *sweepScratch) read(data []byte, err error) {
+	m, p := sc.m, sc.p
+	if sc.leased {
+		if l := sc.lease; m.pool.Fence(l) && l.Conn.Valid() {
+			m.pool.Release(l, err)
+		} else {
+			m.FenceRejects++
+			m.pool.Invalidate(l)
+			if err == nil {
+				sc.attempt++
+				sc.acquire()
+				return
+			}
+		}
+	}
+	if err != nil {
+		if err == simnet.ErrTimeout {
+			p.Timeouts++
+		}
+		sc.then(nil, err)
+		return
+	}
+	sc.data = data
+	sc.tk.Compute(p.decode, sc.decodeFn)
+}
+
+// decode runs when the decode burst completes. A torn ring snapshot
+// (the writer mid-update at the DMA instant) is simply re-read, the
+// seqlock contract, up to maxTornRetries times.
+func (sc *sweepScratch) decode() {
+	p, data := sc.p, sc.data
+	sc.data = nil
+	err := p.decodeRead(&sc.rec, data)
+	if err == wire.ErrTorn && sc.torn < maxTornRetries {
+		p.TornRetries++
+		sc.torn++
+		sc.begin()
+		return
+	}
+	sc.then(&sc.rec, err)
+}
+
+// outcome resolves a probe read: breaker accounting and the same-cycle
+// socket fallback, then next.
+func (sc *sweepScratch) outcome(rec *wire.LoadRecord, err error) {
+	sc.p.rdmaOutcome(sc.tk, sc.start, rec, err, sc.nextFn)
+}
+
+// next is a slot's outcome, applied: feed the period controller and
+// move on.
+func (sc *sweepScratch) next(_ *wire.LoadRecord, err error) {
+	sc.m.observeProbe(sc.p.Backend, err)
+	sc.advance()
+}
+
+func (sc *sweepScratch) advance() {
+	sc.i++
+	sc.apply()
 }
 
 // probeBatch posts one doorbell-batched multi-WR read covering ids
-// (all batch-eligible when posted) and applies each completion through
-// the same per-backend outcome logic a standalone probe uses. Under a
-// pool, sc.leases[i] is the held lease for ids[i]: every completion is
-// epoch-fenced before its record may be served — a slot whose conn
-// was recycled in flight is rejected and replayed on a fresh conn,
-// never silently served stale. Each read lands in its prober's own
-// DMA buffer and the batch bookkeeping lives in sc, so the hot path
-// posts no fresh memory.
+// (all batch-eligible when posted). Under a pool, sc.leases[i] is the
+// held lease for ids[i]. Each read lands in its prober's own DMA buffer
+// and the batch bookkeeping lives in sc, so the hot path posts no fresh
+// memory.
 func (sc *sweepScratch) probeBatch(ids []int) {
 	m := sc.m
-	sc.start = sc.tk.Node().Eng.Now()
+	sc.posted = sc.tk.Node().Eng.Now()
 	if cap(sc.probers) < len(ids) {
 		sc.probers = make([]*Prober, len(ids))
 		sc.reqs = make([]simnet.ReadReq, len(ids))
@@ -792,82 +760,27 @@ func (sc *sweepScratch) probeBatch(ids []int) {
 	m.fnic.RDMAReadBatchInto(sc.tk, sc.reqs, sc.results, sc.completedFn)
 }
 
-// completed receives the batch's completions and starts applying them.
+// completed receives the batch's completions and starts resolving them.
 func (sc *sweepScratch) completed(results []simnet.ReadResult) {
 	sc.results = results
 	sc.i = 0
 	sc.apply()
 }
 
-// apply resolves slot i — fence, transport error, or the decode burst —
-// or, past the last slot, hands control back to the sweep.
+// apply enters slot i's completion into the read — the same completion
+// stage a solo read reaches — or, past the last slot, hands control back
+// to the sweep.
 func (sc *sweepScratch) apply() {
-	m, i := sc.m, sc.i
-	if i >= len(sc.probers) {
+	if sc.i >= len(sc.probers) {
 		sc.resume()
 		return
 	}
-	p, res := sc.probers[i], &sc.results[i]
-	if m.pool != nil {
-		l := sc.leases[i]
-		if served := m.pool.Fence(l) && l.Conn.Valid(); !served {
-			m.FenceRejects++
-			m.pool.Invalidate(l)
-			if res.Err == nil {
-				// Intact data over a recycled conn: replay the
-				// slot on a fresh connection.
-				sc.pooled.run(p.Backend, 1, sc.advanceFn)
-				return
-			}
-		} else {
-			m.pool.Release(l, res.Err)
-		}
+	sc.load(sc.probers[sc.i], sc.posted)
+	if sc.leased {
+		sc.lease = sc.leases[sc.i]
 	}
-	if res.Err != nil {
-		if res.Err == simnet.ErrTimeout {
-			p.Timeouts++
-		}
-		p.rdmaOutcome(sc.tk, sc.start, nil, res.Err, sc.nextFn)
-		return
-	}
-	sc.tk.Compute(p.decode, sc.decodeFn)
-}
-
-// decode runs when slot i's decode burst completes.
-func (sc *sweepScratch) decode() {
-	m, tk, p := sc.m, sc.tk, sc.probers[sc.i]
-	derr := p.decodeRead(&sc.rec, sc.results[sc.i].Data)
-	if derr == wire.ErrTorn {
-		// The batch slot caught the ring writer mid-update:
-		// re-read this one back-end on the sequential path
-		// (which owns the bounded retry loop) while the rest
-		// of the batch proceeds.
-		p.TornRetries++
-		if m.pool != nil {
-			sc.pooled.run(p.Backend, 1, sc.advanceFn)
-		} else {
-			sc.read.start(p, sc.rereadFn)
-		}
-		return
-	}
-	p.rdmaOutcome(tk, sc.start, &sc.rec, derr, sc.nextFn)
-}
-
-// reread is slot i's torn re-read, done: resolve it like the slot.
-func (sc *sweepScratch) reread(rec *wire.LoadRecord, err error) {
-	sc.probers[sc.i].rdmaOutcome(sc.tk, sc.start, rec, err, sc.nextFn)
-}
-
-// next is slot i's outcome, applied: feed the period controller and
-// move on.
-func (sc *sweepScratch) next(_ *wire.LoadRecord, err error) {
-	sc.m.observeProbe(sc.probers[sc.i].Backend, err)
-	sc.advance()
-}
-
-func (sc *sweepScratch) advance() {
-	sc.i++
-	sc.apply()
+	res := &sc.results[sc.i]
+	sc.read(res.Data, res.Err)
 }
 
 // shardDone records one completed sweep of shard s and refreshes
@@ -1078,9 +991,6 @@ func (m *Monitor) Stop() {
 	m.stopped = true
 	for _, t := range m.tasks {
 		t.Exit()
-	}
-	for _, p := range m.Probers {
-		p.Stop()
 	}
 	if m.Sink != nil {
 		m.Sink.Close()

@@ -196,3 +196,28 @@ func TestTornRingReadRetried(t *testing.T) {
 		}
 	}
 }
+
+// TestTornRingReadBound: a ring that tears on every read fails each
+// probe after exactly maxTornRetries re-reads and serves nothing — a
+// batch slot gets the same bound as a solo read, pooled or not.
+func TestTornRingReadBound(t *testing.T) {
+	for _, batch := range []int{4, 1} {
+		for _, pool := range []bool{false, true} {
+			t.Run(fmt.Sprintf("batch=%d/pool=%v", batch, pool), func(t *testing.T) {
+				cfg := AgentConfig{Scheme: RDMASync, HistoryK: 4, Interval: 10 * sim.Millisecond}
+				f, m := startReadFleet(64, batch, pool, cfg)
+				a, p := f.agents[readVictim-1], m.Probers[readVictim]
+				hookDMA(a, tear)
+				served := logServed(p)
+				f.eng.RunFor(50 * sim.Millisecond)
+				if p.Errors == 0 || len(served.seqs) != 0 {
+					t.Fatalf("%d failed probes, %d records served; want failures only", p.Errors, len(served.seqs))
+				}
+				if want := uint64(maxTornRetries * p.Errors); p.TornRetries != want {
+					t.Fatalf("%d torn re-reads over %d failed probes, want %d (%d each)",
+						p.TornRetries, p.Errors, want, maxTornRetries)
+				}
+			})
+		}
+	}
+}

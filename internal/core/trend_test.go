@@ -134,7 +134,7 @@ func TestHistoryRingProbeEndToEnd(t *testing.T) {
 	if a.BackendTasks() != 0 {
 		t.Fatal("the ring sampler must be a kernel timer, not a task")
 	}
-	p := StartProber(r.front, r.fnic, a, 50*sim.Millisecond)
+	p := StartMonitor(r.front, r.fnic, []*Agent{a}, 50*sim.Millisecond).Probers[r.backend.ID]
 	var maxStale sim.Time
 	p.OnRecord = func(rec wire.LoadRecord, at sim.Time) {
 		if st := at - sim.Time(rec.KTimeNS); st > maxStale {
@@ -171,7 +171,7 @@ func TestHistoryRingRepinBumpsEpoch(t *testing.T) {
 	a := StartAgent(r.backend, r.bnic, AgentConfig{
 		Scheme: RDMASync, HistoryK: 4, Interval: 10 * sim.Millisecond,
 	})
-	p := StartProber(r.front, r.fnic, a, 20*sim.Millisecond)
+	p := StartMonitor(r.front, r.fnic, []*Agent{a}, 20*sim.Millisecond).Probers[r.backend.ID]
 	r.eng.RunUntil(300 * sim.Millisecond)
 	epoch0 := p.view.Epoch
 	a.InvalidateMR(50 * sim.Millisecond)

@@ -81,7 +81,7 @@ func fig3Point(o Options, s core.Scheme, n int) *metrics.Sample {
 	workload.StartBackground(peer, pnic, bg)
 
 	agent := core.StartAgent(backend, bnic, core.AgentConfig{Scheme: s})
-	prober := core.StartProber(front, fnic, agent, 20*sim.Millisecond)
+	prober := core.StartMonitor(front, fnic, []*core.Agent{agent}, 20*sim.Millisecond).Probers[backend.ID]
 
 	dur := 8 * sim.Second
 	if o.Quick {

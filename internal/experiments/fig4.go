@@ -66,7 +66,7 @@ func fig4Point(o Options, s core.Scheme, granMS int) float64 {
 
 	T := sim.Time(granMS) * sim.Millisecond
 	agent := core.StartAgent(backend, bnic, core.AgentConfig{Scheme: s, Interval: T})
-	core.StartProber(front, fnic, agent, T)
+	core.StartMonitor(front, fnic, []*core.Agent{agent}, T)
 
 	dur := 6 * sim.Second
 	if o.Quick {

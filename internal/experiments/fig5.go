@@ -83,7 +83,7 @@ func fig5Point(o Options, s core.Scheme, devT, devC *metrics.Deviation) {
 	})
 
 	agent := core.StartAgent(backend, bnic, core.AgentConfig{Scheme: s})
-	p := core.StartProber(front, fnic, agent, core.DefaultInterval)
+	p := core.StartMonitor(front, fnic, []*core.Agent{agent}, core.DefaultInterval).Probers[backend.ID]
 	p.OnRecord = func(rec wire.LoadRecord, at sim.Time) {
 		truth := backend.K.Snapshot()
 		devT.Observe(float64(rec.NrRunning), float64(truth.NrRunning))

@@ -91,7 +91,7 @@ func fig6Point(o Options, s core.Scheme, st *Fig6Stats) {
 	}
 
 	agent := core.StartAgent(backend, bnic, core.AgentConfig{Scheme: s})
-	p := core.StartProber(front, fnic, agent, 10*sim.Millisecond)
+	p := core.StartMonitor(front, fnic, []*core.Agent{agent}, 10*sim.Millisecond).Probers[backend.ID]
 	p.OnRecord = func(rec wire.LoadRecord, at sim.Time) {
 		st.Samples++
 		for c := 0; c < 2; c++ {

@@ -207,6 +207,7 @@ type Engine struct {
 	queue eventQueue // one slot per run
 	free  []*Event   // fired Post nodes, fn cleared
 	rng   *rand.Rand
+	seed  int64
 
 	// recent holds the last few events enqueued, as candidates for the
 	// next one to chain behind; see enqueue for why a stale entry is
@@ -224,7 +225,7 @@ type Engine struct {
 // NewEngine returns an engine with its clock at zero and a random
 // number stream derived from seed.
 func NewEngine(seed int64) *Engine {
-	return &Engine{rng: rand.New(rand.NewSource(seed))}
+	return &Engine{rng: rand.New(rand.NewSource(seed)), seed: seed}
 }
 
 // Now returns the current virtual time.
@@ -232,6 +233,9 @@ func (e *Engine) Now() Time { return e.now }
 
 // Rand returns the engine's deterministic random stream.
 func (e *Engine) Rand() *rand.Rand { return e.rng }
+
+// Seed returns the seed the engine was built with.
+func (e *Engine) Seed() int64 { return e.seed }
 
 // Len returns the number of queued events.
 func (e *Engine) Len() int { return e.n }
