@@ -4,6 +4,7 @@ package core
 
 import (
 	"runtime"
+	"strings"
 	"testing"
 
 	"rdmamon/internal/connpool"
@@ -65,12 +66,49 @@ func TestDeltaPusherQuietCheckAllocs(t *testing.T) {
 	}
 }
 
+// profileSnapshot copies the memory profile, published up to now, into
+// buf.
+func profileSnapshot(t *testing.T, buf []runtime.MemProfileRecord) []runtime.MemProfileRecord {
+	runtime.GC()
+	n, ok := runtime.MemProfile(buf, true)
+	if !ok {
+		t.Fatalf("memory profile holds %d records, buffer %d", n, len(buf))
+	}
+	return buf[:n]
+}
+
+// moduleAllocs sums the objects recs record from stacks that pass
+// through this module's code. Between two snapshots taken with
+// runtime.MemProfileRate at 1, that is what the simulator allocated,
+// and not what the runtime did for itself: the thread it may start as
+// the world restarts after a stop-the-world (an m, two g's and a
+// profiling stack, no frame of ours on the stack), which a process-wide
+// MemStats count charges to whatever window it lands in.
+func moduleAllocs(recs []runtime.MemProfileRecord) (n int64) {
+	for _, r := range recs {
+		frames := runtime.CallersFrames(r.Stack())
+		for {
+			f, more := frames.Next()
+			if strings.HasPrefix(f.Function, "rdmamon/") {
+				n += r.AllocObjects
+				break
+			}
+			if !more {
+				break
+			}
+		}
+	}
+	return n
+}
+
 // TestPooledProbeConnZeroAlloc pins the pooled sweep's common probe:
 // the back-end's conn is resident, so Acquire answers Conn, and the
 // fenced read, the release, the outcome and the sweep's step past the
 // probe all run on the shard's bound continuations — nothing is
 // allocated. The window is sized so the latency and cycle-time samples
-// do not grow their arrays inside it.
+// do not grow their arrays inside it, and the count is the simulator's
+// own (moduleAllocs), so a thread the runtime starts meanwhile is not
+// charged to the probes.
 func TestPooledProbeConnZeroAlloc(t *testing.T) {
 	const poll = 10 * sim.Millisecond
 	f := newFleet(52, 2, AgentConfig{Scheme: RDMASync})
@@ -90,18 +128,21 @@ func TestPooledProbeConnZeroAlloc(t *testing.T) {
 	}
 	sweeps := room() - 2
 	dials := m.Pool().Stats().Dials
-	var m0, m1 runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&m0)
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
+	n, _ := runtime.MemProfile(nil, true)
+	before := make([]runtime.MemProfileRecord, n+1024)
+	after := make([]runtime.MemProfileRecord, n+1024)
+	before = profileSnapshot(t, before)
 	reads0 := f.fnic.RDMAReads
 	f.eng.RunFor(sim.Time(sweeps) * poll)
-	runtime.ReadMemStats(&m1)
+	after = profileSnapshot(t, after)
 	probes := f.fnic.RDMAReads - reads0
 	if probes < uint64(sweeps) || m.Pool().Stats().Dials != dials || m.FenceRejects != 0 || m.PoolSheds != 0 {
 		t.Fatalf("want Conn verdicts only: %d probes in %d sweeps, %d new dials, %d fence rejects, %d sheds",
 			probes, sweeps, m.Pool().Stats().Dials-dials, m.FenceRejects, m.PoolSheds)
 	}
-	if n := m1.Mallocs - m0.Mallocs; n != 0 {
+	if n := moduleAllocs(after) - moduleAllocs(before); n != 0 {
 		t.Fatalf("%d pooled probes allocated %d objects, want 0", probes, n)
 	}
 }

@@ -448,7 +448,7 @@ func StartMonitorCfg(front *simos.Node, fnic *simnet.NIC, agents []*Agent, poll 
 // sweepScratch is a shard task's sweep and its one read in flight. A
 // shard probes one back-end, or posts one doorbell batch, at a time, so
 // one instance per shard, its stages bound once, carries every probe
-// the shard makes; no one-sided read builds a closure.
+// the shard makes; only a breaker re-arm read builds a closure.
 //
 // The cursor is the shard's back-ends, pos (where the sweep resumes
 // once the probe or batch in flight is done) and the slots of that
