@@ -7,9 +7,9 @@
 GO      ?= go
 FUZZTIME ?= 10s
 
-.PHONY: ci vet build test race fuzz chaos-smoke ha-smoke aa-smoke hybrid-smoke history-smoke churn-smoke scenario-smoke bench bench-baseline bench-check bench-wall bench-wall-compare loc clean
+.PHONY: ci vet build test race fuzz chaos-smoke ha-smoke aa-smoke hybrid-smoke churn-smoke scenario-smoke bench bench-baseline bench-check bench-wall bench-wall-compare loc clean
 
-ci: vet build race bench-check fuzz chaos-smoke ha-smoke aa-smoke hybrid-smoke history-smoke churn-smoke scenario-smoke
+ci: vet build race bench-check fuzz chaos-smoke ha-smoke aa-smoke hybrid-smoke churn-smoke scenario-smoke
 
 vet:
 	$(GO) vet ./...
@@ -72,13 +72,6 @@ aa-smoke:
 # the same effective-staleness bound, non-zero exit on any violation.
 hybrid-smoke:
 	$(GO) run ./cmd/rmbench -exp hybrid -quick
-
-# History-ring smoke: the quick ring-vs-point comparison, the only CI
-# run whose ring reads ride doorbell batches through the shared read
-# path (decode, torn re-read) — coverage, amortization and trend-landing
-# contracts asserted, non-zero exit on any violation.
-history-smoke:
-	$(GO) run ./cmd/rmbench -exp history -quick
 
 # Connection-lifecycle smoke: the pooled scale-out at 1024 back-ends
 # (quick phases) through crash/restart churn, a dial storm and an fd

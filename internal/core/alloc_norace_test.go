@@ -12,32 +12,44 @@ import (
 )
 
 // TestSweepAllocsPerRead pins the steady-state sweep at the gate
-// configuration (256 back-ends, 4 shards, doorbell batch 32): a read's
-// fabric stages, completion slot, decode burst and outcome all run on
-// state bound once, so what a read still allocates is a 32nd share of
-// its batch's task machinery and the amortized growth of the latency
-// samples. The two-second warm-up carries those samples past their
-// early doublings.
+// configuration (256 back-ends, 4 shards, doorbell batch 32) and at the
+// sequential monitor (64 back-ends, MonitorConfig{}): a read's fabric
+// stages, completion slot, decode burst and outcome all run on state
+// bound once, so what a read still allocates is a share of its batch's
+// or its probe's task machinery and the amortized growth of the latency
+// samples — no closure per probe. The two-second warm-up carries those
+// samples past their early doublings.
 func TestSweepAllocsPerRead(t *testing.T) {
-	f := newFleet(1, 256, AgentConfig{Scheme: RDMASync})
-	m := StartMonitorCfg(f.front, f.fnic, f.agents, 10*sim.Millisecond, MonitorConfig{Shards: 4, Batch: 32})
-	f.eng.RunUntil(2 * sim.Second)
-	var m0, m1 runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&m0)
-	reads0 := f.fnic.RDMAReads
-	f.eng.RunUntil(3 * sim.Second)
-	runtime.ReadMemStats(&m1)
-	reads := f.fnic.RDMAReads - reads0
-	if reads < 256*50 {
-		t.Fatalf("%d reads in a settled second (%d cycles), want >= %d", reads, m.Cycles, 256*50)
+	for _, tc := range []struct {
+		name     string
+		backends int
+		cfg      MonitorConfig
+	}{
+		{"shards=4/batch=32", 256, MonitorConfig{Shards: 4, Batch: 32}},
+		{"sequential", 64, MonitorConfig{}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := newFleet(1, tc.backends, AgentConfig{Scheme: RDMASync})
+			m := StartMonitorCfg(f.front, f.fnic, f.agents, 10*sim.Millisecond, tc.cfg)
+			f.eng.RunUntil(2 * sim.Second)
+			var m0, m1 runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&m0)
+			reads0 := f.fnic.RDMAReads
+			f.eng.RunUntil(3 * sim.Second)
+			runtime.ReadMemStats(&m1)
+			reads := f.fnic.RDMAReads - reads0
+			if want := uint64(tc.backends * 50); reads < want {
+				t.Fatalf("%d reads in a settled second (%d cycles), want >= %d", reads, m.Cycles, want)
+			}
+			perRead := float64(m1.Mallocs-m0.Mallocs) / float64(reads)
+			if perRead > 0.25 {
+				t.Fatalf("the settled sweep allocates %.2f objects per read, want <= 0.25", perRead)
+			}
+			t.Logf("%.2f allocs, %.0f B per read over %d reads", perRead,
+				float64(m1.TotalAlloc-m0.TotalAlloc)/float64(reads), reads)
+		})
 	}
-	perRead := float64(m1.Mallocs-m0.Mallocs) / float64(reads)
-	if perRead > 0.25 {
-		t.Fatalf("the settled sweep allocates %.2f objects per read, want <= 0.25", perRead)
-	}
-	t.Logf("%.2f allocs, %.0f B per read over %d reads", perRead,
-		float64(m1.TotalAlloc-m0.TotalAlloc)/float64(reads), reads)
 }
 
 // TestDeltaPusherQuietCheckAllocs pins the pusher's loop: a check that

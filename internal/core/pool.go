@@ -79,10 +79,12 @@ func (m *Monitor) acquire(id int, hot bool) (l connpool.Lease[int, *simnet.QP], 
 }
 
 // acquire is a pooled read's first stage: lease the back-end's conn
-// and post, dial, or shed the slot, as the pool answers.
+// and post, dial, or shed the slot, as the pool answers. A torn re-read
+// acquires again too (its lease went back at the fence) and keeps the
+// probe's start; under budget pressure it may be shed, which defers the
+// probe like any shed slot.
 func (sc *sweepScratch) acquire() {
 	m, id := sc.m, sc.p.Backend
-	sc.start = m.front.Eng.Now()
 	if sc.attempt > 1 {
 		// Second replay in one slot: the conn keeps dying underneath
 		// us — stop spinning and degrade through the failover ladder

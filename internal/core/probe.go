@@ -493,7 +493,8 @@ type sweepScratch struct {
 	i       int      // the slot being resolved
 
 	// The read in flight. start is when its probe, or its batch, was
-	// posted; a pooled (re)acquire and a dial reset it.
+	// posted; a fenced replay and a dial reset it, a torn re-read does
+	// not.
 	p       *Prober
 	leased  bool // through the pool: acquired before post, fenced at completion
 	lease   connpool.Lease[int, *simnet.QP]
@@ -686,7 +687,7 @@ func (sc *sweepScratch) read(data []byte, err error) {
 			m.FenceRejects++
 			m.pool.Invalidate(l)
 			if err == nil {
-				sc.attempt++
+				sc.attempt, sc.start = sc.attempt+1, m.front.Eng.Now()
 				sc.acquire()
 				return
 			}

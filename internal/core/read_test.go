@@ -165,9 +165,9 @@ func TestPooledReadRecycledTwice(t *testing.T) {
 	}
 }
 
-// TestTornRingReadRetried: a ring snapshot torn once is re-read, and
-// the re-read's record is served — as a batch slot and as a solo read,
-// pooled or not.
+// TestTornRingReadRetried: a ring snapshot torn once is re-read, the
+// re-read's record is served, and the probe's latency sample starts at
+// its first post — as a batch slot and as a solo read, pooled or not.
 func TestTornRingReadRetried(t *testing.T) {
 	for _, batch := range []int{4, 1} {
 		for _, pool := range []bool{false, true} {
@@ -184,6 +184,7 @@ func TestTornRingReadRetried(t *testing.T) {
 					return b
 				})
 				served := logServed(p)
+				samples := p.Latency.Count()
 				f.eng.RunFor(50 * sim.Millisecond)
 				if tears != 0 {
 					t.Fatal("the victim was never read after the hook")
@@ -191,6 +192,12 @@ func TestTornRingReadRetried(t *testing.T) {
 				if p.TornRetries != 1 || p.Errors != 0 || len(served.seqs) == 0 {
 					t.Fatalf("torn retries %d, errors %d, %d records served; want 1, 0 and some",
 						p.TornRetries, p.Errors, len(served.seqs))
+				}
+				// The torn probe's latency runs from its first post, so it
+				// covers the torn read and its decode burst as well as the
+				// re-read: well above the clean probe after it.
+				if lat := p.Latency.Values()[samples:]; len(lat) < 2 || lat[0] < 1.5*lat[1] {
+					t.Fatalf("latencies %v µs: want the torn probe's first, over 1.5x the next one's", lat)
 				}
 			})
 		}
