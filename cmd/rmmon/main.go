@@ -5,8 +5,8 @@
 // Usage:
 //
 //	rmmon agent -scheme rdma-sync -listen :9377
-//	rmmon probe -scheme rdma-sync -targets host1:9377,host2:9377 -interval 50ms
-//	rmmon once  -target host1:9377
+//	rmmon probe -targets host1:9377,host2:9377 -interval 50ms
+//	rmmon once  -target host1:9377 [-burst k | -history]
 package main
 
 import (
@@ -20,7 +20,6 @@ import (
 
 	"rdmamon/internal/core"
 	"rdmamon/internal/livemon"
-	"rdmamon/internal/sim"
 	"rdmamon/internal/wire"
 )
 
@@ -50,10 +49,10 @@ func usage() {
 subcommands:
   agent    -scheme <name> -listen <addr> -node <id> [-interval <dur>] [-history k] [-mr-flap <dur>]
            [-host-claims <shards>] [-push-to <addr> [-push-threshold x] [-push-heartbeat <dur>]]
-  probe    -scheme <name> -targets <addr,...> [-interval <dur>] [-count n] [-failover]
-           [-burst k] [-history] [-claim <fe-id> [-claim-owners n] [-witness <addr>]]
+  probe    -targets <addr,...> [-interval <dur>] [-count n] [-failover]
+           [-claim <fe-id> [-claim-owners n] [-witness <addr>]]
            [-period-max <dur> [-push-threshold x]]
-  once     -target <addr>
+  once     -target <addr> [-burst k | -history]
   pushhost -listen <addr> -nodes <id,...> [-count n]
 
 schemes: socket-async, socket-sync, rdma-async, rdma-sync, e-rdma-sync`)
@@ -127,37 +126,25 @@ func runProbe(args []string) {
 	interval := fs.Duration("interval", 50*time.Millisecond, "poll interval")
 	count := fs.Int("count", 0, "number of polling cycles (0 = forever)")
 	failover := fs.Bool("failover", false, "arm the RDMA->socket transport breaker (RDMA schemes)")
-	burst := fs.Int("burst", 1, "pipelined reads per probe cycle (RDMA schemes): k distinct samples in ~one round trip")
-	history := fs.Bool("history", false, "fetch each ring-publishing agent's full history window per cycle and report its load trend")
 	claimID := fs.Int("claim", 0, "front-end replica id (1-based): contend for the claim table hosted by the witness in -witness")
 	claimOwners := fs.Int("claim-owners", 0, "front-end ring size for the home-shard mapping (0 = no home preference: every replica bids as home, HA on a 1-shard table)")
 	witness := fs.String("witness", "", "witness agent address hosting the claim table (default: first target)")
 	periodMax := fs.Duration("period-max", 0, "adaptive polling: decay quiet targets' poll period up to this ceiling (0 = fixed period)")
 	pushTh := fs.Float64("push-threshold", 0, "adaptive polling: load-index delta that counts as change (0 = default 0.05)")
 	fs.Parse(args)
-	if *targets == "" {
-		fmt.Fprintln(os.Stderr, "rmmon probe: -targets required")
+	if *targets == "" || *interval <= 0 {
+		fmt.Fprintln(os.Stderr, "rmmon probe: -targets and a positive -interval required")
 		os.Exit(2)
 	}
 	addrs := strings.Split(*targets, ",")
-	probes := make([]*livemon.Probe, 0, len(addrs))
-	for _, addr := range addrs {
-		p, err := livemon.Dial(strings.TrimSpace(addr))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "rmmon probe: %s: %v\n", addr, err)
-			os.Exit(1)
-		}
-		defer p.Close()
-		if *failover {
-			p.SetFailover(core.FailoverConfig{})
-		}
-		probes = append(probes, p)
+	for i := range addrs {
+		addrs[i] = strings.TrimSpace(addrs[i])
 	}
 	var claims *livemon.ClaimClient
 	if *claimID > 0 {
 		waddr := strings.TrimSpace(*witness)
 		if waddr == "" {
-			waddr = strings.TrimSpace(addrs[0])
+			waddr = addrs[0]
 		}
 		cc, err := livemon.DialClaims(waddr, uint16(*claimID), *claimOwners, core.ClaimConfig{})
 		if err != nil {
@@ -167,80 +154,54 @@ func runProbe(args []string) {
 		defer cc.Close()
 		claims = cc
 	}
-	w := core.DefaultWeights()
-	// Adaptive polling (-period-max): each target's decision and the
-	// instant its next probe is due.
-	threshold := *pushTh
-	if threshold <= 0 {
-		threshold = core.DefaultChangeThreshold
-	}
-	var polls []core.AdaptivePoll
-	due := make([]time.Time, len(probes))
-	trends := make([]core.TrendTracker, len(probes))
+	cfg := livemon.MonitorConfig{Interval: *interval}
 	if *periodMax > 0 {
-		polls = make([]core.AdaptivePoll, len(probes))
-		for i := range polls {
-			polls[i].Ctrl.Cfg = core.PeriodConfig{Min: sim.Time(*interval), Max: sim.Time(*periodMax)}.WithDefaults(sim.Time(*interval))
+		cfg.Adaptive = &livemon.AdaptiveConfig{Max: *periodMax, Threshold: *pushTh}
+		if claims != nil {
+			cfg.Adaptive.LeaseValid = func() bool { return claims.HeldValid() > 0 }
 		}
 	}
+	if *failover {
+		cfg.Failover = &core.FailoverConfig{}
+	}
+	m, dialErrs := livemon.NewMonitor(addrs, cfg)
+	defer m.Close()
+	for _, addr := range addrs {
+		if err := dialErrs[addr]; err != nil {
+			fmt.Fprintf(os.Stderr, "rmmon probe: %s: %v\n", addr, err)
+		}
+	}
+	if len(dialErrs) > 0 {
+		os.Exit(1)
+	}
+	w := core.DefaultWeights()
+	printed := make(map[string]time.Time, len(addrs)) // arrival of the last record printed per target
+	tick := time.NewTicker(*interval)
+	defer tick.Stop()
 	for cycle := 0; *count == 0 || cycle < *count; cycle++ {
-		start := time.Now()
+		<-tick.C
 		if claims != nil {
 			tk, rn, dp, hb := claims.Counters()
 			_, _, fenced := claims.Errors()
 			fmt.Printf("claims: held=%d/%d takeovers=%d renewals=%d deposals=%d handbacks=%d fenced=%d\n",
 				claims.HeldValid(), claims.Shards(), tk, rn, dp, hb, fenced)
 		}
-		for i, p := range probes {
-			if polls != nil && time.Now().Before(due[i]) {
+		for _, addr := range addrs {
+			if err := m.Err(addr); err != nil {
+				fmt.Printf("%-22s ERROR %v health=%s\n", addr, err, m.Health(addr))
 				continue
 			}
-			if *history && p.RingK() > 0 {
-				v, err := p.FetchHistory()
-				if err != nil {
-					fmt.Printf("%-22s ERROR %v\n", addrs[i], err)
-					continue
-				}
-				trends[i].ObserveRing(&v)
-				tag := " hist"
-				if s, ok := trends[i].Slope(); ok {
-					tag = fmt.Sprintf(" hist slope=%+.3f/s", s)
-				}
-				newest := v.Newest()
-				printRecord(addrs[i], newest, w.IndexOf(&newest), time.Since(start), tag)
-				continue
+			rec, at, ok := m.Latest(addr)
+			if !ok || !at.After(printed[addr]) {
+				continue // not due yet, or an adaptive skip
 			}
-			if *burst > 1 && p.Scheme().UsesRDMA() {
-				recs, err := p.FetchBurst(*burst)
-				if err != nil {
-					fmt.Printf("%-22s ERROR %v\n", addrs[i], err)
-					continue
-				}
-				for _, rec := range recs {
-					printRecord(addrs[i], rec, w.IndexOf(&rec), time.Since(start), " burst")
-				}
-				continue
-			}
-			rec, tr, err := p.FetchVia()
-			if polls != nil {
-				seen := &rec
-				if err != nil {
-					seen = nil
-				}
-				held := claims == nil || claims.HeldValid() > 0
-				due[i] = time.Now().Add(time.Duration(polls[i].Observe(seen, threshold, core.Healthy, held)))
-			}
-			if err != nil {
-				fmt.Printf("%-22s ERROR %v\n", addrs[i], err)
-				continue
-			}
+			printed[addr] = at
 			via := ""
-			if p.Failover() != nil {
-				via = " via=" + tr.String()
+			if *failover {
+				via = " via=" + m.Transport(addr).String()
 			}
-			printRecord(addrs[i], rec, w.IndexOf(&rec), time.Since(start), via)
+			printRecord(addr, rec, w.IndexOf(&rec), "age", time.Since(at), via)
 		}
-		time.Sleep(*interval)
 	}
 }
 
@@ -282,7 +243,7 @@ func runPushHost(args []string) {
 				continue
 			}
 			printRecord(fmt.Sprintf("node %d", id), rec.Load, w.IndexOf(&rec.Load),
-				time.Since(at).Round(time.Millisecond), " pushed")
+				"age", time.Since(at).Round(time.Millisecond), " pushed")
 		}
 	}
 }
@@ -290,6 +251,8 @@ func runPushHost(args []string) {
 func runOnce(args []string) {
 	fs := flag.NewFlagSet("once", flag.ExitOnError)
 	target := fs.String("target", "127.0.0.1:9377", "agent address")
+	burst := fs.Int("burst", 1, "pipelined reads in the one fetch (RDMA schemes): k distinct samples in ~one round trip")
+	history := fs.Bool("history", false, "fetch a ring-publishing agent's whole history window and print its newest record with the window's load trend")
 	fs.Parse(args)
 	p, err := livemon.Dial(*target)
 	if err != nil {
@@ -297,18 +260,44 @@ func runOnce(args []string) {
 		os.Exit(1)
 	}
 	defer p.Close()
+	w := core.DefaultWeights()
 	start := time.Now()
-	rec, err := p.Fetch()
+	var recs []wire.LoadRecord
+	tag := ""
+	switch {
+	case *history && p.RingK() > 0:
+		var v wire.RingView
+		if v, err = p.FetchHistory(); err == nil {
+			var tr core.TrendTracker
+			tr.ObserveRing(&v)
+			tag = " hist"
+			if s, ok := tr.Slope(); ok {
+				tag = fmt.Sprintf(" hist slope=%+.3f/s", s)
+			}
+			recs = []wire.LoadRecord{v.Newest()}
+		}
+	case *burst > 1 && p.Scheme().UsesRDMA():
+		recs, err = p.FetchBurst(*burst)
+		tag = " burst"
+	default:
+		var rec wire.LoadRecord
+		rec, err = p.Fetch()
+		recs = []wire.LoadRecord{rec}
+	}
+	rtt := time.Since(start)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "rmmon once:", err)
 		os.Exit(1)
 	}
-	w := core.DefaultWeights()
-	printRecord(*target, rec, w.IndexOf(&rec), time.Since(start), "")
+	for _, rec := range recs {
+		printRecord(*target, rec, w.IndexOf(&rec), "rtt", rtt, tag)
+	}
 }
 
-func printRecord(addr string, r wire.LoadRecord, index float64, rtt time.Duration, extra string) {
-	fmt.Printf("%-22s node=%d seq=%-6d util=%3d%% run=%-3d tasks=%-4d mem=%3.0f%% conns=%-3d index=%.3f rtt=%s%s\n",
+// printRecord prints one record; label names what d measures: "rtt"
+// for a fetch's round trip, "age" for the time since a record arrived.
+func printRecord(addr string, r wire.LoadRecord, index float64, label string, d time.Duration, extra string) {
+	fmt.Printf("%-22s node=%d seq=%-6d util=%3d%% run=%-3d tasks=%-4d mem=%3.0f%% conns=%-3d index=%.3f %s=%s%s\n",
 		addr, r.NodeID, r.Seq, r.UtilMean()/10, r.NrRunning, r.NrTasks,
-		r.MemFraction()*100, r.Conns, index, rtt.Round(time.Microsecond), extra)
+		r.MemFraction()*100, r.Conns, index, label, d.Round(time.Microsecond), extra)
 }

@@ -3,9 +3,11 @@ package main
 import (
 	"bufio"
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"os/exec"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -99,5 +101,69 @@ func TestAdaptiveProbeSkipsQuietTarget(t *testing.T) {
 	}
 	if n := strings.Count(string(probe), " node=7 "); n == 0 || n >= cycles {
 		t.Fatalf("%d records over %d cycles, want at least one and fewer than %d:\n%s", n, cycles, cycles, probe)
+	}
+}
+
+// TestCLIShapes drives the fetch shapes of `once` and the failover and
+// dial-error paths of `probe` against a live loopback agent.
+func TestCLIShapes(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	plain := startAgent(t, ctx)
+	ring := startAgent(t, ctx, "-history", "8")
+	seqRe := regexp.MustCompile(`seq=\d+`)
+
+	for _, tc := range []struct {
+		name    string
+		args    []string
+		wantErr bool
+		check   func(out string) error
+	}{
+		{"once-burst", []string{"once", "-target", plain, "-burst", "3"}, false, func(out string) error {
+			lines, seqs := 0, map[string]bool{}
+			for _, line := range strings.Split(out, "\n") {
+				if strings.HasSuffix(line, " burst") {
+					lines++
+					seqs[seqRe.FindString(line)] = true
+				}
+			}
+			if lines != 3 || len(seqs) != 3 {
+				return fmt.Errorf("%d burst lines with %d distinct seqs, want 3 and 3", lines, len(seqs))
+			}
+			return nil
+		}},
+		{"once-history", []string{"once", "-target", ring, "-history"}, false, func(out string) error {
+			if !strings.Contains(out, " hist slope=") {
+				return fmt.Errorf("no hist slope")
+			}
+			return nil
+		}},
+		{"probe-failover", []string{"probe", "-targets", plain, "-failover", "-count", "2"}, false, func(out string) error {
+			if !strings.Contains(out, " age=") || !strings.Contains(out, " via=rdma") {
+				return fmt.Errorf("want age= and via=rdma")
+			}
+			return nil
+		}},
+		{"probe-unreachable", []string{"probe", "-targets", plain + ",127.0.0.1:1", "-count", "1"}, true, func(out string) error {
+			if !strings.Contains(out, "127.0.0.1:1") {
+				return fmt.Errorf("error does not name the unreachable target")
+			}
+			return nil
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			out, err := rmmon(ctx, tc.args...).CombinedOutput()
+			if tc.wantErr {
+				var ee *exec.ExitError
+				if !errors.As(err, &ee) || ee.ExitCode() != 1 {
+					t.Fatalf("want exit 1, got %v\n%s", err, out)
+				}
+			} else if err != nil {
+				t.Fatalf("%v\n%s", err, out)
+			}
+			if err := tc.check(string(out)); err != nil {
+				t.Fatalf("%v:\n%s", err, out)
+			}
+		})
 	}
 }

@@ -120,9 +120,10 @@ const DefaultChangeThreshold = 0.05
 
 // AdaptivePoll is one back-end's adaptive-poll decision: its period
 // controller, the last record it observed and the change test between
-// them. The simulated monitor, the live monitor and rmmon's probe loop
-// all decide through it. Like PeriodController it is clock-free: each
-// call returns the period until the next probe and the caller schedules.
+// them. The simulated monitor and the live monitor (which rmmon probe
+// runs on) both decide through it. Like PeriodController it is
+// clock-free: each call returns the period until the next probe and the
+// caller schedules.
 type AdaptivePoll struct {
 	Ctrl PeriodController
 	obs  wire.LoadRecord

@@ -83,7 +83,7 @@ func TestShardedMonitorPollsFleet(t *testing.T) {
 			a.Close()
 		}
 	}()
-	m, dialErrs := NewMonitorCfg(targets, MonitorConfig{Interval: 10 * time.Millisecond, Shards: 2})
+	m, dialErrs := NewMonitor(targets, MonitorConfig{Interval: 10 * time.Millisecond, Shards: 2})
 	defer m.Close()
 	if len(dialErrs) != 0 {
 		t.Fatalf("dial errors: %v", dialErrs)

@@ -111,3 +111,55 @@ func TestFailoverUnarmedUnchanged(t *testing.T) {
 		t.Fatal("key rotation absorbed without a re-handshake?")
 	}
 }
+
+// TestMonitorFailoverDegraded drives the monitor's degraded branch: a
+// breaker armed through MonitorConfig.Failover keeps an RDMA target's
+// records flowing over the standby channel after its region is gone
+// for good, and the monitor reports it Degraded, served by socket.
+func TestMonitorFailoverDegraded(t *testing.T) {
+	leakCheck(t)
+	a, err := StartAgent(Config{Scheme: core.RDMASync, NodeID: 7, Provider: synthetic(5), Interval: 10 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	addr := a.Addr()
+	m, dialErrs := NewMonitor([]string{addr}, MonitorConfig{
+		Interval: 10 * time.Millisecond,
+		Failover: &core.FailoverConfig{},
+	})
+	defer m.Close()
+	if len(dialErrs) != 0 {
+		t.Fatal(dialErrs)
+	}
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for !cond() {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: health=%v transport=%v err=%v", what, m.Health(addr), m.Transport(addr), m.Err(addr))
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	waitFor("first record over RDMA", func() bool {
+		_, _, ok := m.Latest(addr)
+		return ok && m.Transport(addr) == core.TransportRDMA && m.Health(addr) == core.Healthy
+	})
+
+	a.InvalidateMR(0) // deregistered, never re-pinned
+	waitFor("degraded over socket", func() bool {
+		return m.Health(addr) == core.Degraded && m.Transport(addr) == core.TransportSocket
+	})
+	first, _, _ := m.Latest(addr)
+	waitFor("records keep flowing", func() bool {
+		rec, _, _ := m.Latest(addr)
+		return rec.Seq > first.Seq
+	})
+	if err := m.Err(addr); err != nil {
+		t.Fatalf("fetch error while degraded: %v", err)
+	}
+	if h, tr := m.Health(addr), m.Transport(addr); h != core.Degraded || tr != core.TransportSocket {
+		t.Fatalf("after more records: health=%v transport=%v, want degraded over socket", h, tr)
+	}
+}

@@ -152,7 +152,7 @@ func TestMonitorQuarantineAndReadmit(t *testing.T) {
 	}
 	addr := a.Addr()
 
-	m, dialErrs := NewMonitor([]string{addr}, 20*time.Millisecond)
+	m, dialErrs := NewMonitor([]string{addr}, MonitorConfig{Interval: 20 * time.Millisecond})
 	if len(dialErrs) != 0 {
 		t.Fatalf("dial errors: %v", dialErrs)
 	}

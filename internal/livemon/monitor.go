@@ -66,6 +66,11 @@ type MonitorConfig struct {
 	// lease a conn per sweep, dials are rate-limited and breaker-gated,
 	// idle conns are garbage-collected. Monitor.Close closes the pool.
 	Pool *PoolConfig
+	// Failover, when non-nil, arms a transport breaker on every probe
+	// at dial, before the first sweep (see Probe.SetFailover; socket
+	// schemes ignore it): an RDMA target whose region is gone keeps
+	// reporting over the standby channel as Degraded.
+	Failover *core.FailoverConfig
 }
 
 // AdaptiveConfig shapes the live adaptive-period controller — the
@@ -73,8 +78,6 @@ type MonitorConfig struct {
 type AdaptiveConfig struct {
 	// Max is the decay ceiling (default 16x the poll interval).
 	Max time.Duration
-	// Grow is the period multiplier per quiet poll (default 2).
-	Grow float64
 	// Threshold is the load-index delta that counts as change
 	// (default core.DefaultChangeThreshold, 0.05).
 	Threshold float64
@@ -84,28 +87,10 @@ type AdaptiveConfig struct {
 	LeaseValid func() bool
 }
 
-func (c AdaptiveConfig) withDefaults(interval time.Duration) AdaptiveConfig {
-	if c.Max <= 0 {
-		c.Max = 16 * interval
-	}
-	if c.Grow <= 1 {
-		c.Grow = 2
-	}
-	if c.Threshold <= 0 {
-		c.Threshold = core.DefaultChangeThreshold
-	}
-	return c
-}
-
 // NewMonitor dials every target and starts polling. Targets that fail
 // to dial are reported in the returned error map; the monitor still
 // runs for the ones that connected (an empty monitor is valid).
-func NewMonitor(targets []string, interval time.Duration) (*Monitor, map[string]error) {
-	return NewMonitorCfg(targets, MonitorConfig{Interval: interval})
-}
-
-// NewMonitorCfg is NewMonitor with an explicit polling layout.
-func NewMonitorCfg(addrs []string, cfg MonitorConfig) (*Monitor, map[string]error) {
+func NewMonitor(addrs []string, cfg MonitorConfig) (*Monitor, map[string]error) {
 	interval := cfg.Interval
 	if interval <= 0 {
 		interval = 50 * time.Millisecond
@@ -116,9 +101,14 @@ func NewMonitorCfg(addrs []string, cfg MonitorConfig) (*Monitor, map[string]erro
 		loops:    newLoops(),
 		targets:  make(map[string]*target),
 	}
+	var period core.PeriodConfig
 	if cfg.Adaptive != nil {
-		a := cfg.Adaptive.withDefaults(interval)
+		a := *cfg.Adaptive
+		if a.Threshold <= 0 {
+			a.Threshold = core.DefaultChangeThreshold
+		}
 		m.adaptive = &a
+		period = core.PeriodConfig{Min: sim.Time(interval), Max: sim.Time(a.Max)}.WithDefaults(sim.Time(interval))
 	}
 	if cfg.Pool != nil {
 		m.cpool = NewConnPool(*cfg.Pool)
@@ -137,14 +127,11 @@ func NewMonitorCfg(addrs []string, cfg MonitorConfig) (*Monitor, map[string]erro
 			dialErrs[addr] = err
 			continue
 		}
-		t := &target{probe: p}
-		if m.adaptive != nil {
-			t.poll.Ctrl.Cfg = core.PeriodConfig{
-				Min:  sim.Time(interval),
-				Max:  sim.Time(m.adaptive.Max),
-				Grow: m.adaptive.Grow,
-			}
+		if cfg.Failover != nil {
+			p.SetFailover(*cfg.Failover)
 		}
+		t := &target{probe: p}
+		t.poll.Ctrl.Cfg = period
 		m.targets[addr] = t
 		connected = append(connected, t)
 	}
@@ -246,18 +233,6 @@ func (m *Monitor) Decayed() uint64 {
 	return m.decayed
 }
 
-// ArmFailover arms a transport breaker on every connected probe (see
-// Probe.SetFailover; socket-scheme probes ignore it).
-func (m *Monitor) ArmFailover(cfg core.FailoverConfig) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	for _, t := range m.targets {
-		if t.probe != nil {
-			t.probe.SetFailover(cfg)
-		}
-	}
-}
-
 // Transport reports which transport served a target's newest record
 // (meaningful once Latest returns ok).
 func (m *Monitor) Transport(addr string) core.Transport {
@@ -267,17 +242,6 @@ func (m *Monitor) Transport(addr string) core.Transport {
 		return t.transport
 	}
 	return 0
-}
-
-// Probe returns the monitor's probe for a target (nil if unknown);
-// tests use it to inspect breaker state.
-func (m *Monitor) Probe(addr string) *Probe {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	if t := m.targets[addr]; t != nil {
-		return t.probe
-	}
-	return nil
 }
 
 // Health returns the probe-driven health state of a target; unknown

@@ -27,7 +27,7 @@ func TestMonitorPollsFleet(t *testing.T) {
 			a.Close()
 		}
 	}()
-	m, dialErrs := NewMonitor(targets, 10*time.Millisecond)
+	m, dialErrs := NewMonitor(targets, MonitorConfig{Interval: 10 * time.Millisecond})
 	defer m.Close()
 	if len(dialErrs) != 0 {
 		t.Fatalf("dial errors: %v", dialErrs)
@@ -73,7 +73,7 @@ func TestMonitorLeastLoaded(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer a2.Close()
-	m, _ := NewMonitor([]string{a1.Addr(), a2.Addr()}, 10*time.Millisecond)
+	m, _ := NewMonitor([]string{a1.Addr(), a2.Addr()}, MonitorConfig{Interval: 10 * time.Millisecond})
 	defer m.Close()
 	deadline := time.Now().Add(2 * time.Second)
 	for {
@@ -92,7 +92,7 @@ func TestMonitorSurvivesAgentDeath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, dialErrs := NewMonitor([]string{a.Addr()}, 5*time.Millisecond)
+	m, dialErrs := NewMonitor([]string{a.Addr()}, MonitorConfig{Interval: 5 * time.Millisecond})
 	defer m.Close()
 	if len(dialErrs) != 0 {
 		t.Fatal(dialErrs)
@@ -126,7 +126,7 @@ func TestMonitorSurvivesAgentDeath(t *testing.T) {
 }
 
 func TestMonitorBadTargets(t *testing.T) {
-	m, dialErrs := NewMonitor([]string{"127.0.0.1:1"}, 10*time.Millisecond)
+	m, dialErrs := NewMonitor([]string{"127.0.0.1:1"}, MonitorConfig{Interval: 10 * time.Millisecond})
 	defer m.Close()
 	if len(dialErrs) != 1 {
 		t.Fatalf("dial errors = %v", dialErrs)

@@ -31,7 +31,7 @@ func startFleet(t *testing.T, n int) []string {
 func TestPooledMonitor(t *testing.T) {
 	leakCheck(t)
 	addrs := startFleet(t, 6)
-	m, errs := NewMonitorCfg(addrs, MonitorConfig{
+	m, errs := NewMonitor(addrs, MonitorConfig{
 		Interval: 20 * time.Millisecond,
 		Shards:   2,
 		Pool: &PoolConfig{
@@ -83,7 +83,7 @@ func TestPooledMonitor(t *testing.T) {
 func TestMonitorCloseIdempotent(t *testing.T) {
 	leakCheck(t)
 	addrs := startFleet(t, 3)
-	m, errs := NewMonitorCfg(addrs, MonitorConfig{
+	m, errs := NewMonitor(addrs, MonitorConfig{
 		Interval: 10 * time.Millisecond,
 		Pool: &PoolConfig{
 			Config:         connpool.Config{MaxConns: 3},

@@ -229,7 +229,7 @@ func TestMonitorAdaptivePeriod(t *testing.T) {
 
 	interval := 5 * time.Millisecond
 	maxP := 40 * time.Millisecond
-	m, dialErrs := NewMonitorCfg([]string{a.Addr()}, MonitorConfig{
+	m, dialErrs := NewMonitor([]string{a.Addr()}, MonitorConfig{
 		Interval: interval,
 		Adaptive: &AdaptiveConfig{Max: maxP},
 	})
@@ -269,7 +269,7 @@ func TestMonitorAdaptiveLeaseLoss(t *testing.T) {
 	held.Store(true)
 	interval := 5 * time.Millisecond
 	maxP := 40 * time.Millisecond
-	m, _ := NewMonitorCfg([]string{a.Addr()}, MonitorConfig{
+	m, _ := NewMonitor([]string{a.Addr()}, MonitorConfig{
 		Interval: interval,
 		Adaptive: &AdaptiveConfig{Max: maxP, LeaseValid: held.Load},
 	})
