@@ -129,10 +129,13 @@ bench:
 # skips it). The third holds the pooled scale-out's per-back-end work
 # at zero allocations (also !race pins): a quiet delta-pusher check, a
 # steady-state one-sided write (a push) and a pooled probe whose conn
-# is resident, beside the sweep's per-read pin.
+# is resident, beside the sweep's per-read pin. The second line also
+# holds memory: live heap per back-end within its DESIGN §13 budget in
+# the sweep, pooled, hybrid and ring configurations, and no growth over
+# run length (!race pins too).
 bench-check:
 	$(GO) test -run 'TestBenchScaleRegression|TestBenchHybridRegression' .
-	$(GO) test -count=1 -run 'TestDispatchDecisionGoldenDigests|TestDispatchAllocsPerRequest' ./internal/cluster
+	$(GO) test -count=1 -run 'TestDispatchDecisionGoldenDigests|TestDispatchAllocsPerRequest|TestMemoryPerBackend|TestMemoryFlatOverRunLength' ./internal/cluster
 	$(GO) test -count=1 -run 'TestDeltaPusherQuietCheckAllocs|TestPooledProbeConnZeroAlloc|TestSweepAllocsPerRead|TestWriteZeroAlloc' ./internal/core ./internal/simnet
 
 # Regenerate BENCH_scale.json / BENCH_hybrid.json after an intentional

@@ -127,7 +127,7 @@ func fig3StyleLatency(cfg simos.Config, n int) float64 {
 	agent := core.StartAgent(backend, bnic, core.AgentConfig{Scheme: core.SocketSync})
 	p := core.StartMonitor(front, fnic, []*core.Agent{agent}, 20*sim.Millisecond).Probers[backend.ID]
 	eng.RunUntil(500 * sim.Millisecond)
-	p.Latency = metrics.Sample{}
+	p.Latency = &metrics.Sample{}
 	eng.RunUntil(3 * sim.Second)
 	return p.Latency.Mean()
 }

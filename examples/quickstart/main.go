@@ -9,6 +9,7 @@ import (
 	"fmt"
 
 	"rdmamon/internal/core"
+	"rdmamon/internal/metrics"
 	"rdmamon/internal/sim"
 	"rdmamon/internal/simnet"
 	"rdmamon/internal/simos"
@@ -41,6 +42,7 @@ func main() {
 		// Back-end agent + front-end prober at T=50ms.
 		agent := core.StartAgent(backend, bnic, core.AgentConfig{Scheme: scheme})
 		prober := core.StartMonitor(front, fnic, []*core.Agent{agent}, core.DefaultInterval).Probers[backend.ID]
+		prober.Latency = &metrics.Sample{}
 
 		eng.RunUntil(3 * sim.Second)
 

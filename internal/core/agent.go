@@ -264,10 +264,6 @@ func (a *Agent) RingK() int {
 	return a.ring.K()
 }
 
-// Ring exposes the agent's history ring (nil without HistoryK);
-// experiments read Pushes() from it.
-func (a *Agent) Ring() *wire.HistoryRing { return a.ring }
-
 // Node returns the back-end node.
 func (a *Agent) Node() *simos.Node { return a.node }
 

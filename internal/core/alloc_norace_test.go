@@ -16,9 +16,10 @@ import (
 // sequential monitor (64 back-ends, MonitorConfig{}): a read's fabric
 // stages, completion slot, decode burst and outcome all run on state
 // bound once, so what a read still allocates is a share of its batch's
-// or its probe's task machinery and the amortized growth of the latency
-// samples — no closure per probe. The two-second warm-up carries those
-// samples past their early doublings.
+// or its probe's task machinery and the amortized growth of the
+// cycle-time sample — no closure per probe, and no latency sample
+// unless a caller installs one. The two-second warm-up carries the
+// cycle-time sample past its early doublings.
 func TestSweepAllocsPerRead(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -43,11 +44,14 @@ func TestSweepAllocsPerRead(t *testing.T) {
 				t.Fatalf("%d reads in a settled second (%d cycles), want >= %d", reads, m.Cycles, want)
 			}
 			perRead := float64(m1.Mallocs-m0.Mallocs) / float64(reads)
+			bytesPerRead := float64(m1.TotalAlloc-m0.TotalAlloc) / float64(reads)
+			t.Logf("%.2f allocs, %.0f B per read over %d reads", perRead, bytesPerRead, reads)
 			if perRead > 0.25 {
 				t.Fatalf("the settled sweep allocates %.2f objects per read, want <= 0.25", perRead)
 			}
-			t.Logf("%.2f allocs, %.0f B per read over %d reads", perRead,
-				float64(m1.TotalAlloc-m0.TotalAlloc)/float64(reads), reads)
+			if bytesPerRead > 16 {
+				t.Fatalf("the settled sweep allocates %.0f B per read, want <= 16", bytesPerRead)
+			}
 		})
 	}
 }
@@ -117,8 +121,8 @@ func moduleAllocs(recs []runtime.MemProfileRecord) (n int64) {
 // the back-end's conn is resident, so Acquire answers Conn, and the
 // fenced read, the release, the outcome and the sweep's step past the
 // probe all run on the shard's bound continuations — nothing is
-// allocated. The window is sized so the latency and cycle-time samples
-// do not grow their arrays inside it, and the count is the simulator's
+// allocated. The window is sized so the cycle-time sample does not
+// grow its array inside it, and the count is the simulator's
 // own (moduleAllocs), so a thread the runtime starts meanwhile is not
 // charged to the probes.
 func TestPooledProbeConnZeroAlloc(t *testing.T) {
@@ -127,13 +131,7 @@ func TestPooledProbeConnZeroAlloc(t *testing.T) {
 	m := StartMonitorCfg(f.front, f.fnic, f.agents, poll, MonitorConfig{
 		Pool: &connpool.Config{MaxConns: 4},
 	})
-	room := func() int {
-		r := cap(m.CycleTime.Values()) - m.CycleTime.Count()
-		for _, p := range m.Probers {
-			r = min(r, cap(p.Latency.Values())-p.Latency.Count())
-		}
-		return r
-	}
+	room := func() int { return cap(m.CycleTime.Values()) - m.CycleTime.Count() }
 	f.eng.RunUntil(sim.Second)
 	for room() < 40 {
 		f.eng.RunFor(poll)

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"rdmamon/internal/metrics"
 	"rdmamon/internal/sim"
 	"rdmamon/internal/simnet"
 	"rdmamon/internal/simos"
@@ -151,6 +152,7 @@ func TestProbeEndToEndAllSchemes(t *testing.T) {
 			r := newRig(1)
 			a := r.agent(s)
 			p := StartMonitor(r.front, r.fnic, []*Agent{a}, 10*sim.Millisecond).Probers[r.backend.ID]
+			p.Latency = &metrics.Sample{}
 			r.eng.RunUntil(sim.Second)
 			rec, at, ok := p.Latest()
 			if !ok {
@@ -250,6 +252,7 @@ func TestSocketLatencyGrowsUnderLoadRDMADoesNot(t *testing.T) {
 			})
 		}
 		p := StartMonitor(r.front, r.fnic, []*Agent{a}, 20*sim.Millisecond).Probers[r.backend.ID]
+		p.Latency = &metrics.Sample{}
 		r.eng.RunUntil(3 * sim.Second)
 		return p.Latency.Mean() // microseconds
 	}
@@ -326,6 +329,7 @@ func TestMonitorLatestAndStop(t *testing.T) {
 		agents = append(agents, StartAgent(nd, nic, AgentConfig{Scheme: RDMASync}))
 	}
 	m := StartMonitor(front, fnic, agents, 10*sim.Millisecond)
+	m.Probers[1].Latency = &metrics.Sample{}
 	eng.RunUntil(200 * sim.Millisecond)
 	if len(m.Backends()) != 3 {
 		t.Fatalf("backends = %v", m.Backends())

@@ -30,10 +30,10 @@ type Prober struct {
 	decode    sim.Time
 
 	// What a steady-state probe touches sits together — the cached
-	// record, then Trend, Health and Latency in adjacent cache lines —
-	// and cold, mode-specific state stays behind a pointer (view): at
-	// 8192 back-ends the layout of this struct is the sweep's working
-	// set, and a Prober must stay within the 576-byte size class.
+	// record, then Trend, Health and the Latency pointer in adjacent
+	// cache lines — and cold, mode-specific state stays behind a pointer
+	// (view): at 8192 back-ends the layout of this struct is the sweep's
+	// working set, and a Prober must stay within the 512-byte size class.
 	last   wire.LoadRecord
 	lastAt sim.Time
 	has    bool
@@ -47,8 +47,10 @@ type Prober struct {
 	Trend TrendTracker
 	// Health tracks this back-end's probe-driven state machine.
 	Health HealthTracker
-	// Latency records round-trip probe latency in microseconds.
-	Latency metrics.Sample
+	// Latency, if set, gets every probe's round-trip latency in
+	// microseconds, completed or failed. nil, the default, records
+	// nothing, so the prober's memory does not grow with run length.
+	Latency *metrics.Sample
 
 	// readBuf is the reusable DMA buffer one-sided reads land in: the
 	// steady-state sweep posts it over and over instead of allocating a
@@ -152,7 +154,9 @@ func (p *Prober) finishProbe(start sim.Time, rec *wire.LoadRecord, err error, tr
 		p.Errors++
 		p.Health.Fail()
 	}
-	p.Latency.Add(float64((p.front.Eng.Now() - start) / sim.Microsecond))
+	if p.Latency != nil {
+		p.Latency.Add(float64((p.front.Eng.Now() - start) / sim.Microsecond))
+	}
 	then(cached, err)
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"rdmamon/internal/connpool"
+	"rdmamon/internal/metrics"
 	"rdmamon/internal/sim"
 	"rdmamon/internal/wire"
 )
@@ -175,6 +176,7 @@ func TestTornRingReadRetried(t *testing.T) {
 				cfg := AgentConfig{Scheme: RDMASync, HistoryK: 4, Interval: 10 * sim.Millisecond}
 				f, m := startReadFleet(63, batch, pool, cfg)
 				a, p := f.agents[readVictim-1], m.Probers[readVictim]
+				p.Latency = &metrics.Sample{}
 				tears := 1
 				hookDMA(a, func(b []byte) []byte {
 					if tears > 0 {

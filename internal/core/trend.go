@@ -56,12 +56,6 @@ func (tt *TrendTracker) weights() *Weights {
 	return &tt.Weights
 }
 
-// SetWeights pins the scoring weights (call before first use).
-func (tt *TrendTracker) SetWeights(w Weights) {
-	tt.Weights = w
-	tt.haveW = true
-}
-
 // Reset drops all trend state (agent restart, epoch change).
 func (tt *TrendTracker) Reset() {
 	tt.lastK, tt.lastIdx, tt.slope, tt.lastRate = 0, 0, 0, 0

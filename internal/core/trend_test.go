@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"rdmamon/internal/metrics"
 	"rdmamon/internal/sim"
 	"rdmamon/internal/wire"
 )
@@ -135,6 +136,7 @@ func TestHistoryRingProbeEndToEnd(t *testing.T) {
 		t.Fatal("the ring sampler must be a kernel timer, not a task")
 	}
 	p := StartMonitor(r.front, r.fnic, []*Agent{a}, 50*sim.Millisecond).Probers[r.backend.ID]
+	p.Latency = &metrics.Sample{}
 	var maxStale sim.Time
 	p.OnRecord = func(rec wire.LoadRecord, at sim.Time) {
 		if st := at - sim.Time(rec.KTimeNS); st > maxStale {

@@ -80,6 +80,7 @@ func pushPoint(o Options, name string, T sim.Time) PushRow {
 		}
 		agent := core.StartAgent(backend, bnic, core.AgentConfig{Scheme: s, Interval: T})
 		p := core.StartMonitor(front, fnic, []*core.Agent{agent}, T).Probers[backend.ID]
+		p.Latency = &metrics.Sample{}
 		eng.NewTicker(5*sim.Millisecond, func() {
 			if _, at, ok := p.Latest(); ok {
 				age.Add(float64(eng.Now()-at) / float64(sim.Millisecond))

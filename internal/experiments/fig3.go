@@ -89,9 +89,9 @@ func fig3Point(o Options, s core.Scheme, n int) *metrics.Sample {
 	}
 	// Warm up half a second before trusting latencies.
 	eng.RunUntil(500 * sim.Millisecond)
-	prober.Latency = metrics.Sample{}
+	prober.Latency = &metrics.Sample{}
 	eng.RunUntil(500*sim.Millisecond + dur)
-	return &prober.Latency
+	return prober.Latency
 }
 
 // Result renders the figure as a table.

@@ -170,12 +170,12 @@ func scalePoint(o Options, n, shards, batch int) ScalePoint {
 	stale = metrics.Sample{}
 	cycles0 := c.Monitor.Cycles
 	for _, p := range c.Monitor.Probers {
-		p.Latency = metrics.Sample{}
+		p.Latency = &metrics.Sample{}
 	}
 	c.Eng.RunUntil(warm + dur)
 
 	for _, p := range c.Monitor.Probers {
-		probeLat.AddAll(&p.Latency)
+		probeLat.AddAll(p.Latency)
 		pt.Errors += p.Errors
 	}
 	pt.CycleP50Us = c.Monitor.CycleTime.Percentile(50)

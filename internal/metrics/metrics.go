@@ -11,8 +11,8 @@ import (
 	"sort"
 )
 
-// Sample accumulates float64 observations and answers summary
-// queries. It keeps every value; simulation-scale data fits easily.
+// Sample accumulates float64 observations and keeps every one, so only
+// a caller that wants exact samples installs one.
 type Sample struct {
 	vals   []float64
 	sorted bool
