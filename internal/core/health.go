@@ -145,12 +145,3 @@ func (ht *HealthTracker) ok(target Health) Health {
 	}
 	return ht.state
 }
-
-// Reset returns the tracker to Healthy with runs cleared (used when a
-// back-end is administratively replaced rather than observed to
-// recover).
-func (ht *HealthTracker) Reset() {
-	ht.state = Healthy
-	ht.failRun = 0
-	ht.okRun = 0
-}

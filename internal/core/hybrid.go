@@ -186,11 +186,86 @@ func (c HybridConfig) WithDefaults(poll sim.Time) HybridConfig {
 	return c
 }
 
+// PushGate is a delta pusher's change test: it decides, sample by
+// sample, whether a record is worth a one-sided write. The simulated
+// DeltaPusher and the live livemon.Pusher both push through it. Like
+// AdaptivePoll it holds no clock: the caller passes the instant it
+// scored the sample at, in its own time base, and that instant becomes
+// the record's PushedNS.
+type PushGate struct {
+	threshold float64
+	heartbeat sim.Time
+
+	// The change test is LoadDelta's arithmetic with one side cached: w
+	// is the index it scores with, lastIdx the index of the last pushed
+	// record and lastAt the instant it was scored, so a check scores only
+	// its own sample. sampleIdx and scoredAt hold the sample in flight
+	// between Check and Pushed.
+	w         Weights
+	seq       uint32
+	primed    bool
+	lastIdx   float64
+	lastAt    sim.Time
+	sampleIdx float64
+	scoredAt  sim.Time
+
+	// Pushes counts delta writes posted successfully; Skips counts
+	// samples below threshold; Errors counts failed writes.
+	Pushes uint64
+	Skips  uint64
+	Errors uint64
+}
+
+// NewPushGate returns a gate that pushes a sample when its weighted
+// index moved by at least threshold since the last push, or when
+// heartbeat has passed since the last push was scored.
+func NewPushGate(threshold float64, heartbeat sim.Time) PushGate {
+	return PushGate{threshold: threshold, heartbeat: heartbeat, w: DefaultWeights()}
+}
+
+// Check scores pr.Load, a sample the pusher took of its own machine at
+// now, and reports whether to push it. The pusher is always running
+// when it samples, so counting itself in the run queue would bias every
+// pushed record high by one task relative to the one-sided probe path
+// (which reads the kernel with no agent awake): Check subtracts it. A
+// quiet sample counts a skip; a pushed one is stamped with the next
+// sequence number (Seq and PushSeq) and PushedNS = now, and the caller
+// writes it and reports the write's outcome to Pushed.
+func (g *PushGate) Check(pr *wire.PushRecord, now sim.Time) bool {
+	rec := &pr.Load
+	if rec.NrRunning > 0 {
+		rec.NrRunning--
+	}
+	idx := g.w.IndexOf(rec)
+	if g.primed && math.Abs(idx-g.lastIdx) < g.threshold && now-g.lastAt < g.heartbeat {
+		g.Skips++
+		return false
+	}
+	g.seq++
+	rec.Seq = g.seq
+	pr.PushSeq, pr.PushedNS = g.seq, int64(now)
+	g.sampleIdx, g.scoredAt = idx, now
+	return true
+}
+
+// Pushed records the outcome of the write Check asked for. A landed
+// push becomes the baseline the next samples are scored against, and
+// the heartbeat runs from the instant it was scored.
+func (g *PushGate) Pushed(err error) {
+	if err != nil {
+		g.Errors++
+		return
+	}
+	g.Pushes++
+	g.lastIdx, g.lastAt, g.primed = g.sampleIdx, g.scoredAt, true
+}
+
 // DeltaPusher is the back-end half of the hybrid scheme: a task that
 // samples the kernel every Check and RDMA-Writes a PushRecord into the
-// front-end's aggregation slot when the load moved (or Heartbeat
-// elapsed). Unlike the multicast PushAgent it is change-triggered and
-// one-sided: a quiet back-end costs zero work requests.
+// front-end's aggregation slot when its PushGate says the load moved
+// (or Heartbeat elapsed). Unlike the multicast PushAgent it is
+// change-triggered and one-sided: a quiet back-end costs zero work
+// requests.
 type DeltaPusher struct {
 	Cfg   HybridConfig
 	node  *simos.Node
@@ -201,44 +276,30 @@ type DeltaPusher struct {
 	// region (it simply fails until the fresh key appears).
 	slotKey func() uint32
 
-	seq uint32
-	// The change test is LoadDelta's arithmetic with one side cached: w
-	// is the index it scores with, lastIdx the index of the last pushed
-	// record, so a check scores only its own sample.
-	w       Weights
-	lastIdx float64
-	lastAt  sim.Time
+	PushGate
 	encBuf  []byte // reusable push-record encode scratch
-	primed  bool
 	stopped bool
 	task    *simos.Task
 
 	// The loop's state between its stages: the sample, built in place in
-	// pr.Load from the /proc read, scored and then, stamped in pr with
-	// the time it was scored at and its index, pushed. The stages are
-	// methods bound once, so a check — quiet or pushing — allocates no
-	// continuation and copies no snapshot or record.
-	pr        wire.PushRecord
-	sampleIdx float64
-	scoredAt  sim.Time
+	// pr.Load from the /proc read, then scored and, if pushed, stamped in
+	// pr. The stages are methods bound once, so a check — quiet or
+	// pushing — allocates no continuation and copies no snapshot or
+	// record.
+	pr wire.PushRecord
 
 	loopFn    func()      // p.loop
 	sampledFn func()      // p.sampled
 	checkFn   func()      // p.check
 	pushedFn  func(error) // p.pushed
-
-	// Pushes counts delta writes posted successfully; Skips counts
-	// samples below threshold; Errors counts failed writes.
-	Pushes uint64
-	Skips  uint64
-	Errors uint64
 }
 
 // StartDeltaPusher launches the change-threshold push loop on node,
 // writing into front's aggregation slot for this back-end.
 func StartDeltaPusher(node *simos.Node, nic *simnet.NIC, front int, slotKey func() uint32, cfg HybridConfig) *DeltaPusher {
 	cfg = cfg.WithDefaults(0)
-	p := &DeltaPusher{Cfg: cfg, node: node, nic: nic, front: front, slotKey: slotKey, w: DefaultWeights()}
+	p := &DeltaPusher{Cfg: cfg, node: node, nic: nic, front: front, slotKey: slotKey,
+		PushGate: NewPushGate(cfg.Threshold, cfg.Heartbeat)}
 	p.loopFn, p.sampledFn, p.checkFn, p.pushedFn = p.loop, p.sampled, p.check, p.pushed
 	p.task = node.Spawn("rmon-push-delta", func(tk *simos.Task) {
 		p.task = tk
@@ -257,42 +318,25 @@ func (p *DeltaPusher) loop() {
 }
 
 // sampled builds the sample from the /proc read, staged on the stack,
-// and holds it while the task pays for scoring it.
+// and holds it while the task pays for scoring it. Check stamps its
+// sequence number.
 func (p *DeltaPusher) sampled() {
 	var s simos.Snapshot
 	p.task.ProcSnapshot(&s)
-	rec := &p.pr.Load
-	recordFromSnapshotInto(rec, &s, p.seq+1)
-	// The pusher is always running when it samples, so counting itself
-	// in the run queue would bias every pushed record high by one task
-	// relative to the one-sided probe path (which reads the kernel with
-	// no agent awake). Subtract self.
-	if rec.NrRunning > 0 {
-		rec.NrRunning--
-	}
+	recordFromSnapshotInto(&p.pr.Load, &s, 0)
 	p.task.Compute(10*sim.Microsecond, p.checkFn)
 }
 
-// check scores the sample and pushes it if the load moved or the
-// heartbeat is due.
+// check scores the sample and pushes it if the gate says so.
 func (p *DeltaPusher) check() {
-	now := p.node.Eng.Now()
-	rec := &p.pr.Load
-	idx := p.w.IndexOf(rec)
-	if p.primed && math.Abs(idx-p.lastIdx) < p.Cfg.Threshold &&
-		now-p.lastAt < p.Cfg.Heartbeat {
-		p.Skips++
+	if !p.Check(&p.pr, p.node.Eng.Now()) {
 		p.task.Sleep(p.Cfg.Check, p.loopFn)
 		return
 	}
-	p.seq++
-	rec.Seq = p.seq
-	p.pr.PushSeq, p.pr.PushedNS = p.seq, int64(now)
 	// Encode into the pusher's scratch; RDMAWrite stages the payload at
 	// post time, so the buffer is free for reuse the moment the call
 	// returns.
 	p.encBuf = p.pr.AppendTo(p.encBuf)
-	p.sampleIdx, p.scoredAt = idx, now
 	p.nic.RDMAWrite(p.task, p.front, p.slotKey(), p.encBuf, p.pushedFn)
 }
 
@@ -302,14 +346,7 @@ func (p *DeltaPusher) pushed(err error) {
 		p.task.Exit()
 		return
 	}
-	if err != nil {
-		p.Errors++
-	} else {
-		p.Pushes++
-		p.lastIdx = p.sampleIdx
-		p.lastAt = p.scoredAt
-		p.primed = true
-	}
+	p.Pushed(err)
 	p.task.Sleep(p.Cfg.Check, p.loopFn)
 }
 

@@ -17,9 +17,11 @@ var ErrProbeTimeout = errors.New("core: probe timed out")
 
 // Prober is the front-end half of a monitoring scheme for one back-end
 // server: it periodically fetches that server's load record and keeps
-// the most recent one for the dispatcher.
+// the most recent one for the dispatcher. Its ProbeState makes every
+// decision about an outcome; the Prober adds the simulated transport
+// (the front-end node, its NIC, the agent and a DMA buffer) and the
+// sim-only hooks.
 type Prober struct {
-	Scheme  Scheme
 	Backend int
 
 	front *simos.Node
@@ -29,24 +31,16 @@ type Prober struct {
 	replyPort string
 	decode    sim.Time
 
-	// What a steady-state probe touches sits together — the cached
-	// record, then Trend, Health and the Latency pointer in adjacent
-	// cache lines — and cold, mode-specific state stays behind a pointer
-	// (view): at 8192 back-ends the layout of this struct is the sweep's
-	// working set, and a Prober must stay within the 512-byte size class.
-	last   wire.LoadRecord
-	lastAt sim.Time
-	has    bool
+	// At 8192 back-ends the layout of this struct is the sweep's working
+	// set, and a Prober must stay within the 512-byte size class: cold,
+	// mode-specific state (the ring view, the latency sample) stays
+	// behind a pointer.
+	ProbeState
+
 	// pushSeq is the highest push sequence the cache accepted under the
-	// hybrid engine (it sits in has's padding).
+	// hybrid engine.
 	pushSeq uint32
 
-	// Trend accumulates this back-end's load-index slope from every
-	// sample that arrives (ring reads fold whole windows; point probes
-	// and pushes fold one sample, de-duplicated by kernel timestamp).
-	Trend TrendTracker
-	// Health tracks this back-end's probe-driven state machine.
-	Health HealthTracker
 	// Latency, if set, gets every probe's round-trip latency in
 	// microseconds, completed or failed. nil, the default, records
 	// nothing, so the prober's memory does not grow with run length.
@@ -56,44 +50,16 @@ type Prober struct {
 	// steady-state sweep posts it over and over instead of allocating a
 	// region per probe.
 	readBuf []byte
-	// view is the prober-owned decode target for history-ring reads,
-	// allocated on the first ring decode: 3.9 KB that a back-end whose
-	// agent exports no ring never needs.
-	view *wire.RingView
-
-	// RingSamples counts history samples folded from ring reads — the
-	// observation coverage one-sided reads bought.
-	RingSamples uint64
-	// TornRetries counts ring snapshots re-read because they caught the
-	// writer mid-update (seqlock discipline; benign, bounded).
-	TornRetries uint64
 
 	// Timeout bounds one probe; 0 disables the deadline (the seed
 	// behaviour, preserved so fault-free experiments are unchanged).
 	// On the socket path a probe whose reply misses the deadline
 	// finishes with ErrProbeTimeout instead of blocking the cycle
-	// forever behind a dead back-end.
+	// forever behind a dead back-end. An armed Failover requires a
+	// non-zero Timeout and an agent serving the standby socket port
+	// (AgentConfig.StandbySocket), or a fallback probe of a dead
+	// back-end would block the cycle forever.
 	Timeout sim.Time
-
-	// Failover, if non-nil, arms the transport breaker for an RDMA
-	// scheme: consecutive RDMA failures trip probing onto the agent's
-	// standby socket channel, a low-rate background re-arm probe
-	// retests the RDMA path, and only consecutive re-arm successes
-	// fail back. Requires the agent to serve the socket port (see
-	// AgentConfig.StandbySocket) and a non-zero Timeout, or a fallback
-	// probe of a dead back-end would block the cycle forever.
-	Failover *Failover
-
-	// LastTransport is the transport that served the most recent
-	// completed probe (valid inside OnRecord).
-	LastTransport Transport
-	// Fallbacks counts probes served via the standby socket channel.
-	Fallbacks uint64
-	// ReArms counts background re-arm RDMA probes issued while tripped.
-	ReArms uint64
-
-	// Errors counts failed probes (bad key, torn record, timeout ...).
-	Errors int
 	// Timeouts counts the subset of Errors that were deadline expiries.
 	Timeouts int
 	// OnRecord, if set, observes every record as it arrives.
@@ -104,86 +70,40 @@ type Prober struct {
 // polling task of its own: a Monitor's shard sweep probes it.
 func NewProber(front *simos.Node, fnic *simnet.NIC, agent *Agent) *Prober {
 	return &Prober{
-		Scheme:    agent.Scheme,
-		Backend:   agent.node.ID,
-		front:     front,
-		fnic:      fnic,
-		agent:     agent,
-		replyPort: fmt.Sprintf("%s-reply-%d", agent.Port(), agent.node.ID),
-		decode:    2 * sim.Microsecond,
+		ProbeState: ProbeState{Scheme: agent.Scheme},
+		Backend:    agent.node.ID,
+		front:      front,
+		fnic:       fnic,
+		agent:      agent,
+		replyPort:  fmt.Sprintf("%s-reply-%d", agent.Port(), agent.node.ID),
+		decode:     2 * sim.Microsecond,
 	}
 }
 
-// Latest returns the most recent record and its arrival time. The
-// record is the prober's cache, handed out by pointer: it is valid until
-// the next probe lands, so a caller that keeps it across simulated time
-// copies it.
-func (p *Prober) Latest() (*wire.LoadRecord, sim.Time, bool) {
-	if !p.has {
-		return nil, 0, false
-	}
-	return &p.last, p.lastAt, true
-}
-
-// finishProbe applies one completed probe's outcome to the prober's
-// bookkeeping (record cache, health machine, latency sample) and hands
-// it to the caller. start is when the probe — or the doorbell batch
-// carrying it — was posted. rec is read only when err is nil, and only
-// here: the record is copied once, into the cache, and the cache is
-// what the rest of the outcome path sees.
+// finishProbe applies one completed probe's outcome (ProbeState.Apply),
+// then the sim-only hooks, and hands the cached record to the caller.
+// start is when the probe — or the doorbell batch carrying it — was
+// posted.
 func (p *Prober) finishProbe(start sim.Time, rec *wire.LoadRecord, err error, tr Transport, then func(*wire.LoadRecord, error)) {
-	p.LastTransport = tr
-	var cached *wire.LoadRecord
-	if err == nil {
-		p.last = *rec
-		cached = &p.last
-		p.lastAt = p.front.Eng.Now()
-		p.has = true
-		// Ring reads already folded this window into Trend; the
-		// timestamp guard makes this a no-op then.
-		p.Trend.ObserveRecord(cached)
-		if tr == TransportSocket && p.Scheme.UsesRDMA() {
-			p.Health.DegradedOK()
-		} else {
-			p.Health.OK()
-		}
-		if p.OnRecord != nil {
-			p.OnRecord(p.last, p.lastAt)
-		}
-	} else {
-		p.Errors++
-		p.Health.Fail()
+	now := p.front.Eng.Now()
+	cached := p.Apply(now, rec, err, tr)
+	if cached != nil && p.OnRecord != nil {
+		p.OnRecord(*cached, now)
 	}
 	if p.Latency != nil {
-		p.Latency.Add(float64((p.front.Eng.Now() - start) / sim.Microsecond))
+		p.Latency.Add(float64((now - start) / sim.Microsecond))
 	}
 	then(cached, err)
 }
 
 // rdmaOutcome resolves the result of an untripped RDMA probe —
-// standalone or one slot of a doorbell batch — including the breaker
-// accounting and the same-cycle socket fallback.
+// standalone or one slot of a doorbell batch — through the breaker
+// step, including the same-cycle socket fallback.
 func (p *Prober) rdmaOutcome(tk *simos.Task, start sim.Time, rec *wire.LoadRecord, err error, then func(*wire.LoadRecord, error)) {
-	fo := p.Failover
-	if err == nil {
-		if fo != nil {
-			fo.PrimaryOK()
-		}
-		p.finishProbe(start, rec, nil, TransportRDMA, then)
+	if !p.FallBack(err) {
+		p.finishProbe(start, rec, err, TransportRDMA, then)
 		return
 	}
-	if fo == nil {
-		p.finishProbe(start, nil, err, TransportRDMA, then)
-		return
-	}
-	fo.PrimaryFail()
-	// Degrade to the standby for this cycle too: if only the
-	// RDMA path is broken (stale rkey, NIC trouble) the record
-	// is still one socket round trip away, and the staleness
-	// window stays ~one sweep instead of TripAfter sweeps. A
-	// genuinely dead back-end fails both paths and the health
-	// machine sees a plain failure.
-	p.Fallbacks++
 	p.probeSocket(tk, func(rec wire.LoadRecord, serr error) {
 		if serr == nil {
 			p.finishProbe(start, &rec, nil, TransportSocket, then)
@@ -200,11 +120,6 @@ func (p *Prober) rdmaOutcome(tk *simos.Task, start sim.Time, rec *wire.LoadRecor
 func (p *Prober) batchEligible() bool {
 	return p.Scheme.UsesRDMA() && (p.Failover == nil || !p.Failover.Tripped())
 }
-
-// maxTornRetries bounds the seqlock re-read loop: every read, solo or
-// a batch slot, re-reads a torn ring snapshot at most this many times,
-// then fails with ErrTorn rather than spin against a wedged writer.
-const maxTornRetries = 3
 
 // readLen returns the one-sided read size for this back-end: the whole
 // history ring when the agent exports one, a single record otherwise.
@@ -223,25 +138,6 @@ func (p *Prober) readInto(n int) []byte {
 		p.readBuf = make([]byte, n)
 	}
 	return p.readBuf[:n]
-}
-
-// decodeRead decodes a one-sided read completion into *rec: a history
-// ring (whose fresh samples fold into Trend) or a bare record. No
-// allocation either way once the first ring read has created the
-// prober-owned view.
-func (p *Prober) decodeRead(rec *wire.LoadRecord, data []byte) error {
-	if p.agent.RingK() > 0 {
-		if p.view == nil {
-			p.view = new(wire.RingView)
-		}
-		if err := wire.DecodeRingInto(p.view, data); err != nil {
-			return err
-		}
-		p.RingSamples += uint64(p.Trend.ObserveRing(p.view))
-		*rec = p.view.Newest()
-		return nil
-	}
-	return wire.DecodeInto(rec, data)
 }
 
 // probeSocket issues the request/response path against the agent's
@@ -468,9 +364,9 @@ func StartMonitorCfg(front *simos.Node, fnic *simnet.NIC, agents []*Agent, poll 
 // acquire (pooled reads only, pool.go) leases the back-end's conn,
 // dialing or shedding as the pool answers. read is the completion: the
 // epoch fence when leased, then the transport error, then the decode
-// burst. decode runs decodeRead and re-reads a torn ring snapshot up to
-// maxTornRetries times. A batch slot enters at read, with its prober,
-// lease and the batch's post instant loaded. A probe read ends in
+// burst. decode runs ProbeState.DecodeRead and re-reads a torn ring
+// snapshot while RetryTorn allows. A batch slot enters at read, with
+// its prober, lease and the batch's post instant loaded. A probe read ends in
 // outcome — rdmaOutcome, then next's observeProbe — and every way out
 // of a slot, however many events it takes, ends in advance exactly
 // once (a shed, or a dial the closing pool refused, skips the outcome).
@@ -609,7 +505,7 @@ func (sc *sweepScratch) probe(p *Prober) {
 	switch {
 	case !p.Scheme.UsesRDMA():
 		p.probeSocket(sc.tk, sc.socketFn)
-	case p.Failover != nil && p.Failover.Tripped():
+	case p.UseStandby():
 		sc.probeTripped()
 	case len(sc.leases) == 1:
 		sc.lease = sc.leases[0]
@@ -628,27 +524,17 @@ func (sc *sweepScratch) load(p *Prober, start sim.Time) {
 
 // probeTripped carries a probe over the standby socket channel while
 // the breaker is tripped, issuing the occasional background re-arm
-// read of the RDMA path.
+// read of the RDMA path, which bypasses the pool.
 func (sc *sweepScratch) probeTripped() {
-	p, fo := sc.p, sc.p.Failover
-	p.Fallbacks++
+	p := sc.p
 	p.probeSocket(sc.tk, func(rec wire.LoadRecord, err error) {
-		if !fo.ShouldReArm() {
+		if !p.ReArmDue() {
 			sc.socketDone(rec, err)
 			return
 		}
-		// Background re-arm: test the RDMA path without trusting it for
-		// data until it has proven itself FailBackAfter times in a row.
-		// The re-arm outcome never pollutes this probe's result, and the
-		// read bypasses the pool.
-		p.ReArms++
 		sc.leased = false
 		sc.then = func(_ *wire.LoadRecord, rerr error) {
-			if rerr == nil {
-				fo.ReArmOK()
-			} else {
-				fo.ReArmFail()
-			}
+			p.ReArmDone(rerr)
 			sc.socketDone(rec, err)
 		}
 		sc.post()
@@ -710,13 +596,12 @@ func (sc *sweepScratch) read(data []byte, err error) {
 
 // decode runs when the decode burst completes. A torn ring snapshot
 // (the writer mid-update at the DMA instant) is simply re-read, the
-// seqlock contract, up to maxTornRetries times.
+// seqlock contract, as often as RetryTorn allows.
 func (sc *sweepScratch) decode() {
 	p, data := sc.p, sc.data
 	sc.data = nil
-	err := p.decodeRead(&sc.rec, data)
-	if err == wire.ErrTorn && sc.torn < maxTornRetries {
-		p.TornRetries++
+	err := p.DecodeRead(&sc.rec, data, p.agent.RingK() > 0)
+	if p.RetryTorn(err, sc.torn) {
 		sc.torn++
 		sc.begin()
 		return
@@ -830,33 +715,15 @@ func (m *Monitor) dueNow(backend int) bool {
 // period controller.
 func (m *Monitor) leaseHeld() bool { return m.LeaseValid == nil || m.LeaseValid() }
 
-// observeProbe feeds one completed probe into the back-end's period
-// controller: a failure or a moved load index counts as change and
-// snaps the period to the fast sweep; a quiet, Healthy, leased probe
-// lets it decay. With a history ring the change test uses the ring's
-// own change-rate — the un-smoothed |dIndex/dt| over the window the
-// read fetched, scaled to one fast sweep — instead of comparing two
-// point samples, so a back-end that oscillated between two probes can
-// no longer masquerade as quiet.
+// observeProbe feeds one completed probe into the back-end's adaptive
+// poll (ProbeState.ObservePoll) and sets when it is next due.
 func (m *Monitor) observeProbe(backend int, err error) {
 	st := m.hybrid(backend)
 	if st == nil {
 		return
 	}
 	p := m.prober(backend)
-	var rec *wire.LoadRecord
-	if err == nil && p.has {
-		rec = &p.last
-	}
-	h := m.cfg.Hybrid
-	var period sim.Time
-	if p.agent.RingK() > 0 {
-		perSweep := p.Trend.LastRate() * (float64(h.Period.Min) / float64(sim.Second))
-		period = st.ObserveRate(rec, perSweep, h.Threshold, p.Health.State(), m.leaseHeld())
-	} else {
-		period = st.Observe(rec, h.Threshold, p.Health.State(), m.leaseHeld())
-	}
-	m.due[backend] = m.front.Eng.Now() + period
+	m.due[backend] = m.front.Eng.Now() + p.ObservePoll(st, err, p.agent.RingK() > 0, m.cfg.Hybrid.Threshold, m.leaseHeld())
 }
 
 // notePush applies one valid pushed delta record: it refreshes the

@@ -41,7 +41,7 @@ func TestFailoverMRInvalidationLive(t *testing.T) {
 	if _, tr, err = pr.FetchVia(); err != nil || tr != core.TransportSocket {
 		t.Fatalf("second outage fetch: tr=%v err=%v", tr, err)
 	}
-	fo := pr.Failover()
+	fo := pr.st.Failover
 	if fo == nil || !fo.Tripped() {
 		t.Fatal("breaker not tripped after two consecutive RDMA failures")
 	}
@@ -72,8 +72,8 @@ func TestFailoverMRInvalidationLive(t *testing.T) {
 	if err != nil || tr != core.TransportRDMA || rec.NodeID != 7 {
 		t.Fatalf("post-fail-back fetch: rec=%+v tr=%v err=%v", rec, tr, err)
 	}
-	if pr.Fallbacks == 0 || pr.ReArms == 0 {
-		t.Fatalf("Fallbacks/ReArms = %d/%d, want both non-zero", pr.Fallbacks, pr.ReArms)
+	if pr.st.Fallbacks == 0 || pr.st.ReArms == 0 {
+		t.Fatalf("Fallbacks/ReArms = %d/%d, want both non-zero", pr.st.Fallbacks, pr.st.ReArms)
 	}
 }
 
@@ -83,7 +83,7 @@ func TestFailoverMRInvalidationLive(t *testing.T) {
 func TestFailoverNoopOnSocketScheme(t *testing.T) {
 	_, pr := startPair(t, core.SocketSync, synthetic(3))
 	pr.SetFailover(core.FailoverConfig{})
-	if pr.Failover() != nil {
+	if pr.st.Failover != nil {
 		t.Fatal("socket-scheme probe grew a breaker")
 	}
 	rec, tr, err := pr.FetchVia()
@@ -161,5 +161,34 @@ func TestMonitorFailoverDegraded(t *testing.T) {
 	}
 	if h, tr := m.Health(addr), m.Transport(addr); h != core.Degraded || tr != core.TransportSocket {
 		t.Fatalf("after more records: health=%v transport=%v, want degraded over socket", h, tr)
+	}
+}
+
+// TestFallbackCountsUnansweredStandby: Fallbacks counts every attempt
+// over the standby channel, answered or not, as the simulated prober
+// does. With the agent gone, the RDMA read and its re-handshake fail,
+// the breaker falls back, and the standby fails too: one fallback, one
+// error.
+func TestFallbackCountsUnansweredStandby(t *testing.T) {
+	a, err := StartAgent(Config{Scheme: core.RDMASync, NodeID: 7, Provider: synthetic(5)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr, err := DialTimeout(a.Addr(), 200*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pr.Close()
+	pr.SetFailover(core.FailoverConfig{})
+	if _, err := pr.Fetch(); err != nil {
+		t.Fatal(err)
+	}
+	a.Close()
+	if _, tr, err := pr.FetchVia(); err == nil || tr != core.TransportRDMA {
+		t.Fatalf("fetch of a closed agent: tr=%v err=%v, want the RDMA read's error", tr, err)
+	}
+	if pr.st.Fallbacks != 1 || pr.st.Errors != 1 || pr.st.Health.State() != core.Suspect {
+		t.Fatalf("fallbacks=%d errors=%d health=%v, want 1, 1, suspect",
+			pr.st.Fallbacks, pr.st.Errors, pr.st.Health.State())
 	}
 }

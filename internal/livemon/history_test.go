@@ -43,7 +43,7 @@ func TestHistoryHandshakeAndFetch(t *testing.T) {
 			if rec.NodeID != 7 || rec.NrRunning != 5 {
 				t.Fatalf("newest ring record = %+v", rec)
 			}
-			if pr.RingSamples == 0 {
+			if pr.st.RingSamples == 0 {
 				t.Fatal("ring fetch accounted no samples")
 			}
 		})
@@ -136,5 +136,36 @@ func TestHistoryIgnoredBySocketSchemes(t *testing.T) {
 	defer a.Close()
 	if a.RingK() != 0 {
 		t.Fatalf("socket agent kept HistoryK %d", a.RingK())
+	}
+}
+
+// TestRingSamplesCountFreshOnly: RingSamples counts samples new to the
+// probe, not window slots read. An RDMA-Async agent with an hour-long
+// refresh interval serves the same window twice, so the second fetch
+// adds nothing.
+func TestRingSamplesCountFreshOnly(t *testing.T) {
+	a, err := StartAgent(Config{Scheme: core.RDMAAsync, NodeID: 7, Provider: synthetic(2),
+		Interval: time.Hour, HistoryK: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	pr, err := Dial(a.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pr.Close()
+	if _, err := pr.Fetch(); err != nil {
+		t.Fatal(err)
+	}
+	first := pr.st.RingSamples
+	if first == 0 {
+		t.Fatal("the first ring fetch folded no samples")
+	}
+	if _, err := pr.Fetch(); err != nil {
+		t.Fatal(err)
+	}
+	if pr.st.RingSamples != first {
+		t.Fatalf("a repeated window added %d samples", pr.st.RingSamples-first)
 	}
 }

@@ -21,6 +21,7 @@ import (
 
 	"rdmamon/internal/core"
 	"rdmamon/internal/procfs"
+	"rdmamon/internal/sim"
 	"rdmamon/internal/tcpverbs"
 	"rdmamon/internal/wire"
 )
@@ -333,18 +334,25 @@ func (a *Agent) snapshotBuf() []byte {
 // (tcpverbs.RetryPolicy), and a failed fetch triggers a re-handshake
 // that refreshes the scheme and region key — a restarted agent hands
 // out a fresh rkey, so the old one must be thrown away.
+//
+// Every decision about a fetch's outcome — decoding, the torn-read
+// bound, the transport breaker, the record cache, trend, health and
+// counters — is the probe's core.ProbeState, the one the simulated
+// core.Prober runs; the Probe adds the transport calls, the
+// re-handshake, pool leasing and a wall clock. The state's time base is
+// the time since dial.
 type Probe struct {
-	mu     sync.Mutex
-	conn   *tcpverbs.Conn
-	scheme core.Scheme
-	rkey   uint32
+	mu    sync.Mutex
+	conn  *tcpverbs.Conn
+	rkey  uint32
+	start time.Time
+	st    core.ProbeState
 
 	// ringK is the agent's history-ring depth from the info handshake
-	// (0: single-record region). Ring probes read the whole window into
-	// readBuf and decode it in place into view; both are reused across
-	// fetches, so a warm probe loop allocates no payload buffers.
+	// (0: single-record region). Reads land in readBuf, and ring reads
+	// decode into the state's view; both are reused across fetches, so a
+	// warm probe loop allocates no payload buffers.
 	ringK   int
-	view    wire.RingView
 	readBuf []byte
 
 	// burstReqs/burstRes are FetchBurst's batch scratch (single-record
@@ -359,32 +367,9 @@ type Probe struct {
 	pool *ConnPool
 	addr string
 
-	// fo, when armed via SetFailover under an RDMA scheme, is the
-	// transport breaker: consecutive one-sided read failures fail the
-	// probe over to the agent's standby socket channel, a low-rate
-	// background re-arm probe retests the RDMA path, and the breaker
-	// fails back after consecutive re-arm successes.
-	fo *core.Failover
-
 	// Rehandshakes counts successful post-failure re-handshakes.
 	Rehandshakes uint64
-	// Fallbacks counts fetches served over the socket standby while the
-	// preferred transport is RDMA.
-	Fallbacks uint64
-	// ReArms counts background re-arm probes of the RDMA path.
-	ReArms uint64
-	// TornRetries counts ring reads re-issued because the seqlock
-	// caught a concurrent write mid-window.
-	TornRetries uint64
-	// RingSamples counts history records delivered by ring reads
-	// (Fetch and FetchHistory both contribute).
-	RingSamples uint64
 }
-
-// maxTornRetries bounds how many times a torn ring read is re-issued
-// before the tear is reported; each retry is one cheap one-sided read,
-// and a write-in-flight window is microseconds wide.
-const maxTornRetries = 3
 
 // Dial connects to an agent and discovers its scheme and region key,
 // using the transport's default operation timeout.
@@ -399,7 +384,7 @@ func DialTimeout(addr string, opTimeout time.Duration) (*Probe, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &Probe{conn: c}
+	p := &Probe{conn: c, start: time.Now()}
 	if err := p.handshake(); err != nil {
 		c.Close()
 		return nil, err
@@ -413,7 +398,7 @@ func DialTimeout(addr string, opTimeout time.Duration) (*Probe, error) {
 // the fetch completes. The initial handshake runs through the same
 // leased path, so even discovery respects the pool's budgets.
 func DialPooled(cp *ConnPool, addr string) (*Probe, error) {
-	p := &Probe{pool: cp, addr: addr}
+	p := &Probe{pool: cp, addr: addr, start: time.Now()}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if _, err := leased(p, false, func() (struct{}, error) { return struct{}{}, p.handshake() }); err != nil {
@@ -455,7 +440,7 @@ func (p *Probe) handshake() error {
 	if len(info) < 5 {
 		return fmt.Errorf("livemon: short info reply")
 	}
-	p.scheme = core.Scheme(info[0])
+	p.st.Scheme = core.Scheme(info[0])
 	p.rkey = binary.BigEndian.Uint32(info[1:])
 	// Ring-geometry extension (newer agents): absent on a 5-byte reply
 	// from an agent predating history rings — a single-record region.
@@ -482,7 +467,7 @@ func (p *Probe) RingK() int {
 func (p *Probe) Scheme() core.Scheme {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.scheme
+	return p.st.Scheme
 }
 
 // SetFailover arms the probe's transport breaker. It is a no-op under
@@ -490,17 +475,9 @@ func (p *Probe) Scheme() core.Scheme {
 func (p *Probe) SetFailover(cfg core.FailoverConfig) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if !p.scheme.UsesRDMA() {
-		return
+	if p.st.Scheme.UsesRDMA() {
+		p.st.Failover = &core.Failover{Cfg: cfg}
 	}
-	p.fo = &core.Failover{Cfg: cfg}
-}
-
-// Failover exposes the probe's breaker (nil unless armed).
-func (p *Probe) Failover() *core.Failover {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.fo
 }
 
 // SeedJitter makes the connection's retry-backoff jitter deterministic
@@ -523,13 +500,14 @@ func (p *Probe) Fetch() (wire.LoadRecord, error) {
 	return rec, err
 }
 
-// FetchVia retrieves one load record and reports which transport
-// served it. Without an armed breaker it behaves like the seed Fetch
-// (the scheme's own transport, one re-handshake retry). With one armed:
+// FetchVia retrieves one load record, reports which transport served
+// it and applies the outcome to the probe's state. Without an armed
+// breaker it reads over the scheme's own transport, with one
+// re-handshake retry. With one armed:
 //
 //   - breaker armed: read over RDMA (re-handshake retry included); a
-//     success feeds PrimaryOK, a failure feeds PrimaryFail and the
-//     fetch degrades to the socket standby for this cycle.
+//     failure is a breaker step and the fetch falls back to the socket
+//     standby for this cycle.
 //   - breaker tripped: fetch over the socket standby; every
 //     ReArmEvery-th cycle additionally retests the RDMA path in the
 //     background (refreshing the rkey via re-handshake if the first
@@ -538,57 +516,49 @@ func (p *Probe) Fetch() (wire.LoadRecord, error) {
 func (p *Probe) FetchVia() (wire.LoadRecord, core.Transport, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	tr := p.preferred()
-	rec, err := leased(p, false, func() (rec wire.LoadRecord, err error) {
-		rec, tr, err = p.fetchViaLocked()
-		return rec, err
+	return p.fetch()
+}
+
+// fetch is FetchVia with p.mu held.
+func (p *Probe) fetch() (wire.LoadRecord, core.Transport, error) {
+	var rec wire.LoadRecord
+	tr := core.TransportSocket
+	if p.st.Scheme.UsesRDMA() {
+		tr = core.TransportRDMA
+	}
+	_, err := leased(p, false, func() (_ struct{}, err error) {
+		rec, tr, err = p.fetchLocked()
+		return
 	})
-	return rec, tr, err
+	if cached := p.st.Apply(sim.Time(time.Since(p.start)), &rec, err, tr); cached != nil {
+		return *cached, tr, nil
+	}
+	return wire.LoadRecord{}, tr, err
 }
 
-// preferred is the transport the agent's scheme serves records over.
-func (p *Probe) preferred() core.Transport {
-	if p.scheme.UsesRDMA() {
-		return core.TransportRDMA
-	}
-	return core.TransportSocket
-}
-
-// fetchViaLocked is FetchVia's body, run with p.mu held and (for
-// pooled probes) a leased connection installed in p.conn.
-func (p *Probe) fetchViaLocked() (wire.LoadRecord, core.Transport, error) {
-	if p.fo == nil || !p.scheme.UsesRDMA() {
-		tr := p.preferred()
-		rec, err := rehandshakeRetry(p, p.fetchLocked)
-		return rec, tr, err
-	}
-	if p.fo.Tripped() {
+// fetchLocked runs one fetch's transport calls, with any leased conn
+// installed, as the probe state routes them.
+func (p *Probe) fetchLocked() (wire.LoadRecord, core.Transport, error) {
+	st := &p.st
+	switch {
+	case !st.Scheme.UsesRDMA():
+		rec, err := rehandshakeRetry(p, p.socketLocked)
+		return rec, core.TransportSocket, err
+	case st.UseStandby():
 		rec, err := p.socketLocked()
-		if p.fo.ShouldReArm() {
-			p.ReArms++
-			if _, rerr := rehandshakeRetry(p, p.rdmaLocked); rerr == nil {
-				p.fo.ReArmOK()
-			} else {
-				p.fo.ReArmFail()
-			}
+		if st.ReArmDue() {
+			_, rerr := rehandshakeRetry(p, p.rdmaLocked)
+			st.ReArmDone(rerr)
 		}
-		if err != nil {
-			return wire.LoadRecord{}, core.TransportSocket, err
-		}
-		p.Fallbacks++
-		return rec, core.TransportSocket, nil
+		return rec, core.TransportSocket, err
 	}
 	rec, err := rehandshakeRetry(p, p.rdmaLocked)
-	if err == nil {
-		p.fo.PrimaryOK()
-		return rec, core.TransportRDMA, nil
+	if st.FallBack(err) {
+		if srec, serr := p.socketLocked(); serr == nil {
+			return srec, core.TransportSocket, nil
+		}
 	}
-	p.fo.PrimaryFail()
-	if rec, serr := p.socketLocked(); serr == nil {
-		p.Fallbacks++
-		return rec, core.TransportSocket, nil
-	}
-	return wire.LoadRecord{}, core.TransportRDMA, err
+	return rec, core.TransportRDMA, err
 }
 
 // rehandshakeRetry runs one locked fetch step (p.mu held, any leased
@@ -625,8 +595,8 @@ func rehandshakeRetry[T any](p *Probe, step func() (T, error)) (T, error) {
 func (p *Probe) FetchBurst(k int) ([]wire.LoadRecord, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if !p.scheme.UsesRDMA() {
-		return nil, fmt.Errorf("livemon: burst fetch requires an RDMA scheme, agent runs %v", p.scheme)
+	if !p.st.Scheme.UsesRDMA() {
+		return nil, fmt.Errorf("livemon: burst fetch requires an RDMA scheme, agent runs %v", p.st.Scheme)
 	}
 	if k <= 0 {
 		k = 1
@@ -640,17 +610,11 @@ func (p *Probe) burstLocked(k int) ([]wire.LoadRecord, error) {
 		// — the history region subsumes the pipelined burst, one work
 		// request instead of k. Newest first, like the batch variant's
 		// freshest-last ordering never promised anyway.
-		v, err := p.ringReadLocked()
+		v, err := p.historyLocked()
 		if err != nil {
 			return nil, err
 		}
-		n := v.Count
-		if n > k {
-			n = k
-		}
-		recs := make([]wire.LoadRecord, n)
-		copy(recs, v.Records[:n])
-		return recs, nil
+		return append([]wire.LoadRecord(nil), v.Records[:min(v.Count, k)]...), nil
 	}
 	p.burstReqs = p.burstReqs[:0]
 	for i := 0; i < k; i++ {
@@ -684,8 +648,8 @@ func (p *Probe) burstLocked(k int) ([]wire.LoadRecord, error) {
 func (p *Probe) FetchHistory() (wire.RingView, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if !p.scheme.UsesRDMA() {
-		return wire.RingView{}, fmt.Errorf("livemon: history fetch requires an RDMA scheme, agent runs %v", p.scheme)
+	if !p.st.Scheme.UsesRDMA() {
+		return wire.RingView{}, fmt.Errorf("livemon: history fetch requires an RDMA scheme, agent runs %v", p.st.Scheme)
 	}
 	if p.ringK == 0 {
 		return wire.RingView{}, fmt.Errorf("livemon: agent publishes no history ring")
@@ -703,49 +667,31 @@ func (p *Probe) historyLocked() (*wire.RingView, error) {
 	if p.ringK == 0 {
 		return nil, fmt.Errorf("livemon: restarted agent publishes no history ring")
 	}
-	return p.ringReadLocked()
+	if _, err := p.rdmaLocked(); err != nil {
+		return nil, err
+	}
+	return p.st.Ring(), nil
 }
 
-func (p *Probe) rdmaLocked() (wire.LoadRecord, error) {
-	if p.ringK > 0 {
-		v, err := p.ringReadLocked()
-		if err != nil {
-			return wire.LoadRecord{}, err
-		}
-		return v.Newest(), nil
+// rdmaLocked reads the agent's region — the whole history ring when it
+// publishes one — into the probe's scratch and decodes it, reading a
+// torn ring snapshot again while the probe state allows.
+func (p *Probe) rdmaLocked() (rec wire.LoadRecord, _ error) {
+	ring := p.ringK > 0
+	n := wire.RecordSize
+	if ring {
+		n = wire.RingSize(p.ringK)
 	}
-	raw, err := p.conn.RDMAReadInto(p.rkey, wire.RecordSize, p.readBuf)
-	if err != nil {
-		return wire.LoadRecord{}, err
-	}
-	p.readBuf = raw
-	return wire.Decode(raw)
-}
-
-// ringReadLocked reads the whole history region into the probe's
-// scratch and decodes it in place, re-issuing the read a bounded
-// number of times when the seqlock catches the agent writing.
-func (p *Probe) ringReadLocked() (*wire.RingView, error) {
-	n := wire.RingSize(p.ringK)
-	var lastErr error
-	for attempt := 0; attempt <= maxTornRetries; attempt++ {
+	for tries := 0; ; tries++ {
 		raw, err := p.conn.RDMAReadInto(p.rkey, n, p.readBuf)
 		if err != nil {
-			return nil, err
+			return rec, err
 		}
 		p.readBuf = raw
-		if err := wire.DecodeRingInto(&p.view, raw); err != nil {
-			lastErr = err
-			if err == wire.ErrTorn {
-				p.TornRetries++
-				continue
-			}
-			return nil, err
+		if err = p.st.DecodeRead(&rec, raw, ring); !p.st.RetryTorn(err, tries) {
+			return rec, err
 		}
-		p.RingSamples += uint64(p.view.Count)
-		return &p.view, nil
 	}
-	return nil, lastErr
 }
 
 func (p *Probe) socketLocked() (wire.LoadRecord, error) {
@@ -754,13 +700,6 @@ func (p *Probe) socketLocked() (wire.LoadRecord, error) {
 		return wire.LoadRecord{}, err
 	}
 	return wire.Decode(raw)
-}
-
-func (p *Probe) fetchLocked() (wire.LoadRecord, error) {
-	if p.scheme.UsesRDMA() {
-		return p.rdmaLocked()
-	}
-	return p.socketLocked()
 }
 
 // Close tears down the probe connection. Pooled probes own no

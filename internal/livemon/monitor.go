@@ -1,7 +1,7 @@
 package livemon
 
 import (
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"rdmamon/internal/core"
@@ -9,34 +9,30 @@ import (
 	"rdmamon/internal/wire"
 )
 
-// Monitor polls a fleet of live agents on a fixed interval and caches
-// the newest record per agent — the live counterpart of the simulated
-// front-end monitoring process. It is safe for concurrent use.
+// Monitor polls a fleet of live agents on a fixed interval; each
+// target's probe keeps its newest record, trend and health — the live
+// counterpart of the simulated front-end monitoring process. It is safe
+// for concurrent use. A target's accessors read its probe's state under
+// the probe's lock, so they wait out a fetch in flight on that target
+// (bounded by the probe's operation deadline).
 type Monitor struct {
 	interval time.Duration
-	weights  core.Weights
 	adaptive *AdaptiveConfig // nil when the layout is fixed-period
 	cpool    *ConnPool       // shared connection pool (nil when probes own conns)
 	loops    *loops          // one sweep loop per shard
 
-	mu      sync.RWMutex
-	targets map[string]*target
-	decayed uint64
+	targets map[string]*target // fixed once NewMonitor returns
+	decayed atomic.Uint64
 }
 
-// target is what the monitor keeps for one connected target. probe is
-// set at dial time and cleared only by Close, after the sweeps have
-// stopped; the other fields are guarded by Monitor.mu.
+// target is what the monitor keeps for one connected target beside its
+// probe's state. The fields are guarded by the probe's lock.
 type target struct {
-	probe     *Probe
-	health    core.HealthTracker
-	last      wire.LoadRecord
-	lastAt    time.Time // zero until the first record arrives
-	err       error     // the newest fetch's error, nil after a success
-	transport core.Transport
-	poll      core.AdaptivePoll // adaptive layouts only
-	due       time.Time         // adaptive layouts: when the next probe is due
-	skipped   int               // consecutive quarantine skips
+	probe   *Probe
+	err     error             // the newest fetch's error, nil after a success
+	poll    core.AdaptivePoll // adaptive layouts only
+	due     time.Time         // adaptive layouts: when the next probe is due
+	skipped int               // consecutive quarantine skips
 }
 
 // quarantineBackoff is how many poll ticks are skipped between probes
@@ -57,7 +53,8 @@ type MonitorConfig struct {
 	Shards int
 	// Adaptive, when non-nil, layers the change-rate-adaptive poll
 	// period controller on every target: a quiet target's period decays
-	// toward Adaptive.Max, any load-index movement, fetch failure,
+	// toward Adaptive.Max, any load-index movement (for a target with a
+	// history ring, the window's change rate), fetch failure,
 	// Suspect/Degraded health or lost lease snaps it back to Interval
 	// within one cycle.
 	Adaptive *AdaptiveConfig
@@ -97,7 +94,6 @@ func NewMonitor(addrs []string, cfg MonitorConfig) (*Monitor, map[string]error) 
 	}
 	m := &Monitor{
 		interval: interval,
-		weights:  core.DefaultWeights(),
 		loops:    newLoops(),
 		targets:  make(map[string]*target),
 	}
@@ -146,7 +142,7 @@ func NewMonitor(addrs []string, cfg MonitorConfig) (*Monitor, map[string]error) 
 	return m, dialErrs
 }
 
-// sweep fetches a slice of the fleet in turn — the live analogue of one
+// sweep probes a slice of the fleet in turn — the live analogue of one
 // simulated monitor shard's sweep. The first sweep runs at start and
 // fetches every target: a fresh tracker is Healthy and a zero due
 // instant has passed.
@@ -155,91 +151,77 @@ func (m *Monitor) sweep(shard []*target) {
 		if m.loops.stopped() {
 			return
 		}
-		if !m.skip(t) {
-			m.fetchOne(t)
-		}
+		m.probe(t)
 	}
 }
 
-// skip reports whether a target sits this sweep out: a quarantined
-// target is probed only every quarantineBackoff-th sweep (each attempt
-// at a dead host costs a full deadline), and under the adaptive layout
-// a target is probed only once its period has elapsed.
-func (m *Monitor) skip(t *target) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if t.health.State() == core.Quarantined {
+// probe fetches one target, unless it sits this sweep out: a
+// quarantined target is probed only every quarantineBackoff-th sweep
+// (each attempt at a dead host costs a full deadline), and under the
+// adaptive layout a target is probed only once its period has elapsed.
+// The fetch applies its own outcome to the probe's state; under the
+// adaptive layout the probe state then decides the next period.
+func (m *Monitor) probe(t *target) {
+	a := m.adaptive
+	// A lost lease forces the fast period so a re-elected primary starts
+	// from fresh records. It is asked before the probe's lock is taken.
+	leaseHeld := a == nil || a.LeaseValid == nil || a.LeaseValid()
+	p := t.probe
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.st.Health.State() == core.Quarantined {
 		t.skipped++
 		if t.skipped%quarantineBackoff != 0 {
-			return true
+			return
 		}
 	} else {
 		t.skipped = 0
 	}
-	if m.adaptive != nil && time.Now().Before(t.due) {
-		m.decayed++
-		return true
+	if a != nil && time.Now().Before(t.due) {
+		m.decayed.Add(1)
+		return
 	}
-	return false
-}
-
-// fetchOne issues one fetch against a target and folds the outcome into
-// its record.
-func (m *Monitor) fetchOne(t *target) {
-	rdma := t.probe.Scheme().UsesRDMA()
-	rec, tr, err := t.probe.FetchVia()
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	t.err = err
-	var seen *wire.LoadRecord
-	if err != nil {
-		t.health.Fail()
-	} else {
-		t.last, t.lastAt, t.transport = rec, time.Now(), tr
-		seen = &t.last
-		if rdma && tr == core.TransportSocket {
-			// Alive, but only over the standby channel: Degraded
-			// keeps it dispatchable without calling it Healthy.
-			t.health.DegradedOK()
-		} else {
-			t.health.OK()
-		}
-	}
-	if a := m.adaptive; a != nil {
+	_, _, t.err = p.fetch()
+	if a != nil {
 		// A failed fetch counts as change: trouble must restore the
 		// fast sweep, never decay away from it.
-		leaseHeld := a.LeaseValid == nil || a.LeaseValid()
-		period := t.poll.Observe(seen, a.Threshold, t.health.State(), leaseHeld)
+		period := p.st.ObservePoll(&t.poll, t.err, p.ringK > 0, a.Threshold, leaseHeld)
 		t.due = time.Now().Add(time.Duration(period))
 	}
+}
+
+// locked returns addr's target with its probe locked (the caller
+// unlocks), or nil for an unknown target.
+func (m *Monitor) locked(addr string) *target {
+	t := m.targets[addr]
+	if t != nil {
+		t.probe.mu.Lock()
+	}
+	return t
 }
 
 // ProbePeriod returns the adaptive controller's current period for a
 // target (the base interval when the layout is fixed-period).
 func (m *Monitor) ProbePeriod(addr string) time.Duration {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	if t := m.targets[addr]; t != nil && m.adaptive != nil {
-		return time.Duration(t.poll.Ctrl.Period())
+	if t := m.locked(addr); t != nil {
+		defer t.probe.mu.Unlock()
+		if m.adaptive != nil {
+			return time.Duration(t.poll.Ctrl.Period())
+		}
 	}
 	return m.interval
 }
 
 // Decayed returns how many probe slots the adaptive controller has
 // skipped so far.
-func (m *Monitor) Decayed() uint64 {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.decayed
-}
+func (m *Monitor) Decayed() uint64 { return m.decayed.Load() }
 
-// Transport reports which transport served a target's newest record
-// (meaningful once Latest returns ok).
+// Transport reports which transport the newest fetch of a target went
+// over (the one that served its record when Err is nil).
 func (m *Monitor) Transport(addr string) core.Transport {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	if t := m.targets[addr]; t != nil {
-		return t.transport
+	if t := m.locked(addr); t != nil {
+		defer t.probe.mu.Unlock()
+		return t.probe.st.LastTransport
 	}
 	return 0
 }
@@ -247,20 +229,20 @@ func (m *Monitor) Transport(addr string) core.Transport {
 // Health returns the probe-driven health state of a target; unknown
 // targets report Quarantined.
 func (m *Monitor) Health(addr string) core.Health {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	if t := m.targets[addr]; t != nil {
-		return t.health.State()
+	if t := m.locked(addr); t != nil {
+		defer t.probe.mu.Unlock()
+		return t.probe.st.Health.State()
 	}
 	return core.Quarantined
 }
 
-// Latest returns the newest record for a target.
+// Latest returns the newest record for a target and when it arrived.
 func (m *Monitor) Latest(addr string) (wire.LoadRecord, time.Time, bool) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	if t := m.targets[addr]; t != nil && !t.lastAt.IsZero() {
-		return t.last, t.lastAt, true
+	if t := m.locked(addr); t != nil {
+		defer t.probe.mu.Unlock()
+		if rec, at, ok := t.probe.st.Latest(); ok {
+			return *rec, t.probe.start.Add(time.Duration(at)), true
+		}
 	}
 	return wire.LoadRecord{}, time.Time{}, false
 }
@@ -268,53 +250,11 @@ func (m *Monitor) Latest(addr string) (wire.LoadRecord, time.Time, bool) {
 // Err returns the target's most recent fetch error, if its last fetch
 // failed.
 func (m *Monitor) Err(addr string) error {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	if t := m.targets[addr]; t != nil {
+	if t := m.locked(addr); t != nil {
+		defer t.probe.mu.Unlock()
 		return t.err
 	}
 	return nil
-}
-
-// LeastLoaded returns the connected target with the smallest load
-// index (the live analogue of the dispatcher's choice), or "" if no
-// records have arrived yet. Quarantined and probation targets are
-// skipped while any eligible target exists; if the whole fleet is
-// condemned it falls back to considering everyone.
-func (m *Monitor) LeastLoaded() string {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	pick := func(requireEligible bool) string {
-		best := ""
-		bestIdx := 0.0
-		for addr, t := range m.targets {
-			if t.lastAt.IsZero() || requireEligible && !t.health.State().Eligible() {
-				continue
-			}
-			idx := m.weights.IndexOf(&t.last)
-			if best == "" || idx < bestIdx {
-				best, bestIdx = addr, idx
-			}
-		}
-		return best
-	}
-	if best := pick(true); best != "" {
-		return best
-	}
-	return pick(false)
-}
-
-// Targets lists the connected targets.
-func (m *Monitor) Targets() []string {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	out := make([]string, 0, len(m.targets))
-	for addr, t := range m.targets {
-		if t.probe != nil {
-			out = append(out, addr)
-		}
-	}
-	return out
 }
 
 // ConnPool exposes the monitor's shared connection pool (nil when the
@@ -324,15 +264,13 @@ func (m *Monitor) ConnPool() *ConnPool { return m.cpool }
 
 // Close stops polling, closes all probe connections and the shared
 // pool. Idempotent and safe for concurrent use: every caller returns
-// only after teardown has completed exactly once.
+// only after teardown has completed exactly once. The targets' last
+// state stays readable.
 func (m *Monitor) Close() {
 	m.loops.close(func() error {
-		m.mu.Lock()
 		for _, t := range m.targets {
 			t.probe.Close()
-			t.probe = nil
 		}
-		m.mu.Unlock()
 		if m.cpool != nil {
 			m.cpool.Close()
 		}

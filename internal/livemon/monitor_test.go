@@ -53,38 +53,6 @@ func TestMonitorPollsFleet(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if len(m.Targets()) != 3 {
-		t.Fatalf("targets = %v", m.Targets())
-	}
-}
-
-func TestMonitorLeastLoaded(t *testing.T) {
-	busy := synthetic(20)
-	busy.S.UtilPerMille = []int{1000, 1000}
-	idle := synthetic(0)
-	idle.S.UtilPerMille = []int{10, 10}
-	a1, err := StartAgent(Config{Scheme: core.RDMASync, NodeID: 1, Provider: busy})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a1.Close()
-	a2, err := StartAgent(Config{Scheme: core.RDMASync, NodeID: 2, Provider: idle})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a2.Close()
-	m, _ := NewMonitor([]string{a1.Addr(), a2.Addr()}, MonitorConfig{Interval: 10 * time.Millisecond})
-	defer m.Close()
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		if m.LeastLoaded() == a2.Addr() {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("LeastLoaded = %q, want idle agent %q", m.LeastLoaded(), a2.Addr())
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
 }
 
 func TestMonitorSurvivesAgentDeath(t *testing.T) {
@@ -131,7 +99,7 @@ func TestMonitorBadTargets(t *testing.T) {
 	if len(dialErrs) != 1 {
 		t.Fatalf("dial errors = %v", dialErrs)
 	}
-	if m.LeastLoaded() != "" {
-		t.Fatal("empty monitor should report no least-loaded target")
+	if _, _, ok := m.Latest("127.0.0.1:1"); ok || m.Health("127.0.0.1:1") != core.Quarantined {
+		t.Fatal("an undialed target reports a record or a dispatchable health")
 	}
 }

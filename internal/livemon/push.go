@@ -9,6 +9,7 @@ import (
 
 	"rdmamon/internal/core"
 	"rdmamon/internal/procfs"
+	"rdmamon/internal/sim"
 	"rdmamon/internal/tcpverbs"
 	"rdmamon/internal/wire"
 )
@@ -206,22 +207,20 @@ func (c PusherConfig) withDefaults() PusherConfig {
 
 // Pusher is the live back-end half of the hybrid scheme: it samples
 // the local machine every Check and RDMA-Writes a timestamped delta
-// record into its slot on the PushHost when the load index moved by
-// Threshold (or Heartbeat expired). A failed write triggers one key
+// record into its slot on the PushHost when its core.PushGate — the
+// change test the simulated DeltaPusher runs — says the load index moved
+// by Threshold (or Heartbeat expired). A failed write triggers one key
 // re-handshake and retry — an invalidated-and-re-pinned slot hands out
 // a fresh key.
 type Pusher struct {
-	cfg  PusherConfig
-	conn *tcpverbs.Conn
+	cfg   PusherConfig
+	conn  *tcpverbs.Conn
+	start time.Time
 
 	mu     sync.Mutex
 	key    uint32
-	seq    uint32
-	last   wire.LoadRecord
-	lastAt time.Time
-	primed bool
-
-	pushes, skips, errors, rekeys uint64
+	gate   core.PushGate
+	rekeys uint64
 
 	loops *loops // the sampling loop
 }
@@ -234,13 +233,23 @@ func StartPusher(cfg PusherConfig) (*Pusher, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &Pusher{cfg: cfg, conn: conn, loops: newLoops()}
+	p := &Pusher{cfg: cfg, conn: conn, start: time.Now(), loops: newLoops(),
+		gate: core.NewPushGate(cfg.Threshold, sim.Time(cfg.Heartbeat))}
 	if err := p.rekey(); err != nil {
 		conn.Close()
 		return nil, err
 	}
 	p.loops.every(cfg.Check, false, p.check)
 	return p, nil
+}
+
+// now is the gate's clock, which stamps PushedNS: Unix nanoseconds,
+// advanced by the monotonic clock from start. A restarted pusher's
+// pushes then carry later stamps than its predecessor's, which is how
+// the host tells it from a replay (see PushHost.sink), and a wall-clock
+// step cannot stall the heartbeat.
+func (p *Pusher) now() sim.Time {
+	return sim.Time(p.start.UnixNano()) + sim.Time(time.Since(p.start))
 }
 
 // rekey re-fetches this node's slot key from the control port.
@@ -260,31 +269,20 @@ func (p *Pusher) rekey() error {
 	return nil
 }
 
-// check samples the machine and pushes if the delta contract says so.
+// check samples the machine and pushes if the gate says so.
 func (p *Pusher) check() {
 	s, err := p.cfg.Provider.Snapshot()
 	if err != nil {
 		return // transient sampling errors keep the old state
 	}
+	pr := wire.PushRecord{Load: s.Record(p.cfg.NodeID, 0)}
 	p.mu.Lock()
-	rec := s.Record(p.cfg.NodeID, p.seq+1)
-	// The pusher process is running when it samples itself; subtract it
-	// from the run queue so pushed records agree with what a one-sided
-	// probe (no agent awake) would read.
-	if rec.NrRunning > 0 {
-		rec.NrRunning--
-	}
-	if p.primed && core.LoadDelta(&rec, &p.last) < p.cfg.Threshold &&
-		time.Since(p.lastAt) < p.cfg.Heartbeat {
-		p.skips++
-		p.mu.Unlock()
-		return
-	}
-	p.seq++
-	rec.Seq = p.seq
-	pr := wire.PushRecord{PushSeq: p.seq, PushedNS: time.Now().UnixNano(), Load: rec}
+	push := p.gate.Check(&pr, p.now())
 	key := p.key
 	p.mu.Unlock()
+	if !push {
+		return
+	}
 
 	// A push is a posted write and the Sync that lands it, so a refused
 	// write surfaces here. The slot may have been invalidated and
@@ -299,22 +297,15 @@ func (p *Pusher) check() {
 		werr = errors.Join(p.conn.RDMAWrite(key, enc), p.conn.Sync())
 	}
 	p.mu.Lock()
-	defer p.mu.Unlock()
-	if werr != nil {
-		p.errors++
-		return
-	}
-	p.pushes++
-	p.last = rec
-	p.lastAt = time.Now()
-	p.primed = true
+	p.gate.Pushed(werr)
+	p.mu.Unlock()
 }
 
 // Stats returns the pusher's counters.
 func (p *Pusher) Stats() (pushes, skips, errors, rekeys uint64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.pushes, p.skips, p.errors, p.rekeys
+	return p.gate.Pushes, p.gate.Skips, p.gate.Errors, p.rekeys
 }
 
 // Close stops the pusher. Idempotent and safe for concurrent use; every
