@@ -1,0 +1,521 @@
+//go:build !race
+
+package rdmamon_test
+
+import (
+	"bufio"
+	"errors"
+	"fmt"
+	"go/ast"
+	"go/build"
+	"go/importer"
+	"go/parser"
+	"go/token"
+	"go/types"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"slices"
+	"strings"
+	"testing"
+)
+
+// testOnlyAllowlist names the exported identifiers TestNoTestOnlyAPI
+// accepts with no production use, each with its reason. An entry is
+// one of four kinds: shared test vocabulary, a fault hook a test needs
+// to reach production code, a fuzz or golden oracle, or a state probe a
+// cross-package test of a paper claim reads.
+var testOnlyAllowlist = map[string]string{
+	"internal/core.Claim.Epoch":             "state probe: the cluster HA and livemon claim tests read the epoch a takeover must advance",
+	"internal/core.Claim.Held":              "state probe: the cluster HA and livemon claim tests read raw holdership (one holder, fenced standbys)",
+	"internal/simos.KernelStats.CumIRQHard": "state probe: Fig 6's interrupt counts in simnet's tests and H6's no-back-end-work check in cluster's",
+	"internal/simos.KernelStats.CumIRQSoft": "state probe: H6's no-back-end-work check in cluster's HA tests",
+	"internal/tcpverbs.Agent.BatchedReads":  "state probe: livemon's claim test counts one pipelined read batch per claim round",
+	"internal/tcpverbs.Agent.Stats":         "state probe: livemon's claim and history tests count served reads (WR economy)",
+	"internal/wire.DecodeClaim":             "fuzz oracle: FuzzClaimRecord round-trips it; core and livemon claim tests decode published records with it",
+	"internal/wire.UnpackClaimWord":         "fuzz oracle: FuzzClaimRecord checks WordEpoch and ClaimVacant against it; core and livemon claim tests decode words with it",
+}
+
+// TestNoTestOnlyAPI holds the rule that production API is what
+// production uses: every exported identifier of the module is used by a
+// non-test file under internal/, cmd/, examples/ or bench/, or is on
+// testOnlyAllowlist with a reason.
+func TestNoTestOnlyAPI(t *testing.T) {
+	found, err := testOnlyAPI(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(testOnlyAllowlist); n > 25 {
+		t.Errorf("allowlist has %d entries; keep it to 25 or fewer", n)
+	}
+	for _, id := range found {
+		if _, ok := testOnlyAllowlist[id]; !ok {
+			t.Errorf("%s: exported, but no production code uses it; delete it, unexport it, or allowlist it with a reason", id)
+		}
+	}
+	for id := range testOnlyAllowlist {
+		if !slices.Contains(found, id) {
+			t.Errorf("allowlist entry %s is stale: production code uses it or it is gone", id)
+		}
+	}
+}
+
+// TestNoTestOnlyAPIFixture runs the checker on a small module whose
+// findings are known, one case per rule.
+func TestNoTestOnlyAPIFixture(t *testing.T) {
+	found, err := testOnlyAPI(filepath.Join("testdata", "apicheck"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"internal/lib.Dead",       // used only by its own dead method
+		"internal/lib.Dead.Clone", // ... which is itself dead
+		"internal/lib.Shape.Name", // a test-only interface method
+		"internal/lib.Square.Name",
+		"internal/lib.TestOnly",
+	}
+	if !slices.Equal(found, want) {
+		t.Errorf("findings:\n got %q\nwant %q", found, want)
+	}
+}
+
+// testOnlyAPI type-checks the non-test Go files of the module rooted
+// at dir and returns, sorted, the exported identifiers that no
+// production code reaches, as "pkg/rel/path.Name" or
+// "pkg/rel/path.Type.Member". bench/ is production code for the uses it
+// makes, but its own identifiers are never reported.
+//
+// Liveness is reachability: main and init functions and blank
+// declarations are roots, and a use counts only from inside the
+// declaration of a live identifier, so a type kept alive only by its own
+// dead methods is reported with them. A method is also live when its
+// receiver is live and it implements a standard-library interface, or
+// an interface method that is itself live. String, Error, GoString and
+// Format live with their receiver, since fmt reaches them dynamically.
+// Embedded fields and type parameters are never reported.
+func testOnlyAPI(dir string) ([]string, error) {
+	l, err := loadModule(dir)
+	if err != nil {
+		return nil, err
+	}
+	g := &apiGraph{
+		edges:    map[types.Object][]types.Object{},
+		live:     map[types.Object]bool{},
+		implDone: map[implKey]bool{},
+	}
+	var named []*types.TypeName
+	for _, p := range l.pkgs {
+		for _, f := range p.files {
+			g.addFile(p, f)
+		}
+		scope := p.pkg.Scope()
+		for _, name := range scope.Names() {
+			if tn, ok := scope.Lookup(name).(*types.TypeName); ok && !tn.IsAlias() {
+				named = append(named, tn)
+			}
+		}
+	}
+	stdIfaces := stdInterfaces(l.pkgs)
+	for {
+		g.drain()
+		before := len(g.live)
+		g.markImplementations(named, stdIfaces)
+		if len(g.live) == before {
+			break
+		}
+	}
+	var found []string
+	for _, p := range l.pkgs {
+		if p.frozen {
+			continue
+		}
+		for _, c := range candidates(p) {
+			if !g.live[c.obj] {
+				found = append(found, p.rel+"."+c.name)
+			}
+		}
+	}
+	slices.Sort(found)
+	return found, nil
+}
+
+// modulePkg is one package of the module, type-checked from its
+// non-test files.
+type modulePkg struct {
+	path, rel, dir string
+	frozen         bool // under bench/: its uses count, its API is not checked
+	names          []string
+	files          []*ast.File
+	pkg            *types.Package
+	info           *types.Info
+	checking       bool
+}
+
+type moduleLoader struct {
+	fset   *token.FileSet
+	std    types.ImporterFrom
+	byPath map[string]*modulePkg
+	pkgs   []*modulePkg
+}
+
+func loadModule(root string) (*moduleLoader, error) {
+	modPath, err := modulePath(filepath.Join(root, "go.mod"))
+	if err != nil {
+		return nil, err
+	}
+	fset := token.NewFileSet()
+	l := &moduleLoader{
+		fset:   fset,
+		std:    importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
+		byPath: map[string]*modulePkg{},
+	}
+	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		name := d.Name()
+		if path != root && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+			return filepath.SkipDir
+		}
+		bp, err := build.Default.ImportDir(path, 0)
+		if errors.As(err, new(*build.NoGoError)) {
+			return nil
+		} else if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(root, path)
+		if err != nil {
+			return err
+		}
+		rel = filepath.ToSlash(rel)
+		p := &modulePkg{path: modPath, rel: rel, dir: path, names: bp.GoFiles}
+		if rel != "." {
+			p.path += "/" + rel
+		}
+		p.frozen = rel == "bench" || strings.HasPrefix(rel, "bench/")
+		l.byPath[p.path] = p
+		l.pkgs = append(l.pkgs, p)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for _, p := range l.pkgs {
+		if _, err := l.check(p); err != nil {
+			return nil, err
+		}
+	}
+	return l, nil
+}
+
+func modulePath(gomod string) (string, error) {
+	f, err := os.Open(gomod)
+	if err != nil {
+		return "", err
+	}
+	defer f.Close()
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		if rest, ok := strings.CutPrefix(strings.TrimSpace(sc.Text()), "module "); ok {
+			return strings.Trim(strings.TrimSpace(rest), `"`), nil
+		}
+	}
+	return "", fmt.Errorf("%s: no module line", gomod)
+}
+
+func (l *moduleLoader) Import(path string) (*types.Package, error) {
+	return l.ImportFrom(path, "", 0)
+}
+
+func (l *moduleLoader) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
+	if p, ok := l.byPath[path]; ok {
+		return l.check(p)
+	}
+	return l.std.ImportFrom(path, dir, mode)
+}
+
+func (l *moduleLoader) check(p *modulePkg) (*types.Package, error) {
+	if p.pkg != nil {
+		return p.pkg, nil
+	}
+	if p.checking {
+		return nil, fmt.Errorf("import cycle through %s", p.path)
+	}
+	p.checking = true
+	for _, name := range p.names {
+		f, err := parser.ParseFile(l.fset, filepath.Join(p.dir, name), nil, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		p.files = append(p.files, f)
+	}
+	p.info = &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
+	conf := types.Config{Importer: l}
+	pkg, err := conf.Check(p.path, l.fset, p.files, p.info)
+	if err != nil {
+		return nil, err
+	}
+	p.pkg = pkg
+	return pkg, nil
+}
+
+// apiGraph is the use graph: an edge runs from the identifier whose
+// declaration holds a use to the identifier used.
+type apiGraph struct {
+	edges    map[types.Object][]types.Object
+	live     map[types.Object]bool
+	queue    []types.Object
+	implDone map[implKey]bool
+}
+
+type implKey struct {
+	typ   *types.TypeName
+	iface *types.Interface
+}
+
+var alwaysLive = map[string]bool{"String": true, "Error": true, "GoString": true, "Format": true}
+
+func origin(obj types.Object) types.Object {
+	switch o := obj.(type) {
+	case *types.Func:
+		return o.Origin()
+	case *types.Var:
+		return o.Origin()
+	}
+	return obj
+}
+
+func (g *apiGraph) mark(obj types.Object) {
+	obj = origin(obj)
+	if !g.live[obj] {
+		g.live[obj] = true
+		g.queue = append(g.queue, obj)
+	}
+}
+
+func (g *apiGraph) drain() {
+	for len(g.queue) > 0 {
+		obj := g.queue[len(g.queue)-1]
+		g.queue = g.queue[:len(g.queue)-1]
+		for _, to := range g.edges[obj] {
+			g.mark(to)
+		}
+	}
+}
+
+// addFile records the uses in one production file, each under the
+// package-level identifier whose declaration holds it; uses under a root
+// are marked live at once.
+func (g *apiGraph) addFile(p *modulePkg, f *ast.File) {
+	for _, decl := range f.Decls {
+		switch d := decl.(type) {
+		case *ast.FuncDecl:
+			fn := p.info.Defs[d.Name].(*types.Func)
+			var owners []types.Object
+			isRoot := d.Recv == nil && (d.Name.Name == "init" || d.Name.Name == "main" && p.pkg.Name() == "main")
+			if !isRoot {
+				owners = []types.Object{fn}
+			}
+			if recv := fn.Type().(*types.Signature).Recv(); recv != nil && alwaysLive[fn.Name()] {
+				if tn := recvTypeName(recv.Type()); tn != nil {
+					g.edges[tn] = append(g.edges[tn], fn)
+				}
+			}
+			g.addUses(p, d, owners)
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				switch s := spec.(type) {
+				case *ast.TypeSpec:
+					g.addUses(p, s, []types.Object{p.info.Defs[s.Name]})
+				case *ast.ValueSpec:
+					var owners []types.Object
+					for _, n := range s.Names {
+						if n.Name == "_" {
+							owners = nil
+							break
+						}
+						obj := p.info.Defs[n]
+						owners = append(owners, obj)
+						// A constant repeated by iota names its type
+						// only in the first spec of its group.
+						if tn := recvTypeName(obj.Type()); tn != nil {
+							g.edges[obj] = append(g.edges[obj], tn)
+						}
+					}
+					g.addUses(p, s, owners)
+				}
+			}
+		}
+	}
+}
+
+// addUses adds an edge from each owner to every identifier used under
+// n; with no owners, n is a root and what it uses is live.
+func (g *apiGraph) addUses(p *modulePkg, n ast.Node, owners []types.Object) {
+	ast.Inspect(n, func(n ast.Node) bool {
+		id, ok := n.(*ast.Ident)
+		if !ok {
+			return true
+		}
+		used := p.info.Uses[id]
+		if used == nil || used.Pkg() == nil {
+			return true
+		}
+		used = origin(used)
+		if len(owners) == 0 {
+			g.mark(used)
+		}
+		for _, o := range owners {
+			g.edges[o] = append(g.edges[o], used)
+		}
+		return true
+	})
+}
+
+// recvTypeName is the declared type behind t or *t, if any.
+func recvTypeName(t types.Type) *types.TypeName {
+	if ptr, ok := t.(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	if n, ok := t.(*types.Named); ok {
+		return n.Origin().Obj()
+	}
+	return nil
+}
+
+// markImplementations marks the methods by which a live module type
+// implements a standard-library interface, or a live interface method.
+func (g *apiGraph) markImplementations(named []*types.TypeName, std []*types.Interface) {
+	ifaces := map[*types.Interface][]*types.Func{}
+	for obj := range g.live {
+		fn, ok := obj.(*types.Func)
+		if !ok {
+			continue
+		}
+		recv := fn.Type().(*types.Signature).Recv()
+		if recv == nil {
+			continue
+		}
+		if it, ok := recv.Type().Underlying().(*types.Interface); ok {
+			ifaces[it] = append(ifaces[it], fn)
+		}
+	}
+	for _, tn := range named {
+		if !g.live[tn] || types.IsInterface(tn.Type()) {
+			continue
+		}
+		ptr := types.NewPointer(tn.Type())
+		for it, methods := range ifaces {
+			if implements(ptr, it) {
+				for _, m := range methods {
+					g.markMethod(ptr, m.Name())
+				}
+			}
+		}
+		for _, it := range std {
+			key := implKey{tn, it}
+			if g.implDone[key] {
+				continue
+			}
+			g.implDone[key] = true
+			if implements(ptr, it) {
+				for i := range it.NumMethods() {
+					g.markMethod(ptr, it.Method(i).Name())
+				}
+			}
+		}
+	}
+}
+
+func implements(ptr *types.Pointer, it *types.Interface) bool {
+	return it.NumMethods() > 0 && (types.Implements(ptr.Elem(), it) || types.Implements(ptr, it))
+}
+
+func (g *apiGraph) markMethod(ptr *types.Pointer, name string) {
+	obj, _, _ := types.LookupFieldOrMethod(ptr, false, nil, name)
+	if fn, ok := obj.(*types.Func); ok && fn.Pkg() != nil {
+		g.mark(fn)
+	}
+}
+
+// stdInterfaces lists the interface types declared by every
+// standard-library package the module imports, directly or not.
+func stdInterfaces(pkgs []*modulePkg) []*types.Interface {
+	module := map[*types.Package]bool{}
+	for _, p := range pkgs {
+		module[p.pkg] = true
+	}
+	seen := map[*types.Package]bool{}
+	var out []*types.Interface
+	var visit func(*types.Package)
+	visit = func(pkg *types.Package) {
+		if seen[pkg] {
+			return
+		}
+		seen[pkg] = true
+		for _, imp := range pkg.Imports() {
+			visit(imp)
+		}
+		if module[pkg] {
+			return
+		}
+		scope := pkg.Scope()
+		for _, name := range scope.Names() {
+			if tn, ok := scope.Lookup(name).(*types.TypeName); ok {
+				if it, ok := tn.Type().Underlying().(*types.Interface); ok && it.NumMethods() > 0 {
+					out = append(out, it)
+				}
+			}
+		}
+	}
+	for _, p := range pkgs {
+		visit(p.pkg)
+	}
+	return out
+}
+
+type candidate struct {
+	name string
+	obj  types.Object
+}
+
+// candidates lists the exported identifiers p declares: package-level
+// objects, and the methods and non-embedded fields of its declared
+// types.
+func candidates(p *modulePkg) []candidate {
+	var out []candidate
+	scope := p.pkg.Scope()
+	for _, name := range scope.Names() {
+		obj := scope.Lookup(name)
+		if obj.Exported() {
+			out = append(out, candidate{name, obj})
+		}
+		tn, ok := obj.(*types.TypeName)
+		if !ok || tn.IsAlias() {
+			continue
+		}
+		prefix := name + "."
+		if n, ok := tn.Type().(*types.Named); ok {
+			for i := range n.NumMethods() {
+				if m := n.Method(i); m.Exported() && !alwaysLive[m.Name()] {
+					out = append(out, candidate{prefix + m.Name(), m})
+				}
+			}
+		}
+		switch u := tn.Type().Underlying().(type) {
+		case *types.Struct:
+			for i := range u.NumFields() {
+				if f := u.Field(i); f.Exported() && !f.Embedded() {
+					out = append(out, candidate{prefix + f.Name(), f})
+				}
+			}
+		case *types.Interface:
+			for i := range u.NumExplicitMethods() {
+				if m := u.ExplicitMethod(i); m.Exported() && !alwaysLive[m.Name()] {
+					out = append(out, candidate{prefix + m.Name(), m})
+				}
+			}
+		}
+	}
+	return out
+}

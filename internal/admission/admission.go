@@ -103,12 +103,3 @@ func (c *Controller) Admit(backends []int) bool {
 	}
 	return ok
 }
-
-// RejectRate returns the fraction of requests rejected so far.
-func (c *Controller) RejectRate() float64 {
-	total := c.Admitted + c.Rejected
-	if total == 0 {
-		return 0
-	}
-	return float64(c.Rejected) / float64(total)
-}

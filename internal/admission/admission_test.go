@@ -43,8 +43,8 @@ func TestRejectWhenAllFull(t *testing.T) {
 	if c.Admit([]int{1, 2, 3}) {
 		t.Fatal("should reject: every backend saturated")
 	}
-	if c.RejectRate() != 1 {
-		t.Fatalf("reject rate = %v", c.RejectRate())
+	if c.Admitted != 0 || c.Rejected != 1 {
+		t.Fatalf("counters: %d/%d", c.Admitted, c.Rejected)
 	}
 }
 
@@ -57,8 +57,8 @@ func TestMissingRecordIsOptimistic(t *testing.T) {
 
 func TestRejectRateEmpty(t *testing.T) {
 	c := admission.New(admission.Config{}, nil)
-	if c.RejectRate() != 0 {
-		t.Fatal("empty controller should report 0 reject rate")
+	if c.Admitted != 0 || c.Rejected != 0 {
+		t.Fatal("empty controller should count no requests")
 	}
 	if c.Cfg.Threshold <= 0 {
 		t.Fatal("zero threshold should take default")

@@ -507,22 +507,6 @@ func (c *Cluster) FrontEndIDs() []int {
 	return ids
 }
 
-// Primary returns the HA replica validly holding the one-shard claim,
-// or nil (single-front and active-active clusters always return nil;
-// check Dispatcher or ClaimMgr instead).
-func (c *Cluster) Primary() *Replica {
-	if c.Cfg.ActiveActive {
-		return nil
-	}
-	now := c.Eng.Now()
-	for _, r := range c.FrontEnds {
-		if r.ClaimMgr.Valid(0, now) {
-			return r
-		}
-	}
-	return nil
-}
-
 // monitorConfig maps the cluster's sharding/batching knobs onto the
 // probe engine's config (zero values = the sequential monitor).
 func (c *Cluster) monitorConfig() core.MonitorConfig {

@@ -28,7 +28,10 @@ func TestCrashQuarantineAndReadmit(t *testing.T) {
 			})
 			crashAt := 2 * sim.Second
 			restartAt := 6 * sim.Second
-			in := c.ApplyFaults(faults.TwoNodeCrashPlan(11, 2, 3, crashAt, restartAt))
+			in := c.ApplyFaults(faults.Plan{Seed: 11, Crashes: []faults.Crash{
+				{Node: 2, At: crashAt, RestartAt: restartAt},
+				{Node: 3, At: crashAt, RestartAt: restartAt},
+			}})
 			pool := c.StartRUBiS(24, 100*sim.Millisecond, 5)
 
 			// Warm up: everyone healthy and receiving probes.

@@ -47,10 +47,22 @@ func TestHAWiring(t *testing.T) {
 	}
 }
 
+// primary returns the HA replica validly holding the one-shard claim,
+// or nil.
+func primary(c *Cluster) *Replica {
+	now := c.Eng.Now()
+	for _, r := range c.FrontEnds {
+		if r.ClaimMgr.Valid(0, now) {
+			return r
+		}
+	}
+	return nil
+}
+
 func TestHAExactlyOnePrimaryAndWarmStandbys(t *testing.T) {
 	c := New(haConfig(3))
 	c.Run(2 * sim.Second)
-	if n := c.ClaimVault.Shards(); n != 1 {
+	if n := len(c.ClaimVault.WordMRs); n != 1 {
 		t.Fatalf("HA claim table has %d shards, want 1", n)
 	}
 	valid := 0
@@ -62,8 +74,8 @@ func TestHAExactlyOnePrimaryAndWarmStandbys(t *testing.T) {
 	if valid != 1 {
 		t.Fatalf("%d valid claim holders, want exactly 1", valid)
 	}
-	if c.Primary() == nil {
-		t.Fatal("Primary() found nobody")
+	if primary(c) == nil {
+		t.Fatal("primary found nobody")
 	}
 	// Every replica — including the standbys — has a warm load view of
 	// every back-end.
@@ -113,7 +125,7 @@ func TestHAStandbysCostBackendsNothing(t *testing.T) {
 func TestHAPrimaryCrashFailsOverAndRestartRejoins(t *testing.T) {
 	c := New(haConfig(3))
 	c.Run(2 * sim.Second)
-	prim := c.Primary()
+	prim := primary(c)
 	if prim == nil {
 		t.Fatal("no primary")
 	}
@@ -127,7 +139,7 @@ func TestHAPrimaryCrashFailsOverAndRestartRejoins(t *testing.T) {
 
 	claim := c.Cfg.Claim // resolved by New
 	c.Run(10*sim.Millisecond + claim.ExpireAfter + 4*claim.CheckEvery)
-	next := c.Primary()
+	next := primary(c)
 	if next == nil {
 		t.Fatal("no takeover after the primary crash")
 	}
@@ -148,7 +160,7 @@ func TestHAPrimaryCrashFailsOverAndRestartRejoins(t *testing.T) {
 	if rejoined.ClaimMgr.Claims[0].Held() {
 		t.Fatalf("restarted replica should follow, is %v", rejoined.ClaimMgr.Claims[0])
 	}
-	if got := c.Primary(); got == nil || got.Node.ID != next.Node.ID {
+	if got := primary(c); got == nil || got.Node.ID != next.Node.ID {
 		t.Fatal("restart disturbed the standing primary")
 	}
 	// And its monitor re-warmed.
@@ -168,7 +180,7 @@ func TestHAClientsFollowThePrimary(t *testing.T) {
 	c := New(cfg)
 	pool := c.StartRUBiS(32, 30*sim.Millisecond, 99)
 	c.Run(2 * sim.Second)
-	prim := c.Primary()
+	prim := primary(c)
 	if prim == nil {
 		t.Fatal("no primary")
 	}
@@ -181,7 +193,7 @@ func TestHAClientsFollowThePrimary(t *testing.T) {
 	c.ApplyFaults(faults.Plan{Crashes: []faults.Crash{{Node: prim.Node.ID, At: crashAt}}})
 	c.Run(8 * sim.Second)
 
-	if c.Primary() == nil {
+	if primary(c) == nil {
 		t.Fatal("no primary after crash")
 	}
 	served1 := c.TotalServed()

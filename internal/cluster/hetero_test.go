@@ -5,6 +5,7 @@ import (
 
 	"rdmamon/internal/core"
 	"rdmamon/internal/faults"
+	"rdmamon/internal/metrics"
 	"rdmamon/internal/sim"
 )
 
@@ -43,11 +44,16 @@ func TestBackendSpecsHonored(t *testing.T) {
 	if got := c.Agents[1].Cfg.Interval; got != c.Cfg.Poll {
 		t.Errorf("backend 2 agent interval = %v, want the poll default %v", got, c.Cfg.Poll)
 	}
-	if got := c.Fab.NodeLatency(2); got != 100*sim.Microsecond {
-		t.Errorf("backend 2 NIC latency = %v, want 100us", got)
+	// Backend 2's NIC latency shows in its probes' round trips.
+	lat1, lat2 := &metrics.Sample{}, &metrics.Sample{}
+	c.Monitor.Probers[1].Latency = lat1
+	c.Monitor.Probers[2].Latency = lat2
+	c.Run(200 * sim.Millisecond)
+	if lat1.Count() == 0 || lat2.Count() == 0 {
+		t.Fatalf("probe samples: backend 1 %d, backend 2 %d", lat1.Count(), lat2.Count())
 	}
-	if got := c.Fab.NodeLatency(1); got != 0 {
-		t.Errorf("backend 1 NIC latency = %v, want 0", got)
+	if d := lat2.Percentile(0) - lat1.Percentile(0); d < 100 {
+		t.Errorf("backend 2 fastest probe is %.1fus slower than backend 1's, want >= its 100us NIC latency", d)
 	}
 }
 

@@ -188,15 +188,6 @@ type Stats struct {
 	Sheds [ShedDialCap + 1]uint64
 }
 
-// ShedTotal sums sheds across reasons.
-func (s Stats) ShedTotal() uint64 {
-	var n uint64
-	for _, v := range s.Sheds {
-		n += v
-	}
-	return n
-}
-
 // entry is one target's state. Idle entries (conn installed, no
 // leases out) sit on one of two LRU lists: quiet or hot, by the hot
 // flag of their last acquisition.

@@ -264,9 +264,6 @@ func (a *Agent) RingK() int {
 	return a.ring.K()
 }
 
-// Node returns the back-end node.
-func (a *Agent) Node() *simos.Node { return a.node }
-
 // RKey returns the remote key of the agent's registered region (RDMA
 // schemes only; zero otherwise).
 func (a *Agent) RKey() uint32 {

@@ -161,9 +161,6 @@ func (c *Claim) Valid(now sim.Time) bool {
 	return c.held && now < c.validUntil
 }
 
-// ValidUntil returns the end of the current validity window.
-func (c *Claim) ValidUntil() sim.Time { return c.validUntil }
-
 // observe feeds a non-holder's read of the shard word and reports
 // whether a claim bid is due: a vacant word immediately for the home
 // front-end and after VacantGrace for a foreigner; an owned word once
@@ -440,23 +437,6 @@ func NewClaimVault(nic *simnet.NIC, shards int) *ClaimVault {
 	return v
 }
 
-// Shards returns the table size.
-func (v *ClaimVault) Shards() int { return len(v.words) }
-
-// Word returns shard s's current claim word (test and exporter
-// introspection; front-ends read it over RDMA).
-func (v *ClaimVault) Word(s int) uint64 { return binary.LittleEndian.Uint64(v.words[s]) }
-
-// Owner returns the owner field of shard s's word (0 when vacant).
-func (v *ClaimVault) Owner(s int) uint16 {
-	o, _, _ := wire.UnpackClaimWord(v.Word(s))
-	return o
-}
-
-// Record decodes shard s's descriptive claim record, if one has been
-// written.
-func (v *ClaimVault) Record(s int) (wire.ClaimRecord, error) { return wire.DecodeClaim(v.recs[s]) }
-
 // WordKeys returns the registered keys of the claim words, indexed by
 // shard.
 func (v *ClaimVault) WordKeys() []uint32 {
@@ -496,9 +476,6 @@ type ClaimManager struct {
 	reads    []simnet.ReadReq // this round's: the unheld shards
 	results  []simnet.ReadResult
 	casReqs  []simnet.CASReq
-
-	task    *simos.Task
-	stopped bool
 }
 
 // StartClaimManager spawns the claim task for front-end me (1-based)
@@ -529,16 +506,10 @@ func StartClaimManager(node *simos.Node, nic *simnet.NIC, witness int, wordKeys,
 			Buf:    bufs[s*wire.ClaimWordSize : s*wire.ClaimWordSize : (s+1)*wire.ClaimWordSize],
 		}
 	}
-	m.task = node.Spawn(fmt.Sprintf("claim-mgr-%d", me), func(tk *simos.Task) {
+	node.Spawn(fmt.Sprintf("claim-mgr-%d", me), func(tk *simos.Task) {
 		var step func()
 		next := func() { tk.Sleep(cfg.CheckEvery, step) }
-		step = func() {
-			if m.stopped {
-				tk.Exit()
-				return
-			}
-			m.round(tk, next)
-		}
+		step = func() { m.round(tk, next) }
 		step()
 	})
 	return m
@@ -600,14 +571,4 @@ func (m *ClaimManager) publishRecords(tk *simos.Task, won []uint16, then func())
 	m.nic.RDMAWrite(tk, m.witness, m.recKeys[s], m.Record(s).Encode(), func(error) {
 		m.publishRecords(tk, won[1:], then)
 	})
-}
-
-// Stop ends the claim task (a crashing front-end's tasks die with the
-// node; Stop is for controlled teardown). Held claims are not
-// released: they expire and are reclaimed, exactly like a crash.
-func (m *ClaimManager) Stop() {
-	m.stopped = true
-	if m.task != nil {
-		m.task.Exit()
-	}
 }

@@ -327,17 +327,24 @@ func TestClaimTableRound(t *testing.T) {
 		cas := round(t, tab, now, 0)
 		posted := now - 100*sim.Millisecond
 		tab.Complete(cas[0], 0, true, posted)
-		if c.ValidUntil() != posted+cfg.TTL || tab.Record(0).GrantNS != int64(posted) {
-			t.Fatalf("win stamped %v, want %v", c.ValidUntil(), posted+cfg.TTL)
+		if c.validUntil != posted+cfg.TTL || tab.Record(0).GrantNS != int64(posted) {
+			t.Fatalf("win stamped %v, want %v", c.validUntil, posted+cfg.TTL)
 		}
 		now += cfg.CheckEvery
 		cas = round(t, tab, now)
 		posted = now - 50*sim.Millisecond
 		tab.Complete(cas[0], cas[0].Compare, true, posted)
-		if c.ValidUntil() != posted+cfg.TTL {
-			t.Fatalf("renew stamped %v, want %v", c.ValidUntil(), posted+cfg.TTL)
+		if c.validUntil != posted+cfg.TTL {
+			t.Fatalf("renew stamped %v, want %v", c.validUntil, posted+cfg.TTL)
 		}
 	})
+}
+
+// vaultOwner is the owner field of shard s's claim word (0 when
+// vacant).
+func vaultOwner(v *ClaimVault, s int) uint16 {
+	o, _, _ := wire.UnpackClaimWord(binary.LittleEndian.Uint64(v.words[s]))
+	return o
 }
 
 type claimRig struct {
@@ -382,13 +389,13 @@ func TestClaimManagerConvergesToHomePartition(t *testing.T) {
 	now := r.eng.Now()
 	for s := 0; s < cfg.Shards; s++ {
 		wantOwner := uint16(s%3) + 1
-		if got := r.vault.Owner(s); got != wantOwner {
+		if got := vaultOwner(r.vault, s); got != wantOwner {
 			t.Fatalf("shard %d owner = %d, want home %d", s, got, wantOwner)
 		}
 		if !r.mgrs[wantOwner-1].Valid(s, now) {
 			t.Fatalf("home fe %d does not validly hold shard %d", wantOwner, s)
 		}
-		rec, err := r.vault.Record(s)
+		rec, err := wire.DecodeClaim(r.vault.recs[s])
 		if err != nil {
 			t.Fatalf("shard %d record: %v", s, err)
 		}
@@ -426,7 +433,7 @@ func TestClaimManagerOrphanReclaimAndFence(t *testing.T) {
 	r.eng.RunFor(bound)
 	now := r.eng.Now()
 	for s := 0; s < cfg.Shards; s++ {
-		owner := r.vault.Owner(s)
+		owner := vaultOwner(r.vault, s)
 		if owner == uint16(victim)+1 {
 			t.Fatalf("shard %d still owned by frozen fe after %v", s, bound)
 		}
@@ -446,7 +453,7 @@ func TestClaimManagerOrphanReclaimAndFence(t *testing.T) {
 	// The frozen holder's validity lapsed before any adoption began.
 	for s := 0; s < cfg.Shards; s++ {
 		c := r.mgrs[victim].Claims[s]
-		if c.Held() && c.ValidUntil() > frozeAt+cfg.TTL {
+		if c.Held() && c.validUntil > frozeAt+cfg.TTL {
 			t.Fatalf("frozen holder's shard %d validity extended impossibly", s)
 		}
 	}
@@ -465,7 +472,7 @@ func TestClaimManagerOrphanReclaimAndFence(t *testing.T) {
 	r.eng.RunFor(cfg.HandbackAfter + 6*cfg.CheckEvery)
 	for s := 0; s < cfg.Shards; s++ {
 		if wantHome := uint16(s%3) + 1; wantHome == uint16(victim)+1 {
-			if got := r.vault.Owner(s); got != wantHome {
+			if got := vaultOwner(r.vault, s); got != wantHome {
 				t.Fatalf("shard %d not handed back to restarted home: owner %d", s, got)
 			}
 		}
@@ -758,7 +765,7 @@ func TestHAClaimManagerAcquireRenewHandoff(t *testing.T) {
 	if !pc.Valid(r.eng.Now()) {
 		t.Fatal("steady-state primary must be valid")
 	}
-	rec, err := r.vault.Record(0)
+	rec, err := wire.DecodeClaim(r.vault.recs[0])
 	if err != nil {
 		t.Fatalf("claim record: %v", err)
 	}
@@ -778,7 +785,7 @@ func TestHAClaimManagerAcquireRenewHandoff(t *testing.T) {
 		t.Fatalf("takeover epoch = %d, want 2", got)
 	}
 	// The frozen primary's validity lapsed before the new epoch began.
-	if pc.ValidUntil() > frozeAt+cfg.TTL {
+	if pc.validUntil > frozeAt+cfg.TTL {
 		t.Fatal("frozen primary's validity extended impossibly")
 	}
 

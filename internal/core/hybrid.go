@@ -350,9 +350,6 @@ func (p *DeltaPusher) pushed(err error) {
 	p.task.Sleep(p.Cfg.Check, p.loopFn)
 }
 
-// Task exposes the pusher task (diagnostics and tests).
-func (p *DeltaPusher) Task() *simos.Task { return p.task }
-
 // Stop ends the push loop.
 func (p *DeltaPusher) Stop() {
 	p.stopped = true

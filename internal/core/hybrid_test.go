@@ -25,6 +25,9 @@ func startBusy(n *simos.Node, threads int, batch sim.Time) {
 
 // healthFrom maps an arbitrary byte onto a health state, for property
 // inputs.
+// probePeriod is a back-end's current adaptive poll period.
+func probePeriod(m *Monitor, backend int) sim.Time { return m.hybrid(backend).Ctrl.Period() }
+
 func healthFrom(b uint8) Health {
 	return Health(int(b) % 5)
 }
@@ -244,8 +247,8 @@ func TestHybridMonitorDecaysQuietBackend(t *testing.T) {
 	m := StartMonitorCfg(r.front, r.fnic, []*Agent{a}, 10*sim.Millisecond,
 		MonitorConfig{Hybrid: hybridCfg()})
 	r.eng.RunUntil(2 * sim.Second)
-	if m.ProbePeriod(1) != 160*sim.Millisecond {
-		t.Fatalf("period = %v, want decayed to 160ms", m.ProbePeriod(1))
+	if probePeriod(m, 1) != 160*sim.Millisecond {
+		t.Fatalf("period = %v, want decayed to 160ms", probePeriod(m, 1))
 	}
 	if m.Decayed == 0 {
 		t.Fatal("no probe slots were skipped")
@@ -273,8 +276,8 @@ func TestHybridPushRefreshesCacheAndSnapsPeriod(t *testing.T) {
 	p := StartDeltaPusher(r.backend, r.bnic, 0, func() uint32 { return m.Sink.SlotKey(1) }, *h)
 
 	r.eng.RunUntil(1500 * sim.Millisecond)
-	if m.ProbePeriod(1) != h.Period.Max {
-		t.Fatalf("pre-change period = %v, want %v", m.ProbePeriod(1), h.Period.Max)
+	if probePeriod(m, 1) != h.Period.Max {
+		t.Fatalf("pre-change period = %v, want %v", probePeriod(m, 1), h.Period.Max)
 	}
 	preReceived := m.Sink.Received
 
@@ -288,10 +291,10 @@ func TestHybridPushRefreshesCacheAndSnapsPeriod(t *testing.T) {
 	startBusy(r.backend, 6, 5*sim.Millisecond)
 	// The period snaps to Min when the delta push lands, then may decay
 	// again once the (now high) load stabilises — sample the minimum.
-	minPeriod := m.ProbePeriod(1)
+	minPeriod := probePeriod(m, 1)
 	for i := 0; i < 12; i++ {
 		r.eng.RunFor(5 * sim.Millisecond)
-		if p := m.ProbePeriod(1); p < minPeriod {
+		if p := probePeriod(m, 1); p < minPeriod {
 			minPeriod = p
 		}
 	}
@@ -333,9 +336,9 @@ func TestHybridHeartbeatDoesNotSnapPeriod(t *testing.T) {
 	if m.Sink.Received < 10 {
 		t.Fatalf("heartbeat pushes = %d, want ~20", m.Sink.Received)
 	}
-	if m.ProbePeriod(1) != h.Period.Max {
+	if probePeriod(m, 1) != h.Period.Max {
 		t.Fatalf("period = %v, want decayed to %v despite heartbeats",
-			m.ProbePeriod(1), h.Period.Max)
+			probePeriod(m, 1), h.Period.Max)
 	}
 	// The cache must be heartbeat-fresh, far newer than the decayed
 	// poll alone would keep it.
@@ -355,8 +358,8 @@ func TestHybridCrashDetectionKeepsFastSweep(t *testing.T) {
 		MonitorConfig{Hybrid: hybridCfg()})
 	m.SetProbeTimeout(10 * sim.Millisecond)
 	r.eng.RunUntil(1500 * sim.Millisecond) // decay to the ceiling
-	if m.ProbePeriod(1) != 160*sim.Millisecond {
-		t.Fatalf("period = %v, want decayed", m.ProbePeriod(1))
+	if probePeriod(m, 1) != 160*sim.Millisecond {
+		t.Fatalf("period = %v, want decayed", probePeriod(m, 1))
 	}
 	r.backend.Crash()
 	a.Stop()
@@ -364,8 +367,8 @@ func TestHybridCrashDetectionKeepsFastSweep(t *testing.T) {
 	if got := m.Health(1); got != Quarantined {
 		t.Fatalf("health = %v, want quarantined", got)
 	}
-	if m.ProbePeriod(1) != 10*sim.Millisecond {
-		t.Fatalf("period = %v, want snapped to fast sweep", m.ProbePeriod(1))
+	if probePeriod(m, 1) != 10*sim.Millisecond {
+		t.Fatalf("period = %v, want snapped to fast sweep", probePeriod(m, 1))
 	}
 }
 
@@ -474,7 +477,10 @@ func TestPushMonitorLatestRace(t *testing.T) {
 func BenchmarkPusherCheck(b *testing.B) {
 	r := newRig(36)
 	sink := NewPushSink(r.front, r.fnic, []int{1})
-	cfg := HybridConfig{Check: 10 * sim.Millisecond, Heartbeat: 3600 * sim.Second}
+	// The heartbeat lies past the whole run (warm-up plus b.N checks),
+	// so every timed check is a quiet one whatever b.N is.
+	check := 10 * sim.Millisecond
+	cfg := HybridConfig{Check: check, Heartbeat: 4*sim.Second + 2*sim.Time(b.N)*check}
 	p := StartDeltaPusher(r.backend, r.bnic, 0, func() uint32 { return sink.SlotKey(1) }, cfg)
 	r.eng.RunUntil(2 * sim.Second)
 	if p.Pushes == 0 {

@@ -761,16 +761,6 @@ func (m *Monitor) notePush(backend int, rec wire.PushRecord, at sim.Time) {
 	m.due[backend] = at + st.Observe(&p.last, m.cfg.Hybrid.Threshold, p.Health.State(), m.leaseHeld())
 }
 
-// ProbePeriod returns a back-end's current adaptive poll period (0
-// without the hybrid engine).
-func (m *Monitor) ProbePeriod(backend int) sim.Time {
-	st := m.hybrid(backend)
-	if st == nil {
-		return 0
-	}
-	return st.Ctrl.Period()
-}
-
 // SetProbeTimeout bounds every back-end's probe by d (0 disables).
 func (m *Monitor) SetProbeTimeout(d sim.Time) {
 	for _, p := range m.Probers {
@@ -871,21 +861,3 @@ func (m *Monitor) Stop() {
 		m.pool.Close()
 	}
 }
-
-// TruthSampler emulates the paper's kernel module that reports the
-// actual load at fine granularity (§5.1.3): it snapshots the kernel
-// statistics directly on the node, with no simulated cost, so
-// experiments can compare scheme reports against ground truth.
-type TruthSampler struct {
-	ticker *sim.Ticker
-}
-
-// StartTruth samples node's kernel stats every period into fn.
-func StartTruth(node *simos.Node, period sim.Time, fn func(simos.Snapshot)) *TruthSampler {
-	return &TruthSampler{
-		ticker: node.Eng.NewTicker(period, func() { fn(node.K.Snapshot()) }),
-	}
-}
-
-// Stop ends sampling.
-func (ts *TruthSampler) Stop() { ts.ticker.Stop() }

@@ -26,10 +26,7 @@ const PushGroup = "rmon-push-group"
 // PushAgent is the back-end multicast publisher.
 type PushAgent struct {
 	Interval sim.Time
-	node     *simos.Node
 	seq      uint32
-	stopped  bool
-	task     *simos.Task
 
 	// Published counts multicast reports sent.
 	Published uint64
@@ -41,14 +38,10 @@ func StartPushAgent(node *simos.Node, nic *simnet.NIC, group string, interval si
 	if interval <= 0 {
 		interval = DefaultInterval
 	}
-	a := &PushAgent{Interval: interval, node: node}
-	a.task = node.Spawn("rmon-push", func(tk *simos.Task) {
+	a := &PushAgent{Interval: interval}
+	node.Spawn("rmon-push", func(tk *simos.Task) {
 		var loop func()
 		loop = func() {
-			if a.stopped {
-				tk.Exit()
-				return
-			}
 			tk.ReadProc(func() {
 				var s simos.Snapshot
 				tk.ProcSnapshot(&s)
@@ -67,12 +60,6 @@ func StartPushAgent(node *simos.Node, nic *simnet.NIC, group string, interval si
 	return a
 }
 
-// Stop ends the publisher.
-func (a *PushAgent) Stop() {
-	a.stopped = true
-	a.task.Exit()
-}
-
 // PushMonitor is the front-end receiver: it joins the multicast group
 // and caches the latest record per back-end. It satisfies the same
 // Latest contract as Monitor.
@@ -82,11 +69,9 @@ func (a *PushAgent) Stop() {
 // runs): mu guards the record maps and counters against the rx task's
 // writes.
 type PushMonitor struct {
-	mu      sync.Mutex
-	last    map[int]wire.LoadRecord
-	lastAt  map[int]sim.Time
-	task    *simos.Task
-	stopped bool
+	mu     sync.Mutex
+	last   map[int]wire.LoadRecord
+	lastAt map[int]sim.Time
 
 	// received counts reports processed; torn counts records that
 	// failed validation. Read them via Stats.
@@ -102,13 +87,9 @@ func StartPushMonitor(fab *simnet.Fabric, front *simos.Node, group string) *Push
 	}
 	fab.JoinGroup(group, front.ID, PushPort)
 	port := front.Port(PushPort)
-	m.task = front.Spawn("rmon-push-rx", func(tk *simos.Task) {
+	front.Spawn("rmon-push-rx", func(tk *simos.Task) {
 		var serve func(msg simos.Message)
 		serve = func(msg simos.Message) {
-			if m.stopped {
-				tk.Exit()
-				return
-			}
 			tk.Compute(2*sim.Microsecond, func() {
 				if raw, ok := msg.Payload.([]byte); ok {
 					m.mu.Lock()
@@ -145,12 +126,3 @@ func (m *PushMonitor) Stats() (received, torn uint64) {
 	defer m.mu.Unlock()
 	return m.received, m.torn
 }
-
-// Stop ends the receiver.
-func (m *PushMonitor) Stop() {
-	m.stopped = true
-	m.task.Exit()
-}
-
-// Task exposes the publisher task (diagnostics and tests).
-func (a *PushAgent) Task() *simos.Task { return a.task }

@@ -56,14 +56,8 @@ func TestPushUsesBackendCPU(t *testing.T) {
 	if r.backend.K.NetTxBytes == 0 {
 		t.Fatal("push agent should transmit")
 	}
-	if !a.Task().Alive() {
-		t.Fatal("push agent task should be alive")
-	}
-	a.Stop()
-	published := a.Published
-	r.eng.RunUntil(2 * sim.Second)
-	if a.Published > published {
-		t.Fatal("push agent kept publishing after Stop")
+	if a.Published == 0 {
+		t.Fatal("push agent published nothing")
 	}
 }
 
@@ -73,7 +67,6 @@ func TestPushMonitorUnknownBackend(t *testing.T) {
 	if _, _, ok := mon.Latest(99); ok {
 		t.Fatal("unknown backend should be !ok")
 	}
-	mon.Stop()
 }
 
 func TestPushMultipleBackends(t *testing.T) {

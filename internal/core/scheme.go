@@ -93,28 +93,3 @@ func ParseScheme(name string) (Scheme, error) {
 
 // UsesRDMA reports whether probes use one-sided memory semantics.
 func (s Scheme) UsesRDMA() bool { return s >= RDMAAsync }
-
-// Asynchronous reports whether load information is produced by a
-// periodic back-end calculation loop (so reads can be up to one
-// refresh interval stale).
-func (s Scheme) Asynchronous() bool { return s == SocketAsync || s == RDMAAsync }
-
-// BackendThreads returns the number of monitoring threads the scheme
-// needs on each back-end server: the paper's "no extra thread" benefit
-// of RDMA-Sync (§4).
-func (s Scheme) BackendThreads() int {
-	switch s {
-	case SocketAsync:
-		return 2 // load-calculating + load-reporting
-	case SocketSync:
-		return 1
-	case RDMAAsync:
-		return 1 // load-calculating only
-	default:
-		return 0 // RDMA-Sync / e-RDMA-Sync: none
-	}
-}
-
-// KernelDirect reports whether the scheme reads live kernel data
-// structures (exact at the instant of access).
-func (s Scheme) KernelDirect() bool { return s == RDMASync || s == ERDMASync }

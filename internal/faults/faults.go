@@ -149,18 +149,6 @@ type Plan struct {
 	ListenerResets []ListenerReset
 }
 
-// TwoNodeCrashPlan is a canonical plan used by tests and the faults
-// experiment: nodes a and b crash at crashAt and restart at restartAt.
-func TwoNodeCrashPlan(seed int64, a, b int, crashAt, restartAt sim.Time) Plan {
-	return Plan{
-		Seed: seed,
-		Crashes: []Crash{
-			{Node: a, At: crashAt, RestartAt: restartAt},
-			{Node: b, At: crashAt, RestartAt: restartAt},
-		},
-	}
-}
-
 // Injector executes a Plan: it implements simnet.FaultModel for the
 // fabric and schedules the node-level events on the engine.
 type Injector struct {

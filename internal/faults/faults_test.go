@@ -64,14 +64,17 @@ func TestFreezeWindow(t *testing.T) {
 	in := NewInjector(eng, Plan{
 		Freezes: []Freeze{{Node: 2, At: 50 * sim.Millisecond, Until: 150 * sim.Millisecond}},
 	})
+	frozen := false
+	in.OnFreeze = func(node int) { frozen = node == 2 }
+	in.OnThaw = func(int) { frozen = false }
 	in.Install(fab, map[int]*simos.Node{2: n})
 
 	eng.RunFor(100 * sim.Millisecond)
-	if !n.Frozen() {
+	if !frozen {
 		t.Fatal("node should be frozen at t=100ms")
 	}
 	eng.RunFor(100 * sim.Millisecond)
-	if n.Frozen() {
+	if frozen {
 		t.Fatal("node should be thawed at t=200ms")
 	}
 }

@@ -60,39 +60,19 @@ func Defaults() Config {
 
 // Gmond is one node's ganglia daemon.
 type Gmond struct {
-	node *simos.Node
-
 	// Received counts metric packets processed from the group.
 	Received uint64
 	// Rounds counts local collection rounds completed.
 	Rounds uint64
-
-	stopped bool
-	tasks   []*simos.Task
-}
-
-// Node returns the daemon's host.
-func (g *Gmond) Node() *simos.Node { return g.node }
-
-// Stop ends the daemon's loops.
-func (g *Gmond) Stop() {
-	g.stopped = true
-	for _, t := range g.tasks {
-		t.Exit()
-	}
 }
 
 func startGmond(node *simos.Node, nic *simnet.NIC, cfg Config) *Gmond {
-	g := &Gmond{node: node}
+	g := &Gmond{}
 	port := node.Port(GmondPort)
 	// Collector: gather local metrics and multicast them.
-	col := node.Spawn("gmond-collect", func(tk *simos.Task) {
+	node.Spawn("gmond-collect", func(tk *simos.Task) {
 		var loop func()
 		loop = func() {
-			if g.stopped {
-				tk.Exit()
-				return
-			}
 			tk.Compute(cfg.CollectCost, func() {
 				g.Rounds++
 				nic.Multicast(tk, cfg.Group, cfg.PacketSize, gmondPacket{From: node.ID}, func() {
@@ -103,13 +83,9 @@ func startGmond(node *simos.Node, nic *simnet.NIC, cfg Config) *Gmond {
 		loop()
 	})
 	// Receiver: drain and process packets from peers.
-	rx := node.Spawn("gmond-recv", func(tk *simos.Task) {
+	node.Spawn("gmond-recv", func(tk *simos.Task) {
 		var serve func(m simos.Message)
 		serve = func(m simos.Message) {
-			if g.stopped {
-				tk.Exit()
-				return
-			}
 			tk.Compute(cfg.RecvCost, func() {
 				g.Received++
 				tk.Recv(port, serve)
@@ -117,7 +93,6 @@ func startGmond(node *simos.Node, nic *simnet.NIC, cfg Config) *Gmond {
 		}
 		tk.Recv(port, serve)
 	})
-	g.tasks = append(g.tasks, col, rx)
 	return g
 }
 
@@ -132,20 +107,13 @@ type Gmetric struct {
 
 	// Published counts metrics multicast to the group.
 	Published uint64
-
-	stopped bool
-	task    *simos.Task
 }
 
 func startGmetric(node *simos.Node, nic *simnet.NIC, cfg Config) *Gmetric {
 	gm := &Gmetric{node: node, port: node.Port(GmetricPort)}
-	gm.task = node.Spawn("gmetric", func(tk *simos.Task) {
+	node.Spawn("gmetric", func(tk *simos.Task) {
 		var serve func(m simos.Message)
 		serve = func(m simos.Message) {
-			if gm.stopped {
-				tk.Exit()
-				return
-			}
 			tk.Compute(cfg.PublishCost, func() {
 				nic.Multicast(tk, cfg.Group, cfg.PacketSize, m.Payload, func() {
 					gm.Published++
@@ -161,12 +129,6 @@ func startGmetric(node *simos.Node, nic *simnet.NIC, cfg Config) *Gmetric {
 // Publish hands a metric to the publisher task (local IPC).
 func (g *Gmetric) Publish(v any) {
 	g.port.Deliver(simos.Message{From: g.node.ID, Payload: v})
-}
-
-// Stop ends the publisher.
-func (g *Gmetric) Stop() {
-	g.stopped = true
-	g.task.Exit()
 }
 
 // System is a deployed ganglia group.
@@ -259,12 +221,4 @@ func (s *System) WireStatus(mon *core.Monitor, every sim.Time) *sim.Ticker {
 			}
 		}
 	})
-}
-
-// Stop ends every daemon.
-func (s *System) Stop() {
-	for _, g := range s.Gmonds {
-		g.Stop()
-	}
-	s.Gmetric.Stop()
 }

@@ -99,26 +99,6 @@ func TestWireFineGrainedDecimation(t *testing.T) {
 	}
 }
 
-func TestStopSilencesGroup(t *testing.T) {
-	r := newRig(2)
-	cfg := Defaults()
-	cfg.Interval = 50 * sim.Millisecond
-	s := Deploy(r.fab, r.nodes, r.nics, cfg)
-	r.eng.RunUntil(500 * sim.Millisecond)
-	s.Stop()
-	rounds := s.Gmonds[0].Rounds
-	pubs := s.Gmetric.Published
-	r.eng.RunUntil(2 * sim.Second)
-	if s.Gmonds[0].Rounds > rounds+1 {
-		t.Fatal("gmond kept collecting after Stop")
-	}
-	s.Gmetric.Publish("late")
-	r.eng.RunUntil(3 * sim.Second)
-	if s.Gmetric.Published > pubs {
-		t.Fatal("gmetric kept publishing after Stop")
-	}
-}
-
 func TestWireStatusPublishesChangesOnly(t *testing.T) {
 	r := newRig(4)
 	cfg := Defaults()
@@ -139,7 +119,7 @@ func TestWireStatusPublishesChangesOnly(t *testing.T) {
 	// A transport change is one more publication. Stop the monitor so
 	// the next probe does not flap the transport straight back.
 	mon.Stop()
-	mon.Probers[agents[0].Node().ID].LastTransport = core.TransportSocket
+	mon.Probers[r.nodes[1].ID].LastTransport = core.TransportSocket
 	r.eng.RunUntil(2 * sim.Second)
 	if s.Gmetric.Published != 3 {
 		t.Fatalf("published = %d, want 3 after one transport change", s.Gmetric.Published)

@@ -159,12 +159,6 @@ func (w *worker) sent() {
 // Served returns the number of completed requests.
 func (s *Server) Served() uint64 { return s.served }
 
-// QueueDepth returns requests waiting for a worker.
-func (s *Server) QueueDepth() int { return s.port.QueueLen() }
-
-// Busy returns requests currently in service.
-func (s *Server) Busy() int { return s.busy }
-
 // Stop drains the worker pool (workers exit after their current
 // request).
 func (s *Server) Stop() { s.stopped = true }
@@ -216,7 +210,6 @@ type Dispatcher struct {
 	// fence (picked back-end's shard not validly held here).
 	ShardFenced uint64
 	ByNode      map[int]uint64
-	stopped     bool
 	task        *simos.Task
 
 	// The request in hand, between its receipt and its forward, and the
@@ -265,10 +258,6 @@ func StartDispatcherOn(node *simos.Node, nic *simnet.NIC, policy loadbalance.Pol
 // cost. The request stays boxed as the client sent it and is forwarded
 // as it arrived.
 func (d *Dispatcher) serve(m simos.Message) {
-	if d.stopped {
-		d.task.Exit()
-		return
-	}
 	if _, ok := m.Payload.(Request); !ok {
 		d.next()
 		return
@@ -315,12 +304,6 @@ func (d *Dispatcher) refuse(req *Request, rejected bool) {
 
 // next waits for the following request.
 func (d *Dispatcher) next() { d.task.Recv(d.port, d.serveFn) }
-
-// Stop ends the dispatcher.
-func (d *Dispatcher) Stop() {
-	d.stopped = true
-	d.task.Exit()
-}
 
 // decay ages the window to now: every counter loses dt/localTau of
 // its value, reaching zero once a full localTau has passed.

@@ -95,16 +95,16 @@ func TestServerQueuesBeyondWorkers(t *testing.T) {
 	}
 	r.fab.RegisterExternal(-1, func(simos.Message) {})
 	r.eng.RunUntil(30 * sim.Millisecond)
-	if srv.Busy() != 2 {
-		t.Fatalf("busy = %d, want 2 (pool size)", srv.Busy())
+	if srv.busy != 2 {
+		t.Fatalf("busy = %d, want 2 (pool size)", srv.busy)
 	}
-	if srv.QueueDepth() == 0 {
+	if srv.port.QueueLen() == 0 {
 		t.Fatal("excess requests should queue")
 	}
 	// Connection load (queue + busy) must be visible to the kernel
 	// stats for the monitoring schemes.
-	if got := r.back[0].K.Conns(); got != srv.Busy()+srv.QueueDepth() {
-		t.Fatalf("kernel conns = %d, want %d", got, srv.Busy()+srv.QueueDepth())
+	if got := r.back[0].K.Conns(); got != srv.busy+srv.port.QueueLen() {
+		t.Fatalf("kernel conns = %d, want %d", got, srv.busy+srv.port.QueueLen())
 	}
 	r.eng.RunUntil(sim.Second)
 	if srv.Served() != 6 {
@@ -117,7 +117,7 @@ func TestServerQueuesBeyondWorkers(t *testing.T) {
 
 func TestServerMemoryAccounting(t *testing.T) {
 	r := newRig(1)
-	base := r.back[0].K.MemUsedKB()
+	base := r.back[0].K.Snapshot().MemUsedKB
 	StartServer(r.back[0], r.bnic[0], ServerConfig{Workers: 4, MemPerKB: 1024})
 	r.fab.RegisterExternal(-1, func(simos.Message) {})
 	for i := 0; i < 3; i++ {
@@ -125,11 +125,11 @@ func TestServerMemoryAccounting(t *testing.T) {
 		r.fab.Inject(-1, 1, ServerPort, req.Size, req)
 	}
 	r.eng.RunUntil(10 * sim.Millisecond)
-	if got := r.back[0].K.MemUsedKB(); got != base+3*1024 {
+	if got := r.back[0].K.Snapshot().MemUsedKB; got != base+3*1024 {
 		t.Fatalf("mem during service = %d, want base+3072", got)
 	}
 	r.eng.RunUntil(sim.Second)
-	if got := r.back[0].K.MemUsedKB(); got != base {
+	if got := r.back[0].K.Snapshot().MemUsedKB; got != base {
 		t.Fatalf("mem after drain = %d, want %d", got, base)
 	}
 }
@@ -156,20 +156,6 @@ func TestDispatcherRoutesViaPolicy(t *testing.T) {
 	}
 	if d.ByNode[1] != 5 || d.ByNode[2] != 5 {
 		t.Fatalf("round-robin split = %v, want 5/5", d.ByNode)
-	}
-}
-
-func TestDispatcherStop(t *testing.T) {
-	r := newRig(1)
-	StartServer(r.back[0], r.bnic[0], ServerDefaults())
-	d := StartDispatcher(r.front, r.fnic, &loadbalance.RoundRobin{Backends: []int{1}})
-	r.fab.RegisterExternal(-1, func(simos.Message) {})
-	d.Stop()
-	req := Request{ID: 1, CPU: sim.Millisecond, Size: 300, Resp: 512, Client: -1}
-	r.fab.Inject(-1, 0, DispatchPort, req.Size, req)
-	r.eng.RunUntil(sim.Second)
-	if d.Routed != 0 {
-		t.Fatal("stopped dispatcher should not route")
 	}
 }
 

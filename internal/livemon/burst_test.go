@@ -61,52 +61,3 @@ func TestFetchBurstRecoversAfterInvalidate(t *testing.T) {
 		t.Fatal("recovery should have re-handshaked")
 	}
 }
-
-func TestShardedMonitorPollsFleet(t *testing.T) {
-	leakCheck(t)
-	var agents []*Agent
-	var targets []string
-	for i := 0; i < 6; i++ {
-		a, err := StartAgent(Config{
-			Scheme:   core.RDMASync,
-			NodeID:   uint16(i + 1),
-			Provider: synthetic(i + 1),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		agents = append(agents, a)
-		targets = append(targets, a.Addr())
-	}
-	defer func() {
-		for _, a := range agents {
-			a.Close()
-		}
-	}()
-	m, dialErrs := NewMonitor(targets, MonitorConfig{Interval: 10 * time.Millisecond, Shards: 2})
-	defer m.Close()
-	if len(dialErrs) != 0 {
-		t.Fatalf("dial errors: %v", dialErrs)
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		all := true
-		for i, tgt := range targets {
-			rec, at, ok := m.Latest(tgt)
-			if !ok {
-				all = false
-				break
-			}
-			if int(rec.NodeID) != i+1 || at.IsZero() {
-				t.Fatalf("target %s record %+v", tgt, rec)
-			}
-		}
-		if all {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("sharded monitor never collected all records")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}

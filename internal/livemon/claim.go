@@ -73,38 +73,6 @@ func (a *Agent) hostClaims(shards int) {
 	})
 }
 
-// ClaimShards returns the size of the claim table this agent hosts (0
-// unless Config.HostClaims was set).
-func (a *Agent) ClaimShards() int {
-	if a.cvault == nil {
-		return 0
-	}
-	return len(a.cvault.words)
-}
-
-// ClaimWord returns shard s's current claim word. Introspection only;
-// front-ends mutate it with one-sided compare-and-swap.
-func (a *Agent) ClaimWord(s int) uint64 {
-	if a.cvault == nil || s < 0 || s >= len(a.cvault.words) {
-		return 0
-	}
-	a.cvault.mu.Lock()
-	defer a.cvault.mu.Unlock()
-	return binary.LittleEndian.Uint64(a.cvault.words[s])
-}
-
-// ClaimRecordAt returns the descriptive record published by shard s's
-// current holder, if any.
-func (a *Agent) ClaimRecordAt(s int) (wire.ClaimRecord, error) {
-	if a.cvault == nil || s < 0 || s >= len(a.cvault.recs) {
-		return wire.ClaimRecord{}, fmt.Errorf("livemon: agent hosts no claim shard %d", s)
-	}
-	a.cvault.mu.Lock()
-	raw := append([]byte(nil), a.cvault.recs[s]...)
-	a.cvault.mu.Unlock()
-	return wire.DecodeClaim(raw)
-}
-
 // ClaimClient drives one front-end's claim table against a live witness
 // agent: the same round as core.ClaimManager, over tcpverbs instead of
 // the simulated fabric. Time is this process's monotonic clock; the
@@ -180,15 +148,6 @@ func (l *ClaimClient) now() sim.Time { return sim.Time(time.Since(l.start)) }
 // Shards returns the claim-table size this client drives.
 func (l *ClaimClient) Shards() int { return l.table.Shards() }
 
-// Valid reports whether this front-end may dispatch to shard right now
-// — the fence to consult per request, with the routed back-end folded
-// onto its shard by backend % Shards.
-func (l *ClaimClient) Valid(shard int) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.table.Valid(shard, l.now())
-}
-
 // HeldValid returns how many shards this front-end validly holds.
 func (l *ClaimClient) HeldValid() int {
 	l.mu.Lock()
@@ -210,18 +169,19 @@ func (l *ClaimClient) Errors() (casErrors, readErrors, fenced uint64) {
 	return l.table.CASErrors, l.table.ReadErrors, l.fenced
 }
 
-// Pause suspends the claim rounds without releasing anything — the
-// live stand-in for a frozen front-end. Validity lapses on its own;
-// survivors reclaim the orphaned shards after ExpireAfter, and a later
-// Resume gets fenced shard by shard through failed renewals.
-func (l *ClaimClient) Pause() {
+// pause suspends the claim rounds without releasing anything — the
+// live stand-in for a frozen front-end, a fault hook for tests.
+// Validity lapses on its own; survivors reclaim the orphaned shards
+// after ExpireAfter, and a later resume gets fenced shard by shard
+// through failed renewals.
+func (l *ClaimClient) pause() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.paused = true
 }
 
-// Resume lifts a Pause.
-func (l *ClaimClient) Resume() {
+// resume lifts a pause.
+func (l *ClaimClient) resume() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.paused = false

@@ -60,6 +60,28 @@ func shard(l *ClaimClient, s int) (held bool, epoch uint16, deposals uint64) {
 	return c.Held(), c.Epoch(), c.Deposals
 }
 
+// valid reports whether the client may dispatch to shard now.
+func valid(l *ClaimClient, s int) bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.table.Valid(s, l.now())
+}
+
+// claimWord is shard s's claim word on a witness agent.
+func claimWord(a *Agent, s int) uint64 {
+	a.cvault.mu.Lock()
+	defer a.cvault.mu.Unlock()
+	return binary.LittleEndian.Uint64(a.cvault.words[s])
+}
+
+// claimRecord decodes the record shard s's holder published on a
+// witness agent.
+func claimRecord(a *Agent, s int) (wire.ClaimRecord, error) {
+	a.cvault.mu.Lock()
+	defer a.cvault.mu.Unlock()
+	return wire.DecodeClaim(a.cvault.recs[s])
+}
+
 // TestLiveLeaseHandoff drives HA — a one-shard table, every front-end
 // home — over real TCP: FE1 acquires the vacant word at epoch 1, FE2
 // joins and stays a standby, FE1 stalls (Pause — a frozen process),
@@ -71,48 +93,48 @@ func TestLiveLeaseHandoff(t *testing.T) {
 	w := startWitness(t, 1)
 	fe1 := dialClaims(t, w.Addr(), 1, 0, claimTestCfg())
 
-	waitFor(t, 5*time.Second, func() bool { return fe1.Valid(0) }, "FE1 to acquire the vacant word")
+	waitFor(t, 5*time.Second, func() bool { return valid(fe1, 0) }, "FE1 to acquire the vacant word")
 	if _, epoch, _ := shard(fe1, 0); epoch != 1 {
 		t.Fatalf("first epoch = %d, want 1", epoch)
 	}
-	if owner, epoch, _ := wire.UnpackClaimWord(w.ClaimWord(0)); owner != 1 || epoch != 1 {
+	if owner, epoch, _ := wire.UnpackClaimWord(claimWord(w, 0)); owner != 1 || epoch != 1 {
 		t.Fatalf("witness word names owner %d epoch %d, want 1/1", owner, epoch)
 	}
-	if rec, err := w.ClaimRecordAt(0); err != nil || rec.Shard != 0 || rec.Owner != 1 || rec.Epoch != 1 {
+	if rec, err := claimRecord(w, 0); err != nil || rec.Shard != 0 || rec.Owner != 1 || rec.Epoch != 1 {
 		t.Fatalf("published record = %+v, err %v", rec, err)
 	}
 
 	fe2 := dialClaims(t, w.Addr(), 2, 0, claimTestCfg())
 	// FE2 must settle as a standby while FE1 keeps renewing.
 	time.Sleep(150 * time.Millisecond)
-	if held, _, _ := shard(fe2, 0); held || fe2.Valid(0) {
+	if held, _, _ := shard(fe2, 0); held || valid(fe2, 0) {
 		t.Fatal("FE2 grabbed a held word")
 	}
-	if !fe1.Valid(0) {
+	if !valid(fe1, 0) {
 		t.Fatal("FE1 lost a claim nobody contested")
 	}
 
 	// FE1 stalls: validity lapses on its own, FE2 takes over.
-	fe1.Pause()
-	waitFor(t, 5*time.Second, func() bool { return fe2.Valid(0) }, "FE2 to take over from the stalled FE1")
+	fe1.pause()
+	waitFor(t, 5*time.Second, func() bool { return valid(fe2, 0) }, "FE2 to take over from the stalled FE1")
 	if _, epoch, _ := shard(fe2, 0); epoch != 2 {
 		t.Fatalf("takeover epoch = %d, want 2", epoch)
 	}
-	if fe1.Valid(0) {
+	if valid(fe1, 0) {
 		t.Fatal("stalled FE1 still claims validity after FE2's takeover")
 	}
 
 	// FE1 thaws: its renewal CAS hits epoch 2 and fences it.
-	fe1.Resume()
+	fe1.resume()
 	waitFor(t, 5*time.Second, func() bool {
 		held, _, deposals := shard(fe1, 0)
 		_, _, fenced := fe1.Errors()
 		return !held && deposals == 1 && fenced == 1
 	}, "thawed FE1 to be fenced")
-	if fe1.Valid(0) {
+	if valid(fe1, 0) {
 		t.Fatal("fenced FE1 claims validity")
 	}
-	if !fe2.Valid(0) {
+	if !valid(fe2, 0) {
 		t.Fatal("FE2 lost the claim to the fenced FE1")
 	}
 }
@@ -123,11 +145,11 @@ func TestLiveLeaseCloseHandsOff(t *testing.T) {
 	leakCheck(t)
 	w := startWitness(t, 1)
 	fe1 := dialClaims(t, w.Addr(), 1, 0, claimTestCfg())
-	waitFor(t, 5*time.Second, func() bool { return fe1.Valid(0) }, "FE1 to acquire")
+	waitFor(t, 5*time.Second, func() bool { return valid(fe1, 0) }, "FE1 to acquire")
 	fe1.Close()
 
 	fe2 := dialClaims(t, w.Addr(), 2, 0, claimTestCfg())
-	waitFor(t, 5*time.Second, func() bool { return fe2.Valid(0) }, "FE2 to inherit from the dead FE1")
+	waitFor(t, 5*time.Second, func() bool { return valid(fe2, 0) }, "FE2 to inherit from the dead FE1")
 	if _, epoch, _ := shard(fe2, 0); epoch != 2 {
 		t.Fatalf("inherited epoch = %d, want 2", epoch)
 	}
@@ -261,12 +283,12 @@ func TestLiveClaimsPartitionReclaimFenceHandback(t *testing.T) {
 		log.watch(cls[i], i)
 	}
 	owner := func(s int) int {
-		o, _, _ := wire.UnpackClaimWord(w.ClaimWord(s))
+		o, _, _ := wire.UnpackClaimWord(claimWord(w, s))
 		return int(o)
 	}
 	homePartition := func() bool {
 		for s := 0; s < shards; s++ {
-			if home := s % fes; owner(s) != home+1 || !cls[home].Valid(s) {
+			if home := s % fes; owner(s) != home+1 || !valid(cls[home], s) {
 				return false
 			}
 		}
@@ -281,11 +303,11 @@ func TestLiveClaimsPartitionReclaimFenceHandback(t *testing.T) {
 
 	// Pause front-end 1 (home of shards 0 and 3): survivors adopt both.
 	victim := cls[0]
-	victim.Pause()
+	victim.pause()
 	paused := time.Now()
 	adopted := func() bool {
 		for s := 0; s < shards; s += fes {
-			if o := owner(s); o < 2 || !cls[o-1].Valid(s) {
+			if o := owner(s); o < 2 || !valid(cls[o-1], s) {
 				return false
 			}
 		}
@@ -299,7 +321,7 @@ func TestLiveClaimsPartitionReclaimFenceHandback(t *testing.T) {
 	}
 
 	// Resume: its stale renewals lose against the new epochs.
-	victim.Resume()
+	victim.resume()
 	waitFor(t, 5*time.Second, func() bool {
 		_, _, fenced := victim.Errors()
 		return fenced >= 2
@@ -428,7 +450,7 @@ func TestLiveLeaseRenewSurvivesLostReply(t *testing.T) {
 	_, renewals, _, _ := fe.Counters()
 	waitFor(t, 5*time.Second, func() bool {
 		_, rn, _, _ := fe.Counters()
-		return rn >= renewals+5 && fe.Valid(0)
+		return rn >= renewals+5 && valid(fe, 0)
 	}, "FE1 to keep renewing after the redial")
 	held, epoch, deposals := shard(fe, 0)
 	if deposals != 0 || !held {
@@ -437,7 +459,7 @@ func TestLiveLeaseRenewSurvivesLostReply(t *testing.T) {
 	if epoch != 1 {
 		t.Fatalf("epoch moved to %d, want 1", epoch)
 	}
-	if o, e, _ := wire.UnpackClaimWord(w.ClaimWord(0)); o != 1 || e != 1 {
+	if o, e, _ := wire.UnpackClaimWord(claimWord(w, 0)); o != 1 || e != 1 {
 		t.Fatalf("witness word names owner %d epoch %d, want 1/1", o, e)
 	}
 }

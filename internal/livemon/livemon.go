@@ -250,9 +250,6 @@ func (a *Agent) Close() error {
 	})
 }
 
-// Pusher exposes the agent's delta pusher (nil unless cfg.Push set).
-func (a *Agent) Pusher() *Pusher { return a.pusher }
-
 // InvalidateMR models the remote key going stale (RDMA schemes only):
 // the region is deregistered immediately — in-flight and subsequent
 // reads with the old key fail — and, if repin > 0, re-registered with

@@ -1,7 +1,6 @@
 package livemon
 
 import (
-	"sync/atomic"
 	"time"
 
 	"rdmamon/internal/core"
@@ -16,13 +15,10 @@ import (
 // the probe's lock, so they wait out a fetch in flight on that target
 // (bounded by the probe's operation deadline).
 type Monitor struct {
-	interval time.Duration
 	adaptive *AdaptiveConfig // nil when the layout is fixed-period
-	cpool    *ConnPool       // shared connection pool (nil when probes own conns)
-	loops    *loops          // one sweep loop per shard
+	loops    *loops          // one poll loop per target
 
 	targets map[string]*target // fixed once NewMonitor returns
-	decayed atomic.Uint64
 }
 
 // target is what the monitor keeps for one connected target beside its
@@ -45,12 +41,6 @@ const quarantineBackoff = 4
 type MonitorConfig struct {
 	// Interval is the poll period (default 50ms).
 	Interval time.Duration
-	// Shards is the number of sweep workers, each polling a contiguous
-	// slice of the fleet per tick — at hundreds of targets a small S
-	// bounds the goroutine and timer count the way the simulated
-	// monitor's shard tasks do. Zero (or more than there are targets)
-	// means one worker per target.
-	Shards int
 	// Adaptive, when non-nil, layers the change-rate-adaptive poll
 	// period controller on every target: a quiet target's period decays
 	// toward Adaptive.Max, any load-index movement (for a target with a
@@ -58,13 +48,8 @@ type MonitorConfig struct {
 	// Suspect/Degraded health or lost lease snaps it back to Interval
 	// within one cycle.
 	Adaptive *AdaptiveConfig
-	// Pool, when non-nil, shares connections across the fleet through a
-	// budgeted pool instead of one owned connection per probe: fetches
-	// lease a conn per sweep, dials are rate-limited and breaker-gated,
-	// idle conns are garbage-collected. Monitor.Close closes the pool.
-	Pool *PoolConfig
 	// Failover, when non-nil, arms a transport breaker on every probe
-	// at dial, before the first sweep (see Probe.SetFailover; socket
+	// at dial, before the first poll (see Probe.SetFailover; socket
 	// schemes ignore it): an RDMA target whose region is gone keeps
 	// reporting over the standby channel as Degraded.
 	Failover *core.FailoverConfig
@@ -93,9 +78,8 @@ func NewMonitor(addrs []string, cfg MonitorConfig) (*Monitor, map[string]error) 
 		interval = 50 * time.Millisecond
 	}
 	m := &Monitor{
-		interval: interval,
-		loops:    newLoops(),
-		targets:  make(map[string]*target),
+		loops:   newLoops(),
+		targets: make(map[string]*target),
 	}
 	var period core.PeriodConfig
 	if cfg.Adaptive != nil {
@@ -106,19 +90,10 @@ func NewMonitor(addrs []string, cfg MonitorConfig) (*Monitor, map[string]error) 
 		m.adaptive = &a
 		period = core.PeriodConfig{Min: sim.Time(interval), Max: sim.Time(a.Max)}.WithDefaults(sim.Time(interval))
 	}
-	if cfg.Pool != nil {
-		m.cpool = NewConnPool(*cfg.Pool)
-	}
 	dialErrs := make(map[string]error)
 	var connected []*target
 	for _, addr := range addrs {
-		var p *Probe
-		var err error
-		if m.cpool != nil {
-			p, err = DialPooled(m.cpool, addr)
-		} else {
-			p, err = Dial(addr)
-		}
+		p, err := Dial(addr)
 		if err != nil {
 			dialErrs[addr] = err
 			continue
@@ -131,32 +106,16 @@ func NewMonitor(addrs []string, cfg MonitorConfig) (*Monitor, map[string]error) 
 		m.targets[addr] = t
 		connected = append(connected, t)
 	}
-	s := cfg.Shards
-	if s <= 0 || s > len(connected) {
-		s = len(connected)
-	}
-	for i := 0; i < s; i++ {
-		shard := connected[i*len(connected)/s : (i+1)*len(connected)/s]
-		m.loops.every(interval, true, func() { m.sweep(shard) })
+	// Each target's first tick runs at start and fetches it: a fresh
+	// tracker is Healthy and a zero due instant has passed.
+	for _, t := range connected {
+		m.loops.every(interval, true, func() { m.probe(t) })
 	}
 	return m, dialErrs
 }
 
-// sweep probes a slice of the fleet in turn — the live analogue of one
-// simulated monitor shard's sweep. The first sweep runs at start and
-// fetches every target: a fresh tracker is Healthy and a zero due
-// instant has passed.
-func (m *Monitor) sweep(shard []*target) {
-	for _, t := range shard {
-		if m.loops.stopped() {
-			return
-		}
-		m.probe(t)
-	}
-}
-
-// probe fetches one target, unless it sits this sweep out: a
-// quarantined target is probed only every quarantineBackoff-th sweep
+// probe fetches one target, unless it sits this tick out: a
+// quarantined target is probed only every quarantineBackoff-th tick
 // (each attempt at a dead host costs a full deadline), and under the
 // adaptive layout a target is probed only once its period has elapsed.
 // The fetch applies its own outcome to the probe's state; under the
@@ -178,7 +137,6 @@ func (m *Monitor) probe(t *target) {
 		t.skipped = 0
 	}
 	if a != nil && time.Now().Before(t.due) {
-		m.decayed.Add(1)
 		return
 	}
 	_, _, t.err = p.fetch()
@@ -199,22 +157,6 @@ func (m *Monitor) locked(addr string) *target {
 	}
 	return t
 }
-
-// ProbePeriod returns the adaptive controller's current period for a
-// target (the base interval when the layout is fixed-period).
-func (m *Monitor) ProbePeriod(addr string) time.Duration {
-	if t := m.locked(addr); t != nil {
-		defer t.probe.mu.Unlock()
-		if m.adaptive != nil {
-			return time.Duration(t.poll.Ctrl.Period())
-		}
-	}
-	return m.interval
-}
-
-// Decayed returns how many probe slots the adaptive controller has
-// skipped so far.
-func (m *Monitor) Decayed() uint64 { return m.decayed.Load() }
 
 // Transport reports which transport the newest fetch of a target went
 // over (the one that served its record when Err is nil).
@@ -257,22 +199,13 @@ func (m *Monitor) Err(addr string) error {
 	return nil
 }
 
-// ConnPool exposes the monitor's shared connection pool (nil when the
-// layout is one owned connection per probe); tests use it to inspect
-// budgets and leak-check teardown.
-func (m *Monitor) ConnPool() *ConnPool { return m.cpool }
-
-// Close stops polling, closes all probe connections and the shared
-// pool. Idempotent and safe for concurrent use: every caller returns
-// only after teardown has completed exactly once. The targets' last
-// state stays readable.
+// Close stops polling and closes all probe connections. Idempotent and
+// safe for concurrent use: every caller returns only after teardown has
+// completed exactly once. The targets' last state stays readable.
 func (m *Monitor) Close() {
 	m.loops.close(func() error {
 		for _, t := range m.targets {
 			t.probe.Close()
-		}
-		if m.cpool != nil {
-			m.cpool.Close()
 		}
 		return nil
 	})

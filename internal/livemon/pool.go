@@ -104,12 +104,6 @@ func (cp *ConnPool) Put(l connpool.Lease[string, *tcpverbs.Conn], opErr error) {
 	cp.pool.Release(l, opErr)
 }
 
-// Stats snapshots the underlying pool's counters.
-func (cp *ConnPool) Stats() connpool.Stats { return cp.pool.Stats() }
-
-// Pool exposes the underlying budgeted pool for tests.
-func (cp *ConnPool) Pool() *connpool.Pool[string, *tcpverbs.Conn] { return cp.pool }
-
 // Close stops the GC loop and recycles every pooled connection.
 // Idempotent and safe for concurrent use: every caller returns only
 // after teardown has completed once.

@@ -24,72 +24,59 @@ func startFleet(t *testing.T, n int) []string {
 	return addrs
 }
 
-// TestPooledMonitor runs the live monitor through a shared connection
-// pool whose budget is smaller than the fleet: every target must still
-// produce records (eviction recycles idle conns to make room), the
-// budget must hold, and Close must return every connection.
+// TestPooledMonitor polls a fleet through probes that share one
+// connection pool whose budget is smaller than the fleet: every target
+// must still produce records (eviction recycles idle conns to make
+// room), the budget must hold, and Close must return every connection.
 func TestPooledMonitor(t *testing.T) {
 	leakCheck(t)
 	addrs := startFleet(t, 6)
-	m, errs := NewMonitor(addrs, MonitorConfig{
-		Interval: 20 * time.Millisecond,
-		Shards:   2,
-		Pool: &PoolConfig{
-			Config:         connpool.Config{MaxConns: 4, DialsPerSec: 500},
-			AcquireTimeout: 5 * time.Second,
-		},
+	cp := NewConnPool(PoolConfig{
+		Config:         connpool.Config{MaxConns: 4, DialsPerSec: 500},
+		AcquireTimeout: 5 * time.Second,
 	})
-	if len(errs) != 0 {
-		t.Fatalf("dial errors: %v", errs)
+	defer cp.Close()
+	probes := make([]*Probe, len(addrs))
+	for i, addr := range addrs {
+		p, err := DialPooled(cp, addr)
+		if err != nil {
+			t.Fatalf("dial %s: %v", addr, err)
+		}
+		probes[i] = p
 	}
-	defer m.Close()
-	if m.ConnPool() == nil {
-		t.Fatal("pooled config produced no ConnPool")
-	}
-
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		all := true
-		for _, a := range addrs {
-			if _, _, ok := m.Latest(a); !ok {
-				all = false
+	for sweep := 0; sweep < 3; sweep++ {
+		for i, p := range probes {
+			rec, err := p.Fetch()
+			if err != nil {
+				t.Fatalf("sweep %d target %d: %v", sweep, i, err)
+			}
+			if int(rec.NodeID) != i+1 {
+				t.Fatalf("target %d served node %d", i, rec.NodeID)
 			}
 		}
-		if all {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("not every target produced a record through the pool")
-		}
-		time.Sleep(10 * time.Millisecond)
 	}
 
-	st := m.ConnPool().Stats()
+	st := cp.pool.Stats()
 	if st.MaxLive > 4 {
 		t.Fatalf("pool exceeded its budget: MaxLive %d > 4", st.MaxLive)
 	}
 	if st.Evictions == 0 {
 		t.Fatalf("6 targets over 4 conns never evicted: %+v", st)
 	}
-	m.Close()
-	if st := m.ConnPool().Stats(); st.Live != 0 || st.Dialing != 0 {
+	cp.Close()
+	if st := cp.pool.Stats(); st.Live != 0 || st.Dialing != 0 {
 		t.Fatalf("connections survived Close: %+v", st)
 	}
 }
 
 // TestMonitorCloseIdempotent closes a monitor from several goroutines
 // at once, then again after: no panic, no deadlock, and every caller
-// returns only after teardown is complete (all conns released).
+// returns only after teardown is complete (leakCheck finds a poll loop
+// or connection that outlived it).
 func TestMonitorCloseIdempotent(t *testing.T) {
 	leakCheck(t)
 	addrs := startFleet(t, 3)
-	m, errs := NewMonitor(addrs, MonitorConfig{
-		Interval: 10 * time.Millisecond,
-		Pool: &PoolConfig{
-			Config:         connpool.Config{MaxConns: 3},
-			AcquireTimeout: 5 * time.Second,
-		},
-	})
+	m, errs := NewMonitor(addrs, MonitorConfig{Interval: 10 * time.Millisecond})
 	if len(errs) != 0 {
 		t.Fatalf("dial errors: %v", errs)
 	}
@@ -103,9 +90,6 @@ func TestMonitorCloseIdempotent(t *testing.T) {
 	}
 	wg.Wait()
 	m.Close() // and once more, sequentially
-	if st := m.ConnPool().Stats(); st.Live != 0 || st.Dialing != 0 {
-		t.Fatalf("connections survived concurrent Close: %+v", st)
-	}
 }
 
 // closeConcurrently closes from four goroutines at once, then twice
@@ -181,7 +165,7 @@ func TestPooledProbeFailover(t *testing.T) {
 	if _, err := p.Fetch(); err == nil {
 		t.Fatal("fetch succeeded against a dead agent")
 	}
-	st := cp.Stats()
+	st := cp.pool.Stats()
 	if st.Recycles == 0 && st.DialErrors == 0 {
 		t.Fatalf("dead agent neither recycled nor failed a dial: %+v", st)
 	}

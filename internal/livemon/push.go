@@ -128,22 +128,12 @@ func (h *PushHost) Stats() (received, torn uint64) {
 	return h.received, h.torn
 }
 
-// SlotKey returns a node's current slot key (0 if none).
-func (h *PushHost) SlotKey(node uint16) uint32 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if mr := h.slots[node]; mr != nil {
-		return mr.Key()
-	}
-	return 0
-}
-
-// InvalidateSlot models the aggregation region going stale for one
-// node: the slot is deregistered immediately — in-flight and subsequent
-// pushes with the old key fail — and, if repin > 0, re-registered with
-// a fresh key after repin. Pushers recover the new key through their
-// re-handshake path.
-func (h *PushHost) InvalidateSlot(node uint16, repin time.Duration) {
+// invalidateSlot models the aggregation region going stale for one
+// node, a fault hook for tests: the slot is deregistered immediately —
+// in-flight and subsequent pushes with the old key fail — and, if
+// repin > 0, re-registered with a fresh key after repin. Pushers
+// recover the new key through their re-handshake path.
+func (h *PushHost) invalidateSlot(node uint16, repin time.Duration) {
 	h.mu.Lock()
 	mr := h.slots[node]
 	delete(h.slots, node)
@@ -299,13 +289,6 @@ func (p *Pusher) check() {
 	p.mu.Lock()
 	p.gate.Pushed(werr)
 	p.mu.Unlock()
-}
-
-// Stats returns the pusher's counters.
-func (p *Pusher) Stats() (pushes, skips, errors, rekeys uint64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.gate.Pushes, p.gate.Skips, p.gate.Errors, p.rekeys
 }
 
 // Close stops the pusher. Idempotent and safe for concurrent use; every

@@ -56,7 +56,7 @@ func TestPushHostReceivesDeltas(t *testing.T) {
 
 	// Quiet load: no further pushes, only skips.
 	time.Sleep(50 * time.Millisecond)
-	pushes0, skips0, _, _ := p.Stats()
+	pushes0, skips0, _ := pusherStats(p)
 	if skips0 == 0 {
 		t.Fatalf("quiet pusher never skipped (pushes=%d)", pushes0)
 	}
@@ -78,6 +78,28 @@ func TestPushHostReceivesDeltas(t *testing.T) {
 	if _, torn := h.Stats(); torn != 0 {
 		t.Fatalf("torn = %d", torn)
 	}
+}
+
+// pusherStats reads a pusher's push, skip and re-key counts.
+func pusherStats(p *Pusher) (pushes, skips, rekeys uint64) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.gate.Pushes, p.gate.Skips, p.rekeys
+}
+
+// slotKey is a node's current slot key on the push host.
+func slotKey(h *PushHost, node uint16) uint32 {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.slots[node].Key()
+}
+
+// probePeriod is the adaptive controller's current period for a
+// target.
+func probePeriod(m *Monitor, addr string) time.Duration {
+	t := m.locked(addr)
+	defer t.probe.mu.Unlock()
+	return time.Duration(t.poll.Ctrl.Period())
 }
 
 // TestPushHostInvalidationRekeys: tearing down the aggregation slot
@@ -106,9 +128,9 @@ func TestPushHostInvalidationRekeys(t *testing.T) {
 		return rx > 0
 	}, "pushes before invalidation")
 
-	h.InvalidateSlot(3, 30*time.Millisecond)
+	h.invalidateSlot(3, 30*time.Millisecond)
 	waitFor(t, 2*time.Second, func() bool {
-		_, _, _, rekeys := p.Stats()
+		_, _, rekeys := pusherStats(p)
 		rx, _ := h.Stats()
 		_, _, ok := h.Latest(3)
 		return rekeys > 0 && rx > 0 && ok
@@ -136,7 +158,7 @@ func TestPushHostRejectsWrongNode(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	if err := p.conn.RDMAWrite(h.SlotKey(1), pr.Encode()); err != nil {
+	if err := p.conn.RDMAWrite(slotKey(h, 1), pr.Encode()); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.conn.Sync(); err != nil { // rings the posted write
@@ -206,7 +228,7 @@ func TestAgentStartsPusher(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	if a.Pusher() == nil {
+	if a.pusher == nil {
 		t.Fatal("agent did not start a pusher")
 	}
 	waitFor(t, 2*time.Second, func() bool {
@@ -240,7 +262,7 @@ func TestMonitorAdaptivePeriod(t *testing.T) {
 	target := a.Addr()
 
 	waitFor(t, 5*time.Second, func() bool {
-		return m.ProbePeriod(target) == maxP && m.Decayed() > 0
+		return probePeriod(m, target) == maxP
 	}, "quiet target decaying to the ceiling")
 
 	prov.Set(procfs.Snapshot{
@@ -249,7 +271,7 @@ func TestMonitorAdaptivePeriod(t *testing.T) {
 		MemUsedKB:    1 << 18, MemTotalKB: 1 << 20,
 	})
 	waitFor(t, 5*time.Second, func() bool {
-		return m.ProbePeriod(target) == interval
+		return probePeriod(m, target) == interval
 	}, "load jump snapping the period back")
 	if _, _, ok := m.Latest(target); !ok {
 		t.Fatal("no record cached")
@@ -277,12 +299,12 @@ func TestMonitorAdaptiveLeaseLoss(t *testing.T) {
 	target := a.Addr()
 
 	waitFor(t, 5*time.Second, func() bool {
-		return m.ProbePeriod(target) == maxP
+		return probePeriod(m, target) == maxP
 	}, "decay while the lease is held")
 
 	held.Store(false)
 	waitFor(t, 5*time.Second, func() bool {
-		return m.ProbePeriod(target) == interval
+		return probePeriod(m, target) == interval
 	}, "lease loss snapping the period back")
 }
 

@@ -118,7 +118,7 @@ func TestAllExcludedFallbackStaysOnClaimed(t *testing.T) {
 		Rng: rand.New(rand.NewSource(1)), Exclude: all, Claimed: claimed}
 	wp := &WeightedProportional{Backends: []int{1, 2, 3, 4}, Source: src,
 		Rng: rand.New(rand.NewSource(1)), Exclude: all, Claimed: claimed}
-	for name, pick := range map[string]func() int{ll.Name(): ll.Pick, wp.Name(): wp.Pick} {
+	for name, pick := range map[string]func() int{"least-load": ll.Pick, "proportional": wp.Pick} {
 		seen := map[int]int{}
 		for i := 0; i < 200; i++ {
 			seen[pick()]++

@@ -161,12 +161,12 @@ func TestInvariantAllExcludedStaysInFleet(t *testing.T) {
 		for i := 0; i < 300; i++ {
 			b := pol.Pick()
 			if b != 7 && b != 8 && b != 9 {
-				t.Fatalf("%s: pick %d outside fleet", pol.Name(), b)
+				t.Fatalf("%T: pick %d outside fleet", pol, b)
 			}
 			seen[b]++
 		}
 		if len(seen) != 3 {
-			t.Fatalf("%s: fallback fixated: %v", pol.Name(), seen)
+			t.Fatalf("%T: fallback fixated: %v", pol, seen)
 		}
 	}
 }

@@ -25,7 +25,6 @@ type AgedSource func(backend int) (rec wire.LoadRecord, age sim.Time, ok bool)
 
 // Policy picks a back-end for each request.
 type Policy interface {
-	Name() string
 	Pick() int
 }
 
@@ -34,9 +33,6 @@ type RoundRobin struct {
 	Backends []int
 	next     int
 }
-
-// Name implements Policy.
-func (r *RoundRobin) Name() string { return "round-robin" }
 
 // Pick implements Policy.
 func (r *RoundRobin) Pick() int {
@@ -50,9 +46,6 @@ type Random struct {
 	Backends []int
 	Rng      *rand.Rand
 }
-
-// Name implements Policy.
-func (r *Random) Name() string { return "random" }
 
 // Pick implements Policy.
 func (r *Random) Pick() int {
@@ -199,9 +192,6 @@ func appendClaimed(pool, backends []int, claimed func(int) bool) []int {
 	}
 	return pool
 }
-
-// Name implements Policy.
-func (w *WeightedLeastLoad) Name() string { return "weighted-least-load" }
 
 // Pick implements Policy. One decision is one pass over Backends with
 // O(1) work per candidate; Source, Exclude, LocalFrac and the other
@@ -360,9 +350,6 @@ type WeightedProportional struct {
 	pool    []int     // scratch: the claimed fallback pool
 }
 
-// Name implements Policy.
-func (w *WeightedProportional) Name() string { return "weighted-proportional" }
-
 // Pick implements Policy.
 func (w *WeightedProportional) Pick() int {
 	gamma := w.Gamma
@@ -480,25 +467,4 @@ func (w *WeightedProportional) Pick() int {
 		w.Picks[pick]++
 	}
 	return pick
-}
-
-// Imbalance returns max/mean of the per-backend pick counts (1.0 is
-// perfectly balanced). Requires Picks to be non-nil.
-func (w *WeightedLeastLoad) Imbalance() float64 {
-	if len(w.Picks) == 0 {
-		return 1
-	}
-	var sum, max uint64
-	for _, b := range w.Backends {
-		c := w.Picks[b]
-		sum += c
-		if c > max {
-			max = c
-		}
-	}
-	if sum == 0 {
-		return 1
-	}
-	mean := float64(sum) / float64(len(w.Backends))
-	return float64(max) / mean
 }

@@ -19,9 +19,6 @@ func TestRoundRobinCycles(t *testing.T) {
 			t.Fatalf("picks = %v, want %v", got, want)
 		}
 	}
-	if rr.Name() == "" {
-		t.Error("empty name")
-	}
 }
 
 func TestRandomStaysInSet(t *testing.T) {
@@ -36,9 +33,6 @@ func TestRandomStaysInSet(t *testing.T) {
 	}
 	if seen[4] == 0 || seen[7] == 0 {
 		t.Fatal("random never picked one backend")
-	}
-	if r.Name() == "" {
-		t.Error("empty name")
 	}
 }
 
@@ -80,9 +74,6 @@ func TestWeightedLeastLoadPicksLeastLoaded(t *testing.T) {
 	if w.Picks[2] != 10 {
 		t.Fatalf("picks accounting = %v", w.Picks)
 	}
-	if w.Name() == "" {
-		t.Error("empty name")
-	}
 }
 
 func TestWeightedLeastLoadMissingRecordOptimistic(t *testing.T) {
@@ -118,23 +109,9 @@ func TestWeightedLeastLoadTieBreakSpreads(t *testing.T) {
 		w.Pick()
 	}
 	for _, b := range w.Backends {
-		if w.Picks[b] < 700 {
-			t.Fatalf("tie-break starved backend %d: %v", b, w.Picks)
+		if w.Picks[b] < 700 || w.Picks[b] > 1200 {
+			t.Fatalf("tie-break spread %v, want each of 4 near 1000 of 4000", w.Picks)
 		}
-	}
-	if im := w.Imbalance(); im > 1.2 {
-		t.Fatalf("imbalance = %v, want ~1.0", im)
-	}
-}
-
-func TestImbalanceEdgeCases(t *testing.T) {
-	w := &WeightedLeastLoad{Backends: []int{1, 2}}
-	if w.Imbalance() != 1 {
-		t.Fatal("nil Picks should report 1.0")
-	}
-	w.Picks = map[int]uint64{}
-	if w.Imbalance() != 1 {
-		t.Fatal("empty Picks should report 1.0")
 	}
 }
 
@@ -187,9 +164,6 @@ func TestProportionalSpreadsByWeight(t *testing.T) {
 	}
 	if w.Picks[2] == 0 {
 		t.Fatal("saturated backend must keep a trickle (weight floor)")
-	}
-	if w.Name() == "" {
-		t.Error("empty name")
 	}
 }
 

@@ -34,7 +34,7 @@ func TestPickZeroAlloc(t *testing.T) {
 		p := dispatchCluster(t, 64, policy).Policy
 		p.Pick() // sizes the policy's scratch
 		if allocs := testing.AllocsPerRun(200, func() { p.Pick() }); allocs != 0 {
-			t.Errorf("%s: Pick allocates %.1f objects/op, want 0", p.Name(), allocs)
+			t.Errorf("%s: Pick allocates %.1f objects/op, want 0", policy, allocs)
 		}
 	}
 }

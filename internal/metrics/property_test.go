@@ -97,91 +97,3 @@ func TestQuickAddAllMatchesConcat(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// Property: Welford's online mean/stddev match the two-pass
-// computation over the same data.
-func TestQuickWelfordMatchesTwoPass(t *testing.T) {
-	f := func(raw []float64) bool {
-		vals := squash(raw)
-		if len(vals) == 0 {
-			return true
-		}
-		var w Welford
-		var s Sample
-		for _, v := range vals {
-			w.Add(v)
-			s.Add(v)
-		}
-		tol := 1e-6 * (1 + s.Max())
-		return math.Abs(w.Mean()-s.Mean()) <= tol &&
-			math.Abs(w.Stddev()-s.Stddev()) <= tol
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: the EWMA recurrence equals its closed form — the
-// exponentially-weighted sum of all observations (first value carries
-// the residual weight, matching the initialize-on-first-Add rule).
-func TestQuickEWMAMatchesClosedForm(t *testing.T) {
-	f := func(raw []float64, aRaw uint8) bool {
-		vals := squash(raw)
-		if len(vals) == 0 {
-			return true
-		}
-		alpha := float64(aRaw%100+1) / 100
-		e := EWMA{Alpha: alpha}
-		for _, v := range vals {
-			e.Add(v)
-		}
-		want := vals[0]
-		for _, v := range vals[1:] {
-			want = alpha*v + (1-alpha)*want
-		}
-		// Recompute as an explicit weighted sum (different op order, so
-		// this genuinely cross-checks the recurrence).
-		sum, wsum := 0.0, 0.0
-		for i := len(vals) - 1; i >= 1; i-- {
-			wt := alpha * math.Pow(1-alpha, float64(len(vals)-1-i))
-			sum += wt * vals[i]
-			wsum += wt
-		}
-		sum += (1 - wsum) * vals[0]
-		tol := 1e-6 * (1 + math.Abs(want))
-		return math.Abs(e.Value()-want) <= 1e-12*(1+math.Abs(want)) &&
-			math.Abs(e.Value()-sum) <= tol
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: Hist.Quantile is a tight log2 upper bound — at least the
-// exact nearest-rank quantile and at most twice it (plus the epsilon
-// for the shared 0/1 bucket).
-func TestQuickHistQuantileTwoSided(t *testing.T) {
-	f := func(raw []uint16, qRaw uint8) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		q := float64(qRaw%101) / 100
-		var h Hist
-		vals := make([]uint64, len(raw))
-		for i, v := range raw {
-			vals[i] = uint64(v)
-			h.Observe(uint64(v))
-		}
-		sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
-		rank := int(math.Ceil(q * float64(len(vals))))
-		if rank < 1 {
-			rank = 1
-		}
-		exact := vals[rank-1]
-		bound := h.Quantile(q)
-		return bound >= exact && bound <= 2*exact+2
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
-		t.Fatal(err)
-	}
-}

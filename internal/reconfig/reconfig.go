@@ -62,12 +62,10 @@ func Defaults() Config {
 type Controller struct {
 	Cfg Config
 
-	eng     *sim.Engine
-	source  loadbalance.LoadSource
-	groups  *Groups
-	apply   func() // pushes current groups into the two policies
-	ticker  *sim.Ticker
-	stopped bool
+	eng    *sim.Engine
+	source loadbalance.LoadSource
+	groups *Groups
+	apply  func() // pushes current groups into the two policies
 
 	// Migrations counts completed node moves; AtoB/BtoA break it down.
 	Migrations uint64
@@ -103,15 +101,9 @@ func New(eng *sim.Engine, cfg Config, source loadbalance.LoadSource, groups *Gro
 		groups.Draining = make(map[int]sim.Time)
 	}
 	c := &Controller{Cfg: cfg, eng: eng, source: source, groups: groups, apply: apply}
-	c.ticker = eng.NewTicker(cfg.Interval, c.evaluate)
+	eng.NewTicker(cfg.Interval, c.evaluate)
 	apply()
 	return c
-}
-
-// Stop halts the controller.
-func (c *Controller) Stop() {
-	c.stopped = true
-	c.ticker.Stop()
 }
 
 // eligible reports whether node b may be considered at all.
@@ -153,9 +145,6 @@ func (c *Controller) GroupLoad(group []int) float64 {
 }
 
 func (c *Controller) evaluate() {
-	if c.stopped {
-		return
-	}
 	la := c.GroupLoad(c.groups.A)
 	lb := c.GroupLoad(c.groups.B)
 	switch {
@@ -191,9 +180,6 @@ func (c *Controller) migrate(from, to *[]int, counter *uint64) {
 	c.groups.Draining[node] = c.eng.Now() + c.Cfg.SwitchTime
 	c.apply()
 	c.eng.After(c.Cfg.SwitchTime, func() {
-		if c.stopped {
-			return
-		}
 		delete(c.groups.Draining, node)
 		*to = append(*to, node)
 		c.Migrations++

@@ -12,7 +12,7 @@ import (
 //  1. It never panics — malformed durations, negative weights, unknown
 //     actions, duplicate template names, broken indentation and hostile
 //     numerics are all errors.
-//  2. Everything it accepts round-trips: Parse(Encode(s)) reproduces s
+//  2. Everything it accepts round-trips: Parse(s.encode()) reproduces s
 //     exactly, so the canonical encoder and the parser agree on the
 //     schema.
 func FuzzScenario(f *testing.F) {
@@ -24,8 +24,8 @@ func FuzzScenario(f *testing.F) {
 		}
 	}
 	// ...the builtins in canonical encoding...
-	f.Add(BuiltinChaos().Encode())
-	f.Add(BuiltinHA().Encode())
+	f.Add(BuiltinChaos().encode())
+	f.Add(BuiltinHA().encode())
 	// ...and near-miss invalid documents steering the fuzzer at the
 	// validators.
 	for _, s := range []string{
@@ -54,10 +54,10 @@ func FuzzScenario(f *testing.F) {
 		if err != nil {
 			return // rejected cleanly — that's a pass
 		}
-		enc := s.Encode()
+		enc := s.encode()
 		s2, err := Parse(enc)
 		if err != nil {
-			t.Fatalf("Encode produced unparseable output: %v\n--- encoded ---\n%s", err, enc)
+			t.Fatalf("encode produced unparseable output: %v\n--- encoded ---\n%s", err, enc)
 		}
 		if !reflect.DeepEqual(s, s2) {
 			t.Fatalf("round-trip diverged:\n got %+v\nwant %+v\n--- encoded ---\n%s", s2, s, enc)
@@ -69,7 +69,7 @@ func FuzzScenario(f *testing.F) {
 			if err != nil {
 				t.Fatalf("valid scenario failed to compile (quick=%v): %v", quick, err)
 			}
-			if cp.PlanDigest(7) != cp.PlanDigest(7) {
+			if cp.planDigest(7) != cp.planDigest(7) {
 				t.Fatal("plan compilation is non-deterministic")
 			}
 		}

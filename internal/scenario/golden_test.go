@@ -40,7 +40,7 @@ func TestChaosScenarioPlanEquivalence(t *testing.T) {
 				t.Fatalf("quick=%v seed %d: scenario plan diverged from legacy RandomPlan\n got %+v\nwant %+v",
 					mode.quick, seed, got, want)
 			}
-			if cp.PlanDigest(seed) != digestPlan(want) {
+			if cp.planDigest(seed) != digestPlan(want) {
 				t.Fatalf("quick=%v seed %d: digest formula diverged", mode.quick, seed)
 			}
 		}
@@ -110,7 +110,7 @@ func TestScenarioGoldenDigests(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if got := cp.Digest(cp.Points(0)); got != want {
+		if got := cp.digest(cp.Points(0)); got != want {
 			t.Errorf("%s: plan digest 0x%016x, want golden 0x%016x — seeded replay changed", name, got, want)
 		}
 	}

@@ -12,8 +12,8 @@
 //   - double- and single-quoted strings, `#` comments, blank lines
 //   - two-or-more space indentation; tabs are an error
 //
-// Encode emits the canonical form of this subset; Parse(Encode(s))
-// round-trips every valid scenario (the fuzzer holds us to it).
+// Scenario.encode emits this subset's canonical form; Parse round-trips
+// every valid scenario through it (the fuzzer holds us to it).
 package scenario
 
 import (
@@ -346,7 +346,7 @@ func parseScalar(text string, lineNo int) (any, error) {
 		return out, nil
 	}
 	if strings.HasPrefix(text, "\"") {
-		// Double-quoted: full Go escape syntax (Encode emits this form).
+		// Double-quoted: full Go escape syntax (encode emits this form).
 		s, err := strconv.Unquote(text)
 		if err != nil {
 			return nil, fmt.Errorf("scenario: line %d: invalid quoted string %s", lineNo, text)
@@ -774,10 +774,10 @@ func (d *dec) decodeAssertions(v any) []Assertion {
 
 // --------------------------------------------------------------- encode
 
-// Encode emits the scenario in canonical YAML-subset form:
-// Parse(s.Encode()) reproduces s exactly (reflect.DeepEqual; the
+// encode emits the scenario in canonical YAML-subset form:
+// Parse(s.encode()) reproduces s exactly (reflect.DeepEqual; the
 // fuzzer asserts it for every scenario Parse accepts).
-func (s *Scenario) Encode() []byte {
+func (s *Scenario) encode() []byte {
 	var b strings.Builder
 	kv := func(indent, key, val string) {
 		if val != "" {

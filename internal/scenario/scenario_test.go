@@ -108,13 +108,13 @@ func TestParseExamples(t *testing.T) {
 			continue
 		}
 		// Round-trip through the canonical encoder.
-		s2, err := Parse(s.Encode())
+		s2, err := Parse(s.encode())
 		if err != nil {
-			t.Errorf("%s: re-parse of Encode failed: %v", filepath.Base(f), err)
+			t.Errorf("%s: re-parse of encode failed: %v", filepath.Base(f), err)
 			continue
 		}
 		if !reflect.DeepEqual(s, s2) {
-			t.Errorf("%s: Encode/Parse round-trip diverged:\n%+v\nvs\n%+v", filepath.Base(f), s, s2)
+			t.Errorf("%s: encode/Parse round-trip diverged:\n%+v\nvs\n%+v", filepath.Base(f), s, s2)
 		}
 	}
 }

@@ -46,12 +46,6 @@ func (t Time) String() string {
 // Seconds returns the time as floating-point seconds.
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 
-// Millis returns the time as floating-point milliseconds.
-func (t Time) Millis() float64 { return float64(t) / float64(Millisecond) }
-
-// Micros returns the time as floating-point microseconds.
-func (t Time) Micros() float64 { return float64(t) / float64(Microsecond) }
-
 // Sequence keys. An event's seq is its enqueue instant in the high
 // bits and its rank among that instant's enqueues in the low keyShift
 // bits, so ordering by seq is ordering by enqueue order, exactly as a
@@ -103,9 +97,6 @@ const (
 	idle    int32 = -1 // not queued
 	chained int32 = -2 // queued behind prev, no heap slot
 )
-
-// At returns the virtual time the event is (or was) scheduled for.
-func (e *Event) At() Time { return e.at }
 
 // Pending reports whether the event is still queued.
 func (e *Event) Pending() bool { return e != nil && e.index != idle }
@@ -435,8 +426,9 @@ func (e *Engine) Step() bool {
 	return true
 }
 
-// Run executes events until the queue is empty.
-func (e *Engine) Run() {
+// run executes events until the queue is empty (tests only:
+// simulations run to a deadline with RunUntil or RunFor).
+func (e *Engine) run() {
 	for e.Step() {
 	}
 }

@@ -13,7 +13,7 @@ func TestScheduleOrdering(t *testing.T) {
 	e.Schedule(30, func() { got = append(got, 3) })
 	e.Schedule(10, func() { got = append(got, 1) })
 	e.Schedule(20, func() { got = append(got, 2) })
-	e.Run()
+	e.run()
 	want := []int{1, 2, 3}
 	for i := range want {
 		if got[i] != want[i] {
@@ -32,7 +32,7 @@ func TestSameTimeFIFO(t *testing.T) {
 		i := i
 		e.Schedule(100, func() { got = append(got, i) })
 	}
-	e.Run()
+	e.run()
 	for i := range got {
 		if got[i] != i {
 			t.Fatalf("same-time events not FIFO: %v", got)
@@ -46,7 +46,7 @@ func TestAfterFromWithinEvent(t *testing.T) {
 	e.Schedule(5, func() {
 		e.After(10, func() { times = append(times, e.Now()) })
 	})
-	e.Run()
+	e.run()
 	if len(times) != 1 || times[0] != 15 {
 		t.Fatalf("nested After = %v, want [15]", times)
 	}
@@ -65,7 +65,7 @@ func TestCancel(t *testing.T) {
 	if e.Cancel(ev) {
 		t.Fatal("double Cancel should report false")
 	}
-	e.Run()
+	e.run()
 	if fired {
 		t.Fatal("cancelled event fired")
 	}
@@ -93,7 +93,7 @@ func TestCancelMiddleOfHeap(t *testing.T) {
 	for _, i := range []int{3, 7, 11, 19, 0} {
 		e.Cancel(evs[i])
 	}
-	e.Run()
+	e.run()
 	prev := -1
 	for _, v := range got {
 		if v <= prev {
@@ -109,7 +109,7 @@ func TestCancelMiddleOfHeap(t *testing.T) {
 func TestSchedulePastPanics(t *testing.T) {
 	e := NewEngine(1)
 	e.Schedule(100, func() {})
-	e.Run()
+	e.run()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("scheduling in the past should panic")
@@ -146,7 +146,7 @@ func TestRunUntil(t *testing.T) {
 	if len(fired) != 3 {
 		t.Fatalf("fired %v, want 3 events after boundary", fired)
 	}
-	e.Run()
+	e.run()
 	if len(fired) != 4 {
 		t.Fatalf("fired %v, want all 4", fired)
 	}
@@ -175,7 +175,7 @@ func TestTickerStop(t *testing.T) {
 			tk.Stop()
 		}
 	})
-	e.Run()
+	e.run()
 	if n != 3 {
 		t.Fatalf("ticks after stop = %d, want 3", n)
 	}
@@ -198,7 +198,7 @@ func TestNegativeAfterClamps(t *testing.T) {
 	e.RunUntil(50)
 	fired := false
 	e.After(-10, func() { fired = true })
-	e.Run()
+	e.run()
 	if !fired {
 		t.Fatal("After with negative delay should fire immediately")
 	}
@@ -219,7 +219,7 @@ func TestDeterminism(t *testing.T) {
 			}
 		}
 		e.Schedule(0, rec)
-		e.Run()
+		e.run()
 		return trace
 	}
 	a, b := run(42), run(42)
@@ -264,12 +264,6 @@ func TestTimeConversions(t *testing.T) {
 	if (1500 * Millisecond).Seconds() != 1.5 {
 		t.Error("Seconds conversion wrong")
 	}
-	if (3 * Millisecond).Millis() != 3 {
-		t.Error("Millis conversion wrong")
-	}
-	if (7 * Microsecond).Micros() != 7 {
-		t.Error("Micros conversion wrong")
-	}
 }
 
 // Property: for any batch of (delay, id) pairs, events fire in
@@ -294,7 +288,7 @@ func TestQuickHeapProperty(t *testing.T) {
 				fired[i] = true
 			})
 		}
-		e.Run()
+		e.run()
 		for _, f := range fired {
 			if !f {
 				return false
@@ -316,7 +310,7 @@ func BenchmarkScheduleRun(b *testing.B) {
 			e.RunFor(1000)
 		}
 	}
-	e.Run()
+	e.run()
 }
 
 // BenchmarkEngineHold is the hold model — schedule one event at a
@@ -402,13 +396,13 @@ func BenchmarkEngineCancelChained(b *testing.B) {
 func TestEventAtAndLen(t *testing.T) {
 	e := NewEngine(1)
 	ev := e.Schedule(25, func() {})
-	if ev.At() != 25 {
-		t.Fatalf("At = %v", ev.At())
+	if ev.at != 25 {
+		t.Fatalf("At = %v", ev.at)
 	}
 	if e.Len() != 1 {
 		t.Fatalf("Len = %d", e.Len())
 	}
-	e.Run()
+	e.run()
 	if e.Len() != 0 {
 		t.Fatal("queue should drain")
 	}

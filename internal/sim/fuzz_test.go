@@ -212,9 +212,9 @@ func engineProgram(t *testing.T, data []byte) {
 			}
 		}
 		for i, h := range handles[1:] {
-			if h.ev.Pending() != h.ref.pending || h.ev.At() != h.ref.at {
+			if h.ev.Pending() != h.ref.pending || h.ev.at != h.ref.at {
 				t.Fatalf("op %d: handle %d pending=%v at=%v, model pending=%v at=%v",
-					op, i+1, h.ev.Pending(), h.ev.At(), h.ref.pending, h.ref.at)
+					op, i+1, h.ev.Pending(), h.ev.at, h.ref.pending, h.ref.at)
 			}
 		}
 		if err := checkStructure(e); err != nil {
@@ -231,9 +231,9 @@ func engineProgram(t *testing.T, data []byte) {
 			}
 		}
 		for i, tm := range timers {
-			if tm.tm.Pending() != tm.ref.pending() || tm.ref.pending() && tm.tm.ev.At() != tm.ref.ev.at {
+			if tm.tm.Pending() != tm.ref.pending() || tm.ref.pending() && tm.tm.ev.at != tm.ref.ev.at {
 				t.Fatalf("op %d: timer %d pending=%v at=%v, model pending=%v",
-					op, i, tm.tm.Pending(), tm.tm.ev.At(), tm.ref.pending())
+					op, i, tm.tm.Pending(), tm.tm.ev.at, tm.ref.pending())
 			}
 			if err := checkHandle(&tm.tm.ev); err != nil {
 				t.Fatalf("op %d: timer %d: %v", op, i, err)
@@ -323,7 +323,7 @@ func engineProgram(t *testing.T, data []byte) {
 		tk.tk.Stop()
 		tk.ref.stop()
 	}
-	e.Run()
+	e.run()
 	for m.step() {
 	}
 	check(len(data))

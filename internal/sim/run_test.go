@@ -97,8 +97,8 @@ func TestRunCancelHeadMiddleTail(t *testing.T) {
 		t.Fatalf("six same-instant events: %d heap slots, Len %d; want 1, 6", len(e.queue), e.Len())
 	}
 	for i, ev := range evs {
-		if !ev.Pending() || ev.At() != 100 {
-			t.Fatalf("event %d: pending=%v at=%v", i, ev.Pending(), ev.At())
+		if !ev.Pending() || ev.at != 100 {
+			t.Fatalf("event %d: pending=%v at=%v", i, ev.Pending(), ev.at)
 		}
 	}
 	mustStructure(t, e, evs...)
@@ -110,8 +110,8 @@ func TestRunCancelHeadMiddleTail(t *testing.T) {
 		if e.Cancel(evs[i]) {
 			t.Fatalf("second Cancel(%d) = true", i)
 		}
-		if evs[i].Pending() || evs[i].At() != 100 {
-			t.Fatalf("cancelled event %d: pending=%v at=%v", i, evs[i].Pending(), evs[i].At())
+		if evs[i].Pending() || evs[i].at != 100 {
+			t.Fatalf("cancelled event %d: pending=%v at=%v", i, evs[i].Pending(), evs[i].at)
 		}
 		if e.Len() != 5-n || len(e.queue) != 1 {
 			t.Fatalf("after cancelling %d: Len %d, %d heap slots", i, e.Len(), len(e.queue))
@@ -130,7 +130,7 @@ func TestRunCancelHeadMiddleTail(t *testing.T) {
 		t.Fatalf("after a miss: Len %d, %d heap slots; want 4, 2", e.Len(), len(e.queue))
 	}
 	mustStructure(t, e, evs...)
-	e.Run()
+	e.run()
 	wantOrder(t, got, 1, 2, 4, 6)
 	for i, ev := range evs {
 		if ev.Pending() {
@@ -169,7 +169,7 @@ func TestRecycledPostNodeAsChainTail(t *testing.T) {
 		t.Fatalf("Len %d, %d heap slots; want 4, 2", e.Len(), len(e.queue))
 	}
 	mustStructure(t, e, a, b)
-	e.Run()
+	e.run()
 	wantOrder(t, got, 0, 1, 2, 3, 4)
 	mustStructure(t, e, a, b)
 }
@@ -187,8 +187,8 @@ func TestTickerEventAsChainMemberAndTail(t *testing.T) {
 		}
 	})
 	e.RunUntil(10)
-	if tk.ev.index != chained || tk.ev.At() != 20 {
-		t.Fatalf("re-armed tick event: index %d at %v, want chained at 20", tk.ev.index, tk.ev.At())
+	if tk.ev.index != chained || tk.ev.at != 20 {
+		t.Fatalf("re-armed tick event: index %d at %v, want chained at 20", tk.ev.index, tk.ev.at)
 	}
 	after := e.Schedule(20, func() { got = append(got, 2) })
 	if after.prev != &tk.ev {

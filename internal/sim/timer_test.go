@@ -22,7 +22,7 @@ func TestTimerFiresInSequenceOrder(t *testing.T) {
 		t.Fatalf("Len %d, %d heap slots; want 8, 2", e.Len(), len(e.queue))
 	}
 	mustStructure(t, e, &t1.ev, &t4.ev, &t6.ev)
-	e.Run()
+	e.run()
 	wantOrder(t, got, -1, 0, 1, 2, 3, 4, 5, 6)
 	if e.Now() != 5 || t1.Pending() || t4.Pending() || t6.Pending() {
 		t.Fatalf("now %v, timers pending %v %v %v", e.Now(), t1.Pending(), t4.Pending(), t6.Pending())
@@ -37,7 +37,7 @@ func TestTimerFiresInSequenceOrder(t *testing.T) {
 	t4.Reset(2)
 	t6.Reset(2)
 	mustStructure(t, e, &t1.ev, &t4.ev, &t6.ev)
-	e.Run()
+	e.run()
 	wantOrder(t, got, 1, 0, 4, 6)
 }
 
@@ -56,21 +56,21 @@ func TestTimerResetWhilePendingRekeys(t *testing.T) {
 		t.Fatalf("Len %d pending %v", e.Len(), tm.Pending())
 	}
 	tm.Reset(20) // later
-	if e.Len() != 2 || tm.ev.At() != 20 {
-		t.Fatalf("after re-key: Len %d at %v", e.Len(), tm.ev.At())
+	if e.Len() != 2 || tm.ev.at != 20 {
+		t.Fatalf("after re-key: Len %d at %v", e.Len(), tm.ev.at)
 	}
 	mustStructure(t, e, &tm.ev)
 	tm.Reset(4) // earlier
-	if e.Len() != 2 || tm.ev.At() != 4 {
-		t.Fatalf("after second re-key: Len %d at %v", e.Len(), tm.ev.At())
+	if e.Len() != 2 || tm.ev.at != 4 {
+		t.Fatalf("after second re-key: Len %d at %v", e.Len(), tm.ev.at)
 	}
 	tm.Reset(-7) // clamps like After
-	if tm.ev.At() != 0 {
-		t.Fatalf("negative delay armed at %v", tm.ev.At())
+	if tm.ev.at != 0 {
+		t.Fatalf("negative delay armed at %v", tm.ev.at)
 	}
 	tm.Reset(4)
 	mustStructure(t, e, &tm.ev)
-	e.Run()
+	e.run()
 	if len(fired) != 1 || fired[0] != 4 {
 		t.Fatalf("fired at %v, want once at 4", fired)
 	}
@@ -109,7 +109,7 @@ func TestTimerStopHeadMiddleTail(t *testing.T) {
 	}
 	tms[0].Reset(100) // a stopped timer re-arms: behind the run, or a run of its own
 	mustStructure(t, e, evs...)
-	e.Run()
+	e.run()
 	wantOrder(t, got, 1, 2, 4, 0)
 }
 
@@ -135,7 +135,7 @@ func TestTimerEventAsChainMemberAndTail(t *testing.T) {
 			t.Fatalf("round %d: Len %d, %d heap slots; want 3, 1", round, e.Len(), len(e.queue))
 		}
 		mustStructure(t, e, head, &tm.ev, after)
-		e.Run()
+		e.run()
 		mustStructure(t, e, head, &tm.ev, after)
 	}
 	wantOrder(t, got, 0, 1, 2, 0, 1, 2)
@@ -163,7 +163,7 @@ func TestTimerResetFromOwnCallback(t *testing.T) {
 	})
 	tm.Reset(5)
 	e.After(5, func() { got = append(got, -5) })
-	e.Run()
+	e.run()
 	wantOrder(t, got, 5, -5, 5, 12)
 	if tm.Pending() || e.Len() != 0 {
 		t.Fatalf("pending %v, Len %d after the last fire", tm.Pending(), e.Len())

@@ -226,7 +226,7 @@ func TestReadOpReleasedClean(t *testing.T) {
 	for round := 0; round < 2; round++ {
 		completed := false
 		r.nodes[0].Spawn("rd", func(tk *simos.Task) {
-			r.nics[0].RDMAReadBatch(tk, reqs, func(res []ReadResult) {
+			r.nics[0].RDMAReadBatchInto(tk, reqs, nil, func(res []ReadResult) {
 				completed = true
 				for i := range res {
 					if res[i].Err != wantErr[i] {

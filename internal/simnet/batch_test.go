@@ -29,7 +29,7 @@ func TestReadBatchIsPositionalAndCorrect(t *testing.T) {
 	}
 	var got []ReadResult
 	r.nodes[0].Spawn("reader", func(tk *simos.Task) {
-		r.nics[0].RDMAReadBatch(tk, reqs, func(res []ReadResult) { got = res })
+		r.nics[0].RDMAReadBatchInto(tk, reqs, nil, func(res []ReadResult) { got = res })
 	})
 	r.eng.RunUntil(sim.Second)
 	if len(got) != n {
@@ -61,7 +61,7 @@ func TestReadBatchIsolatesPerRequestErrors(t *testing.T) {
 	}
 	var got []ReadResult
 	r.nodes[0].Spawn("reader", func(tk *simos.Task) {
-		r.nics[0].RDMAReadBatch(tk, reqs, func(res []ReadResult) { got = res })
+		r.nics[0].RDMAReadBatchInto(tk, reqs, nil, func(res []ReadResult) { got = res })
 	})
 	r.eng.RunUntil(sim.Second)
 	if got == nil {
@@ -108,7 +108,7 @@ func TestReadBatchBeatsSequentialReads(t *testing.T) {
 		}
 		var done sim.Time
 		r.nodes[0].Spawn("reader", func(tk *simos.Task) {
-			r.nics[0].RDMAReadBatch(tk, reqs, func([]ReadResult) { done = r.eng.Now() })
+			r.nics[0].RDMAReadBatchInto(tk, reqs, nil, func([]ReadResult) { done = r.eng.Now() })
 		})
 		r.eng.RunUntil(sim.Second)
 		return done
@@ -125,7 +125,7 @@ func TestReadBatchEmptyCompletes(t *testing.T) {
 	r, _ := batchRig(t, 1)
 	called := false
 	r.nodes[0].Spawn("reader", func(tk *simos.Task) {
-		r.nics[0].RDMAReadBatch(tk, nil, func(res []ReadResult) {
+		r.nics[0].RDMAReadBatchInto(tk, nil, nil, func(res []ReadResult) {
 			called = true
 			if res != nil {
 				t.Errorf("empty batch returned %v", res)
@@ -154,7 +154,7 @@ func TestReadBatchDMAInstantIsLive(t *testing.T) {
 	}
 	var got []ReadResult
 	r.nodes[0].Spawn("reader", func(tk *simos.Task) {
-		r.nics[0].RDMAReadBatch(tk, reqs, func(res []ReadResult) { got = res })
+		r.nics[0].RDMAReadBatchInto(tk, reqs, nil, func(res []ReadResult) { got = res })
 	})
 	r.eng.RunUntil(sim.Second)
 	if calls != 2 {

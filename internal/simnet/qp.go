@@ -61,9 +61,6 @@ type QP struct {
 	open   bool // still holds an initiator fd (until CloseQP)
 }
 
-// Target returns the node this QP connects to.
-func (q *QP) Target() int { return q.target }
-
 // Valid reports whether the QP is still usable. A QP invalidated by a
 // listener reset keeps its fd until CloseQP — exactly the leak an
 // unclosed real QP would be.

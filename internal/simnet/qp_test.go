@@ -31,7 +31,7 @@ func TestDialEstablishesQPAndFD(t *testing.T) {
 	if !done || err != nil {
 		t.Fatalf("dial: done=%v err=%v", done, err)
 	}
-	if !qp.Valid() || qp.Target() != 1 {
+	if !qp.Valid() || qp.target != 1 {
 		t.Fatalf("qp invalid or mistargeted: %+v", qp)
 	}
 	if r.nics[0].QPsOpen() != 1 || r.nics[0].FDsInUse() != 1 {

@@ -263,9 +263,6 @@ func (f *Fabric) SetNodeLatency(node int, d sim.Time) {
 	f.nodeLat[node] = d
 }
 
-// NodeLatency returns the extra one-way latency assigned to node.
-func (f *Fabric) NodeLatency(node int) sim.Time { return f.nodeLat[node] }
-
 // heteroLat is the extra latency a from->to traversal pays for the
 // endpoints' per-node latencies. The empty-map fast path keeps
 // homogeneous fabrics allocation- and branch-cheap.
@@ -516,9 +513,6 @@ type NIC struct {
 	QPResets        uint64
 }
 
-// Node returns the node this NIC belongs to.
-func (n *NIC) Node() *simos.Node { return n.node }
-
 // Fabric returns the fabric the NIC is attached to.
 func (n *NIC) Fabric() *Fabric { return n.fab }
 
@@ -603,9 +597,6 @@ type MR struct {
 
 // Key returns the remote protection key of the region.
 func (m *MR) Key() uint32 { return m.key }
-
-// Size returns the registered length in bytes.
-func (m *MR) Size() int { return m.size }
 
 // RegisterMR pins a read-only region of the given size served by src.
 func (n *NIC) RegisterMR(src Source, size int) *MR {
@@ -860,22 +851,19 @@ type ReadResult struct {
 	Err  error
 }
 
-// RDMAReadBatch posts len(reqs) one-sided reads with a single doorbell
-// ring: the initiator pays RDMAPostCost once for the doorbell plus
-// RDMAPostWRCost per additional work request, the reads traverse the
+// RDMAReadBatchInto posts len(reqs) one-sided reads with a single
+// doorbell ring: the initiator pays RDMAPostCost once for the doorbell
+// plus RDMAPostWRCost per additional work request, the reads traverse the
 // fabric concurrently, and the posting task wakes exactly once with
 // every completion — the coalesced-CQ-poll pattern of doorbell-batched
 // verbs, rather than one post+wakeup per read. Results are positional:
 // results[i] answers reqs[i]; per-request failures (bad key, dead
 // target) land in that slot's Err without disturbing its neighbours.
-func (n *NIC) RDMAReadBatch(t *simos.Task, reqs []ReadReq, then func(results []ReadResult)) {
-	n.RDMAReadBatchInto(t, reqs, nil, then)
-}
-
-// RDMAReadBatchInto is RDMAReadBatch completing into a caller-owned
-// results scratch: when cap(scratch) >= len(reqs) the completion slice
-// aliases it and the batch allocates no result storage (pair it with
-// per-WR ReadReq.Buf destinations for a fully allocation-free sweep).
+//
+// Completions land in a caller-owned results scratch: when
+// cap(scratch) >= len(reqs) the completion slice aliases it and the
+// batch allocates no result storage (pair it with per-WR ReadReq.Buf
+// destinations for a fully allocation-free sweep).
 // The caller must not repost the scratch until then has consumed it.
 func (n *NIC) RDMAReadBatchInto(t *simos.Task, reqs []ReadReq, scratch []ReadResult, then func(results []ReadResult)) {
 	f := n.fab
@@ -1149,7 +1137,7 @@ type CASResult struct {
 }
 
 // RDMACompareSwapBatch posts len(reqs) one-sided compare-and-swaps
-// with a single doorbell ring, exactly as RDMAReadBatch batches reads:
+// with a single doorbell ring, exactly as RDMAReadBatchInto batches reads:
 // the initiator pays RDMAPostCost once plus RDMAPostWRCost per
 // additional work request, the atomics traverse the fabric
 // concurrently (each serialized at its responder NIC), and the posting

@@ -351,14 +351,15 @@ func TestSockDropAndRTO(t *testing.T) {
 	cfg.RTO = 50 * sim.Millisecond
 	r := newRig(t, 2, cfg)
 	// Distress the receiver: conns above threshold.
-	r.nodes[1].K.AddConns(10)
+	conns := 10
+	r.nodes[1].K.SetConnFn(func() int { return conns })
 	p := r.nodes[1].Port("svc")
 	var gotAt sim.Time
 	r.nodes[1].Spawn("rx", func(tk *simos.Task) {
 		tk.Recv(p, func(m simos.Message) { gotAt = r.eng.Now() })
 	})
 	// Relieve the distress before the first retransmission lands.
-	r.eng.Schedule(20*sim.Millisecond, func() { r.nodes[1].K.AddConns(-10) })
+	r.eng.Schedule(20*sim.Millisecond, func() { conns = 0 })
 	r.nodes[0].Spawn("tx", func(tk *simos.Task) {
 		r.nics[0].Send(tk, 1, "svc", 64, "ping", nil)
 	})
@@ -381,7 +382,7 @@ func TestEstablishedPortImmuneToDrops(t *testing.T) {
 	cfg.SockDropThresh = 1
 	r := newRig(t, 2, cfg)
 	r.fab.MarkEstablished("svc")
-	r.nodes[1].K.AddConns(10) // permanently distressed
+	r.nodes[1].K.SetConnFn(func() int { return 10 }) // permanently distressed
 	p := r.nodes[1].Port("svc")
 	var gotAt sim.Time
 	r.nodes[1].Spawn("rx", func(tk *simos.Task) {
@@ -407,7 +408,7 @@ func TestDropGivesUpAfterMaxRetries(t *testing.T) {
 	cfg.RTO = 10 * sim.Millisecond
 	cfg.MaxRetries = 2
 	r := newRig(t, 2, cfg)
-	r.nodes[1].K.AddConns(10) // permanently distressed
+	r.nodes[1].K.SetConnFn(func() int { return 10 }) // permanently distressed
 	p := r.nodes[1].Port("svc")
 	delivered := false
 	r.nodes[1].Spawn("rx", func(tk *simos.Task) {

@@ -116,16 +116,6 @@ func (c *cpu) resumeFromIRQ() {
 	c.node.resched()
 }
 
-// PendingIRQ returns the number of hard and soft interrupts pending
-// (queued or in service) on the given CPU — the observable the paper
-// reads from irq_stat.
-func (n *Node) PendingIRQ(cpuID int) (hard, soft int) {
-	if cpuID < 0 || cpuID >= len(n.cpus) {
-		return 0, 0
-	}
-	return n.pendingIRQ(n.cpus[cpuID], n.catchUp())
-}
-
 func (n *Node) pendingIRQ(c *cpu, v vticks) (hard, soft int) {
 	hard, soft = c.hardQ.len(), c.softQ.len()
 	if n.inService(c, v) {

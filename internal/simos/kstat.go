@@ -18,7 +18,6 @@ type KernelStats struct {
 	NetRxPkts  uint64
 	NetTxPkts  uint64
 
-	conns     int
 	connFn    func() int
 	memUsedKB uint64
 
@@ -116,15 +115,6 @@ func (k *KernelStats) replayUtil(v vticks) {
 	}
 }
 
-// UtilPerMille returns CPU cpuID's utilisation over the configured
-// window, in parts per thousand (0..1000).
-func (k *KernelStats) UtilPerMille(cpuID int) int {
-	if cpuID < 0 || cpuID >= len(k.node.cpus) {
-		return 0
-	}
-	return k.utilPerMille(k.node.cpus[cpuID], k.node.catchUp())
-}
-
 // utilPerMille is UtilPerMille at virtual-tick state v. The base is the
 // newest sample at least a window old; on a parked node whose window
 // starts after the first virtual tick that sample is virtual too, and
@@ -168,27 +158,16 @@ func (k *KernelStats) utilPerMille(c *cpu, v vticks) int {
 	return int(u)
 }
 
-// AddConns adjusts the open-connection count (maintained by the server
-// application model).
-func (k *KernelStats) AddConns(d int) {
-	k.conns += d
-	if k.conns < 0 {
-		k.conns = 0
-	}
-}
-
-// SetConnFn installs a live connection-count source (e.g. a server's
-// queue depth plus in-service requests); its value is added to the
-// AddConns counter in snapshots.
+// SetConnFn installs the live connection-count source (e.g. a server's
+// queue depth plus in-service requests) snapshots report.
 func (k *KernelStats) SetConnFn(fn func() int) { k.connFn = fn }
 
 // Conns returns the current open-connection count.
 func (k *KernelStats) Conns() int {
-	c := k.conns
 	if k.connFn != nil {
-		c += k.connFn()
+		return k.connFn()
 	}
-	return c
+	return 0
 }
 
 // AddMemKB adjusts the resident memory estimate.
@@ -202,9 +181,6 @@ func (k *KernelStats) AddMemKB(d int64) {
 	}
 	k.memUsedKB = uint64(v)
 }
-
-// MemUsedKB returns the resident memory estimate.
-func (k *KernelStats) MemUsedKB() uint64 { return k.memUsedKB }
 
 // AddNetRx / AddNetTx account network traffic (called by simnet).
 func (k *KernelStats) AddNetRx(bytes int) {
@@ -253,15 +229,6 @@ func (s Snapshot) UtilMean() int {
 		sum += s.UtilPerMille[i]
 	}
 	return sum / s.NumCPU
-}
-
-// PendingIRQTotal returns the summed hard+soft pending interrupts.
-func (s Snapshot) PendingIRQTotal() int {
-	n := 0
-	for i := 0; i < s.NumCPU; i++ {
-		n += s.IrqPendingHard[i] + s.IrqPendingSoft[i]
-	}
-	return n
 }
 
 // CumIRQHard returns the number of hard interrupts CPU cpuID has taken.

@@ -200,18 +200,16 @@ func NewNode(eng *sim.Engine, id int, cfg Config) *Node {
 	return n
 }
 
-// Stop cancels the node's periodic timer work, virtual ticks included.
-// Used by tests; long simulations normally just stop the engine.
-func (n *Node) Stop() {
+// stop cancels the node's periodic timer work, virtual ticks included.
+// Only tests and the parked-twin fuzzer call it; long simulations just
+// stop the engine.
+func (n *Node) stop() {
 	n.unpark()
 	n.tick.Stop()
 }
 
 // Down reports whether the node has crashed and not yet restarted.
 func (n *Node) Down() bool { return n.down }
-
-// Frozen reports whether the node is in a freeze (slowdown) window.
-func (n *Node) Frozen() bool { return n.frozen }
 
 // Crash fails the node: every task dies, ports lose their queues and
 // waiters, and the timer stops. The network model treats a down node as
@@ -414,19 +412,12 @@ func (n *Node) Port(name string) *Port {
 	if p, ok := n.ports[name]; ok {
 		return p
 	}
-	p := &Port{node: n, name: name}
+	p := &Port{node: n}
 	n.ports[name] = p
 	return p
 }
 
 // LookupPort returns the named port or nil.
 func (n *Node) LookupPort(name string) *Port { return n.ports[name] }
-
-// NrRunnable returns the number of tasks that are ready or running —
-// the kernel's nr_running.
-func (n *Node) NrRunnable() int { return n.nrRunnable }
-
-// NrTasks returns the number of live tasks on the node.
-func (n *Node) NrTasks() int { return n.nrTasks }
 
 func (n *Node) String() string { return fmt.Sprintf("node%d", n.ID) }

@@ -60,9 +60,9 @@ func (tw *twin) read(what string) {
 		tw.t.Fatalf("%s at %v: snapshots differ\n eager  %+v\n parked %+v", what, tw.eng.Now(), a, b)
 	}
 	for c := 0; c < tw.eager.NumCPU(); c++ {
-		ha, sa := tw.eager.PendingIRQ(c)
-		hb, sb := tw.parked.PendingIRQ(c)
-		if ha != hb || sa != sb || tw.eager.K.UtilPerMille(c) != tw.parked.K.UtilPerMille(c) ||
+		ha, sa := pendingIRQ(tw.eager, c)
+		hb, sb := pendingIRQ(tw.parked, c)
+		if ha != hb || sa != sb || utilPerMille(tw.eager, c) != utilPerMille(tw.parked, c) ||
 			tw.eager.K.CumIRQHard(c) != tw.parked.K.CumIRQHard(c) || tw.eager.K.CumIRQSoft(c) != tw.parked.K.CumIRQSoft(c) {
 			tw.t.Fatalf("%s at %v: CPU%d accessors differ", what, tw.eng.Now(), c)
 		}
@@ -150,7 +150,7 @@ func twinProgram(t *testing.T, seed int64, data []byte) *twin {
 			})
 		case 9:
 			if arg < 8 {
-				at(cursor, arg, func() { tw.both((*Node).Stop) })
+				at(cursor, arg, func() { tw.both((*Node).stop) })
 			}
 		}
 	}
@@ -172,7 +172,7 @@ func twinProgram(t *testing.T, seed int64, data []byte) *twin {
 
 // randomTwinScript builds a script in which most actions move the
 // cursor or read, with occasional spawns, interrupts, freezes, crashes
-// and one late Stop at most.
+// and one late stop at most.
 func randomTwinScript(rng *rand.Rand, n int) []byte {
 	var data []byte
 	for i := 0; i < n; i++ {
@@ -193,7 +193,7 @@ func randomTwinScript(rng *rand.Rand, n int) []byte {
 
 // TestParkedTwinMatchesEager is the observational-equivalence oracle of
 // parked ticks (DESIGN §6): over seeded scripts of spawn, sleep, exit,
-// net interrupts, freeze/thaw, crash/restart and Stop, a node that
+// net interrupts, freeze/thaw, crash/restart and stop, a node that
 // parks answers every kernel-statistics read exactly as a node that
 // ticks, including reads at a tick instant and at its interrupt's
 // completion posted less and more than 1 µs and one tick ahead.
@@ -217,7 +217,7 @@ func FuzzParkedTwin(f *testing.F) {
 	// A job, then reads posted a tick ahead; a net interrupt inside the
 	// tick's service; a freeze and thaw.
 	f.Add([]byte{5, 0x21, 0, 40, 2, 0x89, 6, 0, 0, 3, 7, 2, 0, 9, 7, 1, 2, 0xd1, 4, 77})
-	// Crash, restart on a fresh phase, reads of the new ticks, Stop.
+	// Crash, restart on a fresh phase, reads of the new ticks, stop.
 	f.Add([]byte{0, 30, 8, 0, 0, 17, 8, 0, 2, 0x0a, 2, 0x49, 4, 5, 9, 1, 4, 200})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 512 {

@@ -176,9 +176,6 @@ func TestSnapshotUtilMeanAndPending(t *testing.T) {
 	if s.UtilMean() != 500 {
 		t.Fatalf("UtilMean = %d", s.UtilMean())
 	}
-	if s.PendingIRQTotal() != 5 {
-		t.Fatalf("PendingIRQTotal = %d", s.PendingIRQTotal())
-	}
 	var zero Snapshot
 	if zero.UtilMean() != 0 {
 		t.Fatal("zero snapshot should report 0 util")
@@ -189,11 +186,10 @@ func TestConnFnFeedsSnapshot(t *testing.T) {
 	eng, n := newTestNode(t, lightCfg())
 	live := 0
 	n.K.SetConnFn(func() int { return live })
-	n.K.AddConns(2)
 	live = 5
 	eng.RunUntil(sim.Millisecond)
-	if got := n.K.Snapshot().Conns; got != 7 {
-		t.Fatalf("snapshot conns = %d, want counter+live = 7", got)
+	if got := n.K.Snapshot().Conns; got != 5 {
+		t.Fatalf("snapshot conns = %d, want the live count 5", got)
 	}
 }
 
@@ -203,10 +199,10 @@ func TestStopHaltsTick(t *testing.T) {
 	n := NewNode(eng, 0, cfg)
 	eng.RunUntil(100 * sim.Millisecond)
 	before := n.K.CumIRQHard(0)
-	n.Stop()
+	n.stop()
 	eng.RunUntil(500 * sim.Millisecond)
 	if n.K.CumIRQHard(0) != before {
-		t.Fatal("timer tick survived Stop")
+		t.Fatal("timer tick survived stop")
 	}
 }
 
@@ -221,7 +217,7 @@ func TestCrashMidIRQKeepsServicePipeline(t *testing.T) {
 	pending := func(wantHard, wantSoft int) func() {
 		return func() {
 			t.Helper()
-			if h, s := n.PendingIRQ(1); h != wantHard || s != wantSoft {
+			if h, s := pendingIRQ(n, 1); h != wantHard || s != wantSoft {
 				t.Errorf("at %v: pending = (%d, %d), want (%d, %d)", eng.Now(), h, s, wantHard, wantSoft)
 			}
 		}
@@ -330,7 +326,7 @@ func TestNrRunnableCounterMatchesWalk(t *testing.T) {
 		}
 		check := func(what string) {
 			t.Helper()
-			if got, want := n.NrRunnable(), walkRunnable(n); got != want {
+			if got, want := n.nrRunnable, walkRunnable(n); got != want {
 				t.Fatalf("seed %d at %v after %s: NrRunnable = %d, walk says %d", seed, eng.Now(), what, got, want)
 			}
 		}
@@ -350,7 +346,7 @@ func TestNrRunnableCounterMatchesWalk(t *testing.T) {
 			case 6:
 				tasks[rng.Intn(len(tasks))].Exit()
 			case 7:
-				if n.Frozen() {
+				if n.frozen {
 					n.Thaw()
 				} else {
 					n.Freeze()
@@ -372,15 +368,15 @@ func TestNrRunnableCounterMatchesWalk(t *testing.T) {
 		sawRunnable := false
 		for eng.Now() < 2*sim.Second && eng.Step() {
 			check("a step")
-			sawRunnable = sawRunnable || n.NrRunnable() > 1
+			sawRunnable = sawRunnable || n.nrRunnable > 1
 		}
 		if !sawRunnable {
 			t.Fatalf("seed %d: never more than one runnable task; the program exercises nothing", seed)
 		}
 		n.Crash()
 		check("the final crash")
-		if n.NrRunnable() != 0 {
-			t.Fatalf("seed %d: crashed node reports %d runnable tasks", seed, n.NrRunnable())
+		if n.nrRunnable != 0 {
+			t.Fatalf("seed %d: crashed node reports %d runnable tasks", seed, n.nrRunnable)
 		}
 	}
 }

@@ -8,6 +8,19 @@ import (
 	"rdmamon/internal/sim"
 )
 
+// pendingIRQ is the number of hard and soft interrupts pending (queued
+// or in service) on CPU cpuID — the observable the paper reads from
+// irq_stat.
+func pendingIRQ(n *Node, cpuID int) (hard, soft int) {
+	return n.pendingIRQ(n.cpus[cpuID], n.catchUp())
+}
+
+// utilPerMille is CPU cpuID's utilisation over the configured window,
+// in parts per thousand.
+func utilPerMille(n *Node, cpuID int) int {
+	return n.K.utilPerMille(n.cpus[cpuID], n.catchUp())
+}
+
 func newTestNode(t *testing.T, cfg Config) (*sim.Engine, *Node) {
 	t.Helper()
 	eng := sim.NewEngine(1)
@@ -48,8 +61,8 @@ func TestTaskExitsAfterFinalContinuation(t *testing.T) {
 	if tk.Alive() {
 		t.Fatal("task should exit after issuing no further op")
 	}
-	if n.NrTasks() != 0 {
-		t.Fatalf("NrTasks = %d, want 0", n.NrTasks())
+	if n.nrTasks != 0 {
+		t.Fatalf("NrTasks = %d, want 0", n.nrTasks)
 	}
 }
 
@@ -223,7 +236,7 @@ func TestUtilizationSaturated(t *testing.T) {
 	}
 	eng.RunUntil(500 * sim.Millisecond)
 	for c := 0; c < 2; c++ {
-		if u := n.K.UtilPerMille(c); u < 950 {
+		if u := utilPerMille(n, c); u < 950 {
 			t.Fatalf("cpu%d util = %d, want ~1000 (saturated)", c, u)
 		}
 	}
@@ -233,7 +246,7 @@ func TestUtilizationIdle(t *testing.T) {
 	eng, n := newTestNode(t, lightCfg())
 	eng.RunUntil(500 * sim.Millisecond)
 	for c := 0; c < 2; c++ {
-		if u := n.K.UtilPerMille(c); u > 20 {
+		if u := utilPerMille(n, c); u > 20 {
 			t.Fatalf("cpu%d util = %d on idle node, want ~0", c, u)
 		}
 	}
@@ -433,7 +446,7 @@ func TestIRQPendingDuringStorm(t *testing.T) {
 		}
 	})
 	eng.Schedule(sim.Millisecond+10*sim.Microsecond, func() {
-		hard, _ := n.PendingIRQ(n.Cfg.NetIRQCPU)
+		hard, _ := pendingIRQ(n, n.Cfg.NetIRQCPU)
 		if hard < 8 {
 			t.Errorf("pending hard = %d mid-storm, want >=8", hard)
 		}
@@ -441,7 +454,7 @@ func TestIRQPendingDuringStorm(t *testing.T) {
 	// After the hard phase (10 x 50us) the backlog lives in the soft
 	// queue (Linux-2.4 bottom halves).
 	eng.Schedule(sim.Millisecond+600*sim.Microsecond, func() {
-		hard, soft := n.PendingIRQ(n.Cfg.NetIRQCPU)
+		hard, soft := pendingIRQ(n, n.Cfg.NetIRQCPU)
 		if hard != 0 {
 			t.Errorf("pending hard = %d in soft phase, want 0", hard)
 		}
@@ -450,7 +463,7 @@ func TestIRQPendingDuringStorm(t *testing.T) {
 		}
 	})
 	eng.RunUntil(sim.Second)
-	hard, _ := n.PendingIRQ(n.Cfg.NetIRQCPU)
+	hard, _ := pendingIRQ(n, n.Cfg.NetIRQCPU)
 	if hard != 0 {
 		t.Fatalf("pending hard = %d after drain, want 0", hard)
 	}
@@ -487,17 +500,17 @@ func TestNrRunnable(t *testing.T) {
 		tk.Sleep(10*sim.Second, func() {})
 	})
 	eng.RunUntil(50 * sim.Millisecond)
-	if got := n.NrRunnable(); got != 5 {
+	if got := n.nrRunnable; got != 5 {
 		t.Fatalf("NrRunnable = %d, want 5 (sleeper excluded)", got)
 	}
-	if got := n.NrTasks(); got != 6 {
+	if got := n.nrTasks; got != 6 {
 		t.Fatalf("NrTasks = %d, want 6", got)
 	}
 }
 
 func TestSnapshotReflectsCountersAndMemory(t *testing.T) {
 	eng, n := newTestNode(t, lightCfg())
-	n.K.AddConns(3)
+	n.K.SetConnFn(func() int { return 3 })
 	n.K.AddMemKB(1024)
 	n.K.AddNetRx(500)
 	n.K.AddNetTx(700)
@@ -511,10 +524,6 @@ func TestSnapshotReflectsCountersAndMemory(t *testing.T) {
 	}
 	if s.NetRxBytes != 500 || s.NetTxBytes != 700 {
 		t.Errorf("net counters = %d/%d, want 500/700", s.NetRxBytes, s.NetTxBytes)
-	}
-	n.K.AddConns(-10)
-	if n.K.Conns() != 0 {
-		t.Error("Conns should clamp at 0")
 	}
 }
 

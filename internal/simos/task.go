@@ -396,13 +396,9 @@ type Message struct {
 // longest-waiting task.
 type Port struct {
 	node    *Node
-	name    string
 	queue   fifo[Message]
 	waiters fifo[*Task]
 }
-
-// Name returns the port's name.
-func (p *Port) Name() string { return p.name }
 
 // QueueLen returns the number of undelivered messages.
 func (p *Port) QueueLen() int { return p.queue.len() }

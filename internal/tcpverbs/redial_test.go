@@ -138,7 +138,7 @@ func TestCompareSwapFencedRedialIdempotent(t *testing.T) {
 	}
 	// Both the original attempt and the replay reached the agent; the
 	// replay lost benignly rather than re-applying.
-	if n := a.Atomics(); n != 2 {
+	if n := servedAtomics(a); n != 2 {
 		t.Fatalf("served atomics = %d, want 2 (attempt + replay)", n)
 	}
 }

@@ -247,13 +247,6 @@ func (a *Agent) Stats() (reads, writes, calls uint64) {
 	return a.served.reads, a.served.writes, a.served.calls
 }
 
-// Atomics returns the number of compare-and-swap operations served.
-func (a *Agent) Atomics() uint64 {
-	a.served.Lock()
-	defer a.served.Unlock()
-	return a.served.atomics
-}
-
 // BatchedReads returns the number of reads served via the pipelined
 // opReadPipe path (a subset of the reads count).
 func (a *Agent) BatchedReads() uint64 {

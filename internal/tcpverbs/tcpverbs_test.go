@@ -7,6 +7,13 @@ import (
 	"testing"
 )
 
+// servedAtomics is the number of compare-and-swaps the agent served.
+func servedAtomics(a *Agent) uint64 {
+	a.served.Lock()
+	defer a.served.Unlock()
+	return a.served.atomics
+}
+
 func newAgent(t testing.TB) *Agent {
 	t.Helper()
 	a, err := Listen("127.0.0.1:0")
@@ -262,7 +269,7 @@ func TestCompareSwapAppliesAndFences(t *testing.T) {
 	if prev, err = c.CompareSwap(mr.Key(), 0xdead, 0xbeef); err != nil || prev != 0xdead {
 		t.Fatalf("second CAS: prev=%#x err=%v", prev, err)
 	}
-	if got := a.Atomics(); got != 3 {
+	if got := servedAtomics(a); got != 3 {
 		t.Fatalf("served atomics = %d, want 3", got)
 	}
 }

@@ -94,9 +94,6 @@ func (h *HistoryRing) K() int { return h.k }
 // Size returns the encoded region size.
 func (h *HistoryRing) Size() int { return len(h.buf) }
 
-// Pushes returns how many samples have been published.
-func (h *HistoryRing) Pushes() uint64 { return h.pushes }
-
 // BumpEpoch advances the ring epoch (agent restart / MR re-pin):
 // readers drop cross-epoch trend state instead of computing slopes
 // across a discontinuity.

@@ -55,8 +55,8 @@ func TestHistoryRingRoundTrip(t *testing.T) {
 			t.Fatalf("push %d: newest seq %d", i, v.Newest().Seq)
 		}
 	}
-	if h.Pushes() != 11 || v.Pushes != 11 {
-		t.Fatalf("push counters: writer %d, view %d", h.Pushes(), v.Pushes)
+	if h.pushes != 11 || v.Pushes != 11 {
+		t.Fatalf("push counters: writer %d, view %d", h.pushes, v.Pushes)
 	}
 }
 

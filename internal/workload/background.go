@@ -102,9 +102,6 @@ func StartBackground(node *simos.Node, nic *simnet.NIC, cfg BackgroundConfig) []
 type FPApp struct {
 	// Delays holds (wall-cpu)/cpu per batch, across all threads.
 	Delays metrics.Sample
-
-	tasks   []*simos.Task
-	stopped bool
 }
 
 // StartFPApp runs threads batch-loop tasks on node.
@@ -112,13 +109,9 @@ func StartFPApp(node *simos.Node, threads int, batch sim.Time) *FPApp {
 	app := &FPApp{}
 	eng := node.Eng
 	for i := 0; i < threads; i++ {
-		t := node.Spawn(fmt.Sprintf("fpapp-%d", i), func(tk *simos.Task) {
+		node.Spawn(fmt.Sprintf("fpapp-%d", i), func(tk *simos.Task) {
 			var loop func()
 			loop = func() {
-				if app.stopped {
-					tk.Exit()
-					return
-				}
 				start := eng.Now()
 				tk.Compute(batch, func() {
 					wall := eng.Now() - start
@@ -128,10 +121,6 @@ func StartFPApp(node *simos.Node, threads int, batch sim.Time) *FPApp {
 			}
 			loop()
 		})
-		app.tasks = append(app.tasks, t)
 	}
 	return app
 }
-
-// Stop ends the app's batch loops.
-func (a *FPApp) Stop() { a.stopped = true }

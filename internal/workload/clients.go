@@ -90,7 +90,6 @@ type ClientPool struct {
 	nextID    uint64
 	front     int        // round-robin cursor into Cfg.FrontEnds
 	feDown    []sim.Time // per-replica: shunned until this instant
-	stopped   bool
 	paused    bool
 	startedAt sim.Time
 }
@@ -178,9 +177,6 @@ func (c *client) think() { c.p.fab.Eng.Post(c.p.thinkTime(), c.issueFn) }
 // issue sends the client's next request and arms its patience.
 func (c *client) issue() {
 	p := c.p
-	if p.stopped {
-		return
-	}
 	if p.paused {
 		// Client waits out the pause, checking back periodically.
 		p.fab.Eng.Post(200*sim.Millisecond, c.thinkFn)
@@ -197,7 +193,7 @@ func (c *client) issue() {
 // expire abandons a request its front-end never answered.
 func (c *client) expire() {
 	p := c.p
-	if p.stopped || !c.live {
+	if !c.live {
 		return
 	}
 	c.live = false
@@ -255,9 +251,6 @@ func (p *ClientPool) shun(fe int) {
 
 func (c *client) onReply(m simos.Message) {
 	p := c.p
-	if p.stopped {
-		return
-	}
 	rep, ok := m.Payload.(httpsim.Reply)
 	if !ok {
 		return
@@ -275,7 +268,7 @@ func (c *client) onReply(m simos.Message) {
 		p.shun(fl.fe)
 		id := fl.id
 		p.fab.Eng.Post(notPrimaryBackoff, func() {
-			if p.stopped || !c.live || fl.id != id {
+			if !c.live || fl.id != id {
 				return
 			}
 			fl.fe = p.pickFront()
@@ -308,10 +301,6 @@ func (c *client) onReply(m simos.Message) {
 	// Closed loop: reply releases this client for its next request.
 	c.think()
 }
-
-// Stop freezes the pool: in-flight replies are ignored and no new
-// requests are issued.
-func (p *ClientPool) Stop() { p.stopped = true }
 
 // Pause suspends request issue; clients stay alive and resume when
 // Resume is called (used for phased workloads).

@@ -40,9 +40,8 @@ type FlashCrowd struct {
 	Issued    uint64
 	RejectedN uint64
 
-	fab     *simnet.Fabric
-	rng     *rand.Rand
-	stopped bool
+	fab *simnet.Fabric
+	rng *rand.Rand
 }
 
 // StartFlashCrowd launches the generator on fab.
@@ -76,9 +75,6 @@ func (fc *FlashCrowd) scheduleBurst() {
 		wait = 100 * sim.Millisecond
 	}
 	fc.fab.Eng.After(wait, func() {
-		if fc.stopped {
-			return
-		}
 		n := fc.Cfg.MinSize + fc.rng.Intn(fc.Cfg.MaxSize-fc.Cfg.MinSize+1)
 		for i := 0; i < n; i++ {
 			off := sim.Time(fc.rng.Int63n(int64(fc.Cfg.Span) + 1))
@@ -89,9 +85,6 @@ func (fc *FlashCrowd) scheduleBurst() {
 }
 
 func (fc *FlashCrowd) injectOne() {
-	if fc.stopped {
-		return
-	}
 	fc.Issued++
 	req := fc.Cfg.Gen(fc.rng, fc.Issued, fc.Cfg.ExtID, fc.fab.Eng.Now())
 	if fc.Cfg.ClassOnly != "" {
@@ -101,9 +94,6 @@ func (fc *FlashCrowd) injectOne() {
 }
 
 func (fc *FlashCrowd) onReply(m simos.Message) {
-	if fc.stopped {
-		return
-	}
 	rep, ok := m.Payload.(httpsim.Reply)
 	if !ok {
 		return
@@ -122,9 +112,6 @@ func (fc *FlashCrowd) onReply(m simos.Message) {
 	cs.Add(rt)
 	fc.Completed++
 }
-
-// Stop ends burst generation.
-func (fc *FlashCrowd) Stop() { fc.stopped = true }
 
 // ResetStats clears accumulated samples (e.g. after warm-up).
 func (fc *FlashCrowd) ResetStats() {

@@ -13,12 +13,11 @@ import (
 // dispatcher cannot infer from its own request counts — only resource
 // monitoring reveals it.
 type TenantNoiseConfig struct {
-	MeanGap   sim.Time // mean time between bursts (exponential)
-	MinHold   sim.Time // burst duration range
-	MaxHold   sim.Time
-	Threads   int // CPU hogs per burst
-	Seed      int64
-	Boostless bool // hogs run in the normal band (default true semantics: always normal)
+	MeanGap sim.Time // mean time between bursts (exponential)
+	MinHold sim.Time // burst duration range
+	MaxHold sim.Time
+	Threads int // CPU hogs per burst
+	Seed    int64
 }
 
 // NoiseDefaults returns a moderately disruptive co-tenant.
@@ -37,8 +36,7 @@ type TenantNoise struct {
 	nodes []*simos.Node
 	rng   *rand.Rand
 
-	Bursts  uint64
-	stopped bool
+	Bursts uint64
 }
 
 // StartTenantNoise launches the noise process over nodes. Each burst
@@ -72,9 +70,6 @@ func (tn *TenantNoise) schedule() {
 		gap = 50 * sim.Millisecond
 	}
 	eng.After(gap, func() {
-		if tn.stopped {
-			return
-		}
 		tn.Bursts++
 		node := tn.nodes[tn.rng.Intn(len(tn.nodes))]
 		hold := tn.Cfg.MinHold +
@@ -88,6 +83,3 @@ func (tn *TenantNoise) schedule() {
 		tn.schedule()
 	})
 }
-
-// Stop ends future bursts (in-flight bursts run to completion).
-func (tn *TenantNoise) Stop() { tn.stopped = true }
