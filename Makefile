@@ -44,8 +44,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzProcfsParsers -fuzztime=$(FUZZTIME) ./internal/procfs
 	$(GO) test -run=^$$ -fuzz=FuzzPushRecord$$ -fuzztime=$(FUZZTIME) ./internal/wire
 	$(GO) test -run=^$$ -fuzz=FuzzHistoryRing$$ -fuzztime=$(FUZZTIME) ./internal/wire
-	$(GO) test -run=^$$ -fuzz=FuzzClaimRecord$$ -fuzztime=$(FUZZTIME) ./internal/wire
-	$(GO) test -run=^$$ -fuzz=FuzzLeaseRecord$$ -fuzztime=$(FUZZTIME) ./internal/wire
+	$(GO) test -run=^$$ -fuzz=FuzzClaimWord$$ -fuzztime=$(FUZZTIME) ./internal/wire
 	$(GO) test -run=^$$ -fuzz=FuzzScenario$$ -fuzztime=$(FUZZTIME) ./internal/scenario
 	$(GO) test -run=^$$ -fuzz=FuzzEngineOrder$$ -fuzztime=$(FUZZTIME) ./internal/sim
 	$(GO) test -run=^$$ -fuzz=FuzzParkedTwin$$ -fuzztime=$(FUZZTIME) ./internal/simos

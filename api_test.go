@@ -21,25 +21,33 @@ import (
 )
 
 // testOnlyAllowlist names the exported identifiers TestNoTestOnlyAPI
-// accepts with no production use, each with its reason. An entry is
-// one of four kinds: shared test vocabulary, a fault hook a test needs
-// to reach production code, a fuzz or golden oracle, or a state probe a
-// cross-package test of a paper claim reads.
+// accepts with no production use, and the exported fields it accepts
+// with no production write, each with its reason. An entry is one of
+// six kinds: shared test vocabulary, a fault hook a test needs to reach
+// production code, a fuzz or golden oracle, a state probe a
+// cross-package test of a paper claim reads, an ablation switch that
+// changes the mechanism behind a paper claim to show it matters, or a
+// test seam that shrinks a production default a test would otherwise
+// wait out.
 var testOnlyAllowlist = map[string]string{
-	"internal/core.Claim.Epoch":             "state probe: the cluster HA and livemon claim tests read the epoch a takeover must advance",
-	"internal/core.Claim.Held":              "state probe: the cluster HA and livemon claim tests read raw holdership (one holder, fenced standbys)",
-	"internal/simos.KernelStats.CumIRQHard": "state probe: Fig 6's interrupt counts in simnet's tests and H6's no-back-end-work check in cluster's",
-	"internal/simos.KernelStats.CumIRQSoft": "state probe: H6's no-back-end-work check in cluster's HA tests",
-	"internal/tcpverbs.Agent.BatchedReads":  "state probe: livemon's claim test counts one pipelined read batch per claim round",
-	"internal/tcpverbs.Agent.Stats":         "state probe: livemon's claim and history tests count served reads (WR economy)",
-	"internal/wire.DecodeClaim":             "fuzz oracle: FuzzClaimRecord round-trips it; core and livemon claim tests decode published records with it",
-	"internal/wire.UnpackClaimWord":         "fuzz oracle: FuzzClaimRecord checks WordEpoch and ClaimVacant against it; core and livemon claim tests decode words with it",
+	"internal/core.Claim.Epoch":                    "state probe: the cluster HA and livemon claim tests read the epoch a takeover must advance",
+	"internal/core.Claim.Held":                     "state probe: the cluster HA and livemon claim tests read raw holdership (one holder, fenced standbys)",
+	"internal/simnet.Fabric.AblationRDMATargetIRQ": "ablation: simnet's test and the root bench_test.go ablation give one-sided reads a target-side interrupt, breaking the paper's zero-target-CPU claim on purpose",
+	"internal/simos.Config.AblationWakePreempt":    "ablation: simos's test and the root bench_test.go ablation turn on wake-up preemption, removing the same-band FIFO behind Figure 3's latency growth",
+	"internal/simos.KernelStats.CumIRQHard":        "state probe: Fig 6's interrupt counts in simnet's tests and H6's no-back-end-work check in cluster's",
+	"internal/simos.KernelStats.CumIRQSoft":        "state probe: H6's no-back-end-work check in cluster's HA tests",
+	"internal/tcpverbs.Agent.BatchedReads":         "state probe: livemon's claim test counts one pipelined read batch per claim round",
+	"internal/tcpverbs.Agent.Stats":                "state probe: livemon's claim and history tests count served reads (WR economy)",
+	"internal/tcpverbs.Conn.Retry":                 "test seam: livemon's fault test and eight tcpverbs test sites shrink the redial backoff or attempts",
+	"internal/wire.UnpackClaimWord":                "fuzz oracle: FuzzClaimWord round-trips it and checks WordEpoch and ClaimVacant against it; core and livemon claim tests read the witness's words with it",
 }
 
 // TestNoTestOnlyAPI holds the rule that production API is what
 // production uses: every exported identifier of the module is used by a
-// non-test file under internal/, cmd/, examples/ or bench/, or is on
-// testOnlyAllowlist with a reason.
+// non-test file under internal/, cmd/, examples/ or bench/, and every
+// exported field production reads is also set by production (a field
+// only tests set is a knob with one value in use: a constant), or the
+// identifier is on testOnlyAllowlist with a reason.
 func TestNoTestOnlyAPI(t *testing.T) {
 	found, err := testOnlyAPI(".")
 	if err != nil {
@@ -48,13 +56,18 @@ func TestNoTestOnlyAPI(t *testing.T) {
 	if n := len(testOnlyAllowlist); n > 25 {
 		t.Errorf("allowlist has %d entries; keep it to 25 or fewer", n)
 	}
-	for _, id := range found {
+	for _, id := range found.unused {
 		if _, ok := testOnlyAllowlist[id]; !ok {
 			t.Errorf("%s: exported, but no production code uses it; delete it, unexport it, or allowlist it with a reason", id)
 		}
 	}
+	for _, id := range found.knobs {
+		if _, ok := testOnlyAllowlist[id]; !ok {
+			t.Errorf("%s: production reads it but only tests set it; make it a constant, unexport it, or allowlist it with a reason", id)
+		}
+	}
 	for id := range testOnlyAllowlist {
-		if !slices.Contains(found, id) {
+		if !slices.Contains(found.unused, id) && !slices.Contains(found.knobs, id) {
 			t.Errorf("allowlist entry %s is stale: production code uses it or it is gone", id)
 		}
 	}
@@ -67,23 +80,38 @@ func TestNoTestOnlyAPIFixture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{
-		"internal/lib.Dead",       // used only by its own dead method
-		"internal/lib.Dead.Clone", // ... which is itself dead
-		"internal/lib.Shape.Name", // a test-only interface method
-		"internal/lib.Square.Name",
-		"internal/lib.TestOnly",
+	want := apiFindings{
+		unused: []string{
+			"internal/lib.Dead",       // used only by its own dead method
+			"internal/lib.Dead.Clone", // ... which is itself dead
+			"internal/lib.Shape.Name", // a test-only interface method
+			"internal/lib.Square.Name",
+			"internal/lib.TestOnly",
+		},
+		knobs: []string{
+			"internal/lib.Knobs.DeadWrite", // set only by a dead function
+			"internal/lib.Knobs.TestSet",   // set only by a test
+		},
 	}
-	if !slices.Equal(found, want) {
-		t.Errorf("findings:\n got %q\nwant %q", found, want)
+	if !slices.Equal(found.unused, want.unused) {
+		t.Errorf("unused:\n got %q\nwant %q", found.unused, want.unused)
+	}
+	if !slices.Equal(found.knobs, want.knobs) {
+		t.Errorf("knobs:\n got %q\nwant %q", found.knobs, want.knobs)
 	}
 }
 
+// apiFindings are the checker's two reports, each sorted, as
+// "pkg/rel/path.Name" or "pkg/rel/path.Type.Member": exported
+// identifiers no production code reaches, and exported fields live
+// production code reads but never writes.
+type apiFindings struct {
+	unused, knobs []string
+}
+
 // testOnlyAPI type-checks the non-test Go files of the module rooted
-// at dir and returns, sorted, the exported identifiers that no
-// production code reaches, as "pkg/rel/path.Name" or
-// "pkg/rel/path.Type.Member". bench/ is production code for the uses it
-// makes, but its own identifiers are never reported.
+// at dir and returns its findings. bench/ is production code for the
+// uses and writes it makes, but its own identifiers are never reported.
 //
 // Liveness is reachability: main and init functions and blank
 // declarations are roots, and a use counts only from inside the
@@ -93,14 +121,23 @@ func TestNoTestOnlyAPIFixture(t *testing.T) {
 // an interface method that is itself live. String, Error, GoString and
 // Format live with their receiver, since fmt reaches them dynamically.
 // Embedded fields and type parameters are never reported.
-func testOnlyAPI(dir string) ([]string, error) {
+//
+// A field is written by a composite-literal key (or position), by = or
+// op= or ++ or -- or & on an expression whose selector, index or star
+// chain holds it (st.Max[c] = x writes Max), or by a pointer-method call
+// on it as an addressable value (s.Health.Observe() writes Health). A
+// default fill (if c.F == 0 { c.F = k }) is a write. Like a use, a write
+// counts only from inside a live declaration.
+func testOnlyAPI(dir string) (apiFindings, error) {
 	l, err := loadModule(dir)
 	if err != nil {
-		return nil, err
+		return apiFindings{}, err
 	}
 	g := &apiGraph{
 		edges:    map[types.Object][]types.Object{},
+		writes:   map[types.Object][]types.Object{},
 		live:     map[types.Object]bool{},
+		written:  map[types.Object]bool{},
 		implDone: map[implKey]bool{},
 	}
 	var named []*types.TypeName
@@ -124,18 +161,30 @@ func testOnlyAPI(dir string) ([]string, error) {
 			break
 		}
 	}
-	var found []string
+	for owner, fields := range g.writes {
+		if g.live[owner] {
+			for _, f := range fields {
+				g.written[f] = true
+			}
+		}
+	}
+	var found apiFindings
 	for _, p := range l.pkgs {
 		if p.frozen {
 			continue
 		}
 		for _, c := range candidates(p) {
-			if !g.live[c.obj] {
-				found = append(found, p.rel+"."+c.name)
+			id := p.rel + "." + c.name
+			switch f, _ := c.obj.(*types.Var); {
+			case !g.live[c.obj]:
+				found.unused = append(found.unused, id)
+			case f != nil && f.IsField() && !g.written[f]:
+				found.knobs = append(found.knobs, id)
 			}
 		}
 	}
-	slices.Sort(found)
+	slices.Sort(found.unused)
+	slices.Sort(found.knobs)
 	return found, nil
 }
 
@@ -249,7 +298,12 @@ func (l *moduleLoader) check(p *modulePkg) (*types.Package, error) {
 		}
 		p.files = append(p.files, f)
 	}
-	p.info = &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
+	p.info = &types.Info{
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+	}
 	conf := types.Config{Importer: l}
 	pkg, err := conf.Check(p.path, l.fset, p.files, p.info)
 	if err != nil {
@@ -260,10 +314,13 @@ func (l *moduleLoader) check(p *modulePkg) (*types.Package, error) {
 }
 
 // apiGraph is the use graph: an edge runs from the identifier whose
-// declaration holds a use to the identifier used.
+// declaration holds a use to the identifier used. writes maps the same
+// owners to the fields their declarations write.
 type apiGraph struct {
 	edges    map[types.Object][]types.Object
+	writes   map[types.Object][]types.Object
 	live     map[types.Object]bool
+	written  map[types.Object]bool
 	queue    []types.Object
 	implDone map[implKey]bool
 }
@@ -350,8 +407,17 @@ func (g *apiGraph) addFile(p *modulePkg, f *ast.File) {
 }
 
 // addUses adds an edge from each owner to every identifier used under
-// n; with no owners, n is a root and what it uses is live.
+// n, and records the fields n writes; with no owners, n is a root and
+// what it uses is live, what it writes written.
 func (g *apiGraph) addUses(p *modulePkg, n ast.Node, owners []types.Object) {
+	for _, f := range fieldWrites(p.info, n) {
+		if len(owners) == 0 {
+			g.written[f] = true
+		}
+		for _, o := range owners {
+			g.writes[o] = append(g.writes[o], f)
+		}
+	}
 	ast.Inspect(n, func(n ast.Node) bool {
 		id, ok := n.(*ast.Ident)
 		if !ok {
@@ -370,6 +436,72 @@ func (g *apiGraph) addUses(p *modulePkg, n ast.Node, owners []types.Object) {
 		}
 		return true
 	})
+}
+
+// fieldWrites lists the struct fields written under n.
+func fieldWrites(info *types.Info, n ast.Node) []types.Object {
+	var out []types.Object
+	chain := func(e ast.Expr) {
+		for {
+			switch x := ast.Unparen(e).(type) {
+			case *ast.SelectorExpr:
+				if s := info.Selections[x]; s != nil && s.Kind() == types.FieldVal {
+					out = append(out, origin(s.Obj()))
+				}
+				e = x.X
+			case *ast.IndexExpr:
+				e = x.X
+			case *ast.StarExpr:
+				e = x.X
+			default:
+				return
+			}
+		}
+	}
+	ast.Inspect(n, func(n ast.Node) bool {
+		switch x := n.(type) {
+		case *ast.AssignStmt:
+			for _, lhs := range x.Lhs {
+				chain(lhs)
+			}
+		case *ast.IncDecStmt:
+			chain(x.X)
+		case *ast.UnaryExpr:
+			if x.Op == token.AND {
+				chain(x.X)
+			}
+		case *ast.SelectorExpr:
+			// A pointer method on a value takes its address.
+			s := info.Selections[x]
+			if s == nil || s.Kind() != types.MethodVal {
+				break
+			}
+			recv := s.Obj().Type().(*types.Signature).Recv()
+			if _, ptr := recv.Type().(*types.Pointer); ptr {
+				if _, isPtr := info.TypeOf(x.X).Underlying().(*types.Pointer); !isPtr {
+					chain(x.X)
+				}
+			}
+		case *ast.CompositeLit:
+			t := info.TypeOf(x)
+			if ptr, ok := t.Underlying().(*types.Pointer); ok {
+				t = ptr.Elem()
+			}
+			st, ok := t.Underlying().(*types.Struct)
+			if !ok {
+				break
+			}
+			for i, el := range x.Elts {
+				if kv, ok := el.(*ast.KeyValueExpr); ok {
+					out = append(out, origin(info.Uses[kv.Key.(*ast.Ident)]))
+				} else {
+					out = append(out, origin(st.Field(i)))
+				}
+			}
+		}
+		return true
+	})
+	return out
 }
 
 // recvTypeName is the declared type behind t or *t, if any.

@@ -32,7 +32,7 @@ func run() int {
 		list    = flag.Bool("list", false, "list experiment ids")
 		quick   = flag.Bool("quick", false, "short runs (noisier tails)")
 		seed    = flag.Int64("seed", 0, "simulation seed (0 = default)")
-		seeds   = flag.Int("seeds", 0, "random fault plans for -exp chaos/ha/aa (0 = default of 5)")
+		seeds   = flag.Int("seeds", 0, "seeds swept by -exp chaos/ha/aa and -scenario (0 = each one's default)")
 		seq     = flag.Bool("seq", false, "run sweep points sequentially")
 		nback   = flag.Int("backends", 0, "pin -exp scale to one back-end count (0 = sweep)")
 		shards  = flag.Int("shards", 0, "pin -exp scale to one shard count (0 = sweep)")

@@ -34,13 +34,11 @@ type Config struct {
 	Eligible func(backend int) bool
 
 	// Degraded, if set, reports a back-end currently monitored over its
-	// fallback transport. Its index is handicapped by DegradedPenalty —
-	// the same handicap the dispatch policy applies — so admission and
-	// routing agree on how much headroom a shakily-monitored back-end
-	// really has.
+	// fallback transport. Its index is handicapped by
+	// loadbalance.DefaultDegradedPenalty — the same handicap the
+	// dispatch policy applies — so admission and routing agree on how
+	// much headroom a shakily-monitored back-end really has.
 	Degraded func(backend int) bool
-	// DegradedPenalty defaults to loadbalance.DefaultDegradedPenalty.
-	DegradedPenalty float64
 }
 
 // Defaults returns a controller configuration that starts rejecting
@@ -85,11 +83,7 @@ func (c *Controller) Admit(backends []int) bool {
 		}
 		idx := c.Cfg.Weights.IndexOf(&rec)
 		if c.Cfg.Degraded != nil && c.Cfg.Degraded(b) {
-			if c.Cfg.DegradedPenalty > 0 {
-				idx += c.Cfg.DegradedPenalty
-			} else {
-				idx += loadbalance.DefaultDegradedPenalty
-			}
+			idx += loadbalance.DefaultDegradedPenalty
 		}
 		if idx < c.Cfg.Threshold {
 			ok = true

@@ -46,13 +46,8 @@ type Config struct {
 	Policy   PolicyName
 	Seed     int64
 
-	Node   simos.Config
-	Fabric simnet.Config
-
 	// NoServers skips the web-server pool (micro-benchmarks).
 	NoServers bool
-	// NoMonitor skips agents and probes entirely.
-	NoMonitor bool
 
 	// LocalWeight blends the dispatcher's own connection-count signal
 	// into the least-load index (see loadbalance.WeightedLeastLoad).
@@ -280,9 +275,9 @@ func New(cfg Config) *Cluster {
 	c := &Cluster{Cfg: cfg, extCursor: simnet.ExternalBase}
 	c.Eng = sim.NewEngine(cfg.Seed)
 	c.Rand = rand.New(rand.NewSource(cfg.Seed + 1))
-	c.Fab = simnet.NewFabric(c.Eng, cfg.Fabric)
+	c.Fab = simnet.NewFabric(c.Eng, simnet.Config{})
 
-	c.Front = simos.NewNode(c.Eng, 0, cfg.Node)
+	c.Front = simos.NewNode(c.Eng, 0, simos.Config{})
 	c.FNIC = c.Fab.Attach(c.Front)
 
 	for i := 1; i <= cfg.Backends; i++ {
@@ -297,21 +292,17 @@ func New(cfg Config) *Cluster {
 			srv := httpsim.StartServer(n, nic, c.serverConfig(i-1))
 			c.Servers = append(c.Servers, srv)
 		}
-		if !cfg.NoMonitor {
-			c.Agents = append(c.Agents, core.StartAgent(n, nic, c.agentConfig(i-1)))
-		}
+		c.Agents = append(c.Agents, core.StartAgent(n, nic, c.agentConfig(i-1)))
 	}
-	if !cfg.NoMonitor {
-		c.Monitor = core.StartMonitorCfg(c.Front, c.FNIC, c.Agents, cfg.Poll, c.monitorConfig())
-		c.Monitor.SetProbeTimeout(cfg.ProbeTimeout)
-		if cfg.Failover != nil && cfg.Scheme.UsesRDMA() {
-			c.Monitor.ArmFailover(*cfg.Failover)
-		}
-		if c.Monitor.Sink != nil {
-			c.Pushers = make([]*core.DeltaPusher, cfg.Backends)
-			for i := range c.Backends {
-				c.startPusher(i)
-			}
+	c.Monitor = core.StartMonitorCfg(c.Front, c.FNIC, c.Agents, cfg.Poll, c.monitorConfig())
+	c.Monitor.SetProbeTimeout(cfg.ProbeTimeout)
+	if cfg.Failover != nil && cfg.Scheme.UsesRDMA() {
+		c.Monitor.ArmFailover(*cfg.Failover)
+	}
+	if c.Monitor.Sink != nil {
+		c.Pushers = make([]*core.DeltaPusher, cfg.Backends)
+		for i := range c.Backends {
+			c.startPusher(i)
 		}
 	}
 	c.Policy = c.buildPolicy()
@@ -332,7 +323,7 @@ func (c *Cluster) startPusher(i int) {
 	b := i + 1
 	c.Pushers[i] = core.StartDeltaPusher(c.Backends[i], c.BNICs[i], c.Front.ID,
 		func() uint32 {
-			if c.Monitor == nil || c.Monitor.Sink == nil {
+			if c.Monitor.Sink == nil {
 				return 0
 			}
 			return c.Monitor.Sink.SlotKey(b)
@@ -367,7 +358,7 @@ func (c *Cluster) wireDispatcher(node *simos.Node, nic *simnet.NIC, pol loadbala
 // built on node 0.
 func (c *Cluster) buildHA() {
 	wid := c.Cfg.Backends + c.Cfg.Replicas
-	c.Witness = simos.NewNode(c.Eng, wid, c.Cfg.Node)
+	c.Witness = simos.NewNode(c.Eng, wid, simos.Config{})
 	c.WitnessNIC = c.Fab.Attach(c.Witness)
 	c.ClaimVault = core.NewClaimVault(c.WitnessNIC, c.Cfg.Claim.Shards)
 
@@ -375,7 +366,7 @@ func (c *Cluster) buildHA() {
 		Monitor: c.Monitor, Policy: c.Policy, Dispatcher: c.Dispatcher}
 	c.FrontEnds = []*Replica{r0}
 	for i := 1; i < c.Cfg.Replicas; i++ {
-		node := simos.NewNode(c.Eng, c.Cfg.Backends+i, c.Cfg.Node)
+		node := simos.NewNode(c.Eng, c.Cfg.Backends+i, simos.Config{})
 		r := &Replica{Index: i, Node: node, NIC: c.Fab.Attach(node)}
 		c.startReplica(r)
 		c.FrontEnds = append(c.FrontEnds, r)
@@ -399,12 +390,10 @@ func (c *Cluster) replicaRand(i int) *rand.Rand {
 // (used for standbys at construction and for any replica after a
 // restart).
 func (c *Cluster) startReplica(r *Replica) {
-	if !c.Cfg.NoMonitor {
-		r.Monitor = core.StartMonitorCfg(r.Node, r.NIC, c.Agents, c.Cfg.Poll, c.monitorConfig())
-		r.Monitor.SetProbeTimeout(c.Cfg.ProbeTimeout)
-		if c.Cfg.Failover != nil && c.Cfg.Scheme.UsesRDMA() {
-			r.Monitor.ArmFailover(*c.Cfg.Failover)
-		}
+	r.Monitor = core.StartMonitorCfg(r.Node, r.NIC, c.Agents, c.Cfg.Poll, c.monitorConfig())
+	r.Monitor.SetProbeTimeout(c.Cfg.ProbeTimeout)
+	if c.Cfg.Failover != nil && c.Cfg.Scheme.UsesRDMA() {
+		r.Monitor.ArmFailover(*c.Cfg.Failover)
 	}
 	r.Policy = c.buildPolicyFor(r.Monitor, c.replicaRand(r.Index))
 	if !c.Cfg.NoServers {
@@ -429,7 +418,7 @@ func (c *Cluster) armClaims(r *Replica) {
 		owners = c.Cfg.Replicas
 	}
 	r.ClaimMgr = core.StartClaimManager(r.Node, r.NIC, c.Witness.ID,
-		c.ClaimVault.WordKeys(), c.ClaimVault.RecKeys(),
+		c.ClaimVault.WordKeys(),
 		uint16(r.Index+1), owners, c.Cfg.Claim)
 	mgr := r.ClaimMgr
 	eng := c.Eng
@@ -447,12 +436,10 @@ func (c *Cluster) armClaims(r *Replica) {
 	} else if r.Dispatcher != nil {
 		r.Dispatcher.Fence = func() bool { return mgr.Valid(0, eng.Now()) }
 	}
-	if r.Monitor != nil {
-		// The adaptive poll controller only decays on a replica holding
-		// claims: one holding nothing (a standby) keeps the fast sweep
-		// so its load view is warm the instant it seizes a claim.
-		r.Monitor.LeaseValid = func() bool { return mgr.HeldValid(eng.Now()) > 0 }
-	}
+	// The adaptive poll controller only decays on a replica holding
+	// claims: one holding nothing (a standby) keeps the fast sweep so
+	// its load view is warm the instant it seizes a claim.
+	r.Monitor.LeaseValid = func() bool { return mgr.HeldValid(eng.Now()) > 0 }
 }
 
 // restartReplica reboots a crashed front-end replica: fresh monitor
@@ -473,12 +460,9 @@ func (c *Cluster) restartReplica(r *Replica) {
 // monitors lists every live monitor: the primary plus any standby
 // replicas' (deduplicated — FrontEnds[0].Monitor aliases Monitor).
 func (c *Cluster) monitors() []*core.Monitor {
-	var ms []*core.Monitor
-	if c.Monitor != nil {
-		ms = append(ms, c.Monitor)
-	}
+	ms := []*core.Monitor{c.Monitor}
 	for _, r := range c.FrontEnds {
-		if r.Monitor != nil && r.Monitor != c.Monitor {
+		if r.Monitor != c.Monitor {
 			ms = append(ms, r.Monitor)
 		}
 	}
@@ -530,7 +514,7 @@ func (c *Cluster) spec(i int) BackendSpec {
 
 // backendNodeCfg is back-end index i's simos node configuration.
 func (c *Cluster) backendNodeCfg(i int) simos.Config {
-	nc := c.Cfg.Node
+	var nc simos.Config
 	if s := c.spec(i); s.CPUs > 0 {
 		nc.NumCPU = s.CPUs
 	}
@@ -582,17 +566,14 @@ func (c *Cluster) buildPolicyFor(mon *core.Monitor, rng *rand.Rand) loadbalance.
 		return &loadbalance.Random{Backends: ids, Rng: rng}
 	case PolicyLeastLoad, PolicyWebSphere:
 		source := recordSource(mon)
-		var exclude, degraded func(int) bool
-		if mon != nil {
-			m := mon
-			// Quarantined back-ends (3 consecutive failed probes) get
-			// zero traffic until they pass probation.
-			exclude = func(b int) bool { return !m.Health(b).Eligible() }
-			if c.Cfg.Failover != nil {
-				// Back-ends monitored over the socket standby stay in the
-				// dispatch set but carry a small index handicap.
-				degraded = func(b int) bool { return m.Health(b) == core.Degraded }
-			}
+		// Quarantined back-ends (3 consecutive failed probes) get zero
+		// traffic until they pass probation.
+		exclude := func(b int) bool { return !mon.Health(b).Eligible() }
+		var degraded func(int) bool
+		if c.Cfg.Failover != nil {
+			// Back-ends monitored over the socket standby stay in the
+			// dispatch set but carry a small index handicap.
+			degraded = func(b int) bool { return mon.Health(b) == core.Degraded }
 		}
 		if c.Cfg.Policy == PolicyLeastLoad {
 			wll := &loadbalance.WeightedLeastLoad{
@@ -604,9 +585,8 @@ func (c *Cluster) buildPolicyFor(mon *core.Monitor, rng *rand.Rand) loadbalance.
 				Degraded: degraded,
 				Picks:    make(map[int]uint64),
 			}
-			if c.Cfg.TrendHorizon > 0 && mon != nil {
-				m := mon
-				wll.Slope = m.Slope
+			if c.Cfg.TrendHorizon > 0 {
+				wll.Slope = mon.Slope
 				wll.TrendHorizon = c.Cfg.TrendHorizon
 			}
 			return wll
@@ -622,15 +602,12 @@ func (c *Cluster) buildPolicyFor(mon *core.Monitor, rng *rand.Rand) loadbalance.
 			Degraded:   degraded,
 			Picks:      make(map[int]uint64),
 		}
-		if mon != nil {
-			m := mon
-			eng := c.Eng
-			wp.Aged = func(b int) (wire.LoadRecord, sim.Time, bool) {
-				if r, at, ok := m.Latest(b); ok {
-					return *r, eng.Now() - at, true
-				}
-				return wire.LoadRecord{}, 0, false
+		eng := c.Eng
+		wp.Aged = func(b int) (wire.LoadRecord, sim.Time, bool) {
+			if r, at, ok := mon.Latest(b); ok {
+				return *r, eng.Now() - at, true
 			}
+			return wire.LoadRecord{}, 0, false
 		}
 		return wp
 	default:
@@ -641,12 +618,8 @@ func (c *Cluster) buildPolicyFor(mon *core.Monitor, rng *rand.Rand) loadbalance.
 // recordSource is the record input the weighted policies and admission
 // control read mon through. The monitor hands out its cached record by
 // pointer and the record is copied once, straight into the caller's
-// result; callers score it in place (core.Weights.IndexOf). A nil
-// monitor has no records.
+// result; callers score it in place (core.Weights.IndexOf).
 func recordSource(mon *core.Monitor) loadbalance.LoadSource {
-	if mon == nil {
-		return func(int) (wire.LoadRecord, bool) { return wire.LoadRecord{}, false }
-	}
 	return func(b int) (wire.LoadRecord, bool) {
 		if r, _, ok := mon.Latest(b); ok {
 			return *r, true
@@ -781,9 +754,7 @@ func (c *Cluster) ApplyFaults(plan faults.Plan) *faults.Injector {
 			c.retiredServed += c.Servers[i].Served()
 			c.Servers[i].Stop()
 		}
-		if !c.Cfg.NoMonitor && c.Agents[i] != nil {
-			c.Agents[i].Stop()
-		}
+		c.Agents[i].Stop()
 		if len(c.Pushers) > i && c.Pushers[i] != nil {
 			// Node.Crash already killed the push task mid-flight; mark the
 			// wrapper stopped so a landing completion does not restart it.
@@ -812,14 +783,12 @@ func (c *Cluster) ApplyFaults(plan faults.Plan) *faults.Injector {
 		if !c.Cfg.NoServers {
 			c.Servers[i] = httpsim.StartServer(n, nic, c.serverConfig(i))
 		}
-		if !c.Cfg.NoMonitor {
-			c.Agents[i] = core.StartAgent(n, nic, c.agentConfig(i))
-			c.Monitor.ReplaceAgent(node, c.Agents[i])
-			// Standby replicas track the reborn agent too.
-			for _, r := range c.FrontEnds {
-				if r.Monitor != nil && r.Monitor != c.Monitor {
-					r.Monitor.ReplaceAgent(node, c.Agents[i])
-				}
+		c.Agents[i] = core.StartAgent(n, nic, c.agentConfig(i))
+		c.Monitor.ReplaceAgent(node, c.Agents[i])
+		// Standby replicas track the reborn agent too.
+		for _, r := range c.FrontEnds {
+			if r.Monitor != c.Monitor {
+				r.Monitor.ReplaceAgent(node, c.Agents[i])
 			}
 		}
 		if c.Pushers != nil {
@@ -828,7 +797,7 @@ func (c *Cluster) ApplyFaults(plan faults.Plan) *faults.Injector {
 	}
 	in.OnMRInvalidate = func(node int) {
 		i := idx(node)
-		if i < 0 || c.Cfg.NoMonitor || c.Agents[i] == nil {
+		if i < 0 {
 			return
 		}
 		repin := c.Cfg.MRRepin
@@ -856,17 +825,15 @@ func (c *Cluster) EnableAdmission(cfg admission.Config) *admission.Controller {
 	if c.Dispatcher == nil {
 		panic("cluster: admission needs a dispatcher")
 	}
-	if c.Monitor != nil {
-		m := c.Monitor
-		// Admission sees back-ends exactly as dispatch does: quarantined
-		// nodes are no capacity at all, degraded ones carry the same
-		// index handicap the policy applies.
-		if cfg.Eligible == nil {
-			cfg.Eligible = func(b int) bool { return m.Health(b).Eligible() }
-		}
-		if cfg.Degraded == nil && c.Cfg.Failover != nil {
-			cfg.Degraded = func(b int) bool { return m.Health(b) == core.Degraded }
-		}
+	m := c.Monitor
+	// Admission sees back-ends exactly as dispatch does: quarantined
+	// nodes are no capacity at all, degraded ones carry the same index
+	// handicap the policy applies.
+	if cfg.Eligible == nil {
+		cfg.Eligible = func(b int) bool { return m.Health(b).Eligible() }
+	}
+	if cfg.Degraded == nil && c.Cfg.Failover != nil {
+		cfg.Degraded = func(b int) bool { return m.Health(b) == core.Degraded }
 	}
 	ctl := admission.New(cfg, recordSource(c.Monitor))
 	ids := c.BackendIDs()

@@ -313,10 +313,9 @@ func (t *ClaimTable) Plan(now sim.Time, reads []ClaimRead) []ClaimCAS {
 // is the word the witness held. Validity is stamped from posted, the
 // instant the CAS was posted, never from the completion (see above). A
 // lost bid restarts patience from prev; a lost renew or release
-// deposes. It reports whether a bid was won, so the shard's Record is
-// due. A CAS lost in transport is not completed: the machine is
+// deposes. A CAS lost in transport is not completed: the machine is
 // unchanged and the next round retries.
-func (t *ClaimTable) Complete(cas ClaimCAS, prev uint64, won bool, posted sim.Time) (acquired bool) {
+func (t *ClaimTable) Complete(cas ClaimCAS, prev uint64, won bool, posted sim.Time) {
 	c := t.Claims[cas.Shard]
 	c.lastChangeAt, c.seen = posted, true
 	if !won {
@@ -329,7 +328,7 @@ func (t *ClaimTable) Complete(cas ClaimCAS, prev uint64, won bool, posted sim.Ti
 				c.OnDepose(c.Shard, c.epoch, posted)
 			}
 		}
-		return false
+		return
 	}
 	c.lastWord = cas.Swap
 	switch cas.Op {
@@ -354,21 +353,6 @@ func (t *ClaimTable) Complete(cas ClaimCAS, prev uint64, won bool, posted sim.Ti
 		if c.OnRelease != nil {
 			c.OnRelease(c.Shard, c.epoch, posted)
 		}
-	}
-	return cas.Op == ClaimBid
-}
-
-// Record is the descriptive record a front-end publishes for a shard
-// it just won: granted at the bid's post instant.
-func (t *ClaimTable) Record(shard uint16) wire.ClaimRecord {
-	c := t.Claims[shard]
-	return wire.ClaimRecord{
-		Shard:   shard,
-		Owner:   c.Me,
-		Epoch:   c.epoch,
-		Stamp:   c.stamp,
-		GrantNS: int64(c.heldSince),
-		TTLNS:   int64(c.Cfg.TTL),
 	}
 }
 
@@ -403,36 +387,26 @@ func (t *ClaimTable) Counters() (takeovers, renewals, deposals, handbacks uint64
 // Shards returns the table size.
 func (t *ClaimTable) Shards() int { return len(t.Claims) }
 
-// ClaimVault hosts the per-shard claim words and descriptive records
-// in writable registered regions on the witness node. Each word gets
-// its own region because the fabric's atomic unit is the first eight
-// bytes of a region; after registration the witness CPU plays no part
-// in arbitration.
+// ClaimVault hosts the per-shard claim words in writable registered
+// regions on the witness node. Each word gets its own region because
+// the fabric's atomic unit is the first eight bytes of a region; after
+// registration the witness CPU plays no part in arbitration.
 type ClaimVault struct {
 	words   [][]byte
-	recs    [][]byte
 	WordMRs []*simnet.MR
-	RecMRs  []*simnet.MR
 }
 
-// NewClaimVault registers shards claim words and records on the
-// witness NIC.
+// NewClaimVault registers shards claim words on the witness NIC.
 func NewClaimVault(nic *simnet.NIC, shards int) *ClaimVault {
 	v := &ClaimVault{
 		words:   make([][]byte, shards),
-		recs:    make([][]byte, shards),
 		WordMRs: make([]*simnet.MR, shards),
-		RecMRs:  make([]*simnet.MR, shards),
 	}
 	for s := 0; s < shards; s++ {
 		word := make([]byte, wire.ClaimWordSize)
-		rec := make([]byte, wire.ClaimRecordSize)
 		v.words[s] = word
-		v.recs[s] = rec
 		v.WordMRs[s] = nic.RegisterWritableMR(simnet.StaticSource(word), len(word),
 			func(b []byte) { copy(word, b) })
-		v.RecMRs[s] = nic.RegisterWritableMR(simnet.StaticSource(rec), len(rec),
-			func(b []byte) { copy(rec, b) })
 	}
 	return v
 }
@@ -442,16 +416,6 @@ func NewClaimVault(nic *simnet.NIC, shards int) *ClaimVault {
 func (v *ClaimVault) WordKeys() []uint32 {
 	keys := make([]uint32, len(v.WordMRs))
 	for i, mr := range v.WordMRs {
-		keys[i] = mr.Key()
-	}
-	return keys
-}
-
-// RecKeys returns the registered keys of the claim records, indexed by
-// shard.
-func (v *ClaimVault) RecKeys() []uint32 {
-	keys := make([]uint32, len(v.RecMRs))
-	for i, mr := range v.RecMRs {
 		keys[i] = mr.Key()
 	}
 	return keys
@@ -469,7 +433,6 @@ type ClaimManager struct {
 	nic      *simnet.NIC
 	witness  int
 	wordKeys []uint32
-	recKeys  []uint32
 
 	// reusable per-round scratch
 	readReqs []simnet.ReadReq // one per shard, each with its word buffer
@@ -479,10 +442,10 @@ type ClaimManager struct {
 }
 
 // StartClaimManager spawns the claim task for front-end me (1-based)
-// on node. The shard words and records live on the witness under
-// wordKeys/recKeys (indexed by shard); owners is the front-end ring
-// size for the home mapping (see NewClaimTable).
-func StartClaimManager(node *simos.Node, nic *simnet.NIC, witness int, wordKeys, recKeys []uint32, me uint16, owners int, cfg ClaimConfig) *ClaimManager {
+// on node. The shard words live on the witness under wordKeys (indexed
+// by shard); owners is the front-end ring size for the home mapping
+// (see NewClaimTable).
+func StartClaimManager(node *simos.Node, nic *simnet.NIC, witness int, wordKeys []uint32, me uint16, owners int, cfg ClaimConfig) *ClaimManager {
 	cfg = cfg.WithDefaults(0)
 	if len(wordKeys) < cfg.Shards {
 		cfg.Shards = len(wordKeys)
@@ -493,7 +456,6 @@ func StartClaimManager(node *simos.Node, nic *simnet.NIC, witness int, wordKeys,
 		nic:        nic,
 		witness:    witness,
 		wordKeys:   wordKeys,
-		recKeys:    recKeys,
 		readReqs:   make([]simnet.ReadReq, cfg.Shards),
 		results:    make([]simnet.ReadResult, cfg.Shards),
 	}
@@ -516,9 +478,9 @@ func StartClaimManager(node *simos.Node, nic *simnet.NIC, witness int, wordKeys,
 }
 
 // round performs one claim round: batch-read the unheld words, plan,
-// post the plan as one CAS batch, complete each CAS, then publish
-// records for newly won shards. With nothing to read it plans at once:
-// an empty batch would still cost the task an event.
+// post the plan as one CAS batch and complete each CAS. With nothing to
+// read it plans at once: an empty batch would still cost the task an
+// event.
 func (m *ClaimManager) round(tk *simos.Task, next func()) {
 	m.reads = m.reads[:0]
 	for _, s := range m.StartRound() {
@@ -547,28 +509,13 @@ func (m *ClaimManager) post(tk *simos.Task, reads []ClaimRead, next func()) {
 		m.casReqs = append(m.casReqs, simnet.CASReq{Target: m.witness, Key: m.wordKeys[op.Shard], Compare: op.Compare, Swap: op.Swap})
 	}
 	m.nic.RDMACompareSwapBatch(tk, m.casReqs, func(results []simnet.CASResult) {
-		var won []uint16
 		for i, res := range results {
 			if res.Err != nil {
 				m.CASErrors++
-			} else if m.Complete(cas[i], res.Prev, res.Prev == cas[i].Compare, posted) {
-				won = append(won, cas[i].Shard)
+			} else {
+				m.Complete(cas[i], res.Prev, res.Prev == cas[i].Compare, posted)
 			}
 		}
-		m.publishRecords(tk, won, next)
-	})
-}
-
-// publishRecords writes descriptive claim records for freshly won
-// shards, one after another. Observability only — a write failure does
-// not affect holdership.
-func (m *ClaimManager) publishRecords(tk *simos.Task, won []uint16, then func()) {
-	if len(won) == 0 || len(m.recKeys) == 0 {
-		then()
-		return
-	}
-	s := won[0]
-	m.nic.RDMAWrite(tk, m.witness, m.recKeys[s], m.Record(s).Encode(), func(error) {
-		m.publishRecords(tk, won[1:], then)
+		next()
 	})
 }

@@ -153,9 +153,7 @@ func TestClaimMachineLifecycle(t *testing.T) {
 	if want := (ClaimCAS{Shard: 0, Op: ClaimBid, Compare: 0, Swap: wire.PackClaimWord(2, 1, 0)}); len(cas) != 1 || cas[0] != want {
 		t.Fatalf("bid = %+v, want %+v", cas, want)
 	}
-	if !tab.Complete(cas[0], cas[0].Compare, true, at) {
-		t.Fatal("a won bid must ask for a record")
-	}
+	tab.Complete(cas[0], cas[0].Compare, true, at)
 	if !c.Valid(at+cfg.TTL-1) || c.Valid(at+cfg.TTL) || c.Epoch() != 1 || c.Takeovers != 1 {
 		t.Fatalf("post-win state wrong: %v", c)
 	}
@@ -174,9 +172,7 @@ func TestClaimMachineLifecycle(t *testing.T) {
 	if want := (ClaimCAS{Shard: 0, Op: ClaimRelease, Compare: wire.PackClaimWord(2, 1, 1), Swap: wire.PackClaimWord(0, 1, 1)}); len(cas) != 1 || cas[0] != want {
 		t.Fatalf("release = %+v, want %+v", cas, want)
 	}
-	if tab.Complete(cas[0], cas[0].Compare, true, rel) {
-		t.Fatal("a release must not ask for a record")
-	}
+	tab.Complete(cas[0], cas[0].Compare, true, rel)
 	if c.Held() || c.Valid(rel) || c.Handbacks != 1 {
 		t.Fatalf("post-release state wrong: %v", c)
 	}
@@ -220,8 +216,8 @@ func TestClaimTableRound(t *testing.T) {
 			t.Fatalf("plan = %+v, want %+v", cas, want)
 		}
 		tab.Complete(cas[0], cas[0].Compare, true, 5)
-		if rec := tab.Record(1); rec.Shard != 1 || rec.Owner != 1 || rec.Epoch != 1 || rec.GrantNS != 5 || rec.TTLNS != int64(cfg.TTL) {
-			t.Fatalf("record = %+v", rec)
+		if c := tab.Claims[1]; !c.Held() || c.Epoch() != 1 || !c.Valid(5+cfg.TTL-1) || c.Valid(5+cfg.TTL) {
+			t.Fatalf("won shard 1 = %v, want held at epoch 1, valid for TTL from 5", c)
 		}
 		// Shard 1 is held now: three reads, and the second lands on
 		// shard 2.
@@ -280,8 +276,9 @@ func TestClaimTableRound(t *testing.T) {
 		}
 		winner := wire.PackClaimWord(3, 2, 0)
 		lost := cfg.ExpireAfter + sim.Millisecond
-		if tab.Complete(cas[0], winner, false, lost) {
-			t.Fatal("a lost bid must not ask for a record")
+		tab.Complete(cas[0], winner, false, lost)
+		if c := tab.Claims[0]; c.Held() || c.Takeovers != 0 {
+			t.Fatalf("a lost bid took the shard: %v", c)
 		}
 		if bids(t, tab, lost+cfg.ExpireAfter-1, winner) {
 			t.Fatal("patience did not restart from the lost bid")
@@ -327,7 +324,7 @@ func TestClaimTableRound(t *testing.T) {
 		cas := round(t, tab, now, 0)
 		posted := now - 100*sim.Millisecond
 		tab.Complete(cas[0], 0, true, posted)
-		if c.validUntil != posted+cfg.TTL || tab.Record(0).GrantNS != int64(posted) {
+		if c.validUntil != posted+cfg.TTL || c.heldSince != posted {
 			t.Fatalf("win stamped %v, want %v", c.validUntil, posted+cfg.TTL)
 		}
 		now += cfg.CheckEvery
@@ -343,8 +340,14 @@ func TestClaimTableRound(t *testing.T) {
 // vaultOwner is the owner field of shard s's claim word (0 when
 // vacant).
 func vaultOwner(v *ClaimVault, s int) uint16 {
-	o, _, _ := wire.UnpackClaimWord(binary.LittleEndian.Uint64(v.words[s]))
+	o, _ := vaultWord(v, s)
 	return o
+}
+
+// vaultWord is the owner and epoch shard s's claim word names.
+func vaultWord(v *ClaimVault, s int) (owner, epoch uint16) {
+	o, e, _ := wire.UnpackClaimWord(binary.LittleEndian.Uint64(v.words[s]))
+	return o, e
 }
 
 type claimRig struct {
@@ -374,14 +377,14 @@ func newClaimRig(t *testing.T, fes, owners int, cfg ClaimConfig) *claimRig {
 		r.nodes = append(r.nodes, n)
 		r.nics = append(r.nics, nic)
 		r.mgrs = append(r.mgrs, StartClaimManager(n, nic, 100,
-			r.vault.WordKeys(), r.vault.RecKeys(), uint16(i+1), owners, cfg))
+			r.vault.WordKeys(), uint16(i+1), owners, cfg))
 	}
 	return r
 }
 
 // TestClaimManagerConvergesToHomePartition runs three front-ends over
 // a four-shard table: the steady state assigns every shard to its home
-// front-end, with published records matching the words.
+// front-end, each word naming the epoch its holder believes it holds.
 func TestClaimManagerConvergesToHomePartition(t *testing.T) {
 	cfg := claimCfg()
 	r := newClaimRig(t, 3, 3, cfg)
@@ -395,12 +398,8 @@ func TestClaimManagerConvergesToHomePartition(t *testing.T) {
 		if !r.mgrs[wantOwner-1].Valid(s, now) {
 			t.Fatalf("home fe %d does not validly hold shard %d", wantOwner, s)
 		}
-		rec, err := wire.DecodeClaim(r.vault.recs[s])
-		if err != nil {
-			t.Fatalf("shard %d record: %v", s, err)
-		}
-		if rec.Owner != wantOwner || rec.Shard != uint16(s) {
-			t.Fatalf("shard %d record %v does not match word owner %d", s, rec, wantOwner)
+		if _, epoch := vaultWord(r.vault, s); epoch != r.mgrs[wantOwner-1].Claims[s].Epoch() {
+			t.Fatalf("shard %d word epoch %d, holder's %d", s, epoch, r.mgrs[wantOwner-1].Claims[s].Epoch())
 		}
 	}
 	// Exactly one valid holder per shard.
@@ -765,12 +764,8 @@ func TestHAClaimManagerAcquireRenewHandoff(t *testing.T) {
 	if !pc.Valid(r.eng.Now()) {
 		t.Fatal("steady-state primary must be valid")
 	}
-	rec, err := wire.DecodeClaim(r.vault.recs[0])
-	if err != nil {
-		t.Fatalf("claim record: %v", err)
-	}
-	if rec.Shard != 0 || rec.Owner != pc.Me || rec.Epoch != pc.Epoch() {
-		t.Fatalf("published record %v does not match primary %v", rec, pc)
+	if owner, epoch := vaultWord(r.vault, 0); owner != pc.Me || epoch != pc.Epoch() {
+		t.Fatalf("witness word names owner %d epoch %d, primary is %v", owner, epoch, pc)
 	}
 
 	// Freeze the primary's host: renewals stop, validity lapses, the

@@ -34,7 +34,7 @@ func (t Transport) String() string {
 type FailoverConfig struct {
 	// TripAfter is the number of consecutive primary-transport failures
 	// that trips the breaker onto the socket standby. Default 2 —
-	// deliberately below HealthTracker.QuarantineAfter's default of 3,
+	// deliberately below the health machine's quarantineAfter of 3,
 	// so a back-end whose RDMA path alone is broken degrades to socket
 	// probing before the health machine condemns it.
 	TripAfter int

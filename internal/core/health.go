@@ -59,16 +59,17 @@ func (h Health) String() string {
 // fast monitoring path is down.
 func (h Health) Eligible() bool { return h == Healthy || h == Suspect || h == Degraded }
 
-// HealthTracker runs the health state machine for one back-end.
-// The zero value is usable (it gets default thresholds on first use).
-type HealthTracker struct {
-	// QuarantineAfter is the number of consecutive failures that move
-	// Suspect to Quarantined. Default 3.
-	QuarantineAfter int
-	// ProbationOK is the number of consecutive successes that move
-	// Probation to Healthy. Default 2.
-	ProbationOK int
+// quarantineAfter is the number of consecutive failures that move
+// Suspect to Quarantined; probationOK the number of consecutive
+// successes that move Probation to Healthy.
+const (
+	quarantineAfter = 3
+	probationOK     = 2
+)
 
+// HealthTracker runs the health state machine for one back-end.
+// The zero value is ready to use.
+type HealthTracker struct {
 	state     Health
 	failRun   int
 	okRun     int
@@ -76,30 +77,18 @@ type HealthTracker struct {
 	Successes uint64 // total successful probes observed
 }
 
-func (ht *HealthTracker) thresholds() (qa, po int) {
-	qa, po = ht.QuarantineAfter, ht.ProbationOK
-	if qa <= 0 {
-		qa = 3
-	}
-	if po <= 0 {
-		po = 2
-	}
-	return
-}
-
 // State returns the current health state.
 func (ht *HealthTracker) State() Health { return ht.state }
 
 // Fail records a failed probe and returns the new state.
 func (ht *HealthTracker) Fail() Health {
-	qa, _ := ht.thresholds()
 	ht.Failures++
 	ht.okRun = 0
 	ht.failRun++
 	switch ht.state {
 	case Healthy, Suspect, Degraded:
 		ht.state = Suspect
-		if ht.failRun >= qa {
+		if ht.failRun >= quarantineAfter {
 			ht.state = Quarantined
 		}
 	case Probation:
@@ -108,7 +97,7 @@ func (ht *HealthTracker) Fail() Health {
 		// matches the state it just entered — a stale low count here
 		// would make the next demotion cheaper than the first one.
 		ht.state = Quarantined
-		ht.failRun = qa
+		ht.failRun = quarantineAfter
 	}
 	return ht.state
 }
@@ -126,7 +115,6 @@ func (ht *HealthTracker) DegradedOK() Health { return ht.ok(Degraded) }
 // ok advances the machine on a success whose terminal state is target
 // (Healthy for the primary transport, Degraded for the fallback).
 func (ht *HealthTracker) ok(target Health) Health {
-	_, po := ht.thresholds()
 	ht.Successes++
 	ht.failRun = 0
 	ht.okRun++
@@ -135,11 +123,11 @@ func (ht *HealthTracker) ok(target Health) Health {
 		ht.state = target
 	case Quarantined:
 		ht.state = Probation
-		if ht.okRun >= po {
+		if ht.okRun >= probationOK {
 			ht.state = target
 		}
 	case Probation:
-		if ht.okRun >= po {
+		if ht.okRun >= probationOK {
 			ht.state = target
 		}
 	}

@@ -82,7 +82,7 @@ func TestHealthTransitions(t *testing.T) {
 // subsequent Suspect-path demotion count the probation failure twice.
 func TestHealthProbationFailPinsCounter(t *testing.T) {
 	var ht HealthTracker
-	qa, _ := ht.thresholds()
+	const qa = quarantineAfter
 	for i := 0; i < qa; i++ {
 		ht.Fail()
 	}

@@ -25,9 +25,6 @@ import (
 //     period controller's volatility test wants (smoothing a spike
 //     away is exactly wrong there).
 type TrendTracker struct {
-	// Alpha is the EWMA smoothing factor in (0, 1]; 0 takes the
-	// default 0.4 (reactive but not single-sample twitchy).
-	Alpha float64
 	// Weights scores records; the zero value means DefaultWeights.
 	Weights Weights
 
@@ -41,12 +38,9 @@ type TrendTracker struct {
 	seen     bool // at least one sample folded
 }
 
-func (tt *TrendTracker) alpha() float64 {
-	if tt.Alpha > 0 && tt.Alpha <= 1 {
-		return tt.Alpha
-	}
-	return 0.4
-}
+// trendAlpha is the slope EWMA's smoothing factor: reactive but not
+// single-sample twitchy.
+const trendAlpha = 0.4
 
 func (tt *TrendTracker) weights() *Weights {
 	if !tt.haveW {
@@ -127,7 +121,7 @@ func (tt *TrendTracker) fold(rec *wire.LoadRecord) bool {
 		if r := math.Abs(inst); r > tt.lastRate {
 			tt.lastRate = r
 		}
-		a := tt.alpha()
+		a := trendAlpha
 		tt.slope = a*inst + (1-a)*tt.slope
 		tt.primed = true
 	}

@@ -28,7 +28,7 @@ func TestAADeterministicGolden(t *testing.T) {
 	}
 	first := run()
 	diffResults(t, "aa", first, run())
-	pinDigest(t, "aa", first, 0x2678c32e41f01724)
+	pinDigest(t, "aa", first, 0xc75de502dcf8ebcd)
 }
 
 // TestAAQuickInvariants sweeps a couple of quick random claim-stall
@@ -50,7 +50,7 @@ func TestAAQuickInvariants(t *testing.T) {
 	if len(res.Rows) != 2 {
 		t.Fatalf("rows = %d, want one per seed", len(res.Rows))
 	}
-	pinDigest(t, "aa-quick", res, 0xfcd2e8ff0d0548ec)
+	pinDigest(t, "aa-quick", res, 0xd2eea1a842a7b98d)
 }
 
 // TestAAThreeReplicaFloor pins the non-default replica count path: a
@@ -67,5 +67,5 @@ func TestAAThreeReplicaFloor(t *testing.T) {
 	if res.Failed {
 		t.Fatalf("invariant violations with 3 front-ends:\n%v", res.Notes)
 	}
-	pinDigest(t, "aa-3fe", res, 0xd9b2fb17a0b67c4e)
+	pinDigest(t, "aa-3fe", res, 0xd751510d0bc1a7ab)
 }

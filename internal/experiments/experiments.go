@@ -27,8 +27,8 @@ type Options struct {
 	// point is an independent simulation engine, so parallel is safe
 	// and is the default).
 	Sequential bool
-	// Seeds is how many random fault plans the chaos experiment sweeps
-	// (default 5; other experiments ignore it).
+	// Seeds is how many seeds chaos, ha, aa and scenario runs sweep (0:
+	// 5, or a scenario file's own count); other experiments ignore it.
 	Seeds int
 
 	// Backends, Shards and Batch pin the scale experiment to a single

@@ -99,7 +99,7 @@ func (c ChaosConfig) withDefaults() ChaosConfig {
 // Two deliberate restrictions keep the plan's effects attributable:
 //
 //   - Link faults perturb only the forward direction (front-end ->
-//     back-end) and never duplicate. Requests and one-sided reads get
+//     back-end), and no fault duplicates a message. Requests and one-sided reads get
 //     dropped and delayed; probe replies travel clean, so a record
 //     that does arrive arrives in order and the sequence-regression
 //     invariant observes the transport, not reply reordering.

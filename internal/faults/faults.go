@@ -1,6 +1,6 @@
 // Package faults is a deterministic fault-injection subsystem for the
-// simulated cluster: a seeded Plan describes per-link message loss,
-// delay and duplication, network partitions, node crash/restart and
+// simulated cluster: a seeded Plan describes per-link message loss
+// and delay, network partitions, node crash/restart and
 // freeze (slowdown) windows, and memory-region invalidations; an
 // Injector executes the plan against a simnet.Fabric and simos nodes.
 //
@@ -29,7 +29,6 @@ type LinkFault struct {
 	End      sim.Time // window end; <= 0 means forever
 
 	Drop      float64  // per-attempt loss probability
-	Dup       float64  // per-message duplication probability (channel only)
 	DelayProb float64  // probability of adding extra latency
 	DelayMin  sim.Time // extra latency bounds (uniform)
 	DelayMax  sim.Time
@@ -162,13 +161,10 @@ type Injector struct {
 	// and monitoring agents.
 	OnCrash        func(node int)
 	OnRestart      func(node int)
-	OnFreeze       func(node int)
-	OnThaw         func(node int)
 	OnMRInvalidate func(node int)
 
 	// Counters (observability for experiments and tests).
 	DroppedMsgs    uint64
-	DupedMsgs      uint64
 	DelayedMsgs    uint64
 	FailedRDMA     uint64
 	CrashEvents    uint64
@@ -222,24 +218,13 @@ func (in *Injector) Install(fab *simnet.Fabric, nodes map[int]*simos.Node) {
 		}
 	}
 	for _, fz := range in.plan.Freezes {
-		fz := fz
 		n := nodes[fz.Node]
 		if n == nil {
 			continue
 		}
-		at(fz.At, func() {
-			n.Freeze()
-			if in.OnFreeze != nil {
-				in.OnFreeze(fz.Node)
-			}
-		})
+		at(fz.At, n.Freeze)
 		if fz.Until > fz.At {
-			at(fz.Until, func() {
-				n.Thaw()
-				if in.OnThaw != nil {
-					in.OnThaw(fz.Node)
-				}
-			})
+			at(fz.Until, n.Thaw)
 		}
 	}
 	for _, mi := range in.plan.MRInvalidations {
@@ -300,10 +285,6 @@ func (in *Injector) Channel(from, dst, size int) simnet.ChannelVerdict {
 		if l.Drop > 0 && in.rng.Float64() < l.Drop {
 			in.DroppedMsgs++
 			return simnet.ChannelVerdict{Drop: true}
-		}
-		if l.Dup > 0 && !v.Dup && in.rng.Float64() < l.Dup {
-			in.DupedMsgs++
-			v.Dup = true
 		}
 		if l.DelayProb > 0 && in.rng.Float64() < l.DelayProb {
 			in.DelayedMsgs++

@@ -55,7 +55,8 @@ func TestCrashRestartSchedule(t *testing.T) {
 	}
 }
 
-// TestFreezeWindow checks Freeze/Thaw scheduling.
+// TestFreezeWindow checks Freeze/Thaw scheduling through the node: a
+// compute loop makes no progress inside the window and resumes after.
 func TestFreezeWindow(t *testing.T) {
 	eng := sim.NewEngine(1)
 	n := testNode(eng, 2)
@@ -64,18 +65,26 @@ func TestFreezeWindow(t *testing.T) {
 	in := NewInjector(eng, Plan{
 		Freezes: []Freeze{{Node: 2, At: 50 * sim.Millisecond, Until: 150 * sim.Millisecond}},
 	})
-	frozen := false
-	in.OnFreeze = func(node int) { frozen = node == 2 }
-	in.OnThaw = func(int) { frozen = false }
 	in.Install(fab, map[int]*simos.Node{2: n})
+	steps := 0
+	n.Spawn("loop", func(tk *simos.Task) {
+		var step func()
+		step = func() { steps++; tk.Compute(sim.Millisecond, step) }
+		tk.Compute(sim.Millisecond, step)
+	})
 
-	eng.RunFor(100 * sim.Millisecond)
-	if !frozen {
-		t.Fatal("node should be frozen at t=100ms")
+	eng.RunFor(60 * sim.Millisecond)
+	before := steps
+	if before == 0 {
+		t.Fatal("no progress before the freeze")
 	}
-	eng.RunFor(100 * sim.Millisecond)
-	if frozen {
-		t.Fatal("node should be thawed at t=200ms")
+	eng.RunFor(80 * sim.Millisecond)
+	if steps != before {
+		t.Fatalf("%d steps inside the freeze window", steps-before)
+	}
+	eng.RunFor(60 * sim.Millisecond)
+	if steps == before {
+		t.Fatal("no progress after the thaw at t=150ms")
 	}
 }
 

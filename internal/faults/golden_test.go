@@ -3,16 +3,23 @@ package faults
 import (
 	"fmt"
 	"hash/fnv"
+	"io"
+	"regexp"
 	"testing"
 
 	"rdmamon/internal/sim"
 )
 
+// digestPlan hashes p's %+v rendering in the layout the goldens were
+// captured with, when LinkFault still had a Dup field (always zero:
+// RandomPlan never drew it), so the goldens keep pinning the values.
 func digestPlan(p Plan) uint64 {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%+v", p)
+	io.WriteString(h, linkFaultLayout.ReplaceAllString(fmt.Sprintf("%+v", p), "$1 Dup:0 DelayProb:"))
 	return h.Sum64()
 }
+
+var linkFaultLayout = regexp.MustCompile(`(Drop:\S+) DelayProb:`)
 
 // TestRandomPlanGoldenDigests pins RandomPlan's RNG stream discipline:
 // every draw added since these digests were captured is gated behind a

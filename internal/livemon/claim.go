@@ -17,32 +17,25 @@ import (
 const portClaims = "rmon-claims"
 
 // claimVault is the agent-side (witness) home of the front-end claim
-// table: per-shard word and record regions mutated exclusively
-// by remote one-sided operations. Each word gets its own region
-// because the transport's atomic unit is the first eight bytes of a
-// region; after registration the agent application plays no part in
-// arbitration.
+// table: per-shard word regions mutated exclusively by remote one-sided
+// operations. Each word gets its own region because the transport's
+// atomic unit is the first eight bytes of a region; after registration
+// the agent application plays no part in arbitration.
 type claimVault struct {
 	mu      sync.Mutex
 	words   [][]byte
-	recs    [][]byte
 	wordMRs []*tcpverbs.MR
-	recMRs  []*tcpverbs.MR
 }
 
 func (a *Agent) hostClaims(shards int) {
 	v := &claimVault{
 		words:   make([][]byte, shards),
-		recs:    make([][]byte, shards),
 		wordMRs: make([]*tcpverbs.MR, shards),
-		recMRs:  make([]*tcpverbs.MR, shards),
 	}
 	a.cvault = v
 	for s := 0; s < shards; s++ {
 		word := make([]byte, wire.ClaimWordSize)
-		rec := make([]byte, wire.ClaimRecordSize)
 		v.words[s] = word
-		v.recs[s] = rec
 		v.wordMRs[s] = a.verbs.RegisterWritableMR(func() []byte {
 			v.mu.Lock()
 			defer v.mu.Unlock()
@@ -52,22 +45,12 @@ func (a *Agent) hostClaims(shards int) {
 			defer v.mu.Unlock()
 			copy(word, b)
 		})
-		v.recMRs[s] = a.verbs.RegisterWritableMR(func() []byte {
-			v.mu.Lock()
-			defer v.mu.Unlock()
-			return append([]byte(nil), rec...)
-		}, len(rec), func(b []byte) {
-			v.mu.Lock()
-			defer v.mu.Unlock()
-			copy(rec, b)
-		})
 	}
 	a.verbs.HandleCall(portClaims, func([]byte) []byte {
-		reply := make([]byte, 2+8*shards)
+		reply := make([]byte, 2+4*shards)
 		binary.BigEndian.PutUint16(reply[0:], uint16(shards))
 		for s := 0; s < shards; s++ {
-			binary.BigEndian.PutUint32(reply[2+8*s:], v.wordMRs[s].Key())
-			binary.BigEndian.PutUint32(reply[6+8*s:], v.recMRs[s].Key())
+			binary.BigEndian.PutUint32(reply[2+4*s:], v.wordMRs[s].Key())
 		}
 		return reply
 	})
@@ -83,7 +66,6 @@ func (a *Agent) hostClaims(shards int) {
 type ClaimClient struct {
 	conn     *tcpverbs.Conn
 	wordKeys []uint32
-	recKeys  []uint32
 	start    time.Time
 
 	mu     sync.Mutex
@@ -121,7 +103,7 @@ func DialClaims(addr string, me uint16, owners int, cfg core.ClaimConfig) (*Clai
 		return nil, fmt.Errorf("livemon: short claim key reply")
 	}
 	shards := int(binary.BigEndian.Uint16(reply[0:]))
-	if shards == 0 || len(reply) < 2+8*shards {
+	if shards == 0 || len(reply) < 2+4*shards {
 		conn.Close()
 		return nil, fmt.Errorf("livemon: claim key reply names %d shards with %d bytes", shards, len(reply))
 	}
@@ -129,14 +111,12 @@ func DialClaims(addr string, me uint16, owners int, cfg core.ClaimConfig) (*Clai
 	l := &ClaimClient{
 		conn:     conn,
 		wordKeys: make([]uint32, shards),
-		recKeys:  make([]uint32, shards),
 		start:    time.Now(),
 		table:    core.NewClaimTable(me, owners, cfg.WithDefaults(sim.Time(50*time.Millisecond))),
 		loops:    newLoops(),
 	}
 	for s := 0; s < shards; s++ {
-		l.wordKeys[s] = binary.BigEndian.Uint32(reply[2+8*s:])
-		l.recKeys[s] = binary.BigEndian.Uint32(reply[6+8*s:])
+		l.wordKeys[s] = binary.BigEndian.Uint32(reply[2+4*s:])
 	}
 	l.loops.every(time.Duration(l.table.Claims[0].Cfg.CheckEvery), false, l.round)
 	return l, nil
@@ -199,8 +179,7 @@ func (l *ClaimClient) Close() error {
 // round is one claim round: every unheld word in one pipelined read
 // batch (a transport error fails each of its reads), the plan, then
 // each planned CAS in turn — the connection serializes verbs, so there
-// is no CAS doorbell to share, but a won bid's record write rides the
-// next CAS's, and the closing Sync rings the last.
+// is no CAS doorbell to share.
 func (l *ClaimClient) round() {
 	l.mu.Lock()
 	if l.paused {
@@ -233,28 +212,21 @@ func (l *ClaimClient) round() {
 		}
 		l.post(op)
 	}
-	_ = l.conn.Sync() // the won records land within the round; observability only
 }
 
-// post performs one planned CAS, stamped with its own post instant, and
-// publishes the record of a won bid.
+// post performs one planned CAS, stamped with its own post instant.
 func (l *ClaimClient) post(op core.ClaimCAS) {
 	posted := l.now()
 	prev, err := l.conn.CompareSwapFenced(l.wordKeys[op.Shard], op.Compare, op.Swap)
 	fenced := errors.Is(err, tcpverbs.ErrFenced)
-	var rec []byte
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	if fenced {
 		l.fenced++
 	}
 	if err != nil && !fenced {
 		l.table.CASErrors++
-	} else if l.table.Complete(op, prev, !fenced && prev == op.Compare, posted) {
-		rec = l.table.Record(op.Shard).Encode()
-	}
-	l.mu.Unlock()
-	if rec != nil {
-		// Observability only; a failed write does not affect holdership.
-		_ = l.conn.RDMAWrite(l.recKeys[op.Shard], rec)
+	} else {
+		l.table.Complete(op, prev, !fenced && prev == op.Compare, posted)
 	}
 }

@@ -74,14 +74,6 @@ func claimWord(a *Agent, s int) uint64 {
 	return binary.LittleEndian.Uint64(a.cvault.words[s])
 }
 
-// claimRecord decodes the record shard s's holder published on a
-// witness agent.
-func claimRecord(a *Agent, s int) (wire.ClaimRecord, error) {
-	a.cvault.mu.Lock()
-	defer a.cvault.mu.Unlock()
-	return wire.DecodeClaim(a.cvault.recs[s])
-}
-
 // TestLiveLeaseHandoff drives HA — a one-shard table, every front-end
 // home — over real TCP: FE1 acquires the vacant word at epoch 1, FE2
 // joins and stays a standby, FE1 stalls (Pause — a frozen process),
@@ -99,9 +91,6 @@ func TestLiveLeaseHandoff(t *testing.T) {
 	}
 	if owner, epoch, _ := wire.UnpackClaimWord(claimWord(w, 0)); owner != 1 || epoch != 1 {
 		t.Fatalf("witness word names owner %d epoch %d, want 1/1", owner, epoch)
-	}
-	if rec, err := claimRecord(w, 0); err != nil || rec.Shard != 0 || rec.Owner != 1 || rec.Epoch != 1 {
-		t.Fatalf("published record = %+v, err %v", rec, err)
 	}
 
 	fe2 := dialClaims(t, w.Addr(), 2, 0, claimTestCfg())
@@ -442,8 +431,7 @@ func TestLiveLeaseRenewSurvivesLostReply(t *testing.T) {
 		return rn > 0
 	}, "FE1 to acquire and renew")
 
-	// FE1 holds the only shard and has published its record (the write
-	// right after the win), so it only renews: the next reply is a
+	// FE1 holds the only shard, so it only renews: the next reply is a
 	// renewal's.
 	proxy.armed.Store(true)
 	waitFor(t, 5*time.Second, proxy.dropped.Load, "the proxy to drop a renewal reply")

@@ -19,16 +19,10 @@ var ErrPoolSaturated = errors.New("livemon: connection pool saturated")
 type PoolConfig struct {
 	connpool.Config
 
-	// OpTimeout is the per-operation deadline for pool-dialed
-	// connections (<= 0 takes the transport default).
-	OpTimeout time.Duration
 	// AcquireTimeout bounds how long Get blocks while the pool sheds
 	// (default 2s). Budget pressure delays a live caller instead of
 	// failing it, but not forever.
 	AcquireTimeout time.Duration
-	// GCEvery is the idle-GC cadence (default IdleAfterNS/2, floor
-	// 10ms; no GC loop runs when IdleAfterNS is 0).
-	GCEvery time.Duration
 }
 
 // ConnPool shares tcpverbs connections across probes under explicit
@@ -42,7 +36,7 @@ type ConnPool struct {
 }
 
 // NewConnPool builds the pool and, when idle GC is configured, starts
-// its background collector.
+// its background collector, every IdleAfterNS/2 (at least 10ms).
 func NewConnPool(cfg PoolConfig) *ConnPool {
 	if cfg.AcquireTimeout <= 0 {
 		cfg.AcquireTimeout = 2 * time.Second
@@ -52,13 +46,7 @@ func NewConnPool(cfg PoolConfig) *ConnPool {
 	p.OnClose = func(_ string, c *tcpverbs.Conn) { c.Close() }
 	cp := &ConnPool{cfg: cfg, pool: p, loops: newLoops()}
 	if cfg.IdleAfterNS > 0 {
-		every := cfg.GCEvery
-		if every <= 0 {
-			every = time.Duration(cfg.IdleAfterNS / 2)
-		}
-		if every < 10*time.Millisecond {
-			every = 10 * time.Millisecond
-		}
+		every := max(time.Duration(cfg.IdleAfterNS/2), 10*time.Millisecond)
 		cp.loops.every(every, false, p.GC)
 	}
 	return cp
@@ -79,7 +67,7 @@ func (cp *ConnPool) Get(addr string, hot bool) (connpool.Lease[string, *tcpverbs
 		case connpool.Conn:
 			return l, nil
 		case connpool.Dial:
-			c, err := tcpverbs.DialTimeout(addr, cp.cfg.OpTimeout)
+			c, err := tcpverbs.Dial(addr)
 			if err != nil {
 				cp.pool.DialFailed(addr)
 				return zero, err

@@ -150,7 +150,6 @@ func TestPooledProbeFailover(t *testing.T) {
 	}
 	cp := NewConnPool(PoolConfig{
 		Config:         connpool.Config{MaxConns: 2, BackoffNS: int64(time.Millisecond)},
-		OpTimeout:      200 * time.Millisecond,
 		AcquireTimeout: time.Second,
 	})
 	defer cp.Close()

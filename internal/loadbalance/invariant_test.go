@@ -77,40 +77,54 @@ func TestInvariantNeverPickIneligible(t *testing.T) {
 
 // TestInvariantDegradedStrictlyAvoided: with Rng=nil (deterministic
 // tie-breaks) and otherwise identical back-ends, least-load must never
-// choose the degraded one — any positive penalty breaks the tie
-// against it.
+// choose the degraded one — the penalty breaks the tie against it.
 func TestInvariantDegradedStrictlyAvoided(t *testing.T) {
 	rec := wire.LoadRecord{NumCPU: 1, Conns: 4}
-	for _, penalty := range []float64{0, 0.01, 0.05, 0.5} {
-		w := &WeightedLeastLoad{
-			Backends:        []int{1, 2, 3},
-			Weights:         core.DefaultWeights(),
-			Source:          func(int) (wire.LoadRecord, bool) { return rec, true },
-			Degraded:        func(b int) bool { return b == 2 },
-			DegradedPenalty: penalty, // zero resolves to the default
+	w := &WeightedLeastLoad{
+		Backends: []int{1, 2, 3},
+		Weights:  core.DefaultWeights(),
+		Source:   func(int) (wire.LoadRecord, bool) { return rec, true },
+		Degraded: func(b int) bool { return b == 2 },
+	}
+	for i := 0; i < 100; i++ {
+		if w.Pick() == 2 {
+			t.Fatal("degraded back-end won a tie")
 		}
-		for i := 0; i < 100; i++ {
-			if w.Pick() == 2 {
-				t.Fatalf("penalty %v: degraded back-end won a tie", penalty)
-			}
-		}
-		if w.DegradedPicks != 0 {
-			t.Fatalf("penalty %v: DegradedPicks = %d", penalty, w.DegradedPicks)
-		}
+	}
+	if w.DegradedPicks != 0 {
+		t.Fatalf("DegradedPicks = %d", w.DegradedPicks)
 	}
 }
 
-// degradedShare measures the fraction of proportional picks landing on
-// the (single) degraded back-end under a given penalty.
-func degradedShare(penalty float64, picks int) float64 {
+// TestInvariantDegradedPenaltyMonotone: under proportional dispatch
+// the penalty never raises a back-end's traffic share (degraded gets
+// less than the same back-end healthy, and less than the fair share),
+// and never zeroes it — degraded means handicapped, not quarantined.
+func TestInvariantDegradedPenaltyMonotone(t *testing.T) {
+	const picks = 20000
+	healthy := degradedShare(func(int) bool { return false }, picks)
+	share := degradedShare(func(b int) bool { return b == 3 }, picks)
+	if share == 0 {
+		t.Fatal("the penalty starved the degraded back-end outright")
+	}
+	if share > healthy+0.01 { // 1% slack for sampling noise
+		t.Fatalf("degraded share %.3f rose above healthy share %.3f", share, healthy)
+	}
+	if fair := 1.0 / 4; share >= fair {
+		t.Fatalf("degraded share %.3f not below fair share %.3f", share, fair)
+	}
+}
+
+// degradedShare returns back-end 3's share of picks among four equally
+// loaded back-ends under proportional dispatch with the given verdict.
+func degradedShare(degraded func(int) bool, picks int) float64 {
 	rec := wire.LoadRecord{NumCPU: 1, Conns: 8}
 	w := &WeightedProportional{
-		Backends:        []int{1, 2, 3, 4},
-		Weights:         core.DefaultWeights(),
-		Source:          func(int) (wire.LoadRecord, bool) { return rec, true },
-		Rng:             rand.New(rand.NewSource(99)),
-		Degraded:        func(b int) bool { return b == 3 },
-		DegradedPenalty: penalty,
+		Backends: []int{1, 2, 3, 4},
+		Weights:  core.DefaultWeights(),
+		Source:   func(int) (wire.LoadRecord, bool) { return rec, true },
+		Rng:      rand.New(rand.NewSource(99)),
+		Degraded: degraded,
 	}
 	hit := 0
 	for i := 0; i < picks; i++ {
@@ -119,29 +133,6 @@ func degradedShare(penalty float64, picks int) float64 {
 		}
 	}
 	return float64(hit) / float64(picks)
-}
-
-// TestInvariantDegradedPenaltyMonotone: raising the penalty never
-// raises the degraded back-end's traffic share, and even a large
-// penalty never zeroes it — degraded means handicapped, not
-// quarantined.
-func TestInvariantDegradedPenaltyMonotone(t *testing.T) {
-	const picks = 20000
-	penalties := []float64{0.01, 0.05, 0.2, 0.6}
-	prev := 1.0
-	for _, p := range penalties {
-		share := degradedShare(p, picks)
-		if share == 0 {
-			t.Fatalf("penalty %v starved the degraded back-end outright", p)
-		}
-		if share > prev+0.01 { // 1% slack for sampling noise
-			t.Fatalf("penalty %v share %.3f rose above %.3f", p, share, prev)
-		}
-		prev = share
-	}
-	if fair := 1.0 / 4; prev > fair {
-		t.Fatalf("max penalty share %.3f not below fair share %.3f", prev, fair)
-	}
 }
 
 // TestInvariantAllExcludedStaysInFleet: even with every back-end

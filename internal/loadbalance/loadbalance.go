@@ -105,13 +105,6 @@ type WeightedLeastLoad struct {
 	// TrendHorizon is how far ahead the projection looks; a natural
 	// choice is one monitoring sweep. Zero disables the trend term.
 	TrendHorizon sim.Time
-	// TrendClamp bounds the trend term to ±TrendClamp index units
-	// (default DefaultTrendClamp): the slope may bias the choice but
-	// never fabricate unbounded load, so a noisy or adversarial trend
-	// cannot starve a genuinely least-loaded back-end — anything lower
-	// on level by more than 2×TrendClamp than the rest wins regardless
-	// of every slope.
-	TrendClamp float64
 	// TrendPicks counts picks where the trend projection reordered the
 	// deterministic level-only ranking — how often the signal actually
 	// steered traffic.
@@ -121,12 +114,9 @@ type WeightedLeastLoad struct {
 	// fallback transport (the monitor's Degraded verdict). Unlike
 	// Exclude it keeps the back-end in the dispatch set — that is the
 	// point of failover — but its index is handicapped by
-	// DegradedPenalty, steering marginal traffic toward back-ends whose
-	// fast monitoring path still works.
+	// DefaultDegradedPenalty, steering marginal traffic toward back-ends
+	// whose fast monitoring path still works.
 	Degraded func(backend int) bool
-	// DegradedPenalty is the load-index handicap applied when Degraded
-	// reports true (default 0.05 when Degraded is set).
-	DegradedPenalty float64
 	// DegradedPicks counts picks that landed on a degraded back-end.
 	DegradedPicks uint64
 
@@ -137,14 +127,16 @@ type WeightedLeastLoad struct {
 }
 
 // DefaultDegradedPenalty is the load-index handicap applied to a
-// back-end monitored over its fallback transport when no explicit
-// penalty is configured. Admission control shares it, so a degraded
-// back-end is handicapped identically whether a request is being
-// routed or admitted.
+// back-end monitored over its fallback transport. Admission control
+// shares it, so a degraded back-end is handicapped identically whether
+// a request is being routed or admitted.
 const DefaultDegradedPenalty = 0.05
 
-// DefaultTrendClamp bounds the trend projection's contribution to a
-// back-end's compared index when no explicit clamp is configured.
+// DefaultTrendClamp bounds the trend term to ±DefaultTrendClamp index
+// units: the slope may bias the choice but never fabricate unbounded
+// load, so a noisy or adversarial trend cannot starve a genuinely
+// least-loaded back-end — anything lower on level by more than
+// 2×DefaultTrendClamp than the rest wins regardless of every slope.
 const DefaultTrendClamp = 0.2
 
 // trendTerm computes the clamped slope×horizon projection for b (0
@@ -158,25 +150,7 @@ func (w *WeightedLeastLoad) trendTerm(b int) float64 {
 		return 0
 	}
 	d := s * (float64(w.TrendHorizon) / float64(sim.Second))
-	c := w.TrendClamp
-	if c <= 0 {
-		c = DefaultTrendClamp
-	}
-	if d > c {
-		d = c
-	}
-	if d < -c {
-		d = -c
-	}
-	return d
-}
-
-// degradedPenalty resolves the default handicap.
-func degradedPenalty(p float64) float64 {
-	if p > 0 {
-		return p
-	}
-	return DefaultDegradedPenalty
+	return max(-DefaultTrendClamp, min(d, DefaultTrendClamp))
 }
 
 // appendClaimed appends the back-ends claimed holds to pool: the only
@@ -232,7 +206,7 @@ func (w *WeightedLeastLoad) Pick() int {
 		}
 		degraded := w.Degraded != nil && w.Degraded(b)
 		if degraded {
-			idx += degradedPenalty(w.DegradedPenalty)
+			idx += DefaultDegradedPenalty
 		}
 		proj := idx + w.trendTerm(b)
 		if lvlBest < 0 || idx < lvlMin {
@@ -336,12 +310,11 @@ type WeightedProportional struct {
 	Claimed    func(backend int) bool
 	ClaimSkips uint64
 
-	// Degraded / DegradedPenalty / DegradedPicks: as in
-	// WeightedLeastLoad — degraded back-ends keep a (handicapped)
-	// traffic share rather than being zeroed like quarantined ones.
-	Degraded        func(backend int) bool
-	DegradedPenalty float64
-	DegradedPicks   uint64
+	// Degraded / DegradedPicks: as in WeightedLeastLoad — degraded
+	// back-ends keep a (DefaultDegradedPenalty-handicapped) traffic share
+	// rather than being zeroed like quarantined ones.
+	Degraded      func(backend int) bool
+	DegradedPicks uint64
 
 	// Picks counts per-backend selections.
 	Picks map[int]uint64
@@ -404,7 +377,7 @@ func (w *WeightedProportional) Pick() int {
 		// load of 0.5).
 		idx = conf*idx + (1-conf)*0.5
 		if w.Degraded != nil && w.Degraded(b) {
-			idx += degradedPenalty(w.DegradedPenalty)
+			idx += DefaultDegradedPenalty
 		}
 		free := 1 - idx
 		if free < 0.02 {

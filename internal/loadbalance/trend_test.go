@@ -111,16 +111,15 @@ func TestInvariantTrendOffEqualsLevelOnly(t *testing.T) {
 
 // TestInvariantTrendBoundedStarvation: the clamp caps the projection,
 // so a back-end whose level undercuts every other's by more than
-// 2×TrendClamp is picked no matter what any slope reports.
+// 2×DefaultTrendClamp is picked no matter what any slope reports.
 func TestInvariantTrendBoundedStarvation(t *testing.T) {
-	const clamp = 0.1
 	f := func(seed int64, slopeRaw []int8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		// Back-end 1 at 10% CPU; the rest above 10% + 2×clamp + margin.
 		backends := []int{1, 2, 3, 4, 5}
 		recs := map[int]wire.LoadRecord{1: utilRec(100)}
 		for b := 2; b <= 5; b++ {
-			recs[b] = utilRec(350 + rng.Intn(600))
+			recs[b] = utilRec(550 + rng.Intn(400))
 		}
 		slope := func(b int) (float64, bool) {
 			if len(slopeRaw) == 0 {
@@ -134,7 +133,6 @@ func TestInvariantTrendBoundedStarvation(t *testing.T) {
 			Rng:          rng,
 			Slope:        slope,
 			TrendHorizon: sim.Second,
-			TrendClamp:   clamp,
 		}
 		for i := 0; i < 30; i++ {
 			if w.Pick() != 1 {

@@ -350,22 +350,12 @@ func parseNetDev(r io.Reader, s *Snapshot) error {
 type Synthetic struct {
 	mu sync.Mutex
 	S  Snapshot
-	// Err, if set, is returned by Snapshot.
-	Err error
-	// Tick, if set, mutates the snapshot before each return.
-	Tick func(*Snapshot)
 }
 
 // Snapshot implements Provider.
 func (p *Synthetic) Snapshot() (Snapshot, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.Err != nil {
-		return Snapshot{}, p.Err
-	}
-	if p.Tick != nil {
-		p.Tick(&p.S)
-	}
 	p.S.TimeNS = time.Now().UnixNano()
 	return p.S, nil
 }

@@ -30,19 +30,9 @@ type Groups struct {
 type Config struct {
 	Interval   sim.Time // how often the controller evaluates
 	Threshold  float64  // index gap that triggers a migration
-	MinNodes   int      // never shrink a group below this many ELIGIBLE nodes
+	MinNodes   int      // never shrink a group below this many nodes
 	SwitchTime sim.Time // drain + restart window per migration
 	Weights    core.Weights
-
-	// Eligible, if set, reports whether a node is currently healthy
-	// enough to matter (the monitor's health verdict). Ineligible nodes
-	// — quarantined or crashed — are invisible to the controller: they
-	// do not drag a group's load average down (a dead node is not spare
-	// capacity), are never chosen for migration (migrating a corpse
-	// wastes a drain window and "fixes" nothing), and do not count
-	// toward the MinNodes floor (a group of three nodes with two dead
-	// is a group of one).
-	Eligible func(node int) bool
 }
 
 // Defaults returns a controller that reacts within a couple of
@@ -106,33 +96,14 @@ func New(eng *sim.Engine, cfg Config, source loadbalance.LoadSource, groups *Gro
 	return c
 }
 
-// eligible reports whether node b may be considered at all.
-func (c *Controller) eligible(b int) bool {
-	return c.Cfg.Eligible == nil || c.Cfg.Eligible(b)
-}
-
-// eligibleCount returns how many of a group's nodes are eligible.
-func (c *Controller) eligibleCount(group []int) int {
-	n := 0
-	for _, b := range group {
-		if c.eligible(b) {
-			n++
-		}
-	}
-	return n
-}
-
-// GroupLoad returns the mean load index of a group's eligible nodes
-// (0 if none, or no records yet).
+// GroupLoad returns the mean load index of a group's nodes (0 if none,
+// or no records yet).
 func (c *Controller) GroupLoad(group []int) float64 {
 	if len(group) == 0 {
 		return 0
 	}
 	sum, n := 0.0, 0
 	for _, b := range group {
-		if !c.eligible(b) {
-			continue
-		}
 		if rec, ok := c.source(b); ok {
 			sum += c.Cfg.Weights.IndexOf(&rec)
 			n++
@@ -148,22 +119,19 @@ func (c *Controller) evaluate() {
 	la := c.GroupLoad(c.groups.A)
 	lb := c.GroupLoad(c.groups.B)
 	switch {
-	case la-lb > c.Cfg.Threshold && c.eligibleCount(c.groups.B) > c.Cfg.MinNodes:
+	case la-lb > c.Cfg.Threshold && len(c.groups.B) > c.Cfg.MinNodes:
 		c.migrate(&c.groups.B, &c.groups.A, &c.BtoA)
-	case lb-la > c.Cfg.Threshold && c.eligibleCount(c.groups.A) > c.Cfg.MinNodes:
+	case lb-la > c.Cfg.Threshold && len(c.groups.A) > c.Cfg.MinNodes:
 		c.migrate(&c.groups.A, &c.groups.B, &c.AtoB)
 	}
 }
 
-// migrate removes the least-loaded eligible node of the donor group,
+// migrate removes the least-loaded node of the (non-empty) donor group,
 // drains it for SwitchTime, then adds it to the receiver group.
 func (c *Controller) migrate(from, to *[]int, counter *uint64) {
-	// Choose the donor's least-loaded eligible node: cheapest to drain.
+	// Choose the donor's least-loaded node: cheapest to drain.
 	best, bestIdx := -1, 0.0
 	for _, b := range *from {
-		if !c.eligible(b) {
-			continue
-		}
 		idx := 0.0
 		if rec, ok := c.source(b); ok {
 			idx = c.Cfg.Weights.IndexOf(&rec)
@@ -171,9 +139,6 @@ func (c *Controller) migrate(from, to *[]int, counter *uint64) {
 		if best < 0 || idx < bestIdx {
 			best, bestIdx = b, idx
 		}
-	}
-	if best < 0 {
-		return
 	}
 	node := best
 	*from = remove(*from, node)

@@ -141,68 +141,3 @@ func TestSetBackendsProportional(t *testing.T) {
 		t.Fatal("SetBackendsProportional must copy")
 	}
 }
-
-// TestIneligibleNodesAreInvisible covers the health-aware controller:
-// a quarantined node must not be migrated, must not drag its group's
-// load average down, and must not count toward the MinNodes floor.
-func TestIneligibleNodesAreInvisible(t *testing.T) {
-	eng := sim.NewEngine(7)
-	// Group B looks idle only because node 4 is dead (its stale record
-	// reads 0.05); its living node 3 is moderately loaded.
-	src := fakeSource{1: 0.9, 2: 0.9, 3: 0.55, 4: 0.05}
-	g := &reconfig.Groups{A: []int{1, 2}, B: []int{3, 4}}
-	dead := map[int]bool{4: true}
-	applied := 0
-	c := reconfig.New(eng, reconfig.Config{
-		Interval:   100 * sim.Millisecond,
-		Threshold:  0.1,
-		MinNodes:   1,
-		SwitchTime: 200 * sim.Millisecond,
-		Eligible:   func(n int) bool { return !dead[n] },
-	}, src.get, g, func() { applied++ })
-
-	eng.RunUntil(2 * sim.Second)
-	// B's eligible population is just node 3 — exactly MinNodes — so no
-	// donor is available even though A is far hotter; and the dead node
-	// 4 must never have been the one to move.
-	if c.Migrations != 0 {
-		t.Fatalf("migrated %d node(s) from a group with one eligible member", c.Migrations)
-	}
-	for _, b := range g.A {
-		if b == 4 {
-			t.Fatal("dead node migrated into group A")
-		}
-	}
-
-	// Revive node 4: B now has spare eligible capacity and the overload
-	// gap (A≈0.9 vs B's eligible mean) triggers a migration — of a
-	// living node.
-	delete(dead, 4)
-	src[4] = 0.1
-	eng.RunUntil(4 * sim.Second)
-	if c.BtoA == 0 {
-		t.Fatal("no migration after the dead node revived")
-	}
-}
-
-// TestIneligibleNodesDoNotDilute: a dead node's stale-low record must
-// not make its group look underloaded. With the corpse visible the gap
-// would clear the threshold; health-aware it must not.
-func TestIneligibleNodesDoNotDilute(t *testing.T) {
-	eng := sim.NewEngine(8)
-	src := fakeSource{1: 0.62, 2: 0.62, 3: 0.55, 4: 0.0, 5: 0.55}
-	g := &reconfig.Groups{A: []int{1, 2}, B: []int{3, 4, 5}}
-	c := reconfig.New(eng, reconfig.Config{
-		Interval:   100 * sim.Millisecond,
-		Threshold:  0.1,
-		MinNodes:   1,
-		SwitchTime: 200 * sim.Millisecond,
-		Eligible:   func(n int) bool { return n != 4 },
-	}, src.get, g, func() {})
-	eng.RunUntil(2 * sim.Second)
-	// Eligible means: A = 0.62, B = 0.55 — gap 0.07 < threshold. The
-	// naive mean (0.62 vs 0.37) would have migrated.
-	if c.Migrations != 0 {
-		t.Fatalf("dead node's stale record diluted the group mean (%d migrations)", c.Migrations)
-	}
-}

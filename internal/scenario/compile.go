@@ -1,8 +1,6 @@
 package scenario
 
 import (
-	"fmt"
-	"hash/fnv"
 	"math"
 	"math/rand"
 
@@ -365,25 +363,4 @@ func (cp *Compiled) TemplateOf(node int) string {
 		return cp.Specs[i].Template
 	}
 	return ""
-}
-
-// planDigest is the FNV-64a digest of one seed's compiled fault plan,
-// the same formula the faults golden tests use — so scenario digests
-// and legacy RandomPlan digests are directly comparable.
-func (cp *Compiled) planDigest(seed int64) uint64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%+v", cp.Plan(seed))
-	return h.Sum64()
-}
-
-// digest folds the first `points` seeds' plan digests (default-seed
-// base) into one pinned value for the golden tests.
-func (cp *Compiled) digest(points int) uint64 {
-	h := fnv.New64a()
-	base := cp.BaseSeed(0)
-	for i := 0; i < points; i++ {
-		seed := cp.SeedAt(base, i)
-		fmt.Fprintf(h, "%d:%d;", seed, cp.planDigest(seed))
-	}
-	return h.Sum64()
 }

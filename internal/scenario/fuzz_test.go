@@ -69,7 +69,7 @@ func FuzzScenario(f *testing.F) {
 			if err != nil {
 				t.Fatalf("valid scenario failed to compile (quick=%v): %v", quick, err)
 			}
-			if cp.planDigest(7) != cp.planDigest(7) {
+			if digestPlan(cp.Plan(7)) != digestPlan(cp.Plan(7)) {
 				t.Fatal("plan compilation is non-deterministic")
 			}
 		}

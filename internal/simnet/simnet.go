@@ -45,7 +45,6 @@ var (
 // semantics delivery attempt.
 type ChannelVerdict struct {
 	Drop  bool     // lose the packet (sender's TCP retransmits after RTO)
-	Dup   bool     // deliver a duplicate as well
 	Delay sim.Time // extra one-way latency
 }
 
@@ -334,12 +333,11 @@ func (f *Fabric) SetFaults(fm FaultModel) { f.Faults = fm }
 
 // msgOp is one channel-semantics message from its send to its port
 // handoff. Its stages — the end of the sender's kernel send burst, a
-// delivery attempt, a duplicate's flight, the arrival at the receiving
-// NIC and the receive softirq — are methods bound once per struct, and
-// the structs cycle through Fabric.msgOps, so a message crosses the
-// fabric without allocating an event node, a closure or the op itself
-// (readOp's pattern). A retransmission re-runs attempt on the same op;
-// a duplicate is a second op.
+// delivery attempt, the arrival at the receiving NIC and the receive
+// softirq — are methods bound once per struct, and the structs cycle
+// through Fabric.msgOps, so a message crosses the fabric without
+// allocating an event node, a closure or the op itself (readOp's
+// pattern). A retransmission re-runs attempt on the same op.
 type msgOp struct {
 	f    *Fabric
 	m    simos.Message
@@ -350,7 +348,7 @@ type msgOp struct {
 	then func() // Send's continuation
 	rx   *NIC   // receiver, from arrive on
 
-	sentFn, attemptFn, dupFn, arriveFn, receiveFn func()
+	sentFn, attemptFn, arriveFn, receiveFn func()
 }
 
 func (f *Fabric) getMsgOp() *msgOp {
@@ -361,7 +359,7 @@ func (f *Fabric) getMsgOp() *msgOp {
 		return op
 	}
 	op := &msgOp{f: f}
-	op.sentFn, op.attemptFn, op.dupFn = op.sent, op.attempt, op.dup
+	op.sentFn, op.attemptFn = op.sent, op.attempt
 	op.arriveFn, op.receiveFn = op.arrive, op.receive
 	return op
 }
@@ -375,7 +373,7 @@ func (f *Fabric) putMsgOp(op *msgOp) {
 // attempt is one delivery attempt: the fault model may lose the packet
 // (the sender's TCP retransmits after RTO — each retransmission faces
 // the fault model again, so a flapping link can eat the whole retry
-// budget), duplicate it or delay it.
+// budget) or delay it.
 func (op *msgOp) attempt() {
 	f := op.f
 	extra := f.heteroLat(op.m.From, op.dst)
@@ -385,21 +383,9 @@ func (op *msgOp) attempt() {
 			op.retry()
 			return
 		}
-		if v.Dup && op.try == 0 {
-			dup := f.getMsgOp()
-			dup.m, dup.dst, dup.port = op.m, op.dst, op.port
-			f.Eng.Post(f.Cfg.WireLatency, dup.dupFn)
-		}
 		extra += v.Delay
 	}
-	op.transmit(extra)
-}
-
-// dup sends a duplicate on its way, a wire latency behind the original.
-func (op *msgOp) dup() { op.transmit(0) }
-
-func (op *msgOp) transmit(extra sim.Time) {
-	op.f.Eng.Post(op.f.xmit(op.m.Size)+extra, op.arriveFn)
+	f.Eng.Post(f.xmit(op.m.Size)+extra, op.arriveFn)
 }
 
 // retry retransmits after RTO while the retry budget lasts; a message

@@ -175,7 +175,7 @@ func FuzzServeStream(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, stream, cuts []byte) {
 		a := bareAgent()
-		a.IdleTimeout = 10 * time.Second
+		a.idleTimeout = 10 * time.Second
 		a.RegisterMR(func() []byte { return static }, len(static))    // key 1
 		a.RegisterWritableMR(func() []byte { return static[:8] }, 16, // key 2
 			func([]byte) {})

@@ -194,10 +194,9 @@ func (m *MR) Key() uint32 { return m.key }
 type Agent struct {
 	ln net.Listener
 
-	// IdleTimeout / WriteTimeout override the defaults when set before
-	// the first connection arrives.
-	IdleTimeout  time.Duration
-	WriteTimeout time.Duration
+	// idleTimeout, when set before the first connection arrives,
+	// overrides DefaultIdleTimeout.
+	idleTimeout time.Duration
 
 	mu       sync.RWMutex
 	mrs      map[uint32]*MR
@@ -339,15 +338,12 @@ func (a *Agent) acceptLoop() {
 // before every blocking read and whenever the next reply would not
 // fit (the package comment has the rule and why it cannot deadlock).
 func (a *Agent) serve(c net.Conn) {
-	idle, write := a.IdleTimeout, a.WriteTimeout
+	idle := a.idleTimeout
 	if idle <= 0 {
 		idle = DefaultIdleTimeout
 	}
-	if write <= 0 {
-		write = DefaultWriteTimeout
-	}
 	var rd frameReader
-	out := replyWriter{c: c, timeout: write}
+	out := replyWriter{c: c}
 	var word [8]byte
 serving:
 	for {
@@ -420,9 +416,8 @@ serving:
 // them to the socket in as few Writes as the flush rule allows. The
 // buffer grows on demand and never past bufCap.
 type replyWriter struct {
-	c       net.Conn
-	timeout time.Duration
-	buf     []byte
+	c   net.Conn
+	buf []byte
 }
 
 // flush writes the pending replies, under the write deadline.
@@ -430,7 +425,7 @@ func (w *replyWriter) flush() error {
 	if len(w.buf) == 0 {
 		return nil
 	}
-	w.c.SetWriteDeadline(time.Now().Add(w.timeout))
+	w.c.SetWriteDeadline(time.Now().Add(DefaultWriteTimeout))
 	_, err := w.c.Write(w.buf)
 	w.buf = w.buf[:0]
 	return err
@@ -465,7 +460,7 @@ func (w *replyWriter) reply(status byte, seq, data []byte) error {
 		w.buf = append(w.buf, data...)
 		return nil
 	}
-	w.c.SetWriteDeadline(time.Now().Add(w.timeout))
+	w.c.SetWriteDeadline(time.Now().Add(DefaultWriteTimeout))
 	bufs := net.Buffers{w.buf, data}
 	_, err := bufs.WriteTo(w.c)
 	w.buf = w.buf[:0]

@@ -17,15 +17,14 @@ import (
 // where a dispatcher working from stale load information piles an
 // entire burst onto whichever server *used to* look idle.
 type FlashCrowdConfig struct {
-	FrontEnd  int
-	ExtID     int // external endpoint for replies
-	Every     sim.Time
-	MinSize   int
-	MaxSize   int
-	Span      sim.Time
-	Gen       Generator
-	Seed      int64
-	ClassOnly string // if set, tag all requests with this class
+	FrontEnd int
+	ExtID    int // external endpoint for replies
+	Every    sim.Time
+	MinSize  int
+	MaxSize  int
+	Span     sim.Time
+	Gen      Generator
+	Seed     int64
 }
 
 // FlashCrowd injects synchronized request bursts and records their
@@ -87,9 +86,6 @@ func (fc *FlashCrowd) scheduleBurst() {
 func (fc *FlashCrowd) injectOne() {
 	fc.Issued++
 	req := fc.Cfg.Gen(fc.rng, fc.Issued, fc.Cfg.ExtID, fc.fab.Eng.Now())
-	if fc.Cfg.ClassOnly != "" {
-		req.Class = fc.Cfg.ClassOnly
-	}
 	fc.fab.Inject(fc.Cfg.ExtID, fc.Cfg.FrontEnd, httpsim.DispatchPort, req.Size, req)
 }
 

@@ -59,3 +59,45 @@ func Total(shapes []Shape) float64 {
 func BenchOnly() int   { return 1 }
 func CmdOnly() int     { return 2 }
 func ExampleOnly() int { return 3 }
+
+// Knobs holds one field per case of the knob rule. Every field is read
+// in production (Knobs.Sum); a field no live production code writes is
+// reported.
+type Knobs struct {
+	TestSet   int     // set only by lib_test.go: reported
+	DeadWrite int     // set only by deadSetter, which nothing calls: reported
+	Lit       int     // set by a composite-literal key
+	Index     [2]int  // set through an index chain
+	Count     int     // set by ++
+	Addr      int     // set through &
+	Meter     Counter // set by a pointer-method call on the value
+	Filled    int     // set by a default fill
+}
+
+// NewKnobs writes Lit, Index, Count, Addr and Meter.
+func NewKnobs() *Knobs {
+	k := &Knobs{Lit: 1}
+	k.Index[0] = 2
+	k.Count++
+	setInt(&k.Addr)
+	k.Meter.Observe()
+	return k
+}
+
+// Sum reads every field, filling Filled's default first.
+func (k *Knobs) Sum() int {
+	if k.Filled == 0 {
+		k.Filled = 3
+	}
+	return k.TestSet + k.DeadWrite + k.Lit + k.Index[0] + k.Count + k.Addr + k.Meter.n + k.Filled
+}
+
+func setInt(p *int) { *p = 4 }
+
+func deadSetter(k *Knobs) { k.DeadWrite = 5 }
+
+// Counter counts observations.
+type Counter struct{ n int }
+
+// Observe counts one.
+func (c *Counter) Observe() { c.n++ }

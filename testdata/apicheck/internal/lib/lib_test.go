@@ -8,4 +8,10 @@ func TestLib(t *testing.T) {
 	if s.Name() != "square" || (&Dead{}).Clone() == nil {
 		t.Fatal("unreachable")
 	}
+	k := NewKnobs()
+	k.TestSet = 6
+	deadSetter(k)
+	if k.Sum() == 0 {
+		t.Fatal("unreachable")
+	}
 }
