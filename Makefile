@@ -11,7 +11,10 @@ FUZZTIME ?= 10s
 
 ci: vet build race bench-check fuzz chaos-smoke ha-smoke aa-smoke hybrid-smoke churn-smoke scenario-smoke
 
-# The last line fails on exported API no production code uses (api_test.go's allowlist excepted).
+# The last line runs api_test.go's three rules: it fails on exported API no
+# production code uses, on an exported field production reads but only
+# tests set (its allowlist excepted), and on a field production writes
+# that nothing reads or that only tests read and testReadState omits.
 vet:
 	$(GO) vet ./...
 	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then echo "gofmt -l:"; echo "$$unformatted"; exit 1; fi

@@ -42,12 +42,55 @@ var testOnlyAllowlist = map[string]string{
 	"internal/wire.UnpackClaimWord":                "fuzz oracle: FuzzClaimWord round-trips it and checks WordEpoch and ClaimVacant against it; core and livemon claim tests read the witness's words with it",
 }
 
+// testReadState lists, sorted, the struct fields production writes and
+// only tests read: counters and state a test checks that no production
+// code shows. It only shrinks: the telemetry layer that exposes these
+// fields takes them off, and a field nobody wants exposed is deleted.
+var testReadState = []string{
+	"internal/connpool.Stats.BreakerCloses",
+	"internal/connpool.Stats.Dialing",
+	"internal/connpool.Stats.FenceRejected",
+	"internal/connpool.Stats.IdleGCs",
+	"internal/connpool.Stats.Recycles",
+	"internal/connpool.Stats.StaleReleases",
+	"internal/core.ClaimVault.words",
+	"internal/core.Monitor.PoolShedHot",
+	"internal/core.ProbeState.TornRetries",
+	"internal/core.PushAgent.Published",
+	"internal/faults.Injector.CrashEvents",
+	"internal/ganglia.Gmond.Received",
+	"internal/livemon.Agent.cvault",
+	"internal/livemon.Probe.Rehandshakes",
+	"internal/livemon.Pusher.rekeys",
+	"internal/livemon.claimVault.words",
+	"internal/loadbalance.WeightedLeastLoad.DegradedPicks",
+	"internal/loadbalance.WeightedLeastLoad.ExcludedPicks",
+	"internal/loadbalance.WeightedProportional.DegradedPicks",
+	"internal/simnet.NIC.DialErrors",
+	"internal/simnet.NIC.Dials",
+	"internal/simnet.NIC.DoorbellBatches",
+	"internal/simnet.NIC.QPResets",
+	"internal/simnet.NIC.RDMAAtomics",
+	"internal/simnet.NIC.RDMAErrors",
+	"internal/simnet.QP.target",
+	"internal/simos.Message.SentAt",
+	"internal/simos.Task.CPUTime",
+	"internal/simos.Task.Wakeups",
+	"internal/tcpverbs.Conn.Redials",
+	"internal/wire.RingView.K",
+	"internal/wire.RingView.NodeID",
+	"internal/wire.RingView.Pushes",
+	"internal/workload.ClientPool.Rejected",
+}
+
 // TestNoTestOnlyAPI holds the rule that production API is what
 // production uses: every exported identifier of the module is used by a
 // non-test file under internal/, cmd/, examples/ or bench/, and every
 // exported field production reads is also set by production (a field
 // only tests set is a knob with one value in use: a constant), or the
-// identifier is on testOnlyAllowlist with a reason.
+// identifier is on testOnlyAllowlist with a reason. Its third rule is on
+// state: every struct field production writes is read by something, and
+// a field only tests read is on testReadState.
 func TestNoTestOnlyAPI(t *testing.T) {
 	found, err := testOnlyAPI(".")
 	if err != nil {
@@ -71,6 +114,35 @@ func TestNoTestOnlyAPI(t *testing.T) {
 			t.Errorf("allowlist entry %s is stale: production code uses it or it is gone", id)
 		}
 	}
+	for _, id := range found.dead {
+		t.Errorf("%s: production writes it but nothing reads it; delete it with the code that feeds it", id)
+	}
+	if n := len(testReadState); n > 34 {
+		t.Errorf("testReadState has %d entries; it only shrinks, from 34", n)
+	}
+	for _, msg := range inventoryErrors(found.testRead, testReadState) {
+		t.Error(msg)
+	}
+}
+
+// inventoryErrors compares the fields only tests read with the
+// inventory that must list exactly them, in order.
+func inventoryErrors(testRead, inventory []string) []string {
+	var out []string
+	if !slices.IsSorted(inventory) {
+		out = append(out, "testReadState is not sorted")
+	}
+	for _, id := range testRead {
+		if !slices.Contains(inventory, id) {
+			out = append(out, id+": production writes it and only tests read it; expose it, delete it, or list it on testReadState")
+		}
+	}
+	for _, id := range inventory {
+		if !slices.Contains(testRead, id) {
+			out = append(out, "testReadState entry "+id+" is stale: production reads it, nothing reads it, or it is gone")
+		}
+	}
+	return out
 }
 
 // TestNoTestOnlyAPIFixture runs the checker on a small module whose
@@ -92,6 +164,14 @@ func TestNoTestOnlyAPIFixture(t *testing.T) {
 			"internal/lib.Knobs.DeadWrite", // set only by a dead function
 			"internal/lib.Knobs.TestSet",   // set only by a test
 		},
+		dead: []string{
+			"internal/lib.State.Assigned", // only assigned
+			"internal/lib.State.Bumped",   // only ++'d
+			"internal/lib.State.LitOnly",  // only a composite-literal key
+		},
+		testRead: []string{
+			"internal/lib.State.TestRead", // read only by lib_test.go
+		},
 	}
 	if !slices.Equal(found.unused, want.unused) {
 		t.Errorf("unused:\n got %q\nwant %q", found.unused, want.unused)
@@ -99,14 +179,28 @@ func TestNoTestOnlyAPIFixture(t *testing.T) {
 	if !slices.Equal(found.knobs, want.knobs) {
 		t.Errorf("knobs:\n got %q\nwant %q", found.knobs, want.knobs)
 	}
+	if !slices.Equal(found.dead, want.dead) {
+		t.Errorf("dead:\n got %q\nwant %q", found.dead, want.dead)
+	}
+	if !slices.Equal(found.testRead, want.testRead) {
+		t.Errorf("testRead:\n got %q\nwant %q", found.testRead, want.testRead)
+	}
+	// An inventory entry for a field that is gone fails the check.
+	stale := "internal/lib.State.Gone"
+	got := inventoryErrors(found.testRead, []string{stale, "internal/lib.State.TestRead"})
+	if len(got) != 1 || !strings.Contains(got[0], stale+" is stale") {
+		t.Errorf("inventory with a stale entry: got %q, want one stale-entry error", got)
+	}
 }
 
-// apiFindings are the checker's two reports, each sorted, as
+// apiFindings are the checker's reports, each sorted, as
 // "pkg/rel/path.Name" or "pkg/rel/path.Type.Member": exported
-// identifiers no production code reaches, and exported fields live
-// production code reads but never writes.
+// identifiers no production code reaches; exported fields live
+// production code reads but never writes; and fields, exported or not,
+// live production code writes but does not read, split into those
+// nothing reads (dead) and those only tests read.
 type apiFindings struct {
-	unused, knobs []string
+	unused, knobs, dead, testRead []string
 }
 
 // testOnlyAPI type-checks the non-test Go files of the module rooted
@@ -128,6 +222,11 @@ type apiFindings struct {
 // on it as an addressable value (s.Health.Observe() writes Health). A
 // default fill (if c.F == 0 { c.F = k }) is a write. Like a use, a write
 // counts only from inside a live declaration.
+//
+// A written field must also be read (fieldReads says what a read is),
+// from a live declaration or from any test file: the module's test
+// files are type-checked too, in-package ones with their package and
+// external ones on their own.
 func testOnlyAPI(dir string) (apiFindings, error) {
 	l, err := loadModule(dir)
 	if err != nil {
@@ -136,8 +235,10 @@ func testOnlyAPI(dir string) (apiFindings, error) {
 	g := &apiGraph{
 		edges:    map[types.Object][]types.Object{},
 		writes:   map[types.Object][]types.Object{},
+		reads:    map[types.Object][]token.Pos{},
 		live:     map[types.Object]bool{},
 		written:  map[types.Object]bool{},
+		read:     map[token.Pos]bool{},
 		implDone: map[implKey]bool{},
 	}
 	var named []*types.TypeName
@@ -168,6 +269,17 @@ func testOnlyAPI(dir string) (apiFindings, error) {
 			}
 		}
 	}
+	for owner, fields := range g.reads {
+		if g.live[owner] {
+			for _, f := range fields {
+				g.read[f] = true
+			}
+		}
+	}
+	testRead, err := l.testReads()
+	if err != nil {
+		return apiFindings{}, err
+	}
 	var found apiFindings
 	for _, p := range l.pkgs {
 		if p.frozen {
@@ -182,22 +294,34 @@ func testOnlyAPI(dir string) (apiFindings, error) {
 				found.knobs = append(found.knobs, id)
 			}
 		}
+		for _, c := range structFields(p) {
+			switch id := p.rel + "." + c.name; {
+			case !g.written[c.obj] || g.read[c.obj.Pos()]:
+			case testRead[c.obj.Pos()]:
+				found.testRead = append(found.testRead, id)
+			default:
+				found.dead = append(found.dead, id)
+			}
+		}
 	}
 	slices.Sort(found.unused)
 	slices.Sort(found.knobs)
+	slices.Sort(found.dead)
+	slices.Sort(found.testRead)
 	return found, nil
 }
 
 // modulePkg is one package of the module, type-checked from its
 // non-test files.
 type modulePkg struct {
-	path, rel, dir string
-	frozen         bool // under bench/: its uses count, its API is not checked
-	names          []string
-	files          []*ast.File
-	pkg            *types.Package
-	info           *types.Info
-	checking       bool
+	path, rel, dir        string
+	frozen                bool // under bench/: its uses count, its API is not checked
+	names                 []string
+	testNames, xtestNames []string
+	files                 []*ast.File
+	pkg                   *types.Package
+	info                  *types.Info
+	checking              bool
 }
 
 type moduleLoader struct {
@@ -237,7 +361,7 @@ func loadModule(root string) (*moduleLoader, error) {
 			return err
 		}
 		rel = filepath.ToSlash(rel)
-		p := &modulePkg{path: modPath, rel: rel, dir: path, names: bp.GoFiles}
+		p := &modulePkg{path: modPath, rel: rel, dir: path, names: bp.GoFiles, testNames: bp.TestGoFiles, xtestNames: bp.XTestGoFiles}
 		if rel != "." {
 			p.path += "/" + rel
 		}
@@ -291,19 +415,12 @@ func (l *moduleLoader) check(p *modulePkg) (*types.Package, error) {
 		return nil, fmt.Errorf("import cycle through %s", p.path)
 	}
 	p.checking = true
-	for _, name := range p.names {
-		f, err := parser.ParseFile(l.fset, filepath.Join(p.dir, name), nil, parser.SkipObjectResolution)
-		if err != nil {
-			return nil, err
-		}
-		p.files = append(p.files, f)
+	files, err := l.parse(p.dir, p.names)
+	if err != nil {
+		return nil, err
 	}
-	p.info = &types.Info{
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-	}
+	p.files = files
+	p.info = newInfo()
 	conf := types.Config{Importer: l}
 	pkg, err := conf.Check(p.path, l.fset, p.files, p.info)
 	if err != nil {
@@ -313,14 +430,99 @@ func (l *moduleLoader) check(p *modulePkg) (*types.Package, error) {
 	return pkg, nil
 }
 
+func (l *moduleLoader) parse(dir string, names []string) ([]*ast.File, error) {
+	var files []*ast.File
+	for _, name := range names {
+		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
+	}
+	return files, nil
+}
+
+func newInfo() *types.Info {
+	return &types.Info{
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+	}
+}
+
+// testReads type-checks every test file of the module and returns the
+// positions of the struct fields they read. An in-package test file is
+// checked with its package's files (a second copy of the package, so
+// fields are matched by position), an external test package on its own,
+// importing that copy.
+func (l *moduleLoader) testReads() (map[token.Pos]bool, error) {
+	read := map[token.Pos]bool{}
+	add := func(v *types.Var) { read[origin(v).Pos()] = true }
+	for _, p := range l.pkgs {
+		withTests := p.pkg
+		if len(p.testNames) > 0 {
+			files, err := l.parse(p.dir, p.testNames)
+			if err != nil {
+				return nil, err
+			}
+			info := newInfo()
+			conf := types.Config{Importer: l}
+			withTests, err = conf.Check(p.path, l.fset, append(slices.Clip(p.files), files...), info)
+			if err != nil {
+				return nil, err
+			}
+			for _, f := range files {
+				fieldReads(info, f, add)
+			}
+		}
+		if len(p.xtestNames) > 0 {
+			files, err := l.parse(p.dir, p.xtestNames)
+			if err != nil {
+				return nil, err
+			}
+			info := newInfo()
+			conf := types.Config{Importer: testImporter{l, withTests}}
+			if _, err := conf.Check(p.path+"_test", l.fset, files, info); err != nil {
+				return nil, err
+			}
+			for _, f := range files {
+				fieldReads(info, f, add)
+			}
+		}
+	}
+	return read, nil
+}
+
+// testImporter is the module's importer, but for the package under
+// test, which an external test package sees with its in-package test
+// files.
+type testImporter struct {
+	*moduleLoader
+	under *types.Package
+}
+
+func (t testImporter) Import(path string) (*types.Package, error) {
+	return t.ImportFrom(path, "", 0)
+}
+
+func (t testImporter) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
+	if path == t.under.Path() {
+		return t.under, nil
+	}
+	return t.moduleLoader.ImportFrom(path, dir, mode)
+}
+
 // apiGraph is the use graph: an edge runs from the identifier whose
 // declaration holds a use to the identifier used. writes maps the same
 // owners to the fields their declarations write.
 type apiGraph struct {
 	edges    map[types.Object][]types.Object
 	writes   map[types.Object][]types.Object
+	reads    map[types.Object][]token.Pos
 	live     map[types.Object]bool
 	written  map[types.Object]bool
+	read     map[token.Pos]bool
 	queue    []types.Object
 	implDone map[implKey]bool
 }
@@ -407,8 +609,9 @@ func (g *apiGraph) addFile(p *modulePkg, f *ast.File) {
 }
 
 // addUses adds an edge from each owner to every identifier used under
-// n, and records the fields n writes; with no owners, n is a root and
-// what it uses is live, what it writes written.
+// n, and records the fields n writes and reads; with no owners, n is a
+// root and what it uses is live, what it writes written, what it reads
+// read.
 func (g *apiGraph) addUses(p *modulePkg, n ast.Node, owners []types.Object) {
 	for _, f := range fieldWrites(p.info, n) {
 		if len(owners) == 0 {
@@ -418,6 +621,15 @@ func (g *apiGraph) addUses(p *modulePkg, n ast.Node, owners []types.Object) {
 			g.writes[o] = append(g.writes[o], f)
 		}
 	}
+	fieldReads(p.info, n, func(f *types.Var) {
+		pos := origin(f).Pos()
+		if len(owners) == 0 {
+			g.read[pos] = true
+		}
+		for _, o := range owners {
+			g.reads[o] = append(g.reads[o], pos)
+		}
+	})
 	ast.Inspect(n, func(n ast.Node) bool {
 		id, ok := n.(*ast.Ident)
 		if !ok {
@@ -502,6 +714,144 @@ func fieldWrites(info *types.Info, n ast.Node) []types.Object {
 		return true
 	})
 	return out
+}
+
+// fieldReads calls read for each struct field read under n. Only the
+// target of =, op=, ++ or -- and a composite-literal key are pure
+// writes, and so are the fields holding the struct value, array, slice
+// or map a target is inside (k.Index[0] = x and d.P99[s] = x write
+// Index and P99): a container only ever written into is never looked
+// at. A pointer a target is reached through is read, since what it
+// points to is shared. Every other use is a read: a selector in an
+// expression, &x.F, a method call on x.F. A struct value compared with
+// == or !=, used as a map key, or passed to an interface parameter reads
+// every field it holds.
+func fieldReads(info *types.Info, n ast.Node, read func(*types.Var)) {
+	var visit func(ast.Node) bool
+	walk := func(n ast.Node) {
+		if n != nil {
+			ast.Inspect(n, visit)
+		}
+	}
+	target := func(e ast.Expr) {
+		for {
+			switch x := ast.Unparen(e).(type) {
+			case *ast.SelectorExpr:
+				if s := info.Selections[x]; s == nil || s.Indirect() {
+					walk(x.X)
+					return
+				}
+				e = x.X
+			case *ast.IndexExpr:
+				walk(x.Index)
+				e = x.X
+			default:
+				walk(x)
+				return
+			}
+		}
+	}
+	visit = func(n ast.Node) bool {
+		switch x := n.(type) {
+		case *ast.AssignStmt:
+			for _, lhs := range x.Lhs {
+				target(lhs)
+			}
+			for _, rhs := range x.Rhs {
+				walk(rhs)
+			}
+			return false
+		case *ast.IncDecStmt:
+			target(x.X)
+			return false
+		case *ast.CompositeLit:
+			_, isStruct := deref(info.TypeOf(x)).Underlying().(*types.Struct)
+			for _, el := range x.Elts {
+				if kv, ok := el.(*ast.KeyValueExpr); ok && isStruct {
+					el = kv.Value
+				}
+				walk(el)
+			}
+			return false
+		case *ast.SelectorExpr:
+			if s := info.Selections[x]; s != nil && s.Kind() == types.FieldVal {
+				read(s.Obj().(*types.Var))
+			}
+		case *ast.BinaryExpr:
+			if x.Op == token.EQL || x.Op == token.NEQ {
+				allFields(info.TypeOf(x.X), read)
+				allFields(info.TypeOf(x.Y), read)
+			}
+		case *ast.CallExpr:
+			ifaceArgs(info, x, read)
+		}
+		if e, ok := n.(ast.Expr); ok {
+			if m, ok := typeUnder(info.TypeOf(e)).(*types.Map); ok {
+				allFields(m.Key(), read)
+			}
+		}
+		return true
+	}
+	walk(n)
+}
+
+// ifaceArgs reads every field of each struct value call converts to an
+// interface, as an argument or as a conversion's operand.
+func ifaceArgs(info *types.Info, call *ast.CallExpr, read func(*types.Var)) {
+	tv := info.Types[call.Fun]
+	if tv.IsType() {
+		if types.IsInterface(tv.Type) && len(call.Args) == 1 {
+			allFields(info.TypeOf(call.Args[0]), read)
+		}
+		return
+	}
+	sig, ok := typeUnder(tv.Type).(*types.Signature)
+	if !ok {
+		return
+	}
+	params := sig.Params()
+	for i, arg := range call.Args {
+		var pt types.Type
+		switch last := params.Len() - 1; {
+		case sig.Variadic() && i >= last && !call.Ellipsis.IsValid():
+			if s, ok := params.At(last).Type().(*types.Slice); ok {
+				pt = s.Elem()
+			}
+		case i < params.Len():
+			pt = params.At(i).Type()
+		}
+		if pt != nil && types.IsInterface(pt) {
+			allFields(info.TypeOf(arg), read)
+		}
+	}
+}
+
+// allFields reads every field t holds by value: its own, and those of
+// the struct and array values inside it.
+func allFields(t types.Type, read func(*types.Var)) {
+	switch u := typeUnder(t).(type) {
+	case *types.Struct:
+		for i := range u.NumFields() {
+			read(u.Field(i))
+			allFields(u.Field(i).Type(), read)
+		}
+	case *types.Array:
+		allFields(u.Elem(), read)
+	}
+}
+
+func typeUnder(t types.Type) types.Type {
+	if t == nil {
+		return nil
+	}
+	return t.Underlying()
+}
+
+func deref(t types.Type) types.Type {
+	if ptr, ok := typeUnder(t).(*types.Pointer); ok {
+		return ptr.Elem()
+	}
+	return t
 }
 
 // recvTypeName is the declared type behind t or *t, if any.
@@ -609,6 +959,27 @@ func stdInterfaces(pkgs []*modulePkg) []*types.Interface {
 type candidate struct {
 	name string
 	obj  types.Object
+}
+
+// structFields lists the non-embedded, non-blank fields, exported or
+// not, of the struct types p declares at package level.
+func structFields(p *modulePkg) []candidate {
+	var out []candidate
+	scope := p.pkg.Scope()
+	for _, name := range scope.Names() {
+		tn, ok := scope.Lookup(name).(*types.TypeName)
+		if !ok || tn.IsAlias() {
+			continue
+		}
+		if st, ok := tn.Type().Underlying().(*types.Struct); ok {
+			for i := range st.NumFields() {
+				if f := st.Field(i); !f.Embedded() && f.Name() != "_" {
+					out = append(out, candidate{name + "." + f.Name(), f})
+				}
+			}
+		}
+	}
+	return out
 }
 
 // candidates lists the exported identifiers p declares: package-level

@@ -215,7 +215,6 @@ type entry[K comparable, C any] struct {
 // lruList is an intrusive doubly-linked LRU of idle entries.
 type lruList[K comparable, C any] struct {
 	head, tail *entry[K, C]
-	n          int
 }
 
 func (l *lruList[K, C]) push(e *entry[K, C]) { // to tail (most recent)
@@ -226,7 +225,6 @@ func (l *lruList[K, C]) push(e *entry[K, C]) { // to tail (most recent)
 		l.head = e
 	}
 	l.tail = e
-	l.n++
 }
 
 func (l *lruList[K, C]) remove(e *entry[K, C]) {
@@ -241,7 +239,6 @@ func (l *lruList[K, C]) remove(e *entry[K, C]) {
 		l.tail = e.prev
 	}
 	e.prev, e.next = nil, nil
-	l.n--
 }
 
 // Pool manages connections keyed by target. Safe for concurrent use;

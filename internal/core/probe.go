@@ -60,8 +60,6 @@ type Prober struct {
 	// (AgentConfig.StandbySocket), or a fallback probe of a dead
 	// back-end would block the cycle forever.
 	Timeout sim.Time
-	// Timeouts counts the subset of Errors that were deadline expiries.
-	Timeouts int
 	// OnRecord, if set, observes every record as it arrives.
 	OnRecord func(rec wire.LoadRecord, at sim.Time)
 }
@@ -150,7 +148,6 @@ func (p *Prober) probeSocket(tk *simos.Task, then func(wire.LoadRecord, error)) 
 	p.fnic.Send(tk, p.Backend, p.agent.Port(), ProbeReqSize, probeReq{ReplyPort: p.replyPort}, func() {
 		tk.RecvTimeout(rp, p.Timeout, func(m simos.Message, ok bool) {
 			if !ok {
-				p.Timeouts++
 				then(wire.LoadRecord{}, ErrProbeTimeout)
 				return
 			}
@@ -409,7 +406,6 @@ type sweepScratch struct {
 	then func(*wire.LoadRecord, error) // sc.outcome, or a re-arm's accounting
 
 	sweepFn     func()                        // sc.sweep
-	resumeFn    func()                        // sc.resume
 	completedFn func([]simnet.ReadResult)     // sc.completed
 	dialedFn    func(*simnet.QP, error)       // sc.dialed
 	readFn      func([]byte, error)           // sc.read
@@ -421,7 +417,7 @@ type sweepScratch struct {
 
 func newSweepScratch(m *Monitor, tk *simos.Task, shard int, ids []int, poll sim.Time) *sweepScratch {
 	sc := &sweepScratch{m: m, tk: tk, shard: shard, ids: ids, poll: poll}
-	sc.sweepFn, sc.resumeFn, sc.completedFn = sc.sweep, sc.resume, sc.completed
+	sc.sweepFn, sc.completedFn = sc.sweep, sc.completed
 	sc.dialedFn, sc.readFn, sc.decodeFn = sc.dialed, sc.read, sc.decode
 	sc.socketFn, sc.outcomeFn, sc.nextFn = sc.socketDone, sc.outcome, sc.next
 	return sc
@@ -584,9 +580,6 @@ func (sc *sweepScratch) read(data []byte, err error) {
 		}
 	}
 	if err != nil {
-		if err == simnet.ErrTimeout {
-			p.Timeouts++
-		}
 		sc.then(nil, err)
 		return
 	}

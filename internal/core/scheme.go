@@ -36,7 +36,6 @@ const (
 	RDMAAsync
 	RDMASync
 	ERDMASync
-	numSchemes
 )
 
 // Schemes returns all schemes in the paper's presentation order.

@@ -20,7 +20,6 @@ func init() {
 type Fig3Data struct {
 	Threads []int
 	Mean    map[core.Scheme][]float64
-	P99     map[core.Scheme][]float64
 }
 
 // Fig3 reproduces §5.1.1: the monitoring latency of the socket schemes
@@ -35,11 +34,9 @@ func Fig3(o Options) *Fig3Data {
 	d := &Fig3Data{
 		Threads: threads,
 		Mean:    make(map[core.Scheme][]float64),
-		P99:     make(map[core.Scheme][]float64),
 	}
 	for _, s := range schemes {
 		d.Mean[s] = make([]float64, len(threads))
-		d.P99[s] = make([]float64, len(threads))
 	}
 	type point struct{ si, ti int }
 	var pts []point
@@ -52,7 +49,6 @@ func Fig3(o Options) *Fig3Data {
 		p := pts[i]
 		lat := fig3Point(o, schemes[p.si], threads[p.ti])
 		d.Mean[schemes[p.si]][p.ti] = lat.Mean()
-		d.P99[schemes[p.si]][p.ti] = lat.Percentile(99)
 	})
 	return d
 }

@@ -56,13 +56,11 @@ const histPeakMargin = 0.02
 
 // HistoryCoveragePoint is one coverage mode's run over the same fleet.
 type HistoryCoveragePoint struct {
-	Mode     string // "point" or "ring"
-	Backends int
+	Mode string // "point" or "ring"
 
 	ProbeWRs     uint64  // one-sided reads posted in the window
 	Samples      uint64  // distinct kernel samples observed
 	SamplesPerWR float64 // amortization: samples bought per read
-	Torn         uint64  // seqlock re-reads (benign, bounded)
 	Errors       int
 }
 
@@ -226,7 +224,7 @@ func historyCoverage(o Options, n int, ring bool) HistoryCoveragePoint {
 	}
 	startFlappers(c, n, volatile)
 
-	pt := HistoryCoveragePoint{Mode: "point", Backends: n}
+	pt := HistoryCoveragePoint{Mode: "point"}
 	if ring {
 		pt.Mode = "ring"
 	}
@@ -256,13 +254,12 @@ func historyCoverage(o Options, n int, ring bool) HistoryCoveragePoint {
 	}
 	c.Eng.RunUntil(warm)
 	reads0 := c.FNIC.RDMAReads
-	samples0, torn0, errs0 := historyProbeTotals(c)
+	samples0, errs0 := historyProbeTotals(c)
 	pointSamples = 0
 	c.Eng.RunUntil(warm + dur)
 
 	pt.ProbeWRs = c.FNIC.RDMAReads - reads0
-	samples1, torn1, errs1 := historyProbeTotals(c)
-	pt.Torn = torn1 - torn0
+	samples1, errs1 := historyProbeTotals(c)
 	pt.Errors = errs1 - errs0
 	if ring {
 		pt.Samples = samples1 - samples0
@@ -277,14 +274,13 @@ func historyCoverage(o Options, n int, ring bool) HistoryCoveragePoint {
 
 // historyProbeTotals sums the fleet's ring-fold counters in backend
 // order (deterministic — never iterate the prober map directly).
-func historyProbeTotals(c *cluster.Cluster) (samples, torn uint64, errs int) {
+func historyProbeTotals(c *cluster.Cluster) (samples uint64, errs int) {
 	for _, b := range c.Monitor.Backends() {
 		p := c.Monitor.Probers[b]
 		samples += p.RingSamples
-		torn += p.TornRetries
 		errs += p.Errors
 	}
-	return samples, torn, errs
+	return samples, errs
 }
 
 // startBaseline gives every non-ramping back-end a steady synthetic
@@ -413,7 +409,7 @@ func historyDispatch(o Options, n int, trend bool) HistoryDispatchPoint {
 		pt.MeanIdx = sum / float64(landed)
 	}
 	pt.TrendPicks = wll.TrendPicks
-	samples, _, errs := historyProbeTotals(c)
+	samples, errs := historyProbeTotals(c)
 	pt.Errors = errs
 
 	// Replay digest: pick sequence plus every counter that should be

@@ -92,10 +92,11 @@ func Hybrid(o Options) *HybridData {
 				"VIOLATION: %s effective staleness %.1fT exceeds the %dT bound",
 				p.Mode, p.EffStaleMaxT, hybridStaleSLO))
 		}
-		if p.Errors > 0 || p.Torn > 0 {
+		if p.Errors > 0 || p.Torn > 0 || p.StalePushes > 0 {
 			d.Failed = true
 			d.Notes = append(d.Notes, fmt.Sprintf(
-				"VIOLATION: %s saw %d errors, %d torn pushes", p.Mode, p.Errors, p.Torn))
+				"VIOLATION: %s saw %d errors, %d torn pushes, %d stale pushes",
+				p.Mode, p.Errors, p.Torn, p.StalePushes))
 		}
 		if p.SeqViolations > 0 {
 			d.Failed = true

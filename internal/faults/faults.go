@@ -163,13 +163,8 @@ type Injector struct {
 	OnRestart      func(node int)
 	OnMRInvalidate func(node int)
 
-	// Counters (observability for experiments and tests).
-	DroppedMsgs    uint64
-	DelayedMsgs    uint64
-	FailedRDMA     uint64
-	CrashEvents    uint64
-	RefusedDials   uint64
-	ListenerResets uint64
+	// CrashEvents counts the plan's crashes fired so far.
+	CrashEvents uint64
 }
 
 // NewInjector builds an injector for plan on eng. Call Install to arm
@@ -252,10 +247,7 @@ func (in *Injector) Install(fab *simnet.Fabric, nodes map[int]*simos.Node) {
 	}
 	for _, lr := range in.plan.ListenerResets {
 		lr := lr
-		at(lr.At, func() {
-			in.ListenerResets++
-			fab.ResetListener(lr.Node)
-		})
+		at(lr.At, func() { fab.ResetListener(lr.Node) })
 	}
 }
 
@@ -273,7 +265,6 @@ func (in *Injector) partitioned(from, to int) bool {
 // Channel implements simnet.FaultModel for channel-semantics traffic.
 func (in *Injector) Channel(from, dst, size int) simnet.ChannelVerdict {
 	if in.partitioned(from, dst) {
-		in.DroppedMsgs++
 		return simnet.ChannelVerdict{Drop: true}
 	}
 	var v simnet.ChannelVerdict
@@ -283,11 +274,9 @@ func (in *Injector) Channel(from, dst, size int) simnet.ChannelVerdict {
 			continue
 		}
 		if l.Drop > 0 && in.rng.Float64() < l.Drop {
-			in.DroppedMsgs++
 			return simnet.ChannelVerdict{Drop: true}
 		}
 		if l.DelayProb > 0 && in.rng.Float64() < l.DelayProb {
-			in.DelayedMsgs++
 			v.Delay += l.delay(in.rng)
 		}
 	}
@@ -300,7 +289,6 @@ func (in *Injector) Channel(from, dst, size int) simnet.ChannelVerdict {
 // budget — modeled as drop^3 — while partitions always fail.
 func (in *Injector) RDMA(from, target int) simnet.RDMAVerdict {
 	if in.partitioned(from, target) {
-		in.FailedRDMA++
 		return simnet.RDMAVerdict{Fail: true}
 	}
 	var v simnet.RDMAVerdict
@@ -312,7 +300,6 @@ func (in *Injector) RDMA(from, target int) simnet.RDMAVerdict {
 		if l.Drop > 0 {
 			p := l.Drop * l.Drop * l.Drop
 			if in.rng.Float64() < p {
-				in.FailedRDMA++
 				return simnet.RDMAVerdict{Fail: true}
 			}
 			// Surviving loss still costs hardware retries' latency.
@@ -333,7 +320,6 @@ func (in *Injector) RDMA(from, target int) simnet.RDMAVerdict {
 // here, so historical runs replay bit-identically.
 func (in *Injector) Dial(from, target int) simnet.DialVerdict {
 	if in.partitioned(from, target) {
-		in.RefusedDials++
 		return simnet.DialVerdict{Refuse: true}
 	}
 	var v simnet.DialVerdict
@@ -343,7 +329,6 @@ func (in *Injector) Dial(from, target int) simnet.DialVerdict {
 			continue
 		}
 		if s.Refuse > 0 && in.rng.Float64() < s.Refuse {
-			in.RefusedDials++
 			return simnet.DialVerdict{Refuse: true}
 		}
 		if s.DelayProb > 0 && in.rng.Float64() < s.DelayProb {

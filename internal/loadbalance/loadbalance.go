@@ -88,9 +88,6 @@ type WeightedLeastLoad struct {
 	// shard's real holder — so when nothing is claimed Pick returns -1
 	// and the dispatcher redirects the client to another front-end.
 	Claimed func(backend int) bool
-	// ClaimSkips counts picks where the claim filter removed at least
-	// one back-end from consideration.
-	ClaimSkips uint64
 
 	// Slope, if set together with a positive TrendHorizon, turns on
 	// trend-aware dispatch: each back-end's index is projected one
@@ -181,12 +178,10 @@ func (w *WeightedLeastLoad) Pick() int {
 	// often the trend term actually reordered the choice.
 	lvlBest, projBest := -1, -1
 	lvlMin, projMin := 0.0, 0.0
-	claimSkipped := false
 	useLocal := w.LocalFrac != nil && w.LocalWeight > 0
 	half := float64(len(w.Backends)) / 2 // fair share 1/N -> 0.5
 	for _, b := range w.Backends {
 		if w.Claimed != nil && !w.Claimed(b) {
-			claimSkipped = true
 			continue
 		}
 		if w.Exclude != nil && w.Exclude(b) {
@@ -235,9 +230,6 @@ func (w *WeightedLeastLoad) Pick() int {
 	}
 	if skipped {
 		w.ExcludedPicks++
-	}
-	if claimSkipped {
-		w.ClaimSkips++
 	}
 	if lvlBest != projBest {
 		w.TrendPicks++
@@ -304,11 +296,10 @@ type WeightedProportional struct {
 	Exclude       func(backend int) bool
 	ExcludedPicks uint64
 
-	// Claimed / ClaimSkips: as in WeightedLeastLoad — an unclaimed
-	// back-end's weight is zero with no fallback onto it; Pick returns
-	// -1 when this front-end holds nothing.
-	Claimed    func(backend int) bool
-	ClaimSkips uint64
+	// Claimed: as in WeightedLeastLoad — an unclaimed back-end's weight
+	// is zero with no fallback onto it; Pick returns -1 when this
+	// front-end holds nothing.
+	Claimed func(backend int) bool
 
 	// Degraded / DegradedPicks: as in WeightedLeastLoad — degraded
 	// back-ends keep a (DefaultDegradedPenalty-handicapped) traffic share
@@ -335,13 +326,11 @@ func (w *WeightedProportional) Pick() int {
 	w.weights = w.weights[:len(w.Backends)]
 	total := 0.0
 	skipped := false
-	claimSkipped := false
 	useLocal := w.LocalFrac != nil && w.LocalWeight > 0
 	half := float64(len(w.Backends)) / 2 // fair share 1/N -> 0.5
 	for i, b := range w.Backends {
 		if w.Claimed != nil && !w.Claimed(b) {
 			w.weights[i] = 0
-			claimSkipped = true
 			continue
 		}
 		if w.Exclude != nil && w.Exclude(b) {
@@ -392,9 +381,6 @@ func (w *WeightedProportional) Pick() int {
 	}
 	if skipped {
 		w.ExcludedPicks++
-	}
-	if claimSkipped {
-		w.ClaimSkips++
 	}
 	// The quarantine fallback pool: all back-ends, or only the claimed
 	// ones — never leak onto a shard another front-end holds.

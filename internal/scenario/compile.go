@@ -28,8 +28,7 @@ const DefaultSeed = 20060925
 // (cluster.Config, faults.Plan) are produced on demand so one Compiled
 // serves a whole seed sweep.
 type Compiled struct {
-	S     *Scenario
-	Quick bool
+	S *Scenario
 
 	Horizon sim.Time
 	Poll    sim.Time
@@ -56,7 +55,7 @@ func (s *Scenario) Compile(quick bool) (*Compiled, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	cp := &Compiled{S: s, Quick: quick}
+	cp := &Compiled{S: s}
 
 	cp.Horizon = s.Horizon
 	if quick && s.QuickHorizon > 0 {

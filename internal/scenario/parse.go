@@ -533,23 +533,6 @@ func (d *dec) dur(m map[string]any, key, path string) sim.Time {
 	return sim.Time(t)
 }
 
-func (d *dec) list(m map[string]any, key, path string) []any {
-	v, ok := pop(m, key)
-	if !ok {
-		return nil
-	}
-	l, ok := v.([]any)
-	if !ok {
-		d.bad(path+"."+key, "expected a sequence")
-		return nil
-	}
-	if len(l) > 4096 {
-		d.bad(path+"."+key, "sequence exceeds the 4096-item cap")
-		return nil
-	}
-	return l
-}
-
 func decodeScenario(tree any) (*Scenario, error) {
 	d := &dec{}
 	m := d.obj(tree, "scenario")

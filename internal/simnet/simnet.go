@@ -488,7 +488,6 @@ type NIC struct {
 
 	// Counters (NIC firmware statistics).
 	RDMAReads       uint64
-	RDMAWrites      uint64
 	RDMAAtomics     uint64
 	RDMAErrors      uint64
 	SendsPosted     uint64
@@ -573,7 +572,6 @@ func StaticSource(buf []byte) Source { return func() []byte { return buf } }
 // MR is a registered (pinned) memory region addressable by remote
 // RDMA operations.
 type MR struct {
-	nic      *NIC
 	key      uint32
 	size     int
 	source   Source
@@ -587,7 +585,7 @@ func (m *MR) Key() uint32 { return m.key }
 // RegisterMR pins a read-only region of the given size served by src.
 func (n *NIC) RegisterMR(src Source, size int) *MR {
 	n.nextKey++
-	mr := &MR{nic: n, key: n.nextKey, size: size, source: src}
+	mr := &MR{key: n.nextKey, size: size, source: src}
 	n.mrs[mr.key] = mr
 	return mr
 }
@@ -944,7 +942,6 @@ func (op *writeOp) post() {
 	n := op.nic
 	f := n.fab
 	op.task.Await(op.awaitedFn)
-	n.RDMAWrites++
 	extra := f.heteroLat(n.node.ID, op.target)
 	if f.Faults != nil {
 		v := f.Faults.RDMA(n.node.ID, op.target)

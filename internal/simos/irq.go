@@ -2,21 +2,7 @@ package simos
 
 import "rdmamon/internal/sim"
 
-// IRQKind identifies the interrupt source, mirroring the lines the
-// paper's irq_stat experiment distinguishes.
-type IRQKind int
-
-const (
-	// IRQTimer is the periodic scheduler tick.
-	IRQTimer IRQKind = iota
-	// IRQNet is a network adapter interrupt (two-sided traffic only —
-	// one-sided RDMA completes entirely on the NIC and never raises
-	// an interrupt on the target host; that is the paper's point).
-	IRQNet
-)
-
 type irqReq struct {
-	kind   IRQKind
 	hard   sim.Time
 	soft   sim.Time
 	action func()
@@ -26,14 +12,16 @@ type irqReq struct {
 // (the paper's testbed routes the HCA's line to the second CPU, which
 // is why RDMA-Sync observes more pending interrupts there). action
 // runs in softirq context once the handler completes, typically
-// delivering a packet to a port.
+// delivering a packet to a port. Only two-sided traffic raises one:
+// one-sided RDMA completes entirely on the NIC and never interrupts the
+// target host, which is the paper's point.
 func (n *Node) RaiseNetIRQ(action func()) {
 	if n.down {
 		return // a crashed host raises no interrupts
 	}
 	n.unpark()
 	c := n.cpus[n.Cfg.NetIRQCPU]
-	n.raiseIRQon(c, IRQNet, n.Cfg.NetIRQHard, n.Cfg.NetIRQSoft, action)
+	n.raiseIRQon(c, n.Cfg.NetIRQHard, n.Cfg.NetIRQSoft, action)
 }
 
 // raiseIRQon queues an interrupt on a specific CPU. If the CPU is not
@@ -47,12 +35,12 @@ func (n *Node) RaiseNetIRQ(action func()) {
 // processing), and each hard completion enqueues the packet's softirq
 // (bottom-half) work, where the real backlog accumulates under bursty
 // traffic.
-func (n *Node) raiseIRQon(c *cpu, kind IRQKind, hard, soft sim.Time, action func()) {
+func (n *Node) raiseIRQon(c *cpu, hard, soft sim.Time, action func()) {
 	n.K.cumIRQHard[c.id]++
 	if soft > 0 {
 		n.K.cumIRQSoft[c.id]++
 	}
-	c.hardQ.push(irqReq{kind: kind, hard: hard, soft: soft, action: action})
+	c.hardQ.push(irqReq{hard: hard, soft: soft, action: action})
 	if !c.irqActive {
 		c.irqActive = true
 		if t := c.cur; t != nil {

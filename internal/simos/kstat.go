@@ -15,8 +15,6 @@ type KernelStats struct {
 
 	NetRxBytes uint64
 	NetTxBytes uint64
-	NetRxPkts  uint64
-	NetTxPkts  uint64
 
 	connFn    func() int
 	memUsedKB uint64
@@ -185,13 +183,11 @@ func (k *KernelStats) AddMemKB(d int64) {
 // AddNetRx / AddNetTx account network traffic (called by simnet).
 func (k *KernelStats) AddNetRx(bytes int) {
 	k.NetRxBytes += uint64(bytes)
-	k.NetRxPkts++
 }
 
 // AddNetTx accounts one transmitted packet of the given size.
 func (k *KernelStats) AddNetTx(bytes int) {
 	k.NetTxBytes += uint64(bytes)
-	k.NetTxPkts++
 }
 
 // Snapshot is an instantaneous copy of the kernel's load-relevant

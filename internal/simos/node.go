@@ -152,10 +152,9 @@ type Node struct {
 	Cfg  Config
 	cpus []*cpu
 
-	ready    [numBands]fifo[*Task]
-	tasks    map[*Task]struct{}
-	ports    map[string]*Port
-	queueSeq uint64
+	ready [numBands]fifo[*Task]
+	tasks map[*Task]struct{}
+	ports map[string]*Port
 
 	nrRunnable int // tasks ready or running; kept by Task.setState
 	nrTasks    int // live tasks, len(tasks) kept beside nrRunnable by Spawn and exit
@@ -286,7 +285,7 @@ func (n *Node) onTick() {
 	quiet := n.quiescent()
 	if n.Cfg.TimerIRQCost > 0 {
 		for _, c := range n.cpus {
-			n.raiseIRQon(c, IRQTimer, n.Cfg.TimerIRQCost, 0, nil)
+			n.raiseIRQon(c, n.Cfg.TimerIRQCost, 0, nil)
 		}
 	}
 	n.K.sampleUtil()
@@ -390,7 +389,7 @@ func (n *Node) unpark() {
 				n.K.cumIRQHard[c.id] += uint64(v.n)
 			}
 			if n.inService(c, v) {
-				c.hardQ.push(irqReq{kind: IRQTimer, hard: cost})
+				c.hardQ.push(irqReq{hard: cost})
 				c.irqActive = true
 				c.state = accIRQ
 				n.Eng.PostKeyed(v.last+cost, sim.KeyAt(v.last, c.id), c.hardDone)

@@ -68,8 +68,6 @@ func (n *Node) wake(t *Task) {
 	t.boostLeft = n.Cfg.BoostBudget
 	t.setState(stateReady)
 	t.Wakeups++
-	n.queueSeq++
-	t.queueSeq = n.queueSeq
 	if n.Cfg.AblationWakePreempt {
 		// Jump the queue and evict a same-band peer if no CPU is free.
 		n.ready[band].pushFront(t)
@@ -256,9 +254,6 @@ func (t *Task) sliceExpire() {
 		t.burstDone = nil
 		t.remaining = 0
 		t.cpu = nil
-		t.Preemptions++
-		n.queueSeq++
-		t.queueSeq = n.queueSeq
 		n.ready[t.band].push(t)
 		c.cur = nil
 		c.setState(accIdle)
@@ -282,7 +277,6 @@ func (n *Node) preempt(c *cpu) {
 	t.burstDone = nil
 	t.remaining = 0
 	t.cpu = nil
-	t.Preemptions++
 	// Head of queue: a preempted task resumes before queued peers.
 	n.ready[t.band].pushFront(t)
 	c.cur = nil

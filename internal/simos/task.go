@@ -72,7 +72,6 @@ type Task struct {
 	startedAt   sim.Time
 	quantumLeft sim.Time
 	boostLeft   sim.Time
-	queueSeq    uint64
 
 	// The task's three deadlines, owned for life and re-armed in place:
 	// completion of the current burst, expiry of its timeslice or boost
@@ -101,9 +100,8 @@ type Task struct {
 	sleepFn  func() // continuation of the pending Sleep
 
 	// Statistics.
-	CPUTime     sim.Time
-	Wakeups     uint64
-	Preemptions uint64
+	CPUTime sim.Time
+	Wakeups uint64
 }
 
 // Node returns the node the task runs on.

@@ -35,9 +35,7 @@ type FlashCrowd struct {
 	All      metrics.Sample
 	PerClass map[string]*metrics.Sample
 
-	Completed uint64
-	Issued    uint64
-	RejectedN uint64
+	Issued uint64
 
 	fab *simnet.Fabric
 	rng *rand.Rand
@@ -91,11 +89,7 @@ func (fc *FlashCrowd) injectOne() {
 
 func (fc *FlashCrowd) onReply(m simos.Message) {
 	rep, ok := m.Payload.(httpsim.Reply)
-	if !ok {
-		return
-	}
-	if rep.Rejected {
-		fc.RejectedN++
+	if !ok || rep.Rejected {
 		return
 	}
 	rt := float64(fc.fab.Eng.Now()-rep.Issued) / float64(sim.Millisecond)
@@ -106,13 +100,11 @@ func (fc *FlashCrowd) onReply(m simos.Message) {
 		fc.PerClass[rep.Class] = cs
 	}
 	cs.Add(rt)
-	fc.Completed++
 }
 
 // ResetStats clears accumulated samples (e.g. after warm-up).
 func (fc *FlashCrowd) ResetStats() {
 	fc.All = metrics.Sample{}
 	fc.PerClass = make(map[string]*metrics.Sample)
-	fc.Completed = 0
 	fc.Issued = 0
 }

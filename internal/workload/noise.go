@@ -35,8 +35,6 @@ type TenantNoise struct {
 	Cfg   TenantNoiseConfig
 	nodes []*simos.Node
 	rng   *rand.Rand
-
-	Bursts uint64
 }
 
 // StartTenantNoise launches the noise process over nodes. Each burst
@@ -70,7 +68,6 @@ func (tn *TenantNoise) schedule() {
 		gap = 50 * sim.Millisecond
 	}
 	eng.After(gap, func() {
-		tn.Bursts++
 		node := tn.nodes[tn.rng.Intn(len(tn.nodes))]
 		hold := tn.Cfg.MinHold +
 			sim.Time(tn.rng.Int63n(int64(tn.Cfg.MaxHold-tn.Cfg.MinHold)+1))

@@ -19,8 +19,7 @@ import (
 // different resource demands, which is exactly the regime where
 // accurate fine-grained monitoring pays off.
 type ZipfTrace struct {
-	N     int
-	Alpha float64
+	N int
 
 	cum       []float64 // cumulative popularity
 	sizes     []int
@@ -40,7 +39,7 @@ func NewZipfTrace(n int, alpha float64, seed int64) *ZipfTrace {
 		panic("workload: zipf needs n > 0")
 	}
 	z := &ZipfTrace{
-		N: n, Alpha: alpha,
+		N:         n,
 		cum:       make([]float64, n),
 		sizes:     make([]int, n),
 		cacheRank: n / 10,

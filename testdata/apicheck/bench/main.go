@@ -5,4 +5,4 @@ import "fixture/internal/lib"
 // Unused is the frozen bench directory's own: never reported.
 func Unused() {}
 
-func main() { println(lib.BenchOnly()) }
+func main() { println(lib.BenchOnly(), lib.NewState().BenchRead) }

@@ -1,7 +1,10 @@
 // Package lib holds one case per rule of the test-only API checker.
 package lib
 
-import "strings"
+import (
+	"fmt"
+	"strings"
+)
 
 // TestOnly is called only by lib_test.go: reported.
 func TestOnly() {}
@@ -101,3 +104,42 @@ type Counter struct{ n int }
 
 // Observe counts one.
 func (c *Counter) Observe() { c.n++ }
+
+// State holds one field per case of the dead-state rule. NewState
+// writes every field; a field nothing reads is reported, and one only
+// a test reads is reported for the inventory.
+type State struct {
+	Bumped    int     // only ++'d: reported
+	Assigned  int     // only assigned: reported
+	LitOnly   int     // only set by a composite-literal key: reported
+	LiveRead  int     // read by Peek
+	Tally     Counter // read by a method call on the field
+	At        Pos     // its fields are read by == in Peek
+	Label     Tag     // its field is read by passing it to fmt.Sprint
+	BenchRead int     // read only by bench/
+	TestRead  int     // read only by lib_test.go: inventoried
+}
+
+// Pos is compared whole.
+type Pos struct{ X, Y int }
+
+// Tag is printed whole.
+type Tag struct{ Text string }
+
+// NewState writes every field of a State.
+func NewState() *State {
+	s := &State{LitOnly: 1, At: Pos{X: 1, Y: 2}, Label: Tag{Text: "t"}}
+	s.Bumped++
+	s.Assigned = 2
+	s.LiveRead = 3
+	s.Tally.Observe()
+	s.BenchRead = 4
+	s.TestRead = 5
+	return s
+}
+
+// Peek reads LiveRead, At's fields through == and Label's through an
+// any parameter.
+func (s *State) Peek() string {
+	return fmt.Sprint(s.LiveRead, s.At == Pos{}, s.Label)
+}

@@ -11,7 +11,7 @@ func TestLib(t *testing.T) {
 	k := NewKnobs()
 	k.TestSet = 6
 	deadSetter(k)
-	if k.Sum() == 0 {
+	if k.Sum() == 0 || NewState().TestRead == 0 {
 		t.Fatal("unreachable")
 	}
 }
