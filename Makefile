@@ -128,20 +128,21 @@ bench:
 # regression vs the committed baselines (sim figures AND steady-state
 # sweep allocs/op + B/op; the probe data path is asserted to allocate
 # exactly zero). The second line holds the request path: every routing
-# decision of the weighted policies against its golden digest, and at
-# most 3 allocations per served request (a !race pin, so the race pass
-# skips it). The third holds the pooled scale-out's per-back-end work
-# at zero allocations (also !race pins): a quiet delta-pusher check, a
-# steady-state one-sided write (a push) and a pooled probe whose conn
-# is resident, beside the sweep's per-read pin, and the live path's
-# warm loopback fetch at <= 1 allocation across both ends, point and
-# ring (TestProbeFetchAllocs, also !race). The second line also
-# holds memory: live heap per back-end within its DESIGN §13 budget in
-# the sweep, pooled, hybrid and ring configurations, and no growth over
-# run length (!race pins too).
+# decision of the weighted policies against its golden digest, at most 3
+# allocations per served request (a !race pin, so the race pass skips
+# it), and least-load reading each landed record once, not once per pick
+# (TestPickScoresOncePerRecord). The third holds the pooled scale-out's
+# per-back-end work at zero allocations (also !race pins): a quiet
+# delta-pusher check, a steady-state one-sided write (a push) and a
+# pooled probe whose conn is resident, beside the sweep's per-read pin,
+# and the live path's warm loopback fetch at <= 1 allocation across both
+# ends, point and ring (TestProbeFetchAllocs, also !race). The second
+# line also holds memory: live heap per back-end within its DESIGN §13
+# budget in the sweep, pooled, hybrid and ring configurations, and no
+# growth over run length (!race pins too).
 bench-check:
 	$(GO) test -run 'TestBenchScaleRegression|TestBenchHybridRegression' .
-	$(GO) test -count=1 -run 'TestDispatchDecisionGoldenDigests|TestDispatchAllocsPerRequest|TestMemoryPerBackend|TestMemoryFlatOverRunLength' ./internal/cluster
+	$(GO) test -count=1 -run 'TestDispatchDecisionGoldenDigests|TestDispatchAllocsPerRequest|TestPickScoresOncePerRecord|TestMemoryPerBackend|TestMemoryFlatOverRunLength' ./internal/cluster
 	$(GO) test -count=1 -run 'TestDeltaPusherQuietCheckAllocs|TestPooledProbeConnZeroAlloc|TestSweepAllocsPerRead|TestWriteZeroAlloc|TestProbeFetchAllocs' ./internal/core ./internal/simnet ./internal/livemon
 
 # Regenerate BENCH_scale.json / BENCH_hybrid.json after an intentional

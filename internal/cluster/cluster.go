@@ -580,6 +580,7 @@ func (c *Cluster) buildPolicyFor(mon *core.Monitor, rng *rand.Rand) loadbalance.
 				Backends: ids,
 				Weights:  core.WeightsFor(c.Cfg.Scheme),
 				Source:   source,
+				Updates:  mon.Updates,
 				Rng:      rng,
 				Exclude:  exclude,
 				Degraded: degraded,
@@ -616,9 +617,9 @@ func (c *Cluster) buildPolicyFor(mon *core.Monitor, rng *rand.Rand) loadbalance.
 }
 
 // recordSource is the record input the weighted policies and admission
-// control read mon through. The monitor hands out its cached record by
-// pointer and the record is copied once, straight into the caller's
-// result; callers score it in place (core.Weights.IndexOf).
+// control read mon through: the cached record is copied once, straight
+// into the caller's result, and scored in place (core.Weights.IndexOf).
+// Least-load reads it only after mon.Updates moved for that back-end.
 func recordSource(mon *core.Monitor) loadbalance.LoadSource {
 	return func(b int) (wire.LoadRecord, bool) {
 		if r, _, ok := mon.Latest(b); ok {

@@ -31,8 +31,8 @@ func TestProberRingViewLazy(t *testing.T) {
 	r := newRig(14)
 	p := StartMonitor(r.front, r.fnic, []*Agent{r.agent(RDMASync)}, 10*sim.Millisecond).Probers[r.backend.ID]
 	r.eng.RunUntil(sim.Second)
-	if !p.has || p.Errors != 0 {
-		t.Fatalf("point prober: has=%v errors=%d", p.has, p.Errors)
+	if p.updates == 0 || p.Errors != 0 {
+		t.Fatalf("point prober: updates=%d errors=%d", p.updates, p.Errors)
 	}
 	if p.view != nil {
 		t.Fatal("a prober whose agent exports no ring allocated a ring view")

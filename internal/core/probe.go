@@ -188,7 +188,7 @@ type Monitor struct {
 	cfg     MonitorConfig
 
 	// byID mirrors Probers as a slice indexed by back-end id: the
-	// dispatch path asks Latest/Health/Slope once per candidate per
+	// dispatch path asks Updates/Health/Slope once per candidate per
 	// pick, where hashing the map was a measurable share of a decision.
 	byID []*Prober
 
@@ -739,14 +739,11 @@ func (m *Monitor) notePush(backend int, rec wire.PushRecord, at sim.Time) {
 		return
 	}
 	p.pushSeq = rec.PushSeq
-	if p.has && rec.Load.KTimeNS < p.last.KTimeNS {
+	if p.updates > 0 && rec.Load.KTimeNS < p.last.KTimeNS {
 		m.StalePushes++
 		return
 	}
-	p.last = rec.Load
-	p.lastAt = at
-	p.has = true
-	p.Trend.ObserveRecord(&p.last)
+	p.store(&rec.Load, at)
 	p.LastTransport = TransportPush
 	if p.OnRecord != nil {
 		p.OnRecord(rec.Load, at)
@@ -836,6 +833,15 @@ func (m *Monitor) Latest(backend int) (*wire.LoadRecord, sim.Time, bool) {
 		return nil, 0, false
 	}
 	return p.Latest()
+}
+
+// Updates counts the records a back-end's cache has taken, probed or
+// pushed: Latest's answer changes only when Updates moves.
+func (m *Monitor) Updates(backend int) uint64 {
+	if p := m.prober(backend); p != nil {
+		return p.updates
+	}
+	return 0
 }
 
 // Stop ends the monitoring process. Idempotent. The connection pool

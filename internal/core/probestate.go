@@ -33,7 +33,8 @@ type ProbeState struct {
 	// record, then Trend and Health.
 	last   wire.LoadRecord
 	lastAt sim.Time
-	has    bool
+	// updates counts the records store put in the cache (0: none yet).
+	updates uint64
 
 	// Trend accumulates this back-end's load-index slope from every
 	// sample that arrives (ring reads fold whole windows; point probes
@@ -76,7 +77,7 @@ type ProbeState struct {
 // record is the cache, handed out by pointer: it is valid until the
 // next outcome lands, so a caller that keeps it copies it.
 func (s *ProbeState) Latest() (*wire.LoadRecord, sim.Time, bool) {
-	if !s.has {
+	if s.updates == 0 {
 		return nil, 0, false
 	}
 	return &s.last, s.lastAt, true
@@ -186,18 +187,22 @@ func (s *ProbeState) Apply(now sim.Time, rec *wire.LoadRecord, err error, tr Tra
 		s.Health.Fail()
 		return nil
 	}
-	s.last = *rec
-	s.lastAt = now
-	s.has = true
-	// Ring reads already folded this window into Trend; the timestamp
-	// guard makes this a no-op then.
-	s.Trend.ObserveRecord(&s.last)
+	s.store(rec, now)
 	if tr == TransportSocket && s.Scheme.UsesRDMA() {
 		s.Health.DegradedOK()
 	} else {
 		s.Health.OK()
 	}
 	return &s.last
+}
+
+// store is the cache's one write path, probes and pushes alike: it copies
+// rec in at now, counts it and folds it into Trend (a ring read already has).
+func (s *ProbeState) store(rec *wire.LoadRecord, now sim.Time) {
+	s.last = *rec
+	s.lastAt = now
+	s.updates++
+	s.Trend.ObserveRecord(&s.last)
 }
 
 // ObservePoll feeds the outcome just applied (err) into a's adaptive
@@ -208,7 +213,7 @@ func (s *ProbeState) Apply(now sim.Time, rec *wire.LoadRecord, err error, tr Tra
 // back-end that oscillated between two probes does not look quiet.
 func (s *ProbeState) ObservePoll(a *AdaptivePoll, err error, ring bool, threshold float64, leaseHeld bool) sim.Time {
 	var rec *wire.LoadRecord
-	if err == nil && s.has {
+	if err == nil && s.updates > 0 {
 		rec = &s.last
 	}
 	if ring {

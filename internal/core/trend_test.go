@@ -181,7 +181,7 @@ func TestHistoryRingRepinBumpsEpoch(t *testing.T) {
 	if p.view.Epoch != epoch0+1 {
 		t.Fatalf("ring epoch after re-pin = %d, want %d", p.view.Epoch, epoch0+1)
 	}
-	if !p.has {
+	if p.updates == 0 {
 		t.Fatal("prober never recovered after re-pin")
 	}
 }

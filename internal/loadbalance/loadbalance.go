@@ -63,6 +63,10 @@ type WeightedLeastLoad struct {
 	Source   LoadSource
 	Rng      *rand.Rand
 
+	// Updates, if set, counts a back-end's records, moving whenever Source's
+	// answer may: Pick re-scores a back-end only then or when Weights change.
+	Updates func(backend int) uint64
+
 	// LocalFrac, if set, supplies the dispatcher's own estimate of
 	// each back-end's recent fraction of forwarded requests (1/N is
 	// the fair share). Real dispatchers (WebSphere, LVS) always blend
@@ -120,7 +124,10 @@ type WeightedLeastLoad struct {
 	// Picks counts per-backend selections, for imbalance diagnostics.
 	Picks map[int]uint64
 
-	pool []int // scratch: the claimed fallback pool
+	pool    []int        // scratch: the claimed fallback pool
+	memoN   []uint64     // by back-end ID: update count + 1 when scored, 0 never
+	memoIdx []float64    // by back-end ID: that score, under memoW
+	memoW   core.Weights // the Weights the memo was scored under
 }
 
 // DefaultDegradedPenalty is the load-index handicap applied to a
@@ -164,10 +171,35 @@ func appendClaimed(pool, backends []int, claimed func(int) bool) []int {
 	return pool
 }
 
+// index is b's load index (0 without a record), memoized under Updates.
+func (w *WeightedLeastLoad) index(b int) float64 {
+	var n uint64 // b's update count + 1; 0 without Updates
+	if w.Updates != nil {
+		for len(w.memoN) <= b {
+			w.memoN, w.memoIdx = append(w.memoN, 0), append(w.memoIdx, 0)
+		}
+		if n = w.Updates(b) + 1; w.memoN[b] == n {
+			return w.memoIdx[b]
+		}
+	}
+	idx := 0.0
+	if rec, ok := w.Source(b); ok {
+		idx = w.Weights.IndexOf(&rec)
+	}
+	if n > 0 {
+		w.memoN[b], w.memoIdx[b] = n, idx
+	}
+	return idx
+}
+
 // Pick implements Policy. One decision is one pass over Backends with
-// O(1) work per candidate; Source, Exclude, LocalFrac and the other
-// func fields are consulted afresh on every call.
+// O(1) work per candidate. Exclude, LocalFrac and the other func fields
+// are consulted afresh on every call; Source only as index says.
 func (w *WeightedLeastLoad) Pick() int {
+	if w.Updates != nil && w.Weights != w.memoW {
+		clear(w.memoN)
+		w.memoW = w.Weights
+	}
 	best := -1
 	bestProj := 0.0 // projected index the ranking runs on
 	bestIdx := 0.0  // level index: the slope-tie tie-break
@@ -188,16 +220,9 @@ func (w *WeightedLeastLoad) Pick() int {
 			skipped = true
 			continue
 		}
-		idx := 0.0
-		if rec, ok := w.Source(b); ok {
-			idx = w.Weights.IndexOf(&rec)
-		}
+		idx := w.index(b)
 		if useLocal {
-			share := w.LocalFrac(b) * half
-			if share > 1 {
-				share = 1
-			}
-			idx += w.LocalWeight * share
+			idx += w.LocalWeight * min(w.LocalFrac(b)*half, 1)
 		}
 		degraded := w.Degraded != nil && w.Degraded(b)
 		if degraded {
@@ -356,11 +381,7 @@ func (w *WeightedProportional) Pick() int {
 			}
 		}
 		if useLocal {
-			share := w.LocalFrac(b) * half
-			if share > 1 {
-				share = 1
-			}
-			idx += w.LocalWeight * share
+			idx += w.LocalWeight * min(w.LocalFrac(b)*half, 1)
 		}
 		// Stale information decays toward the prior (the fleet-average
 		// load of 0.5).
@@ -368,10 +389,7 @@ func (w *WeightedProportional) Pick() int {
 		if w.Degraded != nil && w.Degraded(b) {
 			idx += DefaultDegradedPenalty
 		}
-		free := 1 - idx
-		if free < 0.02 {
-			free = 0.02 // even a saturated-looking server keeps a trickle
-		}
+		free := max(1-idx, 0.02) // even a saturated-looking server keeps a trickle
 		wt := free
 		for g := 1.0; g < gamma; g++ {
 			wt *= free
