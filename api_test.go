@@ -15,6 +15,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -161,8 +162,9 @@ func TestNoTestOnlyAPIFixture(t *testing.T) {
 			"internal/lib.TestOnly",
 		},
 		knobs: []string{
-			"internal/lib.Knobs.DeadWrite", // set only by a dead function
-			"internal/lib.Knobs.TestSet",   // set only by a test
+			"internal/lib.Decoded.Untagged", // no scn tag: the reflective write is not seen
+			"internal/lib.Knobs.DeadWrite",  // set only by a dead function
+			"internal/lib.Knobs.TestSet",    // set only by a test
 		},
 		dead: []string{
 			"internal/lib.State.Assigned", // only assigned
@@ -221,7 +223,9 @@ type apiFindings struct {
 // chain holds it (st.Max[c] = x writes Max), or by a pointer-method call
 // on it as an addressable value (s.Health.Observe() writes Health). A
 // default fill (if c.F == 0 { c.F = k }) is a write. Like a use, a write
-// counts only from inside a live declaration.
+// counts only from inside a live declaration. A field tagged scn is
+// written when its package's decodeScenario is live, since that decoder
+// sets the tagged fields by reflection, where no syntactic rule sees it.
 //
 // A written field must also be read (fieldReads says what a read is),
 // from a live declaration or from any test file: the module's test
@@ -269,6 +273,9 @@ func testOnlyAPI(dir string) (apiFindings, error) {
 			}
 		}
 	}
+	for _, p := range l.pkgs {
+		markTaggedWrites(p, g)
+	}
 	for owner, fields := range g.reads {
 		if g.live[owner] {
 			for _, f := range fields {
@@ -309,6 +316,28 @@ func testOnlyAPI(dir string) (apiFindings, error) {
 	slices.Sort(found.dead)
 	slices.Sort(found.testRead)
 	return found, nil
+}
+
+// markTaggedWrites counts every scn-tagged field of p's struct types as
+// written when p's decodeScenario is live.
+func markTaggedWrites(p *modulePkg, g *apiGraph) {
+	scope := p.pkg.Scope()
+	if dec := scope.Lookup("decodeScenario"); dec == nil || !g.live[dec] {
+		return
+	}
+	for _, name := range scope.Names() {
+		tn, ok := scope.Lookup(name).(*types.TypeName)
+		if !ok || tn.IsAlias() {
+			continue
+		}
+		if st, ok := tn.Type().Underlying().(*types.Struct); ok {
+			for i := range st.NumFields() {
+				if reflect.StructTag(st.Tag(i)).Get("scn") != "" {
+					g.written[st.Field(i)] = true
+				}
+			}
+		}
+	}
 }
 
 // modulePkg is one package of the module, type-checked from its

@@ -26,26 +26,27 @@ import (
 func main() { os.Exit(run()) }
 
 func run() int {
+	var opts experiments.Options
+	flag.BoolVar(&opts.Quick, "quick", false, "short runs (noisier tails)")
+	flag.Int64Var(&opts.Seed, "seed", 0, "simulation seed (0 = default)")
+	flag.IntVar(&opts.Seeds, "seeds", 0, "seeds swept by -exp chaos/ha/aa and -scenario (0 = each one's default)")
+	flag.BoolVar(&opts.Sequential, "seq", false, "run sweep points sequentially")
+	flag.IntVar(&opts.Backends, "backends", 0, "pin -exp scale to one back-end count (0 = sweep)")
+	flag.IntVar(&opts.Shards, "shards", 0, "pin -exp scale to one shard count (0 = sweep)")
+	flag.IntVar(&opts.Batch, "batch", 0, "pin -exp scale to one doorbell batch size (0 = sweep)")
+	flag.Float64Var(&opts.PushThreshold, "push-threshold", 0, "-exp hybrid: load-index delta that triggers a push (0 = default 0.05)")
+	flag.IntVar(&opts.PeriodMin, "period-min", 0, "-exp hybrid: fastest adaptive probe period, in probe periods T (0 = default 1)")
+	flag.IntVar(&opts.PeriodMax, "period-max", 0, "-exp hybrid: slowest adaptive probe period, in probe periods T (0 = default 64)")
+	flag.IntVar(&opts.FrontEnds, "frontends", 0, "-exp aa: active-active front-end replica count (0 = default 4)")
+	flag.IntVar(&opts.ClaimTTLMS, "claim-ttl", 0, "-exp aa: claim TTL in ms (0 = derived from the poll interval)")
+	flag.IntVar(&opts.ClaimShards, "claim-shards", 0, "-exp aa: claim-table size (0 = one shard per back-end)")
+	flag.IntVar(&opts.MaxConns, "max-conns", 0, "-exp scale: pooled scale-out connection budget (0 = fleet/8)")
+	flag.IntVar(&opts.DialsPerSec, "dials-per-sec", 0, "-exp scale: pooled scale-out dial-rate budget (0 = fleet size)")
+	flag.IntVar(&opts.PoolIdleMS, "pool-idle-ms", 0, "-exp scale: pooled scale-out idle-conn GC age in ms (0 = default 500)")
 	var (
 		exp     = flag.String("exp", "", "experiment id (fig3..fig9, table1, extensions, or 'all')")
 		scen    = flag.String("scenario", "", "run a declarative scenario file (YAML or JSON, see examples/scenarios/)")
 		list    = flag.Bool("list", false, "list experiment ids")
-		quick   = flag.Bool("quick", false, "short runs (noisier tails)")
-		seed    = flag.Int64("seed", 0, "simulation seed (0 = default)")
-		seeds   = flag.Int("seeds", 0, "seeds swept by -exp chaos/ha/aa and -scenario (0 = each one's default)")
-		seq     = flag.Bool("seq", false, "run sweep points sequentially")
-		nback   = flag.Int("backends", 0, "pin -exp scale to one back-end count (0 = sweep)")
-		shards  = flag.Int("shards", 0, "pin -exp scale to one shard count (0 = sweep)")
-		batch   = flag.Int("batch", 0, "pin -exp scale to one doorbell batch size (0 = sweep)")
-		pushTh  = flag.Float64("push-threshold", 0, "-exp hybrid: load-index delta that triggers a push (0 = default 0.05)")
-		perMin  = flag.Int("period-min", 0, "-exp hybrid: fastest adaptive probe period, in probe periods T (0 = default 1)")
-		perMax  = flag.Int("period-max", 0, "-exp hybrid: slowest adaptive probe period, in probe periods T (0 = default 64)")
-		fronts  = flag.Int("frontends", 0, "-exp aa: active-active front-end replica count (0 = default 4)")
-		claimT  = flag.Int("claim-ttl", 0, "-exp aa: claim TTL in ms (0 = derived from the poll interval)")
-		claimS  = flag.Int("claim-shards", 0, "-exp aa: claim-table size (0 = one shard per back-end)")
-		conns   = flag.Int("max-conns", 0, "-exp scale: pooled scale-out connection budget (0 = fleet/8)")
-		dials   = flag.Int("dials-per-sec", 0, "-exp scale: pooled scale-out dial-rate budget (0 = fleet size)")
-		poolGC  = flag.Int("pool-idle-ms", 0, "-exp scale: pooled scale-out idle-conn GC age in ms (0 = default 500)")
 		format  = flag.String("format", "table", "output format: table, csv, plot")
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile of the experiment runs to this file")
 		memProf = flag.String("memprofile", "", "write a heap profile (after the runs) to this file")
@@ -78,13 +79,6 @@ func run() int {
 		ids = experiments.IDs()
 	default:
 		ids = []string{*exp}
-	}
-	opts := experiments.Options{
-		Seed: *seed, Quick: *quick, Sequential: *seq, Seeds: *seeds,
-		Backends: *nback, Shards: *shards, Batch: *batch,
-		PushThreshold: *pushTh, PeriodMin: *perMin, PeriodMax: *perMax,
-		FrontEnds: *fronts, ClaimShards: *claimS, ClaimTTLMS: *claimT,
-		MaxConns: *conns, DialsPerSec: *dials, PoolIdleMS: *poolGC,
 	}
 	failed := false
 	emit := func(res *experiments.Result, start time.Time) {

@@ -16,11 +16,11 @@ func init() {
 		func(o Options) *Result { return Chaos(o).Result() })
 }
 
-// Chaos SLOs, in probe periods T. They are deliberately generous
-// enough to hold under worst-case sweep stretching (every disturbed
-// back-end costs the sequential probe cycle a full timeout), yet
-// bounded — the invariant is that recovery happens within a known
-// window, not that it is instant. EXPERIMENTS.md derives the numbers.
+// Chaos SLOs, in probe periods T: literals, meant to be generous under
+// sweep stretching (every disturbed back-end costs the sequential probe
+// cycle a full timeout), yet bounded — the invariant is that recovery
+// happens within a known window, not that it is instant. The fail-back
+// bound is below its stretched worst case; EXPERIMENTS.md (chaos) says so.
 const (
 	// chaosDetectSLO bounds crash -> no-more-dispatch (I1): after a
 	// back-end has been down this long, routing a request to it while

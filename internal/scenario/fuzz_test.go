@@ -45,6 +45,7 @@ func FuzzScenario(f *testing.F) {
 		`{"name":"j","horizon":"2s","fleet":{"backends":3}}`,
 		`{"name":"j","horizon":1e99}`,
 		"name: x\nhorizon: 1s\nlist: [a, b, [c]]\n",
+		"name: x\nhorizon: 1s\nreplicas: 3\nstress:\n  crashes: 0\n",
 	} {
 		f.Add([]byte(s))
 	}

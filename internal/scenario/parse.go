@@ -4,6 +4,10 @@
 // same generic tree and then through one strict field mapper — unknown
 // keys, wrong shapes and malformed scalars are errors, never panics.
 //
+// The struct tags are the schema: each field of Scenario and the
+// structs it holds carries its key as `scn:"key"`, and one reflective
+// walk decodes the tree into them while another encodes them back.
+//
 // Supported YAML subset (everything the schema needs):
 //
 //   - block mappings (`key: value`, `key:` + indented block)
@@ -17,9 +21,13 @@
 package scenario
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"math"
+	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -31,6 +39,9 @@ import (
 // (JSON when the first non-space byte is '{'). The returned scenario
 // has passed Validate.
 func Parse(src []byte) (*Scenario, error) {
+	if len(src) > 1<<20 {
+		return nil, fmt.Errorf("scenario: file exceeds the 1MiB cap")
+	}
 	trimmed := strings.TrimLeft(string(src), " \t\r\n")
 	var (
 		tree any
@@ -107,9 +118,6 @@ type yamlParser struct {
 }
 
 func parseYAML(src string) (any, error) {
-	if len(src) > 1<<20 {
-		return nil, fmt.Errorf("scenario: file exceeds the 1MiB cap")
-	}
 	p := &yamlParser{}
 	for i, raw := range strings.Split(src, "\n") {
 		line := strings.TrimSuffix(raw, "\r")
@@ -365,6 +373,8 @@ func parseScalar(text string, lineNo int) (any, error) {
 
 // --------------------------------------------------------------- decode
 
+var timeType = reflect.TypeFor[sim.Time]()
+
 // dec accumulates decode errors while walking the generic tree; all
 // scalar coercions go through it so one malformed field reports its
 // path instead of panicking.
@@ -393,366 +403,110 @@ func (d *dec) obj(v any, path string) map[string]any {
 	return m
 }
 
-// field pops a key from the mapping (tracking consumption so leftover
-// keys can be rejected).
-func pop(m map[string]any, key string) (any, bool) {
-	v, ok := m[key]
-	if ok {
-		delete(m, key)
-	}
-	return v, ok
-}
-
-func (d *dec) rejectUnknown(m map[string]any, path string) {
-	for k := range m {
-		d.bad(path, "unknown key %q", k)
-	}
-}
-
-func (d *dec) str(m map[string]any, key, path string) string {
-	v, ok := pop(m, key)
-	if !ok {
-		return ""
-	}
-	s, ok := v.(string)
-	if !ok {
-		d.bad(path+"."+key, "expected a scalar")
-		return ""
-	}
-	return s
-}
-
-func (d *dec) integer(m map[string]any, key, path string) int {
-	v, ok := pop(m, key)
-	if !ok {
-		return 0
-	}
-	s, ok := v.(string)
-	if !ok {
-		d.bad(path+"."+key, "expected an integer")
-		return 0
-	}
-	n, err := strconv.ParseInt(s, 10, 32)
-	if err != nil {
-		d.bad(path+"."+key, "invalid integer %q", s)
-		return 0
-	}
-	return int(n)
-}
-
-func (d *dec) i64(m map[string]any, key, path string) int64 {
-	v, ok := pop(m, key)
-	if !ok {
-		return 0
-	}
-	s, ok := v.(string)
-	if !ok {
-		d.bad(path+"."+key, "expected an integer")
-		return 0
-	}
-	n, err := strconv.ParseInt(s, 10, 64)
-	if err != nil {
-		d.bad(path+"."+key, "invalid integer %q", s)
-		return 0
-	}
-	return n
-}
-
-func (d *dec) f64(m map[string]any, key, path string) float64 {
-	v, ok := pop(m, key)
-	if !ok {
-		return 0
-	}
-	s, ok := v.(string)
-	if !ok {
-		d.bad(path+"."+key, "expected a number")
-		return 0
-	}
-	f, err := strconv.ParseFloat(s, 64)
-	if err != nil || math.IsNaN(f) || math.IsInf(f, 0) {
-		d.bad(path+"."+key, "invalid number %q", s)
-		return 0
-	}
-	return f
-}
-
-func (d *dec) f64ptr(m map[string]any, key, path string) *float64 {
-	if _, ok := m[key]; !ok {
-		return nil
-	}
-	f := d.f64(m, key, path)
-	return &f
-}
-
-func (d *dec) boolean(m map[string]any, key, path string) bool {
-	v, ok := pop(m, key)
-	if !ok {
-		return false
-	}
-	s, ok := v.(string)
-	if !ok {
-		d.bad(path+"."+key, "expected true or false")
-		return false
-	}
-	switch s {
-	case "true":
-		return true
-	case "false":
-		return false
-	}
-	d.bad(path+"."+key, "expected true or false, got %q", s)
-	return false
-}
-
-// dur parses a Go-syntax duration ("50ms", "2s", "1.5s") into
-// sim.Time. Negative and oversized values are rejected here so the
-// schema validators can assume sane ranges.
-func (d *dec) dur(m map[string]any, key, path string) sim.Time {
-	v, ok := pop(m, key)
-	if !ok {
-		return 0
-	}
-	s, ok := v.(string)
-	if !ok {
-		d.bad(path+"."+key, "expected a duration")
-		return 0
-	}
-	t, err := time.ParseDuration(s)
-	if err != nil {
-		d.bad(path+"."+key, "invalid duration %q", s)
-		return 0
-	}
-	if t < 0 {
-		d.bad(path+"."+key, "negative duration %q", s)
-		return 0
-	}
-	if t > time.Duration(maxHorizon) {
-		d.bad(path+"."+key, "duration %q exceeds the %v cap", s, time.Duration(maxHorizon))
-		return 0
-	}
-	return sim.Time(t)
-}
-
 func decodeScenario(tree any) (*Scenario, error) {
 	d := &dec{}
-	m := d.obj(tree, "scenario")
-	if m == nil {
-		return nil, d.err()
+	s := &Scenario{}
+	if m := d.obj(tree, "scenario"); m != nil {
+		d.fields(reflect.ValueOf(s).Elem(), m, "")
 	}
-	s := &Scenario{
-		Name:         d.str(m, "name", "scenario"),
-		Description:  d.str(m, "description", "scenario"),
-		Seed:         d.i64(m, "seed", "scenario"),
-		Seeds:        d.integer(m, "seeds", "scenario"),
-		Horizon:      d.dur(m, "horizon", "scenario"),
-		QuickHorizon: d.dur(m, "quick_horizon", "scenario"),
-		Poll:         d.dur(m, "poll", "scenario"),
-		Scheme:       d.str(m, "scheme", "scenario"),
-		Policy:       d.str(m, "policy", "scenario"),
-		Gamma:        d.f64(m, "gamma", "scenario"),
-		LocalWeight:  d.f64(m, "local_weight", "scenario"),
-		ProbeTimeout: d.dur(m, "probe_timeout", "scenario"),
-		MRRepin:      d.dur(m, "mr_repin", "scenario"),
-		QuickMRRepin: d.dur(m, "quick_mr_repin", "scenario"),
-		Failover:     d.boolean(m, "failover", "scenario"),
-		Replicas:     d.integer(m, "replicas", "scenario"),
-		Checks:       d.str(m, "checks", "scenario"),
-	}
-	if v, ok := pop(m, "fleet"); ok {
-		s.Fleet = d.decodeFleet(v)
-	}
-	if v, ok := pop(m, "workload"); ok {
-		s.Workload = d.decodeWorkload(v)
-	}
-	if v, ok := pop(m, "stagger"); ok {
-		s.Stagger = d.decodeStagger(v)
-	}
-	if v, ok := pop(m, "events"); ok {
-		s.Events = d.decodeEvents(v)
-	}
-	if v, ok := pop(m, "stress"); ok {
-		s.Stress = d.decodeStress(v)
-	}
-	if v, ok := pop(m, "variants"); ok {
-		s.Variants = d.decodeVariants(v)
-	}
-	if v, ok := pop(m, "assertions"); ok {
-		s.Assertions = d.decodeAssertions(v)
-	}
-	d.rejectUnknown(m, "scenario")
 	if err := d.err(); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
 
-func (d *dec) decodeFleet(v any) Fleet {
-	m := d.obj(v, "fleet")
-	if m == nil {
-		return Fleet{}
-	}
-	f := Fleet{Backends: d.integer(m, "backends", "fleet")}
-	if tv, ok := pop(m, "templates"); ok {
-		l, ok := tv.([]any)
-		if !ok {
-			d.bad("fleet.templates", "expected a sequence")
+// fields decodes mapping m into struct v, each key into the field
+// tagged with it, consuming m; a key no field carries is an error.
+func (d *dec) fields(v reflect.Value, m map[string]any, path string) {
+	for i := range v.NumField() {
+		key := v.Type().Field(i).Tag.Get("scn")
+		if node, ok := m[key]; ok {
+			delete(m, key)
+			d.value(v.Field(i), node, strings.TrimPrefix(path+"."+key, "."))
 		}
-		if len(l) > maxTemplate {
-			d.bad("fleet.templates", "exceeds the %d-template cap", maxTemplate)
-			l = nil
+	}
+	for _, key := range slices.Sorted(maps.Keys(m)) {
+		d.bad(cmp.Or(path, "scenario"), "unknown key %q", key)
+	}
+}
+
+// value decodes one tree node into v by v's type: a struct from a
+// mapping, a slice from a sequence, a pointer by allocating its target,
+// and a scalar from its text. A pointer is set and a list item appended
+// even when its node is malformed: any error rejects the whole document,
+// so a half-decoded value is never returned.
+func (d *dec) value(v reflect.Value, node any, path string) {
+	switch v.Kind() {
+	case reflect.Struct:
+		if m := d.obj(node, path); m != nil {
+			d.fields(v, m, path)
+		}
+		return
+	case reflect.Pointer:
+		p := reflect.New(v.Type().Elem())
+		d.value(p.Elem(), node, path)
+		v.Set(p)
+		return
+	case reflect.Slice:
+		l, ok := node.([]any)
+		if !ok {
+			d.bad(path, "expected a sequence")
+			return
 		}
 		for i, item := range l {
-			path := fmt.Sprintf("fleet.templates[%d]", i)
-			tm := d.obj(item, path)
-			if tm == nil {
-				continue
-			}
-			f.Templates = append(f.Templates, Template{
-				Name:          d.str(tm, "name", path),
-				Weight:        d.f64(tm, "weight", path),
-				CPUs:          d.integer(tm, "cpus", path),
-				Workers:       d.integer(tm, "workers", path),
-				NICLatency:    d.dur(tm, "nic_latency", path),
-				AgentInterval: d.dur(tm, "agent_interval", path),
-			})
-			d.rejectUnknown(tm, path)
+			e := reflect.New(v.Type().Elem()).Elem()
+			d.value(e, item, fmt.Sprintf("%s[%d]", path, i))
+			v.Set(reflect.Append(v, e))
 		}
+		return
 	}
-	d.rejectUnknown(m, "fleet")
-	return f
-}
-
-func (d *dec) decodeWorkload(v any) Workload {
-	m := d.obj(v, "workload")
-	if m == nil {
-		return Workload{}
-	}
-	w := Workload{
-		Kind:         d.str(m, "kind", "workload"),
-		Clients:      d.integer(m, "clients", "workload"),
-		QuickClients: d.integer(m, "quick_clients", "workload"),
-		Think:        d.dur(m, "think", "workload"),
-	}
-	d.rejectUnknown(m, "workload")
-	return w
-}
-
-func (d *dec) decodeStagger(v any) *Stagger {
-	m := d.obj(v, "stagger")
-	if m == nil {
-		return nil
-	}
-	sg := &Stagger{
-		Offset: d.dur(m, "offset", "stagger"),
-		Jitter: d.dur(m, "jitter", "stagger"),
-	}
-	d.rejectUnknown(m, "stagger")
-	return sg
-}
-
-func (d *dec) decodeEvents(v any) []Event {
-	l, ok := v.([]any)
+	s, ok := node.(string)
 	if !ok {
-		d.bad("events", "expected a sequence")
-		return nil
+		d.bad(path, "expected a scalar")
+		return
 	}
-	if len(l) > maxEvents {
-		d.bad("events", "exceeds the %d-event cap", maxEvents)
-		return nil
-	}
-	var out []Event
-	for i, item := range l {
-		path := fmt.Sprintf("events[%d]", i)
-		m := d.obj(item, path)
-		if m == nil {
-			continue
+	switch v.Kind() {
+	case reflect.String:
+		v.SetString(s)
+	case reflect.Bool:
+		if s != "true" && s != "false" {
+			d.bad(path, "expected true or false, got %q", s)
 		}
-		out = append(out, Event{
-			At:       d.dur(m, "at", path),
-			Action:   d.str(m, "action", path),
-			Node:     d.integer(m, "node", path),
-			Pick:     d.str(m, "pick", path),
-			Template: d.str(m, "template", path),
-			Duration: d.dur(m, "duration", path),
-			Drop:     d.f64(m, "drop", path),
-		})
-		d.rejectUnknown(m, path)
+		v.SetBool(s == "true")
+	case reflect.Float64:
+		f, err := strconv.ParseFloat(s, 64)
+		if err != nil || math.IsNaN(f) || math.IsInf(f, 0) {
+			d.bad(path, "invalid number %q", s)
+		}
+		v.SetFloat(f)
+	case reflect.Int, reflect.Int64:
+		if v.Type() == timeType {
+			d.duration(v, s, path)
+			return
+		}
+		n, err := strconv.ParseInt(s, 10, v.Type().Bits())
+		if err != nil {
+			d.bad(path, "invalid integer %q", s)
+		}
+		v.SetInt(n)
 	}
-	return out
 }
 
-func (d *dec) decodeStress(v any) *Stress {
-	m := d.obj(v, "stress")
-	if m == nil {
-		return nil
+// duration parses a Go-syntax duration ("50ms", "2s", "1.5s") into a
+// sim.Time. Negative and oversized values are rejected here so the
+// schema validators can assume sane ranges.
+func (d *dec) duration(v reflect.Value, s, path string) {
+	t, err := time.ParseDuration(s)
+	switch {
+	case err != nil:
+		d.bad(path, "invalid duration %q", s)
+	case t < 0:
+		d.bad(path, "negative duration %q", s)
+	case t > time.Duration(maxHorizon):
+		d.bad(path, "duration %q exceeds the %v cap", s, time.Duration(maxHorizon))
+	default:
+		v.SetInt(int64(t))
 	}
-	st := &Stress{
-		Crashes:         d.integer(m, "crashes", "stress"),
-		LinkFaults:      d.integer(m, "link_faults", "stress"),
-		Partitions:      d.integer(m, "partitions", "stress"),
-		MRInvalidations: d.integer(m, "mr_invalidations", "stress"),
-		FECrashes:       d.integer(m, "fe_crashes", "stress"),
-		FEFreezes:       d.integer(m, "fe_freezes", "stress"),
-		FEPartitions:    d.integer(m, "fe_partitions", "stress"),
-		ClaimStalls:     d.integer(m, "claim_stalls", "stress"),
-	}
-	d.rejectUnknown(m, "stress")
-	return st
-}
-
-func (d *dec) decodeVariants(v any) []Variant {
-	l, ok := v.([]any)
-	if !ok {
-		d.bad("variants", "expected a sequence")
-		return nil
-	}
-	if len(l) > maxVariants {
-		d.bad("variants", "exceeds the %d-variant cap", maxVariants)
-		return nil
-	}
-	var out []Variant
-	for i, item := range l {
-		path := fmt.Sprintf("variants[%d]", i)
-		m := d.obj(item, path)
-		if m == nil {
-			continue
-		}
-		out = append(out, Variant{
-			Name:   d.str(m, "name", path),
-			Policy: d.str(m, "policy", path),
-		})
-		d.rejectUnknown(m, path)
-	}
-	return out
-}
-
-func (d *dec) decodeAssertions(v any) []Assertion {
-	l, ok := v.([]any)
-	if !ok {
-		d.bad("assertions", "expected a sequence")
-		return nil
-	}
-	if len(l) > 64 {
-		d.bad("assertions", "exceeds the 64-assertion cap")
-		return nil
-	}
-	var out []Assertion
-	for i, item := range l {
-		path := fmt.Sprintf("assertions[%d]", i)
-		m := d.obj(item, path)
-		if m == nil {
-			continue
-		}
-		out = append(out, Assertion{
-			Metric:   d.str(m, "metric", path),
-			Variant:  d.str(m, "variant", path),
-			Min:      d.f64ptr(m, "min", path),
-			Max:      d.f64ptr(m, "max", path),
-			LessThan: d.str(m, "less_than", path),
-		})
-		d.rejectUnknown(m, path)
-	}
-	return out
 }
 
 // --------------------------------------------------------------- encode
@@ -762,135 +516,53 @@ func (d *dec) decodeAssertions(v any) []Assertion {
 // fuzzer asserts it for every scenario Parse accepts).
 func (s *Scenario) encode() []byte {
 	var b strings.Builder
-	kv := func(indent, key, val string) {
-		if val != "" {
-			fmt.Fprintf(&b, "%s%s: %s\n", indent, key, val)
-		}
-	}
-	qs := func(v string) string {
-		if v == "" {
-			return ""
-		}
-		return strconv.Quote(v)
-	}
-	dur := func(t sim.Time) string {
-		if t == 0 {
-			return ""
-		}
-		return time.Duration(t).String()
-	}
-	num := func(f float64) string {
-		if f == 0 {
-			return ""
-		}
-		return strconv.FormatFloat(f, 'g', -1, 64)
-	}
-	integer := func(n int) string {
-		if n == 0 {
-			return ""
-		}
-		return strconv.Itoa(n)
-	}
-
-	kv("", "name", qs(s.Name))
-	kv("", "description", qs(s.Description))
-	if s.Seed != 0 {
-		kv("", "seed", strconv.FormatInt(s.Seed, 10))
-	}
-	kv("", "seeds", integer(s.Seeds))
-	kv("", "horizon", dur(s.Horizon))
-	kv("", "quick_horizon", dur(s.QuickHorizon))
-	kv("", "poll", dur(s.Poll))
-	kv("", "scheme", qs(s.Scheme))
-	kv("", "policy", qs(s.Policy))
-	kv("", "gamma", num(s.Gamma))
-	kv("", "local_weight", num(s.LocalWeight))
-	kv("", "probe_timeout", dur(s.ProbeTimeout))
-	kv("", "mr_repin", dur(s.MRRepin))
-	kv("", "quick_mr_repin", dur(s.QuickMRRepin))
-	if s.Failover {
-		kv("", "failover", "true")
-	}
-	kv("", "replicas", integer(s.Replicas))
-	kv("", "checks", qs(s.Checks))
-
-	if s.Fleet.Backends != 0 || len(s.Fleet.Templates) > 0 {
-		fmt.Fprintf(&b, "fleet:\n")
-		kv("  ", "backends", integer(s.Fleet.Backends))
-		if len(s.Fleet.Templates) > 0 {
-			fmt.Fprintf(&b, "  templates:\n")
-			for _, t := range s.Fleet.Templates {
-				fmt.Fprintf(&b, "    - name: %s\n", strconv.Quote(t.Name))
-				kv("      ", "weight", num(t.Weight))
-				kv("      ", "cpus", integer(t.CPUs))
-				kv("      ", "workers", integer(t.Workers))
-				kv("      ", "nic_latency", dur(t.NICLatency))
-				kv("      ", "agent_interval", dur(t.AgentInterval))
-			}
-		}
-	}
-	if s.Workload != (Workload{}) {
-		fmt.Fprintf(&b, "workload:\n")
-		kv("  ", "kind", qs(s.Workload.Kind))
-		kv("  ", "clients", integer(s.Workload.Clients))
-		kv("  ", "quick_clients", integer(s.Workload.QuickClients))
-		kv("  ", "think", dur(s.Workload.Think))
-	}
-	if s.Stagger != nil {
-		fmt.Fprintf(&b, "stagger:\n")
-		kv("  ", "offset", dur(s.Stagger.Offset))
-		kv("  ", "jitter", dur(s.Stagger.Jitter))
-	}
-	if len(s.Events) > 0 {
-		fmt.Fprintf(&b, "events:\n")
-		for _, ev := range s.Events {
-			// `at` leads every item; zero is meaningful ("0s"), so it is
-			// always emitted.
-			fmt.Fprintf(&b, "  - at: %s\n", time.Duration(ev.At).String())
-			kv("    ", "action", qs(ev.Action))
-			kv("    ", "node", integer(ev.Node))
-			kv("    ", "pick", qs(ev.Pick))
-			kv("    ", "template", qs(ev.Template))
-			kv("    ", "duration", dur(ev.Duration))
-			kv("    ", "drop", num(ev.Drop))
-		}
-	}
-	if s.Stress != nil {
-		fmt.Fprintf(&b, "stress:\n")
-		kv("  ", "crashes", integer(s.Stress.Crashes))
-		kv("  ", "link_faults", integer(s.Stress.LinkFaults))
-		kv("  ", "partitions", integer(s.Stress.Partitions))
-		kv("  ", "mr_invalidations", integer(s.Stress.MRInvalidations))
-		kv("  ", "fe_crashes", integer(s.Stress.FECrashes))
-		kv("  ", "fe_freezes", integer(s.Stress.FEFreezes))
-		kv("  ", "fe_partitions", integer(s.Stress.FEPartitions))
-		kv("  ", "claim_stalls", integer(s.Stress.ClaimStalls))
-		if *s.Stress == (Stress{}) {
-			// All-zero stress still means "random plan with defaults";
-			// keep the block present via an explicit zero field.
-			fmt.Fprintf(&b, "  crashes: 0\n")
-		}
-	}
-	if len(s.Variants) > 0 {
-		fmt.Fprintf(&b, "variants:\n")
-		for _, v := range s.Variants {
-			fmt.Fprintf(&b, "  - name: %s\n", strconv.Quote(v.Name))
-			kv("    ", "policy", qs(v.Policy))
-		}
-	}
-	if len(s.Assertions) > 0 {
-		fmt.Fprintf(&b, "assertions:\n")
-		for _, a := range s.Assertions {
-			fmt.Fprintf(&b, "  - metric: %s\n", strconv.Quote(a.Metric))
-			kv("    ", "variant", qs(a.Variant))
-			if a.Min != nil {
-				fmt.Fprintf(&b, "    min: %s\n", strconv.FormatFloat(*a.Min, 'g', -1, 64))
-			}
-			if a.Max != nil {
-				fmt.Fprintf(&b, "    max: %s\n", strconv.FormatFloat(*a.Max, 'g', -1, 64))
-			}
-			kv("    ", "less_than", qs(a.LessThan))
-		}
-	}
+	encodeFields(&b, reflect.ValueOf(s).Elem(), "", "")
 	return []byte(b.String())
+}
+
+// encodeFields writes struct v as a block of `key: value` lines, its
+// first line prefixed by first (a sequence item's "- ") and the rest by
+// indent. Zero fields are omitted, except the first: it is always
+// written, so an all-zero block (`stress:` with every count 0, an event
+// at 0s) still appears.
+func encodeFields(b *strings.Builder, v reflect.Value, first, indent string) {
+	for i := range v.NumField() {
+		f, key := v.Field(i), v.Type().Field(i).Tag.Get("scn")
+		at := indent
+		if i == 0 {
+			at = first
+		} else if f.IsZero() || f.Kind() == reflect.Slice && f.Len() == 0 {
+			continue
+		}
+		f = reflect.Indirect(f)
+		switch f.Kind() {
+		case reflect.Struct:
+			fmt.Fprintf(b, "%s%s:\n", at, key)
+			encodeFields(b, f, indent+"  ", indent+"  ")
+		case reflect.Slice:
+			fmt.Fprintf(b, "%s%s:\n", at, key)
+			for j := range f.Len() {
+				encodeFields(b, f.Index(j), indent+"  - ", indent+"    ")
+			}
+		default:
+			fmt.Fprintf(b, "%s%s: %s\n", at, key, scalarText(f))
+		}
+	}
+}
+
+// scalarText is the canonical text of one scalar field, which value
+// parses back to the same value.
+func scalarText(v reflect.Value) string {
+	switch v.Kind() {
+	case reflect.String:
+		return strconv.Quote(v.String())
+	case reflect.Bool:
+		return strconv.FormatBool(v.Bool())
+	case reflect.Float64:
+		return strconv.FormatFloat(v.Float(), 'g', -1, 64)
+	}
+	if v.Type() == timeType {
+		return time.Duration(v.Int()).String()
+	}
+	return strconv.FormatInt(v.Int(), 10)
 }

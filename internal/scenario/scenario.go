@@ -37,66 +37,69 @@ const (
 	maxEvents   = 256
 	maxTemplate = 64
 	maxVariants = 8
+	maxAsserts  = 64
 	maxStress   = 64
 	maxClients  = 1 << 16
 )
 
-// Scenario is the parsed schema. Durations are sim.Time nanoseconds;
-// zero means "unset, use the default" except where validation requires
-// a value.
+// Scenario is the parsed schema. Each field's scn tag is its key in a
+// scenario file; the tagged structs below are the whole schema, which
+// one reflective walk decodes and encodes (parse.go). Durations are
+// sim.Time nanoseconds; zero means "unset, use the default" except where
+// validation requires a value.
 type Scenario struct {
-	Name        string
-	Description string
+	Name        string `scn:"name"`
+	Description string `scn:"description"`
 
 	// Seed is the base run seed (0 = the harness default); Seeds is
 	// how many seeded points to run (0 = 1; the chaos/ha checkers
 	// default to 5 like their legacy experiments).
-	Seed  int64
-	Seeds int
+	Seed  int64 `scn:"seed"`
+	Seeds int   `scn:"seeds"`
 
 	// Horizon is the simulated run length (required). QuickHorizon,
 	// when set, replaces it under -quick.
-	Horizon      sim.Time
-	QuickHorizon sim.Time
+	Horizon      sim.Time `scn:"horizon"`
+	QuickHorizon sim.Time `scn:"quick_horizon"`
 
 	// Poll is the probe period T (0 = the paper default, 50ms).
-	Poll sim.Time
+	Poll sim.Time `scn:"poll"`
 
 	// Scheme is the monitoring scheme name, core.ParseScheme syntax
 	// ("" = rdma-sync). Policy is the dispatch policy ("" =
 	// websphere); variants override it per run.
-	Scheme string
-	Policy string
+	Scheme string `scn:"scheme"`
+	Policy string `scn:"policy"`
 
 	// Gamma and LocalWeight tune the WebSphere-style load index and
 	// local-signal blend (0 = cluster defaults).
-	Gamma       float64
-	LocalWeight float64
+	Gamma       float64 `scn:"gamma"`
+	LocalWeight float64 `scn:"local_weight"`
 
 	// ProbeTimeout bounds one probe (0 = Poll). MRRepin is the
 	// re-registration delay after an MR invalidation; QuickMRRepin
 	// replaces it under -quick.
-	ProbeTimeout sim.Time
-	MRRepin      sim.Time
-	QuickMRRepin sim.Time
+	ProbeTimeout sim.Time `scn:"probe_timeout"`
+	MRRepin      sim.Time `scn:"mr_repin"`
+	QuickMRRepin sim.Time `scn:"quick_mr_repin"`
 
 	// Failover arms the per-backend RDMA->socket breaker. Replicas
 	// (>1) builds the HA front-end tier.
-	Failover bool
-	Replicas int
+	Failover bool `scn:"failover"`
+	Replicas int  `scn:"replicas"`
 
 	// Checks selects a built-in invariant checker: "" (generic
 	// metrics + assertions), "chaos" (I1-I6) or "ha" (H1-H6).
-	Checks string
+	Checks string `scn:"checks"`
 
-	Fleet    Fleet
-	Workload Workload
-	Stagger  *Stagger
-	Events   []Event
-	Stress   *Stress
+	Fleet    Fleet    `scn:"fleet"`
+	Workload Workload `scn:"workload"`
+	Stagger  *Stagger `scn:"stagger"`
+	Events   []Event  `scn:"events"`
+	Stress   *Stress  `scn:"stress"`
 
-	Variants   []Variant
-	Assertions []Assertion
+	Variants   []Variant   `scn:"variants"`
+	Assertions []Assertion `scn:"assertions"`
 }
 
 // Fleet sizes the back-end tier. Templates, when present, make it
@@ -104,55 +107,55 @@ type Scenario struct {
 // summing exactly to Backends (largest-remainder rounding), assigned
 // as contiguous ID ranges in template order.
 type Fleet struct {
-	Backends  int
-	Templates []Template
+	Backends  int        `scn:"backends"`
+	Templates []Template `scn:"templates"`
 }
 
 // Template is one hardware class within a heterogeneous fleet. Zero
 // fields inherit the cluster defaults.
 type Template struct {
-	Name   string
-	Weight float64
+	Name   string  `scn:"name"`
+	Weight float64 `scn:"weight"`
 	// CPUs overrides the node's CPU count (1..8).
-	CPUs int
+	CPUs int `scn:"cpus"`
 	// Workers overrides the web server's worker pool size.
-	Workers int
+	Workers int `scn:"workers"`
 	// NICLatency adds one-way fabric latency to every operation
 	// touching the node.
-	NICLatency sim.Time
+	NICLatency sim.Time `scn:"nic_latency"`
 	// AgentInterval overrides the monitoring agent's refresh period.
-	AgentInterval sim.Time
+	AgentInterval sim.Time `scn:"agent_interval"`
 }
 
 // Stagger cold-starts the fleet: back-end i (1-based) comes up at
 // (i-1)*Offset plus a seeded jitter draw in [0, Jitter). Compiled to
 // At-zero crash windows, so restart handling is exercised from t=0.
 type Stagger struct {
-	Offset sim.Time
-	Jitter sim.Time
+	Offset sim.Time `scn:"offset"`
+	Jitter sim.Time `scn:"jitter"`
 }
 
 // Workload drives client load. Kind is "rubis" (the paper's workload;
 // the only kind today — the field exists so new generators are a
 // schema change, not a breaking one).
 type Workload struct {
-	Kind         string
-	Clients      int
-	QuickClients int
-	Think        sim.Time
+	Kind         string   `scn:"kind"`
+	Clients      int      `scn:"clients"`
+	QuickClients int      `scn:"quick_clients"`
+	Think        sim.Time `scn:"think"`
 }
 
 // Event is one entry of a timed fault script. Exactly one of Node or
 // Pick selects the victim; Template (optional, with Pick) restricts
 // the draw to one template's nodes.
 type Event struct {
-	At       sim.Time
-	Action   string // crash, freeze, mr-invalidate, partition, link
-	Node     int    // explicit back-end ID (1-based)
-	Pick     string // "random" (uniform) or "weighted" (by template weight)
-	Template string
-	Duration sim.Time // window length; restart delay for crash
-	Drop     float64  // link only: forward drop probability
+	At       sim.Time `scn:"at"`
+	Action   string   `scn:"action"` // crash, freeze, mr-invalidate, partition, link
+	Node     int      `scn:"node"`   // explicit back-end ID (1-based)
+	Pick     string   `scn:"pick"`   // "random" (uniform) or "weighted" (by template weight)
+	Template string   `scn:"template"`
+	Duration sim.Time `scn:"duration"` // window length; restart delay for crash
+	Drop     float64  `scn:"drop"`     // link only: forward drop probability
 }
 
 // Stress bounds a seeded random fault plan (faults.RandomPlan). All
@@ -160,32 +163,32 @@ type Event struct {
 // compile through ChaosConfig's defaulting, so 2/2/1/2 (+1/1/1
 // front-end) reproduces the legacy zero-count plans bit-identically.
 type Stress struct {
-	Crashes         int
-	LinkFaults      int
-	Partitions      int
-	MRInvalidations int
-	FECrashes       int
-	FEFreezes       int
-	FEPartitions    int
-	ClaimStalls     int
+	Crashes         int `scn:"crashes"`
+	LinkFaults      int `scn:"link_faults"`
+	Partitions      int `scn:"partitions"`
+	MRInvalidations int `scn:"mr_invalidations"`
+	FECrashes       int `scn:"fe_crashes"`
+	FEFreezes       int `scn:"fe_freezes"`
+	FEPartitions    int `scn:"fe_partitions"`
+	ClaimStalls     int `scn:"claim_stalls"`
 }
 
 // Variant is one dispatch configuration to run and compare; every
 // variant sees the same seeds, fleet, workload and fault plan.
 type Variant struct {
-	Name   string
-	Policy string
+	Name   string `scn:"name"`
+	Policy string `scn:"policy"`
 }
 
 // Assertion is a pass/fail threshold on a reported metric. At least
 // one of Min, Max or LessThan must be set; LessThan names another
 // variant whose value of the same metric must be strictly larger.
 type Assertion struct {
-	Metric   string
-	Variant  string
-	Min      *float64
-	Max      *float64
-	LessThan string
+	Metric   string   `scn:"metric"`
+	Variant  string   `scn:"variant"`
+	Min      *float64 `scn:"min"`
+	Max      *float64 `scn:"max"`
+	LessThan string   `scn:"less_than"`
 }
 
 // Validate checks the scenario against the schema rules. It returns
@@ -441,6 +444,10 @@ func (s *Scenario) validateVariants(bad func(string, ...any)) {
 }
 
 func (s *Scenario) validateAssertions(bad func(string, ...any)) {
+	if len(s.Assertions) > maxAsserts {
+		bad("assertions: %d exceeds the %d cap", len(s.Assertions), maxAsserts)
+		return
+	}
 	if len(s.Assertions) > 0 && s.Checks != "" {
 		bad("assertions: not supported with checks: %s (its invariants are the assertions)", s.Checks)
 	}

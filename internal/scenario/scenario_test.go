@@ -1,9 +1,11 @@
 package scenario
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -14,6 +16,10 @@ import (
 // TestParseRejects: malformed input is an error (never a panic), and
 // the error names the offending field.
 func TestParseRejects(t *testing.T) {
+	templates := "name: x\nhorizon: 2s\nfleet:\n  backends: 65\n  templates:\n"
+	for i := range 65 {
+		templates += fmt.Sprintf("    - name: t%d\n      weight: 1\n", i)
+	}
 	cases := []struct {
 		name string
 		src  string
@@ -77,6 +83,16 @@ func TestParseRejects(t *testing.T) {
 			"name: x\nhorizon: 1s\nfleet:\n  backends: 8\nstagger:\n  offset: 200ms\n",
 			"past the horizon"},
 		{"invalid json", `{"name": `, "invalid JSON"},
+		{"fleet not a mapping", "name: x\nhorizon: 2s\nfleet: 3\n", "fleet: expected a mapping"},
+		{"events not a sequence", "name: x\nhorizon: 2s\nevents: x\n", "events: expected a sequence"},
+		{"fractional integer", "name: x\nhorizon: 2s\nseeds: 1.5\n", `seeds: invalid integer "1.5"`},
+		{"bad boolean", "name: x\nhorizon: 2s\nfailover: yes\n", "failover: expected true or false"},
+		{"nan", "name: x\nhorizon: 2s\ngamma: nan\n", "gamma: invalid number"},
+		{"list for a scalar", "name: x\nhorizon: [1s]\n", "horizon: expected a"},
+		{"unknown event key",
+			"name: x\nhorizon: 2s\nevents:\n  - at: 1s\n    action: crash\n    node: 1\n    duration: 1s\n    bogus: 1\n",
+			`events[0]: unknown key "bogus"`},
+		{"too many templates", templates, "exceeds the 64"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -254,5 +270,75 @@ func TestCompileQuickOverrides(t *testing.T) {
 	}
 	if full.Clients != 48 || quick.Clients != 32 {
 		t.Fatalf("clients %d/%d", full.Clients, quick.Clients)
+	}
+}
+
+// TestParseInputCap: the 1 MiB input cap holds for JSON as for YAML.
+func TestParseInputCap(t *testing.T) {
+	pad := strings.Repeat("a", 1<<20)
+	for _, src := range []string{
+		`{"name": "x", "horizon": "1s", "description": "` + pad + `"}`,
+		"name: x\nhorizon: 1s\ndescription: " + pad + "\n",
+	} {
+		if _, err := Parse([]byte(src)); err == nil || !strings.Contains(err.Error(), "1MiB cap") {
+			t.Errorf("%.12q (%d bytes): got %v, want the 1MiB cap", src, len(src), err)
+		}
+	}
+}
+
+// TestValidateCapsAssertions: Validate holds a Go-built scenario to the
+// assertion cap a parsed one is held to.
+func TestValidateCapsAssertions(t *testing.T) {
+	one := 1.0
+	s := &Scenario{Name: "x", Horizon: sim.Second}
+	for range 65 {
+		s.Assertions = append(s.Assertions, Assertion{Metric: "served", Min: &one})
+	}
+	if err := s.Validate(); err == nil || !strings.Contains(err.Error(), "assertions: 65 exceeds the 64 cap") {
+		t.Fatalf("65 assertions: got %v, want the 64 cap", err)
+	}
+	s.Assertions = s.Assertions[:64]
+	if err := s.Validate(); err != nil {
+		t.Fatalf("64 assertions: %v", err)
+	}
+}
+
+// TestSchemaTags: every field reachable from Scenario carries exactly
+// one scn key, in lower snake case and unique within its struct; the
+// reflective codec would skip an untagged field without a word. Each
+// struct's first field is a scalar, which the encoder always writes so
+// an all-zero block round-trips.
+func TestSchemaTags(t *testing.T) {
+	keyRE := regexp.MustCompile(`^[a-z][a-z0-9_]*$`)
+	seen := map[reflect.Type]bool{}
+	var walk func(reflect.Type)
+	walk = func(typ reflect.Type) {
+		for typ.Kind() == reflect.Pointer || typ.Kind() == reflect.Slice {
+			typ = typ.Elem()
+		}
+		if typ.Kind() != reflect.Struct || seen[typ] {
+			return
+		}
+		seen[typ] = true
+		keys := map[string]bool{}
+		for i := range typ.NumField() {
+			f := typ.Field(i)
+			key := f.Tag.Get("scn")
+			switch {
+			case strings.Count(string(f.Tag), `scn:"`) != 1 || !keyRE.MatchString(key):
+				t.Errorf("%s.%s: tag %q, want exactly one scn key matching %s", typ.Name(), f.Name, f.Tag, keyRE)
+			case keys[key]:
+				t.Errorf("%s.%s: duplicate key %q", typ.Name(), f.Name, key)
+			}
+			keys[key] = true
+			if k := f.Type.Kind(); i == 0 && (k == reflect.Struct || k == reflect.Pointer || k == reflect.Slice) {
+				t.Errorf("%s.%s: a struct's first field must be a scalar", typ.Name(), f.Name)
+			}
+			walk(f.Type)
+		}
+	}
+	walk(reflect.TypeFor[Scenario]())
+	if len(seen) != 9 {
+		t.Errorf("walked %d structs, want the 9 of the schema", len(seen))
 	}
 }

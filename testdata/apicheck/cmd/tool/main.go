@@ -8,5 +8,5 @@ import (
 
 func main() {
 	fmt.Println(lib.CmdOnly(), lib.Total([]lib.Shape{lib.Square{Side: 1}}), lib.Err{})
-	fmt.Println(lib.Same(lib.Wrap{}).Hello(), lib.NewKnobs().Sum(), lib.NewState().Peek())
+	fmt.Println(lib.Same(lib.Wrap{}).Hello(), lib.NewKnobs().Sum(), lib.NewState().Peek(), lib.Load(nil))
 }

@@ -3,6 +3,7 @@ package lib
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 )
 
@@ -142,4 +143,27 @@ func NewState() *State {
 // any parameter.
 func (s *State) Peek() string {
 	return fmt.Sprint(s.LiveRead, s.At == Pos{}, s.Label)
+}
+
+// Decoded is set only by decodeScenario, through reflection. Tagged
+// counts as written, since decodeScenario is live and the field carries
+// an scn tag; its untagged twin is reported as a knob.
+type Decoded struct {
+	Tagged   int `scn:"tagged"`
+	Untagged int
+}
+
+// Load decodes src and reads both fields.
+func Load(src map[string]int) int {
+	d := decodeScenario(src)
+	return d.Tagged + d.Untagged
+}
+
+func decodeScenario(src map[string]int) *Decoded {
+	d := &Decoded{}
+	v := reflect.ValueOf(d).Elem()
+	for i := range v.NumField() {
+		v.Field(i).SetInt(int64(src[v.Type().Field(i).Name]))
+	}
+	return d
 }
