@@ -26,10 +26,11 @@ func pinDigest(t *testing.T, name string, r *Result, want uint64) {
 
 // TestPaperGoldenDigests pins every paper artifact across commits: the
 // quick, default-seed Result of fig3–fig9, table1 and the admit, push
-// and reconfig extensions, plus the two runs of the hybrid push/pull
-// path — the hybrid experiment and the pooled scale-out at 1024
-// back-ends (delta pushers, the dense due table, pooled and fenced
-// probes, listener resets). The determinism tests compare two runs in one
+// and reconfig extensions, the two runs of the hybrid push/pull path —
+// the hybrid experiment and the pooled scale-out at 1024 back-ends
+// (delta pushers, the dense due table, pooled and fenced probes,
+// listener resets) — the scale sweep and the fault-injection
+// experiment. The determinism tests compare two runs in one
 // process; this one compares against digests captured from an earlier
 // tree, so a change that moves any figure — even by one formatted digit
 // — fails here. A change that is meant to move a figure updates its
@@ -55,6 +56,8 @@ func TestPaperGoldenDigests(t *testing.T) {
 		{"reconfig", "reconfig", 0, 0x77ab87dbab73bf36},
 		{"hybrid", "hybrid", 0, 0x6d1f071597ce0f04},
 		{"scale-1024", "scale", 1024, 0x5673891c2f7aacbc},
+		{"scale", "scale", 0, 0x9e83b6bb067579c1},
+		{"faults", "faults", 0, 0xa477431af528bfb8},
 	}
 	for _, g := range golden {
 		g := g
