@@ -7,7 +7,7 @@
 GO      ?= go
 FUZZTIME ?= 10s
 
-.PHONY: ci vet build test race fuzz chaos-smoke ha-smoke aa-smoke hybrid-smoke churn-smoke scenario-smoke bench bench-baseline bench-check bench-wall bench-wall-compare loc clean
+.PHONY: ci vet build test race fuzz chaos-smoke ha-smoke aa-smoke hybrid-smoke churn-smoke scenario-smoke bench bench-baseline bench-check bench-wall bench-wall-compare paper-full loc clean
 
 ci: vet build race bench-check fuzz chaos-smoke ha-smoke aa-smoke hybrid-smoke churn-smoke scenario-smoke
 
@@ -162,6 +162,20 @@ bench-wall:
 # this tree's: make bench-wall-compare A=old.json B=new.json
 bench-wall-compare:
 	$(GO) run ./bench -compare $(A) $(B)
+
+# The full-scale output of every paper artifact, one file per id with
+# the wall-time line stripped: make paper-full OUT=dir (~150 s on a
+# 2-core host; not part of ci). Two trees' directories diff clean when
+# a change leaves every figure and table alone.
+PAPER_IDS = fig3 fig4 fig5a fig5b fig6 fig7 fig8 fig9 table1
+paper-full:
+	@if [ -z "$(OUT)" ]; then echo "usage: make paper-full OUT=dir"; exit 1; fi
+	mkdir -p $(OUT) .bench_build
+	$(GO) build -o .bench_build/rmbench ./cmd/rmbench
+	for id in $(PAPER_IDS); do \
+		.bench_build/rmbench -exp $$id > $(OUT)/$$id.raw || exit 1; \
+		grep -v ' wall)$$' $(OUT)/$$id.raw > $(OUT)/$$id.txt; rm $(OUT)/$$id.raw; \
+	done
 
 # Non-test Go lines per package, bench/ excluded: the unit ROADMAP's
 # size targets are stated in.

@@ -4,14 +4,104 @@ import (
 	"fmt"
 
 	"rdmamon/internal/cluster"
+	"rdmamon/internal/core"
 	"rdmamon/internal/faults"
 	"rdmamon/internal/sim"
+	"rdmamon/internal/wire"
 )
 
-// The run-audit core the fault harnesses (chaos, ha, aa and the generic
-// scenario driver) share: one capped violation record, one seeded
-// fan-out with a first-seed replay, one verdict renderer, one
-// crash/restart tracker and one undisturbed-staleness sampler.
+// The run checks the harnesses share. The fault harnesses (chaos, ha,
+// aa and the scenario driver) get a capped violation record, a seeded
+// fan-out with a first-seed replay, a verdict renderer, a crash tracker
+// and an undisturbed-staleness sampler; the fleet harnesses (hybrid,
+// history, scale, scale-out) a verdict, a sweep-engine default and an
+// effective-staleness sampler. Chaos, hybrid and scale share the I4
+// sequence audit.
+
+// verdict is a fleet harness's pass/fail assessment.
+type verdict struct {
+	Failed bool
+	Notes  []string
+}
+
+// fail marks the run failed and records a "VIOLATION: " note.
+func (v *verdict) fail(format string, args ...any) {
+	v.Failed = true
+	v.Notes = append(v.Notes, "VIOLATION: "+fmt.Sprintf(format, args...))
+}
+
+// sweepEngine returns the shards and doorbell batch of a fleet
+// harness's sweep: its default shards with 32-read batches, or the
+// -shards/-batch pins.
+func sweepEngine(o Options, shards int) (int, int) {
+	batch := 32
+	if o.Shards > 0 {
+		shards = o.Shards
+	}
+	if o.Batch > 0 {
+		batch = o.Batch
+	}
+	return shards, batch
+}
+
+// watchSeqs installs the I4 audit on every prober of c: a back-end's
+// sequence numbers never regress on one transport within one agent
+// incarnation. restarts[b] counts b's restarts (nil: none), and a new
+// incarnation clears b's watermarks. regress is called on each
+// regression; also, if not nil, sees every record.
+func watchSeqs(c *cluster.Cluster, restarts map[int]int, regress func(b int, tr core.Transport, seq, last uint32), also func(b int, rec wire.LoadRecord, at sim.Time)) {
+	for _, b := range c.Monitor.Backends() {
+		p := c.Monitor.Probers[b]
+		var last map[core.Transport]uint32
+		epoch := 0
+		p.OnRecord = func(rec wire.LoadRecord, at sim.Time) {
+			if last == nil || epoch != restarts[b] {
+				epoch, last = restarts[b], make(map[core.Transport]uint32)
+			}
+			tr := p.LastTransport
+			if l, ok := last[tr]; ok && rec.Seq < l {
+				regress(b, tr, rec.Seq, l)
+			}
+			last[tr] = rec.Seq
+			if also != nil {
+				also(b, rec, at)
+			}
+		}
+	}
+}
+
+// effStale samples effective staleness against ground truth (the
+// paper's §5.1.3 trick: a zero-cost direct kernel snapshot). A cached
+// record is stale only while it is wrong: a decayed poll period that
+// keeps an old record whose load index still matches truth is old,
+// not stale.
+type effStale struct {
+	c         *cluster.Cluster
+	threshold float64    // LoadDelta at or below which the cache is right
+	since     sim.Time   // the start of the audit
+	accurate  []sim.Time // per back-end: when its cache last matched truth
+}
+
+func newEffStale(c *cluster.Cluster, threshold float64, since sim.Time) *effStale {
+	return &effStale{c: c, threshold: threshold, since: since, accurate: make([]sim.Time, len(c.Backends)+1)}
+}
+
+// sample returns back-end b's effective staleness, min(age, now −
+// max(lastAccurate, since)), and its record age; ok is false while b
+// has no record.
+func (e *effStale) sample(b int) (eff, age sim.Time, ok bool) {
+	now := e.c.Eng.Now()
+	truth := core.RecordFromSnapshot(e.c.Backends[b-1].K.Snapshot(), 0)
+	cached, at, ok := e.c.Monitor.Latest(b)
+	if !ok {
+		return 0, 0, false
+	}
+	if core.LoadDelta(&truth, cached) <= e.threshold {
+		e.accurate[b] = now
+	}
+	age = now - at
+	return min(age, now-max(e.accurate[b], e.since)), age, true
+}
 
 // maxNotes caps how many violation messages a run keeps; the count
 // goes on.

@@ -8,7 +8,6 @@ import (
 	"rdmamon/internal/faults"
 	"rdmamon/internal/scenario"
 	"rdmamon/internal/sim"
-	"rdmamon/internal/wire"
 )
 
 func init() {
@@ -217,9 +216,6 @@ type chaosChecker struct {
 
 	*downSet // crashed back-ends; a restart starts a new agent incarnation
 
-	lastSeq  map[int]map[core.Transport]uint32
-	seqEpoch map[int]int
-
 	trips     map[int][]sim.Time // breaker trip instants per back-end
 	failbacks map[int][]sim.Time
 
@@ -234,8 +230,6 @@ type chaosChecker struct {
 func newChaosChecker(c *cluster.Cluster, plan faults.Plan, poll, repin sim.Time) *chaosChecker {
 	return &chaosChecker{
 		c: c, plan: plan, poll: poll, repin: repin,
-		lastSeq:   make(map[int]map[core.Transport]uint32),
-		seqEpoch:  make(map[int]int),
 		trips:     make(map[int][]sim.Time),
 		failbacks: make(map[int][]sim.Time),
 	}
@@ -260,31 +254,17 @@ func (ck *chaosChecker) install(in *faults.Injector) {
 	}
 
 	for _, b := range ck.c.Monitor.Backends() {
-		b := b
 		// I3: timestamp breaker transitions.
 		fo := ck.c.Monitor.Failover(b)
 		fo.OnTrip = func() { ck.trips[b] = append(ck.trips[b], eng.Now()) }
 		fo.OnFailBack = func() { ck.failbacks[b] = append(ck.failbacks[b], eng.Now()) }
-
-		// I4: sequence numbers must not regress per (transport,
-		// incarnation). A restart resets the agent's counter, so a
-		// new incarnation clears the watermarks.
-		p := ck.c.Monitor.Probers[b]
-		p.OnRecord = func(rec wire.LoadRecord, _ sim.Time) {
-			if ck.seqEpoch[b] != ck.restarts[b] {
-				ck.seqEpoch[b] = ck.restarts[b]
-				ck.lastSeq[b] = nil
-			}
-			if ck.lastSeq[b] == nil {
-				ck.lastSeq[b] = make(map[core.Transport]uint32)
-			}
-			tr := p.LastTransport
-			if last, ok := ck.lastSeq[b][tr]; ok && rec.Seq < last {
-				ck.violate("I4 seq: node %d %s seq %d after %d", b, tr, rec.Seq, last)
-			}
-			ck.lastSeq[b][tr] = rec.Seq
-		}
 	}
+
+	// I4: a restart resets the agent's counter, so each incarnation
+	// has its own watermarks.
+	watchSeqs(ck.c, ck.restarts, func(b int, tr core.Transport, seq, last uint32) {
+		ck.violate("I4 seq: node %d %s seq %d after %d", b, tr, seq, last)
+	}, nil)
 
 	// I2: staleness sweep each probe period.
 	ck.ticker = sampleStaleness(ck.c, ck.plan, ck.poll, ck.downSet, staleAudit(&ck.runAudit, "I2", ck.poll, &ck.staleMax))

@@ -15,6 +15,8 @@ import (
 	"sort"
 	"strings"
 	"sync"
+
+	"rdmamon/internal/core"
 )
 
 // Options control an experiment run.
@@ -160,6 +162,40 @@ func forEach(o Options, n int, fn func(i int)) {
 		}(i)
 	}
 	wg.Wait()
+}
+
+// grid runs the paper's evaluation grid (§5): point(s, i, rep) for
+// every scheme, sweep index i in [0,n) and rep in [0,reps), through
+// forEach. It returns, for each value point yields, each scheme's per-i
+// mean over reps. The mean sums x/reps in (scheme, i, rep) order
+// whatever the fan-out, so it is bit-stable.
+func grid(o Options, schemes []core.Scheme, n, reps int, point func(s core.Scheme, i, rep int) []float64) []map[core.Scheme][]float64 {
+	vals := make([][]float64, len(schemes)*n*reps)
+	forEach(o, len(vals), func(j int) {
+		vals[j] = point(schemes[j/(n*reps)], j/reps%n, j%reps)
+	})
+	out := make([]map[core.Scheme][]float64, len(vals[0]))
+	for k := range out {
+		out[k] = make(map[core.Scheme][]float64, len(schemes))
+		for _, s := range schemes {
+			out[k][s] = make([]float64, n)
+		}
+	}
+	for j, v := range vals {
+		for k, x := range v {
+			out[k][schemes[j/(n*reps)]][j/reps%n] += x / float64(reps)
+		}
+	}
+	return out
+}
+
+// quickReps is how many seeds a paper figure averages: 3, or 1 under
+// -quick.
+func quickReps(o Options) int {
+	if o.Quick {
+		return 1
+	}
+	return 3
 }
 
 func f1(v float64) string { return fmt.Sprintf("%.1f", v) }

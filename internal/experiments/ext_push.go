@@ -66,8 +66,7 @@ func pushPoint(o Options, name string, T sim.Time) PushRow {
 		// Sample the cached record's age the way a dispatcher would:
 		// at arbitrary instants.
 		eng.NewTicker(5*sim.Millisecond, func() {
-			if rec, at, ok := mon.Latest(1); ok {
-				_ = rec
+			if _, at, ok := mon.Latest(1); ok {
 				age.Add(float64(eng.Now()-at) / float64(sim.Millisecond))
 				records, _ = mon.Stats()
 			}

@@ -30,27 +30,10 @@ func Fig3(o Options) *Fig3Data {
 	if o.Quick {
 		threads = []int{0, 4, 16}
 	}
-	schemes := core.FourSchemes()
-	d := &Fig3Data{
-		Threads: threads,
-		Mean:    make(map[core.Scheme][]float64),
-	}
-	for _, s := range schemes {
-		d.Mean[s] = make([]float64, len(threads))
-	}
-	type point struct{ si, ti int }
-	var pts []point
-	for si := range schemes {
-		for ti := range threads {
-			pts = append(pts, point{si, ti})
-		}
-	}
-	forEach(o, len(pts), func(i int) {
-		p := pts[i]
-		lat := fig3Point(o, schemes[p.si], threads[p.ti])
-		d.Mean[schemes[p.si]][p.ti] = lat.Mean()
+	mean := grid(o, core.FourSchemes(), len(threads), 1, func(s core.Scheme, i, _ int) []float64 {
+		return []float64{fig3Point(o, s, threads[i]).Mean()}
 	})
-	return d
+	return &Fig3Data{Threads: threads, Mean: mean[0]}
 }
 
 // fig3Point measures one (scheme, threads) cell: a front-end node

@@ -30,26 +30,10 @@ func Fig4(o Options) *Fig4Data {
 	if o.Quick {
 		gran = []int{1, 16, 256}
 	}
-	schemes := core.FourSchemes()
-	d := &Fig4Data{
-		GranularityMS: gran,
-		Delay:         make(map[core.Scheme][]float64),
-	}
-	for _, s := range schemes {
-		d.Delay[s] = make([]float64, len(gran))
-	}
-	type point struct{ si, gi int }
-	var pts []point
-	for si := range schemes {
-		for gi := range gran {
-			pts = append(pts, point{si, gi})
-		}
-	}
-	forEach(o, len(pts), func(i int) {
-		p := pts[i]
-		d.Delay[schemes[p.si]][p.gi] = fig4Point(o, schemes[p.si], gran[p.gi])
+	delay := grid(o, core.FourSchemes(), len(gran), 1, func(s core.Scheme, i, _ int) []float64 {
+		return []float64{fig4Point(o, s, gran[i])}
 	})
-	return d
+	return &Fig4Data{GranularityMS: gran, Delay: delay[0]}
 }
 
 func fig4Point(o Options, s core.Scheme, granMS int) float64 {
@@ -73,7 +57,6 @@ func fig4Point(o Options, s core.Scheme, granMS int) float64 {
 		dur = 2 * sim.Second
 	}
 	eng.RunUntil(dur)
-	_ = agent
 	return app.Delays.Mean()
 }
 

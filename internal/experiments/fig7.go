@@ -32,33 +32,10 @@ func Fig7(o Options) *Fig7Data {
 	if o.Quick {
 		alphas = []float64{0.25, 0.9}
 	}
-	schemes := core.Schemes()
-	d := &Fig7Data{Alphas: alphas, Throughput: make(map[core.Scheme][]float64)}
-	for _, s := range schemes {
-		d.Throughput[s] = make([]float64, len(alphas))
-	}
-	reps := 3
-	if o.Quick {
-		reps = 1
-	}
-	type job struct{ si, ai, rep int }
-	var jobs []job
-	for si := range schemes {
-		for ai := range alphas {
-			for r := 0; r < reps; r++ {
-				jobs = append(jobs, job{si, ai, r})
-			}
-		}
-	}
-	vals := make([]float64, len(jobs))
-	forEach(o, len(jobs), func(i int) {
-		j := jobs[i]
-		vals[i] = fig7Point(o, schemes[j.si], alphas[j.ai], int64(j.rep))
+	tput := grid(o, core.Schemes(), len(alphas), quickReps(o), func(s core.Scheme, i, rep int) []float64 {
+		return []float64{fig7Point(o, s, alphas[i], int64(rep))}
 	})
-	for i, j := range jobs {
-		d.Throughput[schemes[j.si]][j.ai] += vals[i] / float64(reps)
-	}
-	return d
+	return &Fig7Data{Alphas: alphas, Throughput: tput[0]}
 }
 
 func fig7Point(o Options, s core.Scheme, alpha float64, rep int64) float64 {

@@ -34,51 +34,17 @@ func Fig8(o Options) *Fig8Data {
 	if o.Quick {
 		gran = []int{1, 64, 1024}
 	}
-	schemes := core.FourSchemes()
-	d := &Fig8Data{
-		GranularityMS: gran,
-		MaxSearch:     make(map[core.Scheme][]float64),
-		MaxBrowse:     make(map[core.Scheme][]float64),
-		P99Search:     make(map[core.Scheme][]float64),
-		P99Browse:     make(map[core.Scheme][]float64),
-	}
-	for _, s := range schemes {
-		d.MaxSearch[s] = make([]float64, len(gran))
-		d.MaxBrowse[s] = make([]float64, len(gran))
-		d.P99Search[s] = make([]float64, len(gran))
-		d.P99Browse[s] = make([]float64, len(gran))
-	}
-	reps := 3
-	if o.Quick {
-		reps = 1
-	}
-	type point struct{ si, gi, rep int }
-	var pts []point
-	for si := range schemes {
-		for gi := range gran {
-			for r := 0; r < reps; r++ {
-				pts = append(pts, point{si, gi, r})
-			}
-		}
-	}
-	type res struct{ maxS, maxB, p99S, p99B float64 }
-	out := make([]res, len(pts))
-	forEach(o, len(pts), func(i int) {
-		p := pts[i]
+	m := grid(o, core.FourSchemes(), len(gran), quickReps(o), func(s core.Scheme, i, rep int) []float64 {
 		o2 := o
-		o2.Seed = o.seed() + int64(p.rep)*9973
-		out[i] = fig8Point(o2, schemes[p.si], gran[p.gi])
+		o2.Seed = o.seed() + int64(rep)*9973
+		return fig8Point(o2, s, gran[i])
 	})
-	for i, p := range pts {
-		d.MaxSearch[schemes[p.si]][p.gi] += out[i].maxS / float64(reps)
-		d.MaxBrowse[schemes[p.si]][p.gi] += out[i].maxB / float64(reps)
-		d.P99Search[schemes[p.si]][p.gi] += out[i].p99S / float64(reps)
-		d.P99Browse[schemes[p.si]][p.gi] += out[i].p99B / float64(reps)
-	}
-	return d
+	return &Fig8Data{GranularityMS: gran, MaxSearch: m[0], MaxBrowse: m[1], P99Search: m[2], P99Browse: m[3]}
 }
 
-func fig8Point(o Options, s core.Scheme, granMS int) (r struct{ maxS, maxB, p99S, p99B float64 }) {
+// fig8Point returns the SearchItemsReg and Browse maxima, then their
+// p99s.
+func fig8Point(o Options, s core.Scheme, granMS int) []float64 {
 	// As in the paper: the cluster itself is dispatched with
 	// e-RDMA-Sync at the default T=50ms (the best configuration from
 	// §5.2.1); what varies is the *gmetric* monitoring stack — a
@@ -131,9 +97,9 @@ func fig8Point(o Options, s core.Scheme, granMS int) (r struct{ maxS, maxB, p99S
 		}
 		return 0, 0
 	}
-	r.maxS, r.p99S = get("SearchItemsReg")
-	r.maxB, r.p99B = get("Browse")
-	return r
+	maxS, p99S := get("SearchItemsReg")
+	maxB, p99B := get("Browse")
+	return []float64{maxS, maxB, p99S, p99B}
 }
 
 // Result renders both panels.

@@ -31,33 +31,10 @@ func Fig9(o Options) *Fig9Data {
 	if o.Quick {
 		gran = []int{64, 512, 4096}
 	}
-	schemes := core.FourSchemes()
-	d := &Fig9Data{GranularityMS: gran, Throughput: make(map[core.Scheme][]float64)}
-	for _, s := range schemes {
-		d.Throughput[s] = make([]float64, len(gran))
-	}
-	reps := 3
-	if o.Quick {
-		reps = 1
-	}
-	type job struct{ si, gi, rep int }
-	var jobs []job
-	for si := range schemes {
-		for gi := range gran {
-			for r := 0; r < reps; r++ {
-				jobs = append(jobs, job{si, gi, r})
-			}
-		}
-	}
-	vals := make([]float64, len(jobs))
-	forEach(o, len(jobs), func(i int) {
-		j := jobs[i]
-		vals[i] = fig9Point(o, schemes[j.si], gran[j.gi], int64(j.rep))
+	tput := grid(o, core.FourSchemes(), len(gran), quickReps(o), func(s core.Scheme, i, rep int) []float64 {
+		return []float64{fig9Point(o, s, gran[i], int64(rep))}
 	})
-	for i, j := range jobs {
-		d.Throughput[schemes[j.si]][j.gi] += vals[i] / float64(reps)
-	}
-	return d
+	return &Fig9Data{GranularityMS: gran, Throughput: tput[0]}
 }
 
 func fig9Point(o Options, s core.Scheme, granMS int, rep int64) float64 {

@@ -86,8 +86,7 @@ type HistoryData struct {
 	Dispatch []HistoryDispatchPoint
 	ReplayB  uint64 // digest of the repeated trend run
 	WRRatio  float64
-	Failed   bool
-	Notes    []string
+	verdict
 }
 
 // History exercises the e-RDMA-Sync++ history ring end to end:
@@ -175,42 +174,24 @@ func History(o Options) *HistoryData {
 	return d
 }
 
-func (d *HistoryData) fail(format string, args ...interface{}) {
-	d.Failed = true
-	d.Notes = append(d.Notes, "VIOLATION: "+fmt.Sprintf(format, args...))
-}
-
-// historyShards/historyBatch: every run uses the sharded, doorbell-
-// batched sweep of the scale tier — a sequential 256-probe cycle
-// cannot finish inside a 10ms period, which would silently deflate
-// the point mode's WR count and stale the dispatch runs' rings.
-func historyShards(o Options) int {
-	if o.Shards > 0 {
-		return o.Shards
-	}
-	return 4
-}
-
-func historyBatch(o Options) int {
-	if o.Batch > 0 {
-		return o.Batch
-	}
-	return 32
-}
-
 // historyCoverage runs one coverage mode: a monitoring-only
 // e-RDMA-Sync fleet with a deterministic flapping minority (so the
 // observed samples actually change), counting one-sided reads and
 // distinct observed samples over the measured window.
 func historyCoverage(o Options, n int, ring bool) HistoryCoveragePoint {
+	// Every history run uses the sharded, doorbell-batched sweep of the
+	// scale tier: a sequential 256-probe cycle cannot finish inside a
+	// 10ms period, which would silently deflate the point mode's WR
+	// count and stale the dispatch runs' rings.
+	shards, batch := sweepEngine(o, 4)
 	cfg := cluster.Config{
 		Backends:      n,
 		Scheme:        core.ERDMASync,
 		Poll:          histInterval,
 		Seed:          o.seed() + int64(n),
 		NoServers:     true,
-		MonitorShards: historyShards(o),
-		MonitorBatch:  historyBatch(o),
+		MonitorShards: shards,
+		MonitorBatch:  batch,
 	}
 	if ring {
 		cfg.Poll = histK * histInterval
@@ -218,11 +199,7 @@ func historyCoverage(o Options, n int, ring bool) HistoryCoveragePoint {
 		cfg.HistoryK = histK
 	}
 	c := cluster.New(cfg)
-	volatile := n / 32
-	if volatile < 2 {
-		volatile = 2
-	}
-	startFlappers(c, n, volatile)
+	startFlappers(c, n, max(n/32, 2))
 
 	pt := HistoryCoveragePoint{Mode: "point"}
 	if ring {
@@ -317,10 +294,7 @@ func startBaseline(c *cluster.Cluster, rampers map[int]bool) {
 // baseline the level-only policy keeps dispatching onto a back-end
 // that will have saturated by the time the requests land.
 func startRampers(c *cluster.Cluster, n int) map[int]bool {
-	count := n / 32
-	if count < 2 {
-		count = 2
-	}
+	count := max(n/32, 2)
 	ids := make(map[int]bool, count)
 	for v := 0; v < count; v++ {
 		b := 1 + v*(n/count)
@@ -345,6 +319,7 @@ func startRampers(c *cluster.Cluster, n int) map[int]bool {
 // ramping fleet, scoring every pick by the picked back-end's
 // ground-truth weighted index one horizon later.
 func historyDispatch(o Options, n int, trend bool) HistoryDispatchPoint {
+	shards, batch := sweepEngine(o, 4)
 	cfg := cluster.Config{
 		Backends:      n,
 		Scheme:        core.ERDMASync,
@@ -354,8 +329,8 @@ func historyDispatch(o Options, n int, trend bool) HistoryDispatchPoint {
 		Seed:          o.seed() + 7*int64(n),
 		NoServers:     true,
 		Policy:        cluster.PolicyLeastLoad,
-		MonitorShards: historyShards(o),
-		MonitorBatch:  historyBatch(o),
+		MonitorShards: shards,
+		MonitorBatch:  batch,
 	}
 	if trend {
 		cfg.TrendHorizon = dispatchHorizon

@@ -7,7 +7,6 @@ import (
 	"rdmamon/internal/core"
 	"rdmamon/internal/sim"
 	"rdmamon/internal/simos"
-	"rdmamon/internal/wire"
 )
 
 func init() {
@@ -52,8 +51,7 @@ type HybridPoint struct {
 type HybridData struct {
 	Points  []HybridPoint
 	WRRatio float64 // all-pull probe WRs / hybrid probe WRs
-	Failed  bool
-	Notes   []string
+	verdict
 }
 
 // Hybrid runs the same fleet twice — the all-pull sharded sweep of the
@@ -71,10 +69,7 @@ func Hybrid(o Options) *HybridData {
 	if o.Backends > 0 {
 		n = o.Backends
 	}
-	volatile := n / 32
-	if volatile < 2 {
-		volatile = 2
-	}
+	volatile := max(n/32, 2)
 
 	d := &HybridData{Points: make([]HybridPoint, 2)}
 	forEach(o, 2, func(i int) {
@@ -87,37 +82,23 @@ func Hybrid(o Options) *HybridData {
 	}
 	for _, p := range d.Points {
 		if p.EffStaleMaxT > hybridStaleSLO {
-			d.Failed = true
-			d.Notes = append(d.Notes, fmt.Sprintf(
-				"VIOLATION: %s effective staleness %.1fT exceeds the %dT bound",
-				p.Mode, p.EffStaleMaxT, hybridStaleSLO))
+			d.fail("%s effective staleness %.1fT exceeds the %dT bound", p.Mode, p.EffStaleMaxT, hybridStaleSLO)
 		}
 		if p.Errors > 0 || p.Torn > 0 || p.StalePushes > 0 {
-			d.Failed = true
-			d.Notes = append(d.Notes, fmt.Sprintf(
-				"VIOLATION: %s saw %d errors, %d torn pushes, %d stale pushes",
-				p.Mode, p.Errors, p.Torn, p.StalePushes))
+			d.fail("%s saw %d errors, %d torn pushes, %d stale pushes", p.Mode, p.Errors, p.Torn, p.StalePushes)
 		}
 		if p.SeqViolations > 0 {
-			d.Failed = true
-			d.Notes = append(d.Notes, fmt.Sprintf(
-				"VIOLATION: %s saw %d per-transport sequence regressions", p.Mode, p.SeqViolations))
+			d.fail("%s saw %d per-transport sequence regressions", p.Mode, p.SeqViolations)
 		}
 		if p.NoRecord > 0 {
-			d.Failed = true
-			d.Notes = append(d.Notes, fmt.Sprintf(
-				"VIOLATION: %s left %d back-ends with no record", p.Mode, p.NoRecord))
+			d.fail("%s left %d back-ends with no record", p.Mode, p.NoRecord)
 		}
 	}
 	if d.WRRatio < hybridWRRatio {
-		d.Failed = true
-		d.Notes = append(d.Notes, fmt.Sprintf(
-			"VIOLATION: probe-WR reduction %.1fx, want >= %dx at the same staleness bound",
-			d.WRRatio, hybridWRRatio))
+		d.fail("probe-WR reduction %.1fx, want >= %dx at the same staleness bound", d.WRRatio, hybridWRRatio)
 	}
 	if hyb.PushWRs == 0 {
-		d.Failed = true
-		d.Notes = append(d.Notes, "VIOLATION: hybrid run posted no delta pushes")
+		d.fail("hybrid run posted no delta pushes")
 	}
 	return d
 }
@@ -168,13 +149,7 @@ func startFlappers(c *cluster.Cluster, n, volatile int) []int {
 // the sharded/batched engine, a flapping minority, and the staleness
 // audit sampling every T.
 func hybridPoint(o Options, n, volatile int, hybrid bool) HybridPoint {
-	shards, batch := 4, 32
-	if o.Shards > 0 {
-		shards = o.Shards
-	}
-	if o.Batch > 0 {
-		batch = o.Batch
-	}
+	shards, batch := sweepEngine(o, 4)
 	cfg := cluster.Config{
 		Backends:      n,
 		Scheme:        core.RDMASync,
@@ -197,24 +172,9 @@ func hybridPoint(o Options, n, volatile int, hybrid bool) HybridPoint {
 		pt.Mode = "hybrid"
 	}
 
-	// I4-style audit: per-(backend, transport) sequence watermarks. The
-	// push transport has its own counter space, so regressions are
-	// checked per transport, never across them.
-	lastSeq := make(map[int]map[core.Transport]uint32)
-	for _, b := range c.Monitor.Backends() {
-		b := b
-		p := c.Monitor.Probers[b]
-		p.OnRecord = func(rec wire.LoadRecord, _ sim.Time) {
-			if lastSeq[b] == nil {
-				lastSeq[b] = make(map[core.Transport]uint32)
-			}
-			tr := p.LastTransport
-			if last, ok := lastSeq[b][tr]; ok && rec.Seq < last {
-				pt.SeqViolations++
-			}
-			lastSeq[b][tr] = rec.Seq
-		}
-	}
+	// I4: the push transport has its own counter space, so regressions
+	// are checked per transport, never across them.
+	watchSeqs(c, nil, func(int, core.Transport, uint32, uint32) { pt.SeqViolations++ }, nil)
 
 	warm := 400 * sim.Millisecond
 	dur := 2 * sim.Second
@@ -228,42 +188,20 @@ func hybridPoint(o Options, n, volatile int, hybrid bool) HybridPoint {
 		threshold = o.PushThreshold
 	}
 
-	// The staleness audit: every T, compare each back-end's cached
-	// record against ground truth (the paper's §5.1.3 kernel-module
-	// trick: a zero-cost direct snapshot). The effective staleness of a
-	// cache is how long it has been wrong: min(age, time since the
-	// cached index last matched truth). A decayed poll period on a
-	// quiet back-end keeps an OLD record that is still RIGHT — old but
-	// accurate is not stale.
-	lastAccurate := make(map[int]sim.Time)
+	// The staleness audit: every T after warm-up, each back-end's
+	// effective staleness against ground truth.
 	var effMax, ageMax sim.Time
 	c.Eng.RunUntil(warm)
-	for _, b := range c.Monitor.Backends() {
-		lastAccurate[b] = warm
-	}
+	stale := newEffStale(c, threshold, warm)
 	reads0 := c.FNIC.RDMAReads
 	audit := c.Eng.NewTicker(hybridPoll, func() {
-		now := c.Eng.Now()
 		for _, b := range c.Monitor.Backends() {
-			truth := core.RecordFromSnapshot(c.Backends[b-1].K.Snapshot(), 0)
-			cached, at, ok := c.Monitor.Latest(b)
+			eff, age, ok := stale.sample(b)
 			if !ok {
 				pt.NoRecord++
 				continue
 			}
-			if core.LoadDelta(&truth, cached) <= threshold {
-				lastAccurate[b] = now
-			}
-			eff := now - at
-			if wrong := now - lastAccurate[b]; wrong < eff {
-				eff = wrong
-			}
-			if eff > effMax {
-				effMax = eff
-			}
-			if age := now - at; age > ageMax {
-				ageMax = age
-			}
+			effMax, ageMax = max(effMax, eff), max(ageMax, age)
 		}
 	})
 	c.Eng.RunUntil(warm + dur)

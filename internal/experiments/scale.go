@@ -41,8 +41,7 @@ type ScalePoint struct {
 type ScaleData struct {
 	Points []ScalePoint
 	Out    *ScaleOutData
-	Failed bool
-	Notes  []string
+	verdict
 }
 
 // Scale measures how the probe engine's sweep time grows with the
@@ -57,7 +56,7 @@ func Scale(o Options) *ScaleData {
 		// Fleet sizes past the sweep's one-QP-per-backend assumption
 		// (or explicit pool knobs) run the pooled scale-out instead.
 		out := ScaleOut(o)
-		return &ScaleData{Out: out, Failed: out.Failed, Notes: out.Notes}
+		return &ScaleData{Out: out, verdict: out.verdict}
 	}
 	backends := []int{8, 64, 256, 512}
 	if o.Quick {
@@ -69,13 +68,7 @@ func Scale(o Options) *ScaleData {
 	type cfg struct{ shards, batch int }
 	cfgs := []cfg{{1, 1}, {1, 32}, {4, 32}}
 	if o.Shards > 0 || o.Batch > 0 {
-		s, b := o.Shards, o.Batch
-		if s <= 0 {
-			s = 4
-		}
-		if b <= 0 {
-			b = 32
-		}
+		s, b := sweepEngine(o, 4)
 		cfgs = []cfg{{1, 1}, {s, b}}
 	}
 
@@ -100,32 +93,18 @@ func Scale(o Options) *ScaleData {
 
 	for _, p := range d.Points {
 		if p.SeqViolations > 0 {
-			d.Failed = true
-			d.Notes = append(d.Notes, fmt.Sprintf(
-				"VIOLATION: %d sequence regressions at n=%d s=%d b=%d",
-				p.SeqViolations, p.Backends, p.Shards, p.Batch))
+			d.fail("%d sequence regressions at n=%d s=%d b=%d", p.SeqViolations, p.Backends, p.Shards, p.Batch)
 		}
 		if p.Errors > 0 {
-			d.Failed = true
-			d.Notes = append(d.Notes, fmt.Sprintf(
-				"VIOLATION: %d probe errors at n=%d s=%d b=%d",
-				p.Errors, p.Backends, p.Shards, p.Batch))
+			d.fail("%d probe errors at n=%d s=%d b=%d", p.Errors, p.Backends, p.Shards, p.Batch)
 		}
 		if p.Cycles == 0 {
-			d.Failed = true
-			d.Notes = append(d.Notes, fmt.Sprintf(
-				"VIOLATION: no completed sweeps at n=%d s=%d b=%d",
-				p.Backends, p.Shards, p.Batch))
+			d.fail("no completed sweeps at n=%d s=%d b=%d", p.Backends, p.Shards, p.Batch)
 		}
 	}
-	if !o.Quick {
-		last := d.Points[len(d.Points)-1]
-		if last.Speedup < 4 {
-			d.Failed = true
-			d.Notes = append(d.Notes, fmt.Sprintf(
-				"VIOLATION: speedup %.1fx at %d back-ends (s=%d b=%d), want >= 4x",
-				last.Speedup, last.Backends, last.Shards, last.Batch))
-		}
+	if last := d.Points[len(d.Points)-1]; !o.Quick && last.Speedup < 4 {
+		d.fail("speedup %.1fx at %d back-ends (s=%d b=%d), want >= 4x",
+			last.Speedup, last.Backends, last.Shards, last.Batch)
 	}
 	return d
 }
@@ -146,18 +125,10 @@ func scalePoint(o Options, n, shards, batch int) ScalePoint {
 	pt := ScalePoint{Backends: n, Shards: shards, Batch: batch}
 
 	var probeLat, stale metrics.Sample
-	lastSeq := make(map[int]uint32)
-	for _, b := range c.Monitor.Backends() {
-		b := b
-		p := c.Monitor.Probers[b]
-		p.OnRecord = func(rec wire.LoadRecord, at sim.Time) {
-			if rec.Seq < lastSeq[b] {
-				pt.SeqViolations++
-			}
-			lastSeq[b] = rec.Seq
+	watchSeqs(c, nil, func(int, core.Transport, uint32, uint32) { pt.SeqViolations++ },
+		func(_ int, rec wire.LoadRecord, at sim.Time) {
 			stale.Add(float64((at - sim.Time(rec.KTimeNS)) / sim.Microsecond))
-		}
-	}
+		})
 
 	warm := 200 * sim.Millisecond
 	dur := 2 * sim.Second

@@ -57,8 +57,7 @@ type ScaleOutData struct {
 	LeakedConns, LeakedQPs int
 	LeakedFDs              int
 	BreakersStuck          int // breakers still open after cooldown
-	Failed                 bool
-	Notes                  []string
+	verdict
 }
 
 // ScaleOut runs the connection-lifecycle scale-out: a hybrid-monitored
@@ -77,37 +76,19 @@ func ScaleOut(o Options) *ScaleOutData {
 	}
 	maxConns := o.MaxConns
 	if maxConns <= 0 {
-		maxConns = n / 8
-		if maxConns < 64 {
-			maxConns = 64
-		}
+		maxConns = max(n/8, 64)
 	}
 	dialsPerSec := o.DialsPerSec
 	if dialsPerSec <= 0 {
-		dialsPerSec = n
-		if dialsPerSec < 512 {
-			dialsPerSec = 512
-		}
+		dialsPerSec = max(n, 512)
 	}
 	idleNS := int64(500 * sim.Millisecond)
 	if o.PoolIdleMS > 0 {
 		idleNS = int64(o.PoolIdleMS) * int64(sim.Millisecond)
 	}
-	shards, batch := 8, 32
-	if o.Shards > 0 {
-		shards = o.Shards
-	}
-	if o.Batch > 0 {
-		batch = o.Batch
-	}
-	volatile := n / 32
-	if volatile < 2 {
-		volatile = 2
-	}
-	burst := dialsPerSec / 4
-	if burst < 1 {
-		burst = 1
-	}
+	shards, batch := sweepEngine(o, 8)
+	volatile := max(n/32, 2)
+	burst := max(dialsPerSec/4, 1)
 
 	d := &ScaleOutData{
 		Backends: n, Volatile: volatile,
@@ -219,33 +200,18 @@ func ScaleOut(o Options) *ScaleOutData {
 		dialTimes = append(dialTimes, at)
 	}
 
-	// Hot effective-staleness tracker, sampled every T: a cached
-	// record is stale only while it is WRONG (the hybrid experiment's
-	// metric — an adaptively-decayed period keeping an old-but-accurate
-	// record is not a staleness violation). Truth comes from the
-	// paper's zero-cost direct kernel snapshot.
-	threshold := hybridKnobs(o).WithDefaults(scalePoll).Threshold
-	lastAccurate := make(map[int]sim.Time, len(hot))
+	// Hot effective-staleness tracker, sampled every T (the hybrid
+	// experiment's metric); a hot back-end with no record counts as
+	// stale since the start of the run.
+	stale := newEffStale(c, hybridKnobs(o).WithDefaults(scalePoll).Threshold, 0)
 	hotEff := func() sim.Time {
-		now := c.Eng.Now()
 		var worst sim.Time
 		for _, b := range hot {
-			truth := core.RecordFromSnapshot(c.Backends[b-1].K.Snapshot(), 0)
-			cached, at, ok := c.Monitor.Latest(b)
+			eff, _, ok := stale.sample(b)
 			if !ok {
-				worst = now
-				continue
+				eff = c.Eng.Now()
 			}
-			if core.LoadDelta(&truth, cached) <= threshold {
-				lastAccurate[b] = now
-			}
-			eff := now - at
-			if wrong := now - lastAccurate[b]; wrong < eff {
-				eff = wrong
-			}
-			if eff > worst {
-				worst = eff
-			}
+			worst = max(worst, eff)
 		}
 		return worst
 	}
@@ -342,32 +308,28 @@ func maxDialWindow(ts []int64, width int64) uint64 {
 }
 
 func (d *ScaleOutData) assess() {
-	fail := func(format string, args ...any) {
-		d.Failed = true
-		d.Notes = append(d.Notes, "VIOLATION: "+fmt.Sprintf(format, args...))
-	}
 	if d.StaleEpochReads > 0 {
-		fail("%d stale-epoch reads served (pull-stream kernel time regressed)", d.StaleEpochReads)
+		d.fail("%d stale-epoch reads served (pull-stream kernel time regressed)", d.StaleEpochReads)
 	}
 	if d.FenceRejects == 0 {
-		fail("churn never exercised the epoch fence (listener resets must land on live conns)")
+		d.fail("churn never exercised the epoch fence (listener resets must land on live conns)")
 	}
 	if d.NoRecord > 0 {
-		fail("%d back-ends had no record after warm-up", d.NoRecord)
+		d.fail("%d back-ends had no record after warm-up", d.NoRecord)
 	}
 	if d.HotErrors > 0 {
-		fail("%d probe errors on hot back-ends (degradation must land on quiet ones)", d.HotErrors)
+		d.fail("%d probe errors on hot back-ends (degradation must land on quiet ones)", d.HotErrors)
 	}
 	if d.BreakersStuck > 0 {
-		fail("%d dial breakers still open after cooldown", d.BreakersStuck)
+		d.fail("%d dial breakers still open after cooldown", d.BreakersStuck)
 	}
 	if d.LeakedConns != 0 || d.LeakedQPs != 0 || d.LeakedFDs != 0 {
-		fail("leaked conns=%d QPs=%d fds=%d after Stop", d.LeakedConns, d.LeakedQPs, d.LeakedFDs)
+		d.fail("leaked conns=%d QPs=%d fds=%d after Stop", d.LeakedConns, d.LeakedQPs, d.LeakedFDs)
 	}
 	budget := uint64(d.DialsPerSec + d.DialsPerSec/4)
 	for _, ph := range d.Phases {
 		if ph.WindowMax > budget {
-			fail("phase %s: %d dials in a 1s window exceeds budget %d",
+			d.fail("phase %s: %d dials in a 1s window exceeds budget %d",
 				ph.Name, ph.WindowMax, budget)
 		}
 		switch ph.Name {
@@ -376,14 +338,14 @@ func (d *ScaleOutData) assess() {
 			// ride resident conns (or pushes): their records never age
 			// past the SLO.
 			if ph.HotAgeMaxT > scaleOutSLO {
-				fail("phase %s: hot effective staleness %.1fT exceeds the %dT SLO",
+				d.fail("phase %s: hot effective staleness %.1fT exceeds the %dT SLO",
 					ph.Name, ph.HotAgeMaxT, scaleOutSLO)
 			}
 		case "churn":
 			// Crash-timeout stalls are allowed transiently; the phase
 			// must END recovered.
 			if ph.EndAgeT > scaleOutSLO {
-				fail("churn did not settle: hot effective staleness %.1fT at phase end (SLO %dT)",
+				d.fail("churn did not settle: hot effective staleness %.1fT at phase end (SLO %dT)",
 					ph.EndAgeT, scaleOutSLO)
 			}
 		}

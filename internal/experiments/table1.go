@@ -29,51 +29,33 @@ type Table1Data struct {
 // records neither go stale under load nor perturb the servers.
 func Table1(o Options) *Table1Data {
 	schemes := core.Schemes()
+	qs := workload.QueryNames(workload.RUBiSMix())
+	// Maxima are effectively single-sample statistics, so each scheme
+	// runs over several seeds; the table reports the mean of the
+	// per-run maxima (and the pooled average).
+	m := grid(o, schemes, 1, quickReps(o), func(s core.Scheme, _, rep int) []float64 {
+		o2 := o
+		o2.Seed = o.seed() + int64(rep)*9973
+		return table1Point(o2, s, qs)
+	})
 	d := &Table1Data{
-		Queries: workload.QueryNames(workload.RUBiSMix()),
+		Queries: qs,
 		Avg:     make(map[core.Scheme]map[string]float64),
 		Max:     make(map[core.Scheme]map[string]float64),
 	}
 	for _, s := range schemes {
 		d.Avg[s] = make(map[string]float64)
 		d.Max[s] = make(map[string]float64)
-	}
-	// Maxima are effectively single-sample statistics, so each scheme
-	// runs over several seeds; the table reports the mean of the
-	// per-run maxima (and the pooled average).
-	reps := 3
-	if o.Quick {
-		reps = 1
-	}
-	type job struct{ si, rep int }
-	var jobs []job
-	for si := range schemes {
-		for r := 0; r < reps; r++ {
-			jobs = append(jobs, job{si, r})
-		}
-	}
-	type cell struct{ avg, max map[string]float64 }
-	results := make([]cell, len(jobs))
-	forEach(o, len(jobs), func(i int) {
-		j := jobs[i]
-		o2 := o
-		o2.Seed = o.seed() + int64(j.rep)*9973
-		avg, max := table1Point(o2, schemes[j.si])
-		results[i] = cell{avg, max}
-	})
-	for i, j := range jobs {
-		s := schemes[j.si]
-		for q, v := range results[i].avg {
-			d.Avg[s][q] += v / float64(reps)
-		}
-		for q, v := range results[i].max {
-			d.Max[s][q] += v / float64(reps)
+		for qi, q := range qs {
+			d.Avg[s][q], d.Max[s][q] = m[qi][s][0], m[len(qs)+qi][s][0]
 		}
 	}
 	return d
 }
 
-func table1Point(o Options, s core.Scheme) (avg, max map[string]float64) {
+// table1Point returns each query's average response time, then each
+// one's maximum (0 for a query that never ran).
+func table1Point(o Options, s core.Scheme, qs []string) []float64 {
 	// The seed is identical across schemes so every scheme faces the
 	// same arrival sequence; differences are causal, not sampling
 	// noise.
@@ -98,18 +80,16 @@ func table1Point(o Options, s core.Scheme) (avg, max map[string]float64) {
 	pool.ResetStats()
 	fc.ResetStats()
 	c.Run(dur)
-	avg = make(map[string]float64)
-	max = make(map[string]float64)
-	for _, q := range workload.QueryNames(workload.RUBiSMix()) {
+	out := make([]float64, 2*len(qs))
+	for qi, q := range qs {
 		merged := &metrics.Sample{}
 		merged.AddAll(pool.PerClass[q])
 		merged.AddAll(fc.PerClass[q])
 		if merged.Count() > 0 {
-			avg[q] = merged.Mean()
-			max[q] = merged.Max()
+			out[qi], out[len(qs)+qi] = merged.Mean(), merged.Max()
 		}
 	}
-	return avg, max
+	return out
 }
 
 // Result renders both halves of Table 1.

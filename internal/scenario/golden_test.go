@@ -40,8 +40,8 @@ func scenarioDigest(cp *Compiled, points int) uint64 {
 	return h.Sum64()
 }
 
-// TestChaosScenarioPlanEquivalence: the builtin chaos scenario (and by
-// TestExamplesMatchBuiltins, examples/scenarios/chaos.yaml) compiles to
+// TestChaosScenarioPlanEquivalence: the builtin chaos scenario
+// (examples/scenarios/chaos.yaml) compiles to
 // exactly the fault plans the legacy Go-coded `-exp chaos` drew —
 // bit-identical structs, not just equal digests — in both full and
 // quick mode, across 50 seeds.

@@ -24,6 +24,7 @@ import (
 	"sort"
 	"strings"
 
+	"rdmamon/examples/scenarios"
 	"rdmamon/internal/core"
 	"rdmamon/internal/sim"
 )
@@ -561,51 +562,28 @@ func SortedShareMetrics(templates []Template) []string {
 	return out
 }
 
-// BuiltinChaos is the declarative equivalent of the legacy Go-coded
-// `-exp chaos` experiment: same cluster config, same ChaosConfig (the
-// explicit 2/2/1/2 counts are exactly what withDefaults resolved the
-// legacy zero counts to), so every seeded plan is bit-identical — the
-// golden tests assert it.
-func BuiltinChaos() *Scenario {
-	return &Scenario{
-		Name:         "chaos",
-		Description:  "randomized fault plans vs failover invariants",
-		Seeds:        5,
-		Horizon:      20 * sim.Second,
-		QuickHorizon: 10 * sim.Second,
-		Poll:         50 * sim.Millisecond,
-		Scheme:       "rdma-sync",
-		Policy:       "websphere",
-		Gamma:        4,
-		MRRepin:      1500 * sim.Millisecond,
-		QuickMRRepin: 800 * sim.Millisecond,
-		Failover:     true,
-		Checks:       "chaos",
-		Fleet:        Fleet{Backends: 8},
-		Workload:     Workload{Kind: "rubis", Clients: 48, QuickClients: 32, Think: 30 * sim.Millisecond},
-		Stress:       &Stress{Crashes: 2, LinkFaults: 2, Partitions: 1, MRInvalidations: 2},
-	}
-}
+// BuiltinChaos is examples/scenarios/chaos.yaml, the declarative
+// equivalent of the legacy Go-coded `-exp chaos` experiment: same
+// cluster config, same ChaosConfig (the explicit 2/2/1/2 counts are
+// exactly what withDefaults resolved the legacy zero counts to), so
+// every seeded plan is bit-identical — the golden tests assert it.
+func BuiltinChaos() *Scenario { return builtin("chaos.yaml") }
 
-// BuiltinHA is the declarative equivalent of the legacy `-exp ha`
-// experiment (same plan stream: FE counts 1/1/1 are the resolved
-// defaults for a 3-replica fleet).
-func BuiltinHA() *Scenario {
-	return &Scenario{
-		Name:         "ha",
-		Description:  "warm-standby front-ends under front-end faults",
-		Seeds:        5,
-		Horizon:      20 * sim.Second,
-		QuickHorizon: 10 * sim.Second,
-		Poll:         50 * sim.Millisecond,
-		Scheme:       "rdma-sync",
-		Policy:       "websphere",
-		Gamma:        4,
-		Replicas:     3,
-		Checks:       "ha",
-		Fleet:        Fleet{Backends: 8},
-		Workload:     Workload{Kind: "rubis", Clients: 48, QuickClients: 32, Think: 30 * sim.Millisecond},
-		Stress: &Stress{Crashes: 2, LinkFaults: 2, Partitions: 1, MRInvalidations: 2,
-			FECrashes: 1, FEFreezes: 1, FEPartitions: 1},
+// BuiltinHA is examples/scenarios/ha.yaml, the declarative equivalent
+// of the legacy `-exp ha` experiment (same plan stream: FE counts
+// 1/1/1 are the resolved defaults for a 3-replica fleet).
+func BuiltinHA() *Scenario { return builtin("ha.yaml") }
+
+// builtin parses one embedded curated file. The golden tests cover
+// both builtins, so a failure here is a programming error.
+func builtin(name string) *Scenario {
+	src, err := scenarios.FS.ReadFile(name)
+	if err != nil {
+		panic(err)
 	}
+	s, err := Parse(src)
+	if err != nil {
+		panic(err)
+	}
+	return s
 }

@@ -1,7 +1,9 @@
 package scenario
 
 import (
+	"bytes"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -9,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"rdmamon/examples/scenarios"
 	"rdmamon/internal/cluster"
 	"rdmamon/internal/sim"
 )
@@ -135,28 +138,36 @@ func TestParseExamples(t *testing.T) {
 	}
 }
 
-// TestExamplesMatchBuiltins: the shipped chaos.yaml and ha.yaml are
-// field-for-field the built-in scenarios `-exp chaos`/`-exp ha` run,
-// so `rmbench -scenario examples/scenarios/chaos.yaml` is the legacy
-// experiment, not an approximation of it.
+// TestExamplesMatchBuiltins: the embedded set the builtins are parsed
+// from is every examples/scenarios/*.yaml on disk, byte for byte, so
+// `rmbench -scenario examples/scenarios/chaos.yaml` is `-exp chaos`,
+// not an approximation of it.
 func TestExamplesMatchBuiltins(t *testing.T) {
-	for _, tc := range []struct {
-		file string
-		want *Scenario
-	}{
-		{"../../examples/scenarios/chaos.yaml", BuiltinChaos()},
-		{"../../examples/scenarios/ha.yaml", BuiltinHA()},
-	} {
-		src, err := os.ReadFile(tc.file)
+	disk, err := filepath.Glob("../../examples/scenarios/*.yaml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	embedded, err := fs.Glob(scenarios.FS, "*.yaml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(disk) != len(embedded) || len(disk) < 2 {
+		t.Fatalf("%d files on disk, %d embedded", len(disk), len(embedded))
+	}
+	for i, path := range disk {
+		if filepath.Base(path) != embedded[i] {
+			t.Fatalf("file %d: %s on disk, %s embedded", i, filepath.Base(path), embedded[i])
+		}
+		want, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := Parse(src)
+		got, err := scenarios.FS.ReadFile(embedded[i])
 		if err != nil {
-			t.Fatalf("%s: %v", tc.file, err)
+			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got, tc.want) {
-			t.Errorf("%s differs from the builtin:\n got %+v\nwant %+v", filepath.Base(tc.file), got, tc.want)
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: embedded copy differs from the file on disk", embedded[i])
 		}
 	}
 }
