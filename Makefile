@@ -164,7 +164,7 @@ bench-wall-compare:
 	$(GO) run ./bench -compare $(A) $(B)
 
 # The full-scale output of every paper artifact, one file per id with
-# the wall-time line stripped: make paper-full OUT=dir (~150 s on a
+# the wall-time line stripped: make paper-full OUT=dir (~3 min on a
 # 2-core host; not part of ci). Two trees' directories diff clean when
 # a change leaves every figure and table alone.
 PAPER_IDS = fig3 fig4 fig5a fig5b fig6 fig7 fig8 fig9 table1
