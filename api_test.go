@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/build"
+	"go/constant"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -33,6 +34,8 @@ import (
 var testOnlyAllowlist = map[string]string{
 	"internal/core.Claim.Epoch":                    "state probe: the cluster HA and livemon claim tests read the epoch a takeover must advance",
 	"internal/core.Claim.Held":                     "state probe: the cluster HA and livemon claim tests read raw holdership (one holder, fenced standbys)",
+	"internal/core.ClaimConfig.CheckEvery":         "test seam: livemon's claim tests run the protocol at a 10 ms wall-clock cadence instead of 2 polls; core's sanitizer test sets it",
+	"internal/core.ClaimConfig.ExpireAfter":        "test seam: livemon's claim tests take orphans after 60 ms of wall clock; core's sanitizer test sets it below the TTL margin",
 	"internal/simnet.Fabric.AblationRDMATargetIRQ": "ablation: simnet's test and the root bench_test.go ablation give one-sided reads a target-side interrupt, breaking the paper's zero-target-CPU claim on purpose",
 	"internal/simos.Config.AblationWakePreempt":    "ablation: simos's test and the root bench_test.go ablation turn on wake-up preemption, removing the same-band FIFO behind Figure 3's latency growth",
 	"internal/simos.KernelStats.CumIRQHard":        "state probe: Fig 6's interrupt counts in simnet's tests and H6's no-back-end-work check in cluster's",
@@ -40,6 +43,9 @@ var testOnlyAllowlist = map[string]string{
 	"internal/tcpverbs.Agent.BatchedReads":         "state probe: livemon's claim test counts one pipelined read batch per claim round",
 	"internal/tcpverbs.Agent.Stats":                "state probe: livemon's claim and history tests count served reads (WR economy)",
 	"internal/tcpverbs.Conn.Retry":                 "test seam: livemon's fault test and eight tcpverbs test sites shrink the redial backoff or attempts",
+	"internal/tcpverbs.RetryPolicy.Attempts":       "test seam: a field of the Conn.Retry seam",
+	"internal/tcpverbs.RetryPolicy.Backoff":        "test seam: a field of the Conn.Retry seam",
+	"internal/tcpverbs.RetryPolicy.MaxBackoff":     "test seam: a field of the Conn.Retry seam",
 	"internal/wire.UnpackClaimWord":                "fuzz oracle: FuzzClaimWord round-trips it and checks WordEpoch and ClaimVacant against it; core and livemon claim tests read the witness's words with it",
 }
 
@@ -88,7 +94,8 @@ var testReadState = []string{
 // production uses: every exported identifier of the module is used by a
 // non-test file under internal/, cmd/, examples/ or bench/, and every
 // exported field production reads is also set by production (a field
-// only tests set is a knob with one value in use: a constant), or the
+// only tests set, or only a default fill sets, is a knob with one value
+// in use: a constant), or the
 // identifier is on testOnlyAllowlist with a reason. Its third rule is on
 // state: every struct field production writes is read by something, and
 // a field only tests read is on testReadState.
@@ -97,8 +104,8 @@ func TestNoTestOnlyAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := len(testOnlyAllowlist); n > 25 {
-		t.Errorf("allowlist has %d entries; keep it to 25 or fewer", n)
+	if n := len(testOnlyAllowlist); n > 15 {
+		t.Errorf("allowlist has %d entries; it only shrinks, from 15", n)
 	}
 	for _, id := range found.unused {
 		if _, ok := testOnlyAllowlist[id]; !ok {
@@ -163,7 +170,9 @@ func TestNoTestOnlyAPIFixture(t *testing.T) {
 		},
 		knobs: []string{
 			"internal/lib.Decoded.Untagged", // no scn tag: the reflective write is not seen
+			"internal/lib.Knobs.Clamped",    // set only in Knobs' own value-receiver method
 			"internal/lib.Knobs.DeadWrite",  // set only by a dead function
+			"internal/lib.Knobs.Filled",     // set only by a default fill
 			"internal/lib.Knobs.TestSet",    // set only by a test
 		},
 		dead: []string{
@@ -222,8 +231,15 @@ type apiFindings struct {
 // op= or ++ or -- or & on an expression whose selector, index or star
 // chain holds it (st.Max[c] = x writes Max), or by a pointer-method call
 // on it as an addressable value (s.Health.Observe() writes Health). A
-// default fill (if c.F == 0 { c.F = k }) is a write. Like a use, a write
-// counts only from inside a live declaration. A field tagged scn is
+// default fill sets a field only to its own default, so it writes the
+// field for the state rule but not for the knob rule: a write under an
+// if whose condition compares the field with a zero value (if c.F <= 0
+// { c.F = k }), or any write inside a value-receiver method of the
+// field's own struct type (WithDefaults, whose writes leave only through
+// the copy it returns). A pointer-receiver method is the type's state
+// machine (n.Dials++), and a high-water mark (if v > s.Max { s.Max = v
+// }) is a write. Like a use, a write counts only from inside a live
+// declaration. A field tagged scn is
 // written when its package's decodeScenario is live, since that decoder
 // sets the tagged fields by reflection, where no syntactic rule sees it.
 //
@@ -238,10 +254,11 @@ func testOnlyAPI(dir string) (apiFindings, error) {
 	}
 	g := &apiGraph{
 		edges:    map[types.Object][]types.Object{},
-		writes:   map[types.Object][]types.Object{},
+		writes:   map[types.Object][]fieldWrite{},
 		reads:    map[types.Object][]token.Pos{},
 		live:     map[types.Object]bool{},
 		written:  map[types.Object]bool{},
+		set:      map[types.Object]bool{},
 		read:     map[token.Pos]bool{},
 		implDone: map[implKey]bool{},
 	}
@@ -269,7 +286,7 @@ func testOnlyAPI(dir string) (apiFindings, error) {
 	for owner, fields := range g.writes {
 		if g.live[owner] {
 			for _, f := range fields {
-				g.written[f] = true
+				g.write(f)
 			}
 		}
 	}
@@ -297,7 +314,7 @@ func testOnlyAPI(dir string) (apiFindings, error) {
 			switch f, _ := c.obj.(*types.Var); {
 			case !g.live[c.obj]:
 				found.unused = append(found.unused, id)
-			case f != nil && f.IsField() && !g.written[f]:
+			case f != nil && f.IsField() && !g.set[f]:
 				found.knobs = append(found.knobs, id)
 			}
 		}
@@ -333,7 +350,7 @@ func markTaggedWrites(p *modulePkg, g *apiGraph) {
 		if st, ok := tn.Type().Underlying().(*types.Struct); ok {
 			for i := range st.NumFields() {
 				if reflect.StructTag(st.Tag(i)).Get("scn") != "" {
-					g.written[st.Field(i)] = true
+					g.write(fieldWrite{field: st.Field(i)})
 				}
 			}
 		}
@@ -547,10 +564,11 @@ func (t testImporter) ImportFrom(path, dir string, mode types.ImportMode) (*type
 // owners to the fields their declarations write.
 type apiGraph struct {
 	edges    map[types.Object][]types.Object
-	writes   map[types.Object][]types.Object
+	writes   map[types.Object][]fieldWrite
 	reads    map[types.Object][]token.Pos
 	live     map[types.Object]bool
-	written  map[types.Object]bool
+	written  map[types.Object]bool // by any write
+	set      map[types.Object]bool // by a write that is not a default fill
 	read     map[token.Pos]bool
 	queue    []types.Object
 	implDone map[implKey]bool
@@ -571,6 +589,13 @@ func origin(obj types.Object) types.Object {
 		return o.Origin()
 	}
 	return obj
+}
+
+func (g *apiGraph) write(w fieldWrite) {
+	g.written[w.field] = true
+	if !w.fill {
+		g.set[w.field] = true
+	}
 }
 
 func (g *apiGraph) mark(obj types.Object) {
@@ -604,17 +629,23 @@ func (g *apiGraph) addFile(p *modulePkg, f *ast.File) {
 			if !isRoot {
 				owners = []types.Object{fn}
 			}
-			if recv := fn.Type().(*types.Signature).Recv(); recv != nil && alwaysLive[fn.Name()] {
+			var own *types.Struct
+			if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
 				if tn := recvTypeName(recv.Type()); tn != nil {
-					g.edges[tn] = append(g.edges[tn], fn)
+					if alwaysLive[fn.Name()] {
+						g.edges[tn] = append(g.edges[tn], fn)
+					}
+					if _, ptr := recv.Type().(*types.Pointer); !ptr {
+						own, _ = tn.Type().Underlying().(*types.Struct)
+					}
 				}
 			}
-			g.addUses(p, d, owners)
+			g.addUses(p, d, owners, own)
 		case *ast.GenDecl:
 			for _, spec := range d.Specs {
 				switch s := spec.(type) {
 				case *ast.TypeSpec:
-					g.addUses(p, s, []types.Object{p.info.Defs[s.Name]})
+					g.addUses(p, s, []types.Object{p.info.Defs[s.Name]}, nil)
 				case *ast.ValueSpec:
 					var owners []types.Object
 					for _, n := range s.Names {
@@ -630,7 +661,7 @@ func (g *apiGraph) addFile(p *modulePkg, f *ast.File) {
 							g.edges[obj] = append(g.edges[obj], tn)
 						}
 					}
-					g.addUses(p, s, owners)
+					g.addUses(p, s, owners, nil)
 				}
 			}
 		}
@@ -641,10 +672,10 @@ func (g *apiGraph) addFile(p *modulePkg, f *ast.File) {
 // n, and records the fields n writes and reads; with no owners, n is a
 // root and what it uses is live, what it writes written, what it reads
 // read.
-func (g *apiGraph) addUses(p *modulePkg, n ast.Node, owners []types.Object) {
-	for _, f := range fieldWrites(p.info, n) {
+func (g *apiGraph) addUses(p *modulePkg, n ast.Node, owners []types.Object, own *types.Struct) {
+	for _, f := range fieldWrites(p.info, n, own) {
 		if len(owners) == 0 {
-			g.written[f] = true
+			g.write(f)
 		}
 		for _, o := range owners {
 			g.writes[o] = append(g.writes[o], f)
@@ -679,15 +710,31 @@ func (g *apiGraph) addUses(p *modulePkg, n ast.Node, owners []types.Object) {
 	})
 }
 
-// fieldWrites lists the struct fields written under n.
-func fieldWrites(info *types.Info, n ast.Node) []types.Object {
-	var out []types.Object
+// fieldWrite is one write of a struct field; fill marks a default
+// fill, which sets the field only to its own default.
+type fieldWrite struct {
+	field types.Object
+	fill  bool
+}
+
+// fieldWrites lists the struct fields written under n. A write is a
+// default fill when it sits under an if whose condition compares the
+// written field with a zero value (if c.F <= 0 { c.F = k }), or inside
+// a value-receiver method of the field's own struct type, own
+// (WithDefaults); every field of a fill's selector chain is filled with
+// it.
+func fieldWrites(info *types.Info, n ast.Node, own *types.Struct) []fieldWrite {
+	var out []fieldWrite
+	var zeroed []types.Object // fields compared with zero by the enclosing ifs
 	chain := func(e ast.Expr) {
-		for {
+		fill := false
+		for first := true; ; first = false {
 			switch x := ast.Unparen(e).(type) {
 			case *ast.SelectorExpr:
 				if s := info.Selections[x]; s != nil && s.Kind() == types.FieldVal {
-					out = append(out, origin(s.Obj()))
+					f := origin(s.Obj())
+					fill = fill || first && slices.Contains(zeroed, f) || ownField(own, f)
+					out = append(out, fieldWrite{f, fill})
 				}
 				e = x.X
 			case *ast.IndexExpr:
@@ -699,8 +746,23 @@ func fieldWrites(info *types.Info, n ast.Node) []types.Object {
 			}
 		}
 	}
-	ast.Inspect(n, func(n ast.Node) bool {
+	var visit func(ast.Node) bool
+	visit = func(n ast.Node) bool {
 		switch x := n.(type) {
+		case *ast.IfStmt:
+			for _, c := range []ast.Node{x.Init, x.Cond} {
+				if c != nil {
+					ast.Inspect(c, visit)
+				}
+			}
+			depth := len(zeroed)
+			zeroed = append(zeroed, zeroCompared(info, x.Cond)...)
+			ast.Inspect(x.Body, visit)
+			zeroed = zeroed[:depth]
+			if x.Else != nil {
+				ast.Inspect(x.Else, visit)
+			}
+			return false
 		case *ast.AssignStmt:
 			for _, lhs := range x.Lhs {
 				chain(lhs)
@@ -733,12 +795,70 @@ func fieldWrites(info *types.Info, n ast.Node) []types.Object {
 				break
 			}
 			for i, el := range x.Elts {
+				f := origin(st.Field(i))
 				if kv, ok := el.(*ast.KeyValueExpr); ok {
-					out = append(out, origin(info.Uses[kv.Key.(*ast.Ident)]))
-				} else {
-					out = append(out, origin(st.Field(i)))
+					f = origin(info.Uses[kv.Key.(*ast.Ident)])
 				}
+				out = append(out, fieldWrite{f, ownField(own, f)})
 			}
+		}
+		return true
+	}
+	ast.Inspect(n, visit)
+	return out
+}
+
+// ownField reports whether f is a field of the struct own.
+func ownField(own *types.Struct, f types.Object) bool {
+	if own == nil {
+		return false
+	}
+	for i := range own.NumFields() {
+		if own.Field(i) == f {
+			return true
+		}
+	}
+	return false
+}
+
+// zeroCompared lists the fields cond compares with a zero value: F ==
+// 0, F <= 0, F == nil, F == "" (either way round).
+func zeroCompared(info *types.Info, cond ast.Expr) []types.Object {
+	var out []types.Object
+	isZero := func(e ast.Expr) bool {
+		tv := info.Types[e]
+		if tv.IsNil() {
+			return true
+		}
+		if tv.Value == nil {
+			return false
+		}
+		switch tv.Value.Kind() {
+		case constant.String:
+			return constant.StringVal(tv.Value) == ""
+		case constant.Int, constant.Float:
+			return constant.Sign(tv.Value) == 0
+		}
+		return false
+	}
+	field := func(e ast.Expr) types.Object {
+		if x, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+			if s := info.Selections[x]; s != nil && s.Kind() == types.FieldVal {
+				return origin(s.Obj())
+			}
+		}
+		return nil
+	}
+	ast.Inspect(cond, func(n ast.Node) bool {
+		b, ok := n.(*ast.BinaryExpr)
+		if !ok {
+			return true
+		}
+		switch f, g := field(b.X), field(b.Y); {
+		case f != nil && (b.Op == token.EQL || b.Op == token.LEQ) && isZero(b.Y):
+			out = append(out, f)
+		case g != nil && (b.Op == token.EQL || b.Op == token.GEQ) && isZero(b.X):
+			out = append(out, g)
 		}
 		return true
 	})

@@ -54,6 +54,17 @@ func run() int {
 	)
 	flag.Parse()
 
+	// The adaptive period's range in T, resolved as the hybrid knobs
+	// resolve it: a ceiling below the floor is no range at all.
+	lo, hi := max(opts.PeriodMin, 1), 64
+	if opts.PeriodMax > 0 {
+		hi = opts.PeriodMax
+	}
+	if hi < lo {
+		fmt.Fprintf(os.Stderr, "rmbench: period ceiling %d T is below the floor %d T (-period-max, -period-min)\n", hi, lo)
+		return 2
+	}
+
 	if *list || (*exp == "" && *scen == "") {
 		fmt.Println("experiments:")
 		for _, id := range experiments.IDs() {

@@ -154,15 +154,12 @@ func runProbe(args []string) {
 		defer cc.Close()
 		claims = cc
 	}
-	cfg := livemon.MonitorConfig{Interval: *interval}
+	cfg := livemon.MonitorConfig{Interval: *interval, Failover: *failover}
 	if *periodMax > 0 {
 		cfg.Adaptive = &livemon.AdaptiveConfig{Max: *periodMax, Threshold: *pushTh}
 		if claims != nil {
 			cfg.Adaptive.LeaseValid = func() bool { return claims.HeldValid() > 0 }
 		}
-	}
-	if *failover {
-		cfg.Failover = &core.FailoverConfig{}
 	}
 	m, dialErrs := livemon.NewMonitor(addrs, cfg)
 	defer m.Close()

@@ -41,7 +41,6 @@ func TestPoolSurvivesConnectionChurn(t *testing.T) {
 			MaxConns:      maxConns,
 			DialsPerSec:   2000,
 			IdleAfterNS:   int64(200 * sim.Millisecond),
-			BackoffNS:     int64(5 * sim.Millisecond),
 			BreakAfter:    2,
 			ReopenAfterNS: int64(50 * sim.Millisecond),
 		},

@@ -37,12 +37,15 @@ const (
 	PolicyRandom     PolicyName = "random"
 )
 
+// backendWorkers is a back-end web server's worker pool unless its
+// BackendSpec overrides it.
+const backendWorkers = 8
+
 // Config describes a cluster to build.
 type Config struct {
 	Backends int
 	Scheme   core.Scheme
 	Poll     sim.Time // monitoring poll/refresh interval T
-	Workers  int      // web server worker pool per back-end
 	Policy   PolicyName
 	Seed     int64
 
@@ -100,12 +103,12 @@ type Config struct {
 	// one read; point probes prime them over consecutive sweeps.
 	TrendHorizon sim.Time
 
-	// Failover, if non-nil, arms a per-backend transport breaker on the
+	// Failover arms a per-backend transport breaker on the
 	// RDMA schemes (see core.Failover): agents additionally serve the
 	// socket standby port, and probes fail over to it when the RDMA
 	// path breaks, failing back after it recovers. Ignored under the
 	// socket schemes, which have nothing to fail over from.
-	Failover *core.FailoverConfig
+	Failover bool
 
 	// Hybrid, if non-nil, turns on the hybrid push/pull scheme on the
 	// RDMA schemes (see core.HybridConfig): every back-end runs a
@@ -148,7 +151,7 @@ type Config struct {
 
 	// BackendSpecs, when non-empty, makes the back-end fleet
 	// heterogeneous: entry i overrides back-end i+1's hardware and
-	// agent knobs (zero fields inherit Node / Workers / the cluster
+	// agent knobs (zero fields inherit Node / backendWorkers / the cluster
 	// agent interval). Shorter-than-Backends slices leave the tail at
 	// the defaults. The overrides survive crash/restart fault cycles —
 	// a rebooted slow node comes back slow.
@@ -243,13 +246,10 @@ func New(cfg Config) *Cluster {
 	if cfg.Poll <= 0 {
 		cfg.Poll = core.DefaultInterval
 	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = 8
-	}
 	if cfg.Policy == "" {
 		cfg.Policy = PolicyWebSphere
 	}
-	if cfg.Failover != nil && cfg.ProbeTimeout <= 0 {
+	if cfg.Failover && cfg.ProbeTimeout <= 0 {
 		// Socket fallback probing needs a deadline — without one a probe
 		// against a crashed report thread would stall the cycle forever.
 		cfg.ProbeTimeout = cfg.Poll
@@ -296,8 +296,8 @@ func New(cfg Config) *Cluster {
 	}
 	c.Monitor = core.StartMonitorCfg(c.Front, c.FNIC, c.Agents, cfg.Poll, c.monitorConfig())
 	c.Monitor.SetProbeTimeout(cfg.ProbeTimeout)
-	if cfg.Failover != nil && cfg.Scheme.UsesRDMA() {
-		c.Monitor.ArmFailover(*cfg.Failover)
+	if cfg.Failover && cfg.Scheme.UsesRDMA() {
+		c.Monitor.ArmFailover()
 	}
 	if c.Monitor.Sink != nil {
 		c.Pushers = make([]*core.DeltaPusher, cfg.Backends)
@@ -392,8 +392,8 @@ func (c *Cluster) replicaRand(i int) *rand.Rand {
 func (c *Cluster) startReplica(r *Replica) {
 	r.Monitor = core.StartMonitorCfg(r.Node, r.NIC, c.Agents, c.Cfg.Poll, c.monitorConfig())
 	r.Monitor.SetProbeTimeout(c.Cfg.ProbeTimeout)
-	if c.Cfg.Failover != nil && c.Cfg.Scheme.UsesRDMA() {
-		r.Monitor.ArmFailover(*c.Cfg.Failover)
+	if c.Cfg.Failover && c.Cfg.Scheme.UsesRDMA() {
+		r.Monitor.ArmFailover()
 	}
 	r.Policy = c.buildPolicyFor(r.Monitor, c.replicaRand(r.Index))
 	if !c.Cfg.NoServers {
@@ -525,7 +525,7 @@ func (c *Cluster) backendNodeCfg(i int) simos.Config {
 // by New and the restart path so a rebooted slow node comes back with
 // its small worker pool, not the fleet default.
 func (c *Cluster) serverConfig(i int) httpsim.ServerConfig {
-	w := c.Cfg.Workers
+	w := backendWorkers
 	if s := c.spec(i); s.Workers > 0 {
 		w = s.Workers
 	}
@@ -547,7 +547,7 @@ func (c *Cluster) agentConfig(i int) core.AgentConfig {
 		Scheme:        c.Cfg.Scheme,
 		Interval:      interval,
 		HistoryK:      c.Cfg.HistoryK,
-		StandbySocket: c.Cfg.Failover != nil && c.Cfg.Scheme.UsesRDMA(),
+		StandbySocket: c.Cfg.Failover && c.Cfg.Scheme.UsesRDMA(),
 	}
 }
 
@@ -570,7 +570,7 @@ func (c *Cluster) buildPolicyFor(mon *core.Monitor, rng *rand.Rand) loadbalance.
 		// traffic until they pass probation.
 		exclude := func(b int) bool { return !mon.Health(b).Eligible() }
 		var degraded func(int) bool
-		if c.Cfg.Failover != nil {
+		if c.Cfg.Failover {
 			// Back-ends monitored over the socket standby stay in the
 			// dispatch set but carry a small index handicap.
 			degraded = func(b int) bool { return mon.Health(b) == core.Degraded }
@@ -830,10 +830,8 @@ func (c *Cluster) EnableAdmission(cfg admission.Config) *admission.Controller {
 	// Admission sees back-ends exactly as dispatch does: quarantined
 	// nodes are no capacity at all, degraded ones carry the same index
 	// handicap the policy applies.
-	if cfg.Eligible == nil {
-		cfg.Eligible = func(b int) bool { return m.Health(b).Eligible() }
-	}
-	if cfg.Degraded == nil && c.Cfg.Failover != nil {
+	cfg.Eligible = func(b int) bool { return m.Health(b).Eligible() }
+	if c.Cfg.Failover {
 		cfg.Degraded = func(b int) bool { return m.Health(b) == core.Degraded }
 	}
 	ctl := admission.New(cfg, recordSource(c.Monitor))

@@ -26,7 +26,7 @@ func TestMRInvalidationFailoverAndFailBack(t *testing.T) {
 		Seed:     23,
 		Policy:   PolicyWebSphere,
 		MRRepin:  repin,
-		Failover: &core.FailoverConfig{},
+		Failover: true,
 	})
 	invalidateAt := 2 * sim.Second
 	c.ApplyFaults(faults.Plan{
@@ -112,7 +112,7 @@ func TestFailoverIgnoredOnSocketSchemes(t *testing.T) {
 		Scheme:   core.SocketSync,
 		Poll:     50 * sim.Millisecond,
 		Seed:     3,
-		Failover: &core.FailoverConfig{},
+		Failover: true,
 	})
 	c.Run(1 * sim.Second)
 	for _, b := range c.BackendIDs() {

@@ -14,7 +14,7 @@ import (
 // unlisted back-ends keep the fleet defaults.
 func TestBackendSpecsHonored(t *testing.T) {
 	c := New(Config{
-		Backends: 4, Scheme: core.RDMASync, Seed: 1, Workers: 8,
+		Backends: 4, Scheme: core.RDMASync, Seed: 1,
 		BackendSpecs: []BackendSpec{
 			{Template: "fast", CPUs: 4, Workers: 16, AgentInterval: 20 * sim.Millisecond},
 			{Template: "slow", CPUs: 1, Workers: 2, NICLatency: 100 * sim.Microsecond},
@@ -35,8 +35,8 @@ func TestBackendSpecsHonored(t *testing.T) {
 	if got := c.Servers[1].Cfg.Workers; got != 2 {
 		t.Errorf("backend 2 workers = %d, want 2", got)
 	}
-	if got := c.Servers[2].Cfg.Workers; got != 8 {
-		t.Errorf("backend 3 workers = %d, want the default 8", got)
+	if got := c.Servers[2].Cfg.Workers; got != backendWorkers {
+		t.Errorf("backend 3 workers = %d, want the default %d", got, backendWorkers)
 	}
 	if got := c.Agents[0].Cfg.Interval; got != 20*sim.Millisecond {
 		t.Errorf("backend 1 agent interval = %v, want 20ms", got)
@@ -61,7 +61,7 @@ func TestBackendSpecsHonored(t *testing.T) {
 // back-end's server and agent from its spec, not the fleet defaults.
 func TestBackendSpecsSurviveRestart(t *testing.T) {
 	c := New(Config{
-		Backends: 2, Scheme: core.RDMASync, Seed: 1, Workers: 8,
+		Backends: 2, Scheme: core.RDMASync, Seed: 1,
 		BackendSpecs: []BackendSpec{
 			{Template: "fast", CPUs: 4, Workers: 16, AgentInterval: 20 * sim.Millisecond},
 		},

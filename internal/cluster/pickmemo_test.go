@@ -25,7 +25,7 @@ func TestPickMemoExact(t *testing.T) {
 	hybrid, ring, failover := rdma, rdma, rdma
 	hybrid.Hybrid = &core.HybridConfig{}
 	ring.HistoryK = 16
-	failover.Failover = &core.FailoverConfig{}
+	failover.Failover = true
 	failover.ProbeTimeout = rdma.Poll
 	for _, tc := range []struct {
 		name string
@@ -34,7 +34,7 @@ func TestPickMemoExact(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			c := New(tc.cfg)
 			c.StartRUBiS(24*tc.cfg.Backends, 100*sim.Millisecond, 2)
-			if tc.cfg.Failover != nil {
+			if tc.cfg.Failover {
 				var plan faults.Plan
 				for _, b := range []int{3, 17, 40} {
 					plan.MRInvalidations = append(plan.MRInvalidations,
@@ -61,7 +61,7 @@ func TestPickMemoExact(t *testing.T) {
 			if decisions < 10000 {
 				t.Fatalf("%d decisions checked, want >= 10000", decisions)
 			}
-			if tc.cfg.Failover != nil && w.DegradedPicks == 0 {
+			if tc.cfg.Failover && w.DegradedPicks == 0 {
 				t.Fatal("no pick landed on a degraded back-end: the penalty went unchecked")
 			}
 		})

@@ -11,10 +11,10 @@
 //   - on-demand acquisition: a probe asks for a connection to its
 //     target; the pool hands back an existing one, tells the caller to
 //     dial (within budgets), or sheds the request;
-//   - explicit resource budgets: max live connections, an fd budget
-//     covering live conns plus in-flight dials, bounded dial
-//     concurrency and a token-bucket dial rate — exhausting any of
-//     them degrades gracefully instead of dial-storming;
+//   - explicit resource budgets: max live connections plus in-flight
+//     dials (each holds an fd), bounded dial concurrency and a
+//     token-bucket dial rate — exhausting any of them degrades
+//     gracefully instead of dial-storming;
 //   - quiet-first eviction: when a hot target needs a slot, the least
 //     recently used idle connection of a quiet target is recycled
 //     first, so budget pressure lands on back-ends whose staleness
@@ -51,16 +51,9 @@ var ErrClosed = errors.New("connpool: pool closed")
 // Config tunes a pool. The zero value means "no budgets": unlimited
 // conns and dial rate, no idle GC — useful for tests, not production.
 type Config struct {
-	// MaxConns caps live connections plus in-flight dials (0 =
-	// unlimited).
+	// MaxConns caps live connections plus in-flight dials, which is
+	// also the pool's fd budget: each holds one (0 = unlimited).
 	MaxConns int
-	// FDBudget caps file descriptors: every live connection and every
-	// in-flight dial holds one (0 = MaxConns).
-	FDBudget int
-	// MaxDialing bounds concurrent dial attempts (0 = 16). A dial
-	// storm against a flapping fleet is absorbed here instead of
-	// stampeding the dialer.
-	MaxDialing int
 	// DialsPerSec is the sustained dial-rate budget, enforced by a
 	// token bucket (0 = unlimited).
 	DialsPerSec float64
@@ -69,11 +62,6 @@ type Config struct {
 	// IdleAfterNS garbage-collects a connection idle this long, in
 	// nanoseconds (0 = no idle GC; eviction still recycles).
 	IdleAfterNS int64
-	// BackoffNS / BackoffMaxNS bound the per-target redial backoff
-	// (defaults 25ms / 2s), doubled per consecutive failure with
-	// ±25% jitter.
-	BackoffNS    int64
-	BackoffMaxNS int64
 	// BreakAfter consecutive dial/op failures open the target's
 	// breaker (default 3); ReopenAfterNS later one half-open dial is
 	// allowed through (default 1s).
@@ -81,24 +69,23 @@ type Config struct {
 	ReopenAfterNS int64
 }
 
+// The pool's fixed budgets. maxDialing bounds concurrent dial
+// attempts: a dial storm against a flapping fleet is absorbed here
+// instead of stampeding the dialer. backoffNS and backoffMaxNS bound the
+// per-target redial backoff, doubled per consecutive failure with ±25%
+// jitter.
+const (
+	maxDialing   = 16
+	backoffNS    = 25 * int64(time.Millisecond)
+	backoffMaxNS = 2 * int64(time.Second)
+)
+
 func (c Config) withDefaults() Config {
-	if c.FDBudget <= 0 {
-		c.FDBudget = c.MaxConns
-	}
-	if c.MaxDialing <= 0 {
-		c.MaxDialing = 16
-	}
 	if c.DialBurst <= 0 {
 		c.DialBurst = int(c.DialsPerSec / 4)
 		if c.DialBurst < 1 {
 			c.DialBurst = 1
 		}
-	}
-	if c.BackoffNS <= 0 {
-		c.BackoffNS = 25 * int64(time.Millisecond)
-	}
-	if c.BackoffMaxNS <= 0 {
-		c.BackoffMaxNS = 2 * int64(time.Second)
 	}
 	if c.BreakAfter <= 0 {
 		c.BreakAfter = 3
@@ -132,9 +119,9 @@ const (
 	ShedBackoff            // target is in dial backoff
 	ShedDialing            // a dial to this target is already in flight
 	ShedConns              // MaxConns reached, nothing evictable
-	ShedFDs                // fd budget exhausted, nothing evictable
+	ShedFDs                // a dial aborted on a local fd limit (DialAborted)
 	ShedRate               // dial token bucket empty
-	ShedDialCap            // MaxDialing concurrent dials reached
+	ShedDialCap            // maxDialing concurrent dials reached
 )
 
 func (r ShedReason) String() string {
@@ -358,27 +345,18 @@ func (p *Pool[K, C]) Acquire(key K, hot bool) (Lease[K, C], Verdict, ShedReason)
 	if e.dialing {
 		return p.shed(ShedDialing)
 	}
-	if e.openUntil != 0 {
-		if now < e.openUntil || e.halfOpen {
-			return p.shed(ShedBreaker)
-		}
-		// Half-open: let exactly one probe dial through.
-		e.halfOpen = true
+	if e.openUntil != 0 && (now < e.openUntil || e.halfOpen) {
+		return p.shed(ShedBreaker)
 	}
 	if now < e.nextDialAt {
 		return p.shed(ShedBackoff)
 	}
-	if p.dialing >= p.cfg.MaxDialing {
+	if p.dialing >= maxDialing {
 		return p.shed(ShedDialCap)
 	}
 	if p.cfg.MaxConns > 0 && p.live+p.dialing >= p.cfg.MaxConns {
 		if !p.evictLocked(hot) {
 			return p.shed(ShedConns)
-		}
-	}
-	if p.cfg.FDBudget > 0 && p.live+p.dialing >= p.cfg.FDBudget {
-		if !p.evictLocked(hot) {
-			return p.shed(ShedFDs)
 		}
 	}
 	p.refill(now)
@@ -388,6 +366,10 @@ func (p *Pool[K, C]) Acquire(key K, hot bool) (Lease[K, C], Verdict, ShedReason)
 		}
 		p.tokens--
 	}
+	// Past an open breaker's window this dial is the one half-open
+	// probe; marking it only once the dial is granted keeps a later
+	// shed (backoff, budgets) from closing the gate for good.
+	e.halfOpen = e.openUntil != 0
 	e.dialing = true
 	p.dialing++
 	if p.live+p.dialing > p.stats.MaxLive {
@@ -523,12 +505,9 @@ func (p *Pool[K, C]) DialAborted(key K) {
 func (p *Pool[K, C]) failLocked(e *entry[K, C]) {
 	e.fails++
 	if e.backoff <= 0 {
-		e.backoff = p.cfg.BackoffNS
+		e.backoff = backoffNS
 	} else {
-		e.backoff *= 2
-		if e.backoff > p.cfg.BackoffMaxNS {
-			e.backoff = p.cfg.BackoffMaxNS
-		}
+		e.backoff = min(2*e.backoff, backoffMaxNS)
 	}
 	jitter := 1 + 0.25*(2*p.rng.Float64()-1)
 	e.nextDialAt = p.now() + int64(float64(e.backoff)*jitter)

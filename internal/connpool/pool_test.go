@@ -159,17 +159,19 @@ func TestDialRateTokenBucket(t *testing.T) {
 	}
 }
 
+// TestFDBudgetCountsDialsInFlight: MaxConns is the pool's fd budget,
+// and a dial in flight holds an fd as a live connection does.
 func TestFDBudgetCountsDialsInFlight(t *testing.T) {
 	clk := &fakeClock{}
-	p := New[int, string](Config{MaxConns: 10, FDBudget: 1}, clk.fn())
+	p := New[int, string](Config{MaxConns: 1}, clk.fn())
 	p.SeedJitter(1)
 
 	if _, v, _ := p.Acquire(1, true); v != Dial {
 		t.Fatal("first dial should start")
 	}
 	// Dial still in flight holds the only fd.
-	if _, v, r := p.Acquire(2, true); v != Shed || r != ShedFDs {
-		t.Fatalf("verdict %v reason %v, want Shed/fds", v, r)
+	if _, v, r := p.Acquire(2, true); v != Shed || r != ShedConns {
+		t.Fatalf("verdict %v reason %v, want Shed/conns", v, r)
 	}
 	if _, err := p.DialDone(1, "c"); err != nil {
 		t.Fatal(err)
@@ -178,12 +180,7 @@ func TestFDBudgetCountsDialsInFlight(t *testing.T) {
 
 func TestDialBackoffAndBreaker(t *testing.T) {
 	clk := &fakeClock{}
-	p := New[int, string](Config{
-		MaxConns: 4, BreakAfter: 3,
-		BackoffNS:     int64(10 * time.Millisecond),
-		BackoffMaxNS:  int64(80 * time.Millisecond),
-		ReopenAfterNS: int64(time.Second),
-	}, clk.fn())
+	p := New[int, string](Config{MaxConns: 4, BreakAfter: 3, ReopenAfterNS: int64(time.Second)}, clk.fn())
 	p.SeedJitter(42)
 
 	fail := func() {
@@ -199,10 +196,10 @@ func TestDialBackoffAndBreaker(t *testing.T) {
 	if _, v, r := p.Acquire(9, true); v != Shed || r != ShedBackoff {
 		t.Fatalf("verdict %v reason %v, want Shed/backoff", v, r)
 	}
-	clk.advance(20 * time.Millisecond) // > 10ms +25% jitter
+	clk.advance(40 * time.Millisecond) // > backoffNS (25ms) +25% jitter
 	fail()
-	clk.advance(40 * time.Millisecond)
-	fail() // third consecutive failure opens the breaker
+	clk.advance(70 * time.Millisecond) // > 2*backoffNS +25% jitter
+	fail()                             // third consecutive failure opens the breaker
 	s := p.Stats()
 	if s.BreakerOpens != 1 {
 		t.Fatalf("breaker opens = %d, want 1", s.BreakerOpens)
@@ -234,10 +231,7 @@ func TestDialBackoffAndBreaker(t *testing.T) {
 
 func TestHalfOpenFailureReopens(t *testing.T) {
 	clk := &fakeClock{}
-	p := New[int, string](Config{
-		MaxConns: 4, BreakAfter: 1,
-		BackoffNS: int64(time.Millisecond), ReopenAfterNS: int64(100 * time.Millisecond),
-	}, clk.fn())
+	p := New[int, string](Config{MaxConns: 4, BreakAfter: 1, ReopenAfterNS: int64(100 * time.Millisecond)}, clk.fn())
 	p.SeedJitter(7)
 
 	if _, v, _ := p.Acquire(3, true); v != Dial {
@@ -258,6 +252,32 @@ func TestHalfOpenFailureReopens(t *testing.T) {
 	}
 	if _, v, r := p.Acquire(3, true); v != Shed || r != ShedBreaker {
 		t.Fatalf("verdict %v reason %v, want Shed/breaker after reopen", v, r)
+	}
+}
+
+// TestHalfOpenGateSurvivesShed: an acquire past an open breaker's
+// window that is then shed by the target's backoff must not use up
+// the half-open probe. The breaker here reopens after 10ms, before the
+// 25ms backoff ends; once the backoff ends, the target must dial.
+func TestHalfOpenGateSurvivesShed(t *testing.T) {
+	clk := &fakeClock{}
+	p := New[int, string](Config{MaxConns: 4, BreakAfter: 1, ReopenAfterNS: int64(10 * time.Millisecond)}, clk.fn())
+	p.SeedJitter(3)
+
+	if _, v, _ := p.Acquire(5, true); v != Dial {
+		t.Fatal("want Dial")
+	}
+	p.DialFailed(5) // opens (BreakAfter=1) and starts a 25ms ±25% backoff
+	clk.advance(15 * time.Millisecond)
+	if _, v, r := p.Acquire(5, true); v != Shed || r != ShedBackoff {
+		t.Fatalf("reopen window over, backoff not: verdict %v reason %v, want Shed/backoff", v, r)
+	}
+	clk.advance(25 * time.Millisecond)
+	if _, v, r := p.Acquire(5, true); v != Dial {
+		t.Fatalf("backoff over: verdict %v (%v), want the half-open Dial", v, r)
+	}
+	if _, v, r := p.Acquire(5, true); v != Shed || r != ShedDialing {
+		t.Fatalf("half-open dial out: verdict %v reason %v, want Shed/dialing", v, r)
 	}
 }
 
@@ -325,14 +345,14 @@ func TestCloseIdempotentAndDrains(t *testing.T) {
 
 func TestDialConcurrencyCap(t *testing.T) {
 	clk := &fakeClock{}
-	p := New[int, string](Config{MaxConns: 100, MaxDialing: 2}, clk.fn())
+	p := New[int, string](Config{MaxConns: 100}, clk.fn())
 	p.SeedJitter(1)
-	for k := 0; k < 2; k++ {
+	for k := 0; k < maxDialing; k++ {
 		if _, v, _ := p.Acquire(k, true); v != Dial {
 			t.Fatalf("dial %d blocked", k)
 		}
 	}
-	if _, v, r := p.Acquire(5, true); v != Shed || r != ShedDialCap {
+	if _, v, r := p.Acquire(maxDialing, true); v != Shed || r != ShedDialCap {
 		t.Fatalf("verdict %v reason %v, want Shed/dial-cap", v, r)
 	}
 }
@@ -340,7 +360,7 @@ func TestDialConcurrencyCap(t *testing.T) {
 func TestJitterDeterminismUnderSeed(t *testing.T) {
 	run := func() []int64 {
 		clk := &fakeClock{}
-		p := New[int, string](Config{MaxConns: 4, BackoffNS: int64(time.Millisecond)}, clk.fn())
+		p := New[int, string](Config{MaxConns: 4}, clk.fn())
 		p.SeedJitter(99)
 		var deadlines []int64
 		for i := 0; i < 5; i++ {

@@ -15,6 +15,9 @@ const DefaultPort = "rmon"
 // DefaultInterval is the paper's default polling/refresh period T.
 const DefaultInterval = 50 * sim.Millisecond
 
+// copyCost is the user-space cost to copy and encode a record.
+const copyCost = 25 * sim.Microsecond
+
 // Wire sizes of the socket probe exchange (header + payload).
 const (
 	ProbeReqSize   = 64
@@ -77,7 +80,6 @@ type AgentConfig struct {
 	Scheme   Scheme
 	Interval sim.Time // refresh period T of the asynchronous calc loop
 	Port     string   // socket service port
-	CopyCost sim.Time // user-space cost to copy/encode a record
 
 	// StandbySocket additionally serves the socket probe port under the
 	// RDMA schemes, giving the front-end a fallback channel when the
@@ -106,9 +108,6 @@ func (c *AgentConfig) sanitize() {
 	}
 	if c.Port == "" {
 		c.Port = DefaultPort
-	}
-	if c.CopyCost <= 0 {
-		c.CopyCost = 25 * sim.Microsecond
 	}
 	if c.HistoryK > wire.MaxRingSlots {
 		c.HistoryK = wire.MaxRingSlots
@@ -348,7 +347,7 @@ func (a *Agent) startCalcLoop() {
 			tk.ReadProc(func() {
 				var s simos.Snapshot
 				tk.ProcSnapshot(&s)
-				tk.Compute(a.Cfg.CopyCost, func() {
+				tk.Compute(copyCost, func() {
 					a.seq++
 					recordFromSnapshotInto(&a.sample, &s, a.seq)
 					a.sample.AppendTo(a.shared)
@@ -391,7 +390,7 @@ func (a *Agent) startReportThread(async bool) {
 				return
 			}
 			if async {
-				tk.Compute(a.Cfg.CopyCost, func() {
+				tk.Compute(copyCost, func() {
 					reply(m, append([]byte(nil), a.shared...))
 				})
 				return
@@ -399,7 +398,7 @@ func (a *Agent) startReportThread(async bool) {
 			tk.ReadProc(func() {
 				var s simos.Snapshot
 				tk.ProcSnapshot(&s)
-				tk.Compute(a.Cfg.CopyCost, func() {
+				tk.Compute(copyCost, func() {
 					a.seq++
 					reply(m, RecordFromSnapshot(s, a.seq).Encode())
 				})

@@ -148,9 +148,9 @@ func TestPooledProbeConnZeroAlloc(t *testing.T) {
 	f.eng.RunFor(sim.Time(sweeps) * poll)
 	after = profileSnapshot(t, after)
 	probes := f.fnic.RDMAReads - reads0
-	if probes < uint64(sweeps) || m.Pool().Stats().Dials != dials || m.FenceRejects != 0 || m.PoolSheds != 0 {
+	if probes < uint64(sweeps) || m.Pool().Stats().Dials != dials || m.FenceRejects != 0 || poolSheds(m) != 0 {
 		t.Fatalf("want Conn verdicts only: %d probes in %d sweeps, %d new dials, %d fence rejects, %d sheds",
-			probes, sweeps, m.Pool().Stats().Dials-dials, m.FenceRejects, m.PoolSheds)
+			probes, sweeps, m.Pool().Stats().Dials-dials, m.FenceRejects, poolSheds(m))
 	}
 	if n := moduleAllocs(after) - moduleAllocs(before); n != 0 {
 		t.Fatalf("%d pooled probes allocated %d objects, want 0", probes, n)

@@ -72,13 +72,15 @@ type ClaimConfig struct {
 	ExpireAfter sim.Time
 	// CheckEvery is the renew/observe cadence (default 2 polls).
 	CheckEvery sim.Time
-	// VacantGrace is how long a foreigner leaves a vacant word to its
-	// home front-end before adopting it (default 2*CheckEvery).
-	VacantGrace sim.Time
-	// HandbackAfter is how long a foreigner keeps an adopted shard
-	// before releasing it back toward its home (default 2*ExpireAfter).
-	HandbackAfter sim.Time
 }
+
+// VacantGrace is how long a foreigner leaves a vacant word to its home
+// front-end before adopting it: two check periods.
+func (c ClaimConfig) VacantGrace() sim.Time { return 2 * c.CheckEvery }
+
+// HandbackAfter is how long a foreigner keeps an adopted shard before
+// releasing it back toward its home: twice ExpireAfter.
+func (c ClaimConfig) HandbackAfter() sim.Time { return 2 * c.ExpireAfter }
 
 // WithDefaults fills unset fields from the monitoring poll interval
 // and enforces the ExpireAfter > TTL safety margin.
@@ -100,12 +102,6 @@ func (c ClaimConfig) WithDefaults(poll sim.Time) ClaimConfig {
 	}
 	if min := c.TTL + 2*c.CheckEvery; c.ExpireAfter < min {
 		c.ExpireAfter = min
-	}
-	if c.VacantGrace <= 0 {
-		c.VacantGrace = 2 * c.CheckEvery
-	}
-	if c.HandbackAfter <= 0 {
-		c.HandbackAfter = 2 * c.ExpireAfter
 	}
 	return c
 }
@@ -177,11 +173,11 @@ func (c *Claim) observe(word uint64, now sim.Time) bool {
 		if c.Home {
 			return true
 		}
-		return now-c.lastChangeAt >= c.Cfg.VacantGrace
+		return now-c.lastChangeAt >= c.Cfg.VacantGrace()
 	}
 	wait := c.Cfg.ExpireAfter
 	if !c.Home {
-		wait += c.Cfg.VacantGrace
+		wait += c.Cfg.VacantGrace()
 	}
 	return now-c.lastChangeAt >= wait
 }
@@ -284,7 +280,7 @@ func (t *ClaimTable) Plan(now sim.Time, reads []ClaimRead) []ClaimCAS {
 		cmp := wire.PackClaimWord(c.Me, c.epoch, c.stamp)
 		var swp uint64
 		switch {
-		case c.held && !c.Home && now-c.heldSince >= c.Cfg.HandbackAfter:
+		case c.held && !c.Home && now-c.heldSince >= c.Cfg.HandbackAfter():
 			// Zero the owner, keep epoch and stamp: the next winner's
 			// epoch is still strictly larger.
 			op, swp = ClaimRelease, wire.PackClaimWord(wire.ClaimVacantOwner, c.epoch, c.stamp)

@@ -98,10 +98,10 @@ func TestClaimObservePatience(t *testing.T) {
 	if bids(t, foreign, 0, vacant) {
 		t.Fatal("foreigner must not bid on first sight of a vacancy")
 	}
-	if bids(t, foreign, cfg.VacantGrace-1, vacant) {
+	if bids(t, foreign, cfg.VacantGrace()-1, vacant) {
 		t.Fatal("foreigner bid before VacantGrace")
 	}
-	cas := round(t, foreign, cfg.VacantGrace, vacant)
+	cas := round(t, foreign, cfg.VacantGrace(), vacant)
 	if len(cas) != 1 {
 		t.Fatal("foreigner must bid after VacantGrace")
 	}
@@ -125,7 +125,7 @@ func TestClaimObservePatience(t *testing.T) {
 	if bids(t, f2, cfg.ExpireAfter, held) {
 		t.Fatal("foreigner must yield the orphan to its home first")
 	}
-	if !bids(t, f2, cfg.ExpireAfter+cfg.VacantGrace, held) {
+	if !bids(t, f2, cfg.ExpireAfter+cfg.VacantGrace(), held) {
 		t.Fatal("foreigner must adopt the orphan after the extra grace")
 	}
 	// Any change to the word resets patience.
@@ -148,7 +148,7 @@ func TestClaimMachineLifecycle(t *testing.T) {
 	if bids(t, tab, 0, vacant) {
 		t.Fatal("foreigner bid on first sight")
 	}
-	at := cfg.VacantGrace
+	at := cfg.VacantGrace()
 	cas := round(t, tab, at, vacant)
 	if want := (ClaimCAS{Shard: 0, Op: ClaimBid, Compare: 0, Swap: wire.PackClaimWord(2, 1, 0)}); len(cas) != 1 || cas[0] != want {
 		t.Fatalf("bid = %+v, want %+v", cas, want)
@@ -167,7 +167,7 @@ func TestClaimMachineLifecycle(t *testing.T) {
 	}
 	// After HandbackAfter the adopted shard is released: owner zeroed,
 	// epoch and stamp kept.
-	rel := at + cfg.HandbackAfter
+	rel := at + cfg.HandbackAfter()
 	cas = round(t, tab, rel)
 	if want := (ClaimCAS{Shard: 0, Op: ClaimRelease, Compare: wire.PackClaimWord(2, 1, 1), Swap: wire.PackClaimWord(0, 1, 1)}); len(cas) != 1 || cas[0] != want {
 		t.Fatalf("release = %+v, want %+v", cas, want)
@@ -178,10 +178,10 @@ func TestClaimMachineLifecycle(t *testing.T) {
 	}
 	// Re-adopt the released word after VacantGrace: the epoch advances.
 	released := wire.PackClaimWord(0, 1, 1)
-	if bids(t, tab, rel+cfg.VacantGrace-1, released) {
+	if bids(t, tab, rel+cfg.VacantGrace()-1, released) {
 		t.Fatal("foreigner re-bid on its own release before VacantGrace")
 	}
-	again := rel + cfg.VacantGrace
+	again := rel + cfg.VacantGrace()
 	cas = round(t, tab, again, released)
 	if len(cas) != 1 || wire.WordEpoch(cas[0].Swap) != 2 {
 		t.Fatalf("re-bid = %+v, want epoch 2", cas)
@@ -295,7 +295,7 @@ func TestClaimTableRound(t *testing.T) {
 			t.Helper()
 			vacant := wire.PackClaimWord(0, c.Epoch(), 0)
 			bids(t, tab, now, vacant)
-			now += cfg.VacantGrace
+			now += cfg.VacantGrace()
 			cas := round(t, tab, now, vacant)
 			tab.Complete(cas[0], cas[0].Compare, true, now)
 		}
@@ -307,7 +307,7 @@ func TestClaimTableRound(t *testing.T) {
 		}
 		now += cfg.CheckEvery
 		adopt()
-		now += cfg.HandbackAfter
+		now += cfg.HandbackAfter()
 		cas := round(t, tab, now)
 		if cas[0].Op != ClaimRelease {
 			t.Fatalf("want a handback, planned %+v", cas)
@@ -428,7 +428,7 @@ func TestClaimManagerOrphanReclaimAndFence(t *testing.T) {
 	victim := 0
 	frozeAt := r.eng.Now()
 	r.nodes[victim].Freeze()
-	bound := cfg.ExpireAfter + cfg.VacantGrace + 4*cfg.CheckEvery
+	bound := cfg.ExpireAfter + cfg.VacantGrace() + 4*cfg.CheckEvery
 	r.eng.RunFor(bound)
 	now := r.eng.Now()
 	for s := 0; s < cfg.Shards; s++ {
@@ -468,7 +468,7 @@ func TestClaimManagerOrphanReclaimAndFence(t *testing.T) {
 	if deposals == 0 {
 		t.Fatal("thawed ex-holder was never fenced")
 	}
-	r.eng.RunFor(cfg.HandbackAfter + 6*cfg.CheckEvery)
+	r.eng.RunFor(cfg.HandbackAfter() + 6*cfg.CheckEvery)
 	for s := 0; s < cfg.Shards; s++ {
 		if wantHome := uint16(s%3) + 1; wantHome == uint16(victim)+1 {
 			if got := vaultOwner(r.vault, s); got != wantHome {
@@ -718,7 +718,7 @@ func TestLeaseMachine(t *testing.T) {
 		t.Fatalf("counters takeovers=%d renewals=%d deposals=%d, want 2/2/1",
 			c.Takeovers, c.Renewals, c.Deposals)
 	}
-	if cas := round(t, tab, 100*cfg.HandbackAfter); cas[0].Op != ClaimRenew {
+	if cas := round(t, tab, 100*cfg.HandbackAfter()); cas[0].Op != ClaimRenew {
 		t.Fatalf("a home holder must never owe a handback: planned %+v", cas)
 	}
 }

@@ -29,49 +29,38 @@ func (t Transport) String() string {
 	return "?"
 }
 
-// FailoverConfig tunes a per-backend transport breaker. The zero value
-// takes every default.
-type FailoverConfig struct {
-	// TripAfter is the number of consecutive primary-transport failures
-	// that trips the breaker onto the socket standby. Default 2 —
-	// deliberately below the health machine's quarantineAfter of 3,
-	// so a back-end whose RDMA path alone is broken degrades to socket
-	// probing before the health machine condemns it.
-	TripAfter int
-	// FailBackAfter is the number of consecutive re-arm successes
-	// required before probing returns to RDMA. Default 2. Together with
-	// ReArmEvery this is the fail-back hysteresis: one lucky read after
-	// a flap does not bounce the breaker.
-	FailBackAfter int
-	// ReArmEvery issues a background re-arm probe of the RDMA path on
-	// every Nth fallback cycle while tripped. Default 4: a broken path
-	// is retested at a quarter of the probe rate, so a dead NIC costs a
-	// trickle of wasted reads, not a full probe budget.
-	ReArmEvery int
-}
-
-func (c FailoverConfig) withDefaults() FailoverConfig {
-	if c.TripAfter <= 0 {
-		c.TripAfter = 2
-	}
-	if c.FailBackAfter <= 0 {
-		c.FailBackAfter = 2
-	}
-	if c.ReArmEvery <= 0 {
-		c.ReArmEvery = 4
-	}
-	return c
-}
+// The breaker's thresholds, beside the health machine's
+// quarantineAfter and probationOK:
+//
+//   - tripAfter consecutive primary-transport failures trip the breaker
+//     onto the socket standby. It is deliberately below quarantineAfter,
+//     so a back-end whose RDMA path alone is broken degrades to socket
+//     probing before the health machine condemns it.
+//   - failBackAfter consecutive re-arm successes return probing to RDMA.
+//     With reArmEvery it is the fail-back hysteresis: one lucky read
+//     after a flap does not bounce the breaker.
+//   - reArmEvery: every reArmEvery-th fallback cycle while tripped
+//     carries a background re-arm probe of the RDMA path, so a broken
+//     path is retested at a quarter of the probe rate and a dead NIC
+//     costs a trickle of wasted reads, not a full probe budget.
+//
+// A flap-free fail-back therefore takes failBackAfter·reArmEvery = 8
+// fallback cycles.
+const (
+	tripAfter     = 2
+	failBackAfter = 2
+	reArmEvery    = 4
+)
 
 // Failover is the transport breaker for one monitored back-end:
 //
-//	armed --fail*TripAfter--> tripped (probe via socket standby)
-//	tripped --re-arm ok*FailBackAfter--> armed (probe via RDMA again)
+//	armed --fail*tripAfter--> tripped (probe via socket standby)
+//	tripped --re-arm ok*failBackAfter--> armed (probe via RDMA again)
 //
 // While tripped, the caller keeps probing over the socket standby every
 // cycle (the back-end stays monitored, stale-but-alive per the paper's
 // Table 1 trade-offs) and issues a low-rate background re-arm probe
-// over RDMA; only FailBackAfter consecutive re-arm successes fail the
+// over RDMA; only failBackAfter consecutive re-arm successes fail the
 // breaker back, so a flapping path stays on the reliable transport.
 //
 // The machine is deliberately free of clocks and transports: callers
@@ -79,8 +68,6 @@ func (c FailoverConfig) withDefaults() FailoverConfig {
 // keeps a run under a fault plan exactly as deterministic as the
 // engine driving it.
 type Failover struct {
-	Cfg FailoverConfig
-
 	tripped  bool
 	failRun  int // consecutive primary failures while armed
 	rearmRun int // consecutive re-arm successes while tripped
@@ -112,7 +99,7 @@ func (f *Failover) PrimaryFail() bool {
 		return false
 	}
 	f.failRun++
-	if f.failRun < f.Cfg.withDefaults().TripAfter {
+	if f.failRun < tripAfter {
 		return false
 	}
 	f.tripped = true
@@ -129,13 +116,13 @@ func (f *Failover) PrimaryFail() bool {
 // ShouldReArm is called once per fallback probe cycle while tripped and
 // reports whether this cycle should carry a background re-arm probe of
 // the RDMA path. The first fallback cycle never re-arms (the path just
-// proved broken); afterwards every ReArmEvery-th cycle does.
+// proved broken); afterwards every reArmEvery-th cycle does.
 func (f *Failover) ShouldReArm() bool {
 	if !f.tripped {
 		return false
 	}
 	f.cycle++
-	return f.cycle%f.Cfg.withDefaults().ReArmEvery == 0
+	return f.cycle%reArmEvery == 0
 }
 
 // ReArmOK records a successful re-arm probe and reports whether the
@@ -145,7 +132,7 @@ func (f *Failover) ReArmOK() bool {
 		return false
 	}
 	f.rearmRun++
-	if f.rearmRun < f.Cfg.withDefaults().FailBackAfter {
+	if f.rearmRun < failBackAfter {
 		return false
 	}
 	f.tripped = false

@@ -7,15 +7,15 @@ import (
 	"rdmamon/internal/wire"
 )
 
-// TestFailoverTrip: the breaker trips after exactly TripAfter
+// TestFailoverTrip: the breaker trips after exactly tripAfter
 // consecutive primary failures, and a success in between resets the run.
 func TestFailoverTrip(t *testing.T) {
-	fo := &Failover{} // defaults: TripAfter 2
+	fo := &Failover{} // tripAfter 2
 	if fo.Tripped() {
 		t.Fatal("fresh breaker must be armed on RDMA")
 	}
 	if fo.PrimaryFail() {
-		t.Fatal("tripped after one failure, want TripAfter=2")
+		t.Fatal("tripped after one failure, want tripAfter=2")
 	}
 	fo.PrimaryOK() // success resets the failure run
 	if fo.PrimaryFail() {
@@ -40,19 +40,19 @@ func TestFailoverTrip(t *testing.T) {
 }
 
 // TestFailoverReArmSchedule: no re-arm while armed; while tripped the
-// first cycle never re-arms and every ReArmEvery-th cycle does.
+// first cycle never re-arms and every reArmEvery-th cycle does.
 func TestFailoverReArmSchedule(t *testing.T) {
-	fo := &Failover{Cfg: FailoverConfig{ReArmEvery: 3}}
+	fo := &Failover{}
 	if fo.ShouldReArm() {
 		t.Fatal("armed breaker scheduled a re-arm probe")
 	}
 	fo.PrimaryFail()
 	fo.PrimaryFail() // trip
 	var got []bool
-	for i := 0; i < 7; i++ {
+	for i := 0; i < 9; i++ {
 		got = append(got, fo.ShouldReArm())
 	}
-	want := []bool{false, false, true, false, false, true, false}
+	want := []bool{false, false, false, true, false, false, false, true, false}
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("re-arm schedule = %v, want %v", got, want)
@@ -60,10 +60,10 @@ func TestFailoverReArmSchedule(t *testing.T) {
 	}
 }
 
-// TestFailoverFailBackHysteresis: fail-back needs FailBackAfter
+// TestFailoverFailBackHysteresis: fail-back needs failBackAfter
 // consecutive re-arm successes; a failure in between resets the run.
 func TestFailoverFailBackHysteresis(t *testing.T) {
-	fo := &Failover{} // defaults: FailBackAfter 2
+	fo := &Failover{} // failBackAfter 2
 	if fo.ReArmOK() {
 		t.Fatal("ReArmOK on an armed breaker reported a fail-back")
 	}
@@ -85,7 +85,7 @@ func TestFailoverFailBackHysteresis(t *testing.T) {
 	if fo.Trips != 1 || fo.FailBacks != 1 {
 		t.Fatalf("Trips/FailBacks = %d/%d, want 1/1", fo.Trips, fo.FailBacks)
 	}
-	// After fail-back the trip counter starts fresh: it takes TripAfter
+	// After fail-back the trip counter starts fresh: it takes tripAfter
 	// failures again, not a stale carry-over.
 	if fo.PrimaryFail() {
 		t.Fatal("breaker re-tripped on a single failure after fail-back")
@@ -190,5 +190,33 @@ func TestProberFailoverEndToEnd(t *testing.T) {
 	// roughly one probe cycle throughout the outage.
 	if _, at, ok := p.Latest(); !ok || r.eng.Now()-at > 3*poll {
 		t.Fatalf("latest record stale by %v at end of run", r.eng.Now()-at)
+	}
+}
+
+// TestFailoverThresholdOrder pins the breaker's thresholds against the
+// health machine's: under consecutive RDMA failures the breaker trips
+// while the back-end is still short of Quarantined, and with every
+// re-arm succeeding the nominal fail-back takes failBackAfter·reArmEvery
+// = 8 fallback cycles.
+func TestFailoverThresholdOrder(t *testing.T) {
+	fo := &Failover{}
+	var ht HealthTracker
+	for !fo.PrimaryFail() {
+		ht.Fail()
+	}
+	if h := ht.Fail(); h == Quarantined {
+		t.Fatalf("breaker tripped only when health reached %v: tripAfter (%d) must stay below quarantineAfter (%d)",
+			h, tripAfter, quarantineAfter)
+	}
+	cycles := 0
+	for fo.Tripped() {
+		cycles++
+		if fo.ShouldReArm() {
+			fo.ReArmOK()
+		}
+	}
+	if cycles != 8 {
+		t.Fatalf("fail-back took %d fallback cycles, want 8 (failBackAfter %d × reArmEvery %d)",
+			cycles, failBackAfter, reArmEvery)
 	}
 }

@@ -27,7 +27,7 @@ import (
 // The contract the hybrid experiment enforces: the staleness bound of
 // the all-pull sweep is preserved (changes always reach the front-end
 // within a few T, via push or snapped-back pull) while quiet back-ends
-// cost ~1/Grow^k of the probe work requests.
+// cost ~1/periodGrow^k of the probe work requests.
 
 // LoadDelta measures how far two load records are apart on the
 // dispatcher's weighted index — the "did anything the dispatcher cares
@@ -46,10 +46,11 @@ type PeriodConfig struct {
 	// Max is the ceiling a quiet back-end's period decays toward
 	// (default 16×Min).
 	Max sim.Time
-	// Grow is the geometric decay factor per quiet observation
-	// (default 2).
-	Grow float64
 }
+
+// periodGrow is the period's geometric decay factor per quiet
+// observation.
+const periodGrow = 2
 
 // WithDefaults fills unset fields, anchoring Min to poll.
 func (c PeriodConfig) WithDefaults(poll sim.Time) PeriodConfig {
@@ -61,9 +62,6 @@ func (c PeriodConfig) WithDefaults(poll sim.Time) PeriodConfig {
 	}
 	if c.Max < c.Min {
 		c.Max = 16 * c.Min
-	}
-	if c.Grow <= 1 {
-		c.Grow = 2
 	}
 	return c
 }
@@ -89,7 +87,7 @@ func (pc *PeriodController) Period() sim.Time {
 // the period to use until the next one. Any trouble signal — the load
 // changed, the back-end is not plain Healthy, the monitor's lease is
 // not held — snaps the period to Min within this one cycle; only a
-// quiet, Healthy, leased observation lets the period grow, by Grow up
+// quiet, Healthy, leased observation lets the period grow, by periodGrow up
 // to Max. The result is always within [Min, Max].
 func (pc *PeriodController) Observe(changed bool, h Health, leaseHeld bool) sim.Time {
 	cfg := pc.Cfg
@@ -101,7 +99,7 @@ func (pc *PeriodController) Observe(changed bool, h Health, leaseHeld bool) sim.
 	if p <= 0 {
 		p = cfg.Min
 	}
-	p = sim.Time(float64(p) * cfg.Grow)
+	p = sim.Time(float64(p) * periodGrow)
 	if p > cfg.Max {
 		p = cfg.Max
 	}

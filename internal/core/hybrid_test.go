@@ -35,7 +35,7 @@ func healthFrom(b uint8) Health {
 // TestPeriodControllerBounds: whatever observation sequence the
 // controller sees, the period stays within [Min, Max].
 func TestPeriodControllerBounds(t *testing.T) {
-	cfg := PeriodConfig{Min: 10 * sim.Millisecond, Max: 160 * sim.Millisecond, Grow: 2}
+	cfg := PeriodConfig{Min: 10 * sim.Millisecond, Max: 160 * sim.Millisecond}
 	f := func(changes []bool, healths []uint8, leases []bool) bool {
 		pc := &PeriodController{Cfg: cfg}
 		if pc.Period() != cfg.Min {
@@ -65,7 +65,7 @@ func TestPeriodControllerBounds(t *testing.T) {
 // every change another one does, plus possibly more, never polls
 // slower than it — pointwise, at every step.
 func TestPeriodControllerMonotoneInChangeRate(t *testing.T) {
-	cfg := PeriodConfig{Min: 10 * sim.Millisecond, Max: 320 * sim.Millisecond, Grow: 2}
+	cfg := PeriodConfig{Min: 10 * sim.Millisecond, Max: 320 * sim.Millisecond}
 	f := func(base []bool, extra []bool) bool {
 		quiet := &PeriodController{Cfg: cfg}
 		busy := &PeriodController{Cfg: cfg}
@@ -91,7 +91,7 @@ func TestPeriodControllerMonotoneInChangeRate(t *testing.T) {
 // single observation carrying a trouble signal — non-Healthy state or
 // a lost lease — forces the fast period immediately.
 func TestPeriodControllerSnapsOnTrouble(t *testing.T) {
-	cfg := PeriodConfig{Min: 10 * sim.Millisecond, Max: 160 * sim.Millisecond, Grow: 2}
+	cfg := PeriodConfig{Min: 10 * sim.Millisecond, Max: 160 * sim.Millisecond}
 	f := func(warmup []bool, kind uint8) bool {
 		pc := &PeriodController{Cfg: cfg}
 		for _, ch := range warmup {
@@ -117,7 +117,7 @@ func TestPeriodControllerSnapsOnTrouble(t *testing.T) {
 // quiet Healthy leased observations double the period up to Max, and
 // one change snaps it back.
 func TestPeriodControllerDecaySchedule(t *testing.T) {
-	cfg := PeriodConfig{Min: 10 * sim.Millisecond, Max: 80 * sim.Millisecond, Grow: 2}
+	cfg := PeriodConfig{Min: 10 * sim.Millisecond, Max: 80 * sim.Millisecond}
 	pc := &PeriodController{Cfg: cfg}
 	want := []sim.Time{20, 40, 80, 80, 80}
 	for i, w := range want {
@@ -173,7 +173,7 @@ func TestAdaptivePollDecisions(t *testing.T) {
 		{"moving push", false, &busy, -1, th, Healthy, true, min, busy},
 	}
 	for _, c := range cases {
-		a := AdaptivePoll{Ctrl: PeriodController{Cfg: PeriodConfig{Min: min, Max: 8 * min, Grow: 2}}}
+		a := AdaptivePoll{Ctrl: PeriodController{Cfg: PeriodConfig{Min: min, Max: 8 * min}}}
 		if !c.unprimed {
 			a.Observe(&quiet, th, Healthy, true)
 		}
@@ -232,7 +232,7 @@ func TestLoadDeltaSymmetricZero(t *testing.T) {
 func hybridCfg() *HybridConfig {
 	return &HybridConfig{
 		Threshold: 0.05,
-		Period:    PeriodConfig{Min: 10 * sim.Millisecond, Max: 160 * sim.Millisecond, Grow: 2},
+		Period:    PeriodConfig{Min: 10 * sim.Millisecond, Max: 160 * sim.Millisecond},
 		Heartbeat: 320 * sim.Millisecond,
 		Check:     10 * sim.Millisecond,
 	}

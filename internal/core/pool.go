@@ -111,7 +111,6 @@ func (sc *sweepScratch) acquire() {
 // shed defers the slot under budget pressure and moves on.
 func (sc *sweepScratch) shed() {
 	m := sc.m
-	m.PoolSheds++
 	if sc.hot {
 		m.PoolShedHot++
 	}

@@ -40,8 +40,8 @@ func TestPooledMonitorProbes(t *testing.T) {
 			t.Fatalf("backend %d saw %d probe errors", b, p.Errors)
 		}
 	}
-	if m.FenceRejects != 0 || m.PoolSheds != 0 {
-		t.Fatalf("fault-free run: fenceRejects=%d sheds=%d, want 0/0", m.FenceRejects, m.PoolSheds)
+	if m.FenceRejects != 0 || poolSheds(m) != 0 {
+		t.Fatalf("fault-free run: fenceRejects=%d sheds=%d, want 0/0", m.FenceRejects, poolSheds(m))
 	}
 
 	m.Stop()
@@ -142,7 +142,7 @@ func TestPooledMonitorShedsQuietFirst(t *testing.T) {
 		Pool:   &connpool.Config{MaxConns: 3},
 	})
 	f.eng.RunUntil(4 * sim.Second)
-	if m.PoolSheds == 0 {
+	if poolSheds(m) == 0 {
 		t.Fatal("12 quiet back-ends on 3 conns never shed")
 	}
 	if m.PoolShedHot != 0 {
@@ -155,4 +155,12 @@ func TestPooledMonitorShedsQuietFirst(t *testing.T) {
 		}
 	}
 	m.Stop()
+}
+
+// poolSheds is the pool's shed total: every slot the monitor shed.
+func poolSheds(m *Monitor) (n uint64) {
+	for _, v := range m.Pool().Stats().Sheds {
+		n += v
+	}
+	return n
 }

@@ -219,11 +219,10 @@ type Monitor struct {
 	// cached record).
 	StalePushes uint64
 
-	// PoolSheds counts probe slots deferred because a pool budget
-	// (conns, fds, dial rate, breaker) was exhausted; PoolShedHot is
-	// the subset that hit a hot back-end (should stay ~0 — the
-	// degradation ladder sheds quiet targets first).
-	PoolSheds   uint64
+	// PoolShedHot counts probe slots of hot back-ends deferred because
+	// a pool budget (conns, fds, dial rate, breaker) was exhausted. It
+	// should stay ~0: the degradation ladder sheds quiet targets first.
+	// Every shed, hot or quiet, is in the pool's Stats().Sheds.
 	PoolShedHot uint64
 	// FenceRejects counts one-sided completions rejected by the pool's
 	// epoch fence (conn recycled while the read was in flight) and
@@ -763,12 +762,12 @@ func (m *Monitor) SetProbeTimeout(d sim.Time) {
 // no faster path to fall back from). The monitored agents must serve
 // the standby socket port (AgentConfig.StandbySocket) and probes must
 // carry a timeout.
-func (m *Monitor) ArmFailover(cfg FailoverConfig) {
+func (m *Monitor) ArmFailover() {
 	if !m.Scheme.UsesRDMA() {
 		return
 	}
 	for _, p := range m.Probers {
-		p.Failover = &Failover{Cfg: cfg}
+		p.Failover = &Failover{}
 	}
 }
 

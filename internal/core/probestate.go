@@ -136,7 +136,7 @@ func (s *ProbeState) UseStandby() bool {
 // channel in the same cycle, and counts that fallback: if only the RDMA
 // path is broken (stale rkey, NIC trouble) the record is still one
 // socket round trip away, and the staleness window stays ~one sweep
-// instead of TripAfter sweeps. A dead back-end fails both paths and
+// instead of tripAfter sweeps. A dead back-end fails both paths and
 // Apply sees the primary's failure.
 func (s *ProbeState) FallBack(err error) bool {
 	fo := s.Failover
@@ -156,7 +156,7 @@ func (s *ProbeState) FallBack(err error) bool {
 // and reports whether this probe also carries a background re-arm read
 // of the RDMA path, counting it. The re-arm's outcome goes to ReArmDone
 // and never to Apply: the RDMA path is not trusted for data until it
-// has proven itself FailBackAfter times in a row.
+// has proven itself failBackAfter times in a row.
 func (s *ProbeState) ReArmDue() bool {
 	if !s.Failover.ShouldReArm() {
 		return false

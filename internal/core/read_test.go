@@ -128,7 +128,7 @@ func TestPooledReadRecycledTwice(t *testing.T) {
 		t.Run(fmt.Sprintf("batch=%d", batch), func(t *testing.T) {
 			f, m := startReadFleet(62, batch, true, AgentConfig{Scheme: RDMASync, StandbySocket: true})
 			m.SetProbeTimeout(10 * sim.Millisecond)
-			m.ArmFailover(FailoverConfig{})
+			m.ArmFailover()
 			f.eng.RunFor(50 * sim.Millisecond)
 			a, p := f.agents[readVictim-1], m.Probers[readVictim]
 			bounces := 2

@@ -115,7 +115,7 @@ func TestShardedMonitorFailoverUnderBatch(t *testing.T) {
 	f := newFleet(44, n, AgentConfig{Scheme: RDMASync, StandbySocket: true})
 	m := StartMonitorCfg(f.front, f.fnic, f.agents, poll, MonitorConfig{Shards: 2, Batch: 4})
 	m.SetProbeTimeout(poll)
-	m.ArmFailover(FailoverConfig{})
+	m.ArmFailover()
 
 	f.eng.RunUntil(200 * sim.Millisecond)
 	victim := 3

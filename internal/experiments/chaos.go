@@ -30,8 +30,9 @@ const (
 	// chaosTripSLO bounds RDMA-break -> breaker-tripped (I3a).
 	chaosTripSLO = 10
 	// chaosFailBackSLO bounds repair -> fail-back (I3b): the re-arm
-	// schedule retests at 1/ReArmEvery of the probe rate and needs
-	// FailBackAfter consecutive successes, all under sweep stretching.
+	// schedule retests every 4th fallback cycle and needs 2 consecutive
+	// successes (core's reArmEvery, failBackAfter), all under sweep
+	// stretching.
 	chaosFailBackSLO = 30
 )
 

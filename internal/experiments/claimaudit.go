@@ -121,7 +121,7 @@ func auditClaims(c *cluster.Cluster, plan faults.Plan) *claimAudit {
 	}
 	if c.Cfg.ActiveActive {
 		a.names = aaChecks
-		a.bound += cfg.VacantGrace
+		a.bound += cfg.VacantGrace()
 	}
 	for _, r := range c.FrontEnds {
 		a.hook(r)

@@ -122,7 +122,7 @@ func TestClaimAuditFires(t *testing.T) {
 			cl := f.c.Cfg.Claim
 			bound := cl.ExpireAfter + 8*cl.CheckEvery
 			if aa {
-				bound += cl.VacantGrace
+				bound += cl.VacantGrace()
 			}
 			row.history(f, bound)
 			f.a.finish(horizon)

@@ -109,7 +109,7 @@ func ScaleOut(o Options) *ScaleOutData {
 		// degrades to the same-cycle socket standby instead of losing
 		// the probe, which is how hot back-ends keep their SLO (and
 		// zero errors) through the storm phase.
-		Failover: &core.FailoverConfig{},
+		Failover: true,
 		Pool: &connpool.Config{
 			MaxConns:    maxConns,
 			DialsPerSec: float64(dialsPerSec),
@@ -223,13 +223,6 @@ func ScaleOut(o Options) *ScaleOutData {
 	})
 	defer age.Stop()
 
-	type snap struct {
-		stats connpool.Stats
-		sheds uint64
-	}
-	take := func() snap {
-		return snap{stats: c.Monitor.Pool().Stats(), sheds: c.Monitor.PoolSheds}
-	}
 	shedSum := func(s connpool.Stats) uint64 {
 		var t uint64
 		for _, v := range s.Sheds {
@@ -237,20 +230,20 @@ func ScaleOut(o Options) *ScaleOutData {
 		}
 		return t
 	}
-	prev := take()
+	prev := c.Monitor.Pool().Stats()
 	prevDials := 0
 	runPhase := func(name string, end sim.Time) {
 		hotStaleMax = 0
 		c.Eng.RunUntil(end)
-		cur := take()
+		cur := c.Monitor.Pool().Stats()
 		ph := ScaleOutPhase{
 			Name:     name,
 			EndMS:    int64(end / sim.Millisecond),
-			Dials:    cur.stats.Dials - prev.stats.Dials,
-			DialErrs: cur.stats.DialErrors - prev.stats.DialErrors,
-			Evicts:   cur.stats.Evictions - prev.stats.Evictions,
-			Sheds:    shedSum(cur.stats) - shedSum(prev.stats),
-			Breaks:   cur.stats.BreakerOpens - prev.stats.BreakerOpens,
+			Dials:    cur.Dials - prev.Dials,
+			DialErrs: cur.DialErrors - prev.DialErrors,
+			Evicts:   cur.Evictions - prev.Evictions,
+			Sheds:    shedSum(cur) - shedSum(prev),
+			Breaks:   cur.BreakerOpens - prev.BreakerOpens,
 
 			HotAgeMaxT: float64(hotStaleMax) / float64(scalePoll),
 			EndAgeT:    float64(hotEff()) / float64(scalePoll),
@@ -258,7 +251,6 @@ func ScaleOut(o Options) *ScaleOutData {
 		}
 		ph.Fences = c.Monitor.FenceRejects - d.FenceRejects
 		d.FenceRejects = c.Monitor.FenceRejects
-		_ = cur.sheds
 		d.Phases = append(d.Phases, ph)
 		prev = cur
 		prevDials = len(dialTimes)

@@ -261,9 +261,7 @@ func (g *intervalLog) overlap() error {
 func TestLiveClaimsPartitionReclaimFenceHandback(t *testing.T) {
 	leakCheck(t)
 	const fes, shards = 3, 6
-	cfg := claimTestCfg()
-	cfg.HandbackAfter = sim.Time(300 * time.Millisecond)
-	cfg = cfg.WithDefaults(0)
+	cfg := claimTestCfg().WithDefaults(0)
 	w := startWitness(t, shards)
 	log := &intervalLog{open: make(map[[2]int]*liveInterval)}
 	cls := make([]*ClaimClient, fes)
@@ -303,7 +301,7 @@ func TestLiveClaimsPartitionReclaimFenceHandback(t *testing.T) {
 		return true
 	}
 	waitFor(t, 5*time.Second, adopted, "survivors to adopt the paused front-end's shards")
-	bound := time.Duration(cfg.ExpireAfter + cfg.VacantGrace + 4*cfg.CheckEvery)
+	bound := time.Duration(cfg.ExpireAfter + cfg.VacantGrace() + 4*cfg.CheckEvery)
 	t.Logf("adopted after %v (protocol bound %v)", time.Since(paused), bound)
 	if victim.HeldValid() != 0 {
 		t.Fatal("paused front-end still valid on adopted shards")

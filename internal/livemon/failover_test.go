@@ -14,7 +14,7 @@ import (
 // the agent re-pins its region.
 func TestFailoverMRInvalidationLive(t *testing.T) {
 	a, pr := startPair(t, core.RDMASync, synthetic(5))
-	pr.SetFailover(core.FailoverConfig{})
+	pr.SetFailover()
 	pr.SeedJitter(1)
 
 	rec, tr, err := pr.FetchVia()
@@ -37,7 +37,7 @@ func TestFailoverMRInvalidationLive(t *testing.T) {
 		t.Fatalf("fetch during outage: rec=%+v tr=%v, want socket-served record", rec, tr)
 	}
 
-	// Second consecutive failure trips the breaker (TripAfter default 2).
+	// Second consecutive failure trips the breaker (tripAfter is 2).
 	if _, tr, err = pr.FetchVia(); err != nil || tr != core.TransportSocket {
 		t.Fatalf("second outage fetch: tr=%v err=%v", tr, err)
 	}
@@ -82,7 +82,7 @@ func TestFailoverMRInvalidationLive(t *testing.T) {
 // fall back from.
 func TestFailoverNoopOnSocketScheme(t *testing.T) {
 	_, pr := startPair(t, core.SocketSync, synthetic(3))
-	pr.SetFailover(core.FailoverConfig{})
+	pr.SetFailover()
 	if pr.st.Failover != nil {
 		t.Fatal("socket-scheme probe grew a breaker")
 	}
@@ -126,7 +126,7 @@ func TestMonitorFailoverDegraded(t *testing.T) {
 	addr := a.Addr()
 	m, dialErrs := NewMonitor([]string{addr}, MonitorConfig{
 		Interval: 10 * time.Millisecond,
-		Failover: &core.FailoverConfig{},
+		Failover: true,
 	})
 	defer m.Close()
 	if len(dialErrs) != 0 {
@@ -179,7 +179,7 @@ func TestFallbackCountsUnansweredStandby(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pr.Close()
-	pr.SetFailover(core.FailoverConfig{})
+	pr.SetFailover()
 	if _, err := pr.Fetch(); err != nil {
 		t.Fatal(err)
 	}

@@ -61,8 +61,8 @@ type Config struct {
 	// Push, when non-nil, additionally starts the hybrid scheme's delta
 	// pusher: the agent samples locally every Push.Check and RDMA-Writes
 	// a timestamped record into its slot on the front-end PushHost when
-	// the load index moved by Push.Threshold. NodeID and Provider
-	// default to the agent's own.
+	// the load index moved by Push.Threshold. It pushes the agent's
+	// NodeID and samples its Provider.
 	Push *PusherConfig
 }
 
@@ -193,14 +193,7 @@ func StartAgent(cfg Config) (*Agent, error) {
 	}
 
 	if cfg.Push != nil {
-		pc := *cfg.Push
-		if pc.NodeID == 0 {
-			pc.NodeID = cfg.NodeID
-		}
-		if pc.Provider == nil {
-			pc.Provider = cfg.Provider
-		}
-		p, err := StartPusher(pc)
+		p, err := startPusher(*cfg.Push, cfg.NodeID, cfg.Provider)
 		if err != nil {
 			v.Close()
 			return nil, err
@@ -469,11 +462,11 @@ func (p *Probe) Scheme() core.Scheme {
 
 // SetFailover arms the probe's transport breaker. It is a no-op under
 // the socket schemes, which have nothing to fail over from.
-func (p *Probe) SetFailover(cfg core.FailoverConfig) {
+func (p *Probe) SetFailover() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.st.Scheme.UsesRDMA() {
-		p.st.Failover = &core.Failover{Cfg: cfg}
+		p.st.Failover = &core.Failover{}
 	}
 }
 
@@ -505,11 +498,11 @@ func (p *Probe) Fetch() (wire.LoadRecord, error) {
 //   - breaker armed: read over RDMA (re-handshake retry included); a
 //     failure is a breaker step and the fetch falls back to the socket
 //     standby for this cycle.
-//   - breaker tripped: fetch over the socket standby; every
-//     ReArmEvery-th cycle additionally retests the RDMA path in the
-//     background (refreshing the rkey via re-handshake if the first
-//     attempt fails — a re-pinned region hands out a fresh key), and
-//     FailBackAfter consecutive re-arm successes fail the breaker back.
+//   - breaker tripped: fetch over the socket standby; every fourth
+//     cycle additionally retests the RDMA path in the background
+//     (refreshing the rkey via re-handshake if the first attempt
+//     fails — a re-pinned region hands out a fresh key), and two
+//     consecutive re-arm successes fail the breaker back.
 func (p *Probe) FetchVia() (wire.LoadRecord, core.Transport, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()

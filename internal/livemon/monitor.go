@@ -48,11 +48,11 @@ type MonitorConfig struct {
 	// Suspect/Degraded health or lost lease snaps it back to Interval
 	// within one cycle.
 	Adaptive *AdaptiveConfig
-	// Failover, when non-nil, arms a transport breaker on every probe
+	// Failover arms a transport breaker on every probe
 	// at dial, before the first poll (see Probe.SetFailover; socket
 	// schemes ignore it): an RDMA target whose region is gone keeps
 	// reporting over the standby channel as Degraded.
-	Failover *core.FailoverConfig
+	Failover bool
 }
 
 // AdaptiveConfig shapes the live adaptive-period controller — the
@@ -98,8 +98,8 @@ func NewMonitor(addrs []string, cfg MonitorConfig) (*Monitor, map[string]error) 
 			dialErrs[addr] = err
 			continue
 		}
-		if cfg.Failover != nil {
-			p.SetFailover(*cfg.Failover)
+		if cfg.Failover {
+			p.SetFailover()
 		}
 		t := &target{probe: p}
 		t.poll.Ctrl.Cfg = period

@@ -10,7 +10,7 @@ import (
 )
 
 // ErrPoolSaturated reports a Get that found no budget for its target
-// within AcquireTimeout (also the answer once the pool is closed).
+// within acquireTimeout (also the answer once the pool is closed).
 var ErrPoolSaturated = errors.New("livemon: connection pool saturated")
 
 // PoolConfig shapes the live connection pool — the deployable
@@ -18,19 +18,18 @@ var ErrPoolSaturated = errors.New("livemon: connection pool saturated")
 // the same internal/connpool engine (budgets, breakers, epoch fence).
 type PoolConfig struct {
 	connpool.Config
-
-	// AcquireTimeout bounds how long Get blocks while the pool sheds
-	// (default 2s). Budget pressure delays a live caller instead of
-	// failing it, but not forever.
-	AcquireTimeout time.Duration
 }
+
+// acquireTimeout bounds how long Get blocks while the pool sheds.
+// Budget pressure delays a live caller instead of failing it, but not
+// forever.
+const acquireTimeout = 2 * time.Second
 
 // ConnPool shares tcpverbs connections across probes under explicit
 // resource budgets: max conns/fds, a dial-rate token bucket, idle GC
 // and per-target dial breakers. Safe for concurrent use; Close is
 // idempotent and releases every pooled connection.
 type ConnPool struct {
-	cfg   PoolConfig
 	pool  *connpool.Pool[string, *tcpverbs.Conn]
 	loops *loops // the idle-GC loop, when configured
 }
@@ -38,13 +37,10 @@ type ConnPool struct {
 // NewConnPool builds the pool and, when idle GC is configured, starts
 // its background collector, every IdleAfterNS/2 (at least 10ms).
 func NewConnPool(cfg PoolConfig) *ConnPool {
-	if cfg.AcquireTimeout <= 0 {
-		cfg.AcquireTimeout = 2 * time.Second
-	}
 	p := connpool.New[string, *tcpverbs.Conn](cfg.Config,
 		func() int64 { return time.Now().UnixNano() })
 	p.OnClose = func(_ string, c *tcpverbs.Conn) { c.Close() }
-	cp := &ConnPool{cfg: cfg, pool: p, loops: newLoops()}
+	cp := &ConnPool{pool: p, loops: newLoops()}
 	if cfg.IdleAfterNS > 0 {
 		every := max(time.Duration(cfg.IdleAfterNS/2), 10*time.Millisecond)
 		cp.loops.every(every, false, p.GC)
@@ -56,11 +52,11 @@ func NewConnPool(cfg PoolConfig) *ConnPool {
 // or one it dials under the pool's budgets. Shed verdicts (budget
 // pressure, breaker window, backoff) retry on a short sleep so
 // pressure delays the caller rather than failing it, bounded by
-// AcquireTimeout. Dial errors surface immediately — there the target,
+// acquireTimeout. Dial errors surface immediately — there the target,
 // not the budget, is the problem.
 func (cp *ConnPool) Get(addr string, hot bool) (connpool.Lease[string, *tcpverbs.Conn], error) {
 	var zero connpool.Lease[string, *tcpverbs.Conn]
-	deadline := time.Now().Add(cp.cfg.AcquireTimeout)
+	deadline := time.Now().Add(acquireTimeout)
 	for {
 		l, v, reason := cp.pool.Acquire(addr, hot)
 		switch v {

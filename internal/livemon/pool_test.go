@@ -31,10 +31,7 @@ func startFleet(t *testing.T, n int) []string {
 func TestPooledMonitor(t *testing.T) {
 	leakCheck(t)
 	addrs := startFleet(t, 6)
-	cp := NewConnPool(PoolConfig{
-		Config:         connpool.Config{MaxConns: 4, DialsPerSec: 500},
-		AcquireTimeout: 5 * time.Second,
-	})
+	cp := NewConnPool(PoolConfig{Config: connpool.Config{MaxConns: 4, DialsPerSec: 500}})
 	defer cp.Close()
 	probes := make([]*Probe, len(addrs))
 	for i, addr := range addrs {
@@ -129,7 +126,7 @@ func TestPushAndClaimCloseIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := StartPusher(PusherConfig{Target: h.Addr(), NodeID: 1, Provider: synthetic(1), Check: time.Millisecond})
+	p, err := startPusher(PusherConfig{Target: h.Addr(), Check: time.Millisecond}, 1, synthetic(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,10 +145,7 @@ func TestPooledProbeFailover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp := NewConnPool(PoolConfig{
-		Config:         connpool.Config{MaxConns: 2, BackoffNS: int64(time.Millisecond)},
-		AcquireTimeout: time.Second,
-	})
+	cp := NewConnPool(PoolConfig{Config: connpool.Config{MaxConns: 2}})
 	defer cp.Close()
 	p, err := DialPooled(cp, a.Addr())
 	if err != nil {

@@ -164,9 +164,7 @@ func (h *PushHost) Close() error {
 
 // PusherConfig configures a live delta pusher.
 type PusherConfig struct {
-	Target   string // push host address
-	NodeID   uint16
-	Provider procfs.Provider
+	Target string // push host address
 
 	// Threshold is the load-index delta that triggers a push
 	// (default core.DefaultChangeThreshold, 0.05).
@@ -189,9 +187,6 @@ func (c PusherConfig) withDefaults() PusherConfig {
 	if c.Heartbeat <= 0 {
 		c.Heartbeat = 16 * c.Check
 	}
-	if c.Provider == nil {
-		c.Provider = procfs.NewLinux("")
-	}
 	return c
 }
 
@@ -203,7 +198,8 @@ func (c PusherConfig) withDefaults() PusherConfig {
 // re-handshake and retry — an invalidated-and-re-pinned slot hands out
 // a fresh key.
 type Pusher struct {
-	cfg   PusherConfig
+	node  uint16
+	prov  procfs.Provider
 	conn  *tcpverbs.Conn
 	start time.Time
 
@@ -215,15 +211,15 @@ type Pusher struct {
 	loops *loops // the sampling loop
 }
 
-// StartPusher dials the push host, discovers this node's slot key and
-// starts the sampling loop.
-func StartPusher(cfg PusherConfig) (*Pusher, error) {
+// startPusher dials the push host, discovers node's slot key and
+// starts the sampling loop over prov.
+func startPusher(cfg PusherConfig, node uint16, prov procfs.Provider) (*Pusher, error) {
 	cfg = cfg.withDefaults()
 	conn, err := tcpverbs.Dial(cfg.Target)
 	if err != nil {
 		return nil, err
 	}
-	p := &Pusher{cfg: cfg, conn: conn, start: time.Now(), loops: newLoops(),
+	p := &Pusher{node: node, prov: prov, conn: conn, start: time.Now(), loops: newLoops(),
 		gate: core.NewPushGate(cfg.Threshold, sim.Time(cfg.Heartbeat))}
 	if err := p.rekey(); err != nil {
 		conn.Close()
@@ -245,7 +241,7 @@ func (p *Pusher) now() sim.Time {
 // rekey re-fetches this node's slot key from the control port.
 func (p *Pusher) rekey() error {
 	req := make([]byte, 2)
-	binary.BigEndian.PutUint16(req, p.cfg.NodeID)
+	binary.BigEndian.PutUint16(req, p.node)
 	reply, err := p.conn.Call(portPushInfo, req)
 	if err != nil {
 		return fmt.Errorf("livemon: push key exchange: %w", err)
@@ -261,11 +257,11 @@ func (p *Pusher) rekey() error {
 
 // check samples the machine and pushes if the gate says so.
 func (p *Pusher) check() {
-	s, err := p.cfg.Provider.Snapshot()
+	s, err := p.prov.Snapshot()
 	if err != nil {
 		return // transient sampling errors keep the old state
 	}
-	pr := wire.PushRecord{Load: s.Record(p.cfg.NodeID, 0)}
+	pr := wire.PushRecord{Load: s.Record(p.node, 0)}
 	p.mu.Lock()
 	push := p.gate.Check(&pr, p.now())
 	key := p.key

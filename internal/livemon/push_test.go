@@ -35,10 +35,9 @@ func TestPushHostReceivesDeltas(t *testing.T) {
 	defer h.Close()
 
 	prov := synthetic(1)
-	p, err := StartPusher(PusherConfig{
-		Target: h.Addr(), NodeID: 7, Provider: prov,
-		Check: 5 * time.Millisecond, Heartbeat: time.Hour,
-	})
+	p, err := startPusher(PusherConfig{
+		Target: h.Addr(), Check: 5 * time.Millisecond, Heartbeat: time.Hour,
+	}, 7, prov)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,11 +112,11 @@ func TestPushHostInvalidationRekeys(t *testing.T) {
 	defer h.Close()
 
 	prov := synthetic(1)
-	p, err := StartPusher(PusherConfig{
-		Target: h.Addr(), NodeID: 3, Provider: prov,
+	p, err := startPusher(PusherConfig{
+		Target: h.Addr(),
 		// Tight heartbeat so every check pushes: key failures surface fast.
 		Check: 5 * time.Millisecond, Heartbeat: time.Millisecond,
-	})
+	}, 3, prov)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,10 +149,10 @@ func TestPushHostRejectsWrongNode(t *testing.T) {
 	prov := synthetic(1)
 	s, _ := prov.Snapshot()
 	pr := wire.PushRecord{PushSeq: 1, PushedNS: time.Now().UnixNano(), Load: s.Record(2, 1)}
-	p, err := StartPusher(PusherConfig{
-		Target: h.Addr(), NodeID: 1, Provider: prov,
-		Check: time.Hour, // loop stays idle; we drive the write below
-	})
+	p, err := startPusher(PusherConfig{
+		Target: h.Addr(),
+		Check:  time.Hour, // loop stays idle; we drive the write below
+	}, 1, prov)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,10 +184,10 @@ func TestPushHostAcceptsRestartedPusher(t *testing.T) {
 	defer h.Close()
 
 	cfg := PusherConfig{
-		Target: h.Addr(), NodeID: 6, Provider: synthetic(1),
-		Check: 5 * time.Millisecond, Heartbeat: time.Millisecond,
+		Target: h.Addr(), Check: 5 * time.Millisecond, Heartbeat: time.Millisecond,
 	}
-	p1, err := StartPusher(cfg)
+	prov := synthetic(1)
+	p1, err := startPusher(cfg, 6, prov)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +198,7 @@ func TestPushHostAcceptsRestartedPusher(t *testing.T) {
 	p1.Close()
 	old, _, _ := h.Latest(6)
 
-	p2, err := StartPusher(cfg)
+	p2, err := startPusher(cfg, 6, prov)
 	if err != nil {
 		t.Fatal(err)
 	}

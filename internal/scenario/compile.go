@@ -208,7 +208,7 @@ func (cp *Compiled) ClusterConfig(seed int64, policy string) cluster.Config {
 	if pt <= 0 {
 		pt = cp.Poll
 	}
-	cfg := cluster.Config{
+	return cluster.Config{
 		Backends:     cp.Backends,
 		Scheme:       cp.Scheme,
 		Poll:         cp.Poll,
@@ -220,11 +220,8 @@ func (cp *Compiled) ClusterConfig(seed int64, policy string) cluster.Config {
 		MRRepin:      cp.MRRepin,
 		Replicas:     cp.S.Replicas,
 		BackendSpecs: cp.Specs,
+		Failover:     cp.S.Failover,
 	}
-	if cp.S.Failover {
-		cfg.Failover = &core.FailoverConfig{}
-	}
-	return cfg
 }
 
 // Plan compiles the fault side of the scenario for one seed: the

@@ -139,11 +139,12 @@ type RetryPolicy struct {
 	Backoff time.Duration
 	// MaxBackoff caps the doubling (default 500ms).
 	MaxBackoff time.Duration
-	// Jitter randomizes each backoff by ±Jitter/2 of its value
-	// (default 0.5), de-synchronizing probers that all saw the same
-	// back-end die at the same moment.
-	Jitter float64
 }
+
+// retryJitter randomizes each backoff by ±retryJitter/2 of its value,
+// de-synchronizing probers that all saw the same back-end die at the
+// same moment.
+const retryJitter = 0.5
 
 func (p RetryPolicy) withDefaults() RetryPolicy {
 	if p.Attempts <= 0 {
@@ -154,9 +155,6 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	}
 	if p.MaxBackoff <= 0 {
 		p.MaxBackoff = 500 * time.Millisecond
-	}
-	if p.Jitter <= 0 {
-		p.Jitter = 0.5
 	}
 	return p
 }
@@ -713,7 +711,7 @@ func (c *Conn) post(op byte, n int) []byte {
 }
 
 // ring runs attempt under the redial-and-replay policy: exponential
-// backoff with ±Jitter/2 randomization, a redial before each retry, the
+// backoff with ±retryJitter/2 randomization, a redial before each retry, the
 // stream poisoned after a failed attempt. The verb's frames leave the
 // doorbell either way; unreaped writes stay. Caller holds c.mu.
 func (c *Conn) ring(post func(), reap func() error) error {
@@ -722,7 +720,7 @@ func (c *Conn) ring(post func(), reap func() error) error {
 	err := ErrClosed
 	for attempt := 0; attempt < pol.Attempts && !c.isClosed(); attempt++ {
 		if attempt > 0 {
-			t := time.NewTimer(time.Duration(float64(backoff) * (1 + pol.Jitter*(c.rng.Float64()-0.5))))
+			t := time.NewTimer(time.Duration(float64(backoff) * (1 + retryJitter*(c.rng.Float64()-0.5))))
 			select {
 			case <-t.C:
 			case <-c.done:

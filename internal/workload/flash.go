@@ -12,7 +12,7 @@ import (
 
 // FlashCrowdConfig shapes an open-loop burst generator: every
 // (exponentially distributed) interval, a crowd of MinSize..MaxSize
-// requests arrives within SpanMS milliseconds. Auction sites see
+// requests arrives within burstSpan. Auction sites see
 // exactly this pattern around popular items closing; it is the regime
 // where a dispatcher working from stale load information piles an
 // entire burst onto whichever server *used to* look idle.
@@ -22,10 +22,12 @@ type FlashCrowdConfig struct {
 	Every    sim.Time
 	MinSize  int
 	MaxSize  int
-	Span     sim.Time
 	Gen      Generator
 	Seed     int64
 }
+
+// burstSpan is the window a crowd's requests arrive within.
+const burstSpan = 20 * sim.Millisecond
 
 // FlashCrowd injects synchronized request bursts and records their
 // response times.
@@ -52,9 +54,6 @@ func StartFlashCrowd(fab *simnet.Fabric, cfg FlashCrowdConfig) *FlashCrowd {
 	if cfg.MaxSize < cfg.MinSize {
 		cfg.MaxSize = cfg.MinSize
 	}
-	if cfg.Span <= 0 {
-		cfg.Span = 20 * sim.Millisecond
-	}
 	fc := &FlashCrowd{
 		Cfg:      cfg,
 		fab:      fab,
@@ -74,7 +73,7 @@ func (fc *FlashCrowd) scheduleBurst() {
 	fc.fab.Eng.After(wait, func() {
 		n := fc.Cfg.MinSize + fc.rng.Intn(fc.Cfg.MaxSize-fc.Cfg.MinSize+1)
 		for i := 0; i < n; i++ {
-			off := sim.Time(fc.rng.Int63n(int64(fc.Cfg.Span) + 1))
+			off := sim.Time(fc.rng.Int63n(int64(burstSpan) + 1))
 			fc.fab.Eng.After(off, fc.injectOne)
 		}
 		fc.scheduleBurst()

@@ -65,8 +65,8 @@ func CmdOnly() int     { return 2 }
 func ExampleOnly() int { return 3 }
 
 // Knobs holds one field per case of the knob rule. Every field is read
-// in production (Knobs.Sum); a field no live production code writes is
-// reported.
+// in production (Knobs.Sum); a field no live production code writes,
+// or writes only by a default fill, is reported.
 type Knobs struct {
 	TestSet   int     // set only by lib_test.go: reported
 	DeadWrite int     // set only by deadSetter, which nothing calls: reported
@@ -75,25 +75,43 @@ type Knobs struct {
 	Count     int     // set by ++
 	Addr      int     // set through &
 	Meter     Counter // set by a pointer-method call on the value
-	Filled    int     // set by a default fill
+	Filled    int     // set only under if Filled == 0: reported
+	Clamped   int     // set only by Knobs' value-receiver clamped: reported
+	HighWater int     // set by a high-water mark outside a Knobs method
 }
 
-// NewKnobs writes Lit, Index, Count, Addr and Meter.
+// NewKnobs writes Lit, Index, Count, Addr, Meter and HighWater.
 func NewKnobs() *Knobs {
 	k := &Knobs{Lit: 1}
 	k.Index[0] = 2
 	k.Count++
 	setInt(&k.Addr)
 	k.Meter.Observe()
+	raise(k, 6)
 	return k
 }
 
-// Sum reads every field, filling Filled's default first.
+func raise(k *Knobs, v int) {
+	if v > k.HighWater {
+		k.HighWater = v
+	}
+}
+
+// Sum reads every field, filling Filled's default and clamping Clamped
+// first.
 func (k *Knobs) Sum() int {
 	if k.Filled == 0 {
 		k.Filled = 3
 	}
-	return k.TestSet + k.DeadWrite + k.Lit + k.Index[0] + k.Count + k.Addr + k.Meter.n + k.Filled
+	c := k.clamped()
+	return k.TestSet + k.DeadWrite + k.Lit + k.Index[0] + k.Count + k.Addr + k.Meter.n + k.Filled + c.Clamped + k.HighWater
+}
+
+func (k Knobs) clamped() Knobs {
+	if k.Clamped > 9 {
+		k.Clamped = 9
+	}
+	return k
 }
 
 func setInt(p *int) { *p = 4 }
