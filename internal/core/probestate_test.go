@@ -76,11 +76,11 @@ func TestProbeStateDecisions(t *testing.T) {
 			want{health: Degraded, fallbacks: 1}},
 		{"rdma fail, socket fail", func(s *ProbeState) { probes(s, stateProbe{rdma: fail, socket: fail}) },
 			want{health: Suspect, fallbacks: 1, errors: 1}},
-		{"trip at tripAfter", func(s *ProbeState) { probes(s, tripped(1, nil)...) },
+		{"trip at TripAfter", func(s *ProbeState) { probes(s, tripped(1, nil)...) },
 			want{health: Degraded, fallbacks: 3, tripped: true, trips: 1}},
-		{"re-arm every reArmEvery-th tripped probe", func(s *ProbeState) { probes(s, tripped(9, fail)...) },
+		{"re-arm every ReArmEvery-th tripped probe", func(s *ProbeState) { probes(s, tripped(9, fail)...) },
 			want{health: Degraded, fallbacks: 11, rearms: 2, tripped: true, trips: 1}},
-		{"fail back after failBackAfter", func(s *ProbeState) {
+		{"fail back after FailBackAfter", func(s *ProbeState) {
 			probes(s, append(tripped(8, nil), stateProbe{})...)
 		}, want{health: Healthy, fallbacks: 10, rearms: 2, trips: 1, failBacks: 1}},
 		{"torn bound, then ErrTorn is an error", func(s *ProbeState) {
