@@ -70,9 +70,7 @@ var testReadState = []string{
 	"internal/livemon.Probe.Rehandshakes",
 	"internal/livemon.Pusher.rekeys",
 	"internal/livemon.claimVault.words",
-	"internal/loadbalance.WeightedLeastLoad.DegradedPicks",
-	"internal/loadbalance.WeightedLeastLoad.ExcludedPicks",
-	"internal/loadbalance.WeightedProportional.DegradedPicks",
+	"internal/loadbalance.View.DegradedPicks",
 	"internal/simnet.NIC.DialErrors",
 	"internal/simnet.NIC.Dials",
 	"internal/simnet.NIC.DoorbellBatches",
@@ -125,8 +123,8 @@ func TestNoTestOnlyAPI(t *testing.T) {
 	for _, id := range found.dead {
 		t.Errorf("%s: production writes it but nothing reads it; delete it with the code that feeds it", id)
 	}
-	if n := len(testReadState); n > 34 {
-		t.Errorf("testReadState has %d entries; it only shrinks, from 34", n)
+	if n := len(testReadState); n > 32 {
+		t.Errorf("testReadState has %d entries; it only shrinks, from 32", n)
 	}
 	for _, msg := range inventoryErrors(found.testRead, testReadState) {
 		t.Error(msg)

@@ -136,6 +136,10 @@ func runProbe(args []string) {
 		fmt.Fprintln(os.Stderr, "rmmon probe: -targets and a positive -interval required")
 		os.Exit(2)
 	}
+	if *periodMax > 0 && *periodMax < *interval {
+		fmt.Fprintf(os.Stderr, "rmmon probe: period ceiling %v is below the floor %v (-period-max, -interval)\n", *periodMax, *interval)
+		os.Exit(2)
+	}
 	addrs := strings.Split(*targets, ",")
 	for i := range addrs {
 		addrs[i] = strings.TrimSpace(addrs[i])

@@ -167,3 +167,26 @@ func TestCLIShapes(t *testing.T) {
 		})
 	}
 }
+
+// TestInvertedPeriodRangeExit: a -period-max below -interval is a usage
+// error (exit 2), as rmbench's inverted range is, instead of a silent
+// 16×interval ceiling. A range whose ends meet passes the check and
+// gets as far as dialing the (unreachable) target, which exits 1.
+func TestInvertedPeriodRangeExit(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	for _, tc := range []struct {
+		periodMax string
+		want      int
+	}{{"10ms", 2}, {"49ms", 2}, {"50ms", 1}} {
+		out, err := rmmon(ctx, "probe", "-targets", "127.0.0.1:1", "-count", "1",
+			"-interval", "50ms", "-period-max", tc.periodMax).CombinedOutput()
+		var ee *exec.ExitError
+		if !errors.As(err, &ee) || ee.ExitCode() != tc.want {
+			t.Fatalf("-period-max %s: want exit %d, got %v\n%s", tc.periodMax, tc.want, err, out)
+		}
+		if tc.want == 2 && !strings.Contains(string(out), "below the floor") {
+			t.Fatalf("-period-max %s: usage error does not say why:\n%s", tc.periodMax, out)
+		}
+	}
+}

@@ -12,6 +12,12 @@
 //     servers and miss their latency objective;
 //   - stale-high records over-reject: capacity that has already
 //     drained goes unused (lost revenue).
+//
+// The controller reads the front end's loadbalance.View, the one the
+// weighted dispatch policies embed: its back-ends, their records, the
+// candidate filter and the degraded handicap, so admission and routing
+// agree on which back-ends are capacity. It adds only its own Weights
+// and Threshold, which differ from the policy's under e-RDMA-Sync.
 package admission
 
 import (
@@ -25,20 +31,6 @@ type Config struct {
 	// full. A request is rejected when every back-end is full.
 	Threshold float64
 	Weights   core.Weights
-
-	// Eligible, if set, reports whether a back-end may serve at all
-	// (the monitor's health verdict). Quarantined and crashed back-ends
-	// are skipped outright: the dispatcher will never route to them, so
-	// counting their (stale, often idle-looking) records as spare
-	// capacity admits requests the cluster cannot actually serve.
-	Eligible func(backend int) bool
-
-	// Degraded, if set, reports a back-end currently monitored over its
-	// fallback transport. Its index is handicapped by
-	// loadbalance.DefaultDegradedPenalty — the same handicap the
-	// dispatch policy applies — so admission and routing agree on how
-	// much headroom a shakily-monitored back-end really has.
-	Degraded func(backend int) bool
 }
 
 // Defaults returns a controller configuration that starts rejecting
@@ -49,40 +41,45 @@ func Defaults() Config {
 
 // Controller decides request admission from monitored load records.
 type Controller struct {
-	Cfg    Config
-	Source loadbalance.LoadSource
+	Cfg  Config
+	view *loadbalance.View
 
 	Admitted uint64
 	Rejected uint64
 }
 
-// New creates a controller reading records from source.
-func New(cfg Config, source loadbalance.LoadSource) *Controller {
+// New creates a controller reading back-ends and records through view.
+func New(cfg Config, view *loadbalance.View) *Controller {
 	if cfg.Threshold <= 0 {
 		cfg.Threshold = Defaults().Threshold
 	}
 	if cfg.Weights == (core.Weights{}) {
 		cfg.Weights = Defaults().Weights
 	}
-	return &Controller{Cfg: cfg, Source: source}
+	return &Controller{Cfg: cfg, view: view}
 }
 
-// Admit decides one request given the candidate back-ends. A back-end
-// with no record yet counts as available (optimistic start); an
-// ineligible one never does.
-func (c *Controller) Admit(backends []int) bool {
+// Admit decides one request over the view's back-ends. A back-end
+// with no record yet counts as available (optimistic start). One the
+// view filters out never does: the dispatcher will never route to a
+// quarantined back-end, so counting its (stale, often idle-looking)
+// record as spare capacity admits requests the cluster cannot serve.
+// A degraded one carries the same DefaultDegradedPenalty the dispatch
+// policies apply.
+func (c *Controller) Admit() bool {
+	v := c.view
 	ok := false
-	for _, b := range backends {
-		if c.Cfg.Eligible != nil && !c.Cfg.Eligible(b) {
+	for _, b := range v.Backends {
+		if !v.Holds(b) || v.Quarantined(b) {
 			continue
 		}
-		rec, have := c.Source(b)
+		rec, have := v.Source(b)
 		if !have {
 			ok = true
 			break
 		}
 		idx := c.Cfg.Weights.IndexOf(&rec)
-		if c.Cfg.Degraded != nil && c.Cfg.Degraded(b) {
+		if v.IsDegraded(b) {
 			idx += loadbalance.DefaultDegradedPenalty
 		}
 		if idx < c.Cfg.Threshold {

@@ -7,6 +7,7 @@ import (
 
 	"rdmamon/internal/cluster"
 	"rdmamon/internal/core"
+	"rdmamon/internal/loadbalance"
 	"rdmamon/internal/sim"
 	"rdmamon/internal/wire"
 )
@@ -23,13 +24,19 @@ func recWithLoad(node int, util int, conns int) wire.LoadRecord {
 	return r
 }
 
+// view is a dispatch view over backends reading records from loads.
+func view(loads map[int]wire.LoadRecord, backends ...int) *loadbalance.View {
+	return &loadbalance.View{Backends: backends,
+		Source: func(b int) (wire.LoadRecord, bool) { r, ok := loads[b]; return r, ok }}
+}
+
 func TestAdmitWhenCapacityExists(t *testing.T) {
 	loads := map[int]wire.LoadRecord{
 		1: recWithLoad(1, 1000, 64),
 		2: recWithLoad(2, 100, 2),
 	}
-	c := admission.New(admission.Defaults(), func(b int) (wire.LoadRecord, bool) { r, ok := loads[b]; return r, ok })
-	if !c.Admit([]int{1, 2}) {
+	c := admission.New(admission.Defaults(), view(loads, 1, 2))
+	if !c.Admit() {
 		t.Fatal("should admit: node 2 has capacity")
 	}
 	if c.Admitted != 1 || c.Rejected != 0 {
@@ -39,8 +46,8 @@ func TestAdmitWhenCapacityExists(t *testing.T) {
 
 func TestRejectWhenAllFull(t *testing.T) {
 	full := recWithLoad(1, 1000, 64)
-	c := admission.New(admission.Defaults(), func(int) (wire.LoadRecord, bool) { return full, true })
-	if c.Admit([]int{1, 2, 3}) {
+	c := admission.New(admission.Defaults(), view(map[int]wire.LoadRecord{1: full, 2: full, 3: full}, 1, 2, 3))
+	if c.Admit() {
 		t.Fatal("should reject: every backend saturated")
 	}
 	if c.Admitted != 0 || c.Rejected != 1 {
@@ -49,8 +56,8 @@ func TestRejectWhenAllFull(t *testing.T) {
 }
 
 func TestMissingRecordIsOptimistic(t *testing.T) {
-	c := admission.New(admission.Defaults(), func(int) (wire.LoadRecord, bool) { return wire.LoadRecord{}, false })
-	if !c.Admit([]int{1}) {
+	c := admission.New(admission.Defaults(), view(nil, 1))
+	if !c.Admit() {
 		t.Fatal("no record yet should admit")
 	}
 }
@@ -121,16 +128,15 @@ func TestIneligibleBackendsAreNoCapacity(t *testing.T) {
 		1: recWithLoad(1, 1000, 64), // saturated but alive
 		2: recWithLoad(2, 50, 1),    // looks idle — but it is dead
 	}
-	cfg := admission.Defaults()
-	cfg.Eligible = func(b int) bool { return b != 2 }
-	c := admission.New(cfg, func(b int) (wire.LoadRecord, bool) { r, ok := loads[b]; return r, ok })
-	if c.Admit([]int{1, 2}) {
+	v := view(loads, 1, 2)
+	v.Exclude = func(b int) bool { return b == 2 }
+	c := admission.New(admission.Defaults(), v)
+	if c.Admit() {
 		t.Fatal("admitted against a dead back-end's stale record")
 	}
 	// The same cluster with node 2 alive admits.
-	cfg.Eligible = nil
-	c2 := admission.New(cfg, func(b int) (wire.LoadRecord, bool) { r, ok := loads[b]; return r, ok })
-	if !c2.Admit([]int{1, 2}) {
+	c2 := admission.New(admission.Defaults(), view(loads, 1, 2))
+	if !c2.Admit() {
 		t.Fatal("should admit when the idle back-end is actually alive")
 	}
 }
@@ -142,15 +148,15 @@ func TestDegradedPenaltyMatchesDispatch(t *testing.T) {
 	// DefaultWeights CPU weight is 0.35: util 820/1000 -> index ~0.287.
 	marginal := recWithLoad(1, 820, 0)
 	cfg := admission.Config{Threshold: 0.30, Weights: core.DefaultWeights()}
-	cfg.Degraded = func(int) bool { return true }
-	c := admission.New(cfg, func(int) (wire.LoadRecord, bool) { return marginal, true })
-	if c.Admit([]int{1}) {
+	v := view(map[int]wire.LoadRecord{1: marginal}, 1)
+	v.Degraded = func(int) bool { return true }
+	c := admission.New(cfg, v)
+	if c.Admit() {
 		t.Fatal("degraded penalty (default 0.05) should tip 0.287 past threshold 0.30")
 	}
 	// Healthy transport: same record admits.
-	cfg.Degraded = nil
-	c2 := admission.New(cfg, func(int) (wire.LoadRecord, bool) { return marginal, true })
-	if !c2.Admit([]int{1}) {
+	c2 := admission.New(cfg, view(map[int]wire.LoadRecord{1: marginal}, 1))
+	if !c2.Admit() {
 		t.Fatal("healthy back-end under threshold should admit")
 	}
 }

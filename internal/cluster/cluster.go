@@ -188,6 +188,7 @@ type Replica struct {
 	Dispatcher *httpsim.Dispatcher
 	ClaimMgr   *core.ClaimManager
 
+	view *loadbalance.View // what Policy filters with; claims arm its Claimed
 	down bool
 }
 
@@ -213,6 +214,7 @@ type Cluster struct {
 	Monitor    *core.Monitor
 	Policy     loadbalance.Policy
 	Dispatcher *httpsim.Dispatcher
+	view       *loadbalance.View // the primary's; admission reads it
 
 	// Pushers are the back-end delta pushers of the hybrid scheme
 	// (Cfg.Hybrid on an RDMA scheme), indexed like Backends. They write
@@ -305,10 +307,7 @@ func New(cfg Config) *Cluster {
 			c.startPusher(i)
 		}
 	}
-	c.Policy = c.buildPolicy()
-	if !cfg.NoServers {
-		c.Dispatcher = c.wireDispatcher(c.Front, c.FNIC, c.Policy)
-	}
+	c.Policy, c.view, c.Dispatcher = c.frontEnd(c.Front, c.FNIC, c.Monitor, c.Rand)
 	if cfg.Replicas > 1 {
 		c.buildHA()
 	}
@@ -330,28 +329,6 @@ func (c *Cluster) startPusher(i int) {
 		}, *c.Cfg.Hybrid)
 }
 
-// wireDispatcher starts a dispatcher on node and blends its local
-// connection-count signal into the policy.
-func (c *Cluster) wireDispatcher(node *simos.Node, nic *simnet.NIC, pol loadbalance.Policy) *httpsim.Dispatcher {
-	d := httpsim.StartDispatcher(node, nic, pol)
-	lw := c.Cfg.LocalWeight
-	switch {
-	case lw < 0:
-		lw = 0
-	case lw == 0:
-		lw = 0.1
-	}
-	switch p := pol.(type) {
-	case *loadbalance.WeightedLeastLoad:
-		p.LocalWeight = lw
-		p.LocalFrac = d.LocalFrac
-	case *loadbalance.WeightedProportional:
-		p.LocalWeight = lw
-		p.LocalFrac = d.LocalFrac
-	}
-	return d
-}
-
 // buildHA replicates the front-end: standby replica nodes, the
 // witness with its claim vault, and a claim manager per replica
 // fencing every dispatcher. Replica 0 wraps the objects New already
@@ -363,7 +340,7 @@ func (c *Cluster) buildHA() {
 	c.ClaimVault = core.NewClaimVault(c.WitnessNIC, c.Cfg.Claim.Shards)
 
 	r0 := &Replica{Index: 0, Node: c.Front, NIC: c.FNIC,
-		Monitor: c.Monitor, Policy: c.Policy, Dispatcher: c.Dispatcher}
+		Monitor: c.Monitor, Policy: c.Policy, Dispatcher: c.Dispatcher, view: c.view}
 	c.FrontEnds = []*Replica{r0}
 	for i := 1; i < c.Cfg.Replicas; i++ {
 		node := simos.NewNode(c.Eng, c.Cfg.Backends+i, simos.Config{})
@@ -395,10 +372,7 @@ func (c *Cluster) startReplica(r *Replica) {
 	if c.Cfg.Failover && c.Cfg.Scheme.UsesRDMA() {
 		r.Monitor.ArmFailover()
 	}
-	r.Policy = c.buildPolicyFor(r.Monitor, c.replicaRand(r.Index))
-	if !c.Cfg.NoServers {
-		r.Dispatcher = c.wireDispatcher(r.Node, r.NIC, r.Policy)
-	}
+	r.Policy, r.view, r.Dispatcher = c.frontEnd(r.Node, r.NIC, r.Monitor, c.replicaRand(r.Index))
 }
 
 // ShardOf maps a back-end node ID onto its claim shard.
@@ -427,12 +401,7 @@ func (c *Cluster) armClaims(r *Replica) {
 		if r.Dispatcher != nil {
 			r.Dispatcher.BackendFence = claimed
 		}
-		switch p := r.Policy.(type) {
-		case *loadbalance.WeightedLeastLoad:
-			p.Claimed = claimed
-		case *loadbalance.WeightedProportional:
-			p.Claimed = claimed
-		}
+		r.view.Claimed = claimed
 	} else if r.Dispatcher != nil {
 		r.Dispatcher.Fence = func() bool { return mgr.Valid(0, eng.Now()) }
 	}
@@ -450,7 +419,7 @@ func (c *Cluster) restartReplica(r *Replica) {
 	c.armClaims(r)
 	r.down = false
 	if r.Index == 0 {
-		c.Monitor, c.Policy, c.Dispatcher = r.Monitor, r.Policy, r.Dispatcher
+		c.Monitor, c.Policy, c.view, c.Dispatcher = r.Monitor, r.Policy, r.view, r.Dispatcher
 	}
 	if c.OnReplicaRestart != nil {
 		c.OnReplicaRestart(r)
@@ -551,69 +520,72 @@ func (c *Cluster) agentConfig(i int) core.AgentConfig {
 	}
 }
 
-func (c *Cluster) buildPolicy() loadbalance.Policy {
-	return c.buildPolicyFor(c.Monitor, c.Rand)
-}
-
-// buildPolicyFor builds the dispatch policy against a specific
-// monitor (each front-end replica routes from its own warm view).
-func (c *Cluster) buildPolicyFor(mon *core.Monitor, rng *rand.Rand) loadbalance.Policy {
+// frontEnd builds one front end's dispatch path against mon (each
+// replica routes from its own warm load view): the View of its
+// back-ends, the policy over it and, unless NoServers, the dispatcher,
+// whose recent-traffic signal the View blends in. Every policy gets a
+// View so admission control has one to read; only the weighted
+// policies embed theirs.
+func (c *Cluster) frontEnd(node *simos.Node, nic *simnet.NIC, mon *core.Monitor, rng *rand.Rand) (loadbalance.Policy, *loadbalance.View, *httpsim.Dispatcher) {
 	ids := c.BackendIDs()
-	switch c.Cfg.Policy {
-	case PolicyRoundRobin:
-		return &loadbalance.RoundRobin{Backends: ids}
-	case PolicyRandom:
-		return &loadbalance.Random{Backends: ids, Rng: rng}
-	case PolicyLeastLoad, PolicyWebSphere:
-		source := recordSource(mon)
+	lw := c.Cfg.LocalWeight
+	switch {
+	case lw < 0:
+		lw = 0
+	case lw == 0:
+		lw = 0.1
+	}
+	view := &loadbalance.View{
+		Backends:    ids,
+		Weights:     core.WeightsFor(c.Cfg.Scheme),
+		Source:      recordSource(mon),
+		Rng:         rng,
+		LocalWeight: lw,
 		// Quarantined back-ends (3 consecutive failed probes) get zero
 		// traffic until they pass probation.
-		exclude := func(b int) bool { return !mon.Health(b).Eligible() }
-		var degraded func(int) bool
-		if c.Cfg.Failover {
-			// Back-ends monitored over the socket standby stay in the
-			// dispatch set but carry a small index handicap.
-			degraded = func(b int) bool { return mon.Health(b) == core.Degraded }
+		Exclude: func(b int) bool { return !mon.Health(b).Eligible() },
+	}
+	if c.Cfg.Failover {
+		// Back-ends monitored over the socket standby stay in the
+		// dispatch set but carry a small index handicap.
+		view.Degraded = func(b int) bool { return mon.Health(b) == core.Degraded }
+	}
+	var pol loadbalance.Policy
+	switch c.Cfg.Policy {
+	case PolicyRoundRobin:
+		pol = &loadbalance.RoundRobin{Backends: ids}
+	case PolicyRandom:
+		pol = &loadbalance.Random{Backends: ids, Rng: rng}
+	case PolicyLeastLoad:
+		wll := &loadbalance.WeightedLeastLoad{View: *view, Updates: mon.Updates}
+		if c.Cfg.TrendHorizon > 0 {
+			wll.Slope = mon.Slope
+			wll.TrendHorizon = c.Cfg.TrendHorizon
 		}
-		if c.Cfg.Policy == PolicyLeastLoad {
-			wll := &loadbalance.WeightedLeastLoad{
-				Backends: ids,
-				Weights:  core.WeightsFor(c.Cfg.Scheme),
-				Source:   source,
-				Updates:  mon.Updates,
-				Rng:      rng,
-				Exclude:  exclude,
-				Degraded: degraded,
-				Picks:    make(map[int]uint64),
-			}
-			if c.Cfg.TrendHorizon > 0 {
-				wll.Slope = mon.Slope
-				wll.TrendHorizon = c.Cfg.TrendHorizon
-			}
-			return wll
-		}
+		pol, view = wll, &wll.View
+	case PolicyWebSphere:
+		eng := c.Eng
 		wp := &loadbalance.WeightedProportional{
-			Backends:   ids,
-			Weights:    core.WeightsFor(c.Cfg.Scheme),
-			Source:     source,
-			Rng:        rng,
+			View:       *view,
 			Gamma:      c.Cfg.Gamma,
 			StaleAfter: 250 * sim.Millisecond,
-			Exclude:    exclude,
-			Degraded:   degraded,
-			Picks:      make(map[int]uint64),
+			Aged: func(b int) (wire.LoadRecord, sim.Time, bool) {
+				if r, at, ok := mon.Latest(b); ok {
+					return *r, eng.Now() - at, true
+				}
+				return wire.LoadRecord{}, 0, false
+			},
 		}
-		eng := c.Eng
-		wp.Aged = func(b int) (wire.LoadRecord, sim.Time, bool) {
-			if r, at, ok := mon.Latest(b); ok {
-				return *r, eng.Now() - at, true
-			}
-			return wire.LoadRecord{}, 0, false
-		}
-		return wp
+		pol, view = wp, &wp.View
 	default:
 		panic(fmt.Sprintf("cluster: unknown policy %q", c.Cfg.Policy))
 	}
+	if c.Cfg.NoServers {
+		return pol, view, nil
+	}
+	d := httpsim.StartDispatcher(node, nic, pol)
+	view.LocalFrac = d.LocalFrac
+	return pol, view, d
 }
 
 // recordSource is the record input the weighted policies and admission
@@ -822,21 +794,15 @@ func (c *Cluster) ApplyFaults(plan faults.Plan) *faults.Injector {
 
 // EnableAdmission installs an admission controller in front of the
 // dispatcher, fed by the cluster's monitor (the paper's §1 use case).
+// It reads the primary's dispatch View, so it sees back-ends exactly as
+// dispatch does: quarantined nodes are no capacity at all, degraded
+// ones carry the same index handicap the policy applies.
 func (c *Cluster) EnableAdmission(cfg admission.Config) *admission.Controller {
 	if c.Dispatcher == nil {
 		panic("cluster: admission needs a dispatcher")
 	}
-	m := c.Monitor
-	// Admission sees back-ends exactly as dispatch does: quarantined
-	// nodes are no capacity at all, degraded ones carry the same index
-	// handicap the policy applies.
-	cfg.Eligible = func(b int) bool { return m.Health(b).Eligible() }
-	if c.Cfg.Failover {
-		cfg.Degraded = func(b int) bool { return m.Health(b) == core.Degraded }
-	}
-	ctl := admission.New(cfg, recordSource(c.Monitor))
-	ids := c.BackendIDs()
-	c.Dispatcher.Admission = func() bool { return ctl.Admit(ids) }
+	ctl := admission.New(cfg, c.view)
+	c.Dispatcher.Admission = ctl.Admit
 	return ctl
 }
 

@@ -61,9 +61,9 @@ func TestMRInvalidationFailoverAndFailBack(t *testing.T) {
 
 	// Degraded stays in the dispatch set, discounted: traffic continues.
 	wp := c.Policy.(*loadbalance.WeightedProportional)
-	before := wp.Picks[victim]
+	before := c.Dispatcher.ByNode[victim]
 	c.Run(1 * sim.Second)
-	if wp.Picks[victim] == before {
+	if c.Dispatcher.ByNode[victim] == before {
 		t.Fatal("degraded back-end received zero traffic")
 	}
 	if wp.DegradedPicks == 0 {

@@ -59,11 +59,12 @@ func TestCrashQuarantineAndReadmit(t *testing.T) {
 
 			// While quarantined: zero dispatched traffic to dead nodes.
 			wp := c.Policy.(*loadbalance.WeightedProportional)
-			before2, before3 := wp.Picks[2], wp.Picks[3]
+			routed := c.Dispatcher.ByNode
+			before2, before3 := routed[2], routed[3]
 			c.Run(restartAt - c.Eng.Now() - 100*sim.Millisecond)
-			if wp.Picks[2] != before2 || wp.Picks[3] != before3 {
+			if routed[2] != before2 || routed[3] != before3 {
 				t.Fatalf("quarantined back-ends picked: 2: %d->%d, 3: %d->%d",
-					before2, wp.Picks[2], before3, wp.Picks[3])
+					before2, routed[2], before3, routed[3])
 			}
 			if wp.ExcludedPicks == 0 {
 				t.Fatal("ExcludedPicks stayed zero while two back-ends were quarantined")
@@ -76,9 +77,9 @@ func TestCrashQuarantineAndReadmit(t *testing.T) {
 					t.Fatalf("backend %d health = %v after restart+probation", b, h)
 				}
 			}
-			after2, after3 := wp.Picks[2], wp.Picks[3]
+			after2, after3 := routed[2], routed[3]
 			c.Run(2 * sim.Second)
-			if wp.Picks[2] == after2 && wp.Picks[3] == after3 {
+			if routed[2] == after2 && routed[3] == after3 {
 				t.Fatal("re-admitted back-ends never dispatched to")
 			}
 			if pool.Completed == 0 {

@@ -50,7 +50,7 @@ func TestPickMemoExact(t *testing.T) {
 				// The dispatcher calls OnRoute between the pick and the
 				// forward, so the twin sees what the pick saw.
 				twin := *w
-				twin.Updates, twin.Rng, twin.Picks = nil, twinRng, nil
+				twin.Updates, twin.Rng = nil, twinRng
 				if want := twin.Pick(); want != b {
 					t.Fatalf("decision %d at %v: memoized pick %d, fresh scoring picks %d",
 						decisions, c.Eng.Now(), b, want)

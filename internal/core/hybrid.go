@@ -44,7 +44,9 @@ type PeriodConfig struct {
 	// (defaults to the monitor's poll T).
 	Min sim.Time
 	// Max is the ceiling a quiet back-end's period decays toward
-	// (default 16×Min).
+	// (default 16×Min when unset). A set Max is kept even below Min,
+	// where it pins the period at Min: callers that take it from a
+	// user reject that range themselves.
 	Max sim.Time
 }
 
@@ -60,7 +62,7 @@ func (c PeriodConfig) WithDefaults(poll sim.Time) PeriodConfig {
 	if c.Min <= 0 {
 		c.Min = DefaultInterval
 	}
-	if c.Max < c.Min {
+	if c.Max <= 0 {
 		c.Max = 16 * c.Min
 	}
 	return c

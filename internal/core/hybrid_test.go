@@ -211,6 +211,31 @@ func TestHybridConfigDefaults(t *testing.T) {
 	}
 }
 
+// TestPeriodConfigWithDefaultsKeepsSetMax: WithDefaults fills Max only
+// when it is unset. A set ceiling, even one below Min, comes back as
+// given instead of turning into the 16×Min default, and the controller
+// then holds the period at Min.
+func TestPeriodConfigWithDefaultsKeepsSetMax(t *testing.T) {
+	poll := 50 * sim.Millisecond
+	for _, max := range []sim.Time{10 * sim.Millisecond, poll, 400 * sim.Millisecond} {
+		cfg := PeriodConfig{Min: poll, Max: max}.WithDefaults(poll)
+		if cfg.Min != poll || cfg.Max != max {
+			t.Fatalf("Max %v: WithDefaults gave %+v", max, cfg)
+		}
+	}
+	for _, unset := range []sim.Time{0, -1} {
+		if cfg := (PeriodConfig{Max: unset}).WithDefaults(poll); cfg.Max != 16*poll {
+			t.Fatalf("Max %v: WithDefaults gave %+v, want the 16×Min default", unset, cfg)
+		}
+	}
+	pc := &PeriodController{Cfg: PeriodConfig{Min: poll, Max: 10 * sim.Millisecond}.WithDefaults(poll)}
+	for i := 0; i < 5; i++ {
+		if p := pc.Observe(false, Healthy, true); p != poll {
+			t.Fatalf("inverted range: quiet observation %d gave period %v, want Min %v", i, p, poll)
+		}
+	}
+}
+
 func TestLoadDeltaSymmetricZero(t *testing.T) {
 	a := wire.LoadRecord{NumCPU: 2, NrRunning: 4, Conns: 10, MemUsedKB: 1 << 18, MemTotalKB: 1 << 20}
 	a.UtilPerMille[0] = 700

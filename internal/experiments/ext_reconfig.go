@@ -84,16 +84,14 @@ func reconfigPoint(o Options, name string, scheme core.Scheme, withCtl bool) Rec
 	groups := &reconfig.Groups{A: []int{1, 2, 3, 4}, B: []int{5, 6, 7, 8}}
 	mkPolicy := func() *loadbalance.WeightedProportional {
 		return &loadbalance.WeightedProportional{
-			Weights: core.WeightsFor(scheme),
-			Source:  source,
-			Rng:     eng.Rand(),
-			Gamma:   4,
+			View:  loadbalance.View{Weights: core.WeightsFor(scheme), Source: source, Rng: eng.Rand()},
+			Gamma: 4,
 		}
 	}
 	polA, polB := mkPolicy(), mkPolicy()
 	apply := func() {
-		reconfig.SetBackendsProportional(polA, groups.A)
-		reconfig.SetBackendsProportional(polB, groups.B)
+		polA.Backends = append([]int(nil), groups.A...)
+		polB.Backends = append([]int(nil), groups.B...)
 	}
 	apply()
 	httpsim.StartDispatcherOn(front, fnic, polA, "dispatch-a")

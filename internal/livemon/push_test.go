@@ -2,6 +2,7 @@ package livemon
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -236,12 +237,36 @@ func TestAgentStartsPusher(t *testing.T) {
 	}, "agent-integrated push")
 }
 
+// swingingLoad reads as the quiet synthetic(1) load until jumped is
+// set, then moves its CPU load by half the range on every sample (500,
+// 1000, 0, 500‰, …). An RDMA-Sync agent without a history ring samples
+// once per read, so every probe after the jump sees a change, even one
+// that follows a second sample, and the adaptive period stays at its
+// floor for as long as anyone looks rather than for one interval.
+type swingingLoad struct {
+	quiet   *procfs.Synthetic
+	jumped  atomic.Bool
+	samples atomic.Int64
+}
+
+func (p *swingingLoad) Snapshot() (procfs.Snapshot, error) {
+	if !p.jumped.Load() {
+		return p.quiet.Snapshot()
+	}
+	util := int(p.samples.Add(1)%3) * 500
+	return procfs.Snapshot{
+		NumCPU: 2, NrRunning: 9, NrTasks: 40,
+		UtilPerMille: []int{util, util},
+		MemUsedKB:    1 << 18, MemTotalKB: 1 << 20,
+	}, nil
+}
+
 // TestMonitorAdaptivePeriod: a quiet target's poll period decays toward
 // the ceiling; a load jump snaps it back to the base interval within a
-// cycle or two.
+// cycle or two, and a load that keeps changing holds it there.
 func TestMonitorAdaptivePeriod(t *testing.T) {
 	leakCheck(t)
-	prov := synthetic(1)
+	prov := &swingingLoad{quiet: synthetic(1)}
 	a, err := StartAgent(Config{Scheme: core.RDMASync, NodeID: 4, Provider: prov})
 	if err != nil {
 		t.Fatal(err)
@@ -264,11 +289,7 @@ func TestMonitorAdaptivePeriod(t *testing.T) {
 		return probePeriod(m, target) == maxP
 	}, "quiet target decaying to the ceiling")
 
-	prov.Set(procfs.Snapshot{
-		NumCPU: 2, NrRunning: 9, NrTasks: 40,
-		UtilPerMille: []int{1000, 1000},
-		MemUsedKB:    1 << 18, MemTotalKB: 1 << 20,
-	})
+	prov.jumped.Store(true)
 	waitFor(t, 5*time.Second, func() bool {
 		return probePeriod(m, target) == interval
 	}, "load jump snapping the period back")

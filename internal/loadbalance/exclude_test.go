@@ -13,19 +13,23 @@ func TestLeastLoadExcludesQuarantined(t *testing.T) {
 	src := func(b int) (wire.LoadRecord, bool) { return wire.LoadRecord{}, false }
 	dead := map[int]bool{2: true}
 	w := &WeightedLeastLoad{
-		Backends: []int{1, 2, 3},
-		Source:   src,
-		Rng:      rand.New(rand.NewSource(1)),
-		Exclude:  func(b int) bool { return dead[b] },
-		Picks:    map[int]uint64{},
+		View: View{
+			Backends: []int{1, 2, 3},
+			Source:   src,
+			Rng:      rand.New(rand.NewSource(1)),
+			Exclude:  func(b int) bool { return dead[b] },
+		},
 	}
+	picks := map[int]uint64{}
 	for i := 0; i < 500; i++ {
-		if w.Pick() == 2 {
+		b := w.Pick()
+		if b == 2 {
 			t.Fatal("picked an excluded back-end")
 		}
+		picks[b]++
 	}
-	if w.Picks[1] == 0 || w.Picks[3] == 0 {
-		t.Fatalf("eligible back-ends unshared: %v", w.Picks)
+	if picks[1] == 0 || picks[3] == 0 {
+		t.Fatalf("eligible back-ends unshared: %v", picks)
 	}
 	if w.ExcludedPicks != 500 {
 		t.Fatalf("ExcludedPicks = %d, want 500", w.ExcludedPicks)
@@ -36,10 +40,12 @@ func TestLeastLoadExcludesQuarantined(t *testing.T) {
 // the policy degrades to uniform rather than returning -1.
 func TestLeastLoadAllExcludedFallsBack(t *testing.T) {
 	w := &WeightedLeastLoad{
-		Backends: []int{1, 2},
-		Source:   func(b int) (wire.LoadRecord, bool) { return wire.LoadRecord{}, false },
-		Rng:      rand.New(rand.NewSource(1)),
-		Exclude:  func(b int) bool { return true },
+		View: View{
+			Backends: []int{1, 2},
+			Source:   func(b int) (wire.LoadRecord, bool) { return wire.LoadRecord{}, false },
+			Rng:      rand.New(rand.NewSource(1)),
+			Exclude:  func(b int) bool { return true },
+		},
 	}
 	seen := map[int]int{}
 	for i := 0; i < 200; i++ {
@@ -59,19 +65,23 @@ func TestLeastLoadAllExcludedFallsBack(t *testing.T) {
 func TestProportionalExcludedGetsZeroShare(t *testing.T) {
 	dead := map[int]bool{5: true}
 	w := &WeightedProportional{
-		Backends: []int{4, 5, 6},
-		Source:   func(b int) (wire.LoadRecord, bool) { return wire.LoadRecord{}, true },
-		Rng:      rand.New(rand.NewSource(7)),
-		Exclude:  func(b int) bool { return dead[b] },
-		Picks:    map[int]uint64{},
+		View: View{
+			Backends: []int{4, 5, 6},
+			Source:   func(b int) (wire.LoadRecord, bool) { return wire.LoadRecord{}, true },
+			Rng:      rand.New(rand.NewSource(7)),
+			Exclude:  func(b int) bool { return dead[b] },
+		},
 	}
+	picks := map[int]uint64{}
 	for i := 0; i < 1000; i++ {
-		if w.Pick() == 5 {
+		b := w.Pick()
+		if b == 5 {
 			t.Fatal("proportional dispatched to an excluded back-end")
 		}
+		picks[b]++
 	}
-	if w.Picks[4] == 0 || w.Picks[6] == 0 {
-		t.Fatalf("eligible back-ends unshared: %v", w.Picks)
+	if picks[4] == 0 || picks[6] == 0 {
+		t.Fatalf("eligible back-ends unshared: %v", picks)
 	}
 	if w.ExcludedPicks != 1000 {
 		t.Fatalf("ExcludedPicks = %d, want 1000", w.ExcludedPicks)
@@ -91,10 +101,12 @@ func TestProportionalExcludedGetsZeroShare(t *testing.T) {
 // TestProportionalAllExcludedFallsBack mirrors the least-load case.
 func TestProportionalAllExcludedFallsBack(t *testing.T) {
 	w := &WeightedProportional{
-		Backends: []int{1, 2},
-		Source:   func(b int) (wire.LoadRecord, bool) { return wire.LoadRecord{}, true },
-		Rng:      rand.New(rand.NewSource(3)),
-		Exclude:  func(b int) bool { return true },
+		View: View{
+			Backends: []int{1, 2},
+			Source:   func(b int) (wire.LoadRecord, bool) { return wire.LoadRecord{}, true },
+			Rng:      rand.New(rand.NewSource(3)),
+			Exclude:  func(b int) bool { return true },
+		},
 	}
 	seen := map[int]int{}
 	for i := 0; i < 200; i++ {
@@ -114,10 +126,24 @@ func TestAllExcludedFallbackStaysOnClaimed(t *testing.T) {
 	src := func(b int) (wire.LoadRecord, bool) { return wire.LoadRecord{}, true }
 	all := func(int) bool { return true }
 	claimed := func(b int) bool { return held[b] }
-	ll := &WeightedLeastLoad{Backends: []int{1, 2, 3, 4}, Source: src,
-		Rng: rand.New(rand.NewSource(1)), Exclude: all, Claimed: claimed}
-	wp := &WeightedProportional{Backends: []int{1, 2, 3, 4}, Source: src,
-		Rng: rand.New(rand.NewSource(1)), Exclude: all, Claimed: claimed}
+	ll := &WeightedLeastLoad{
+		View: View{
+			Backends: []int{1, 2, 3, 4},
+			Source:   src,
+			Rng:      rand.New(rand.NewSource(1)),
+			Exclude:  all,
+			Claimed:  claimed,
+		},
+	}
+	wp := &WeightedProportional{
+		View: View{
+			Backends: []int{1, 2, 3, 4},
+			Source:   src,
+			Rng:      rand.New(rand.NewSource(1)),
+			Exclude:  all,
+			Claimed:  claimed,
+		},
+	}
 	for name, pick := range map[string]func() int{"least-load": ll.Pick, "proportional": wp.Pick} {
 		seen := map[int]int{}
 		for i := 0; i < 200; i++ {

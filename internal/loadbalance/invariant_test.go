@@ -52,10 +52,24 @@ func TestInvariantNeverPickIneligible(t *testing.T) {
 		src := func(b int) (wire.LoadRecord, bool) { return recs[b], true }
 		excl := func(b int) bool { return dead[b] }
 		pols := []Policy{
-			&WeightedLeastLoad{Backends: backends, Weights: core.DefaultWeights(),
-				Source: src, Rng: rng, Exclude: excl},
-			&WeightedProportional{Backends: backends, Weights: core.DefaultWeights(),
-				Source: src, Rng: rng, Exclude: excl},
+			&WeightedLeastLoad{
+				View: View{
+					Backends: backends,
+					Weights:  core.DefaultWeights(),
+					Source:   src,
+					Rng:      rng,
+					Exclude:  excl,
+				},
+			},
+			&WeightedProportional{
+				View: View{
+					Backends: backends,
+					Weights:  core.DefaultWeights(),
+					Source:   src,
+					Rng:      rng,
+					Exclude:  excl,
+				},
+			},
 		}
 		for _, pol := range pols {
 			for i := 0; i < 50; i++ {
@@ -81,10 +95,12 @@ func TestInvariantNeverPickIneligible(t *testing.T) {
 func TestInvariantDegradedStrictlyAvoided(t *testing.T) {
 	rec := wire.LoadRecord{NumCPU: 1, Conns: 4}
 	w := &WeightedLeastLoad{
-		Backends: []int{1, 2, 3},
-		Weights:  core.DefaultWeights(),
-		Source:   func(int) (wire.LoadRecord, bool) { return rec, true },
-		Degraded: func(b int) bool { return b == 2 },
+		View: View{
+			Backends: []int{1, 2, 3},
+			Weights:  core.DefaultWeights(),
+			Source:   func(int) (wire.LoadRecord, bool) { return rec, true },
+			Degraded: func(b int) bool { return b == 2 },
+		},
 	}
 	for i := 0; i < 100; i++ {
 		if w.Pick() == 2 {
@@ -120,11 +136,13 @@ func TestInvariantDegradedPenaltyMonotone(t *testing.T) {
 func degradedShare(degraded func(int) bool, picks int) float64 {
 	rec := wire.LoadRecord{NumCPU: 1, Conns: 8}
 	w := &WeightedProportional{
-		Backends: []int{1, 2, 3, 4},
-		Weights:  core.DefaultWeights(),
-		Source:   func(int) (wire.LoadRecord, bool) { return rec, true },
-		Rng:      rand.New(rand.NewSource(99)),
-		Degraded: degraded,
+		View: View{
+			Backends: []int{1, 2, 3, 4},
+			Weights:  core.DefaultWeights(),
+			Source:   func(int) (wire.LoadRecord, bool) { return rec, true },
+			Rng:      rand.New(rand.NewSource(99)),
+			Degraded: degraded,
+		},
 	}
 	hit := 0
 	for i := 0; i < picks; i++ {
@@ -143,10 +161,22 @@ func TestInvariantAllExcludedStaysInFleet(t *testing.T) {
 	excl := func(int) bool { return true }
 	src := func(int) (wire.LoadRecord, bool) { return wire.LoadRecord{}, false }
 	for _, pol := range []Policy{
-		&WeightedLeastLoad{Backends: backends, Source: src,
-			Rng: rand.New(rand.NewSource(3)), Exclude: excl},
-		&WeightedProportional{Backends: backends, Source: src,
-			Rng: rand.New(rand.NewSource(3)), Exclude: excl},
+		&WeightedLeastLoad{
+			View: View{
+				Backends: backends,
+				Source:   src,
+				Rng:      rand.New(rand.NewSource(3)),
+				Exclude:  excl,
+			},
+		},
+		&WeightedProportional{
+			View: View{
+				Backends: backends,
+				Source:   src,
+				Rng:      rand.New(rand.NewSource(3)),
+				Exclude:  excl,
+			},
+		},
 	} {
 		seen := map[int]int{}
 		for i := 0; i < 300; i++ {

@@ -1,7 +1,16 @@
 // Package loadbalance provides the dispatcher policies used in the
 // paper's application-level evaluation: the IBM WebSphere-style
-// weighted least-load policy driven by monitored load records, plus
-// round-robin and random baselines.
+// weighted policies driven by monitored load records, plus round-robin
+// and random baselines.
+//
+// Both weighted policies embed one View, a front end's dispatch view:
+// its back-ends, their record source, the candidate filter (Holds for
+// the claim, Quarantined for the monitor's verdict), the degraded
+// handicap, the local-traffic blend and the claimed-only fallback. Each
+// adds only its own rule: WeightedLeastLoad the argmin with its Updates
+// memo and trend term, WeightedProportional the weighted draw with its
+// staleness decay. Admission control (internal/admission) reads the
+// same View.
 package loadbalance
 
 import (
@@ -52,20 +61,17 @@ func (r *Random) Pick() int {
 	return r.Backends[r.Rng.Intn(len(r.Backends))]
 }
 
-// WeightedLeastLoad is the WebSphere-style policy (§5.2.1): compute
-// the weighted load index of each back-end from its newest monitored
-// record and send the request to the least-loaded one. Ties are broken
-// randomly; back-ends with no record yet score zero (optimistic, like
-// a freshly started system).
-type WeightedLeastLoad struct {
+// View is one front end's dispatch view of its back-ends: the state
+// both weighted policies embed and admission control reads, so the
+// three agree on which back-ends a request may use and how a monitor
+// verdict handicaps one. Its func fields are consulted afresh on every
+// decision (least-load reads Source only when Updates moved); admission
+// scores records with its own Weights.
+type View struct {
 	Backends []int
 	Weights  core.Weights
 	Source   LoadSource
 	Rng      *rand.Rand
-
-	// Updates, if set, counts a back-end's records, moving whenever Source's
-	// answer may: Pick re-scores a back-end only then or when Weights change.
-	Updates func(backend int) uint64
 
 	// LocalFrac, if set, supplies the dispatcher's own estimate of
 	// each back-end's recent fraction of forwarded requests (1/N is
@@ -77,7 +83,7 @@ type WeightedLeastLoad struct {
 
 	// Exclude, if set, removes a back-end from consideration (the
 	// monitor's quarantine verdict). If every back-end is excluded the
-	// policy falls back to considering all of them — sending a request
+	// policies fall back to considering all of them — sending a request
 	// to a possibly-dead server beats sending it nowhere.
 	Exclude func(backend int) bool
 
@@ -92,6 +98,78 @@ type WeightedLeastLoad struct {
 	// shard's real holder — so when nothing is claimed Pick returns -1
 	// and the dispatcher redirects the client to another front-end.
 	Claimed func(backend int) bool
+
+	// Degraded, if set, reports a back-end currently monitored over its
+	// fallback transport (the monitor's Degraded verdict). Unlike
+	// Exclude it keeps the back-end in the dispatch set — that is the
+	// point of failover — but its index is handicapped by
+	// DefaultDegradedPenalty, steering marginal traffic toward back-ends
+	// whose fast monitoring path still works.
+	Degraded func(backend int) bool
+	// DegradedPicks counts picks that landed on a degraded back-end.
+	DegradedPicks uint64
+
+	pool []int // scratch: the claimed fallback pool
+}
+
+// Holds is the first half of the candidate filter: whether this front
+// end may route to b at all (always, without Claimed).
+func (v *View) Holds(b int) bool { return v.Claimed == nil || v.Claimed(b) }
+
+// Quarantined is the second half: the monitor's quarantine verdict on
+// a held back-end. The two halves are separate methods so each inlines
+// into the pick loops.
+func (v *View) Quarantined(b int) bool { return v.Exclude != nil && v.Exclude(b) }
+
+// IsDegraded reports b monitored over its fallback transport; its
+// index then takes DefaultDegradedPenalty.
+func (v *View) IsDegraded(b int) bool { return v.Degraded != nil && v.Degraded(b) }
+
+// local is the dispatcher's recent-traffic share of b as an index
+// term: the fair share adds LocalWeight/2, and no share more than
+// LocalWeight. half is len(Backends)/2. Callers add it only when
+// LocalFrac is set and LocalWeight is positive.
+func (v *View) local(b int, half float64) float64 {
+	return v.LocalWeight * min(v.LocalFrac(b)*half, 1)
+}
+
+// fallback is the pick when no candidate passed the filter: uniform
+// (the first without Rng) over the back-ends this front end holds,
+// drawn from a scratch pool so it allocates nothing — never an
+// unclaimed shard, which belongs to another dispatcher. -1 when it
+// holds none.
+func (v *View) fallback() int {
+	pool := v.Backends
+	if v.Claimed != nil {
+		v.pool = v.pool[:0]
+		for _, b := range v.Backends {
+			if v.Claimed(b) {
+				v.pool = append(v.pool, b)
+			}
+		}
+		pool = v.pool
+	}
+	if len(pool) == 0 {
+		return -1
+	}
+	if v.Rng == nil {
+		return pool[0]
+	}
+	return pool[v.Rng.Intn(len(pool))]
+}
+
+// WeightedLeastLoad is the WebSphere-style policy (§5.2.1): compute
+// the weighted load index of each back-end from its newest monitored
+// record and send the request to the least-loaded one. Ties are broken
+// randomly; back-ends with no record yet score zero (optimistic, like
+// a freshly started system). To the View it adds the Updates memo and
+// the trend projection.
+type WeightedLeastLoad struct {
+	View
+
+	// Updates, if set, counts a back-end's records, moving whenever Source's
+	// answer may: Pick re-scores a back-end only then or when Weights change.
+	Updates func(backend int) uint64
 
 	// Slope, if set together with a positive TrendHorizon, turns on
 	// trend-aware dispatch: each back-end's index is projected one
@@ -111,20 +189,6 @@ type WeightedLeastLoad struct {
 	// steered traffic.
 	TrendPicks uint64
 
-	// Degraded, if set, reports a back-end currently monitored over its
-	// fallback transport (the monitor's Degraded verdict). Unlike
-	// Exclude it keeps the back-end in the dispatch set — that is the
-	// point of failover — but its index is handicapped by
-	// DefaultDegradedPenalty, steering marginal traffic toward back-ends
-	// whose fast monitoring path still works.
-	Degraded func(backend int) bool
-	// DegradedPicks counts picks that landed on a degraded back-end.
-	DegradedPicks uint64
-
-	// Picks counts per-backend selections, for imbalance diagnostics.
-	Picks map[int]uint64
-
-	pool    []int        // scratch: the claimed fallback pool
 	memoN   []uint64     // by back-end ID: update count + 1 when scored, 0 never
 	memoIdx []float64    // by back-end ID: that score, under memoW
 	memoW   core.Weights // the Weights the memo was scored under
@@ -157,20 +221,6 @@ func (w *WeightedLeastLoad) trendTerm(b int) float64 {
 	return max(-DefaultTrendClamp, min(d, DefaultTrendClamp))
 }
 
-// appendClaimed appends the back-ends claimed holds to pool: the only
-// ones the all-quarantined fallback may use, since an unclaimed shard
-// belongs to another dispatcher and leaking onto it would
-// double-dispatch. Callers pass their scratch slice so a pick
-// allocates nothing.
-func appendClaimed(pool, backends []int, claimed func(int) bool) []int {
-	for _, b := range backends {
-		if claimed(b) {
-			pool = append(pool, b)
-		}
-	}
-	return pool
-}
-
 // index is b's load index (0 without a record), memoized under Updates.
 func (w *WeightedLeastLoad) index(b int) float64 {
 	var n uint64 // b's update count + 1; 0 without Updates
@@ -193,8 +243,8 @@ func (w *WeightedLeastLoad) index(b int) float64 {
 }
 
 // Pick implements Policy. One decision is one pass over Backends with
-// O(1) work per candidate. Exclude, LocalFrac and the other func fields
-// are consulted afresh on every call; Source only as index says.
+// O(1) work per candidate. The View's func fields are consulted afresh
+// on every call; Source only as index says.
 func (w *WeightedLeastLoad) Pick() int {
 	if w.Updates != nil && w.Weights != w.memoW {
 		clear(w.memoN)
@@ -213,18 +263,18 @@ func (w *WeightedLeastLoad) Pick() int {
 	useLocal := w.LocalFrac != nil && w.LocalWeight > 0
 	half := float64(len(w.Backends)) / 2 // fair share 1/N -> 0.5
 	for _, b := range w.Backends {
-		if w.Claimed != nil && !w.Claimed(b) {
+		if !w.Holds(b) {
 			continue
 		}
-		if w.Exclude != nil && w.Exclude(b) {
+		if w.Quarantined(b) {
 			skipped = true
 			continue
 		}
 		idx := w.index(b)
 		if useLocal {
-			idx += w.LocalWeight * min(w.LocalFrac(b)*half, 1)
+			idx += w.local(b, half)
 		}
-		degraded := w.Degraded != nil && w.Degraded(b)
+		degraded := w.IsDegraded(b)
 		if degraded {
 			idx += DefaultDegradedPenalty
 		}
@@ -260,28 +310,13 @@ func (w *WeightedLeastLoad) Pick() int {
 		w.TrendPicks++
 	}
 	if best < 0 {
-		// Everything quarantined: fall back to uniform — but only over
-		// back-ends this front-end actually holds.
-		pool := w.Backends
-		if w.Claimed != nil {
-			w.pool = appendClaimed(w.pool[:0], w.Backends, w.Claimed)
-			pool = w.pool
-			if len(pool) == 0 {
-				return -1
-			}
+		if best = w.fallback(); best < 0 {
+			return -1
 		}
-		if w.Rng != nil {
-			best = pool[w.Rng.Intn(len(pool))]
-		} else {
-			best = pool[0]
-		}
-		bestDegraded = w.Degraded != nil && w.Degraded(best)
+		bestDegraded = w.IsDegraded(best)
 	}
 	if bestDegraded {
 		w.DegradedPicks++
-	}
-	if w.Picks != nil {
-		w.Picks[best]++
 	}
 	return best
 }
@@ -293,12 +328,11 @@ func (w *WeightedLeastLoad) Pick() int {
 // whole polling window of traffic onto one server — but a server whose
 // reported load is stale keeps receiving its full share long after it
 // has become hot, which is exactly how inaccurate monitoring turns
-// into queueing (paper §5.2).
+// into queueing (paper §5.2). To the View it adds the load->weight
+// mapping and the staleness decay; a back-end the View filters out has
+// weight zero.
 type WeightedProportional struct {
-	Backends []int
-	Weights  core.Weights
-	Source   LoadSource
-	Rng      *rand.Rand
+	View
 
 	// Gamma sharpens the load->weight mapping: weight = (1-index)^Gamma.
 	// Zero takes the default of 2.
@@ -311,32 +345,7 @@ type WeightedProportional struct {
 	Aged       AgedSource
 	StaleAfter sim.Time
 
-	// LocalFrac / LocalWeight: as in WeightedLeastLoad.
-	LocalFrac   func(backend int) float64
-	LocalWeight float64
-
-	// Exclude / ExcludedPicks: as in WeightedLeastLoad. An excluded
-	// back-end's weight is zero, so its traffic share is zero while
-	// quarantined; uniform fallback if everything is excluded.
-	Exclude       func(backend int) bool
-	ExcludedPicks uint64
-
-	// Claimed: as in WeightedLeastLoad — an unclaimed back-end's weight
-	// is zero with no fallback onto it; Pick returns -1 when this
-	// front-end holds nothing.
-	Claimed func(backend int) bool
-
-	// Degraded / DegradedPicks: as in WeightedLeastLoad — degraded
-	// back-ends keep a (DefaultDegradedPenalty-handicapped) traffic share
-	// rather than being zeroed like quarantined ones.
-	Degraded      func(backend int) bool
-	DegradedPicks uint64
-
-	// Picks counts per-backend selections.
-	Picks map[int]uint64
-
 	weights []float64 // scratch
-	pool    []int     // scratch: the claimed fallback pool
 }
 
 // Pick implements Policy.
@@ -354,11 +363,11 @@ func (w *WeightedProportional) Pick() int {
 	useLocal := w.LocalFrac != nil && w.LocalWeight > 0
 	half := float64(len(w.Backends)) / 2 // fair share 1/N -> 0.5
 	for i, b := range w.Backends {
-		if w.Claimed != nil && !w.Claimed(b) {
+		if !w.Holds(b) {
 			w.weights[i] = 0
 			continue
 		}
-		if w.Exclude != nil && w.Exclude(b) {
+		if w.Quarantined(b) {
 			w.weights[i] = 0
 			skipped = true
 			continue
@@ -381,12 +390,12 @@ func (w *WeightedProportional) Pick() int {
 			}
 		}
 		if useLocal {
-			idx += w.LocalWeight * min(w.LocalFrac(b)*half, 1)
+			idx += w.local(b, half)
 		}
 		// Stale information decays toward the prior (the fleet-average
 		// load of 0.5).
 		idx = conf*idx + (1-conf)*0.5
-		if w.Degraded != nil && w.Degraded(b) {
+		if w.IsDegraded(b) {
 			idx += DefaultDegradedPenalty
 		}
 		free := max(1-idx, 0.02) // even a saturated-looking server keeps a trickle
@@ -400,17 +409,7 @@ func (w *WeightedProportional) Pick() int {
 	if skipped {
 		w.ExcludedPicks++
 	}
-	// The quarantine fallback pool: all back-ends, or only the claimed
-	// ones — never leak onto a shard another front-end holds.
-	pool := w.Backends
-	if w.Claimed != nil {
-		w.pool = appendClaimed(w.pool[:0], w.Backends, w.Claimed)
-		pool = w.pool
-		if len(pool) == 0 {
-			return -1
-		}
-	}
-	pick := pool[0]
+	pick := -1
 	if total > 0 {
 		for i, b := range w.Backends {
 			if w.weights[i] > 0 {
@@ -418,30 +417,24 @@ func (w *WeightedProportional) Pick() int {
 				break
 			}
 		}
-	}
-	switch {
-	case total > 0 && w.Rng != nil:
-		x := w.Rng.Float64() * total
-		for i, b := range w.Backends {
-			if w.weights[i] == 0 {
-				continue // excluded: zero share while quarantined
-			}
-			x -= w.weights[i]
-			if x <= 0 {
-				pick = b
-				break
+		if w.Rng != nil {
+			x := w.Rng.Float64() * total
+			for i, b := range w.Backends {
+				if w.weights[i] == 0 {
+					continue // filtered out: zero share
+				}
+				x -= w.weights[i]
+				if x <= 0 {
+					pick = b
+					break
+				}
 			}
 		}
-	case total == 0 && w.Rng != nil:
-		// Everything quarantined: uniform over the pool beats
-		// dispatching every request to its first entry.
-		pick = pool[w.Rng.Intn(len(pool))]
+	} else if pick = w.fallback(); pick < 0 {
+		return -1
 	}
-	if w.Degraded != nil && w.Degraded(pick) {
+	if w.IsDegraded(pick) {
 		w.DegradedPicks++
-	}
-	if w.Picks != nil {
-		w.Picks[pick]++
 	}
 	return pick
 }

@@ -60,19 +60,23 @@ func TestWeightedLeastLoadPicksLeastLoaded(t *testing.T) {
 		3: recWithUtil(3, 500),
 	}
 	w := &WeightedLeastLoad{
-		Backends: []int{1, 2, 3},
-		Weights:  core.DefaultWeights(),
-		Source:   func(b int) (wire.LoadRecord, bool) { r, ok := loads[b]; return r, ok },
-		Rng:      rand.New(rand.NewSource(1)),
-		Picks:    make(map[int]uint64),
+		View: View{
+			Backends: []int{1, 2, 3},
+			Weights:  core.DefaultWeights(),
+			Source:   func(b int) (wire.LoadRecord, bool) { r, ok := loads[b]; return r, ok },
+			Rng:      rand.New(rand.NewSource(1)),
+		},
 	}
+	picks := map[int]uint64{}
 	for i := 0; i < 10; i++ {
-		if b := w.Pick(); b != 2 {
+		b := w.Pick()
+		if b != 2 {
 			t.Fatalf("pick = %d, want 2 (least loaded)", b)
 		}
+		picks[b]++
 	}
-	if w.Picks[2] != 10 {
-		t.Fatalf("picks accounting = %v", w.Picks)
+	if picks[2] != 10 {
+		t.Fatalf("picks accounting = %v", picks)
 	}
 }
 
@@ -80,15 +84,17 @@ func TestWeightedLeastLoadMissingRecordOptimistic(t *testing.T) {
 	// A backend with no record yet scores zero: preferred over a
 	// loaded one.
 	w := &WeightedLeastLoad{
-		Backends: []int{1, 2},
-		Weights:  core.DefaultWeights(),
-		Source: func(b int) (wire.LoadRecord, bool) {
-			if b == 1 {
-				return recWithUtil(1, 800), true
-			}
-			return wire.LoadRecord{}, false
+		View: View{
+			Backends: []int{1, 2},
+			Weights:  core.DefaultWeights(),
+			Source: func(b int) (wire.LoadRecord, bool) {
+				if b == 1 {
+					return recWithUtil(1, 800), true
+				}
+				return wire.LoadRecord{}, false
+			},
+			Rng: rand.New(rand.NewSource(1)),
 		},
-		Rng: rand.New(rand.NewSource(1)),
 	}
 	if b := w.Pick(); b != 2 {
 		t.Fatalf("pick = %d, want the unknown backend 2", b)
@@ -99,18 +105,20 @@ func TestWeightedLeastLoadTieBreakSpreads(t *testing.T) {
 	// All backends identical: random tie-break must spread picks, not
 	// herd onto the first.
 	w := &WeightedLeastLoad{
-		Backends: []int{1, 2, 3, 4},
-		Weights:  core.DefaultWeights(),
-		Source:   func(b int) (wire.LoadRecord, bool) { return recWithUtil(b, 500), true },
-		Rng:      rand.New(rand.NewSource(2)),
-		Picks:    make(map[int]uint64),
+		View: View{
+			Backends: []int{1, 2, 3, 4},
+			Weights:  core.DefaultWeights(),
+			Source:   func(b int) (wire.LoadRecord, bool) { return recWithUtil(b, 500), true },
+			Rng:      rand.New(rand.NewSource(2)),
+		},
 	}
+	picks := map[int]uint64{}
 	for i := 0; i < 4000; i++ {
-		w.Pick()
+		picks[w.Pick()]++
 	}
 	for _, b := range w.Backends {
-		if w.Picks[b] < 700 || w.Picks[b] > 1200 {
-			t.Fatalf("tie-break spread %v, want each of 4 near 1000 of 4000", w.Picks)
+		if picks[b] < 700 || picks[b] > 1200 {
+			t.Fatalf("tie-break spread %v, want each of 4 near 1000 of 4000", picks)
 		}
 	}
 }
@@ -129,10 +137,12 @@ func TestQuickWeightedPickInSet(t *testing.T) {
 			recs[i+1] = recWithUtil(i+1, int(u%1001))
 		}
 		w := &WeightedLeastLoad{
-			Backends: backends,
-			Weights:  core.DefaultWeights(),
-			Source:   func(b int) (wire.LoadRecord, bool) { r, ok := recs[b]; return r, ok },
-			Rng:      rand.New(rand.NewSource(seed)),
+			View: View{
+				Backends: backends,
+				Weights:  core.DefaultWeights(),
+				Source:   func(b int) (wire.LoadRecord, bool) { r, ok := recs[b]; return r, ok },
+				Rng:      rand.New(rand.NewSource(seed)),
+			},
 		}
 		b := w.Pick()
 		return b >= 1 && b <= len(utils)
@@ -150,19 +160,21 @@ func TestProportionalSpreadsByWeight(t *testing.T) {
 		2: recSaturated(2),
 	}
 	w := &WeightedProportional{
-		Backends: []int{1, 2},
-		Weights:  core.DefaultWeights(),
-		Source:   func(b int) (wire.LoadRecord, bool) { r, ok := loads[b]; return r, ok },
-		Rng:      rand.New(rand.NewSource(3)),
-		Picks:    make(map[int]uint64),
+		View: View{
+			Backends: []int{1, 2},
+			Weights:  core.DefaultWeights(),
+			Source:   func(b int) (wire.LoadRecord, bool) { r, ok := loads[b]; return r, ok },
+			Rng:      rand.New(rand.NewSource(3)),
+		},
 	}
+	picks := map[int]uint64{}
 	for i := 0; i < 10000; i++ {
-		w.Pick()
+		picks[w.Pick()]++
 	}
-	if w.Picks[1] < 8000 {
-		t.Fatalf("idle backend got %d of 10000, want the lion's share", w.Picks[1])
+	if picks[1] < 8000 {
+		t.Fatalf("idle backend got %d of 10000, want the lion's share", picks[1])
 	}
-	if w.Picks[2] == 0 {
+	if picks[2] == 0 {
 		t.Fatal("saturated backend must keep a trickle (weight floor)")
 	}
 }
@@ -174,17 +186,19 @@ func TestProportionalGammaSharpens(t *testing.T) {
 	}
 	share := func(gamma float64) float64 {
 		w := &WeightedProportional{
-			Backends: []int{1, 2},
-			Weights:  core.DefaultWeights(),
-			Source:   func(b int) (wire.LoadRecord, bool) { r, ok := loads[b]; return r, ok },
-			Rng:      rand.New(rand.NewSource(4)),
-			Gamma:    gamma,
-			Picks:    make(map[int]uint64),
+			View: View{
+				Backends: []int{1, 2},
+				Weights:  core.DefaultWeights(),
+				Source:   func(b int) (wire.LoadRecord, bool) { r, ok := loads[b]; return r, ok },
+				Rng:      rand.New(rand.NewSource(4)),
+			},
+			Gamma: gamma,
 		}
+		picks := map[int]uint64{}
 		for i := 0; i < 20000; i++ {
-			w.Pick()
+			picks[w.Pick()]++
 		}
-		return float64(w.Picks[1]) / 20000
+		return float64(picks[1]) / 20000
 	}
 	if share(4) <= share(1) {
 		t.Fatalf("higher gamma should favor the lighter backend more: g1=%.3f g4=%.3f",
@@ -205,17 +219,19 @@ func TestProportionalStalenessDecaysToUniform(t *testing.T) {
 	}
 	share2 := func(age sim.Time) float64 {
 		w := &WeightedProportional{
-			Backends:   []int{1, 2},
-			Weights:    core.DefaultWeights(),
+			View: View{
+				Backends: []int{1, 2},
+				Weights:  core.DefaultWeights(),
+				Rng:      rand.New(rand.NewSource(5)),
+			},
 			Aged:       mkAged(age),
 			StaleAfter: 100 * sim.Millisecond,
-			Rng:        rand.New(rand.NewSource(5)),
-			Picks:      make(map[int]uint64),
 		}
+		picks := map[int]uint64{}
 		for i := 0; i < 20000; i++ {
-			w.Pick()
+			picks[w.Pick()]++
 		}
-		return float64(w.Picks[2]) / 20000
+		return float64(picks[2]) / 20000
 	}
 	fresh := share2(0)
 	stale := share2(2 * sim.Second)
@@ -229,18 +245,20 @@ func TestProportionalStalenessDecaysToUniform(t *testing.T) {
 
 func TestProportionalNoRecordsUniform(t *testing.T) {
 	w := &WeightedProportional{
-		Backends: []int{1, 2, 3},
-		Weights:  core.DefaultWeights(),
-		Source:   func(int) (wire.LoadRecord, bool) { return wire.LoadRecord{}, false },
-		Rng:      rand.New(rand.NewSource(6)),
-		Picks:    make(map[int]uint64),
+		View: View{
+			Backends: []int{1, 2, 3},
+			Weights:  core.DefaultWeights(),
+			Source:   func(int) (wire.LoadRecord, bool) { return wire.LoadRecord{}, false },
+			Rng:      rand.New(rand.NewSource(6)),
+		},
 	}
+	picks := map[int]uint64{}
 	for i := 0; i < 9000; i++ {
-		w.Pick()
+		picks[w.Pick()]++
 	}
 	for _, b := range w.Backends {
-		if w.Picks[b] < 2500 {
-			t.Fatalf("no-record spread uneven: %v", w.Picks)
+		if picks[b] < 2500 {
+			t.Fatalf("no-record spread uneven: %v", picks)
 		}
 	}
 }

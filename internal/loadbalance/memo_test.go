@@ -37,8 +37,14 @@ func (f *memoFleet) updates(b int) uint64 { return f.n[b] }
 // with identically seeded Rngs.
 func memoPair(f *memoFleet, backends []int) (memo, twin *WeightedLeastLoad) {
 	mk := func() *WeightedLeastLoad {
-		return &WeightedLeastLoad{Backends: backends, Weights: core.DefaultWeights(),
-			Source: f.source, Rng: rand.New(rand.NewSource(1))}
+		return &WeightedLeastLoad{
+			View: View{
+				Backends: backends,
+				Weights:  core.DefaultWeights(),
+				Source:   f.source,
+				Rng:      rand.New(rand.NewSource(1)),
+			},
+		}
 	}
 	memo, twin = mk(), mk()
 	memo.Updates = f.updates

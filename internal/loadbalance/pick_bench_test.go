@@ -6,7 +6,6 @@ import (
 
 	"rdmamon/internal/cluster"
 	"rdmamon/internal/core"
-	"rdmamon/internal/loadbalance"
 	"rdmamon/internal/sim"
 )
 
@@ -41,17 +40,20 @@ func TestPickZeroAlloc(t *testing.T) {
 
 var pickSink int
 
-// BenchmarkPick times one weighted-least-load routing decision against
-// fleet size; ns/op should grow linearly with n.
+// BenchmarkPick times one routing decision of each weighted policy, as
+// the cluster wires it, against fleet size; ns/op should grow linearly
+// with n.
 func BenchmarkPick(b *testing.B) {
-	for _, n := range []int{8, 64, 256, 1024} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			p := dispatchCluster(b, n, cluster.PolicyLeastLoad).Policy.(*loadbalance.WeightedLeastLoad)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				pickSink = p.Pick()
-			}
-		})
+	for _, policy := range []cluster.PolicyName{cluster.PolicyLeastLoad, cluster.PolicyWebSphere} {
+		for _, n := range []int{8, 64, 256, 1024} {
+			b.Run(fmt.Sprintf("%s/n=%d", policy, n), func(b *testing.B) {
+				p := dispatchCluster(b, n, policy).Policy
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					pickSink = p.Pick()
+				}
+			})
+		}
 	}
 }

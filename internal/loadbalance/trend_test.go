@@ -47,10 +47,13 @@ func TestInvariantTrendNeverPicksIneligible(t *testing.T) {
 			anyAlive = anyAlive || !dead[b]
 		}
 		w := &WeightedLeastLoad{
-			Backends: backends, Weights: core.DefaultWeights(),
-			Source:       func(b int) (wire.LoadRecord, bool) { return recs[b], true },
-			Rng:          rng,
-			Exclude:      func(b int) bool { return dead[b] },
+			View: View{
+				Backends: backends,
+				Weights:  core.DefaultWeights(),
+				Source:   func(b int) (wire.LoadRecord, bool) { return recs[b], true },
+				Rng:      rng,
+				Exclude:  func(b int) bool { return dead[b] },
+			},
 			Slope:        func(b int) (float64, bool) { return slope[b], true },
 			TrendHorizon: 50 * sim.Millisecond,
 		}
@@ -87,9 +90,14 @@ func TestInvariantTrendOffEqualsLevelOnly(t *testing.T) {
 		src := func(b int) (wire.LoadRecord, bool) { return recs[b], true }
 		mk := func(slope func(int) (float64, bool), horizon sim.Time) *WeightedLeastLoad {
 			return &WeightedLeastLoad{
-				Backends: backends, Weights: core.DefaultWeights(), Source: src,
-				Rng:   rand.New(rand.NewSource(seed + 1)),
-				Slope: slope, TrendHorizon: horizon,
+				View: View{
+					Backends: backends,
+					Weights:  core.DefaultWeights(),
+					Source:   src,
+					Rng:      rand.New(rand.NewSource(seed + 1)),
+				},
+				Slope:        slope,
+				TrendHorizon: horizon,
 			}
 		}
 		level := mk(nil, 50*sim.Millisecond)
@@ -128,9 +136,12 @@ func TestInvariantTrendBoundedStarvation(t *testing.T) {
 			return float64(slopeRaw[b%len(slopeRaw)]) * 100, true
 		}
 		w := &WeightedLeastLoad{
-			Backends: backends, Weights: utilWeights(),
-			Source:       func(b int) (wire.LoadRecord, bool) { return recs[b], true },
-			Rng:          rng,
+			View: View{
+				Backends: backends,
+				Weights:  utilWeights(),
+				Source:   func(b int) (wire.LoadRecord, bool) { return recs[b], true },
+				Rng:      rng,
+			},
 			Slope:        slope,
 			TrendHorizon: sim.Second,
 		}
@@ -152,10 +163,12 @@ func TestInvariantTrendBoundedStarvation(t *testing.T) {
 func TestTrendSteersOffRampingBackend(t *testing.T) {
 	slopes := map[int]float64{1: +2.0, 2: -2.0}
 	w := &WeightedLeastLoad{
-		Backends: []int{1, 2},
-		Weights:  utilWeights(),
-		Source:   func(int) (wire.LoadRecord, bool) { return utilRec(500), true },
-		Slope:    func(b int) (float64, bool) { return slopes[b], true },
+		View: View{
+			Backends: []int{1, 2},
+			Weights:  utilWeights(),
+			Source:   func(int) (wire.LoadRecord, bool) { return utilRec(500), true },
+		},
+		Slope: func(b int) (float64, bool) { return slopes[b], true },
 		// One sweep of lookahead; slope×horizon saturates the clamp.
 		TrendHorizon: 50 * sim.Millisecond,
 	}

@@ -162,9 +162,3 @@ func remove(s []int, v int) []int {
 	}
 	return out
 }
-
-// SetBackendsProportional is a convenience apply-helper for the
-// WebSphere-style policy.
-func SetBackendsProportional(p *loadbalance.WeightedProportional, ids []int) {
-	p.Backends = append([]int(nil), ids...)
-}

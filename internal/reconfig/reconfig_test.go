@@ -3,8 +3,6 @@ package reconfig_test
 import (
 	"testing"
 
-	"rdmamon/internal/core"
-	"rdmamon/internal/loadbalance"
 	"rdmamon/internal/reconfig"
 	"rdmamon/internal/sim"
 	"rdmamon/internal/wire"
@@ -125,19 +123,5 @@ func TestMigratesLeastLoadedDonor(t *testing.T) {
 		if b == 4 {
 			t.Fatalf("least-loaded donor should have moved: B=%v", g.B)
 		}
-	}
-}
-
-func TestSetBackendsProportional(t *testing.T) {
-	p := &loadbalance.WeightedProportional{Weights: core.DefaultWeights()}
-	reconfig.SetBackendsProportional(p, []int{1, 2, 3})
-	if len(p.Backends) != 3 {
-		t.Fatalf("backends = %v", p.Backends)
-	}
-	src := []int{4, 5}
-	reconfig.SetBackendsProportional(p, src)
-	src[0] = 99 // must not alias
-	if p.Backends[0] != 4 {
-		t.Fatal("SetBackendsProportional must copy")
 	}
 }
