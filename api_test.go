@@ -176,6 +176,7 @@ func TestNoTestOnlyAPIFixture(t *testing.T) {
 		dead: []string{
 			"internal/lib.State.Assigned", // only assigned
 			"internal/lib.State.Bumped",   // only ++'d
+			"internal/lib.State.Guarded",  // only bumped, under its own nil test
 			"internal/lib.State.LitOnly",  // only a composite-literal key
 		},
 		testRead: []string{
@@ -869,7 +870,10 @@ func zeroCompared(info *types.Info, cond ast.Expr) []types.Object {
 // or map a target is inside (k.Index[0] = x and d.P99[s] = x write
 // Index and P99): a container only ever written into is never looked
 // at. A pointer a target is reached through is read, since what it
-// points to is shared. Every other use is a read: a selector in an
+// points to is shared. A nil test that only guards writes into the
+// field it tests (if w.Picks != nil { w.Picks[b]++ }) is not a read
+// either: nothing is done with the field but write it. Every other use
+// is a read: a selector in an
 // expression, &x.F, a method call on x.F. A struct value compared with
 // == or !=, used as a map key, or passed to an interface parameter reads
 // every field it holds.
@@ -900,6 +904,12 @@ func fieldReads(info *types.Info, n ast.Node, read func(*types.Var)) {
 	}
 	visit = func(n ast.Node) bool {
 		switch x := n.(type) {
+		case *ast.IfStmt:
+			if sel := selfGuard(info, x); sel != nil {
+				walk(sel.X)
+				walk(x.Body)
+				return false
+			}
 		case *ast.AssignStmt:
 			for _, lhs := range x.Lhs {
 				target(lhs)
@@ -940,6 +950,71 @@ func fieldReads(info *types.Info, n ast.Node, read func(*types.Var)) {
 		return true
 	}
 	walk(n)
+}
+
+// selfGuard returns x.F when s is a nil test of field F that guards
+// only writes into F: no init or else, a condition that compares x.F
+// with nil, and a body of assignments and ++/-- whose every target
+// reaches through F.
+func selfGuard(info *types.Info, s *ast.IfStmt) *ast.SelectorExpr {
+	if s.Init != nil || s.Else != nil || len(s.Body.List) == 0 {
+		return nil
+	}
+	b, ok := ast.Unparen(s.Cond).(*ast.BinaryExpr)
+	if !ok || b.Op != token.NEQ && b.Op != token.EQL {
+		return nil
+	}
+	e := b.X
+	if !info.Types[b.Y].IsNil() {
+		if !info.Types[b.X].IsNil() {
+			return nil
+		}
+		e = b.Y
+	}
+	sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
+	if !ok {
+		return nil
+	}
+	f := info.Selections[sel]
+	if f == nil || f.Kind() != types.FieldVal {
+		return nil
+	}
+	for _, st := range s.Body.List {
+		var targets []ast.Expr
+		switch st := st.(type) {
+		case *ast.AssignStmt:
+			targets = st.Lhs
+		case *ast.IncDecStmt:
+			targets = []ast.Expr{st.X}
+		default:
+			return nil
+		}
+		for _, t := range targets {
+			if !writesInto(info, t, f.Obj()) {
+				return nil
+			}
+		}
+	}
+	return sel
+}
+
+// writesInto reports whether the write target e reaches through field f.
+func writesInto(info *types.Info, e ast.Expr, f types.Object) bool {
+	for {
+		switch x := ast.Unparen(e).(type) {
+		case *ast.SelectorExpr:
+			if s := info.Selections[x]; s != nil && s.Obj() == f {
+				return true
+			}
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		default:
+			return false
+		}
+	}
 }
 
 // ifaceArgs reads every field of each struct value call converts to an

@@ -54,7 +54,7 @@ func TestRenderProducesTable(t *testing.T) {
 }
 
 func TestFig3Shape(t *testing.T) {
-	d := Fig3(quickOpts())
+	d := fig3Data(quickOpts())
 	last := len(d.Threads) - 1
 	for _, s := range []core.Scheme{core.SocketAsync, core.SocketSync} {
 		if d.Mean[s][last] < 4*d.Mean[s][0] {
@@ -77,7 +77,7 @@ func TestFig3Shape(t *testing.T) {
 }
 
 func TestFig4Shape(t *testing.T) {
-	d := Fig4(quickOpts())
+	d := fig4Data(quickOpts())
 	// At the finest granularity the perturbation ordering holds and
 	// RDMA-Sync is effectively free.
 	fine := 0
@@ -98,7 +98,7 @@ func TestFig4Shape(t *testing.T) {
 }
 
 func TestFig5Shape(t *testing.T) {
-	d := Fig5(quickOpts())
+	d := fig5Data(quickOpts())
 	// RDMA-Sync is exact for runnable counts.
 	if d.Threads[core.RDMASync].MeanAbs() > 0.2 {
 		t.Errorf("RDMA-Sync thread deviation = %v, want ~0", d.Threads[core.RDMASync].MeanAbs())
@@ -121,7 +121,7 @@ func TestFig5Shape(t *testing.T) {
 }
 
 func TestFig6Shape(t *testing.T) {
-	d := Fig6(quickOpts())
+	d := fig6Data(quickOpts())
 	rs := d.Stats[core.RDMASync]
 	if rs.TotalSeen[1] == 0 {
 		t.Fatal("RDMA-Sync should observe pending interrupts on CPU1")
@@ -143,7 +143,7 @@ func TestTable1Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow experiment; skipped with -short")
 	}
-	d := Table1(quickOpts())
+	d := table1Data(quickOpts())
 	if len(d.Queries) != 8 {
 		t.Fatalf("queries = %v", d.Queries)
 	}
@@ -175,7 +175,7 @@ func TestFig7Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow experiment; skipped with -short")
 	}
-	d := Fig7(quickOpts())
+	d := fig7Data(quickOpts())
 	for ai := range d.Alphas {
 		if d.Throughput[core.SocketAsync][ai] <= 0 {
 			t.Fatal("no baseline throughput")
@@ -195,7 +195,7 @@ func TestFig9Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow experiment; skipped with -short")
 	}
-	d := Fig9(quickOpts())
+	d := fig9Data(quickOpts())
 	// RDMA-Sync gains from finer granularity.
 	fine, coarse := 0, len(d.GranularityMS)-1
 	rs := d.Throughput[core.RDMASync]
@@ -214,7 +214,7 @@ func TestFig8Runs(t *testing.T) {
 	}
 	// Fig 8 maxima are too noisy for shape assertions at quick scale;
 	// assert structure and positivity only.
-	d := Fig8(quickOpts())
+	d := fig8Data(quickOpts())
 	for _, s := range core.FourSchemes() {
 		for gi := range d.GranularityMS {
 			if d.MaxSearch[s][gi] <= 0 || d.MaxBrowse[s][gi] <= 0 {
@@ -238,7 +238,7 @@ func TestExtensionAdmitShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow experiment; skipped with -short")
 	}
-	d := Admit(quickOpts())
+	d := admitData(quickOpts())
 	si := -1
 	ei := -1
 	for i, s := range d.Schemes {
@@ -261,7 +261,7 @@ func TestExtensionAdmitShape(t *testing.T) {
 }
 
 func TestExtensionPushShape(t *testing.T) {
-	d := Push(quickOpts())
+	d := pushData(quickOpts())
 	byName := map[string]PushRow{}
 	for _, r := range d.Rows {
 		byName[r.Name] = r
@@ -282,7 +282,7 @@ func TestExtensionReconfigShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow experiment; skipped with -short")
 	}
-	d := Reconfig(quickOpts())
+	d := reconfigData(quickOpts())
 	byName := map[string]ReconfigRow{}
 	for _, r := range d.Rows {
 		byName[r.Name] = r

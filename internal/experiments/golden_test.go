@@ -34,7 +34,8 @@ func pinDigest(t *testing.T, name string, r *Result, want uint64) {
 // process; this one compares against digests captured from an earlier
 // tree, so a change that moves any figure — even by one formatted digit
 // — fails here. A change that is meant to move a figure updates its
-// digest in the same commit and says why.
+// digest in the same commit and says why. The figures and extensions
+// are rendered from memoResults, the same run their shape tests read.
 func TestPaperGoldenDigests(t *testing.T) {
 	golden := []struct {
 		name     string
@@ -63,9 +64,15 @@ func TestPaperGoldenDigests(t *testing.T) {
 		g := g
 		t.Run(g.name, func(t *testing.T) {
 			t.Parallel()
-			res, err := Run(g.id, Options{Quick: true, Backends: g.backends})
-			if err != nil {
-				t.Fatal(err)
+			o := Options{Quick: true, Backends: g.backends}
+			var res *Result
+			if memo := memoResults[g.id]; memo != nil {
+				res = memo(o)
+			} else {
+				var err error
+				if res, err = Run(g.id, o); err != nil {
+					t.Fatal(err)
+				}
 			}
 			if got := digestResult(res); got != g.digest {
 				t.Errorf("%s: result digest 0x%016x, want golden 0x%016x — the figure changed", g.name, got, g.digest)

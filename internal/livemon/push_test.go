@@ -298,6 +298,32 @@ func TestMonitorAdaptivePeriod(t *testing.T) {
 	}
 }
 
+// TestMonitorCloseMidRedial: a monitor closed while its probe retries a
+// closed agent — backing off, redialing a refused port — leaves no
+// connection and no goroutine behind.
+func TestMonitorCloseMidRedial(t *testing.T) {
+	leakCheck(t)
+	a, err := StartAgent(Config{Scheme: core.RDMASync, NodeID: 6, Provider: synthetic(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	target := a.Addr()
+	m, dialErrs := NewMonitor([]string{target}, MonitorConfig{Interval: 5 * time.Millisecond})
+	for tgt, derr := range dialErrs {
+		t.Fatalf("dial %s: %v", tgt, derr)
+	}
+	waitFor(t, 5*time.Second, func() bool {
+		_, _, ok := m.Latest(target)
+		return ok
+	}, "a first record")
+	a.Close()
+	waitFor(t, 5*time.Second, func() bool { return m.Err(target) != nil }, "a fetch failing against the closed agent")
+	// The next tick's fetch is under way: a retry spends ~75 ms in
+	// backoff and redials, so Close lands in the middle of one.
+	time.Sleep(10 * time.Millisecond)
+	m.Close()
+}
+
 // TestMonitorAdaptiveLeaseLoss: losing primaryship forces the fast
 // period even on a quiet fleet.
 func TestMonitorAdaptiveLeaseLoss(t *testing.T) {

@@ -4,8 +4,12 @@
 // Events scheduled for the same instant fire in the order they were
 // scheduled, so a run with a fixed seed is bit-for-bit reproducible.
 // The queue orders runs of same-instant events rather than single
-// events, so a fleet whose timers tick in lockstep pays one heap
-// operation per instant, not one per event.
+// events, so a fleet whose timers tick in lockstep pays one queue
+// operation per instant, not one per event. Since the clock never runs
+// backwards, the queue is a radix heap (Ahuja, Mehlhorn, Orlin and
+// Tarjan, 1990): a run waits in the bucket named by the highest bit in
+// which its instant differs from the last one fired, so an event due a
+// microsecond on is never ordered against timers parked 100 ms out.
 // All other simulation packages (simos, simnet, ...) are built on top
 // of this engine and inherit its determinism.
 package sim
@@ -13,6 +17,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 )
 
@@ -79,13 +84,14 @@ type Event struct {
 	seq uint64 // key within at; assigned at every enqueue (see KeyAt)
 
 	// A run is a list of pending events with one timestamp, ascending
-	// in seq. Only its head holds a heap slot; the rest hang off it
-	// through next/prev with index == chained.
+	// in seq. Only its head has a place in the queue; the rest hang
+	// off it through next/prev with index == chained.
 	next, prev *Event
 
-	// index is the head's position in the heap, chained for a run
-	// member behind the head, idle when not queued. It shares a word
-	// with recycle so an Event stays in the 48-byte size class.
+	// index is the head's position in its bucket or in the instant
+	// heap, chained for a run member behind the head, idle when not
+	// queued. It shares a word with recycle so an Event stays in the
+	// 48-byte size class.
 	index int32
 
 	// recycle marks a node scheduled through Post: nobody holds its
@@ -95,39 +101,40 @@ type Event struct {
 
 const (
 	idle    int32 = -1 // not queued
-	chained int32 = -2 // queued behind prev, no heap slot
+	chained int32 = -2 // queued behind prev, no place of its own
 )
 
 // Pending reports whether the event is still queued.
 func (e *Event) Pending() bool { return e != nil && e.index != idle }
 
-// slot is one heap entry: the head of a run. The (at, seq) key sits
-// beside the pointer so a comparison reads two adjacent slots instead
-// of following two *Event pointers; seq is unique, so the order is
-// total and the fire order does not depend on the shape of the heap.
-type slot struct {
-	at  Time
-	seq uint64
-	ev  *Event
-}
-
-func (a *slot) before(b *slot) bool {
+// before orders run heads by (at, seq). seq is unique, so the order is
+// total and the fire order does not depend on the shape of the queue.
+func (a *Event) before(b *Event) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
 	return a.seq < b.seq
 }
 
-// eventQueue is a 4-ary min-heap of slots: children of i are
+// slot is one entry of the current instant's heap: a run head with its
+// seq beside the pointer, so a sift compares adjacent slots instead of
+// following *Event pointers. Every head there is due at the same
+// instant, so seq alone orders them.
+type slot struct {
+	seq uint64
+	ev  *Event
+}
+
+// instantHeap is a 4-ary min-heap of slots: children of i are
 // 4i+1..4i+4. A sift moves a hole instead of swapping, so each moved
 // slot is written (and its event's index updated) once.
-type eventQueue []slot
+type instantHeap []slot
 
 // up places s at or above position i.
-func (q eventQueue) up(i int, s slot) {
+func (q instantHeap) up(i int, s slot) {
 	for i > 0 {
 		p := (i - 1) / 4
-		if !s.before(&q[p]) {
+		if s.seq >= q[p].seq {
 			break
 		}
 		q[i] = q[p]
@@ -139,7 +146,7 @@ func (q eventQueue) up(i int, s slot) {
 }
 
 // down places s at or below position i.
-func (q eventQueue) down(i int, s slot) {
+func (q instantHeap) down(i int, s slot) {
 	n := len(q)
 	for {
 		c := 4*i + 1
@@ -152,11 +159,11 @@ func (q eventQueue) down(i int, s slot) {
 		}
 		m := c
 		for j := c + 1; j < end; j++ {
-			if q[j].before(&q[m]) {
+			if q[j].seq < q[m].seq {
 				m = j
 			}
 		}
-		if !q[m].before(&s) {
+		if q[m].seq >= s.seq {
 			break
 		}
 		q[i] = q[m]
@@ -167,13 +174,20 @@ func (q eventQueue) down(i int, s slot) {
 	s.ev.index = int32(i)
 }
 
-func (q *eventQueue) push(s slot) {
+func (q *instantHeap) push(s slot) {
 	*q = append(*q, slot{})
 	q.up(len(*q)-1, s)
 }
 
+// heapify orders the whole list as a heap, bottom up.
+func (q instantHeap) heapify() {
+	for i := (len(q) - 2) / 4; i >= 0 && len(q) > 1; i-- {
+		q.down(i, q[i])
+	}
+}
+
 // remove gives up the slot at position i.
-func (q *eventQueue) remove(i int) {
+func (q *instantHeap) remove(i int) {
 	old := *q
 	n := len(old) - 1
 	last := old[n]
@@ -182,23 +196,60 @@ func (q *eventQueue) remove(i int) {
 	if i == n {
 		return
 	}
-	if i > 0 && last.before(&old[(i-1)/4]) {
+	if i > 0 && last.seq < old[(i-1)/4].seq {
 		q.up(i, last)
 	} else {
 		q.down(i, last)
 	}
 }
 
+// earliest returns the position of the first head of a non-empty bucket.
+func earliest(q []*Event) int {
+	m := 0
+	for i := 1; i < len(q); i++ {
+		if q[i].before(q[m]) {
+			m = i
+		}
+	}
+	return m
+}
+
+// buckets is the number of radix buckets: a pending at is never
+// negative, so at^last has at most 63 significant bits.
+const buckets = 64
+
+// bucketCap is the initial capacity of each bucket and of the spare.
+// NewEngine carves them all from one array, so a bucket that a
+// power-of-two boundary of the clock first brings into use, long after
+// start, does not allocate.
+const bucketCap = 16
+
 // Engine is a single-threaded discrete-event simulator. It is not safe
 // for concurrent use; run one engine per goroutine.
 type Engine struct {
-	now   Time
-	seq   uint64
-	n     int        // pending events: heap slots + chained
-	queue eventQueue // one slot per run
-	free  []*Event   // fired Post nodes, fn cleared
-	rng   *rand.Rand
-	seed  int64
+	now  Time
+	seq  uint64
+	n    int      // pending events: run heads + chained
+	free []*Event // fired Post nodes, fn cleared
+	rng  *rand.Rand
+	seed int64
+
+	// The queue is a radix heap over the monotone clock: a run's head
+	// sits in bucket bits.Len64(at^last), where last is the instant of
+	// the last event fired. Bucket 0 is instant, the heads due at last
+	// itself, a heap ordered by seq; bucket b > 0 holds, unordered, the
+	// heads whose at first differs from last in bit b-1 (buckets[0] is
+	// unused). full has bit b set while bucket b is not empty.
+	last    Time
+	full    uint64
+	instant instantHeap
+	buckets [buckets][]*Event
+
+	// spare is the largest empty array a drained bucket has handed back
+	// (see pop). A bucket that fills up moves into it rather than grow:
+	// as the clock crosses each new power of two, a bucket no run has
+	// used before fills with everything due past that boundary.
+	spare []*Event
 
 	// recent holds the last few events enqueued, as candidates for the
 	// next one to chain behind; see enqueue for why a stale entry is
@@ -216,7 +267,13 @@ type Engine struct {
 // NewEngine returns an engine with its clock at zero and a random
 // number stream derived from seed.
 func NewEngine(seed int64) *Engine {
-	return &Engine{rng: rand.New(rand.NewSource(seed)), seed: seed}
+	e := &Engine{rng: rand.New(rand.NewSource(seed)), seed: seed}
+	all := make([]*Event, buckets*bucketCap)
+	for b := range e.buckets {
+		e.buckets[b] = all[b*bucketCap : b*bucketCap : (b+1)*bucketCap]
+	}
+	e.spare, e.buckets[0] = e.buckets[0], nil // bucket 0 is instant
+	return e
 }
 
 // Now returns the current virtual time.
@@ -234,13 +291,14 @@ func (e *Engine) Len() int { return e.n }
 // recentEvents sizes Engine.recent. A timer tick interleaves two
 // instants — the IRQ completion a microsecond on and the re-arm a
 // period on — so two entries catch a lockstep fleet's ties. Measured
-// share of enqueues that chain, at 1/2/4/8 entries: sweep-8192
-// 57/94/94/94 %, scaleout-8192 70/98/98/98 %, dispatch-64 7/10/10/10 %.
+// share of enqueues that chain over a whole 2 s seed-1 bench run, at
+// 1/2/4/8 entries: sweep-8192 86/86/86/86 %, scaleout-8192
+// 70/98/98/98 %, dispatch-64 7/10/10/10 %.
 const recentEvents = 2
 
 // enqueue keys ev with the next sequence number and queues it: behind
 // a pending event of the same instant if a recent one is the tail of
-// its run, in a heap slot of its own otherwise.
+// its run, in a slot of its own otherwise.
 //
 // The candidates need no invalidation. ev carries the largest seq in
 // existence, so appending it behind any pending event c with
@@ -248,9 +306,9 @@ const recentEvents = 2
 // c has been through since it was recorded — a Post node recycled, a
 // ticker's or timer's event re-armed, a head or a chained member, its
 // old successors fired or cancelled. Only c's state now is read. And since
-// the heap compares the current heads' (at, seq), two runs of one
+// the queue compares the current heads' (at, seq), two runs of one
 // instant whose sequence numbers interleave still merge in strict
-// (at, seq) order: a miss costs a heap slot, never the order.
+// (at, seq) order: a miss costs a slot, never the order.
 func (e *Engine) enqueue(ev *Event, at Time, fn func()) {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, e.now))
@@ -269,7 +327,29 @@ func (e *Engine) enqueue(ev *Event, at Time, fn func()) {
 	}
 	e.recent[e.victim] = ev
 	e.victim = (e.victim + 1) % recentEvents
-	e.queue.push(slot{at: at, seq: ev.seq, ev: ev})
+	e.push(ev)
+}
+
+// bucket returns the radix bucket of a head due at at.
+func (e *Engine) bucket(at Time) int { return bits.Len64(uint64(at ^ e.last)) }
+
+// push gives head ev a place in the bucket its at names.
+func (e *Engine) push(ev *Event) {
+	b := e.bucket(ev.at)
+	e.full |= 1 << b
+	if b == 0 {
+		e.instant.push(slot{seq: ev.seq, ev: ev})
+		return
+	}
+	q := &e.buckets[b]
+	if n := len(*q); n == cap(*q) && n < cap(e.spare) {
+		old := *q
+		*q = append(e.spare, old...)
+		clear(old)
+		e.spare = old[:0]
+	}
+	ev.index = int32(len(*q))
+	*q = append(*q, ev)
 }
 
 // nextKey takes the next sequence key: the current instant's next
@@ -297,10 +377,23 @@ func (e *Engine) current() uint64 {
 	if e.cur != 0 {
 		return e.cur
 	}
-	if len(e.queue) > 0 && e.queue[0].at == e.now {
-		return e.queue[0].seq
+	if h := e.peek(); h != nil && h.at == e.now {
+		return h.seq
 	}
 	return math.MaxUint64
+}
+
+// peek returns the head of the next run to fire, or nil.
+func (e *Engine) peek() *Event {
+	switch b := bits.TrailingZeros64(e.full); {
+	case e.full == 0:
+		return nil
+	case b == 0:
+		return e.instant[0].ev
+	default:
+		q := e.buckets[b]
+		return q[earliest(q)]
+	}
 }
 
 // Fired reports whether an event keyed (at, seq) would already have
@@ -310,25 +403,107 @@ func (e *Engine) Fired(at Time, seq uint64) bool {
 }
 
 // dequeue takes a pending event out of the queue. A chained event is
-// unlinked; a head hands its slot to its successor, which has the same
-// at and a larger seq and so can only sink, or gives the slot up.
+// unlinked; a head hands its place to its successor, which has the same
+// at, so the same bucket, and a larger seq, so in the instant heap it
+// can only sink; or the head gives its place up.
 func (e *Engine) dequeue(ev *Event) {
 	e.n--
 	nx := ev.next
-	if ev.index == chained {
+	switch b, i := e.bucket(ev.at), int(ev.index); {
+	case ev.index == chained:
 		ev.prev.next = nx
 		if nx != nil {
 			nx.prev = ev.prev
 		}
 		ev.prev = nil
-	} else if nx != nil {
-		nx.prev = nil
-		e.queue.down(int(ev.index), slot{at: nx.at, seq: nx.seq, ev: nx})
-	} else {
-		e.queue.remove(int(ev.index))
+	case b == 0:
+		if nx != nil {
+			nx.prev = nil
+			e.instant.down(i, slot{seq: nx.seq, ev: nx})
+			break
+		}
+		e.instant.remove(i)
+		if len(e.instant) == 0 {
+			e.full &^= 1
+		}
+	default:
+		q := e.buckets[b]
+		if nx != nil {
+			nx.prev = nil
+		} else { // the bucket's last head fills the hole
+			n := len(q) - 1
+			nx = q[n]
+			q[n] = nil
+			e.buckets[b] = q[:n]
+			if n == 0 {
+				e.full &^= 1 << b
+			}
+		}
+		if nx != ev {
+			q[i], nx.index = nx, int32(i)
+		}
 	}
 	ev.next = nil
 	ev.index = idle
+}
+
+// pop takes the next event out of the queue if it is due by limit, and
+// returns it, or nil. The current instant's heap, when it holds
+// anything, holds the next event at its top. Otherwise the next event
+// is the first head of the lowest bucket b in use: the clock's last
+// instant moves to its at, and every other head of b moves down to the
+// bucket that names it now, so a head moves at most 63 times in its
+// life; those of the same instant form the new instant heap in one
+// O(n) heapify rather than n pushes. The next event itself leaves b
+// directly, and its successor, if any, takes a slot in the heap.
+func (e *Engine) pop(limit Time) *Event {
+	if e.full == 0 {
+		return nil
+	}
+	b := bits.TrailingZeros64(e.full)
+	if b == 0 {
+		if e.last > limit {
+			return nil
+		}
+		ev := e.instant[0].ev
+		e.dequeue(ev)
+		return ev
+	}
+	q := e.buckets[b]
+	m := earliest(q)
+	ev := q[m]
+	if ev.at > limit {
+		return nil
+	}
+	e.last = ev.at
+	for i, h := range q {
+		q[i] = nil
+		switch {
+		case i == m:
+		case h.at == ev.at: // b was the lowest bucket in use: instant is empty
+			h.index = int32(len(e.instant))
+			e.instant = append(e.instant, slot{seq: h.seq, ev: h})
+		default:
+			e.push(h)
+		}
+	}
+	if len(e.instant) > 0 {
+		e.instant.heapify()
+		e.full |= 1
+	}
+	if cap(q) > cap(e.spare) {
+		q, e.spare = e.spare, q[:0]
+	}
+	e.buckets[b] = q[:0]
+	e.full &^= 1 << b
+	e.n--
+	if nx := ev.next; nx != nil {
+		nx.prev = nil
+		ev.next = nil
+		e.push(nx)
+	}
+	ev.index = idle
+	return ev
 }
 
 // Schedule queues fn to run at absolute time at. Scheduling in the past
@@ -375,7 +550,7 @@ func (e *Engine) postNode() *Event {
 // PostKeyed is Post at absolute time at with a caller-chosen sequence
 // key — one from Reserve or KeyAt — instead of the next one, so the
 // event takes the place an event enqueued earlier would have. It gets
-// a heap slot of its own: the key may be smaller than those of pending
+// a slot of its own: the key may be smaller than those of pending
 // events of the same instant, so it cannot join the tail of their run.
 func (e *Engine) PostKeyed(at Time, seq uint64, fn func()) {
 	e.enqueueKeyed(e.postNode(), at, seq, fn)
@@ -390,7 +565,7 @@ func (e *Engine) enqueueKeyed(ev *Event, at Time, seq uint64, fn func()) {
 	}
 	e.n++
 	ev.at, ev.fn, ev.seq = at, fn, seq
-	e.queue.push(slot{at: at, seq: seq, ev: ev})
+	e.push(ev)
 }
 
 // Cancel removes a pending event. It reports whether the event was
@@ -408,11 +583,16 @@ func (e *Engine) Cancel(ev *Event) bool {
 // Step executes the next event, advancing the clock to its timestamp.
 // It reports whether an event was executed.
 func (e *Engine) Step() bool {
-	if len(e.queue) == 0 {
+	ev := e.pop(math.MaxInt64)
+	if ev == nil {
 		return false
 	}
-	ev := e.queue[0].ev
-	e.dequeue(ev)
+	e.fire(ev)
+	return true
+}
+
+// fire runs a popped event, advancing the clock to its timestamp.
+func (e *Engine) fire(ev *Event) {
 	e.now = ev.at
 	fn := ev.fn
 	ev.fn = nil
@@ -423,7 +603,6 @@ func (e *Engine) Step() bool {
 	e.cur = ev.seq
 	fn()
 	e.cur = 0
-	return true
 }
 
 // run executes events until the queue is empty (tests only:
@@ -437,8 +616,8 @@ func (e *Engine) run() {
 // clock to exactly t. Events scheduled at t fire; later events remain
 // queued.
 func (e *Engine) RunUntil(t Time) {
-	for len(e.queue) > 0 && e.queue[0].at <= t {
-		e.Step()
+	for ev := e.pop(t); ev != nil; ev = e.pop(t) {
+		e.fire(ev)
 	}
 	if t > e.now {
 		e.now = t

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -334,6 +335,78 @@ func BenchmarkEngineHold(b *testing.B) {
 				e.After(delays[i%len(delays)], nop)
 				e.Step()
 			}
+		})
+	}
+}
+
+// BenchmarkEngineHoldTimers is dispatch-64's queue: 1 536 timers parked
+// 0.04–750 ms out, log-uniform (clients' think times and request
+// timeouts), each re-armed when it fires, beside 32 chains of events
+// 0.1–20 us apart (interrupts, bursts, messages) that carry almost
+// every step. One iteration is one Step.
+func BenchmarkEngineHoldTimers(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	far, near := make([]Time, 4096), make([]Time, 4096)
+	for i := range far {
+		far[i] = Time(float64(40*Microsecond) * math.Pow(750.0/0.04, rng.Float64()))
+		near[i] = 100 + Time(rng.Int63n(int64(20*Microsecond)))
+	}
+	e := NewEngine(1)
+	k := 0
+	for i := 0; i < 1536; i++ {
+		var tm *Timer
+		tm = e.NewTimer(func() {
+			k++
+			tm.Reset(far[k%len(far)])
+		})
+		tm.Reset(far[i])
+	}
+	j := 0
+	var churn func()
+	churn = func() {
+		j++
+		e.Post(near[j%len(near)], churn)
+	}
+	for i := 0; i < 32; i++ {
+		e.Post(near[i], churn)
+	}
+	e.RunFor(Second)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Step()
+	}
+}
+
+// BenchmarkEngineSameInstantKeyed posts n keyed events for one instant,
+// in random key order, and runs them: every one holds a slot of its own
+// (PostKeyed never chains), so the queue orders n heads of one instant.
+// ns/event must not grow with n faster than a heap's log n.
+func BenchmarkEngineSameInstantKeyed(b *testing.B) {
+	nop := func() {}
+	for _, n := range []int{1024, 32768} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			e := NewEngine(1)
+			keys := make([]uint64, n)
+			order := rand.New(rand.NewSource(1)).Perm(n)
+			round := func() {
+				for i := range keys {
+					keys[i] = e.Reserve()
+				}
+				for _, i := range order {
+					e.PostKeyed(e.Now()+Microsecond, keys[i], nop)
+				}
+				e.RunFor(Microsecond)
+			}
+			round()
+			round() // the arrays the queue passes between its buckets reach size
+			p0 := e.Processed
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				round()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(e.Processed-p0), "ns/event")
 		})
 	}
 }

@@ -6,33 +6,60 @@ import (
 	"unsafe"
 )
 
-// checkStructure verifies the queue's shape: the heap orders run
-// heads, every run is a well-linked list of one instant ascending in
-// seq, heap slots plus chained events account for Len, and nothing on
-// the free list is still linked.
+// checkStructure verifies the queue's shape: every run head sits in
+// the bucket its at and the clock's last instant name, never before
+// last; the instant heap is a heap by seq and full marks exactly the
+// non-empty buckets; every run is a well-linked list of one instant
+// ascending in seq; heads plus chained events account for Len; and
+// nothing on the free list is still linked.
 func checkStructure(e *Engine) error {
 	n := 0
-	for i := range e.queue {
-		s := &e.queue[i]
-		if i > 0 && s.before(&e.queue[(i-1)/4]) {
-			return fmt.Errorf("slot %d sorts before its parent", i)
-		}
-		h := s.ev
-		if int(h.index) != i || h.prev != nil || s.at != h.at || s.seq != h.seq {
-			return fmt.Errorf("slot %d: head index=%d prev=%v key (%v,%d) vs event (%v,%d)",
-				i, h.index, h.prev != nil, s.at, s.seq, h.at, h.seq)
+	run := func(where string, h *Event) error {
+		if h.prev != nil || h.at < e.last {
+			return fmt.Errorf("%s: head prev=%v at %v before last %v", where, h.prev != nil, h.at, e.last)
 		}
 		n++
 		for p, ev := h, h.next; ev != nil; p, ev = ev, ev.next {
 			if ev.index != chained || ev.prev != p || ev.at != p.at || ev.seq <= p.seq {
-				return fmt.Errorf("run of slot %d: member index=%d prev ok=%v at %v vs %v seq %d after %d",
-					i, ev.index, ev.prev == p, ev.at, p.at, ev.seq, p.seq)
+				return fmt.Errorf("run of %s: member index=%d prev ok=%v at %v vs %v seq %d after %d",
+					where, ev.index, ev.prev == p, ev.at, p.at, ev.seq, p.seq)
 			}
 			n++
 		}
+		return nil
+	}
+	if (e.full&1 == 1) != (len(e.instant) > 0) || len(e.buckets[0]) > 0 {
+		return fmt.Errorf("instant heap holds %d slots, full bit %d, buckets[0] %d", len(e.instant), e.full&1, len(e.buckets[0]))
+	}
+	for i, s := range e.instant {
+		where := fmt.Sprintf("instant slot %d", i)
+		if i > 0 && s.seq < e.instant[(i-1)/4].seq {
+			return fmt.Errorf("%s sorts before its parent", where)
+		}
+		if h := s.ev; int(h.index) != i || s.seq != h.seq || h.at != e.last {
+			return fmt.Errorf("%s: head index=%d seq %d vs %d at %v, last %v", where, h.index, s.seq, h.seq, h.at, e.last)
+		}
+		if err := run(where, s.ev); err != nil {
+			return err
+		}
+	}
+	for b := 1; b < len(e.buckets); b++ {
+		q := e.buckets[b]
+		if (e.full>>b&1 == 1) != (len(q) > 0) {
+			return fmt.Errorf("bucket %d holds %d heads, full bit %d", b, len(q), e.full>>b&1)
+		}
+		for i, h := range q {
+			where := fmt.Sprintf("bucket %d head %d", b, i)
+			if int(h.index) != i || e.bucket(h.at) != b {
+				return fmt.Errorf("%s: index=%d, at %v belongs in bucket %d (last %v)", where, h.index, h.at, e.bucket(h.at), e.last)
+			}
+			if err := run(where, h); err != nil {
+				return err
+			}
+		}
 	}
 	if n != e.Len() {
-		return fmt.Errorf("%d heap slots + %d chained events, Len() = %d", len(e.queue), n-len(e.queue), e.Len())
+		return fmt.Errorf("%d heads + %d chained events, Len() = %d", heads(e), n-heads(e), e.Len())
 	}
 	for _, ev := range e.free {
 		if ev.fn != nil || ev.index != idle || ev.next != nil || ev.prev != nil {
@@ -41,6 +68,15 @@ func checkStructure(e *Engine) error {
 		}
 	}
 	return nil
+}
+
+// heads counts the queue's runs: one head each.
+func heads(e *Engine) int {
+	n := len(e.instant)
+	for _, q := range e.buckets {
+		n += len(q)
+	}
+	return n
 }
 
 // checkHandle verifies one event against its place in the structure.
@@ -93,8 +129,8 @@ func TestRunCancelHeadMiddleTail(t *testing.T) {
 		i := i
 		evs[i] = e.Schedule(100, func() { got = append(got, i) })
 	}
-	if len(e.queue) != 1 || e.Len() != 6 {
-		t.Fatalf("six same-instant events: %d heap slots, Len %d; want 1, 6", len(e.queue), e.Len())
+	if heads(e) != 1 || e.Len() != 6 {
+		t.Fatalf("six same-instant events: %d slots, Len %d; want 1, 6", heads(e), e.Len())
 	}
 	for i, ev := range evs {
 		if !ev.Pending() || ev.at != 100 {
@@ -113,12 +149,12 @@ func TestRunCancelHeadMiddleTail(t *testing.T) {
 		if evs[i].Pending() || evs[i].at != 100 {
 			t.Fatalf("cancelled event %d: pending=%v at=%v", i, evs[i].Pending(), evs[i].at)
 		}
-		if e.Len() != 5-n || len(e.queue) != 1 {
-			t.Fatalf("after cancelling %d: Len %d, %d heap slots", i, e.Len(), len(e.queue))
+		if e.Len() != 5-n || heads(e) != 1 {
+			t.Fatalf("after cancelling %d: Len %d, %d slots", i, e.Len(), heads(e))
 		}
 		mustStructure(t, e, evs...)
 	}
-	if e.queue[0].ev != evs[1] {
+	if e.peek() != evs[1] {
 		t.Fatal("the cancelled head's successor did not take its slot")
 	}
 	// The candidates left are the cancelled tail and, planted, the head —
@@ -126,8 +162,8 @@ func TestRunCancelHeadMiddleTail(t *testing.T) {
 	// instant: it misses and starts a second run, a slot, not the order.
 	e.recent[1] = evs[1]
 	evs = append(evs, e.Schedule(100, func() { got = append(got, 6) }))
-	if e.Len() != 4 || len(e.queue) != 2 {
-		t.Fatalf("after a miss: Len %d, %d heap slots; want 4, 2", e.Len(), len(e.queue))
+	if e.Len() != 4 || heads(e) != 2 {
+		t.Fatalf("after a miss: Len %d, %d slots; want 4, 2", e.Len(), heads(e))
 	}
 	mustStructure(t, e, evs...)
 	e.run()
@@ -147,7 +183,7 @@ func TestRecycledPostNodeAsChainTail(t *testing.T) {
 	e := NewEngine(1)
 	var got []int
 	e.Post(1, func() { got = append(got, 0) })
-	node := e.queue[0].ev
+	node := e.peek()
 	e.Step()
 	if len(e.free) != 1 || e.free[0] != node || e.recent[0] != node {
 		t.Fatal("fired Post node should sit on the free list, still a candidate")
@@ -165,8 +201,8 @@ func TestRecycledPostNodeAsChainTail(t *testing.T) {
 		t.Fatal("an event did not chain behind the recycled node")
 	}
 	e.Post(4, func() { got = append(got, 4) }) // a fresh node behind b
-	if e.Len() != 4 || len(e.queue) != 2 {
-		t.Fatalf("Len %d, %d heap slots; want 4, 2", e.Len(), len(e.queue))
+	if e.Len() != 4 || heads(e) != 2 {
+		t.Fatalf("Len %d, %d slots; want 4, 2", e.Len(), heads(e))
 	}
 	mustStructure(t, e, a, b)
 	e.run()
@@ -194,8 +230,8 @@ func TestTickerEventAsChainMemberAndTail(t *testing.T) {
 	if after.prev != &tk.ev {
 		t.Fatal("an event did not chain behind the ticker's event")
 	}
-	if e.Len() != 3 || len(e.queue) != 1 {
-		t.Fatalf("Len %d, %d heap slots; want 3, 1", e.Len(), len(e.queue))
+	if e.Len() != 3 || heads(e) != 1 {
+		t.Fatalf("Len %d, %d slots; want 3, 1", e.Len(), heads(e))
 	}
 	mustStructure(t, e, &tk.ev, after)
 	e.RunUntil(20)
@@ -224,8 +260,8 @@ func TestInterleavedRunsFireInSeqOrder(t *testing.T) {
 	}
 	e.Schedule(40, func() { got = append(got, -1) })
 	e.Schedule(60, func() { got = append(got, 99) })
-	if len(e.queue) != 4 || e.Len() != 14 {
-		t.Fatalf("%d heap slots, Len %d; want 4 (two runs + two singles), 14", len(e.queue), e.Len())
+	if heads(e) != 4 || e.Len() != 14 {
+		t.Fatalf("%d slots, Len %d; want 4 (two runs + two singles), 14", heads(e), e.Len())
 	}
 	mustStructure(t, e, evs...)
 	e.Cancel(evs[4]) // a middle member of run A
@@ -248,8 +284,8 @@ func TestTickerStopWhileChained(t *testing.T) {
 		tks[i] = e.NewTicker(10, func() { ticks[i]++ })
 	}
 	e.RunUntil(10)
-	if len(e.queue) != 1 || e.Len() != 3 || tks[1].ev.index != chained || tks[2].ev.index != chained {
-		t.Fatalf("three lockstep tickers: %d heap slots, Len %d", len(e.queue), e.Len())
+	if heads(e) != 1 || e.Len() != 3 || tks[1].ev.index != chained || tks[2].ev.index != chained {
+		t.Fatalf("three lockstep tickers: %d slots, Len %d", heads(e), e.Len())
 	}
 	tks[1].Stop() // chained, middle
 	if tks[1].ev.Pending() || e.Len() != 2 {
@@ -257,7 +293,7 @@ func TestTickerStopWhileChained(t *testing.T) {
 	}
 	mustStructure(t, e, &tks[0].ev, &tks[1].ev, &tks[2].ev)
 	tks[0].Stop() // head with a successor
-	if e.Len() != 1 || e.queue[0].ev != &tks[2].ev {
+	if e.Len() != 1 || e.peek() != &tks[2].ev {
 		t.Fatal("the stopped head's successor did not take its slot")
 	}
 	mustStructure(t, e, &tks[0].ev, &tks[1].ev, &tks[2].ev)
@@ -291,8 +327,8 @@ func tickBurstFleet(e *Engine, n int, phase func(i int) Time) {
 }
 
 // The point of the run structure: a lockstep fleet's tick burst is
-// 24 576 pending events at a tick boundary and a handful of heap
-// slots, so each of them costs a pointer, not a sift.
+// 24 576 pending events at a tick boundary and a handful of run
+// heads, so each of them costs a pointer, not a slot of its own.
 func TestTickBurstHeapStaysShallow(t *testing.T) {
 	const n = 8192
 	e := NewEngine(1)
@@ -304,8 +340,8 @@ func TestTickBurstHeapStaysShallow(t *testing.T) {
 		if i%n == 0 {
 			mustStructure(t, e)
 		}
-		if len(e.queue) > 8 {
-			t.Fatalf("at %v: %d heap slots for %d events, want <= 8", e.Now(), len(e.queue), e.Len())
+		if heads(e) > 8 {
+			t.Fatalf("at %v: %d slots for %d events, want <= 8", e.Now(), heads(e), e.Len())
 		}
 		if i < 3*n && !e.Step() {
 			t.Fatal("queue drained")

@@ -18,8 +18,8 @@ func TestTimerFiresInSequenceOrder(t *testing.T) {
 	e.Post(5, log(5))
 	t6.Reset(5)
 	e.After(3, log(-1))
-	if e.Len() != 8 || len(e.queue) != 2 {
-		t.Fatalf("Len %d, %d heap slots; want 8, 2", e.Len(), len(e.queue))
+	if e.Len() != 8 || heads(e) != 2 {
+		t.Fatalf("Len %d, %d slots; want 8, 2", e.Len(), heads(e))
 	}
 	mustStructure(t, e, &t1.ev, &t4.ev, &t6.ev)
 	e.run()
@@ -92,19 +92,19 @@ func TestTimerStopHeadMiddleTail(t *testing.T) {
 		tms[i].Reset(100)
 		evs[i] = &tms[i].ev
 	}
-	if len(e.queue) != 1 || e.Len() != 6 {
-		t.Fatalf("six same-instant timers: %d heap slots, Len %d", len(e.queue), e.Len())
+	if heads(e) != 1 || e.Len() != 6 {
+		t.Fatalf("six same-instant timers: %d slots, Len %d", heads(e), e.Len())
 	}
 	for n, i := range []int{0, 3, 5} { // head, middle, tail
 		if !tms[i].Stop() || tms[i].Stop() || tms[i].Pending() {
 			t.Fatalf("Stop(%d): want true then false, not pending", i)
 		}
-		if e.Len() != 5-n || len(e.queue) != 1 {
-			t.Fatalf("after stopping %d: Len %d, %d heap slots", i, e.Len(), len(e.queue))
+		if e.Len() != 5-n || heads(e) != 1 {
+			t.Fatalf("after stopping %d: Len %d, %d slots", i, e.Len(), heads(e))
 		}
 		mustStructure(t, e, evs...)
 	}
-	if e.queue[0].ev != evs[1] {
+	if e.peek() != evs[1] {
 		t.Fatal("the stopped head's successor did not take its slot")
 	}
 	tms[0].Reset(100) // a stopped timer re-arms: behind the run, or a run of its own
@@ -131,8 +131,8 @@ func TestTimerEventAsChainMemberAndTail(t *testing.T) {
 		if after.prev != &tm.ev {
 			t.Fatalf("round %d: an event did not chain behind the timer's event", round)
 		}
-		if e.Len() != 3 || len(e.queue) != 1 {
-			t.Fatalf("round %d: Len %d, %d heap slots; want 3, 1", round, e.Len(), len(e.queue))
+		if e.Len() != 3 || heads(e) != 1 {
+			t.Fatalf("round %d: Len %d, %d slots; want 3, 1", round, e.Len(), heads(e))
 		}
 		mustStructure(t, e, head, &tm.ev, after)
 		e.run()

@@ -128,15 +128,17 @@ func (c *Counter) Observe() { c.n++ }
 // writes every field; a field nothing reads is reported, and one only
 // a test reads is reported for the inventory.
 type State struct {
-	Bumped    int     // only ++'d: reported
-	Assigned  int     // only assigned: reported
-	LitOnly   int     // only set by a composite-literal key: reported
-	LiveRead  int     // read by Peek
-	Tally     Counter // read by a method call on the field
-	At        Pos     // its fields are read by == in Peek
-	Label     Tag     // its field is read by passing it to fmt.Sprint
-	BenchRead int     // read only by bench/
-	TestRead  int     // read only by lib_test.go: inventoried
+	Bumped    int         // only ++'d: reported
+	Assigned  int         // only assigned: reported
+	LitOnly   int         // only set by a composite-literal key: reported
+	LiveRead  int         // read by Peek
+	Tally     Counter     // read by a method call on the field
+	At        Pos         // its fields are read by == in Peek
+	Label     Tag         // its field is read by passing it to fmt.Sprint
+	BenchRead int         // read only by bench/
+	TestRead  int         // read only by lib_test.go: inventoried
+	Guarded   map[int]int // bumped under its own nil test only: reported
+	Gate      map[int]int // its nil test guards another field's write: read
 }
 
 // Pos is compared whole.
@@ -154,6 +156,13 @@ func NewState() *State {
 	s.Tally.Observe()
 	s.BenchRead = 4
 	s.TestRead = 5
+	s.Guarded, s.Gate = map[int]int{}, map[int]int{}
+	if s.Guarded != nil {
+		s.Guarded[1]++
+	}
+	if s.Gate != nil {
+		s.Assigned = 6
+	}
 	return s
 }
 
