@@ -873,10 +873,9 @@ func zeroCompared(info *types.Info, cond ast.Expr) []types.Object {
 // points to is shared. A nil test that only guards writes into the
 // field it tests (if w.Picks != nil { w.Picks[b]++ }) is not a read
 // either: nothing is done with the field but write it. Every other use
-// is a read: a selector in an
-// expression, &x.F, a method call on x.F. A struct value compared with
-// == or !=, used as a map key, or passed to an interface parameter reads
-// every field it holds.
+// is a read: a selector in an expression, &x.F, a method call on x.F. A
+// struct value compared with == or !=, used as a map key, or passed to
+// an interface parameter reads every field it holds.
 func fieldReads(info *types.Info, n ast.Node, read func(*types.Var)) {
 	var visit func(ast.Node) bool
 	walk := func(n ast.Node) {

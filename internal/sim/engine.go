@@ -107,15 +107,6 @@ const (
 // Pending reports whether the event is still queued.
 func (e *Event) Pending() bool { return e != nil && e.index != idle }
 
-// before orders run heads by (at, seq). seq is unique, so the order is
-// total and the fire order does not depend on the shape of the queue.
-func (a *Event) before(b *Event) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}
-
 // slot is one entry of the current instant's heap: a run head with its
 // seq beside the pointer, so a sift compares adjacent slots instead of
 // following *Event pointers. Every head there is due at the same
@@ -179,9 +170,9 @@ func (q *instantHeap) push(s slot) {
 	q.up(len(*q)-1, s)
 }
 
-// heapify orders the whole list as a heap, bottom up.
+// heapify orders a non-empty list as a heap, bottom up.
 func (q instantHeap) heapify() {
-	for i := (len(q) - 2) / 4; i >= 0 && len(q) > 1; i-- {
+	for i := (len(q) - 2) / 4; i >= 0; i-- {
 		q.down(i, q[i])
 	}
 }
@@ -203,11 +194,13 @@ func (q *instantHeap) remove(i int) {
 	}
 }
 
-// earliest returns the position of the first head of a non-empty bucket.
+// earliest returns the position of the first head of a non-empty
+// bucket in (at, seq) order. seq is unique, so the order is total and
+// the fire order does not depend on the shape of the queue.
 func earliest(q []*Event) int {
 	m := 0
-	for i := 1; i < len(q); i++ {
-		if q[i].before(q[m]) {
+	for i, h := range q {
+		if f := q[m]; h.at < f.at || h.at == f.at && h.seq < f.seq {
 			m = i
 		}
 	}
