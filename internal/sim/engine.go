@@ -450,29 +450,21 @@ func (e *Engine) dequeue(ev *Event) {
 // O(n) heapify rather than n pushes. The next event itself leaves b
 // directly, and its successor, if any, takes a slot in the heap.
 func (e *Engine) pop(limit Time) *Event {
-	if e.full == 0 {
+	ev := e.peek()
+	if ev == nil || ev.at > limit {
 		return nil
 	}
-	b := bits.TrailingZeros64(e.full)
+	b := e.bucket(ev.at)
 	if b == 0 {
-		if e.last > limit {
-			return nil
-		}
-		ev := e.instant[0].ev
 		e.dequeue(ev)
 		return ev
 	}
 	q := e.buckets[b]
-	m := earliest(q)
-	ev := q[m]
-	if ev.at > limit {
-		return nil
-	}
 	e.last = ev.at
 	for i, h := range q {
 		q[i] = nil
 		switch {
-		case i == m:
+		case h == ev:
 		case h.at == ev.at: // b was the lowest bucket in use: instant is empty
 			h.index = int32(len(e.instant))
 			e.instant = append(e.instant, slot{seq: h.seq, ev: h})
