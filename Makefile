@@ -1,15 +1,15 @@
 # Repo-local CI. `make ci` is the gate a change must pass before it
 # lands: vet (which also fails on any file gofmt would change), build,
 # the full suite under the race detector with shuffled test order, a
-# short smoke run of every fuzzer, and chaos/HA-harness smokes across a
-# few random fault plans.
+# short smoke run of every fuzzer, and the smoke runs of the production
+# run set (the `ci` lines of testdata/runs.txt).
 
 GO      ?= go
 FUZZTIME ?= 10s
 
-.PHONY: ci vet build test race fuzz chaos-smoke ha-smoke aa-smoke hybrid-smoke churn-smoke scenario-smoke bench bench-baseline bench-check bench-wall bench-wall-compare paper-full loc clean
+.PHONY: ci vet build test race fuzz runs-build smoke quick-runs coverage-runs bench bench-baseline bench-check bench-wall bench-wall-compare paper-full loc clean
 
-ci: vet build race bench-check fuzz chaos-smoke ha-smoke aa-smoke hybrid-smoke churn-smoke scenario-smoke
+ci: vet build race bench-check fuzz smoke
 
 # The last line runs api_test.go's three rules: it fails on exported API no
 # production code uses, on an exported field production reads but only
@@ -52,46 +52,38 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzEngineOrder$$ -fuzztime=$(FUZZTIME) ./internal/sim
 	$(GO) test -run=^$$ -fuzz=FuzzParkedTwin$$ -fuzztime=$(FUZZTIME) ./internal/simos
 
-# Randomized failover chaos: three seeded fault plans, invariants
-# asserted, non-zero exit on any violation.
-chaos-smoke:
-	$(GO) run ./cmd/rmbench -exp chaos -quick -seeds 3
+# Every production run is one line of testdata/runs.txt, tagged by who
+# runs it; testdata/runs.sh runs the lines with one tag. runs-build
+# builds the programs those lines name.
+runs-build:
+	$(GO) build -o .bench_build/runs/ ./cmd/... ./examples/...
 
-# Front-end HA under front-end crash/freeze/partition plans: one-shard
-# claim safety (no split-brain), epoch fencing, bounded takeover and zero
-# back-end tasks asserted by the claim audit aa shares (H1-H4 = A1-A2 at
-# one shard, no VacantGrace term), non-zero exit on any violation.
-ha-smoke:
-	$(GO) run ./cmd/rmbench -exp ha -quick -seeds 3
-
-# Active-active dispatch under a claim-stall fault plan: zero
-# double-dispatch, bounded orphan reclamation (ExpireAfter + VacantGrace
-# + 8 check cycles) and zero back-end tasks from the claim audit ha
-# shares, plus >= 2x single-primary throughput and per-front-end
-# fairness, non-zero exit on any violation.
-aa-smoke:
-	$(GO) run ./cmd/rmbench -exp aa -quick -seeds 1
-
-# Hybrid push/pull contract: >= 10x fewer probe WRs than all-pull at
-# the same effective-staleness bound, non-zero exit on any violation.
-hybrid-smoke:
-	$(GO) run ./cmd/rmbench -exp hybrid -quick
-
-# Connection-lifecycle smoke: the pooled scale-out at 1024 back-ends
-# (quick phases) through crash/restart churn, a dial storm and an fd
-# clamp — asserts zero stale-epoch reads, epoch-fence replay, dial
-# rate within budget and leak-free teardown, non-zero exit on any
-# violation.
-churn-smoke:
-	$(GO) run ./cmd/rmbench -exp scale -backends 1024 -quick
-
-# Declarative scenario DSL smoke: the quickest curated scenario end to
-# end through rmbench (non-zero exit if its assertions fail) plus the
-# chaos-equivalence golden tests pinning that scenario-compiled plans
-# stay bit-identical to the legacy Go-coded chaos/ha experiments.
-scenario-smoke:
-	$(GO) run ./cmd/rmbench -scenario examples/scenarios/quickstart.yaml
+# The smokes: every `ci` line of testdata/runs.txt (what each asserts
+# is commented beside it), non-zero exit on any violation, plus the
+# golden tests pinning that scenario-compiled plans stay bit-identical
+# to the Go-coded chaos/ha experiments.
+smoke: runs-build
+	bash testdata/runs.sh ci .bench_build/runs
 	$(GO) test -run 'TestChaosScenarioPlanEquivalence|TestHAScenarioPlanEquivalence|TestScenarioGoldenDigests' -count=1 ./internal/scenario
+
+# The output of every deterministic (`quick`) run, one file per line
+# with the wall-time lines stripped: make quick-runs OUT=dir (~1 min).
+# Run it in a parent clone and here, then diff -r: a change that moves
+# no simulated number leaves the two dirs byte-identical.
+quick-runs:
+	@if [ -z "$(OUT)" ]; then echo "usage: make quick-runs OUT=dir"; exit 1; fi
+	$(MAKE) runs-build
+	bash testdata/runs.sh quick .bench_build/runs $(OUT)
+
+# Coverage of the whole run set (~13 min on 2 cores; not part of ci):
+# make coverage-runs OUT=dir builds every program with -cover over the
+# module, runs every line of testdata/runs.txt with its own coverage
+# dir, writes the functions and blocks no line ran, and fails on a
+# never-run function missing from testdata/unexecuted.txt or on an
+# entry there that ran.
+coverage-runs:
+	@if [ -z "$(OUT)" ]; then echo "usage: make coverage-runs OUT=dir"; exit 1; fi
+	bash testdata/coverage.sh $(OUT)
 
 # One-command reproduction pass over the paper's tables and figures.
 # -benchmem surfaces allocs/op and B/op next to the sim-derived
@@ -163,19 +155,15 @@ bench-wall:
 bench-wall-compare:
 	$(GO) run ./bench -compare $(A) $(B)
 
-# The full-scale output of every paper artifact, one file per id with
-# the wall-time line stripped: make paper-full OUT=dir (~3 min on a
-# 2-core host; not part of ci). Two trees' directories diff clean when
-# a change leaves every figure and table alone.
-PAPER_IDS = fig3 fig4 fig5a fig5b fig6 fig7 fig8 fig9 table1
+# The full-scale output of every paper artifact (the `paper` lines of
+# testdata/runs.txt), one file per id with the wall-time line stripped:
+# make paper-full OUT=dir (~3 min on a 2-core host; not part of ci).
+# Two trees' directories diff clean when a change leaves every figure
+# and table alone.
 paper-full:
 	@if [ -z "$(OUT)" ]; then echo "usage: make paper-full OUT=dir"; exit 1; fi
-	mkdir -p $(OUT) .bench_build
-	$(GO) build -o .bench_build/rmbench ./cmd/rmbench
-	for id in $(PAPER_IDS); do \
-		.bench_build/rmbench -exp $$id > $(OUT)/$$id.raw || exit 1; \
-		grep -v ' wall)$$' $(OUT)/$$id.raw > $(OUT)/$$id.txt; rm $(OUT)/$$id.raw; \
-	done
+	$(MAKE) runs-build
+	bash testdata/runs.sh paper .bench_build/runs $(OUT)
 
 # Non-test Go lines per package, bench/ excluded: the unit ROADMAP's
 # size targets are stated in.

@@ -12,6 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"os/signal"
 	"strings"
@@ -58,11 +59,16 @@ subcommands:
 schemes: socket-async, socket-sync, rdma-async, rdma-sync, e-rdma-sync`)
 }
 
+// badUsage reports a usage error and exits 2.
+func badUsage(format string, a ...any) {
+	fmt.Fprintf(os.Stderr, format+"\n", a...)
+	os.Exit(2)
+}
+
 func mustScheme(name string) core.Scheme {
 	s, err := core.ParseScheme(name)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "rmmon:", err)
-		os.Exit(2)
+		badUsage("rmmon: %v", err)
 	}
 	return s
 }
@@ -80,6 +86,9 @@ func runAgent(args []string) {
 	pushTh := fs.Float64("push-threshold", 0, "hybrid scheme: load-index delta that triggers a push (0 = default 0.05)")
 	pushHB := fs.Duration("push-heartbeat", 0, "hybrid scheme: max silence before a forced push (0 = default 16x check)")
 	fs.Parse(args)
+	if *hostClaims < 0 || *hostClaims > math.MaxUint16 {
+		badUsage("rmmon agent: -host-claims %d is outside 0..%d (the key reply's uint16 shard count)", *hostClaims, math.MaxUint16)
+	}
 
 	var push *livemon.PusherConfig
 	if *pushTo != "" {
@@ -133,12 +142,16 @@ func runProbe(args []string) {
 	pushTh := fs.Float64("push-threshold", 0, "adaptive polling: load-index delta that counts as change (0 = default 0.05)")
 	fs.Parse(args)
 	if *targets == "" || *interval <= 0 {
-		fmt.Fprintln(os.Stderr, "rmmon probe: -targets and a positive -interval required")
-		os.Exit(2)
+		badUsage("rmmon probe: -targets and a positive -interval required")
 	}
 	if *periodMax > 0 && *periodMax < *interval {
-		fmt.Fprintf(os.Stderr, "rmmon probe: period ceiling %v is below the floor %v (-period-max, -interval)\n", *periodMax, *interval)
-		os.Exit(2)
+		badUsage("rmmon probe: period ceiling %v is below the floor %v (-period-max, -interval)", *periodMax, *interval)
+	}
+	if *claimID < 0 || *claimID > math.MaxUint16 {
+		badUsage("rmmon probe: -claim %d is outside 1..%d (a wrapped id aliases a replica or the vacant owner 0)", *claimID, math.MaxUint16)
+	}
+	if *claimID == 0 && (*witness != "" || *claimOwners != 0) {
+		badUsage("rmmon probe: -witness and -claim-owners need -claim")
 	}
 	addrs := strings.Split(*targets, ",")
 	for i := range addrs {
@@ -213,15 +226,13 @@ func runPushHost(args []string) {
 	count := fs.Int("count", 0, "number of 1s status lines to print (0 = forever)")
 	fs.Parse(args)
 	if *nodes == "" {
-		fmt.Fprintln(os.Stderr, "rmmon pushhost: -nodes required")
-		os.Exit(2)
+		badUsage("rmmon pushhost: -nodes required")
 	}
 	var ids []uint16
 	for _, f := range strings.Split(*nodes, ",") {
 		var id int
 		if _, err := fmt.Sscanf(strings.TrimSpace(f), "%d", &id); err != nil {
-			fmt.Fprintf(os.Stderr, "rmmon pushhost: bad node id %q\n", f)
-			os.Exit(2)
+			badUsage("rmmon pushhost: bad node id %q", f)
 		}
 		ids = append(ids, uint16(id))
 	}
@@ -233,8 +244,14 @@ func runPushHost(args []string) {
 	defer h.Close()
 	fmt.Printf("rmmon pushhost: listening on %s, slots for nodes %v\n", h.Addr(), ids)
 	w := core.DefaultWeights()
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	for cycle := 0; *count == 0 || cycle < *count; cycle++ {
-		time.Sleep(time.Second)
+		select {
+		case <-sig:
+			return
+		case <-time.After(time.Second):
+		}
 		rx, torn := h.Stats()
 		fmt.Printf("pushes=%d torn=%d\n", rx, torn)
 		for _, id := range ids {

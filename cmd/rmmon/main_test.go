@@ -190,3 +190,34 @@ func TestInvertedPeriodRangeExit(t *testing.T) {
 		}
 	}
 }
+
+// TestClaimFlagRangeExit: a claim id outside 1..65535 would wrap in the
+// uint16 owner field (65536 is the vacant owner 0, 65537 aliases owner
+// 1), a claim table over 65535 shards does not fit the key reply's
+// uint16 count, and -witness or -claim-owners mean nothing without
+// -claim: each is a usage error (exit 2) before any dial. The largest
+// id passes the check and gets as far as dialing the (unreachable)
+// witness, which exits 1.
+func TestClaimFlagRangeExit(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	probe := []string{"probe", "-targets", "127.0.0.1:1", "-count", "1"}
+	for _, tc := range []struct {
+		args []string
+		want int
+	}{
+		{append(probe, "-claim", "65536"), 2},
+		{append(probe, "-claim", "65537"), 2},
+		{append(probe, "-claim", "-1"), 2},
+		{append(probe, "-witness", "127.0.0.1:1"), 2},
+		{append(probe, "-claim-owners", "2"), 2},
+		{[]string{"agent", "-listen", "127.0.0.1:0", "-host-claims", "65536"}, 2},
+		{append(probe, "-claim", "65535"), 1},
+	} {
+		out, err := rmmon(ctx, tc.args...).CombinedOutput()
+		var ee *exec.ExitError
+		if !errors.As(err, &ee) || ee.ExitCode() != tc.want {
+			t.Fatalf("%v: want exit %d, got %v\n%s", tc.args, tc.want, err, out)
+		}
+	}
+}

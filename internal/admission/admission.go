@@ -33,12 +33,6 @@ type Config struct {
 	Weights   core.Weights
 }
 
-// Defaults returns a controller configuration that starts rejecting
-// when the whole cluster looks > ~85% loaded.
-func Defaults() Config {
-	return Config{Threshold: 0.85, Weights: core.DefaultWeights()}
-}
-
 // Controller decides request admission from monitored load records.
 type Controller struct {
 	Cfg  Config
@@ -51,10 +45,10 @@ type Controller struct {
 // New creates a controller reading back-ends and records through view.
 func New(cfg Config, view *loadbalance.View) *Controller {
 	if cfg.Threshold <= 0 {
-		cfg.Threshold = Defaults().Threshold
+		cfg.Threshold = 0.85 // reject once the whole cluster looks > ~85% loaded
 	}
 	if cfg.Weights == (core.Weights{}) {
-		cfg.Weights = Defaults().Weights
+		cfg.Weights = core.DefaultWeights()
 	}
 	return &Controller{Cfg: cfg, view: view}
 }

@@ -35,7 +35,7 @@ func TestAdmitWhenCapacityExists(t *testing.T) {
 		1: recWithLoad(1, 1000, 64),
 		2: recWithLoad(2, 100, 2),
 	}
-	c := admission.New(admission.Defaults(), view(loads, 1, 2))
+	c := admission.New(admission.Config{}, view(loads, 1, 2))
 	if !c.Admit() {
 		t.Fatal("should admit: node 2 has capacity")
 	}
@@ -46,7 +46,7 @@ func TestAdmitWhenCapacityExists(t *testing.T) {
 
 func TestRejectWhenAllFull(t *testing.T) {
 	full := recWithLoad(1, 1000, 64)
-	c := admission.New(admission.Defaults(), view(map[int]wire.LoadRecord{1: full, 2: full, 3: full}, 1, 2, 3))
+	c := admission.New(admission.Config{}, view(map[int]wire.LoadRecord{1: full, 2: full, 3: full}, 1, 2, 3))
 	if c.Admit() {
 		t.Fatal("should reject: every backend saturated")
 	}
@@ -56,7 +56,7 @@ func TestRejectWhenAllFull(t *testing.T) {
 }
 
 func TestMissingRecordIsOptimistic(t *testing.T) {
-	c := admission.New(admission.Defaults(), view(nil, 1))
+	c := admission.New(admission.Config{}, view(nil, 1))
 	if !c.Admit() {
 		t.Fatal("no record yet should admit")
 	}
@@ -130,12 +130,12 @@ func TestIneligibleBackendsAreNoCapacity(t *testing.T) {
 	}
 	v := view(loads, 1, 2)
 	v.Exclude = func(b int) bool { return b == 2 }
-	c := admission.New(admission.Defaults(), v)
+	c := admission.New(admission.Config{}, v)
 	if c.Admit() {
 		t.Fatal("admitted against a dead back-end's stale record")
 	}
 	// The same cluster with node 2 alive admits.
-	c2 := admission.New(admission.Defaults(), view(loads, 1, 2))
+	c2 := admission.New(admission.Config{}, view(loads, 1, 2))
 	if !c2.Admit() {
 		t.Fatal("should admit when the idle back-end is actually alive")
 	}

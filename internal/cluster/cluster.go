@@ -80,7 +80,7 @@ type Config struct {
 	// MRInvalidations). Zero takes 100ms.
 	MRRepin sim.Time
 
-	// HistoryK publishes a K-slot history ring on every RDMA-scheme
+	// HistoryK publishes a K-slot history ring on every RDMA-Sync-family
 	// agent instead of the single-record region (see
 	// core.AgentConfig.HistoryK): one probe read fetches the last K
 	// timestamped samples and feeds each prober's trend tracker. Zero

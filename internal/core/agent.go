@@ -90,8 +90,9 @@ type AgentConfig struct {
 	// serve that port anyway.
 	StandbySocket bool
 
-	// HistoryK, when > 0 on an RDMA scheme, registers a K-slot history
-	// ring (wire.HistoryRing) instead of a single-record region: a
+	// HistoryK, when > 0 on an RDMA-Sync-family scheme, registers a
+	// K-slot history ring (wire.HistoryRing) instead of a single-record
+	// region (no run gives RDMA-Async a ring, so it ignores K): a
 	// kernel timer samples the load every Interval into the ring, so one
 	// one-sided read fetches the K most recent timestamped samples —
 	// e-RDMA-Sync++. The sampler is a timer hook, not a task
@@ -159,17 +160,8 @@ func StartAgent(node *simos.Node, nic *simnet.NIC, cfg AgentConfig) *Agent {
 		a.startReportThread(false)
 	case RDMAAsync:
 		prime()
-		if cfg.HistoryK > 0 {
-			// The calc loop publishes into the ring as well as the shared
-			// record, so remote readers get history at T granularity with
-			// the scheme's usual asynchronous staleness.
-			a.initRing()
-			a.mrSrc = simnet.StaticSource(a.ring.Bytes())
-			a.mrLen = a.ring.Size()
-		} else {
-			a.mrSrc = simnet.StaticSource(a.shared)
-			a.mrLen = wire.RecordSize
-		}
+		a.mrSrc = simnet.StaticSource(a.shared)
+		a.mrLen = wire.RecordSize
 		a.startCalcLoop()
 		a.mr = nic.RegisterMR(a.mrSrc, a.mrLen)
 		if cfg.StandbySocket {
@@ -186,7 +178,10 @@ func StartAgent(node *simos.Node, nic *simnet.NIC, cfg AgentConfig) *Agent {
 			// lands — the newest slot is always current, exactly the
 			// RDMA-Sync freshness contract, while the remaining slots
 			// carry the recent history one read now amortizes.
-			a.initRing()
+			// Primed with one sample so a reader never sees an empty
+			// region.
+			a.ring = wire.NewHistoryRing(cfg.HistoryK, uint16(node.ID))
+			a.ringPush()
 			a.startRingTimer()
 			a.mrSrc = func() []byte {
 				a.ringPush()
@@ -222,13 +217,6 @@ func StartAgent(node *simos.Node, nic *simnet.NIC, cfg AgentConfig) *Agent {
 		panic(fmt.Sprintf("core: unknown scheme %v", cfg.Scheme))
 	}
 	return a
-}
-
-// initRing builds the history ring and primes it with one sample so a
-// reader never sees an empty region.
-func (a *Agent) initRing() {
-	a.ring = wire.NewHistoryRing(a.Cfg.HistoryK, uint16(a.node.ID))
-	a.ringPush()
 }
 
 // ringPush samples the kernel and publishes into the ring. Allocation-
@@ -351,9 +339,6 @@ func (a *Agent) startCalcLoop() {
 					a.seq++
 					recordFromSnapshotInto(&a.sample, &s, a.seq)
 					a.sample.AppendTo(a.shared)
-					if a.ring != nil {
-						a.ring.Push(&a.sample)
-					}
 					tk.Sleep(a.Cfg.Interval, loop)
 				})
 			})

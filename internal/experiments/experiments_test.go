@@ -175,15 +175,26 @@ func TestFig7Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow experiment; skipped with -short")
 	}
+	// The paper claims up to 28 % at alpha = 0.25, EXPERIMENTS.md
+	// measures +25.8 % at full scale and the quick run reads +28.0 %:
+	// RDMA-Sync must gain at least 20 % there, and more than 5 % at
+	// every alpha.
 	d := fig7Data(quickOpts())
 	for ai := range d.Alphas {
 		if d.Throughput[core.SocketAsync][ai] <= 0 {
 			t.Fatal("no baseline throughput")
 		}
-		if imp := d.Improvement(core.RDMASync, ai); imp < 0.05 {
-			t.Errorf("RDMA-Sync improvement at alpha=%v is %.1f%%, want >5%%",
-				d.Alphas[ai], imp*100)
+		want := 0.05
+		if d.Alphas[ai] == 0.25 {
+			want = 0.20
 		}
+		if imp := d.Improvement(core.RDMASync, ai); imp < want {
+			t.Errorf("RDMA-Sync improvement at alpha=%v is %.1f%%, want >= %.0f%%",
+				d.Alphas[ai], imp*100, want*100)
+		}
+	}
+	if d.Alphas[0] != 0.25 {
+		t.Fatalf("quick alphas %v do not start at 0.25", d.Alphas)
 	}
 	res := d.Result()
 	if len(res.Rows) != len(d.Alphas) {
@@ -195,16 +206,22 @@ func TestFig9Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow experiment; skipped with -short")
 	}
+	// The paper claims ~25 % over the other schemes at 64 ms, and a
+	// rise as granularity falls from 4096 ms. EXPERIMENTS.md measures
+	// +22 % over Socket-Async and +19 % over RDMA-Sync's own coarse
+	// point at full scale; the quick run reads +19.2 % and +16.9 %.
+	// Both gaps must be at least 15 %.
 	d := fig9Data(quickOpts())
-	// RDMA-Sync gains from finer granularity.
 	fine, coarse := 0, len(d.GranularityMS)-1
-	rs := d.Throughput[core.RDMASync]
-	if rs[fine] <= rs[coarse] {
-		t.Errorf("RDMA-Sync should gain from fine granularity: %v", rs)
+	if d.GranularityMS[fine] != 64 || d.GranularityMS[coarse] != 4096 {
+		t.Fatalf("quick granularities %v do not span 64..4096 ms", d.GranularityMS)
 	}
-	// At the finest granularity RDMA-Sync leads the socket schemes.
-	if rs[fine] <= d.Throughput[core.SocketAsync][fine] {
-		t.Error("RDMA-Sync should lead Socket-Async at 64ms")
+	rs := d.Throughput[core.RDMASync]
+	if g := rs[fine]/rs[coarse] - 1; g < 0.15 {
+		t.Errorf("RDMA-Sync gains %.1f%% from 4096 to 64 ms, want >= 15%%: %v", g*100, rs)
+	}
+	if g := rs[fine]/d.Throughput[core.SocketAsync][fine] - 1; g < 0.15 {
+		t.Errorf("RDMA-Sync leads Socket-Async at 64 ms by %.1f%%, want >= 15%%", g*100)
 	}
 }
 

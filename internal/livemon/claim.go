@@ -89,6 +89,9 @@ type ClaimClient struct {
 // the zero value takes defaults derived from a 50ms poll, and the
 // shard count always follows the witness's table.
 func DialClaims(addr string, me uint16, owners int, cfg core.ClaimConfig) (*ClaimClient, error) {
+	if me == wire.ClaimVacantOwner {
+		return nil, fmt.Errorf("livemon: claim owner %d is the vacant owner", me)
+	}
 	conn, err := tcpverbs.Dial(addr)
 	if err != nil {
 		return nil, err

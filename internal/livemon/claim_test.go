@@ -128,6 +128,19 @@ func TestLiveLeaseHandoff(t *testing.T) {
 	}
 }
 
+// TestDialClaimsRejectsVacantOwner: owner 0 is the vacant word's owner,
+// so a front-end with that id would bid as if the word were free and
+// every rival would take it at once. DialClaims refuses it before
+// dialing.
+func TestDialClaimsRejectsVacantOwner(t *testing.T) {
+	leakCheck(t)
+	w := startWitness(t, 1)
+	if l, err := DialClaims(w.Addr(), wire.ClaimVacantOwner, 0, claimTestCfg()); err == nil {
+		l.Close()
+		t.Fatal("DialClaims accepted owner 0")
+	}
+}
+
 // TestLiveLeaseCloseHandsOff: a front-end that dies outright (Close,
 // no release) is timed out by the standby.
 func TestLiveLeaseCloseHandsOff(t *testing.T) {
@@ -168,7 +181,12 @@ func TestLiveClaimRoundOneReadDoorbell(t *testing.T) {
 		return fe2.table.Rounds
 	}
 	waitFor(t, 5*time.Second, func() bool { return rounds() >= 5 }, "five FE2 rounds")
-	fe2.Close() // a started round finishes its read batch before Close returns
+	// Close would cut a round's batch in flight, so pause first: no round
+	// starts after pause returns, and one already started lands whole.
+	fe2.pause()
+	waitFor(t, 5*time.Second, func() bool { return w.verbs.BatchedReads()-batched0 == shards*rounds() },
+		"the witness to serve each FE2 round's unheld words as one batch")
+	fe2.Close()
 
 	reads, _, _ := w.verbs.Stats()
 	batched := w.verbs.BatchedReads() - batched0
@@ -336,11 +354,14 @@ func TestLiveClaimsPartitionReclaimFenceHandback(t *testing.T) {
 // once armed, swallows the next reply frame and closes both sides: the
 // request was applied, the initiator never learns it and must redial
 // and replay (the tcpverbs redial test's dropProxy, armed on demand).
+// Once stalled, it swallows every reply and keeps the connection open:
+// a target that accepts and never replies.
 type replyDropProxy struct {
 	ln      net.Listener
 	target  string
 	armed   atomic.Bool
 	dropped atomic.Bool
+	stalled atomic.Bool
 	wg      sync.WaitGroup
 }
 
@@ -405,6 +426,9 @@ func (p *replyDropProxy) serve(client net.Conn) {
 		if p.armed.CompareAndSwap(true, false) {
 			p.dropped.Store(true)
 			return
+		}
+		if p.stalled.Load() {
+			continue
 		}
 		if _, err := client.Write(append(hdr[:], body...)); err != nil {
 			return

@@ -6,9 +6,9 @@ import (
 )
 
 // loops owns a type's background goroutines and its teardown: every
-// starts one ticker loop, close stops them all and then tears the owner
-// down, once. close is idempotent and safe for concurrent use: every
-// caller returns after the teardown, with its error.
+// starts one ticker loop, close tears the owner down and then waits for
+// the loops, once. close is idempotent and safe for concurrent use:
+// every caller returns after the loops, with the teardown's error.
 type loops struct {
 	stop chan struct{}
 	wg   sync.WaitGroup
@@ -51,13 +51,14 @@ func (l *loops) stopped() bool {
 	}
 }
 
-// close stops every loop, waits for them to return and runs teardown,
-// all once; every call returns teardown's error.
+// close stops every loop, runs teardown, then waits for the loops, all
+// once; every call returns teardown's error. A connection teardown
+// closes fails a loop's operation in flight, retries included, at once.
 func (l *loops) close(teardown func() error) error {
 	l.once.Do(func() {
 		close(l.stop)
-		l.wg.Wait()
 		l.err = teardown()
+		l.wg.Wait()
 	})
 	return l.err
 }

@@ -205,7 +205,7 @@ func (m *Monitor) Err(addr string) error {
 func (m *Monitor) Close() {
 	m.loops.close(func() error {
 		for _, t := range m.targets {
-			t.probe.Close()
+			t.probe.conn.Close() // unlocked: Probe.Close's lock waits out a fetch in flight
 		}
 		return nil
 	})

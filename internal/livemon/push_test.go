@@ -324,6 +324,35 @@ func TestMonitorCloseMidRedial(t *testing.T) {
 	m.Close()
 }
 
+// TestMonitorCloseCutsStalledFetch: Close on a monitor whose target
+// accepts and never replies returns at once. It closes the probe's
+// connection, which fails the fetch in flight, instead of waiting out
+// that fetch's attempts × operation deadline (3 × 10 s at defaults).
+func TestMonitorCloseCutsStalledFetch(t *testing.T) {
+	leakCheck(t)
+	a, err := StartAgent(Config{Scheme: core.RDMASync, NodeID: 6, Provider: synthetic(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	proxy := newReplyDropProxy(t, a.Addr())
+	m, dialErrs := NewMonitor([]string{proxy.Addr()}, MonitorConfig{Interval: 5 * time.Millisecond})
+	for tgt, derr := range dialErrs {
+		t.Fatalf("dial %s: %v", tgt, derr)
+	}
+	waitFor(t, 5*time.Second, func() bool {
+		_, _, ok := m.Latest(proxy.Addr())
+		return ok
+	}, "a first record")
+	proxy.stalled.Store(true)
+	time.Sleep(50 * time.Millisecond) // a fetch now waits on a reply that never comes
+	start := time.Now()
+	m.Close()
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("Close took %v against a stalled target, want < 1s", d)
+	}
+}
+
 // TestMonitorAdaptiveLeaseLoss: losing primaryship forces the fast
 // period even on a quiet fleet.
 func TestMonitorAdaptiveLeaseLoss(t *testing.T) {
