@@ -61,10 +61,10 @@ runs-build:
 # The smokes: every `ci` line of testdata/runs.txt (what each asserts
 # is commented beside it), non-zero exit on any violation, plus the
 # golden tests pinning that scenario-compiled plans stay bit-identical
-# to the Go-coded chaos/ha experiments.
+# to the Go-coded chaos/ha/aa experiments.
 smoke: runs-build
 	bash testdata/runs.sh ci .bench_build/runs
-	$(GO) test -run 'TestChaosScenarioPlanEquivalence|TestHAScenarioPlanEquivalence|TestScenarioGoldenDigests' -count=1 ./internal/scenario
+	$(GO) test -run 'TestChaosScenarioPlanEquivalence|TestHAScenarioPlanEquivalence|TestAAScenarioPlanEquivalence|TestScenarioGoldenDigests' -count=1 ./internal/scenario
 
 # The output of every deterministic (`quick`) run, one file per line
 # with the wall-time lines stripped: make quick-runs OUT=dir (~1 min).

@@ -34,15 +34,7 @@ func run() int {
 	flag.IntVar(&opts.Backends, "backends", 0, "pin -exp scale to one back-end count (0 = sweep)")
 	flag.IntVar(&opts.Shards, "shards", 0, "pin -exp scale to one shard count (0 = sweep)")
 	flag.IntVar(&opts.Batch, "batch", 0, "pin -exp scale to one doorbell batch size (0 = sweep)")
-	flag.Float64Var(&opts.PushThreshold, "push-threshold", 0, "-exp hybrid: load-index delta that triggers a push (0 = default 0.05)")
-	flag.IntVar(&opts.PeriodMin, "period-min", 0, "-exp hybrid: fastest adaptive probe period, in probe periods T (0 = default 1)")
-	flag.IntVar(&opts.PeriodMax, "period-max", 0, "-exp hybrid: slowest adaptive probe period, in probe periods T (0 = default 64)")
-	flag.IntVar(&opts.FrontEnds, "frontends", 0, "-exp aa: active-active front-end replica count (0 = default 4)")
-	flag.IntVar(&opts.ClaimTTLMS, "claim-ttl", 0, "-exp aa: claim TTL in ms (0 = derived from the poll interval)")
-	flag.IntVar(&opts.ClaimShards, "claim-shards", 0, "-exp aa: claim-table size (0 = one shard per back-end)")
-	flag.IntVar(&opts.MaxConns, "max-conns", 0, "-exp scale: pooled scale-out connection budget (0 = fleet/8)")
-	flag.IntVar(&opts.DialsPerSec, "dials-per-sec", 0, "-exp scale: pooled scale-out dial-rate budget (0 = fleet size)")
-	flag.IntVar(&opts.PoolIdleMS, "pool-idle-ms", 0, "-exp scale: pooled scale-out idle-conn GC age in ms (0 = default 500)")
+	flag.IntVar(&opts.MaxConns, "max-conns", 0, "-exp scale: pooled scale-out connection budget (0 = fleet/8, at least 64)")
 	var (
 		exp     = flag.String("exp", "", "experiment id (fig3..fig9, table1, extensions, or 'all')")
 		scen    = flag.String("scenario", "", "run a declarative scenario file (YAML or JSON, see examples/scenarios/)")
@@ -53,17 +45,6 @@ func run() int {
 		traceF  = flag.String("trace", "", "write a runtime execution trace of the runs to this file")
 	)
 	flag.Parse()
-
-	// The adaptive period's range in T, resolved as the hybrid knobs
-	// resolve it: a ceiling below the floor is no range at all.
-	lo, hi := max(opts.PeriodMin, 1), 64
-	if opts.PeriodMax > 0 {
-		hi = opts.PeriodMax
-	}
-	if hi < lo {
-		fmt.Fprintf(os.Stderr, "rmbench: period ceiling %d T is below the floor %d T (-period-max, -period-min)\n", hi, lo)
-		return 2
-	}
 
 	if *list || (*exp == "" && *scen == "") {
 		fmt.Println("experiments:")

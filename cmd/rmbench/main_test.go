@@ -67,20 +67,3 @@ func TestScenarioBadFileExit(t *testing.T) {
 		t.Fatalf("invalid file exited %d, want 1", got)
 	}
 }
-
-// TestInvertedPeriodRangeExit: a period ceiling below the floor is a
-// usage error, whether -period-max is given or is the default 64 T,
-// and a range whose ends meet still runs.
-func TestInvertedPeriodRangeExit(t *testing.T) {
-	for _, args := range [][]string{
-		{"-period-min", "4", "-period-max", "2"},
-		{"-period-min", "65"},
-	} {
-		if got := runWith(t, append([]string{"-exp", "hybrid", "-quick"}, args...)...); got != 2 {
-			t.Errorf("%v exited %d, want 2", args, got)
-		}
-	}
-	if got := runWith(t, "-list", "-period-min", "64"); got != 0 {
-		t.Errorf("-period-min 64 with the default ceiling exited %d, want 0", got)
-	}
-}

@@ -1,5 +1,6 @@
-// Package scenarios holds the curated scenario files. chaos.yaml and
-// ha.yaml are the builtins `rmbench -exp chaos` and `-exp ha` run.
+// Package scenarios holds the curated scenario files. chaos.yaml,
+// ha.yaml and aa.yaml are the builtins `rmbench -exp chaos`, `-exp ha`
+// and `-exp aa` run.
 package scenarios
 
 import "embed"

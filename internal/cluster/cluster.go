@@ -137,17 +137,12 @@ type Config struct {
 	// primary) dispatches; the rest answer NotPrimary.
 	Replicas int
 
-	// ActiveActive (Replicas > 1) folds the back-end space onto
-	// Claim.Shards claim words with a home partition, and EVERY replica
+	// ActiveActive (Replicas > 1) folds the back-end space onto one
+	// claim word per back-end with a home partition, and EVERY replica
 	// dispatches concurrently, each only to back-ends whose shard claim
 	// it validly holds. A replica with no claims answers NotPrimary
 	// exactly like a deposed primary.
 	ActiveActive bool
-
-	// Claim tunes claim arbitration (defaults derived from Poll; only
-	// meaningful with Replicas > 1). Shards defaults to Backends under
-	// ActiveActive and is always 1 otherwise.
-	Claim core.ClaimConfig
 
 	// BackendSpecs, when non-empty, makes the back-end fleet
 	// heterogeneous: entry i overrides back-end i+1's hardware and
@@ -229,6 +224,9 @@ type Cluster struct {
 	Witness    *simos.Node
 	WitnessNIC *simnet.NIC
 	ClaimVault *core.ClaimVault
+	// Claim is the claim table's size and timing, derived from the
+	// topology and Poll.
+	Claim core.ClaimConfig
 
 	// OnReplicaRestart, if set, runs after a crashed front-end replica
 	// is rebooted with fresh monitor/dispatcher/claim instances, so
@@ -262,19 +260,17 @@ func New(cfg Config) *Cluster {
 		h := cfg.Hybrid.WithDefaults(cfg.Poll)
 		cfg.Hybrid = &h
 	}
+	c := &Cluster{Cfg: cfg, extCursor: simnet.ExternalBase}
 	if cfg.Replicas > 1 {
 		// HA is a one-shard table; active-active takes one shard per
-		// back-end unless told otherwise. Resolved once so vault,
-		// managers and fences agree on the table size.
-		switch {
-		case !cfg.ActiveActive:
-			cfg.Claim.Shards = 1
-		case cfg.Claim.Shards <= 0:
-			cfg.Claim.Shards = cfg.Backends
+		// back-end. Resolved once so vault, managers and fences agree
+		// on the table size.
+		shards := 1
+		if cfg.ActiveActive {
+			shards = cfg.Backends
 		}
-		cfg.Claim = cfg.Claim.WithDefaults(cfg.Poll)
+		c.Claim = core.ClaimConfig{Shards: shards}.WithDefaults(cfg.Poll)
 	}
-	c := &Cluster{Cfg: cfg, extCursor: simnet.ExternalBase}
 	c.Eng = sim.NewEngine(cfg.Seed)
 	c.Rand = rand.New(rand.NewSource(cfg.Seed + 1))
 	c.Fab = simnet.NewFabric(c.Eng, simnet.Config{})
@@ -337,7 +333,7 @@ func (c *Cluster) buildHA() {
 	wid := c.Cfg.Backends + c.Cfg.Replicas
 	c.Witness = simos.NewNode(c.Eng, wid, simos.Config{})
 	c.WitnessNIC = c.Fab.Attach(c.Witness)
-	c.ClaimVault = core.NewClaimVault(c.WitnessNIC, c.Cfg.Claim.Shards)
+	c.ClaimVault = core.NewClaimVault(c.WitnessNIC, c.Claim.Shards)
 
 	r0 := &Replica{Index: 0, Node: c.Front, NIC: c.FNIC,
 		Monitor: c.Monitor, Policy: c.Policy, Dispatcher: c.Dispatcher, view: c.view}
@@ -377,7 +373,7 @@ func (c *Cluster) startReplica(r *Replica) {
 
 // ShardOf maps a back-end node ID onto its claim shard.
 func (c *Cluster) ShardOf(backend int) int {
-	return (backend - 1) % c.Cfg.Claim.Shards
+	return (backend - 1) % c.Claim.Shards
 }
 
 // armClaims starts a replica's claim manager and fences its dispatcher
@@ -393,7 +389,7 @@ func (c *Cluster) armClaims(r *Replica) {
 	}
 	r.ClaimMgr = core.StartClaimManager(r.Node, r.NIC, c.Witness.ID,
 		c.ClaimVault.WordKeys(),
-		uint16(r.Index+1), owners, c.Cfg.Claim)
+		uint16(r.Index+1), owners, c.Claim)
 	mgr := r.ClaimMgr
 	eng := c.Eng
 	if c.Cfg.ActiveActive {

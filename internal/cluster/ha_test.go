@@ -137,7 +137,7 @@ func TestHAPrimaryCrashFailsOverAndRestartRejoins(t *testing.T) {
 	}}}
 	c.ApplyFaults(plan)
 
-	claim := c.Cfg.Claim // resolved by New
+	claim := c.Claim // resolved by New
 	c.Run(10*sim.Millisecond + claim.ExpireAfter + 4*claim.CheckEvery)
 	next := primary(c)
 	if next == nil {

@@ -55,10 +55,8 @@ type Config struct {
 	// also the pool's fd budget: each holds one (0 = unlimited).
 	MaxConns int
 	// DialsPerSec is the sustained dial-rate budget, enforced by a
-	// token bucket (0 = unlimited).
+	// token bucket a quarter second deep (0 = unlimited).
 	DialsPerSec float64
-	// DialBurst is the bucket depth (0 = max(1, DialsPerSec/4)).
-	DialBurst int
 	// IdleAfterNS garbage-collects a connection idle this long, in
 	// nanoseconds (0 = no idle GC; eviction still recycles).
 	IdleAfterNS int64
@@ -80,13 +78,11 @@ const (
 	backoffMaxNS = 2 * int64(time.Second)
 )
 
+// dialBurst is the token bucket's depth: a quarter second of
+// DialsPerSec, whole dials, at least one.
+func (c Config) dialBurst() float64 { return float64(max(int(c.DialsPerSec/4), 1)) }
+
 func (c Config) withDefaults() Config {
-	if c.DialBurst <= 0 {
-		c.DialBurst = int(c.DialsPerSec / 4)
-		if c.DialBurst < 1 {
-			c.DialBurst = 1
-		}
-	}
 	if c.BreakAfter <= 0 {
 		c.BreakAfter = 3
 	}
@@ -269,7 +265,7 @@ func New[K comparable, C any](cfg Config, now func() int64) *Pool[K, C] {
 		entries: make(map[K]*entry[K, C]),
 		rng:     rand.New(rand.NewSource(entropySeed())),
 	}
-	p.tokens = float64(p.cfg.DialBurst)
+	p.tokens = p.cfg.dialBurst()
 	p.lastRefill = now()
 	return p
 }
@@ -308,7 +304,7 @@ func (p *Pool[K, C]) refill(now int64) {
 		return
 	}
 	p.tokens += float64(dt) * p.cfg.DialsPerSec / 1e9
-	if max := float64(p.cfg.DialBurst); p.tokens > max {
+	if max := p.cfg.dialBurst(); p.tokens > max {
 		p.tokens = max
 	}
 	p.lastRefill = now

@@ -137,10 +137,11 @@ func TestInflightConnsAreNeverEvicted(t *testing.T) {
 
 func TestDialRateTokenBucket(t *testing.T) {
 	clk := &fakeClock{}
-	p := New[int, string](Config{MaxConns: 100, DialsPerSec: 10, DialBurst: 2}, clk.fn())
+	p := New[int, string](Config{MaxConns: 100, DialsPerSec: 10}, clk.fn())
 	p.SeedJitter(1)
 
-	// Burst of 2 allowed, third sheds on rate.
+	// Burst of 2 (a quarter second of 10/s, whole dials) allowed, third
+	// sheds on rate.
 	for k := 0; k < 2; k++ {
 		if _, v, r := p.Acquire(k, true); v != Dial {
 			t.Fatalf("dial %d: verdict %v (%v)", k, v, r)

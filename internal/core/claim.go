@@ -62,9 +62,6 @@ type ClaimConfig struct {
 	// Shards is the number of claim words (back-ends fold onto them by
 	// backend % Shards). Default 8.
 	Shards int
-	// TTL is how long a holder trusts a shard claim after each
-	// confirmed renewal (default 6 poll intervals).
-	TTL sim.Time
 	// ExpireAfter is how long a word must sit unchanged before another
 	// front-end treats the claim as orphaned and bids. Safety requires
 	// it to exceed TTL by more than a CAS completion; the sanitizer
@@ -73,6 +70,10 @@ type ClaimConfig struct {
 	// CheckEvery is the renew/observe cadence (default 2 polls).
 	CheckEvery sim.Time
 }
+
+// TTL is how long a holder trusts a shard claim after each confirmed
+// renewal: three check periods (6 polls at the defaults).
+func (c ClaimConfig) TTL() sim.Time { return 3 * c.CheckEvery }
 
 // VacantGrace is how long a foreigner leaves a vacant word to its home
 // front-end before adopting it: two check periods.
@@ -94,13 +95,10 @@ func (c ClaimConfig) WithDefaults(poll sim.Time) ClaimConfig {
 	if c.CheckEvery <= 0 {
 		c.CheckEvery = 2 * poll
 	}
-	if c.TTL <= 0 {
-		c.TTL = 6 * poll
-	}
 	if c.ExpireAfter <= 0 {
-		c.ExpireAfter = c.TTL + 4*poll
+		c.ExpireAfter = c.TTL() + 4*poll
 	}
-	if min := c.TTL + 2*c.CheckEvery; c.ExpireAfter < min {
+	if min := c.TTL() + 2*c.CheckEvery; c.ExpireAfter < min {
 		c.ExpireAfter = min
 	}
 	return c
@@ -330,14 +328,14 @@ func (t *ClaimTable) Complete(cas ClaimCAS, prev uint64, won bool, posted sim.Ti
 	switch cas.Op {
 	case ClaimBid:
 		c.held, c.epoch, c.stamp, c.heldSince = true, wire.WordEpoch(cas.Swap), 0, posted
-		c.validUntil = posted + c.Cfg.TTL
+		c.validUntil = posted + c.Cfg.TTL()
 		c.Takeovers++
 		if c.OnAcquire != nil {
 			c.OnAcquire(c.Shard, c.epoch, posted, c.validUntil)
 		}
 	case ClaimRenew:
 		c.stamp++
-		c.validUntil = posted + c.Cfg.TTL
+		c.validUntil = posted + c.Cfg.TTL()
 		c.Renewals++
 		if c.OnRenew != nil {
 			c.OnRenew(c.Shard, c.epoch, posted, c.validUntil)

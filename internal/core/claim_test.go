@@ -19,13 +19,13 @@ func claimCfg() ClaimConfig {
 
 func TestClaimConfigDefaultsEnforceSafetyMargin(t *testing.T) {
 	c := claimCfg()
-	if c.ExpireAfter <= c.TTL {
-		t.Fatalf("ExpireAfter %v must exceed TTL %v", c.ExpireAfter, c.TTL)
+	if c.ExpireAfter <= c.TTL() {
+		t.Fatalf("ExpireAfter %v must exceed TTL %v", c.ExpireAfter, c.TTL())
 	}
 	// An unsafe explicit config is repaired, not honored.
-	bad := ClaimConfig{TTL: 10 * sim.Second, ExpireAfter: sim.Second, CheckEvery: sim.Second}.WithDefaults(0)
-	if bad.ExpireAfter < bad.TTL+2*bad.CheckEvery {
-		t.Fatalf("sanitizer kept unsafe ExpireAfter %v for TTL %v", bad.ExpireAfter, bad.TTL)
+	bad := ClaimConfig{ExpireAfter: sim.Second, CheckEvery: sim.Second}.WithDefaults(0)
+	if bad.ExpireAfter < bad.TTL()+2*bad.CheckEvery {
+		t.Fatalf("sanitizer kept unsafe ExpireAfter %v for TTL %v", bad.ExpireAfter, bad.TTL())
 	}
 	if bad.Shards != 8 {
 		t.Fatalf("default shards = %d, want 8", bad.Shards)
@@ -154,7 +154,7 @@ func TestClaimMachineLifecycle(t *testing.T) {
 		t.Fatalf("bid = %+v, want %+v", cas, want)
 	}
 	tab.Complete(cas[0], cas[0].Compare, true, at)
-	if !c.Valid(at+cfg.TTL-1) || c.Valid(at+cfg.TTL) || c.Epoch() != 1 || c.Takeovers != 1 {
+	if !c.Valid(at+cfg.TTL()-1) || c.Valid(at+cfg.TTL()) || c.Epoch() != 1 || c.Takeovers != 1 {
 		t.Fatalf("post-win state wrong: %v", c)
 	}
 	cas = round(t, tab, at+cfg.CheckEvery)
@@ -162,7 +162,7 @@ func TestClaimMachineLifecycle(t *testing.T) {
 		t.Fatalf("renew = %+v, want %+v", cas, want)
 	}
 	tab.Complete(cas[0], cas[0].Compare, true, at+cfg.CheckEvery)
-	if !c.Valid(at+cfg.CheckEvery+cfg.TTL-1) || c.Renewals != 1 {
+	if !c.Valid(at+cfg.CheckEvery+cfg.TTL()-1) || c.Renewals != 1 {
 		t.Fatalf("post-renew state wrong: %v", c)
 	}
 	// After HandbackAfter the adopted shard is released: owner zeroed,
@@ -216,7 +216,7 @@ func TestClaimTableRound(t *testing.T) {
 			t.Fatalf("plan = %+v, want %+v", cas, want)
 		}
 		tab.Complete(cas[0], cas[0].Compare, true, 5)
-		if c := tab.Claims[1]; !c.Held() || c.Epoch() != 1 || !c.Valid(5+cfg.TTL-1) || c.Valid(5+cfg.TTL) {
+		if c := tab.Claims[1]; !c.Held() || c.Epoch() != 1 || !c.Valid(5+cfg.TTL()-1) || c.Valid(5+cfg.TTL()) {
 			t.Fatalf("won shard 1 = %v, want held at epoch 1, valid for TTL from 5", c)
 		}
 		// Shard 1 is held now: three reads, and the second lands on
@@ -259,7 +259,7 @@ func TestClaimTableRound(t *testing.T) {
 		if !reflect.DeepEqual(*c, before) {
 			t.Fatalf("planning a renew changed the machine: %v, was %v", c, &before)
 		}
-		if !c.Valid(cfg.TTL-1) || c.Valid(cfg.TTL) || c.Renewals != 0 {
+		if !c.Valid(cfg.TTL()-1) || c.Valid(cfg.TTL()) || c.Renewals != 0 {
 			t.Fatalf("a failed renew moved validity: %v", c)
 		}
 		if again := round(t, tab, 2*cfg.CheckEvery); len(again) != 1 || again[0] != renew {
@@ -324,15 +324,15 @@ func TestClaimTableRound(t *testing.T) {
 		cas := round(t, tab, now, 0)
 		posted := now - 100*sim.Millisecond
 		tab.Complete(cas[0], 0, true, posted)
-		if c.validUntil != posted+cfg.TTL || c.heldSince != posted {
-			t.Fatalf("win stamped %v, want %v", c.validUntil, posted+cfg.TTL)
+		if c.validUntil != posted+cfg.TTL() || c.heldSince != posted {
+			t.Fatalf("win stamped %v, want %v", c.validUntil, posted+cfg.TTL())
 		}
 		now += cfg.CheckEvery
 		cas = round(t, tab, now)
 		posted = now - 50*sim.Millisecond
 		tab.Complete(cas[0], cas[0].Compare, true, posted)
-		if c.validUntil != posted+cfg.TTL {
-			t.Fatalf("renew stamped %v, want %v", c.validUntil, posted+cfg.TTL)
+		if c.validUntil != posted+cfg.TTL() {
+			t.Fatalf("renew stamped %v, want %v", c.validUntil, posted+cfg.TTL())
 		}
 	})
 }
@@ -452,7 +452,7 @@ func TestClaimManagerOrphanReclaimAndFence(t *testing.T) {
 	// The frozen holder's validity lapsed before any adoption began.
 	for s := 0; s < cfg.Shards; s++ {
 		c := r.mgrs[victim].Claims[s]
-		if c.Held() && c.validUntil > frozeAt+cfg.TTL {
+		if c.Held() && c.validUntil > frozeAt+cfg.TTL() {
 			t.Fatalf("frozen holder's shard %d validity extended impossibly", s)
 		}
 	}
@@ -533,21 +533,21 @@ func haCfg() ClaimConfig {
 // digests rest on, and the takeover margin repaired when set unsafely.
 func TestLeaseConfigDefaultsEnforceSafetyMargin(t *testing.T) {
 	c := haCfg()
-	if c.ExpireAfter <= c.TTL {
-		t.Fatalf("ExpireAfter %v must exceed TTL %v", c.ExpireAfter, c.TTL)
+	if c.ExpireAfter <= c.TTL() {
+		t.Fatalf("ExpireAfter %v must exceed TTL %v", c.ExpireAfter, c.TTL())
 	}
 	// Check every 2 polls, trust 6, take over after 10.
-	if p := DefaultInterval; c.CheckEvery != 2*p || c.TTL != 6*p || c.ExpireAfter != 10*p {
+	if p := DefaultInterval; c.CheckEvery != 2*p || c.TTL() != 6*p || c.ExpireAfter != 10*p {
 		t.Fatalf("defaults CheckEvery=%v TTL=%v ExpireAfter=%v, want 2/6/10 polls of %v",
-			c.CheckEvery, c.TTL, c.ExpireAfter, p)
+			c.CheckEvery, c.TTL(), c.ExpireAfter, p)
 	}
 	if c.Shards != 1 {
 		t.Fatalf("HA table has %d shards, want 1", c.Shards)
 	}
 	// An unsafe explicit config is repaired, not honored.
-	bad := ClaimConfig{Shards: 1, TTL: 10 * sim.Second, ExpireAfter: sim.Second, CheckEvery: sim.Second}.WithDefaults(0)
-	if bad.ExpireAfter < bad.TTL+2*bad.CheckEvery {
-		t.Fatalf("sanitizer kept unsafe ExpireAfter %v for TTL %v", bad.ExpireAfter, bad.TTL)
+	bad := ClaimConfig{Shards: 1, ExpireAfter: sim.Second, CheckEvery: sim.Second}.WithDefaults(0)
+	if bad.ExpireAfter < bad.TTL()+2*bad.CheckEvery {
+		t.Fatalf("sanitizer kept unsafe ExpireAfter %v for TTL %v", bad.ExpireAfter, bad.TTL())
 	}
 }
 
@@ -613,30 +613,30 @@ func TestLeaseMachine(t *testing.T) {
 			at:   10 * sim.Millisecond,
 			do:   complete(true, 0),
 			held: true, epoch: 1,
-			validAt:   10*sim.Millisecond + cfg.TTL - 1,
-			invalidAt: 10*sim.Millisecond + cfg.TTL,
+			validAt:   10*sim.Millisecond + cfg.TTL() - 1,
+			invalidAt: 10*sim.Millisecond + cfg.TTL(),
 		},
 		{
 			name: "renewal extends validity",
 			at:   100 * sim.Millisecond,
 			do:   renew(true, 0),
 			held: true, epoch: 1,
-			validAt:   100*sim.Millisecond + cfg.TTL - 1,
-			invalidAt: 100*sim.Millisecond + cfg.TTL,
+			validAt:   100*sim.Millisecond + cfg.TTL() - 1,
+			invalidAt: 100*sim.Millisecond + cfg.TTL(),
 		},
 		{
 			name: "expiry without renewal: still held, but fenced by Valid",
-			at:   100*sim.Millisecond + cfg.TTL,
+			at:   100*sim.Millisecond + cfg.TTL(),
 			do:   func(*ClaimTable, sim.Time) {},
 			held: true, epoch: 1,
-			invalidAt: 100*sim.Millisecond + cfg.TTL,
+			invalidAt: 100*sim.Millisecond + cfg.TTL(),
 		},
 		{
 			name: "late renewal with no interloper revalidates",
 			at:   sim.Second,
 			do:   renew(true, 0),
 			held: true, epoch: 1,
-			validAt: sim.Second + cfg.TTL/2,
+			validAt: sim.Second + cfg.TTL()/2,
 		},
 		{
 			name: "renewal lost: deposed immediately (fencing)",
@@ -690,7 +690,7 @@ func TestLeaseMachine(t *testing.T) {
 				complete(true, 0)(tab, at+cfg.ExpireAfter)
 			},
 			held: true, epoch: 4,
-			validAt: 4*sim.Second + cfg.ExpireAfter + cfg.TTL - 1,
+			validAt: 4*sim.Second + cfg.ExpireAfter + cfg.TTL() - 1,
 		},
 	}
 
@@ -780,7 +780,7 @@ func TestHAClaimManagerAcquireRenewHandoff(t *testing.T) {
 		t.Fatalf("takeover epoch = %d, want 2", got)
 	}
 	// The frozen primary's validity lapsed before the new epoch began.
-	if pc.validUntil > frozeAt+cfg.TTL {
+	if pc.validUntil > frozeAt+cfg.TTL() {
 		t.Fatal("frozen primary's validity extended impossibly")
 	}
 

@@ -16,7 +16,8 @@ import (
 //   - each back-end runs a DeltaPusher: it samples the kernel every
 //     Check and RDMA-Writes a timestamped PushRecord into its slot of a
 //     front-end-hosted aggregation region — but only when the weighted
-//     load index moved by at least Threshold (or Heartbeat elapsed).
+//     load index moved by at least DefaultChangeThreshold (or Heartbeat
+//     elapsed).
 //     Quiet back-ends post nothing.
 //   - the front-end monitor runs a PeriodController per back-end: a
 //     back-end whose observed load stopped changing has its poll period
@@ -113,9 +114,9 @@ func (pc *PeriodController) Observe(changed bool, h Health, leaseHeld bool) sim.
 }
 
 // DefaultChangeThreshold is the weighted-index movement that counts as
-// a change when a configuration leaves its threshold unset: the
-// pushers' "worth a write" test and the adaptive poll's "still
-// volatile" test, simulated and live alike.
+// a change: the pushers' "worth a write" test and the adaptive poll's
+// "still volatile" test. The simulated hybrid scheme always uses it;
+// livemon's pusher and monitor use it when their threshold is unset.
 const DefaultChangeThreshold = 0.05
 
 // AdaptivePoll is one back-end's adaptive-poll decision: its period
@@ -156,12 +157,9 @@ func (a *AdaptivePoll) decide(rec *wire.LoadRecord, changed bool, h Health, leas
 	return a.Ctrl.Observe(changed, h, leaseHeld)
 }
 
-// HybridConfig shapes the hybrid push/pull scheme.
+// HybridConfig shapes the hybrid push/pull scheme. Its change test,
+// for both the pusher and the controller, is DefaultChangeThreshold.
 type HybridConfig struct {
-	// Threshold is the weighted-index movement that counts as a change,
-	// for both the pusher's "worth a write" test and the controller's
-	// "still volatile" test (default DefaultChangeThreshold).
-	Threshold float64
 	// Period bounds the monitor's adaptive poll period.
 	Period PeriodConfig
 	// Heartbeat forces a push after this much quiet, so a decayed
@@ -173,9 +171,6 @@ type HybridConfig struct {
 
 // WithDefaults fills unset fields, anchoring periods to poll.
 func (c HybridConfig) WithDefaults(poll sim.Time) HybridConfig {
-	if c.Threshold <= 0 {
-		c.Threshold = DefaultChangeThreshold
-	}
 	c.Period = c.Period.WithDefaults(poll)
 	if c.Heartbeat <= 0 {
 		c.Heartbeat = c.Period.Max
@@ -299,7 +294,7 @@ type DeltaPusher struct {
 func StartDeltaPusher(node *simos.Node, nic *simnet.NIC, front int, slotKey func() uint32, cfg HybridConfig) *DeltaPusher {
 	cfg = cfg.WithDefaults(0)
 	p := &DeltaPusher{Cfg: cfg, node: node, nic: nic, front: front, slotKey: slotKey,
-		PushGate: NewPushGate(cfg.Threshold, cfg.Heartbeat)}
+		PushGate: NewPushGate(DefaultChangeThreshold, cfg.Heartbeat)}
 	p.loopFn, p.sampledFn, p.checkFn, p.pushedFn = p.loop, p.sampled, p.check, p.pushed
 	p.task = node.Spawn("rmon-push-delta", func(tk *simos.Task) {
 		p.task = tk

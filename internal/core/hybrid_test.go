@@ -200,9 +200,6 @@ func TestAdaptivePollDecisions(t *testing.T) {
 
 func TestHybridConfigDefaults(t *testing.T) {
 	h := HybridConfig{}.WithDefaults(10 * sim.Millisecond)
-	if h.Threshold != 0.05 {
-		t.Fatalf("threshold = %v", h.Threshold)
-	}
 	if h.Period.Min != 10*sim.Millisecond || h.Period.Max != 160*sim.Millisecond {
 		t.Fatalf("period = %+v", h.Period)
 	}
@@ -256,7 +253,6 @@ func TestLoadDeltaSymmetricZero(t *testing.T) {
 // 10ms, ceiling 160ms.
 func hybridCfg() *HybridConfig {
 	return &HybridConfig{
-		Threshold: 0.05,
 		Period:    PeriodConfig{Min: 10 * sim.Millisecond, Max: 160 * sim.Millisecond},
 		Heartbeat: 320 * sim.Millisecond,
 		Check:     10 * sim.Millisecond,

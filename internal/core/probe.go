@@ -715,7 +715,7 @@ func (m *Monitor) observeProbe(backend int, err error) {
 		return
 	}
 	p := m.prober(backend)
-	m.due[backend] = m.front.Eng.Now() + p.ObservePoll(st, err, p.agent.RingK() > 0, m.cfg.Hybrid.Threshold, m.leaseHeld())
+	m.due[backend] = m.front.Eng.Now() + p.ObservePoll(st, err, p.agent.RingK() > 0, DefaultChangeThreshold, m.leaseHeld())
 }
 
 // notePush applies one valid pushed delta record: it refreshes the
@@ -747,7 +747,7 @@ func (m *Monitor) notePush(backend int, rec wire.PushRecord, at sim.Time) {
 	if p.OnRecord != nil {
 		p.OnRecord(rec.Load, at)
 	}
-	m.due[backend] = at + st.Observe(&p.last, m.cfg.Hybrid.Threshold, p.Health.State(), m.leaseHeld())
+	m.due[backend] = at + st.Observe(&p.last, DefaultChangeThreshold, p.Health.State(), m.leaseHeld())
 }
 
 // SetProbeTimeout bounds every back-end's probe by d (0 disables).

@@ -5,9 +5,8 @@ import (
 	"math/rand"
 
 	"rdmamon/internal/cluster"
-	"rdmamon/internal/core"
-	"rdmamon/internal/faults"
 	"rdmamon/internal/httpsim"
+	"rdmamon/internal/scenario"
 	"rdmamon/internal/sim"
 )
 
@@ -74,66 +73,19 @@ type AAData struct {
 // bound adds VacantGrace here only; the audit also checks HA's H6 on
 // the chaos run. A5 is sweepSeeds' replay.
 func AA(o Options) *AAData {
-	n := o.Seeds
-	if n <= 0 {
-		n = 5
-	}
-	return &AAData{Points: sweepSeeds(o, n, o.seed(), "A5",
-		func(seed int64) AAPoint { return aaPoint(o, seed) })}
+	return aaScenario(compileBuiltin(scenario.BuiltinAA(), o.Quick), o)
 }
 
-// aaFrontEnds resolves the replica count (flag -frontends).
-func aaFrontEnds(o Options) int {
-	if o.FrontEnds >= 2 {
-		return o.FrontEnds
-	}
-	return 4
+// aaScenario runs the active-active invariant checker over a compiled
+// scenario — the one driver behind both `-exp aa` (via BuiltinAA,
+// bit-identical plans) and `-scenario` files with `checks: aa`.
+func aaScenario(cp *scenario.Compiled, o Options) *AAData {
+	return &AAData{Points: sweepSeeds(o, cp.Points(o.Seeds), cp.BaseSeed(o.Seed), "A5",
+		func(seed int64) AAPoint { return aaPoint(cp, o.Quick, seed) })}
 }
 
-// aaClaimConfig resolves the claim knobs (flags -claim-shards and
-// -claim-ttl); zeros defer to the cluster defaults.
-func aaClaimConfig(o Options) core.ClaimConfig {
-	return core.ClaimConfig{
-		Shards: o.ClaimShards,
-		TTL:    sim.Time(o.ClaimTTLMS) * sim.Millisecond,
-	}
-}
-
-func aaPoint(o Options, seed int64) AAPoint {
-	poll := core.DefaultInterval
-	horizon := 20 * sim.Second
-	clients := 48
-	if o.Quick {
-		horizon = 10 * sim.Second
-		clients = 32
-	}
-	fes := aaFrontEnds(o)
-
-	c := cluster.New(cluster.Config{
-		Backends:     8,
-		Scheme:       core.RDMASync,
-		Poll:         poll,
-		Seed:         seed,
-		Policy:       cluster.PolicyLeastLoad,
-		ProbeTimeout: poll,
-		Replicas:     fes,
-		ActiveActive: true,
-		Claim:        aaClaimConfig(o),
-	})
-	plan := faults.RandomPlan(seed, faults.ChaosConfig{
-		Backends:    8,
-		Horizon:     horizon,
-		FrontEnds:   c.FrontEndIDs(),
-		Witness:     c.Witness.ID,
-		ClaimStalls: 2,
-	})
-	c.ApplyFaults(plan)
-
-	a := auditClaims(c, plan)
-
-	pool := c.StartRUBiS(clients, 30*sim.Millisecond, seed+11)
-	c.Run(horizon)
-	a.finish(horizon)
+func aaPoint(cp *scenario.Compiled, quick bool, seed int64) AAPoint {
+	c, plan, a, pool := claimChaosRun(cp, seed)
 
 	// Stall windows: every freeze on this plan lands on a front-end,
 	// as does every single-node partition against the witness.
@@ -156,8 +108,9 @@ func aaPoint(o Options, seed int64) AAPoint {
 
 	// Fault-free throughput pair: the same fleet dispatch-bound, first
 	// active-active, then behind a single HA primary.
-	aaTput, fair, aaFP := aaPerfRun(o, seed, fes, true)
-	spTput, _, spFP := aaPerfRun(o, seed, fes, false)
+	fes := cp.S.Replicas
+	aaTput, fair, aaFP := aaPerfRun(cp, quick, seed, true)
+	spTput, _, spFP := aaPerfRun(cp, quick, seed, false)
 	pt.ThroughputAA, pt.ThroughputSP, pt.FairMin = aaTput, spTput, fair
 	if aaTput < 2*spTput {
 		pt.violate("A3 throughput: %d active-active front-ends sustain %.0f req/s, want >= 2x the single-primary %.0f req/s",
@@ -176,26 +129,17 @@ func aaPoint(o Options, seed int64) AAPoint {
 // during a client-free warm-up so the measurement starts converged.
 // Returns req/s, the smallest per-front-end routed share (active
 // only), and a determinism digest.
-func aaPerfRun(o Options, seed int64, fes int, active bool) (tput, minShare float64, fp string) {
-	poll := core.DefaultInterval
+func aaPerfRun(cp *scenario.Compiled, quick bool, seed int64, active bool) (tput, minShare float64, fp string) {
 	horizon := 4 * sim.Second
-	if o.Quick {
+	if quick {
 		horizon = 2 * sim.Second
 	}
 	const clients = 96
 	const warmup = 500 * sim.Millisecond
 
-	c := cluster.New(cluster.Config{
-		Backends:     8,
-		Scheme:       core.RDMASync,
-		Poll:         poll,
-		Seed:         seed + 101,
-		Policy:       cluster.PolicyLeastLoad,
-		ProbeTimeout: poll,
-		Replicas:     fes,
-		ActiveActive: active,
-		Claim:        aaClaimConfig(o),
-	})
+	cfg := cp.ClusterConfig(seed+101, "")
+	cfg.ActiveActive = active
+	c := cluster.New(cfg)
 	for _, r := range c.FrontEnds {
 		r.Dispatcher.DecisionCost = aaDecisionCost
 	}

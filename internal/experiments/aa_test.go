@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"testing"
+
+	"rdmamon/internal/scenario"
 )
 
 // TestAADeterministicGolden is the ci determinism gate for one
@@ -53,14 +55,17 @@ func TestAAQuickInvariants(t *testing.T) {
 	pinDigest(t, "aa-quick", res, 0xd2eea1a842a7b98d)
 }
 
-// TestAAThreeReplicaFloor pins the non-default replica count path: a
-// 3-front-end fleet must still hold every invariant, with the A3
-// expectation scaling to the smaller fleet (>= 2x stays the floor).
+// TestAAThreeReplicaFloor pins the non-default replica count path: the
+// builtin scenario with `replicas: 3` must still hold every invariant,
+// with the A3 expectation scaling to the smaller fleet (>= 2x stays the
+// floor).
 func TestAAThreeReplicaFloor(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow experiment; skipped with -short")
 	}
-	res, err := Run("aa", Options{Seed: 99, Quick: true, Seeds: 1, FrontEnds: 3})
+	s := scenario.BuiltinAA()
+	s.Replicas = 3
+	res, err := RunScenario(s, Options{Seed: 99, Quick: true, Seeds: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -79,13 +79,7 @@ type ChaosData struct {
 //	    undisturbed back-end within the staleness SLO, and its digest
 //	    is part of the I5 replay check.
 func Chaos(o Options) *ChaosData {
-	cp, err := scenario.BuiltinChaos().Compile(o.Quick)
-	if err != nil {
-		// The builtin is covered by the golden tests; a compile failure
-		// here is a programming error, not an input error.
-		panic(err)
-	}
-	return chaosScenario(cp, o)
+	return chaosScenario(compileBuiltin(scenario.BuiltinChaos(), o.Quick), o)
 }
 
 // chaosScenario runs the chaos invariant checker over a compiled

@@ -7,6 +7,7 @@ import (
 	"rdmamon/internal/core"
 	"rdmamon/internal/faults"
 	"rdmamon/internal/httpsim"
+	"rdmamon/internal/scenario"
 	"rdmamon/internal/sim"
 	"rdmamon/internal/workload"
 )
@@ -104,12 +105,27 @@ type claimAudit struct {
 	runAudit
 }
 
+// claimChaosRun is one seed's chaos run of a replicated scenario under
+// the claim audit, the run ha and aa share: build the cluster, apply
+// the seed's fault plan, hook the audit, drive RUBiS load for the
+// horizon and close the audit's open intervals.
+func claimChaosRun(cp *scenario.Compiled, seed int64) (*cluster.Cluster, faults.Plan, *claimAudit, *workload.ClientPool) {
+	c := cluster.New(cp.ClusterConfig(seed, ""))
+	plan := cp.Plan(seed)
+	c.ApplyFaults(plan)
+	a := auditClaims(c, plan)
+	pool := c.StartRUBiS(cp.Clients, cp.Think, seed+11)
+	c.Run(cp.Horizon)
+	a.finish(cp.Horizon)
+	return c, plan, a, pool
+}
+
 // auditClaims hooks a claimAudit into a replicated cluster and
 // observes plan's front-end faults. One fact, Cfg.ActiveActive, picks
 // the check names and adds VacantGrace to the reclaim bound: only
 // active-active has foreign bidders, which wait it out.
 func auditClaims(c *cluster.Cluster, plan faults.Plan) *claimAudit {
-	cfg := c.Cfg.Claim // cluster.New resolved the defaults
+	cfg := c.Claim // cluster.New resolved the defaults
 	a := &claimAudit{
 		c:         c,
 		names:     haChecks,

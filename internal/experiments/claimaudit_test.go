@@ -12,7 +12,7 @@ import (
 
 // claimFixture is an unrun replicated cluster with the claim audit
 // hooked in: HA (three replicas, one shard) or active-active (four
-// replicas, four shards). Histories are fed through the claims'
+// replicas, one shard per back-end). Histories are fed through the claims'
 // observer hooks and the dispatchers' route hook, the same entry
 // points a run drives.
 type claimFixture struct {
@@ -26,14 +26,14 @@ func newClaimFixture(t *testing.T, aa bool, scheme core.Scheme) *claimFixture {
 	cfg := cluster.Config{Backends: 8, Scheme: scheme, Seed: 1, Replicas: 3}
 	wantShards := 1
 	if aa {
-		cfg.Replicas, cfg.ActiveActive, cfg.Claim.Shards = 4, true, 4
-		wantShards = 4
+		cfg.Replicas, cfg.ActiveActive = 4, true
+		wantShards = cfg.Backends
 	}
 	c := cluster.New(cfg)
-	if got := c.Cfg.Claim.Shards; got != wantShards {
+	if got := c.Claim.Shards; got != wantShards {
 		t.Fatalf("claim table has %d shards, want %d", got, wantShards)
 	}
-	return &claimFixture{c: c, a: auditClaims(c, faults.Plan{}), s: uint16(c.Cfg.Claim.Shards - 1)}
+	return &claimFixture{c: c, a: auditClaims(c, faults.Plan{}), s: uint16(c.Claim.Shards - 1)}
 }
 
 func (f *claimFixture) claim(replica int, shard uint16) *core.Claim {
@@ -109,7 +109,7 @@ func TestClaimAuditFires(t *testing.T) {
 		}, [2]string{"H3 takeover", "A2 reclaim"}},
 		{"vacant-grace", func(f *claimFixture, _ sim.Time) {
 			// Past ExpireAfter + 8 cycles but inside VacantGrace on top.
-			cl := f.c.Cfg.Claim
+			cl := f.c.Claim
 			late := cl.ExpireAfter + 8*cl.CheckEvery + 1
 			f.acquire(0, 1, 0, 300*ms)
 			f.crash(0, 100*ms)
@@ -119,7 +119,7 @@ func TestClaimAuditFires(t *testing.T) {
 	for _, row := range rows {
 		for i, aa := range []bool{false, true} {
 			f := newClaimFixture(t, aa, core.RDMASync)
-			cl := f.c.Cfg.Claim
+			cl := f.c.Claim
 			bound := cl.ExpireAfter + 8*cl.CheckEvery
 			if aa {
 				bound += cl.VacantGrace()

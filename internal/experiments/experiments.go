@@ -30,7 +30,8 @@ type Options struct {
 	// and is the default).
 	Sequential bool
 	// Seeds is how many seeds chaos, ha, aa and scenario runs sweep (0:
-	// 5, or a scenario file's own count); other experiments ignore it.
+	// the scenario file's own count, 5 for the three builtins); other
+	// experiments ignore it.
 	Seeds int
 
 	// Backends, Shards and Batch pin the scale experiment to a single
@@ -41,30 +42,11 @@ type Options struct {
 	Shards   int
 	Batch    int
 
-	// PushThreshold, PeriodMin and PeriodMax override the hybrid
-	// experiment's controller knobs (zero = its defaults; other
-	// experiments ignore them). Periods are in probe periods T.
-	PushThreshold float64
-	PeriodMin     int
-	PeriodMax     int
-
-	// FrontEnds is the active-active experiment's replica count
-	// (default 4, minimum 2); ClaimShards and ClaimTTLMS override its
-	// claim-table size and claim TTL (zero = the cluster defaults:
-	// one shard per back-end, TTL derived from the poll interval).
-	// Other experiments ignore all three.
-	FrontEnds   int
-	ClaimShards int
-	ClaimTTLMS  int
-
-	// MaxConns, DialsPerSec and PoolIdleMS size the pooled scale-out
-	// run's connection budget, dial-rate budget and idle-conn GC age.
-	// Setting any of them (or Backends >= 1024) switches -exp scale
-	// from the sweep to the pooled scale-out with fault phases; zero
-	// means fleet-derived defaults.
-	MaxConns    int
-	DialsPerSec int
-	PoolIdleMS  int
+	// MaxConns sizes the pooled scale-out run's connection budget.
+	// Setting it (or Backends >= 1024) switches -exp scale from the
+	// sweep to the pooled scale-out with fault phases; zero means the
+	// fleet-derived default.
+	MaxConns int
 }
 
 func (o Options) seed() int64 {

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"rdmamon/internal/cluster"
 	"rdmamon/internal/scenario"
 	"rdmamon/internal/sim"
 )
@@ -60,13 +59,7 @@ type HAData struct {
 // H1-H4 and H6 are the claim audit active-active shares (auditClaims)
 // over the one-shard table; H5 is sweepSeeds' replay.
 func HA(o Options) *HAData {
-	cp, err := scenario.BuiltinHA().Compile(o.Quick)
-	if err != nil {
-		// The builtin is covered by the golden tests; a compile failure
-		// here is a programming error, not an input error.
-		panic(err)
-	}
-	return haScenario(cp, o)
+	return haScenario(compileBuiltin(scenario.BuiltinHA(), o.Quick), o)
 }
 
 // haScenario runs the HA invariant checker over a compiled scenario —
@@ -82,15 +75,7 @@ func haPoint(cp *scenario.Compiled, seed int64) HAPoint {
 	// Failover (the socket standby) is deliberately off in the builtin:
 	// every probe in this experiment is one-sided, so H6 measures the
 	// pure cost of two extra shadow monitors — which must be zero.
-	c := cluster.New(cp.ClusterConfig(seed, ""))
-	plan := cp.Plan(seed)
-	c.ApplyFaults(plan)
-
-	a := auditClaims(c, plan)
-
-	pool := c.StartRUBiS(cp.Clients, cp.Think, seed+11)
-	c.Run(cp.Horizon)
-	a.finish(cp.Horizon)
+	c, plan, a, pool := claimChaosRun(cp, seed)
 
 	feCrash := 0
 	for _, cr := range plan.Crashes {

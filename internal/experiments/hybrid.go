@@ -61,7 +61,11 @@ type HybridData struct {
 // deterministic minority of back-ends flap between idle and busy so
 // both runs monitor a mixed fleet; the rest stay quiet, which is where
 // the hybrid scheme earns its reduction.
-func Hybrid(o Options) *HybridData {
+func Hybrid(o Options) *HybridData { return hybrid(o, hybridConfig()) }
+
+// hybrid runs the comparison with h as the hybrid run's controller
+// config, so a test can hand it one that must break the contract.
+func hybrid(o Options, h *core.HybridConfig) *HybridData {
 	n := 512
 	if o.Quick {
 		n = 64
@@ -72,9 +76,8 @@ func Hybrid(o Options) *HybridData {
 	volatile := max(n/32, 2)
 
 	d := &HybridData{Points: make([]HybridPoint, 2)}
-	forEach(o, 2, func(i int) {
-		d.Points[i] = hybridPoint(o, n, volatile, i == 1)
-	})
+	knobs := []*core.HybridConfig{nil, h} // all-pull, then hybrid
+	forEach(o, 2, func(i int) { d.Points[i] = hybridPoint(o, n, volatile, knobs[i]) })
 
 	pull, hyb := d.Points[0], d.Points[1]
 	if hyb.ProbeWRs > 0 {
@@ -103,21 +106,15 @@ func Hybrid(o Options) *HybridData {
 	return d
 }
 
-// hybridKnobs maps the option overrides onto the controller config.
-func hybridKnobs(o Options) *core.HybridConfig {
-	h := &core.HybridConfig{
-		Threshold: o.PushThreshold,
+// hybridConfig is the controller config of the hybrid and scale-out
+// runs: the adaptive period spans 1T to 64T, a quiet back-end pushes a
+// heartbeat every 32T and samples its load every T.
+func hybridConfig() *core.HybridConfig {
+	return &core.HybridConfig{
 		Period:    core.PeriodConfig{Min: hybridPoll, Max: 64 * hybridPoll},
 		Heartbeat: 32 * hybridPoll,
 		Check:     hybridPoll,
 	}
-	if o.PeriodMin > 0 {
-		h.Period.Min = sim.Time(o.PeriodMin) * hybridPoll
-	}
-	if o.PeriodMax > 0 {
-		h.Period.Max = sim.Time(o.PeriodMax) * hybridPoll
-	}
-	return h
 }
 
 // startFlappers runs the deterministic volatile minority: back-end
@@ -147,8 +144,8 @@ func startFlappers(c *cluster.Cluster, n, volatile int) []int {
 // hybridPoint runs one mode: a monitoring-only RDMA-Sync cluster (the
 // experiment measures the monitoring planes, not the web servers) with
 // the sharded/batched engine, a flapping minority, and the staleness
-// audit sampling every T.
-func hybridPoint(o Options, n, volatile int, hybrid bool) HybridPoint {
+// audit sampling every T. A nil knobs is the all-pull run.
+func hybridPoint(o Options, n, volatile int, knobs *core.HybridConfig) HybridPoint {
 	shards, batch := sweepEngine(o, 4)
 	cfg := cluster.Config{
 		Backends:      n,
@@ -158,17 +155,13 @@ func hybridPoint(o Options, n, volatile int, hybrid bool) HybridPoint {
 		NoServers:     true,
 		MonitorShards: shards,
 		MonitorBatch:  batch,
-	}
-	var knobs *core.HybridConfig
-	if hybrid {
-		knobs = hybridKnobs(o)
-		cfg.Hybrid = knobs
+		Hybrid:        knobs,
 	}
 	c := cluster.New(cfg)
 	startFlappers(c, n, volatile)
 
 	pt := HybridPoint{Mode: "all-pull", Backends: n, Volatile: volatile}
-	if hybrid {
+	if knobs != nil {
 		pt.Mode = "hybrid"
 	}
 
@@ -181,18 +174,12 @@ func hybridPoint(o Options, n, volatile int, hybrid bool) HybridPoint {
 	if o.Quick {
 		dur = 1500 * sim.Millisecond
 	}
-	threshold := core.DefaultChangeThreshold
-	if knobs != nil {
-		threshold = knobs.WithDefaults(hybridPoll).Threshold
-	} else if o.PushThreshold > 0 {
-		threshold = o.PushThreshold
-	}
 
 	// The staleness audit: every T after warm-up, each back-end's
 	// effective staleness against ground truth.
 	var effMax, ageMax sim.Time
 	c.Eng.RunUntil(warm)
-	stale := newEffStale(c, threshold, warm)
+	stale := newEffStale(c, core.DefaultChangeThreshold, warm)
 	reads0 := c.FNIC.RDMAReads
 	audit := c.Eng.NewTicker(hybridPoll, func() {
 		for _, b := range c.Monitor.Backends() {

@@ -1,6 +1,10 @@
 package experiments
 
-import "testing"
+import (
+	"slices"
+	"strings"
+	"testing"
+)
 
 // TestHybridQuickContract runs the quick hybrid comparison and asserts
 // the tentpole contract at its reduced fleet: the hybrid scheme must
@@ -32,18 +36,23 @@ func TestHybridQuickContract(t *testing.T) {
 	}
 }
 
-// TestHybridKnobOverrides exercises the rmbench -period-min/-period-max
-// /-push-threshold plumbing: capping the decay ceiling at 2T must cost
-// probe WRs versus the default 64T ceiling.
-func TestHybridKnobOverrides(t *testing.T) {
+// TestHybridGateCanFail shows the >= 10x probe-WR gate is live: the
+// same quick comparison with the adaptive period capped at 4T instead
+// of 64T must fail it, and on that gate. A quiet back-end then costs at
+// least a quarter of all-pull's reads, so the reduction cannot reach
+// 10x (it reads 4.2x).
+func TestHybridGateCanFail(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow experiment; skipped with -short")
 	}
-	slow := Hybrid(Options{Quick: true, Backends: 32})
-	fast := Hybrid(Options{Quick: true, Backends: 32, PeriodMax: 2, PushThreshold: 0.2})
-	if fast.Points[1].ProbeWRs <= slow.Points[1].ProbeWRs {
-		t.Fatalf("2T ceiling posted %d probe WRs, 64T ceiling %d — override not applied",
-			fast.Points[1].ProbeWRs, slow.Points[1].ProbeWRs)
+	h := hybridConfig()
+	h.Period.Max = 4 * hybridPoll
+	d := hybrid(Options{Quick: true}, h)
+	if !d.Failed || d.WRRatio >= hybridWRRatio {
+		t.Fatalf("4T ceiling: failed=%v at %.1fx, want the >= %dx gate to fail", d.Failed, d.WRRatio, hybridWRRatio)
+	}
+	if !slices.ContainsFunc(d.Notes, func(n string) bool { return strings.HasPrefix(n, "VIOLATION: probe-WR reduction") }) {
+		t.Fatalf("no probe-WR violation among the notes:\n%v", d.Notes)
 	}
 }
 

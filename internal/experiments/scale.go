@@ -52,9 +52,10 @@ type ScaleData struct {
 // sequential monitor's, with zero probe errors and zero per-backend
 // sequence regressions everywhere.
 func Scale(o Options) *ScaleData {
-	if o.Backends >= scaleOutMin || o.MaxConns > 0 || o.DialsPerSec > 0 || o.PoolIdleMS > 0 {
+	if o.Backends >= scaleOutMin || o.MaxConns > 0 {
 		// Fleet sizes past the sweep's one-QP-per-backend assumption
-		// (or explicit pool knobs) run the pooled scale-out instead.
+		// (or an explicit connection budget) run the pooled scale-out
+		// instead.
 		out := ScaleOut(o)
 		return &ScaleData{Out: out, verdict: out.verdict}
 	}

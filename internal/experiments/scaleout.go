@@ -78,17 +78,9 @@ func ScaleOut(o Options) *ScaleOutData {
 	if maxConns <= 0 {
 		maxConns = max(n/8, 64)
 	}
-	dialsPerSec := o.DialsPerSec
-	if dialsPerSec <= 0 {
-		dialsPerSec = max(n, 512)
-	}
-	idleNS := int64(500 * sim.Millisecond)
-	if o.PoolIdleMS > 0 {
-		idleNS = int64(o.PoolIdleMS) * int64(sim.Millisecond)
-	}
+	dialsPerSec := max(n, 512)
 	shards, batch := sweepEngine(o, 8)
 	volatile := max(n/32, 2)
-	burst := max(dialsPerSec/4, 1)
 
 	d := &ScaleOutData{
 		Backends: n, Volatile: volatile,
@@ -104,7 +96,7 @@ func ScaleOut(o Options) *ScaleOutData {
 		ProbeTimeout:  scalePoll,
 		MonitorShards: shards,
 		MonitorBatch:  batch,
-		Hybrid:        hybridKnobs(o),
+		Hybrid:        hybridConfig(),
 		// The failover ladder is armed: a refused or timed-out dial
 		// degrades to the same-cycle socket standby instead of losing
 		// the probe, which is how hot back-ends keep their SLO (and
@@ -113,8 +105,7 @@ func ScaleOut(o Options) *ScaleOutData {
 		Pool: &connpool.Config{
 			MaxConns:    maxConns,
 			DialsPerSec: float64(dialsPerSec),
-			DialBurst:   burst,
-			IdleAfterNS: idleNS,
+			IdleAfterNS: int64(500 * sim.Millisecond),
 			BreakAfter:  2,
 			// Short reopen window: fault phases are sub-second, and a
 			// breaker must get its half-open probe (and close) before
@@ -203,7 +194,7 @@ func ScaleOut(o Options) *ScaleOutData {
 	// Hot effective-staleness tracker, sampled every T (the hybrid
 	// experiment's metric); a hot back-end with no record counts as
 	// stale since the start of the run.
-	stale := newEffStale(c, hybridKnobs(o).WithDefaults(scalePoll).Threshold, 0)
+	stale := newEffStale(c, core.DefaultChangeThreshold, 0)
 	hotEff := func() sim.Time {
 		var worst sim.Time
 		for _, b := range hot {

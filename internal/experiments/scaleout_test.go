@@ -28,24 +28,26 @@ func TestScaleOutQuick(t *testing.T) {
 	}
 }
 
-// TestScaleOutKnobs exercises the -max-conns/-dials-per-sec/-pool-idle-ms
-// pins: explicit budgets select the scale-out even below the fleet
-// threshold, and the configured budgets are what the run enforces.
+// TestScaleOutKnobs exercises the -max-conns pin: an explicit
+// connection budget selects the scale-out even below the fleet
+// threshold, the budget is what the run enforces, and every phase keeps
+// its dial rate within the fleet-derived budget: max(fleet, 512) = 512
+// dials/s plus a quarter of that as burst, 640 in any 1s window.
 func TestScaleOutKnobs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow experiment; skipped with -short")
 	}
-	d := Scale(Options{Quick: true, Backends: 512, MaxConns: 96, DialsPerSec: 700, PoolIdleMS: 300})
+	d := Scale(Options{Quick: true, Backends: 512, MaxConns: 96})
 	if d.Out == nil {
-		t.Fatal("explicit pool knobs did not select the scale-out path")
+		t.Fatal("an explicit connection budget did not select the scale-out path")
 	}
 	if d.Failed {
 		t.Fatalf("scale-out reported violations:\n%v", d.Notes)
 	}
-	if d.Out.MaxConns != 96 || d.Out.DialsPerSec != 700 {
+	if d.Out.MaxConns != 96 || d.Out.DialsPerSec != 512 {
 		t.Fatalf("budgets not honored: %+v", d.Out)
 	}
-	budget := uint64(700 + 700/4)
+	budget := uint64(512 + 512/4)
 	for _, ph := range d.Out.Phases {
 		if ph.WindowMax > budget {
 			t.Fatalf("phase %s: %d dials/s exceeds budget %d", ph.Name, ph.WindowMax, budget)

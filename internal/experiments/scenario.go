@@ -1,8 +1,9 @@
 // Scenario driver: runs declarative scenarios (internal/scenario)
-// against the simulated cluster. Scenarios with `checks: chaos` or
-// `checks: ha` route into those experiments' invariant checkers over
-// the compiled config (the legacy `-exp chaos`/`-exp ha` now go the
-// same way, via the builtin scenarios); everything else runs the
+// against the simulated cluster. Scenarios with `checks: chaos`,
+// `checks: ha` or `checks: aa` route into those experiments' invariant
+// checkers over the compiled config (`-exp chaos`, `-exp ha` and
+// `-exp aa` go the same way, via the builtin scenarios); everything
+// else runs the
 // generic driver below — per-variant seeded runs, a staleness sampler,
 // per-template dispatch shares, and assertion verdicts that propagate
 // a non-zero rmbench exit on failure.
@@ -41,17 +42,31 @@ func RunScenario(s *scenario.Scenario, o Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	var res *Result
 	switch s.Checks {
 	case "chaos":
-		res := chaosScenario(cp, o).Result()
-		res.ID = s.Name
-		return res, nil
+		res = chaosScenario(cp, o).Result()
 	case "ha":
-		res := haScenario(cp, o).Result()
-		res.ID = s.Name
-		return res, nil
+		res = haScenario(cp, o).Result()
+	case "aa":
+		res = aaScenario(cp, o).Result()
+	default:
+		return runScenarioGeneric(cp, o), nil
 	}
-	return runScenarioGeneric(cp, o), nil
+	res.ID = s.Name
+	return res, nil
+}
+
+// compileBuiltin compiles one of the builtin scenarios `-exp chaos`,
+// `-exp ha` and `-exp aa` run. The golden tests cover every builtin,
+// so a compile failure here is a programming error, not an input
+// error.
+func compileBuiltin(s *scenario.Scenario, quick bool) *scenario.Compiled {
+	cp, err := s.Compile(quick)
+	if err != nil {
+		panic(err)
+	}
+	return cp
 }
 
 // scenarioRun is one (variant, seed) run's raw stats.

@@ -16,12 +16,12 @@ import (
 )
 
 // claimTestCfg uses short real-time windows: check every 10ms, trust
-// for 30ms, take an orphan after 60ms of silence. Deadlines below are
-// generous multiples so a loaded CI machine does not flake.
+// for 30ms (the TTL, three check periods), take an orphan after 60ms of
+// silence. Deadlines below are generous multiples so a loaded CI
+// machine does not flake.
 func claimTestCfg() core.ClaimConfig {
 	return core.ClaimConfig{
 		CheckEvery:  sim.Time(10 * time.Millisecond),
-		TTL:         sim.Time(30 * time.Millisecond),
 		ExpireAfter: sim.Time(60 * time.Millisecond),
 	}
 }

@@ -177,7 +177,7 @@ func (cp *Compiled) BaseSeed(override int64) int64 {
 }
 
 // SeedAt is the i-th point of the sweep (the same 7919 stride the
-// legacy chaos/ha experiments used).
+// legacy chaos/ha/aa experiments used).
 func (cp *Compiled) SeedAt(base int64, i int) int64 { return base + int64(i)*7919 }
 
 // Points is the number of seeded points to run (an Options.Seeds
@@ -195,8 +195,10 @@ func (cp *Compiled) Points(override int) int {
 
 // ClusterConfig lowers the scenario to a cluster.Config for one seed
 // and dispatch policy (empty policy = the scenario default). Field
-// defaulting mirrors the legacy chaos/ha experiments exactly so the
-// unified driver builds the same clusters they did.
+// defaulting mirrors the legacy chaos/ha/aa experiments exactly so the
+// unified driver builds the same clusters they did. Only the aa
+// checker's A1-A5 audit a concurrently dispatching tier, so `checks:
+// aa` alone makes the replicas active-active.
 func (cp *Compiled) ClusterConfig(seed int64, policy string) cluster.Config {
 	if policy == "" {
 		policy = cp.S.Policy
@@ -219,6 +221,7 @@ func (cp *Compiled) ClusterConfig(seed int64, policy string) cluster.Config {
 		ProbeTimeout: pt,
 		MRRepin:      cp.MRRepin,
 		Replicas:     cp.S.Replicas,
+		ActiveActive: cp.S.Checks == "aa",
 		BackendSpecs: cp.Specs,
 		Failover:     cp.S.Failover,
 	}
@@ -226,7 +229,7 @@ func (cp *Compiled) ClusterConfig(seed int64, policy string) cluster.Config {
 
 // Plan compiles the fault side of the scenario for one seed: the
 // stress block's seeded random plan (exactly faults.RandomPlan — the
-// chaos/ha equivalence golden tests depend on this being the whole
+// chaos/ha/aa equivalence golden tests depend on this being the whole
 // story when no stagger or events exist), then stagger cold-start
 // windows, then the timed event script. Deterministic: same (scenario,
 // seed) in, same plan out.

@@ -93,6 +93,32 @@ func TestHAScenarioPlanEquivalence(t *testing.T) {
 	}
 }
 
+// TestAAScenarioPlanEquivalence: same contract for the active-active
+// scenario — four front-ends, the witness after them, and the two
+// claim-stall windows the legacy Go-coded `-exp aa` added to its plan.
+func TestAAScenarioPlanEquivalence(t *testing.T) {
+	for _, mode := range []struct {
+		quick   bool
+		horizon sim.Time
+	}{{false, 20 * sim.Second}, {true, 10 * sim.Second}} {
+		cp, err := BuiltinAA().Compile(mode.quick)
+		if err != nil {
+			t.Fatal(err)
+		}
+		legacy := faults.ChaosConfig{
+			Backends: 8, Horizon: mode.horizon,
+			FrontEnds: []int{0, 9, 10, 11}, Witness: 12, ClaimStalls: 2,
+		}
+		for seed := int64(0); seed < 50; seed++ {
+			want := faults.RandomPlan(seed, legacy)
+			if got := cp.Plan(seed); !reflect.DeepEqual(got, want) {
+				t.Fatalf("quick=%v seed %d: scenario plan diverged from legacy RandomPlan\n got %+v\nwant %+v",
+					mode.quick, seed, got, want)
+			}
+		}
+	}
+}
+
 // TestScenarioGoldenDigests pins the compiled fault-plan streams of
 // every curated scenario (full mode, default seed base, the scenario's
 // own seed count). A failure means seeded replay of published scenario
@@ -100,6 +126,7 @@ func TestHAScenarioPlanEquivalence(t *testing.T) {
 // discipline broke, or a scenario file was edited without re-pinning.
 func TestScenarioGoldenDigests(t *testing.T) {
 	golden := map[string]uint64{
+		"aa.yaml":              0x3d104d2f2cb3cd0c,
 		"chaos.yaml":           0x67d2e143968a1bbe,
 		"ha.yaml":              0xa7562b232b3a2ced,
 		"hetero-dispatch.yaml": 0x79970a2f5077f5d6,

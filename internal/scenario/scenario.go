@@ -12,7 +12,7 @@
 //     streams derived from the run seed, so the same (scenario, seed)
 //     pair always produces the same cluster config and fault plan.
 //     Golden digest tests pin this.
-//  2. Equivalence. The built-in chaos and ha scenarios compile to
+//  2. Equivalence. The built-in chaos, ha and aa scenarios compile to
 //     bit-identical faults.Plan values to the Go-coded experiments
 //     they replaced — same ChaosConfig, same RNG stream.
 //  3. Fuzz safety. Parse and Validate reject malformed input with
@@ -53,7 +53,7 @@ type Scenario struct {
 	Description string `scn:"description"`
 
 	// Seed is the base run seed (0 = the harness default); Seeds is
-	// how many seeded points to run (0 = 1; the chaos/ha checkers
+	// how many seeded points to run (0 = 1; the chaos/ha/aa checkers
 	// default to 5 like their legacy experiments).
 	Seed  int64 `scn:"seed"`
 	Seeds int   `scn:"seeds"`
@@ -90,7 +90,8 @@ type Scenario struct {
 	Replicas int  `scn:"replicas"`
 
 	// Checks selects a built-in invariant checker: "" (generic
-	// metrics + assertions), "chaos" (I1-I6) or "ha" (H1-H6).
+	// metrics + assertions), "chaos" (I1-I6), "ha" (H1-H6) or "aa"
+	// (A1-A5, which also makes the replicated tier active-active).
 	Checks string `scn:"checks"`
 
 	Fleet    Fleet    `scn:"fleet"`
@@ -233,15 +234,15 @@ func (s *Scenario) Validate() error {
 		bad("replicas: %d out of range [0, 16]", s.Replicas)
 	}
 	switch s.Checks {
-	case "", "chaos", "ha":
+	case "", "chaos", "ha", "aa":
 	default:
-		bad("checks: unknown %q (want chaos, ha, or empty)", s.Checks)
+		bad("checks: unknown %q (want chaos, ha, aa, or empty)", s.Checks)
 	}
 	if s.Checks == "chaos" && !s.Failover {
 		bad("checks: chaos requires failover: true (I3 audits the breaker)")
 	}
-	if s.Checks == "ha" && s.Replicas < 2 {
-		bad("checks: ha requires replicas >= 2")
+	if (s.Checks == "ha" || s.Checks == "aa") && s.Replicas < 2 {
+		bad("checks: %s requires replicas >= 2", s.Checks)
 	}
 
 	s.validateFleet(bad)
@@ -574,8 +575,14 @@ func BuiltinChaos() *Scenario { return builtin("chaos.yaml") }
 // 1/1/1 are the resolved defaults for a 3-replica fleet).
 func BuiltinHA() *Scenario { return builtin("ha.yaml") }
 
+// BuiltinAA is examples/scenarios/aa.yaml, the declarative equivalent
+// of the legacy `-exp aa` experiment: the same 4-replica active-active
+// cluster and plan stream (FE counts 1/1/1 resolved as for ha, plus
+// two claim stalls).
+func BuiltinAA() *Scenario { return builtin("aa.yaml") }
+
 // builtin parses one embedded curated file. The golden tests cover
-// both builtins, so a failure here is a programming error.
+// every builtin, so a failure here is a programming error.
 func builtin(name string) *Scenario {
 	src, err := scenarios.FS.ReadFile(name)
 	if err != nil {

@@ -70,6 +70,7 @@ func TestParseRejects(t *testing.T) {
 			"not supported with checks"},
 		{"chaos without failover", "name: x\nhorizon: 2s\nchecks: chaos\n", "requires failover"},
 		{"ha without replicas", "name: x\nhorizon: 2s\nchecks: ha\n", "replicas >= 2"},
+		{"aa without replicas", "name: x\nhorizon: 2s\nchecks: aa\n", "aa requires replicas >= 2"},
 		{"fe stress without replicas",
 			"name: x\nhorizon: 2s\nstress:\n  fe_crashes: 1\n",
 			"need replicas >= 2"},
@@ -216,17 +217,18 @@ func TestExpandWeights(t *testing.T) {
 // place HA front-ends and the witness (so chaos configs can be built
 // without instantiating a cluster) against the real cluster layout.
 func TestFrontEndIDsMatchCluster(t *testing.T) {
-	s := BuiltinHA()
-	cp, err := s.Compile(false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := cluster.New(cp.ClusterConfig(1, ""))
-	if got, want := c.FrontEndIDs(), s.FrontEndIDs(); !reflect.DeepEqual(got, want) {
-		t.Errorf("front-end IDs: cluster %v, scenario %v", got, want)
-	}
-	if c.Witness == nil || c.Witness.ID != s.WitnessID() {
-		t.Errorf("witness ID: cluster %+v, scenario %d", c.Witness, s.WitnessID())
+	for _, s := range []*Scenario{BuiltinHA(), BuiltinAA()} {
+		cp, err := s.Compile(false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := cluster.New(cp.ClusterConfig(1, ""))
+		if got, want := c.FrontEndIDs(), s.FrontEndIDs(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: front-end IDs: cluster %v, scenario %v", s.Name, got, want)
+		}
+		if c.Witness == nil || c.Witness.ID != s.WitnessID() {
+			t.Errorf("%s: witness ID: cluster %+v, scenario %d", s.Name, c.Witness, s.WitnessID())
+		}
 	}
 }
 
