@@ -30,14 +30,13 @@ func run() int {
 	flag.BoolVar(&opts.Quick, "quick", false, "short runs (noisier tails)")
 	flag.Int64Var(&opts.Seed, "seed", 0, "simulation seed (0 = default)")
 	flag.IntVar(&opts.Seeds, "seeds", 0, "seeds swept by -exp chaos/ha/aa and -scenario (0 = each one's default)")
-	flag.BoolVar(&opts.Sequential, "seq", false, "run sweep points sequentially")
 	flag.IntVar(&opts.Backends, "backends", 0, "pin -exp scale to one back-end count (0 = sweep)")
 	flag.IntVar(&opts.Shards, "shards", 0, "pin -exp scale to one shard count (0 = sweep)")
 	flag.IntVar(&opts.Batch, "batch", 0, "pin -exp scale to one doorbell batch size (0 = sweep)")
 	flag.IntVar(&opts.MaxConns, "max-conns", 0, "-exp scale: pooled scale-out connection budget (0 = fleet/8, at least 64)")
 	var (
 		exp     = flag.String("exp", "", "experiment id (fig3..fig9, table1, extensions, or 'all')")
-		scen    = flag.String("scenario", "", "run a declarative scenario file (YAML or JSON, see examples/scenarios/)")
+		scen    = flag.String("scenario", "", "run a declarative YAML scenario file (see examples/scenarios/)")
 		list    = flag.Bool("list", false, "list experiment ids")
 		format  = flag.String("format", "table", "output format: table, csv, plot")
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile of the experiment runs to this file")

@@ -80,12 +80,13 @@ func AA(o Options) *AAData {
 // scenario — the one driver behind both `-exp aa` (via BuiltinAA,
 // bit-identical plans) and `-scenario` files with `checks: aa`.
 func aaScenario(cp *scenario.Compiled, o Options) *AAData {
-	return &AAData{Points: sweepSeeds(o, cp.Points(o.Seeds), cp.BaseSeed(o.Seed), "A5",
-		func(seed int64) AAPoint { return aaPoint(cp, o.Quick, seed) })}
+	return &AAData{Points: sweepSeeds(cp, o, 1, "A5 determinism",
+		func(_ int, seed int64) AAPoint { return aaPoint(cp, o.Quick, seed) })}
 }
 
 func aaPoint(cp *scenario.Compiled, quick bool, seed int64) AAPoint {
-	c, plan, a, pool := claimChaosRun(cp, seed)
+	r, a := claimRun(cp, seed)
+	c, plan, pool := r.c, r.plan, r.pool
 
 	// Stall windows: every freeze on this plan lands on a front-end,
 	// as does every single-node partition against the witness.
@@ -204,7 +205,7 @@ func (d *AAData) Result() *Result {
 			fmt.Sprintf("%.0f", p.ThroughputSP),
 			f2(ratio),
 			f2(p.FairMin),
-			fmt.Sprintf("%d", p.ViolationN),
+			fmt.Sprintf("%d", p.Count),
 		})
 	}
 	noteVerdict(r, d.Points, "all invariants held: no shard was validly held by two front-ends at once and every routed request went out under a validly held claim, every orphaned shard was re-acquired within the reclaim bound, the active-active fleet at least doubled single-primary throughput, every front-end carried at least half its fair share, and the first seed replayed bit-identically")

@@ -3,9 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"rdmamon/internal/cluster"
 	"rdmamon/internal/core"
-	"rdmamon/internal/faults"
 	"rdmamon/internal/scenario"
 	"rdmamon/internal/sim"
 )
@@ -87,103 +85,57 @@ func Chaos(o Options) *ChaosData {
 // (via BuiltinChaos, bit-identical plans) and `-scenario` files with
 // `checks: chaos`.
 func chaosScenario(cp *scenario.Compiled, o Options) *ChaosData {
-	return &ChaosData{Points: sweepSeeds(o, cp.Points(o.Seeds), cp.BaseSeed(o.Seed), "I5",
-		func(seed int64) ChaosPoint { return chaosPoint(cp, seed) })}
+	return &ChaosData{Points: sweepSeeds(cp, o, 1, "I5 determinism",
+		func(_ int, seed int64) ChaosPoint { return chaosPoint(cp, seed) })}
 }
 
 func chaosPoint(cp *scenario.Compiled, seed int64) ChaosPoint {
-	poll := cp.Poll
-	horizon := cp.Horizon
-	repin := cp.MRRepin
+	ck := newChaosChecker(cp.Poll, cp.MRRepin)
+	runFaulted(cp, cp.ClusterConfig(seed, ""), ck.install)
+	ck.checkMREvents(cp.Horizon)
+	pt := ck.point()
 
-	c := cluster.New(cp.ClusterConfig(seed, ""))
-	plan := cp.Plan(seed)
-	in := c.ApplyFaults(plan)
-
-	ck := newChaosChecker(c, plan, poll, repin)
-	ck.install(in)
-	defer ck.ticker.Stop()
-
-	pool := c.StartRUBiS(cp.Clients, cp.Think, seed+11)
-	c.Run(horizon)
-
-	ck.checkMREvents(horizon)
-	pt := ck.point(pool.Timeouts)
-
-	// I6: the hybrid twin — same seed, same plan, push/pull monitoring.
-	hyb := chaosHybridTwin(cp, seed, plan)
-	pt.HybPushes = hyb.pushes
-	pt.HybStaleMaxT = float64(hyb.staleMax) / float64(poll)
-	pt.Violations = append(pt.Violations, hyb.Violations...)
-	pt.ViolationN += hyb.ViolationN
-	pt.Fingerprint += " " + hyb.Fingerprint
+	// I6: the hybrid twin — same seed, same plan, push/pull monitoring,
+	// violations recorded beside the main run's.
+	pushes, staleMax, fp := chaosHybridTwin(cp, seed, &pt.violations)
+	pt.HybPushes, pt.HybStaleMaxT = pushes, float64(staleMax)/float64(cp.Poll)
+	pt.Fingerprint += " " + fp
 	return pt
 }
 
-// hybridTwinStats is what the I6 twin run reports back; its
-// Fingerprint is the twin's digest.
-type hybridTwinStats struct {
-	runAudit
-	pushes   uint64
-	staleMax sim.Time
-}
-
-// staleAudit is the staleness sampler callback of I2 and I6: a
-// back-end with no record, or with one older than chaosStaleSLO
-// periods, is a violation named inv; *worst tracks the oldest record.
-func staleAudit(a *runAudit, inv string, poll sim.Time, worst *sim.Time) func(now sim.Time, b int, age sim.Time, ok bool) {
-	slo := sim.Time(chaosStaleSLO) * poll
-	return func(now sim.Time, b int, age sim.Time, ok bool) {
-		if !ok {
-			a.violate("%s staleness: node %d has no record by %v", inv, b, now)
-			return
-		}
-		if age > *worst {
-			*worst = age
-		}
-		if age > slo {
-			a.violate("%s staleness: node %d record is %v old at %v", inv, b, age, now)
-		}
-	}
-}
-
 // chaosHybridTwin replays the seed's fault plan against a cluster
-// running the hybrid push/pull scheme and audits I6: every undisturbed
-// back-end stays within the staleness SLO even though quiet back-ends
-// are probed at a decayed period and rely on delta pushes landing in
-// the front-end aggregation region. The twin's period ceiling (4T) and
-// heartbeat (6T) are chosen so the all-pull staleness SLO (10T) is
-// still the contract, not a relaxed one. Crashes kill pushers
-// mid-delta, MR invalidations tear down the aggregation slots, and
-// partitions strand decayed back-ends — all from the same plan the
-// all-pull run survived.
-func chaosHybridTwin(cp *scenario.Compiled, seed int64, plan faults.Plan) hybridTwinStats {
-	poll, horizon := cp.Poll, cp.Horizon
+// running the hybrid push/pull scheme and audits I6 into v: every
+// undisturbed back-end stays within the staleness SLO even though
+// quiet back-ends are probed at a decayed period and rely on delta
+// pushes landing in the front-end aggregation region. The twin's
+// period ceiling (4T) and heartbeat (6T) are chosen so the all-pull
+// staleness SLO (10T) is still the contract, not a relaxed one.
+// Crashes kill pushers mid-delta, MR invalidations tear down the
+// aggregation slots, and partitions strand decayed back-ends — all
+// from the same plan the all-pull run survived. It returns the twin's
+// delta pushes, its worst undisturbed record age and its digest.
+func chaosHybridTwin(cp *scenario.Compiled, seed int64, v *violations) (pushes uint64, staleMax sim.Time, fp string) {
+	poll := cp.Poll
 	cfg := cp.ClusterConfig(seed, "")
 	cfg.Hybrid = &core.HybridConfig{
 		Period:    core.PeriodConfig{Min: poll, Max: 4 * poll},
 		Heartbeat: 6 * poll,
 		Check:     poll,
 	}
-	c := cluster.New(cfg)
-	down := trackDown(c.Eng, c.ApplyFaults(plan))
+	viol0 := v.Count
+	r := runFaulted(cp, cfg, func(r *faultRun) {
+		sampleStaleness(r, poll, staleAudit(v, "I6 hybrid", poll, &staleMax))
+	})
+	c := r.c
 
-	st := hybridTwinStats{}
-	ticker := sampleStaleness(c, plan, poll, down, staleAudit(&st.runAudit, "I6 hybrid", poll, &st.staleMax))
-	defer ticker.Stop()
-
-	pool := c.StartRUBiS(cp.Clients, cp.Think, seed+11)
-	c.Run(horizon)
-
-	var skips, perrs, decayed uint64
+	var skips, perrs uint64
 	for _, p := range c.Pushers {
 		if p != nil {
-			st.pushes += p.Pushes
+			pushes += p.Pushes
 			skips += p.Skips
 			perrs += p.Errors
 		}
 	}
-	decayed = c.Monitor.Decayed
 	var rx, torn uint64
 	if c.Monitor.Sink != nil {
 		rx = c.Monitor.Sink.Received
@@ -197,182 +149,9 @@ func chaosHybridTwin(cp *scenario.Compiled, seed int64, plan faults.Plan) hybrid
 	// covers hybrid mode too: pushes, skips, errors, sink counters, the
 	// decayed-probe count and final per-node records must all replay
 	// bit-identically.
-	st.Fingerprint = fmt.Sprintf("hyb: pushes=%d skips=%d perr=%d rx=%d torn=%d decay=%d stale=%d drop=%d served=%d tmo=%d hviol=%d seqs=%s",
-		st.pushes, skips, perrs, rx, torn, decayed, st.staleMax,
-		c.Monitor.StalePushes, c.TotalServed(), pool.Timeouts, st.ViolationN, seqs)
-	return st
-}
-
-// chaosChecker audits one run against the invariants above.
-type chaosChecker struct {
-	c           *cluster.Cluster
-	plan        faults.Plan
-	poll, repin sim.Time
-
-	*downSet // crashed back-ends; a restart starts a new agent incarnation
-
-	trips     map[int][]sim.Time // breaker trip instants per back-end
-	failbacks map[int][]sim.Time
-
-	staleMax sim.Time
-	tripMax  sim.Time // worst measured MR-event trip latency
-	fbMax    sim.Time // worst measured MR-event fail-back latency
-	runAudit
-
-	ticker *sim.Ticker
-}
-
-func newChaosChecker(c *cluster.Cluster, plan faults.Plan, poll, repin sim.Time) *chaosChecker {
-	return &chaosChecker{
-		c: c, plan: plan, poll: poll, repin: repin,
-		trips:     make(map[int][]sim.Time),
-		failbacks: make(map[int][]sim.Time),
-	}
-}
-
-func (ck *chaosChecker) install(in *faults.Injector) {
-	eng := ck.c.Eng
-	ck.downSet = trackDown(eng, in)
-
-	// I1: audit every routing decision.
-	detect := sim.Time(chaosDetectSLO) * ck.poll
-	ck.c.Dispatcher.OnRoute = func(b int) {
-		if !ck.down[b] || eng.Now() <= ck.since[b]+detect {
-			return
-		}
-		if !ck.anyEligible() {
-			// The whole fleet looks condemned: uniform fallback over
-			// everyone is the policy's documented last resort.
-			return
-		}
-		ck.violate("I1 dispatch: request routed to node %d, down since %v", b, ck.since[b])
-	}
-
-	for _, b := range ck.c.Monitor.Backends() {
-		// I3: timestamp breaker transitions.
-		fo := ck.c.Monitor.Failover(b)
-		fo.OnTrip = func() { ck.trips[b] = append(ck.trips[b], eng.Now()) }
-		fo.OnFailBack = func() { ck.failbacks[b] = append(ck.failbacks[b], eng.Now()) }
-	}
-
-	// I4: a restart resets the agent's counter, so each incarnation
-	// has its own watermarks.
-	watchSeqs(ck.c, ck.restarts, func(b int, tr core.Transport, seq, last uint32) {
-		ck.violate("I4 seq: node %d %s seq %d after %d", b, tr, seq, last)
-	}, nil)
-
-	// I2: staleness sweep each probe period.
-	ck.ticker = sampleStaleness(ck.c, ck.plan, ck.poll, ck.downSet, staleAudit(&ck.runAudit, "I2", ck.poll, &ck.staleMax))
-}
-
-func (ck *chaosChecker) anyEligible() bool {
-	for _, b := range ck.c.Monitor.Backends() {
-		if !ck.down[b] && ck.c.Monitor.Health(b).Eligible() {
-			return true
-		}
-	}
-	return false
-}
-
-// checkMREvents runs the I3 checks once the run is over: each MR
-// invalidation must have tripped the breaker within the trip SLO and
-// failed back within the fail-back SLO of the re-pin. Events whose
-// measurement window is polluted by another fault on the same node (or
-// truncated by the horizon) are skipped — attribution would be
-// guesswork. When the same node is invalidated again before its
-// fail-back deadline, the breakage restarts: measurement defers to the
-// last event of the chain, and an already-tripped node skips only the
-// trip check (its fail-back from the fresh repair is still owed).
-func (ck *chaosChecker) checkMREvents(horizon sim.Time) {
-	tripSLO := sim.Time(chaosTripSLO) * ck.poll
-	fbSLO := sim.Time(chaosFailBackSLO) * ck.poll
-	for i, mi := range ck.plan.MRInvalidations {
-		deadline := mi.At + ck.repin + fbSLO
-		if deadline > horizon || ck.overlapped(mi.Node, mi.At-2*ck.poll, deadline) {
-			continue
-		}
-		if ck.reinvalidated(i, deadline) {
-			continue
-		}
-		if !ck.trippedAt(mi.Node, mi.At) {
-			tripAt, ok := firstAfter(ck.trips[mi.Node], mi.At)
-			if !ok || tripAt > mi.At+tripSLO {
-				ck.violate("I3 trip: node %d MR invalidated at %v, no trip within %v", mi.Node, mi.At, tripSLO)
-				continue
-			}
-			if lat := tripAt - mi.At; lat > ck.tripMax {
-				ck.tripMax = lat
-			}
-		}
-		// No fail-back can precede the re-pin (re-arm reads fail against
-		// the dead key), so the first one after At is the one the fresh
-		// repair earned.
-		fbAt, ok := firstAfter(ck.failbacks[mi.Node], mi.At)
-		if !ok || fbAt > deadline {
-			ck.violate("I3 fail-back: node %d re-pinned at %v, no fail-back within %v", mi.Node, mi.At+ck.repin, fbSLO)
-			continue
-		}
-		if lat := fbAt - (mi.At + ck.repin); lat > ck.fbMax {
-			ck.fbMax = lat
-		}
-	}
-}
-
-// reinvalidated reports whether another MR event hits the same node
-// after event i but before its fail-back deadline.
-func (ck *chaosChecker) reinvalidated(i int, deadline sim.Time) bool {
-	mi := ck.plan.MRInvalidations[i]
-	for j, other := range ck.plan.MRInvalidations {
-		if j != i && other.Node == mi.Node && other.At > mi.At && other.At <= deadline {
-			return true
-		}
-	}
-	return false
-}
-
-// overlapped reports whether any non-MR fault touches node b inside
-// [from, to] — used to skip unattributable I3 measurements.
-func (ck *chaosChecker) overlapped(b int, from, to sim.Time) bool {
-	for _, cr := range ck.plan.Crashes {
-		if cr.Node == b && cr.At < to && cr.RestartAt > from {
-			return true
-		}
-	}
-	for _, p := range ck.plan.Partitions {
-		if (intsHave(p.A, b) || intsHave(p.B, b)) && p.Start < to && p.End > from {
-			return true
-		}
-	}
-	for _, l := range ck.plan.Links {
-		if l.To == b && l.Start < to && l.End > from {
-			return true
-		}
-	}
-	return false
-}
-
-func (ck *chaosChecker) trippedAt(b int, t sim.Time) bool {
-	n := 0
-	for _, ts := range ck.trips[b] {
-		if ts <= t {
-			n++
-		}
-	}
-	for _, ts := range ck.failbacks[b] {
-		if ts <= t {
-			n--
-		}
-	}
-	return n > 0
-}
-
-func firstAfter(ts []sim.Time, t sim.Time) (sim.Time, bool) {
-	for _, x := range ts {
-		if x >= t {
-			return x, true
-		}
-	}
-	return 0, false
+	return pushes, staleMax, fmt.Sprintf("hyb: pushes=%d skips=%d perr=%d rx=%d torn=%d decay=%d stale=%d drop=%d served=%d tmo=%d hviol=%d seqs=%s",
+		pushes, skips, perrs, rx, torn, c.Monitor.Decayed, staleMax,
+		c.Monitor.StalePushes, c.TotalServed(), r.pool.Timeouts, v.Count-viol0, seqs)
 }
 
 // seqMark renders back-end b's newest record for a replay fingerprint
@@ -386,16 +165,7 @@ func seqMark(b int, p *core.Prober) string {
 	return fmt.Sprintf("|%d:%d@%d", b, seq, at)
 }
 
-func intsHave(s []int, v int) bool {
-	for _, x := range s {
-		if x == v {
-			return true
-		}
-	}
-	return false
-}
-
-func (ck *chaosChecker) point(clientTmo uint64) ChaosPoint {
+func (ck *chaosChecker) point() ChaosPoint {
 	pt := ChaosPoint{
 		runAudit: ck.runAudit,
 		CrashN:   len(ck.plan.Crashes), LinkN: len(ck.plan.Links),
@@ -419,8 +189,8 @@ func (ck *chaosChecker) point(clientTmo uint64) ChaosPoint {
 	// nondeterminism, not just one that changed a headline number.
 	pt.Fingerprint = fmt.Sprintf("trips=%d fb=%d fall=%d rearm=%d served=%d routed=%d tmo=%d cyc=%d viol=%d stale=%d trip=%d fback=%d seqs=%s",
 		pt.Trips, pt.FailBacks, pt.Fallbacks, pt.ReArms,
-		ck.c.TotalServed(), ck.c.Dispatcher.Routed, clientTmo, ck.c.Monitor.Cycles,
-		ck.ViolationN, ck.staleMax, ck.tripMax, ck.fbMax, seqs)
+		ck.c.TotalServed(), ck.c.Dispatcher.Routed, ck.pool.Timeouts, ck.c.Monitor.Cycles,
+		ck.Count, ck.staleMax, ck.tripMax, ck.fbMax, seqs)
 	return pt
 }
 
@@ -445,7 +215,7 @@ func (d *ChaosData) Result() *Result {
 			f1(p.StaleMaxT),
 			fmt.Sprintf("%d", p.HybPushes),
 			f1(p.HybStaleMaxT),
-			fmt.Sprintf("%d", p.ViolationN),
+			fmt.Sprintf("%d", p.Count),
 		})
 	}
 	noteVerdict(r, d.Points, "all invariants held: crashed nodes shed traffic within the detection SLO, surviving nodes stayed within the staleness SLO over whichever transport, every clean MR invalidation tripped and failed back within SLO, sequence numbers never regressed per transport, the hybrid twin kept the same staleness SLO under the same fault plans, and the first seed (both modes) replayed bit-identically")

@@ -25,10 +25,6 @@ type Options struct {
 	// Quick shrinks durations for use in tests; the shapes remain,
 	// the tails get noisier.
 	Quick bool
-	// Sequential disables the per-point goroutine fan-out (each sweep
-	// point is an independent simulation engine, so parallel is safe
-	// and is the default).
-	Sequential bool
 	// Seeds is how many seeds chaos, ha, aa and scenario runs sweep (0:
 	// the scenario file's own count, 5 for the three builtins); other
 	// experiments ignore it.
@@ -127,14 +123,9 @@ func Run(id string, o Options) (*Result, error) {
 	return r(o), nil
 }
 
-// forEach runs fn for i in [0,n), in parallel unless sequential.
-func forEach(o Options, n int, fn func(i int)) {
-	if o.Sequential || n <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
+// forEach runs fn for i in [0,n) in parallel: each sweep point is an
+// independent simulation engine.
+func forEach(n int, fn func(i int)) {
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
@@ -151,9 +142,9 @@ func forEach(o Options, n int, fn func(i int)) {
 // forEach. It returns, for each value point yields, each scheme's per-i
 // mean over reps. The mean sums x/reps in (scheme, i, rep) order
 // whatever the fan-out, so it is bit-stable.
-func grid(o Options, schemes []core.Scheme, n, reps int, point func(s core.Scheme, i, rep int) []float64) []map[core.Scheme][]float64 {
+func grid(schemes []core.Scheme, n, reps int, point func(s core.Scheme, i, rep int) []float64) []map[core.Scheme][]float64 {
 	vals := make([][]float64, len(schemes)*n*reps)
-	forEach(o, len(vals), func(j int) {
+	forEach(len(vals), func(j int) {
 		vals[j] = point(schemes[j/(n*reps)], j/reps%n, j%reps)
 	})
 	out := make([]map[core.Scheme][]float64, len(vals[0]))
@@ -169,6 +160,20 @@ func grid(o Options, schemes []core.Scheme, n, reps int, point func(s core.Schem
 		}
 	}
 	return out
+}
+
+// sweepEngine returns the shards and doorbell batch of a fleet
+// harness's sweep: its default shards with 32-read batches, or the
+// -shards/-batch pins.
+func sweepEngine(o Options, shards int) (int, int) {
+	batch := 32
+	if o.Shards > 0 {
+		shards = o.Shards
+	}
+	if o.Batch > 0 {
+		batch = o.Batch
+	}
+	return shards, batch
 }
 
 // quickReps is how many seeds a paper figure averages: 3, or 1 under

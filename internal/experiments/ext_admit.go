@@ -41,7 +41,7 @@ func Admit(o Options) *AdmitData {
 		GoodPut:  make([]uint64, len(schemes)),
 		P99:      make([]float64, len(schemes)),
 	}
-	forEach(o, len(schemes), func(i int) {
+	forEach(len(schemes), func(i int) {
 		s := schemes[i]
 		c := cluster.New(cluster.Config{
 			Backends:    6,

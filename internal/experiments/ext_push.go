@@ -37,7 +37,7 @@ func Push(o Options) *PushData {
 	const T = 4 * sim.Millisecond
 	approaches := []string{"Multicast-Push", "Socket-Sync", "RDMA-Async", "RDMA-Sync"}
 	d := &PushData{Rows: make([]PushRow, len(approaches))}
-	forEach(o, len(approaches), func(i int) {
+	forEach(len(approaches), func(i int) {
 		d.Rows[i] = pushPoint(o, approaches[i], T)
 	})
 	return d

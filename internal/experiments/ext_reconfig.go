@@ -51,7 +51,7 @@ func Reconfig(o Options) *ReconfigData {
 		{"RDMA-Sync", core.RDMASync, true},
 	}
 	d := &ReconfigData{Rows: make([]ReconfigRow, len(configs))}
-	forEach(o, len(configs), func(i int) {
+	forEach(len(configs), func(i int) {
 		d.Rows[i] = reconfigPoint(o, configs[i].name, configs[i].scheme, configs[i].ctl)
 	})
 	return d

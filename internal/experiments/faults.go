@@ -44,7 +44,7 @@ type FaultsData struct {
 func Faults(o Options) *FaultsData {
 	schemes := core.Schemes()
 	d := &FaultsData{Points: make([]FaultsPoint, len(schemes))}
-	forEach(o, len(schemes), func(i int) {
+	forEach(len(schemes), func(i int) {
 		d.Points[i] = faultsPoint(o, schemes[i])
 	})
 	return d

@@ -30,7 +30,7 @@ func Fig3(o Options) *Fig3Data {
 	if o.Quick {
 		threads = []int{0, 4, 16}
 	}
-	mean := grid(o, core.FourSchemes(), len(threads), 1, func(s core.Scheme, i, _ int) []float64 {
+	mean := grid(core.FourSchemes(), len(threads), 1, func(s core.Scheme, i, _ int) []float64 {
 		return []float64{fig3Point(o, s, threads[i]).Mean()}
 	})
 	return &Fig3Data{Threads: threads, Mean: mean[0]}

@@ -30,7 +30,7 @@ func Fig4(o Options) *Fig4Data {
 	if o.Quick {
 		gran = []int{1, 16, 256}
 	}
-	delay := grid(o, core.FourSchemes(), len(gran), 1, func(s core.Scheme, i, _ int) []float64 {
+	delay := grid(core.FourSchemes(), len(gran), 1, func(s core.Scheme, i, _ int) []float64 {
 		return []float64{fig4Point(o, s, gran[i])}
 	})
 	return &Fig4Data{GranularityMS: gran, Delay: delay[0]}

@@ -37,7 +37,7 @@ func Fig5(o Options) *Fig5Data {
 		d.Threads[s] = &metrics.Deviation{}
 		d.CPU[s] = &metrics.Deviation{}
 	}
-	forEach(o, len(schemes), func(i int) {
+	forEach(len(schemes), func(i int) {
 		fig5Point(o, schemes[i], d.Threads[schemes[i]], d.CPU[schemes[i]])
 	})
 	return d

@@ -42,7 +42,7 @@ func Fig6(o Options) *Fig6Data {
 	for _, s := range schemes {
 		d.Stats[s] = &Fig6Stats{}
 	}
-	forEach(o, len(schemes), func(i int) {
+	forEach(len(schemes), func(i int) {
 		fig6Point(o, schemes[i], d.Stats[schemes[i]])
 	})
 	return d

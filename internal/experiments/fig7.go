@@ -32,7 +32,7 @@ func Fig7(o Options) *Fig7Data {
 	if o.Quick {
 		alphas = []float64{0.25, 0.9}
 	}
-	tput := grid(o, core.Schemes(), len(alphas), quickReps(o), func(s core.Scheme, i, rep int) []float64 {
+	tput := grid(core.Schemes(), len(alphas), quickReps(o), func(s core.Scheme, i, rep int) []float64 {
 		return []float64{fig7Point(o, s, alphas[i], int64(rep))}
 	})
 	return &Fig7Data{Alphas: alphas, Throughput: tput[0]}

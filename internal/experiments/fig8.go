@@ -34,7 +34,7 @@ func Fig8(o Options) *Fig8Data {
 	if o.Quick {
 		gran = []int{1, 64, 1024}
 	}
-	m := grid(o, core.FourSchemes(), len(gran), quickReps(o), func(s core.Scheme, i, rep int) []float64 {
+	m := grid(core.FourSchemes(), len(gran), quickReps(o), func(s core.Scheme, i, rep int) []float64 {
 		o2 := o
 		o2.Seed = o.seed() + int64(rep)*9973
 		return fig8Point(o2, s, gran[i])

@@ -31,7 +31,7 @@ func Fig9(o Options) *Fig9Data {
 	if o.Quick {
 		gran = []int{64, 512, 4096}
 	}
-	tput := grid(o, core.FourSchemes(), len(gran), quickReps(o), func(s core.Scheme, i, rep int) []float64 {
+	tput := grid(core.FourSchemes(), len(gran), quickReps(o), func(s core.Scheme, i, rep int) []float64 {
 		return []float64{fig9Point(o, s, gran[i], int64(rep))}
 	})
 	return &Fig9Data{GranularityMS: gran, Throughput: tput[0]}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"rdmamon/internal/scenario"
 	"rdmamon/internal/sim"
@@ -57,7 +58,7 @@ type HAData struct {
 //	    nothing.
 //
 // H1-H4 and H6 are the claim audit active-active shares (auditClaims)
-// over the one-shard table; H5 is sweepSeeds' replay.
+// over the one-shard table (claimRun); H5 is sweepSeeds' replay.
 func HA(o Options) *HAData {
 	return haScenario(compileBuiltin(scenario.BuiltinHA(), o.Quick), o)
 }
@@ -67,19 +68,20 @@ func HA(o Options) *HAData {
 // BuiltinHA, bit-identical plans) and `-scenario` files with
 // `checks: ha`.
 func haScenario(cp *scenario.Compiled, o Options) *HAData {
-	return &HAData{Points: sweepSeeds(o, cp.Points(o.Seeds), cp.BaseSeed(o.Seed), "H5",
-		func(seed int64) HAPoint { return haPoint(cp, seed) })}
+	return &HAData{Points: sweepSeeds(cp, o, 1, "H5 determinism",
+		func(_ int, seed int64) HAPoint { return haPoint(cp, seed) })}
 }
 
 func haPoint(cp *scenario.Compiled, seed int64) HAPoint {
 	// Failover (the socket standby) is deliberately off in the builtin:
 	// every probe in this experiment is one-sided, so H6 measures the
 	// pure cost of two extra shadow monitors — which must be zero.
-	c, plan, a, pool := claimChaosRun(cp, seed)
+	r, a := claimRun(cp, seed)
+	c, plan, pool := r.c, r.plan, r.pool
 
 	feCrash := 0
 	for _, cr := range plan.Crashes {
-		if intsHave(c.FrontEndIDs(), cr.Node) {
+		if slices.Contains(c.FrontEndIDs(), cr.Node) {
 			feCrash++
 		}
 	}
@@ -123,7 +125,7 @@ func (d *HAData) Result() *Result {
 			fmt.Sprintf("%d", p.Retargets),
 			fmt.Sprintf("%d", p.Served),
 			fmt.Sprintf("%d", p.BackendTasks),
-			fmt.Sprintf("%d", p.ViolationN),
+			fmt.Sprintf("%d", p.Count),
 		})
 	}
 	noteVerdict(r, d.Points, "all invariants held: at most one epoch-valid dispatcher at any instant, zero routes under an invalid lease, every primary fault handed off within the takeover bound, epochs stayed globally monotone, the first seed replayed bit-identically, and back-end agents ran zero tasks throughout")

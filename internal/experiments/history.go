@@ -61,7 +61,7 @@ type HistoryCoveragePoint struct {
 	ProbeWRs     uint64  // one-sided reads posted in the window
 	Samples      uint64  // distinct kernel samples observed
 	SamplesPerWR float64 // amortization: samples bought per read
-	Errors       int
+	fleetCheck
 }
 
 // HistoryDispatchPoint is one dispatch run: level-only vs trend-aware
@@ -77,7 +77,7 @@ type HistoryDispatchPoint struct {
 	PeakIdx     float64
 	MeanIdx     float64
 	Digest      uint64 // FNV-1a over the pick sequence + counters
-	Errors      int
+	fleetCheck
 }
 
 // HistoryData holds all runs and the pass/fail assessment.
@@ -86,7 +86,7 @@ type HistoryData struct {
 	Dispatch []HistoryDispatchPoint
 	ReplayB  uint64 // digest of the repeated trend run
 	WRRatio  float64
-	verdict
+	violations
 }
 
 // History exercises the e-RDMA-Sync++ history ring end to end:
@@ -112,10 +112,11 @@ func History(o Options) *HistoryData {
 	}
 
 	d := &HistoryData{
-		Coverage: make([]HistoryCoveragePoint, 2),
-		Dispatch: make([]HistoryDispatchPoint, 2),
+		Coverage:   make([]HistoryCoveragePoint, 2),
+		Dispatch:   make([]HistoryDispatchPoint, 2),
+		violations: fleetViolations(),
 	}
-	forEach(o, 5, func(i int) {
+	forEach(5, func(i int) {
 		switch i {
 		case 0:
 			d.Coverage[0] = historyCoverage(o, n, false)
@@ -135,41 +136,37 @@ func History(o Options) *HistoryData {
 		d.WRRatio = float64(point.ProbeWRs) / float64(ring.ProbeWRs)
 	}
 	if d.WRRatio < histWRRatio {
-		d.fail("probe-WR reduction %.1fx, want >= %.1fx at sample granularity %v",
+		d.violate("probe-WR reduction %.1fx, want >= %.1fx at sample granularity %v",
 			d.WRRatio, histWRRatio, histInterval)
 	}
 	if ring.SamplesPerWR < histSamplesPerWR {
-		d.fail("ring reads amortize %.1f samples/WR, want >= %.1f",
+		d.violate("ring reads amortize %.1f samples/WR, want >= %.1f",
 			ring.SamplesPerWR, histSamplesPerWR)
 	}
 	if ring.Samples < point.Samples*8/10 {
-		d.fail("ring mode observed %d samples vs point mode's %d — coverage lost, not amortized",
+		d.violate("ring mode observed %d samples vs point mode's %d — coverage lost, not amortized",
 			ring.Samples, point.Samples)
 	}
 	for _, p := range d.Coverage {
-		if p.Errors > 0 {
-			d.fail("%s coverage run saw %d probe errors", p.Mode, p.Errors)
-		}
+		p.assess(&d.violations, p.Mode+" coverage run")
 	}
 
 	level, trend := d.Dispatch[0], d.Dispatch[1]
 	if trend.PeakIdx > level.PeakIdx-histPeakMargin {
-		d.fail("trend-aware peak landing index %.3f vs level-only %.3f, want lower by >= %.2f",
+		d.violate("trend-aware peak landing index %.3f vs level-only %.3f, want lower by >= %.2f",
 			trend.PeakIdx, level.PeakIdx, histPeakMargin)
 	}
 	if trend.TrendPicks == 0 {
-		d.fail("trend run never reordered a pick — the slope signal is dead")
+		d.violate("trend run never reordered a pick — the slope signal is dead")
 	}
 	if level.TrendPicks != 0 {
-		d.fail("level-only run counted %d trend picks — trend term leaked into the baseline", level.TrendPicks)
+		d.violate("level-only run counted %d trend picks — trend term leaked into the baseline", level.TrendPicks)
 	}
 	for _, p := range d.Dispatch {
-		if p.Errors > 0 {
-			d.fail("%s dispatch run saw %d probe errors", p.Mode, p.Errors)
-		}
+		p.assess(&d.violations, p.Mode+" dispatch run")
 	}
 	if trend.Digest != d.ReplayB {
-		d.fail("seeded replay diverged: trend digest %016x vs %016x", trend.Digest, d.ReplayB)
+		d.violate("seeded replay diverged: trend digest %016x vs %016x", trend.Digest, d.ReplayB)
 	}
 	return d
 }
@@ -210,36 +207,33 @@ func historyCoverage(o Options, n int, ring bool) HistoryCoveragePoint {
 	// timestamp inside the trend tracker (RingSamples); the point mode
 	// counts records with a fresh timestamp as they arrive.
 	var pointSamples uint64
-	lastKT := make(map[int]int64)
+	var countSample func(int, wire.LoadRecord, sim.Time)
 	if !ring {
-		for _, b := range c.Monitor.Backends() {
-			b := b
-			p := c.Monitor.Probers[b]
-			p.OnRecord = func(rec wire.LoadRecord, _ sim.Time) {
-				if rec.KTimeNS > lastKT[b] {
-					lastKT[b] = rec.KTimeNS
-					pointSamples++
-				}
+		lastKT := make(map[int]int64)
+		countSample = func(b int, rec wire.LoadRecord, _ sim.Time) {
+			if rec.KTimeNS > lastKT[b] {
+				lastKT[b] = rec.KTimeNS
+				pointSamples++
 			}
 		}
 	}
+	pt.watch(c, countSample)
 
 	warm := 300 * sim.Millisecond
 	dur := 2 * sim.Second
 	if o.Quick {
 		dur = sim.Second
 	}
-	c.Eng.RunUntil(warm)
+	pt.warm(c, warm)
 	reads0 := c.FNIC.RDMAReads
-	samples0, errs0 := historyProbeTotals(c)
+	samples0 := ringSamples(c)
 	pointSamples = 0
 	c.Eng.RunUntil(warm + dur)
 
 	pt.ProbeWRs = c.FNIC.RDMAReads - reads0
-	samples1, errs1 := historyProbeTotals(c)
-	pt.Errors = errs1 - errs0
+	pt.done(c)
 	if ring {
-		pt.Samples = samples1 - samples0
+		pt.Samples = ringSamples(c) - samples0
 	} else {
 		pt.Samples = pointSamples
 	}
@@ -249,15 +243,13 @@ func historyCoverage(o Options, n int, ring bool) HistoryCoveragePoint {
 	return pt
 }
 
-// historyProbeTotals sums the fleet's ring-fold counters in backend
-// order (deterministic — never iterate the prober map directly).
-func historyProbeTotals(c *cluster.Cluster) (samples uint64, errs int) {
+// ringSamples sums the fleet's ring-fold counters.
+func ringSamples(c *cluster.Cluster) uint64 {
+	var n uint64
 	for _, b := range c.Monitor.Backends() {
-		p := c.Monitor.Probers[b]
-		samples += p.RingSamples
-		errs += p.Errors
+		n += c.Monitor.Probers[b].RingSamples
 	}
-	return samples, errs
+	return n
 }
 
 // startBaseline gives every non-ramping back-end a steady synthetic
@@ -345,13 +337,14 @@ func historyDispatch(o Options, n int, trend bool) HistoryDispatchPoint {
 	}
 	wll := c.Policy.(*loadbalance.WeightedLeastLoad)
 	weights := core.WeightsFor(core.ERDMASync)
+	pt.watch(c, nil)
 
 	warm := 600 * sim.Millisecond
 	dur := 2400 * sim.Millisecond
 	if o.Quick {
 		dur = 1200 * sim.Millisecond
 	}
-	c.Eng.RunUntil(warm)
+	pt.warm(c, warm)
 
 	h := fnv.New64a()
 	var sum float64
@@ -384,14 +377,13 @@ func historyDispatch(o Options, n int, trend bool) HistoryDispatchPoint {
 		pt.MeanIdx = sum / float64(landed)
 	}
 	pt.TrendPicks = wll.TrendPicks
-	samples, errs := historyProbeTotals(c)
-	pt.Errors = errs
+	pt.done(c)
 
 	// Replay digest: pick sequence plus every counter that should be
 	// seed-deterministic.
 	for _, v := range []uint64{pt.Picks, pt.RamperPicks, pt.TrendPicks,
 		math.Float64bits(pt.PeakIdx), math.Float64bits(pt.MeanIdx),
-		c.FNIC.RDMAReads, samples} {
+		c.FNIC.RDMAReads, ringSamples(c)} {
 		var b [8]byte
 		for i := 0; i < 8; i++ {
 			b[i] = byte(v >> (8 * i))

@@ -40,18 +40,16 @@ type HybridPoint struct {
 	EffStaleMaxT float64 // worst effective staleness, in T
 	AgeMaxT      float64 // worst raw cache age, in T
 
-	Torn          uint64 // pushes failing validation (must be 0)
-	StalePushes   uint64 // out-of-order pushes dropped (must be 0 here)
-	Errors        int    // probe + push errors (must be 0)
-	SeqViolations int    // per-transport sequence regressions (must be 0)
-	NoRecord      int    // back-ends with no cached record after warmup
+	Torn        uint64 // pushes failing validation (must be 0)
+	StalePushes uint64 // out-of-order pushes dropped (must be 0 here)
+	fleetCheck         // Errors counts push errors too
 }
 
 // HybridData holds both runs and the pass/fail assessment.
 type HybridData struct {
 	Points  []HybridPoint
 	WRRatio float64 // all-pull probe WRs / hybrid probe WRs
-	verdict
+	violations
 }
 
 // Hybrid runs the same fleet twice — the all-pull sharded sweep of the
@@ -75,9 +73,9 @@ func hybrid(o Options, h *core.HybridConfig) *HybridData {
 	}
 	volatile := max(n/32, 2)
 
-	d := &HybridData{Points: make([]HybridPoint, 2)}
+	d := &HybridData{Points: make([]HybridPoint, 2), violations: fleetViolations()}
 	knobs := []*core.HybridConfig{nil, h} // all-pull, then hybrid
-	forEach(o, 2, func(i int) { d.Points[i] = hybridPoint(o, n, volatile, knobs[i]) })
+	forEach(2, func(i int) { d.Points[i] = hybridPoint(o, n, volatile, knobs[i]) })
 
 	pull, hyb := d.Points[0], d.Points[1]
 	if hyb.ProbeWRs > 0 {
@@ -85,23 +83,18 @@ func hybrid(o Options, h *core.HybridConfig) *HybridData {
 	}
 	for _, p := range d.Points {
 		if p.EffStaleMaxT > hybridStaleSLO {
-			d.fail("%s effective staleness %.1fT exceeds the %dT bound", p.Mode, p.EffStaleMaxT, hybridStaleSLO)
+			d.violate("%s effective staleness %.1fT exceeds the %dT bound", p.Mode, p.EffStaleMaxT, hybridStaleSLO)
 		}
-		if p.Errors > 0 || p.Torn > 0 || p.StalePushes > 0 {
-			d.fail("%s saw %d errors, %d torn pushes, %d stale pushes", p.Mode, p.Errors, p.Torn, p.StalePushes)
+		if p.Torn > 0 || p.StalePushes > 0 {
+			d.violate("%s saw %d torn pushes, %d stale pushes", p.Mode, p.Torn, p.StalePushes)
 		}
-		if p.SeqViolations > 0 {
-			d.fail("%s saw %d per-transport sequence regressions", p.Mode, p.SeqViolations)
-		}
-		if p.NoRecord > 0 {
-			d.fail("%s left %d back-ends with no record", p.Mode, p.NoRecord)
-		}
+		p.assess(&d.violations, p.Mode)
 	}
 	if d.WRRatio < hybridWRRatio {
-		d.fail("probe-WR reduction %.1fx, want >= %dx at the same staleness bound", d.WRRatio, hybridWRRatio)
+		d.violate("probe-WR reduction %.1fx, want >= %dx at the same staleness bound", d.WRRatio, hybridWRRatio)
 	}
 	if hyb.PushWRs == 0 {
-		d.fail("hybrid run posted no delta pushes")
+		d.violate("hybrid run posted no delta pushes")
 	}
 	return d
 }
@@ -143,8 +136,9 @@ func startFlappers(c *cluster.Cluster, n, volatile int) []int {
 
 // hybridPoint runs one mode: a monitoring-only RDMA-Sync cluster (the
 // experiment measures the monitoring planes, not the web servers) with
-// the sharded/batched engine, a flapping minority, and the staleness
-// audit sampling every T. A nil knobs is the all-pull run.
+// the sharded/batched engine, a flapping minority, the fleet check and
+// the staleness audit sampling every T. A nil knobs is the all-pull
+// run.
 func hybridPoint(o Options, n, volatile int, knobs *core.HybridConfig) HybridPoint {
 	shards, batch := sweepEngine(o, 4)
 	cfg := cluster.Config{
@@ -165,9 +159,7 @@ func hybridPoint(o Options, n, volatile int, knobs *core.HybridConfig) HybridPoi
 		pt.Mode = "hybrid"
 	}
 
-	// I4: the push transport has its own counter space, so regressions
-	// are checked per transport, never across them.
-	watchSeqs(c, nil, func(int, core.Transport, uint32, uint32) { pt.SeqViolations++ }, nil)
+	pt.watch(c, nil)
 
 	warm := 400 * sim.Millisecond
 	dur := 2 * sim.Second
@@ -178,18 +170,12 @@ func hybridPoint(o Options, n, volatile int, knobs *core.HybridConfig) HybridPoi
 	// The staleness audit: every T after warm-up, each back-end's
 	// effective staleness against ground truth.
 	var effMax, ageMax sim.Time
-	c.Eng.RunUntil(warm)
-	stale := newEffStale(c, core.DefaultChangeThreshold, warm)
+	pt.warm(c, warm)
+	stale := newEffStale(c, warm)
 	reads0 := c.FNIC.RDMAReads
 	audit := c.Eng.NewTicker(hybridPoll, func() {
-		for _, b := range c.Monitor.Backends() {
-			eff, age, ok := stale.sample(b)
-			if !ok {
-				pt.NoRecord++
-				continue
-			}
-			effMax, ageMax = max(effMax, eff), max(ageMax, age)
-		}
+		eff, age, _ := stale.sweep(c.Monitor.Backends())
+		effMax, ageMax = max(effMax, eff), max(ageMax, age)
 	})
 	c.Eng.RunUntil(warm + dur)
 	audit.Stop()
@@ -197,9 +183,7 @@ func hybridPoint(o Options, n, volatile int, knobs *core.HybridConfig) HybridPoi
 	pt.ProbeWRs = c.FNIC.RDMAReads - reads0
 	pt.EffStaleMaxT = float64(effMax) / float64(hybridPoll)
 	pt.AgeMaxT = float64(ageMax) / float64(hybridPoll)
-	for _, p := range c.Monitor.Probers {
-		pt.Errors += p.Errors
-	}
+	pt.done(c)
 	for _, push := range c.Pushers {
 		if push != nil {
 			pt.PushWRs += push.Pushes

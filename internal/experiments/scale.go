@@ -28,9 +28,7 @@ type ScalePoint struct {
 	ProbeP50Us, ProbeP99Us float64 // per-probe round trip (all back-ends)
 	StaleP99Us             float64 // record age at arrival vs kernel stamp
 	Cycles                 uint64  // completed sweeps in the window
-
-	SeqViolations int // per-backend sequence regressions (must be 0)
-	Errors        int // probe errors across the fleet (must be 0)
+	fleetCheck
 
 	Speedup float64 // sequential CycleP50 / this CycleP50, same fleet
 }
@@ -41,7 +39,7 @@ type ScalePoint struct {
 type ScaleData struct {
 	Points []ScalePoint
 	Out    *ScaleOutData
-	verdict
+	violations
 }
 
 // Scale measures how the probe engine's sweep time grows with the
@@ -49,15 +47,16 @@ type ScaleData struct {
 // batching alone and batching+sharding, at one fixed poll period. The
 // non-quick run asserts the tentpole criterion: at the largest fleet
 // the batched/sharded engine's median sweep is >= 4x faster than the
-// sequential monitor's, with zero probe errors and zero per-backend
-// sequence regressions everywhere.
+// sequential monitor's. Every run asserts the fleet check everywhere:
+// zero probe errors, zero per-transport sequence regressions and a
+// record for every back-end after warm-up.
 func Scale(o Options) *ScaleData {
 	if o.Backends >= scaleOutMin || o.MaxConns > 0 {
 		// Fleet sizes past the sweep's one-QP-per-backend assumption
 		// (or an explicit connection budget) run the pooled scale-out
 		// instead.
 		out := ScaleOut(o)
-		return &ScaleData{Out: out, verdict: out.verdict}
+		return &ScaleData{Out: out, violations: out.violations}
 	}
 	backends := []int{8, 64, 256, 512}
 	if o.Quick {
@@ -73,8 +72,8 @@ func Scale(o Options) *ScaleData {
 		cfgs = []cfg{{1, 1}, {s, b}}
 	}
 
-	d := &ScaleData{Points: make([]ScalePoint, len(backends)*len(cfgs))}
-	forEach(o, len(d.Points), func(i int) {
+	d := &ScaleData{Points: make([]ScalePoint, len(backends)*len(cfgs)), violations: fleetViolations()}
+	forEach(len(d.Points), func(i int) {
 		n := backends[i/len(cfgs)]
 		c := cfgs[i%len(cfgs)]
 		d.Points[i] = scalePoint(o, n, c.shards, c.batch)
@@ -93,18 +92,14 @@ func Scale(o Options) *ScaleData {
 	}
 
 	for _, p := range d.Points {
-		if p.SeqViolations > 0 {
-			d.fail("%d sequence regressions at n=%d s=%d b=%d", p.SeqViolations, p.Backends, p.Shards, p.Batch)
-		}
-		if p.Errors > 0 {
-			d.fail("%d probe errors at n=%d s=%d b=%d", p.Errors, p.Backends, p.Shards, p.Batch)
-		}
+		run := fmt.Sprintf("n=%d s=%d b=%d", p.Backends, p.Shards, p.Batch)
+		p.assess(&d.violations, run)
 		if p.Cycles == 0 {
-			d.fail("no completed sweeps at n=%d s=%d b=%d", p.Backends, p.Shards, p.Batch)
+			d.violate("%s completed no sweeps", run)
 		}
 	}
 	if last := d.Points[len(d.Points)-1]; !o.Quick && last.Speedup < 4 {
-		d.fail("speedup %.1fx at %d back-ends (s=%d b=%d), want >= 4x",
+		d.violate("speedup %.1fx at %d back-ends (s=%d b=%d), want >= 4x",
 			last.Speedup, last.Backends, last.Shards, last.Batch)
 	}
 	return d
@@ -112,7 +107,7 @@ func Scale(o Options) *ScaleData {
 
 // scalePoint runs one configuration: a monitoring-only cluster (no web
 // servers — this experiment measures the probe engine itself) under
-// RDMA-Sync, warmed up, then measured.
+// RDMA-Sync and the fleet check, warmed up, then measured.
 func scalePoint(o Options, n, shards, batch int) ScalePoint {
 	c := cluster.New(cluster.Config{
 		Backends:      n,
@@ -126,17 +121,16 @@ func scalePoint(o Options, n, shards, batch int) ScalePoint {
 	pt := ScalePoint{Backends: n, Shards: shards, Batch: batch}
 
 	var probeLat, stale metrics.Sample
-	watchSeqs(c, nil, func(int, core.Transport, uint32, uint32) { pt.SeqViolations++ },
-		func(_ int, rec wire.LoadRecord, at sim.Time) {
-			stale.Add(float64((at - sim.Time(rec.KTimeNS)) / sim.Microsecond))
-		})
+	pt.watch(c, func(_ int, rec wire.LoadRecord, at sim.Time) {
+		stale.Add(float64((at - sim.Time(rec.KTimeNS)) / sim.Microsecond))
+	})
 
 	warm := 200 * sim.Millisecond
 	dur := 2 * sim.Second
 	if o.Quick {
 		dur = 500 * sim.Millisecond
 	}
-	c.Eng.RunUntil(warm)
+	pt.warm(c, warm)
 	// Reset the warm-up's samples and counters; measure steady state.
 	c.Monitor.CycleTime = metrics.Sample{}
 	stale = metrics.Sample{}
@@ -148,8 +142,8 @@ func scalePoint(o Options, n, shards, batch int) ScalePoint {
 
 	for _, p := range c.Monitor.Probers {
 		probeLat.AddAll(p.Latency)
-		pt.Errors += p.Errors
 	}
+	pt.done(c)
 	pt.CycleP50Us = c.Monitor.CycleTime.Percentile(50)
 	pt.CycleMaxUs = c.Monitor.CycleTime.Max()
 	pt.ProbeP50Us = probeLat.Percentile(50)

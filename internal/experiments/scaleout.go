@@ -57,7 +57,7 @@ type ScaleOutData struct {
 	LeakedConns, LeakedQPs int
 	LeakedFDs              int
 	BreakersStuck          int // breakers still open after cooldown
-	verdict
+	violations
 }
 
 // ScaleOut runs the connection-lifecycle scale-out: a hybrid-monitored
@@ -85,6 +85,7 @@ func ScaleOut(o Options) *ScaleOutData {
 	d := &ScaleOutData{
 		Backends: n, Volatile: volatile,
 		MaxConns: maxConns, DialsPerSec: dialsPerSec,
+		violations: fleetViolations(),
 	}
 
 	c := cluster.New(cluster.Config{
@@ -194,17 +195,13 @@ func ScaleOut(o Options) *ScaleOutData {
 	// Hot effective-staleness tracker, sampled every T (the hybrid
 	// experiment's metric); a hot back-end with no record counts as
 	// stale since the start of the run.
-	stale := newEffStale(c, core.DefaultChangeThreshold, 0)
+	stale := newEffStale(c, 0)
 	hotEff := func() sim.Time {
-		var worst sim.Time
-		for _, b := range hot {
-			eff, _, ok := stale.sample(b)
-			if !ok {
-				eff = c.Eng.Now()
-			}
-			worst = max(worst, eff)
+		eff, _, missing := stale.sweep(hot)
+		if missing > 0 {
+			return c.Eng.Now()
 		}
-		return worst
+		return eff
 	}
 	var hotStaleMax sim.Time
 	age := c.Eng.NewTicker(scalePoll, func() {
@@ -248,20 +245,14 @@ func ScaleOut(o Options) *ScaleOutData {
 	}
 
 	runPhase("warm", warmEnd)
-	for _, b := range c.Monitor.Backends() {
-		if _, _, ok := c.Monitor.Latest(b); !ok {
-			d.NoRecord++
-		}
-	}
+	d.NoRecord = noRecord(c)
 	runPhase("steady", steadyEnd)
 	runPhase("churn", churnEnd)
 	runPhase("storm", stormEnd)
 	runPhase("fdclamp", clampEnd)
 	runPhase("cool", coolEnd)
 
-	for _, b := range hot {
-		d.HotErrors += c.Monitor.Probers[b].Errors
-	}
+	d.HotErrors = probeErrors(c, hot)
 	d.BreakersStuck = c.Monitor.Pool().BreakersOpen()
 
 	// Teardown: everything the run acquired must come back.
@@ -292,27 +283,27 @@ func maxDialWindow(ts []int64, width int64) uint64 {
 
 func (d *ScaleOutData) assess() {
 	if d.StaleEpochReads > 0 {
-		d.fail("%d stale-epoch reads served (pull-stream kernel time regressed)", d.StaleEpochReads)
+		d.violate("%d stale-epoch reads served (pull-stream kernel time regressed)", d.StaleEpochReads)
 	}
 	if d.FenceRejects == 0 {
-		d.fail("churn never exercised the epoch fence (listener resets must land on live conns)")
+		d.violate("churn never exercised the epoch fence (listener resets must land on live conns)")
 	}
 	if d.NoRecord > 0 {
-		d.fail("%d back-ends had no record after warm-up", d.NoRecord)
+		d.violate("%d back-ends had no record after warm-up", d.NoRecord)
 	}
 	if d.HotErrors > 0 {
-		d.fail("%d probe errors on hot back-ends (degradation must land on quiet ones)", d.HotErrors)
+		d.violate("%d probe errors on hot back-ends (degradation must land on quiet ones)", d.HotErrors)
 	}
 	if d.BreakersStuck > 0 {
-		d.fail("%d dial breakers still open after cooldown", d.BreakersStuck)
+		d.violate("%d dial breakers still open after cooldown", d.BreakersStuck)
 	}
 	if d.LeakedConns != 0 || d.LeakedQPs != 0 || d.LeakedFDs != 0 {
-		d.fail("leaked conns=%d QPs=%d fds=%d after Stop", d.LeakedConns, d.LeakedQPs, d.LeakedFDs)
+		d.violate("leaked conns=%d QPs=%d fds=%d after Stop", d.LeakedConns, d.LeakedQPs, d.LeakedFDs)
 	}
 	budget := uint64(d.DialsPerSec + d.DialsPerSec/4)
 	for _, ph := range d.Phases {
 		if ph.WindowMax > budget {
-			d.fail("phase %s: %d dials in a 1s window exceeds budget %d",
+			d.violate("phase %s: %d dials in a 1s window exceeds budget %d",
 				ph.Name, ph.WindowMax, budget)
 		}
 		switch ph.Name {
@@ -321,14 +312,14 @@ func (d *ScaleOutData) assess() {
 			// ride resident conns (or pushes): their records never age
 			// past the SLO.
 			if ph.HotAgeMaxT > scaleOutSLO {
-				d.fail("phase %s: hot effective staleness %.1fT exceeds the %dT SLO",
+				d.violate("phase %s: hot effective staleness %.1fT exceeds the %dT SLO",
 					ph.Name, ph.HotAgeMaxT, scaleOutSLO)
 			}
 		case "churn":
 			// Crash-timeout stalls are allowed transiently; the phase
 			// must END recovered.
 			if ph.EndAgeT > scaleOutSLO {
-				d.fail("churn did not settle: hot effective staleness %.1fT at phase end (SLO %dT)",
+				d.violate("churn did not settle: hot effective staleness %.1fT at phase end (SLO %dT)",
 					ph.EndAgeT, scaleOutSLO)
 			}
 		}

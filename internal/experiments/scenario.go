@@ -3,10 +3,9 @@
 // `checks: ha` or `checks: aa` route into those experiments' invariant
 // checkers over the compiled config (`-exp chaos`, `-exp ha` and
 // `-exp aa` go the same way, via the builtin scenarios); everything
-// else runs the
-// generic driver below — per-variant seeded runs, a staleness sampler,
-// per-template dispatch shares, and assertion verdicts that propagate
-// a non-zero rmbench exit on failure.
+// else runs the generic driver below — per-variant seeded runs, a
+// staleness sampler, per-template dispatch shares, and assertion
+// verdicts that propagate a non-zero rmbench exit on failure.
 package experiments
 
 import (
@@ -14,14 +13,13 @@ import (
 	"os"
 	"strings"
 
-	"rdmamon/internal/cluster"
 	"rdmamon/internal/metrics"
 	"rdmamon/internal/scenario"
 	"rdmamon/internal/sim"
 )
 
-// RunScenarioFile loads, parses, compiles and runs a scenario file
-// (YAML or JSON).
+// RunScenarioFile loads, parses, compiles and runs a YAML scenario
+// file.
 func RunScenarioFile(path string, o Options) (*Result, error) {
 	src, err := os.ReadFile(path)
 	if err != nil {
@@ -69,13 +67,14 @@ func compileBuiltin(s *scenario.Scenario, quick bool) *scenario.Compiled {
 	return cp
 }
 
-// scenarioRun is one (variant, seed) run's raw stats.
+// scenarioRun is one (variant, seed) run's raw stats; its Fingerprint
+// is the replay digest.
 type scenarioRun struct {
+	runAudit
 	served, routed, timeouts uint64
 	respMean, respP99        float64 // ms
 	staleMax, staleP99       float64 // record age, in probe periods T
 	perNode                  []uint64
-	digest                   string
 }
 
 // runScenarioGeneric sweeps every variant over the seed set, folds the
@@ -84,32 +83,19 @@ type scenarioRun struct {
 func runScenarioGeneric(cp *scenario.Compiled, o Options) *Result {
 	s := cp.S
 	n := cp.Points(o.Seeds)
-	base := cp.BaseSeed(o.Seed)
-
-	type cell struct{ runs []scenarioRun }
-	cells := make([]cell, len(cp.Variants))
-	for vi := range cp.Variants {
-		cells[vi].runs = make([]scenarioRun, n)
-	}
-	// Flatten (variant, seed) into one fan-out: each run is its own
-	// simulation engine, so they are independent.
-	forEach(o, len(cp.Variants)*n, func(k int) {
-		vi, i := k/n, k%n
-		cells[vi].runs[i] = scenarioRunOne(cp, cp.Variants[vi].Policy, cp.SeedAt(base, i))
+	runs := sweepSeeds(cp, o, len(cp.Variants), "determinism", func(v int, seed int64) scenarioRun {
+		return scenarioRunOne(cp, cp.Variants[v].Policy, seed)
 	})
 
 	res := &Result{
 		ID:    s.Name,
 		Title: scenarioTitle(s),
 	}
-
-	// Replay determinism: the first variant's first seed, run again,
-	// must reproduce its digest bit-identically.
-	replay := scenarioRunOne(cp, cp.Variants[0].Policy, cp.SeedAt(base, 0))
-	if replay.digest != cells[0].runs[0].digest {
+	// Replay determinism: sweepSeeds ran the first variant's first seed
+	// twice.
+	for _, v := range runs[0].Notes {
 		res.Failed = true
-		res.Notes = append(res.Notes,
-			fmt.Sprintf("FAIL: determinism: replay of seed %d diverged", cp.SeedAt(base, 0)))
+		res.Notes = append(res.Notes, "FAIL: "+v)
 	}
 
 	shareCols := scenario.SortedShareMetrics(s.Fleet.Templates)
@@ -119,7 +105,7 @@ func runScenarioGeneric(cp *scenario.Compiled, o Options) *Result {
 
 	byVariant := make(map[string]map[string]float64, len(cp.Variants))
 	for vi, v := range cp.Variants {
-		m := foldRuns(cp, cells[vi].runs)
+		m := foldRuns(cp, runs[vi*n:(vi+1)*n])
 		byVariant[v.Name] = m
 		row := []string{v.Name}
 		for _, name := range scenario.MetricNames() {
@@ -263,36 +249,29 @@ func cmpWord(ok bool, op string) string {
 	return "violates " + op
 }
 
-// scenarioRunOne executes one (variant policy, seed) run: build the
-// compiled cluster, install the fault plan, sample record staleness
-// each probe period (fault windows exempt, like the chaos checker's
-// I2), count per-backend routing, drive the workload, digest the
-// outcome for the replay check.
+// scenarioRunOne executes one (variant policy, seed) run of the
+// seeded fault run: sample record staleness each probe period (fault
+// windows exempt, like the chaos checker's I2), count per-backend
+// routing, digest the outcome for the replay check.
 func scenarioRunOne(cp *scenario.Compiled, policy string, seed int64) scenarioRun {
-	c := cluster.New(cp.ClusterConfig(seed, policy))
-	plan := cp.Plan(seed)
-	down := trackDown(c.Eng, c.ApplyFaults(plan))
-
 	perNode := make([]uint64, cp.Backends+1)
-	if c.Dispatcher != nil {
-		c.Dispatcher.OnRoute = func(b int) {
-			if b >= 0 && b < len(perNode) {
-				perNode[b]++
+	stale := &metrics.Sample{}
+	r := runFaulted(cp, cp.ClusterConfig(seed, policy), func(r *faultRun) {
+		if r.c.Dispatcher != nil {
+			r.c.Dispatcher.OnRoute = func(b int) {
+				if b >= 0 && b < len(perNode) {
+					perNode[b]++
+				}
 			}
 		}
-	}
-
-	stale := &metrics.Sample{}
-	ticker := sampleStaleness(c, plan, cp.Poll, down, func(_ sim.Time, _ int, age sim.Time, ok bool) {
-		if ok {
-			stale.Add(float64(age) / float64(cp.Poll))
-		}
+		sampleStaleness(r, cp.Poll, func(_ sim.Time, _ int, age sim.Time, ok bool) {
+			if ok {
+				stale.Add(float64(age) / float64(cp.Poll))
+			}
+		})
 	})
-	defer ticker.Stop()
 
-	pool := c.StartRUBiS(cp.Clients, cp.Think, seed+11)
-	c.Run(cp.Horizon)
-
+	c, pool := r.c, r.pool
 	st := scenarioRun{
 		served:   c.TotalServed(),
 		timeouts: pool.Timeouts,
@@ -305,7 +284,7 @@ func scenarioRunOne(cp *scenario.Compiled, policy string, seed int64) scenarioRu
 	if c.Dispatcher != nil {
 		st.routed = c.Dispatcher.Routed
 	}
-	st.digest = fmt.Sprintf("served=%d routed=%d tmo=%d resp=%.6f/%.6f stale=%.6f/%.6f n=%d per=%v",
+	st.Fingerprint = fmt.Sprintf("served=%d routed=%d tmo=%d resp=%.6f/%.6f stale=%.6f/%.6f n=%d per=%v",
 		st.served, st.routed, st.timeouts, st.respMean, st.respP99,
 		st.staleMax, st.staleP99, stale.Count(), perNode)
 	return st

@@ -33,7 +33,7 @@ func Table1(o Options) *Table1Data {
 	// Maxima are effectively single-sample statistics, so each scheme
 	// runs over several seeds; the table reports the mean of the
 	// per-run maxima (and the pooled average).
-	m := grid(o, schemes, 1, quickReps(o), func(s core.Scheme, _, rep int) []float64 {
+	m := grid(schemes, 1, quickReps(o), func(s core.Scheme, _, rep int) []float64 {
 		o2 := o
 		o2.Seed = o.seed() + int64(rep)*9973
 		return table1Point(o2, s, qs)

@@ -1,8 +1,8 @@
 // Scenario file parsing: a hand-rolled YAML subset (the repo has no
 // dependencies and vendoring a YAML library for flat config files is
-// not worth it) plus JSON via encoding/json, both decoding into the
-// same generic tree and then through one strict field mapper — unknown
-// keys, wrong shapes and malformed scalars are errors, never panics.
+// not worth it) decoding into a generic tree and then through one
+// strict field mapper — unknown keys, wrong shapes and malformed
+// scalars are errors, never panics. YAML is the one input format.
 //
 // The struct tags are the schema: each field of Scenario and the
 // structs it holds carries its key as `scn:"key"`, and one reflective
@@ -22,7 +22,6 @@ package scenario
 
 import (
 	"cmp"
-	"encoding/json"
 	"fmt"
 	"maps"
 	"math"
@@ -35,23 +34,13 @@ import (
 	"rdmamon/internal/sim"
 )
 
-// Parse decodes and validates a scenario from YAML or JSON bytes
-// (JSON when the first non-space byte is '{'). The returned scenario
-// has passed Validate.
+// Parse decodes and validates a scenario from YAML bytes, at most
+// 1 MiB of them. The returned scenario has passed Validate.
 func Parse(src []byte) (*Scenario, error) {
 	if len(src) > 1<<20 {
 		return nil, fmt.Errorf("scenario: file exceeds the 1MiB cap")
 	}
-	trimmed := strings.TrimLeft(string(src), " \t\r\n")
-	var (
-		tree any
-		err  error
-	)
-	if strings.HasPrefix(trimmed, "{") {
-		tree, err = parseJSON(src)
-	} else {
-		tree, err = parseYAML(string(src))
-	}
+	tree, err := parseYAML(string(src))
 	if err != nil {
 		return nil, err
 	}
@@ -63,45 +52,6 @@ func Parse(src []byte) (*Scenario, error) {
 		return nil, err
 	}
 	return s, nil
-}
-
-// ---------------------------------------------------------------- JSON
-
-// parseJSON lowers a JSON document to the same tree shape the YAML
-// parser produces: map[string]any / []any / string scalars.
-func parseJSON(src []byte) (any, error) {
-	var v any
-	dec := json.NewDecoder(strings.NewReader(string(src)))
-	dec.UseNumber()
-	if err := dec.Decode(&v); err != nil {
-		return nil, fmt.Errorf("scenario: invalid JSON: %v", err)
-	}
-	return jsonToTree(v), nil
-}
-
-func jsonToTree(v any) any {
-	switch x := v.(type) {
-	case map[string]any:
-		m := make(map[string]any, len(x))
-		for k, vv := range x {
-			m[k] = jsonToTree(vv)
-		}
-		return m
-	case []any:
-		out := make([]any, len(x))
-		for i, vv := range x {
-			out[i] = jsonToTree(vv)
-		}
-		return out
-	case json.Number:
-		return x.String()
-	case bool:
-		return strconv.FormatBool(x)
-	case nil:
-		return ""
-	default:
-		return fmt.Sprint(x)
-	}
 }
 
 // ---------------------------------------------------------------- YAML

@@ -1,5 +1,5 @@
 // Package scenario is the declarative layer over the simulation
-// harness: a YAML/JSON schema describing a fleet (optionally
+// harness: a YAML schema describing a fleet (optionally
 // heterogeneous, via weighted templates), a workload, fault pressure
 // (seeded stress blocks and/or explicit timed event scripts), dispatch
 // variants to compare, and pass/fail assertions — plus a deterministic

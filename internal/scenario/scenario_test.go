@@ -86,7 +86,7 @@ func TestParseRejects(t *testing.T) {
 		{"stagger past horizon",
 			"name: x\nhorizon: 1s\nfleet:\n  backends: 8\nstagger:\n  offset: 200ms\n",
 			"past the horizon"},
-		{"invalid json", `{"name": `, "invalid JSON"},
+		{"json document", `{"name": "x", "horizon": "1s"}`, `line 1: invalid key "{\"name\""`},
 		{"fleet not a mapping", "name: x\nhorizon: 2s\nfleet: 3\n", "fleet: expected a mapping"},
 		{"events not a sequence", "name: x\nhorizon: 2s\nevents: x\n", "events: expected a sequence"},
 		{"fractional integer", "name: x\nhorizon: 2s\nseeds: 1.5\n", `seeds: invalid integer "1.5"`},
@@ -170,26 +170,6 @@ func TestExamplesMatchBuiltins(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Errorf("%s: embedded copy differs from the file on disk", embedded[i])
 		}
-	}
-}
-
-// TestJSONEquivalent: the JSON form decodes to the same scenario as
-// the YAML form.
-func TestJSONEquivalent(t *testing.T) {
-	yamlSrc := "name: j\nhorizon: 2s\npoll: 50ms\nfleet:\n  backends: 4\nassertions:\n  - metric: served\n    min: 10\n"
-	jsonSrc := `{"name": "j", "horizon": "2s", "poll": "50ms",
-		"fleet": {"backends": 4},
-		"assertions": [{"metric": "served", "min": 10}]}`
-	a, err := Parse([]byte(yamlSrc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Parse([]byte(jsonSrc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("YAML and JSON decode diverged:\n%+v\nvs\n%+v", a, b)
 	}
 }
 
@@ -286,16 +266,11 @@ func TestCompileQuickOverrides(t *testing.T) {
 	}
 }
 
-// TestParseInputCap: the 1 MiB input cap holds for JSON as for YAML.
+// TestParseInputCap: a scenario over 1 MiB is refused before parsing.
 func TestParseInputCap(t *testing.T) {
-	pad := strings.Repeat("a", 1<<20)
-	for _, src := range []string{
-		`{"name": "x", "horizon": "1s", "description": "` + pad + `"}`,
-		"name: x\nhorizon: 1s\ndescription: " + pad + "\n",
-	} {
-		if _, err := Parse([]byte(src)); err == nil || !strings.Contains(err.Error(), "1MiB cap") {
-			t.Errorf("%.12q (%d bytes): got %v, want the 1MiB cap", src, len(src), err)
-		}
+	src := "name: x\nhorizon: 1s\ndescription: " + strings.Repeat("a", 1<<20) + "\n"
+	if _, err := Parse([]byte(src)); err == nil || !strings.Contains(err.Error(), "1MiB cap") {
+		t.Errorf("%d bytes: got %v, want the 1MiB cap", len(src), err)
 	}
 }
 

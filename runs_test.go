@@ -30,7 +30,7 @@ var unexecutedKinds = []string{
 // unexecutedCap is the length of testdata/unexecuted.txt. Like
 // testReadState it only shrinks: a function the run set stops executing
 // is deleted or reached by a new manifest line, not listed.
-const unexecutedCap = 57
+const unexecutedCap = 52
 
 // TestRunManifest checks the run manifest and the list of functions no
 // run executes statically, without running anything: every manifest
