@@ -1,8 +1,8 @@
 # Repo-local CI. `make ci` is the gate a change must pass before it
 # lands: vet (which also fails on any file gofmt would change), build,
 # the full suite under the race detector with shuffled test order, a
-# short smoke run of every fuzzer, and the smoke runs of the production
-# run set (the `ci` lines of testdata/runs.txt).
+# short smoke run of every fuzzer, and the quick runs of the production
+# run set checked against their committed outputs (make smoke).
 
 GO      ?= go
 FUZZTIME ?= 10s
@@ -58,22 +58,28 @@ fuzz:
 runs-build:
 	$(GO) build -o .bench_build/runs/ ./cmd/... ./examples/...
 
-# The smokes: every `ci` line of testdata/runs.txt (what each asserts
-# is commented beside it), non-zero exit on any violation, plus the
-# golden tests pinning that scenario-compiled plans stay bit-identical
-# to the Go-coded chaos/ha/aa experiments.
-smoke: runs-build
-	bash testdata/runs.sh ci .bench_build/runs
+# The smokes: every `quick` line of testdata/runs.txt (what the
+# harness lines assert is commented beside them), non-zero exit on any
+# violation or on any output that differs from its committed file,
+# plus the golden tests pinning that scenario-compiled plans stay
+# bit-identical to the Go-coded chaos/ha/aa experiments.
+smoke: quick-runs
 	$(GO) test -run 'TestChaosScenarioPlanEquivalence|TestHAScenarioPlanEquivalence|TestAAScenarioPlanEquivalence|TestScenarioGoldenDigests' -count=1 ./internal/scenario
 
 # The output of every deterministic (`quick`) run, one file per line
-# with the wall-time lines stripped: make quick-runs OUT=dir (~1 min).
-# Run it in a parent clone and here, then diff -r: a change that moves
-# no simulated number leaves the two dirs byte-identical.
-quick-runs:
-	@if [ -z "$(OUT)" ]; then echo "usage: make quick-runs OUT=dir"; exit 1; fi
-	$(MAKE) runs-build
-	bash testdata/runs.sh quick .bench_build/runs $(OUT)
+# with the wall-time lines stripped (~10 s), diffed against the
+# committed testdata/golden/quick; a non-zero exit of any line fails it
+# too. make quick-runs OUT=testdata/golden/quick rewrites the committed
+# files instead, so a change that moves a number shows it in git diff.
+quick-runs: runs-build
+	$(call runs-check,quick)
+
+# runs-check runs the lines tagged $(1) into $(OUT) when it is set, and
+# otherwise into a temp dir that it diffs against testdata/golden/$(1).
+runs-check = @if [ -n "$(OUT)" ]; then bash testdata/runs.sh $(1) .bench_build/runs $(OUT); else \
+	tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	bash testdata/runs.sh $(1) .bench_build/runs "$$tmp"; rc=$$?; \
+	diff -r testdata/golden/$(1) "$$tmp" && exit $$rc; fi
 
 # Coverage of the whole run set (~13 min on 2 cores; not part of ci):
 # make coverage-runs OUT=dir builds every program with -cover over the
@@ -116,9 +122,10 @@ bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkLoopback' -benchmem ./internal/tcpverbs
 
 # Probe-engine regression gates: replay the deterministic 256-backend
-# scale point and the 512-backend hybrid comparison, failing on >15%
-# regression vs the committed baselines (sim figures AND steady-state
-# sweep allocs/op + B/op; the probe data path is asserted to allocate
+# scale point, the pooled 1024-backend scale-out and the 512-backend
+# hybrid comparison, failing when any simulated figure differs from the
+# committed baselines at all, or the steady-state sweep allocs/op or
+# B/op regress by >15% (the probe data path is asserted to allocate
 # exactly zero). The second line holds the request path: every routing
 # decision of the weighted policies against its golden digest, at most 3
 # allocations per served request (a !race pin, so the race pass skips
@@ -156,14 +163,12 @@ bench-wall-compare:
 	$(GO) run ./bench -compare $(A) $(B)
 
 # The full-scale output of every paper artifact (the `paper` lines of
-# testdata/runs.txt), one file per id with the wall-time line stripped:
-# make paper-full OUT=dir (~3 min on a 2-core host; not part of ci).
-# Two trees' directories diff clean when a change leaves every figure
-# and table alone.
-paper-full:
-	@if [ -z "$(OUT)" ]; then echo "usage: make paper-full OUT=dir"; exit 1; fi
-	$(MAKE) runs-build
-	bash testdata/runs.sh paper .bench_build/runs $(OUT)
+# testdata/runs.txt), one file per id with the wall-time line stripped,
+# diffed against the committed record testdata/golden/paper (~150 s on
+# a 2-core host; not part of ci). make paper-full
+# OUT=testdata/golden/paper rewrites the record.
+paper-full: runs-build
+	$(call runs-check,paper)
 
 # Non-test Go lines per package, bench/ excluded: the unit ROADMAP's
 # size targets are stated in.

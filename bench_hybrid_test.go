@@ -1,8 +1,9 @@
 // Benchmark and regression gate for the hybrid push/pull scheme
 // (DESIGN.md §11). `make bench-check` replays the 512-back-end hybrid
-// comparison and fails on a >15% regression against the committed
-// BENCH_hybrid.json; `make bench-baseline` regenerates that file after
-// an intentional cost-model change.
+// comparison and fails when a simulated figure differs from the
+// committed BENCH_hybrid.json at all, or an allocation figure regresses
+// by >15%; `make bench-baseline` regenerates that file after an
+// intentional cost-model change.
 package rdmamon_test
 
 import (
@@ -29,8 +30,8 @@ type hybridBaseline struct {
 	// Steady-state allocation cost per probe-slot check (backends ×
 	// window/T — the decayed scheme posts few WRs, so per-WR figures
 	// would swing wildly with the decay schedule). Includes the event
-	// simulator's own scheduling; gated at tolerance like the WR
-	// figures.
+	// simulator's own scheduling and moves with the Go runtime, so it
+	// alone is gated at tolerance.
 	SweepAllocsPerOp float64 `json:"sweep_allocs_per_op"`
 	SweepBytesPerOp  float64 `json:"sweep_b_per_op"`
 }
@@ -59,8 +60,8 @@ func benchHybridAllocs() (allocsPerOp, bytesPerOp float64) {
 
 // benchHybridPoint runs the gate configuration: the full 512-back-end
 // hybrid-vs-all-pull comparison. The simulation is deterministic, so
-// the figures are exactly reproducible; the tolerance only absorbs
-// intentional small cost-model adjustments.
+// the figures are exactly reproducible and the gate compares them
+// exactly.
 func benchHybridPoint(t testing.TB) hybridBaseline {
 	d := experiments.Hybrid(experiments.Options{})
 	if d.Failed {
@@ -92,8 +93,9 @@ func BenchmarkHybrid512(b *testing.B) {
 }
 
 // TestBenchHybridRegression is the bench-check gate for the hybrid
-// scheme: probe-WR count and staleness must not drift past tolerance.
-// With BENCH_WRITE=1 it rewrites the baseline instead (the
+// scheme: the WR counts, the reduction and the staleness must equal
+// the baseline exactly, and the allocation figures stay within
+// tolerance. With BENCH_WRITE=1 it rewrites the baseline instead (the
 // bench-baseline target).
 func TestBenchHybridRegression(t *testing.T) {
 	if testing.Short() {
@@ -125,26 +127,19 @@ func TestBenchHybridRegression(t *testing.T) {
 	if err := json.Unmarshal(raw, &want); err != nil {
 		t.Fatalf("corrupt %s: %v", benchHybridFile, err)
 	}
-	if got.Backends != want.Backends {
-		t.Fatalf("gate configuration drifted: measured %+v, baseline %+v", got, want)
-	}
-	const tol = 1.15
-	if float64(got.ProbeWRs) > float64(want.ProbeWRs)*tol {
-		t.Errorf("probe WRs regressed: %d vs baseline %d (>%.0f%% worse)",
-			got.ProbeWRs, want.ProbeWRs, (tol-1)*100)
-	}
-	if got.WRRatio*tol < want.WRRatio {
-		t.Errorf("probe-WR reduction regressed: %.1fx vs baseline %.1fx", got.WRRatio, want.WRRatio)
-	}
-	if got.EffStaleMaxT > want.EffStaleMaxT*tol {
-		t.Errorf("effective staleness regressed: %.1fT vs baseline %.1fT", got.EffStaleMaxT, want.EffStaleMaxT)
+	sim, base := got, want
+	sim.SweepAllocsPerOp, sim.SweepBytesPerOp = 0, 0
+	base.SweepAllocsPerOp, base.SweepBytesPerOp = 0, 0
+	if sim != base {
+		t.Errorf("hybrid figures moved:\n  got  %+v\n  want %+v", sim, base)
 	}
 	if !raceEnabled {
+		const tol = 1.15
 		if got.SweepAllocsPerOp > want.SweepAllocsPerOp*tol {
-			t.Errorf("sweep allocs/op regressed: %.1f vs baseline %.1f", got.SweepAllocsPerOp, want.SweepAllocsPerOp)
+			t.Errorf("sweep allocs/op regressed: %.3g vs baseline %.3g", got.SweepAllocsPerOp, want.SweepAllocsPerOp)
 		}
 		if got.SweepBytesPerOp > want.SweepBytesPerOp*tol {
-			t.Errorf("sweep B/op regressed: %.1f vs baseline %.1f", got.SweepBytesPerOp, want.SweepBytesPerOp)
+			t.Errorf("sweep B/op regressed: %.3g vs baseline %.3g", got.SweepBytesPerOp, want.SweepBytesPerOp)
 		}
 	}
 }

@@ -12,8 +12,8 @@ import (
 // its first seed internally — chaos run AND both throughput runs — and
 // compares fingerprints; a mismatch surfaces as an A5 violation row,
 // which the Failed check below would catch). Zero invariant violations
-// is part of the golden contract, and so is the table's digest as
-// captured from an earlier tree.
+// is part of the golden contract, and so is the table committed in
+// testdata/golden/test/aa.txt.
 func TestAADeterministicGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow experiment; skipped with -short")
@@ -30,7 +30,7 @@ func TestAADeterministicGolden(t *testing.T) {
 	}
 	first := run()
 	diffResults(t, "aa", first, run())
-	pinDigest(t, "aa", first, 0xc75de502dcf8ebcd)
+	checkGolden(t, "test/aa.txt", first)
 }
 
 // TestAAQuickInvariants sweeps a couple of quick random claim-stall
@@ -52,7 +52,7 @@ func TestAAQuickInvariants(t *testing.T) {
 	if len(res.Rows) != 2 {
 		t.Fatalf("rows = %d, want one per seed", len(res.Rows))
 	}
-	pinDigest(t, "aa-quick", res, 0xd2eea1a842a7b98d)
+	checkGolden(t, "test/aa-quick.txt", res)
 }
 
 // TestAAThreeReplicaFloor pins the non-default replica count path: the
@@ -72,5 +72,5 @@ func TestAAThreeReplicaFloor(t *testing.T) {
 	if res.Failed {
 		t.Fatalf("invariant violations with 3 front-ends:\n%v", res.Notes)
 	}
-	pinDigest(t, "aa-3fe", res, 0xd751510d0bc1a7ab)
+	checkGolden(t, "test/aa-3fe.txt", res)
 }

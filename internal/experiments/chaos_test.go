@@ -9,8 +9,8 @@ import (
 // bit-identical result tables (the chaos runner additionally replays
 // its first seed internally and compares run fingerprints — a mismatch
 // there surfaces as an I5 violation row, which the Failed check below
-// would catch). Zero invariant violations and the table digest
-// captured from an earlier tree are part of the golden contract. It
+// would catch). Zero invariant violations and the table committed in
+// testdata/golden/test/chaos.txt are part of the golden contract. It
 // runs under -short too (~0.2 s), so `make test` catches a moved
 // harness.
 func TestChaosDeterministicGolden(t *testing.T) {
@@ -26,7 +26,7 @@ func TestChaosDeterministicGolden(t *testing.T) {
 	}
 	first := run()
 	diffResults(t, "chaos", first, run())
-	pinDigest(t, "chaos", first, 0x571d5f790590de75)
+	checkGolden(t, "test/chaos.txt", first)
 }
 
 // TestChaosQuickInvariants sweeps a couple of quick random fault plans
@@ -48,5 +48,5 @@ func TestChaosQuickInvariants(t *testing.T) {
 	if len(res.Rows) != 2 {
 		t.Fatalf("rows = %d, want one per seed", len(res.Rows))
 	}
-	pinDigest(t, "chaos-quick", res, 0x30101071bc3b3dca)
+	checkGolden(t, "test/chaos-quick.txt", res)
 }

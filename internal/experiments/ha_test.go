@@ -9,8 +9,8 @@ import (
 // bit-identical result tables (the runner additionally replays its
 // first seed internally and compares run fingerprints — a mismatch
 // there surfaces as an H5 violation row, which the Failed check below
-// would catch). Zero invariant violations and the table digest
-// captured from an earlier tree are part of the golden contract. It
+// would catch). Zero invariant violations and the table committed in
+// testdata/golden/test/ha.txt are part of the golden contract. It
 // runs under -short too (~0.2 s), so `make test` catches a moved
 // harness.
 func TestHADeterministicGolden(t *testing.T) {
@@ -26,7 +26,7 @@ func TestHADeterministicGolden(t *testing.T) {
 	}
 	first := run()
 	diffResults(t, "ha", first, run())
-	pinDigest(t, "ha", first, 0x93ab2e6072f76dfb)
+	checkGolden(t, "test/ha.txt", first)
 }
 
 // TestHAQuickInvariants sweeps a couple of quick random fault plans
@@ -47,5 +47,5 @@ func TestHAQuickInvariants(t *testing.T) {
 	if len(res.Rows) != 2 {
 		t.Fatalf("rows = %d, want one per seed", len(res.Rows))
 	}
-	pinDigest(t, "ha-quick", res, 0x65c2eceff1b8127a)
+	checkGolden(t, "test/ha-quick.txt", res)
 }

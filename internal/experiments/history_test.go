@@ -49,11 +49,15 @@ func TestHistoryDeterministic(t *testing.T) {
 }
 
 // TestHistoryGoldenDigest pins the quick history result across
-// commits: the only experiment whose ring reads ride doorbell batches.
+// commits to the output its quick line of testdata/runs.txt commits:
+// the only experiment whose ring reads ride doorbell batches.
 func TestHistoryGoldenDigest(t *testing.T) {
 	res, err := Run("history", Options{Quick: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pinDigest(t, "history-quick", res, 0x631a5510a7c3d71b)
+	if res.Failed {
+		t.Fatalf("history run reported violations:\n%v", res.Notes)
+	}
+	checkGolden(t, "quick/rmbench_exp_history_quick.txt", res)
 }

@@ -3,7 +3,7 @@ package experiments
 import "sync"
 
 // memoize returns run with its result computed once per test binary
-// for each Options value: TestPaperGoldenDigests digests the figure's
+// for each Options value: TestPaperGoldenDigests renders the figure's
 // Result and its shape test reads the data, both from one run. The
 // determinism tests call the figures directly, so their two runs stay
 // independent.

@@ -35,7 +35,7 @@ func TestScenarioAssertionPassAndFail(t *testing.T) {
 	if !strings.Contains(joined, "PASS: base served") || !strings.Contains(joined, "all 1 assertion(s) passed") {
 		t.Fatalf("missing pass verdicts in notes: %q", joined)
 	}
-	pinDigest(t, "tiny-pass", res, 0x633ecfb0a45ec79d)
+	checkGolden(t, "test/tiny-pass.txt", res)
 
 	res, err = RunScenario(tinyScenario(1e12), Options{})
 	if err != nil {
@@ -47,7 +47,7 @@ func TestScenarioAssertionPassAndFail(t *testing.T) {
 	if !strings.Contains(strings.Join(res.Notes, "\n"), "FAIL: base served") {
 		t.Fatalf("missing fail verdict in notes: %+v", res.Notes)
 	}
-	pinDigest(t, "tiny-fail", res, 0xcce4902b51dbef12)
+	checkGolden(t, "test/tiny-fail.txt", res)
 }
 
 // TestScenarioVariantsDigestDeterminism: the same scenario run twice
@@ -76,7 +76,7 @@ func TestScenarioVariantsDigestDeterminism(t *testing.T) {
 			t.Fatalf("row %d diverged across identical runs:\n%v\n%v", i, a.Rows[i], b.Rows[i])
 		}
 	}
-	pinDigest(t, "tiny-variants", a, 0x8aebc3fc1c8f032b)
+	checkGolden(t, "test/tiny-variants.txt", a)
 }
 
 // TestScenarioHeteroStudy runs the curated heterogeneous-fleet
@@ -94,7 +94,7 @@ func TestScenarioHeteroStudy(t *testing.T) {
 	if res.Failed {
 		t.Fatalf("hetero study assertions failed:\n%s", strings.Join(res.Notes, "\n"))
 	}
-	pinDigest(t, "hetero-dispatch", res, 0x1a0ced2ef2a1877a)
+	checkGolden(t, "quick/rmbench_scenario_examples_scenarios_hetero_dispatch.yaml_quick.txt", res)
 }
 
 // TestScenarioChecksRouting: checks scenarios run through the chaos/ha
@@ -113,5 +113,5 @@ func TestScenarioChecksRouting(t *testing.T) {
 	if res.Failed {
 		t.Fatalf("builtin chaos scenario violated invariants:\n%s", strings.Join(res.Notes, "\n"))
 	}
-	pinDigest(t, "chaos-scenario", res, 0x7f25e85ac9efe530)
+	checkGolden(t, "test/chaos-scenario.txt", res)
 }

@@ -32,16 +32,27 @@ var unexecutedKinds = []string{
 // is deleted or reached by a new manifest line, not listed.
 const unexecutedCap = 52
 
-// TestRunManifest checks the run manifest and the list of functions no
-// run executes statically, without running anything: every manifest
-// line names a known program with a known experiment, scenario file or
-// example, no run is written twice, and every unexecuted.txt entry is
-// sorted, names a function in a non-test file, and carries a kind.
-// make coverage-runs checks the list against the runs themselves.
+// goldenTags are the tags whose lines' outputs are committed, each
+// under testdata/golden/<tag>/.
+var goldenTags = []string{"paper", "quick"}
+
+// TestRunManifest checks the run manifest, the committed outputs and
+// the list of functions no run executes statically, without running
+// anything: every manifest line names a known program with a known
+// experiment, scenario file or example, no run is written twice, each
+// paper and quick line has its one committed file under
+// testdata/golden and each file there has its line, and every
+// unexecuted.txt entry is sorted, names a function in a non-test file,
+// and carries a kind. make quick-runs, make paper-full and make
+// coverage-runs check the files and the list against the runs
+// themselves.
 func TestRunManifest(t *testing.T) {
 	ids := experiments.IDs()
 	seen := map[string]bool{}
-	paper := map[string]bool{}
+	stored := map[string]map[string]bool{} // tag -> the files its lines write
+	for _, tag := range goldenTags {
+		stored[tag] = map[string]bool{}
+	}
 	for _, l := range readLines(t, "testdata/runs.txt") {
 		f := strings.Fields(l.text)
 		if len(f) < 2 {
@@ -54,15 +65,19 @@ func TestRunManifest(t *testing.T) {
 		}
 		seen[cmd] = true
 		for _, tag := range strings.Split(f[0], ",") {
-			if !slices.Contains([]string{"ci", "paper", "quick", "live"}, tag) {
+			if !slices.Contains([]string{"paper", "quick", "live"}, tag) {
 				t.Errorf("runs.txt:%d: unknown tag %q", l.n, tag)
 			}
-			if tag == "paper" {
-				id := f[len(f)-1]
-				if paper[id] {
-					t.Errorf("runs.txt:%d: paper artifact %s is listed twice", l.n, id)
-				}
-				paper[id] = true
+			if stored[tag] == nil {
+				continue
+			}
+			name := runName(tag, f) + ".txt"
+			if stored[tag][name] {
+				t.Errorf("runs.txt:%d: a second %s line writes %s", l.n, tag, name)
+			}
+			stored[tag][name] = true
+			if _, err := os.Stat(filepath.Join("testdata/golden", tag, name)); err != nil {
+				t.Errorf("runs.txt:%d: no committed output: %v", l.n, err)
 			}
 		}
 		switch prog := f[1]; {
@@ -87,9 +102,21 @@ func TestRunManifest(t *testing.T) {
 			}
 		}
 	}
-	for id := range paper {
-		if !slices.Contains(ids, id) {
+	for name := range stored["paper"] {
+		if id := strings.TrimSuffix(name, ".txt"); !slices.Contains(ids, id) {
 			t.Errorf("runs.txt: paper line ends in %q, not an experiment id", id)
+		}
+	}
+	for _, tag := range goldenTags {
+		files, err := os.ReadDir(filepath.Join("testdata/golden", tag))
+		if err != nil {
+			t.Error(err)
+			continue
+		}
+		for _, file := range files {
+			if !stored[tag][file.Name()] {
+				t.Errorf("testdata/golden/%s/%s: no %s line of runs.txt writes it", tag, file.Name(), tag)
+			}
 		}
 	}
 
@@ -121,6 +148,26 @@ func TestRunManifest(t *testing.T) {
 			t.Errorf("unexecuted.txt:%d: %s declares no function %s", l.n, f[0], f[1])
 		}
 	}
+}
+
+// runName is the name testdata/runs.sh keeps a line's output under,
+// less its .txt: a paper line's last word, any other line's command
+// with each run of characters outside [A-Za-z0-9.] squeezed to one '_'
+// and a trailing '_' dropped (tr -cs 'A-Za-z0-9.' '_').
+func runName(tag string, f []string) string {
+	if tag == "paper" {
+		return f[len(f)-1]
+	}
+	var b strings.Builder
+	for _, c := range []byte(strings.Join(f[1:], " ")) {
+		switch {
+		case c == '.' || '0' <= c && c <= '9' || 'A' <= c && c <= 'Z' || 'a' <= c && c <= 'z':
+			b.WriteByte(c)
+		case !strings.HasSuffix(b.String(), "_"):
+			b.WriteByte('_')
+		}
+	}
+	return strings.TrimSuffix(b.String(), "_")
 }
 
 type line struct {

@@ -5,9 +5,11 @@
 #
 #   testdata/runs.sh TAG BIN [OUT [COVER]]
 #
-# TAG is ci, paper, quick, live or all. With OUT, each foreground line's
+# TAG is paper, quick, live or all. With OUT, each foreground line's
 # stdout is kept there with wall lines stripped: a paper line's as
-# <last word>.txt, any other's named after its command. With COVER,
+# <last word>.txt, any other's named after its command (the names
+# testdata/golden/<TAG>/ commits; make quick-runs and make paper-full
+# diff a temp OUT against it). With COVER,
 # each line runs with GOCOVERDIR=COVER/<that name>. A non-zero exit of
 # any line, background lines included, fails the run after every line
 # has run; a failed background line's output goes to stderr.
