@@ -137,11 +137,11 @@ bench:
 # and the live path's warm loopback fetch at <= 1 allocation across both
 # ends, point and ring (TestProbeFetchAllocs, also !race). The second
 # line also holds memory: live heap per back-end within its DESIGN §13
-# budget in the sweep, pooled, hybrid and ring configurations, and no
-# growth over run length (!race pins too).
+# budget in the sweep, pooled, hybrid and ring configurations and per
+# layer of the sweep, and no growth over run length (!race pins too).
 bench-check:
 	$(GO) test -run 'TestBenchScaleRegression|TestBenchHybridRegression' .
-	$(GO) test -count=1 -run 'TestDispatchDecisionGoldenDigests|TestDispatchAllocsPerRequest|TestPickScoresOncePerRecord|TestMemoryPerBackend|TestMemoryFlatOverRunLength' ./internal/cluster
+	$(GO) test -count=1 -run 'TestDispatchDecisionGoldenDigests|TestDispatchAllocsPerRequest|TestPickScoresOncePerRecord|TestMemoryPerBackend|TestMemoryPerLayer|TestMemoryFlatOverRunLength' ./internal/cluster
 	$(GO) test -count=1 -run 'TestDeltaPusherQuietCheckAllocs|TestPooledProbeConnZeroAlloc|TestSweepAllocsPerRead|TestWriteZeroAlloc|TestProbeFetchAllocs' ./internal/core ./internal/simnet ./internal/livemon
 
 # Regenerate BENCH_scale.json / BENCH_hybrid.json after an intentional

@@ -9,6 +9,8 @@ import (
 	"rdmamon/internal/connpool"
 	"rdmamon/internal/core"
 	"rdmamon/internal/sim"
+	"rdmamon/internal/simnet"
+	"rdmamon/internal/simos"
 )
 
 // memoryConfigs are the monitoring configurations whose memory the
@@ -41,36 +43,110 @@ func liveHeap() uint64 {
 	return ms.HeapAlloc
 }
 
-// settledLiveHeap builds cfg, runs it for d and returns the live heap
-// with the cluster still reachable.
-func settledLiveHeap(cfg Config, d sim.Time) uint64 {
-	c := New(cfg)
-	c.Run(d)
-	live := liveHeap()
-	runtime.KeepAlive(c)
-	return live
+// perBackend charges what n more back-ends cost in live heap to each
+// of them: build(n) and build(2n) each build a fleet and run it for half
+// a simulated second, and the live heaps, read with what build returned
+// still reachable, are differenced. Whatever the process holds besides
+// the fleet cancels out; a first, unmeasured build(n) makes what the
+// process allocates once part of that, whichever test runs first.
+func perBackend(t *testing.T, n int, build func(backends int) any) float64 {
+	settled := func(backends int) uint64 {
+		keep := build(backends)
+		live := liveHeap()
+		runtime.KeepAlive(keep)
+		return live
+	}
+	settled(n)
+	small, large := settled(n), settled(2*n)
+	per := (float64(large) - float64(small)) / float64(n)
+	t.Logf("%.0f B per back-end (live heap %.1f MB at %d, %.1f MB at %d back-ends)",
+		per, float64(small)/1e6, n, float64(large)/1e6, 2*n)
+	return per
+}
+
+// clusterOf is perBackend's build of cfg, at the fleet size asked.
+func clusterOf(cfg Config) func(backends int) any {
+	return func(backends int) any {
+		cfg.Backends = backends
+		c := New(cfg)
+		c.Run(sim.Second / 2)
+		return c
+	}
 }
 
 // TestMemoryPerBackend pins what one more back-end costs in live heap
-// once its monitoring has settled: build N and 2N back-ends, run each
-// for half a simulated second, and charge the difference to the extra
-// N. Whatever the process holds besides the cluster cancels out. Each
-// budget is the cost measured when it was set plus 10 % (DESIGN §13).
+// once its monitoring has settled. Each budget is the cost measured
+// when it was set plus 2 %, rounded up to 10 B (DESIGN §13).
 func TestMemoryPerBackend(t *testing.T) {
-	const n = 1024
-	budget := map[string]float64{"sweep": 3560, "pooled": 3760, "hybrid": 6480, "ring": 12490}
-	for _, tc := range memoryConfigs(n) {
+	budget := map[string]float64{"sweep": 2220, "pooled": 2450, "hybrid": 4800, "ring": 8670}
+	for _, tc := range memoryConfigs(1024) {
 		t.Run(tc.name, func(t *testing.T) {
-			small := settledLiveHeap(tc.cfg, sim.Second/2)
-			tc.cfg.Backends = 2 * n
-			large := settledLiveHeap(tc.cfg, sim.Second/2)
-			perBackend := (float64(large) - float64(small)) / n
-			t.Logf("%.0f B per back-end (live heap %.1f MB at %d, %.1f MB at %d back-ends)",
-				perBackend, float64(small)/1e6, n, float64(large)/1e6, 2*n)
-			if perBackend > budget[tc.name] {
-				t.Fatalf("a back-end costs %.0f B of live heap, budget %.0f B", perBackend, budget[tc.name])
+			per := perBackend(t, 1024, clusterOf(tc.cfg))
+			if per > budget[tc.name] {
+				t.Fatalf("a back-end costs %.0f B of live heap, budget %.0f B", per, budget[tc.name])
 			}
 		})
+	}
+}
+
+// sweepLayers builds the sweep configuration's back-ends up to layer
+// (1 the simos node with its kernel stats, 2 its NIC with the region
+// table, 3 the agent with its registered region, 4 the prober with the
+// monitor's share), wired as New wires them, and runs it for half a
+// simulated second. It returns what keeps the fleet reachable.
+func sweepLayers(backends, layer int) any {
+	eng := sim.NewEngine(1)
+	fab := simnet.NewFabric(eng, simnet.Config{})
+	front := simos.NewNode(eng, 0, simos.Config{})
+	fnic := fab.Attach(front)
+	nodes := make([]*simos.Node, 0, backends)
+	nics := make([]*simnet.NIC, 0, backends)
+	var agents []*core.Agent
+	for i := 1; i <= backends; i++ {
+		n := simos.NewNode(eng, i, simos.Config{})
+		nodes = append(nodes, n)
+		if layer < 2 {
+			continue
+		}
+		nic := fab.Attach(n)
+		nics = append(nics, nic)
+		if layer < 3 {
+			continue
+		}
+		agents = append(agents, core.StartAgent(n, nic, core.AgentConfig{Scheme: core.RDMASync, Interval: 10 * sim.Millisecond}))
+	}
+	var m *core.Monitor
+	if layer >= 4 {
+		m = core.StartMonitorCfg(front, fnic, agents, 10*sim.Millisecond, core.MonitorConfig{Shards: 4, Batch: 32})
+	}
+	eng.RunUntil(sim.Second / 2)
+	return []any{eng, fab, nodes, nics, agents, m}
+}
+
+// TestMemoryPerLayer breaks the sweep's bytes per back-end down by
+// layer: each layer's cost is the per-back-end cost of the fleet built
+// up to it less that of the fleet built up to the layer below, and
+// "cluster" is what New adds over the four (its per-back-end slices and
+// the dispatch view). Each budget is the cost measured when it was set
+// plus 2 % and 16 B, rounded up to 10 B (DESIGN §13).
+func TestMemoryPerLayer(t *testing.T) {
+	layer := func(l int) func(int) any { return func(backends int) any { return sweepLayers(backends, l) } }
+	layers := []struct {
+		name   string
+		budget float64
+		build  func(backends int) any
+	}{
+		{"node", 1260, layer(1)}, {"nic", 260, layer(2)}, {"agent", 300, layer(3)},
+		{"prober", 480, layer(4)}, {"cluster", 20, clusterOf(memoryConfigs(1024)[0].cfg)},
+	}
+	below := 0.0
+	for _, l := range layers {
+		per := perBackend(t, 1024, l.build)
+		t.Logf("%-7s %5.0f B per back-end (budget %.0f)", l.name, per-below, l.budget)
+		if per-below > l.budget {
+			t.Errorf("layer %s costs %.0f B per back-end, budget %.0f B", l.name, per-below, l.budget)
+		}
+		below = per
 	}
 }
 

@@ -37,8 +37,8 @@ func RecordFromSnapshot(s simos.Snapshot, seq uint32) wire.LoadRecord {
 }
 
 // recordFromSnapshotInto is RecordFromSnapshot written into *r, every
-// field assigned in place, so the DMA-instant encode reuses one record
-// instead of building and copying a fresh one per read.
+// field assigned in place, so the DMA-instant encode fills its stack
+// record instead of building and copying a fresh one per read.
 func recordFromSnapshotInto(r *wire.LoadRecord, s *simos.Snapshot, seq uint32) {
 	r.NumCPU = uint8(s.NumCPU)
 	r.NodeID = uint16(s.NodeID)
@@ -131,10 +131,8 @@ type Agent struct {
 	mrSrc   func() []byte // registration source, kept for re-pinning
 	mrLen   int           // registered region size (record or ring)
 	shared  []byte        // "known memory location": encoded record
-	dmaBuf  []byte        // scratch for kernel-direct encoding
 	ring    *wire.HistoryRing
 	ringTk  *sim.Ticker // kernel timer filling the ring (not a task)
-	sample  wire.LoadRecord
 	seq     uint32
 	stopped bool
 	tasks   []*simos.Task
@@ -191,17 +189,17 @@ func StartAgent(node *simos.Node, nic *simnet.NIC, cfg AgentConfig) *Agent {
 		} else {
 			// Register the kernel statistics directly: the source closure
 			// runs at the remote NIC's DMA instant, with zero host-CPU
-			// cost, and always sees the live values. The snapshot is
-			// staged on the stack and the record in a.sample, which a
-			// single-record agent has no other use for, so a read copies
-			// neither.
-			a.dmaBuf = make([]byte, wire.RecordSize)
+			// cost, and always sees the live values. The snapshot and the
+			// record are built on the stack and encoded into the fabric's
+			// staging buffer, which the NIC copies out in the same
+			// instant: the agent keeps no per-read memory.
 			a.mrSrc = func() []byte {
 				var s simos.Snapshot
+				var r wire.LoadRecord
 				a.seq++
 				node.K.SnapshotInto(&s)
-				recordFromSnapshotInto(&a.sample, &s, a.seq)
-				return a.sample.AppendTo(a.dmaBuf)
+				recordFromSnapshotInto(&r, &s, a.seq)
+				return r.AppendTo(nic.Stage(wire.RecordSize))
 			}
 			a.mrLen = wire.RecordSize
 		}
@@ -220,13 +218,14 @@ func StartAgent(node *simos.Node, nic *simnet.NIC, cfg AgentConfig) *Agent {
 }
 
 // ringPush samples the kernel and publishes into the ring. Allocation-
-// free: the sample is staged in a.sample and encoded in place.
+// free: the sample is staged on the stack and encoded in place.
 func (a *Agent) ringPush() {
 	var s simos.Snapshot
+	var r wire.LoadRecord
 	a.seq++
 	a.node.K.SnapshotInto(&s)
-	recordFromSnapshotInto(&a.sample, &s, a.seq)
-	a.ring.Push(&a.sample)
+	recordFromSnapshotInto(&r, &s, a.seq)
+	a.ring.Push(&r)
 }
 
 // startRingTimer arms the kernel-timer sampler that fills the ring
@@ -336,9 +335,10 @@ func (a *Agent) startCalcLoop() {
 				var s simos.Snapshot
 				tk.ProcSnapshot(&s)
 				tk.Compute(copyCost, func() {
+					var r wire.LoadRecord
 					a.seq++
-					recordFromSnapshotInto(&a.sample, &s, a.seq)
-					a.sample.AppendTo(a.shared)
+					recordFromSnapshotInto(&r, &s, a.seq)
+					r.AppendTo(a.shared)
 					tk.Sleep(a.Cfg.Interval, loop)
 				})
 			})

@@ -272,7 +272,6 @@ type DeltaPusher struct {
 	slotKey func() uint32
 
 	PushGate
-	encBuf  []byte // reusable push-record encode scratch
 	stopped bool
 	task    *simos.Task
 
@@ -328,11 +327,10 @@ func (p *DeltaPusher) check() {
 		p.task.Sleep(p.Cfg.Check, p.loopFn)
 		return
 	}
-	// Encode into the pusher's scratch; RDMAWrite stages the payload at
-	// post time, so the buffer is free for reuse the moment the call
-	// returns.
-	p.encBuf = p.pr.AppendTo(p.encBuf)
-	p.nic.RDMAWrite(p.task, p.front, p.slotKey(), p.encBuf, p.pushedFn)
+	// Encode into the fabric's staging buffer: RDMAWrite copies the
+	// payload into its own at post time, so the bytes are not needed
+	// once the call returns.
+	p.nic.RDMAWrite(p.task, p.front, p.slotKey(), p.pr.AppendTo(p.nic.Stage(wire.PushRecordSize)), p.pushedFn)
 }
 
 // pushed is the write's completion.

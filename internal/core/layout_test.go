@@ -8,12 +8,21 @@ import (
 )
 
 // At 8192 back-ends the Prober is the sweep's working set: it has to
-// stay in the 512-byte size class, which means cold, mode-specific
+// stay in the 384-byte size class, which means cold, mode-specific
 // state (the 3.9 KB ring view, the opt-in latency sample) lives behind
-// a pointer.
+// a pointer and reads land in the shard's buffers.
 func TestProberFitsSizeClass(t *testing.T) {
-	if sz := unsafe.Sizeof(Prober{}); sz > 512 {
-		t.Fatalf("Prober is %d bytes, want <= 512", sz)
+	if sz := unsafe.Sizeof(Prober{}); sz > 384 {
+		t.Fatalf("Prober is %d bytes, want <= 384", sz)
+	}
+}
+
+// Every back-end has an Agent: it keeps no per-read memory (the DMA
+// source stages on the stack and in the fabric's buffer), so it stays
+// in the 176-byte size class.
+func TestAgentFitsSizeClass(t *testing.T) {
+	if sz := unsafe.Sizeof(Agent{}); sz > 176 {
+		t.Fatalf("Agent is %d bytes, want <= 176", sz)
 	}
 }
 

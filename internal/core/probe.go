@@ -19,8 +19,7 @@ var ErrProbeTimeout = errors.New("core: probe timed out")
 // server: it periodically fetches that server's load record and keeps
 // the most recent one for the dispatcher. Its ProbeState makes every
 // decision about an outcome; the Prober adds the simulated transport
-// (the front-end node, its NIC, the agent and a DMA buffer) and the
-// sim-only hooks.
+// (the front-end node, its NIC and the agent) and the sim-only hooks.
 type Prober struct {
 	Backend int
 
@@ -32,9 +31,9 @@ type Prober struct {
 	decode    sim.Time
 
 	// At 8192 back-ends the layout of this struct is the sweep's working
-	// set, and a Prober must stay within the 512-byte size class: cold,
+	// set, and a Prober must stay within the 384-byte size class: cold,
 	// mode-specific state (the ring view, the latency sample) stays
-	// behind a pointer.
+	// behind a pointer, and reads land in the shard's buffers.
 	ProbeState
 
 	// pushSeq is the highest push sequence the cache accepted under the
@@ -45,11 +44,6 @@ type Prober struct {
 	// microseconds, completed or failed. nil, the default, records
 	// nothing, so the prober's memory does not grow with run length.
 	Latency *metrics.Sample
-
-	// readBuf is the reusable DMA buffer one-sided reads land in: the
-	// steady-state sweep posts it over and over instead of allocating a
-	// region per probe.
-	readBuf []byte
 
 	// Timeout bounds one probe; 0 disables the deadline (the seed
 	// behaviour, preserved so fault-free experiments are unchanged).
@@ -126,16 +120,6 @@ func (p *Prober) readLen() int {
 		return wire.RingSize(k)
 	}
 	return wire.RecordSize
-}
-
-// readInto returns the prober's DMA buffer sized for the next read,
-// growing it only when the agent's region grew (re-registration with a
-// larger ring).
-func (p *Prober) readInto(n int) []byte {
-	if cap(p.readBuf) < n {
-		p.readBuf = make([]byte, n)
-	}
-	return p.readBuf[:n]
 }
 
 // probeSocket issues the request/response path against the agent's
@@ -243,7 +227,7 @@ type Monitor struct {
 	due []sim.Time
 
 	shardCycles []uint64
-	tasks       []*simos.Task
+	shards      []*sweepScratch
 	stopped     bool
 }
 
@@ -334,9 +318,12 @@ func StartMonitorCfg(front *simos.Node, fnic *simnet.NIC, agents []*Agent, poll 
 		if cfg.Shards > 1 {
 			name = fmt.Sprintf("rmon-frontend-s%d", s)
 		}
-		m.tasks = append(m.tasks, front.Spawn(name, func(tk *simos.Task) {
-			newSweepScratch(m, tk, s, ids, poll).sweep()
-		}))
+		sc := newSweepScratch(m, s, ids, poll)
+		m.shards = append(m.shards, sc)
+		front.Spawn(name, func(tk *simos.Task) {
+			sc.tk = tk
+			sc.sweep()
+		})
 	}
 	return m
 }
@@ -385,8 +372,12 @@ type sweepScratch struct {
 	reqs    []simnet.ReadReq
 	results []simnet.ReadResult // lent to the NIC at post, the completions from completed on
 	leases  []connpool.Lease[int, *simnet.QP]
-	posted  sim.Time // when the batch was posted
-	i       int      // the slot being resolved
+	// bufs[i] is where slot i's reads land (a solo read is slot 0): its
+	// first read, a fenced replay and a torn re-read alike. A shard holds
+	// one buffer per doorbell slot, sized on demand, not one per back-end.
+	bufs   [][]byte
+	posted sim.Time // when the batch was posted
+	i      int      // the slot being resolved
 
 	// The read in flight. start is when its probe, or its batch, was
 	// posted; a fenced replay and a dial reset it, a torn re-read does
@@ -414,8 +405,8 @@ type sweepScratch struct {
 	nextFn      func(*wire.LoadRecord, error) // sc.next
 }
 
-func newSweepScratch(m *Monitor, tk *simos.Task, shard int, ids []int, poll sim.Time) *sweepScratch {
-	sc := &sweepScratch{m: m, tk: tk, shard: shard, ids: ids, poll: poll}
+func newSweepScratch(m *Monitor, shard int, ids []int, poll sim.Time) *sweepScratch {
+	sc := &sweepScratch{m: m, shard: shard, ids: ids, poll: poll}
 	sc.sweepFn, sc.completedFn = sc.sweep, sc.completed
 	sc.dialedFn, sc.readFn, sc.decodeFn = sc.dialed, sc.read, sc.decode
 	sc.socketFn, sc.outcomeFn, sc.nextFn = sc.socketDone, sc.outcome, sc.next
@@ -550,11 +541,23 @@ func (sc *sweepScratch) begin() {
 	sc.post()
 }
 
-// post issues the read into the prober's DMA buffer.
+// post issues the read into the slot's buffer.
 func (sc *sweepScratch) post() {
 	p := sc.p
 	n := p.readLen()
-	sc.m.fnic.RDMAReadInto(sc.tk, p.Backend, p.agent.RKey(), n, p.readInto(n), sc.readFn)
+	sc.m.fnic.RDMAReadInto(sc.tk, p.Backend, p.agent.RKey(), n, sc.buf(sc.i, n), sc.readFn)
+}
+
+// buf returns slot i's buffer sized for an n-byte read, growing it
+// only when a back-end's region is larger than any the slot has read.
+func (sc *sweepScratch) buf(i, n int) []byte {
+	if i >= len(sc.bufs) {
+		sc.bufs = append(sc.bufs, make([][]byte, i+1-len(sc.bufs))...)
+	}
+	if cap(sc.bufs[i]) < n {
+		sc.bufs[i] = make([]byte, n)
+	}
+	return sc.bufs[i][:n]
 }
 
 // read is the read's completion. A leased read is epoch-fenced first: a
@@ -621,9 +624,8 @@ func (sc *sweepScratch) advance() {
 
 // probeBatch posts one doorbell-batched multi-WR read covering ids
 // (all batch-eligible when posted). Under a pool, sc.leases[i] is the
-// held lease for ids[i]. Each read lands in its prober's own DMA buffer
-// and the batch bookkeeping lives in sc, so the hot path posts no fresh
-// memory.
+// held lease for ids[i]. Each read lands in its slot's buffer and the
+// batch bookkeeping lives in sc, so the hot path posts no fresh memory.
 func (sc *sweepScratch) probeBatch(ids []int) {
 	m := sc.m
 	sc.posted = sc.tk.Node().Eng.Now()
@@ -637,7 +639,7 @@ func (sc *sweepScratch) probeBatch(ids []int) {
 		p := m.prober(id)
 		sc.probers[i] = p
 		n := p.readLen()
-		sc.reqs[i] = simnet.ReadReq{Target: p.Backend, Key: p.agent.RKey(), Length: n, Buf: p.readInto(n)}
+		sc.reqs[i] = simnet.ReadReq{Target: p.Backend, Key: p.agent.RKey(), Length: n, Buf: sc.buf(i, n)}
 	}
 	m.fnic.RDMAReadBatchInto(sc.tk, sc.reqs, sc.results, sc.completedFn)
 }
@@ -849,8 +851,8 @@ func (m *Monitor) Updates(backend int) uint64 {
 // teardown check).
 func (m *Monitor) Stop() {
 	m.stopped = true
-	for _, t := range m.tasks {
-		t.Exit()
+	for _, sc := range m.shards {
+		sc.tk.Exit()
 	}
 	if m.Sink != nil {
 		m.Sink.Close()

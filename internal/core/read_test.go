@@ -1,12 +1,14 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
 	"rdmamon/internal/connpool"
 	"rdmamon/internal/metrics"
 	"rdmamon/internal/sim"
+	"rdmamon/internal/simos"
 	"rdmamon/internal/wire"
 )
 
@@ -227,6 +229,127 @@ func TestTornRingReadBound(t *testing.T) {
 						p.TornRetries, p.Errors, want, maxTornRetries)
 				}
 			})
+		}
+	}
+}
+
+// TestSweepSlotBuffersOwned: every doorbell slot reads into its own
+// buffer of the shard's sweepScratch, the same one sweep after sweep,
+// and a solo sweep keeps one buffer, not one per back-end.
+func TestSweepSlotBuffersOwned(t *testing.T) {
+	for _, batch := range []int{4, 1} {
+		t.Run(fmt.Sprintf("batch=%d", batch), func(t *testing.T) {
+			f, m := startReadFleet(65, batch, false, AgentConfig{Scheme: RDMASync})
+			sc := m.shards[0]
+			var first []*byte
+			for sweep := 0; sweep < 3; sweep++ {
+				f.eng.RunFor(5 * sim.Millisecond) // mid-sleep: the last sweep's completions are in sc
+				if len(sc.bufs) != batch {
+					t.Fatalf("sweep %d: %d slot buffers, want %d", sweep, len(sc.bufs), batch)
+				}
+				for i, b := range sc.bufs {
+					if sweep == 0 {
+						first = append(first, &b[0])
+					} else if &b[0] != first[i] {
+						t.Fatalf("sweep %d: slot %d's buffer was reallocated", sweep, i)
+					}
+					if batch > 1 && &sc.results[i].Data[0] != &b[0] {
+						t.Fatalf("sweep %d: slot %d's completion does not alias its buffer", sweep, i)
+					}
+					for j := range i {
+						if &b[0] == &sc.bufs[j][0] {
+							t.Fatalf("slots %d and %d share a buffer", j, i)
+						}
+					}
+				}
+				f.eng.RunFor(5 * sim.Millisecond)
+			}
+		})
+	}
+}
+
+// TestTornReReadSameSlot: a torn ring snapshot's re-read lands back in
+// the buffer of the slot that read it, as a batch slot and as a solo
+// read, and the shard grows no buffer for it.
+func TestTornReReadSameSlot(t *testing.T) {
+	for _, batch := range []int{4, 1} {
+		t.Run(fmt.Sprintf("batch=%d", batch), func(t *testing.T) {
+			cfg := AgentConfig{Scheme: RDMASync, HistoryK: 4, Interval: 10 * sim.Millisecond}
+			f, m := startReadFleet(66, batch, false, cfg)
+			a, p, sc := f.agents[readVictim-1], m.Probers[readVictim], m.shards[0]
+			slot := 0
+			if batch > 1 {
+				slot = readVictim - 1
+			}
+			tears := 1
+			var reread []byte
+			hookDMA(a, func(b []byte) []byte {
+				if tears > 0 {
+					tears--
+					return tear(b)
+				}
+				reread = append(reread[:0], b...)
+				return b
+			})
+			checked := false
+			p.OnRecord = func(wire.LoadRecord, sim.Time) {
+				if checked {
+					return
+				}
+				checked = true
+				if !bytes.Equal(sc.bufs[slot][:len(reread)], reread) {
+					t.Error("the re-read did not land in the slot's buffer")
+				}
+			}
+			f.eng.RunFor(50 * sim.Millisecond)
+			if tears != 0 || p.TornRetries != 1 || !checked {
+				t.Fatalf("tears left %d, torn retries %d, served %v; want 0, 1 and true", tears, p.TornRetries, checked)
+			}
+			if len(sc.bufs) != batch {
+				t.Fatalf("%d slot buffers after the re-read, want %d", len(sc.bufs), batch)
+			}
+		})
+	}
+}
+
+// TestMixedBatchDecodesOwnNode: in one doorbell batch over back-ends
+// exporting rings and single records alike, every completion decodes
+// its own node's record. The single-record agents all encode into the
+// fabric's one staging buffer, so this holds only because the NIC
+// copies it out before the next DMA instant.
+func TestMixedBatchDecodesOwnNode(t *testing.T) {
+	const n = 6
+	f := newFleet(67, 0, AgentConfig{})
+	fab := f.fnic.Fabric()
+	for i := 1; i <= n; i++ {
+		cfg := AgentConfig{Scheme: RDMASync, Interval: 10 * sim.Millisecond}
+		if i%2 == 0 {
+			cfg.HistoryK = 4
+		}
+		nd := simos.NewNode(f.eng, i, simos.NodeDefaults())
+		f.agents = append(f.agents, StartAgent(nd, fab.Attach(nd), cfg))
+	}
+	m := StartMonitorCfg(f.front, f.fnic, f.agents, 10*sim.Millisecond, MonitorConfig{Batch: n})
+	served := make(map[int]int)
+	for _, a := range f.agents {
+		p := m.Probers[a.node.ID]
+		p.OnRecord = func(rec wire.LoadRecord, _ sim.Time) {
+			served[p.Backend]++
+			if int(rec.NodeID) != p.Backend {
+				t.Fatalf("back-end %d's probe decoded node %d's record", p.Backend, rec.NodeID)
+			}
+			if rec.Seq == 0 || rec.Seq > a.seq || a.RingK() == 0 && rec.Seq != a.seq {
+				t.Fatalf("back-end %d: decoded seq %d, agent at %d", p.Backend, rec.Seq, a.seq)
+			}
+		}
+	}
+	f.eng.RunUntil(200 * sim.Millisecond)
+	if f.fnic.DoorbellBatches == 0 || len(m.shards[0].bufs) != n {
+		t.Fatalf("%d doorbell batches, %d slot buffers; want some and %d", f.fnic.DoorbellBatches, len(m.shards[0].bufs), n)
+	}
+	for _, a := range f.agents {
+		if served[a.node.ID] < 10 {
+			t.Fatalf("back-end %d served %d records in 200 ms, want >= 10", a.node.ID, served[a.node.ID])
 		}
 	}
 }

@@ -24,12 +24,10 @@ import (
 //     by the most recent observation — the raw ring change-rate the
 //     period controller's volatility test wants (smoothing a spike
 //     away is exactly wrong there).
+//
+// Samples are scored with DefaultWeights.
 type TrendTracker struct {
-	// Weights scores records; the zero value means DefaultWeights.
-	Weights Weights
-
 	epoch    uint32
-	haveW    bool
 	lastK    int64 // KTimeNS of the newest folded sample
 	lastIdx  float64
 	slope    float64
@@ -41,14 +39,6 @@ type TrendTracker struct {
 // trendAlpha is the slope EWMA's smoothing factor: reactive but not
 // single-sample twitchy.
 const trendAlpha = 0.4
-
-func (tt *TrendTracker) weights() *Weights {
-	if !tt.haveW {
-		tt.Weights = DefaultWeights()
-		tt.haveW = true
-	}
-	return &tt.Weights
-}
 
 // Reset drops all trend state (agent restart, epoch change).
 func (tt *TrendTracker) Reset() {
@@ -108,7 +98,8 @@ func (tt *TrendTracker) fold(rec *wire.LoadRecord) bool {
 	if tt.seen && rec.KTimeNS <= tt.lastK {
 		return false
 	}
-	idx := tt.weights().IndexOf(rec)
+	w := DefaultWeights()
+	idx := w.IndexOf(rec)
 	if !tt.seen {
 		tt.seen = true
 		tt.lastK = rec.KTimeNS

@@ -21,9 +21,11 @@
 package simnet
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"rdmamon/internal/sim"
 	"rdmamon/internal/simos"
@@ -197,11 +199,12 @@ type Fabric struct {
 	// (see internal/faults). Install via SetFaults before traffic runs.
 	Faults FaultModel
 
-	// casBuf is the responder's scratch image of a region under an
-	// atomic (see postCompSwap), reused by every atomic: it lives only
-	// within the atomic instant. Safe without locking because every
+	// stage is the fabric's one staging buffer (see NIC.Stage): the
+	// responder's image of a region under an atomic (postCompSwap), or
+	// the bytes a staging source encodes at a read's DMA instant. It
+	// lives only within that instant. Safe without locking because every
 	// engine callback runs on the single engine goroutine.
-	casBuf []byte
+	stage []byte
 
 	// readOps and readBatches are the free lists of one-sided read state
 	// (see readOp, readBatch), writeOps of writes (writeOp), msgOps of
@@ -282,7 +285,7 @@ func (f *Fabric) Attach(node *simos.Node) *NIC {
 	if _, dup := f.nics[node.ID]; dup {
 		panic(fmt.Sprintf("simnet: node %d already attached", node.ID))
 	}
-	nic := &NIC{fab: f, node: node, mrs: make(map[uint32]*MR)}
+	nic := &NIC{fab: f, node: node}
 	nic.ackFn = nic.ack
 	f.nics[node.ID] = nic
 	if id := node.ID; id >= 0 {
@@ -475,7 +478,7 @@ func (f *Fabric) JoinGroup(group string, node int, port string) {
 type NIC struct {
 	fab     *Fabric
 	node    *simos.Node
-	mrs     map[uint32]*MR
+	mrs     []*MR // ascending by key: keys are issued in order
 	nextKey uint32
 	ackFn   func() // n.ack, bound once
 
@@ -562,9 +565,19 @@ func (n *NIC) Multicast(t *simos.Task, group string, size int, payload any, then
 
 // Source supplies the bytes of a memory region at DMA time. For a
 // user-space buffer this is a closure over the buffer; for RDMA-Sync
-// it is a closure that serializes the live kernel statistics, so the
-// value read is exact at the instant of the DMA.
+// it is a closure that serializes the live kernel statistics (into
+// Stage), so the value read is exact at the instant of the DMA.
 type Source func() []byte
+
+// Stage returns the fabric's staging buffer, size bytes long. A Source
+// encodes into it and the NIC copies it out within the DMA instant, as
+// writes and atomics stage their payloads; nothing is kept past it.
+func (n *NIC) Stage(size int) []byte {
+	if cap(n.fab.stage) < size {
+		n.fab.stage = make([]byte, size)
+	}
+	return n.fab.stage[:size]
+}
 
 // StaticSource adapts a plain buffer.
 func StaticSource(buf []byte) Source { return func() []byte { return buf } }
@@ -586,7 +599,7 @@ func (m *MR) Key() uint32 { return m.key }
 func (n *NIC) RegisterMR(src Source, size int) *MR {
 	n.nextKey++
 	mr := &MR{key: n.nextKey, size: size, source: src}
-	n.mrs[mr.key] = mr
+	n.mrs = append(n.mrs, mr)
 	return mr
 }
 
@@ -605,7 +618,21 @@ func (n *NIC) RegisterWritableMR(src Source, size int, sink func([]byte)) *MR {
 
 // Deregister unpins a region; later remote accesses fail with
 // ErrBadKey.
-func (n *NIC) Deregister(mr *MR) { delete(n.mrs, mr.key) }
+func (n *NIC) Deregister(mr *MR) {
+	if i, m := n.findMR(mr.key); m != nil {
+		n.mrs = slices.Delete(n.mrs, i, i+1)
+	}
+}
+
+// findMR returns the region registered under key and where it is in
+// mrs, or nil.
+func (n *NIC) findMR(key uint32) (int, *MR) {
+	i, ok := slices.BinarySearchFunc(n.mrs, key, func(m *MR, k uint32) int { return cmp.Compare(m.key, k) })
+	if !ok {
+		return i, nil
+	}
+	return i, n.mrs[i]
+}
 
 // readOp is the state of one one-sided read in flight. Its stages are
 // methods bound once per struct, and the structs cycle through
@@ -731,7 +758,7 @@ func (op *readOp) arrive() {
 // service: the target NIC validates the request and performs the DMA.
 func (op *readOp) service() {
 	f := op.nic.fab
-	mr := op.tn.mrs[op.key]
+	_, mr := op.tn.findMR(op.key)
 	if mr == nil {
 		op.fail(f.xmit(0), ErrBadKey)
 		return
@@ -975,7 +1002,7 @@ func (op *writeOp) arrive() {
 // service: the responder validates the write and lands the payload.
 func (op *writeOp) service() {
 	f, tn := op.nic.fab, op.tn
-	mr := tn.mrs[op.key]
+	_, mr := tn.findMR(op.key)
 	var err error
 	switch {
 	case mr == nil:
@@ -1067,7 +1094,7 @@ func (n *NIC) postCompSwap(target int, key uint32, compare, swap uint64, done fu
 			return
 		}
 		f.Eng.Post(f.Cfg.NICService, func() {
-			mr := tn.mrs[key]
+			_, mr := tn.findMR(key)
 			switch {
 			case mr == nil:
 				tn.fab.countErr(n)
@@ -1088,8 +1115,8 @@ func (n *NIC) postCompSwap(target int, key uint32, compare, swap uint64, done fu
 			// units serialize concurrent atomics in hardware. The
 			// scratch copy exists only so the sink observes a
 			// fully-formed post-swap image.
-			f.casBuf = append(f.casBuf[:0], mr.source()...)
-			cur := f.casBuf
+			f.stage = append(f.stage[:0], mr.source()...)
+			cur := f.stage
 			prev := binary.LittleEndian.Uint64(cur[:8])
 			if prev == compare {
 				binary.LittleEndian.PutUint64(cur[:8], swap)

@@ -36,9 +36,9 @@ func (n *Node) RaiseNetIRQ(action func()) {
 // (bottom-half) work, where the real backlog accumulates under bursty
 // traffic.
 func (n *Node) raiseIRQon(c *cpu, hard, soft sim.Time, action func()) {
-	n.K.cumIRQHard[c.id]++
+	c.irqHard++
 	if soft > 0 {
-		n.K.cumIRQSoft[c.id]++
+		c.irqSoft++
 	}
 	c.hardQ.push(irqReq{hard: hard, soft: soft, action: action})
 	if !c.irqActive {

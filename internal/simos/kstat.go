@@ -10,8 +10,6 @@ type KernelStats struct {
 	node *Node
 
 	CtxSwitches uint64
-	cumIRQHard  [MaxCPU]uint64 // read through CumIRQHard: stale on a parked node
-	cumIRQSoft  [MaxCPU]uint64
 
 	NetRxBytes uint64
 	NetTxBytes uint64
@@ -19,12 +17,12 @@ type KernelStats struct {
 	connFn    func() int
 	memUsedKB uint64
 
-	// util is each CPU's utilisation history, one sample per tick. It
+	// util[c] is CPU c's utilisation history, one sample per tick. It
 	// grows by append, oldest first, up to utilLen samples — a node that
 	// parks at its first tick keeps one — and is a ring from then on:
 	// the next sample overwrites the oldest, at utilHead. All CPUs
 	// sample on the same tick, so they share the length and the cursor.
-	util     [MaxCPU][]utilSample
+	util     [][]utilSample
 	utilLen  int
 	utilHead int
 }
@@ -40,7 +38,8 @@ func newKernelStats(n *Node) *KernelStats {
 	// samples are newer than it: a ring of UtilWindow/Tick + 3 holds the
 	// base (or, early on, every sample there has been) with one to
 	// spare — the length the compacted history it replaces settled at.
-	return &KernelStats{node: n, memUsedKB: n.Cfg.MemBaseKB, utilLen: int(n.Cfg.UtilWindow/n.Cfg.Tick) + 3}
+	return &KernelStats{node: n, memUsedKB: n.Cfg.MemBaseKB, util: make([][]utilSample, n.Cfg.NumCPU),
+		utilLen: int(n.Cfg.UtilWindow/n.Cfg.Tick) + 3}
 }
 
 // utilHist returns CPU c's samples oldest first, as the two runs of its
@@ -241,11 +240,11 @@ func (k *KernelStats) CumIRQSoft(cpuID int) uint64 {
 	if cpuID < 0 || cpuID >= len(k.node.cpus) {
 		return 0
 	}
-	return k.cumIRQSoft[cpuID]
+	return k.node.cpus[cpuID].irqSoft
 }
 
 func (k *KernelStats) cumHard(cpuID int, v vticks) uint64 {
-	c := k.cumIRQHard[cpuID]
+	c := k.node.cpus[cpuID].irqHard
 	if k.node.Cfg.TimerIRQCost > 0 {
 		c += uint64(v.n)
 	}
@@ -280,7 +279,7 @@ func (k *KernelStats) SnapshotInto(s *Snapshot) {
 	for i, c := range n.cpus {
 		s.UtilPerMille[i] = k.utilPerMille(c, v)
 		s.IrqPendingHard[i], s.IrqPendingSoft[i] = n.pendingIRQ(c, v)
-		s.CumIRQ[i] = k.cumHard(i, v) + k.cumIRQSoft[i]
+		s.CumIRQ[i] = k.cumHard(i, v) + c.irqSoft
 	}
 	for i := len(n.cpus); i < MaxCPU; i++ {
 		s.UtilPerMille[i], s.IrqPendingHard[i], s.IrqPendingSoft[i], s.CumIRQ[i] = 0, 0, 0, 0

@@ -153,6 +153,8 @@ type Node struct {
 	cpus []*cpu
 
 	ready [numBands]fifo[*Task]
+	// tasks and ports are made on first use: a back-end whose only
+	// monitoring is a registered region never has either.
 	tasks map[*Task]struct{}
 	ports map[string]*Port
 
@@ -182,13 +184,7 @@ type Node struct {
 // immediately.
 func NewNode(eng *sim.Engine, id int, cfg Config) *Node {
 	cfg.sanitize()
-	n := &Node{
-		ID:    id,
-		Eng:   eng,
-		Cfg:   cfg,
-		tasks: make(map[*Task]struct{}),
-		ports: make(map[string]*Port),
-	}
+	n := &Node{ID: id, Eng: eng, Cfg: cfg}
 	n.K = newKernelStats(n)
 	for i := 0; i < cfg.NumCPU; i++ {
 		c := &cpu{node: n, id: i, lastAccount: eng.Now()}
@@ -386,7 +382,7 @@ func (n *Node) unpark() {
 		for _, c := range n.cpus {
 			busy := n.busy(c, v)
 			if cost > 0 {
-				n.K.cumIRQHard[c.id] += uint64(v.n)
+				c.irqHard += uint64(v.n)
 			}
 			if n.inService(c, v) {
 				c.hardQ.push(irqReq{hard: cost})
@@ -412,6 +408,9 @@ func (n *Node) Port(name string) *Port {
 		return p
 	}
 	p := &Port{node: n}
+	if n.ports == nil {
+		n.ports = make(map[string]*Port)
+	}
 	n.ports[name] = p
 	return p
 }

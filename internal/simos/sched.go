@@ -28,6 +28,11 @@ type cpu struct {
 	lastAccount sim.Time
 	busyUser    sim.Time
 	busyIRQ     sim.Time
+
+	// Interrupts taken, and those of them with softirq work; a parked
+	// node's virtual ticks are added on read (KernelStats.cumHard).
+	irqHard uint64
+	irqSoft uint64
 }
 
 func (c *cpu) account() {

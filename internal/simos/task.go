@@ -140,6 +140,9 @@ func (n *Node) Spawn(name string, program func(t *Task)) *Task {
 	t.sleepTimer = n.Eng.NewTimer(t.sleepExpire)
 	t.resumed = t.resume
 	t.recvDone = t.recv
+	if n.tasks == nil {
+		n.tasks = make(map[*Task]struct{})
+	}
 	n.tasks[t] = struct{}{}
 	n.nrTasks++
 	program(t)
