@@ -15,10 +15,11 @@ import (
 
 // memoryConfigs are the monitoring configurations whose memory the
 // tests below pin. sweep is the bench's sweep workload (RDMA-Sync at a
-// 10 ms poll, no web servers, 4 shards, doorbell batch 32); the others
-// add one mechanism each to it: a connection pool with every conn
-// resident, the hybrid push/pull scheme, and a 16-slot history ring per
-// agent.
+// 10 ms poll, no web servers, 4 shards, doorbell batch 32); pooled,
+// hybrid and ring add one mechanism each to it: a connection pool with
+// every conn resident, the hybrid push/pull scheme, and a 16-slot
+// history ring per agent. scaleout is all of the pooled scale-out run's
+// mechanisms at once.
 func memoryConfigs(backends int) []struct {
 	name string
 	cfg  Config
@@ -29,10 +30,25 @@ func memoryConfigs(backends int) []struct {
 	pooled.Pool = &connpool.Config{}
 	hybrid.Hybrid = &core.HybridConfig{}
 	ring.HistoryK = 16
+	// The Config experiments.ScaleOut (scaleout.go) builds at 1024
+	// back-ends and seed 1: hybrid and failover on a pool whose conn and
+	// dial budgets are those of 1024 back-ends, 8 shards × batch 32. The
+	// flappers and the fault phases are left out.
+	scaleout := Config{Backends: backends, Scheme: core.RDMASync, Poll: 10 * sim.Millisecond,
+		Seed: 1 + 1024, NoServers: true, ProbeTimeout: 10 * sim.Millisecond,
+		MonitorShards: 8, MonitorBatch: 32, Failover: true,
+		Hybrid: &core.HybridConfig{
+			Period:    core.PeriodConfig{Min: 10 * sim.Millisecond, Max: 640 * sim.Millisecond},
+			Heartbeat: 320 * sim.Millisecond,
+			Check:     10 * sim.Millisecond,
+		},
+		Pool: &connpool.Config{MaxConns: 128, DialsPerSec: 1024, IdleAfterNS: int64(500 * sim.Millisecond),
+			BreakAfter: 2, ReopenAfterNS: int64(200 * sim.Millisecond)},
+	}
 	return []struct {
 		name string
 		cfg  Config
-	}{{"sweep", sweep}, {"pooled", pooled}, {"hybrid", hybrid}, {"ring", ring}}
+	}{{"sweep", sweep}, {"pooled", pooled}, {"hybrid", hybrid}, {"ring", ring}, {"scaleout", scaleout}}
 }
 
 // liveHeap collects garbage and returns the bytes still reachable.
@@ -78,7 +94,7 @@ func clusterOf(cfg Config) func(backends int) any {
 // once its monitoring has settled. Each budget is the cost measured
 // when it was set plus 2 %, rounded up to 10 B (DESIGN §13).
 func TestMemoryPerBackend(t *testing.T) {
-	budget := map[string]float64{"sweep": 2220, "pooled": 2450, "hybrid": 4800, "ring": 8670}
+	budget := map[string]float64{"sweep": 2030, "pooled": 2260, "hybrid": 3990, "ring": 8480, "scaleout": 5030}
 	for _, tc := range memoryConfigs(1024) {
 		t.Run(tc.name, func(t *testing.T) {
 			per := perBackend(t, 1024, clusterOf(tc.cfg))
@@ -136,7 +152,7 @@ func TestMemoryPerLayer(t *testing.T) {
 		budget float64
 		build  func(backends int) any
 	}{
-		{"node", 1260, layer(1)}, {"nic", 260, layer(2)}, {"agent", 300, layer(3)},
+		{"node", 1070, layer(1)}, {"nic", 260, layer(2)}, {"agent", 300, layer(3)},
 		{"prober", 480, layer(4)}, {"cluster", 20, clusterOf(memoryConfigs(1024)[0].cfg)},
 	}
 	below := 0.0

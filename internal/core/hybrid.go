@@ -1,8 +1,8 @@
 package core
 
 import (
-	"fmt"
 	"math"
+	"slices"
 
 	"rdmamon/internal/sim"
 	"rdmamon/internal/simnet"
@@ -120,15 +120,15 @@ func (pc *PeriodController) Observe(changed bool, h Health, leaseHeld bool) sim.
 const DefaultChangeThreshold = 0.05
 
 // AdaptivePoll is one back-end's adaptive-poll decision: its period
-// controller, the last record it observed and the change test between
-// them. The simulated monitor and the live monitor (which rmmon probe
+// controller, the weighted index of the last record it observed and the
+// change test between them. The simulated monitor and the live monitor (which rmmon probe
 // runs on) both decide through it. Like PeriodController it is
 // clock-free: each call returns the period until the next probe and the
 // caller schedules.
 type AdaptivePoll struct {
-	Ctrl PeriodController
-	obs  wire.LoadRecord
-	has  bool
+	Ctrl   PeriodController
+	obsIdx float64 // DefaultWeights' index of the last observed record
+	has    bool
 }
 
 // Observe folds one probe outcome or pushed record into the decision
@@ -138,7 +138,10 @@ type AdaptivePoll struct {
 // counts as change; so does any non-Healthy state or a lost lease (see
 // PeriodController.Observe).
 func (a *AdaptivePoll) Observe(rec *wire.LoadRecord, threshold float64, h Health, leaseHeld bool) sim.Time {
-	return a.decide(rec, rec == nil || !a.has || LoadDelta(rec, &a.obs) >= threshold, h, leaseHeld)
+	last, had := a.obsIdx, a.has
+	a.keep(rec)
+	// LoadDelta(rec, last observed), each side scored once.
+	return a.Ctrl.Observe(rec == nil || !had || math.Abs(a.obsIdx-last) >= threshold, h, leaseHeld)
 }
 
 // ObserveRate is Observe with the caller's rate verdict in place of the
@@ -146,15 +149,17 @@ func (a *AdaptivePoll) Observe(rec *wire.LoadRecord, threshold float64, h Health
 // the whole history window a ring read fetched, so a back-end that
 // oscillated between two probes still counts as changed.
 func (a *AdaptivePoll) ObserveRate(rec *wire.LoadRecord, rate, threshold float64, h Health, leaseHeld bool) sim.Time {
-	return a.decide(rec, rec == nil || !a.has || rate >= threshold, h, leaseHeld)
+	changed := rec == nil || !a.has || rate >= threshold
+	a.keep(rec)
+	return a.Ctrl.Observe(changed, h, leaseHeld)
 }
 
-func (a *AdaptivePoll) decide(rec *wire.LoadRecord, changed bool, h Health, leaseHeld bool) sim.Time {
+// keep scores rec, if any, as the last observation.
+func (a *AdaptivePoll) keep(rec *wire.LoadRecord) {
 	if rec != nil {
-		a.obs = *rec
-		a.has = true
+		w := DefaultWeights()
+		a.obsIdx, a.has = w.IndexOf(rec), true
 	}
-	return a.Ctrl.Observe(changed, h, leaseHeld)
 }
 
 // HybridConfig shapes the hybrid push/pull scheme. Its change test,
@@ -191,12 +196,11 @@ type PushGate struct {
 	threshold float64
 	heartbeat sim.Time
 
-	// The change test is LoadDelta's arithmetic with one side cached: w
-	// is the index it scores with, lastIdx the index of the last pushed
-	// record and lastAt the instant it was scored, so a check scores only
-	// its own sample. sampleIdx and scoredAt hold the sample in flight
-	// between Check and Pushed.
-	w         Weights
+	// The change test is LoadDelta's arithmetic with one side cached:
+	// lastIdx is the index of the last pushed record and lastAt the
+	// instant it was scored, so a check scores only its own sample.
+	// sampleIdx and scoredAt hold the sample in flight between Check and
+	// Pushed.
 	seq       uint32
 	primed    bool
 	lastIdx   float64
@@ -215,7 +219,7 @@ type PushGate struct {
 // index moved by at least threshold since the last push, or when
 // heartbeat has passed since the last push was scored.
 func NewPushGate(threshold float64, heartbeat sim.Time) PushGate {
-	return PushGate{threshold: threshold, heartbeat: heartbeat, w: DefaultWeights()}
+	return PushGate{threshold: threshold, heartbeat: heartbeat}
 }
 
 // Check scores pr.Load, a sample the pusher took of its own machine at
@@ -231,7 +235,8 @@ func (g *PushGate) Check(pr *wire.PushRecord, now sim.Time) bool {
 	if rec.NrRunning > 0 {
 		rec.NrRunning--
 	}
-	idx := g.w.IndexOf(rec)
+	w := DefaultWeights()
+	idx := w.IndexOf(rec)
 	if g.primed && math.Abs(idx-g.lastIdx) < g.threshold && now-g.lastAt < g.heartbeat {
 		g.Skips++
 		return false
@@ -262,10 +267,10 @@ func (g *PushGate) Pushed(err error) {
 // change-triggered and one-sided: a quiet back-end costs zero work
 // requests.
 type DeltaPusher struct {
-	Cfg   HybridConfig
-	node  *simos.Node
-	nic   *simnet.NIC
-	front int
+	period sim.Time // the sampling period, HybridConfig.Check
+	node   *simos.Node
+	nic    *simnet.NIC
+	front  int
 	// slotKey resolves the aggregation slot's current rkey per push, so
 	// the pusher survives the front-end invalidating and re-pinning the
 	// region (it simply fails until the fresh key appears).
@@ -292,7 +297,7 @@ type DeltaPusher struct {
 // writing into front's aggregation slot for this back-end.
 func StartDeltaPusher(node *simos.Node, nic *simnet.NIC, front int, slotKey func() uint32, cfg HybridConfig) *DeltaPusher {
 	cfg = cfg.WithDefaults(0)
-	p := &DeltaPusher{Cfg: cfg, node: node, nic: nic, front: front, slotKey: slotKey,
+	p := &DeltaPusher{period: cfg.Check, node: node, nic: nic, front: front, slotKey: slotKey,
 		PushGate: NewPushGate(DefaultChangeThreshold, cfg.Heartbeat)}
 	p.loopFn, p.sampledFn, p.checkFn, p.pushedFn = p.loop, p.sampled, p.check, p.pushed
 	p.task = node.Spawn("rmon-push-delta", func(tk *simos.Task) {
@@ -324,7 +329,7 @@ func (p *DeltaPusher) sampled() {
 // check scores the sample and pushes it if the gate says so.
 func (p *DeltaPusher) check() {
 	if !p.Check(&p.pr, p.node.Eng.Now()) {
-		p.task.Sleep(p.Cfg.Check, p.loopFn)
+		p.task.Sleep(p.period, p.loopFn)
 		return
 	}
 	// Encode into the fabric's staging buffer: RDMAWrite copies the
@@ -340,7 +345,7 @@ func (p *DeltaPusher) pushed(err error) {
 		return
 	}
 	p.Pushed(err)
-	p.task.Sleep(p.Cfg.Check, p.loopFn)
+	p.task.Sleep(p.period, p.loopFn)
 }
 
 // Stop ends the push loop.
@@ -357,7 +362,7 @@ func (p *DeltaPusher) Stop() {
 type PushSink struct {
 	front *simos.Node
 	fnic  *simnet.NIC
-	slots map[int]*pushSlot
+	slots []pushSlot // by back-end ID; an ID with no slot has no region
 
 	// OnRecord observes every valid pushed record (the Monitor's
 	// notePush hook).
@@ -371,31 +376,47 @@ type PushSink struct {
 	closed bool
 }
 
+// deregister unpins a slot's region; a variable so tests can watch each
+// removal from the NIC's region table.
+var deregister = (*simnet.NIC).Deregister
+
 type pushSlot struct {
 	backend int
-	buf     []byte
+	buf     [wire.PushRecordSize]byte
 	mr      *simnet.MR
 }
 
 // NewPushSink registers one aggregation slot per back-end on the
 // front-end NIC.
 func NewPushSink(front *simos.Node, fnic *simnet.NIC, backends []int) *PushSink {
-	s := &PushSink{front: front, fnic: fnic, slots: make(map[int]*pushSlot)}
+	s := &PushSink{front: front, fnic: fnic}
+	if len(backends) > 0 {
+		s.slots = make([]pushSlot, slices.Max(backends)+1)
+	}
 	for _, b := range backends {
-		sl := &pushSlot{backend: b, buf: make([]byte, wire.PushRecordSize)}
+		sl := &s.slots[b]
+		sl.backend = b
 		s.register(sl)
-		s.slots[b] = sl
 	}
 	return s
+}
+
+// slot returns a back-end's aggregation slot, or nil past the table;
+// a back-end without a slot has one with no region.
+func (s *PushSink) slot(backend int) *pushSlot {
+	if backend < 0 || backend >= len(s.slots) {
+		return nil
+	}
+	return &s.slots[backend]
 }
 
 // register pins a slot's MR: remote writes land in the slot buffer and
 // validate immediately (the slot remains remotely readable too, so a
 // peer front-end could audit it).
 func (s *PushSink) register(sl *pushSlot) {
-	sl.mr = s.fnic.RegisterWritableMR(simnet.StaticSource(sl.buf), wire.PushRecordSize, func(data []byte) {
-		copy(sl.buf, data)
-		rec, err := wire.DecodePush(sl.buf)
+	sl.mr = s.fnic.RegisterWritableMR(simnet.StaticSource(sl.buf[:]), wire.PushRecordSize, func(data []byte) {
+		copy(sl.buf[:], data)
+		rec, err := wire.DecodePush(sl.buf[:])
 		if err != nil || int(rec.Load.NodeID) != sl.backend {
 			s.Torn++
 			return
@@ -410,7 +431,7 @@ func (s *PushSink) register(sl *pushSlot) {
 // SlotKey returns the current rkey of a back-end's aggregation slot (0
 // while invalidated or unknown — writes with key 0 fail).
 func (s *PushSink) SlotKey(backend int) uint32 {
-	sl := s.slots[backend]
+	sl := s.slot(backend)
 	if sl == nil || sl.mr == nil {
 		return 0
 	}
@@ -422,11 +443,11 @@ func (s *PushSink) SlotKey(backend int) uint32 {
 // subsequent pushes fail) and re-registered with a fresh key after
 // repin, mirroring Agent.InvalidateMR on the pull side.
 func (s *PushSink) InvalidateSlot(backend int, repin sim.Time) {
-	sl := s.slots[backend]
+	sl := s.slot(backend)
 	if sl == nil || sl.mr == nil {
 		return
 	}
-	s.fnic.Deregister(sl.mr)
+	deregister(s.fnic, sl.mr)
 	sl.mr = nil
 	if repin <= 0 || s.closed {
 		return
@@ -439,17 +460,17 @@ func (s *PushSink) InvalidateSlot(backend int, repin sim.Time) {
 	})
 }
 
-// Close deregisters every slot.
+// Close deregisters every slot, from the highest back-end ID down. The
+// slots registered in ID order and the NIC's region table is in key
+// order, so each removal pops the table's last entry unless a slot was
+// re-pinned since (tearing down 8192 slots by shifting the table was
+// quadratic).
 func (s *PushSink) Close() {
 	s.closed = true
-	for _, sl := range s.slots {
-		if sl.mr != nil {
-			s.fnic.Deregister(sl.mr)
+	for i := len(s.slots) - 1; i >= 0; i-- {
+		if sl := &s.slots[i]; sl.mr != nil {
+			deregister(s.fnic, sl.mr)
 			sl.mr = nil
 		}
 	}
-}
-
-func (s *PushSink) String() string {
-	return fmt.Sprintf("pushsink slots=%d rx=%d torn=%d", len(s.slots), s.Received, s.Torn)
 }

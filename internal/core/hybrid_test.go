@@ -2,11 +2,14 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"rdmamon/internal/sim"
+	"rdmamon/internal/simnet"
 	"rdmamon/internal/simos"
 	"rdmamon/internal/wire"
 )
@@ -172,6 +175,7 @@ func TestAdaptivePollDecisions(t *testing.T) {
 		{"heartbeat push", false, &quiet, -1, th, Healthy, true, 2 * min, quiet},
 		{"moving push", false, &busy, -1, th, Healthy, true, min, busy},
 	}
+	w := DefaultWeights()
 	for _, c := range cases {
 		a := AdaptivePoll{Ctrl: PeriodController{Cfg: PeriodConfig{Min: min, Max: 8 * min}}}
 		if !c.unprimed {
@@ -186,9 +190,9 @@ func TestAdaptivePollDecisions(t *testing.T) {
 		if got != c.want || a.Ctrl.Period() != c.want {
 			t.Errorf("%s: period %v (Period %v), want %v", c.name, got, a.Ctrl.Period(), c.want)
 		}
-		if !a.has || a.obs != c.wantObs {
-			t.Errorf("%s: kept seq=%d conns=%d has=%v, want seq=%d conns=%d",
-				c.name, a.obs.Seq, a.obs.Conns, a.has, c.wantObs.Seq, c.wantObs.Conns)
+		if want := w.IndexOf(&c.wantObs); !a.has || a.obsIdx != want {
+			t.Errorf("%s: kept index %v has=%v, want %v (seq=%d conns=%d)",
+				c.name, a.obsIdx, a.has, want, c.wantObs.Seq, c.wantObs.Conns)
 		}
 	}
 	var fresh AdaptivePoll
@@ -488,6 +492,36 @@ func TestPushMonitorLatestRace(t *testing.T) {
 	received, torn := mon.Stats()
 	if received == 0 || torn != 0 {
 		t.Fatalf("received=%d torn=%d", received, torn)
+	}
+}
+
+// Closing a sink pops the front-end NIC's region table from its end:
+// every deregistration removes the table's last entry, so tearing down
+// 8192 slots shifts nothing, and the table ends empty.
+func TestPushSinkCloseIsTailPops(t *testing.T) {
+	r := newRig(37)
+	backends := make([]int, 8192)
+	for i := range backends {
+		backends[i] = i + 1
+	}
+	sink := NewPushSink(r.front, r.fnic, backends)
+	table := reflect.ValueOf(r.fnic).Elem().FieldByName("mrs")
+	if table.Len() != len(backends) {
+		t.Fatalf("front-end NIC holds %d regions, want %d", table.Len(), len(backends))
+	}
+	inner, calls, notLast := deregister, 0, 0
+	deregister = func(n *simnet.NIC, mr *simnet.MR) {
+		calls++
+		if table.Index(table.Len()-1).Pointer() != uintptr(unsafe.Pointer(mr)) {
+			notLast++
+		}
+		inner(n, mr)
+	}
+	defer func() { deregister = inner }()
+	sink.Close()
+	if calls != len(backends) || notLast != 0 || table.Len() != 0 {
+		t.Fatalf("Close made %d deregistrations, %d not of the table's last entry, and left %d regions; want %d, 0, 0",
+			calls, notLast, table.Len(), len(backends))
 	}
 }
 

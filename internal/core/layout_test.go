@@ -27,10 +27,20 @@ func TestAgentFitsSizeClass(t *testing.T) {
 }
 
 // Under the hybrid engine every back-end also owns one AdaptivePoll,
-// allocated alone: it has to stay in the 160-byte size class.
+// allocated alone: it keeps the last record's index, not the record, so
+// it stays in the 48-byte size class.
 func TestAdaptivePollFitsSizeClass(t *testing.T) {
-	if sz := unsafe.Sizeof(AdaptivePoll{}); sz > 160 {
-		t.Fatalf("AdaptivePoll is %d bytes, want <= 160", sz)
+	if sz := unsafe.Sizeof(AdaptivePoll{}); sz > 48 {
+		t.Fatalf("AdaptivePoll is %d bytes, want <= 48", sz)
+	}
+}
+
+// Under the hybrid engine every back-end runs a DeltaPusher: it keeps
+// its check period, not the whole HybridConfig, and its gate scores
+// with DefaultWeights, so it stays in the 320-byte size class.
+func TestDeltaPusherFitsSizeClass(t *testing.T) {
+	if sz := unsafe.Sizeof(DeltaPusher{}); sz > 320 {
+		t.Fatalf("DeltaPusher is %d bytes, want <= 320", sz)
 	}
 }
 

@@ -917,28 +917,63 @@ func (n *NIC) RDMAWrite(t *simos.Task, target int, key uint32, data []byte, then
 	// (the WR's local buffer is owned by the HCA from here) and reused
 	// by the op's next write.
 	op.payload = append(op.payload[:0], data...)
-	t.Compute(f.Cfg.RDMAPostCost, op.postFn)
+	op.next = writePosted
+	t.Compute(f.Cfg.RDMAPostCost, op.stepFn)
 }
 
 // writeOp is one one-sided write from its post to the completion
 // reaching the posting task: readOp's pattern for writes. Its stages —
 // the end of the post burst, the arrival at the target NIC, the
-// responder's service and the completion — are methods bound once, the
-// structs cycle through Fabric.writeOps with their staging buffers, and
-// the op itself is the value the completion's Resume hands the task, so
-// a steady-state write allocates nothing, however many are in flight.
+// responder's service and the completion — run one at a time through
+// step, bound once; the structs cycle through Fabric.writeOps with their
+// staging buffers, and the op itself is the value the completion's
+// Resume hands the task, so a steady-state write allocates nothing,
+// however many are in flight. The pool keeps every op the largest burst
+// of writes in flight needed, so the op holds one bound stepper, not
+// one closure per stage.
 type writeOp struct {
 	nic     *NIC // initiator
 	tn      *NIC // target, known from arrive on
 	task    *simos.Task
 	target  int
 	key     uint32
+	next    writeStage
 	payload []byte // the staged data; the array stays with the op
 	err     error
 	then    func(err error)
 
-	postFn, arriveFn, serviceFn, completeFn func()
-	awaitedFn                               func(any)
+	stepFn    func()    // op.step
+	awaitedFn func(any) // op.awaited
+}
+
+// writeStage is the stage a writeOp's step runs next.
+type writeStage uint8
+
+const (
+	writePosted   writeStage = iota // the post burst ended
+	writeArrived                    // the write reached the target NIC
+	writeServiced                   // the responder serves it
+	writeDone                       // the completion reaches the task
+)
+
+// step runs the op's next stage.
+func (op *writeOp) step() {
+	switch op.next {
+	case writePosted:
+		op.post()
+	case writeArrived:
+		op.arrive()
+	case writeServiced:
+		op.service()
+	default:
+		op.complete()
+	}
+}
+
+// after runs stage s after d.
+func (op *writeOp) after(d sim.Time, s writeStage) {
+	op.next = s
+	op.nic.fab.Eng.Post(d, op.stepFn)
 }
 
 func (f *Fabric) getWriteOp() *writeOp {
@@ -949,8 +984,7 @@ func (f *Fabric) getWriteOp() *writeOp {
 		return op
 	}
 	op := &writeOp{}
-	op.postFn, op.arriveFn, op.serviceFn, op.completeFn = op.post, op.arrive, op.service, op.complete
-	op.awaitedFn = op.awaited
+	op.stepFn, op.awaitedFn = op.step, op.awaited
 	return op
 }
 
@@ -979,7 +1013,7 @@ func (op *writeOp) post() {
 		}
 		extra += v.Delay
 	}
-	f.Eng.Post(f.xmit(16+len(op.payload))+extra, op.arriveFn)
+	op.after(f.xmit(16+len(op.payload))+extra, writeArrived)
 }
 
 // arrive: the write reaches the target NIC.
@@ -996,7 +1030,7 @@ func (op *writeOp) arrive() {
 		op.finishAfter(f.Cfg.RDMATimeout, ErrTimeout)
 		return
 	}
-	f.Eng.Post(f.Cfg.NICService, op.serviceFn)
+	op.after(f.Cfg.NICService, writeServiced)
 }
 
 // service: the responder validates the write and lands the payload.
@@ -1026,7 +1060,7 @@ func (op *writeOp) service() {
 // finishAfter completes the write with err after d.
 func (op *writeOp) finishAfter(d sim.Time, err error) {
 	op.err = err
-	op.nic.fab.Eng.Post(d, op.completeFn)
+	op.after(d, writeDone)
 }
 
 // complete hands the outcome to the posting task; the op waits in it

@@ -17,64 +17,63 @@ type KernelStats struct {
 	connFn    func() int
 	memUsedKB uint64
 
-	// util[c] is CPU c's utilisation history, one sample per tick. It
-	// grows by append, oldest first, up to utilLen samples — a node that
-	// parks at its first tick keeps one — and is a ring from then on:
-	// the next sample overwrites the oldest, at utilHead. All CPUs
-	// sample on the same tick, so they share the length and the cursor.
-	util     [][]utilSample
+	// util is the utilisation history, one row per tick: the tick's
+	// instant, then each CPU's cumulative busy time. It grows by append,
+	// oldest row first, up to utilLen rows — a node that parks at its
+	// first tick keeps one — and is a ring from then on: the next row
+	// overwrites the oldest, row utilHead.
+	util     []sim.Time
 	utilLen  int
 	utilHead int
 }
 
-type utilSample struct {
-	t    sim.Time
-	busy sim.Time
-}
-
 func newKernelStats(n *Node) *KernelStats {
-	// A reading's base is the newest sample at least a window old.
-	// Ticks are at least a Tick apart, so at most UtilWindow/Tick + 1
-	// samples are newer than it: a ring of UtilWindow/Tick + 3 holds the
-	// base (or, early on, every sample there has been) with one to
-	// spare — the length the compacted history it replaces settled at.
-	return &KernelStats{node: n, memUsedKB: n.Cfg.MemBaseKB, util: make([][]utilSample, n.Cfg.NumCPU),
-		utilLen: int(n.Cfg.UtilWindow/n.Cfg.Tick) + 3}
+	// A reading's base is the newest row at least a window old. Ticks
+	// are at least a Tick apart, so at most UtilWindow/Tick + 1 rows are
+	// newer than it: a ring of UtilWindow/Tick + 3 holds the base (or,
+	// early on, every row there has been) with one to spare — the
+	// length the compacted history it replaces settled at.
+	return &KernelStats{node: n, memUsedKB: n.Cfg.MemBaseKB, utilLen: int(n.Cfg.UtilWindow/n.Cfg.Tick) + 3}
 }
 
-// utilHist returns CPU c's samples oldest first, as the two runs of its
-// ring.
-func (k *KernelStats) utilHist(c int) (older, newer []utilSample) {
-	h := k.util[c]
-	return h[k.utilHead:], h[:k.utilHead]
+// rowLen is the length of a utilisation row.
+func (k *KernelStats) rowLen() int { return len(k.node.cpus) + 1 }
+
+// utilHist returns the rows oldest first, as the two runs of the ring.
+func (k *KernelStats) utilHist() (older, newer []sim.Time) {
+	at := k.utilHead * k.rowLen()
+	return k.util[at:], k.util[:at]
 }
 
-// newestUtil returns CPU c's newest sample; the history is not empty.
-func (k *KernelStats) newestUtil(c int) utilSample {
-	h := k.util[c]
-	if k.utilHead == 0 {
-		return h[len(h)-1]
+// newestRow returns the newest row; the history is not empty.
+func (k *KernelStats) newestRow() []sim.Time {
+	w := k.rowLen()
+	end := k.utilHead * w
+	if end == 0 {
+		end = len(k.util)
 	}
-	return h[k.utilHead-1]
+	return k.util[end-w : end]
 }
 
-// putUtil takes one sample on every CPU, busy[i] for CPU i: appended
-// while the histories are short, over the oldest once they are full.
+// putUtil takes one row, busy[i] for CPU i: appended while the history
+// is short, over the oldest row once it is full.
 func (k *KernelStats) putUtil(t sim.Time, busy *[MaxCPU]sim.Time) {
-	if n := len(k.util[0]); n < k.utilLen {
-		for i := range k.node.cpus {
-			if n == 1 {
-				// A second sample: the node ticks on, so its history
-				// takes the whole ring at once.
-				k.util[i] = append(make([]utilSample, 0, k.utilLen), k.util[i][0])
-			}
-			k.util[i] = append(k.util[i], utilSample{t: t, busy: busy[i]})
+	w := k.rowLen()
+	if rows := len(k.util) / w; rows < k.utilLen {
+		switch rows {
+		case 0:
+			k.util = make([]sim.Time, 0, w)
+		case 1:
+			// A second row: the node ticks on, so its history takes the
+			// whole ring at once.
+			k.util = append(make([]sim.Time, 0, k.utilLen*w), k.util...)
 		}
+		k.util = append(append(k.util, t), busy[:w-1]...)
 		return
 	}
-	for i := range k.node.cpus {
-		k.util[i][k.utilHead] = utilSample{t: t, busy: busy[i]}
-	}
+	row := k.util[k.utilHead*w:][:w]
+	row[0] = t
+	copy(row[1:], busy[:w-1])
 	if k.utilHead++; k.utilHead == k.utilLen {
 		k.utilHead = 0
 	}
@@ -90,10 +89,10 @@ func (k *KernelStats) sampleUtil() {
 	k.putUtil(k.node.Eng.Now(), &busy)
 }
 
-// replayUtil takes the samples a parked node's virtual ticks took —
-// the one at p0+i·Tick read the p0 sample plus i tick services — from
-// the oldest one the history still holds after the last of them.
-func (k *KernelStats) replayUtil(v vticks) {
+// replayUtil takes the rows a node parked at p0 took in its virtual
+// ticks — the one at p0+i·Tick read the p0 row plus i tick services —
+// from the oldest one the history still holds after the last of them.
+func (k *KernelStats) replayUtil(p0 sim.Time, v vticks) {
 	n := k.node
 	tick, cost := n.Cfg.Tick, n.Cfg.TimerIRQCost
 	first := int64(1)
@@ -101,51 +100,48 @@ func (k *KernelStats) replayUtil(v vticks) {
 		first = f
 	}
 	var b0, busy [MaxCPU]sim.Time
-	for i := range n.cpus {
-		b0[i] = k.newestUtil(i).busy
-	}
+	copy(b0[:], k.newestRow()[1:])
 	for j := first; j <= v.n; j++ {
 		for i := range n.cpus {
 			busy[i] = b0[i] + sim.Time(j)*cost
 		}
-		k.putUtil(n.p0+sim.Time(j)*tick, &busy)
+		k.putUtil(p0+sim.Time(j)*tick, &busy)
 	}
 }
 
 // utilPerMille is UtilPerMille at virtual-tick state v. The base is the
-// newest sample at least a window old; on a parked node whose window
-// starts after the first virtual tick that sample is virtual too, and
-// has a closed form.
+// newest row at least a window old; on a parked node whose window
+// starts after the first virtual tick that row is virtual too, and has
+// a closed form.
 func (k *KernelStats) utilPerMille(c *cpu, v vticks) int {
 	n := k.node
 	now := n.Eng.Now()
 	busyNow := n.busy(c, v)
 	target := now - n.Cfg.UtilWindow
-	var base utilSample
+	var baseT, baseBusy sim.Time
 	switch {
-	case n.parked && target-n.p0 >= n.Cfg.Tick:
-		kb := (target - n.p0) / n.Cfg.Tick
-		base = utilSample{t: n.p0 + kb*n.Cfg.Tick, busy: k.newestUtil(c.id).busy + kb*n.Cfg.TimerIRQCost}
-	case len(k.util[c.id]) > 0:
-		// The samples ascend in time through the ring's two runs, so the
+	case n.parked && target-n.p0() >= n.Cfg.Tick:
+		p0 := n.p0()
+		kb := (target - p0) / n.Cfg.Tick
+		baseT, baseBusy = p0+kb*n.Cfg.Tick, k.newestRow()[1+c.id]+kb*n.Cfg.TimerIRQCost
+	case len(k.util) > 0:
+		// The rows ascend in time through the ring's two runs, so the
 		// base is in the newer run once that run starts by target.
-		h, newer := k.utilHist(c.id)
-		if len(newer) > 0 && newer[0].t <= target {
+		w := k.rowLen()
+		h, newer := k.utilHist()
+		if len(newer) > 0 && newer[0] <= target {
 			h = newer
 		}
-		base = h[0]
-		for _, s := range h[1:] {
-			if s.t > target {
-				break
-			}
-			base = s
+		baseT, baseBusy = h[0], h[1+c.id]
+		for r := w; r < len(h) && h[r] <= target; r += w {
+			baseT, baseBusy = h[r], h[r+1+c.id]
 		}
 	}
-	span := now - base.t
+	span := now - baseT
 	if span <= 0 {
 		return 0
 	}
-	u := int64(busyNow-base.busy) * 1000 / int64(span)
+	u := int64(busyNow-baseBusy) * 1000 / int64(span)
 	if u < 0 {
 		u = 0
 	}
@@ -267,8 +263,8 @@ func (k *KernelStats) SnapshotInto(s *Snapshot) {
 	v := n.catchUp()
 	s.Time = n.Eng.Now()
 	s.NodeID = n.ID
-	s.NrRunning = n.nrRunnable
-	s.NrTasks = n.nrTasks
+	s.NrRunning = int(n.nrRunnable)
+	s.NrTasks = len(n.tasks)
 	s.NumCPU = len(n.cpus)
 	s.MemUsedKB = k.memUsedKB
 	s.MemTotalKB = n.Cfg.MemTotalKB

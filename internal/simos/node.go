@@ -18,7 +18,10 @@
 package simos
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
+	"sync"
 
 	"rdmamon/internal/sim"
 )
@@ -145,37 +148,58 @@ func (c *Config) sanitize() {
 	}
 }
 
+// configs interns sanitized configurations: every node built from an
+// equal one shares one copy, so a fleet holds one Config, not one per
+// node. Configs are few and never change once interned.
+var configs = struct {
+	sync.Mutex
+	m map[Config]*Config
+}{m: map[Config]*Config{}}
+
+// intern returns the shared copy of c; a lookup allocates nothing.
+func intern(c Config) *Config {
+	configs.Lock()
+	defer configs.Unlock()
+	p := configs.m[c]
+	if p == nil {
+		p = new(Config)
+		*p = c
+		configs.m[c] = p
+	}
+	return p
+}
+
 // Node is one simulated cluster machine.
 type Node struct {
 	ID   int
 	Eng  *sim.Engine
-	Cfg  Config
+	Cfg  *Config // shared by every node built from an equal Config: read only
 	cpus []*cpu
 
 	ready [numBands]fifo[*Task]
-	// tasks and ports are made on first use: a back-end whose only
-	// monitoring is a registered region never has either.
-	tasks map[*Task]struct{}
-	ports map[string]*Port
-
-	nrRunnable int // tasks ready or running; kept by Task.setState
-	nrTasks    int // live tasks, len(tasks) kept beside nrRunnable by Spawn and exit
+	// tasks are the live tasks, each at its Task.idx; ports are sorted
+	// by name. A back-end whose only monitoring is a registered region
+	// has neither.
+	tasks []*Task
+	ports []*Port
 
 	K *KernelStats
 
 	tick *sim.Ticker
 
-	// down and frozen share a word with parked: a Node stays in the
-	// 320-byte size class.
+	nrRunnable int32 // tasks ready or running; kept by Task.setState
+
+	// down, frozen and parked share a word with nrRunnable: a Node
+	// stays in the 192-byte size class.
 	down   bool
 	frozen bool
 
-	// A parked node's ticker is stopped and its ticks after the one at
-	// p0 exist only in closed form (DESIGN §6): readers see them through
-	// catchUp, a wake materialises them. key1 is the sequence key the
-	// first virtual tick would have had.
+	// A parked node's ticker is stopped and its ticks after the one it
+	// parked at (p0, the newest utilisation row's instant) exist only in
+	// closed form (DESIGN §6): readers see them through catchUp, a wake
+	// materialises them. key1 is the sequence key the first virtual tick
+	// would have had.
 	parked bool
-	p0     sim.Time
 	key1   uint64
 }
 
@@ -184,7 +208,7 @@ type Node struct {
 // immediately.
 func NewNode(eng *sim.Engine, id int, cfg Config) *Node {
 	cfg.sanitize()
-	n := &Node{ID: id, Eng: eng, Cfg: cfg}
+	n := &Node{ID: id, Eng: eng, Cfg: intern(cfg)}
 	n.K = newKernelStats(n)
 	for i := 0; i < cfg.NumCPU; i++ {
 		c := &cpu{node: n, id: i, lastAccount: eng.Now()}
@@ -217,11 +241,9 @@ func (n *Node) Crash() {
 	}
 	n.unpark()
 	n.down = true // gates resched while the task set is torn down
-	victims := make([]*Task, 0, len(n.tasks))
-	for t := range n.tasks {
-		victims = append(victims, t)
-	}
-	for _, t := range victims {
+	// In spawn order: each exit swap-removes from the table, so walk a
+	// copy of it.
+	for _, t := range slices.Clone(n.tasks) {
 		t.exit()
 	}
 	for _, p := range n.ports {
@@ -287,15 +309,19 @@ func (n *Node) onTick() {
 	n.K.sampleUtil()
 	if quiet {
 		n.tick.Stop()
-		n.parked, n.p0, n.key1 = true, n.Eng.Now(), n.Eng.Reserve()
+		n.parked, n.key1 = true, n.Eng.Reserve()
 	}
 }
+
+// p0 is the instant a parked node parked at: its last real tick, whose
+// utilisation row stays the newest until the node wakes.
+func (n *Node) p0() sim.Time { return n.K.newestRow()[0] }
 
 // quiescent reports whether the node's future ticks have a closed form:
 // no task, so no CPU runs one, and no interrupt queued or in service.
 // A tick's interrupt must also end before the next tick.
 func (n *Node) quiescent() bool {
-	if n.nrTasks > 0 || n.Cfg.TimerIRQCost >= n.Cfg.Tick {
+	if len(n.tasks) > 0 || n.Cfg.TimerIRQCost >= n.Cfg.Tick {
 		return false
 	}
 	for _, c := range n.cpus {
@@ -323,24 +349,24 @@ func (n *Node) catchUp() vticks {
 	if !n.parked {
 		return vticks{}
 	}
-	now := n.Eng.Now()
-	k := int64((now - n.p0) / n.Cfg.Tick)
-	last := n.p0 + sim.Time(k)*n.Cfg.Tick
-	if k > 0 && last == now && !n.Eng.Fired(now, n.tickKey(k)) {
+	now, p0 := n.Eng.Now(), n.p0()
+	k := int64((now - p0) / n.Cfg.Tick)
+	last := p0 + sim.Time(k)*n.Cfg.Tick
+	if k > 0 && last == now && !n.Eng.Fired(now, n.tickKey(p0, k)) {
 		k--
 		last -= n.Cfg.Tick
 	}
 	return vticks{n: k, last: last}
 }
 
-// tickKey is the sequence key of virtual tick k >= 1: the one reserved
-// at park time for the first, and for later ones the rank after the
-// interrupt completions the previous tick enqueued.
-func (n *Node) tickKey(k int64) uint64 {
+// tickKey is the sequence key of virtual tick k >= 1 after a park at
+// p0: the one reserved at park time for the first, and for later ones
+// the rank after the interrupt completions the previous tick enqueued.
+func (n *Node) tickKey(p0 sim.Time, k int64) uint64 {
 	if k == 1 {
 		return n.key1
 	}
-	return sim.KeyAt(n.p0+sim.Time(k-1)*n.Cfg.Tick, len(n.cpus))
+	return sim.KeyAt(p0+sim.Time(k-1)*n.Cfg.Tick, len(n.cpus))
 }
 
 // inService reports whether the timer interrupt of the last virtual
@@ -375,7 +401,7 @@ func (n *Node) unpark() {
 	if !n.parked {
 		return
 	}
-	v := n.catchUp()
+	v, p0 := n.catchUp(), n.p0()
 	n.parked = false
 	if v.n > 0 {
 		cost := n.Cfg.TimerIRQCost
@@ -392,10 +418,10 @@ func (n *Node) unpark() {
 			}
 			c.busyIRQ += busy - c.cumBusy()
 		}
-		n.K.replayUtil(v)
+		n.K.replayUtil(p0, v)
 	}
 	next := v.n + 1
-	n.tick.ResumeKeyed(n.p0+sim.Time(next)*n.Cfg.Tick, n.tickKey(next))
+	n.tick.ResumeKeyed(p0+sim.Time(next)*n.Cfg.Tick, n.tickKey(p0, next))
 }
 
 // NumCPU returns the number of CPUs on this node.
@@ -404,18 +430,24 @@ func (n *Node) NumCPU() int { return len(n.cpus) }
 // Port returns the named port, creating it if necessary. Ports are the
 // rendezvous between the network stack and tasks.
 func (n *Node) Port(name string) *Port {
-	if p, ok := n.ports[name]; ok {
-		return p
+	i, ok := n.findPort(name)
+	if !ok {
+		n.ports = slices.Insert(n.ports, i, &Port{node: n, name: name})
 	}
-	p := &Port{node: n}
-	if n.ports == nil {
-		n.ports = make(map[string]*Port)
-	}
-	n.ports[name] = p
-	return p
+	return n.ports[i]
 }
 
 // LookupPort returns the named port or nil.
-func (n *Node) LookupPort(name string) *Port { return n.ports[name] }
+func (n *Node) LookupPort(name string) *Port {
+	if i, ok := n.findPort(name); ok {
+		return n.ports[i]
+	}
+	return nil
+}
+
+// findPort returns where the named port is in ports, or would be.
+func (n *Node) findPort(name string) (int, bool) {
+	return slices.BinarySearchFunc(n.ports, name, func(p *Port, name string) int { return cmp.Compare(p.name, name) })
+}
 
 func (n *Node) String() string { return fmt.Sprintf("node%d", n.ID) }

@@ -245,6 +245,39 @@ func TestCrashMidIRQKeepsServicePipeline(t *testing.T) {
 	}
 }
 
+// TestCrashExitsInSpawnOrder pins the order Crash kills a running task,
+// a sleeper, a port waiter and an awaiter in: the order they were
+// spawned. Exit runs no code of the task's, so the order shows only in
+// the trace the task table's swap-removes leave: a dead task's idx is
+// the slot it left the table from. Spawn order leaves 0, 1, 1, 0 on
+// four tasks, and no other order of four does (the map the table
+// replaced gave a random one).
+func TestCrashExitsInSpawnOrder(t *testing.T) {
+	eng, n := newTestNode(t, NodeDefaults())
+	port := n.Port("rx")
+	tasks := []*Task{
+		n.Spawn("running", func(tk *Task) { tk.Compute(sim.Second, func() {}) }),
+		n.Spawn("sleeper", func(tk *Task) { tk.Sleep(sim.Second, func() {}) }),
+		n.Spawn("waiter", func(tk *Task) { tk.Recv(port, func(Message) {}) }),
+		n.Spawn("awaiter", func(tk *Task) { tk.Await(func(any) {}) }),
+	}
+	eng.RunUntil(sim.Millisecond)
+	for i, want := range []taskState{stateRunning, stateSleeping, stateBlocked, stateBlocked} {
+		if tk := tasks[i]; tk.state != want || tk.idx != i || n.tasks[i] != tk {
+			t.Fatalf("before the crash %s is %s at %d, want %s at %d", tk.Name, tk.state, tk.idx, want, i)
+		}
+	}
+	n.Crash()
+	for i, want := range []int{0, 1, 1, 0} {
+		if tk := tasks[i]; tk.state != stateDead || tk.idx != want {
+			t.Errorf("%s: %s, left the table from %d, want dead from %d", tk.Name, tk.state, tk.idx, want)
+		}
+	}
+	if len(n.tasks) != 0 || n.nrRunnable != 0 || port.waiters.len() != 0 {
+		t.Fatalf("after the crash: %d tasks, %d runnable, %d port waiters, want none", len(n.tasks), n.nrRunnable, port.waiters.len())
+	}
+}
+
 // BenchmarkIdleNodeSecond advances 64 idle nodes one simulated second
 // per iteration. Idle nodes park (DESIGN §6), so once parked a second
 // costs them nothing at all.
@@ -281,7 +314,7 @@ func benchmarkNodeSecond(b *testing.B, blocked bool) {
 // the task set. It survives as the reference for the counter.
 func walkRunnable(n *Node) int {
 	c := 0
-	for t := range n.tasks {
+	for _, t := range n.tasks {
 		if t.state == stateReady || t.state == stateRunning {
 			c++
 		}
@@ -326,7 +359,7 @@ func TestNrRunnableCounterMatchesWalk(t *testing.T) {
 		}
 		check := func(what string) {
 			t.Helper()
-			if got, want := n.nrRunnable, walkRunnable(n); got != want {
+			if got, want := int(n.nrRunnable), walkRunnable(n); got != want {
 				t.Fatalf("seed %d at %v after %s: NrRunnable = %d, walk says %d", seed, eng.Now(), what, got, want)
 			}
 		}

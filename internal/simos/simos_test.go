@@ -1,7 +1,11 @@
 package simos
 
 import (
+	"fmt"
+	"math/rand"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 	"weak"
 
@@ -61,8 +65,8 @@ func TestTaskExitsAfterFinalContinuation(t *testing.T) {
 	if tk.Alive() {
 		t.Fatal("task should exit after issuing no further op")
 	}
-	if n.nrTasks != 0 {
-		t.Fatalf("NrTasks = %d, want 0", n.nrTasks)
+	if len(n.tasks) != 0 {
+		t.Fatalf("NrTasks = %d, want 0", len(n.tasks))
 	}
 }
 
@@ -413,6 +417,45 @@ func TestPortSameNodeOnly(t *testing.T) {
 	})
 }
 
+// A node's ports are one slice sorted by name: Port finds or inserts by
+// binary search, so a front end holding a reply port per back-end that
+// fell back to sockets looks one up in log time, and every name maps to
+// one port for the node's life.
+func TestPortTableSortedByName(t *testing.T) {
+	_, n := newTestNode(t, lightCfg())
+	byName := map[string]*Port{}
+	for _, i := range rand.New(rand.NewSource(1)).Perm(710) {
+		name := fmt.Sprintf("reply-%d", i)
+		byName[name] = n.Port(name)
+	}
+	sorted := slices.IsSortedFunc(n.ports, func(a, b *Port) int { return strings.Compare(a.name, b.name) })
+	if !sorted || len(n.ports) != len(byName) {
+		t.Fatalf("%d ports, sorted %v; want %d sorted by name", len(n.ports), sorted, len(byName))
+	}
+	for name, p := range byName {
+		if n.Port(name) != p || n.LookupPort(name) != p || p.name != name {
+			t.Fatalf("port %q is not the one it was created as", name)
+		}
+	}
+	if n.LookupPort("reply-710") != nil || n.LookupPort("") != nil || len(n.ports) != len(byName) {
+		t.Fatal("LookupPort of a name never used found a port or made one")
+	}
+}
+
+// Nodes built from equal configurations share one sanitized copy; a
+// zero field and its default sanitize to equal configurations.
+func TestNodesShareEqualConfig(t *testing.T) {
+	eng := sim.NewEngine(1)
+	a, b := NewNode(eng, 1, NodeDefaults()), NewNode(eng, 2, Config{})
+	c := NewNode(eng, 3, lightCfg())
+	if a.Cfg != b.Cfg || *a.Cfg != NodeDefaults() {
+		t.Fatalf("default nodes hold %p and %p, want one copy of the defaults", a.Cfg, b.Cfg)
+	}
+	if c.Cfg == a.Cfg || c.Cfg.CtxSwitchCost != 0 {
+		t.Fatalf("a light node shares the default config or lost its zero costs: %+v", *c.Cfg)
+	}
+}
+
 func TestIRQPausesAndResumesTask(t *testing.T) {
 	cfg := lightCfg()
 	cfg.NumCPU = 1
@@ -503,7 +546,7 @@ func TestNrRunnable(t *testing.T) {
 	if got := n.nrRunnable; got != 5 {
 		t.Fatalf("NrRunnable = %d, want 5 (sleeper excluded)", got)
 	}
-	if got := n.nrTasks; got != 6 {
+	if got := len(n.tasks); got != 6 {
 		t.Fatalf("NrTasks = %d, want 6", got)
 	}
 }
@@ -573,7 +616,7 @@ func TestSchedulerDeterminism(t *testing.T) {
 			})
 		}
 		eng.RunUntil(2 * sim.Second)
-		for tk := range n.tasks {
+		for _, tk := range n.tasks {
 			total += tk.CPUTime
 		}
 		return total, n.K.CtxSwitches

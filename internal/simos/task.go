@@ -58,6 +58,7 @@ type Task struct {
 	Name string
 
 	node  *Node
+	idx   int // where the task is in node.tasks while it lives
 	state taskState
 	band  Band
 
@@ -140,11 +141,8 @@ func (n *Node) Spawn(name string, program func(t *Task)) *Task {
 	t.sleepTimer = n.Eng.NewTimer(t.sleepExpire)
 	t.resumed = t.resume
 	t.recvDone = t.recv
-	if n.tasks == nil {
-		n.tasks = make(map[*Task]struct{})
-	}
-	n.tasks[t] = struct{}{}
-	n.nrTasks++
+	t.idx = len(n.tasks)
+	n.tasks = append(n.tasks, t)
 	program(t)
 	if t.state == stateNew { // issued nothing
 		t.exit()
@@ -320,6 +318,15 @@ func (t *Task) resume() {
 	fn(v)
 }
 
+// removeTask swap-removes t from the task table: the last task takes
+// its index.
+func (n *Node) removeTask(t *Task) {
+	last := n.tasks[len(n.tasks)-1]
+	n.tasks[t.idx], last.idx = last, t.idx
+	n.tasks[len(n.tasks)-1] = nil
+	n.tasks = n.tasks[:len(n.tasks)-1]
+}
+
 // Exit terminates the task.
 func (t *Task) Exit() { t.exit() }
 
@@ -342,8 +349,7 @@ func (t *Task) exit() {
 		t.node.removeReady(t)
 	}
 	t.setState(stateDead)
-	delete(t.node.tasks, t)
-	t.node.nrTasks--
+	t.node.removeTask(t)
 	t.node.resched()
 }
 
@@ -358,7 +364,7 @@ func (t *Task) ReadProc(then func()) {
 		return
 	}
 	node := t.node
-	t.Compute(node.Cfg.ProcReadCost+node.Cfg.ProcReadPerTask*sim.Time(node.nrTasks), then)
+	t.Compute(node.Cfg.ProcReadCost+node.Cfg.ProcReadPerTask*sim.Time(len(node.tasks)), then)
 }
 
 // ProcSnapshot writes into *s the kernel statistics a /proc read
@@ -397,6 +403,7 @@ type Message struct {
 // longest-waiting task.
 type Port struct {
 	node    *Node
+	name    string
 	queue   fifo[Message]
 	waiters fifo[*Task]
 }
